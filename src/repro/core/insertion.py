@@ -1,8 +1,9 @@
 """Inserting a request into a vehicle's kinetic tree.
 
 For every branch (valid schedule) of a vehicle's kinetic tree and every
-position pair, the candidate schedule obtained by inserting the request's
-pick-up and drop-off stops is checked against the four validity conditions of
+position pair ``(i, k)`` -- pick-up before branch stop ``i``, drop-off before
+branch stop ``k >= i`` -- the candidate schedule obtained by inserting the
+request's two stops is checked against the four validity conditions of
 Definition 2.  Each feasible candidate yields
 
 * its pick-up distance ``dist_pt`` (travel distance from the vehicle's current
@@ -12,13 +13,28 @@ Definition 2.  Each feasible candidate yields
 
 which the matchers turn into ``<vehicle, time, price>`` options.
 
+Candidates are never built to be checked.  A branch is flattened once into
+per-stop tables (vertex, the constraint's limit, the stop the constraint is
+measured from), and one scan (:func:`_passing`) walks the ``(i, k)`` pairs so
+that candidates share what they have in common: the stops before the pick-up
+slot are summed once per branch, the stops between pick-up and drop-off once
+per ``i`` (extended by one stop as ``k`` grows), and only the tail after the
+drop-off is walked per candidate, stopping at the first violated stop.  A
+violation *before* the drop-off slot holds for every larger ``k`` (and one
+before the pick-up slot for every larger ``i``), so those candidates are
+dropped without being visited.  The schedule tuple is materialised for
+feasible candidates only.
+
 Section 3.3 of the paper notes that the number of shortest-path computations
 can be reduced compared to the plain kinetic-tree algorithm "by estimating
 the lower and upper bounds of the shortest path distance".  When a grid index
-is supplied, this module short-circuits candidates whose *lower-bound*
-distances already violate a constraint, skipping their exact evaluation; the
-exact check still runs for every candidate that survives, so the result set
-is identical with and without the grid (property-tested).
+is supplied, the scan runs first over grid *lower bounds*; only the pairs it
+lets through (and that respect the capacity) are scanned again over exact
+distances, so the result set is identical with and without the grid
+(property-tested against the per-candidate reference in
+``tests/insertion_reference.py``).  Every sum runs left to right from the
+vehicle's offset, exactly as a walk over the materialised schedule would, so
+distances are equal to the last bit, not just to a tolerance.
 """
 
 from __future__ import annotations
@@ -31,16 +47,12 @@ from repro.model.request import Request
 from repro.model.stops import Stop, StopKind
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import RoutingEngine
-from repro.vehicles.schedule import (
-    RequestState,
-    check_schedule,
-    enumerate_insertions,
-    evaluate_schedule,
-    schedule_distance,
-)
 from repro.vehicles.vehicle import Vehicle
 
 __all__ = ["InsertionCandidate", "insertion_candidates", "InsertionStatistics"]
+
+#: Slack added to every constraint limit before comparing floating-point sums.
+_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,6 +86,8 @@ class InsertionStatistics:
         self.candidates_rejected_by_bounds += other.candidates_rejected_by_bounds
 
 
+
+
 def insertion_candidates(
     vehicle: Vehicle,
     request: Request,
@@ -102,7 +116,8 @@ def insertion_candidates(
             come from the pinned request tree).
 
     Returns:
-        Feasible candidates; empty when the vehicle cannot serve the request.
+        Feasible candidates, ordered by branch, then pick-up slot, then
+        drop-off slot; empty when the vehicle cannot serve the request.
     """
     stats = statistics if statistics is not None else InsertionStatistics()
     distance_fn = distance if distance is not None else oracle.distance
@@ -127,59 +142,63 @@ def insertion_candidates(
         riders=request.riders,
     )
 
-    # The new request's waiting-time condition cannot bind at matching time:
-    # the planned pick-up *is* the one being computed.  An infinite remaining
-    # planned distance encodes that.
-    request_states: Dict[str, RequestState] = dict(vehicle.request_states())
-    request_states[request.request_id] = RequestState(
-        request=request,
-        onboard=False,
-        direct_distance=direct,
-        planned_pickup_remaining=math.inf,
-        travelled_since_pickup=0.0,
-    )
+    # Per-request constants, once per call: (onboard, waiting limit, service
+    # limit).  The new request's waiting-time condition cannot bind at
+    # matching time -- the planned pick-up *is* the one being computed -- so
+    # only its service limit exists.
+    limits: Dict[str, Tuple[bool, float, float]] = {
+        request_id: (
+            state.onboard,
+            math.inf if state.onboard else state.waiting_budget() + _TOLERANCE,
+            state.remaining_service_budget() + _TOLERANCE,
+        )
+        for request_id, state in vehicle.request_states().items()
+    }
+    new_limit = request.detour_budget(direct) + _TOLERANCE
 
-    base_schedules: List[Tuple[Stop, ...]] = vehicle.kinetic_tree.schedules() or [()]
-    onboard_riders = vehicle.occupancy
     origin = vehicle.location
     origin_offset = vehicle.offset
+    onboard_riders = vehicle.occupancy
     results: List[InsertionCandidate] = []
-    seen: Dict[Tuple[Stop, ...], None] = {}
 
-    for base in base_schedules:
-        base_total = schedule_distance(origin, base, distance_fn, origin_offset)
-        for candidate in enumerate_insertions(base, pickup_stop, dropoff_stop):
-            if candidate in seen:
-                continue
-            seen[candidate] = None
-            stats.candidates_enumerated += 1
-            if grid is not None and _rejected_by_lower_bounds(
-                origin, origin_offset, candidate, request_states, grid
-            ):
-                stats.candidates_rejected_by_bounds += 1
-                continue
-            metrics = evaluate_schedule(origin, candidate, distance_fn, origin_offset)
-            feasibility = check_schedule(
-                origin=origin,
-                stops=candidate,
-                capacity=vehicle.capacity,
-                onboard_riders=onboard_riders,
-                request_states=request_states,
-                distance=distance_fn,
-                origin_offset=origin_offset,
-                metrics=metrics,
+    for base in vehicle.kinetic_tree.schedules() or [()]:
+        size = len(base)
+        enumerated = (size + 1) * (size + 2) // 2
+        stats.candidates_enumerated += enumerated
+        verts, ref, limit, well_formed = _stop_tables(base, limits)
+        if well_formed:
+            room = _capacity_slots(base, onboard_riders, vehicle.capacity, request.riders)
+        else:
+            room = [range(0)] * (size + 1)
+        if grid is None:
+            wanted: Sequence[Sequence[int]] = room
+        else:
+            survivors, _ = _passing(
+                grid.distance_lower_bound, origin, origin_offset, verts, ref, limit,
+                request.start, request.destination, new_limit,
+                [range(i, size + 1) for i in range(size + 1)],
             )
-            if not feasibility:
-                continue
-            stats.candidates_feasible += 1
+            stats.candidates_rejected_by_bounds += enumerated - len(survivors)
+            wanted = [[] for _ in room]
+            for i, k, _, _ in survivors:
+                if k in room[i]:
+                    wanted[i].append(k)
+        if not any(wanted):
+            continue
+        feasible, base_total = _passing(
+            distance_fn, origin, origin_offset, verts, ref, limit,
+            request.start, request.destination, new_limit, wanted,
+        )
+        stats.candidates_feasible += len(feasible)
+        for i, k, pickup_distance, total in feasible:
             results.append(
                 InsertionCandidate(
                     vehicle_id=vehicle.vehicle_id,
-                    schedule=candidate,
-                    base_schedule=tuple(base),
-                    pickup_distance=metrics.pickup_distance[request.request_id],
-                    added_distance=max(0.0, metrics.total_distance - base_total),
-                    total_distance=metrics.total_distance,
+                    schedule=base[:i] + (pickup_stop,) + base[i:k] + (dropoff_stop,) + base[k:],
+                    base_schedule=base,
+                    pickup_distance=pickup_distance,
+                    added_distance=max(0.0, total - base_total),
+                    total_distance=total,
                 )
             )
     return results
@@ -201,56 +220,186 @@ def feasible_schedules_for_commit(
     return [candidate.schedule for candidate in insertion_candidates(vehicle, request, oracle, grid)]
 
 
-def _rejected_by_lower_bounds(
+def _stop_tables(
+    base: Sequence[Stop],
+    limits: Dict[str, Tuple[bool, float, float]],
+) -> Tuple[List[int], List[int], List[float], bool]:
+    """Flatten one branch into the per-stop tables :func:`_passing` scans.
+
+    Returns ``(verts, ref, limit, well_formed)``.  With ``at[m]`` the
+    distance from the vehicle to branch stop ``m`` along some candidate, stop
+    ``m`` violates its constraint when ``at[m] - at[ref[m]] > limit[m]``:
+
+    * a pick-up measures from the vehicle (``ref`` -1, which ``_passing``
+      maps to a zero) against the request's waiting limit;
+    * a drop-off measures from its own pick-up stop -- or from the vehicle
+      when the riders are already on board -- against the service limit;
+    * a stop no condition applies to gets an infinite limit.
+
+    ``well_formed`` is the point-order condition, which is a property of the
+    branch, not of where the new stops go: every stop belongs to a request of
+    the vehicle, no onboard request is picked up again, every unfinished
+    request has exactly its stops, pick-up first.  Inserting a request the
+    vehicle does not yet serve into such a branch keeps it well-formed.
+    """
+    verts: List[int] = []
+    ref: List[int] = []
+    limit: List[float] = []
+    picked_at: Dict[str, int] = {}
+    dropped = set()
+    well_formed = True
+    for index, stop in enumerate(base):
+        request_id = stop.request_id
+        verts.append(stop.vertex)
+        entry = limits.get(request_id)
+        measured_from, bound = -1, math.inf
+        if entry is None:
+            well_formed = False
+        elif stop.is_pickup:
+            onboard, bound, _ = entry
+            if onboard or request_id in picked_at:
+                well_formed = False
+            picked_at[request_id] = index
+        else:
+            onboard, _, service = entry
+            if request_id in dropped:
+                well_formed = False
+            dropped.add(request_id)
+            if onboard:
+                bound = service
+            elif request_id in picked_at:
+                measured_from, bound = picked_at[request_id], service
+            else:
+                well_formed = False
+        ref.append(measured_from)
+        limit.append(bound)
+    # Every request dropped off, and (checked above) each waiting one picked
+    # up first: nothing is missing.
+    return verts, ref, limit, well_formed and len(dropped) == len(limits)
+
+
+def _capacity_slots(
+    base: Sequence[Stop], onboard_riders: int, capacity: int, riders: int
+) -> List[range]:
+    """Per pick-up slot ``i``, the drop-off slots that respect the capacity.
+
+    Occupancy must stay within ``[0, capacity]`` after every stop of the
+    candidate: after the branch stops outside ``[i, k)`` and after the
+    drop-off as the branch has it, after the pick-up and the stops inside
+    ``[i, k)`` with the new riders on top.  For a fixed ``i`` the admissible
+    ``k`` are therefore contiguous.
+    """
+    size = len(base)
+    load = [onboard_riders]  # load[m]: riders on board on reaching slot m
+    for stop in base:
+        load.append(load[-1] + stop.occupancy_delta)
+    # Without the new riders on board, load[1..i] covers the stops before the
+    # pick-up and load[k..size] the drop-off and the stops after it; with
+    # them, load[i..k] covers what lies between.
+    first_bad = size + 1
+    last_bad = -1
+    for m, riders_on_board in enumerate(load):
+        if not 0 <= riders_on_board <= capacity:
+            last_bad = m
+            if 0 < m < first_bad:
+                first_bad = m
+    slots = [range(0)] * (size + 1)
+    end = size + 1
+    for i in range(size, -1, -1):
+        if not 0 <= load[i] + riders <= capacity:
+            end = i
+        if i < first_bad:
+            slots[i] = range(max(i, last_bad + 1), end)
+    return slots
+
+
+def _passing(
+    dist: Callable[[int, int], float],
     origin: int,
     origin_offset: float,
-    stops: Sequence[Stop],
-    request_states: Dict[str, RequestState],
-    grid: GridIndex,
-) -> bool:
-    """Return ``True`` when grid lower bounds alone prove the schedule infeasible.
+    verts: Sequence[int],
+    ref: Sequence[int],
+    limit: Sequence[float],
+    pickup_vertex: int,
+    dropoff_vertex: int,
+    new_limit: float,
+    wanted: Sequence[Sequence[int]],
+) -> Tuple[List[Tuple[int, int, float, float]], float]:
+    """Scan one branch's insertion slots under the leg metric ``dist``.
 
-    The check mirrors the waiting-time and service conditions of
-    :func:`repro.vehicles.schedule.check_schedule` but replaces every exact
-    shortest-path distance with the (cheaper) grid lower bound.  Because the
-    bounds never exceed the true distances, a violation here implies a
-    violation of the exact check, so rejecting is safe.
+    ``wanted[i]`` lists, ascending, the drop-off slots to try with the
+    pick-up in slot ``i``.  Returns the ``(i, k, pickup_total, total)`` of
+    every pair whose stops all meet their limits (see :func:`_stop_tables`)
+    and whose pick-up-to-drop-off distance meets ``new_limit``, in ``(i, k)``
+    order, plus the length of the branch itself.
 
-    This runs once per enumerated candidate schedule (hundreds of thousands
-    of times per dispatch batch), so it is a single pass that returns at the
-    *first* provable violation: every per-stop condition only needs the
-    bound-prefix up to that stop, and a pick-up's waiting-time condition is
-    decidable the moment the pick-up is reached.
+    ``dist`` is the grid lower bound or the exact distance; since the bound
+    never exceeds the distance, a pair that fails under the bound fails under
+    the distance.  Sums are accumulated left to right from ``origin_offset``
+    in both cases, so the exact totals are the floats a walk over the
+    materialised schedule produces.
     """
-    bound = grid.distance_lower_bound
-    states_get = request_states.get
-    total = origin_offset
+    size = len(verts)
+    # legs[m]: the branch's own leg into stop m (from the vehicle for m = 0),
+    # asked for once; the trailing zero is read, never added, after the last
+    # stop.  Only the four legs around the two new stops differ by candidate.
+    legs: List[float] = []
+    length = origin_offset
     previous = origin
-    pickup_at: Dict[str, float] = {}
-    for stop in stops:
-        vertex = stop.vertex
-        total += bound(previous, vertex)
+    for vertex in verts:
+        leg = dist(previous, vertex)
+        legs.append(leg)
+        length += leg
         previous = vertex
-        request_id = stop.request_id
-        if stop.is_pickup:
-            pickup_at[request_id] = total
-            state = states_get(request_id)
-            if (
-                state is not None
-                and not state.onboard
-                and total > state.waiting_budget() + 1e-9
-            ):
-                return True
-        else:
-            state = states_get(request_id)
-            if state is None:
-                continue
-            if state.onboard:
-                travelled_lb = total
-            elif request_id in pickup_at:
-                travelled_lb = total - pickup_at[request_id]
+    legs.append(0.0)
+    # at[m]: distance to branch stop m along the candidate being walked.
+    # Every walk writes a stop's entry before a later stop reads it, so one
+    # list serves all candidates; at[-1] is the zero that ref -1 points to.
+    at = [0.0] * (size + 1)
+    passing: List[Tuple[int, int, float, float]] = []
+    before = origin_offset
+    previous = origin
+    for i, slots in enumerate(wanted):
+        if i:
+            # Branch stop i-1 moves in front of the pick-up slot.
+            stop = i - 1
+            before += legs[stop]
+            previous = verts[stop]
+            at[stop] = before
+            if before - at[ref[stop]] > limit[stop]:
+                # Stale branch: the stop fails here and in front of every
+                # later pick-up slot.
+                break
+        if not slots:
+            continue
+        picked = before + dist(previous, pickup_vertex)
+        between = picked  # distance to the last stop in front of the drop-off slot
+        between_vertex = pickup_vertex
+        reached = i  # branch stops [i, reached) are summed into `between`
+        for k in slots:
+            while reached < k:
+                vertex = verts[reached]
+                between += legs[reached] if reached > i else dist(pickup_vertex, vertex)
+                between_vertex = vertex
+                at[reached] = between
+                if between - at[ref[reached]] > limit[reached]:
+                    break
+                reached += 1
             else:
+                total = between + dist(between_vertex, dropoff_vertex)
+                if total - picked > new_limit:
+                    continue
+                leg = dist(dropoff_vertex, verts[k]) if k < size else 0.0
+                for stop in range(k, size):
+                    total += leg
+                    at[stop] = total
+                    if total - at[ref[stop]] > limit[stop]:
+                        break
+                    leg = legs[stop + 1]
+                else:
+                    passing.append((i, k, picked, total))
                 continue
-            if travelled_lb > state.remaining_service_budget() + 1e-9:
-                return True
-    return False
+            # A stop in front of the drop-off slot fails, and stays in front
+            # of it for every larger k.
+            break
+    return passing, length

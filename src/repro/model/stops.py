@@ -29,11 +29,12 @@ class StopKind(enum.Enum):
 class Stop:
     """One stop of a vehicle trip schedule.
 
-    Stops are immutable and sit on the hottest loops of the matcher (every
-    candidate schedule is a tuple of stops, deduplicated by hash, and every
-    feasibility walk branches on the stop kind), so the derived values --
-    ``is_pickup`` / ``is_dropoff`` / ``occupancy_delta`` and the hash -- are
-    computed once at construction instead of per access.
+    Stops are immutable and are read on the hottest loops of the matcher
+    (every kinetic-tree branch is flattened per insertion call, branching on
+    the stop kind and summing ``occupancy_delta``; schedule tuples are hashed
+    whenever a kinetic tree deduplicates its branches), so the derived values
+    -- ``is_pickup`` / ``is_dropoff`` / ``occupancy_delta`` and the hash --
+    are computed once at construction instead of per access.
 
     Attributes:
         vertex: the road-network vertex of the stop.

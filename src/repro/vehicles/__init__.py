@@ -20,7 +20,6 @@ from repro.vehicles.schedule import (
     RequestState,
     ScheduleMetrics,
     check_schedule,
-    enumerate_insertions,
     evaluate_schedule,
 )
 from repro.vehicles.vehicle import Vehicle
@@ -36,7 +35,6 @@ __all__ = [
     "ScheduleMetrics",
     "Vehicle",
     "check_schedule",
-    "enumerate_insertions",
     "evaluate_schedule",
     "plan_route",
     "step_along_route",

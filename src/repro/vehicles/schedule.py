@@ -15,8 +15,9 @@ A *valid* vehicle trip schedule must satisfy four conditions:
 
 The functions in this module evaluate those conditions for explicit stop
 sequences; :mod:`repro.vehicles.kinetic_tree` builds on them to maintain the
-set of all valid schedules per vehicle, and :mod:`repro.core.insertion` uses
-them when answering requests.
+set of all valid schedules per vehicle.  :mod:`repro.core.insertion` decides
+the same conditions for all insertions of a request at once, without building
+the sequences; the test suite holds it to :func:`check_schedule`.
 
 All checks are expressed in *distance units*: the paper assumes a constant
 vehicle speed, so waiting times translate directly into distances.
@@ -25,7 +26,7 @@ vehicle speed, so waiting times translate directly into distances.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import InvalidScheduleError
 from repro.model.request import Request
@@ -38,7 +39,6 @@ __all__ = [
     "ScheduleMetrics",
     "evaluate_schedule",
     "check_schedule",
-    "enumerate_insertions",
     "prefix_distances",
     "schedule_distance",
 ]
@@ -300,23 +300,3 @@ def check_schedule(
                 request_id,
             )
     return FeasibilityResult.ok()
-
-
-def enumerate_insertions(
-    stops: Sequence[Stop],
-    pickup: Stop,
-    dropoff: Stop,
-) -> Iterator[Tuple[Stop, ...]]:
-    """Yield every stop sequence obtained by inserting a pick-up/drop-off pair.
-
-    The pick-up is inserted at every position ``i`` and the drop-off at every
-    position ``j >= i`` (after the pick-up), preserving the relative order of
-    the existing stops -- which is exactly how a request is inserted into one
-    branch of a kinetic tree.
-    """
-    base = list(stops)
-    length = len(base)
-    for i in range(length + 1):
-        with_pickup = base[:i] + [pickup] + base[i:]
-        for j in range(i + 1, length + 2):
-            yield tuple(with_pickup[:j] + [dropoff] + with_pickup[j:])

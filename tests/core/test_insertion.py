@@ -9,14 +9,17 @@ from repro.core.insertion import (
     feasible_schedules_for_commit,
     insertion_candidates,
 )
+from repro.errors import DisconnectedError
 from repro.model.request import Request
-from repro.roadnet.generators import figure1_network
+from repro.model.stops import Stop, StopKind
+from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.shortest_path import DistanceOracle
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
 from tests.conftest import assign_request
+from tests.insertion_reference import reference_insertion_candidates
 
 
 @pytest.fixture
@@ -32,6 +35,27 @@ def oracle(network):
 @pytest.fixture
 def grid(network):
     return GridIndex(network, rows=4, columns=4)
+
+
+@pytest.fixture
+def line_fleet():
+    """A busy vehicle on a line of unit edges with one vertex per grid cell:
+    the grid lower bound *is* the distance, so which candidates the bounds
+    reject is known in advance."""
+    network = grid_network(1, 12)  # vertices 1..12 in a row
+    fleet = Fleet(GridIndex(network, rows=1, columns=12), DistanceOracle(network))
+    fleet.add_vehicle(Vehicle("c1", location=1))
+    # one branch [pick up at 3, drop off at 5]; R1 tolerates its pick-up at
+    # distance <= 3 and a ride of <= 3
+    r1 = Request(start=3, destination=5, max_waiting=1.0, service_constraint=0.5, request_id="R1")
+    assign_request(fleet, "c1", r1, planned_pickup_distance=2.0)
+    return fleet
+
+
+@pytest.fixture
+def far():
+    """A request far down the line from ``line_fleet``'s vehicle and its R1."""
+    return Request(start=10, destination=11, max_waiting=5.0, service_constraint=0.0, request_id="R2")
 
 
 class TestEmptyVehicle:
@@ -135,14 +159,104 @@ class TestNonEmptyVehicle:
 
         assert sorted(map(key, with_grid)) == sorted(map(key, without_grid))
 
-    def test_grid_bounds_can_reject_candidates_early(self, network, oracle, grid):
-        vehicle = self.build_busy_vehicle(network, oracle, grid)
-        tight = Request(
-            start=12, destination=17, riders=2, max_waiting=5.0, service_constraint=0.0, request_id="R2"
-        )
+    def test_grid_bounds_can_reject_candidates_early(self, line_fleet, far):
+        vehicle = line_fleet.get("c1")
         stats = InsertionStatistics()
-        insertion_candidates(vehicle, tight, oracle, grid, statistics=stats)
-        assert stats.candidates_rejected_by_bounds >= 0  # bounds may or may not fire, but never crash
+        candidates = insertion_candidates(
+            vehicle, far, line_fleet.oracle, line_fleet.grid, statistics=stats
+        )
+        # Six slot pairs (i, j) over the two-stop branch.  Going to vertex 10
+        # before R1's pick-up breaks R1's waiting limit: (0,1) fails in its
+        # tail, and with the pick-up in slot 0 R1's pick-up stop lies in front
+        # of the drop-off slot for j = 2 and 3 alike -- one violation, two
+        # candidates pruned, each counted.  With the pick-up in slot 1, (1,2)
+        # fails in its tail and R1's drop-off stop prunes (1,3).  Only the
+        # append (2,3) survives.
+        branches = vehicle.kinetic_tree.schedules()
+        assert [len(branch) for branch in branches] == [2]
+        assert stats.candidates_enumerated == sum(
+            (len(branch) + 1) * (len(branch) + 2) // 2 for branch in branches
+        ) == 6
+        assert stats.candidates_rejected_by_bounds == 5
+        assert stats.candidates_feasible == len(candidates) == 1
+        assert [stop.vertex for stop in candidates[0].schedule] == [3, 5, 10, 11]
+
+        reference_stats = InsertionStatistics()
+        assert candidates == reference_insertion_candidates(
+            vehicle, far, line_fleet.oracle, line_fleet.grid, statistics=reference_stats
+        )
+        assert stats == reference_stats
+
+
+class TestBoundPruning:
+    def test_pruned_candidates_are_not_walked(self, line_fleet, far):
+        vehicle = line_fleet.get("c1")
+        asked = []
+
+        def exact(u, v):
+            asked.append((u, v))
+            return line_fleet.oracle.distance(u, v)
+
+        insertion_candidates(vehicle, far, line_fleet.oracle, line_fleet.grid, distance=exact)
+        # direct distance, then only what the surviving append needs: the
+        # branch's own legs and the two legs around the new stops
+        assert asked == [(10, 11), (1, 3), (3, 5), (5, 10), (10, 11)]
+
+    def test_without_a_grid_nothing_is_rejected_by_bounds(self, line_fleet, far):
+        vehicle = line_fleet.get("c1")
+        stats = InsertionStatistics()
+        candidates = insertion_candidates(vehicle, far, line_fleet.oracle, None, statistics=stats)
+        assert stats.candidates_enumerated == 6
+        assert stats.candidates_rejected_by_bounds == 0
+        assert candidates == insertion_candidates(vehicle, far, line_fleet.oracle, line_fleet.grid)
+
+    def test_disconnected_leg_propagates_unchanged(self, line_fleet, far):
+        vehicle = line_fleet.get("c1")
+        error = DisconnectedError(5, 10)
+
+        def broken(u, v):
+            # the leg from R1's drop-off to the new pick-up, which the one
+            # candidate the bounds let through has to cross
+            if (u, v) == (5, 10):
+                raise error
+            return line_fleet.oracle.distance(u, v)
+
+        with pytest.raises(DisconnectedError) as raised:
+            insertion_candidates(vehicle, far, line_fleet.oracle, line_fleet.grid, distance=broken)
+        assert raised.value is error
+
+
+class TestIllFormedBranches:
+    """Branches the normal commit path cannot produce: the point-order
+    condition fails for the whole branch, whatever the slots."""
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [
+            "dp",  # dropped off before being picked up
+            "p",  # never dropped off
+            "d",  # waiting, never picked up
+            "ppd",  # picked up twice
+            "pdd",  # dropped off twice
+            "pdXY",  # stops of a request the vehicle does not serve
+        ],
+    )
+    def test_offer_nothing_and_count_like_the_reference(self, line_fleet, far, kinds):
+        vehicle = line_fleet.get("c1")
+        stops = {
+            "p": Stop(3, "R1", StopKind.PICKUP),
+            "d": Stop(5, "R1", StopKind.DROPOFF),
+            "X": Stop(7, "ghost", StopKind.PICKUP),
+            "Y": Stop(8, "ghost", StopKind.DROPOFF),
+        }
+        vehicle.kinetic_tree.set_schedules([[stops[kind] for kind in kinds]])
+        for grid in (line_fleet.grid, None):
+            stats, reference_stats = InsertionStatistics(), InsertionStatistics()
+            assert insertion_candidates(vehicle, far, line_fleet.oracle, grid, statistics=stats) == []
+            assert reference_insertion_candidates(
+                vehicle, far, line_fleet.oracle, grid, statistics=reference_stats
+            ) == []
+            assert stats == reference_stats
 
 
 class TestCommitHelper:

@@ -13,11 +13,12 @@ from repro.roadnet.shortest_path import DistanceOracle
 from repro.vehicles.schedule import (
     RequestState,
     check_schedule,
-    enumerate_insertions,
     evaluate_schedule,
     prefix_distances,
     schedule_distance,
 )
+
+from tests.insertion_reference import enumerate_insertions
 
 
 @pytest.fixture
@@ -201,6 +202,8 @@ class TestServiceConstraint:
 
 
 class TestEnumerateInsertions:
+    """The slot enumeration the insertion reference is built on."""
+
     def test_counts_for_empty_base(self):
         request = Request(start=2, destination=16, request_id="R1")
         sequences = list(enumerate_insertions([], pickup(request), dropoff(request)))
