@@ -12,7 +12,7 @@ tick by tick against a full :class:`PTRiderService` twice:
 * the **batched arm** admits released requests into the service's
   :class:`~repro.service.ingest.MicroBatcher` and pumps it once per tick,
   so each tick's arrivals are answered by one ``dispatch_batch`` flush
-  (pooled start trees, prefetched fleet leg trees, shards/workers).
+  (pooled start trees, leg trees pooled on demand, shards/workers).
 
 Both arms advance the simulated world identically between ticks, so the
 only difference is *how* a tick's arrivals are answered.  Matching
@@ -66,10 +66,10 @@ MAX_WAITING = 8.0
 SERVICE_CONSTRAINT = 0.6
 
 #: The headline city: a 50x50 jittered grid with 80 exact-vertex hotspot
-#: origins and a deliberately small tree LRU.  Each serving window then
+#: origins and a deliberately small tree cache.  Each serving window then
 #: holds many *distinct* hot starts -- far more than the cache -- which is
 #: precisely the regime where per-request serving thrashes cold trees and
-#: the batch pipeline's pooled prefetch (start planes + fleet leg trees)
+#: the batch pipeline's pool (one start plane + leg trees pinned on demand)
 #: amortises them.
 HEADLINE = dict(rows=50, grid=14, vehicles=40, capacity=2, cache=8,
                 max_pickup=3.0, speed=6.0, hotspots=80)
@@ -203,9 +203,7 @@ def _replay_direct(service: PTRiderService, workload: RequestWorkload):
         t += TICK
         flushed = bool(carry)
         if carry:
-            outcomes = service.dispatcher.dispatch_batch(
-                carry, policy=OptionPolicy.CHEAPEST, prefetch_legs=True
-            )
+            outcomes = service.dispatcher.dispatch_batch(carry, policy=OptionPolicy.CHEAPEST)
             windows.append([_outcome_key(o) for o in outcomes])
         carry = workload.due(t)
         if not carry and not flushed and not workload.remaining:

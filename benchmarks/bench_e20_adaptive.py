@@ -290,9 +290,7 @@ def _replay_direct_at(service: PTRiderService, workload: RequestWorkload,
         k += 1
         t = k * SUBTICK
         if k in flush_at:
-            outcomes = service.dispatcher.dispatch_batch(
-                carry, policy=OptionPolicy.CHEAPEST, prefetch_legs=True
-            )
+            outcomes = service.dispatcher.dispatch_batch(carry, policy=OptionPolicy.CHEAPEST)
             windows.append([_outcome_key(o) for o in outcomes])
             carry = []
         carry.extend(workload.due(t))

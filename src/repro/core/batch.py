@@ -19,6 +19,11 @@ that work for a whole tick's worth of requests:
   :class:`~repro.core.context.MatchContext` built from the pooled tree, so
   the matchers are oblivious to whether a context was built per-request or
   per-batch;
+* the start trees seed a **demand-driven leg-tree pool**: a schedule-leg
+  query whose canonical root is not pooled yet asks the engine for that one
+  tree, which stays pinned for the rest of the batch
+  (:class:`BatchMatchContext`) -- trees are rooted only where a
+  verification really asked, never at every taxi and stop of the fleet;
 * endpoint errors (unknown vertex, unreachable destination) are *recorded*
   instead of raised, and surface when the pipeline reaches the failing
   request in submission order -- exactly when the sequential loop would have
@@ -30,9 +35,10 @@ harness records (``bench_e12_batch_dispatch.py``).
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.context import MatchContext
 from repro.errors import DisconnectedError, VertexNotFoundError
@@ -41,7 +47,7 @@ from repro.roadnet.graph import VertexId
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import RoutingEngine
 
-__all__ = ["BatchStatistics", "BatchMatchContext", "BatchContext"]
+__all__ = ["BatchStatistics", "BatchMatchContext", "BatchContext", "batch_context_builder"]
 
 
 @dataclass
@@ -54,6 +60,11 @@ class BatchStatistics:
     of the terms.  A prefetched tree counts exactly once however many
     requests consume it: the first consumer is covered by
     ``prefetched_trees``, every later one by ``shared_tree_hits``.
+
+    ``leg_sources_prefetched`` and ``leg_tree_hits`` describe the demand
+    pool (the names predate it and are kept for the records that read
+    them): the leg roots pooled on demand, and the leg queries answered from
+    the pool.  ``prefetch_seconds`` covers the start trees only.
 
     ``tree_provider`` names the engine mechanism the prefetch was billed
     to ("plane" for CSR planes, "phast" for the hierarchy-native sweep,
@@ -75,12 +86,9 @@ class BatchStatistics:
     prefetch_seconds: float = 0.0
     #: name of the tree provider the prefetch work was billed to
     tree_provider: str = "dijkstra"
-    #: fleet-side leg sources (vehicle locations + committed stops) whose
-    #: trees were folded into the one-shot prefetch plane (0 = legs not
-    #: prefetched; the serving path's ingest flush turns this on)
+    #: leg roots (not request starts) pooled on demand
     leg_sources_prefetched: int = 0
-    #: exact leg queries answered from a prefetched leg tree instead of a
-    #: cold single-source engine computation
+    #: leg queries answered from the pool instead of going to the engine
     leg_tree_hits: int = 0
     #: worker processes the collect/verify stage fanned out to (0 = in-process)
     parallel_workers: int = 0
@@ -123,6 +131,10 @@ class BatchStatistics:
         }
 
 
+#: pool lookup default: the root was never asked (``None`` = asked, no tree)
+_UNPOOLED = object()
+
+
 @dataclass
 class BatchMatchContext(MatchContext):
     """A :class:`MatchContext` whose exact distances are memoised batch-wide.
@@ -140,24 +152,28 @@ class BatchMatchContext(MatchContext):
     point query canonically), so batched verifications see bit-for-bit the
     floats a per-request context would.
 
-    ``leg_trees`` optionally extends the pool to *fleet-side* sources
-    (vehicle locations, committed schedule stops) prefetched into the same
-    vectorised plane as the start trees.  A memo miss whose canonical root
-    (the smaller vertex id -- exactly the root ``RoutingEngine.distance``
-    picks) has a prefetched tree is answered from that pinned row instead of
-    falling back to a cold single-source engine computation; the rows obey
-    the tree-provider bit-identity contract, so the answers are the engine's
-    own floats.  Lookups that cannot be answered from the plane (unknown or
-    unreachable leaf, root not prefetched) fall back to the engine verbatim,
-    preserving its exact error behaviour.
+    ``leg_trees`` is the batch's demand-driven tree pool: it starts out
+    holding the batch's start trees and grows by one tree whenever a memo
+    miss asks for a leg whose canonical root (the smaller vertex id, the
+    root ``RoutingEngine.distance`` picks) is not pooled yet.  That tree
+    comes through :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`
+    and stays pinned for the rest of the batch, whatever the engine cache
+    evicts; its row obeys the tree-provider bit-identity contract, so the
+    answers are the engine's own floats.  No tree is computed for a root
+    nobody asked, and none on an engine whose point query is cheaper than a
+    tree (``RoutingEngine.point_queries_root_trees`` false: ch), where the
+    pool stays the start trees.  Whatever the pool cannot answer (such an
+    engine, one without a bulk path, an unknown root, an unknown or
+    unreachable leaf) goes to ``engine.distance`` verbatim, errors included.
+    ``None`` switches pooling off (the ``prefetch=False`` ablation).
     """
 
     #: batch-wide exact-distance memo shared by every context of the batch
     shared_distances: Dict[Tuple[VertexId, VertexId], float] = field(default_factory=dict)
-    #: prefetched trees rooted at fleet-side leg sources, shared batch-wide
-    leg_trees: Mapping[VertexId, Mapping[VertexId, float]] = field(default_factory=dict)
-    #: statistics sink for ``leg_tree_hits`` (shared by the whole batch)
-    batch_statistics: Optional[BatchStatistics] = None
+    #: the batch's tree pool by root (``None`` value: the engine had no tree)
+    leg_trees: Optional[Dict[VertexId, Optional[Mapping[VertexId, float]]]] = None
+    #: statistics sink for the pool counters (shared by the whole batch)
+    batch_statistics: BatchStatistics = field(default_factory=BatchStatistics)
 
     def distance(self, source: VertexId, target: VertexId) -> float:
         """Exact distance; start-rooted legs from the pinned tree, others memoised."""
@@ -169,17 +185,48 @@ class BatchMatchContext(MatchContext):
         key = (source, target) if source <= target else (target, source)
         value = self.shared_distances.get(key)
         if value is None:
-            if self.leg_trees:
+            pool = self.leg_trees
+            if pool is not None and source != target:
                 root, leaf = key  # key is already rooted at the smaller id
-                tree = self.leg_trees.get(root)
+                tree = pool.get(root, _UNPOOLED)
+                if tree is _UNPOOLED:
+                    engine = self.engine
+                    tree = pool[root] = (
+                        engine.prefetch_trees((root,)).get(root)
+                        if engine.point_queries_root_trees
+                        else None
+                    )
+                    if tree is not None:
+                        self.batch_statistics.leg_sources_prefetched += 1
                 if tree is not None:
                     value = tree.get(leaf)
-                    if value is not None and self.batch_statistics is not None:
+                    if value is not None:
                         self.batch_statistics.leg_tree_hits += 1
             if value is None:
                 value = self.engine.distance(source, target)
             self.shared_distances[key] = value
         return value
+
+
+def batch_context_builder(
+    engine: RoutingEngine,
+    grid: GridIndex,
+    leg_trees: Optional[Dict[VertexId, Optional[Mapping[VertexId, float]]]],
+    statistics: BatchStatistics,
+) -> Callable[..., BatchMatchContext]:
+    """One batch's :class:`BatchMatchContext` constructor (keywords ``request``,
+    ``direct``, ``start_tree``): its contexts share one leg memo, the pool
+    ``leg_trees`` and the ``statistics`` sink.  Used by the dispatching
+    process and by the parallel pool's workers alike.
+    """
+    return functools.partial(
+        BatchMatchContext,
+        engine=engine,
+        grid=grid,
+        shared_distances={},
+        leg_trees=leg_trees,
+        batch_statistics=statistics,
+    )
 
 
 class BatchContext:
@@ -188,6 +235,13 @@ class BatchContext:
     Build one with :meth:`create`; fetch a request's context (or its recorded
     endpoint error) with :meth:`context_for` when the pipeline reaches that
     request in submission order.
+
+    Memory: with ``prefetch`` on, every context holds the batch's one tree
+    pool, so the pinned O(V) rows -- one per distinct start plus one per
+    demanded leg root -- grow with the roots the batch asks and are freed
+    together when its last context goes, not request by request as the batch
+    drains.  With ``prefetch=False`` a context pins only its own start tree
+    and :meth:`release` frees it.
     """
 
     def __init__(
@@ -211,7 +265,6 @@ class BatchContext:
         engine: RoutingEngine,
         grid: GridIndex,
         prefetch: bool = True,
-        leg_sources: Optional[Sequence[VertexId]] = None,
     ) -> "BatchContext":
         """Pool trees and direct distances for ``requests`` (in order).
 
@@ -226,63 +279,27 @@ class BatchContext:
         skips unknown start vertices, so the per-request path still observes
         the exact error the sequential loop would have raised.
 
-        ``leg_sources`` optionally folds *fleet-side* vertices (vehicle
-        locations, committed schedule stops) into the same one-shot prefetch
-        plane; the resulting trees are shared by every context's
-        ``leg_trees`` so schedule-leg verification queries hit a pinned row
-        instead of recomputing cold single-source trees under engine-cache
-        pressure.  Purely a performance hint: answers and errors are
-        bit-identical with or without it (only sources the engine's bulk
-        path actually resolves are consulted, and every unresolvable lookup
-        falls back to the engine).
-
-        Memory: the pool holds one O(V) tree per distinct start vertex of the
-        batch -- the price of immunity to engine cache eviction.  The pool
-        itself keeps no strong references after construction (each context
-        pins only its own tree), and :meth:`release` lets the pipeline drop a
-        request's context -- and with it the tree, once no later same-start
-        request needs it -- as soon as its turn is decided, so peak usage
-        shrinks as the batch drains.
+        With ``prefetch`` on, the start trees also seed the batch's demand
+        pool (:attr:`BatchMatchContext.leg_trees`).  ``prefetch_seconds``
+        and the share billed to each start's first consumer cover start
+        trees only; a demanded leg tree's wall lands in the turn that
+        demanded it.  The class docstring says when pinned trees are freed.
         """
         trees: Dict[VertexId, Mapping[VertexId, float]] = {}
         tree_errors: Dict[VertexId, Exception] = {}
         contexts: Dict[int, MatchContext] = {}
         errors: Dict[int, Exception] = {}
         seconds: Dict[int, float] = {}
-        shared_distances: Dict[Tuple[VertexId, VertexId], float] = {}
         statistics = BatchStatistics(
             requests=len(requests), tree_provider=engine.tree_provider_name
         )
 
         prefetch_share = 0.0
         unbilled_prefetches: set = set()
-        leg_trees: Mapping[VertexId, Mapping[VertexId, float]] = {}
         if prefetch and requests:
             distinct_starts = list(dict.fromkeys(request.start for request in requests))
             started = time.perf_counter()
-            if leg_sources:
-                start_set = set(distinct_starts)
-                extra = [
-                    vertex
-                    for vertex in dict.fromkeys(leg_sources)
-                    if vertex not in start_set
-                ]
-                pooled = engine.prefetch_trees(distinct_starts + extra)
-                # Start trees feed the per-request contexts below; the whole
-                # pooled plane (starts included -- a leg query may root at a
-                # vertex that happens to be some request's start) answers
-                # schedule-leg queries.
-                trees.update(
-                    (vertex, pooled[vertex])
-                    for vertex in distinct_starts
-                    if vertex in pooled
-                )
-                leg_trees = pooled
-                statistics.leg_sources_prefetched = sum(
-                    1 for vertex in extra if vertex in pooled
-                )
-            else:
-                trees.update(engine.prefetch_trees(distinct_starts))
+            trees.update(engine.prefetch_trees(distinct_starts))
             statistics.prefetch_seconds = time.perf_counter() - started
             statistics.prefetched_trees = len(trees)
             if trees:
@@ -291,6 +308,11 @@ class BatchContext:
                 # tree inline on the per-source path.
                 prefetch_share = statistics.prefetch_seconds / len(trees)
                 unbilled_prefetches = set(trees)
+        # ``trees`` doubles as the demand pool: start trees computed inline
+        # below land in it too.
+        build_context = batch_context_builder(
+            engine, grid, trees if prefetch else None, statistics
+        )
 
         for index, request in enumerate(requests):
             start = request.start
@@ -321,16 +343,7 @@ class BatchContext:
                 except KeyError:
                     errors[index] = DisconnectedError(start, request.destination)
                     continue
-            contexts[index] = BatchMatchContext(
-                request=request,
-                engine=engine,
-                grid=grid,
-                direct=direct,
-                start_tree=tree,
-                shared_distances=shared_distances,
-                leg_trees=leg_trees,
-                batch_statistics=statistics,
-            )
+            contexts[index] = build_context(request=request, direct=direct, start_tree=tree)
         return cls(requests, contexts, errors, statistics, seconds)
 
     def __len__(self) -> int:
@@ -404,5 +417,10 @@ class BatchContext:
         return np.vstack(rows), start_rows
 
     def release(self, index: int) -> None:
-        """Drop request ``index``'s context (and its tree pin, if the last)."""
+        """Drop request ``index``'s context.
+
+        Its start tree goes with it only when nothing is pooled
+        (``prefetch=False``); a pooling batch frees every pinned tree at
+        once, when its last context is dropped.
+        """
         self._contexts.pop(index, None)

@@ -53,7 +53,6 @@ from repro.core.parallel import ParallelDispatchPool
 from repro.errors import MatchingError, NoMatchError, UnknownOptionError
 from repro.model.options import RideOption, Skyline
 from repro.model.request import Request
-from repro.roadnet.graph import VertexId
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.schedule import evaluate_schedule
 
@@ -391,7 +390,6 @@ class Dispatcher:
         on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
         prefetch: bool = True,
         workers: Optional[int] = None,
-        prefetch_legs: bool = False,
     ) -> List[DispatchOutcome]:
         """Greedy handling of simultaneous requests as a staged pipeline.
 
@@ -399,13 +397,14 @@ class Dispatcher:
         decided in submission order, each seeing the fleet state its
         predecessors' commits produced -- but the work is staged: the batch's
         distinct start trees are prefetched in one vectorised engine call,
-        routing contexts are pooled batch-wide (shared start trees plus a
-        batch-wide schedule-leg memo), matching runs per fleet shard and the
-        per-shard skylines are merged by dominance.  A commit affects exactly
-        one shard (the chosen vehicle's), which is what keeps the per-shard
-        searches of every other shard valid under the interleaved commits;
-        each request's shard skylines are computed just-in-time at its turn,
-        so no shard is ever searched twice for the same request.
+        routing contexts are pooled batch-wide (shared start trees, a
+        batch-wide schedule-leg memo and leg trees pooled on demand), matching
+        runs per fleet shard and the per-shard skylines are merged by
+        dominance.  A commit affects exactly one shard (the chosen vehicle's),
+        which is what keeps the per-shard searches of every other shard valid
+        under the interleaved commits; each request's shard skylines are
+        computed just-in-time at its turn, so no shard is ever searched twice
+        for the same request.
 
         Args:
             requests: the simultaneous requests, in submission order.
@@ -429,20 +428,8 @@ class Dispatcher:
                 stay on this process, so outcomes are byte-identical at any
                 worker count, and any pool failure falls back to in-process
                 execution mid-batch without changing a single option.
-            prefetch_legs: fold the fleet's leg sources (vehicle locations
-                plus committed schedule stops) into the prefetch plane so
-                schedule-leg verification queries are answered from pinned
-                rows instead of cold single-source trees.  Off by default:
-                the plane costs one tree per fleet-side source, which only
-                amortises when the window carries many requests relative to
-                the fleet -- the micro-batched serving path
-                (:class:`repro.service.ingest.MicroBatcher`) turns it on.
-                Purely a performance hint; outcomes are byte-identical
-                either way.
         """
-        prepared = self._prepare_batch(
-            requests, apply_global_constraints, shards, prefetch, prefetch_legs
-        )
+        prepared = self._prepare_batch(requests, apply_global_constraints, shards, prefetch)
         if prepared is None:
             return []
         request_list, batch, views = prepared
@@ -540,7 +527,6 @@ class Dispatcher:
         apply_global_constraints: bool,
         shards: Optional[int],
         prefetch: bool = True,
-        prefetch_legs: bool = False,
     ) -> Optional[Tuple[List[Request], BatchContext, List[object]]]:
         """Shared batch prelude: normalise, validate shards, pool contexts.
 
@@ -556,18 +542,8 @@ class Dispatcher:
             raise MatchingError(f"shard count must be >= 1, got {shard_count}")
         if not self._matcher.supports_sharding:
             shard_count = 1
-        leg_sources: Optional[List[VertexId]] = None
-        if prefetch_legs and prefetch:
-            leg_sources = []
-            for vehicle in self._fleet.vehicles():
-                leg_sources.append(vehicle.location)
-                leg_sources.extend(vehicle.kinetic_tree.stop_vertices())
         batch = BatchContext.create(
-            request_list,
-            self._fleet.routing_engine,
-            self._fleet.grid,
-            prefetch=prefetch,
-            leg_sources=leg_sources,
+            request_list, self._fleet.routing_engine, self._fleet.grid, prefetch=prefetch
         )
         self.last_batch_statistics = batch.statistics
         return request_list, batch, self._fleet.shard_views(shard_count)

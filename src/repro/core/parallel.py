@@ -57,7 +57,12 @@ import traceback
 import weakref
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.batch import BatchContext, BatchMatchContext
+from repro.core.batch import (
+    BatchContext,
+    BatchMatchContext,
+    BatchStatistics,
+    batch_context_builder,
+)
 from repro.core.config import SystemConfig
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.naive import NaiveKineticTreeMatcher
@@ -290,9 +295,11 @@ def _worker_begin_batch(info: dict, engine: RoutingEngine, grid: GridIndex, flee
     # tree plane, the worker's start trees are views over the *same rows*
     # (zero-copy, bit-identical); otherwise trees are recomputed through the
     # attached engine, whose providers answer bit-identically by contract.
+    # ``trees`` is also this worker's demand pool, exactly as in
+    # ``BatchContext.create`` (its counters stay worker-side).
     graph = engine.graph if plane is not None else None
     trees: Dict[object, object] = {}
-    shared_distances: Dict[tuple, float] = {}
+    build_context = batch_context_builder(engine, grid, trees, BatchStatistics())
     contexts: Dict[int, BatchMatchContext] = {}
     start_rows = info["start_rows"]
     for index, request in enumerate(info["requests"]):
@@ -308,14 +315,7 @@ def _worker_begin_batch(info: dict, engine: RoutingEngine, grid: GridIndex, flee
             else:
                 tree = engine.distances_from(start)
             trees[start] = tree
-        contexts[index] = BatchMatchContext(
-            request=request,
-            engine=engine,
-            grid=grid,
-            direct=direct,
-            start_tree=tree,
-            shared_distances=shared_distances,
-        )
+        contexts[index] = build_context(request=request, direct=direct, start_tree=tree)
     return {"contexts": contexts, "views": views, "plane_handles": plane_handles}
 
 

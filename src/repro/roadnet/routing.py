@@ -44,7 +44,7 @@ Tree *production* is a seam of its own: every full distance tree flows
 through a :class:`TreeProvider` (:class:`PlaneTreeProvider` for the CSR
 plane path, :class:`PHASTTreeProvider` for the hierarchy sweep), while the
 engines keep ownership of caching, pinning and statistics -- so
-``MatchContext`` / ``BatchContext`` reuse, the tree LRU and
+``MatchContext`` / ``BatchContext`` reuse, the tree cache and
 ``prefetch_trees`` behave identically no matter which provider computes
 the rows.  The ``tree_provider`` knob ("auto" / "plane" / "phast",
 ``SystemConfig.tree_provider``) ablates the seam from the CLI and the
@@ -58,7 +58,7 @@ build entirely; :class:`EngineStats` records the build-vs-load seconds.
 
 Distance trees are NumPy-native end to end: :meth:`CSRGraph.tree` and
 :meth:`CSRGraph.trees` return dense ``float64`` rows / 2-D planes (plain
-Python lists only when NumPy/SciPy are unavailable), the per-tree LRU caches
+Python lists only when NumPy/SciPy are unavailable), the per-tree FIFO caches
 hold those rows by reference and :class:`_TreeView` reads them zero-copy.
 :meth:`CSRGraph.trees` computes a whole batch of start-rooted trees with
 **one** ``scipy.sparse.csgraph.dijkstra(indices=[...])`` call, which is what
@@ -308,6 +308,14 @@ class RoutingEngine(ABC):
     #: admissible bound can beat it, so callers skip combining it with the
     #: grid-index cell bounds.
     exact_lower_bounds: bool = False
+
+    #: ``True`` when :meth:`distance` answers an uncached pair by computing
+    #: (and caching) the full tree rooted at the smaller endpoint, so a batch
+    #: that pins that tree through :meth:`prefetch_trees` buys nothing
+    #: ``distance`` would not have bought.  ``False`` when a point query is
+    #: cheaper than a tree (the ch backend's bidirectional search): a batch
+    #: then leaves unpooled legs to :meth:`distance`.
+    point_queries_root_trees: bool = True
 
     @property
     @abstractmethod
@@ -669,7 +677,7 @@ class TreeProvider(ABC):
     :class:`CSRGraph`'s index space.  Engines own *caching*, *pinning* and
     *statistics*; providers own *computation*, so swapping how trees are
     produced (SciPy C Dijkstra planes, pure-Python Dijkstra, a PHAST sweep
-    over a contraction hierarchy) never touches the tree LRU, the
+    over a contraction hierarchy) never touches the tree cache, the
     ``prefetch_trees`` contract, or the :class:`_TreeView` mappings that
     ``MatchContext`` / ``BatchContext`` pin.
 
@@ -1826,7 +1834,8 @@ class CSREngine(RoutingEngine):
         #: the one seam every full tree is produced through (overridden by
         #: the ch backend when it goes hierarchy-native)
         self._tree_provider: TreeProvider = PlaneTreeProvider(self._graph)
-        #: per-source tree LRU; rows are ndarray views (or lists without SciPy)
+        #: per-source tree cache, FIFO (``popitem(last=False)``, a hit never
+        #: reorders); rows are ndarray views (or lists without SciPy)
         self._trees: "OrderedDict[int, Sequence[float]]" = OrderedDict()
         self._alt = self._compile_alt() if landmarks > 0 else None
         if landmarks > 0:
@@ -1907,48 +1916,47 @@ class CSREngine(RoutingEngine):
         All missing sources go through **one** :meth:`TreeProvider.trees`
         plane (one SciPy C call on the plane provider, one batched PHAST
         sweep on the hierarchy-native provider); each computed row is
-        detached from the plane, stored in the tree LRU and billed as
+        detached from the plane, stored in the tree cache and billed as
         exactly one ``dijkstra_runs`` / ``phast_sweeps`` depending on the
         provider.  Sources whose tree is already cached are returned
         from the cache without touching any counter; unknown vertices are
         skipped.  The returned views pin their rows by reference, so cache
-        eviction -- including churn caused by a prefetch larger than the LRU
+        eviction -- including churn caused by a prefetch larger than the cache
         -- can never invalidate a caller's pinned tree mid-batch.
         """
         graph = self._graph
-        resolved: Dict[VertexId, int] = {}
+        index_of = graph.index_of
+        cached = self._trees
+        views: Dict[VertexId, Mapping[VertexId, float]] = {}
+        missing: Dict[VertexId, int] = {}
         for vertex in sources:
-            if vertex in resolved:
+            if vertex in views:
                 continue
-            index = graph.index_of.get(vertex)
-            if index is not None:
-                resolved[vertex] = index
-        rows: Dict[int, Sequence[float]] = {}
-        missing: List[int] = []
-        for index in resolved.values():
-            cached = self._trees.get(index)
-            if cached is not None:
-                rows[index] = cached
+            index = index_of.get(vertex)
+            if index is None:
+                continue
+            row = cached.get(index)
+            if row is None:
+                missing[vertex] = index
+                views[vertex] = None  # keeps the caller's order; filled below
             else:
-                missing.append(index)
+                views[vertex] = _TreeView(graph, row)
         if missing:
-            plane = self._tree_provider.trees(missing)
+            plane = self._tree_provider.trees(list(missing.values()))
             self._bill_trees(len(missing))
-            for position, index in enumerate(missing):
+            for position, (vertex, index) in enumerate(missing.items()):
                 row = plane[position]
                 if _np is not None and isinstance(row, _np.ndarray):
                     # Detach the row from the plane: a view would keep the
                     # whole (k x n) plane alive for as long as any single row
-                    # survives in the LRU, long after the batch released its
+                    # survives in the cache, long after the batch released its
                     # pins.  The copy is value-exact, so bit-identity holds.
                     row = row.copy()
-                rows[index] = row
-                self._trees[index] = row
-                if len(self._trees) > self._max_cached_sources:
-                    self._trees.popitem(last=False)
-        return {
-            vertex: _TreeView(graph, rows[index]) for vertex, index in resolved.items()
-        }
+                views[vertex] = _TreeView(graph, row)
+                cached[index] = row
+                if len(cached) > self._max_cached_sources:
+                    cached.popitem(last=False)
+        return views
 
     def path(self, source: VertexId, target: VertexId) -> PathResult:
         return _path_from_parents(self._graph, source, target)
@@ -2240,7 +2248,7 @@ class CHEngine(CSREngine):
     """Contraction-hierarchy routing: scalable point queries *and* trees.
 
     The engine keeps the whole :class:`CSREngine` machinery -- the compiled
-    CSR arrays, the tree LRU, the vectorised plane prefetch seam -- but
+    CSR arrays, the tree cache, the vectorised plane prefetch seam -- but
     both query shapes are hierarchy-native:
 
     * ``distance(s, t)`` runs a bidirectional upward search over the
@@ -2272,6 +2280,8 @@ class CHEngine(CSREngine):
     """
 
     backend = "ch"
+    #: an uncached pair settles a few hundred vertices, not a whole tree
+    point_queries_root_trees = False
 
     def __init__(
         self,
@@ -2351,7 +2361,7 @@ class CHEngine(CSREngine):
         if source == target:
             return 0.0
         # Same canonical rooting as every other backend; a tree already in
-        # the LRU answers in O(1) exactly as the CSR engine would.
+        # the cache answers in O(1) exactly as the CSR engine would.
         root, leaf = (source, target) if source <= target else (target, source)
         root_index = self._graph.index(root)
         leaf_index = self._graph.index(leaf)
@@ -2503,7 +2513,7 @@ def make_engine(
 
     Args:
         backend: one of "dict", "csr", "csr+alt", "table", "ch".
-        max_cached_sources: tree-LRU capacity of the dict/CSR-family engines.
+        max_cached_sources: tree-cache capacity of the dict/CSR-family engines.
         landmarks: landmark count of the "csr+alt" backend.
         table_max_vertices: vertex cap of the "table" backend
             (``SystemConfig.table_max_vertices``).

@@ -2,7 +2,7 @@
 
 ``PTRiderService.book`` answers one request at a time, which means the
 fastest machinery in the repository -- the staged batch pipeline with its
-vectorised tree prefetch, fleet-plane leg trees, sharded matching and the
+vectorised tree prefetch, demand-pooled leg trees, sharded matching and the
 shared-memory worker pool -- was only reachable by callers that hand-assemble
 batches.  :class:`MicroBatcher` closes that gap: incoming requests accumulate
 in a *window* that is flushed through
@@ -421,8 +421,6 @@ class MicroBatcher:
         policy: the stand-in rider choosing from each skyline.
         shards: shard-count override forwarded to ``dispatch_batch``.
         workers: worker-count override forwarded to ``dispatch_batch``.
-        prefetch_legs: fold the fleet's leg sources into each flush's
-            prefetch plane (the serving-path optimisation; on by default).
         clock: zero-argument callable read at admissions and pumps.
             Defaults to ``time.monotonic`` (wall time); replay passes
             simulated time via the ``now`` argument of the public methods
@@ -451,7 +449,6 @@ class MicroBatcher:
         policy: OptionPolicy = OptionPolicy.CHEAPEST,
         shards: Optional[int] = None,
         workers: Optional[int] = None,
-        prefetch_legs: bool = True,
         clock: Optional[Callable[[], float]] = None,
         wall_clock: Optional[Callable[[], float]] = None,
         on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
@@ -488,7 +485,6 @@ class MicroBatcher:
         self._policy = policy
         self._shards = shards
         self._workers = workers
-        self._prefetch_legs = prefetch_legs
         self._clock = clock or time.monotonic
         self._wall_clock = wall_clock or time.perf_counter
         self._on_outcome = on_outcome
@@ -796,7 +792,6 @@ class MicroBatcher:
                 policy=self._policy,
                 shards=self._shards,
                 workers=self._workers,
-                prefetch_legs=self._prefetch_legs,
                 on_outcome=_answered,
             )
         except Exception:

@@ -176,6 +176,169 @@ class TestBatchPrefetch:
         )
 
 
+class TestDemandPool:
+    """The batch-scoped leg-tree pool of ``BatchMatchContext.distance``."""
+
+    BACKENDS = ("dict", "csr", "ch", "table")
+
+    @staticmethod
+    def _pieces(backend, cache=1024):
+        from repro.roadnet.routing import make_engine
+
+        fleet = build_random_fleet(vehicles=4, seed=13)
+        network = fleet.grid.network
+        network.add_vertex(10_001, x=0.0, y=0.0)  # an island: known, unreachable
+        return make_engine(network, backend, max_cached_sources=cache), fleet.grid
+
+    @staticmethod
+    def _context(engine, grid, prefetch=True):
+        vertices = grid.network.vertices()
+        request = Request(
+            start=vertices[20], destination=vertices[40], riders=1,
+            max_waiting=6.0, service_constraint=0.4, request_id="probe",
+        )
+        batch = BatchContext.create([request], engine, grid, prefetch=prefetch)
+        return batch, batch.context_for(0)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_leg_answers_are_the_engines_own_floats(self, backend):
+        engine, grid = self._pieces(backend, cache=1)
+        reference, _ = self._pieces(backend)
+        batch, context = self._context(engine, grid)
+        vertices = grid.network.vertices()
+        legs = [(vertices[3], vertices[9]), (vertices[9], vertices[3]),
+                (vertices[3], vertices[30]), (vertices[50], vertices[7]),
+                (vertices[7], vertices[7])]
+        for source, target in legs:
+            assert context.distance(source, target) == reference.distance(source, target)
+        stats = batch.statistics
+        if backend in ("dict", "ch"):
+            # no bulk path (dict), or a point query cheaper than a tree (ch):
+            # every leg went to the engine
+            assert (stats.leg_sources_prefetched, stats.leg_tree_hits) == (0, 0)
+        else:  # roots 3 and 7 pooled once each; the repeated pair hit the memo
+            assert (stats.leg_sources_prefetched, stats.leg_tree_hits) == (2, 3)
+
+    def test_pooled_root_survives_engine_cache_eviction(self):
+        engine, grid = self._pieces("csr", cache=1)
+        _, context = self._context(engine, grid)
+        vertices = grid.network.vertices()
+        context.distance(vertices[3], vertices[9])
+        engine.distance(vertices[11], vertices[12])  # evicts root 3 from the engine
+        runs = engine.stats.dijkstra_runs
+        context.distance(vertices[3], vertices[30])
+        assert engine.stats.dijkstra_runs == runs  # answered from the pinned row
+
+    def test_ch_answers_unpooled_legs_by_point_query_not_by_tree(self):
+        engine, grid = self._pieces("ch")
+        assert not engine.point_queries_root_trees
+        batch, context = self._context(engine, grid)
+        vertices = grid.network.vertices()
+        before = engine.stats.snapshot()
+        context.distance(vertices[3], vertices[9])
+        context.distance(vertices[3], vertices[30])
+        spent = engine.stats.delta_since(before)
+        assert (spent.dijkstra_runs, spent.phast_sweeps, spent.bidirectional_runs) == (0, 0, 2)
+        assert batch.statistics.leg_sources_prefetched == 0
+        # a leg rooted at the request's own start still reads its pinned tree
+        other = Request(start=vertices[30], destination=vertices[40], riders=1,
+                        max_waiting=6.0, service_constraint=0.4, request_id="other")
+        batch = BatchContext.create([context.request, other], engine, grid)
+        queries = engine.stats.queries
+        value = batch.context_for(1).distance(vertices[45], vertices[20])
+        assert value == batch.context_for(0).from_start(vertices[45])
+        assert engine.stats.queries == queries
+        assert batch.statistics.leg_tree_hits == 1
+
+    def test_a_request_start_answers_legs_rooted_at_it(self):
+        engine, grid = self._pieces("dict")
+        vertices = grid.network.vertices()
+        requests = [
+            Request(start=start, destination=vertices[40], riders=1, max_waiting=6.0,
+                    service_constraint=0.4, request_id=f"s{start}")
+            for start in (vertices[2], vertices[20])
+        ]
+        batch = BatchContext.create(requests, engine, grid)
+        queries = engine.stats.queries
+        # request 1 asks a leg whose canonical root is request 0's start
+        value = batch.context_for(1).distance(vertices[30], vertices[2])
+        assert value == batch.context_for(0).from_start(vertices[30])
+        assert engine.stats.queries == queries
+        assert batch.statistics.leg_tree_hits == 1
+        assert batch.statistics.leg_sources_prefetched == 0
+
+    def test_prefetch_off_pools_nothing(self):
+        engine, grid = self._pieces("csr")
+        batch, context = self._context(engine, grid, prefetch=False)
+        vertices = grid.network.vertices()
+        assert context.leg_trees is None
+        assert context.distance(vertices[3], vertices[9]) == engine.distance(vertices[3], vertices[9])
+        assert batch.statistics.leg_tree_hits == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize(
+        "leg",
+        [(3, 10_001), (10_001, 3), (3, 99_999), (99_999, 3), (-5, 3), (10_001, 99_999)],
+        ids=["island-leaf", "island-leaf-reversed", "unknown-leaf", "unknown-leaf-reversed",
+             "unknown-root", "island-root-unknown-leaf"],
+    )
+    def test_unanswerable_legs_raise_exactly_like_the_engine(self, backend, leg):
+        engine, grid = self._pieces(backend)
+        _, context = self._context(engine, grid)
+        source, target = leg
+        with pytest.raises((DisconnectedError, VertexNotFoundError)) as expected:
+            engine.distance(source, target)
+        for _ in range(2):  # the second ask finds the root already pooled
+            with pytest.raises(type(expected.value)) as raised:
+                context.distance(source, target)
+            assert raised.value.args == expected.value.args
+
+    def test_prefetch_share_covers_start_trees_only(self, monkeypatch):
+        """``context_seconds`` bills the start-tree prefetch plus each
+        request's inline time -- never the wall of a leg tree, which lands in
+        the turn that demanded it."""
+        import repro.core.batch as batch_module
+
+        class _Clock:
+            now = 0.0
+
+            def perf_counter(self):
+                self.now += 1.0
+                return self.now
+
+        clock = _Clock()
+        monkeypatch.setattr(batch_module, "time", clock)
+        engine, grid = self._pieces("csr")
+        calls = []
+        original = engine.prefetch_trees
+
+        def slow_prefetch(sources):
+            calls.append(tuple(sources))
+            clock.now += 100.0  # every engine call is expensive on this clock
+            return original(sources)
+
+        engine.prefetch_trees = slow_prefetch
+        requests = _requests(build_random_fleet(vehicles=1, seed=13), 5, seed=21)
+        batch = BatchContext.create(requests, engine, grid)
+        starts = tuple(dict.fromkeys(request.start for request in requests))
+        assert calls == [starts]
+        assert batch.statistics.prefetch_seconds == 101.0
+        billed = sum(batch.context_seconds(index) for index in range(len(requests)))
+        assert billed == pytest.approx(101.0 + len(requests) * 1.0)
+
+        vertices = grid.network.vertices()
+        leg = next(
+            (a, b) for a in vertices for b in vertices
+            if a < b and a not in starts and b not in starts
+        )
+        batch.context_for(0).distance(*leg)
+        assert calls == [starts, (leg[0],)]  # the leg tree was demanded ...
+        assert batch.statistics.prefetch_seconds == 101.0  # ... and billed nowhere here
+        assert billed == pytest.approx(
+            sum(batch.context_seconds(index) for index in range(len(requests)))
+        )
+
+
 class TestShardedFleetView:
     def test_views_partition_the_fleet(self, fleet):
         for shard_count in (1, 2, 3, 4):
@@ -312,3 +475,21 @@ class TestBalancedPolicy:
             RideOption(vehicle_id="a", pickup_distance=0.0, price=0.0),
         ]
         assert OptionPolicy.BALANCED.choose(options).vehicle_id == "a"
+
+
+def test_the_fleet_wide_leg_plane_knob_stays_deleted():
+    """The eager plane's switch and its argument were removed in favour of the
+    demand pool; neither may come back as a fork (the names are assembled here
+    so this file does not trip its own guard)."""
+    from pathlib import Path
+
+    banned = ("prefetch" + "_legs", "leg" + "_sources=")
+    root = Path(__file__).resolve().parents[2]
+    offenders = [
+        f"{path.relative_to(root)}: {name}"
+        for folder in ("src", "benchmarks", "tests")
+        for path in sorted((root / folder).rglob("*.py"))
+        for name in banned
+        if name in path.read_text(encoding="utf-8")
+    ]
+    assert offenders == []

@@ -12,18 +12,24 @@ request-by-request greedy loop of Section 2.5.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.batch import BatchMatchContext
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
+from repro.errors import DisconnectedError
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
 from repro.roadnet.routing import make_engine
+from repro.sim.engine import SimulationEngine
+from repro.sim.workload import RequestWorkload
 
 from tests.conftest import build_fleet
 
@@ -178,31 +184,136 @@ def test_prefetched_batch_equals_sequential_on_vector_backends(scenario, backend
     )
 
 
-@given(batch_scenarios(), st.sampled_from(["csr", "table"]))
-@settings(max_examples=16, deadline=None)
-def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario, backend):
-    """``prefetch_legs=True`` folds the fleet's schedule-leg sources (vehicle
-    locations + committed stops) into the batch's prefetch plane.  Like the
-    start-tree plane it is pure restructuring: insertion verification must
-    read exactly the distances the engine would have computed cold, so a
-    busy fleet -- warmed by a first committed burst -- answers a second
-    burst byte-identically to the sequential loop."""
-    blueprint, requests, matcher_name, shards, policy, config = scenario
-    if len(requests) < 2:
-        return
-    warm, burst = requests[: len(requests) // 2], requests[len(requests) // 2 :]
-    sequential = _build_dispatcher(blueprint, matcher_name, config, backend=backend)
-    batched = _build_dispatcher(blueprint, matcher_name, config, backend=backend)
+@st.composite
+def busy_fleet_scenarios(draw):
+    """A request stream that drives a fleet busy, a burst to answer against
+    it, and the routing/sharding configuration to answer it under."""
+    seed = draw(st.integers(min_value=0, max_value=100_000))
+    rng = random.Random(seed)
+    network = grid_network(
+        draw(st.integers(min_value=4, max_value=6)),
+        draw(st.integers(min_value=4, max_value=6)),
+        weight_jitter=0.4,
+        seed=seed,
+    )
+    vertices = network.vertices()
+    locations = [rng.choice(vertices) for _ in range(draw(st.integers(min_value=2, max_value=5)))]
+    grid_rows = draw(st.integers(min_value=2, max_value=4))
+    ticks = draw(st.integers(min_value=1, max_value=4))
 
-    # identical warm-up commitments give both fleets non-empty schedules,
-    # so the second burst actually exercises the leg-tree lookups
-    sequential.dispatch_sequential(warm, policy=policy)
-    batched.dispatch_sequential(warm, policy=policy)
+    def _requests(prefix, count, submit):
+        requests = []
+        for index in range(count):
+            start, destination = rng.sample(vertices, 2)
+            requests.append(
+                Request(
+                    start=start, destination=destination, riders=rng.randint(1, 2),
+                    max_waiting=8.0, service_constraint=0.8,
+                    request_id=f"{prefix}-{seed}-{index}", submit_time=submit(),
+                )
+            )
+        return requests
+
+    stream = _requests("w", draw(st.integers(min_value=2, max_value=8)),
+                       lambda: float(rng.randint(0, ticks - 1)))
+    burst = _requests("b", draw(st.integers(min_value=1, max_value=6)), lambda: 0.0)
+    return {
+        "blueprint": (network, locations, grid_rows),
+        "stream": stream,
+        "ticks": ticks,
+        "speed": draw(st.sampled_from([0.35, 0.8, 1.3])),
+        "seed": seed,
+        "burst": burst,
+        "matcher": draw(st.sampled_from(sorted(MATCHERS))),
+        "backend": draw(st.sampled_from(["dict", "csr", "ch", "table"])),
+        "cache": draw(st.sampled_from([1, 8, 1024])),
+        "shards": draw(st.sampled_from([1, 2, 4])),
+        "policy": draw(st.sampled_from([OptionPolicy.CHEAPEST, OptionPolicy.FASTEST])),
+    }
+
+
+def _driven_dispatcher(scenario):
+    """A dispatcher whose fleet served ``stream`` for a few ticks: riders on
+    board, vehicles mid-edge, kinetic trees with several branches."""
+    network, locations, grid_rows = scenario["blueprint"]
+    config = SystemConfig(max_waiting=8.0, service_constraint=0.8)
+    fleet = build_fleet(network, locations, capacity=4, grid_rows=grid_rows, grid_columns=grid_rows)
+    fleet.set_routing_engine(
+        make_engine(network, scenario["backend"], max_cached_sources=scenario["cache"])
+    )
+    dispatcher = Dispatcher(fleet, MATCHERS[scenario["matcher"]](fleet, config=config), config)
+    SimulationEngine(
+        dispatcher, RequestWorkload(list(scenario["stream"])), speed=scenario["speed"],
+        seed=scenario["seed"], idle_wander=False,
+    ).run(max_ticks=scenario["ticks"])
+    return dispatcher
+
+
+class _PoolSpy:
+    """Records what one batch asks: every ``prefetch_trees`` call on the
+    engine and every leg ``BatchMatchContext.distance`` is asked."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        #: whether a demanded root gets a tree: dict has no bulk path, and ch
+        #: answers point queries without one, so their pools never grow
+        self.grows = engine.backend in ("csr", "table")
+        self.prefetch_calls = []
+        self.asked_roots = set()
+        self.expected_hits = 0
+
+    def __enter__(self):
+        engine, spy = self.engine, self
+        original_prefetch = engine.prefetch_trees
+        original_distance = BatchMatchContext.distance
+
+        def prefetch_trees(sources):
+            spy.prefetch_calls.append(tuple(sources))
+            return original_prefetch(sources)
+
+        def distance(context, source, target):
+            start = context.request.start
+            if start not in (source, target) and source != target:
+                root = min(source, target)
+                spy.asked_roots.add(root)
+                key = (root, max(source, target))
+                # the grids are connected: a pooled tree reaches every leaf
+                if key not in context.shared_distances and (
+                    spy.grows or context.leg_trees.get(root) is not None
+                ):
+                    spy.expected_hits += 1
+            return original_distance(context, source, target)
+
+        self._patches = [
+            mock.patch.object(engine, "prefetch_trees", prefetch_trees),
+            mock.patch.object(BatchMatchContext, "distance", distance),
+        ]
+        for patch in self._patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        for patch in self._patches:
+            patch.stop()
+
+
+@given(busy_fleet_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
+    """The demand pool is pure restructuring.  Against a fleet that has been
+    driven busy, a burst answered through ``dispatch_batch`` -- whatever the
+    backend, the engine's tree-cache size or the shard count -- equals the
+    sequential loop byte for byte, while the pool asks the engine for each
+    root at most once and only for roots some verification really asked --
+    and not at all on ch, whose point query is cheaper than a tree."""
+    sequential = _driven_dispatcher(scenario)
+    batched = _driven_dispatcher(scenario)
+    assert _fleet_state(sequential.fleet) == _fleet_state(batched.fleet)
+    burst, policy = scenario["burst"], scenario["policy"]
 
     loop_outcomes = sequential.dispatch_sequential(burst, policy=policy)
-    pipeline_outcomes = batched.dispatch_batch(
-        burst, policy=policy, shards=shards, prefetch_legs=True
-    )
+    with _PoolSpy(batched.fleet.routing_engine) as spy:
+        pipeline_outcomes = batched.dispatch_batch(burst, policy=policy, shards=scenario["shards"])
 
     assert len(loop_outcomes) == len(pipeline_outcomes)
     for loop, pipe in zip(loop_outcomes, pipeline_outcomes):
@@ -210,11 +321,65 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario, backend):
         assert loop.chosen == pipe.chosen
     assert _fleet_state(sequential.fleet) == _fleet_state(batched.fleet)
 
+    # One bulk call for the distinct starts, then one call per demanded root:
+    # no root is ever asked twice, and none that no leg query was rooted at.
+    starts = list(dict.fromkeys(batched.normalise(request).start for request in burst))
+    assert spy.prefetch_calls[0] == tuple(starts)
+    demanded = [root for call in spy.prefetch_calls[1:] for root in call]
+    assert all(len(call) == 1 for call in spy.prefetch_calls[1:])
+    assert len(set(demanded)) == len(demanded)
+    assert not set(demanded) & set(starts)
+    assert set(demanded) <= spy.asked_roots
+    if not batched.fleet.routing_engine.point_queries_root_trees:
+        assert not demanded
+
     stats = batched.last_batch_statistics
-    assert stats is not None
-    # leg sources are the prefetched trees beyond the burst's start set
-    assert stats.leg_sources_prefetched >= 0
-    assert stats.leg_tree_hits >= 0
+    assert stats.leg_sources_prefetched == (len(demanded) if spy.grows else 0)
+    assert stats.leg_tree_hits == spy.expected_hits
+    if spy.grows and spy.asked_roots:
+        assert stats.leg_tree_hits > 0
     payload = stats.as_dict()
     assert payload["leg_sources_prefetched"] == float(stats.leg_sources_prefetched)
     assert payload["leg_tree_hits"] == float(stats.leg_tree_hits)
+
+
+@pytest.mark.parametrize("backend", ["dict", "csr", "ch", "table"])
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(backend, shards):
+    """A taxi stranded on an island makes the verification of the one request
+    that considers it raise.  The batched pipeline raises the loop's error at
+    the loop's turn: the request before it is committed, the one after it is
+    never reached."""
+    network = grid_network(6, 6, weight_jitter=0.2, seed=4)
+    vertices = network.vertices()
+    far = network.coordinate(vertices[-1])
+    network.add_vertex(9_001, x=far.x, y=far.y)
+    config = SystemConfig(max_waiting=2.0, service_constraint=0.6)
+
+    def _run(batched):
+        fleet = build_fleet(network, [vertices[0], 9_001], grid_rows=3, grid_columns=3)
+        fleet.set_routing_engine(make_engine(network, backend))
+        dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
+        requests = [
+            Request(start=start, destination=destination, riders=1, max_waiting=2.0,
+                    service_constraint=0.6, request_id=f"e{index}")
+            for index, (start, destination) in enumerate(
+                [(vertices[1], vertices[8]), (vertices[-2], vertices[-9]), (vertices[2], vertices[9])]
+            )
+        ]
+        answered = []
+        dispatcher.outcome_listener = answered.append
+        with pytest.raises(Exception) as raised:
+            if batched:
+                dispatcher.dispatch_batch(requests, shards=shards)
+            else:
+                dispatcher.dispatch_sequential(requests)
+        return raised.value, [outcome.request.request_id for outcome in answered], _fleet_state(fleet)
+
+    loop_error, loop_answered, loop_fleet = _run(batched=False)
+    pipe_error, pipe_answered, pipe_fleet = _run(batched=True)
+    assert isinstance(loop_error, DisconnectedError)
+    assert type(pipe_error) is type(loop_error)
+    assert pipe_error.args == loop_error.args
+    assert pipe_answered == loop_answered == ["e0"]
+    assert pipe_fleet == loop_fleet

@@ -276,6 +276,61 @@ class TestServiceIngest:
         assert system.booking(booking.booking_id) is booking
 
 
+class TestDemandPoolTreeCounts:
+    """Deterministic count guard (no timing): pooling leg trees on demand must
+    never make the batched serving path compute more distance trees than the
+    per-request booking loop needs for the same requests."""
+
+    @staticmethod
+    def _serve_day(batched: bool):
+        from repro.sim.workload import RequestWorkload
+
+        network = grid_network(16, 16, weight_jitter=0.3, seed=6)
+        config = SystemConfig(
+            vehicle_capacity=4, max_waiting=8.0, service_constraint=0.6, speed=3.0,
+            max_pickup_distance=3.0, routing_backend="csr", batch_window=1.0,
+            max_batch_size=65536,
+        )
+        service = build_system(
+            network=network, vehicles=60, grid_rows=6, grid_columns=6, config=config, seed=6
+        )
+        day = RequestWorkload.daily(
+            network, total=240, duration=12.0, max_waiting=8.0, service_constraint=0.6,
+            hotspot_count=40, hotspot_bias=1.0, seed=6,
+        )
+        answers, carry, tick = [], [], 0
+        while day.remaining or carry:
+            tick += 1
+            now = float(tick)
+            if batched:
+                for booking in service.pump(now=now):
+                    answers.append((booking.request.request_id, booking.chosen))
+            else:
+                for request in carry:
+                    booking = service.book_request(request)
+                    options = booking.options
+                    if options:
+                        chosen = OptionPolicy.CHEAPEST.choose(options)
+                        service.choose(booking.booking_id, options.index(chosen))
+                    else:
+                        service.cancel(booking.booking_id)
+                        chosen = None
+                    answers.append((request.request_id, chosen))
+            carry = day.due(now)
+            if batched:
+                for request in carry:
+                    assert service.ingest_request(request, now=now)
+            service.advance(1.0)
+        return answers, service.fleet.routing_engine.stats
+
+    def test_batched_day_computes_no_more_trees_than_the_booking_loop(self):
+        loop_answers, loop_stats = self._serve_day(batched=False)
+        pump_answers, pump_stats = self._serve_day(batched=True)
+        assert pump_answers == loop_answers
+        assert sum(1 for _, chosen in loop_answers if chosen is not None) > 100
+        assert 0 < pump_stats.dijkstra_runs <= loop_stats.dijkstra_runs
+
+
 class TestIngestStatisticsUnit:
     def test_defaults_and_flushes(self):
         stats = IngestStatistics()
