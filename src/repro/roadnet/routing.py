@@ -92,7 +92,12 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, DisconnectedError, VertexNotFoundError
 from repro.roadnet.artifacts import ArtifactCache, network_fingerprint
 from repro.roadnet.graph import RoadNetwork, VertexId
-from repro.roadnet.shortest_path import INFINITY, DistanceOracle, PathResult
+from repro.roadnet.shortest_path import (
+    INFINITY,
+    DistanceOracle,
+    PathResult,
+    shortest_path,
+)
 
 # NumPy and SciPy are imported separately on purpose: neither is required
 # for correctness, but they gate *different* fast paths.  SciPy owns the C
@@ -341,7 +346,14 @@ class RoutingEngine(ABC):
 
     @abstractmethod
     def path(self, source: VertexId, target: VertexId) -> PathResult:
-        """Return the full shortest path between two vertices."""
+        """Return the full shortest path between two vertices.
+
+        Every backend answers through
+        :func:`~repro.roadnet.shortest_path.shortest_path` -- read off the
+        source's distance tree (csr, table, ch) or searched (dict) -- so the
+        vertex sequence and the distance are the same on all of them, exact
+        ties included.
+        """
 
     @abstractmethod
     def invalidate(self) -> None:
@@ -574,7 +586,7 @@ class CSRGraph:
         """
         if self.matrix is not None:
             return _csgraph_dijkstra(self.matrix, directed=True, indices=source_index)
-        return self._tree_python(source_index)[0]
+        return self._tree_python(source_index)
 
     def trees(self, source_indices: Sequence[int]) -> Sequence[Sequence[float]]:
         """Distance rows for many sources as one 2-D plane.
@@ -591,22 +603,12 @@ class CSRGraph:
             if not source_list:
                 return _np.empty((0, len(self.vertex_ids)), dtype=_np.float64)
             return _csgraph_dijkstra(self.matrix, directed=True, indices=source_list)
-        return [self._tree_python(index)[0] for index in source_list]
+        return [self._tree_python(index) for index in source_list]
 
-    def tree_with_parents(self, source_index: int) -> Tuple[Sequence[float], List[int]]:
-        """Distances plus parent indices (-1 = root / unreachable)."""
-        if self.matrix is not None:
-            dist, parents = _csgraph_dijkstra(
-                self.matrix, directed=True, indices=source_index, return_predecessors=True
-            )
-            return dist, [p if p >= 0 else -1 for p in parents.tolist()]
-        return self._tree_python(source_index)
-
-    def _tree_python(self, source_index: int) -> Tuple[List[float], List[int]]:
+    def _tree_python(self, source_index: int) -> List[float]:
         """Array-backed Dijkstra over the CSR arrays with an int-indexed heap."""
         indptr, indices, weights = self.indptr, self.indices, self.weights
         dist = [INFINITY] * len(self.vertex_ids)
-        parent = [-1] * len(self.vertex_ids)
         dist[source_index] = 0.0
         heap: List[Tuple[float, int]] = [(0.0, source_index)]
         push, pop = heapq.heappush, heapq.heappop
@@ -619,9 +621,8 @@ class CSRGraph:
                 nd = d + weights[k]
                 if nd < dist[v]:
                     dist[v] = nd
-                    parent[v] = u
                     push(heap, (nd, v))
-        return dist, parent
+        return dist
 
 
 class _TreeView(Mapping):
@@ -1713,29 +1714,6 @@ class PHASTTreeProvider(TreeProvider):
         return exact
 
 
-def _path_from_parents(graph: CSRGraph, source: VertexId, target: VertexId) -> PathResult:
-    """Reconstruct the shortest path over a CSR graph via a parent tree.
-
-    Shared by the CSR and table engines (paths are only needed for vehicle
-    movement, so neither caches them).
-    """
-    source_index = graph.index(source)
-    target_index = graph.index(target)
-    if source == target:
-        return PathResult(source, target, 0.0, (source,))
-    dist, parents = graph.tree_with_parents(source_index)
-    if dist[target_index] == INFINITY:
-        raise DisconnectedError(source, target)
-    vertex_ids = graph.vertex_ids
-    indices = [target_index]
-    while indices[-1] != source_index:
-        indices.append(parents[indices[-1]])
-    indices.reverse()
-    return PathResult(
-        source, target, float(dist[target_index]), tuple(vertex_ids[i] for i in indices)
-    )
-
-
 def _fingerprint_for(network: RoadNetwork, cache: Optional[ArtifactCache]) -> Optional[str]:
     """The network's content hash when a usable cache is attached, else None."""
     if cache is None or not cache.available:
@@ -1959,7 +1937,12 @@ class CSREngine(RoutingEngine):
         return views
 
     def path(self, source: VertexId, target: VertexId) -> PathResult:
-        return _path_from_parents(self._graph, source, target)
+        # Read off the source's tree: a vehicle re-plans from where it stands,
+        # and the matcher has usually just rooted (and cached) a tree there.
+        # ``path(v, v)`` -- a vehicle standing at its next stop -- needs no
+        # tree, so it roots none and is not billed as a query.
+        tree = self.distances_from(source) if source != target else None
+        return shortest_path(self._network, source, target, tree=tree)
 
     def distance_lower_bound(self, source: VertexId, target: VertexId) -> float:
         if self._alt is None:
@@ -2179,7 +2162,9 @@ class TableEngine(RoutingEngine):
         return views
 
     def path(self, source: VertexId, target: VertexId) -> PathResult:
-        return _path_from_parents(self._graph, source, target)
+        # as on the csr engine: ``path(v, v)`` reads no row and bills no query
+        tree = self.distances_from(source) if source != target else None
+        return shortest_path(self._network, source, target, tree=tree)
 
     def distance_lower_bound(self, source: VertexId, target: VertexId) -> float:
         """The exact distance -- the tightest admissible bound there is.

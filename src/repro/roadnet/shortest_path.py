@@ -1,20 +1,26 @@
 """Shortest-path machinery for PTRider.
 
 Every price and every pick-up time in the system is derived from shortest-path
-distances on the road network (Section 2.1 of the paper).  The matchers call
-into this module constantly, so it offers several access patterns:
+distances on the road network (Section 2.1 of the paper).  What the rest of
+``src/`` calls:
 
-* :func:`shortest_path_distance` / :func:`shortest_path` -- point-to-point
-  Dijkstra with early termination;
-* :func:`bidirectional_dijkstra` -- meet-in-the-middle search used for long
-  queries;
-* :func:`bounded_dijkstra` -- expansion limited to a radius, used by the grid
-  index and the single-side search frontier;
+* :func:`shortest_path` -- the one path mechanism.  Every routing engine's
+  ``path`` lands here (:mod:`repro.roadnet.routing`), and through
+  ``engine.path`` so do vehicle re-plans (``vehicles.movement.plan_route``)
+  and the fleet's full-path cell registration.  The csr, table and ch
+  engines pass the source's distance tree and the path is read off it; the
+  dict engine runs the early-terminated Dijkstra search;
 * :func:`dijkstra_all` / :func:`multi_source_dijkstra` -- full and
-  multi-source expansions used when building the grid index;
+  multi-source expansions: the dict backend's tree builder and the grid
+  index construction (:mod:`repro.roadnet.grid_index`);
 * :class:`DistanceOracle` -- a memoising facade that caches single-source
   trees; it backs the "dict" backend of :mod:`repro.roadnet.routing`, which
   is what the matchers and the simulator hold on to.
+
+Exported through :mod:`repro.roadnet` as library functions with no caller in
+``src/`` (the tests use them as independent references for the above):
+:func:`shortest_path_distance`, :func:`astar_path`,
+:func:`bidirectional_dijkstra` and :func:`bounded_dijkstra`.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import heapq
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.errors import DisconnectedError, VertexNotFoundError
 from repro.roadnet.graph import RoadNetwork, VertexId
@@ -96,16 +102,35 @@ def shortest_path_distance(network: RoadNetwork, source: VertexId, target: Verte
     raise DisconnectedError(source, target)
 
 
-def shortest_path(network: RoadNetwork, source: VertexId, target: VertexId) -> PathResult:
+def shortest_path(
+    network: RoadNetwork,
+    source: VertexId,
+    target: VertexId,
+    tree: Optional[Mapping[VertexId, float]] = None,
+) -> PathResult:
     """Return the shortest path (distance and vertex sequence) between two vertices.
+
+    Without ``tree`` this is a Dijkstra search from ``source`` that stops as
+    soon as ``target`` is settled.  A caller that already holds the distance
+    tree rooted at ``source`` (any mapping ``vertex -> dist(source, vertex)``
+    that omits unreachable vertices) passes it as ``tree`` and the path is
+    read off it instead: walking back from ``target``, each vertex ``v`` is
+    preceded by the neighbour ``u`` that minimises
+    ``(tree[u] + w(u, v), tree[u], u)``.  That is the parent the search sets
+    -- the first-settled neighbour attaining ``v``'s final label, the search
+    settling in ``(distance, vertex id)`` order -- so both arms return the
+    same vertex sequence and the same float, exact ties included.
 
     Raises:
         VertexNotFoundError: if either endpoint is unknown.
-        DisconnectedError: if no path connects the endpoints.
+        DisconnectedError: if no path connects the endpoints, or ``tree``
+            omits ``target`` or does not lead back to ``source``.
     """
     _require_vertices(network, (source, target))
     if source == target:
         return PathResult(source, target, 0.0, (source,))
+    if tree is not None:
+        return _walk_tree(network, source, target, tree)
     dist: Dict[VertexId, float] = {source: 0.0}
     parent: Dict[VertexId, VertexId] = {}
     heap: List[Tuple[float, VertexId]] = [(0.0, source)]
@@ -126,6 +151,39 @@ def shortest_path(network: RoadNetwork, source: VertexId, target: VertexId) -> P
     raise DisconnectedError(source, target)
 
 
+def _walk_tree(
+    network: RoadNetwork,
+    source: VertexId,
+    target: VertexId,
+    tree: Mapping[VertexId, float],
+) -> PathResult:
+    """The ``tree=`` arm of :func:`shortest_path` (``source != target``)."""
+    distance = tree.get(target)
+    if distance is None:
+        raise DisconnectedError(source, target)
+    label_of = tree.get
+    neighbours_view = network.neighbours_view
+    # No simple path has more vertices than the network: a walk that long is
+    # circling in a tree that was not rooted at ``source``.
+    longest = len(network)
+    path = [target]
+    current = target
+    while current != source:
+        best = None
+        for u, weight in neighbours_view(current).items():
+            label = label_of(u)
+            if label is not None:
+                key = (label + weight, label, u)
+                if best is None or key < best:
+                    best = key
+        if best is None or len(path) == longest:
+            raise DisconnectedError(source, target)
+        current = best[2]
+        path.append(current)
+    path.reverse()
+    return PathResult(source, target, float(distance), tuple(path))
+
+
 def astar_path(
     network: RoadNetwork,
     source: VertexId,
@@ -137,9 +195,9 @@ def astar_path(
     Without an explicit ``heuristic`` the Euclidean distance to ``target`` is
     used, which is admissible whenever every edge weight is at least the
     Euclidean length of the edge -- true for all networks produced by
-    :mod:`repro.roadnet.generators` (and verified by their tests).  The
-    movement planner uses this for long point-to-point routes where plain
-    Dijkstra would settle most of the network.
+    :mod:`repro.roadnet.generators` (and verified by their tests).  Nothing
+    in ``src/`` calls this: vehicle movement reads its routes off the routing
+    engine (:func:`shortest_path`), and ties may break differently here.
 
     Args:
         network: the road network (must carry coordinates unless a heuristic

@@ -277,9 +277,9 @@ class SimulationEngine:
         """Plan a route to ``target``, finishing the current edge first if mid-edge."""
         if motion.offset > 0 and motion.has_route:
             head = motion.route[0]
-            rest = plan_route(self._network, head, target)
+            rest = plan_route(self._oracle, head, target)
             return MotionState(location=motion.location, route=(head,) + rest.route, offset=motion.offset)
-        return plan_route(self._network, motion.location, target)
+        return plan_route(self._oracle, motion.location, target)
 
     def _sync_vehicle_location(self, vehicle: Vehicle, motion: MotionState) -> None:
         """Mirror a motion state into the vehicle's (next-vertex, offset) location."""

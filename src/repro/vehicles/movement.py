@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.shortest_path import shortest_path
+from repro.roadnet.routing import RoutingEngine
 
 __all__ = ["MotionState", "plan_route", "random_idle_route", "step_along_route"]
 
@@ -65,12 +65,17 @@ class MotionState:
         return total
 
 
-def plan_route(network: RoadNetwork, source: int, target: int) -> MotionState:
-    """Return a motion state that drives the shortest path from ``source`` to ``target``."""
+def plan_route(engine: RoutingEngine, source: int, target: int) -> MotionState:
+    """Return a motion state that drives the shortest path from ``source`` to ``target``.
+
+    The route is ``engine.path(source, target)``: every backend returns the
+    same vertex sequence, so swapping the routing engine never re-routes a
+    vehicle.
+    """
     if source == target:
         return MotionState(location=source)
-    result = shortest_path(network, source, target)
-    return MotionState(location=source, route=tuple(result.path[1:]), offset=0.0)
+    result = engine.path(source, target)
+    return MotionState(location=source, route=result.path[1:], offset=0.0)
 
 
 def random_idle_route(

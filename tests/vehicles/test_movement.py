@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.roadnet.generators import figure1_network, grid_network
+from repro.roadnet.routing import make_engine
 from repro.vehicles.movement import MotionState, plan_route, random_idle_route, step_along_route
 
 
@@ -16,22 +17,27 @@ def network():
     return figure1_network()
 
 
+@pytest.fixture
+def engine(network):
+    return make_engine(network, "csr")
+
+
 class TestPlanRoute:
-    def test_route_follows_shortest_path(self, network):
-        state = plan_route(network, 1, 16)
+    def test_route_follows_shortest_path(self, network, engine):
+        state = plan_route(engine, 1, 16)
         assert state.location == 1
         assert state.route[-1] == 16
         assert state.offset == 0.0
 
-    def test_same_source_target(self, network):
-        state = plan_route(network, 5, 5)
+    def test_same_source_target(self, network, engine):
+        state = plan_route(engine, 5, 5)
         assert not state.has_route
         assert state.next_vertex is None
 
-    def test_remaining_distance(self, network):
-        state = plan_route(network, 1, 2)
+    def test_remaining_distance(self, network, engine):
+        state = plan_route(engine, 1, 2)
         assert state.remaining_distance(network) == pytest.approx(8.0)
-        assert plan_route(network, 3, 3).remaining_distance(network) == 0.0
+        assert plan_route(engine, 3, 3).remaining_distance(network) == 0.0
 
 
 class TestRandomIdleRoute:
@@ -55,16 +61,16 @@ class TestRandomIdleRoute:
 
 
 class TestStepAlongRoute:
-    def test_exact_arrival(self, network):
-        state = plan_route(network, 1, 2)
+    def test_exact_arrival(self, network, engine):
+        state = plan_route(engine, 1, 2)
         new_state, travelled, reached = step_along_route(network, state, 8.0)
         assert travelled == pytest.approx(8.0)
         assert reached == [2]
         assert new_state.location == 2
         assert not new_state.has_route
 
-    def test_partial_edge_progress(self, network):
-        state = plan_route(network, 1, 2)
+    def test_partial_edge_progress(self, network, engine):
+        state = plan_route(engine, 1, 2)
         new_state, travelled, reached = step_along_route(network, state, 3.0)
         assert travelled == pytest.approx(3.0)
         assert reached == []
@@ -72,42 +78,42 @@ class TestStepAlongRoute:
         assert new_state.offset == pytest.approx(3.0)
         assert new_state.next_vertex == 2
 
-    def test_multi_edge_progress(self, network):
-        state = plan_route(network, 1, 12)  # 1 -> 2 -> 12, lengths 8 and 6
+    def test_multi_edge_progress(self, network, engine):
+        state = plan_route(engine, 1, 12)  # 1 -> 2 -> 12, lengths 8 and 6
         new_state, travelled, reached = step_along_route(network, state, 10.0)
         assert travelled == pytest.approx(10.0)
         assert reached == [2]
         assert new_state.location == 2
         assert new_state.offset == pytest.approx(2.0)
 
-    def test_budget_beyond_route_end(self, network):
-        state = plan_route(network, 1, 2)
+    def test_budget_beyond_route_end(self, network, engine):
+        state = plan_route(engine, 1, 2)
         new_state, travelled, reached = step_along_route(network, state, 100.0)
         assert travelled == pytest.approx(8.0)
         assert new_state.location == 2
         assert not new_state.has_route
 
-    def test_zero_budget(self, network):
-        state = plan_route(network, 1, 2)
+    def test_zero_budget(self, network, engine):
+        state = plan_route(engine, 1, 2)
         new_state, travelled, reached = step_along_route(network, state, 0.0)
         assert travelled == 0.0
         assert new_state == state
 
-    def test_negative_budget_rejected(self, network):
-        state = plan_route(network, 1, 2)
+    def test_negative_budget_rejected(self, network, engine):
+        state = plan_route(engine, 1, 2)
         with pytest.raises(SimulationError):
             step_along_route(network, state, -1.0)
 
-    def test_resuming_partial_progress(self, network):
-        state = plan_route(network, 1, 2)
+    def test_resuming_partial_progress(self, network, engine):
+        state = plan_route(engine, 1, 2)
         state, _, _ = step_along_route(network, state, 3.0)
         state, travelled, reached = step_along_route(network, state, 5.0)
         assert travelled == pytest.approx(5.0)
         assert reached == [2]
         assert state.location == 2
 
-    def test_total_distance_conserved(self, network):
-        state = plan_route(network, 1, 17)
+    def test_total_distance_conserved(self, network, engine):
+        state = plan_route(engine, 1, 17)
         expected = state.remaining_distance(network)
         total = 0.0
         for _ in range(100):
