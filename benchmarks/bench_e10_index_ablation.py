@@ -20,7 +20,14 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.roadnet.grid_index import GridIndex
 
-from common import DEFAULT_CONFIG, build_city, format_table, probe_requests, warm_up_fleet
+from common import (
+    DEFAULT_CONFIG,
+    build_city,
+    format_table,
+    probe_requests,
+    record_result,
+    warm_up_fleet,
+)
 
 
 def work_for_granularity(cells_per_side: int, seed: int = 83):
@@ -61,6 +68,7 @@ def test_e10_index_build_cost_grows_with_granularity():
         index = GridIndex(city.network, rows=side, columns=side, precompute=True)
         elapsed = time.perf_counter() - started
         timings.append((side, elapsed, index.summary()["border_vertices"]))
+        record_result("E10", elapsed, phase=f"index_build_{side}x{side}")
     # build cost and border-vertex count increase with granularity
     assert timings[-1][1] >= timings[0][1] * 0.5  # noisy, but must not collapse
     assert timings[-1][2] >= timings[0][2]

@@ -250,12 +250,14 @@ def record_result(
     The benchmark conftest writes the session's records to
     ``BENCH_results.json`` (latest run only -- the file is overwritten; CI
     archives it as a build artifact so the perf trajectory can be compared
-    across commits).
+    across commits).  Every record carries the box's ``cpu_count``, so walls
+    -- worker arms above all -- are only ever compared like for like.
     """
     record: Dict[str, object] = {
         "experiment": experiment,
         "wall_seconds": round(wall_seconds, 6),
         "routing_backend": routing_backend or DEFAULT_ROUTING or "dict",
+        "cpu_count": os.cpu_count() or 1,
     }
     if vehicles_evaluated is not None:
         record["vehicles_evaluated"] = vehicles_evaluated

@@ -46,9 +46,11 @@ record when that happens (the CI artifact archive keeps the trajectory).
 
 With ``--archive`` the fresh records are additionally appended to a
 trajectory file (default ``BENCH_trajectory.jsonl``): one JSON line per
-``(experiment, routing backend)`` aggregate, stamped with the current commit,
-so the perf history over *many* commits is readable directly instead of only
-pairwise against the last committed baseline.  Every experiment present in
+``(experiment, routing backend)`` aggregate, stamped with the current commit
+and with the ``cpu_count`` the records carry (``benchmarks/common.record_result``
+puts it on every row), so the perf history over *many* commits is readable
+directly instead of only pairwise against the last committed baseline.
+Every experiment present in
 the fresh files is archived (not just the monitored ones), and archiving
 happens regardless of the regression verdict -- a regression is exactly what
 the trajectory should show.
@@ -159,6 +161,10 @@ def archive_records(
         }
     )
     walls = aggregate_wall_seconds(records, experiments, aggregate)
+    # One archive call holds one box's run: its records agree on cpu_count.
+    cpu_count = next(
+        (record["cpu_count"] for record in records if "cpu_count" in record), None
+    )
     trajectory.parent.mkdir(parents=True, exist_ok=True)
     with trajectory.open("a") as handle:
         for (experiment, backend, phase, provider, workers), wall in sorted(
@@ -177,6 +183,8 @@ def archive_records(
                 row["tree_provider"] = provider
             if workers:
                 row["workers"] = int(workers)
+            if cpu_count is not None:
+                row["cpu_count"] = cpu_count
             handle.write(json.dumps(row, sort_keys=True) + "\n")
     return len(walls)
 

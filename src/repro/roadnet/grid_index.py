@@ -16,9 +16,26 @@ paper, every grid cell maintains
    that intersects the cell.
 
 In addition, a matrix of lower-bound distances between every pair of grid
-cells is maintained (realised lazily here, one multi-source Dijkstra per
-row, so small networks stay cheap and large ones only pay for the rows the
-matchers actually touch).
+cells is maintained (realised lazily here, one row per cell the first time a
+matcher touches it, so a service only pays for the rows it uses).
+
+Every distance the index holds is computed on one :class:`CSRGraph` the index
+compiles for itself -- in C where SciPy is installed, by the graph's own
+array Dijkstra otherwise:
+
+* ``v.min`` for *every* vertex comes from **one** ``CSRGraph.nearest`` pass at
+  construction, seeded with the border vertices of all cells at once over a
+  copy of the graph without its cell-crossing edges (a shortest path from a
+  vertex to the nearest border vertex of its own cell never needs to leave
+  the cell: where it came back in it would stand on a border vertex already);
+* a lower-bound row is one ``CSRGraph.nearest(border vertices of the cell)``
+  over the whole graph, minimised over each other cell's border vertices;
+* the per-border annotation of ``precompute=True`` is one ``CSRGraph.trees``
+  plane per cell.
+
+The values are ``==`` to one whole-graph pure-Python search per cell (the
+dict multi-source reference in :mod:`repro.roadnet.shortest_path`), which
+``tests/property/test_grid_bounds.py`` pins.
 
 The crucial property the matchers rely on is **admissibility**: for any two
 vertices ``u`` in cell ``g_i`` and ``v`` in cell ``g_j``,
@@ -33,18 +50,25 @@ tests in ``tests/property/test_grid_bounds.py``.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import GridIndexError, InvalidNetworkError, VertexNotFoundError
 from repro.roadnet.geometry import BoundingBox
 from repro.roadnet.graph import RoadNetwork, VertexId
-from repro.roadnet.shortest_path import INFINITY, dijkstra_all, multi_source_dijkstra
+from repro.roadnet.routing import CSRGraph
+from repro.roadnet.shortest_path import INFINITY
 
 __all__ = ["CellId", "GridCell", "GridIndex"]
 
 #: Grid cells are addressed by their (row, column) pair.
 CellId = Tuple[int, int]
+
+
+def _plain(distances):
+    """A ``CSRGraph`` row or plane as plain Python floats (SciPy hands back ndarrays)."""
+    return distances.tolist() if hasattr(distances, "tolist") else distances
 
 
 @dataclass
@@ -110,6 +134,7 @@ class GridIndex:
     ) -> None:
         if rows <= 0 or columns <= 0:
             raise GridIndexError(f"grid dimensions must be positive, got {rows}x{columns}")
+        started = time.perf_counter()
         network.validate(require_coordinates=True)
         self._network = network
         self._rows = rows
@@ -121,9 +146,13 @@ class GridIndex:
         height = self._box.height or 1.0
         self._cell_width = width / columns
         self._cell_height = height / rows
+        # The compiled graph every distance of the index is computed on.
+        self._graph = CSRGraph(network)
 
         self._cells: Dict[CellId, GridCell] = {}
         self._vertex_cell: Dict[VertexId, CellId] = {}
+        #: per cell, the ``CSRGraph`` indices of its border vertices (same order)
+        self._border_indices: Dict[CellId, List[int]] = {}
         self._vertex_min: Dict[VertexId, float] = {}
         self._border_distances: Dict[VertexId, Dict[VertexId, float]] = {}
         self._lower_bound_rows: Dict[CellId, Dict[CellId, float]] = {}
@@ -142,6 +171,7 @@ class GridIndex:
                 self._lower_bound_row(cell_id)
                 self.cells_in_lower_bound_order(cell_id)
             self._compute_detailed_border_distances()
+        self._build_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -165,46 +195,70 @@ class GridIndex:
             self._cells[cell_id].vertices.append(vertex)
 
     def _identify_border_vertices(self) -> None:
+        vertex_cell = self._vertex_cell
+        borders: Set[VertexId] = set()
         for edge in self._network.edges():
-            cell_u = self._vertex_cell[edge.u]
-            cell_v = self._vertex_cell[edge.v]
-            if cell_u != cell_v:
+            if vertex_cell[edge.u] != vertex_cell[edge.v]:
                 # The edge belongs to more than one grid cell, so both of its
                 # endpoints are border vertices (Section 3.2.1).
-                self._add_border(edge.u, cell_u)
-                self._add_border(edge.v, cell_v)
-
-    def _add_border(self, vertex: VertexId, cell_id: CellId) -> None:
-        cell = self._cells[cell_id]
-        if vertex not in cell.border_vertices:
-            cell.border_vertices.append(vertex)
+                for vertex in (edge.u, edge.v):
+                    if vertex not in borders:
+                        borders.add(vertex)
+                        self._cells[vertex_cell[vertex]].border_vertices.append(vertex)
+        index_of = self._graph.index_of
+        for cell_id, cell in self._cells.items():
+            self._border_indices[cell_id] = [index_of[v] for v in cell.border_vertices]
 
     def _compute_vertex_minimums(self) -> None:
-        """Compute ``v.min`` for every vertex via one multi-source Dijkstra per cell."""
-        for cell in self._cells.values():
-            if not cell.vertices:
-                continue
-            if not cell.border_vertices:
-                # A cell with no border vertex is either the only populated
-                # cell or holds an isolated component; its vertices can never
-                # be pruned through the cell bound, so v.min is zero.
-                for vertex in cell.vertices:
-                    self._vertex_min[vertex] = 0.0
-                continue
-            distances = multi_source_dijkstra(self._network, cell.border_vertices)
-            for vertex in cell.vertices:
-                self._vertex_min[vertex] = distances.get(vertex, 0.0)
+        """Compute ``v.min`` for every vertex of every cell in one multi-source pass.
+
+        The pass runs over a copy of the graph that keeps only the edges with
+        both endpoints in one cell, seeded with every border vertex of every
+        cell.  That is exact: a path from a vertex to a border vertex of its
+        own cell that leaves the cell comes back in over a crossing edge,
+        whose inner endpoint is itself a border vertex of the cell, and the
+        stretch from there on is no longer than the whole (adding a
+        non-negative prefix never makes a left-to-right float sum smaller).
+        So the minimum over all paths is reached by one that stays inside,
+        seeds of other cells are never reached, and the label is the float a
+        whole-graph search from this cell's border vertices settles.
+        """
+        graph = self._graph
+        # A vertex no border vertex of its cell reaches -- the only populated
+        # cell, an isolated component, a pocket cut off inside the cell -- can
+        # never be pruned through the cell bound, so its v.min stays zero.
+        self._vertex_min = dict.fromkeys(graph.vertex_ids, 0.0)
+        seeds = [index for borders in self._border_indices.values() for index in borders]
+        if not seeds:
+            return
+        cell_of = [self._vertex_cell[vertex] for vertex in graph.vertex_ids]
+        graph_indptr, graph_indices, graph_weights = graph.indptr, graph.indices, graph.weights
+        indptr, indices, weights = [0], [], []
+        for u, cell_id in enumerate(cell_of):
+            for k in range(graph_indptr[u], graph_indptr[u + 1]):
+                v = graph_indices[k]
+                if cell_of[v] == cell_id:
+                    indices.append(v)
+                    weights.append(graph_weights[k])
+            indptr.append(len(indices))
+        interior = CSRGraph.from_arrays(graph.vertex_ids, indptr, indices, weights)
+        for vertex, distance in zip(graph.vertex_ids, _plain(interior.nearest(seeds))):
+            if distance != INFINITY:
+                self._vertex_min[vertex] = distance
 
     def _compute_detailed_border_distances(self) -> None:
         """Annotate every vertex with its distance to each border vertex of its cell."""
-        for cell in self._cells.values():
-            if not cell.vertices or not cell.border_vertices:
+        index_of = self._graph.index_of
+        for cell_id, cell in self._cells.items():
+            borders = self._border_indices[cell_id]
+            if not borders:
                 continue
-            for border in cell.border_vertices:
-                tree = dijkstra_all(self._network, border)
-                for vertex in cell.vertices:
-                    if vertex in tree:
-                        self._border_distances.setdefault(vertex, {})[border] = tree[vertex]
+            members = [(vertex, index_of[vertex]) for vertex in cell.vertices]
+            plane = _plain(self._graph.trees(borders))
+            for border, tree in zip(cell.border_vertices, plane):
+                for vertex, index in members:
+                    if tree[index] != INFINITY:
+                        self._border_distances.setdefault(vertex, {})[border] = tree[index]
 
     # ------------------------------------------------------------------
     # basic geometry / lookup
@@ -294,25 +348,18 @@ class GridIndex:
         row = self._lower_bound_rows.get(cell_id)
         if row is not None:
             return row
-        cell = self._cells[cell_id]
-        row = {}
-        if cell.border_vertices:
-            distances = multi_source_dijkstra(self._network, cell.border_vertices)
-            for other_id, other in self._cells.items():
-                if other_id == cell_id:
-                    row[other_id] = 0.0
-                    continue
-                best = INFINITY
-                for border in other.border_vertices:
-                    candidate = distances.get(border, INFINITY)
-                    if candidate < best:
-                        best = candidate
-                row[other_id] = best
+        borders = self._border_indices[cell_id]
+        if borders:
+            nearest = _plain(self._graph.nearest(borders)).__getitem__
+            row = {
+                other_id: min(map(nearest, other_borders), default=INFINITY)
+                for other_id, other_borders in self._border_indices.items()
+            }
         else:
             # No border vertices: the cell is not connected to any other cell
             # through the road network (or it is the only populated cell).
-            for other_id in self._cells:
-                row[other_id] = 0.0 if other_id == cell_id else INFINITY
+            row = dict.fromkeys(self._cells, INFINITY)
+        row[cell_id] = 0.0
         self._lower_bound_rows[cell_id] = row
         return row
 
@@ -322,13 +369,16 @@ class GridIndex:
         The bound is the minimum shortest-path distance between any border
         vertex of ``cell_a`` and any border vertex of ``cell_b`` (0 for the
         same cell, ``inf`` when the cells are not connected).
+
+        Raises:
+            GridIndexError: if either identifier is outside the grid.
         """
-        if cell_a == cell_b:
-            return 0.0
         if cell_a not in self._cells or cell_b not in self._cells:
             missing = cell_a if cell_a not in self._cells else cell_b
             raise GridIndexError(f"cell {missing} is outside the {self._rows}x{self._columns} grid")
-        return self._lower_bound_row(cell_a).get(cell_b, INFINITY)
+        if cell_a == cell_b:
+            return 0.0
+        return self._lower_bound_row(cell_a)[cell_b]
 
     #: Memo entries are tiny (two ints -> float) but the pair space is O(V^2);
     #: past this size the memo is simply dropped and rebuilt from the hot set.
@@ -449,6 +499,10 @@ class GridIndex:
             "border_vertices": float(border_total),
             "vertices": float(self._network.vertex_count),
             "edges": float(self._network.edge_count),
+            # cold-start cost made visible: rows computed so far (one per cell
+            # at most, on first touch) and what construction took
+            "lower_bound_rows": float(len(self._lower_bound_rows)),
+            "build_seconds": self._build_seconds,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -586,7 +586,7 @@ class CSRGraph:
         """
         if self.matrix is not None:
             return _csgraph_dijkstra(self.matrix, directed=True, indices=source_index)
-        return self._tree_python(source_index)
+        return self._tree_python([source_index])
 
     def trees(self, source_indices: Sequence[int]) -> Sequence[Sequence[float]]:
         """Distance rows for many sources as one 2-D plane.
@@ -603,14 +603,44 @@ class CSRGraph:
             if not source_list:
                 return _np.empty((0, len(self.vertex_ids)), dtype=_np.float64)
             return _csgraph_dijkstra(self.matrix, directed=True, indices=source_list)
-        return [self._tree_python(index) for index in source_list]
+        return [self._tree_python([index]) for index in source_list]
 
-    def _tree_python(self, source_index: int) -> List[float]:
-        """Array-backed Dijkstra over the CSR arrays with an int-indexed heap."""
+    def nearest(self, source_indices: Sequence[int]) -> Sequence[float]:
+        """Distance from every index to its *closest* source (inf = unreachable).
+
+        The multi-source sibling of :meth:`tree`: one search seeded with every
+        source at distance zero, so the row is the element-wise minimum of
+        ``trees(source_indices)`` -- the same left-to-right float sums -- at
+        the cost of one tree.  With SciPy that is one
+        ``scipy.sparse.csgraph.dijkstra(indices=[...], min_only=True)`` call
+        returning a ``float64`` ndarray; the pure-Python fallback returns a
+        plain list.  This is what the grid index computes ``v.min`` and its
+        cell-pair lower-bound rows with.
+
+        Raises:
+            ValueError: if ``source_indices`` is empty.
+        """
+        source_list = list(source_indices)
+        if not source_list:
+            raise ValueError("nearest requires at least one source")
+        if self.matrix is not None:
+            return _csgraph_dijkstra(
+                self.matrix, directed=True, indices=source_list, min_only=True
+            )
+        return self._tree_python(source_list)
+
+    def _tree_python(self, source_indices: Sequence[int]) -> List[float]:
+        """Array-backed Dijkstra over the CSR arrays with an int-indexed heap.
+
+        Seeded with every index of ``source_indices`` at distance zero: one
+        source gives a tree row, several give the :meth:`nearest` row.
+        """
         indptr, indices, weights = self.indptr, self.indices, self.weights
         dist = [INFINITY] * len(self.vertex_ids)
-        dist[source_index] = 0.0
-        heap: List[Tuple[float, int]] = [(0.0, source_index)]
+        for source_index in source_indices:
+            dist[source_index] = 0.0
+        heap: List[Tuple[float, int]] = [(0.0, index) for index in source_indices]
+        heapq.heapify(heap)
         push, pop = heapq.heappush, heapq.heappop
         while heap:
             d, u = pop(heap)

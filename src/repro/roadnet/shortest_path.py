@@ -10,9 +10,8 @@ distances on the road network (Section 2.1 of the paper).  What the rest of
   and the fleet's full-path cell registration.  The csr, table and ch
   engines pass the source's distance tree and the path is read off it; the
   dict engine runs the early-terminated Dijkstra search;
-* :func:`dijkstra_all` / :func:`multi_source_dijkstra` -- full and
-  multi-source expansions: the dict backend's tree builder and the grid
-  index construction (:mod:`repro.roadnet.grid_index`);
+* :func:`dijkstra_all` -- the full expansion: the dict backend's tree
+  builder;
 * :class:`DistanceOracle` -- a memoising facade that caches single-source
   trees; it backs the "dict" backend of :mod:`repro.roadnet.routing`, which
   is what the matchers and the simulator hold on to.
@@ -20,7 +19,9 @@ distances on the road network (Section 2.1 of the paper).  What the rest of
 Exported through :mod:`repro.roadnet` as library functions with no caller in
 ``src/`` (the tests use them as independent references for the above):
 :func:`shortest_path_distance`, :func:`astar_path`,
-:func:`bidirectional_dijkstra` and :func:`bounded_dijkstra`.
+:func:`bidirectional_dijkstra`, :func:`bounded_dijkstra` and
+:func:`multi_source_dijkstra` (the whole-graph reference the grid index's
+values are pinned to; the index itself computes on ``CSRGraph.nearest``).
 """
 
 from __future__ import annotations
@@ -380,8 +381,11 @@ def multi_source_dijkstra(
 ) -> Dict[VertexId, float]:
     """Return, for every reachable vertex, the distance to its *closest* source.
 
-    This is what the grid index uses to compute the distance from every vertex
-    of a cell to the cell's border-vertex set, and the cell-pair lower bounds.
+    Nothing in ``src/`` calls it: the grid index, which used to run it once
+    per cell for ``v.min`` and once per cell-pair lower-bound row, computes
+    both with :meth:`repro.roadnet.routing.CSRGraph.nearest` on a compiled
+    graph.  It stays as the whole-graph reference those values must equal
+    (``tests/property/test_grid_bounds.py``).
 
     Raises:
         VertexNotFoundError: if any source is unknown.

@@ -1118,6 +1118,11 @@ class PTRiderService:
         time the last batch spent shipping requests out and skylines back
         over the pipes rather than computing).
 
+        ``grid_lower_bound_rows`` of ``grid_cells`` says how warm the grid
+        index is (a row is computed on a cell's first use, inside whichever
+        serving call touches it; at most one per cell per service lifetime)
+        and ``grid_build_seconds`` what constructing the index cost.
+
         Failure containment appears under a ``dispatch_`` prefix: the
         watchdog's ``worker_kills`` / ``worker_timeouts``, pool
         ``pool_respawns``, ``batch_failures`` / ``dispatch_retries`` and
@@ -1141,6 +1146,13 @@ class PTRiderService:
             "load_seconds",
         ):
             payload[field_name] = float(getattr(stats, field_name, 0) or 0)
+        # The grid index starts cold: each cell's lower-bound row is computed
+        # the first time a matcher touches it, inside a serving call.  Rows
+        # so far against cells answers "is this service still warming up?".
+        grid = self._fleet.grid.summary()
+        payload["grid_cells"] = grid["cells"]
+        payload["grid_lower_bound_rows"] = grid["lower_bound_rows"]
+        payload["grid_build_seconds"] = grid["build_seconds"]
         payload["dispatch_workers"] = float(self._config.dispatch_workers)
         batch_stats = self._dispatcher.last_batch_statistics
         payload["parallel_workers"] = (

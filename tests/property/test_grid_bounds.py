@@ -10,16 +10,24 @@ random grid granularities and check the invariant exhaustively on samples.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.matcher import added_distance_lower_bound
 from repro.model.request import Request
+from repro.roadnet import routing
 from repro.roadnet.generators import grid_network, random_geometric_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle, shortest_path_distance
-from repro.vehicles.vehicle import Vehicle
+from repro.roadnet.routing import CSRGraph
+from repro.roadnet.shortest_path import (
+    INFINITY,
+    dijkstra_all,
+    multi_source_dijkstra,
+    shortest_path_distance,
+)
 
 from tests.conftest import assign_request, build_fleet
 
@@ -105,3 +113,137 @@ def test_added_distance_lower_bound_is_admissible(seed, vehicle_vertex, start, d
         )
         best = min(best, oracle.distance(vertices[-1], probe))
         assert bound <= best + 1e-9
+
+
+# ----------------------------------------------------------------------
+# the index's values == the whole-graph pure-Python reference
+# ----------------------------------------------------------------------
+# ``GridIndex`` computes on a compiled ``CSRGraph``: v.min for all cells in one
+# cell-restricted ``nearest`` pass, each lower-bound row as one ``nearest``
+# call, the precompute annotation as one ``trees`` plane per cell.  The
+# reference below is what it used to run -- one whole-graph dict search per
+# cell (or per border vertex) -- and every value must be ``==`` to it, on the
+# SciPy path and on the list path (forced here where SciPy is installed; the
+# no-accelerator install runs the list path in both legs).
+
+
+@contextmanager
+def _tree_path(forced_list: bool):
+    """Compile ``CSRGraph``s without the SciPy matrix when ``forced_list``.
+
+    (pytest's ``monkeypatch`` fixture is function-scoped, which Hypothesis
+    refuses; its context form is not.)
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        if forced_list:
+            patch.setattr(routing, "_csr_array", None)
+        yield
+
+
+@st.composite
+def _broken_networks(draw):
+    """Grid or geometric networks with edges cut and loose islands added.
+
+    Cut edges leave pockets no border vertex of their cell reaches and cells
+    no other cell reaches; islands (their own vertices, chained together,
+    dropped anywhere in or just outside the bounding box) add components
+    that may straddle cells, so some border vertices see ``inf`` everywhere.
+    """
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    if draw(st.booleans()):
+        network = grid_network(
+            draw(st.integers(min_value=1, max_value=6)),
+            draw(st.integers(min_value=2, max_value=6)),
+            weight_jitter=draw(st.floats(min_value=0.0, max_value=1.0)),
+            seed=seed,
+        )
+    else:
+        network = random_geometric_network(
+            draw(st.integers(min_value=4, max_value=30)),
+            radius=draw(st.floats(min_value=0.15, max_value=0.5)),
+            seed=seed,
+        )
+    edges = list(network.edges())
+    for position in draw(st.sets(st.integers(min_value=0, max_value=len(edges) - 1), max_size=8)):
+        network.remove_edge(edges[position].u, edges[position].v)
+    box = network.bounding_box()
+    coordinate = st.tuples(
+        st.floats(min_value=box.min_x - 0.5, max_value=box.max_x + 0.5),
+        st.floats(min_value=box.min_y - 0.5, max_value=box.max_y + 0.5),
+    )
+    next_vertex = max(network.vertices()) + 1
+    for island in draw(st.lists(st.lists(coordinate, min_size=1, max_size=3), max_size=3)):
+        for position, (x, y) in enumerate(island):
+            network.add_vertex(next_vertex, x=x, y=y)
+            if position:
+                weight = draw(st.floats(min_value=0.1, max_value=2.0))
+                network.add_edge(next_vertex - 1, next_vertex, weight)
+            next_vertex += 1
+    return network
+
+
+_grid_sides = st.integers(min_value=1, max_value=5)
+
+
+@pytest.mark.parametrize("forced_list", [False, True])
+@given(network=_broken_networks(), grid_rows=_grid_sides, grid_columns=_grid_sides)
+@settings(max_examples=60, deadline=None)
+def test_index_values_equal_whole_graph_reference(forced_list, network, grid_rows, grid_columns):
+    with _tree_path(forced_list):
+        index = GridIndex(network, rows=grid_rows, columns=grid_columns, precompute=True)
+        lazy = GridIndex(network, rows=grid_rows, columns=grid_columns)
+        cells = list(index.cells())
+        for cell in cells:
+            nearest = (
+                multi_source_dijkstra(network, cell.border_vertices)
+                if cell.border_vertices
+                else {}
+            )
+            for vertex in cell.vertices:
+                assert index.vertex_min(vertex) == nearest.get(vertex, 0.0)
+                assert lazy.vertex_min(vertex) == nearest.get(vertex, 0.0)
+            for other in cells:
+                expected = 0.0 if other is cell else min(
+                    (nearest.get(border, INFINITY) for border in other.border_vertices),
+                    default=INFINITY,
+                )
+                assert index.lower_bound_between_cells(cell.cell_id, other.cell_id) == expected
+                assert lazy.lower_bound_between_cells(cell.cell_id, other.cell_id) == expected
+            annotation = {vertex: {} for vertex in cell.vertices}
+            for border in cell.border_vertices:
+                tree = dijkstra_all(network, border)
+                for vertex in cell.vertices:
+                    if vertex in tree:
+                        annotation[vertex][border] = tree[vertex]
+            for vertex in cell.vertices:
+                assert index.border_distances(vertex) == annotation[vertex]
+                assert lazy.border_distances(vertex) == {}
+
+
+@pytest.mark.parametrize("forced_list", [False, True])
+@given(network=_broken_networks(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_nearest_is_the_elementwise_minimum_of_trees(forced_list, network, data):
+    with _tree_path(forced_list):
+        graph = CSRGraph(network)
+        assert (graph.matrix is None) or not forced_list
+        sources = data.draw(
+            st.lists(st.integers(min_value=0, max_value=len(graph) - 1), min_size=1, max_size=6)
+        )
+        nearest = list(graph.nearest(sources))
+        plane = [list(row) for row in graph.trees(sources)]
+        assert nearest == [min(column) for column in zip(*plane)]
+        reference = multi_source_dijkstra(network, [graph.vertex_ids[i] for i in sources])
+        assert nearest == [reference.get(vertex, INFINITY) for vertex in graph.vertex_ids]
+        assert list(graph.nearest(sources[:1])) == list(graph.tree(sources[0]))
+
+
+@pytest.mark.parametrize("forced_list", [False, True])
+def test_nearest_rejects_an_empty_source_list(forced_list):
+    network = grid_network(3, 3)
+    with _tree_path(forced_list):
+        graph = CSRGraph(network)
+        with pytest.raises(ValueError):
+            graph.nearest([])
+    with pytest.raises(ValueError):
+        multi_source_dijkstra(network, [])

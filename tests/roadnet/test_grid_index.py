@@ -63,6 +63,31 @@ class TestConstruction:
         assert summary["cells"] == 9.0
         assert summary["vertices"] == 36.0
 
+    def test_summary_counts_lower_bound_rows_as_they_are_computed(self, network, index):
+        assert index.summary()["lower_bound_rows"] == 0.0
+        assert index.summary()["build_seconds"] > 0.0
+        index.lower_bound_between_cells((0, 0), (2, 2))
+        index.lower_bound_between_cells((0, 0), (1, 1))  # same row: no new search
+        assert index.summary()["lower_bound_rows"] == 1.0
+        index.lower_bound_between_cells((0, 0), (0, 0))  # answered without a row
+        assert index.summary()["lower_bound_rows"] == 1.0
+        eager = GridIndex(network, rows=3, columns=3, precompute=True)
+        assert eager.summary()["lower_bound_rows"] == eager.summary()["cells"]
+
+    def test_border_vertices_keep_edge_order_without_repeats(self, network, index):
+        expected = {cell.cell_id: [] for cell in index.cells()}
+        for edge in network.edges():
+            for vertex in (edge.u, edge.v):
+                cell_id = index.cell_of_vertex(vertex).cell_id
+                crossing = (
+                    index.cell_of_vertex(edge.u).cell_id
+                    != index.cell_of_vertex(edge.v).cell_id
+                )
+                if crossing and vertex not in expected[cell_id]:
+                    expected[cell_id].append(vertex)
+        for cell in index.cells():
+            assert cell.border_vertices == expected[cell.cell_id]
+
 
 class TestLookups:
     def test_cell_of_vertex(self, network, index):
@@ -98,6 +123,14 @@ class TestLowerBounds:
     def test_same_cell_bound_is_zero(self, network, index):
         some_cell = index.populated_cells()[0]
         assert index.lower_bound_between_cells(some_cell.cell_id, some_cell.cell_id) == 0.0
+
+    def test_cell_outside_the_grid_is_rejected_even_against_itself(self, index):
+        with pytest.raises(GridIndexError):
+            index.lower_bound_between_cells((99, 99), (99, 99))
+        with pytest.raises(GridIndexError):
+            index.lower_bound_between_cells((0, 0), (99, 99))
+        with pytest.raises(GridIndexError):
+            index.lower_bound_between_cells((99, 99), (0, 0))
 
     def test_cell_bounds_symmetric(self, index):
         populated = index.populated_cells()

@@ -121,6 +121,15 @@ class TestMain:
         assert "tree_provider" not in by_key[("E2", "csr", "")]
         assert all(r["commit"] == "abc123" for r in rows)
 
+    def test_archive_carries_the_records_cpu_count(self, tmp_path):
+        stamped = [dict(record, cpu_count=2) for record in RECORDS]
+        trajectory = tmp_path / "trajectory.jsonl"
+        assert trend.archive_records(stamped, trajectory, "abc123", "min") == 4
+        assert trend.archive_records(RECORDS, trajectory, "def456", "min") == 4
+        rows = [json.loads(line) for line in trajectory.read_text().splitlines()]
+        assert all(r["cpu_count"] == 2 for r in rows if r["commit"] == "abc123")
+        assert not any("cpu_count" in r for r in rows if r["commit"] == "def456")
+
     def test_rate_phase_drop_is_a_regression(self, tmp_path, capsys):
         # wall_seconds holds a throughput (req/s) for rate phases: the
         # fresh side *dropping* must fail, not pass

@@ -224,6 +224,18 @@ class TestWebsiteInterface:
         assert stats["routing_queries"] == panel["queries"]
         assert "routing_backend" not in stats  # strings stay admin-only
 
+    def test_routing_statistics_reports_how_warm_the_grid_index_is(self, paper_service):
+        panel = paper_service.routing_statistics()
+        summary = paper_service.fleet.grid.summary()
+        assert panel["grid_cells"] == summary["cells"]
+        assert panel["grid_build_seconds"] == summary["build_seconds"] > 0.0
+        before = panel["grid_lower_bound_rows"]
+        paper_service.book(start=12, destination=17, riders=2)
+        after = paper_service.routing_statistics()["grid_lower_bound_rows"]
+        assert before <= after <= panel["grid_cells"]
+        assert after == paper_service.fleet.grid.summary()["lower_bound_rows"]
+        assert paper_service.statistics()["routing_grid_lower_bound_rows"] == after
+
     def test_routing_statistics_reports_parallel_dispatch_posture(self, paper_service):
         panel = paper_service.routing_statistics()
         assert panel["dispatch_workers"] == 1.0
