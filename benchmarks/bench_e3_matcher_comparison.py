@@ -6,14 +6,27 @@ computations -- which is exactly what the single-side and dual-side searches
 do.  The benchmark answers the same probe requests with all three matchers on
 an identical fleet snapshot and compares (a) matching latency and (b) the
 number of vehicles fully verified; the result sets are asserted equal, so the
-speed-up is not bought with missing options.
+speed-up is not bought with missing options.  Each matcher's pass is recorded
+(``BENCH_results.json``, phase = matcher name) with the vehicles it
+considered, the cells it visited and the options it got per verified vehicle
+beside the verification count.
 """
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from common import build_city, format_table, option_points, probe_requests, warm_up_fleet
+from common import (
+    build_city,
+    format_table,
+    matcher_work,
+    option_points,
+    probe_requests,
+    record_result,
+    warm_up_fleet,
+)
 
 
 def build_busy_city(vehicles: int = 60, seed: int = 23):
@@ -49,10 +62,20 @@ def test_e3_equivalence_and_work_reduction():
     requests = probe_requests(city, count=25, seed=43)
     matchers = {name: city.matcher(name) for name in ("naive", "single_side", "dual_side")}
 
+    walls = dict.fromkeys(matchers, 0.0)
     for request in requests:
-        reference = option_points(matchers["naive"].match(request))
-        assert option_points(matchers["single_side"].match(request)) == reference
-        assert option_points(matchers["dual_side"].match(request)) == reference
+        answers = {}
+        for name, matcher in matchers.items():
+            started = time.perf_counter()
+            options = matcher.match(request)
+            walls[name] += time.perf_counter() - started
+            answers[name] = option_points(options)
+        assert answers["single_side"] == answers["naive"]
+        assert answers["dual_side"] == answers["naive"]
+    for name, matcher in matchers.items():
+        record_result(
+            "E3", walls[name], city.routing_backend, phase=name, **matcher_work(matcher)
+        )
 
     naive_work = matchers["naive"].statistics.vehicles_evaluated
     single_work = matchers["single_side"].statistics.vehicles_evaluated
@@ -62,8 +85,17 @@ def test_e3_equivalence_and_work_reduction():
     assert dual_work <= single_work
 
     rows = [
-        (name, matcher.statistics.vehicles_evaluated, matcher.statistics.vehicles_pruned)
+        (
+            name,
+            matcher.statistics.vehicles_considered,
+            matcher.statistics.vehicles_evaluated,
+            matcher.statistics.vehicles_pruned,
+            matcher.statistics.cells_visited,
+            matcher_work(matcher)["options_per_evaluated_vehicle"],
+        )
         for name, matcher in matchers.items()
     ]
     print("\nE3 -- verification work per matcher (25 requests, 60 vehicles)\n"
-          + format_table(("matcher", "vehicles verified", "vehicles pruned"), rows))
+          + format_table(
+              ("matcher", "considered", "verified", "pruned", "cells", "options/verified"), rows
+          ))

@@ -265,6 +265,24 @@ def record_result(
     BENCH_RESULTS.append(record)
 
 
+def matcher_work(matcher: Matcher) -> Dict[str, float]:
+    """A matcher's screening counters, as ``record_result`` keywords.
+
+    ``vehicles_evaluated`` alone cannot tell a search that looked at few
+    taxis from one that looked at many and pruned them, nor whether the
+    verifications it did pay for produced options.
+    """
+    stats = matcher.statistics
+    return {
+        "vehicles_evaluated": float(stats.vehicles_evaluated),
+        "vehicles_considered": float(stats.vehicles_considered),
+        "cells_visited": float(stats.cells_visited),
+        "options_per_evaluated_vehicle": round(
+            stats.options_returned / max(1, stats.vehicles_evaluated), 4
+        ),
+    }
+
+
 def committed_baseline_wall(
     experiment: str, routing_backend: str = "dict"
 ) -> Optional[float]:

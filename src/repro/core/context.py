@@ -17,8 +17,9 @@ verification shares:
   SciPy plane, pure-Python Dijkstra, or the ch backend's PHAST sweep -- is
   invisible here by design: every provider's rows are bit-identical, so the
   context (and everything downstream of it) is provider-oblivious;
-* the combined admissible lower bound (grid cell bounds plus the engine's
-  optional ALT landmark bounds).
+* the admissible lower bound on any leg: the exact distance out of that same
+  tree when the leg touches the request start, otherwise the better of the
+  grid cell bound and the engine's optional ALT landmark bound.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import RoutingEngine
 
 __all__ = ["MatchContext"]
+
+#: Taken off an exact distance before it serves as a *bound*.  The same route
+#: summed in another order differs in its last bits (~1e-15), and a bound that
+#: overshoots a vehicle's real option by one ulp prunes that option whenever
+#: it ties a confirmed one -- which shared sub-routes make a real event.
+_BOUND_SLACK = 1e-9
 
 
 @dataclass
@@ -96,7 +103,26 @@ class MatchContext:
         return self.engine.distance(source, target)
 
     def lower_bound(self, source: VertexId, target: VertexId) -> float:
-        """Best admissible lower bound available: grid cells vs ALT landmarks.
+        """Best admissible lower bound on ``dist(source, target)``.
+
+        A leg touching the request start is read off the pinned start tree:
+        the exact distance (less :data:`_BOUND_SLACK`), the tightest
+        admissible bound there is.  Every other pair -- and a vertex the tree
+        does not hold -- gets :meth:`index_lower_bound`.
+        """
+        start = self.request.start
+        if source == start:
+            exact = self.start_tree.get(target)
+        elif target == start:
+            exact = self.start_tree.get(source)
+        else:
+            exact = None
+        if exact is None:
+            return self.index_lower_bound(source, target)
+        return exact - _BOUND_SLACK if exact > _BOUND_SLACK else 0.0
+
+    def index_lower_bound(self, source: VertexId, target: VertexId) -> float:
+        """The bound the indexes give: grid cells vs ALT landmarks.
 
         When the engine's bound is exact (the all-pairs table backend) no
         admissible bound can beat it, so the grid lookup is skipped.

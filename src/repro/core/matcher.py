@@ -234,20 +234,34 @@ class Matcher(abc.ABC):
     # admissible lower bounds shared by the grid-based searches
     # ------------------------------------------------------------------
     def _pickup_lower_bound(self, vehicle: Vehicle, context: MatchContext) -> float:
-        """Admissible lower bound on the pick-up distance any option of ``vehicle`` can have."""
+        """Lower bound on the pick-up distance any option of ``vehicle`` can have.
+
+        ``dist(c.l, s)`` is read off the request's start tree, so this is the
+        pick-up distance of the vehicle's earliest insertion (less the
+        context's float slack), not an estimate of it.
+        """
         return context.lower_bound(vehicle.location, context.request.start) + vehicle.offset
 
-    def _price_lower_bound(self, vehicle: Vehicle, context: MatchContext) -> float:
-        """Admissible lower bound on the price any option of ``vehicle`` can have.
+    def _index_pickup_lower_bound(self, vehicle: Vehicle, context: MatchContext) -> float:
+        """:meth:`_pickup_lower_bound` as the grid / ALT indexes alone give it.
 
-        For an empty vehicle the added distance is exactly
-        ``dist(c.l, s) + dist(s, d)``; for a non-empty vehicle the single-side
-        bound only uses the start-side detour.  The dual-side matcher
-        overrides this with the destination-side bound as well.
+        Only the empty-vehicle dominance probe is still built on this one
+        (ARCHITECTURE.md "Single-side search" says why).
+        """
+        return context.index_lower_bound(vehicle.location, context.request.start) + vehicle.offset
+
+    def _price_lower_bound(self, vehicle: Vehicle, context: MatchContext) -> float:
+        """Lower bound on the price any option of ``vehicle`` can have.
+
+        For an empty vehicle the added distance is ``dist(c.l, s) + dist(s,
+        d)``, priced here from the *index* pick-up bound; for a non-empty
+        vehicle the single-side bound only uses the start-side detour.  The
+        dual-side matcher overrides this with the destination-side bound as
+        well.
         """
         request, direct = context.request, context.direct
         if vehicle.is_empty:
-            pickup_lb = self._pickup_lower_bound(vehicle, context)
+            pickup_lb = self._index_pickup_lower_bound(vehicle, context)
             return self._price_model.price(request.riders, pickup_lb + direct, direct)
         added_lb = added_distance_lower_bound(
             vehicle,
@@ -279,8 +293,10 @@ def added_distance_lower_bound(
     because dropping the other new stops never increases the added distance.
 
     ``bound`` overrides the leg lower bound (defaults to the grid cell bound);
-    the matchers pass :meth:`MatchContext.lower_bound` so ALT landmark bounds
-    tighten the estimate when the routing engine provides them.  ``distance``
+    the matchers pass :meth:`MatchContext.lower_bound`, which is exact on a
+    leg touching the request start -- so the start-side detour is the true
+    detour through ``s`` -- and elsewhere lets ALT landmark bounds tighten
+    the estimate when the routing engine provides them.  ``distance``
     overrides the exact replaced-leg distance (defaults to ``oracle.distance``);
     the matchers pass :meth:`MatchContext.distance` so batched dispatch can
     answer the legs from its batch-wide memo.

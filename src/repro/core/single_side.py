@@ -6,13 +6,13 @@ their lower-bound distance to that cell (the pre-sorted *grid cell list* of
 Fig. 1(b)).  Within each cell, the empty-vehicle list and the non-empty
 vehicle list are processed separately:
 
-* every vehicle is first screened with **admissible lower bounds** on the
-  pick-up distance (grid bound on ``dist(c.l, s)``, tightened by the routing
-  engine's ALT landmark bound when one is configured) and on the price (for
-  an empty vehicle the exact form of its added distance, for a non-empty
-  vehicle a start-side detour bound); a vehicle whose optimistic bounds are
-  already dominated by a confirmed option -- or whose pick-up bound exceeds
-  the configured maximum pick-up distance -- is pruned without verification;
+* every vehicle is first screened with **lower bounds** on the pick-up
+  distance (the exact ``dist(c.l, s)``, read off the request's start tree)
+  and on the price (for a non-empty vehicle the exact detour through ``s``;
+  for an empty vehicle the index-based pair ``_consider`` describes);
+  a vehicle whose optimistic bounds are already dominated by a confirmed
+  option -- or whose pick-up bound exceeds the configured maximum pick-up
+  distance -- is pruned without verification;
 * surviving vehicles are verified by inserting the request into their kinetic
   tree (with lower-bound short-circuiting inside the insertion, Section 3.3's
   second optimisation).
@@ -103,7 +103,17 @@ class SingleSideSearchMatcher(Matcher):
         seen: Set[str],
         skyline: Skyline,
     ) -> None:
-        """Screen one vehicle with lower bounds; verify it if it survives."""
+        """Screen one vehicle with lower bounds; verify it if it survives.
+
+        The cap is checked against the exact pick-up floor for every vehicle.
+        The dominance probe of an *empty* vehicle is still the index-based
+        pair ``(lb + offset, price(lb + offset + direct))``: its price prices
+        the offset, which the insertion's added distance does not contain, so
+        it is not admissible for a taxi driving mid-edge (ROADMAP item 1,
+        pinned by an xfail in ``tests/core/test_single_side.py``).  Until that
+        fix lands the pair is kept whole -- mixing the exact pick-up into it
+        would prune vehicles the loose pair let through, and change answers.
+        """
         if vehicle.vehicle_id in seen:
             return
         seen.add(vehicle.vehicle_id)
@@ -113,6 +123,8 @@ class SingleSideSearchMatcher(Matcher):
         if pickup_lb > max_pickup + 1e-9:
             self.statistics.vehicles_pruned += 1
             return
+        if vehicle.is_empty:
+            pickup_lb = self._index_pickup_lower_bound(vehicle, context)
         price_lb = self._price_lower_bound(vehicle, context)
         if skyline.would_be_dominated(pickup_lb, price_lb):
             self.statistics.vehicles_pruned += 1

@@ -200,12 +200,17 @@ class Skyline:
         also dominates every real option the vehicle could produce, so the
         vehicle can be pruned without verification.
         """
-        probe = RideOption(
-            vehicle_id="__probe__",
-            pickup_distance=max(pickup_lower_bound, 0.0),
-            price=max(price_lower_bound, 0.0),
-        )
-        return any(dominates(existing, probe) for existing in self._options)
+        pickup = max(pickup_lower_bound, 0.0)
+        price = max(price_lower_bound, 0.0)
+        for existing in self._options:
+            # :func:`dominates`, on the bare pair: no worse in both, better in one
+            if (
+                existing.pickup_distance <= pickup
+                and existing.price <= price
+                and (existing.pickup_distance < pickup or existing.price < price)
+            ):
+                return True
+        return False
 
     def best_price(self) -> Optional[float]:
         """Return the lowest price in the skyline, or ``None`` when empty."""

@@ -7,12 +7,14 @@ import random
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
+from repro.roadnet.graph import RoadNetwork
 from repro.sim.workload import random_requests
 
-from tests.conftest import assign_request, build_random_fleet, option_points
+from tests.conftest import assign_request, build_fleet, build_random_fleet, option_points
 
 
 @pytest.fixture
@@ -43,6 +45,38 @@ class TestEquivalenceWithNaive:
         )
         for request in requests:
             assert option_points(single.match(request)) == option_points(naive.match(request))
+
+
+class TestMidEdgeEmptyVehicle:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the empty-vehicle price probe prices vehicle.offset, which the "
+        "insertion's added distance does not contain: inadmissible for a taxi "
+        "driving mid-edge (ROADMAP item 1 carries the one-line fix)",
+    )
+    def test_slower_but_cheaper_mid_edge_taxi_is_offered(self):
+        """Two empty taxis in the start cell: c1 parked 0.8 from ``s``; c2
+        mid-edge, 0.9 short of a vertex 0.3 from ``s``.  c2 arrives later
+        (1.2) but drives less for the rider (0.3 + direct against 0.8 +
+        direct), so both options are on the skyline -- yet c2's probe
+        ``(0.9, price(0.9 + direct))`` is dominated by c1's option."""
+        s, d, a, b, x = 1, 2, 3, 4, 5
+        network = RoadNetwork.from_edges(
+            [(s, a, 0.8), (s, b, 0.3), (b, x, 1.5), (s, d, 2.0)],
+            coordinates={s: (0, 0), d: (2, 0), a: (0, 1), b: (-1, 0), x: (-2, 0)},
+        )
+        fleet = build_fleet(network, [a, b], grid_rows=1, grid_columns=1)
+        fleet.get("c2").set_location(b, 0.9)
+        fleet.refresh_vehicle("c2")
+        request = Request(start=s, destination=d, riders=1, max_waiting=6.0, service_constraint=0.5)
+
+        def offered(matcher):
+            return [(o.vehicle_id, o.pickup_distance, o.price) for o in matcher.match(request)]
+
+        expected = offered(NaiveKineticTreeMatcher(fleet))
+        assert [vehicle_id for vehicle_id, _, _ in expected] == ["c1", "c2"]
+        assert offered(SingleSideSearchMatcher(fleet)) == expected
+        assert offered(DualSideSearchMatcher(fleet)) == expected
 
 
 class TestPruning:

@@ -129,6 +129,16 @@ class TestSkyline:
     def test_would_be_dominated_empty(self):
         assert not Skyline().would_be_dominated(0, 0)
 
+    def test_would_be_dominated_needs_one_strict_coordinate(self):
+        """A probe tying a member on both coordinates survives (the tie goes to
+        the smaller vehicle id in ``add``); a tie on one needs the other strict."""
+        skyline = Skyline([option("a", 2, 2)])
+        assert not skyline.would_be_dominated(2, 2)
+        assert skyline.would_be_dominated(2, 2.5)
+        assert skyline.would_be_dominated(2.5, 2)
+        # negative bounds are clamped to the origin before comparing
+        assert not Skyline([option("a", 0, 0)]).would_be_dominated(-1, -1)
+
     def test_best_price_and_pickup(self):
         skyline = Skyline([option("a", 1, 5), option("b", 5, 1)])
         assert skyline.best_price() == 1

@@ -6,42 +6,64 @@ lower-bound short-circuiting, dual-side destination pruning) is that they are
 naive kinetic-tree matcher computes by verifying every vehicle.  These tests
 generate random fleets, random pre-assigned requests and random probe
 requests, and assert the equality of the returned (pick-up, price) point sets.
+
+Since the start-side bounds became exact (read off the request's start tree)
+the screened matchers are also held to the screening they had before
+(``tests/pruning_reference.py``) -- option lists ``==``, vehicle ids and
+floats, on every routing backend -- and the exact bounds to admissibility
+itself, on fleets whose taxis stand mid-edge.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.tshare import TShareStyleMatcher
 from repro.core.config import SystemConfig
 from repro.core.dual_side import DualSideSearchMatcher
+from repro.core.matcher import added_distance_lower_bound
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
+from repro.roadnet.routing import make_engine
 
 from tests.conftest import assign_request, build_fleet, option_points
+from tests.pruning_reference import (
+    ReferenceDualSideMatcher,
+    ReferenceSingleSideMatcher,
+    ReferenceTShareMatcher,
+)
 
 
-@st.composite
-def fleet_scenarios(draw):
-    """A random fleet with some vehicles already serving requests, plus a probe request."""
-    seed = draw(st.integers(min_value=0, max_value=100_000))
+def build_scenario(
+    seed, rows, columns, vehicle_count, grid_rows, preassigned, max_pickup, mid_edge_empty=False
+):
+    """The fleet, probe request and config of one draw (everything else comes from ``seed``).
+
+    About half the taxis are put mid-edge (``offset > 0`` short of their
+    vertex) before the requests are assigned, so serving taxis drive as they
+    do in a simulated day.  Taxis that stay empty are put back on their
+    vertex unless ``mid_edge_empty``: the empty-vehicle price probe is not
+    admissible mid-edge (ROADMAP item 1), so only the tests that compare
+    with the old screening, not with the naive matcher, ask for those.
+    """
     rng = random.Random(seed)
-    rows = draw(st.integers(min_value=4, max_value=7))
-    columns = draw(st.integers(min_value=4, max_value=7))
     network = grid_network(rows, columns, weight_jitter=0.4, seed=seed)
     vertices = network.vertices()
 
-    vehicle_count = draw(st.integers(min_value=1, max_value=8))
     locations = [rng.choice(vertices) for _ in range(vehicle_count)]
-    grid_rows = draw(st.integers(min_value=2, max_value=4))
     fleet = build_fleet(network, locations, capacity=4, grid_rows=grid_rows, grid_columns=grid_rows)
+    for vehicle in fleet.vehicles():
+        if rng.random() < 0.5:
+            edge = rng.choice(sorted(network.neighbours(vehicle.location).values()))
+            vehicle.set_location(vehicle.location, rng.uniform(0.05, 0.95) * edge)
 
     # Pre-assign a few requests so non-empty vehicles (kinetic trees) exist.
-    preassigned = draw(st.integers(min_value=0, max_value=3))
     for index in range(preassigned):
         vehicle_id = f"c{rng.randint(1, vehicle_count)}"
         start, destination = rng.sample(vertices, 2)
@@ -53,15 +75,32 @@ def fleet_scenarios(draw):
             assign_request(fleet, vehicle_id, request)
         except AssertionError:
             continue
+    if not mid_edge_empty:
+        for vehicle in fleet.empty_vehicles():
+            vehicle.set_location(vehicle.location, 0.0)
 
     start, destination = rng.sample(vertices, 2)
     probe = Request(
         start=start, destination=destination, riders=rng.randint(1, 3),
         max_waiting=6.0, service_constraint=0.6, request_id=f"probe-{seed}",
     )
-    max_pickup = draw(st.sampled_from([None, 4.0, 8.0]))
     config = SystemConfig(max_waiting=6.0, service_constraint=0.6, max_pickup_distance=max_pickup)
     return fleet, probe, config
+
+
+@st.composite
+def fleet_scenarios(draw, mid_edge_empty=False):
+    """A random fleet with some vehicles already serving requests, plus a probe request."""
+    return build_scenario(
+        seed=draw(st.integers(min_value=0, max_value=100_000)),
+        rows=draw(st.integers(min_value=4, max_value=7)),
+        columns=draw(st.integers(min_value=4, max_value=7)),
+        vehicle_count=draw(st.integers(min_value=1, max_value=8)),
+        grid_rows=draw(st.integers(min_value=2, max_value=4)),
+        preassigned=draw(st.integers(min_value=0, max_value=3)),
+        max_pickup=draw(st.sampled_from([None, 4.0, 8.0])),
+        mid_edge_empty=mid_edge_empty,
+    )
 
 
 @given(fleet_scenarios())
@@ -94,3 +133,108 @@ def test_optimised_matchers_never_do_more_verification_work(scenario):
     dual.match(probe)
     assert single.statistics.vehicles_evaluated <= naive.statistics.vehicles_evaluated
     assert dual.statistics.vehicles_evaluated <= single.statistics.vehicles_evaluated
+
+
+SCREENED = [
+    (SingleSideSearchMatcher, ReferenceSingleSideMatcher),
+    (DualSideSearchMatcher, ReferenceDualSideMatcher),
+    (TShareStyleMatcher, ReferenceTShareMatcher),
+]
+
+
+def _offered(matcher, probe):
+    return [(o.vehicle_id, o.pickup_distance, o.price) for o in matcher.match(probe)]
+
+
+@pytest.mark.parametrize("backend", ["dict", "csr", "table", "ch"])
+@given(fleet_scenarios(mid_edge_empty=True))
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_exact_start_bounds_change_no_answer(backend, scenario):
+    """Screening against the start tree returns what index-only screening did.
+
+    Derandomised: where its index bounds happen to be tight (one vertex per
+    cell, the table backend) the old screening is itself one ulp from dropping
+    an option that ties a confirmed one -- about one draw in 8 000, see
+    ``test_tied_option_survives_tight_bounds`` -- and that is its defect, not
+    a property to rediscover at random.
+    """
+    fleet, probe, config = scenario
+    fleet.set_routing_engine(make_engine(fleet.grid.network, backend))
+    for matcher_class, reference_class in SCREENED:
+        matcher = matcher_class(fleet, config=config)
+        reference = reference_class(fleet, config=config)
+        assert _offered(matcher, probe) == _offered(reference, probe)
+        assert matcher.statistics.vehicles_considered == reference.statistics.vehicles_considered
+
+
+@pytest.mark.parametrize("backend", ["dict", "csr", "table", "ch"])
+def test_tied_option_survives_tight_bounds(backend):
+    """A pinned draw with one vertex per cell, so the grid's bounds are exact
+    too.  ``c6`` and ``c7`` offer the same shared sub-route: ``c7`` comes 4.3
+    later at a price 2e-16 lower, because the same legs are summed in another
+    order.  A start-side detour bound without float slack sits one ulp above
+    that price, ties ``c6``'s, and ``c7`` is pruned -- the old screening does
+    exactly that here.  The naive matcher offers ``c7``; so must the searches."""
+    fleet, probe, config = build_scenario(
+        seed=17489, rows=4, columns=4, vehicle_count=7, grid_rows=4, preassigned=2,
+        max_pickup=None, mid_edge_empty=True,
+    )
+    fleet.set_routing_engine(make_engine(fleet.grid.network, backend))
+    expected = _offered(NaiveKineticTreeMatcher(fleet, config=config), probe)
+    assert [vehicle_id for vehicle_id, _, _ in expected] == ["c3", "c6", "c7", "c1"]
+    assert _offered(SingleSideSearchMatcher(fleet, config=config), probe) == expected
+    assert _offered(DualSideSearchMatcher(fleet, config=config), probe) == expected
+    old = [vehicle_id for vehicle_id, _, _ in _offered(ReferenceSingleSideMatcher(fleet, config=config), probe)]
+    assert old == ["c3", "c6", "c1"]
+
+
+def test_empty_vehicle_probe_is_kept_whole():
+    """A pinned draw (found by 6 000 random ones) that tells the two ways of
+    leaving the empty-vehicle price probe index-based apart.  Empty ``c4``
+    drives mid-edge: its index pair (3.362, 3.852) overprices its one option
+    (3.502, 3.590) but is not dominated, so the old screening verifies it and
+    offers it.  Pairing the *exact* pick-up floor 3.502 with the index price
+    would let ``c6``'s option (3.411, 3.607) dominate the probe and drop it."""
+    fleet, probe, config = build_scenario(
+        seed=24613, rows=5, columns=4, vehicle_count=6, grid_rows=2, preassigned=2,
+        max_pickup=8.0, mid_edge_empty=True,
+    )
+    expected = _offered(ReferenceSingleSideMatcher(fleet, config=config), probe)
+    assert [vehicle_id for vehicle_id, _, _ in expected] == ["c6", "c4"]
+    assert _offered(SingleSideSearchMatcher(fleet, config=config), probe) == expected
+    assert _offered(DualSideSearchMatcher(fleet, config=config), probe) == expected
+
+
+@pytest.mark.parametrize("backend", ["dict", "csr", "table", "ch"])
+@given(fleet_scenarios(mid_edge_empty=True))
+@settings(max_examples=25, deadline=None)
+def test_exact_start_bounds_are_admissible(backend, scenario):
+    """Per vehicle: the pick-up floor is below every pick-up the vehicle can
+    offer, and a serving vehicle's start-side price bound below every price --
+    in floats, no tolerance: a bound one ulp above an option prunes it under
+    a tie.  Both stay within 1e-8 of the value they bound."""
+    fleet, probe, config = scenario
+    fleet.set_routing_engine(make_engine(fleet.grid.network, backend))
+    naive = NaiveKineticTreeMatcher(fleet, config=config)
+    single = SingleSideSearchMatcher(fleet, config=config)
+    context = single.make_context(probe)
+    for vehicle in fleet.vehicles():
+        floor = single._pickup_lower_bound(vehicle, context)  # noqa: SLF001
+        assert floor == pytest.approx(
+            vehicle.offset + context.distance(vehicle.location, probe.start), abs=1e-8
+        )
+        options = naive._verify_vehicle(vehicle, context, use_bound_rejection=False)  # noqa: SLF001
+        if options:
+            assert floor <= min(option.pickup_distance for option in options)
+        if not vehicle.is_empty:
+            bound = single._price_lower_bound(vehicle, context)  # noqa: SLF001
+            if options:
+                assert bound <= min(option.price for option in options)
+            # the true detour through the start, not an estimate of it
+            detour = added_distance_lower_bound(
+                vehicle, probe.start, fleet.grid, fleet.routing_engine,
+                bound=context.distance, distance=context.distance,
+            )
+            assert bound == pytest.approx(
+                single.price_model.price(probe.riders, detour, context.direct), abs=1e-8
+            )
