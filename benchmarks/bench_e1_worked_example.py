@@ -14,7 +14,7 @@ from repro.core.config import SystemConfig
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
-from repro.core.insertion import feasible_schedules_for_commit
+from repro.core.insertion import insertion_candidates
 from repro.model.request import Request
 from repro.roadnet.generators import figure1_network
 from repro.roadnet.grid_index import GridIndex
@@ -39,7 +39,7 @@ def build_paper_scenario():
     r1 = Request(start=2, destination=16, riders=2, max_waiting=5.0, service_constraint=0.2,
                  request_id="R1")
     c1 = fleet.get("c1")
-    schedules = feasible_schedules_for_commit(c1, r1, oracle, grid)
+    schedules = [candidate.schedule for candidate in insertion_candidates(c1, r1, oracle, grid)]
     c1.assign(r1, planned_pickup_distance=8.0, direct_distance=oracle.distance(2, 16),
               schedules=schedules)
     fleet.refresh_vehicle("c1")

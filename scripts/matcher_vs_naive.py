@@ -62,7 +62,7 @@ from repro.vehicles.vehicle import Vehicle
 MATCHERS = ("single_side", "dual_side")
 
 
-def build_service(args: argparse.Namespace) -> PTRiderService:
+def build_service(args: argparse.Namespace, **config_overrides) -> PTRiderService:
     """City, fleet and service of one day, all drawn from ``args.seed``."""
     network = grid_network(args.rows, args.rows, weight_jitter=0.3, seed=args.seed)
     fleet = Fleet(
@@ -83,8 +83,23 @@ def build_service(args: argparse.Namespace) -> PTRiderService:
         max_pickup_distance=args.max_pickup,
         matcher_name=args.matcher,
         routing_backend="csr",
+        **config_overrides,
     )
     return PTRiderService(fleet, config=config, seed=args.seed)
+
+
+def build_day(service: PTRiderService, args: argparse.Namespace) -> RequestWorkload:
+    """The surge/lull request stream of ``args.seed`` on the service's network."""
+    return RequestWorkload.daily(
+        service.fleet.grid.network,
+        total=args.requests,
+        duration=args.requests / args.rate,
+        max_waiting=args.max_waiting,
+        service_constraint=args.service_constraint,
+        hotspot_count=args.hotspots,
+        hotspot_bias=1.0 if args.hotspots else 0.0,
+        seed=args.seed,
+    )
 
 
 def option_key(option: RideOption) -> Tuple[str, float, float]:
@@ -120,16 +135,7 @@ def replay(args: argparse.Namespace, out=sys.stdout) -> int:
     """Replay the day; print each disagreement; return how many there were."""
     service = build_service(args)
     naive = NaiveKineticTreeMatcher(service.fleet, config=service.config)
-    day = RequestWorkload.daily(
-        service.fleet.grid.network,
-        total=args.requests,
-        duration=args.requests / args.rate,
-        max_waiting=args.max_waiting,
-        service_constraint=args.service_constraint,
-        hotspot_count=args.hotspots,
-        hotspot_bias=1.0 if args.hotspots else 0.0,
-        seed=args.seed,
-    )
+    day = build_day(service, args)
     answered = disagreements = 0
     due: Sequence = ()
     tick = 0
@@ -171,8 +177,9 @@ def replay(args: argparse.Namespace, out=sys.stdout) -> int:
     return disagreements
 
 
-def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def build_parser(description: str) -> argparse.ArgumentParser:
+    """The generated day's arguments (``scripts/trees_by_caller.py`` adds its own)."""
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--rows", type=int, default=50, help="the city is rows x rows vertices")
     parser.add_argument("--grid", type=int, default=14, help="the grid index is grid x grid cells")
     parser.add_argument("--vehicles", type=int, default=400)
@@ -187,7 +194,11 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser.add_argument("--speed", type=float, default=6.0)
     parser.add_argument("--seed", type=int, default=1000)
     parser.add_argument("--matcher", choices=MATCHERS, default="single_side")
-    return parser.parse_args(argv)
+    return parser
+
+
+def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
+    return build_parser(__doc__.split("\n\n")[0]).parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -19,13 +19,15 @@ verification shares:
   context (and everything downstream of it) is provider-oblivious;
 * the admissible lower bound on any leg: the exact distance out of that same
   tree when the leg touches the request start, otherwise the better of the
-  grid cell bound and the engine's optional ALT landmark bound.
+  grid cell bound and the engine's optional ALT landmark bound;
+* what each vehicle verification found (:attr:`MatchContext.verified`), so the
+  commit of a chosen option installs it instead of enumerating again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, field
+from typing import Dict, Mapping, Tuple
 
 from repro.errors import DisconnectedError
 from repro.model.request import Request
@@ -53,6 +55,11 @@ class MatchContext:
     direct: float
     #: the full distance tree rooted at ``request.start`` (shared reference)
     start_tree: Mapping[VertexId, float]
+    #: vehicle id -> (the ``Vehicle``, its ``stamp()`` at the time, every
+    #: feasible insertion candidate), written by ``Matcher._verify_vehicle``
+    #: and read by ``Dispatcher.commit``.  It lives and dies with the context:
+    #: never serialised, never shipped between processes.
+    verified: Dict[str, Tuple[object, tuple, list]] = field(default_factory=dict)
 
     @classmethod
     def create(cls, request: Request, engine: RoutingEngine, grid: GridIndex) -> "MatchContext":

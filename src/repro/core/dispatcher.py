@@ -47,14 +47,14 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.batch import BatchContext, BatchStatistics
 from repro.core.config import SystemConfig
-from repro.core.insertion import feasible_schedules_for_commit
+from repro.core.context import MatchContext
+from repro.core.insertion import insertion_candidates
 from repro.core.matcher import Matcher
 from repro.core.parallel import ParallelDispatchPool
 from repro.errors import MatchingError, NoMatchError, UnknownOptionError
 from repro.model.options import RideOption, Skyline
 from repro.model.request import Request
 from repro.vehicles.fleet import Fleet
-from repro.vehicles.schedule import evaluate_schedule
 
 __all__ = ["OptionPolicy", "DispatchOutcome", "DispatchHealth", "Dispatcher"]
 
@@ -254,22 +254,47 @@ class Dispatcher:
             submit_time=request.submit_time,
         )
 
-    def submit(self, request: Request) -> List[RideOption]:
-        """Step (ii): return the qualified, non-dominated options for ``request``."""
-        return self._matcher.match(request)
+    def submit(
+        self, request: Request, context: Optional[MatchContext] = None
+    ) -> List[RideOption]:
+        """Step (ii): return the qualified, non-dominated options for ``request``.
+
+        A caller that will :meth:`commit` one of them later passes the
+        ``context`` it built (``matcher.make_context``) and hands the same
+        object to :meth:`commit`, which then installs what this search
+        verified instead of enumerating again.
+        """
+        return self._matcher.match(request, context)
 
     def commit(
-        self, request: Request, option: RideOption, direct: Optional[float] = None
+        self,
+        request: Request,
+        option: RideOption,
+        direct: Optional[float] = None,
+        context: Optional[MatchContext] = None,
     ) -> None:
         """Step (iii): the rider chose ``option``; update vehicle and indexes.
+
+        The vehicle's kinetic tree becomes every feasible insertion of the
+        request that picks the rider up no later than promised plus ``w``.
+        Those insertions are the list ``Matcher._verify_vehicle`` enumerated
+        to price the option; when ``context`` still carries it and the
+        vehicle's :meth:`~repro.vehicles.vehicle.Vehicle.stamp` is the one it
+        was computed under, it is installed as found.  Otherwise (no context,
+        a vehicle that moved, served a stop, took another rider or was
+        replaced since, an option from a pool worker or a recovered booking)
+        the insertions are enumerated again -- through the same
+        ``MatchContext.distance``, so both ways decide feasibility on one
+        float path: legs touching the request start come off the start tree,
+        every other leg from the engine's canonical-rooted answer.
 
         Args:
             request: the request being committed.
             option: the option the rider accepted.
-            direct: the request's direct distance when the caller already
-                holds it (``dispatch``/``dispatch_batch`` pass the match
-                context's value so the routing engine is not re-queried);
-                recomputed through the fleet's routing engine otherwise.
+            direct: the request's direct distance; ``None`` (every caller in
+                ``src/``) means the context's, read off the start tree.
+            context: the context ``option`` was matched under; ``None``
+                builds a fresh one (its start tree is normally a cache hit).
 
         Raises:
             UnknownOptionError: when the option does not belong to the request
@@ -279,46 +304,46 @@ class Dispatcher:
             raise UnknownOptionError(
                 f"option for request {option.request_id} cannot serve {request.request_id}"
             )
-        engine = self._fleet.routing_engine
         vehicle = self._fleet.get(option.vehicle_id)
-        schedules = feasible_schedules_for_commit(vehicle, request, engine, self._fleet.grid)
+        if context is None:
+            context = self._matcher.make_context(request)
+        verified, stamp, candidates = context.verified.get(
+            vehicle.vehicle_id, (None, None, None)
+        )
+        if verified is not vehicle or stamp != vehicle.stamp():
+            candidates = insertion_candidates(
+                vehicle,
+                request,
+                self._fleet.routing_engine,
+                self._fleet.grid,
+                direct=context.direct,
+                distance=context.distance,
+            )
         # The accepted option fixes the rider's *planned* pick-up; from now on
         # the waiting-time condition (Definition 2, condition 3) applies to the
         # new request too, so schedules that would already pick the rider up
         # more than ``w`` later than promised are not valid branches.
-        schedules = self._filter_by_promised_pickup(vehicle, request, option, schedules)
+        budget = option.pickup_distance + request.max_waiting + 1e-9
+        schedules = [c.schedule for c in candidates if c.pickup_distance <= budget]
         if not schedules:
             raise UnknownOptionError(
                 f"vehicle {option.vehicle_id} can no longer serve request {request.request_id}"
             )
-        if option.schedule and tuple(option.schedule) not in {tuple(s) for s in schedules}:
+        if option.schedule and tuple(option.schedule) not in schedules:
             # The fleet state moved on since the option was computed (another
             # rider's commit, a location update); the promise can no longer be
             # kept exactly, so refuse rather than silently degrade.
             raise UnknownOptionError(
                 f"the chosen schedule of vehicle {option.vehicle_id} is no longer feasible"
             )
-        if direct is None:
-            direct = engine.distance(request.start, request.destination)
         vehicle.assign(
             request,
             planned_pickup_distance=option.pickup_distance,
-            direct_distance=direct,
+            direct_distance=context.direct if direct is None else direct,
             schedules=schedules,
         )
         self._fleet.refresh_vehicle(vehicle.vehicle_id)
         self._active_requests[request.request_id] = vehicle.vehicle_id
-
-    def _filter_by_promised_pickup(self, vehicle, request, option, schedules):
-        """Keep only schedules honouring the promised pick-up within ``w``."""
-        budget = option.pickup_distance + request.max_waiting + 1e-9
-        engine = self._fleet.routing_engine
-        kept = []
-        for schedule in schedules:
-            metrics = evaluate_schedule(vehicle.location, schedule, engine.distance, vehicle.offset)
-            if metrics.pickup_distance[request.request_id] <= budget:
-                kept.append(schedule)
-        return kept
 
     # ------------------------------------------------------------------
     # automatic dispatch (simulation / examples)
@@ -352,7 +377,7 @@ class Dispatcher:
                 self.outcome_listener(outcome)
             return outcome
         chosen = policy.choose(options)
-        self.commit(request, chosen, direct=context.direct)
+        self.commit(request, chosen, context=context)
         outcome = DispatchOutcome(
             request=request,
             options=tuple(options),
@@ -483,7 +508,7 @@ class Dispatcher:
                 self._matcher.statistics.options_returned += len(merged)
                 if merged:
                     chosen = policy.choose(merged)
-                    self.commit(request, chosen, direct=context.direct)
+                    self.commit(request, chosen, context=context)
                     if pool is not None:
                         pool.mark_dirty(self._fleet, self._fleet.get(chosen.vehicle_id))
                     outcome = DispatchOutcome(

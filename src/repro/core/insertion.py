@@ -204,22 +204,6 @@ def insertion_candidates(
     return results
 
 
-def feasible_schedules_for_commit(
-    vehicle: Vehicle,
-    request: Request,
-    oracle: RoutingEngine,
-    grid: Optional[GridIndex] = None,
-) -> List[Tuple[Stop, ...]]:
-    """Return every feasible new schedule, for installing into the kinetic tree.
-
-    This is what the dispatcher calls once a rider accepts an option: the
-    vehicle's kinetic tree must afterwards contain *all* valid schedules over
-    its (now extended) request set, not just the schedule of the chosen
-    option.
-    """
-    return [candidate.schedule for candidate in insertion_candidates(vehicle, request, oracle, grid)]
-
-
 def _stop_tables(
     base: Sequence[Stop],
     limits: Dict[str, Tuple[bool, float, float]],

@@ -144,13 +144,20 @@ class Matcher(abc.ABC):
         """Build the per-request context (direct distance plus start tree)."""
         return MatchContext.create(request, self._engine, self._grid)
 
-    def match(self, request: Request) -> List[RideOption]:
+    def match(
+        self, request: Request, context: Optional[MatchContext] = None
+    ) -> List[RideOption]:
         """Return the non-dominated options answering ``request``.
 
         The returned list is the skyline over every option produced by
-        :meth:`_collect_options`, sorted by ascending pick-up distance.
+        :meth:`_collect_options`, sorted by ascending pick-up distance.  A
+        caller that goes on to commit one of them passes the ``context`` it
+        built with :meth:`make_context` and keeps it: it then holds what each
+        verification found (:attr:`MatchContext.verified`).
         """
-        return self.match_context(self.make_context(request))
+        if context is None:
+            context = self.make_context(request)
+        return self.match_context(context)
 
     def match_context(self, context: MatchContext, fleet: Optional[object] = None) -> List[RideOption]:
         """Match against an injected context and fleet view.
@@ -210,6 +217,9 @@ class Matcher(abc.ABC):
             direct=context.direct,
             distance=context.distance,
         )
+        # Everything found -- before the pick-up cap and the skyline -- is what
+        # the vehicle's kinetic tree holds once the rider takes an option.
+        context.verified[vehicle.vehicle_id] = (vehicle, vehicle.stamp(), candidates)
         direct = context.direct
         max_pickup = self._config.max_pickup_distance
         options: List[RideOption] = []

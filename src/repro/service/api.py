@@ -39,6 +39,7 @@ from repro.baselines.nearest import NearestVehicleMatcher
 from repro.baselines.sharek import SharekStyleMatcher
 from repro.baselines.tshare import TShareStyleMatcher
 from repro.core.config import SystemConfig
+from repro.core.context import MatchContext
 from repro.core.dispatcher import DispatchOutcome, Dispatcher
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.matcher import Matcher
@@ -98,6 +99,12 @@ class Booking:
     chosen: Optional[RideOption] = None
     #: wall-clock seconds the matcher needed to produce the options
     response_seconds: float = 0.0
+    #: the context the options were matched under, while the booking is open:
+    #: :meth:`PTRiderService.choose` commits through it (direct distance and
+    #: verified insertions in hand); ``choose``, ``cancel`` and a
+    #: reconfiguration (``set_parameters``) drop it.  Never
+    #: serialised -- a recovered booking has none and commits from scratch.
+    context: Optional[MatchContext] = field(default=None, repr=False, compare=False)
 
     @property
     def is_open(self) -> bool:
@@ -673,13 +680,15 @@ class PTRiderService:
         """
         self._journal_command("book", {"request": serialize_request(request)})
         started = time.perf_counter()
-        options = self._dispatcher.submit(request)
+        context = self._matcher.make_context(request)
+        options = self._dispatcher.submit(request, context)
         elapsed = time.perf_counter() - started
         booking = Booking(
             booking_id=f"B{next(self._booking_counter)}",
             request=request,
             options=tuple(options),
             response_seconds=elapsed,
+            context=context if options else None,  # nothing to commit: pin no tree
         )
         self._bookings[booking.booking_id] = booking
         self._mark_booking_dirty(booking.booking_id)
@@ -875,7 +884,10 @@ class PTRiderService:
                 f"booking {booking_id} has {len(booking.options)} options; index {option_index} is invalid"
             )
         option = booking.options[option_index]
-        self._dispatcher.commit(booking.request, option)
+        context, booking.context = booking.context, None
+        if context is None:  # a recovered or batch-submitted booking
+            context = self._matcher.make_context(booking.request)
+        self._dispatcher.commit(booking.request, option, context=context)
         booking.chosen = option
         self._mark_booking_dirty(booking_id)
         self._mark_vehicle_dirty(option.vehicle_id)
@@ -886,9 +898,7 @@ class PTRiderService:
             response_seconds=booking.response_seconds,
             matched=True,
             planned_pickup_distance=option.pickup_distance,
-            direct_distance=self._fleet.oracle.distance(
-                booking.request.start, booking.request.destination
-            ),
+            direct_distance=context.direct,
         )
         self._engine.register_assignment(
             booking.request.request_id, option.vehicle_id, option.pickup_distance
@@ -925,10 +935,8 @@ class PTRiderService:
             option_count=len(booking.options),
             response_seconds=booking.response_seconds,
             matched=False,
-            direct_distance=self._fleet.oracle.distance(
-                booking.request.start, booking.request.destination
-            ),
         )
+        booking.context = None  # the caller may keep the Booking object
         del self._bookings[booking_id]
         self._mark_booking_dirty(booking_id)
         self._finish_command()
@@ -1393,6 +1401,8 @@ class PTRiderService:
         self._dispatcher.close()
         self._dispatcher = Dispatcher(self._fleet, self._matcher, self._config)
         self._engine._dispatcher = self._dispatcher  # keep the engine on the new dispatcher
+        for booking in self._bookings.values():
+            booking.context = None  # matched under the outgoing engine and matcher
         if self._journal is not None:
             # The journal's annotation hook must follow the service onto
             # the rebuilt dispatcher, or post-reconfigure flush outcomes

@@ -214,6 +214,8 @@ class SimulationEngine:
     # vehicle movement
     # ------------------------------------------------------------------
     def _advance_vehicle(self, vehicle: Vehicle, budget: float) -> None:
+        if vehicle.is_empty and not self._idle_wander:
+            return  # parked: travels nothing, changes no cell
         previous_cell = self._fleet.grid.cell_of_vertex(vehicle.location).cell_id
         guard = 0
         while budget > 1e-9:

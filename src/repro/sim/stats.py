@@ -101,7 +101,12 @@ class SimulationStatistics:
         planned_pickup_distance: float = 0.0,
         direct_distance: float = 0.0,
     ) -> None:
-        """Record the outcome of one request submission."""
+        """Record the outcome of one request submission.
+
+        ``planned_pickup_distance`` and ``direct_distance`` are kept for
+        matched requests only; with ``matched=False`` they are dead, so a
+        caller must not pay a routing query to fill them.
+        """
         self.response_times.append(response_seconds)
         self.option_counts.append(option_count)
         if matched:

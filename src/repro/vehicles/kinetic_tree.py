@@ -100,6 +100,9 @@ class KineticTree:
     def __init__(self, root_location: int, schedules: Optional[Iterable[Sequence[Stop]]] = None) -> None:
         self._root_location = root_location
         self._schedules: List[Tuple[Stop, ...]] = []
+        #: bumped by every mutator, so a result computed from the tree can be
+        #: told from a stale one (:meth:`repro.vehicles.vehicle.Vehicle.stamp`)
+        self.revision = 0
         if schedules is not None:
             self.set_schedules(schedules)
 
@@ -114,6 +117,7 @@ class KineticTree:
     def set_root_location(self, vertex: int) -> None:
         """Move the root (called when the vehicle's current vertex changes)."""
         self._root_location = vertex
+        self.revision += 1
 
     @property
     def is_empty(self) -> bool:
@@ -162,6 +166,7 @@ class KineticTree:
                         "all schedules of a kinetic tree must visit the same set of stops"
                     )
         self._schedules = candidate
+        self.revision += 1
 
     def to_payload(self) -> Dict[str, object]:
         """JSON-able form of the tree (root vertex + flat schedules).
@@ -202,6 +207,7 @@ class KineticTree:
     def clear(self) -> None:
         """Drop every schedule (the vehicle becomes empty)."""
         self._schedules = []
+        self.revision += 1
 
     def replace(self, schedules: Iterable[Sequence[Stop]]) -> None:
         """Alias of :meth:`set_schedules` kept for dispatcher readability."""
@@ -227,11 +233,13 @@ class KineticTree:
         for schedule in surviving:
             unique[tuple(schedule)] = None
         self._schedules = [schedule for schedule in unique if schedule] or []
+        self.revision += 1
 
     def prune(self, keep: Iterable[Tuple[Stop, ...]]) -> None:
         """Keep only the schedules listed in ``keep`` (used by re-validation)."""
         keep_set = {tuple(schedule) for schedule in keep}
         self._schedules = [schedule for schedule in self._schedules if schedule in keep_set]
+        self.revision += 1
 
     # ------------------------------------------------------------------
     # queries used by matching and movement
@@ -241,12 +249,15 @@ class KineticTree:
     ) -> Optional[Tuple[Stop, ...]]:
         """Return the minimum-total-distance schedule (the branch the vehicle drives).
 
-        Returns ``None`` for an empty tree.
+        A sole branch is returned unmeasured: there is nothing to choose, and
+        measuring it roots a distance tree at every vertex a moving vehicle
+        passes.  Returns ``None`` for an empty tree.
         """
-        if self.is_empty:
-            return None
+        branches = [schedule for schedule in self._schedules if schedule]
+        if len(branches) <= 1:
+            return branches[0] if branches else None
         return min(
-            (schedule for schedule in self._schedules if schedule),
+            branches,
             key=lambda schedule: schedule_distance(
                 self._root_location, schedule, distance, origin_offset
             ),

@@ -52,6 +52,8 @@ class Vehicle:
         self._onboard: Dict[str, RequestState] = {}
         self._assignment_order: List[str] = []
         self.kinetic_tree = KineticTree(root_location=location)
+        #: bumped by every mutator below (see :meth:`stamp`)
+        self.revision = 0
         #: grid cells the vehicle is currently registered in (managed by the fleet)
         self.registered_cells: set = set()
         #: distance driven in total (statistics)
@@ -79,6 +81,15 @@ class Vehicle:
         self._location = vertex
         self._offset = float(offset)
         self.kinetic_tree.set_root_location(vertex)
+        self.revision += 1
+
+    def stamp(self) -> Tuple[int, KineticTree, int]:
+        """What the vehicle's state is stamped with: equal stamps of one
+        ``Vehicle`` object mean nothing an insertion depends on (location,
+        offset, request budgets, kinetic tree) changed in between.  The
+        tree's own counter covers callers that mutate the tree directly.
+        """
+        return (self.revision, self.kinetic_tree, self.kinetic_tree.revision)
 
     # ------------------------------------------------------------------
     # request bookkeeping
@@ -162,6 +173,7 @@ class Vehicle:
         )
         self._assignment_order.append(request.request_id)
         self.kinetic_tree.set_schedules(schedules)
+        self.revision += 1
 
     def pickup(self, request_id: str) -> RequestState:
         """Move a waiting request on board (called when the vehicle reaches its start).
@@ -186,6 +198,7 @@ class Vehicle:
             travelled_since_pickup=0.0,
         )
         self._onboard[request_id] = boarded
+        self.revision += 1
         return boarded
 
     def dropoff(self, request_id: str) -> RequestState:
@@ -199,6 +212,7 @@ class Vehicle:
             raise VehicleError(f"request {request_id} is not on board vehicle {self.vehicle_id}")
         if request_id in self._assignment_order:
             self._assignment_order.remove(request_id)
+        self.revision += 1
         return state
 
     # ------------------------------------------------------------------
@@ -218,6 +232,7 @@ class Vehicle:
             raise VehicleError(f"travelled distance must be non-negative, got {travelled}")
         if travelled == 0:
             return
+        self.revision += 1
         self.distance_driven += travelled
         if self._onboard:
             self.occupied_distance += travelled
@@ -258,6 +273,7 @@ class Vehicle:
         self.kinetic_tree.advance_through(stop)
         self._location = stop.vertex
         self._offset = 0.0
+        self.revision += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher
-from repro.core.insertion import feasible_schedules_for_commit
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
@@ -19,6 +18,8 @@ from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.shortest_path import DistanceOracle
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
+
+from tests.commit_reference import feasible_schedules_for_commit
 
 
 # ----------------------------------------------------------------------

@@ -81,8 +81,8 @@ class TestSubmitCommit:
 
         The option pretends a zero-distance pick-up was promised while the
         request allows no extra waiting, so every (otherwise feasible)
-        schedule exceeds the promised-pickup budget and
-        ``_filter_by_promised_pickup`` must empty the schedule list.
+        schedule exceeds the promised-pickup budget and the commit's
+        promised-pick-up filter must empty the schedule list.
         """
         network = dispatcher.fleet.grid.network
         base = random_requests(network, 1, 6.0, 0.4, seed=11)[0]

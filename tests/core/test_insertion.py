@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.insertion import (
-    InsertionStatistics,
-    feasible_schedules_for_commit,
-    insertion_candidates,
-)
+from repro.core.insertion import InsertionStatistics, insertion_candidates
 from repro.errors import DisconnectedError
 from repro.model.request import Request
 from repro.model.stops import Stop, StopKind
@@ -18,6 +14,7 @@ from repro.roadnet.shortest_path import DistanceOracle
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
+from tests.commit_reference import feasible_schedules_for_commit
 from tests.conftest import assign_request
 from tests.insertion_reference import reference_insertion_candidates
 

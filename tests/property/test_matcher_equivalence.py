@@ -41,7 +41,8 @@ from tests.pruning_reference import (
 
 
 def build_scenario(
-    seed, rows, columns, vehicle_count, grid_rows, preassigned, max_pickup, mid_edge_empty=False
+    seed, rows, columns, vehicle_count, grid_rows, preassigned, max_pickup, mid_edge_empty=False,
+    weight_jitter=0.4,
 ):
     """The fleet, probe request and config of one draw (everything else comes from ``seed``).
 
@@ -53,7 +54,7 @@ def build_scenario(
     with the old screening, not with the naive matcher, ask for those.
     """
     rng = random.Random(seed)
-    network = grid_network(rows, columns, weight_jitter=0.4, seed=seed)
+    network = grid_network(rows, columns, weight_jitter=weight_jitter, seed=seed)
     vertices = network.vertices()
 
     locations = [rng.choice(vertices) for _ in range(vehicle_count)]

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 
+from repro.core import dispatcher as dispatcher_module
 from repro.core.config import SystemConfig
 from repro.errors import ConfigurationError, ServiceError, UnknownOptionError
 from repro.model.request import Request
@@ -81,6 +84,70 @@ class TestSmartphoneFlow:
         request = Request(start=12, destination=17, riders=2, max_waiting=500.0, service_constraint=7.0)
         options = paper_service.submit(request)
         assert options  # the normalised constraints (w=5, eps=0.2) still allow both vehicles
+
+
+class TestCarriedVerification:
+    """``choose`` installs what the booking's match verified; ``cancel`` needs
+    no distance at all.  Neither asks the routing engine anything."""
+
+    @pytest.fixture
+    def service(self) -> PTRiderService:
+        return build_system(vehicles=12, seed=3, routing="csr")
+
+    @staticmethod
+    def _asked(service):
+        stats = service.fleet.routing_engine.stats
+        return (stats.dijkstra_runs + stats.phast_sweeps, stats.queries)
+
+    def test_choose_on_an_unchanged_vehicle_asks_the_engine_nothing(self, service):
+        booking = service.book(start=17, destination=140)
+        assert booking.options and booking.context is not None
+        asked = self._asked(service)
+        option = service.choose(booking.booking_id, 0)
+        assert self._asked(service) == asked
+        assert booking.context is None  # dropped with the choice
+        state = service.fleet.get(option.vehicle_id).request_states()[booking.request.request_id]
+        assert state.direct_distance == service.fleet.routing_engine.distances_from(17)[140]
+
+    def test_cancel_asks_the_engine_nothing(self, service):
+        booking = service.book(start=17, destination=140)
+        asked = self._asked(service)
+        service.cancel(booking.booking_id)
+        assert self._asked(service) == asked
+        assert booking.context is None
+        assert service.statistics()["unmatched"] == 1.0
+
+    def test_choose_after_the_day_moved_on_enumerates_again(self, service):
+        booking = service.book(start=17, destination=140)
+        service.advance(1.0)  # every taxi wanders or drives: no stamp survives
+        with mock.patch.object(
+            dispatcher_module, "insertion_candidates", wraps=dispatcher_module.insertion_candidates
+        ) as enumerate_again:
+            try:
+                option = service.choose(booking.booking_id, 0)
+            except UnknownOptionError:
+                option = None  # the taxi drove out of reach; refused as it always was
+        assert enumerate_again.call_count == 1
+        if option is not None:
+            vehicle = service.fleet.get(option.vehicle_id)
+            assert vehicle.has_request(booking.request.request_id)
+
+    def test_reconfiguration_drops_open_bookings_contexts(self, service):
+        booking = service.book(start=17, destination=140)
+        service.set_parameters(routing_backend="dict")
+        assert booking.context is None  # it held the outgoing engine's tree
+        option = service.choose(booking.booking_id, 0)
+        assert service.fleet.get(option.vehicle_id).has_request(booking.request.request_id)
+
+    def test_failed_choice_leaves_the_booking_open_without_its_context(self, service):
+        booking = service.book(start=17, destination=140)
+        vehicle = service.fleet.get(booking.options[0].vehicle_id)
+        far = max(service.fleet.grid.network.vertices())
+        vehicle.set_location(far)
+        service.fleet.refresh_vehicle(vehicle.vehicle_id)
+        with pytest.raises(UnknownOptionError):
+            service.choose(booking.booking_id, 0)
+        assert booking.is_open and booking.context is None
 
 
 class TestTimeAndDelivery:

@@ -290,6 +290,25 @@ class TestSnapshotRestoreFlow:
         recovered = PTRiderService.recover(tmp_path / "journal")
         assert canonical_state(recovered) == before
 
+    def test_choose_after_recovery_lands_where_the_live_service_does(self, tmp_path):
+        """A booking comes back from a snapshot without the context it was
+        matched under, so its commit enumerates afresh -- through the same
+        distances, to the same state as the commit that never crashed."""
+        live = _durable_system(tmp_path / "live")
+        crashed = _durable_system(tmp_path / "crashed")
+        for service in (live, crashed):
+            service.book_request(_request(service, 1))
+            service.snapshot()
+        crashed._journal.close()
+        recovered = PTRiderService.recover(tmp_path / "crashed" / "journal")
+        assert recovered.booking("B1").context is None
+        assert live.booking("B1").context is not None
+        assert recovered.choose("B1", 0) == live.choose("B1", 0)
+        states = [canonical_state(service) for service in (recovered, live)]
+        for state in states:
+            del state["config"]["journal_path"]  # two directories, by construction
+        assert states[0] == states[1]
+
     def test_snapshot_requires_durability(self):
         service = build_system(vehicles=3, seed=5)
         with pytest.raises(ServiceError):

@@ -125,10 +125,14 @@ class TestIdleBehaviour:
 
     def test_idle_vehicles_stand_still_when_disabled(self):
         engine = build_engine([], vehicles=[1, 10, 20], seed=3, idle_wander=False)
+        fleet = engine.dispatcher.fleet
+        parked = [(vehicle.stamp(), set(vehicle.registered_cells)) for vehicle in fleet.vehicles()]
         for _ in range(10):
             engine.step()
-        driven = [vehicle.distance_driven for vehicle in engine.dispatcher.fleet.vehicles()]
+        driven = [vehicle.distance_driven for vehicle in fleet.vehicles()]
         assert all(distance == 0 for distance in driven)
+        # a parked taxi is not touched at all, not moved by zero
+        assert parked == [(vehicle.stamp(), vehicle.registered_cells) for vehicle in fleet.vehicles()]
 
     def test_grid_registration_follows_wandering_vehicles(self):
         engine = build_engine([], vehicles=[1], seed=5, idle_wander=True)

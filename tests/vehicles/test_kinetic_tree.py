@@ -89,6 +89,18 @@ class TestQueries:
         assert KineticTree(1).best_schedule(oracle.distance) is None
         assert KineticTree(1).next_stop(oracle.distance) is None
 
+    def test_sole_branch_is_returned_unmeasured(self, r1):
+        """One branch leaves nothing to choose, so no distance is asked --
+        each would root a tree at the vertex a moving taxi is passing."""
+
+        def no_distance(source, target):
+            raise AssertionError(f"measured {source} -> {target}")
+
+        p1, d1 = stops_for(r1)
+        tree = KineticTree(1, schedules=[(p1, d1)])
+        assert tree.best_schedule(no_distance) == (p1, d1)
+        assert tree.next_stop(no_distance, origin_offset=0.5) == p1
+
     def test_next_stop(self, oracle, r1):
         p1, d1 = stops_for(r1)
         tree = KineticTree(1, schedules=[(p1, d1)])
@@ -125,6 +137,23 @@ class TestAdvance:
         tree.advance_through(d1)
         assert tree.is_empty
         assert tree.root_location == d1.vertex
+
+    def test_every_mutator_bumps_the_revision(self, r1, r2):
+        p1, d1 = stops_for(r1)
+        p2, d2 = stops_for(r2)
+        tree = KineticTree(1)
+        seen = [tree.revision]
+        for mutate in (
+            lambda: tree.set_schedules([(p1, d1, p2, d2), (p1, p2, d1, d2)]),
+            lambda: tree.set_root_location(3),
+            lambda: tree.prune([(p1, p2, d1, d2)]),
+            lambda: tree.replace([(p1, p2, d1, d2)]),  # same schedules: still a mutation
+            lambda: tree.advance_through(p1),
+            tree.clear,
+        ):
+            mutate()
+            seen.append(tree.revision)
+        assert seen == sorted(set(seen))  # strictly increasing
 
     def test_prune(self, r1, r2):
         p1, d1 = stops_for(r1)

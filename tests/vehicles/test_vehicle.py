@@ -180,3 +180,34 @@ class TestScheduleInteraction:
         states = vehicle.request_states()
         assert set(states) == {"R1", "R2"}
         assert states["R1"].onboard and not states["R2"].onboard
+
+
+class TestStamp:
+    def test_every_state_change_moves_the_stamp(self, vehicle, request_r1):
+        """Location, budgets, request set and kinetic tree all feed an
+        insertion; a stamp taken before any of them changes must not compare
+        equal afterwards -- including a tree mutated behind the vehicle's back."""
+        pickup, dropoff = stops_for(request_r1)
+        stamps = [vehicle.stamp()]
+        for change in (
+            lambda: vehicle.set_location(1, offset=0.25),
+            lambda: vehicle.assign(request_r1, 8.0, 10.0, [(pickup, dropoff)]),
+            lambda: vehicle.record_progress(0.25),
+            lambda: vehicle.kinetic_tree.set_schedules([(pickup, dropoff)]),
+            lambda: vehicle.arrive_at_stop(pickup),
+            lambda: vehicle.pickup("R1"),
+            lambda: vehicle.arrive_at_stop(dropoff),
+            lambda: vehicle.dropoff("R1"),
+        ):
+            change()
+            stamps.append(vehicle.stamp())
+        assert all(a != b for i, a in enumerate(stamps) for b in stamps[i + 1:])
+
+    def test_reading_leaves_the_stamp_alone(self, vehicle, request_r1):
+        pickup, dropoff = stops_for(request_r1)
+        vehicle.assign(request_r1, 8.0, 10.0, [(pickup, dropoff)])
+        before = vehicle.stamp()
+        vehicle.record_progress(0.0)
+        vehicle.request_states(), vehicle.current_schedules(), vehicle.occupancy
+        vehicle.best_schedule(lambda source, target: 1.0)
+        assert vehicle.stamp() == before
