@@ -15,8 +15,9 @@ This ablation quantifies the first bet:
   only ~29 of 50 taxis a request on that bound alone).
   ``vehicles_considered`` and ``cells_visited`` are recorded beside
   ``vehicles_evaluated`` so the two effects can be told apart;
-* disable the insertion-time lower-bound rejection (the naive matcher's
-  behaviour) and count how many extra exact schedule evaluations are paid.
+* take the index away altogether (the naive matcher, which verifies a
+  vehicle exactly as the searches do and differs from them by screening
+  alone) and count the verifications the index spares at identical options.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from common import (
     build_city,
     format_table,
     matcher_work,
+    option_points,
     probe_requests,
     record_result,
     warm_up_fleet,
@@ -91,21 +93,23 @@ def test_e10_index_build_cost_grows_with_granularity():
           + format_table(("grid", "build time [ms]", "border vertices"), rows))
 
 
-def test_e10_insertion_bound_rejection_saves_exact_work():
-    """Disabling the lower-bound short-circuit forces more exact schedule evaluations."""
+def test_e10_index_spares_verifications_at_identical_options():
+    """What the index buys: the options of the naive matcher for fewer verified vehicles."""
     config = DEFAULT_CONFIG.with_updates(service_constraint=0.3)
     city = build_city(rows=14, columns=14, vehicles=50, grid_rows=7, grid_columns=7, seed=89,
                       config=config)
     warm_up_fleet(city, requests=18, seed=89)
     requests = probe_requests(city, count=20, seed=90)
 
-    with_bounds = city.matcher("single_side")
+    indexed, exhaustive = city.matcher("single_side"), city.matcher("naive")
     for request in requests:
-        with_bounds.match(request)
-    rejected = with_bounds.statistics.insertion.candidates_rejected_by_bounds
-    enumerated = with_bounds.statistics.insertion.candidates_enumerated
-    assert rejected > 0, "the tight service constraint should let bounds reject some candidates"
+        assert option_points(indexed.match(request)) == option_points(exhaustive.match(request))
+    verified = indexed.statistics.vehicles_evaluated
+    everything = exhaustive.statistics.vehicles_evaluated
+    assert verified < everything
     print(
-        f"\nE10 -- insertion-time bound rejection: {rejected} of {enumerated} "
-        f"candidate schedules rejected without exact evaluation"
+        f"\nE10 -- with the index {verified} of {everything} vehicle verifications "
+        f"({indexed.statistics.insertion.candidates_enumerated} of "
+        f"{exhaustive.statistics.insertion.candidates_enumerated} candidate schedules) "
+        f"for identical options"
     )

@@ -39,7 +39,7 @@ def build_paper_scenario():
     r1 = Request(start=2, destination=16, riders=2, max_waiting=5.0, service_constraint=0.2,
                  request_id="R1")
     c1 = fleet.get("c1")
-    schedules = [candidate.schedule for candidate in insertion_candidates(c1, r1, oracle, grid)]
+    schedules = [candidate.schedule for candidate in insertion_candidates(c1, r1, oracle)]
     c1.assign(r1, planned_pickup_distance=8.0, direct_distance=oracle.distance(2, 16),
               schedules=schedules)
     fleet.refresh_vehicle("c1")

@@ -119,9 +119,7 @@ def describe_vehicle(service: PTRiderService, naive, vehicle_id: str, request) -
     probe_price = matcher._price_lower_bound(vehicle, context)  # noqa: SLF001
     true = " ".join(
         f"({option.pickup_distance:.4f}, {option.price:.4f})"
-        for option in naive._verify_vehicle(  # noqa: SLF001
-            vehicle, context, use_bound_rejection=False
-        )
+        for option in naive._verify_vehicle(vehicle, context)  # noqa: SLF001
     )
     return (
         f"{vehicle_id}: empty={vehicle.is_empty} offset={vehicle.offset:.3f} "

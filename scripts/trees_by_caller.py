@@ -17,15 +17,15 @@ function on the stack named in :data:`CALLERS`, so a tree a commit's fallback
 roots through ``MatchContext.create`` is the commit's::
 
     routing.trees_computed by caller (path book, seed 7001, 1000 requests)
-      next_stop                     68
-      create                       286
+      next_stop                     66
+      create                       289
       commit                         0
       cancel                         0
-      plan_route                   324
-      _verify_vehicle              203
-      added_distance_lower_bound   211
+      plan_route                   322
+      _verify_vehicle              236
+      added_distance_lower_bound   201
       other                          0
-      total                       1092
+      total                       1114
     best_schedule: 6037 calls on a non-empty tree, 5554 (92.0%) saw one branch
 
 The last line says how often ``KineticTree.best_schedule`` had a single branch

@@ -58,7 +58,7 @@ class SharekStyleMatcher(Matcher):
             if skyline.would_be_dominated(euclidean_lb, price_lb):
                 self.statistics.vehicles_pruned += 1
                 continue
-            skyline.extend(self._verify_vehicle(vehicle, context, use_bound_rejection=False))
+            skyline.extend(self._verify_vehicle(vehicle, context))
         return skyline.options()
 
     @staticmethod

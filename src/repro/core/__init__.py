@@ -4,7 +4,7 @@ The subpackage contains
 
 * :mod:`repro.core.pricing` -- the price model of Definition 3;
 * :mod:`repro.core.insertion` -- insertion of a request into a vehicle's
-  kinetic tree with lower-bound short-circuiting;
+  kinetic tree, one prefix-sharing scan over exact distances;
 * :mod:`repro.core.batch` -- shared routing contexts for a batch of
   simultaneous requests (pooled trees, batch-wide distance memo);
 * :mod:`repro.core.matcher` -- the common matcher interface and statistics;

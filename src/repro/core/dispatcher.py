@@ -315,7 +315,6 @@ class Dispatcher:
                 vehicle,
                 request,
                 self._fleet.routing_engine,
-                self._fleet.grid,
                 direct=context.direct,
                 distance=context.distance,
             )

@@ -25,16 +25,16 @@ before the pick-up slot for every larger ``i``), so those candidates are
 dropped without being visited.  The schedule tuple is materialised for
 feasible candidates only.
 
-Section 3.3 of the paper notes that the number of shortest-path computations
-can be reduced compared to the plain kinetic-tree algorithm "by estimating
-the lower and upper bounds of the shortest path distance".  When a grid index
-is supplied, the scan runs first over grid *lower bounds*; only the pairs it
-lets through (and that respect the capacity) are scanned again over exact
-distances, so the result set is identical with and without the grid
-(property-tested against the per-candidate reference in
-``tests/insertion_reference.py``).  Every sum runs left to right from the
-vehicle's offset, exactly as a walk over the materialised schedule would, so
-distances are equal to the last bit, not just to a tolerance.
+Section 3.3 of the paper reduces the number of shortest-path computations
+"by estimating the lower and upper bounds of the shortest path distance".
+That estimate screens *vehicles* (``MatchContext.lower_bound``, the matchers'
+``_consider``); inside a vehicle that reached verification the scan runs over
+exact distances only -- the start-side legs are reads off the request's start
+tree and most others cache hits, and the append after the last stop delays
+nobody, so a bound pre-scan could never spare the exact one.  Every sum runs
+left to right from the vehicle's offset, exactly as a walk over the
+materialised schedule would, so distances equal the per-candidate reference
+in ``tests/insertion_reference.py`` to the last bit, not just to a tolerance.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.request import Request
 from repro.model.stops import Stop, StopKind
-from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import RoutingEngine
 from repro.vehicles.vehicle import Vehicle
 
@@ -73,7 +72,14 @@ class InsertionCandidate:
 
 @dataclass
 class InsertionStatistics:
-    """Counters describing how much work an insertion call performed."""
+    """Counters describing how much work an insertion call performed.
+
+    ``candidates_rejected_by_bounds`` reads 0: nothing inside a verified
+    vehicle is rejected by a bound since the grid pre-scan went.  The field
+    stays because ``perfbench/harness.py`` reads it and a gain-claiming PR
+    may not edit ``perfbench/``; ROADMAP item 9(a) removes it together with
+    the ``insertion.bound_rejected`` metric row.
+    """
 
     candidates_enumerated: int = 0
     candidates_feasible: int = 0
@@ -83,16 +89,12 @@ class InsertionStatistics:
         """Accumulate another call's counters into this one."""
         self.candidates_enumerated += other.candidates_enumerated
         self.candidates_feasible += other.candidates_feasible
-        self.candidates_rejected_by_bounds += other.candidates_rejected_by_bounds
-
-
 
 
 def insertion_candidates(
     vehicle: Vehicle,
     request: Request,
     oracle: RoutingEngine,
-    grid: Optional[GridIndex] = None,
     statistics: Optional[InsertionStatistics] = None,
     direct: Optional[float] = None,
     distance: Optional[Callable[[int, int], float]] = None,
@@ -104,9 +106,6 @@ def insertion_candidates(
         request: the request to insert.
         oracle: routing engine (exact distances); a bare ``DistanceOracle``
             works too, only ``.distance`` is used.
-        grid: optional grid index; when provided, candidates whose
-            lower-bound distances already violate the waiting-time or service
-            constraint are rejected without exact evaluation.
         statistics: optional counter object updated in place.
         direct: the request's direct distance when the caller (a matcher with
             a :class:`~repro.core.context.MatchContext`) already computed it;
@@ -163,31 +162,16 @@ def insertion_candidates(
 
     for base in vehicle.kinetic_tree.schedules() or [()]:
         size = len(base)
-        enumerated = (size + 1) * (size + 2) // 2
-        stats.candidates_enumerated += enumerated
+        stats.candidates_enumerated += (size + 1) * (size + 2) // 2
         verts, ref, limit, well_formed = _stop_tables(base, limits)
-        if well_formed:
-            room = _capacity_slots(base, onboard_riders, vehicle.capacity, request.riders)
-        else:
-            room = [range(0)] * (size + 1)
-        if grid is None:
-            wanted: Sequence[Sequence[int]] = room
-        else:
-            survivors, _ = _passing(
-                grid.distance_lower_bound, origin, origin_offset, verts, ref, limit,
-                request.start, request.destination, new_limit,
-                [range(i, size + 1) for i in range(size + 1)],
-            )
-            stats.candidates_rejected_by_bounds += enumerated - len(survivors)
-            wanted = [[] for _ in room]
-            for i, k, _, _ in survivors:
-                if k in room[i]:
-                    wanted[i].append(k)
-        if not any(wanted):
+        if not well_formed:
+            continue
+        room = _capacity_slots(base, onboard_riders, vehicle.capacity, request.riders)
+        if not any(room):
             continue
         feasible, base_total = _passing(
             distance_fn, origin, origin_offset, verts, ref, limit,
-            request.start, request.destination, new_limit, wanted,
+            request.start, request.destination, new_limit, room,
         )
         stats.candidates_feasible += len(feasible)
         for i, k, pickup_distance, total in feasible:
@@ -309,7 +293,7 @@ def _passing(
     new_limit: float,
     wanted: Sequence[Sequence[int]],
 ) -> Tuple[List[Tuple[int, int, float, float]], float]:
-    """Scan one branch's insertion slots under the leg metric ``dist``.
+    """Scan one branch's insertion slots over the exact leg distances ``dist``.
 
     ``wanted[i]`` lists, ascending, the drop-off slots to try with the
     pick-up in slot ``i``.  Returns the ``(i, k, pickup_total, total)`` of
@@ -317,11 +301,8 @@ def _passing(
     and whose pick-up-to-drop-off distance meets ``new_limit``, in ``(i, k)``
     order, plus the length of the branch itself.
 
-    ``dist`` is the grid lower bound or the exact distance; since the bound
-    never exceeds the distance, a pair that fails under the bound fails under
-    the distance.  Sums are accumulated left to right from ``origin_offset``
-    in both cases, so the exact totals are the floats a walk over the
-    materialised schedule produces.
+    Sums are accumulated left to right from ``origin_offset``, so the totals
+    are the floats a walk over the materialised schedule produces.
     """
     size = len(verts)
     # legs[m]: the branch's own leg into stop m (from the vehicle for m = 0),

@@ -75,7 +75,6 @@ class MatcherStatistics:
             "options_returned": float(self.options_returned),
             "insertions_enumerated": float(self.insertion.candidates_enumerated),
             "insertions_feasible": float(self.insertion.candidates_feasible),
-            "insertions_rejected_by_bounds": float(self.insertion.candidates_rejected_by_bounds),
         }
 
 
@@ -195,24 +194,19 @@ class Matcher(abc.ABC):
     # ------------------------------------------------------------------
     # shared verification step
     # ------------------------------------------------------------------
-    def _verify_vehicle(
-        self, vehicle: Vehicle, context: MatchContext, use_bound_rejection: bool = True
-    ) -> List[RideOption]:
+    def _verify_vehicle(self, vehicle: Vehicle, context: MatchContext) -> List[RideOption]:
         """Fully evaluate one vehicle and return its non-dominated options.
 
-        ``use_bound_rejection`` controls whether the insertion step may use
-        grid lower bounds to skip exact evaluation of clearly infeasible
-        candidate schedules (the naive matcher turns this off to reproduce the
-        plain kinetic-tree algorithm).
+        Every matcher verifies the same way -- one exact scan of the
+        vehicle's insertion slots through the context's distances -- so two
+        matchers differ only in which vehicles they screen out before it.
         """
         self.statistics.vehicles_evaluated += 1
-        grid = self._grid if use_bound_rejection else None
         request = context.request
         candidates = insertion_candidates(
             vehicle,
             request,
             self._engine,
-            grid=grid,
             statistics=self.statistics.insertion,
             direct=context.direct,
             distance=context.distance,
@@ -320,17 +314,16 @@ def added_distance_lower_bound(
     best = math.inf
     for schedule in schedules:
         previous = origin
+        # bound on the leg previous -> vertex; every bound source is
+        # order-symmetric, so one stop's outgoing bound is the next one's incoming
+        incoming = bound_fn(previous, vertex)
         for stop in schedule:
-            replaced = distance_fn(previous, stop.vertex)
-            detour = (
-                bound_fn(previous, vertex)
-                + bound_fn(vertex, stop.vertex)
-                - replaced
-            )
+            outgoing = bound_fn(vertex, stop.vertex)
+            detour = incoming + outgoing - distance_fn(previous, stop.vertex)
             best = min(best, max(0.0, detour))
-            previous = stop.vertex
+            previous, incoming = stop.vertex, outgoing
         # appending after the last stop
-        best = min(best, bound_fn(previous, vertex))
+        best = min(best, incoming)
         if best <= 0.0:
             return 0.0
     return best

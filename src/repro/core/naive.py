@@ -7,10 +7,11 @@ kinetic tree."
 
 The naive matcher therefore
 
-* verifies **every** vehicle of the fleet (no grid pruning), and
-* computes every shortest-path distance exactly during verification (no
-  lower-bound short-circuiting), mirroring the remark that the kinetic-tree
-  algorithm "calculates all the distances before verification".
+* verifies **every** vehicle of the fleet (no grid pruning, no lower-bound
+  screening), and
+* verifies each one the way every matcher does -- the kinetic-tree insertion
+  over exact shortest-path distances -- so it differs from the grid searches
+  by screening alone.
 
 It is the correctness reference the optimized matchers are property-tested
 against, and the baseline of experiment E3.
@@ -28,7 +29,7 @@ __all__ = ["NaiveKineticTreeMatcher"]
 
 
 class NaiveKineticTreeMatcher(Matcher):
-    """Evaluate every vehicle, with no pruning and no bound-based rejection."""
+    """Evaluate every vehicle, with no pruning and no screening."""
 
     name = "naive"
 
@@ -36,5 +37,5 @@ class NaiveKineticTreeMatcher(Matcher):
         options: List[RideOption] = []
         for vehicle in fleet.vehicles():
             self.statistics.vehicles_considered += 1
-            options.extend(self._verify_vehicle(vehicle, context, use_bound_rejection=False))
+            options.extend(self._verify_vehicle(vehicle, context))
         return options

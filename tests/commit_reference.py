@@ -2,8 +2,8 @@
 
 Kept verbatim as the reference the property tests compare against
 (``tests/property/test_commit_equivalence.py``): every feasible insertion is
-enumerated again through the engine's canonical-rooted ``distance`` (grid
-pre-scan on), each survivor is measured once more by ``evaluate_schedule`` for
+enumerated again through the engine's canonical-rooted ``distance``, each
+survivor is measured once more by ``evaluate_schedule`` for
 the promised-pick-up filter, and the direct distance is a point query.
 
 :func:`feasible_schedules_for_commit` also serves the fixtures that assign a
@@ -19,7 +19,6 @@ from repro.errors import UnknownOptionError
 from repro.model.options import RideOption
 from repro.model.request import Request
 from repro.model.stops import Stop
-from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import RoutingEngine
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.schedule import evaluate_schedule
@@ -30,10 +29,9 @@ def feasible_schedules_for_commit(
     vehicle: Vehicle,
     request: Request,
     oracle: RoutingEngine,
-    grid: Optional[GridIndex] = None,
 ) -> List[Tuple[Stop, ...]]:
     """Every feasible new schedule of ``vehicle`` once it also serves ``request``."""
-    return [candidate.schedule for candidate in insertion_candidates(vehicle, request, oracle, grid)]
+    return [candidate.schedule for candidate in insertion_candidates(vehicle, request, oracle)]
 
 
 def filter_by_promised_pickup(vehicle, request, option, schedules, engine):
@@ -65,7 +63,7 @@ def reference_commit(
         )
     engine = fleet.routing_engine
     vehicle = fleet.get(option.vehicle_id)
-    schedules = feasible_schedules_for_commit(vehicle, request, engine, fleet.grid)
+    schedules = feasible_schedules_for_commit(vehicle, request, engine)
     schedules = filter_by_promised_pickup(vehicle, request, option, schedules, engine)
     if not schedules:
         raise UnknownOptionError(

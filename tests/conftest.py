@@ -66,7 +66,7 @@ def assign_request(
     """Assign ``request`` to ``vehicle_id`` using the normal commit machinery."""
     vehicle = fleet.get(vehicle_id)
     oracle = fleet.oracle
-    schedules = feasible_schedules_for_commit(vehicle, request, oracle, fleet.grid)
+    schedules = feasible_schedules_for_commit(vehicle, request, oracle)
     assert schedules, f"vehicle {vehicle_id} cannot feasibly serve {request.request_id}"
     if planned_pickup_distance is None:
         # Promise the pick-up distance of the shortest candidate schedule.

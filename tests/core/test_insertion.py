@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.insertion import InsertionStatistics, insertion_candidates
+from repro.core.naive import NaiveKineticTreeMatcher
 from repro.errors import DisconnectedError
 from repro.model.request import Request
 from repro.model.stops import Stop, StopKind
@@ -37,8 +38,8 @@ def grid(network):
 @pytest.fixture
 def line_fleet():
     """A busy vehicle on a line of unit edges with one vertex per grid cell:
-    the grid lower bound *is* the distance, so which candidates the bounds
-    reject is known in advance."""
+    the grid lower bound *is* the distance, so the two-scan reference rejects
+    by bound exactly what the kernel finds infeasible."""
     network = grid_network(1, 12)  # vertices 1..12 in a row
     fleet = Fleet(GridIndex(network, rows=1, columns=12), DistanceOracle(network))
     fleet.add_vehicle(Vehicle("c1", location=1))
@@ -56,10 +57,10 @@ def far():
 
 
 class TestEmptyVehicle:
-    def test_single_candidate(self, oracle, grid):
+    def test_single_candidate(self, oracle):
         vehicle = Vehicle("c2", location=13)
         request = Request(start=12, destination=17, riders=2, request_id="R2")
-        candidates = insertion_candidates(vehicle, request, oracle, grid)
+        candidates = insertion_candidates(vehicle, request, oracle)
         assert len(candidates) == 1
         candidate = candidates[0]
         assert candidate.pickup_distance == pytest.approx(8.0)
@@ -68,16 +69,16 @@ class TestEmptyVehicle:
         assert candidate.base_schedule == ()
         assert [stop.vertex for stop in candidate.schedule] == [12, 17]
 
-    def test_offset_added_to_pickup_distance(self, oracle, grid):
+    def test_offset_added_to_pickup_distance(self, oracle):
         vehicle = Vehicle("c2", location=13, offset=2.0)
         request = Request(start=12, destination=17, riders=2, request_id="R2")
-        candidates = insertion_candidates(vehicle, request, oracle, grid)
+        candidates = insertion_candidates(vehicle, request, oracle)
         assert candidates[0].pickup_distance == pytest.approx(10.0)
 
-    def test_vehicle_id_recorded(self, oracle, grid):
+    def test_vehicle_id_recorded(self, oracle):
         vehicle = Vehicle("taxi-9", location=13)
         request = Request(start=12, destination=17, request_id="R2")
-        candidates = insertion_candidates(vehicle, request, oracle, grid)
+        candidates = insertion_candidates(vehicle, request, oracle)
         assert all(candidate.vehicle_id == "taxi-9" for candidate in candidates)
 
 
@@ -92,7 +93,7 @@ class TestNonEmptyVehicle:
     def test_paper_schedule_is_among_the_candidates(self, network, oracle, grid):
         vehicle = self.build_busy_vehicle(network, oracle, grid)
         request = Request(start=12, destination=17, riders=2, max_waiting=5.0, service_constraint=0.2, request_id="R2")
-        candidates = insertion_candidates(vehicle, request, oracle, grid)
+        candidates = insertion_candidates(vehicle, request, oracle)
         # Two orders are feasible: the paper's shared ride (R2 interleaved with
         # R1) and the trivial "serve R1 first, then R2" append; every other
         # interleaving violates R1's waiting-time or service constraint.
@@ -114,7 +115,7 @@ class TestNonEmptyVehicle:
         # Relaxing only the new request does not relax R1's constraints, so the
         # schedules detouring R1 through v17 stay infeasible -- but inserting
         # after R1's drop-off becomes possible.
-        candidates = insertion_candidates(vehicle, relaxed, oracle, grid)
+        candidates = insertion_candidates(vehicle, relaxed, oracle)
         assert len(candidates) >= 1
         orders = {tuple(stop.vertex for stop in candidate.schedule) for candidate in candidates}
         assert (2, 16, 12, 17) in orders
@@ -125,7 +126,7 @@ class TestNonEmptyVehicle:
         r1 = Request(start=2, destination=16, riders=2, max_waiting=5.0, service_constraint=0.2, request_id="R1")
         assign_request(fleet, "c1", r1, planned_pickup_distance=8.0)
         request = Request(start=12, destination=17, riders=2, max_waiting=5.0, service_constraint=0.2, request_id="R2")
-        candidates = insertion_candidates(fleet.get("c1"), request, oracle, grid)
+        candidates = insertion_candidates(fleet.get("c1"), request, oracle)
         # With capacity 2 the groups can never ride together: every surviving
         # candidate must drop R1 off before picking R2 up.
         assert candidates
@@ -137,56 +138,42 @@ class TestNonEmptyVehicle:
         vehicle = self.build_busy_vehicle(network, oracle, grid)
         request = Request(start=12, destination=17, riders=2, max_waiting=5.0, service_constraint=0.2, request_id="R2")
         stats = InsertionStatistics()
-        candidates = insertion_candidates(vehicle, request, oracle, grid, statistics=stats)
+        candidates = insertion_candidates(vehicle, request, oracle, statistics=stats)
         assert stats.candidates_enumerated > 0
         assert stats.candidates_feasible == len(candidates)
 
-    def test_grid_bounds_do_not_change_results(self, network, oracle, grid):
+    def test_one_scan_returns_what_the_two_scan_design_returned(self, network, oracle, grid):
         vehicle = self.build_busy_vehicle(network, oracle, grid)
         request = Request(start=12, destination=17, riders=2, max_waiting=5.0, service_constraint=0.2, request_id="R2")
-        with_grid = insertion_candidates(vehicle, request, oracle, grid)
-        without_grid = insertion_candidates(vehicle, request, oracle, None)
+        candidates = insertion_candidates(vehicle, request, oracle)
+        assert candidates == reference_insertion_candidates(vehicle, request, oracle, grid)
+        assert candidates == reference_insertion_candidates(vehicle, request, oracle, None)
 
-        def key(candidate):
-            return (
-                tuple(str(stop) for stop in candidate.schedule),
-                round(candidate.pickup_distance, 9),
-                round(candidate.added_distance, 9),
-            )
-
-        assert sorted(map(key, with_grid)) == sorted(map(key, without_grid))
-
-    def test_grid_bounds_can_reject_candidates_early(self, line_fleet, far):
+    def test_infeasible_slots_are_counted_not_returned(self, line_fleet, far):
         vehicle = line_fleet.get("c1")
         stats = InsertionStatistics()
-        candidates = insertion_candidates(
-            vehicle, far, line_fleet.oracle, line_fleet.grid, statistics=stats
-        )
+        candidates = insertion_candidates(vehicle, far, line_fleet.oracle, statistics=stats)
         # Six slot pairs (i, j) over the two-stop branch.  Going to vertex 10
-        # before R1's pick-up breaks R1's waiting limit: (0,1) fails in its
-        # tail, and with the pick-up in slot 0 R1's pick-up stop lies in front
-        # of the drop-off slot for j = 2 and 3 alike -- one violation, two
-        # candidates pruned, each counted.  With the pick-up in slot 1, (1,2)
-        # fails in its tail and R1's drop-off stop prunes (1,3).  Only the
-        # append (2,3) survives.
+        # before R1's pick-up breaks R1's waiting limit, and going there
+        # between R1's stops breaks its service limit: only the append (2,3)
+        # is feasible.  Nothing is "rejected by bounds" -- there is no bound
+        # scan -- where the two-scan reference rejected all five that way.
         branches = vehicle.kinetic_tree.schedules()
         assert [len(branch) for branch in branches] == [2]
-        assert stats.candidates_enumerated == sum(
-            (len(branch) + 1) * (len(branch) + 2) // 2 for branch in branches
-        ) == 6
-        assert stats.candidates_rejected_by_bounds == 5
-        assert stats.candidates_feasible == len(candidates) == 1
+        assert stats == InsertionStatistics(
+            candidates_enumerated=6, candidates_feasible=1, candidates_rejected_by_bounds=0
+        )
         assert [stop.vertex for stop in candidates[0].schedule] == [3, 5, 10, 11]
 
         reference_stats = InsertionStatistics()
         assert candidates == reference_insertion_candidates(
             vehicle, far, line_fleet.oracle, line_fleet.grid, statistics=reference_stats
         )
-        assert stats == reference_stats
+        assert reference_stats == InsertionStatistics(6, 1, candidates_rejected_by_bounds=5)
 
 
-class TestBoundPruning:
-    def test_pruned_candidates_are_not_walked(self, line_fleet, far):
+class TestTheOneScan:
+    def test_slots_behind_a_violation_are_not_walked(self, line_fleet, far):
         vehicle = line_fleet.get("c1")
         asked = []
 
@@ -194,32 +181,46 @@ class TestBoundPruning:
             asked.append((u, v))
             return line_fleet.oracle.distance(u, v)
 
-        insertion_candidates(vehicle, far, line_fleet.oracle, line_fleet.grid, distance=exact)
-        # direct distance, then only what the surviving append needs: the
-        # branch's own legs and the two legs around the new stops
-        assert asked == [(10, 11), (1, 3), (3, 5), (5, 10), (10, 11)]
+        insertion_candidates(vehicle, far, line_fleet.oracle, distance=exact)
+        assert asked == [
+            (10, 11),  # direct distance
+            (1, 3), (3, 5),  # the branch's own legs, once
+            # pick-up in slot 0: (0,0) fails in its tail at R1's pick-up; for
+            # (0,1) R1's pick-up fails in front of the drop-off slot, where it
+            # stays for (0,2), which asks nothing
+            (1, 10), (10, 11), (11, 3), (10, 3),
+            # pick-up in slot 1: (1,1) fails in its tail, (1,2) at R1's drop-off
+            (3, 10), (10, 11), (11, 5), (10, 5),
+            (5, 10), (10, 11),  # the append
+        ]
 
-    def test_without_a_grid_nothing_is_rejected_by_bounds(self, line_fleet, far):
-        vehicle = line_fleet.get("c1")
-        stats = InsertionStatistics()
-        candidates = insertion_candidates(vehicle, far, line_fleet.oracle, None, statistics=stats)
-        assert stats.candidates_enumerated == 6
-        assert stats.candidates_rejected_by_bounds == 0
-        assert candidates == insertion_candidates(vehicle, far, line_fleet.oracle, line_fleet.grid)
+    def test_no_grid_bound_is_asked(self, line_fleet, far, monkeypatch):
+        """The naive matcher screens nothing, so any bound asked while it
+        answers would be asked by the verification itself."""
+        asked = []
+        monkeypatch.setattr(
+            GridIndex, "distance_lower_bound", lambda self, u, v: asked.append((u, v)) or 0.0
+        )
+        matcher = NaiveKineticTreeMatcher(line_fleet)
+        assert [option.vehicle_id for option in matcher.match(far)] == ["c1"]
+        assert matcher.statistics.insertion == InsertionStatistics(
+            candidates_enumerated=6, candidates_feasible=1
+        )
+        assert asked == []
 
     def test_disconnected_leg_propagates_unchanged(self, line_fleet, far):
         vehicle = line_fleet.get("c1")
         error = DisconnectedError(5, 10)
 
         def broken(u, v):
-            # the leg from R1's drop-off to the new pick-up, which the one
-            # candidate the bounds let through has to cross
+            # the leg from R1's drop-off to the new pick-up, which the append
+            # has to cross
             if (u, v) == (5, 10):
                 raise error
             return line_fleet.oracle.distance(u, v)
 
         with pytest.raises(DisconnectedError) as raised:
-            insertion_candidates(vehicle, far, line_fleet.oracle, line_fleet.grid, distance=broken)
+            insertion_candidates(vehicle, far, line_fleet.oracle, distance=broken)
         assert raised.value is error
 
 
@@ -247,24 +248,24 @@ class TestIllFormedBranches:
             "Y": Stop(8, "ghost", StopKind.DROPOFF),
         }
         vehicle.kinetic_tree.set_schedules([[stops[kind] for kind in kinds]])
-        for grid in (line_fleet.grid, None):
-            stats, reference_stats = InsertionStatistics(), InsertionStatistics()
-            assert insertion_candidates(vehicle, far, line_fleet.oracle, grid, statistics=stats) == []
-            assert reference_insertion_candidates(
-                vehicle, far, line_fleet.oracle, grid, statistics=reference_stats
-            ) == []
-            assert stats == reference_stats
+        stats, reference_stats = InsertionStatistics(), InsertionStatistics()
+        assert insertion_candidates(vehicle, far, line_fleet.oracle, statistics=stats) == []
+        assert reference_insertion_candidates(
+            vehicle, far, line_fleet.oracle, None, statistics=reference_stats
+        ) == []
+        assert stats == reference_stats
+        assert reference_insertion_candidates(vehicle, far, line_fleet.oracle, line_fleet.grid) == []
 
 
 class TestCommitHelper:
-    def test_feasible_schedules_for_commit(self, network, oracle, grid):
+    def test_feasible_schedules_for_commit(self, oracle):
         vehicle = Vehicle("c2", location=13)
         request = Request(start=12, destination=17, riders=2, request_id="R2")
-        schedules = feasible_schedules_for_commit(vehicle, request, oracle, grid)
+        schedules = feasible_schedules_for_commit(vehicle, request, oracle)
         assert len(schedules) == 1
         assert [stop.vertex for stop in schedules[0]] == [12, 17]
 
-    def test_commit_helper_empty_when_infeasible(self, network, oracle, grid):
+    def test_commit_helper_empty_when_infeasible(self, oracle):
         vehicle = Vehicle("c1", location=1, capacity=1)
         request = Request(start=2, destination=16, riders=3, request_id="RBig")
-        assert feasible_schedules_for_commit(vehicle, request, oracle, grid) == []
+        assert feasible_schedules_for_commit(vehicle, request, oracle) == []

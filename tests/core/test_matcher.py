@@ -113,6 +113,34 @@ class TestAddedDistanceLowerBound:
             best_added = min(best_added, oracle.distance(vertices[-1], probe_vertex))
             assert bound <= best_added + 1e-9
 
+    def test_each_leg_bound_is_asked_once(self):
+        """A stop's outgoing bound is the next position's incoming one: a
+        branch of ``n`` stops costs ``n + 1`` bound calls, not ``2n + 1``, and
+        the value is the one the two-calls-a-position form computes."""
+        network = figure1_network()
+        fleet = build_fleet(network, [1])
+        r1 = Request(start=2, destination=16, riders=2, max_waiting=5.0, service_constraint=0.2, request_id="R1")
+        assign_request(fleet, "c1", r1, planned_pickup_distance=8.0)
+        vehicle = fleet.get("c1")
+        grid, distance = fleet.grid.distance_lower_bound, fleet.oracle.distance
+        asked = []
+
+        def bound(u, v):
+            asked.append(frozenset((u, v)))
+            return grid(u, v)
+
+        (branch,) = vehicle.kinetic_tree.schedules()
+        vertices = [vehicle.location] + [stop.vertex for stop in branch]
+        for probe_vertex in (12, 17, 5, 9):
+            del asked[:]
+            got = added_distance_lower_bound(vehicle, probe_vertex, fleet.grid, fleet.oracle, bound=bound)
+            assert asked == [frozenset((vertex, probe_vertex)) for vertex in vertices]
+            expected = grid(vertices[-1], probe_vertex)
+            for before, after in zip(vertices, vertices[1:]):
+                detour = grid(before, probe_vertex) + grid(probe_vertex, after) - distance(before, after)
+                expected = min(expected, max(0.0, detour))
+            assert got == expected
+
     def test_bound_zero_when_vertex_on_schedule(self):
         network = figure1_network()
         fleet = build_fleet(network, [1])

@@ -5,9 +5,10 @@ insertions incrementally over shared prefixes.  ``tests/insertion_reference.py``
 keeps the per-candidate path it replaced, and a brute force that checks
 Definition 2 directly.  Over fleets that have been *driven* -- so kinetic
 trees hold stale branches, riders are on board, vehicles sit mid-edge and
-capacity binds -- the kernel must return the reference's candidate list with
-``==`` (schedules, order, floats) and move the three counters identically,
-with and without grid bounds.
+capacity binds -- the kernel's one exact scan must return the reference's
+candidate list with ``==`` (schedules, order, floats), both as the reference
+runs without a grid and as it runs the old two-scan design with one, and
+count the same enumerated and feasible candidates.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from repro.model.request import Request
 from repro.roadnet.generators import grid_network
 from repro.sim.engine import SimulationEngine
 from repro.sim.workload import RequestWorkload
+from repro.vehicles.schedule import check_schedule
 
 from tests.conftest import assign_request, build_fleet
 from tests.insertion_reference import (
@@ -93,32 +95,53 @@ def driven_fleets(draw):
     return fleet, probe
 
 
-def _both(vehicle, probe, oracle, grid):
-    stats, reference_stats = InsertionStatistics(), InsertionStatistics()
-    got = insertion_candidates(vehicle, probe, oracle, grid, statistics=stats)
-    expected = reference_insertion_candidates(
-        vehicle, probe, oracle, grid, statistics=reference_stats
-    )
-    return got, stats, expected, reference_stats
-
-
-@given(driven_fleets(), st.booleans())
+@given(driven_fleets())
 @settings(max_examples=120, deadline=None)
-def test_kernel_equals_per_candidate_reference(scenario, use_grid):
+def test_kernel_equals_per_candidate_reference(scenario):
     fleet, probe = scenario
-    grid = fleet.grid if use_grid else None
     for vehicle in fleet.vehicles():
-        got, stats, expected, reference_stats = _both(vehicle, probe, fleet.oracle, grid)
+        stats, plain_stats, two_scan_stats = (InsertionStatistics() for _ in range(3))
+        got = insertion_candidates(vehicle, probe, fleet.oracle, statistics=stats)
         # dataclass equality: schedule tuples, base schedules and every float, bit for bit
-        assert got == expected
-        assert stats == reference_stats
+        assert got == reference_insertion_candidates(
+            vehicle, probe, fleet.oracle, None, statistics=plain_stats
+        )
+        assert got == reference_insertion_candidates(
+            vehicle, probe, fleet.oracle, fleet.grid, statistics=two_scan_stats
+        )
+        assert stats == plain_stats
         branches = vehicle.kinetic_tree.schedules() or [()]
-        assert stats.candidates_enumerated == sum(
+        assert stats.candidates_enumerated == two_scan_stats.candidates_enumerated == sum(
             (len(branch) + 1) * (len(branch) + 2) // 2 for branch in branches
         )
-        assert stats.candidates_feasible == len(got)
-        if grid is None:
-            assert stats.candidates_rejected_by_bounds == 0
+        assert stats.candidates_feasible == two_scan_stats.candidates_feasible == len(got)
+        assert stats.candidates_rejected_by_bounds == 0
+
+
+@given(driven_fleets())
+@settings(max_examples=120, deadline=None)
+def test_the_append_is_always_a_candidate(scenario):
+    """Why no bound pre-scan can spare the exact scan: putting both new stops
+    after a valid branch's last stop delays nobody and finds the vehicle
+    empty, so ``(size, size)`` is feasible (the probe's riders fit an empty
+    vehicle) -- a serving vehicle never verifies to ``[]``."""
+    fleet, probe = scenario
+    new_pickup, new_dropoff = new_stops(probe)
+    for vehicle in fleet.vehicles():
+        got = insertion_candidates(vehicle, probe, fleet.oracle)
+        appended = {c.base_schedule for c in got if c.schedule[-2:] == (new_pickup, new_dropoff)}
+        valid = {
+            branch
+            for branch in vehicle.kinetic_tree.schedules() or [()]
+            if check_schedule(
+                origin=vehicle.location, stops=branch, capacity=vehicle.capacity,
+                onboard_riders=vehicle.occupancy, request_states=vehicle.request_states(),
+                distance=fleet.oracle.distance, origin_offset=vehicle.offset,
+            )
+        }
+        assert valid <= appended
+        if valid:
+            assert got
 
 
 @given(driven_fleets())
@@ -129,7 +152,7 @@ def test_kernel_equals_definition2_brute_force(scenario):
     for vehicle in fleet.vehicles():
         if max(map(len, vehicle.kinetic_tree.schedules()), default=0) > 6:
             continue  # the brute force is for small schedules
-        got = insertion_candidates(vehicle, probe, fleet.oracle, fleet.grid)
+        got = insertion_candidates(vehicle, probe, fleet.oracle)
         assert [
             (c.schedule, c.pickup_distance, c.total_distance) for c in got
         ] == brute_force_insertions(vehicle, probe, distance)
@@ -193,7 +216,7 @@ def test_parked_vehicle_offers_every_valid_ordering(scenario):
     branches finds exactly the orderings Definition 2 allows."""
     fleet, probe = scenario
     vehicle = fleet.get("c1")
-    got = insertion_candidates(vehicle, probe, fleet.oracle, fleet.grid)
+    got = insertion_candidates(vehicle, probe, fleet.oracle)
     assert sorted(map(str, (c.schedule for c in got))) == sorted(
         map(str, brute_force_orderings(vehicle, probe, fleet.oracle.distance))
     )

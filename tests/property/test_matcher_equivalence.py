@@ -224,7 +224,7 @@ def test_exact_start_bounds_are_admissible(backend, scenario):
         assert floor == pytest.approx(
             vehicle.offset + context.distance(vehicle.location, probe.start), abs=1e-8
         )
-        options = naive._verify_vehicle(vehicle, context, use_bound_rejection=False)  # noqa: SLF001
+        options = naive._verify_vehicle(vehicle, context)  # noqa: SLF001
         if options:
             assert floor <= min(option.pickup_distance for option in options)
         if not vehicle.is_empty:

@@ -54,7 +54,7 @@ def test_candidates_respect_every_definition2_condition(case):
     fleet, probe = case
     vehicle = fleet.get("c1")
     oracle = fleet.oracle
-    candidates = insertion_candidates(vehicle, probe, oracle, fleet.grid)
+    candidates = insertion_candidates(vehicle, probe, oracle)
     states = dict(vehicle.request_states())
     for candidate in candidates:
         metrics = evaluate_schedule(vehicle.location, candidate.schedule, oracle.distance, vehicle.offset)
