@@ -32,7 +32,6 @@ from repro.roadnet.shortest_path import (
     bidirectional_dijkstra,
     bounded_dijkstra,
     dijkstra_all,
-    multi_source_dijkstra,
     shortest_path,
     shortest_path_distance,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "network_fingerprint",
     "grid_network",
     "haversine_distance",
-    "multi_source_dijkstra",
     "random_geometric_network",
     "ring_radial_network",
     "shortest_path",

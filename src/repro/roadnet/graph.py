@@ -246,6 +246,17 @@ class RoadNetwork:
         self._require_vertex(vertex)
         return self._adjacency[vertex]
 
+    @property
+    def adjacency(self) -> Mapping[VertexId, Mapping[VertexId, float]]:
+        """The *internal* ``{vertex: {neighbour: weight}}`` mapping.
+
+        Must not be mutated.  For loops that only ever index it with vertices
+        they already hold (a checked endpoint, a neighbour read off it, a
+        vertex on a planned route), so :meth:`neighbours_view`'s per-call
+        vertex check would be pure overhead.
+        """
+        return self._adjacency
+
     def degree(self, vertex: VertexId) -> int:
         """Return the number of edges incident to ``vertex``."""
         self._require_vertex(vertex)

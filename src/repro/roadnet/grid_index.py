@@ -52,7 +52,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import GridIndexError, InvalidNetworkError, VertexNotFoundError
 from repro.roadnet.geometry import BoundingBox
@@ -299,6 +299,11 @@ class GridIndex:
             return self._cells[self._vertex_cell[vertex]]
         except KeyError:
             raise VertexNotFoundError(vertex) from None
+
+    @property
+    def vertex_cells(self) -> Mapping[VertexId, CellId]:
+        """The *internal* ``{vertex: cell id}`` map (must not be mutated)."""
+        return self._vertex_cell
 
     def cell(self, cell_id: CellId) -> GridCell:
         """Return the cell with identifier ``cell_id``.

@@ -19,9 +19,7 @@ distances on the road network (Section 2.1 of the paper).  What the rest of
 Exported through :mod:`repro.roadnet` as library functions with no caller in
 ``src/`` (the tests use them as independent references for the above):
 :func:`shortest_path_distance`, :func:`astar_path`,
-:func:`bidirectional_dijkstra`, :func:`bounded_dijkstra` and
-:func:`multi_source_dijkstra` (the whole-graph reference the grid index's
-values are pinned to; the index itself computes on ``CSRGraph.nearest``).
+:func:`bidirectional_dijkstra` and :func:`bounded_dijkstra`.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ __all__ = [
     "bidirectional_dijkstra",
     "bounded_dijkstra",
     "dijkstra_all",
-    "multi_source_dijkstra",
     "reconstruct_path",
     "path_length",
     "DistanceOracle",
@@ -163,7 +160,9 @@ def _walk_tree(
     if distance is None:
         raise DisconnectedError(source, target)
     label_of = tree.get
-    neighbours_view = network.neighbours_view
+    # The endpoints were checked on entry and every later vertex is read off
+    # the adjacency itself, so the walk indexes it directly.
+    adjacency = network.adjacency
     # No simple path has more vertices than the network: a walk that long is
     # circling in a tree that was not rooted at ``source``.
     longest = len(network)
@@ -171,7 +170,7 @@ def _walk_tree(
     current = target
     while current != source:
         best = None
-        for u, weight in neighbours_view(current).items():
+        for u, weight in adjacency[current].items():
             label = label_of(u)
             if label is not None:
                 key = (label + weight, label, u)
@@ -360,45 +359,6 @@ def dijkstra_all(network: RoadNetwork, source: VertexId) -> Dict[VertexId, float
     dist: Dict[VertexId, float] = {source: 0.0}
     result: Dict[VertexId, float] = {}
     heap: List[Tuple[float, VertexId]] = [(0.0, source)]
-    push, pop = heapq.heappush, heapq.heappop
-    neighbours_view = network.neighbours_view
-    dist_get = dist.get
-    while heap:
-        d, u = pop(heap)
-        if u in result:
-            continue
-        result[u] = d
-        for v, weight in neighbours_view(u).items():
-            nd = d + weight
-            if nd < dist_get(v, INFINITY):
-                dist[v] = nd
-                push(heap, (nd, v))
-    return result
-
-
-def multi_source_dijkstra(
-    network: RoadNetwork, sources: Iterable[VertexId]
-) -> Dict[VertexId, float]:
-    """Return, for every reachable vertex, the distance to its *closest* source.
-
-    Nothing in ``src/`` calls it: the grid index, which used to run it once
-    per cell for ``v.min`` and once per cell-pair lower-bound row, computes
-    both with :meth:`repro.roadnet.routing.CSRGraph.nearest` on a compiled
-    graph.  It stays as the whole-graph reference those values must equal
-    (``tests/property/test_grid_bounds.py``).
-
-    Raises:
-        VertexNotFoundError: if any source is unknown.
-        ValueError: if ``sources`` is empty.
-    """
-    source_list = list(sources)
-    if not source_list:
-        raise ValueError("multi_source_dijkstra requires at least one source")
-    _require_vertices(network, source_list)
-    dist: Dict[VertexId, float] = {s: 0.0 for s in source_list}
-    result: Dict[VertexId, float] = {}
-    heap: List[Tuple[float, VertexId]] = [(0.0, s) for s in source_list]
-    heapq.heapify(heap)
     push, pop = heapq.heappush, heapq.heappop
     neighbours_view = network.neighbours_view
     dist_get = dist.get

@@ -31,7 +31,7 @@ from repro.errors import SimulationError
 from repro.model.stops import Stop
 from repro.sim.stats import SimulationStatistics
 from repro.sim.workload import RequestWorkload
-from repro.vehicles.movement import MotionState, plan_route, random_idle_route, step_along_route
+from repro.vehicles.movement import MotionState, drive_route, plan_route, step_along_route
 from repro.vehicles.vehicle import Vehicle
 
 __all__ = ["SimulationReport", "SimulationEngine"]
@@ -216,36 +216,73 @@ class SimulationEngine:
     def _advance_vehicle(self, vehicle: Vehicle, budget: float) -> None:
         if vehicle.is_empty and not self._idle_wander:
             return  # parked: travels nothing, changes no cell
-        previous_cell = self._fleet.grid.cell_of_vertex(vehicle.location).cell_id
+        cell_of = self._fleet.grid.vertex_cells
+        previous_cell = cell_of[vehicle.location]
         guard = 0
-        while budget > 1e-9:
+        while budget > 1e-9 and not vehicle.is_empty:
             guard += 1
             if guard > 10_000:  # pragma: no cover - defensive guard
                 raise SimulationError(f"vehicle {vehicle.vehicle_id} made no progress")
-            if vehicle.is_empty:
-                travelled = self._advance_idle(vehicle, budget)
-            else:
-                travelled = self._advance_serving(vehicle, budget)
+            travelled = self._advance_serving(vehicle, budget)
             if travelled <= 0:
                 break
             budget -= travelled
-        current_cell = self._fleet.grid.cell_of_vertex(vehicle.location).cell_id
-        if current_cell != previous_cell:
+        else:
+            # Empty now (nothing is assigned while the fleet moves, so for the
+            # rest of the tick): wander on with whatever budget is left.
+            if budget > 1e-9 and self._idle_wander:
+                self._wander(vehicle, budget, guard)
+        if cell_of[vehicle.location] != previous_cell:
             self._fleet.refresh_vehicle(vehicle.vehicle_id)
 
-    def _advance_idle(self, vehicle: Vehicle, budget: float) -> float:
-        if not self._idle_wander:
-            return 0.0
-        motion = self._motions.get(vehicle.vehicle_id)
-        if motion is None or not motion.has_route:
-            anchor = motion.location if motion is not None else vehicle.location
-            motion = random_idle_route(self._network, anchor, self._rng, hops=3)
-            self._targets[vehicle.vehicle_id] = None
-        new_motion, travelled, _reached = step_along_route(self._network, motion, budget)
-        self._motions[vehicle.vehicle_id] = new_motion
-        self._sync_vehicle_location(vehicle, new_motion)
-        vehicle.record_progress(travelled)
-        return travelled
+    def _wander(self, vehicle: Vehicle, budget: float, guard: int) -> None:
+        """Spend an empty vehicle's ``budget`` on the random walk of Section 4.
+
+        The walk goes in legs of three hops, each drawn ``rng.choice`` over the
+        current vertex's neighbours when the previous leg is used up (a dead
+        end stops the draw early); a leg the tick ends inside carries its
+        remaining hops to the next tick in ``_motions``.  Within a leg the
+        driven distance is summed edge by edge (:func:`drive_route`), and the
+        leg's sum is what leaves the budget and reaches
+        :meth:`Vehicle.record_progress` -- the per-leg float path every
+        digest is pinned to.  The motion state, the vehicle's ``(location,
+        offset)`` and its kinetic-tree root are written once, at the end.
+        """
+        network = self._network
+        adjacency = network.adjacency
+        choice = self._rng.choice
+        vehicle_id = vehicle.vehicle_id
+        motion = self._motions.get(vehicle_id)
+        if motion is None:
+            location, route, offset = vehicle.location, (), 0.0
+        else:
+            location, route, offset = motion.location, motion.route, motion.offset
+        index = 0
+        while budget > 1e-9:
+            guard += 1
+            if guard > 10_000:  # pragma: no cover - defensive guard
+                raise SimulationError(f"vehicle {vehicle_id} made no progress")
+            if index == len(route):
+                route = []
+                current = location
+                for _ in range(3):
+                    neighbours = list(adjacency[current])
+                    if not neighbours:
+                        break
+                    current = choice(neighbours)
+                    route.append(current)
+                index, offset = 0, 0.0
+                self._targets[vehicle_id] = None
+            location, index, offset, travelled = drive_route(
+                network, location, route, index, offset, budget
+            )
+            vehicle.record_progress(travelled)
+            if travelled <= 0:
+                break
+            budget -= travelled
+        motion = MotionState(location=location, route=tuple(route[index:]), offset=offset)
+        self._motions[vehicle_id] = motion
+        self._sync_vehicle_location(vehicle, motion)
 
     def _advance_serving(self, vehicle: Vehicle, budget: float) -> float:
         next_stop = vehicle.kinetic_tree.next_stop(self._oracle.distance, vehicle.offset)
@@ -266,7 +303,7 @@ class SimulationEngine:
             # Signal the caller that progress was made even though no distance
             # was travelled, by restarting the loop with a tiny epsilon cost.
             return min(budget, 1e-9) if budget > 1e-9 else 0.0
-        new_motion, travelled, _reached = step_along_route(self._network, motion, budget)
+        new_motion, travelled = step_along_route(self._network, motion, budget)
         self._motions[vehicle.vehicle_id] = new_motion
         self._sync_vehicle_location(vehicle, new_motion)
         vehicle.record_progress(travelled)

@@ -9,22 +9,23 @@ Section 4 of the paper describes the vehicle behaviour of the demonstration:
   converts directly to travelled *distance*.
 
 The simulation engine advances every vehicle once per tick.  This module
-provides the primitives it uses: route planning along shortest paths, random
-idle wandering and the arithmetic of moving a vehicle a given distance along
-a vertex route.
+provides the primitives it uses: route planning along shortest paths and the
+arithmetic of moving a vehicle a given distance along a vertex route
+(:func:`drive_route`, by index, and :func:`step_along_route` on a
+:class:`MotionState`).  The idle random walk draws its hops inside the
+engine's per-taxi loop (:meth:`repro.sim.engine.SimulationEngine._wander`).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import EdgeNotFoundError, SimulationError
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.routing import RoutingEngine
 
-__all__ = ["MotionState", "plan_route", "random_idle_route", "step_along_route"]
+__all__ = ["MotionState", "drive_route", "plan_route", "step_along_route"]
 
 
 @dataclass(frozen=True)
@@ -78,61 +79,43 @@ def plan_route(engine: RoutingEngine, source: int, target: int) -> MotionState:
     return MotionState(location=source, route=result.path[1:], offset=0.0)
 
 
-def random_idle_route(
-    network: RoadNetwork, location: int, rng: random.Random, hops: int = 1
-) -> MotionState:
-    """Return a short random wander for an idle vehicle.
+def drive_route(
+    network: RoadNetwork,
+    location: int,
+    route: Sequence[int],
+    index: int,
+    offset: float,
+    travel: float,
+) -> Tuple[int, int, float, float]:
+    """Drive up to ``travel`` distance units along ``route[index:]``.
 
-    The vehicle picks a random neighbour at each intersection, as described in
-    Section 4 of the paper.  ``hops`` neighbours are chained so the engine
-    does not need to re-plan every tick.
-    """
-    if hops < 1:
-        raise SimulationError(f"hops must be >= 1, got {hops}")
-    route: List[int] = []
-    current = location
-    for _ in range(hops):
-        neighbours = list(network.neighbours_view(current))
-        if not neighbours:
-            break
-        nxt = rng.choice(neighbours)
-        route.append(nxt)
-        current = nxt
-    return MotionState(location=location, route=tuple(route), offset=0.0)
-
-
-def step_along_route(
-    network: RoadNetwork, state: MotionState, travel: float
-) -> Tuple[MotionState, float, List[int]]:
-    """Advance a vehicle ``travel`` distance units along its route.
-
-    Args:
-        network: the road network the route lives on.
-        state: the current motion state.
-        travel: distance to drive this tick (``speed * dt``).
+    The vehicle stands ``offset`` along the edge from ``location`` to
+    ``route[index]`` (0 at a vertex).  Edges are stepped by index, so nothing
+    is copied or allocated; ``travelled`` is summed edge by edge, in driving
+    order, and a vertex counts as reached once the budget left covers the
+    rest of its edge (ties included).
 
     Returns:
-        A tuple ``(new_state, travelled, reached)`` where ``travelled`` is the
-        distance actually driven (it is smaller than ``travel`` when the route
-        ends early) and ``reached`` lists the vertices passed this tick in
-        driving order.
+        ``(location, index, offset, travelled)``: the last vertex reached,
+        the index of the next vertex still ahead (``len(route)`` once
+        arrived), the distance driven along the edge towards it and the
+        distance driven in total (less than ``travel`` when the route ends
+        first).
 
     Raises:
-        SimulationError: for negative ``travel`` or a route that references a
-            missing edge.
+        EdgeNotFoundError: if two consecutive route vertices are not adjacent.
+        SimulationError: if ``offset`` exceeds the length of its edge.
     """
-    if travel < 0:
-        raise SimulationError(f"travel must be non-negative, got {travel}")
-    location = state.location
-    offset = state.offset
-    route = list(state.route)
+    adjacency = network.adjacency
+    end = len(route)
     remaining = travel
     travelled = 0.0
-    reached: List[int] = []
-
-    while route and remaining > 0:
-        next_vertex = route[0]
-        edge_length = network.edge_weight(location, next_vertex)
+    while index < end and remaining > 0:
+        next_vertex = route[index]
+        try:
+            edge_length = adjacency[location][next_vertex]
+        except KeyError:
+            raise EdgeNotFoundError(location, next_vertex) from None
         to_next = edge_length - offset
         if to_next < 0:
             raise SimulationError(
@@ -144,10 +127,37 @@ def step_along_route(
             remaining -= to_next
             location = next_vertex
             offset = 0.0
-            reached.append(next_vertex)
-            route.pop(0)
+            index += 1
         else:
             offset += remaining
             travelled += remaining
             remaining = 0.0
-    return MotionState(location=location, route=tuple(route), offset=offset), travelled, reached
+    return location, index, offset, travelled
+
+
+def step_along_route(
+    network: RoadNetwork, state: MotionState, travel: float
+) -> Tuple[MotionState, float]:
+    """Advance a vehicle ``travel`` distance units along its route.
+
+    Args:
+        network: the road network the route lives on.
+        state: the current motion state.
+        travel: distance to drive this tick (``speed * dt``).
+
+    Returns:
+        ``(new_state, travelled)`` where ``travelled`` is the distance
+        actually driven (it is smaller than ``travel`` when the route ends
+        early).
+
+    Raises:
+        SimulationError: for negative ``travel`` or an offset longer than its
+            edge.
+        EdgeNotFoundError: for a route that references a missing edge.
+    """
+    if travel < 0:
+        raise SimulationError(f"travel must be non-negative, got {travel}")
+    location, index, offset, travelled = drive_route(
+        network, state.location, state.route, 0, state.offset, travel
+    )
+    return MotionState(location=location, route=state.route[index:], offset=offset), travelled

@@ -234,6 +234,8 @@ class Vehicle:
             return
         self.revision += 1
         self.distance_driven += travelled
+        if not self._waiting and not self._onboard:
+            return  # nothing assigned: an idle leg
         if self._onboard:
             self.occupied_distance += travelled
         for request_id, state in list(self._waiting.items()):

@@ -22,14 +22,11 @@ from repro.roadnet import routing
 from repro.roadnet.generators import grid_network, random_geometric_network
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import CSRGraph
-from repro.roadnet.shortest_path import (
-    INFINITY,
-    dijkstra_all,
-    multi_source_dijkstra,
-    shortest_path_distance,
-)
+from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.shortest_path import INFINITY, dijkstra_all, shortest_path_distance
 
 from tests.conftest import assign_request, build_fleet
+from tests.grid_reference import multi_source_dijkstra
 
 
 @given(
@@ -247,3 +244,12 @@ def test_nearest_rejects_an_empty_source_list(forced_list):
             graph.nearest([])
     with pytest.raises(ValueError):
         multi_source_dijkstra(network, [])
+
+
+def test_reference_takes_the_minimum_over_sources():
+    diamond = RoadNetwork.from_edges(
+        [(1, 2, 1.0), (2, 4, 1.0), (1, 3, 2.0), (3, 4, 2.0), (1, 4, 5.0)],
+        coordinates={1: (0, 0), 2: (1, 1), 3: (1, -1), 4: (2, 0)},
+    )
+    distances = multi_source_dijkstra(diamond, [2, 3])
+    assert distances == {1: 1.0, 2: 0.0, 3: 0.0, 4: 1.0}

@@ -12,7 +12,6 @@ from repro.roadnet.shortest_path import (
     bidirectional_dijkstra,
     bounded_dijkstra,
     dijkstra_all,
-    multi_source_dijkstra,
     path_length,
     shortest_path,
     shortest_path_distance,
@@ -97,16 +96,6 @@ class TestExpansions:
         distances = dijkstra_all(diamond, 1)
         assert set(distances) == {1, 2, 3, 4}
         assert distances[4] == pytest.approx(2.0)
-
-    def test_multi_source_takes_minimum(self, diamond: RoadNetwork):
-        distances = multi_source_dijkstra(diamond, [2, 3])
-        assert distances[1] == pytest.approx(1.0)
-        assert distances[4] == pytest.approx(1.0)
-        assert distances[2] == 0.0
-
-    def test_multi_source_requires_sources(self, diamond: RoadNetwork):
-        with pytest.raises(ValueError):
-            multi_source_dijkstra(diamond, [])
 
 
 class TestDistanceOracle:

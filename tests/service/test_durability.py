@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.core.config import SystemConfig
 from repro.errors import ServiceError
 from repro.model.request import Request
 from repro.model.stops import dropoff, pickup
@@ -308,6 +309,29 @@ class TestSnapshotRestoreFlow:
         for state in states:
             del state["config"]["journal_path"]  # two directories, by construction
         assert states[0] == states[1]
+
+    def test_idle_legs_cut_by_a_snapshot_resume_as_they_run_live(self, tmp_path):
+        """Idle taxis carry the hops left of their three-hop leg in ``_motions``,
+        written once per tick: a service recovered from a snapshot taken
+        partway through those legs moves exactly as the live one does."""
+        config = SystemConfig(speed=0.7)  # legs end mid-edge, not on tick boundaries
+        live = _durable_system(tmp_path / "live", config=config)
+        crashed = _durable_system(tmp_path / "crashed", config=config)
+        for service in (live, crashed):
+            service.book_request(_request(service, 1))
+            service.advance(2.0)
+        motions = crashed._engine._motions.values()
+        assert any(motion.has_route and motion.offset > 0 for motion in motions)
+        crashed.snapshot()
+        crashed._journal.close()
+        recovered = PTRiderService.recover(tmp_path / "crashed" / "journal")
+        for duration in (1.0, 0.5, 2.5, 1.0):
+            for service in (recovered, live):
+                service.advance(duration)
+            states = [canonical_state(service) for service in (recovered, live)]
+            for state in states:
+                del state["config"]["journal_path"]  # two directories, by construction
+            assert states[0] == states[1]
 
     def test_snapshot_requires_durability(self):
         service = build_system(vehicles=3, seed=5)
