@@ -30,11 +30,14 @@ the configured matcher did (usually an option the missed one dominates).
 with, ``true`` its real options; a probe that is not componentwise <= a true
 option is the inadmissible bound, a ``cell`` missing from ``registered`` the
 stale registration.  The last line counts requests and disagreements; the
-exit status is 1 when there was one.
+exit status is 0 exactly when there were ``--expect`` of them (default 0) --
+a tripwire for a known count: any change to what the matcher answers on
+that day, better or worse, fails it.
 
 Usage::
 
     PYTHONPATH=src python scripts/matcher_vs_naive.py --seed 1000
+    PYTHONPATH=src python scripts/matcher_vs_naive.py --seed 1000 --expect 6
     PYTHONPATH=src python scripts/matcher_vs_naive.py --rows 12 --grid 4 \\
         --vehicles 30 --requests 120 --matcher dual_side
 """
@@ -196,11 +199,18 @@ def build_parser(description: str) -> argparse.ArgumentParser:
 
 
 def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
-    return build_parser(__doc__.split("\n\n")[0]).parse_args(argv)
+    parser = build_parser(__doc__.split("\n\n")[0])
+    parser.add_argument("--expect", type=int, default=0, metavar="N",
+                        help="exit 0 iff there are exactly N disagreements (default 0)")
+    return parser.parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    return 1 if replay(parse_args(argv)) else 0
+    args = parse_args(argv)
+    if replay(args) == args.expect:
+        return 0
+    print(f"expected {args.expect} disagreements", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

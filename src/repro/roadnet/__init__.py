@@ -5,8 +5,8 @@ road network:
 
 * :mod:`repro.roadnet.graph` -- the weighted road graph itself;
 * :mod:`repro.roadnet.geometry` -- planar embedding helpers;
-* :mod:`repro.roadnet.shortest_path` -- Dijkstra variants and a memoising
-  distance oracle;
+* :mod:`repro.roadnet.shortest_path` -- the path search, the full Dijkstra
+  expansion and a memoising distance oracle;
 * :mod:`repro.roadnet.routing` -- the pluggable routing engines (the dict
   Dijkstra reference backend, the CSR array backend, the ALT landmark
   lower-bound index, the all-pairs table and the contraction hierarchy)
@@ -25,16 +25,7 @@ road network:
 from repro.roadnet.geometry import BoundingBox, Point, euclidean_distance, haversine_distance
 from repro.roadnet.graph import Edge, RoadNetwork
 from repro.roadnet.grid_index import GridCell, GridIndex
-from repro.roadnet.shortest_path import (
-    DistanceOracle,
-    PathResult,
-    astar_path,
-    bidirectional_dijkstra,
-    bounded_dijkstra,
-    dijkstra_all,
-    shortest_path,
-    shortest_path_distance,
-)
+from repro.roadnet.shortest_path import DistanceOracle, PathResult, dijkstra_all, shortest_path
 from repro.roadnet.artifacts import ArtifactCache, network_fingerprint
 from repro.roadnet.routing import (
     ROUTING_BACKENDS,
@@ -70,7 +61,6 @@ __all__ = [
     "Edge",
     "ROUTING_BACKENDS",
     "RoutingEngine",
-    "astar_path",
     "GridCell",
     "GridIndex",
     "PathResult",
@@ -78,10 +68,8 @@ __all__ = [
     "RoadNetwork",
     "TableEngine",
     "arterial_grid_network",
-    "bidirectional_dijkstra",
     "ensure_engine",
     "make_engine",
-    "bounded_dijkstra",
     "dijkstra_all",
     "euclidean_distance",
     "figure1_network",
@@ -91,5 +79,4 @@ __all__ = [
     "random_geometric_network",
     "ring_radial_network",
     "shortest_path",
-    "shortest_path_distance",
 ]

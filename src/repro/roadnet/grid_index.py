@@ -29,13 +29,21 @@ array Dijkstra otherwise:
   vertex to the nearest border vertex of its own cell never needs to leave
   the cell: where it came back in it would stand on a border vertex already);
 * a lower-bound row is one ``CSRGraph.nearest(border vertices of the cell)``
-  over the whole graph, minimised over each other cell's border vertices;
+  over the whole graph, minimised over each other cell's border vertices in
+  one NumPy ``minimum.reduceat`` over the gathered border distances (a list
+  comprehension of ``min`` where ``nearest`` hands back a plain list);
 * the per-border annotation of ``precompute=True`` is one ``CSRGraph.trees``
   plane per cell.
 
-The values are ``==`` to one whole-graph pure-Python search per cell (the
-dict multi-source reference in :mod:`repro.roadnet.shortest_path`), which
-``tests/property/test_grid_bounds.py`` pins.
+A row is a list of floats indexed by cell *rank* -- the cell's row-major
+position, which is also ``CellId`` tuple order -- and each cell's *grid cell
+list* is one stable sort of the ranks by bound, so tied bounds keep cell-id
+order.
+
+The values and the cell orders are ``==`` to one whole-graph pure-Python
+search per cell and a sort of ``(bound, cell id)`` tuples (the references in
+``tests/grid_reference.py``), which ``tests/property/test_grid_bounds.py``
+pins.
 
 The crucial property the matchers rely on is **admissibility**: for any two
 vertices ``u`` in cell ``g_i`` and ``v`` in cell ``g_j``,
@@ -49,7 +57,6 @@ tests in ``tests/property/test_grid_bounds.py``.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
@@ -59,6 +66,11 @@ from repro.roadnet.geometry import BoundingBox
 from repro.roadnet.graph import RoadNetwork, VertexId
 from repro.roadnet.routing import CSRGraph
 from repro.roadnet.shortest_path import INFINITY
+
+try:  # NumPy gathers a row's per-cell minima; the list arm needs nothing.
+    import numpy as _np
+except ImportError:  # pragma: no cover - exercised by the no-accelerator leg
+    _np = None
 
 __all__ = ["CellId", "GridCell", "GridIndex"]
 
@@ -155,16 +167,22 @@ class GridIndex:
         self._border_indices: Dict[CellId, List[int]] = {}
         self._vertex_min: Dict[VertexId, float] = {}
         self._border_distances: Dict[VertexId, Dict[VertexId, float]] = {}
-        self._lower_bound_rows: Dict[CellId, Dict[CellId, float]] = {}
-        self._sorted_cell_lists: Dict[CellId, List[Tuple[float, CellId]]] = {}
+        #: per cell, its bound to every cell, indexed by rank (row-major position)
+        self._lower_bound_rows: Dict[CellId, List[float]] = {}
+        #: per cell, every rank sorted by ascending bound (ties in rank order)
+        self._cell_orders: Dict[CellId, List[int]] = {}
+        #: ``(border indices of all cells, segment starts, ranks with borders)``
+        #: as NumPy arrays, built with the first row ``nearest`` returns an ndarray for
+        self._border_gather: Optional[tuple] = None
 
         self._build_cells()
+        self._cell_list: List[GridCell] = list(self._cells.values())
+        self._cell_rank: Dict[CellId, int] = {cell_id: rank for rank, cell_id in enumerate(self._cells)}
         self._identify_border_vertices()
         self._compute_vertex_minimums()
         if precompute:
             for cell_id in self._cells:
-                self._lower_bound_row(cell_id)
-                self.cells_in_lower_bound_order(cell_id)
+                self._cell_order(cell_id)
             self._compute_detailed_border_distances()
         self._build_seconds = time.perf_counter() - started
 
@@ -343,25 +361,63 @@ class GridIndex:
     # ------------------------------------------------------------------
     # lower bounds
     # ------------------------------------------------------------------
-    def _lower_bound_row(self, cell_id: CellId) -> Dict[CellId, float]:
-        """Return (computing if necessary) lower bounds from ``cell_id`` to every cell."""
+    def _lower_bound_row(self, cell_id: CellId) -> List[float]:
+        """Return (computing if necessary) lower bounds from ``cell_id`` to every cell, by rank."""
         row = self._lower_bound_rows.get(cell_id)
         if row is not None:
             return row
         borders = self._border_indices[cell_id]
-        if borders:
-            nearest = _plain(self._graph.nearest(borders)).__getitem__
-            row = {
-                other_id: min(map(nearest, other_borders), default=INFINITY)
-                for other_id, other_borders in self._border_indices.items()
-            }
-        else:
+        if not borders:
             # No border vertices: the cell is not connected to any other cell
             # through the road network (or it is the only populated cell).
-            row = dict.fromkeys(self._cells, INFINITY)
-        row[cell_id] = 0.0
+            row = [INFINITY] * len(self._cell_list)
+        else:
+            nearest = self._graph.nearest(borders)
+            if isinstance(nearest, list):
+                lookup = nearest.__getitem__
+                row = [
+                    min(map(lookup, other_borders), default=INFINITY)
+                    for other_borders in self._border_indices.values()
+                ]
+            else:
+                flat, starts, ranks = self._gather_arrays()
+                minima = _np.full(len(self._cell_list), INFINITY)
+                minima[ranks] = _np.minimum.reduceat(nearest[flat], starts)
+                row = minima.tolist()
+        row[self._cell_rank[cell_id]] = 0.0
         self._lower_bound_rows[cell_id] = row
         return row
+
+    def _gather_arrays(self) -> tuple:
+        """Every cell's border indices back to back, in rank order, as NumPy arrays.
+
+        ``reduceat`` cannot reduce an empty segment, so cells without border
+        vertices get no segment; ``ranks`` says which cell each segment is.
+        """
+        if self._border_gather is None:
+            flat: List[int] = []
+            starts: List[int] = []
+            ranks: List[int] = []
+            for rank, borders in enumerate(self._border_indices.values()):
+                if borders:
+                    starts.append(len(flat))
+                    ranks.append(rank)
+                    flat.extend(borders)
+            self._border_gather = (
+                _np.asarray(flat, dtype=_np.intp),
+                _np.asarray(starts, dtype=_np.intp),
+                _np.asarray(ranks, dtype=_np.intp),
+            )
+        return self._border_gather
+
+    def _cell_order(self, cell_id: CellId) -> List[int]:
+        """Every rank sorted by ascending bound from ``cell_id`` (stable: ties in rank order)."""
+        order = self._cell_orders.get(cell_id)
+        if order is None:
+            row = self._lower_bound_row(cell_id)
+            order = sorted(range(len(row)), key=row.__getitem__)
+            self._cell_orders[cell_id] = order
+        return order
 
     def lower_bound_between_cells(self, cell_a: CellId, cell_b: CellId) -> float:
         """Return the lower-bound distance between two cells.
@@ -378,7 +434,7 @@ class GridIndex:
             raise GridIndexError(f"cell {missing} is outside the {self._rows}x{self._columns} grid")
         if cell_a == cell_b:
             return 0.0
-        return self._lower_bound_row(cell_a)[cell_b]
+        return self._lower_bound_row(cell_a)[self._cell_rank[cell_b]]
 
     def distance_lower_bound(self, u: VertexId, v: VertexId) -> float:
         """Return an admissible lower bound on ``dist(u, v)``.
@@ -403,34 +459,32 @@ class GridIndex:
         if cell_a == cell_b:
             return 0.0
         # an infinite cell bound (cells not connected) stays infinite
-        return self._vertex_min[a] + self.lower_bound_between_cells(cell_a, cell_b) + self._vertex_min[b]
+        bound = self._lower_bound_row(cell_a)[self._cell_rank[cell_b]]
+        return self._vertex_min[a] + bound + self._vertex_min[b]
 
     def cells_in_lower_bound_order(self, cell_id: CellId) -> List[Tuple[float, CellId]]:
-        """Return every cell sorted by ascending lower-bound distance from ``cell_id``.
+        """Return every cell as ``(bound, cell id)``, by ascending bound from ``cell_id``.
 
         This is the *grid cell list* of Fig. 1(b); the single-side and
-        dual-side searches expand cells in exactly this order.
+        dual-side searches expand cells in exactly this order.  Tied bounds
+        keep cell-id order.  The list is the caller's own.
         """
-        cached = self._sorted_cell_lists.get(cell_id)
-        if cached is not None:
-            return cached
         row = self._lower_bound_row(cell_id)
-        ordered = sorted(
-            ((bound, other_id) for other_id, bound in row.items()),
-            key=lambda item: (item[0], item[1]),
-        )
-        self._sorted_cell_lists[cell_id] = ordered
-        return ordered
+        cells = self._cell_list
+        return [(row[rank], cells[rank].cell_id) for rank in self._cell_order(cell_id)]
 
     def expand_from(self, cell_id: CellId) -> Iterator[Tuple[float, GridCell]]:
         """Yield ``(lower_bound, cell)`` pairs in ascending lower-bound order.
 
-        Unreachable cells (infinite lower bound) are skipped.
+        Unreachable cells (infinite lower bound) sort last and are not yielded.
         """
-        for bound, other_id in self.cells_in_lower_bound_order(cell_id):
-            if math.isinf(bound):
-                continue
-            yield bound, self._cells[other_id]
+        row = self._lower_bound_row(cell_id)
+        cells = self._cell_list
+        for rank in self._cell_order(cell_id):
+            bound = row[rank]
+            if bound == INFINITY:
+                return
+            yield bound, cells[rank]
 
     # ------------------------------------------------------------------
     # vehicle bookkeeping (used by repro.vehicles.fleet)

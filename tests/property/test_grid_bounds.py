@@ -23,10 +23,11 @@ from repro.roadnet.generators import grid_network, random_geometric_network
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import CSRGraph
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.shortest_path import INFINITY, dijkstra_all, shortest_path_distance
+from repro.roadnet.shortest_path import INFINITY, dijkstra_all
 
 from tests.conftest import assign_request, build_fleet
-from tests.grid_reference import multi_source_dijkstra
+from tests.grid_reference import multi_source_dijkstra, reference_cell_order
+from tests.routing_reference import shortest_path_distance
 
 
 @given(
@@ -151,7 +152,8 @@ def _broken_networks(draw):
         network = grid_network(
             draw(st.integers(min_value=1, max_value=6)),
             draw(st.integers(min_value=2, max_value=6)),
-            weight_jitter=draw(st.floats(min_value=0.0, max_value=1.0)),
+            # unit weights (no jitter) make many cell bounds tie exactly
+            weight_jitter=draw(st.just(0.0) | st.floats(min_value=0.0, max_value=1.0)),
             seed=seed,
         )
     else:
@@ -215,6 +217,20 @@ def test_index_values_equal_whole_graph_reference(forced_list, network, grid_row
             for vertex in cell.vertices:
                 assert index.border_distances(vertex) == annotation[vertex]
                 assert lazy.border_distances(vertex) == {}
+
+
+@pytest.mark.parametrize("forced_list", [False, True])
+@given(network=_broken_networks(), grid_rows=_grid_sides, grid_columns=_grid_sides)
+@settings(max_examples=60, deadline=None)
+def test_cell_orders_equal_the_tuple_sort_reference(forced_list, network, grid_rows, grid_columns):
+    """The grid cell list and the expansion order, ties and ``inf`` cells included."""
+    with _tree_path(forced_list):
+        index = GridIndex(network, rows=grid_rows, columns=grid_columns)
+        for cell in index.cells():
+            expected = reference_cell_order(index, cell.cell_id)
+            assert index.cells_in_lower_bound_order(cell.cell_id) == expected
+            expanded = [(bound, other.cell_id) for bound, other in index.expand_from(cell.cell_id)]
+            assert expanded == [item for item in expected if item[0] != INFINITY]
 
 
 @pytest.mark.parametrize("forced_list", [False, True])

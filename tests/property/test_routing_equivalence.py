@@ -29,12 +29,9 @@ from repro.roadnet.generators import (
     ring_radial_network,
 )
 from repro.roadnet.routing import CSREngine, DictDijkstraEngine, make_engine
-from repro.roadnet.shortest_path import (
-    PathResult,
-    dijkstra_all,
-    path_length,
-    shortest_path,
-)
+from repro.roadnet.shortest_path import PathResult, dijkstra_all, shortest_path
+
+from tests.routing_reference import path_length
 
 
 def _sample(vertices, step_hint):

@@ -19,11 +19,9 @@ from repro.roadnet.routing import (
     TableEngine,
     make_engine,
 )
-from repro.roadnet.shortest_path import (
-    DistanceOracle,
-    path_length,
-    shortest_path_distance,
-)
+from repro.roadnet.shortest_path import DistanceOracle
+
+from tests.routing_reference import path_length, shortest_path_distance
 
 
 class TestContractionHierarchy:

@@ -12,7 +12,8 @@ from repro.roadnet.generators import (
     random_geometric_network,
     ring_radial_network,
 )
-from repro.roadnet.shortest_path import shortest_path_distance
+
+from tests.routing_reference import shortest_path_distance
 
 
 class TestGridNetwork:

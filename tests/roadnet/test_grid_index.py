@@ -10,7 +10,8 @@ from repro.errors import GridIndexError, InvalidNetworkError, VertexNotFoundErro
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import shortest_path_distance
+
+from tests.routing_reference import shortest_path_distance
 
 
 @pytest.fixture
@@ -162,6 +163,15 @@ class TestLowerBounds:
         bounds = [bound for bound, _ in ordered]
         assert bounds == sorted(bounds)
         assert len(ordered) == index.cell_count
+
+    def test_mutating_the_cell_list_leaves_the_expansion_alone(self, index):
+        start = index.populated_cells()[0].cell_id
+        expansion = [(bound, cell.cell_id) for bound, cell in index.expand_from(start)]
+        ordered = index.cells_in_lower_bound_order(start)
+        ordered.reverse()
+        ordered.pop()
+        assert [(bound, cell.cell_id) for bound, cell in index.expand_from(start)] == expansion
+        assert index.cells_in_lower_bound_order(start) == expansion
 
     def test_expand_from_skips_unreachable(self, network):
         network.add_vertex(999, x=0.05, y=0.05)  # isolated vertex

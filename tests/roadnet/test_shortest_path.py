@@ -7,13 +7,12 @@ import pytest
 from repro.errors import DisconnectedError, VertexNotFoundError
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.shortest_path import (
-    DistanceOracle,
+from repro.roadnet.shortest_path import DistanceOracle, dijkstra_all, shortest_path
+
+from tests.routing_reference import (
     bidirectional_dijkstra,
     bounded_dijkstra,
-    dijkstra_all,
     path_length,
-    shortest_path,
     shortest_path_distance,
 )
 

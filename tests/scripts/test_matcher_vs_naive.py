@@ -59,3 +59,16 @@ class TestReplay:
         assert "  missed " in vehicles
         assert VEHICLE_LINES.sub("", vehicles) == ""
         assert tool.main(TINY_DAY) == 1
+
+
+class TestExpect:
+    def test_exit_status_is_zero_only_for_the_expected_count(self, monkeypatch, capsys):
+        assert tool.main(TINY_DAY + ["--expect", "0"]) == 0
+        assert tool.main(TINY_DAY + ["--expect", "1"]) == 1
+        assert capsys.readouterr().err == "expected 1 disagreements\n"
+        monkeypatch.setattr(
+            SingleSideSearchMatcher, "_price_lower_bound", lambda self, vehicle, context: math.inf
+        )
+        disagreements, _ = _run(TINY_DAY)
+        assert disagreements > 0
+        assert tool.main(TINY_DAY + ["--expect", str(disagreements)]) == 0
