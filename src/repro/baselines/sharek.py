@@ -53,6 +53,7 @@ class SharekStyleMatcher(Matcher):
             )
             if max_pickup is not None and euclidean_lb > max_pickup + 1e-9:
                 self.statistics.vehicles_pruned += 1
+                self.statistics.vehicles_beyond_cap += 1
                 continue
             price_lb = self._price_model.price(request.riders, 0.0, direct)
             if skyline.would_be_dominated(euclidean_lb, price_lb):

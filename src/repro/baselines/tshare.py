@@ -15,11 +15,13 @@ filtering.
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional, Set
 
 from repro.core.context import MatchContext
 from repro.core.matcher import Matcher
 from repro.model.options import RideOption
+from repro.vehicles.vehicle import Vehicle
 
 __all__ = ["TShareStyleMatcher"]
 
@@ -38,6 +40,8 @@ class TShareStyleMatcher(Matcher):
         start_cell = self._grid.cell_of_vertex(request.start).cell_id
         start_min = self._grid.vertex_min(request.start)
         max_pickup = self._config.max_pickup_distance
+        max_pickup_value = math.inf if max_pickup is None else max_pickup
+        vehicles, owns = fleet.by_id, fleet.owns
         best: Optional[RideOption] = None
         seen: Set[str] = set()
 
@@ -48,9 +52,17 @@ class TShareStyleMatcher(Matcher):
                 break
             if max_pickup is not None and cell_pickup_lb > max_pickup:
                 break
-            vehicles = fleet.empty_vehicles_in_cell(cell.cell_id)
-            vehicles += fleet.nonempty_vehicles_in_cell(cell.cell_id)
-            for vehicle in vehicles:
+            # The single-side walk's cap-first lists: empty, then serving.
+            candidates: List[Vehicle] = []
+            if cell.empty_vehicles and fleet.owns_cell(cell.cell_id):
+                candidates = self._cap_survivors(
+                    cell.empty_vehicles, vehicles, None, context, max_pickup_value, seen
+                )
+            if cell.nonempty_vehicles:
+                candidates += self._cap_survivors(
+                    cell.nonempty_vehicles, vehicles, owns, context, max_pickup_value, seen
+                )
+            for vehicle in candidates:
                 if vehicle.vehicle_id in seen:
                     continue
                 seen.add(vehicle.vehicle_id)
@@ -59,8 +71,9 @@ class TShareStyleMatcher(Matcher):
                 if best is not None and pickup_lb >= best.pickup_distance:
                     self.statistics.vehicles_pruned += 1
                     continue
-                if max_pickup is not None and pickup_lb > max_pickup + 1e-9:
+                if pickup_lb > max_pickup_value + 1e-9:
                     self.statistics.vehicles_pruned += 1
+                    self.statistics.vehicles_beyond_cap += 1
                     continue
                 for option in self._verify_vehicle(vehicle, context):
                     if best is None or option.pickup_distance < best.pickup_distance:

@@ -35,13 +35,13 @@ from repro.roadnet.graph import VertexId
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import RoutingEngine
 
-__all__ = ["MatchContext"]
+__all__ = ["BOUND_SLACK", "MatchContext"]
 
 #: Taken off an exact distance before it serves as a *bound*.  The same route
 #: summed in another order differs in its last bits (~1e-15), and a bound that
 #: overshoots a vehicle's real option by one ulp prunes that option whenever
 #: it ties a confirmed one -- which shared sub-routes make a real event.
-_BOUND_SLACK = 1e-9
+BOUND_SLACK = 1e-9
 
 
 @dataclass
@@ -113,7 +113,7 @@ class MatchContext:
         """Best admissible lower bound on ``dist(source, target)``.
 
         A leg touching the request start is read off the pinned start tree:
-        the exact distance (less :data:`_BOUND_SLACK`), the tightest
+        the exact distance (less :data:`BOUND_SLACK`), the tightest
         admissible bound there is.  Every other pair -- and a vertex the tree
         does not hold -- gets :meth:`index_lower_bound`.
         """
@@ -126,7 +126,7 @@ class MatchContext:
             exact = None
         if exact is None:
             return self.index_lower_bound(source, target)
-        return exact - _BOUND_SLACK if exact > _BOUND_SLACK else 0.0
+        return exact - BOUND_SLACK if exact > BOUND_SLACK else 0.0
 
     def index_lower_bound(self, source: VertexId, target: VertexId) -> float:
         """The bound the indexes give: grid cells vs ALT landmarks.

@@ -22,10 +22,11 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from operator import attrgetter
+from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Set
 
 from repro.core.config import SystemConfig
-from repro.core.context import MatchContext
+from repro.core.context import BOUND_SLACK, MatchContext
 from repro.core.insertion import InsertionStatistics, insertion_candidates
 from repro.core.pricing import LinearPriceModel, PriceModel
 from repro.model.options import RideOption, Skyline, skyline_of
@@ -36,6 +37,8 @@ from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
 __all__ = ["MatcherStatistics", "Matcher", "added_distance_lower_bound"]
+
+_vehicle_id = attrgetter("vehicle_id")
 
 
 @dataclass
@@ -50,6 +53,9 @@ class MatcherStatistics:
     vehicles_considered: int = 0
     vehicles_evaluated: int = 0
     vehicles_pruned: int = 0
+    #: the share of ``vehicles_pruned`` whose pick-up lower bound exceeded
+    #: ``max_pickup_distance`` (the rest fell to dominance)
+    vehicles_beyond_cap: int = 0
     cells_visited: int = 0
     options_returned: int = 0
     insertion: InsertionStatistics = field(default_factory=InsertionStatistics)
@@ -60,6 +66,7 @@ class MatcherStatistics:
         self.vehicles_considered = 0
         self.vehicles_evaluated = 0
         self.vehicles_pruned = 0
+        self.vehicles_beyond_cap = 0
         self.cells_visited = 0
         self.options_returned = 0
         self.insertion = InsertionStatistics()
@@ -71,6 +78,7 @@ class MatcherStatistics:
             "vehicles_considered": float(self.vehicles_considered),
             "vehicles_evaluated": float(self.vehicles_evaluated),
             "vehicles_pruned": float(self.vehicles_pruned),
+            "vehicles_beyond_cap": float(self.vehicles_beyond_cap),
             "cells_visited": float(self.cells_visited),
             "options_returned": float(self.options_returned),
             "insertions_enumerated": float(self.insertion.candidates_enumerated),
@@ -245,6 +253,54 @@ class Matcher(abc.ABC):
         context's float slack), not an estimate of it.
         """
         return context.lower_bound(vehicle.location, context.request.start) + vehicle.offset
+
+    def _cap_survivors(
+        self,
+        vehicle_ids: AbstractSet[str],
+        vehicles: Mapping[str, Vehicle],
+        owns: Optional[Callable[[Vehicle], bool]],
+        context: MatchContext,
+        max_pickup: float,
+        seen: Set[str],
+    ) -> List[Vehicle]:
+        """The vehicles of one cell's registration set that the pick-up cap
+        lets through, sorted by id -- the grid walks' per-cell list.
+
+        Skipped without a count: ids already in ``seen``, ids of vehicles no
+        longer in ``vehicles`` and, with ``owns``, vehicles another shard
+        owns.  Every other vehicle is tested
+        against the cap with :meth:`_pickup_lower_bound`'s own float
+        expression (the start-tree value less :data:`BOUND_SLACK`, clamped at
+        0, plus the offset).  One that fails is counted as considered and as
+        pruned beyond the cap, and goes into ``seen``, so it is never sorted
+        or screened further.  A location the start tree does not hold is let
+        through: ``_consider`` tests it on its index bound.  The cap does not
+        depend on anything a search has confirmed, and the ids are unique,
+        so the survivors come out in the order the full sorted list had them.
+        """
+        statistics = self.statistics
+        from_start = context.start_tree.get
+        limit = max_pickup + 1e-9
+        survivors: List[Vehicle] = []
+        for vehicle_id in vehicle_ids:
+            if vehicle_id in seen:
+                continue
+            vehicle = vehicles.get(vehicle_id)
+            if vehicle is None or (owns is not None and not owns(vehicle)):
+                continue
+            exact = from_start(vehicle.location)
+            if exact is not None:
+                floor = exact - BOUND_SLACK if exact > BOUND_SLACK else 0.0
+                if floor + vehicle.offset > limit:
+                    seen.add(vehicle_id)
+                    statistics.vehicles_considered += 1
+                    statistics.vehicles_pruned += 1
+                    statistics.vehicles_beyond_cap += 1
+                    continue
+            survivors.append(vehicle)
+        if len(survivors) > 1:
+            survivors.sort(key=_vehicle_id)
+        return survivors
 
     def _index_pickup_lower_bound(self, vehicle: Vehicle, context: MatchContext) -> float:
         """:meth:`_pickup_lower_bound` as the grid / ALT indexes alone give it.

@@ -445,6 +445,7 @@ def _fold_matcher_delta(statistics, delta: Mapping[str, float]) -> None:
     statistics.vehicles_considered += int(delta.get("vehicles_considered", 0))
     statistics.vehicles_evaluated += int(delta.get("vehicles_evaluated", 0))
     statistics.vehicles_pruned += int(delta.get("vehicles_pruned", 0))
+    statistics.vehicles_beyond_cap += int(delta.get("vehicles_beyond_cap", 0))
     statistics.cells_visited += int(delta.get("cells_visited", 0))
     insertion = statistics.insertion
     insertion.candidates_enumerated += int(delta.get("insertions_enumerated", 0))

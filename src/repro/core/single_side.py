@@ -6,16 +6,27 @@ their lower-bound distance to that cell (the pre-sorted *grid cell list* of
 Fig. 1(b)).  Within each cell, the empty-vehicle list and the non-empty
 vehicle list are processed separately:
 
-* every vehicle is first screened with **lower bounds** on the pick-up
-  distance (the exact ``dist(c.l, s)``, read off the request's start tree)
-  and on the price (for a non-empty vehicle the exact detour through ``s``;
-  for an empty vehicle the index-based pair ``_consider`` describes);
-  a vehicle whose optimistic bounds are already dominated by a confirmed
-  option -- or whose pick-up bound exceeds the configured maximum pick-up
-  distance -- is pruned without verification;
+* the cell's registration set is first tested against the **pick-up cap**:
+  a vehicle whose pick-up lower bound (the exact ``dist(c.l, s)``, read off
+  the request's start tree, plus its offset) exceeds the configured maximum
+  pick-up distance is counted, marked seen and dropped before the list is
+  sorted (:meth:`~repro.core.matcher.Matcher._cap_survivors`);
+* the survivors, in id order, are screened with **lower bounds** on the
+  pick-up distance and on the price (for a non-empty vehicle the exact
+  detour through ``s``; for an empty vehicle the index-based pair
+  ``_consider`` describes); a vehicle whose optimistic bounds are already
+  dominated by a confirmed option is pruned without verification;
 * surviving vehicles are verified by inserting the request into their kinetic
   tree over exact distances, exactly as the naive matcher verifies them:
   Section 3.3's bound estimates are spent on the screening above.
+
+Testing the cap first moves no answer.  The cap depends on the request and
+the vehicle only, never on the skyline, and dropping a list's failures before
+the sort leaves the survivors in the order the full sorted list had them; so
+every ``_consider`` call happens in the same order against the same skyline
+as when each vehicle went through ``_consider`` whole.  Likewise the per-cell
+dominance probes run only once the skyline holds an option: an empty skyline
+dominates nothing.
 
 The request's direct distance and its rooted distance tree live in the
 per-request :class:`~repro.core.context.MatchContext`, so no vehicle
@@ -56,6 +67,7 @@ class SingleSideSearchMatcher(Matcher):
         max_pickup = self._config.max_pickup_distance
         max_pickup_value = math.inf if max_pickup is None else max_pickup
         price_floor = self._price_model.price(request.riders, 0.0, direct)
+        vehicles, owns = fleet.by_id, fleet.owns
 
         skyline = Skyline()
         seen: Set[str] = set()
@@ -73,24 +85,35 @@ class SingleSideSearchMatcher(Matcher):
                 # with a *closer* current location were already encountered in
                 # their own (closer) cell, so the whole expansion can stop.
                 break
-            if skyline.would_be_dominated(cell_pickup_lb, price_floor):
-                # Even a hypothetical zero-detour vehicle in this (or any
-                # later) cell would be dominated: stop the expansion.
-                break
-            if not skip_empty_lists and skyline.would_be_dominated(
-                cell_pickup_lb,
-                self._price_model.price(request.riders, cell_pickup_lb + direct, direct),
-            ):
-                # Empty vehicles this far out (or further) are always dominated
-                # because their added distance is at least their pick-up
-                # distance plus the direct trip.
-                skip_empty_lists = True
+            # An empty skyline dominates nothing, so both probes wait for the
+            # first confirmed option (``price_floor`` validated their inputs).
+            if skyline:
+                if skyline.would_be_dominated(cell_pickup_lb, price_floor):
+                    # Even a hypothetical zero-detour vehicle in this (or any
+                    # later) cell would be dominated: stop the expansion.
+                    break
+                if not skip_empty_lists and skyline.would_be_dominated(
+                    cell_pickup_lb,
+                    self._price_model.price(request.riders, cell_pickup_lb + direct, direct),
+                ):
+                    # Empty vehicles this far out (or further) are always
+                    # dominated because their added distance is at least their
+                    # pick-up distance plus the direct trip.
+                    skip_empty_lists = True
 
-            if not skip_empty_lists:
-                for vehicle in fleet.empty_vehicles_in_cell(cell.cell_id):
+            # An empty vehicle is registered in its location cell only, so a
+            # shard keeps or skips the whole list; a serving one is owned per
+            # vehicle.  The cap is tested before a list is sorted or probed.
+            if cell.empty_vehicles and not skip_empty_lists and fleet.owns_cell(cell.cell_id):
+                for vehicle in self._cap_survivors(
+                    cell.empty_vehicles, vehicles, None, context, max_pickup_value, seen
+                ):
                     self._consider(vehicle, context, max_pickup_value, seen, skyline)
-            for vehicle in fleet.nonempty_vehicles_in_cell(cell.cell_id):
-                self._consider(vehicle, context, max_pickup_value, seen, skyline)
+            if cell.nonempty_vehicles:
+                for vehicle in self._cap_survivors(
+                    cell.nonempty_vehicles, vehicles, owns, context, max_pickup_value, seen
+                ):
+                    self._consider(vehicle, context, max_pickup_value, seen, skyline)
 
         return skyline.options()
 
@@ -105,7 +128,9 @@ class SingleSideSearchMatcher(Matcher):
     ) -> None:
         """Screen one vehicle with lower bounds; verify it if it survives.
 
-        The cap is checked against the exact pick-up floor for every vehicle.
+        The cap is checked against the exact pick-up floor for every vehicle;
+        after :meth:`_cap_survivors` only a location the start tree does not
+        hold (an index bound) can still fail it here.
         The dominance probe of an *empty* vehicle is still the index-based
         pair ``(lb + offset, price(lb + offset + direct))``: its price prices
         the offset, which the insertion's added distance does not contain, so
@@ -122,6 +147,7 @@ class SingleSideSearchMatcher(Matcher):
         pickup_lb = self._pickup_lower_bound(vehicle, context)
         if pickup_lb > max_pickup + 1e-9:
             self.statistics.vehicles_pruned += 1
+            self.statistics.vehicles_beyond_cap += 1
             return
         if vehicle.is_empty:
             pickup_lb = self._index_pickup_lower_bound(vehicle, context)

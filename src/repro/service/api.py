@@ -317,10 +317,13 @@ class PTRiderService:
         and apply the snapshot cadence under journal+snapshot."""
         if self._journal is None or not self._recording:
             return
+        # Every record this service writes goes through ``append``, so the
+        # sequence number it returned last is the journal's position.
         if self._outcome_buffer:
-            self._journal.append("outcome", {"outcomes": self._outcome_buffer})
+            self._applied_seq = self._journal.append(
+                "outcome", {"outcomes": self._outcome_buffer}
+            )
             self._outcome_buffer = []
-        self._applied_seq = self._journal.last_seq()
         if self._config.durability != "journal+snapshot":
             return
         cadence_due = (

@@ -22,7 +22,7 @@ matchers are correct under both settings (see ``DESIGN.md``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set
 
 from repro.errors import UnknownVehicleError, VehicleError
 from repro.roadnet.grid_index import CellId, GridIndex
@@ -168,6 +168,11 @@ class Fleet:
         """Return every registered vehicle id."""
         return list(self._vehicles)
 
+    @property
+    def by_id(self) -> Mapping[str, Vehicle]:
+        """Every registered vehicle by id (a read-only view for the grid walks)."""
+        return self._vehicles
+
     def get(self, vehicle_id: str) -> Vehicle:
         """Return the vehicle with ``vehicle_id``.
 
@@ -294,16 +299,6 @@ class Fleet:
     # ------------------------------------------------------------------
     # queries used by the matchers
     # ------------------------------------------------------------------
-    def empty_vehicles_in_cell(self, cell_id: CellId) -> List[Vehicle]:
-        """Return the empty vehicles registered in ``cell_id``."""
-        cell = self._grid.cell(cell_id)
-        return [self._vehicles[vid] for vid in sorted(cell.empty_vehicles) if vid in self._vehicles]
-
-    def nonempty_vehicles_in_cell(self, cell_id: CellId) -> List[Vehicle]:
-        """Return the non-empty vehicles registered in ``cell_id``."""
-        cell = self._grid.cell(cell_id)
-        return [self._vehicles[vid] for vid in sorted(cell.nonempty_vehicles) if vid in self._vehicles]
-
     def vehicles(self) -> List[Vehicle]:
         """Return every vehicle (sorted by id, for deterministic iteration)."""
         return [self._vehicles[vid] for vid in sorted(self._vehicles)]
@@ -333,6 +328,14 @@ class Fleet:
     # ------------------------------------------------------------------
     # sharding (batch dispatch pipeline)
     # ------------------------------------------------------------------
+    def owns(self, vehicle: Vehicle) -> bool:
+        """The whole fleet owns every vehicle (:meth:`ShardedFleetView.owns`)."""
+        return True
+
+    def owns_cell(self, cell_id: CellId) -> bool:
+        """The whole fleet owns every cell (:meth:`ShardedFleetView.owns_cell`)."""
+        return True
+
     def shard_of_vehicle(self, vehicle: Vehicle, shard_count: int) -> int:
         """Return the index of the shard that owns ``vehicle``.
 
@@ -380,11 +383,15 @@ class ShardedFleetView:
     """A read-only slice of a :class:`Fleet` restricted to one shard.
 
     The view exposes exactly the query surface the matchers consume
-    (``empty_vehicles_in_cell`` / ``nonempty_vehicles_in_cell`` / ``vehicles``
-    plus the shared grid and routing engine), filtered down to the vehicles
-    the shard owns.  A matcher handed a view instead of the fleet therefore
-    produces the skyline over that shard's vehicles only; the batch pipeline
-    merges the per-shard skylines by dominance
+    (``vehicles``, ``by_id`` with the ownership tests ``owns_cell`` /
+    ``owns`` the grid walks filter a cell's registrations with, plus the
+    shared grid and routing engine), restricted to the vehicles the shard
+    owns.  An empty vehicle is registered exactly in its location cell, so a
+    cell's empty list is kept or skipped whole by ``owns_cell``; a non-empty
+    one registers in every cell its schedule stops touch, so it is owned per
+    vehicle by its location cell.  A matcher handed a view instead of the
+    fleet therefore produces the skyline over that shard's vehicles only; the
+    batch pipeline merges the per-shard skylines by dominance
     (:meth:`repro.model.options.Skyline.merge`).
 
     Vehicles are partitioned by their current-location grid cell, so a
@@ -444,6 +451,11 @@ class ShardedFleetView:
         """Return a vehicle by id (shard membership is not enforced here)."""
         return self._fleet.get(vehicle_id)
 
+    @property
+    def by_id(self) -> Mapping[str, Vehicle]:
+        """The whole fleet's vehicles by id (filter with :meth:`owns`)."""
+        return self._fleet.by_id
+
     def owns_cell(self, cell_id: CellId) -> bool:
         """``True`` when vehicles *located* in ``cell_id`` belong to this shard."""
         return (
@@ -451,27 +463,6 @@ class ShardedFleetView:
             or shard_of_cell(cell_id, self._fleet.grid.columns, self._shard_count)
             == self._shard
         )
-
-    def empty_vehicles_in_cell(self, cell_id: CellId) -> List[Vehicle]:
-        """The shard's empty vehicles registered in ``cell_id``.
-
-        An empty vehicle is registered exactly in its location cell, so the
-        whole list is kept or skipped by the cell's shard -- no per-vehicle
-        ownership checks.
-        """
-        if not self.owns_cell(cell_id):
-            return []
-        return self._fleet.empty_vehicles_in_cell(cell_id)
-
-    def nonempty_vehicles_in_cell(self, cell_id: CellId) -> List[Vehicle]:
-        """The shard's non-empty vehicles registered in ``cell_id``.
-
-        Non-empty vehicles register in every cell their schedule stops touch,
-        so membership is decided per vehicle by its location cell.
-        """
-        if self._shard_count <= 1:
-            return self._fleet.nonempty_vehicles_in_cell(cell_id)
-        return [v for v in self._fleet.nonempty_vehicles_in_cell(cell_id) if self.owns(v)]
 
     def vehicles(self) -> List[Vehicle]:
         """Every vehicle the shard owns (sorted by id)."""

@@ -348,16 +348,20 @@ class TestShardedFleetView:
             assert sorted(seen) == sorted(fleet.vehicle_ids())  # disjoint + complete
 
     def test_cell_queries_filter_by_ownership(self, fleet):
+        """Exactly one view owns each cell and each vehicle, and an empty
+        vehicle -- registered in its location cell only -- is owned by the
+        view that owns that cell, so a cell's empty list goes whole."""
         views = fleet.shard_views(3)
         for cell in fleet.grid.cells():
-            whole = {v.vehicle_id for v in fleet.empty_vehicles_in_cell(cell.cell_id)}
-            sharded = set()
-            for view in views:
-                owned = {v.vehicle_id for v in view.empty_vehicles_in_cell(cell.cell_id)}
-                assert owned <= whole
-                assert not owned & sharded
-                sharded |= owned
-            assert sharded == whole
+            assert sum(view.owns_cell(cell.cell_id) for view in views) == 1
+            for vehicle_id in cell.empty_vehicles:
+                vehicle = fleet.by_id[vehicle_id]
+                assert [view.owns(vehicle) for view in views] == [
+                    view.owns_cell(cell.cell_id) for view in views
+                ]
+        for vehicle in fleet.vehicles():
+            assert sum(view.owns(vehicle) for view in views) == 1
+            assert all(view.by_id[vehicle.vehicle_id] is vehicle for view in views)
 
     def test_shard_of_vehicle_is_stable_across_assignment(self, fleet):
         vehicle = fleet.vehicles()[0]

@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.matcher import MatcherStatistics, added_distance_lower_bound
 from repro.core.naive import NaiveKineticTreeMatcher
+from repro.core.parallel import _fold_matcher_delta
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
-from repro.roadnet.generators import figure1_network
+from repro.roadnet.generators import figure1_network, grid_network
+from repro.service.api import build_system
 from repro.roadnet.shortest_path import DistanceOracle
 from repro.vehicles.schedule import schedule_distance
 from repro.vehicles.vehicle import Vehicle
@@ -29,7 +32,63 @@ class TestMatcherStatistics:
     def test_as_dict_keys(self):
         keys = MatcherStatistics().as_dict()
         assert "vehicles_evaluated" in keys
+        assert "vehicles_beyond_cap" in keys
         assert "insertions_feasible" in keys
+
+
+class TestVehiclesBeyondCap:
+    """``vehicles_beyond_cap`` counts the pruned vehicles whose pick-up
+    bound exceeds ``max_pickup_distance``, on a unit-weight line where every
+    bound is known: vertices 1..6, cells {1, 2}, {3, 4}, {5, 6}."""
+
+    @staticmethod
+    def _fleet():
+        network = grid_network(1, 6)
+        fleet = build_fleet(network, [4, 3, 3], grid_rows=1, grid_columns=3)
+        fleet.get("c2").set_location(3, 2.0)  # 2.0 short of vertex 3
+        return fleet
+
+    @pytest.mark.parametrize("matcher_class", [SingleSideSearchMatcher, DualSideSearchMatcher])
+    def test_counts_the_vehicles_beyond_the_cap(self, matcher_class):
+        fleet = self._fleet()
+        config = SystemConfig(max_waiting=6.0, service_constraint=0.5, max_pickup_distance=2.5)
+        matcher = matcher_class(fleet, config=config)
+        probe = Request(start=1, destination=3, riders=1, max_waiting=6.0,
+                        service_constraint=0.5, request_id="q")
+        matcher.match(probe)
+        stats = matcher.statistics
+        # from vertex 1: c1 is 3.0 away and c2 2.0 + 2.0, beyond 2.5; c3 is 2.0
+        assert stats.vehicles_considered == 3
+        assert stats.vehicles_beyond_cap == 2
+        assert stats.vehicles_pruned == 2
+        assert stats.vehicles_evaluated == 1
+        assert stats.as_dict()["vehicles_beyond_cap"] == 2.0
+        stats.reset()
+        assert stats.vehicles_beyond_cap == 0
+
+    def test_no_cap_prunes_nothing_at_the_cap(self):
+        fleet = self._fleet()
+        matcher = SingleSideSearchMatcher(fleet, config=SystemConfig(max_waiting=6.0))
+        matcher.match(Request(start=1, destination=3, riders=1, max_waiting=6.0,
+                              service_constraint=0.5, request_id="q"))
+        assert matcher.statistics.vehicles_beyond_cap == 0
+
+    def test_worker_deltas_fold_it(self):
+        stats = MatcherStatistics(vehicles_pruned=3, vehicles_beyond_cap=1)
+        _fold_matcher_delta(stats, {"vehicles_pruned": 4.0, "vehicles_beyond_cap": 2.0})
+        assert (stats.vehicles_pruned, stats.vehicles_beyond_cap) == (7, 3)
+
+    def test_service_panel_shows_it(self):
+        service = build_system(vehicles=6, seed=3)
+        vertices = service.fleet.grid.network.vertices()
+        service.book_request(Request(start=vertices[0], destination=vertices[-1], riders=1,
+                                     max_waiting=service.config.max_waiting,
+                                     service_constraint=service.config.service_constraint,
+                                     request_id="panel"))
+        panel = service.statistics()
+        assert panel["matcher_vehicles_beyond_cap"] == float(
+            service.matcher.statistics.vehicles_beyond_cap
+        )
 
 
 class TestVerifyVehicle:

@@ -16,6 +16,18 @@ Like the searches they were copied from they inherit the inadmissible
 empty-vehicle price probe (ROADMAP item 1), so they are the reference for
 *identity with the parent*, not for correctness: that reference is the naive
 matcher.
+
+:class:`SortedListWalk` is the other walk kept here: the single-side cell
+walk as it was before the pick-up cap moved in front of the per-cell lists.
+Each cell's two lists are built whole (:func:`empty_vehicles_in_cell` and
+:func:`nonempty_vehicles_in_cell`, the fleet's list builders of that time:
+sorted by id, filtered to the vehicles the fleet holds and the shard
+owns), every vehicle on them goes to
+``_consider`` -- seen, beyond the cap or not -- and both dominance probes
+run in every cell, skyline empty or not.  Mixed into today's single-side and
+dual-side matchers (:class:`ListWalkSingleSideMatcher`,
+:class:`ListWalkDualSideMatcher`) it shares their screening, so it pins the
+walk alone (``tests/property/test_cap_first_walk.py``).
 """
 
 from __future__ import annotations
@@ -24,9 +36,29 @@ import math
 from typing import List, Optional, Set
 
 from repro.core.context import MatchContext
+from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.matcher import Matcher, added_distance_lower_bound
+from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.options import RideOption, Skyline
 from repro.vehicles.vehicle import Vehicle
+
+
+def empty_vehicles_in_cell(fleet, cell_id) -> List[Vehicle]:
+    """The empty vehicles ``fleet`` (a Fleet or a shard view) holds in
+    ``cell_id``, sorted by id: the whole list when the view owns the cell."""
+    if not fleet.owns_cell(cell_id):
+        return []
+    vehicles = fleet.by_id
+    ids = fleet.grid.cell(cell_id).empty_vehicles
+    return [vehicles[vid] for vid in sorted(ids) if vid in vehicles]
+
+
+def nonempty_vehicles_in_cell(fleet, cell_id) -> List[Vehicle]:
+    """The non-empty vehicles ``fleet`` holds in ``cell_id``, sorted by id,
+    each kept when the view owns it."""
+    vehicles = fleet.by_id
+    ids = fleet.grid.cell(cell_id).nonempty_vehicles
+    return [vehicles[vid] for vid in sorted(ids) if vid in vehicles and fleet.owns(vehicles[vid])]
 
 
 def index_lower_bound(context: MatchContext, source: int, target: int) -> float:
@@ -93,9 +125,9 @@ class ReferenceSingleSideMatcher(_IndexScreening):
             ):
                 skip_empty_lists = True
             if not skip_empty_lists:
-                for vehicle in fleet.empty_vehicles_in_cell(cell.cell_id):
+                for vehicle in empty_vehicles_in_cell(fleet, cell.cell_id):
                     self._consider(vehicle, context, max_pickup_value, seen, skyline)
-            for vehicle in fleet.nonempty_vehicles_in_cell(cell.cell_id):
+            for vehicle in nonempty_vehicles_in_cell(fleet, cell.cell_id):
                 self._consider(vehicle, context, max_pickup_value, seen, skyline)
         return skyline.options()
 
@@ -159,8 +191,8 @@ class ReferenceTShareMatcher(_IndexScreening):
                 break
             if max_pickup is not None and cell_pickup_lb > max_pickup:
                 break
-            vehicles = fleet.empty_vehicles_in_cell(cell.cell_id)
-            vehicles += fleet.nonempty_vehicles_in_cell(cell.cell_id)
+            vehicles = empty_vehicles_in_cell(fleet, cell.cell_id)
+            vehicles += nonempty_vehicles_in_cell(fleet, cell.cell_id)
             for vehicle in vehicles:
                 if vehicle.vehicle_id in seen:
                     continue
@@ -177,3 +209,50 @@ class ReferenceTShareMatcher(_IndexScreening):
                     if best is None or option.pickup_distance < best.pickup_distance:
                         best = option
         return [best] if best is not None else []
+
+
+class SortedListWalk:
+    """``SingleSideSearchMatcher._collect_options`` with the fleet's sorted lists."""
+
+    def _collect_options(self, context: MatchContext, fleet) -> List[RideOption]:
+        request, direct = context.request, context.direct
+        start_cell = self._grid.cell_of_vertex(request.start).cell_id
+        start_min = self._grid.vertex_min(request.start)
+        max_pickup = self._config.max_pickup_distance
+        max_pickup_value = math.inf if max_pickup is None else max_pickup
+        price_floor = self._price_model.price(request.riders, 0.0, direct)
+
+        skyline = Skyline()
+        seen: Set[str] = set()
+        skip_empty_lists = False
+
+        for cell_bound, cell in self._grid.expand_from(start_cell):
+            self.statistics.cells_visited += 1
+            cell_pickup_lb = 0.0 if cell.cell_id == start_cell else cell_bound + start_min
+            if cell_pickup_lb > max_pickup_value:
+                break
+            if skyline.would_be_dominated(cell_pickup_lb, price_floor):
+                break
+            if not skip_empty_lists and skyline.would_be_dominated(
+                cell_pickup_lb,
+                self._price_model.price(request.riders, cell_pickup_lb + direct, direct),
+            ):
+                skip_empty_lists = True
+            if not skip_empty_lists:
+                for vehicle in empty_vehicles_in_cell(fleet, cell.cell_id):
+                    self._consider(vehicle, context, max_pickup_value, seen, skyline)
+            for vehicle in nonempty_vehicles_in_cell(fleet, cell.cell_id):
+                self._consider(vehicle, context, max_pickup_value, seen, skyline)
+        return skyline.options()
+
+
+class ListWalkSingleSideMatcher(SortedListWalk, SingleSideSearchMatcher):
+    """Today's single-side screening over the sorted-list walk."""
+
+    name = "list_walk_single_side"
+
+
+class ListWalkDualSideMatcher(SortedListWalk, DualSideSearchMatcher):
+    """Today's dual-side screening over the sorted-list walk."""
+
+    name = "list_walk_dual_side"

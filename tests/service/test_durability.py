@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
-from repro.errors import ServiceError
+from repro.errors import ServiceError, UnknownOptionError
 from repro.model.request import Request
 from repro.model.stops import dropoff, pickup
 from repro.service.api import PTRiderService, build_system
@@ -361,3 +365,90 @@ class TestSnapshotRestoreFlow:
         service.book_request(_request(service, 1))
         state = serialize_state(service)
         assert json.loads(json.dumps(state)) == state
+
+
+# One API call of a durable script: (kind, argument)
+_CALLS = st.one_of(
+    st.tuples(st.just("book"), st.integers(0, 40)),
+    st.tuples(st.just("ingest"), st.integers(0, 40)),
+    st.tuples(st.just("pump"), st.just(0)),
+    st.tuples(st.just("drain"), st.just(0)),
+    st.tuples(st.just("advance"), st.sampled_from([1, 2])),
+    st.tuples(st.just("cancel_last"), st.just(0)),
+    st.tuples(st.just("bad_choice"), st.just(0)),
+    st.tuples(st.just("set_parameters"), st.sampled_from([5.0, 6.0])),
+    st.tuples(st.just("snapshot"), st.just(0)),
+)
+
+
+def _call(service, kind, value, index):
+    """Make one API call; a call the service refuses raises its own error."""
+    if kind in ("book", "ingest"):
+        request = _request(service, value)
+        request = Request(
+            start=request.start, destination=request.destination, riders=1 + value % 2,
+            max_waiting=request.max_waiting, service_constraint=request.service_constraint,
+            request_id=f"S{index}", submit_time=request.submit_time,
+        )
+        if kind == "ingest":
+            service.ingest_request(request)
+            return request.request_id
+        booking = service.book_request(request)
+        if booking.options:
+            service.choose(booking.booking_id, 0)
+        else:
+            service.cancel(booking.booking_id)
+    elif kind == "pump":
+        service.pump()
+    elif kind == "drain":
+        service.drain()
+    elif kind == "advance":
+        service.advance(float(value))
+    elif kind == "bad_choice":
+        booking = service.book_request(_request(service, index))
+        with pytest.raises(UnknownOptionError):  # journaled, then refused
+            service.choose(booking.booking_id, len(booking.options))
+        service.cancel(booking.booking_id)
+    elif kind == "set_parameters":
+        service.set_parameters(max_waiting=value)
+    elif kind == "snapshot":
+        service.snapshot()
+    return None
+
+
+class TestAppliedSequence:
+    @settings(max_examples=8, deadline=None)
+    @given(
+        script=st.lists(_CALLS, min_size=3, max_size=14),
+        mode=st.sampled_from(["journal", "journal+snapshot"]),
+        snapshot_mode=st.sampled_from(["full", "incremental"]),
+    )
+    def test_applied_seq_is_the_journal_position_after_every_call(
+        self, script, mode, snapshot_mode
+    ):
+        """The service keeps its journal position from its own appends; it
+        equals ``SELECT MAX(seq)`` after every API call, refused ones
+        included, whatever the snapshot cadence writes in between."""
+        tmp = tempfile.mkdtemp(prefix="ptrider-applied-")
+        try:
+            service = build_system(
+                vehicles=5, seed=13, network_rows=8, network_columns=8,
+                durability=mode, journal_path=tmp,
+                snapshot_interval=3, snapshot_mode=snapshot_mode,
+            )
+            journal = service.journal
+            assert service._applied_seq == journal.last_seq()
+            pending = None
+            for index, (kind, value) in enumerate(script):
+                if kind == "cancel_last":
+                    if pending is not None:
+                        try:
+                            service.cancel(pending)
+                        except ServiceError:  # flushed already: journaled, refused
+                            pass
+                else:
+                    pending = _call(service, kind, value, index) or pending
+                assert service._applied_seq == journal.last_seq()
+            assert service._applied_seq > 0
+        finally:
+            shutil.rmtree(tmp, ignore_errors=True)

@@ -107,9 +107,13 @@ class TestStateTransitions:
 
     def test_cell_queries(self, fleet):
         fleet.add_vehicle(Vehicle("c1", location=1))
-        cell_id = fleet.grid.cell_of_vertex(1).cell_id
-        assert [v.vehicle_id for v in fleet.empty_vehicles_in_cell(cell_id)] == ["c1"]
-        assert fleet.nonempty_vehicles_in_cell(cell_id) == []
+        cell = fleet.grid.cell_of_vertex(1)
+        assert cell.empty_vehicles == {"c1"}
+        assert cell.nonempty_vehicles == set()
+        assert fleet.by_id["c1"] is fleet.get("c1")
+        assert fleet.owns(fleet.get("c1")) and fleet.owns_cell(cell.cell_id)
+        fleet.remove_vehicle("c1")
+        assert "c1" not in fleet.by_id
 
 
 class TestFullPathRegistration:
