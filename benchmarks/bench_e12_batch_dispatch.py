@@ -48,7 +48,6 @@ from repro.sim.workload import RequestWorkload
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
-import common
 from common import HAVE_SCIPY, MATCHERS, committed_baseline_wall, record_result
 
 #: Modest tree cache modelling city-scale cache pressure (a real deployment
@@ -61,12 +60,7 @@ SEED = 17
 
 
 def _build_dispatcher(matcher_name: str = "single_side", routing: str = "dict") -> Dispatcher:
-    """A seeded city with a cache-pressured engine (identical per call).
-
-    Honours the session-wide ``--workers`` override (``common.DEFAULT_WORKERS``)
-    so the CI smoke leg can run the same experiment through the parallel
-    shard pool; results are byte-identical either way.
-    """
+    """A seeded city with a cache-pressured engine (identical per call)."""
     network = grid_network(ROWS, ROWS, weight_jitter=0.3, seed=SEED)
     grid = GridIndex(network, rows=6, columns=6)
     fleet = Fleet(grid, make_engine(network, routing, max_cached_sources=CACHE_SLOTS))
@@ -76,7 +70,6 @@ def _build_dispatcher(matcher_name: str = "single_side", routing: str = "dict") 
         fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(vertices), capacity=4))
     config = SystemConfig(
         max_waiting=8.0, service_constraint=0.6, max_pickup_distance=12.0,
-        dispatch_workers=common.DEFAULT_WORKERS,
     )
     matcher = MATCHERS[matcher_name](fleet, config=config)
     return Dispatcher(fleet, matcher, config)
@@ -112,12 +105,9 @@ def test_e12_batched_pipeline_beats_sequential_loop(shards):
 
     batched = _build_dispatcher()
     started = time.perf_counter()
-    try:
-        pipeline_outcomes = batched.dispatch_batch(
-            requests, policy=OptionPolicy.CHEAPEST, shards=shards
-        )
-    finally:
-        batched.close()
+    pipeline_outcomes = batched.dispatch_batch(
+        requests, policy=OptionPolicy.CHEAPEST, shards=shards
+    )
     batched_seconds = time.perf_counter() - started
 
     # Pure restructuring: byte-identical skylines, choices and commit order.
@@ -135,7 +125,6 @@ def test_e12_batched_pipeline_beats_sequential_loop(shards):
         vehicles_evaluated=batched.matcher.statistics.vehicles_evaluated,
         matcher="single_side",
         shards=shards,
-        workers=common.DEFAULT_WORKERS,
         requests=len(requests),
         sequential_seconds=round(sequential_seconds, 6),
         speedup_vs_sequential=round(speedup, 2),
@@ -157,10 +146,7 @@ def _run_vectorised_arm(routing: str):
 
     batched = _build_dispatcher(routing=routing)
     started = time.perf_counter()
-    try:
-        pipeline_outcomes = batched.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST)
-    finally:
-        batched.close()
+    pipeline_outcomes = batched.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST)
     batched_seconds = time.perf_counter() - started
 
     # Same semantics as ever: the vectorised plane changes where trees are
@@ -204,7 +190,6 @@ def test_e12_vectorised_prefetch_halves_the_committed_batch_wall_time():
             vehicles_evaluated=batched.matcher.statistics.vehicles_evaluated,
             matcher="single_side",
             shards=1,
-            workers=common.DEFAULT_WORKERS,
             requests=len(requests),
             prefetched_trees=stats.prefetched_trees,
             prefetch_seconds=round(stats.prefetch_seconds, 6),
@@ -235,12 +220,9 @@ def test_e12_sharded_matching_work_equals_unsharded():
     for shards in (1, 2, 4):
         dispatcher = _build_dispatcher()
         requests = _burst(dispatcher)[:40]
-        try:
-            outcomes = dispatcher.dispatch_batch(
-                requests, policy=OptionPolicy.CHEAPEST, shards=shards
-            )
-        finally:
-            dispatcher.close()
+        outcomes = dispatcher.dispatch_batch(
+            requests, policy=OptionPolicy.CHEAPEST, shards=shards
+        )
         results[shards] = (
             [_outcome_key(o) for o in outcomes],
             dispatcher.matcher.statistics.vehicles_evaluated,
@@ -265,10 +247,7 @@ def test_e12_summary_table(capsys):
 
         batched = _build_dispatcher()
         started = time.perf_counter()
-        try:
-            batched.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST, shards=shards)
-        finally:
-            batched.close()
+        batched.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST, shards=shards)
         pipeline_seconds = time.perf_counter() - started
         stats = batched.last_batch_statistics
         rows.append(

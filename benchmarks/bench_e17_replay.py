@@ -12,7 +12,7 @@ tick by tick against a full :class:`PTRiderService` twice:
 * the **batched arm** admits released requests into the service's
   :class:`~repro.service.ingest.MicroBatcher` and pumps it once per tick,
   so each tick's arrivals are answered by one ``dispatch_batch`` flush
-  (pooled start trees, leg trees pooled on demand, shards/workers).
+  (pooled start trees, leg trees pooled on demand, shards).
 
 Both arms advance the simulated world identically between ticks, so the
 only difference is *how* a tick's arrivals are answered.  Matching
@@ -29,9 +29,7 @@ tentpole claim: micro-batched serving >= 2x the per-request loop.
 
 Scale knobs: ``PTRIDER_E17_REQUESTS`` (headline replay, default 100k; set
 it to a million locally for the full day) and
-``PTRIDER_E17_SMOKE_REQUESTS`` (the CI smoke leg, default 4000).  The
-worker matrix self-gates exactly like E16: byte-identity runs at every
-worker count, wall-clock comparisons only bind where there are cores.
+``PTRIDER_E17_SMOKE_REQUESTS`` (the CI smoke leg, default 4000).
 """
 
 from __future__ import annotations
@@ -42,12 +40,10 @@ import time
 
 import pytest
 
-import common
 from common import HAVE_SCIPY, percentiles, record_result
 
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import OptionPolicy
-from repro.core.parallel import parallel_available
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import make_engine
@@ -73,8 +69,8 @@ SERVICE_CONSTRAINT = 0.6
 #: amortises them.
 HEADLINE = dict(rows=50, grid=14, vehicles=40, capacity=2, cache=8,
                 max_pickup=3.0, speed=6.0, hotspots=80)
-#: The backend-matrix city: smaller, so the ch/table preprocessing and the
-#: workers=4 identity legs stay cheap -- identity does not need scale.
+#: The backend-matrix city: smaller, so the ch/table preprocessing stays
+#: cheap -- identity does not need scale.
 MATRIX = dict(rows=30, grid=6, vehicles=24, capacity=2, cache=8,
               max_pickup=3.0, speed=6.0, hotspots=48)
 
@@ -86,8 +82,8 @@ MATRIX_REQUESTS = 2500
 # ----------------------------------------------------------------------
 # builders
 # ----------------------------------------------------------------------
-def _build_service(city: dict, routing: str = "csr", workers: int = 1,
-                   queue_capacity=None, queue_policy: str = "shed") -> PTRiderService:
+def _build_service(city: dict, routing: str = "csr", queue_capacity=None,
+                   queue_policy: str = "shed") -> PTRiderService:
     """A fresh service on the city's network; identical per (city, seed)."""
     network = grid_network(city["rows"], city["rows"], weight_jitter=0.3, seed=SEED)
     grid = GridIndex(network, rows=city["grid"], columns=city["grid"])
@@ -107,7 +103,6 @@ def _build_service(city: dict, routing: str = "csr", workers: int = 1,
         speed=city["speed"],
         max_pickup_distance=city["max_pickup"],
         routing_backend=routing,
-        dispatch_workers=workers,
         batch_window=TICK,
         # windows must close by time, never by size, so each window is
         # exactly one tick's arrivals and the three replay arms stay
@@ -284,46 +279,41 @@ def test_e17_smoke_replay():
         throughput=round(sequential_throughput, 1),
     )
 
-    worker_counts = sorted({1, common.DEFAULT_WORKERS})
-    for workers in worker_counts:
-        if workers != 1 and not parallel_available():
-            continue
-        workload.reset()
-        service = _build_service(city, workers=workers)
-        windows, chosen = _replay_ingest(service, workload)
-        stats = service.batcher.statistics
+    workload.reset()
+    service = _build_service(city)
+    windows, chosen = _replay_ingest(service, workload)
+    stats = service.batcher.statistics
 
-        # Byte-identity: every window's outcomes are exactly what raw
-        # dispatch_batch answers for the same requests at the same instant,
-        # and the per-request book loop chose exactly the same options.
-        assert windows == direct_windows, f"workers={workers} diverged"
-        assert chosen == book_chosen
+    # Byte-identity: every window's outcomes are exactly what raw
+    # dispatch_batch answers for the same requests at the same instant,
+    # and the per-request book loop chose exactly the same options.
+    assert windows == direct_windows
+    assert chosen == book_chosen
 
-        # Conservation: nothing admitted is lost, nothing was shed.
-        assert stats.admitted == total == stats.answered
-        assert stats.shed == 0 and service.batcher.pending == 0
+    # Conservation: nothing admitted is lost, nothing was shed.
+    assert stats.admitted == total == stats.answered
+    assert stats.shed == 0 and service.batcher.pending == 0
 
-        # Observability: the serving path surfaces through the admin panel.
-        panel = service.routing_statistics()
-        for key in ("ingest_throughput", "ingest_latency_p95", "ingest_shed",
-                    "ingest_queue_depth", "ingest_mean_window_fill"):
-            assert key in panel, f"missing {key} in routing_statistics()"
-        assert panel["ingest_answered"] == float(total)
+    # Observability: the serving path surfaces through the admin panel.
+    panel = service.routing_statistics()
+    for key in ("ingest_throughput", "ingest_latency_p95", "ingest_shed",
+                "ingest_queue_depth", "ingest_mean_window_fill"):
+        assert key in panel, f"missing {key} in routing_statistics()"
+    assert panel["ingest_answered"] == float(total)
 
-        record_result(
-            "E17", stats.serving_seconds, routing_backend="csr",
-            phase="smoke_serve_batched", requests=total, workers=workers,
-            speedup_vs_sequential=round(sequential_seconds / stats.serving_seconds, 2),
-            **_ingest_extras(stats),
-        )
-        if workers == 1:
-            # dedicated trend rows: throughput is gated as a rate (higher is
-            # better, --rate-phases), the latency tail as a plain wall
-            record_result("E17", stats.throughput, routing_backend="csr",
-                          phase="smoke_throughput", requests=total)
-            record_result("E17", percentiles(stats.latencies)["p95"],
-                          routing_backend="csr", phase="smoke_latency_p95",
-                          requests=total)
+    record_result(
+        "E17", stats.serving_seconds, routing_backend="csr",
+        phase="smoke_serve_batched", requests=total,
+        speedup_vs_sequential=round(sequential_seconds / stats.serving_seconds, 2),
+        **_ingest_extras(stats),
+    )
+    # dedicated trend rows: throughput is gated as a rate (higher is
+    # better, --rate-phases), the latency tail as a plain wall
+    record_result("E17", stats.throughput, routing_backend="csr",
+                  phase="smoke_throughput", requests=total)
+    record_result("E17", percentiles(stats.latencies)["p95"],
+                  routing_backend="csr", phase="smoke_latency_p95",
+                  requests=total)
 
 
 def test_e17_smoke_backpressure_is_bounded():
@@ -354,7 +344,7 @@ def test_e17_smoke_backpressure_is_bounded():
 
 
 # ----------------------------------------------------------------------
-# the backend x workers matrix: identity everywhere, records per cell
+# the backend matrix: identity everywhere, records per backend
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("routing", ("csr", "ch", "table"))
 def test_e17_backend_matrix(routing):
@@ -364,22 +354,17 @@ def test_e17_backend_matrix(routing):
     workload = _build_workload(MATRIX, MATRIX_REQUESTS)
     total = len(workload)
     direct_windows = _replay_direct(_build_service(MATRIX, routing=routing), workload)
-    for workers in (1, 4):
-        if workers != 1 and not parallel_available():
-            continue
-        workload.reset()
-        service = _build_service(MATRIX, routing=routing, workers=workers)
-        windows, _ = _replay_ingest(service, workload)
-        assert windows == direct_windows, (
-            f"{routing} workers={workers} diverged from dispatch_batch"
-        )
-        stats = service.batcher.statistics
-        assert stats.answered == total and service.batcher.pending == 0
-        record_result(
-            "E17", stats.serving_seconds, routing_backend=routing,
-            phase="matrix_serve_batched", requests=total, workers=workers,
-            **_ingest_extras(stats),
-        )
+    workload.reset()
+    service = _build_service(MATRIX, routing=routing)
+    windows, _ = _replay_ingest(service, workload)
+    assert windows == direct_windows, f"{routing} diverged from dispatch_batch"
+    stats = service.batcher.statistics
+    assert stats.answered == total and service.batcher.pending == 0
+    record_result(
+        "E17", stats.serving_seconds, routing_backend=routing,
+        phase="matrix_serve_batched", requests=total,
+        **_ingest_extras(stats),
+    )
 
 
 # ----------------------------------------------------------------------

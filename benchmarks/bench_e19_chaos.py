@@ -1,37 +1,29 @@
 """E19 -- chaos: the serving path under injected faults, degrading gracefully.
 
-ISSUE 9's failure-containment machinery (the pool watchdog, dispatch retry,
-deadline-aware ingest and the durable journal) is only worth its complexity
-if the *whole* serving path survives a hostile run.  This experiment replays
-the E17 surge/lull day twice on identical durable services:
+Deadline-aware ingest and the durable journal are only worth their
+complexity if the *whole* serving path survives a hostile run.  This
+experiment replays the E17 surge/lull day twice on identical durable
+services:
 
 * the **reference arm** runs fault-free and pins the expected trajectory --
   every window's bookings, every chosen option, the canonical end state;
 * the **faulted arm** replays the same day under a seeded
-  :class:`~repro.service.faults.FaultPlan`: a pool worker *killed* outright
-  at a mid-run batch command (the begin failure is retried once against a
-  freshly spawned pool), a worker *stalled* mid-turn in the final window
-  (SIGTERM-ignoring -- only the watchdog's SIGKILL removes it), slow
-  flushes (injected sleeps), and transient journal-append failures on
-  admissions and pumps, which the driver retries once -- the modelled
-  client behaviour for a reported write-ahead failure.  The worker-fault
-  occurrence indices are *placed from the deterministic window sizes* (a
-  worker's counters restart at zero on every respawn, so naive indices
-  recur once per pool lifetime): each fault fires exactly once.
+  :class:`~repro.service.faults.FaultPlan`: slow flushes (injected sleeps),
+  failed flushes (injected errors at the flush hook, before the window is
+  taken) and transient journal-append failures on admissions and pumps.
+  The driver retries a failed call once -- the modelled client behaviour
+  for a reported failure that executed nothing.
 
 Graceful degradation is then asserted, not hoped for:
 
 * **zero lost, zero double-answered** -- every admitted request is answered
   exactly once;
 * **byte-identity** -- the faulted arm's windows and chosen options equal
-  the reference arm's, window for window (fallbacks recompute, never
-  approximate);
-* **containment** -- the stalled worker was killed by the watchdog (within
-  ``worker_timeout``, which also bounds the latency tail: p99 grows by at
-  most the timeout plus scheduling noise, never the stall's full hour), and
-  the pool was respawned a bounded number of times;
+  the reference arm's, window for window;
 * **durability under faults** -- recovering the faulted arm's journal
-  reproduces its canonical state exactly (failed appends never half-executed);
+  reproduces its canonical state exactly (failed appends never
+  half-executed, and a failed flush's pump replays as the flush its retry
+  performed);
 * **bounded slowdown** -- the faulted arm's throughput against the
   reference arm's is recorded (``degradation``) and trend-gated across
   commits as the ``*_faulted_throughput`` rate phase; it is not asserted
@@ -39,10 +31,7 @@ Graceful degradation is then asserted, not hoped for:
   of a few tenths of a second flaked a 0.6x floor two runs in ten).
 
 Scale knobs: ``PTRIDER_E19_REQUESTS`` (headline, default 12000) and
-``PTRIDER_E19_SMOKE_REQUESTS`` (CI smoke, default 6000).  Without parallel
-dispatch support (or a window shape with no exactly-once placement) the
-worker faults are skipped and the remaining plan (journal + flush faults)
-still runs.
+``PTRIDER_E19_SMOKE_REQUESTS`` (CI smoke, default 6000).
 """
 
 from __future__ import annotations
@@ -56,12 +45,11 @@ import pytest
 from common import HAVE_SCIPY, percentiles, record_result
 
 from repro.core.config import SystemConfig
-from repro.core.parallel import parallel_available
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import make_engine
 from repro.service.api import PTRiderService
-from repro.service.faults import FaultInjected, FaultPlan, FaultSpec
+from repro.service.faults import FaultInjected, FaultPlan
 from repro.service.recovery import canonical_state
 from repro.sim.workload import RequestWorkload
 from repro.vehicles.fleet import Fleet
@@ -78,24 +66,13 @@ SERVICE_CONSTRAINT = 0.6
 CITY = dict(rows=30, grid=6, vehicles=24, capacity=2, cache=8,
             max_pickup=3.0, speed=6.0, hotspots=48)
 
-#: Watchdog bound for both arms: a stalled worker costs at most this much
-#: wall before the batch falls back in-process.
-WORKER_TIMEOUT = 1.0
-
 HEADLINE_REQUESTS = int(os.environ.get("PTRIDER_E19_REQUESTS", "12000"))
 SMOKE_REQUESTS = int(os.environ.get("PTRIDER_E19_SMOKE_REQUESTS", "6000"))
-
-#: Pool-respawn ceiling asserted after the faulted replay: the schedule
-#: breaks the pool exactly twice (the kill's begin-retry respawns once; the
-#: final-window stall leaves a condemned pool nothing ever respawns), so
-#: more than a few respawns means containment churned instead of containing.
-MAX_RESPAWNS = 3
-
 
 # ----------------------------------------------------------------------
 # builders
 # ----------------------------------------------------------------------
-def _build_service(journal_dir, workers: int) -> PTRiderService:
+def _build_service(journal_dir) -> PTRiderService:
     network = grid_network(CITY["rows"], CITY["rows"], weight_jitter=0.3, seed=SEED)
     grid = GridIndex(network, rows=CITY["grid"], columns=CITY["grid"])
     engine = make_engine(network, "csr", max_cached_sources=CITY["cache"])
@@ -114,12 +91,8 @@ def _build_service(journal_dir, workers: int) -> PTRiderService:
         speed=CITY["speed"],
         max_pickup_distance=CITY["max_pickup"],
         routing_backend="csr",
-        dispatch_workers=workers,
-        match_shards=workers,  # both workers carry shards: faults reach both
         batch_window=TICK,
         max_batch_size=65536,
-        worker_timeout=WORKER_TIMEOUT,
-        max_dispatch_retries=1,
         durability="journal",
         journal_path=str(journal_dir),
     )
@@ -140,55 +113,13 @@ def _build_workload(total: int) -> RequestWorkload:
     )
 
 
-def _window_sizes(total: int):
-    """The deterministic per-window request counts of a ``total``-request
-    day: one window per tick with arrivals (admitted at tick ``t``, flushed
-    by the pump at ``t + TICK``)."""
-    probe = _build_workload(total)
-    sizes, t = [], 0.0
-    while probe.remaining:
-        t += TICK
-        due = probe.due(t)
-        if due:
-            sizes.append(len(due))
-    return sizes
-
-
-def _worker_fault_indices(sizes):
-    """Occurrence indices placing each worker fault to fire *exactly once*.
-
-    A worker's fault counters restart at zero on every respawn, so indices
-    must be placed against pool *lifetimes*, not the whole day.  The kill
-    hits worker 1's batch command at window ``kill_occ`` (0-based): the
-    begin failure is retried once on a fresh pool, so lifetime 1 serves
-    windows ``0..kill_occ-1`` and lifetime 2 the rest.  The stall index is
-    then chosen inside lifetime 2's *final* window -- past every turn
-    lifetime 1 saw (no early fire) and past lifetime 2's earlier windows --
-    so the condemned pool is never respawned.  Returns ``None`` when no
-    such placement exists for this window shape.
-    """
-    count = len(sizes)
-    for kill_occ in range((count + 1) // 2, count - 1):
-        first_lifetime_turns = sum(sizes[:kill_occ])
-        second_lifetime_turns = sum(sizes[kill_occ:])
-        before_last_window = second_lifetime_turns - sizes[-1]
-        lowest = max(first_lifetime_turns, before_last_window)
-        highest = second_lifetime_turns - 1
-        if lowest <= highest:
-            return kill_occ, (lowest + highest) // 2
-    return None
-
-
-def _chaos_plan(sizes, parallel_ok: bool) -> FaultPlan:
-    """The seeded fault schedule for a day with the given window sizes.
-
-    The service-layer faults are drawn pseudo-randomly from the seed; the
-    worker faults are placed deterministically by ``_worker_fault_indices``.
-    """
-    total = sum(sizes)
+def _chaos_plan(total: int) -> FaultPlan:
+    """The seeded fault schedule: every occurrence index is drawn from the
+    seed, so the faulted arm's trajectory is the same on every run."""
     sleeps = FaultPlan.seeded(
         SEED, [("ingest.flush", "sleep", 2, 6)], seconds=0.05
     )
+    flush_errors = FaultPlan.seeded(SEED + 3, [("ingest.flush", "error", 2, 6)])
     admit_span = max(2, min(400, total // 2))
     admit_errors = FaultPlan.seeded(
         SEED + 1, [("journal.append", "error", 2, admit_span)], tag="admit"
@@ -196,20 +127,11 @@ def _chaos_plan(sizes, parallel_ok: bool) -> FaultPlan:
     pump_errors = FaultPlan.seeded(
         SEED + 2, [("journal.append", "error", 1, 6)], tag="pump"
     )
-    specs = sleeps.specs + admit_errors.specs + pump_errors.specs
-    placement = _worker_fault_indices(sizes) if parallel_ok else None
-    if placement is not None:
-        kill_occ, stall_at = placement
-        specs += (
-            # worker 1 dies abruptly at a mid-run batch command; the begin
-            # failure is retried once against a freshly spawned pool
-            FaultSpec(point="worker.batch", action="kill", position=1,
-                      at=(kill_occ,)),
-            # worker 0 wedges (SIGTERM ignored) partway through the final
-            # window; only the watchdog's SIGKILL removes it
-            FaultSpec(point="worker.turn", action="stall", position=0,
-                      at=(stall_at,)),
-        )
+    specs = sleeps.specs + flush_errors.specs + admit_errors.specs + pump_errors.specs
+    for spec in specs:
+        if spec.action == "error":
+            # the driver retries once, onto the next occurrence index
+            assert all(b - a > 1 for a, b in zip(spec.at, spec.at[1:])), spec
     return FaultPlan(specs, name="e19-chaos")
 
 
@@ -228,9 +150,10 @@ def _booking_key(booking):
 
 
 def _retry_once(call):
-    """The driver-side contract for injected write-ahead failures: a failed
-    append means the command never executed, so one retry is safe and the
-    retried call lands on the next (un-faulted) occurrence index."""
+    """The driver-side contract for injected failures: a failed append means
+    the command never executed and a failed flush took nothing from the
+    window, so one retry is safe and lands on the next (un-faulted)
+    occurrence index."""
     try:
         return call()
     except FaultInjected:
@@ -276,13 +199,11 @@ def _assert_served_exactly_once(windows, workload_total: int):
 
 def _run_chaos(tmp_path, total: int, phase_prefix: str) -> None:
     """Both arms + assertions + records; shared by smoke and headline."""
-    workers = 2 if parallel_available() else 1
     workload = _build_workload(total)
     total = len(workload)
-    sizes = _window_sizes(total)
 
     # --- reference arm: fault-free trajectory and canonical end state ----
-    reference = _build_service(tmp_path / "reference", workers)
+    reference = _build_service(tmp_path / "reference")
     ref_windows, ref_chosen = _replay(reference, workload)
     ref_stats = reference.batcher.statistics
     assert ref_stats.answered == total
@@ -290,20 +211,18 @@ def _run_chaos(tmp_path, total: int, phase_prefix: str) -> None:
     ref_tail = percentiles(ref_stats.latencies)
     record_result(
         "E19", ref_stats.serving_seconds, routing_backend="csr",
-        phase=f"{phase_prefix}_reference", requests=total, workers=workers,
+        phase=f"{phase_prefix}_reference", requests=total,
         throughput=round(ref_throughput, 1),
         latency_p99=round(ref_tail.get("p99", 0.0), 6),
     )
 
     # --- faulted arm: same day under the seeded chaos plan ---------------
     workload.reset()
-    faulted = _build_service(tmp_path / "chaos", workers)
-    plan = _chaos_plan(sizes, workers > 1)
-    worker_faults = any(spec.point.startswith("worker.") for spec in plan.specs)
+    faulted = _build_service(tmp_path / "chaos")
+    plan = _chaos_plan(total)
     with plan:
         fault_windows, fault_chosen = _replay(faulted, workload)
     stats = faulted.batcher.statistics
-    health = faulted.dispatcher.health
 
     # graceful degradation, clause by clause (module docstring order)
     _assert_served_exactly_once(fault_windows, total)
@@ -318,37 +237,16 @@ def _run_chaos(tmp_path, total: int, phase_prefix: str) -> None:
     )
     assert journal_faults >= 2, "the journal fault schedule never fired"
     assert plan.fired.get("ingest.flush:sleep", 0) >= 1
-
-    if worker_faults:
-        # worker-side fires count in the *worker's* rebuilt plan, which dies
-        # with the process -- the parent-side evidence is the containment
-        # machinery reacting: the watchdog caught the stall (a timeout and a
-        # kill), the abrupt worker death condemned a begin that was retried
-        # on a respawned pool, and nothing churned beyond those two breaks
-        assert health.worker_timeouts >= 1, "the watchdog never caught the stall"
-        assert health.worker_kills >= 1
-        assert health.batch_failures >= 2, "the worker kill never surfaced"
-        assert health.dispatch_retries >= 1, "the killed begin was never retried"
-        assert health.pool_respawns >= 1
-        assert health.pool_respawns <= MAX_RESPAWNS, (
-            f"fault churn respawned the pool {health.pool_respawns} times"
-        )
-        # the watchdog bounds the hang: the latency tail grows by at most
-        # the timeout plus slack, never the stall's full hour
-        fault_tail = percentiles(stats.latencies)
-        assert fault_tail["p99"] <= ref_tail["p99"] + WORKER_TIMEOUT + 5.0
+    assert plan.fired.get("ingest.flush:error", 0) == 2
 
     faulted_throughput = stats.throughput
     record_result(
         "E19", stats.serving_seconds, routing_backend="csr",
-        phase=f"{phase_prefix}_faulted", requests=total, workers=workers,
+        phase=f"{phase_prefix}_faulted", requests=total,
         throughput=round(faulted_throughput, 1),
         degradation=round(faulted_throughput / ref_throughput, 4),
         latency_p99=round(percentiles(stats.latencies).get("p99", 0.0), 6),
-        worker_timeouts=float(health.worker_timeouts),
-        worker_kills=float(health.worker_kills),
-        pool_respawns=float(health.pool_respawns),
-        dispatch_retries=float(health.dispatch_retries),
+        flush_errors=float(plan.fired.get("ingest.flush:error", 0)),
         journal_faults=float(journal_faults),
         faults_fired=float(sum(plan.fired.values())),
     )

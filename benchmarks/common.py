@@ -69,11 +69,6 @@ DEFAULT_CONFIG = SystemConfig(
 #: then respects a caller-supplied config's ``routing_backend``.
 DEFAULT_ROUTING: Optional[str] = None
 
-#: Session-wide dispatch-worker override, set by the benchmark conftest from
-#: the ``--workers`` CLI option.  Experiments that exercise the batch
-#: pipeline (E12) read it at build time; 1 keeps dispatch in-process.
-DEFAULT_WORKERS: int = 1
-
 try:  # SciPy accelerates the CSR backend; the speedup asserts require it.
     import scipy  # noqa: F401
 

@@ -18,13 +18,6 @@ def pytest_addoption(parser):
         default=None,
         help="routing backend every experiment builds its city with",
     )
-    parser.addoption(
-        "--workers",
-        type=int,
-        default=None,
-        help="dispatch worker processes for batch-pipeline experiments "
-        "(1 keeps dispatch in-process)",
-    )
 
 
 def pytest_configure(config):
@@ -33,9 +26,6 @@ def pytest_configure(config):
     backend = config.getoption("--routing", default=None)
     if backend:
         common.DEFAULT_ROUTING = backend
-    workers = config.getoption("--workers", default=None)
-    if workers:
-        common.DEFAULT_WORKERS = workers
 
 
 def pytest_sessionfinish(session, exitstatus):

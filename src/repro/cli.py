@@ -142,12 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet shards the batch dispatch pipeline partitions vehicles into",
     )
     simulate.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes the batch dispatch pipeline fans the per-shard "
-        "collect/verify stage out to (shared-memory pool; 1 keeps everything "
-        "in-process, results are byte-identical either way)",
-    )
-    simulate.add_argument(
         "--batch-window", type=float, default=1.0,
         help="seconds the serving micro-batcher lets a window accumulate "
         "before flushing it through the batch pipeline",
@@ -165,16 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-policy", choices=("shed", "block"), default="shed",
         help="what a full ingest queue does with the next admission: shed "
         "refuses it, block flushes the pending window inline to free capacity",
-    )
-    simulate.add_argument(
-        "--worker-timeout", type=float, default=30.0,
-        help="seconds a dispatch worker may stay silent before the watchdog "
-        "declares it hung, kills it and re-dispatches its shard in-process",
-    )
-    simulate.add_argument(
-        "--max-dispatch-retries", type=int, default=1,
-        help="retry attempts for a failed batch hand-off against a freshly "
-        "spawned worker pool (0 disables retry)",
     )
     simulate.add_argument(
         "--latency-budget", type=float, default=0.0,
@@ -224,12 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--shards", type=int, default=1,
         help="fleet shards the batch dispatch pipeline partitions vehicles into",
-    )
-    compare.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes the batch dispatch pipeline fans the per-shard "
-        "collect/verify stage out to (shared-memory pool; 1 keeps everything "
-        "in-process, results are byte-identical either way)",
     )
     compare.add_argument(
         "--batch", action=argparse.BooleanOptionalAction, default=True,
@@ -354,12 +332,9 @@ def _run_simulate(args: argparse.Namespace) -> int:
         max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
         routing_backend=args.routing, routing_cache_dir=args.routing_cache,
         tree_provider=args.tree_provider, match_shards=args.shards,
-        dispatch_workers=args.workers,
         batch_window=args.batch_window, max_batch_size=args.max_batch_size,
         queue_capacity=args.queue_capacity or None,
         queue_policy=args.queue_policy,
-        worker_timeout=args.worker_timeout,
-        max_dispatch_retries=args.max_dispatch_retries,
         latency_budget=args.latency_budget or None,
         batch_window_mode=args.batch_window_mode,
         batch_window_min=args.batch_window_min or None,
@@ -375,14 +350,8 @@ def _run_simulate(args: argparse.Namespace) -> int:
     trips = generator.generate(args.trips, day_seconds=args.duration)
     workload = RequestWorkload.from_trips(trips, config.max_waiting, config.service_constraint)
     engine = SimulationEngine(dispatcher, workload, speed=1.0, tick=1.0, seed=args.seed)
-    try:
-        report = engine.run(until=args.duration + 50.0)
-    finally:
-        dispatcher.close()
-    print(
-        f"Matcher: {matcher.name} (routing={args.routing}, shards={args.shards}, "
-        f"workers={args.workers})"
-    )
+    report = engine.run(until=args.duration + 50.0)
+    print(f"Matcher: {matcher.name} (routing={args.routing}, shards={args.shards})")
     for key, value in sorted(report.panel().items()):
         print(f"  {key:>25}: {value:.4f}")
     return 0
@@ -408,7 +377,6 @@ def _run_compare(args: argparse.Namespace) -> int:
             max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
             routing_backend=args.routing, routing_cache_dir=args.routing_cache,
             tree_provider=args.tree_provider, match_shards=args.shards,
-            dispatch_workers=args.workers,
         )
         matcher = matcher_class(fleet, config=config)
         dispatcher = Dispatcher(fleet, matcher, config)
@@ -420,15 +388,12 @@ def _run_compare(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         started = time.perf_counter()
-        try:
-            if args.batch:
-                dispatcher.dispatch_batch(
-                    requests, policy=OptionPolicy.CHEAPEST, prefetch=args.prefetch
-                )
-            else:
-                dispatcher.dispatch_sequential(requests, policy=OptionPolicy.CHEAPEST)
-        finally:
-            dispatcher.close()
+        if args.batch:
+            dispatcher.dispatch_batch(
+                requests, policy=OptionPolicy.CHEAPEST, prefetch=args.prefetch
+            )
+        else:
+            dispatcher.dispatch_sequential(requests, policy=OptionPolicy.CHEAPEST)
         elapsed = time.perf_counter() - started
         stats = matcher.statistics.as_dict()
         batch_stats = dispatcher.last_batch_statistics
@@ -437,7 +402,7 @@ def _run_compare(args: argparse.Namespace) -> int:
         results.append((matcher.name, elapsed, stats, hit_rate, prefetched))
     if args.batch:
         mode = (
-            f"batched pipeline, {args.shards} shard(s), {args.workers} worker(s), "
+            f"batched pipeline, {args.shards} shard(s), "
             f"prefetch {'on' if args.prefetch else 'off'}"
         )
     else:

@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.context import MatchContext
 from repro.errors import DisconnectedError, VertexNotFoundError
@@ -47,7 +47,7 @@ from repro.roadnet.graph import VertexId
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import RoutingEngine
 
-__all__ = ["BatchStatistics", "BatchMatchContext", "BatchContext", "batch_context_builder"]
+__all__ = ["BatchStatistics", "BatchMatchContext", "BatchContext"]
 
 
 @dataclass
@@ -90,14 +90,6 @@ class BatchStatistics:
     leg_sources_prefetched: int = 0
     #: leg queries answered from the pool instead of going to the engine
     leg_tree_hits: int = 0
-    #: worker processes the collect/verify stage fanned out to (0 = in-process)
-    parallel_workers: int = 0
-    #: wall seconds this batch lost to cross-process shipping (payload
-    #: pickling plus turn round-trips minus the slowest worker's compute)
-    ipc_seconds: float = 0.0
-    #: accumulated collect/verify wall seconds per shard, indexed by shard
-    #: (filled by the parallel path; empty when the batch ran in-process)
-    shard_wall_seconds: Tuple[float, ...] = ()
 
     @property
     def shared_tree_hit_rate(self) -> float:
@@ -124,10 +116,6 @@ class BatchStatistics:
             "leg_sources_prefetched": float(self.leg_sources_prefetched),
             "leg_tree_hits": float(self.leg_tree_hits),
             "tree_provider": self.tree_provider,
-            "parallel_workers": float(self.parallel_workers),
-            "ipc_seconds": self.ipc_seconds,
-            "shard_wall_seconds_max": max(self.shard_wall_seconds, default=0.0),
-            "shard_wall_seconds_total": float(sum(self.shard_wall_seconds)),
         }
 
 
@@ -206,27 +194,6 @@ class BatchMatchContext(MatchContext):
                 value = self.engine.distance(source, target)
             self.shared_distances[key] = value
         return value
-
-
-def batch_context_builder(
-    engine: RoutingEngine,
-    grid: GridIndex,
-    leg_trees: Optional[Dict[VertexId, Optional[Mapping[VertexId, float]]]],
-    statistics: BatchStatistics,
-) -> Callable[..., BatchMatchContext]:
-    """One batch's :class:`BatchMatchContext` constructor (keywords ``request``,
-    ``direct``, ``start_tree``): its contexts share one leg memo, the pool
-    ``leg_trees`` and the ``statistics`` sink.  Used by the dispatching
-    process and by the parallel pool's workers alike.
-    """
-    return functools.partial(
-        BatchMatchContext,
-        engine=engine,
-        grid=grid,
-        shared_distances={},
-        leg_trees=leg_trees,
-        batch_statistics=statistics,
-    )
 
 
 class BatchContext:
@@ -308,10 +275,16 @@ class BatchContext:
                 # tree inline on the per-source path.
                 prefetch_share = statistics.prefetch_seconds / len(trees)
                 unbilled_prefetches = set(trees)
-        # ``trees`` doubles as the demand pool: start trees computed inline
-        # below land in it too.
-        build_context = batch_context_builder(
-            engine, grid, trees if prefetch else None, statistics
+        # The batch's contexts share one leg memo and, with ``prefetch``
+        # on, one demand pool: ``trees`` itself, so start trees computed
+        # inline below land in it too.
+        build_context = functools.partial(
+            BatchMatchContext,
+            engine=engine,
+            grid=grid,
+            shared_distances={},
+            leg_trees=trees if prefetch else None,
+            batch_statistics=statistics,
         )
 
         for index, request in enumerate(requests):
@@ -380,41 +353,6 @@ class BatchContext:
         they did when contexts were built inline.
         """
         return self._seconds.get(index, 0.0)
-
-    def export_tree_plane(self) -> Optional[Tuple[object, Dict[VertexId, int]]]:
-        """The batch's pooled start trees as one ``(k, n)`` float64 plane.
-
-        Returns ``(plane, start_rows)`` -- a row per distinct start vertex
-        plus the start -> row map -- when *every* pooled tree is backed by a
-        dense ndarray over the engine's vertex order (the CSR / table / CH
-        providers), or ``None`` otherwise (pure-Python trees, the dict
-        backend, no NumPy).  The parallel dispatch pool publishes the plane
-        into shared memory so workers re-wrap the very same rows zero-copy;
-        on ``None`` workers recompute trees through their attached engines,
-        which is bit-identical by the tree-provider contract.
-
-        Call before the pipeline starts releasing contexts: rows are
-        gathered from the live context pool.
-        """
-        try:
-            import numpy as np
-        except ImportError:  # pragma: no cover - numpy-less environment
-            return None
-        rows: List[object] = []
-        start_rows: Dict[VertexId, int] = {}
-        for index in sorted(self._contexts):
-            context = self._contexts[index]
-            start = context.request.start
-            if start in start_rows:
-                continue
-            row = getattr(context.start_tree, "_dist", None)
-            if not isinstance(row, np.ndarray):
-                return None
-            start_rows[start] = len(rows)
-            rows.append(row)
-        if not rows:
-            return None
-        return np.vstack(rows), start_rows
 
     def release(self, index: int) -> None:
         """Drop request ``index``'s context.

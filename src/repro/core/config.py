@@ -73,12 +73,11 @@ class SystemConfig:
             partitions vehicles into (by grid cell); per-shard skylines are
             merged by dominance, so any value yields the same options.  ``1``
             disables sharding.
-        dispatch_workers: worker processes the batch dispatch pipeline may
-            fan the per-shard collect/verify stage out to (see
-            :mod:`repro.core.parallel`).  Workers attach the engine's
-            immutable arrays through shared memory, so results stay
-            byte-identical to the sequential path at any value.  ``1``
-            keeps everything in-process.
+        dispatch_workers: retired.  Dispatch runs in one process; the
+            field stays only so callers that still pass ``1`` keep working,
+            and any other value is a configuration error.  Journals that
+            name it replay through
+            :data:`repro.service.recovery.RETIRED_CONFIG_KEYS`.
         batch_window: how long the serving path's micro-batcher
             (:class:`repro.service.ingest.MicroBatcher`) lets a window
             accumulate before flushing it through the batch pipeline, in
@@ -114,14 +113,6 @@ class SystemConfig:
         snapshot_interval: journal records between automatic snapshots
             under "journal+snapshot" (>= 1).  Smaller values bound
             recovery replay tighter at the cost of more snapshot writes.
-        worker_timeout: wall seconds the parent waits on a dispatch worker's
-            pipe before declaring it hung, killing it, and re-dispatching its
-            work in-process (byte-identical fallback).  Turn replies double
-            as the per-shard heartbeat, so this bounds how long a wedged
-            worker can stall a batch.
-        max_dispatch_retries: how many times a failed ``begin_batch`` is
-            retried against a freshly spawned pool (with a short backoff)
-            before the batch falls back in-process.  ``0`` disables retry.
         latency_budget: optional latency slack, in the same time units as
             ``batch_window``.  When set, the micro-batcher force-closes the
             pending window as soon as the oldest admission is within this
@@ -179,8 +170,6 @@ class SystemConfig:
     durability: str = "off"
     journal_path: Optional[str] = None
     snapshot_interval: int = 1000
-    worker_timeout: float = 30.0
-    max_dispatch_retries: int = 1
     latency_budget: Optional[float] = None
     batch_window_mode: str = "fixed"
     batch_window_min: Optional[float] = None
@@ -227,9 +216,10 @@ class SystemConfig:
             )
         if self.match_shards < 1:
             raise ConfigurationError(f"match_shards must be >= 1, got {self.match_shards}")
-        if self.dispatch_workers < 1:
+        if self.dispatch_workers != 1:
             raise ConfigurationError(
-                f"dispatch_workers must be >= 1, got {self.dispatch_workers}"
+                f"dispatch_workers is retired and only accepts 1 (dispatch "
+                f"runs in one process), got {self.dispatch_workers}"
             )
         if self.batch_window <= 0:
             raise ConfigurationError(
@@ -260,14 +250,6 @@ class SystemConfig:
         if self.snapshot_interval < 1:
             raise ConfigurationError(
                 f"snapshot_interval must be >= 1, got {self.snapshot_interval}"
-            )
-        if self.worker_timeout <= 0:
-            raise ConfigurationError(
-                f"worker_timeout must be positive, got {self.worker_timeout}"
-            )
-        if self.max_dispatch_retries < 0:
-            raise ConfigurationError(
-                f"max_dispatch_retries must be >= 0, got {self.max_dispatch_retries}"
             )
         if self.latency_budget is not None and self.latency_budget <= 0:
             raise ConfigurationError(

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.batch import BatchContext, BatchStatistics
@@ -50,72 +50,12 @@ from repro.core.config import SystemConfig
 from repro.core.context import MatchContext
 from repro.core.insertion import insertion_candidates
 from repro.core.matcher import Matcher
-from repro.core.parallel import ParallelDispatchPool
-from repro.errors import MatchingError, NoMatchError, UnknownOptionError
+from repro.errors import MatchingError, UnknownOptionError
 from repro.model.options import RideOption, Skyline
 from repro.model.request import Request
 from repro.vehicles.fleet import Fleet
 
-__all__ = ["OptionPolicy", "DispatchOutcome", "DispatchHealth", "Dispatcher"]
-
-#: consecutive batch failures that open the circuit breaker (module-level so
-#: tests can tighten it; only ``worker_timeout`` / ``max_dispatch_retries``
-#: are per-config knobs)
-BREAKER_THRESHOLD = 3
-
-#: seconds an open breaker holds before a half-open re-probe is allowed
-BREAKER_COOLDOWN_SECONDS = 30.0
-
-#: base backoff before a dispatch retry (multiplied by the attempt number)
-RETRY_BACKOFF_SECONDS = 0.05
-
-
-@dataclass
-class DispatchHealth:
-    """Failure-containment counters of one dispatcher.
-
-    Tracks the worker watchdog and the pool circuit breaker:
-    ``closed`` -> (``BREAKER_THRESHOLD`` consecutive batch failures) ->
-    ``open`` -> (cooldown elapses) -> ``half_open`` -> one probe batch ->
-    ``closed`` on success / back to ``open`` on failure.  While open, no
-    pool is spawned and every batch runs in-process -- a persistently sick
-    environment stops paying spawn costs, without giving up on recovery.
-    Surfaced (``dispatch_``-prefixed) through
-    :meth:`repro.service.api.PTRiderService.routing_statistics`.
-    """
-
-    #: workers forcibly killed (watchdog expiries and close escalations)
-    worker_kills: int = 0
-    #: reply waits that hit ``worker_timeout`` (each kills the hung worker)
-    worker_timeouts: int = 0
-    #: broken pools replaced by a freshly spawned one
-    pool_respawns: int = 0
-    #: batches (or begin attempts) a pool failed to serve
-    batch_failures: int = 0
-    #: failed ``begin_batch`` attempts retried against a fresh pool
-    dispatch_retries: int = 0
-    #: times the breaker tripped open (including half-open re-trips)
-    breaker_opens: int = 0
-    #: current run of batch failures without an intervening success
-    consecutive_failures: int = 0
-    #: "closed", "open" or "half_open"
-    breaker_state: str = "closed"
-    #: ``time.monotonic()`` of the most recent trip (cooldown anchor)
-    opened_at: float = 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        """Counters as floats plus the breaker state string (stats panels)."""
-        return {
-            "worker_kills": float(self.worker_kills),
-            "worker_timeouts": float(self.worker_timeouts),
-            "pool_respawns": float(self.pool_respawns),
-            "batch_failures": float(self.batch_failures),
-            "dispatch_retries": float(self.dispatch_retries),
-            "breaker_opens": float(self.breaker_opens),
-            "consecutive_failures": float(self.consecutive_failures),
-            "breaker_state": self.breaker_state,
-        }
-
+__all__ = ["OptionPolicy", "DispatchOutcome", "Dispatcher"]
 
 class OptionPolicy(enum.Enum):
     """Automatic option-selection policies used by simulations and examples.
@@ -197,17 +137,10 @@ class Dispatcher:
         self._active_requests: Dict[str, str] = {}
         #: shared-tree statistics of the most recent batch call (CLI / benchmarks)
         self.last_batch_statistics: Optional[BatchStatistics] = None
-        #: lazy shared-memory worker pool for parallel shard execution
-        self._pool: Optional[ParallelDispatchPool] = None
-        #: (engine id, workers, matcher) combination that failed to start --
-        #: remembered so every batch does not re-pay a doomed spawn attempt
-        self._pool_disabled_token: Optional[Tuple[int, int, str]] = None
         #: optional observer invoked with every committed outcome (single
         #: and batch paths alike) -- the durability journal's annotation
         #: hook; unlike ``on_outcome`` it is attached once, not per call
         self.outcome_listener: Optional[Callable[[DispatchOutcome], None]] = None
-        #: watchdog / breaker / retry counters (failure containment)
-        self.health = DispatchHealth()
 
     @property
     def fleet(self) -> Fleet:
@@ -282,11 +215,11 @@ class Dispatcher:
         vehicle's :meth:`~repro.vehicles.vehicle.Vehicle.stamp` is the one it
         was computed under, it is installed as found.  Otherwise (no context,
         a vehicle that moved, served a stop, took another rider or was
-        replaced since, an option from a pool worker or a recovered booking)
-        the insertions are enumerated again -- through the same
-        ``MatchContext.distance``, so both ways decide feasibility on one
-        float path: legs touching the request start come off the start tree,
-        every other leg from the engine's canonical-rooted answer.
+        replaced since, or a recovered booking) the insertions are enumerated
+        again -- through the same ``MatchContext.distance``, so both ways
+        decide feasibility on one float path: legs touching the request
+        start come off the start tree, every other leg from the engine's
+        canonical-rooted answer.
 
         Args:
             request: the request being committed.
@@ -413,7 +346,6 @@ class Dispatcher:
         shards: Optional[int] = None,
         on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
         prefetch: bool = True,
-        workers: Optional[int] = None,
     ) -> List[DispatchOutcome]:
         """Greedy handling of simultaneous requests as a staged pipeline.
 
@@ -445,104 +377,43 @@ class Dispatcher:
                 :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`
                 call (the default; ``False`` forces per-start computation,
                 the ablation arm of benchmark E13).
-            workers: worker-process override for the collect/verify stage;
-                defaults to ``SystemConfig.dispatch_workers``.  Values above
-                1 fan the per-shard searches out to a shared-memory worker
-                pool (:mod:`repro.core.parallel`); merge + commit always
-                stay on this process, so outcomes are byte-identical at any
-                worker count, and any pool failure falls back to in-process
-                execution mid-batch without changing a single option.
         """
         prepared = self._prepare_batch(requests, apply_global_constraints, shards, prefetch)
         if prepared is None:
             return []
         request_list, batch, views = prepared
-        shard_count = len(views)
-        worker_count = workers if workers is not None else self._config.dispatch_workers
-
-        pool = self._acquire_pool(worker_count)
-        watchdog_before = (0, 0)
-        if pool is not None:
-            watchdog_before = (pool.worker_kills, pool.worker_timeouts)
-            if not pool.begin_batch(request_list, batch, shard_count, self._fleet):
-                # Shipping failed: charge the failure, retry against a fresh
-                # pool (transient failures -- a killed worker, a flaky spawn
-                # -- usually clear), else the whole batch runs in-process.
-                self._fold_pool_watchdog(pool, watchdog_before)
-                self._record_batch_failure()
-                pool = self._retry_begin_batch(request_list, batch, shard_count, worker_count)
-                if pool is not None:
-                    watchdog_before = (pool.worker_kills, pool.worker_timeouts)
-        statistics = batch.statistics
-        ipc_before = pool.ipc_seconds if pool is not None else 0.0
-        if pool is not None:
-            statistics.parallel_workers = pool.workers
-        shard_walls = [0.0] * shard_count
 
         # Stage: per-shard collect/verify + merge + greedy commit, in
         # submission order.
         outcomes: List[DispatchOutcome] = []
-        try:
-            for index, request in enumerate(request_list):
-                context = batch.context_for(index)  # re-raises recorded errors
-                started = time.perf_counter()
-                remote = pool.collect(index) if pool is not None else None
-                if remote is not None:
-                    shard_skylines = [remote[shard][0] for shard in range(shard_count)]
-                    for shard in range(shard_count):
-                        shard_walls[shard] += remote[shard][1]
-                else:
-                    # In-process path -- also the mid-batch fallback after a
-                    # pool failure: the parent fleet carries every commit, so
-                    # local collection answers identically.
-                    shard_skylines = [
-                        self._matcher.collect_shard(context, view) for view in views
-                    ]
-                merged = Skyline.merge(shard_skylines).options()
-                # The request's share of the pooled context building counts
-                # towards its response time, as it did when ``dispatch`` built
-                # the context inline.
-                elapsed = batch.context_seconds(index) + (time.perf_counter() - started)
-                self._matcher.statistics.requests_answered += 1
-                self._matcher.statistics.options_returned += len(merged)
-                if merged:
-                    chosen = policy.choose(merged)
-                    self.commit(request, chosen, context=context)
-                    if pool is not None:
-                        pool.mark_dirty(self._fleet, self._fleet.get(chosen.vehicle_id))
-                    outcome = DispatchOutcome(
-                        request=request,
-                        options=tuple(merged),
-                        chosen=chosen,
-                        match_seconds=elapsed,
-                        direct_distance=context.direct,
-                    )
-                else:
-                    outcome = DispatchOutcome(
-                        request=request,
-                        options=(),
-                        chosen=None,
-                        match_seconds=elapsed,
-                        direct_distance=context.direct,
-                    )
-                batch.release(index)  # free the pooled tree once the turn is over
-                outcomes.append(outcome)
-                if self.outcome_listener is not None:
-                    self.outcome_listener(outcome)
-                if on_outcome is not None:
-                    on_outcome(outcome)
-        finally:
-            if pool is not None:
-                # Always fold worker counters back and drop the per-batch
-                # plane segment, even when a mid-batch error propagates.
-                pool.finish_batch(self._matcher.statistics, self._fleet.routing_engine.stats)
-                statistics.ipc_seconds = pool.ipc_seconds - ipc_before
-                statistics.shard_wall_seconds = tuple(shard_walls)
-                self._fold_pool_watchdog(pool, watchdog_before)
-                if pool.broken:
-                    self._record_batch_failure()
-                else:
-                    self._record_batch_success()
+        for index, request in enumerate(request_list):
+            context = batch.context_for(index)  # re-raises recorded errors
+            started = time.perf_counter()
+            merged = Skyline.merge(
+                self._matcher.collect_shard(context, view) for view in views
+            ).options()
+            # The request's share of the pooled context building counts
+            # towards its response time, as it did when ``dispatch`` built
+            # the context inline.
+            elapsed = batch.context_seconds(index) + (time.perf_counter() - started)
+            self._matcher.statistics.requests_answered += 1
+            self._matcher.statistics.options_returned += len(merged)
+            chosen = policy.choose(merged) if merged else None
+            if chosen is not None:
+                self.commit(request, chosen, context=context)
+            outcome = DispatchOutcome(
+                request=request,
+                options=tuple(merged),
+                chosen=chosen,
+                match_seconds=elapsed,
+                direct_distance=context.direct,
+            )
+            batch.release(index)  # free the pooled tree once the turn is over
+            outcomes.append(outcome)
+            if self.outcome_listener is not None:
+                self.outcome_listener(outcome)
+            if on_outcome is not None:
+                on_outcome(outcome)
         return outcomes
 
     def _prepare_batch(
@@ -619,148 +490,6 @@ class Dispatcher:
             self._matcher.statistics.options_returned += len(merged)
             results.append(merged)
         return results
-
-    # ------------------------------------------------------------------
-    # parallel worker-pool lifecycle
-    # ------------------------------------------------------------------
-    def _acquire_pool(self, worker_count: int) -> Optional[ParallelDispatchPool]:
-        """A started pool for ``worker_count`` workers, or ``None`` to run in-process.
-
-        Pools are lazy (first parallel batch spawns), keyed on the engine
-        identity, the worker count and the matcher (any change retires the
-        old pool), torn down after sitting idle past their timeout, and
-        replaced after a failure.  A combination that failed to *start* is
-        remembered and not retried, so an environment without shared-memory
-        support pays the probe exactly once.
-
-        The circuit breaker gates everything: while *open* (and inside the
-        cooldown) no pool is offered, so a persistently failing environment
-        stops paying spawn attempts; once the cooldown elapses the breaker
-        goes *half-open* and exactly the next batch probes a fresh pool.
-        """
-        if worker_count <= 1 or not self._matcher.supports_sharding:
-            self._expire_idle_pool()
-            return None
-        health = self.health
-        if health.breaker_state == "open":
-            if time.monotonic() - health.opened_at < BREAKER_COOLDOWN_SECONDS:
-                self._expire_idle_pool()
-                return None
-            health.breaker_state = "half_open"
-        engine = self._fleet.routing_engine
-        token = (id(engine), worker_count, self._matcher.name)
-        pool = self._pool
-        respawn = False
-        if pool is not None and (
-            pool.broken
-            or pool.workers != worker_count
-            or pool.engine_token != id(engine)
-            or time.monotonic() - pool.last_used > pool.idle_timeout
-        ):
-            respawn = pool.broken
-            pool.close()
-            self._pool = pool = None
-        if pool is None:
-            if token == self._pool_disabled_token:
-                return None
-            pool = ParallelDispatchPool(
-                engine,
-                self._fleet.grid,
-                self._matcher.config,
-                self._matcher.name,
-                self._matcher.price_model,
-                worker_count,
-                worker_timeout=self._config.worker_timeout,
-            )
-            if not pool.ensure_started():
-                pool.close()
-                self._pool_disabled_token = token
-                return None
-            if respawn:
-                health.pool_respawns += 1
-            self._pool = pool
-        return pool
-
-    def _retry_begin_batch(
-        self,
-        request_list: List[Request],
-        batch: BatchContext,
-        shard_count: int,
-        worker_count: int,
-    ) -> Optional[ParallelDispatchPool]:
-        """Retry a failed ``begin_batch`` against freshly spawned pools.
-
-        Up to ``SystemConfig.max_dispatch_retries`` attempts, each after a
-        short linear backoff; the broken pool is replaced by
-        :meth:`_acquire_pool` (which also respects the breaker -- a failure
-        that tripped it open stops the retries immediately).  Returns the
-        pool that accepted the batch, or ``None`` to run in-process.
-        """
-        health = self.health
-        for attempt in range(max(0, self._config.max_dispatch_retries)):
-            time.sleep(RETRY_BACKOFF_SECONDS * (attempt + 1))
-            pool = self._acquire_pool(worker_count)
-            if pool is None:
-                break
-            health.dispatch_retries += 1
-            watchdog_before = (pool.worker_kills, pool.worker_timeouts)
-            if pool.begin_batch(request_list, batch, shard_count, self._fleet):
-                return pool
-            self._fold_pool_watchdog(pool, watchdog_before)
-            self._record_batch_failure()
-        return None
-
-    def _fold_pool_watchdog(
-        self, pool: ParallelDispatchPool, before: Tuple[int, int]
-    ) -> None:
-        """Accumulate a pool's watchdog counters (delta since ``before``)."""
-        self.health.worker_kills += pool.worker_kills - before[0]
-        self.health.worker_timeouts += pool.worker_timeouts - before[1]
-
-    def _record_batch_failure(self) -> None:
-        """One failed pooled batch (or begin attempt): maybe trip the breaker.
-
-        A failure in *half-open* re-trips immediately -- the probe batch is
-        the re-closing condition, so its failure proves the environment is
-        still sick.
-        """
-        health = self.health
-        health.batch_failures += 1
-        health.consecutive_failures += 1
-        if (
-            health.breaker_state == "half_open"
-            or health.consecutive_failures >= BREAKER_THRESHOLD
-        ):
-            if health.breaker_state != "open":
-                health.breaker_opens += 1
-            health.breaker_state = "open"
-            health.opened_at = time.monotonic()
-
-    def _record_batch_success(self) -> None:
-        """One pooled batch served cleanly: reset the failure run, close the breaker."""
-        health = self.health
-        health.consecutive_failures = 0
-        health.breaker_state = "closed"
-
-    def _expire_idle_pool(self) -> None:
-        """Tear down a pool that broke or sat unused past its idle timeout."""
-        pool = self._pool
-        if pool is not None and (
-            pool.broken or time.monotonic() - pool.last_used > pool.idle_timeout
-        ):
-            pool.close()
-            self._pool = None
-
-    def close(self) -> None:
-        """Release the parallel worker pool, if one is running (idempotent).
-
-        Joins the worker processes and unlinks every shared-memory segment;
-        the dispatcher itself remains fully usable (a later parallel batch
-        simply spawns a fresh pool).
-        """
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
 
     # ------------------------------------------------------------------
     # lifecycle notifications from the simulation engine

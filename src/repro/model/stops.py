@@ -73,9 +73,9 @@ class Stop:
 
     def __reduce__(self):
         # Pickle by construction arguments, not by state: the precomputed
-        # hash bakes in this process's string-hash seed, so a stop shipped
-        # to/from a dispatch worker must recompute it under the receiving
-        # process's seed or set/dict membership silently breaks there.
+        # hash bakes in this process's string-hash seed, so a stop unpickled
+        # in another process must recompute it under that process's seed or
+        # set/dict membership silently breaks there.
         return (Stop, (self.vertex, self.request_id, self.kind, self.riders))
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic

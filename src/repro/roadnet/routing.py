@@ -132,7 +132,6 @@ __all__ = [
     "CHEngine",
     "make_engine",
     "ensure_engine",
-    "attach_shared_engine",
 ]
 
 #: Backend names accepted by :func:`make_engine` and ``SystemConfig``.
@@ -247,25 +246,8 @@ class EngineStats:
     build_seconds: float = 0.0
     load_seconds: float = 0.0
 
-    def accumulate(self, other: "EngineStats") -> None:
-        """Fold another record into this one (cross-process aggregation).
-
-        The parallel dispatch pool runs shard verification in worker
-        processes, each with its own engine instance; at batch end every
-        worker ships the *delta* its engine accumulated and the parent folds
-        it in here, so the per-shard counters keep counting the whole
-        system's work instead of silently dropping the remote share.
-        """
-        self.queries += other.queries
-        self.cache_hits += other.cache_hits
-        self.dijkstra_runs += other.dijkstra_runs
-        self.bidirectional_runs += other.bidirectional_runs
-        self.phast_sweeps += other.phast_sweeps
-        self.build_seconds += other.build_seconds
-        self.load_seconds += other.load_seconds
-
     def snapshot(self) -> "EngineStats":
-        """An independent copy (delta bookkeeping across a remote batch)."""
+        """An independent copy (pair it with :meth:`delta_since`)."""
         return EngineStats(
             queries=self.queries,
             cache_hits=self.cache_hits,
@@ -368,18 +350,6 @@ class RoutingEngine(ABC):
         of this bound and the grid-index cell bound.
         """
         return 0.0
-
-    def export_shared(self) -> Optional[Dict[str, object]]:
-        """The engine's immutable arrays, named for shared-memory publication.
-
-        The parallel dispatch pool (:mod:`repro.core.parallel`) publishes the
-        returned ndarrays into ``multiprocessing.shared_memory`` segments once
-        per engine build; worker processes re-wrap the segments zero-copy via
-        :func:`attach_shared_engine`.  ``None`` means the backend has no flat
-        ndarray representation (the dict backend, or NumPy is unavailable)
-        and the pool must fall back to in-process execution.
-        """
-        return None
 
     def prefetch_trees(
         self, sources: Sequence[VertexId]
@@ -520,33 +490,6 @@ class CSRGraph:
         graph.indptr = _as_int_list(indptr)
         graph.indices = _as_int_list(indices)
         graph.weights = _as_float_list(weights)
-        graph._finalise_matrix()
-        return graph
-
-    @classmethod
-    def from_shared(
-        cls,
-        vertex_ids: Sequence[int],
-        indptr: Sequence[int],
-        indices: Sequence[int],
-        weights: Sequence[float],
-    ) -> "CSRGraph":
-        """Wrap already-materialised (shared-memory) ndarrays without copying.
-
-        Unlike :meth:`from_arrays` the CSR arrays are kept as the ndarrays
-        they arrive as -- zero-copy views into ``multiprocessing``
-        shared-memory segments -- so a worker process attaches a compiled
-        graph without duplicating it.  Only ``vertex_ids`` is materialised
-        (the id -> index dict needs hashable Python ints anyway).
-        """
-        graph = cls.__new__(cls)
-        graph.vertex_ids = _as_int_list(vertex_ids)
-        graph.index_of = {
-            vertex: index for index, vertex in enumerate(graph.vertex_ids)
-        }
-        graph.indptr = indptr
-        graph.indices = indices
-        graph.weights = weights
         graph._finalise_matrix()
         return graph
 
@@ -1224,46 +1167,6 @@ class ContractionHierarchy:
             ),
         )
 
-    @classmethod
-    def from_shared(
-        cls,
-        rank: Sequence[int],
-        up_indptr: Sequence[int],
-        up_indices: Sequence[int],
-        up_weights: Sequence[float],
-        up_mids: Sequence[int],
-        shortcut_count: Sequence[int],
-        down_heads: Sequence[int],
-        down_indptr: Sequence[int],
-        down_tails: Sequence[int],
-        down_weights: Sequence[float],
-        down_level_ptr: Sequence[int],
-    ) -> "ContractionHierarchy":
-        """Wrap shared-memory ndarrays without copying (worker attach path).
-
-        The arrays stay exactly the ndarrays they arrive as; only ``order``
-        (the rank inverse) is derived, and the downward sweep arrays are
-        mandatory -- the parent always exports them, so the worker never
-        re-runs :meth:`_build_downward` over read-only views.
-        """
-        if _np is None:  # pragma: no cover - attach requires NumPy upstream
-            raise RuntimeError("shared-memory attach requires NumPy")
-        order = _np.argsort(_np.asarray(rank, dtype=_np.int64), kind="stable")
-        return cls(
-            rank,
-            order,
-            up_indptr,
-            up_indices,
-            up_weights,
-            up_mids,
-            int(shortcut_count[0]),
-            down_heads=down_heads,
-            down_indptr=down_indptr,
-            down_tails=down_tails,
-            down_weights=down_weights,
-            down_level_ptr=down_level_ptr,
-        )
-
     def to_arrays(self) -> Dict[str, Sequence[float]]:
         """The hierarchy's flat arrays, named for the artifact cache.
 
@@ -1385,8 +1288,7 @@ class ContractionHierarchy:
         total = 0.0
         for weight in self._unpack_weights(edges):
             total += weight
-        # The weights may be NumPy scalars when the hierarchy is backed by
-        # shared-memory ndarrays; callers are promised plain floats.
+        # Callers are promised plain floats.
         return float(total)
 
     def _unpack_weights(
@@ -1981,68 +1883,6 @@ class CSREngine(RoutingEngine):
             self._graph.index(source), self._graph.index(target)
         )
 
-    # ------------------------------------------------------------------
-    # shared-memory surface (parallel dispatch pool)
-    # ------------------------------------------------------------------
-    def export_shared(self) -> Optional[Dict[str, object]]:
-        if _np is None:
-            return None
-        graph = self._graph
-        arrays: Dict[str, object] = {
-            "vertex_ids": _np.asarray(graph.vertex_ids, dtype=_np.int64),
-            "indptr": _np.asarray(graph.indptr, dtype=_np.int64),
-            "indices": _np.asarray(graph.indices, dtype=_np.int64),
-            "weights": _np.asarray(graph.weights, dtype=_np.float64),
-        }
-        if self._alt is not None and self._alt.landmark_count:
-            alt = self._alt.to_arrays()
-            arrays["alt_landmark_indices"] = _np.asarray(
-                alt["landmark_indices"], dtype=_np.int64
-            )
-            arrays["alt_tables"] = _np.asarray(alt["tables"], dtype=_np.float64)
-        return arrays
-
-    @classmethod
-    def attach_shared(
-        cls,
-        network: RoadNetwork,
-        arrays: Mapping[str, object],
-        max_cached_sources: int = 1024,
-    ) -> "CSREngine":
-        """Rebuild an engine over shared-memory ndarrays without recompiling.
-
-        The arrays must be what :meth:`export_shared` produced for the same
-        network; they are kept by reference (zero copy), so the attached
-        engine answers bit-identically to the exporting one -- same compile
-        order, same canonical rooting, same tree floats.
-        """
-        engine = cls.__new__(cls)
-        engine._network = network
-        engine._max_cached_sources = max_cached_sources
-        engine._cache = None
-        engine._fingerprint = None
-        engine.stats = EngineStats()
-        engine._graph = CSRGraph.from_shared(
-            arrays["vertex_ids"],
-            arrays["indptr"],
-            arrays["indices"],
-            arrays["weights"],
-        )
-        engine._tree_provider = PlaneTreeProvider(engine._graph)
-        engine._trees = OrderedDict()
-        if "alt_landmark_indices" in arrays:
-            engine._alt = ALTIndex.from_arrays(
-                engine._graph,
-                arrays["alt_landmark_indices"],
-                arrays["alt_tables"],
-            )
-            engine._landmarks = engine._alt.landmark_count
-            engine.backend = "csr+alt"
-        else:
-            engine._alt = None
-            engine._landmarks = 0
-        return engine
-
     def invalidate(self) -> None:
         """Recompile the CSR arrays and landmark tables, drop cached trees.
 
@@ -2215,49 +2055,6 @@ class TableEngine(RoutingEngine):
         )
         self._table = self._build_table()
 
-    # ------------------------------------------------------------------
-    # shared-memory surface (parallel dispatch pool)
-    # ------------------------------------------------------------------
-    def export_shared(self) -> Optional[Dict[str, object]]:
-        if _np is None:
-            return None
-        graph = self._graph
-        return {
-            "vertex_ids": _np.asarray(graph.vertex_ids, dtype=_np.int64),
-            "indptr": _np.asarray(graph.indptr, dtype=_np.int64),
-            "indices": _np.asarray(graph.indices, dtype=_np.int64),
-            "weights": _np.asarray(graph.weights, dtype=_np.float64),
-            "matrix": _np.asarray(self._table, dtype=_np.float64),
-        }
-
-    @classmethod
-    def attach_shared(
-        cls,
-        network: RoadNetwork,
-        arrays: Mapping[str, object],
-        max_cached_sources: int = 1024,  # accepted for interface uniformity
-    ) -> "TableEngine":
-        """Rebuild a table engine over shared-memory ndarrays (zero copy).
-
-        The all-pairs matrix -- the expensive part -- is mapped, not
-        recomputed, so attaching costs O(n) for the id -> index dict only.
-        """
-        engine = cls.__new__(cls)
-        engine._network = network
-        engine._block_size = DEFAULT_TABLE_BLOCK
-        engine._cache = None
-        engine._fingerprint = None
-        engine.stats = EngineStats()
-        engine._graph = CSRGraph.from_shared(
-            arrays["vertex_ids"],
-            arrays["indptr"],
-            arrays["indices"],
-            arrays["weights"],
-        )
-        engine._max_vertices = max(DEFAULT_TABLE_MAX_VERTICES, len(engine._graph))
-        engine._table = arrays["matrix"]
-        return engine
-
 
 class CHEngine(CSREngine):
     """Contraction-hierarchy routing: scalable point queries *and* trees.
@@ -2398,121 +2195,6 @@ class CHEngine(CSREngine):
         super().invalidate()
         self._hierarchy = self._compile_hierarchy()
         self._tree_provider = self._resolve_tree_provider()
-
-    # ------------------------------------------------------------------
-    # shared-memory surface (parallel dispatch pool)
-    # ------------------------------------------------------------------
-    def export_shared(self) -> Optional[Dict[str, object]]:
-        arrays = super().export_shared()
-        if arrays is None:
-            return None
-        hierarchy = self._hierarchy
-        arrays.update(
-            {
-                "ch_rank": _np.asarray(hierarchy.rank, dtype=_np.int64),
-                "ch_up_indptr": _np.asarray(hierarchy.up_indptr, dtype=_np.int64),
-                "ch_up_indices": _np.asarray(hierarchy.up_indices, dtype=_np.int64),
-                "ch_up_weights": _np.asarray(hierarchy.up_weights, dtype=_np.float64),
-                "ch_up_mids": _np.asarray(hierarchy.up_mids, dtype=_np.int64),
-                "ch_shortcut_count": _np.asarray(
-                    [hierarchy.shortcut_count], dtype=_np.int64
-                ),
-                "ch_down_heads": _np.asarray(hierarchy.down_heads, dtype=_np.int64),
-                "ch_down_indptr": _np.asarray(hierarchy.down_indptr, dtype=_np.int64),
-                "ch_down_tails": _np.asarray(hierarchy.down_tails, dtype=_np.int64),
-                "ch_down_weights": _np.asarray(
-                    hierarchy.down_weights, dtype=_np.float64
-                ),
-                "ch_down_level_ptr": _np.asarray(
-                    hierarchy.down_level_ptr, dtype=_np.int64
-                ),
-            }
-        )
-        return arrays
-
-    @classmethod
-    def attach_shared(
-        cls,
-        network: RoadNetwork,
-        arrays: Mapping[str, object],
-        max_cached_sources: int = 1024,
-        tree_provider: str = "auto",
-        phast_min_vertices: int = PHAST_AUTO_MIN_VERTICES,
-    ) -> "CHEngine":
-        """Rebuild a CH engine over shared-memory ndarrays (zero copy).
-
-        Neither the CSR compile nor the contraction re-runs: the upward and
-        downward arrays are mapped as-is, so a worker attach costs O(n) for
-        the rank inverse and the id -> index dict.
-        """
-        engine = cls.__new__(cls)
-        engine._tree_provider_request = tree_provider
-        engine._phast_min_vertices = phast_min_vertices
-        engine._network = network
-        engine._max_cached_sources = max_cached_sources
-        engine._landmarks = 0
-        engine._cache = None
-        engine._fingerprint = None
-        engine.stats = EngineStats()
-        engine._graph = CSRGraph.from_shared(
-            arrays["vertex_ids"],
-            arrays["indptr"],
-            arrays["indices"],
-            arrays["weights"],
-        )
-        engine._trees = OrderedDict()
-        engine._alt = None
-        engine._hierarchy = ContractionHierarchy.from_shared(
-            arrays["ch_rank"],
-            arrays["ch_up_indptr"],
-            arrays["ch_up_indices"],
-            arrays["ch_up_weights"],
-            arrays["ch_up_mids"],
-            arrays["ch_shortcut_count"],
-            down_heads=arrays["ch_down_heads"],
-            down_indptr=arrays["ch_down_indptr"],
-            down_tails=arrays["ch_down_tails"],
-            down_weights=arrays["ch_down_weights"],
-            down_level_ptr=arrays["ch_down_level_ptr"],
-        )
-        engine._tree_provider = engine._resolve_tree_provider()
-        return engine
-
-
-def attach_shared_engine(
-    backend: str,
-    network: RoadNetwork,
-    arrays: Mapping[str, object],
-    max_cached_sources: int = 1024,
-    tree_provider: str = "auto",
-) -> RoutingEngine:
-    """Attach a routing engine to published shared-memory ndarrays.
-
-    The worker-side counterpart of :meth:`RoutingEngine.export_shared`:
-    ``arrays`` maps the exported names to ndarrays wrapped over the attached
-    segments, and the returned engine answers bit-identically to the
-    exporting one without recompiling anything.
-
-    Raises:
-        ConfigurationError: for a backend without a shared-memory surface
-            (the dict backend's adjacency is not flat-array representable).
-    """
-    if backend in ("csr", "csr+alt"):
-        return CSREngine.attach_shared(
-            network, arrays, max_cached_sources=max_cached_sources
-        )
-    if backend == "table":
-        return TableEngine.attach_shared(network, arrays)
-    if backend == "ch":
-        return CHEngine.attach_shared(
-            network,
-            arrays,
-            max_cached_sources=max_cached_sources,
-            tree_provider=tree_provider,
-        )
-    raise ConfigurationError(
-        f"routing backend {backend!r} has no shared-memory attach path"
-    )
 
 
 def make_engine(

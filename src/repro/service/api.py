@@ -527,21 +527,24 @@ class PTRiderService:
     ) -> Tuple["PTRiderService", int]:
         """Build a service from the journal's metadata at its newest snapshot.
 
-        The restore half of :meth:`recover`: the road network, grid shape,
-        config and seed come from the journal's metadata; the newest valid
-        snapshot (or the baseline, with ``prefer_snapshot=False``) is
-        restored; recording stays suspended and *no* records are replayed.
+        The restore half of :meth:`recover`: the road network, grid shape
+        and seed come from the journal's metadata, the config from the
+        newest valid snapshot (or the baseline, with
+        ``prefer_snapshot=False``) -- a ``set_parameters`` the snapshot
+        covers is not replayed, so the journal's creation-time config would
+        be stale -- and that snapshot is restored; recording stays
+        suspended and *no* records are replayed.
         Returns the service and the snapshot's journal position.  The
         property suite uses this seam to replay tails in custom orders.
         """
         network_payload = journal.get_meta("network")
-        config_payload = journal.get_meta("config")
-        if network_payload is None or config_payload is None:
+        if network_payload is None or journal.get_meta("config") is None:
             raise RecoveryError(
                 f"journal at {journal.directory} holds no service metadata; "
                 "it was never attached to a durable service"
             )
-        config = deserialize_config(config_payload)
+        seq, state = load_snapshot_state(journal, prefer_snapshot=prefer_snapshot)
+        config = deserialize_config(state["config"])
         grid_meta = journal.get_meta("grid") or {}
         network = network_from_dict(network_payload)
         engine = make_engine(
@@ -568,7 +571,6 @@ class PTRiderService:
             _journal=journal,
             _resume=True,
         )
-        seq, state = load_snapshot_state(journal, prefer_snapshot=prefer_snapshot)
         restore_state(service, state)
         service._applied_seq = seq
         # The restored lists are exactly their at-``seq`` lengths: the next
@@ -954,25 +956,18 @@ class PTRiderService:
     def close(self) -> None:
         """Release the service's runtime resources.
 
-        Drains the pending ingest window *before* tearing down the
-        dispatcher (an admitted request is never silently dropped by a
-        shutdown; the drained count is reported in
-        ``IngestStatistics.close_drained``), then closes the journal and
-        the dispatcher -- which shuts down the shared-memory worker pool
-        and its segments when ``dispatch_workers > 1``.  Before this
-        existed only :meth:`set_parameters` closed the outgoing dispatcher,
-        so scripts building a multi-worker service leaked the pool until
-        garbage collection.  Idempotent (the dispatcher's close is, and a
-        drained queue has nothing left to drain); the service remains
-        usable afterwards -- a later dispatch simply reacquires its pool,
-        and the journal connection reopens lazily.
+        Drains the pending ingest window first (an admitted request is
+        never silently dropped by a shutdown; the drained count is reported
+        in ``IngestStatistics.close_drained``), then closes the journal.
+        Idempotent (a drained queue has nothing left to drain); the service
+        remains usable afterwards -- the journal connection reopens lazily.
 
         Exception-safe: the drain runs through the batcher's
         :meth:`~repro.service.ingest.MicroBatcher.drain` (a failing flush
         consumes one request as errored and the loop keeps draining), and
-        the journal and dispatcher are released in a ``finally`` -- a
-        poisoned window can cost individual answers but never leaks the
-        worker pool or leaves the journal connection open.
+        the journal is released in a ``finally`` -- a poisoned window can
+        cost individual answers but never leaves the journal connection
+        open.
         """
         try:
             if self._batcher.pending:
@@ -985,7 +980,6 @@ class PTRiderService:
         finally:
             if self._journal is not None:
                 self._journal.close()
-            self._dispatcher.close()
 
     def _close_drain(self, now: float) -> None:
         """Drain the pending window on shutdown, counting what it held.
@@ -1085,7 +1079,6 @@ class PTRiderService:
         panel = self._engine.statistics.panel()
         panel["current_time"] = self._engine.time
         panel["match_shards"] = float(self._config.match_shards)
-        panel["dispatch_workers"] = float(self._config.dispatch_workers)
         panel.update({f"matcher_{k}": v for k, v in self._matcher.statistics.as_dict().items()})
         panel.update({f"fleet_{k}": v for k, v in self._fleet.occupancy_statistics().items()})
         batch_stats = self._dispatcher.last_batch_statistics
@@ -1122,23 +1115,10 @@ class PTRiderService:
         no PHAST sweeps) read 0.0.  All float-valued fields also appear in
         :meth:`statistics` under a ``routing_`` prefix.
 
-        The panel also reports the parallel-dispatch posture of the most
-        recent batch: ``dispatch_workers`` (the configured knob),
-        ``parallel_workers`` (how many worker processes actually served the
-        last batch; 0.0 means it ran in-process) and ``ipc_seconds`` (wall
-        time the last batch spent shipping requests out and skylines back
-        over the pipes rather than computing).
-
         ``grid_lower_bound_rows`` of ``grid_cells`` says how warm the grid
         index is (a row is computed on a cell's first use, inside whichever
         serving call touches it; at most one per cell per service lifetime)
         and ``grid_build_seconds`` what constructing the index cost.
-
-        Failure containment appears under a ``dispatch_`` prefix: the
-        watchdog's ``worker_kills`` / ``worker_timeouts``, pool
-        ``pool_respawns``, ``batch_failures`` / ``dispatch_retries`` and
-        the circuit breaker's ``breaker_state`` / ``breaker_opens`` (see
-        :class:`~repro.core.dispatcher.DispatchHealth`).
         """
         engine = self._fleet.routing_engine
         stats = getattr(engine, "stats", None)
@@ -1164,14 +1144,6 @@ class PTRiderService:
         payload["grid_cells"] = grid["cells"]
         payload["grid_lower_bound_rows"] = grid["lower_bound_rows"]
         payload["grid_build_seconds"] = grid["build_seconds"]
-        payload["dispatch_workers"] = float(self._config.dispatch_workers)
-        batch_stats = self._dispatcher.last_batch_statistics
-        payload["parallel_workers"] = (
-            float(batch_stats.parallel_workers) if batch_stats is not None else 0.0
-        )
-        payload["ipc_seconds"] = (
-            float(batch_stats.ipc_seconds) if batch_stats is not None else 0.0
-        )
         # The micro-batched serving path: admissions, sheds, queue depth,
         # window fill, serving throughput and the admission-to-answer
         # latency tail (nearest-rank p50/p95/p99).
@@ -1195,11 +1167,6 @@ class PTRiderService:
         # under snapshot_mode="incremental").
         for key, value in self._snapshot_stats.items():
             payload[f"snapshot_{key}"] = value
-        # Failure-containment health: watchdog kills/timeouts, pool
-        # respawns, batch failures, retries and the circuit breaker's
-        # state ("closed" / "open" / "half_open") and open count.
-        for key, value in self._dispatcher.health.as_dict().items():
-            payload[f"dispatch_{key}"] = value
         return payload
 
     def set_parameters(
@@ -1213,13 +1180,10 @@ class PTRiderService:
         table_max_vertices: Optional[int] = None,
         tree_provider: Optional[str] = None,
         match_shards: Optional[int] = None,
-        dispatch_workers: Optional[int] = None,
         batch_window: Optional[float] = None,
         max_batch_size: Optional[int] = None,
         queue_capacity: Optional[int] = None,
         queue_policy: Optional[str] = None,
-        worker_timeout: Optional[float] = None,
-        max_dispatch_retries: Optional[int] = None,
         latency_budget: Optional[float] = None,
         batch_window_mode: Optional[str] = None,
         batch_window_min: Optional[float] = None,
@@ -1240,10 +1204,7 @@ class PTRiderService:
         is built).  ``match_shards`` controls how many fleet shards the
         batch dispatch pipeline partitions vehicles into; any value yields
         the same options (the per-shard skylines merge losslessly), so it
-        is purely a scale-out knob.  ``dispatch_workers`` controls how many
-        worker processes the batch pipeline fans the per-shard collect
-        stage out to (1 keeps everything in-process); like shards it never
-        changes outcomes, only wall time.
+        is purely a scale-out knob.
 
         ``batch_window`` / ``max_batch_size`` / ``queue_capacity`` /
         ``queue_policy`` reconfigure the micro-batched ingest path; the
@@ -1251,9 +1212,6 @@ class PTRiderService:
         batcher is rebuilt on the new knobs.  ``queue_capacity=0`` removes
         the bound (maps to ``None``: unbounded).
 
-        ``worker_timeout`` / ``max_dispatch_retries`` tune the failure
-        containment of the parallel dispatch path (watchdog heartbeat
-        deadline, retry attempts against a fresh pool);
         ``latency_budget`` sets the deadline-driven window close of the
         ingest path (``0`` disables it, mapping to ``None``).
 
@@ -1278,13 +1236,10 @@ class PTRiderService:
                 ("table_max_vertices", table_max_vertices),
                 ("tree_provider", tree_provider),
                 ("match_shards", match_shards),
-                ("dispatch_workers", dispatch_workers),
                 ("batch_window", batch_window),
                 ("max_batch_size", max_batch_size),
                 ("queue_capacity", queue_capacity),
                 ("queue_policy", queue_policy),
-                ("worker_timeout", worker_timeout),
-                ("max_dispatch_retries", max_dispatch_retries),
                 ("latency_budget", latency_budget),
                 ("batch_window_mode", batch_window_mode),
                 ("batch_window_min", batch_window_min),
@@ -1308,8 +1263,6 @@ class PTRiderService:
             changes["table_max_vertices"] = table_max_vertices
         if match_shards is not None:
             changes["match_shards"] = match_shards
-        if dispatch_workers is not None:
-            changes["dispatch_workers"] = dispatch_workers
         if batch_window is not None:
             changes["batch_window"] = batch_window
         if max_batch_size is not None:
@@ -1318,10 +1271,6 @@ class PTRiderService:
             changes["queue_capacity"] = None if queue_capacity == 0 else queue_capacity
         if queue_policy is not None:
             changes["queue_policy"] = queue_policy
-        if worker_timeout is not None:
-            changes["worker_timeout"] = worker_timeout
-        if max_dispatch_retries is not None:
-            changes["max_dispatch_retries"] = max_dispatch_retries
         if latency_budget is not None:
             changes["latency_budget"] = None if latency_budget == 0 else latency_budget
         if batch_window_mode is not None:
@@ -1397,20 +1346,18 @@ class PTRiderService:
             self._matcher = self._build_matcher(type(self._matcher).name)
         # Drain the ingest window through the *old* dispatcher before it is
         # replaced: admitted requests must be answered, never dropped by a
-        # reconfiguration.  The outgoing dispatcher may also own a live
-        # worker pool pinned to the old engine/matcher; release its
-        # shared-memory segments before the replacement takes over.
+        # reconfiguration.
         self._batcher.flush()
-        self._dispatcher.close()
+        listener = self._dispatcher.outcome_listener
         self._dispatcher = Dispatcher(self._fleet, self._matcher, self._config)
         self._engine._dispatcher = self._dispatcher  # keep the engine on the new dispatcher
         for booking in self._bookings.values():
             booking.context = None  # matched under the outgoing engine and matcher
-        if self._journal is not None:
-            # The journal's annotation hook must follow the service onto
-            # the rebuilt dispatcher, or post-reconfigure flush outcomes
-            # would silently stop being recorded.
-            self._dispatcher.outcome_listener = self._record_outcome_annotation
+        # Whoever observes outcomes -- the journal's annotation hook live,
+        # recovery's cross-check during replay -- must follow the service
+        # onto the rebuilt dispatcher, or post-reconfigure flush outcomes
+        # would silently stop reaching it.
+        self._dispatcher.outcome_listener = listener
         ingest_statistics = self._batcher.statistics
         self._batcher = self._build_batcher()
         # Counters survive the rebuild: the admin panel's ingest series
@@ -1440,13 +1387,10 @@ def build_system(
     routing: Optional[str] = None,
     routing_cache: Optional[str] = None,
     tree_provider: Optional[str] = None,
-    dispatch_workers: Optional[int] = None,
     batch_window: Optional[float] = None,
     max_batch_size: Optional[int] = None,
     queue_capacity: Optional[int] = None,
     queue_policy: Optional[str] = None,
-    worker_timeout: Optional[float] = None,
-    max_dispatch_retries: Optional[int] = None,
     latency_budget: Optional[float] = None,
     batch_window_mode: Optional[str] = None,
     batch_window_min: Optional[float] = None,
@@ -1474,9 +1418,6 @@ def build_system(
             to the config's ``routing_cache_dir``.
         tree_provider: tree-provider override ("auto", "plane" or "phast");
             defaults to the config's ``tree_provider``.
-        dispatch_workers: worker processes for the batch dispatch pipeline
-            (1 keeps dispatch in-process); defaults to the config's
-            ``dispatch_workers``.
         batch_window: micro-batch window length override for the ingest
             path; defaults to the config's ``batch_window``.
         max_batch_size: ingest window size cap override; defaults to the
@@ -1485,12 +1426,6 @@ def build_system(
             defaults to the config's ``queue_capacity``.
         queue_policy: full-queue policy override ("shed" or "block");
             defaults to the config's ``queue_policy``.
-        worker_timeout: dispatch-worker heartbeat deadline override (wall
-            seconds before a silent worker is declared hung and killed);
-            defaults to the config's ``worker_timeout``.
-        max_dispatch_retries: retry attempts for a failed ``begin_batch``
-            against a freshly spawned pool (``0`` disables retry);
-            defaults to the config's ``max_dispatch_retries``.
         latency_budget: deadline-driven window close for the ingest path
             (``0`` disables it); defaults to the config's
             ``latency_budget``.
@@ -1528,8 +1463,6 @@ def build_system(
         system_config = system_config.with_updates(routing_cache_dir=routing_cache)
     if tree_provider is not None and tree_provider != system_config.tree_provider:
         system_config = system_config.with_updates(tree_provider=tree_provider)
-    if dispatch_workers is not None and dispatch_workers != system_config.dispatch_workers:
-        system_config = system_config.with_updates(dispatch_workers=dispatch_workers)
     if batch_window is not None and batch_window != system_config.batch_window:
         system_config = system_config.with_updates(batch_window=batch_window)
     if max_batch_size is not None and max_batch_size != system_config.max_batch_size:
@@ -1540,15 +1473,6 @@ def build_system(
             system_config = system_config.with_updates(queue_capacity=bound)
     if queue_policy is not None and queue_policy != system_config.queue_policy:
         system_config = system_config.with_updates(queue_policy=queue_policy)
-    if worker_timeout is not None and worker_timeout != system_config.worker_timeout:
-        system_config = system_config.with_updates(worker_timeout=worker_timeout)
-    if (
-        max_dispatch_retries is not None
-        and max_dispatch_retries != system_config.max_dispatch_retries
-    ):
-        system_config = system_config.with_updates(
-            max_dispatch_retries=max_dispatch_retries
-        )
     if latency_budget is not None:
         budget = None if latency_budget == 0 else latency_budget
         if budget != system_config.latency_budget:

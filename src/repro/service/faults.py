@@ -13,44 +13,34 @@ Fire points currently instrumented:
 ===================  =========================================================
 point                where it fires
 ===================  =========================================================
-``worker.batch``     inside a pool worker, on receiving a ``batch`` command
-``worker.turn``      inside a pool worker, before computing a turn's shards
-``pool.begin``       parent side of :meth:`ParallelDispatchPool.begin_batch`
 ``ingest.flush``     inside :meth:`MicroBatcher._flush`, before dispatch
 ``journal.append``   inside :meth:`ServiceJournal.append` (``tag`` = kind)
 ===================  =========================================================
 
 Actions:
 
-* ``"sleep"`` -- delay for :attr:`FaultSpec.seconds` (a slow worker or a
-  slow flush; inflates latency but changes no outcome);
-* ``"stall"`` -- ignore ``SIGTERM`` and sleep for a very long time: a
-  *wedged* process that only ``SIGKILL`` removes.  Worker-side points only
-  (parent-side stalls would wedge the service itself);
+* ``"sleep"`` -- delay for :attr:`FaultSpec.seconds` (a slow flush or a
+  slow append; inflates latency but changes no outcome);
 * ``"kill"`` -- ``os._exit``: an abrupt crash with no cleanup;
 * ``"error"`` -- raise :class:`FaultInjected` (a transient failure the
   caller may retry).
 
-Determinism: every ``fire(point, position=..., tag=...)`` call site key
-keeps its own monotonically increasing occurrence counter, and a spec only
-executes when the current occurrence index is listed in its ``at`` tuple.
-Counters live in the plan instance, so a plan shipped to a freshly spawned
-worker counts that worker's occurrences from zero -- a spec targeting
-``position=1, at=(3,)`` always means "worker 1's fourth turn since it
-started", independent of scheduling order.  :meth:`FaultPlan.seeded` draws
-the occurrence indices from :class:`random.Random`, giving a reproducible
+Determinism: every ``fire(point, tag=...)`` call site key keeps its own
+monotonically increasing occurrence counter, and a spec only executes when
+the current occurrence index is listed in its ``at`` tuple.  Counters live
+in the plan instance, so a spec with ``at=(3,)`` always means "the fourth
+occurrence since the plan was built".  :meth:`FaultPlan.seeded` draws the
+occurrence indices from :class:`random.Random`, giving a reproducible
 pseudo-random schedule from a single seed.
 
-This module is imported from ``repro.core.parallel`` (lazily) and from the
-service layer; to stay cycle-free it must import nothing from ``repro``
-beyond :mod:`repro.errors`.
+This module is imported from the service layer; to stay cycle-free it must
+import nothing from ``repro`` beyond :mod:`repro.errors`.
 """
 
 from __future__ import annotations
 
 import os
 import random
-import signal
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -62,20 +52,15 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "active",
-    "active_specs",
     "clear",
     "fire",
     "install",
 ]
 
 #: Valid :attr:`FaultSpec.action` values.
-ACTIONS = ("sleep", "stall", "kill", "error")
+ACTIONS = ("sleep", "kill", "error")
 
-#: How long a ``"stall"`` sleeps when the spec gives no ``seconds``: long
-#: enough that only the watchdog (or ``SIGKILL``) ends it.
-STALL_SECONDS = 3600.0
-
-#: Exit status of a ``"kill"`` action -- distinctive in worker post-mortems.
+#: Exit status of a ``"kill"`` action -- distinctive in post-mortems.
 KILL_EXIT_CODE = 170
 
 
@@ -88,13 +73,11 @@ class FaultSpec:
     """One scheduled fault: *what* happens, *where*, and on which occurrences.
 
     Args:
-        point: the fire-point name (``"worker.turn"``, ``"journal.append"``, ...).
+        point: the fire-point name (``"ingest.flush"`` or ``"journal.append"``).
         action: one of :data:`ACTIONS`.
         at: 0-based occurrence indices of the matching fire key at which the
             action executes.
-        seconds: delay for ``"sleep"`` (and optionally ``"stall"``).
-        position: only fire in the worker with this position (``None``
-            matches any position, including the parent's ``None``).
+        seconds: delay for ``"sleep"``.
         tag: only fire when the call site passes this tag (``None`` matches
             any tag).  ``journal.append`` tags each call with its record kind.
     """
@@ -103,22 +86,15 @@ class FaultSpec:
     action: str = "error"
     at: Tuple[int, ...] = (0,)
     seconds: float = 0.05
-    position: Optional[int] = None
     tag: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.action not in ACTIONS:
             raise ServiceError(f"unknown fault action {self.action!r}")
 
-    def matches(self, point: str, position: Optional[int], tag: Optional[str]) -> bool:
+    def matches(self, point: str, tag: Optional[str]) -> bool:
         """Whether this spec applies to a fire at the given key (ignoring counts)."""
-        if self.point != point:
-            return False
-        if self.position is not None and self.position != position:
-            return False
-        if self.tag is not None and self.tag != tag:
-            return False
-        return True
+        return self.point == point and (self.tag is None or self.tag == tag)
 
 
 class FaultPlan:
@@ -131,8 +107,8 @@ class FaultPlan:
     def __init__(self, specs: Iterable[FaultSpec], name: str = "chaos") -> None:
         self.specs: Tuple[FaultSpec, ...] = tuple(specs)
         self.name = name
-        #: occurrence counters per exact ``(point, position, tag)`` fire key
-        self._counts: Dict[Tuple[str, Optional[int], Optional[str]], int] = {}
+        #: occurrence counters per exact ``(point, tag)`` fire key
+        self._counts: Dict[Tuple[str, Optional[str]], int] = {}
         #: how many times each ``point:action`` actually executed
         self.fired: Dict[str, int] = {}
 
@@ -167,15 +143,13 @@ class FaultPlan:
         clear()
 
     # ------------------------------------------------------------------
-    def fire(
-        self, point: str, position: Optional[int] = None, tag: Optional[str] = None
-    ) -> None:
+    def fire(self, point: str, tag: Optional[str] = None) -> None:
         """Count one occurrence of the fire key and execute any due specs."""
-        key = (point, position, tag)
+        key = (point, tag)
         index = self._counts.get(key, 0)
         self._counts[key] = index + 1
         for spec in self.specs:
-            if index in spec.at and spec.matches(point, position, tag):
+            if index in spec.at and spec.matches(point, tag):
                 self._execute(spec)
 
     def _execute(self, spec: FaultSpec) -> None:
@@ -183,15 +157,6 @@ class FaultPlan:
         self.fired[label] = self.fired.get(label, 0) + 1
         if spec.action == "sleep":
             time.sleep(spec.seconds)
-        elif spec.action == "stall":
-            # A wedged process: SIGTERM is ignored so polite termination
-            # fails and only the watchdog's SIGKILL (or close()'s kill
-            # escalation) removes it.  Worker-side points only.
-            try:
-                signal.signal(signal.SIGTERM, signal.SIG_IGN)
-            except (ValueError, OSError):  # pragma: no cover - non-main thread
-                pass
-            time.sleep(spec.seconds if spec.seconds > 1.0 else STALL_SECONDS)
         elif spec.action == "kill":
             os._exit(KILL_EXIT_CODE)
         else:  # "error"
@@ -220,19 +185,7 @@ def active() -> Optional[FaultPlan]:
     return _ACTIVE
 
 
-def active_specs() -> Optional[Tuple[FaultSpec, ...]]:
-    """The installed plan's specs -- what a spawning pool ships to workers.
-
-    Only worker-side points travel: parent-side counters must not restart
-    from zero in the child, and a child has no use for parent points.
-    """
-    if _ACTIVE is None:
-        return None
-    specs = tuple(spec for spec in _ACTIVE.specs if spec.point.startswith("worker."))
-    return specs or None
-
-
-def fire(point: str, position: Optional[int] = None, tag: Optional[str] = None) -> None:
+def fire(point: str, tag: Optional[str] = None) -> None:
     """Fire a named point against the installed plan (no-op when inactive)."""
     if _ACTIVE is not None:
-        _ACTIVE.fire(point, position=position, tag=tag)
+        _ACTIVE.fire(point, tag=tag)

@@ -2,9 +2,8 @@
 
 ``PTRiderService.book`` answers one request at a time, which means the
 fastest machinery in the repository -- the staged batch pipeline with its
-vectorised tree prefetch, demand-pooled leg trees, sharded matching and the
-shared-memory worker pool -- was only reachable by callers that hand-assemble
-batches.  :class:`MicroBatcher` closes that gap: incoming requests accumulate
+vectorised tree prefetch, demand-pooled leg trees and sharded matching --
+was only reachable by callers that hand-assemble batches.  :class:`MicroBatcher` closes that gap: incoming requests accumulate
 in a *window* that is flushed through
 :meth:`~repro.core.dispatcher.Dispatcher.dispatch_batch` when either
 
@@ -420,7 +419,6 @@ class MicroBatcher:
             (defaults to ``batch_window * 16``).
         policy: the stand-in rider choosing from each skyline.
         shards: shard-count override forwarded to ``dispatch_batch``.
-        workers: worker-count override forwarded to ``dispatch_batch``.
         clock: zero-argument callable read at admissions and pumps.
             Defaults to ``time.monotonic`` (wall time); replay passes
             simulated time via the ``now`` argument of the public methods
@@ -448,7 +446,6 @@ class MicroBatcher:
         window_max: Optional[float] = None,
         policy: OptionPolicy = OptionPolicy.CHEAPEST,
         shards: Optional[int] = None,
-        workers: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
         wall_clock: Optional[Callable[[], float]] = None,
         on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
@@ -484,7 +481,6 @@ class MicroBatcher:
         self._latency_budget = latency_budget
         self._policy = policy
         self._shards = shards
-        self._workers = workers
         self._clock = clock or time.monotonic
         self._wall_clock = wall_clock or time.perf_counter
         self._on_outcome = on_outcome
@@ -718,11 +714,12 @@ class MicroBatcher:
     def drain(self, now: Optional[float] = None) -> List[DispatchOutcome]:
         """Exception-safe full drain: flush until nothing is pending.
 
-        A flush that raises consumes exactly one request (errored and
-        counted) and re-queues the untouched remainder, so this loop
-        terminates in at most ``pending`` iterations and never strands an
-        admitted request -- the conservation invariant holds afterwards
-        even when every single flush fails.  Shutdown paths use this so a
+        A dispatch that raises consumes exactly one request (errored and
+        counted) and re-queues the untouched remainder; an injected fault at
+        the flush hook consumes none.  The loop runs at most ``pending + 1``
+        times either way, and a request is only ever answered, errored or
+        left pending -- the conservation invariant holds afterwards even
+        when every single flush fails.  Shutdown paths use this so a
         poisoned window cannot abort the rest of ``close()``.
         """
         moment = self._now(now)
@@ -756,12 +753,18 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def _flush(self, moment: float, reason: str) -> List[DispatchOutcome]:
+        if not self._pending:
+            return []
+        started = self._wall_clock()
+        # Chaos-harness hook (delay / error).  It fires before the window is
+        # taken, so an injected error leaves the batcher untouched: a
+        # transient failure before dispatch began loses no request, and the
+        # caller may simply retry.
+        _fire_fault("ingest.flush")
         window = self._pending
         opened = self._window_opened
         self._pending = []
         self._window_opened = None
-        if not window:
-            return []
         self._pending_epoch += 1  # covers the error-path re-queue too
         statistics = self.statistics
         setattr(statistics, reason, getattr(statistics, reason) + 1)
@@ -770,7 +773,6 @@ class MicroBatcher:
         admit_times = [admitted for _, admitted in window]
         deadlines = [self.deadline(request, admitted) for request, admitted in window]
         answered_before = statistics.answered
-        started = self._wall_clock()
 
         def _answered(outcome: DispatchOutcome) -> None:
             position = statistics.answered - answered_before
@@ -786,12 +788,10 @@ class MicroBatcher:
                 self._on_outcome(outcome)
 
         try:
-            _fire_fault("ingest.flush")  # chaos-harness hook (delay / error)
             outcomes = self._dispatcher.dispatch_batch(
                 requests,
                 policy=self._policy,
                 shards=self._shards,
-                workers=self._workers,
                 on_outcome=_answered,
             )
         except Exception:
@@ -832,10 +832,8 @@ def batcher_from_config(
 
     Reads ``batch_window`` / ``max_batch_size`` / ``queue_capacity`` /
     ``queue_policy`` / ``speed`` / ``latency_budget`` /
-    ``batch_window_mode`` / ``batch_window_min`` / ``batch_window_max``
-    (plus the dispatch worker knob, which ``dispatch_batch`` already
-    defaults from the same config), so the service layer and the admin
-    form stay the single source of truth.
+    ``batch_window_mode`` / ``batch_window_min`` / ``batch_window_max``, so
+    the service layer and the admin form stay the single source of truth.
     """
     return MicroBatcher(
         dispatcher,

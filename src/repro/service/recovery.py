@@ -36,11 +36,13 @@ statistics counters.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.pricing import LinearPriceModel
@@ -65,6 +67,7 @@ __all__ = [
     "replay_records",
     "serialize_config",
     "deserialize_config",
+    "RETIRED_CONFIG_KEYS",
     "serialize_request",
     "deserialize_request",
     "SNAPSHOT_KEEP",
@@ -80,6 +83,42 @@ STATE_VERSION = 1
 
 class RecoveryError(ServiceError):
     """Recovery could not restore a consistent service state."""
+
+
+#: Dropped from a replayed config or ``set_parameters`` change.
+_DROP = object()
+
+#: Knobs of the retired multi-process dispatch pool that old journals and
+#: snapshots still name, and what each replays as.  The worker count never
+#: changed an outcome, so the mapping is exact: ``dispatch_workers`` becomes
+#: 1 (the only value the config accepts; a ``set_parameters`` change, which
+#: no longer takes it, drops it), and the pool's watchdog and retry knobs
+#: are dropped.
+RETIRED_CONFIG_KEYS: Dict[str, object] = {
+    "dispatch_workers": 1,
+    "worker_timeout": _DROP,
+    "max_dispatch_retries": _DROP,
+}
+
+
+def _retire_knobs(
+    payload: Mapping[str, object], accepted: Collection[str], where: str
+) -> Dict[str, object]:
+    """``payload`` with retired knobs mapped through :data:`RETIRED_CONFIG_KEYS`.
+
+    Raises:
+        RecoveryError: for any other key outside ``accepted``.
+    """
+    fields: Dict[str, object] = {}
+    for key, value in payload.items():
+        if key in RETIRED_CONFIG_KEYS:
+            value = RETIRED_CONFIG_KEYS[key]
+            if value is _DROP or key not in accepted:
+                continue
+        elif key not in accepted:
+            raise RecoveryError(f"{where} names unknown parameter {key!r}")
+        fields[key] = value
+    return fields
 
 
 # ----------------------------------------------------------------------
@@ -256,8 +295,6 @@ def serialize_config(config: SystemConfig) -> Dict[str, object]:
         "durability": config.durability,
         "journal_path": config.journal_path,
         "snapshot_interval": config.snapshot_interval,
-        "worker_timeout": config.worker_timeout,
-        "max_dispatch_retries": config.max_dispatch_retries,
         "latency_budget": config.latency_budget,
         "batch_window_mode": config.batch_window_mode,
         "batch_window_min": config.batch_window_min,
@@ -268,9 +305,19 @@ def serialize_config(config: SystemConfig) -> Dict[str, object]:
 
 
 def deserialize_config(payload: Dict[str, object]) -> SystemConfig:
-    """Rebuild a config (price-model coefficients included)."""
+    """Rebuild a config (price-model coefficients included).
+
+    Retired knobs replay through :data:`RETIRED_CONFIG_KEYS`.
+
+    Raises:
+        RecoveryError: when the payload names any other unknown field.
+    """
     price = payload.get("price_model") or {}
-    fields = dict(payload)
+    fields = _retire_knobs(
+        payload,
+        [field.name for field in dataclasses.fields(SystemConfig)],
+        "the journaled config",
+    )
     fields["price_model"] = LinearPriceModel(
         base_ratio=float(price.get("base_ratio", 0.3)),
         rider_increment=float(price.get("rider_increment", 0.1)),
@@ -983,7 +1030,13 @@ def apply_record(service, record: JournalRecord) -> None:
         elif kind == "advance":
             service.advance(float(payload["duration"]))
         elif kind == "set_parameters":
-            service.set_parameters(**payload["changes"])
+            service.set_parameters(
+                **_retire_knobs(
+                    payload["changes"],
+                    inspect.signature(service.set_parameters).parameters,
+                    f"set_parameters record {record.seq}",
+                )
+            )
         else:  # pragma: no cover - append() rejects unknown kinds
             raise RecoveryError(f"unknown command record kind {kind!r}")
     except RecoveryError:

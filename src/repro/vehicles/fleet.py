@@ -46,14 +46,13 @@ def shard_of_cell(cell_id: CellId, columns: int, shard_count: int) -> int:
 
 
 def snapshot_vehicle(vehicle: Vehicle) -> tuple:
-    """A pickle-lean snapshot of one vehicle's dispatch-relevant state.
+    """A flat snapshot of one vehicle's dispatch-relevant state.
 
-    The parallel dispatch pool ships these instead of :class:`Vehicle`
-    objects: the payload is a flat tuple of frozen dataclasses and
-    primitives (no grid registrations, no back-references), so pickling
-    stays cheap and the restored vehicle is state-identical for every
+    The payload is a tuple of frozen dataclasses and primitives (no grid
+    registrations, no back-references); the vehicle
+    :func:`restore_vehicle` rebuilds from it is state-identical for every
     check the matchers run (waiting/onboard budgets, kinetic tree,
-    assignment order).
+    assignment order).  Recovery serialises vehicles through it.
     """
     return (
         vehicle.vehicle_id,
@@ -212,11 +211,8 @@ class Fleet:
     def replace_vehicle(self, vehicle: Vehicle) -> None:
         """Swap in a refreshed copy of an already-registered vehicle.
 
-        The parallel dispatch pool's workers keep mirror fleets in sync by
-        replacing each committed vehicle with its restored snapshot: the old
-        object's grid registrations are cleared, the new object takes its
-        slot and is re-registered.  Commits never move a vehicle, so shard
-        ownership is unchanged by construction.
+        The old object's grid registrations are cleared, the new object
+        takes its slot and is re-registered (snapshot restore).
 
         Raises:
             UnknownVehicleError: when no vehicle with that id is registered.
@@ -361,19 +357,6 @@ class Fleet:
         if shard_count < 1:
             raise VehicleError(f"shard_count must be >= 1, got {shard_count}")
         return [ShardedFleetView(self, shard, shard_count) for shard in range(shard_count)]
-
-    def shard_snapshots(self, shard_count: int) -> Dict[int, List[tuple]]:
-        """Snapshot every vehicle, grouped by owning shard (worker shipping).
-
-        The per-shard lists are sorted by vehicle id (the fleet's canonical
-        iteration order), so a worker re-adding them reproduces the parent's
-        deterministic registration sequence.
-        """
-        shards: Dict[int, List[tuple]] = {shard: [] for shard in range(shard_count)}
-        for vehicle in self.vehicles():
-            shard = self.shard_of_vehicle(vehicle, shard_count)
-            shards[shard].append(snapshot_vehicle(vehicle))
-        return shards
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Fleet(vehicles={len(self._vehicles)}, grid={self._grid!r})"

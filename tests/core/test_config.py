@@ -53,6 +53,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SystemConfig(table_max_vertices=0)
 
+    def test_dispatch_workers_accepts_only_one(self):
+        assert SystemConfig(dispatch_workers=1).dispatch_workers == 1
+        for workers in (0, 2, 4):
+            with pytest.raises(ConfigurationError, match="dispatch_workers"):
+                SystemConfig(dispatch_workers=workers)
+
+    def test_retired_pool_knobs_are_gone(self):
+        for name in ("worker_timeout", "max_dispatch_retries"):
+            with pytest.raises(TypeError):
+                SystemConfig(**{name: 1})
+
     def test_routing_cache_defaults_off(self):
         config = SystemConfig()
         assert config.routing_cache_dir is None

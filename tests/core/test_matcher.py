@@ -8,7 +8,6 @@ from repro.core.config import SystemConfig
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.matcher import MatcherStatistics, added_distance_lower_bound
 from repro.core.naive import NaiveKineticTreeMatcher
-from repro.core.parallel import _fold_matcher_delta
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
 from repro.roadnet.generators import figure1_network, grid_network
@@ -72,11 +71,6 @@ class TestVehiclesBeyondCap:
         matcher.match(Request(start=1, destination=3, riders=1, max_waiting=6.0,
                               service_constraint=0.5, request_id="q"))
         assert matcher.statistics.vehicles_beyond_cap == 0
-
-    def test_worker_deltas_fold_it(self):
-        stats = MatcherStatistics(vehicles_pruned=3, vehicles_beyond_cap=1)
-        _fold_matcher_delta(stats, {"vehicles_pruned": 4.0, "vehicles_beyond_cap": 2.0})
-        assert (stats.vehicles_pruned, stats.vehicles_beyond_cap) == (7, 3)
 
     def test_service_panel_shows_it(self):
         service = build_system(vehicles=6, seed=3)

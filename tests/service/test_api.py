@@ -303,22 +303,26 @@ class TestWebsiteInterface:
         assert after == paper_service.fleet.grid.summary()["lower_bound_rows"]
         assert paper_service.statistics()["routing_grid_lower_bound_rows"] == after
 
-    def test_routing_statistics_reports_parallel_dispatch_posture(self, paper_service):
-        panel = paper_service.routing_statistics()
-        assert panel["dispatch_workers"] == 1.0
-        # no batch ran yet: the last-batch fields read their neutral zeros
-        assert panel["parallel_workers"] == 0.0
-        assert panel["ipc_seconds"] == 0.0
-        config = paper_service.set_parameters(dispatch_workers=3)
-        assert config.dispatch_workers == 3
-        assert paper_service.routing_statistics()["dispatch_workers"] == 3.0
-        assert paper_service.statistics()["dispatch_workers"] == 3.0
-        # a batch through the dict-backed paper service runs in-process
-        # (no export surface), so the last-batch posture stays 0 workers
+    def test_panels_carry_no_worker_pool_keys(self, paper_service):
         paper_service.book_batch([(12, 17), (3, 22)])
         panel = paper_service.routing_statistics()
-        assert panel["parallel_workers"] == 0.0
-        assert panel["ipc_seconds"] == 0.0
+        assert not [key for key in panel if key.startswith("dispatch_")]
+        assert "parallel_workers" not in panel and "ipc_seconds" not in panel
+        statistics = paper_service.statistics()
+        assert not [key for key in statistics if "dispatch_" in key]
+        assert not [key for key in statistics if "parallel_workers" in key]
+        assert not [key for key in statistics if "ipc_seconds" in key]
+
+    @pytest.mark.parametrize(
+        "knob", [("dispatch_workers", 2), ("worker_timeout", 5.0),
+                 ("max_dispatch_retries", 2)],
+    )
+    def test_retired_knobs_are_rejected(self, paper_service, knob):
+        name, value = knob
+        with pytest.raises(TypeError):
+            paper_service.set_parameters(**{name: value})
+        with pytest.raises(TypeError):
+            build_system(vehicles=2, seed=1, **{name: value})
 
     def test_routing_statistics_reports_artifact_cache_activity(self, tmp_path):
         pytest.importorskip("numpy", reason="the artifact cache serialises through NumPy")

@@ -68,6 +68,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["demo", "--tree-provider", "bogus"])
 
+    @pytest.mark.parametrize(
+        "flag", [("--workers", "2"), ("--worker-timeout", "5"),
+                 ("--max-dispatch-retries", "2")],
+    )
+    def test_retired_dispatch_pool_flags_are_rejected(self, flag):
+        for command in ("simulate", "compare"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, *flag])
+
 
 class TestCommands:
     def test_demo_runs(self, capsys):

@@ -231,6 +231,51 @@ class TestJournalingService:
         assert len(outcomes[0].payload["outcomes"]) == 1
 
 
+class TestReconfigureReplay:
+    """``set_parameters`` in a journal: replay keeps observing flush
+    outcomes across the dispatcher rebuild, and a snapshot that covers the
+    command restores the parameters it set."""
+
+    @staticmethod
+    def _small(tmp_path, **durable):
+        return build_system(
+            vehicles=5, seed=13, network_rows=8, network_columns=8,
+            journal_path=str(tmp_path / "journal"), **durable,
+        )
+
+    def test_replay_keeps_observing_outcomes_after_a_rebuild(self, tmp_path):
+        service = self._small(tmp_path, durability="journal")
+        service.set_parameters(max_waiting=5.0)
+        service.ingest_request(_request(service, 1))
+        service.drain(now=1.0)
+        live = canonical_state(service)
+        service.close()
+        recovered = PTRiderService.recover(tmp_path / "journal")
+        assert canonical_state(recovered) == live
+
+    @pytest.mark.parametrize("snapshot_mode", ["full", "incremental"])
+    def test_snapshot_covering_set_parameters_restores_its_config(
+        self, tmp_path, snapshot_mode
+    ):
+        service = self._small(
+            tmp_path, durability="journal+snapshot", snapshot_interval=3,
+            snapshot_mode=snapshot_mode,
+        )
+        for index in range(4):
+            booking = service.book_request(_request(service, index))
+            if booking.options:
+                service.choose(booking.booking_id, 0)
+        service.set_parameters(max_waiting=6.0)
+        journal = service.journal
+        points = {seq for seq, _ in journal.snapshot_files() + journal.delta_files()}
+        assert journal.last_seq() in points  # the command crossed the cadence
+        live = canonical_state(service)
+        service.close()
+        recovered = PTRiderService.recover(tmp_path / "journal")
+        assert recovered.config.max_waiting == 6.0
+        assert canonical_state(recovered) == live
+
+
 class TestCloseDrain:
     def test_close_drains_pending_window_and_counts(self, tmp_path):
         service = build_system(vehicles=6, seed=11)
