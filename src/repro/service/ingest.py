@@ -3,8 +3,9 @@
 ``PTRiderService.book`` answers one request at a time, which means the
 fastest machinery in the repository -- the staged batch pipeline with its
 vectorised tree prefetch, demand-pooled leg trees and sharded matching --
-was only reachable by callers that hand-assemble batches.  :class:`MicroBatcher` closes that gap: incoming requests accumulate
-in a *window* that is flushed through
+was only reachable by callers that hand-assemble batches.
+:class:`MicroBatcher` closes that gap: incoming requests accumulate in a
+*window* that is flushed through
 :meth:`~repro.core.dispatcher.Dispatcher.dispatch_batch` when either
 
 * ``batch_window`` time units have passed since the window's first

@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import ServiceError
 from repro.service import faults
+from repro.service.api import build_system
 from repro.service.faults import FaultInjected, FaultPlan, FaultSpec
 
 
@@ -112,3 +113,19 @@ class TestSeededPlans:
         assert spec.seconds == 0.4
         assert spec.tag == "pump"
 
+
+
+class TestFlushHook:
+    def test_a_failed_flush_takes_nothing_from_the_window(self):
+        """The hook fires before the window is taken: the failed call
+        executed nothing, so a retry answers every admission."""
+        service = build_system(vehicles=5, seed=13, network_rows=8, network_columns=8)
+        service.ingest(1, 40)
+        service.ingest(9, 55)
+        with FaultPlan([FaultSpec(point="ingest.flush", action="error", at=(0,))]):
+            with pytest.raises(FaultInjected):
+                service.drain(now=1.0)
+            assert service.batcher.pending == 2
+            assert len(service.drain(now=1.0)) == 2
+        stats = service.batcher.statistics
+        assert stats.errored == 0 and stats.answered == 2
