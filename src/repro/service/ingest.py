@@ -624,20 +624,23 @@ class MicroBatcher:
     def _evict_loosest(self, incoming: Request, moment: float) -> bool:
         """Deadline-ordered shedding: drop the loosest-deadline admission.
 
-        Scans the pending window for the entry with the latest deadline and
-        evicts it *only* when that deadline is strictly later than the
-        incoming request's (ties keep the incumbents -- they were admitted
-        first and re-ordering equals buys nothing).  Returns ``True`` when a
-        slot was freed for the incoming request.
+        Scans the pending window for the first entry with the latest
+        deadline and evicts it *only* when that deadline is later than the
+        incoming request's by more than float noise (ties keep the
+        incumbents -- they were admitted first and re-ordering equals buys
+        nothing).  The tolerance applies to that one comparison only: the
+        scan itself takes the exact maximum, so which incumbent goes never
+        depends on the order near-equal deadlines were admitted in.  Returns
+        ``True`` when a slot was freed for the incoming request.
         """
-        loosest = self.deadline(incoming, moment)
+        loosest = None
         loosest_index = None
         for index, (pending, admitted) in enumerate(self._pending):
             candidate = self.deadline(pending, admitted)
-            if candidate > loosest + 1e-12:
+            if loosest is None or candidate > loosest:
                 loosest = candidate
                 loosest_index = index
-        if loosest_index is None:
+        if loosest is None or loosest <= self.deadline(incoming, moment) + 1e-12:
             return False
         del self._pending[loosest_index]
         self._pending_epoch += 1

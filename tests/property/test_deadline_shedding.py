@@ -187,3 +187,33 @@ def test_eviction_that_empties_the_window_closes_it():
     assert batcher.pending == 1
     assert batcher.window_opened == 5.0
     _check_conservation(batcher)
+
+
+def test_near_equal_incumbents_evict_the_exactly_loosest():
+    """Incumbent deadlines a float ulp apart are not a tie among themselves:
+    the exactly-latest one goes, whatever order they were admitted in."""
+    batcher = _build_batcher(4)
+    step = 1e-15
+    assert batcher.submit(_request(1, 0.0, 2.0), now=0.0)
+    assert batcher.submit(_request(2, 0.0, 8.0), now=0.0)
+    assert batcher.submit(_request(3, step, 2.0), now=step)
+    assert batcher.submit(_request(4, step, 8.0), now=step)
+    assert batcher.submit(_request(5, step, 2.0), now=step)
+    assert batcher.statistics.evicted == 1
+    assert [request.request_id for request, _ in batcher.pending_entries()] == [
+        "D1", "D2", "D3", "D5",
+    ]
+    _check_conservation(batcher)
+
+
+def test_incoming_within_float_noise_of_the_loosest_is_refused():
+    """An incoming deadline a float ulp before the loosest incumbent's is a
+    tie with it: the incumbent stays and the incoming request is shed."""
+    batcher = _build_batcher(1)
+    step = 1e-15
+    assert batcher.submit(_request(1, step, 8.0), now=step)
+    assert not batcher.submit(_request(2, 0.0, 8.0), now=step)
+    assert batcher.statistics.shed == 1
+    assert batcher.statistics.evicted == 0
+    assert [request.request_id for request, _ in batcher.pending_entries()] == ["D1"]
+    _check_conservation(batcher)

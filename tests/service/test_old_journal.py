@@ -17,9 +17,17 @@ from pathlib import Path
 
 import pytest
 
-from repro.service.api import PTRiderService
-from repro.service.journal import ServiceJournal
-from repro.service.recovery import RecoveryError, canonical_state
+from repro.core.config import SystemConfig
+from repro.service.api import PTRiderService, build_system
+from repro.service.journal import JournalRecord, ServiceJournal
+from repro.service.recovery import (
+    RETIRED_CONFIG_KEYS,
+    RecoveryError,
+    apply_record,
+    canonical_state,
+    deserialize_config,
+    serialize_config,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "old_journal"
 
@@ -81,3 +89,37 @@ def test_an_invented_set_parameters_key_fails_with_a_recovery_error(journal_copy
     journal.close()
     with pytest.raises(RecoveryError, match="warp_factor"):
         PTRiderService.recover(journal_copy, prefer_snapshot=False)
+
+
+#: What each retired knob held in the fixture's day, one value apart from
+#: its old default so a mapping that kept the value would show.
+RETIRED_VALUES = {"dispatch_workers": 3, "worker_timeout": 7.5, "max_dispatch_retries": 2}
+
+
+def test_the_table_names_exactly_the_retired_knobs():
+    assert set(RETIRED_CONFIG_KEYS) == set(RETIRED_VALUES)
+
+
+@pytest.mark.parametrize("knob", sorted(RETIRED_VALUES))
+def test_a_retired_knob_in_a_config_payload_replays_as_the_current_config(knob):
+    config = SystemConfig(max_waiting=6.0, match_shards=2)
+    payload = {**serialize_config(config), knob: RETIRED_VALUES[knob]}
+    assert deserialize_config(payload) == config
+
+
+@pytest.mark.parametrize("knob", sorted(RETIRED_VALUES))
+def test_a_retired_knob_in_a_set_parameters_record_changes_nothing(knob):
+    service = build_system(vehicles=3, seed=13, network_rows=6, network_columns=6)
+    try:
+        before = canonical_state(service)
+        apply_record(service, JournalRecord(
+            seq=1, kind="set_parameters",
+            payload={"changes": {knob: RETIRED_VALUES[knob], "max_waiting": 6.0}},
+        ))
+        assert service.config.max_waiting == 6.0
+        assert service.config.dispatch_workers == 1
+        after = canonical_state(service)
+        after["config"]["max_waiting"] = before["config"]["max_waiting"]
+        assert after == before
+    finally:
+        service.close()
