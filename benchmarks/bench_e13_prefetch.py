@@ -1,11 +1,10 @@
-"""E13 -- batch tree-prefetch ablation across the vectorised backends.
+"""E13 -- batch tree-prefetch ablation.
 
-ISSUE 3's tentpole moves the batched pipeline's tree work into one
-``scipy.csgraph.dijkstra(indices=[...])`` call (CSR backend) or into O(1)
-row lookups of a precomputed all-pairs table (table backend).  This
-experiment isolates that knob: the same E12-style burst (120 Shanghai-like
-trips, hot-spot start structure, cache-pressured engines) is dispatched with
-the one-shot prefetch on and off, on both backends, recording
+The batched pipeline moves its tree work into one
+``scipy.csgraph.dijkstra(indices=[...])`` call.  This experiment isolates
+that step: the same E12-style burst (120 Shanghai-like trips, hot-spot start
+structure, cache-pressured engines) is dispatched with the one-shot prefetch
+on and off, recording
 
 * trees/second resolved on the request side (the paper's bottleneck for
   simultaneous requests, Section 2.5);
@@ -44,7 +43,7 @@ VEHICLES = 10
 TRIPS = 120
 SEED = 17
 
-BACKENDS = ("csr", "table")
+BACKENDS = ("csr",)
 
 
 def _build_dispatcher(routing: str) -> Dispatcher:
@@ -97,7 +96,7 @@ def test_e13_prefetch_ablation(backend, prefetch):
     trees_resolved = stats.prefetched_trees + stats.trees_computed
     assert trees_resolved + stats.shared_tree_hits == len(requests)
     if prefetch:
-        # Both vector backends answer the whole batch from one plane/table.
+        # The whole batch is answered from one plane.
         assert stats.prefetched_trees == trees_resolved
         assert stats.trees_computed == 0
     else:

@@ -1,14 +1,12 @@
-"""E14 -- contraction-hierarchy routing on a network too large for the table.
+"""E14 -- contraction-hierarchy routing on a city-sized network.
 
-The all-pairs table backend (E12/E13's fastest) refuses networks beyond
-``SystemConfig.table_max_vertices`` because the n^2 matrix stops being a
-sensible trade; ROADMAP's answer for that regime is a contraction-hierarchy
-backend plus persisted compiled artifacts.  This experiment exercises both on
-a ~20k-vertex arterial grid (140 x 140 with fast arterial rows/columns every
-7 lines -- the highway structure any real road network, and in particular an
-OSM extract, exhibits):
+On a large network every uncached point query of the csr backend is a full
+Dijkstra; the ch backend answers it from a contraction hierarchy, and the
+persisted compiled artifacts make a restart skip the contraction.  This
+experiment exercises both on a ~20k-vertex arterial grid (140 x 140 with
+fast arterial rows/columns every 7 lines -- the highway structure any real
+road network, and in particular an OSM extract, exhibits):
 
-* the table backend **refuses** the network, recommending ``ch``;
 * cold point-to-point queries: the CSR backend answers each one with a full
   per-query Dijkstra (one `scipy` C call over all ~20k vertices), the CH
   backend with a bidirectional upward search settling a few hundred --
@@ -29,7 +27,6 @@ import time
 import pytest
 
 from repro.core.dispatcher import OptionPolicy
-from repro.errors import ConfigurationError
 from repro.roadnet.generators import arterial_grid_network
 from repro.roadnet.routing import make_engine
 from repro.sim.workload import random_requests
@@ -94,14 +91,6 @@ def _timed_queries(engine, pairs):
         values = [engine.distance(u, v) for u, v in pairs]
         best = min(best, time.perf_counter() - started)
     return best, values
-
-
-def test_e14_table_refuses_and_recommends_ch(network):
-    """Above its vertex cap the table backend must fail fast, naming ch."""
-    with pytest.raises(ConfigurationError) as excinfo:
-        make_engine(network, "table")
-    assert "ch" in str(excinfo.value)
-    assert "19600" in str(excinfo.value)
 
 
 def test_e14_ch_point_query_speedup(network, ch_engine):

@@ -69,8 +69,8 @@ SERVICE_CONSTRAINT = 0.6
 #: amortises them.
 HEADLINE = dict(rows=50, grid=14, vehicles=40, capacity=2, cache=8,
                 max_pickup=3.0, speed=6.0, hotspots=80)
-#: The backend-matrix city: smaller, so the ch/table preprocessing stays
-#: cheap -- identity does not need scale.
+#: The backend-matrix city: smaller, so the ch preprocessing stays cheap --
+#: identity does not need scale.
 MATRIX = dict(rows=30, grid=6, vehicles=24, capacity=2, cache=8,
               max_pickup=3.0, speed=6.0, hotspots=48)
 
@@ -346,10 +346,10 @@ def test_e17_smoke_backpressure_is_bounded():
 # ----------------------------------------------------------------------
 # the backend matrix: identity everywhere, records per backend
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("routing", ("csr", "ch", "table"))
+@pytest.mark.parametrize("routing", ("csr", "ch"))
 def test_e17_backend_matrix(routing):
     """Ingest serving is byte-identical to dispatch_batch on every backend."""
-    if routing in ("csr", "table") and not HAVE_SCIPY:
+    if routing == "csr" and not HAVE_SCIPY:
         pytest.skip(f"the {routing} backend needs scipy")
     workload = _build_workload(MATRIX, MATRIX_REQUESTS)
     total = len(workload)

@@ -18,7 +18,7 @@ from repro.core.insertion import insertion_candidates
 from repro.model.request import Request
 from repro.roadnet.generators import figure1_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import make_engine
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
@@ -32,7 +32,7 @@ MATCHERS = {
 def build_paper_scenario():
     network = figure1_network()
     grid = GridIndex(network, rows=4, columns=4)
-    oracle = DistanceOracle(network)
+    oracle = make_engine(network)
     fleet = Fleet(grid, oracle)
     fleet.add_vehicle(Vehicle("c1", location=1, capacity=4))
     fleet.add_vehicle(Vehicle("c2", location=13, capacity=4))

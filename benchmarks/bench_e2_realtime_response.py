@@ -15,19 +15,7 @@ import time
 
 import pytest
 
-from repro.roadnet.generators import grid_network
-
-from common import (
-    HAVE_SCIPY,
-    build_city,
-    format_table,
-    option_points,
-    probe_requests,
-    record_result,
-    routing_layer_seconds,
-    run_trip_simulation,
-    warm_up_fleet,
-)
+from common import build_city, format_table, record_result, run_trip_simulation
 
 
 @pytest.mark.parametrize("matcher_name", ["single_side", "dual_side"])
@@ -59,33 +47,6 @@ def test_e2_day_fraction_simulation(benchmark, matcher_name):
         matcher=matcher_name,
         average_response_ms=round(stats.average_response_time * 1000.0, 3),
     )
-
-
-def test_e2_routing_backends_agree_and_csr_is_faster():
-    """The CSR backend returns the exact same skylines, and its routing layer
-    is at least twice as fast as the dict backend on cold trees."""
-    skylines = {}
-    for backend in ("dict", "csr"):
-        city = build_city(rows=12, columns=12, vehicles=40, seed=17, routing=backend)
-        warm_up_fleet(city, requests=10, seed=23)
-        matcher = city.matcher("single_side")
-        skylines[backend] = [
-            option_points(matcher.match(request))
-            for request in probe_requests(city, count=20, seed=29)
-        ]
-    assert skylines["dict"] == skylines["csr"]
-
-    if not HAVE_SCIPY:
-        pytest.skip("pure-Python CSR fallback is correct but not 2x faster")
-    # Time on a larger network than the match city: per-call overheads even
-    # out and the ratio is stable against runner noise.
-    network = grid_network(20, 20, weight_jitter=0.3, seed=17)
-    sources = network.vertices()[::5][:40]
-    dict_seconds = routing_layer_seconds(network, "dict", sources)
-    csr_seconds = routing_layer_seconds(network, "csr", sources)
-    record_result("E2", csr_seconds, routing_backend="csr",
-                  speedup_vs_dict=round(dict_seconds / csr_seconds, 2))
-    assert csr_seconds * 2.0 <= dict_seconds
 
 
 def test_e2_summary_table(capsys):

@@ -13,18 +13,7 @@ import time
 
 import pytest
 
-from repro.roadnet.generators import grid_network
-
-from common import (
-    HAVE_SCIPY,
-    build_city,
-    format_table,
-    option_points,
-    probe_requests,
-    record_result,
-    routing_layer_seconds,
-    warm_up_fleet,
-)
+from common import build_city, format_table, probe_requests, record_result, warm_up_fleet
 
 
 def verification_work(matcher_name: str, vehicles: int, seed: int = 61):
@@ -53,36 +42,6 @@ def test_e8_work_per_request(benchmark, matcher_name, vehicles):
     record_result(
         "E8", wall, vehicles_evaluated=round(work, 2), matcher=matcher_name, vehicles=vehicles
     )
-
-
-def test_e8_routing_backends_agree_and_csr_is_faster():
-    """On the largest seed network the CSR routing layer is >= 2x faster than
-    the dict backend while producing identical skylines."""
-    skylines = {}
-    for backend in ("dict", "csr"):
-        city = build_city(
-            rows=14, columns=14, vehicles=120, grid_rows=7, grid_columns=7,
-            seed=61, routing=backend,
-        )
-        warm_up_fleet(city, requests=20, seed=61)
-        matcher = city.matcher("single_side")
-        skylines[backend] = [
-            option_points(matcher.match(request))
-            for request in probe_requests(city, count=15, seed=62)
-        ]
-    assert skylines["dict"] == skylines["csr"]
-
-    if not HAVE_SCIPY:
-        pytest.skip("pure-Python CSR fallback is correct but not 2x faster")
-    # The largest seed network of the harness: city-scale routing is where
-    # the CSR arrays pay off hardest.
-    network = grid_network(28, 28, weight_jitter=0.3, seed=61)
-    sources = network.vertices()[::7][:50]
-    dict_seconds = routing_layer_seconds(network, "dict", sources)
-    csr_seconds = routing_layer_seconds(network, "csr", sources)
-    record_result("E8", csr_seconds, routing_backend="csr",
-                  speedup_vs_dict=round(dict_seconds / csr_seconds, 2))
-    assert csr_seconds * 2.0 <= dict_seconds
 
 
 def test_e8_indexed_matchers_scale_sublinearly():

@@ -21,8 +21,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import subprocess
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Type
@@ -118,7 +116,7 @@ def build_city(
 
     Routing-backend precedence: the explicit ``routing`` argument, then the
     session-wide ``--routing`` override, then a caller-supplied config's
-    ``routing_backend``, then "dict".  ``cache_dir`` persists compiled
+    ``routing_backend``, then "csr".  ``cache_dir`` persists compiled
     routing artifacts between runs (the E14 warm-restart measurement);
     ``network`` substitutes a pre-built road network for the default grid.
     """
@@ -126,7 +124,7 @@ def build_city(
         routing
         or DEFAULT_ROUTING
         or (config.routing_backend if config is not None else None)
-        or "dict"
+        or "csr"
     )
     config = config or DEFAULT_CONFIG
     if config.routing_backend != backend:
@@ -143,13 +141,7 @@ def build_city(
     grid = GridIndex(network, rows=grid_rows, columns=grid_columns)
     fleet = Fleet(
         grid,
-        make_engine(
-            network,
-            backend,
-            table_max_vertices=config.table_max_vertices,
-            cache_dir=cache_dir,
-            tree_provider=config.tree_provider,
-        ),
+        make_engine(network, backend, cache_dir=cache_dir),
     )
     rng = random.Random(seed)
     vertices = network.vertices()
@@ -210,22 +202,6 @@ def option_points(options) -> List[Tuple[float, float]]:
     return sorted((round(o.pickup_distance, 6), round(o.price, 6)) for o in options)
 
 
-def routing_layer_seconds(network: RoadNetwork, backend: str, sources: Sequence[int]) -> float:
-    """Wall time the given backend needs for cold single-source trees.
-
-    Every matcher query bottoms out in these trees, so this is the cleanest
-    apples-to-apples measurement of a routing backend in isolation (caching
-    and insertion machinery are shared between backends).  A one-slot tree
-    cache plus distinct sources keeps every query cold without rebuilding the
-    engine between queries.
-    """
-    engine = make_engine(network, backend, max_cached_sources=1)
-    started = time.perf_counter()
-    for source in sources:
-        engine.distances_from(source)
-    return time.perf_counter() - started
-
-
 # ----------------------------------------------------------------------
 # machine-readable results (BENCH_results.json)
 # ----------------------------------------------------------------------
@@ -251,7 +227,7 @@ def record_result(
     record: Dict[str, object] = {
         "experiment": experiment,
         "wall_seconds": round(wall_seconds, 6),
-        "routing_backend": routing_backend or DEFAULT_ROUTING or "dict",
+        "routing_backend": routing_backend or DEFAULT_ROUTING or "csr",
         "cpu_count": os.cpu_count() or 1,
     }
     if vehicles_evaluated is not None:
@@ -276,54 +252,6 @@ def matcher_work(matcher: Matcher) -> Dict[str, float]:
             stats.options_returned / max(1, stats.vehicles_evaluated), 4
         ),
     }
-
-
-def committed_baseline_wall(
-    experiment: str, routing_backend: str = "dict"
-) -> Optional[float]:
-    """Best *committed* wall time of ``(experiment, routing_backend)``.
-
-    Reads the file named by ``PTRIDER_BENCH_BASELINE`` when set (CI stashes
-    the committed record there before benchmark runs overwrite the working
-    copy); otherwise reads ``BENCH_results.json`` as committed at ``HEAD``
-    via git -- **not** the working copy, which any previous local benchmark
-    session has already overwritten with its own fresh records.  Falls back
-    to the working copy only outside a git checkout.  Returns ``None`` when
-    no matching record exists, so cross-version speedup assertions degrade
-    to "recorded but unasserted" instead of erroring on a fresh checkout.
-    """
-    root = Path(__file__).resolve().parent.parent
-    override = os.environ.get("PTRIDER_BENCH_BASELINE")
-    text: Optional[str] = None
-    if override:
-        try:
-            text = Path(override).read_text()
-        except OSError:
-            return None
-    else:
-        try:
-            text = subprocess.run(
-                ["git", "-C", str(root), "show", "HEAD:BENCH_results.json"],
-                capture_output=True, text=True, check=True,
-            ).stdout
-        except (OSError, subprocess.CalledProcessError):
-            try:
-                text = (root / "BENCH_results.json").read_text()
-            except OSError:
-                return None
-    try:
-        records = json.loads(text)
-    except ValueError:
-        return None
-    walls = [
-        record["wall_seconds"]
-        for record in records
-        if isinstance(record, dict)
-        and record.get("experiment") == experiment
-        and record.get("routing_backend", "dict") == routing_backend
-        and isinstance(record.get("wall_seconds"), (int, float))
-    ]
-    return min(walls) if walls else None
 
 
 def write_results(path: Optional[Path] = None) -> Optional[Path]:

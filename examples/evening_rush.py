@@ -24,7 +24,7 @@ from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import make_engine
 from repro.sim.engine import SimulationEngine
 from repro.sim.trips import ShanghaiLikeTripGenerator
 from repro.sim.workload import RequestWorkload
@@ -40,7 +40,7 @@ PEAK_DURATION = 400.0  # simulated time units covering the evening peak
 def build_world():
     network = grid_network(14, 14, weight_jitter=0.3, seed=SEED)
     grid = GridIndex(network, rows=7, columns=7)
-    fleet = Fleet(grid, DistanceOracle(network))
+    fleet = Fleet(grid, make_engine(network))
     rng = random.Random(SEED)
     for index in range(FLEET_SIZE):
         fleet.add_vehicle(Vehicle(f"taxi-{index + 1}", location=rng.choice(network.vertices())))

@@ -20,7 +20,7 @@ from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import make_engine
 from repro.sim.engine import SimulationEngine
 from repro.sim.trips import ShanghaiLikeTripGenerator
 from repro.sim.workload import RequestWorkload
@@ -36,7 +36,7 @@ DAY = 700.0  # compressed "day" in simulation time units
 def run_day(service_constraint: float) -> dict:
     network = grid_network(15, 15, weight_jitter=0.3, seed=SEED)
     grid = GridIndex(network, rows=7, columns=7)
-    fleet = Fleet(grid, DistanceOracle(network))
+    fleet = Fleet(grid, make_engine(network))
     rng = random.Random(SEED)
     for index in range(FLEET_SIZE):
         fleet.add_vehicle(Vehicle(f"taxi-{index + 1}", location=rng.choice(network.vertices())))

@@ -30,7 +30,7 @@ from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import make_engine
 from repro.sim.workload import random_requests
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
@@ -54,7 +54,7 @@ def build_busy_fleet(config: SystemConfig):
     """Build a fleet and commit a warm-up batch so kinetic trees are non-trivial."""
     network = grid_network(16, 16, weight_jitter=0.3, seed=SEED)
     grid = GridIndex(network, rows=8, columns=8)
-    fleet = Fleet(grid, DistanceOracle(network))
+    fleet = Fleet(grid, make_engine(network))
     rng = random.Random(SEED)
     for index in range(VEHICLES):
         fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(network.vertices())))

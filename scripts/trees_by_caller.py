@@ -12,7 +12,7 @@ as perfbench replays it: ``--path book`` answers each request with
 ``--path batched`` with ``ingest_request`` and one ``pump`` per tick.
 
 Every tree the engine bills (``routing.trees_computed`` =
-``stats.dijkstra_runs + stats.phast_sweeps``) is charged to the outermost
+``stats.dijkstra_runs``) is charged to the outermost
 function on the stack named in :data:`CALLERS`, so a tree a commit's fallback
 roots through ``MatchContext.create`` is the commit's::
 
@@ -88,11 +88,11 @@ class TreeLedger:
         stats, trees = self._engine.stats, self.trees
 
         def counted(*args, **kwargs):
-            before = stats.dijkstra_runs + stats.phast_sweeps
+            before = stats.dijkstra_runs
             try:
                 return method(*args, **kwargs)
             finally:
-                computed = stats.dijkstra_runs + stats.phast_sweeps - before
+                computed = stats.dijkstra_runs - before
                 if computed:
                     trees[_caller()] += computed
 

@@ -4,8 +4,8 @@ This package reproduces *PTRider: A Price-and-Time-Aware Ridesharing System*
 (Chen, Gao, Liu, Xiao, Jensen, Zhu; PVLDB 11(12), 2018) as a pure-Python
 library:
 
-* :mod:`repro.roadnet` -- the road network, shortest paths, the pluggable
-  routing engines (dict / CSR / CSR+ALT) and the grid index;
+* :mod:`repro.roadnet` -- the road network, shortest paths, the CSR routing
+  engine (with its ALT and CH accelerators) and the grid index;
 * :mod:`repro.model` -- requests, ride options, dominance and skylines;
 * :mod:`repro.vehicles` -- vehicles, kinetic trees, the fleet index, motion;
 * :mod:`repro.core` -- the price model, the naive / single-side / dual-side
@@ -44,11 +44,9 @@ from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import (
     ROUTING_BACKENDS,
     CSREngine,
-    DictDijkstraEngine,
     RoutingEngine,
     make_engine,
 )
-from repro.roadnet.shortest_path import DistanceOracle
 from repro.service.api import PTRiderService, build_system
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.kinetic_tree import KineticTree
@@ -58,10 +56,8 @@ __version__ = "1.0.0"
 
 __all__ = [
     "CSREngine",
-    "DictDijkstraEngine",
     "Dispatcher",
     "DispatchOutcome",
-    "DistanceOracle",
     "DualSideSearchMatcher",
     "Fleet",
     "GridIndex",

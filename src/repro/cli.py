@@ -33,7 +33,7 @@ from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.routing import ROUTING_BACKENDS, TREE_PROVIDERS, make_engine
+from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
 from repro.service.api import PTRiderService, build_system
 from repro.service.journal import ServiceJournal
 from repro.sim.engine import SimulationEngine
@@ -61,19 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=7, help="random seed")
     demo.add_argument(
         "--routing", choices=ROUTING_BACKENDS, default="csr",
-        help="routing backend (default: csr -- bit-identical to dict and "
-        "5-7x faster; pick dict for the pure-Python reference path)",
+        help="routing backend (default: csr; csr+alt adds landmark bounds, "
+        "ch a contraction hierarchy for point queries -- same distances)",
     )
     demo.add_argument(
         "--routing-cache", default=None, metavar="DIR",
         help="directory for persisted compiled routing artifacts "
         "(restarts skip preprocessing)",
-    )
-    demo.add_argument(
-        "--tree-provider", choices=TREE_PROVIDERS, default="auto",
-        help="how the ch backend computes full distance trees (auto picks "
-        "the fastest correct path; plane/phast force the CSR plane or the "
-        "hierarchy-native PHAST sweep for ablation)",
     )
     demo.add_argument(
         "--durability", choices=SystemConfig._VALID_DURABILITY, default="off",
@@ -123,19 +117,13 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=7, help="random seed")
     simulate.add_argument(
         "--routing", choices=ROUTING_BACKENDS, default="csr",
-        help="routing backend (default: csr -- bit-identical to dict and "
-        "5-7x faster; pick dict for the pure-Python reference path)",
+        help="routing backend (default: csr; csr+alt adds landmark bounds, "
+        "ch a contraction hierarchy for point queries -- same distances)",
     )
     simulate.add_argument(
         "--routing-cache", default=None, metavar="DIR",
         help="directory for persisted compiled routing artifacts "
         "(restarts skip preprocessing)",
-    )
-    simulate.add_argument(
-        "--tree-provider", choices=TREE_PROVIDERS, default="auto",
-        help="how the ch backend computes full distance trees (auto picks "
-        "the fastest correct path; plane/phast force the CSR plane or the "
-        "hierarchy-native PHAST sweep for ablation)",
     )
     simulate.add_argument(
         "--shards", type=int, default=1,
@@ -191,19 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=7, help="random seed")
     compare.add_argument(
         "--routing", choices=ROUTING_BACKENDS, default="csr",
-        help="routing backend (default: csr -- bit-identical to dict and "
-        "5-7x faster; pick dict for the pure-Python reference path)",
+        help="routing backend (default: csr; csr+alt adds landmark bounds, "
+        "ch a contraction hierarchy for point queries -- same distances)",
     )
     compare.add_argument(
         "--routing-cache", default=None, metavar="DIR",
         help="directory for persisted compiled routing artifacts "
         "(restarts skip preprocessing)",
-    )
-    compare.add_argument(
-        "--tree-provider", choices=TREE_PROVIDERS, default="auto",
-        help="how the ch backend computes full distance trees (auto picks "
-        "the fastest correct path; plane/phast force the CSR plane or the "
-        "hierarchy-native PHAST sweep for ablation)",
     )
     compare.add_argument(
         "--shards", type=int, default=1,
@@ -263,7 +245,6 @@ def _run_demo(args: argparse.Namespace) -> int:
             seed=args.seed,
             routing=args.routing,
             routing_cache=args.routing_cache,
-            tree_provider=args.tree_provider,
             durability=durability,
             journal_path=args.journal_path,
             snapshot_interval=args.snapshot_interval or None,
@@ -319,10 +300,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     grid = GridIndex(network, rows=8, columns=8)
     fleet = Fleet(
         grid,
-        make_engine(
-            network, args.routing, cache_dir=args.routing_cache,
-            tree_provider=args.tree_provider,
-        ),
+        make_engine(network, args.routing, cache_dir=args.routing_cache),
     )
     rng = random.Random(args.seed)
     vertices = network.vertices()
@@ -331,7 +309,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     config = SystemConfig(
         max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
         routing_backend=args.routing, routing_cache_dir=args.routing_cache,
-        tree_provider=args.tree_provider, match_shards=args.shards,
+        match_shards=args.shards,
         batch_window=args.batch_window, max_batch_size=args.max_batch_size,
         queue_capacity=args.queue_capacity or None,
         queue_policy=args.queue_policy,
@@ -364,10 +342,7 @@ def _run_compare(args: argparse.Namespace) -> int:
         grid = GridIndex(network, rows=8, columns=8)
         fleet = Fleet(
             grid,
-            make_engine(
-                network, args.routing, cache_dir=args.routing_cache,
-                tree_provider=args.tree_provider,
-            ),
+            make_engine(network, args.routing, cache_dir=args.routing_cache),
         )
         rng = random.Random(args.seed)
         vertices = network.vertices()
@@ -376,7 +351,7 @@ def _run_compare(args: argparse.Namespace) -> int:
         config = SystemConfig(
             max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
             routing_backend=args.routing, routing_cache_dir=args.routing_cache,
-            tree_provider=args.tree_provider, match_shards=args.shards,
+            match_shards=args.shards,
         )
         matcher = matcher_class(fleet, config=config)
         dispatcher = Dispatcher(fleet, matcher, config)

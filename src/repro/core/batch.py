@@ -12,9 +12,7 @@ that work for a whole tick's worth of requests:
   recomputation mid-batch, no matter how many requests the tick carries);
 * all missing trees are **prefetched in one vectorised engine call** before
   matching begins (:meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`;
-  one ``scipy.csgraph.dijkstra(indices=[...])`` plane on the CSR backend,
-  precomputed row views on the table backend, a no-op on the dict backend,
-  which then computes trees per start exactly as before);
+  one ``scipy.csgraph.dijkstra(indices=[...])`` plane);
 * each request receives a regular
   :class:`~repro.core.context.MatchContext` built from the pooled tree, so
   the matchers are oblivious to whether a context was built per-request or
@@ -65,18 +63,11 @@ class BatchStatistics:
     pool (the names predate it and are kept for the records that read
     them): the leg roots pooled on demand, and the leg queries answered from
     the pool.  ``prefetch_seconds`` covers the start trees only.
-
-    ``tree_provider`` names the engine mechanism the prefetch was billed
-    to ("plane" for CSR planes, "phast" for the hierarchy-native sweep,
-    "table" for precomputed rows, "dijkstra" for the per-source reference
-    path), so an E15-style ablation can attribute ``prefetch_seconds`` --
-    and the engine-side ``dijkstra_runs`` vs ``phast_sweeps`` split -- to
-    the provider that actually did the work.
     """
 
     #: number of requests in the batch
     requests: int = 0
-    #: start-rooted trees computed one at a time (engines without a bulk path)
+    #: start-rooted trees computed one at a time (``prefetch=False``)
     trees_computed: int = 0
     #: requests whose tree was already pooled by an earlier request
     shared_tree_hits: int = 0
@@ -84,8 +75,6 @@ class BatchStatistics:
     prefetched_trees: int = 0
     #: wall time of the single ``prefetch_trees`` engine call
     prefetch_seconds: float = 0.0
-    #: name of the tree provider the prefetch work was billed to
-    tree_provider: str = "dijkstra"
     #: leg roots (not request starts) pooled on demand
     leg_sources_prefetched: int = 0
     #: leg queries answered from the pool instead of going to the engine
@@ -100,12 +89,7 @@ class BatchStatistics:
         return self.shared_tree_hits / resolved
 
     def as_dict(self) -> Dict[str, object]:
-        """Flat dictionary for reports and benchmark records.
-
-        All values are floats except ``tree_provider``, the provider name
-        the prefetch was billed to -- consumers that can only carry
-        numbers (the service's float panel) filter on type.
-        """
+        """Flat dictionary of floats for reports and benchmark records."""
         return {
             "requests": float(self.requests),
             "trees_computed": float(self.trees_computed),
@@ -115,7 +99,6 @@ class BatchStatistics:
             "prefetch_seconds": self.prefetch_seconds,
             "leg_sources_prefetched": float(self.leg_sources_prefetched),
             "leg_tree_hits": float(self.leg_tree_hits),
-            "tree_provider": self.tree_provider,
         }
 
 
@@ -146,13 +129,13 @@ class BatchMatchContext(MatchContext):
     root ``RoutingEngine.distance`` picks) is not pooled yet.  That tree
     comes through :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`
     and stays pinned for the rest of the batch, whatever the engine cache
-    evicts; its row obeys the tree-provider bit-identity contract, so the
-    answers are the engine's own floats.  No tree is computed for a root
-    nobody asked, and none on an engine whose point query is cheaper than a
-    tree (``RoutingEngine.point_queries_root_trees`` false: ch), where the
-    pool stays the start trees.  Whatever the pool cannot answer (such an
-    engine, one without a bulk path, an unknown root, an unknown or
-    unreachable leaf) goes to ``engine.distance`` verbatim, errors included.
+    evicts; its row is the engine's own tree row, so the answers are the
+    engine's own floats.  No tree is computed for a root nobody asked, and
+    none on an engine whose point query is cheaper than a tree
+    (``RoutingEngine.point_queries_root_trees`` false: ch), where the pool
+    stays the start trees.  Whatever the pool cannot answer (such an
+    engine, an unknown root, an unknown or unreachable leaf) goes to
+    ``engine.distance`` verbatim, errors included.
     ``None`` switches pooling off (the ``prefetch=False`` ablation).
     """
 
@@ -238,9 +221,8 @@ class BatchContext:
         Start vertices are deduplicated and every missing tree is prefetched
         through **one** vectorised
         :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees` call
-        before any request is examined (engines without a bulk path return
-        nothing and trees are computed per distinct start, as before;
-        ``prefetch=False`` forces that per-source path for ablations).
+        before any request is examined (``prefetch=False`` computes trees
+        per distinct start instead, for ablations).
         Requests sharing a start reuse the pooled reference.  Endpoint
         failures are recorded per request, not raised -- ``prefetch_trees``
         skips unknown start vertices, so the per-request path still observes
@@ -257,9 +239,7 @@ class BatchContext:
         contexts: Dict[int, MatchContext] = {}
         errors: Dict[int, Exception] = {}
         seconds: Dict[int, float] = {}
-        statistics = BatchStatistics(
-            requests=len(requests), tree_provider=engine.tree_provider_name
-        )
+        statistics = BatchStatistics(requests=len(requests))
 
         prefetch_share = 0.0
         unbilled_prefetches: set = set()
@@ -308,6 +288,9 @@ class BatchContext:
                 errors[index] = tree_errors[start]
                 continue
             tree = trees[start]
+            if request.destination not in engine.network:
+                errors[index] = VertexNotFoundError(request.destination)
+                continue
             if start == request.destination:
                 direct = 0.0
             else:

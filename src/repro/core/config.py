@@ -15,11 +15,7 @@ from typing import Optional
 
 from repro.core.pricing import LinearPriceModel
 from repro.errors import ConfigurationError
-from repro.roadnet.routing import (
-    DEFAULT_TABLE_MAX_VERTICES,
-    ROUTING_BACKENDS,
-    TREE_PROVIDERS,
-)
+from repro.roadnet.routing import ROUTING_BACKENDS
 
 __all__ = ["SystemConfig", "DEMO_SPEED_KMH"]
 
@@ -47,26 +43,15 @@ class SystemConfig:
         matcher_name: which matching algorithm the service uses
             ("single_side", "dual_side" or "naive").
         price_model: the price calculator.
-        routing_backend: which routing engine answers shortest-path queries
-            ("dict", "csr", "csr+alt", "table" or "ch"; see
-            :mod:`repro.roadnet.routing` -- "table" precomputes the all-pairs
-            distance matrix, the right trade for city-benchmark networks up
-            to a few thousand vertices; "ch" preprocesses a contraction
-            hierarchy, the right trade for the larger networks the table
-            refuses).
-        table_max_vertices: vertex cap of the "table" backend; beyond it the
-            all-pairs matrix (n^2 doubles) is refused rather than silently
-            swallowing gigabytes, with "ch" recommended instead.
-        tree_provider: how the "ch" backend computes full distance trees
-            ("auto", "plane" or "phast"; see
-            :data:`repro.roadnet.routing.TREE_PROVIDERS`).  "auto" picks the
-            fastest correct path for the runtime environment, "plane" forces
-            the CSR plane path and "phast" forces the hierarchy-native
-            downward sweep -- the ablation knob of experiment E15.  Only
-            "ch" has more than one tree path, so "phast" with any other
-            backend is a configuration error at engine-build time.
+        routing_backend: how the routing engine answers shortest-path
+            queries ("csr", "csr+alt" or "ch"; see
+            :mod:`repro.roadnet.routing`): "csr" computes distance trees over
+            flat CSR arrays, "csr+alt" adds ALT landmark lower bounds for
+            pruning, "ch" adds a contraction hierarchy for point queries.
+            Every choice returns the same distances.  A service takes the
+            backend of the engine its fleet was built with.
         routing_cache_dir: directory persisted compiled routing artifacts
-            (CSR compiles, ALT tables, distance tables, CH hierarchies) are
+            (CSR compiles, ALT tables, CH hierarchies) are
             kept in, keyed by a content hash of the network, so service
             restarts skip preprocessing.  ``None`` disables persistence.
         match_shards: number of fleet shards the batch dispatch pipeline
@@ -157,9 +142,7 @@ class SystemConfig:
     max_pickup_distance: Optional[float] = None
     matcher_name: str = "single_side"
     price_model: LinearPriceModel = field(default_factory=LinearPriceModel)
-    routing_backend: str = "dict"
-    table_max_vertices: int = DEFAULT_TABLE_MAX_VERTICES
-    tree_provider: str = "auto"
+    routing_backend: str = "csr"
     routing_cache_dir: Optional[str] = None
     match_shards: int = 1
     dispatch_workers: int = 1
@@ -205,14 +188,6 @@ class SystemConfig:
         if self.routing_backend not in ROUTING_BACKENDS:
             raise ConfigurationError(
                 f"routing_backend must be one of {ROUTING_BACKENDS}, got {self.routing_backend!r}"
-            )
-        if self.table_max_vertices < 1:
-            raise ConfigurationError(
-                f"table_max_vertices must be >= 1, got {self.table_max_vertices}"
-            )
-        if self.tree_provider not in TREE_PROVIDERS:
-            raise ConfigurationError(
-                f"tree_provider must be one of {TREE_PROVIDERS}, got {self.tree_provider!r}"
             )
         if self.match_shards < 1:
             raise ConfigurationError(f"match_shards must be >= 1, got {self.match_shards}")

@@ -10,13 +10,8 @@ verification shares:
 * the request-rooted single-source distance tree, held by reference so it can
   never be evicted from the routing engine's cache mid-match -- this is what
   eliminates the per-vehicle ``oracle.distance(request.start, ...)`` re-query
-  the matchers used to issue.  The tree is whatever mapping the engine hands
-  out: a plain dict (dict backend) or a zero-copy ndarray-row view (CSR /
-  table / ch backends, possibly pooled batch-wide by a vectorised prefetch).
-  Which :class:`~repro.roadnet.routing.TreeProvider` computed the row --
-  SciPy plane, pure-Python Dijkstra, or the ch backend's PHAST sweep -- is
-  invisible here by design: every provider's rows are bit-identical, so the
-  context (and everything downstream of it) is provider-oblivious;
+  the matchers used to issue.  The tree is the zero-copy row view the engine
+  hands out, possibly pooled batch-wide by a vectorised prefetch;
 * the admissible lower bound on any leg: the exact distance out of that same
   tree when the leg touches the request start, otherwise the better of the
   grid cell bound and the engine's optional ALT landmark bound;
@@ -29,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
-from repro.errors import DisconnectedError
+from repro.errors import DisconnectedError, VertexNotFoundError
 from repro.model.request import Request
 from repro.roadnet.graph import VertexId
 from repro.roadnet.grid_index import GridIndex
@@ -70,6 +65,8 @@ class MatchContext:
             DisconnectedError: if the destination is unreachable from the start.
         """
         start_tree = engine.distances_from(request.start)
+        if request.destination not in engine.network:
+            raise VertexNotFoundError(request.destination)
         if request.start == request.destination:
             direct = 0.0
         else:
@@ -129,13 +126,7 @@ class MatchContext:
         return exact - BOUND_SLACK if exact > BOUND_SLACK else 0.0
 
     def index_lower_bound(self, source: VertexId, target: VertexId) -> float:
-        """The bound the indexes give: grid cells vs ALT landmarks.
-
-        When the engine's bound is exact (the all-pairs table backend) no
-        admissible bound can beat it, so the grid lookup is skipped.
-        """
+        """The bound the indexes give: grid cells vs ALT landmarks."""
         engine_bound = self.engine.distance_lower_bound(source, target)
-        if self.engine.exact_lower_bounds:
-            return engine_bound
         bound = self.grid.distance_lower_bound(source, target)
         return engine_bound if engine_bound > bound else bound

@@ -104,8 +104,8 @@ def insertion_candidates(
     Args:
         vehicle: the candidate vehicle.
         request: the request to insert.
-        oracle: routing engine (exact distances); a bare ``DistanceOracle``
-            works too, only ``.distance`` is used.
+        oracle: routing engine (exact distances); only ``.distance`` is
+            used.
         statistics: optional counter object updated in place.
         direct: the request's direct distance when the caller (a matcher with
             a :class:`~repro.core.context.MatchContext`) already computed it;

@@ -5,12 +5,11 @@ road network:
 
 * :mod:`repro.roadnet.graph` -- the weighted road graph itself;
 * :mod:`repro.roadnet.geometry` -- planar embedding helpers;
-* :mod:`repro.roadnet.shortest_path` -- the path search, the full Dijkstra
-  expansion and a memoising distance oracle;
-* :mod:`repro.roadnet.routing` -- the pluggable routing engines (the dict
-  Dijkstra reference backend, the CSR array backend, the ALT landmark
-  lower-bound index, the all-pairs table and the contraction hierarchy)
-  every distance/path query goes through;
+* :mod:`repro.roadnet.shortest_path` -- the path search every routing
+  answer ends in;
+* :mod:`repro.roadnet.routing` -- the CSR routing engine (with its optional
+  ALT landmark lower-bound index and its contraction-hierarchy point-query
+  accelerator) every distance/path query goes through;
 * :mod:`repro.roadnet.artifacts` -- the persisted compiled-artifact cache
   (content-hash-keyed ``.npz`` files) that lets restarts skip routing
   preprocessing;
@@ -25,7 +24,7 @@ road network:
 from repro.roadnet.geometry import BoundingBox, Point, euclidean_distance, haversine_distance
 from repro.roadnet.graph import Edge, RoadNetwork
 from repro.roadnet.grid_index import GridCell, GridIndex
-from repro.roadnet.shortest_path import DistanceOracle, PathResult, dijkstra_all, shortest_path
+from repro.roadnet.shortest_path import PathResult, shortest_path
 from repro.roadnet.artifacts import ArtifactCache, network_fingerprint
 from repro.roadnet.routing import (
     ROUTING_BACKENDS,
@@ -34,10 +33,7 @@ from repro.roadnet.routing import (
     ContractionHierarchy,
     CSREngine,
     CSRGraph,
-    DictDijkstraEngine,
     RoutingEngine,
-    TableEngine,
-    ensure_engine,
     make_engine,
 )
 from repro.roadnet.generators import (
@@ -56,8 +52,6 @@ __all__ = [
     "ContractionHierarchy",
     "CSREngine",
     "CSRGraph",
-    "DictDijkstraEngine",
-    "DistanceOracle",
     "Edge",
     "ROUTING_BACKENDS",
     "RoutingEngine",
@@ -66,11 +60,8 @@ __all__ = [
     "PathResult",
     "Point",
     "RoadNetwork",
-    "TableEngine",
     "arterial_grid_network",
-    "ensure_engine",
     "make_engine",
-    "dijkstra_all",
     "euclidean_distance",
     "figure1_network",
     "network_fingerprint",

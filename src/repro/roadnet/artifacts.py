@@ -1,8 +1,8 @@
 """Persisted compiled routing artifacts (instant service restarts).
 
-Every routing backend beyond the dict reference pays a one-time
-preprocessing cost before it can answer queries: the CSR compile, the ALT
-landmark trees, the all-pairs distance table, the contraction hierarchy.
+The routing engine pays a one-time preprocessing cost before it can answer
+queries: the CSR compile, plus the ALT landmark trees ("csr+alt") or the
+contraction hierarchy ("ch").
 All of it is a pure function of the road network, so a service restart (or a
 repeated benchmark run) that rebuilds the same network should never pay for
 preprocessing twice.  This module provides the two pieces the engines need:
@@ -15,13 +15,12 @@ preprocessing twice.  This module provides the two pieces the engines need:
   invalidate its routing artifacts.
 * :class:`ArtifactCache` -- a directory of ``.npz`` files keyed by
   ``{kind}-{fingerprint}[-params].npz``.  ``kind`` names the artifact
-  ("csr", "alt", "table", "ch"), ``params`` captures build knobs that change
-  the artifact's content (e.g. the ALT landmark count), and the fingerprint
+  ("csr", "alt", "ch"), ``params`` captures build knobs that change the
+  artifact's content (e.g. the ALT landmark count), and the fingerprint
   ties the file to the exact network it was compiled from, so a mutated
-  network can never be served stale arrays.  The "ch" payload carries both
-  halves of the hierarchy: the upward CSR the point queries climb and the
-  rank-permuted downward CSR (PHAST sweep order) the tree provider scans,
-  so a warm restart is tree-ready without re-deriving either.
+  network can never be served stale arrays.  The "ch" payload is the upward
+  CSR the point queries climb; the engine ignores any further arrays an
+  older build stored beside it.
 
 Writes are atomic (temp file + ``os.replace``) so a crashed process never
 leaves a half-written artifact behind, and loads treat any unreadable or

@@ -1,87 +1,50 @@
-"""The pluggable routing engine behind every distance and path query.
+"""The routing engine behind every distance and path query.
 
-Every price and pick-up time in PTRider derives from shortest-path distances
-(Section 2.1 of the paper), so the matcher's latency is dominated by how fast
-those queries are answered.  This module introduces a seam between *what* the
-matchers ask (point-to-point distances, request-rooted distance trees, full
-paths) and *how* the answer is computed:
+Every price and pick-up time in PTRider derives from exact shortest-path
+distances (Section 2.1 of the paper), so the matcher's latency is dominated
+by how fast those queries are answered.  One engine answers them:
 
-* :class:`DictDijkstraEngine` -- the reference backend; a thin wrapper around
-  the memoising :class:`~repro.roadnet.shortest_path.DistanceOracle`, which
-  runs Dijkstra over the road network's dict-of-dicts adjacency.
 * :class:`CSREngine` -- compiles the :class:`~repro.roadnet.graph.RoadNetwork`
   into flat CSR adjacency arrays (``indptr`` / ``indices`` / ``weights``) and
-  answers single-source queries with an array-backed Dijkstra over integer
-  vertex indices.  When SciPy is importable the tree computation runs in C
-  via :func:`scipy.sparse.csgraph.dijkstra`; otherwise a pure-Python
-  int-indexed heap Dijkstra over the same arrays is used.
-* :class:`ALTIndex` -- an optional landmark (ALT) lower-bound index: for a set
-  of landmarks ``L`` the triangle inequality gives the admissible bound
-  ``dist(u, v) >= |dist(L, u) - dist(L, v)|``.  The matchers combine it with
-  the grid-index cell bounds, taking the maximum of the two.
-* :class:`TableEngine` -- precomputes the full all-pairs distance matrix at
-  build time (blocked multi-source Dijkstra over the CSR arrays) and answers
-  every ``distance`` / ``distances_from`` by O(1) array lookup.  The right
-  trade for networks up to a few thousand vertices, where the whole table
-  fits comfortably in memory (n^2 x 8 bytes).
-* :class:`CHEngine` -- a contraction hierarchy over the same CSR arrays, for
-  the networks the table refuses.  A one-time preprocessing pass orders
-  vertices by edge difference + deleted neighbours and contracts them in
-  that order, inserting shortcut edges whenever a local witness search
-  cannot certify a bypass; point-to-point queries then run a bidirectional
-  Dijkstra that only ever climbs upward in the hierarchy, touching a few
-  hundred vertices where a plain Dijkstra settles the whole network.  The
-  answer is *refolded* from the unpacked original-edge path (left-to-right
-  from the canonical smaller endpoint), so it is bit-identical to what the
-  CSR backend's tree would report.  Full distance trees are hierarchy-native
-  too: a :class:`PHASTTreeProvider` downward sweep (upward Dijkstra, then a
-  rank-descending relaxation pass over the transpose of the upward graph)
-  computes whole batches of trees as one NumPy plane, refolded to
-  bit-identity with the CSR rows -- so the ch backend's tree path needs no
-  SciPy at all.
+  answers every query from a single-source distance tree over integer vertex
+  indices: a point query is a read of the tree rooted at the smaller
+  endpoint, a path is a walk back through the source's tree
+  (:func:`~repro.roadnet.shortest_path.shortest_path`).  When SciPy is
+  importable the trees are computed in C by
+  :func:`scipy.sparse.csgraph.dijkstra` -- a whole batch of sources as one
+  2-D plane (:meth:`RoutingEngine.prefetch_trees`, what the batch dispatch
+  pipeline amortises a tick's requests with); otherwise a pure-Python
+  int-indexed heap Dijkstra over the same arrays is used.  Rows are dense
+  ``float64`` arrays (plain lists without NumPy), cached FIFO and read
+  zero-copy through :class:`_TreeView`.
+* :class:`ALTIndex` -- an optional landmark (ALT) lower-bound index
+  ("csr+alt"): for a set of landmarks ``L`` the triangle inequality gives
+  the admissible bound ``dist(u, v) >= |dist(L, u) - dist(L, v)|``.  The
+  matchers combine it with the grid-index cell bounds, taking the maximum
+  of the two.  It prunes; it never computes a distance.
+* :class:`CHEngine` -- the same engine with a contraction hierarchy as its
+  point-query accelerator ("ch").  A one-time preprocessing pass contracts
+  vertices in edge-difference order, inserting shortcut edges whenever a
+  local witness search cannot certify a bypass; an uncached pair then runs a
+  bidirectional Dijkstra that only climbs upward, settling a few hundred
+  vertices where a tree settles the network.  The answer is *refolded* from
+  the unpacked original-edge path, so it is bit-identical to what the tree
+  would report.  Full trees still come from the CSR arrays.
 
-Tree *production* is a seam of its own: every full distance tree flows
-through a :class:`TreeProvider` (:class:`PlaneTreeProvider` for the CSR
-plane path, :class:`PHASTTreeProvider` for the hierarchy sweep), while the
-engines keep ownership of caching, pinning and statistics -- so
-``MatchContext`` / ``BatchContext`` reuse, the tree cache and
-``prefetch_trees`` behave identically no matter which provider computes
-the rows.  The ``tree_provider`` knob ("auto" / "plane" / "phast",
-``SystemConfig.tree_provider``) ablates the seam from the CLI and the
-service without touching the matchers.
+Preprocessing artifacts (CSR compiles, ALT landmark tables, CH hierarchies)
+can be persisted through an :class:`~repro.roadnet.artifacts.ArtifactCache`
+keyed by a content hash of the network, so a service restart or a repeated
+benchmark run skips the build; :class:`EngineStats` records the
+build-vs-load seconds.
 
-Preprocessing artifacts (CSR compiles, ALT landmark tables, all-pairs
-tables, CH hierarchies) can be persisted through an
-:class:`~repro.roadnet.artifacts.ArtifactCache` keyed by a content hash of
-the network, so a service restart or a repeated benchmark run skips the
-build entirely; :class:`EngineStats` records the build-vs-load seconds.
-
-Distance trees are NumPy-native end to end: :meth:`CSRGraph.tree` and
-:meth:`CSRGraph.trees` return dense ``float64`` rows / 2-D planes (plain
-Python lists only when NumPy/SciPy are unavailable), the per-tree FIFO caches
-hold those rows by reference and :class:`_TreeView` reads them zero-copy.
-:meth:`CSRGraph.trees` computes a whole batch of start-rooted trees with
-**one** ``scipy.sparse.csgraph.dijkstra(indices=[...])`` call, which is what
-:meth:`RoutingEngine.prefetch_trees` -- and through it the batch dispatch
-pipeline (:class:`~repro.core.batch.BatchContext`) -- uses to amortise the
-per-call overhead across a tick's worth of simultaneous requests.
-
-Backends are selected by name ("dict", "csr", "csr+alt", "table", "ch")
-through
+Backends are selected by name ("csr", "csr+alt", "ch") through
 :func:`make_engine`; :class:`~repro.core.config.SystemConfig` carries the
-chosen name so the service, the CLI, the simulation engine and the benchmark
-harness can ablate the routing layer without touching the matchers.
-
-Every engine exposes the same interface the matchers used to expect from the
-distance oracle (``distance`` / ``distances_from`` / ``path`` /
-``invalidate`` / ``stats``), so engines and oracles are interchangeable at
-every call site.
+chosen name so the service, the CLI and the benchmark harness agree on it.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from abc import ABC, abstractmethod
 from bisect import bisect_right
@@ -92,23 +55,15 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from repro.errors import ConfigurationError, DisconnectedError, VertexNotFoundError
 from repro.roadnet.artifacts import ArtifactCache, network_fingerprint
 from repro.roadnet.graph import RoadNetwork, VertexId
-from repro.roadnet.shortest_path import (
-    INFINITY,
-    DistanceOracle,
-    PathResult,
-    shortest_path,
-)
+from repro.roadnet.shortest_path import INFINITY, PathResult, shortest_path
 
-# NumPy and SciPy are imported separately on purpose: neither is required
-# for correctness, but they gate *different* fast paths.  SciPy owns the C
-# Dijkstra planes; NumPy alone is enough for the vectorised PHAST sweep (and
-# the artifact cache), so a NumPy-only environment -- far more common than a
-# SciPy one -- must not lose its accelerators because SciPy is missing.
+# Neither is required for correctness: SciPy computes the trees in C, NumPy
+# vectorises the ALT bounds.
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised via the fallback tests
     _np = None
-try:  # SciPy accelerates the CSR backend but is not required for correctness.
+try:
     from scipy.sparse import csr_array as _csr_array
     from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
 except ImportError:  # pragma: no cover - exercised via the fallback tests
@@ -117,75 +72,21 @@ except ImportError:  # pragma: no cover - exercised via the fallback tests
 
 __all__ = [
     "ROUTING_BACKENDS",
-    "TREE_PROVIDERS",
     "EngineStats",
     "RoutingEngine",
-    "DictDijkstraEngine",
     "CSRGraph",
     "ALTIndex",
     "ContractionHierarchy",
-    "TreeProvider",
-    "PlaneTreeProvider",
-    "PHASTTreeProvider",
     "CSREngine",
-    "TableEngine",
     "CHEngine",
     "make_engine",
-    "ensure_engine",
 ]
 
 #: Backend names accepted by :func:`make_engine` and ``SystemConfig``.
-ROUTING_BACKENDS = ("dict", "csr", "csr+alt", "table", "ch")
-
-#: Tree-provider names accepted by :func:`make_engine` and ``SystemConfig``.
-#: "auto" lets the engine choose ("phast" on the ch backend past
-#: :data:`PHAST_AUTO_MIN_VERTICES` vertices, "plane" everywhere else);
-#: "plane" forces the CSR plane path; "phast" forces the hierarchy-native
-#: downward sweep (ch backend only).
-TREE_PROVIDERS = ("auto", "plane", "phast")
-
-#: Network size above which the ch backend's "auto" tree provider considers
-#: PHAST.  The decision is measured, not aspirational (E15 records the
-#: ratios on the 19.6k-vertex arterial city): SciPy's C Dijkstra plane is
-#: the fastest tree path wherever it exists (~3x over the NumPy sweep), so
-#: "auto" only goes hierarchy-native where the plane path would otherwise
-#: degrade to per-source pure-Python Dijkstras -- NumPy present, SciPy
-#: absent -- which the vectorised sweep beats ~3.4x at city scale.  Below
-#: this vertex count the per-level dispatch overhead swallows the win and
-#: planes stay the right answer everywhere.
-PHAST_AUTO_MIN_VERTICES = 4096
-
-#: Sources per NumPy PHAST sweep chunk: bounds the (chunk x edges) scratch
-#: arrays of the refold at a few tens of MB on city-sized networks while
-#: keeping enough rows per sweep to amortise the per-level dispatch cost.
-PHAST_SOURCE_CHUNK = 32
-
-#: Opt-in flag for the reduceat-free PHAST refold: when this environment
-#: variable is set to anything but ""/"0", each refold generation folds by
-#: scatter-min (``np.minimum.at`` into the destination cells) instead of the
-#: segmented ``np.minimum.reduceat``.  Both folds gather the same
-#: already-folded labels before writing, so they are bit-identical; the flag
-#: exists to measure the alternative's cost on real planes (see E15's
-#: refold microbench) without forking the provider.
-PHAST_SCATTER_REFOLD_ENV = "PTRIDER_PHAST_SCATTER_REFOLD"
-
-
-def _scatter_refold_enabled() -> bool:
-    return os.environ.get(PHAST_SCATTER_REFOLD_ENV, "") not in ("", "0")
-
+ROUTING_BACKENDS = ("csr", "csr+alt", "ch")
 
 #: Default number of ALT landmarks (a handful is enough on city-sized nets).
 DEFAULT_LANDMARKS = 8
-
-#: Sources per multi-source Dijkstra call while building the all-pairs table.
-#: Large enough to amortise per-call overhead, small enough that one block's
-#: plane stays cache-friendly.
-DEFAULT_TABLE_BLOCK = 64
-
-#: Refuse to build an all-pairs table beyond this vertex count: the table is
-#: O(n^2) memory (4096^2 doubles = 128 MiB), the wrong trade past city scale.
-#: The default of ``SystemConfig.table_max_vertices``.
-DEFAULT_TABLE_MAX_VERTICES = 4096
 
 #: Settled-vertex budget of each CH witness search.  Witness searches only
 #: *avoid* shortcuts; cutting one short merely inserts a shortcut that a
@@ -224,18 +125,14 @@ def _as_float_list(values: Sequence[float]) -> List[float]:
 class EngineStats:
     """Work counters every routing engine accumulates.
 
-    The query-side field names match ``DistanceOracle.stats`` so reports and
-    tests can treat oracles and engines uniformly.  ``build_seconds`` /
-    ``load_seconds`` record where the engine's one-time preprocessing came
-    from: computed this session, or deserialised from the artifact cache
-    (at most one of the two is non-zero per compile).
+    ``build_seconds`` / ``load_seconds`` record where the engine's one-time
+    preprocessing came from: computed this session, or deserialised from the
+    artifact cache (at most one of the two is non-zero per compile).
+    ``dijkstra_runs`` counts full distance trees computed;
     ``bidirectional_runs`` counts CH point-to-point searches, which settle a
-    few hundred vertices where a ``dijkstra_runs`` unit settles the network.
-    ``phast_sweeps`` counts full distance trees produced by the
-    hierarchy-native downward sweep instead of a Dijkstra -- the two tree
-    counters are disjoint, so ``dijkstra_runs + phast_sweeps`` is the total
-    number of trees an engine ever computed and the split shows which
-    provider the work was billed to.
+    few hundred vertices where a tree settles the network.
+    ``phast_sweeps`` always reads 0; it stays because
+    ``perfbench/harness.py`` still reads it.
     """
 
     queries: int = 0
@@ -274,27 +171,14 @@ class EngineStats:
 class RoutingEngine(ABC):
     """Answers every distance / path query the rest of the system issues.
 
-    Subclasses own whatever representation of the road network they need and
-    are free to cache aggressively; callers must treat returned trees as
+    :class:`CSREngine` (and :class:`CHEngine` on top of it) is the one
+    implementation; the interface is what the matchers, the batch pipeline
+    and the fleet type against.  Callers must treat returned trees as
     immutable.
     """
 
     #: backend name as selected through ``SystemConfig.routing_backend``
     backend: str = "abstract"
-
-    #: name of the mechanism that computes this engine's full distance trees
-    #: ("dijkstra" for the per-source reference path, "plane" for the CSR
-    #: family's vectorised planes, "phast" for the hierarchy-native sweep,
-    #: "table" for precomputed rows) -- what batch statistics and the admin
-    #: panel report, and what tree work is billed against in
-    #: :class:`EngineStats`.
-    tree_provider_name: str = "dijkstra"
-
-    #: ``True`` when :meth:`distance_lower_bound` returns the *exact*
-    #: distance (the all-pairs table backend): by definition no other
-    #: admissible bound can beat it, so callers skip combining it with the
-    #: grid-index cell bounds.
-    exact_lower_bounds: bool = False
 
     #: ``True`` when :meth:`distance` answers an uncached pair by computing
     #: (and caching) the full tree rooted at the smaller endpoint, so a batch
@@ -330,27 +214,26 @@ class RoutingEngine(ABC):
     def path(self, source: VertexId, target: VertexId) -> PathResult:
         """Return the full shortest path between two vertices.
 
-        Every backend answers through
-        :func:`~repro.roadnet.shortest_path.shortest_path` -- read off the
-        source's distance tree (csr, table, ch) or searched (dict) -- so the
-        vertex sequence and the distance are the same on all of them, exact
-        ties included.
+        Read off the source's distance tree by
+        :func:`~repro.roadnet.shortest_path.shortest_path`, so the vertex
+        sequence and the distance agree with every tree the engine hands
+        out, exact ties included.
         """
 
     @abstractmethod
     def invalidate(self) -> None:
         """Drop every cached structure (call after the network is mutated)."""
 
+    @abstractmethod
     def distance_lower_bound(self, source: VertexId, target: VertexId) -> float:
         """An admissible lower bound on ``dist(source, target)``.
 
-        The default engine offers no bound (0.0); the ALT-equipped CSR engine
-        overrides this with landmark differences, and the table engine returns
-        the exact distance (trivially admissible).  Matchers take the maximum
-        of this bound and the grid-index cell bound.
+        0.0 without an ALT index; with one, the best landmark difference.
+        Matchers take the maximum of this bound and the grid-index cell
+        bound.
         """
-        return 0.0
 
+    @abstractmethod
     def prefetch_trees(
         self, sources: Sequence[VertexId]
     ) -> Mapping[VertexId, Mapping[VertexId, float]]:
@@ -358,68 +241,13 @@ class RoutingEngine(ABC):
 
         Returns a mapping from each *known* source vertex to its full distance
         tree; unknown vertices are silently skipped (callers that care raise
-        per-request, exactly where the sequential path would).  Engines that
-        can vectorise (the CSR backend's one-call
-        ``scipy.csgraph.dijkstra(indices=[...])`` plane, the table backend's
-        precomputed rows) amortise the whole batch; the default implementation
-        is a no-op returning an empty mapping, so callers fall back to
-        per-source :meth:`distances_from` -- the dict backend has no cheaper
-        bulk path than that.
+        per-request, exactly where the sequential path would).
 
         Statistics contract: each tree *computed* by the bulk call counts as
         exactly one ``dijkstra_runs``, no matter how many requests later
         consume it; trees already cached are returned without touching any
         counter (pinning is not a query).
         """
-        return {}
-
-
-class DictDijkstraEngine(RoutingEngine):
-    """The reference backend: dict-of-dicts Dijkstra with a memoising oracle.
-
-    Wraps an existing :class:`DistanceOracle` (or builds one), preserving its
-    caching and statistics semantics exactly.
-    """
-
-    backend = "dict"
-
-    def __init__(
-        self,
-        network: Optional[RoadNetwork] = None,
-        oracle: Optional[DistanceOracle] = None,
-        max_cached_sources: int = 1024,
-    ) -> None:
-        if oracle is None:
-            if network is None:
-                raise ValueError("DictDijkstraEngine needs a network or an oracle")
-            oracle = DistanceOracle(network, max_cached_sources=max_cached_sources)
-        self._oracle = oracle
-
-    @property
-    def network(self) -> RoadNetwork:
-        return self._oracle.network
-
-    @property
-    def oracle(self) -> DistanceOracle:
-        """The wrapped memoising oracle."""
-        return self._oracle
-
-    @property
-    def stats(self):
-        """The wrapped oracle's counters (same shape as :class:`EngineStats`)."""
-        return self._oracle.stats
-
-    def distance(self, source: VertexId, target: VertexId) -> float:
-        return self._oracle.distance(source, target)
-
-    def distances_from(self, source: VertexId) -> Mapping[VertexId, float]:
-        return self._oracle.distances_from(source)
-
-    def path(self, source: VertexId, target: VertexId) -> PathResult:
-        return self._oracle.path(source, target)
-
-    def invalidate(self) -> None:
-        self._oracle.invalidate()
 
 
 class CSRGraph:
@@ -601,9 +429,8 @@ class CSRGraph:
 class _TreeView(Mapping):
     """Dict-like view of a dense distance array, keyed by vertex id.
 
-    Mirrors the mapping ``DistanceOracle.distances_from`` returns: lookups of
-    unreachable (or unknown) vertices raise ``KeyError``, iteration yields
-    only reachable vertices.  The backing row may be a NumPy ``float64``
+    Lookups of unreachable (or unknown) vertices raise ``KeyError``,
+    iteration yields only reachable vertices.  The backing row may be a NumPy ``float64``
     ndarray (zero-copy view into a tree plane) or a plain list; lookups
     coerce to built-in ``float`` so NumPy scalar types never leak into the
     matchers' arithmetic or the service's payloads (the coercion is
@@ -641,58 +468,6 @@ class _TreeView(Mapping):
 
     def __len__(self) -> int:
         return sum(1 for value in self._dist if value != INFINITY)
-
-
-class TreeProvider(ABC):
-    """The one seam every full distance tree is produced through.
-
-    A provider answers exactly two questions -- one source's dense distance
-    row, and a whole batch of sources as a 2-D plane -- over a compiled
-    :class:`CSRGraph`'s index space.  Engines own *caching*, *pinning* and
-    *statistics*; providers own *computation*, so swapping how trees are
-    produced (SciPy C Dijkstra planes, pure-Python Dijkstra, a PHAST sweep
-    over a contraction hierarchy) never touches the tree cache, the
-    ``prefetch_trees`` contract, or the :class:`_TreeView` mappings that
-    ``MatchContext`` / ``BatchContext`` pin.
-
-    The hard contract, which the whole byte-identical-dispatch guarantee
-    rests on: every row a provider returns is **bit-identical** to the row
-    :meth:`CSRGraph.tree` computes for that source (``inf`` for unreachable
-    vertices included), property-tested in
-    ``tests/property/test_phast_trees.py``.
-    """
-
-    #: provider name, surfaced as ``RoutingEngine.tree_provider_name``
-    name: str = "abstract"
-
-    @abstractmethod
-    def tree(self, source_index: int) -> Sequence[float]:
-        """Dense distance row of one source index (inf = unreachable)."""
-
-    @abstractmethod
-    def trees(self, source_indices: Sequence[int]) -> Sequence[Sequence[float]]:
-        """Distance rows of many sources as one ``(len(sources), n)`` plane."""
-
-
-class PlaneTreeProvider(TreeProvider):
-    """The CSR plane path: SciPy C Dijkstra when available, else pure Python.
-
-    A thin adapter over :meth:`CSRGraph.tree` / :meth:`CSRGraph.trees` --
-    the provider every engine used implicitly before the seam existed, and
-    still the right choice below :data:`PHAST_AUTO_MIN_VERTICES` where one
-    C Dijkstra beats any sweep's dispatch overhead.
-    """
-
-    name = "plane"
-
-    def __init__(self, graph: CSRGraph) -> None:
-        self._graph = graph
-
-    def tree(self, source_index: int) -> Sequence[float]:
-        return self._graph.tree(source_index)
-
-    def trees(self, source_indices: Sequence[int]) -> Sequence[Sequence[float]]:
-        return self._graph.trees(source_indices)
 
 
 class ALTIndex:
@@ -845,11 +620,6 @@ class ContractionHierarchy:
         "up_weights",
         "up_mids",
         "shortcut_count",
-        "down_heads",
-        "down_indptr",
-        "down_tails",
-        "down_weights",
-        "down_level_ptr",
         "_dist",
         "_version",
         "_parent",
@@ -865,11 +635,6 @@ class ContractionHierarchy:
         up_weights: List[float],
         up_mids: List[int],
         shortcut_count: int,
-        down_heads: Optional[List[int]] = None,
-        down_indptr: Optional[List[int]] = None,
-        down_tails: Optional[List[int]] = None,
-        down_weights: Optional[List[float]] = None,
-        down_level_ptr: Optional[List[int]] = None,
     ) -> None:
         self.rank = rank
         self.order = order
@@ -878,15 +643,6 @@ class ContractionHierarchy:
         self.up_weights = up_weights
         self.up_mids = up_mids
         self.shortcut_count = shortcut_count
-        downward = (down_heads, down_indptr, down_tails, down_weights, down_level_ptr)
-        if any(part is None for part in downward):
-            self._build_downward()  # derive the PHAST sweep order (one O(E) pass)
-        else:
-            self.down_heads = down_heads
-            self.down_indptr = down_indptr
-            self.down_tails = down_tails
-            self.down_weights = down_weights
-            self.down_level_ptr = down_level_ptr
         # Reusable per-query scratch (forward, backward): label arrays with a
         # version stamp instead of per-query dicts -- list indexing is the
         # query loop's hottest operation.  Makes queries non-reentrant, which
@@ -896,65 +652,6 @@ class ContractionHierarchy:
         self._version = ([0] * n, [0] * n)
         self._parent = ([-1] * n, [-1] * n)
         self._query_id = 0
-
-    def _build_downward(self) -> None:
-        """Flatten the downward graph in PHAST sweep order (one O(E) pass).
-
-        The network is undirected, so the downward graph is exactly the
-        transpose of the upward one: vertex ``v`` receives one downward
-        in-edge ``u -> v`` for each of its upward edges ``v -> u``.  The
-        sweep arrays regroup those edges by *head* in dependency order:
-
-        * ``level[v] = 1 + max(level of v's upward targets)`` (0 for the
-          hierarchy tops, which have no upward edges and therefore nothing
-          to receive) -- every downward in-edge's tail sits at a strictly
-          smaller level, so a sweep that finalises levels in ascending
-          order never reads an unfinished label, and all heads *within*
-          one level are independent (min-combining is order-exact), which
-          is what lets the NumPy sweep relax a whole level at once;
-        * ``down_heads`` lists the receiving vertices sorted by
-          ``(level, rank)`` -- the rank-permuted downward CSR the artifact
-          cache persists -- with ``down_level_ptr`` marking the level
-          boundaries and ``down_indptr`` / ``down_tails`` /
-          ``down_weights`` holding each head's in-edges contiguously.
-        """
-        n = len(self.rank)
-        up_indptr, up_indices, up_weights = (
-            self.up_indptr,
-            self.up_indices,
-            self.up_weights,
-        )
-        level = [0] * n
-        for v in reversed(self.order):  # rank-descending: targets are done
-            best = 0
-            for k in range(up_indptr[v], up_indptr[v + 1]):
-                candidate = level[up_indices[k]] + 1
-                if candidate > best:
-                    best = candidate
-            level[v] = best
-        rank = self.rank
-        heads = [v for v in range(n) if up_indptr[v + 1] > up_indptr[v]]
-        heads.sort(key=lambda v: (level[v], rank[v]))
-        down_indptr = [0]
-        down_tails: List[int] = []
-        down_weights: List[float] = []
-        down_level_ptr = [0]
-        previous_level: Optional[int] = None
-        for v in heads:
-            if level[v] != previous_level:
-                if previous_level is not None:
-                    down_level_ptr.append(len(down_indptr) - 1)
-                previous_level = level[v]
-            for k in range(up_indptr[v], up_indptr[v + 1]):
-                down_tails.append(up_indices[k])
-                down_weights.append(up_weights[k])
-            down_indptr.append(len(down_tails))
-        down_level_ptr.append(len(heads))
-        self.down_heads = heads
-        self.down_indptr = down_indptr
-        self.down_tails = down_tails
-        self.down_weights = down_weights
-        self.down_level_ptr = down_level_ptr
 
     # ------------------------------------------------------------------
     # preprocessing
@@ -1122,18 +819,8 @@ class ContractionHierarchy:
         up_weights: Sequence[float],
         up_mids: Sequence[int],
         shortcut_count: Sequence[int],
-        down_heads: Optional[Sequence[int]] = None,
-        down_indptr: Optional[Sequence[int]] = None,
-        down_tails: Optional[Sequence[int]] = None,
-        down_weights: Optional[Sequence[float]] = None,
-        down_level_ptr: Optional[Sequence[int]] = None,
     ) -> "ContractionHierarchy":
         """Rehydrate a hierarchy from (cached) flat arrays.
-
-        The rank-permuted downward CSR (the PHAST sweep order) is loaded
-        when the artifact carries it and recomputed from the upward arrays
-        otherwise, so hierarchies persisted before the sweep arrays existed
-        stay loadable.
 
         Raises:
             ValueError: when ``rank`` is not a permutation of the vertex
@@ -1156,24 +843,10 @@ class ContractionHierarchy:
             _as_float_list(up_weights),
             _as_int_list(up_mids),
             int(shortcut_count[0]),
-            down_heads=None if down_heads is None else _as_int_list(down_heads),
-            down_indptr=None if down_indptr is None else _as_int_list(down_indptr),
-            down_tails=None if down_tails is None else _as_int_list(down_tails),
-            down_weights=(
-                None if down_weights is None else _as_float_list(down_weights)
-            ),
-            down_level_ptr=(
-                None if down_level_ptr is None else _as_int_list(down_level_ptr)
-            ),
         )
 
     def to_arrays(self) -> Dict[str, Sequence[float]]:
-        """The hierarchy's flat arrays, named for the artifact cache.
-
-        Includes the rank-permuted downward CSR, so a warm restart serves
-        PHAST sweeps straight from the ``.npz`` without re-deriving the
-        sweep order.
-        """
+        """The hierarchy's flat arrays, named for the artifact cache."""
         return {
             "rank": self.rank,
             "up_indptr": self.up_indptr,
@@ -1181,11 +854,6 @@ class ContractionHierarchy:
             "up_weights": self.up_weights,
             "up_mids": self.up_mids,
             "shortcut_count": [self.shortcut_count],
-            "down_heads": self.down_heads,
-            "down_indptr": self.down_indptr,
-            "down_tails": self.down_tails,
-            "down_weights": self.down_weights,
-            "down_level_ptr": self.down_level_ptr,
         }
 
     # ------------------------------------------------------------------
@@ -1324,328 +992,6 @@ class ContractionHierarchy:
         )  # pragma: no cover - structurally impossible
 
 
-class PHASTTreeProvider(TreeProvider):
-    """Hierarchy-native full distance trees: a PHAST downward sweep.
-
-    PHAST (Delling et al.'s "PHAST: hardware-accelerated shortest path
-    trees") turns a contraction hierarchy into a one-to-all algorithm:
-
-    1. **Upward phase** -- a plain Dijkstra from the source restricted to
-       upward edges.  Its search space is the source's upward cone, a few
-       hundred vertices on a city-sized network.
-    2. **Downward sweep** -- every shortest path is up-then-down in the
-       hierarchy, so one pass over the downward edges (the transpose of the
-       upward graph) in rank-descending dependency order finalises every
-       remaining vertex: ``d[v] = min(d[v], d[u] + w)`` over v's downward
-       in-edges, whose tails are all finalised before v.  No queue, no
-       priority -- just a fixed scan order, which is what vectorises: the
-       NumPy path relaxes one whole *level* of independent vertices at a
-       time (gather, add, ``minimum.reduceat``), for a batch of ``k``
-       sources as one ``(k, n)`` plane.
-    3. **Refold** -- sweep labels are sums over shortcut weights, whose
-       floating-point association differs from a Dijkstra's left-to-right
-       accumulation by ulps, and the engines promise rows **bit-identical**
-       to :meth:`CSRGraph.tree`.  The sweep labels are therefore never
-       returned; they only certify the *structure* of the shortest-path
-       forest.  The refold re-derives every label over original edges in
-       parents-first order: ``d[v] = min(d[u] + w(u, v))`` over v's
-       original in-neighbours, taking exactly the already-refolded ones.
-       A Dijkstra's settled labels satisfy the same fixpoint (a relaxation
-       from a later-settled neighbour can never lower a label in monotone
-       float arithmetic), so visiting each vertex after its Dijkstra
-       parent reproduces the reference labels float for float.  The
-       pure-Python path visits vertices in ascending sweep-label order; a
-       parent lies one positive edge weight below its child -- a real,
-       weight-scale margin, far beyond the sweep labels' ulp-scale error
-       wherever shortest paths are unique, and value-irrelevant under
-       exact-arithmetic ties (the same contract the CH point query's
-       refolding documents).  The NumPy path exploits that same margin to
-       fold *generations* at once: vertices are bucketed by
-       ``floor(label / (min_edge_weight / 2))``, so a parent and child can
-       never share a bucket and each bucket is one segmented
-       gather-add-``minimum.reduceat`` over the whole batch.
-
-    The provider never touches SciPy: the vectorised path needs NumPy only,
-    and without NumPy a scalar sweep over the same arrays serves the
-    fallback -- so the ch backend's tree path has no SciPy dependency left.
-    """
-
-    name = "phast"
-
-    def __init__(self, graph: CSRGraph, hierarchy: ContractionHierarchy) -> None:
-        self._graph = graph
-        self._hierarchy = hierarchy
-        self._use_numpy = _np is not None
-        if self._use_numpy:
-            self._np_down_heads = _np.asarray(hierarchy.down_heads, dtype=_np.int64)
-            self._np_down_indptr = _np.asarray(hierarchy.down_indptr, dtype=_np.int64)
-            self._np_down_tails = _np.asarray(hierarchy.down_tails, dtype=_np.int64)
-            self._np_down_weights = _np.asarray(
-                hierarchy.down_weights, dtype=_np.float64
-            )
-            # float32 copy of the downward weights: the sweep's per-level
-            # gather-add is memory-bound, so halving the plane and weight
-            # widths roughly halves its cost.  The sweep labels only ever
-            # certify *structure* (bucket membership and visit order); the
-            # refold re-derives every exact label in float64 over original
-            # edges, and a runtime guard falls back to the float64 sweep
-            # whenever float32 rounding could threaten the bucket
-            # separation (see :meth:`_trees_numpy`).
-            self._np_down_weights32 = self._np_down_weights.astype(_np.float32)
-            self._level_count = max(len(hierarchy.down_level_ptr) - 1, 1)
-            self._np_indptr = _np.asarray(graph.indptr, dtype=_np.int64)
-            self._np_indices = _np.asarray(graph.indices, dtype=_np.int64)
-            self._np_weights = _np.asarray(graph.weights, dtype=_np.float64)
-            self._np_degrees = _np.diff(self._np_indptr)
-            # Half the smallest edge weight: the refold's bucket width (a
-            # parent and its child differ by a whole edge weight, so they
-            # can never land in the same bucket).
-            self._bucket_width = (
-                float(self._np_weights.min()) / 2.0 if self._np_weights.size else 1.0
-            )
-
-    # ------------------------------------------------------------------
-    def tree(self, source_index: int) -> Sequence[float]:
-        if self._use_numpy:
-            return self._trees_numpy([source_index])[0]
-        return self._tree_python(source_index)
-
-    def trees(self, source_indices: Sequence[int]) -> Sequence[Sequence[float]]:
-        sources = list(source_indices)
-        if self._use_numpy:
-            return self._trees_numpy(sources)
-        return [self._tree_python(index) for index in sources]
-
-    # ------------------------------------------------------------------
-    # shared upward phase
-    # ------------------------------------------------------------------
-    def _upward_labels(self, source_index: int) -> Dict[int, float]:
-        """Dijkstra over upward edges only: the source's upward cone."""
-        hierarchy = self._hierarchy
-        up_indptr = hierarchy.up_indptr
-        up_indices = hierarchy.up_indices
-        up_weights = hierarchy.up_weights
-        dist: Dict[int, float] = {source_index: 0.0}
-        heap: List[Tuple[float, int]] = [(0.0, source_index)]
-        push, pop = heapq.heappush, heapq.heappop
-        while heap:
-            d, x = pop(heap)
-            if d > dist[x]:
-                continue
-            for k in range(up_indptr[x], up_indptr[x + 1]):
-                y = up_indices[k]
-                nd = d + up_weights[k]
-                if nd < dist.get(y, INFINITY):
-                    dist[y] = nd
-                    push(heap, (nd, y))
-        return dist
-
-    # ------------------------------------------------------------------
-    # pure-Python path
-    # ------------------------------------------------------------------
-    def _tree_python(self, source_index: int) -> List[float]:
-        n = len(self._graph.vertex_ids)
-        approx = [INFINITY] * n
-        for vertex, label in self._upward_labels(source_index).items():
-            approx[vertex] = label
-        hierarchy = self._hierarchy
-        heads, down_indptr = hierarchy.down_heads, hierarchy.down_indptr
-        tails, weights = hierarchy.down_tails, hierarchy.down_weights
-        for position, v in enumerate(heads):
-            best = approx[v]
-            for k in range(down_indptr[position], down_indptr[position + 1]):
-                candidate = approx[tails[k]] + weights[k]
-                if candidate < best:
-                    best = candidate
-            approx[v] = best
-        return self._refold_python(source_index, approx)
-
-    def _refold_python(self, source_index: int, approx: List[float]) -> List[float]:
-        """Exact labels from sweep labels: fold original edges parents-first.
-
-        Vertices are visited in ascending sweep-label order; a vertex's
-        Dijkstra parent lies one positive edge weight below it, far beyond
-        the sweep labels' ulp-scale error, so parents are always visited
-        first and ``min`` over the already-folded in-neighbours reproduces
-        the reference Dijkstra's final label exactly (its settled labels
-        satisfy the same fixpoint: relaxations from later-settled
-        neighbours can never lower a label in monotone float arithmetic).
-        """
-        graph = self._graph
-        indptr, neighbours, weights = graph.indptr, graph.indices, graph.weights
-        order = [v for v in range(len(approx)) if approx[v] != INFINITY]
-        order.sort(key=approx.__getitem__)
-        exact = [INFINITY] * len(approx)
-        exact[source_index] = 0.0
-        for v in order:
-            if v == source_index:
-                continue
-            best = INFINITY
-            for k in range(indptr[v], indptr[v + 1]):
-                candidate = exact[neighbours[k]] + weights[k]
-                if candidate < best:
-                    best = candidate
-            exact[v] = best
-        return exact
-
-    # ------------------------------------------------------------------
-    # NumPy path
-    # ------------------------------------------------------------------
-    def _trees_numpy(self, sources: List[int]):
-        n = len(self._graph.vertex_ids)
-        if not sources:
-            return _np.empty((0, n), dtype=_np.float64)
-        if len(sources) > PHAST_SOURCE_CHUNK:
-            return _np.vstack(
-                [
-                    self._trees_numpy(sources[start : start + PHAST_SOURCE_CHUNK])
-                    for start in range(0, len(sources), PHAST_SOURCE_CHUNK)
-                ]
-            )
-        dist = self._sweep(sources, _np.float32)
-        # Guard the float32 labels before trusting them for bucketing: the
-        # refold's correctness needs a parent and its child (a true gap of
-        # at least ``min_edge_weight = 2 * bucket_width``) to land in
-        # different buckets.  Each label is a sum of at most
-        # ``level_count + O(1)`` float32 additions, so its error is bounded
-        # by ``max_label * eps32 * (level_count + 4)``; as long as twice
-        # that bound stays within one bucket width the approximate gap is
-        # still >= bucket_width and floor-bucketing cannot merge the pair.
-        # Pathological networks (tiny min weight under a huge diameter)
-        # fail the check and re-sweep in float64, which restores the
-        # weight-scale margin the original analysis relied on.
-        finite = dist[_np.isfinite(dist)]
-        max_label = float(finite.max()) if finite.size else 0.0
-        err_bound = (
-            max_label * float(_np.finfo(_np.float32).eps) * (self._level_count + 4)
-        )
-        if 2.0 * err_bound > self._bucket_width:
-            dist = self._sweep(sources, _np.float64)
-        return self._refold_numpy(sources, dist)
-
-    def _sweep(self, sources: List[int], dtype):
-        """The downward relaxation over one level at a time, in ``dtype``."""
-        n = len(self._graph.vertex_ids)
-        k = len(sources)
-        dist = _np.full((k, n), INFINITY, dtype=dtype)
-        for row, source in enumerate(sources):
-            labels = self._upward_labels(source)
-            dist[row, list(labels.keys())] = list(labels.values())
-        heads, down_indptr = self._np_down_heads, self._np_down_indptr
-        tails = self._np_down_tails
-        down_weights = (
-            self._np_down_weights32
-            if dtype == _np.float32
-            else self._np_down_weights
-        )
-        level_ptr = self._hierarchy.down_level_ptr
-        minimum = _np.minimum
-        for level in range(len(level_ptr) - 1):
-            a, b = level_ptr[level], level_ptr[level + 1]
-            if a == b:
-                continue
-            e0, e1 = int(down_indptr[a]), int(down_indptr[b])
-            candidates = dist[:, tails[e0:e1]] + down_weights[e0:e1]
-            mins = minimum.reduceat(candidates, down_indptr[a:b] - e0, axis=1)
-            level_heads = heads[a:b]
-            dist[:, level_heads] = minimum(dist[:, level_heads], mins)
-        return dist
-
-    #: Refuse the bucket fold past this many non-empty buckets (a pathological
-    #: min-weight / diameter ratio) and refold per source in Python instead --
-    #: the generation loop's per-bucket dispatch would otherwise dominate.
-    REFOLD_BUCKET_CAP = 32768
-
-    def _refold_numpy(self, sources: List[int], approx):
-        """Vectorised exact refold of a whole sweep plane (see class docs).
-
-        All reachable (source, vertex) cells of the batch are bucketed by
-        ``floor(label / bucket_width)`` and folded one bucket generation at
-        a time: each generation is a single segmented
-        gather-add-``minimum.reduceat`` over the concatenated in-edge rows
-        of its cells, reading only already-folded labels (unfolded
-        neighbours read as inf and every cell's Dijkstra parent sits in an
-        earlier bucket, so the segmented min *is* the reference Dijkstra's
-        final label -- see the class docstring).
-        """
-        graph = self._graph
-        n = len(graph.vertex_ids)
-        k = len(sources)
-        exact = _np.full((k, n), INFINITY, dtype=_np.float64)
-        rows = _np.arange(k)
-        source_columns = _np.asarray(sources, dtype=_np.int64)
-        exact[rows, source_columns] = 0.0
-        neighbours, weights = self._np_indices, self._np_weights
-        if not neighbours.shape[0]:
-            return exact
-        flat_approx = approx.reshape(-1)
-        folds = _np.isfinite(flat_approx)
-        folds[rows * n + source_columns] = False  # sources are exact already
-        positions = _np.flatnonzero(folds)  # flat (row * n + column) cells
-        if not positions.size:
-            return exact
-        # Bucket keys are always computed in float64: the sweep plane may be
-        # float32 (guarded upstream), and a float32 divide could round a
-        # label across a bucket boundary the guard's analysis did not cover.
-        labels = flat_approx[positions]
-        if labels.dtype != _np.float64:
-            labels = labels.astype(_np.float64)
-        keys = _np.floor(labels / self._bucket_width).astype(_np.int64)
-        order = _np.argsort(keys, kind="stable")
-        positions, keys = positions[order], keys[order]
-        starts = _np.concatenate(
-            ([0], _np.flatnonzero(_np.diff(keys) != 0) + 1)
-        )
-        if starts.size > self.REFOLD_BUCKET_CAP:
-            return _np.asarray(
-                [
-                    self._refold_python(source, approx[row].tolist())
-                    for row, source in enumerate(sources)
-                ],
-                dtype=_np.float64,
-            )
-        ends = _np.append(starts[1:], positions.size)
-        # Concatenate every cell's in-edge row (the graph is symmetric, so a
-        # vertex's in-edges are its CSR out-row) once, aligned with the
-        # bucket order, so each generation below is pure slicing.
-        vertices = positions % n
-        degrees = self._np_degrees[vertices]
-        edge_ptr = _np.concatenate(([0], _np.cumsum(degrees)))
-        total_edges = int(edge_ptr[-1])
-        spans = _np.repeat(edge_ptr[:-1], degrees)
-        edge_index = (
-            _np.arange(total_edges, dtype=_np.int64)
-            - spans
-            + _np.repeat(self._np_indptr[vertices], degrees)
-        )
-        edge_weight = weights[edge_index]
-        # flat index of each in-edge's tail cell, in the tail's own row
-        tail_cells = _np.repeat((positions // n) * n, degrees) + neighbours[edge_index]
-        flat_exact = exact.reshape(-1)
-        if _scatter_refold_enabled():
-            # The reduceat-free fold: scatter-min every in-edge contribution
-            # straight into its destination cell.  Destinations start at inf
-            # and the gather still happens before the scatter, so a
-            # same-bucket neighbour reads as inf exactly as it does in the
-            # segmented fold -- min is exact in floats, so the two folds are
-            # bit-identical.
-            dest_cells = _np.repeat(positions, degrees)
-            scatter_min = _np.minimum.at
-            for s, t in zip(starts.tolist(), ends.tolist()):
-                e0, e1 = int(edge_ptr[s]), int(edge_ptr[t])
-                contributions = flat_exact[tail_cells[e0:e1]] + edge_weight[e0:e1]
-                scatter_min(flat_exact, dest_cells[e0:e1], contributions)
-            return exact
-        reduceat = _np.minimum.reduceat
-        for s, t in zip(starts.tolist(), ends.tolist()):
-            e0, e1 = int(edge_ptr[s]), int(edge_ptr[t])
-            contributions = flat_exact[tail_cells[e0:e1]] + edge_weight[e0:e1]
-            flat_exact[positions[s:t]] = reduceat(
-                contributions, edge_ptr[s:t] - e0
-            )
-        return exact
-
-
 def _fingerprint_for(network: RoadNetwork, cache: Optional[ArtifactCache]) -> Optional[str]:
     """The network's content hash when a usable cache is attached, else None."""
     if cache is None or not cache.available:
@@ -1715,8 +1061,8 @@ class CSREngine(RoutingEngine):
 
     Single-source trees are computed over the CSR arrays (in C via SciPy when
     available, otherwise with the pure-Python int-indexed heap Dijkstra) and
-    cached with the same FIFO policy as :class:`DistanceOracle`, including the
-    symmetric source/target reuse the matchers rely on.
+    cached FIFO, keyed by source index; a point query reads the tree rooted
+    at its smaller endpoint, so every answer is independent of cache state.
 
     With an :class:`~repro.roadnet.artifacts.ArtifactCache` attached, the CSR
     compile and the ALT landmark tables round-trip through ``.npz`` artifacts
@@ -1741,9 +1087,6 @@ class CSREngine(RoutingEngine):
         self._fingerprint = _fingerprint_for(network, cache)
         self.stats = EngineStats()
         self._graph = _compile_csr_graph(network, cache, self._fingerprint, self.stats)
-        #: the one seam every full tree is produced through (overridden by
-        #: the ch backend when it goes hierarchy-native)
-        self._tree_provider: TreeProvider = PlaneTreeProvider(self._graph)
         #: per-source tree cache, FIFO (``popitem(last=False)``, a hit never
         #: reorders); rows are ndarray views (or lists without SciPy)
         self._trees: "OrderedDict[int, Sequence[float]]" = OrderedDict()
@@ -1780,22 +1123,6 @@ class CSREngine(RoutingEngine):
         """The landmark index, when the engine was built with one."""
         return self._alt
 
-    @property
-    def tree_provider(self) -> TreeProvider:
-        """The provider every full distance tree is computed through."""
-        return self._tree_provider
-
-    @property
-    def tree_provider_name(self) -> str:
-        return self._tree_provider.name
-
-    def _bill_trees(self, count: int) -> None:
-        """Attribute freshly computed trees to the provider that made them."""
-        if self._tree_provider.name == "phast":
-            self.stats.phast_sweeps += count
-        else:
-            self.stats.dijkstra_runs += count
-
     # ------------------------------------------------------------------
     def distance(self, source: VertexId, target: VertexId) -> float:
         self.stats.queries += 1
@@ -1823,12 +1150,10 @@ class CSREngine(RoutingEngine):
     ) -> Mapping[VertexId, Mapping[VertexId, float]]:
         """Bulk-compute the missing trees of ``sources`` in one vectorised call.
 
-        All missing sources go through **one** :meth:`TreeProvider.trees`
-        plane (one SciPy C call on the plane provider, one batched PHAST
-        sweep on the hierarchy-native provider); each computed row is
-        detached from the plane, stored in the tree cache and billed as
-        exactly one ``dijkstra_runs`` / ``phast_sweeps`` depending on the
-        provider.  Sources whose tree is already cached are returned
+        All missing sources go through **one** :meth:`CSRGraph.trees` plane
+        (one SciPy C call); each computed row is detached from the plane,
+        stored in the tree cache and billed as exactly one
+        ``dijkstra_runs``.  Sources whose tree is already cached are returned
         from the cache without touching any counter; unknown vertices are
         skipped.  The returned views pin their rows by reference, so cache
         eviction -- including churn caused by a prefetch larger than the cache
@@ -1852,8 +1177,8 @@ class CSREngine(RoutingEngine):
             else:
                 views[vertex] = _TreeView(graph, row)
         if missing:
-            plane = self._tree_provider.trees(list(missing.values()))
-            self._bill_trees(len(missing))
+            plane = self._graph.trees(list(missing.values()))
+            self.stats.dijkstra_runs += len(missing)
             for position, (vertex, index) in enumerate(missing.items()):
                 row = plane[position]
                 if _np is not None and isinstance(row, _np.ndarray):
@@ -1893,7 +1218,6 @@ class CSREngine(RoutingEngine):
         self._graph = _compile_csr_graph(
             self._network, self._cache, self._fingerprint, self.stats
         )
-        self._tree_provider = PlaneTreeProvider(self._graph)
         self._trees.clear()
         self._alt = self._compile_alt() if self._landmarks > 0 else None
 
@@ -1903,192 +1227,35 @@ class CSREngine(RoutingEngine):
         if tree is not None:
             self.stats.cache_hits += 1
             return tree
-        tree = self._tree_provider.tree(source_index)
-        self._bill_trees(1)
+        tree = self._graph.tree(source_index)
+        self.stats.dijkstra_runs += 1
         self._trees[source_index] = tree
         if len(self._trees) > self._max_cached_sources:
             self._trees.popitem(last=False)
         return tree
 
 
-class TableEngine(RoutingEngine):
-    """All-pairs distance-table routing for small (city-benchmark) networks.
-
-    The full ``n x n`` distance matrix is precomputed at build time by blocked
-    multi-source Dijkstra (:meth:`CSRGraph.trees`, one SciPy call per block of
-    :data:`DEFAULT_TABLE_BLOCK` sources), after which every ``distance`` is an
-    O(1) array lookup and every ``distances_from`` a zero-copy row view.
-    Rows are bit-identical to what :class:`CSREngine` computes per source, and
-    point queries read the row of the *smaller* endpoint like every other
-    backend, so answers are float-for-float interchangeable with the CSR
-    engine's.
-
-    The table is O(n^2) memory and O(n) Dijkstra runs to build -- the right
-    trade for the <= 2k-vertex grids the benchmarks use and exactly the wrong
-    one beyond :data:`DEFAULT_TABLE_MAX_VERTICES`, where construction refuses
-    rather than silently swallowing gigabytes.
-    """
-
-    backend = "table"
-    exact_lower_bounds = True
-    tree_provider_name = "table"
-
-    def __init__(
-        self,
-        network: RoadNetwork,
-        block_size: int = DEFAULT_TABLE_BLOCK,
-        max_vertices: int = DEFAULT_TABLE_MAX_VERTICES,
-        cache: Optional[ArtifactCache] = None,
-    ) -> None:
-        if block_size <= 0:
-            raise ValueError(f"block_size must be positive, got {block_size}")
-        if max_vertices < 1:
-            raise ValueError(f"max_vertices must be >= 1, got {max_vertices}")
-        self._network = network
-        self._block_size = block_size
-        self._max_vertices = max_vertices
-        self._cache = cache
-        self._fingerprint = _fingerprint_for(network, cache)
-        self.stats = EngineStats()
-        self._graph = _compile_csr_graph(network, cache, self._fingerprint, self.stats)
-        self._table = self._build_table()
-
-    def _build_table(self) -> Sequence[Sequence[float]]:
-        n = len(self._graph)
-        if n > self._max_vertices:
-            raise ConfigurationError(
-                f"table routing backend capped at {self._max_vertices} vertices "
-                f"(network has {n}; raise SystemConfig.table_max_vertices to "
-                f"override); use the ch backend -- contraction hierarchies "
-                f"keep point queries fast without the O(n^2) table -- for "
-                f"larger networks"
-            )
-        return _load_or_build_artifact(
-            self.stats,
-            self._cache,
-            self._fingerprint,
-            "table",
-            decode=lambda arrays: (
-                arrays["matrix"] if arrays["matrix"].shape == (n, n) else None
-            ),
-            build=self._compute_table,
-            encode=lambda table: {"matrix": table},
-        )
-
-    def _compute_table(self) -> Sequence[Sequence[float]]:
-        n = len(self._graph)
-        blocks = [
-            self._graph.trees(range(start, min(start + self._block_size, n)))
-            for start in range(0, n, self._block_size)
-        ]
-        self.stats.dijkstra_runs += n  # the build's honest cost, counted once
-        if _np is not None and self._graph.matrix is not None:
-            return _np.vstack(blocks) if blocks else _np.empty((0, 0))
-        return [row for block in blocks for row in block]
-
-    @property
-    def network(self) -> RoadNetwork:
-        return self._network
-
-    @property
-    def graph(self) -> CSRGraph:
-        """The compiled CSR adjacency (rebuilt by :meth:`invalidate`)."""
-        return self._graph
-
-    @property
-    def table(self) -> Sequence[Sequence[float]]:
-        """The all-pairs distance matrix (row i = distances from index i)."""
-        return self._table
-
-    # ------------------------------------------------------------------
-    def distance(self, source: VertexId, target: VertexId) -> float:
-        self.stats.queries += 1
-        if source == target:
-            return 0.0
-        # Same canonical rooting as every other backend: read the smaller
-        # endpoint's row, so the answer is bit-identical to the CSR engine's.
-        root, leaf = (source, target) if source <= target else (target, source)
-        value = self._table[self._graph.index(root)][self._graph.index(leaf)]
-        self.stats.cache_hits += 1  # every answer is served from the table
-        if value == INFINITY:
-            raise DisconnectedError(source, target)
-        return float(value)
-
-    def distances_from(self, source: VertexId) -> Mapping[VertexId, float]:
-        self.stats.queries += 1
-        self.stats.cache_hits += 1
-        return _TreeView(self._graph, self._table[self._graph.index(source)])
-
-    def prefetch_trees(
-        self, sources: Sequence[VertexId]
-    ) -> Mapping[VertexId, Mapping[VertexId, float]]:
-        """Hand out precomputed row views; no work, no counters (not a query)."""
-        graph = self._graph
-        views: Dict[VertexId, Mapping[VertexId, float]] = {}
-        for vertex in sources:
-            index = graph.index_of.get(vertex)
-            if index is not None and vertex not in views:
-                views[vertex] = _TreeView(graph, self._table[index])
-        return views
-
-    def path(self, source: VertexId, target: VertexId) -> PathResult:
-        # as on the csr engine: ``path(v, v)`` reads no row and bills no query
-        tree = self.distances_from(source) if source != target else None
-        return shortest_path(self._network, source, target, tree=tree)
-
-    def distance_lower_bound(self, source: VertexId, target: VertexId) -> float:
-        """The exact distance -- the tightest admissible bound there is.
-
-        Infinity for provably disconnected pairs, matching the ALT index's
-        convention, so the matchers prune those vehicles outright.
-        """
-        if source == target:
-            return 0.0
-        root, leaf = (source, target) if source <= target else (target, source)
-        return float(self._table[self._graph.index(root)][self._graph.index(leaf)])
-
-    def invalidate(self) -> None:
-        """Recompile the CSR arrays and rebuild the table (network mutated)."""
-        self._fingerprint = _fingerprint_for(self._network, self._cache)
-        self._graph = _compile_csr_graph(
-            self._network, self._cache, self._fingerprint, self.stats
-        )
-        self._table = self._build_table()
-
-
 class CHEngine(CSREngine):
-    """Contraction-hierarchy routing: scalable point queries *and* trees.
+    """Contraction-hierarchy routing: the CSR engine with fast point queries.
 
     The engine keeps the whole :class:`CSREngine` machinery -- the compiled
-    CSR arrays, the tree cache, the vectorised plane prefetch seam -- but
-    both query shapes are hierarchy-native:
+    CSR arrays, the tree cache, the vectorised prefetch -- and adds one
+    accelerator: an uncached ``distance(s, t)`` runs a bidirectional upward
+    search over the :class:`ContractionHierarchy`, settling a few hundred
+    vertices regardless of network size, instead of computing the whole
+    tree rooted at the smaller endpoint.  Full distance trees
+    (``distances_from`` / ``prefetch_trees``) come from the CSR arrays
+    exactly as on the csr backend.
 
-    * ``distance(s, t)`` runs a bidirectional upward search over the
-      :class:`ContractionHierarchy`, settling a few hundred vertices
-      regardless of network size -- the query the matchers issue per
-      candidate schedule leg;
-    * full distance trees (``distances_from`` / ``prefetch_trees``, what
-      ``MatchContext`` and ``BatchContext`` pin) can come from a
-      :class:`PHASTTreeProvider` downward sweep over the same hierarchy,
-      so the tree path no longer *depends* on SciPy.  The
-      ``tree_provider`` knob ("auto" / "plane" / "phast") selects the
-      provider for ablation; "auto" keeps the SciPy C plane where SciPy
-      exists (still the fastest tree path, E15 records the ratio) and
-      goes hierarchy-native past :data:`PHAST_AUTO_MIN_VERTICES` vertices
-      in NumPy-only environments, where the vectorised sweep beats
-      per-source pure-Python Dijkstras severalfold.
-
-    Answers stay byte-identical to the CSR backend's either way: a cached
-    tree row is still consulted first (same canonical smaller-endpoint
-    rooting), the CH point search refolds its answer from the unpacked
-    original-edge path in the exact addition order the tree computation
-    uses, and the PHAST provider refolds whole planes the same way.
+    Answers stay byte-identical to the CSR backend's: a cached tree row is
+    still consulted first (same canonical smaller-endpoint rooting), and the
+    CH point search refolds its answer from the unpacked original-edge path
+    in the exact addition order the tree computation uses.
 
     The hierarchy build is the expensive part (seconds of witness searches
     on a 20k-vertex network), which is exactly what the artifact cache
-    amortises: with a cache attached the hierarchy -- including the
-    rank-permuted downward CSR the sweep runs on -- round-trips through
-    one ``.npz`` read keyed by the network's content hash.
+    amortises: with a cache attached the hierarchy round-trips through one
+    ``.npz`` read keyed by the network's content hash.
     """
 
     backend = "ch"
@@ -2100,51 +1267,20 @@ class CHEngine(CSREngine):
         network: RoadNetwork,
         max_cached_sources: int = 1024,
         cache: Optional[ArtifactCache] = None,
-        tree_provider: str = "auto",
-        phast_min_vertices: int = PHAST_AUTO_MIN_VERTICES,
     ) -> None:
-        if tree_provider not in TREE_PROVIDERS:
-            raise ConfigurationError(
-                f"unknown tree provider {tree_provider!r}; "
-                f"choose one of {TREE_PROVIDERS}"
-            )
-        self._tree_provider_request = tree_provider
-        self._phast_min_vertices = phast_min_vertices
         super().__init__(network, max_cached_sources=max_cached_sources, cache=cache)
         self._hierarchy = self._compile_hierarchy()
-        self._tree_provider = self._resolve_tree_provider()
 
     @property
     def hierarchy(self) -> ContractionHierarchy:
         """The compiled hierarchy (rebuilt by :meth:`invalidate`)."""
         return self._hierarchy
 
-    def _resolve_tree_provider(self) -> TreeProvider:
-        """Apply the ``tree_provider`` knob to the freshly compiled state.
-
-        "auto" picks whichever path is measurably fastest for the runtime
-        environment (see :data:`PHAST_AUTO_MIN_VERTICES`): the SciPy C plane
-        when SciPy is importable, the NumPy PHAST sweep when only NumPy is
-        (on networks large enough for the sweep to amortise), and the
-        pure-Python plane otherwise -- pure-Python PHAST never wins on speed
-        and is only ever *forced*, for ablation and fallback testing.
-        """
-        request = self._tree_provider_request
-        if request == "phast" or (
-            request == "auto"
-            and _np is not None
-            and _csgraph_dijkstra is None
-            and len(self._graph) >= self._phast_min_vertices
-        ):
-            return PHASTTreeProvider(self._graph, self._hierarchy)
-        return PlaneTreeProvider(self._graph)
-
     def _compile_hierarchy(self) -> ContractionHierarchy:
         """Load the hierarchy from the cache, or contract and persist.
 
-        A cached payload without the downward sweep arrays (persisted by an
-        older build) still decodes -- the sweep order is re-derived from the
-        upward arrays in one O(E) pass.
+        Arrays a cached payload holds beyond the upward graph (older builds
+        persisted a downward sweep order) are ignored.
         """
         return _load_or_build_artifact(
             self.stats,
@@ -2158,11 +1294,6 @@ class CHEngine(CSREngine):
                 arrays["up_weights"],
                 arrays["up_mids"],
                 arrays["shortcut_count"],
-                down_heads=arrays.get("down_heads"),
-                down_indptr=arrays.get("down_indptr"),
-                down_tails=arrays.get("down_tails"),
-                down_weights=arrays.get("down_weights"),
-                down_level_ptr=arrays.get("down_level_ptr"),
             ),
             build=lambda: ContractionHierarchy.build(self._graph),
             encode=lambda hierarchy: hierarchy.to_arrays(),
@@ -2172,8 +1303,8 @@ class CHEngine(CSREngine):
         self.stats.queries += 1
         if source == target:
             return 0.0
-        # Same canonical rooting as every other backend; a tree already in
-        # the cache answers in O(1) exactly as the CSR engine would.
+        # Same canonical rooting as the csr backend; a tree already in the
+        # cache answers in O(1) exactly as the CSR engine would.
         root, leaf = (source, target) if source <= target else (target, source)
         root_index = self._graph.index(root)
         leaf_index = self._graph.index(leaf)
@@ -2191,96 +1322,39 @@ class CHEngine(CSREngine):
         return value
 
     def invalidate(self) -> None:
-        """Recompile the CSR arrays, re-contract, re-resolve the provider."""
+        """Recompile the CSR arrays and re-contract the hierarchy."""
         super().invalidate()
         self._hierarchy = self._compile_hierarchy()
-        self._tree_provider = self._resolve_tree_provider()
 
 
 def make_engine(
     network: RoadNetwork,
-    backend: str = "dict",
+    backend: str = "csr",
     max_cached_sources: int = 1024,
     landmarks: int = DEFAULT_LANDMARKS,
-    table_max_vertices: int = DEFAULT_TABLE_MAX_VERTICES,
     cache_dir: Optional[str] = None,
-    tree_provider: str = "auto",
 ) -> RoutingEngine:
     """Build a routing engine by backend name.
 
     Args:
-        backend: one of "dict", "csr", "csr+alt", "table", "ch".
-        max_cached_sources: tree-cache capacity of the dict/CSR-family engines.
+        backend: one of "csr", "csr+alt", "ch".
+        max_cached_sources: tree-cache capacity.
         landmarks: landmark count of the "csr+alt" backend.
-        table_max_vertices: vertex cap of the "table" backend
-            (``SystemConfig.table_max_vertices``).
         cache_dir: directory for persisted compiled artifacts; ``None``
             disables persistence (every engine builds from scratch).
-        tree_provider: how the ch backend computes full distance trees
-            ("auto", "plane" or "phast"; ``SystemConfig.tree_provider``).
-            Every other backend has exactly one tree path, so it accepts
-            only "auto" -- plus "plane" on the csr family, whose one path
-            that is.
 
     Raises:
-        ConfigurationError: for an unknown backend or tree-provider name, a
-            "table" request on a network too large for an all-pairs table,
-            or a "phast" request on a backend without a hierarchy.
+        ConfigurationError: for an unknown backend name.
     """
-    if tree_provider not in TREE_PROVIDERS:
-        raise ConfigurationError(
-            f"unknown tree provider {tree_provider!r}; choose one of {TREE_PROVIDERS}"
-        )
-    if tree_provider == "phast" and backend != "ch":
-        raise ConfigurationError(
-            f"tree provider 'phast' sweeps a contraction hierarchy, which only "
-            f"the ch backend builds (got backend {backend!r}); choose "
-            f"routing backend 'ch' or tree provider 'auto'"
-        )
-    if tree_provider == "plane" and backend in ("dict", "table"):
-        # Refuse rather than silently measure the wrong thing: an ablation
-        # that forces the CSR plane path must not get oracle Dijkstras or
-        # table rows back without noticing.
-        raise ConfigurationError(
-            f"tree provider 'plane' names the CSR plane path, which the "
-            f"{backend!r} backend does not use (its trees come from "
-            f"{'the memoising oracle' if backend == 'dict' else 'precomputed table rows'}); "
-            f"choose tree provider 'auto'"
-        )
     cache = ArtifactCache(cache_dir) if cache_dir is not None else None
-    if backend == "dict":
-        return DictDijkstraEngine(network, max_cached_sources=max_cached_sources)
     if backend == "csr":
         return CSREngine(network, max_cached_sources=max_cached_sources, cache=cache)
     if backend == "csr+alt":
         return CSREngine(
             network, max_cached_sources=max_cached_sources, landmarks=landmarks, cache=cache
         )
-    if backend == "table":
-        return TableEngine(network, max_vertices=table_max_vertices, cache=cache)
     if backend == "ch":
-        return CHEngine(
-            network,
-            max_cached_sources=max_cached_sources,
-            cache=cache,
-            tree_provider=tree_provider,
-        )
+        return CHEngine(network, max_cached_sources=max_cached_sources, cache=cache)
     raise ConfigurationError(
         f"unknown routing backend {backend!r}; choose one of {ROUTING_BACKENDS}"
     )
-
-
-def ensure_engine(value: object, network: RoadNetwork) -> RoutingEngine:
-    """Coerce ``value`` (engine, bare oracle or ``None``) into a routing engine.
-
-    Keeps call sites that still construct a :class:`DistanceOracle` working
-    unchanged: a bare oracle is wrapped into a :class:`DictDijkstraEngine`
-    that shares its caches and statistics.
-    """
-    if value is None:
-        return DictDijkstraEngine(network)
-    if isinstance(value, RoutingEngine):
-        return value
-    if isinstance(value, DistanceOracle):
-        return DictDijkstraEngine(oracle=value)
-    raise TypeError(f"expected a RoutingEngine or DistanceOracle, got {type(value)!r}")

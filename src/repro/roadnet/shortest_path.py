@@ -1,29 +1,22 @@
-"""Shortest-path machinery for PTRider.
+"""The path search every routing answer ends in.
 
 Every price and every pick-up time in the system is derived from shortest-path
-distances on the road network (Section 2.1 of the paper).  The module holds:
+distances on the road network (Section 2.1 of the paper).  Distances come
+from the routing engine's trees (:mod:`repro.roadnet.routing`); paths come
+from :func:`shortest_path`, which every engine's ``path`` lands in -- and
+through ``engine.path`` so do vehicle re-plans (``vehicles.movement.plan_route``)
+and the fleet's full-path cell registration.  The engine passes the source's
+distance tree and the path is read off it; without a tree the function runs
+an early-terminated Dijkstra search.
 
-* :func:`shortest_path` -- the one path mechanism.  Every routing engine's
-  ``path`` lands here (:mod:`repro.roadnet.routing`), and through
-  ``engine.path`` so do vehicle re-plans (``vehicles.movement.plan_route``)
-  and the fleet's full-path cell registration.  The csr, table and ch
-  engines pass the source's distance tree and the path is read off it; the
-  dict engine runs the early-terminated Dijkstra search;
-* :func:`dijkstra_all` -- the full expansion: the dict backend's tree
-  builder;
-* :class:`DistanceOracle` -- a memoising facade that caches single-source
-  trees; it backs the "dict" backend of :mod:`repro.roadnet.routing`, which
-  is what the matchers and the simulator hold on to.
-
-The independent point-to-point searches the tests check these against (an
-early-terminated distance query, A*, bidirectional and radius-bounded
-Dijkstra) live in ``tests/routing_reference.py``.
+The independent searches the tests check these against (a full Dijkstra
+tree, an early-terminated distance query, A*, bidirectional and
+radius-bounded Dijkstra) live in ``tests/routing_reference.py``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
@@ -33,9 +26,7 @@ from repro.roadnet.graph import RoadNetwork, VertexId
 __all__ = [
     "PathResult",
     "shortest_path",
-    "dijkstra_all",
     "reconstruct_path",
-    "DistanceOracle",
 ]
 
 INFINITY = float("inf")
@@ -146,34 +137,6 @@ def _walk_tree(
     return PathResult(source, target, float(distance), tuple(path))
 
 
-def dijkstra_all(network: RoadNetwork, source: VertexId) -> Dict[VertexId, float]:
-    """Return shortest-path distances from ``source`` to every reachable vertex.
-
-    This is the dict backend's tree builder (every :class:`DistanceOracle`
-    miss lands here), so the inner loop hoists the heap operations and the
-    neighbour accessor into locals -- the same treatment the CSR fallback's
-    ``_tree_python`` gets.
-    """
-    _require_vertices(network, (source,))
-    dist: Dict[VertexId, float] = {source: 0.0}
-    result: Dict[VertexId, float] = {}
-    heap: List[Tuple[float, VertexId]] = [(0.0, source)]
-    push, pop = heapq.heappush, heapq.heappop
-    neighbours_view = network.neighbours_view
-    dist_get = dist.get
-    while heap:
-        d, u = pop(heap)
-        if u in result:
-            continue
-        result[u] = d
-        for v, weight in neighbours_view(u).items():
-            nd = d + weight
-            if nd < dist_get(v, INFINITY):
-                dist[v] = nd
-                push(heap, (nd, v))
-    return result
-
-
 def reconstruct_path(
     parent: Dict[VertexId, VertexId], source: VertexId, target: VertexId
 ) -> List[VertexId]:
@@ -185,92 +148,3 @@ def reconstruct_path(
         path.append(current)
     path.reverse()
     return path
-
-
-@dataclass
-class _OracleStats:
-    """Bookkeeping counters exposed by :class:`DistanceOracle`."""
-
-    queries: int = 0
-    cache_hits: int = 0
-    dijkstra_runs: int = 0
-
-
-class DistanceOracle:
-    """A memoising shortest-path distance oracle.
-
-    The matchers issue many distance queries that share their source vertex
-    (for example the request start location ``s`` against many candidate
-    pick-up points), so the oracle caches complete single-source shortest-path
-    trees keyed by source.  A ``max_cached_sources`` bound keeps memory in
-    check for day-long simulations; the eviction policy is FIFO, which is
-    adequate because sources are short-lived (one request, one vehicle step).
-    """
-
-    def __init__(self, network: RoadNetwork, max_cached_sources: int = 1024) -> None:
-        if max_cached_sources <= 0:
-            raise ValueError("max_cached_sources must be positive")
-        self._network = network
-        self._max_cached_sources = max_cached_sources
-        # OrderedDict doubles as the FIFO eviction queue: popitem(last=False)
-        # evicts the oldest source in O(1) instead of list.pop(0)'s O(n).
-        self._trees: "OrderedDict[VertexId, Dict[VertexId, float]]" = OrderedDict()
-        self.stats = _OracleStats()
-
-    @property
-    def network(self) -> RoadNetwork:
-        """The road network the oracle answers queries on."""
-        return self._network
-
-    def distance(self, source: VertexId, target: VertexId) -> float:
-        """Return ``dist(source, target)``, computing and caching as needed.
-
-        The tree the answer is read from is always rooted at the *smaller*
-        endpoint (the graph is symmetric, so either root is correct).  Fixing
-        the root canonically -- rather than preferring whichever tree happens
-        to be cached -- makes every point-to-point answer bit-for-bit
-        independent of cache state, which the batched dispatch pipeline
-        relies on to reproduce the sequential loop's floats exactly.
-
-        Raises:
-            DisconnectedError: if ``target`` is unreachable from ``source``.
-        """
-        self.stats.queries += 1
-        if source == target:
-            return 0.0
-        root, leaf = (source, target) if source <= target else (target, source)
-        tree = self._trees.get(root)
-        if tree is None:
-            tree = self._grow_tree(root)
-        else:
-            self.stats.cache_hits += 1
-        try:
-            return tree[leaf]
-        except KeyError:
-            raise DisconnectedError(source, target) from None
-
-    def distances_from(self, source: VertexId) -> Dict[VertexId, float]:
-        """Return (a reference to) the full distance tree rooted at ``source``."""
-        self.stats.queries += 1
-        tree = self._trees.get(source)
-        if tree is None:
-            tree = self._grow_tree(source)
-        else:
-            self.stats.cache_hits += 1
-        return tree
-
-    def path(self, source: VertexId, target: VertexId) -> PathResult:
-        """Return the full path; not cached (paths are only needed for movement)."""
-        return shortest_path(self._network, source, target)
-
-    def invalidate(self) -> None:
-        """Drop every cached tree (call after the network is mutated)."""
-        self._trees.clear()
-
-    def _grow_tree(self, source: VertexId) -> Dict[VertexId, float]:
-        tree = dijkstra_all(self._network, source)
-        self.stats.dijkstra_runs += 1
-        self._trees[source] = tree
-        if len(self._trees) > self._max_cached_sources:
-            self._trees.popitem(last=False)
-        return tree

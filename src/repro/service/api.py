@@ -14,12 +14,12 @@ Website interface (Section 4.2)
     * :meth:`PTRiderService.statistics` -- the live panel (current time,
       average response time, average sharing rate, ...);
     * :meth:`PTRiderService.routing_statistics` -- the routing-layer admin
-      panel: backend and tree provider in use, query/cache counters and the
-      build-vs-load seconds that show whether the compiled artifacts came
-      from the artifact cache (warm restart) or were built this session;
+      panel: backend in use, query/cache counters and the build-vs-load
+      seconds that show whether the compiled artifacts came from the
+      artifact cache (warm restart) or were built this session;
     * :meth:`PTRiderService.set_parameters` -- the admin form (taxi capacity,
       number of taxis, maximum waiting time, service constraint, price
-      calculator, matching algorithm, routing backend, tree provider).
+      calculator, matching algorithm, routing backend).
 
 Time advances through :meth:`PTRiderService.advance`, which delegates to the
 simulation engine: vehicles drive their schedules, pick-ups and drop-offs
@@ -52,7 +52,7 @@ from repro.roadnet.generators import grid_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.io import network_from_dict, network_to_dict
-from repro.roadnet.routing import ROUTING_BACKENDS, TREE_PROVIDERS, make_engine
+from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
 from repro.service.ingest import MicroBatcher, batcher_from_config
 from repro.service.journal import ServiceJournal
 from repro.service.recovery import (
@@ -150,6 +150,12 @@ class PTRiderService:
         #: tests inject a fake clock; ``None`` = ``time.perf_counter``)
         self._wall_clock = wall_clock
         self._config = config or SystemConfig()
+        backend = fleet.routing_engine.backend
+        if self._config.routing_backend != backend:
+            # The fleet's engine is what answers queries; a config naming
+            # another backend would journal it, and recovery would rebuild
+            # the service onto an engine it never served on.
+            self._config = self._config.with_updates(routing_backend=backend)
         self._matcher = self._build_matcher(self._config.matcher_name)
         self._dispatcher = Dispatcher(fleet, self._matcher, self._config)
         self._engine = SimulationEngine(
@@ -548,11 +554,7 @@ class PTRiderService:
         grid_meta = journal.get_meta("grid") or {}
         network = network_from_dict(network_payload)
         engine = make_engine(
-            network,
-            config.routing_backend,
-            table_max_vertices=config.table_max_vertices,
-            cache_dir=config.routing_cache_dir,
-            tree_provider=config.tree_provider,
+            network, config.routing_backend, cache_dir=config.routing_cache_dir
         )
         grid = GridIndex(
             network,
@@ -1104,16 +1106,14 @@ class PTRiderService:
     def routing_statistics(self) -> Dict[str, object]:
         """The routing-layer admin panel: who answers queries, at what cost.
 
-        Reports the active backend and tree provider, the engine's
-        query-side counters (queries, cache hits, Dijkstra runs, PHAST
-        sweeps, bidirectional CH searches) and the one-time preprocessing
-        attribution -- ``build_seconds`` when the compiled artifacts were
-        computed this session versus ``load_seconds`` when a warm restart
-        served them from the artifact cache, alongside the cache directory
-        so an operator can see at a glance whether restarts are warm.
-        Counter fields an engine does not track (e.g. the dict backend has
-        no PHAST sweeps) read 0.0.  All float-valued fields also appear in
-        :meth:`statistics` under a ``routing_`` prefix.
+        Reports the active backend, the engine's query-side counters
+        (queries, cache hits, Dijkstra runs, bidirectional CH searches) and
+        the one-time preprocessing attribution -- ``build_seconds`` when the
+        compiled artifacts were computed this session versus
+        ``load_seconds`` when a warm restart served them from the artifact
+        cache, alongside the cache directory so an operator can see at a
+        glance whether restarts are warm.  All float-valued fields also
+        appear in :meth:`statistics` under a ``routing_`` prefix.
 
         ``grid_lower_bound_rows`` of ``grid_cells`` says how warm the grid
         index is (a row is computed on a cell's first use, inside whichever
@@ -1121,22 +1121,20 @@ class PTRiderService:
         and ``grid_build_seconds`` what constructing the index cost.
         """
         engine = self._fleet.routing_engine
-        stats = getattr(engine, "stats", None)
+        stats = engine.stats
         payload: Dict[str, object] = {
             "backend": engine.backend,
-            "tree_provider": engine.tree_provider_name,
             "artifact_cache_dir": self._config.routing_cache_dir or "",
         }
         for field_name in (
             "queries",
             "cache_hits",
             "dijkstra_runs",
-            "phast_sweeps",
             "bidirectional_runs",
             "build_seconds",
             "load_seconds",
         ):
-            payload[field_name] = float(getattr(stats, field_name, 0) or 0)
+            payload[field_name] = float(getattr(stats, field_name))
         # The grid index starts cold: each cell's lower-bound row is computed
         # the first time a matcher touches it, inside a serving call.  Rows
         # so far against cells answers "is this service still warming up?".
@@ -1177,8 +1175,6 @@ class PTRiderService:
         max_pickup_distance: Optional[float] = None,
         matcher_name: Optional[str] = None,
         routing_backend: Optional[str] = None,
-        table_max_vertices: Optional[int] = None,
-        tree_provider: Optional[str] = None,
         match_shards: Optional[int] = None,
         batch_window: Optional[float] = None,
         max_batch_size: Optional[int] = None,
@@ -1195,13 +1191,11 @@ class PTRiderService:
 
         Capacity changes apply to vehicles added afterwards (existing taxis
         keep their physical capacity, as they would in reality).  Changing
-        ``routing_backend`` or ``tree_provider`` rebuilds the routing engine
-        (and therefore its caches) on the same road network -- consulting
-        the config's ``routing_cache_dir`` so a previously compiled
-        artifact is loaded rather than rebuilt; the matcher and dispatcher
-        are rebuilt on top of it.  ``table_max_vertices`` adjusts the
-        all-pairs table's vertex cap (applied the next time a table engine
-        is built).  ``match_shards`` controls how many fleet shards the
+        ``routing_backend`` rebuilds the routing engine (and therefore its
+        caches) on the same road network -- consulting the config's
+        ``routing_cache_dir`` so a previously compiled artifact is loaded
+        rather than rebuilt; the matcher and dispatcher are rebuilt on top
+        of it.  ``match_shards`` controls how many fleet shards the
         batch dispatch pipeline partitions vehicles into; any value yields
         the same options (the per-shard skylines merge losslessly), so it
         is purely a scale-out knob.
@@ -1233,8 +1227,6 @@ class PTRiderService:
                 ("max_pickup_distance", max_pickup_distance),
                 ("matcher_name", matcher_name),
                 ("routing_backend", routing_backend),
-                ("table_max_vertices", table_max_vertices),
-                ("tree_provider", tree_provider),
                 ("match_shards", match_shards),
                 ("batch_window", batch_window),
                 ("max_batch_size", max_batch_size),
@@ -1259,8 +1251,6 @@ class PTRiderService:
             changes["vehicle_capacity"] = vehicle_capacity
         if max_pickup_distance is not None:
             changes["max_pickup_distance"] = max_pickup_distance
-        if table_max_vertices is not None:
-            changes["table_max_vertices"] = table_max_vertices
         if match_shards is not None:
             changes["match_shards"] = match_shards
         if batch_window is not None:
@@ -1302,41 +1292,18 @@ class PTRiderService:
                     f"unknown routing backend {routing_backend!r}; choose one of {ROUTING_BACKENDS}"
                 )
             changes["routing_backend"] = routing_backend
-        if tree_provider is not None:
-            if tree_provider not in TREE_PROVIDERS:
-                raise ConfigurationError(
-                    f"unknown tree provider {tree_provider!r}; choose one of {TREE_PROVIDERS}"
-                )
-            changes["tree_provider"] = tree_provider
-        if (
-            tree_provider is None
-            and routing_backend is not None
-            and routing_backend != "ch"
-            and self._config.tree_provider != "auto"
-        ):
-            # A forced provider is a ch-only ablation; a plain backend
-            # change away from ch must not be vetoed by it (make_engine
-            # rejects e.g. "phast" without a hierarchy), so the provider
-            # resets to "auto" unless the caller forces both at once.
-            changes["tree_provider"] = "auto"
         new_config = self._config.with_updates(**changes) if changes else self._config
-        rebuild_engine = (
+        if (
             routing_backend is not None
             and routing_backend != self._fleet.routing_engine.backend
-        ) or (
-            tree_provider is not None and tree_provider != self._config.tree_provider
-        )
-        if rebuild_engine:
+        ):
             # Build the engine *before* committing the new config: a refused
-            # build (e.g. "table" beyond table_max_vertices, or "phast" on a
-            # backend without a hierarchy) must leave the service exactly as
-            # it was, not claiming a configuration it never got.
+            # build must leave the service exactly as it was, not claiming a
+            # configuration it never got.
             engine = make_engine(
                 self._fleet.grid.network,
                 new_config.routing_backend,
-                table_max_vertices=new_config.table_max_vertices,
                 cache_dir=new_config.routing_cache_dir,
-                tree_provider=new_config.tree_provider,
             )
             self._fleet.set_routing_engine(engine)
         self._config = new_config
@@ -1386,7 +1353,6 @@ def build_system(
     seed: Optional[int] = None,
     routing: Optional[str] = None,
     routing_cache: Optional[str] = None,
-    tree_provider: Optional[str] = None,
     batch_window: Optional[float] = None,
     max_batch_size: Optional[int] = None,
     queue_capacity: Optional[int] = None,
@@ -1412,12 +1378,10 @@ def build_system(
         config: global parameters (a default :class:`SystemConfig` otherwise,
             with the requested capacity).
         seed: seed controlling vehicle placement and idle wandering.
-        routing: routing backend override ("dict", "csr", "csr+alt", "table"
-            or "ch"); defaults to the config's ``routing_backend``.
+        routing: routing backend override ("csr", "csr+alt" or "ch");
+            defaults to the config's ``routing_backend``.
         routing_cache: compiled-artifact cache directory override; defaults
             to the config's ``routing_cache_dir``.
-        tree_provider: tree-provider override ("auto", "plane" or "phast");
-            defaults to the config's ``tree_provider``.
         batch_window: micro-batch window length override for the ingest
             path; defaults to the config's ``batch_window``.
         max_batch_size: ingest window size cap override; defaults to the
@@ -1461,8 +1425,6 @@ def build_system(
         system_config = system_config.with_updates(routing_backend=routing)
     if routing_cache is not None and routing_cache != system_config.routing_cache_dir:
         system_config = system_config.with_updates(routing_cache_dir=routing_cache)
-    if tree_provider is not None and tree_provider != system_config.tree_provider:
-        system_config = system_config.with_updates(tree_provider=tree_provider)
     if batch_window is not None and batch_window != system_config.batch_window:
         system_config = system_config.with_updates(batch_window=batch_window)
     if max_batch_size is not None and max_batch_size != system_config.max_batch_size:
@@ -1508,11 +1470,7 @@ def build_system(
         # together with its journal_path (the config validates the pair).
         system_config = system_config.with_updates(**durability_changes)
     engine = make_engine(
-        network,
-        system_config.routing_backend,
-        table_max_vertices=system_config.table_max_vertices,
-        cache_dir=system_config.routing_cache_dir,
-        tree_provider=system_config.tree_provider,
+        network, system_config.routing_backend, cache_dir=system_config.routing_cache_dir
     )
     grid = GridIndex(network, rows=grid_rows, columns=grid_columns)
     fleet = Fleet(grid, engine)

@@ -46,7 +46,7 @@ from typing import Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.pricing import LinearPriceModel
-from repro.errors import PTRiderError, ServiceError
+from repro.errors import ConfigurationError, PTRiderError, ServiceError
 from repro.model.options import RideOption
 from repro.model.request import Request
 from repro.model.stops import Stop, StopKind
@@ -88,16 +88,22 @@ class RecoveryError(ServiceError):
 #: Dropped from a replayed config or ``set_parameters`` change.
 _DROP = object()
 
-#: Knobs of the retired multi-process dispatch pool that old journals and
-#: snapshots still name, and what each replays as.  The worker count never
-#: changed an outcome, so the mapping is exact: ``dispatch_workers`` becomes
-#: 1 (the only value the config accepts; a ``set_parameters`` change, which
-#: no longer takes it, drops it), and the pool's watchdog and retry knobs
-#: are dropped.
+#: Retired knobs that old journals and snapshots still name, and what each
+#: replays as.  None of them ever changed an outcome, so the mapping is
+#: exact.  The multi-process dispatch pool's ``dispatch_workers`` becomes 1
+#: (the only value the config accepts; a ``set_parameters`` change, which no
+#: longer takes it, drops it), and its watchdog and retry knobs are dropped.
+#: The retired routing backends' knobs (``table_max_vertices``,
+#: ``tree_provider``) are dropped, and a dict-valued entry maps retired
+#: *values* of a live knob: the "dict" and "table" backends answered every
+#: query with the csr backend's floats, so they replay as "csr".
 RETIRED_CONFIG_KEYS: Dict[str, object] = {
     "dispatch_workers": 1,
     "worker_timeout": _DROP,
     "max_dispatch_retries": _DROP,
+    "table_max_vertices": _DROP,
+    "tree_provider": _DROP,
+    "routing_backend": {"dict": "csr", "table": "csr"},
 }
 
 
@@ -111,8 +117,11 @@ def _retire_knobs(
     """
     fields: Dict[str, object] = {}
     for key, value in payload.items():
-        if key in RETIRED_CONFIG_KEYS:
-            value = RETIRED_CONFIG_KEYS[key]
+        retired = RETIRED_CONFIG_KEYS.get(key)
+        if isinstance(retired, dict):
+            value = retired.get(value, value)
+        elif key in RETIRED_CONFIG_KEYS:
+            value = retired
             if value is _DROP or key not in accepted:
                 continue
         elif key not in accepted:
@@ -283,8 +292,6 @@ def serialize_config(config: SystemConfig) -> Dict[str, object]:
             "booking_fee": getattr(price, "booking_fee", 0.0),
         },
         "routing_backend": config.routing_backend,
-        "table_max_vertices": config.table_max_vertices,
-        "tree_provider": config.tree_provider,
         "routing_cache_dir": config.routing_cache_dir,
         "match_shards": config.match_shards,
         "dispatch_workers": config.dispatch_workers,
@@ -310,7 +317,8 @@ def deserialize_config(payload: Dict[str, object]) -> SystemConfig:
     Retired knobs replay through :data:`RETIRED_CONFIG_KEYS`.
 
     Raises:
-        RecoveryError: when the payload names any other unknown field.
+        RecoveryError: when the payload names any other unknown field, or a
+            value the config refuses (an unknown routing backend, say).
     """
     price = payload.get("price_model") or {}
     fields = _retire_knobs(
@@ -323,7 +331,10 @@ def deserialize_config(payload: Dict[str, object]) -> SystemConfig:
         rider_increment=float(price.get("rider_increment", 0.1)),
         booking_fee=float(price.get("booking_fee", 0.0)),
     )
-    return SystemConfig(**fields)
+    try:
+        return SystemConfig(**fields)
+    except ConfigurationError as error:
+        raise RecoveryError(f"the journaled config is refused: {error}") from None
 
 
 # ----------------------------------------------------------------------

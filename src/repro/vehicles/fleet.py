@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set
 
 from repro.errors import UnknownVehicleError, VehicleError
 from repro.roadnet.grid_index import CellId, GridIndex
-from repro.roadnet.routing import RoutingEngine, ensure_engine, make_engine
+from repro.roadnet.routing import RoutingEngine, make_engine
 from repro.vehicles.kinetic_tree import KineticTree
 from repro.vehicles.vehicle import Vehicle
 
@@ -100,29 +100,26 @@ class Fleet:
         grid: the grid index of the road network.
         oracle: the routing engine answering shortest-path queries (used by
             the matchers, the dispatcher and, when ``register_full_paths`` is
-            on, the cell registration).  A bare
-            :class:`~repro.roadnet.shortest_path.DistanceOracle` is accepted
-            and wrapped into the "dict" engine; ``None`` builds one from
+            on, the cell registration); ``None`` builds one from
             ``routing``.
         register_full_paths: register non-empty vehicles with every cell their
             schedule legs cross (paper behaviour) instead of only the cells of
             their stops.
-        routing: backend name used when no ``oracle`` is given ("dict",
-            "csr" or "csr+alt").
+        routing: backend name used when no ``oracle`` is given ("csr",
+            the default, "csr+alt" or "ch").
     """
 
     def __init__(
         self,
         grid: GridIndex,
-        oracle: object = None,
+        oracle: Optional[RoutingEngine] = None,
         register_full_paths: bool = False,
         routing: Optional[str] = None,
     ) -> None:
         self._grid = grid
-        if oracle is None and routing is not None:
-            self._engine: RoutingEngine = make_engine(grid.network, routing)
-        else:
-            self._engine = ensure_engine(oracle, grid.network)
+        self._engine: RoutingEngine = (
+            make_engine(grid.network, routing or "csr") if oracle is None else oracle
+        )
         self._register_full_paths = register_full_paths
         self._vehicles: Dict[str, Vehicle] = {}
 

@@ -15,7 +15,7 @@ from repro.model.request import Request
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import CSREngine
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
@@ -34,7 +34,7 @@ def build_fleet(
 ) -> Fleet:
     """Build a fleet with vehicles ``c1, c2, ...`` at the given vertices."""
     grid = GridIndex(network, rows=grid_rows, columns=grid_columns)
-    fleet = Fleet(grid, DistanceOracle(network))
+    fleet = Fleet(grid, CSREngine(network))
     for index, location in enumerate(vehicle_locations, 1):
         fleet.add_vehicle(Vehicle(f"c{index}", location=location, capacity=capacity))
     return fleet
@@ -102,8 +102,8 @@ def figure1() -> RoadNetwork:
 
 
 @pytest.fixture
-def figure1_oracle(figure1: RoadNetwork) -> DistanceOracle:
-    return DistanceOracle(figure1)
+def figure1_oracle(figure1: RoadNetwork) -> CSREngine:
+    return CSREngine(figure1)
 
 
 @pytest.fixture

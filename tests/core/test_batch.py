@@ -36,7 +36,8 @@ class TestBatchContext:
             for i in range(3)
         ]
         batch = BatchContext.create(twins, fleet.routing_engine, fleet.grid)
-        assert batch.statistics.trees_computed == 1
+        assert batch.statistics.prefetched_trees == 1
+        assert batch.statistics.trees_computed == 0
         assert batch.statistics.shared_tree_hits == 2
         assert batch.statistics.shared_tree_hit_rate == pytest.approx(2 / 3)
         trees = {id(batch.context_for(i).start_tree) for i in range(3)}
@@ -83,21 +84,6 @@ class TestBatchContext:
         assert flat["shared_tree_hit_rate"] == pytest.approx(0.25)
         assert flat["prefetched_trees"] == 0.0
         assert flat["prefetch_seconds"] == 0.0
-        assert flat["tree_provider"] == "dijkstra"
-
-    def test_statistics_record_the_prefetch_provider(self):
-        from repro.roadnet.generators import grid_network
-        from repro.roadnet.grid_index import GridIndex
-        from repro.roadnet.routing import make_engine
-        from repro.sim.workload import random_requests
-
-        network = grid_network(4, 4, weight_jitter=0.2, seed=3)
-        engine = make_engine(network, "csr")
-        grid = GridIndex(network, rows=3, columns=3)
-        requests = random_requests(network, 3, 6.0, 0.4, seed=5)
-        batch = BatchContext.create(requests, engine, grid)
-        assert batch.statistics.tree_provider == "plane"
-        assert batch.statistics.as_dict()["tree_provider"] == "plane"
 
     def test_prefetched_trees_count_in_the_hit_rate_denominator(self):
         stats = BatchStatistics(
@@ -111,12 +97,7 @@ class TestBatchPrefetch:
 
     @pytest.fixture
     def csr_fleet(self):
-        from repro.roadnet.routing import make_engine
-        from repro.vehicles.fleet import Fleet
-
-        dict_fleet = build_random_fleet(vehicles=6, seed=13)
-        network = dict_fleet.grid.network
-        return Fleet(dict_fleet.grid, make_engine(network, "csr"))
+        return build_random_fleet(vehicles=6, seed=13)
 
     def test_distinct_starts_prefetched_in_one_plane(self, csr_fleet):
         requests = _requests(csr_fleet, 6, seed=21)
@@ -165,21 +146,11 @@ class TestBatchPrefetch:
         assert batch.error_for(0) is None
         assert isinstance(batch.error_for(1), VertexNotFoundError)
 
-    def test_dict_engine_prefetch_noop_preserves_legacy_statistics(self, fleet):
-        requests = _requests(fleet, 5, seed=7)
-        batch = BatchContext.create(requests, fleet.routing_engine, fleet.grid)
-        distinct = len({r.start for r in requests})
-        assert batch.statistics.prefetched_trees == 0
-        assert batch.statistics.trees_computed == distinct
-        assert batch.statistics.trees_computed + batch.statistics.shared_tree_hits == len(
-            requests
-        )
-
 
 class TestDemandPool:
     """The batch-scoped leg-tree pool of ``BatchMatchContext.distance``."""
 
-    BACKENDS = ("dict", "csr", "ch", "table")
+    BACKENDS = ("csr", "ch")
 
     @staticmethod
     def _pieces(backend, cache=1024):
@@ -212,9 +183,8 @@ class TestDemandPool:
         for source, target in legs:
             assert context.distance(source, target) == reference.distance(source, target)
         stats = batch.statistics
-        if backend in ("dict", "ch"):
-            # no bulk path (dict), or a point query cheaper than a tree (ch):
-            # every leg went to the engine
+        if backend == "ch":
+            # a point query is cheaper than a tree: every leg went to the engine
             assert (stats.leg_sources_prefetched, stats.leg_tree_hits) == (0, 0)
         else:  # roots 3 and 7 pooled once each; the repeated pair hit the memo
             assert (stats.leg_sources_prefetched, stats.leg_tree_hits) == (2, 3)
@@ -238,7 +208,7 @@ class TestDemandPool:
         context.distance(vertices[3], vertices[9])
         context.distance(vertices[3], vertices[30])
         spent = engine.stats.delta_since(before)
-        assert (spent.dijkstra_runs, spent.phast_sweeps, spent.bidirectional_runs) == (0, 0, 2)
+        assert (spent.dijkstra_runs, spent.bidirectional_runs) == (0, 2)
         assert batch.statistics.leg_sources_prefetched == 0
         # a leg rooted at the request's own start still reads its pinned tree
         other = Request(start=vertices[30], destination=vertices[40], riders=1,
@@ -251,7 +221,7 @@ class TestDemandPool:
         assert batch.statistics.leg_tree_hits == 1
 
     def test_a_request_start_answers_legs_rooted_at_it(self):
-        engine, grid = self._pieces("dict")
+        engine, grid = self._pieces("csr")
         vertices = grid.network.vertices()
         requests = [
             Request(start=start, destination=vertices[40], riders=1, max_waiting=6.0,
@@ -443,6 +413,20 @@ class TestDispatchBatchPipeline:
         assert len(results) == 3
         assert results[1] == []
         assert results[0] and results[2]  # the healthy trips still get options
+
+    def test_an_unknown_destination_is_not_found_on_both_paths(self, fleet):
+        config = SystemConfig(max_waiting=6.0, service_constraint=0.4)
+        dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
+        request = Request(
+            start=fleet.grid.network.vertices()[0], destination=10_000, riders=1,
+            max_waiting=6.0, service_constraint=0.4, request_id="nowhere",
+        )
+        with pytest.raises(VertexNotFoundError) as booked:
+            dispatcher.dispatch(request)
+        with pytest.raises(VertexNotFoundError) as batched:
+            dispatcher.dispatch_batch([request])
+        assert batched.value.vertex == booked.value.vertex == 10_000
+        assert batched.value.args == booked.value.args
 
     def test_bad_request_raises_after_predecessors_commit(self, fleet):
         config = SystemConfig(max_waiting=6.0, service_constraint=0.4)

@@ -46,12 +46,12 @@ class TestValidation:
             SystemConfig(routing_backend="teleport")
 
     def test_routing_backend_accepts_known_names(self):
-        for backend in ("dict", "csr", "csr+alt", "table", "ch"):
+        assert SystemConfig().routing_backend == "csr"
+        for backend in ("csr", "csr+alt", "ch"):
             assert SystemConfig(routing_backend=backend).routing_backend == backend
-
-    def test_invalid_table_max_vertices(self):
-        with pytest.raises(ConfigurationError):
-            SystemConfig(table_max_vertices=0)
+        for retired in ("dict", "table"):
+            with pytest.raises(ConfigurationError):
+                SystemConfig(routing_backend=retired)
 
     def test_dispatch_workers_accepts_only_one(self):
         assert SystemConfig(dispatch_workers=1).dispatch_workers == 1
@@ -59,18 +59,17 @@ class TestValidation:
             with pytest.raises(ConfigurationError, match="dispatch_workers"):
                 SystemConfig(dispatch_workers=workers)
 
-    def test_retired_pool_knobs_are_gone(self):
-        for name in ("worker_timeout", "max_dispatch_retries"):
+    def test_retired_knobs_are_gone(self):
+        for name in ("worker_timeout", "max_dispatch_retries", "table_max_vertices",
+                     "tree_provider"):
             with pytest.raises(TypeError):
                 SystemConfig(**{name: 1})
 
     def test_routing_cache_defaults_off(self):
         config = SystemConfig()
         assert config.routing_cache_dir is None
-        assert config.table_max_vertices == 4096
-        cached = SystemConfig(routing_cache_dir="/tmp/artifacts", table_max_vertices=128)
+        cached = SystemConfig(routing_cache_dir="/tmp/artifacts")
         assert cached.routing_cache_dir == "/tmp/artifacts"
-        assert cached.table_max_vertices == 128
 
 
 class TestBehaviour:

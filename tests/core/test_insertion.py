@@ -11,7 +11,7 @@ from repro.model.request import Request
 from repro.model.stops import Stop, StopKind
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import CSREngine
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
@@ -27,7 +27,7 @@ def network():
 
 @pytest.fixture
 def oracle(network):
-    return DistanceOracle(network)
+    return CSREngine(network)
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ def line_fleet():
     the grid lower bound *is* the distance, so the two-scan reference rejects
     by bound exactly what the kernel finds infeasible."""
     network = grid_network(1, 12)  # vertices 1..12 in a row
-    fleet = Fleet(GridIndex(network, rows=1, columns=12), DistanceOracle(network))
+    fleet = Fleet(GridIndex(network, rows=1, columns=12), CSREngine(network))
     fleet.add_vehicle(Vehicle("c1", location=1))
     # one branch [pick up at 3, drop off at 5]; R1 tolerates its pick-up at
     # distance <= 3 and a ride of <= 3

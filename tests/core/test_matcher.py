@@ -12,7 +12,6 @@ from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.service.api import build_system
-from repro.roadnet.shortest_path import DistanceOracle
 from repro.vehicles.schedule import schedule_distance
 from repro.vehicles.vehicle import Vehicle
 

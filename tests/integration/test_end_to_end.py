@@ -10,7 +10,7 @@ from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import CSREngine
 from repro.service.api import build_system
 from repro.sim.engine import SimulationEngine
 from repro.sim.trips import ShanghaiLikeTripGenerator
@@ -22,7 +22,7 @@ from repro.vehicles.vehicle import Vehicle
 def build_city(seed: int, vehicles: int = 12, rows: int = 10):
     network = grid_network(rows, rows, weight_jitter=0.3, seed=seed)
     grid = GridIndex(network, rows=5, columns=5)
-    fleet = Fleet(grid, DistanceOracle(network))
+    fleet = Fleet(grid, CSREngine(network))
     import random
 
     rng = random.Random(seed)

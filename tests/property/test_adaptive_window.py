@@ -161,7 +161,7 @@ def test_bounds_validation():
 def _build_batcher(window_mode, batch_window=2.0, window_min=None,
                    window_max=None, wall_clock=None):
     grid = GridIndex(_NETWORK, rows=3, columns=3)
-    fleet = Fleet(grid, make_engine(_NETWORK, "dict"))
+    fleet = Fleet(grid, make_engine(_NETWORK, "csr"))
     for index in range(4):
         fleet.add_vehicle(
             Vehicle(

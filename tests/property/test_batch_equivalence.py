@@ -148,18 +148,18 @@ def test_shared_tree_statistics_are_consistent(scenario):
     stats = dispatcher.last_batch_statistics
     assert stats is not None
     assert stats.requests == len(requests)
-    # The dict backend has no bulk path: every distinct start is computed.
-    assert stats.prefetched_trees == 0
-    assert stats.trees_computed == len({r.start for r in requests})
-    assert stats.trees_computed + stats.shared_tree_hits == len(requests)
+    # Every distinct start comes from the one bulk prefetch.
+    assert stats.prefetched_trees == len({r.start for r in requests})
+    assert stats.trees_computed == 0
+    assert stats.prefetched_trees + stats.shared_tree_hits == len(requests)
     assert 0.0 <= stats.shared_tree_hit_rate <= 1.0
 
 
-@given(batch_scenarios(), st.sampled_from(["csr", "table"]))
+@given(batch_scenarios(), st.sampled_from(["csr", "ch"]))
 @settings(max_examples=16, deadline=None)
 def test_prefetched_batch_equals_sequential_on_vector_backends(scenario, backend):
-    """The one-shot tree-plane prefetch is pure restructuring: on the CSR and
-    table backends the batched pipeline must reproduce the sequential loop's
+    """The one-shot tree-plane prefetch is pure restructuring: on the csr and
+    ch backends the batched pipeline must reproduce the sequential loop's
     options, choices and fleet end-state float for float."""
     blueprint, requests, matcher_name, shards, policy, config = scenario
     sequential = _build_dispatcher(blueprint, matcher_name, config, backend=backend)
@@ -225,7 +225,7 @@ def busy_fleet_scenarios(draw):
         "seed": seed,
         "burst": burst,
         "matcher": draw(st.sampled_from(sorted(MATCHERS))),
-        "backend": draw(st.sampled_from(["dict", "csr", "ch", "table"])),
+        "backend": draw(st.sampled_from(["csr", "ch"])),
         "cache": draw(st.sampled_from([1, 8, 1024])),
         "shards": draw(st.sampled_from([1, 2, 4])),
         "policy": draw(st.sampled_from([OptionPolicy.CHEAPEST, OptionPolicy.FASTEST])),
@@ -255,9 +255,9 @@ class _PoolSpy:
 
     def __init__(self, engine):
         self.engine = engine
-        #: whether a demanded root gets a tree: dict has no bulk path, and ch
-        #: answers point queries without one, so their pools never grow
-        self.grows = engine.backend in ("csr", "table")
+        #: whether a demanded root gets a tree: ch answers point queries
+        #: without one, so its pool never grows
+        self.grows = engine.point_queries_root_trees
         self.prefetch_calls = []
         self.asked_roots = set()
         self.expected_hits = 0
@@ -343,7 +343,7 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
     assert payload["leg_tree_hits"] == float(stats.leg_tree_hits)
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr", "ch", "table"])
+@pytest.mark.parametrize("backend", ["csr", "ch"])
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(backend, shards):
     """A taxi stranded on an island makes the verification of the one request

@@ -17,7 +17,7 @@ kinetic trees), and then given what the grid lists can hold besides: a taxi
 still registered in a cell it has left (what ROADMAP item 1(a)'s registration
 bug leaves behind), a removed taxi whose id is still registered, an id no
 taxi ever had, and a taxi on an island the start tree does not hold.  Caps
-``None`` to tight, shard counts 1, 2 and 4, dict and csr engines.  A pinned
+``None`` to tight, shard counts 1, 2 and 4, csr and ch engines.  A pinned
 fleet puts one taxi's bound exactly on ``cap + 1e-9`` and one ulp either side.
 """
 
@@ -119,7 +119,7 @@ def driven_scenarios(draw):
     grid_rows = draw(st.integers(min_value=2, max_value=4))
     locations = [rng.choice(vertices) for _ in range(draw(st.integers(min_value=2, max_value=8)))]
     fleet = build_fleet(network, locations, capacity=4, grid_rows=grid_rows, grid_columns=grid_rows)
-    fleet.set_routing_engine(make_engine(network, draw(st.sampled_from(["dict", "csr"]))))
+    fleet.set_routing_engine(make_engine(network, draw(st.sampled_from(["csr", "ch"]))))
 
     ticks = draw(st.integers(min_value=0, max_value=4))
     stream = []
@@ -200,7 +200,7 @@ def _offset_onto(floor, target):
     return offset
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr"])
+@pytest.mark.parametrize("backend", ["csr", "ch"])
 @pytest.mark.parametrize("serving", [False, True])
 @pytest.mark.parametrize("ulps", [-1, 0, 1])
 def test_a_bound_on_the_cap_is_let_through_and_one_ulp_above_is_not(backend, serving, ulps):

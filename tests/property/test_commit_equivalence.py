@@ -44,7 +44,7 @@ from repro.vehicles.fleet import restore_vehicle, snapshot_vehicle
 from tests.commit_reference import reference_commit
 from tests.property.test_matcher_equivalence import build_scenario
 
-BACKENDS = ["dict", "csr", "table", "ch"]
+BACKENDS = ["csr", "ch"]
 
 scenario_parameters = st.fixed_dictionaries(
     dict(
@@ -193,7 +193,7 @@ def perturb(service, action, vehicle_id, other):
     return True
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr"])
+@pytest.mark.parametrize("backend", ["csr", "ch"])
 @given(
     scenario_parameters,
     st.integers(min_value=0, max_value=7),

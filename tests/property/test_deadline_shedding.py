@@ -42,7 +42,7 @@ _VERTICES = _NETWORK.vertices()
 def _build_batcher(queue_capacity, queue_policy="shed", batch_window=1000.0,
                    latency_budget=None):
     grid = GridIndex(_NETWORK, rows=3, columns=3)
-    fleet = Fleet(grid, make_engine(_NETWORK, "dict"))
+    fleet = Fleet(grid, make_engine(_NETWORK, "csr"))
     for index in range(4):
         fleet.add_vehicle(
             Vehicle(f"c{index + 1}", location=_VERTICES[(index * 9) % len(_VERTICES)], capacity=4)

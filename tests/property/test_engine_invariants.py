@@ -19,7 +19,7 @@ from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import CSREngine
 from repro.sim.engine import SimulationEngine
 from repro.sim.trips import ShanghaiLikeTripGenerator
 from repro.sim.workload import RequestWorkload
@@ -44,7 +44,7 @@ def test_simulation_conservation_laws(case):
     seed, vehicle_count, trip_count, duration, epsilon, waiting = case
     network = grid_network(7, 7, weight_jitter=0.3, seed=seed)
     grid = GridIndex(network, rows=3, columns=3)
-    fleet = Fleet(grid, DistanceOracle(network))
+    fleet = Fleet(grid, CSREngine(network))
     rng = random.Random(seed)
     for index in range(vehicle_count):
         fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(network.vertices())))

@@ -23,11 +23,11 @@ from repro.roadnet.generators import grid_network, random_geometric_network
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import CSRGraph
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.shortest_path import INFINITY, dijkstra_all
+from repro.roadnet.shortest_path import INFINITY
 
 from tests.conftest import assign_request, build_fleet
 from tests.grid_reference import multi_source_dijkstra, reference_cell_order
-from tests.routing_reference import shortest_path_distance
+from tests.routing_reference import dijkstra_all, shortest_path_distance
 
 
 @given(

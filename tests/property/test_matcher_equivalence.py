@@ -147,14 +147,14 @@ def _offered(matcher, probe):
     return [(o.vehicle_id, o.pickup_distance, o.price) for o in matcher.match(probe)]
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr", "table", "ch"])
+@pytest.mark.parametrize("backend", ["csr", "ch"])
 @given(fleet_scenarios(mid_edge_empty=True))
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_exact_start_bounds_change_no_answer(backend, scenario):
     """Screening against the start tree returns what index-only screening did.
 
     Derandomised: where its index bounds happen to be tight (one vertex per
-    cell, the table backend) the old screening is itself one ulp from dropping
+    cell) the old screening is itself one ulp from dropping
     an option that ties a confirmed one -- about one draw in 8 000, see
     ``test_tied_option_survives_tight_bounds`` -- and that is its defect, not
     a property to rediscover at random.
@@ -168,7 +168,7 @@ def test_exact_start_bounds_change_no_answer(backend, scenario):
         assert matcher.statistics.vehicles_considered == reference.statistics.vehicles_considered
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr", "table", "ch"])
+@pytest.mark.parametrize("backend", ["csr", "ch"])
 def test_tied_option_survives_tight_bounds(backend):
     """A pinned draw with one vertex per cell, so the grid's bounds are exact
     too.  ``c6`` and ``c7`` offer the same shared sub-route: ``c7`` comes 4.3
@@ -206,7 +206,7 @@ def test_empty_vehicle_probe_is_kept_whole():
     assert _offered(DualSideSearchMatcher(fleet, config=config), probe) == expected
 
 
-@pytest.mark.parametrize("backend", ["dict", "csr", "table", "ch"])
+@pytest.mark.parametrize("backend", ["csr", "ch"])
 @given(fleet_scenarios(mid_edge_empty=True))
 @settings(max_examples=25, deadline=None)
 def test_exact_start_bounds_are_admissible(backend, scenario):

@@ -1,14 +1,14 @@
 """Property-based tests: every routing backend answers identically.
 
 The matchers treat the routing engine as an exact shortest-path oracle; if
-the CSR backend ever disagreed with the reference dict-Dijkstra backend, the
-skylines would silently change with the ``--routing`` ablation flag.  The
-tests below generate random networks and check
+the CSR engine ever disagreed with a reference Dijkstra over the network's
+dict-of-dicts adjacency (``tests/routing_reference.py``), the skylines would
+be wrong.  The tests below generate random networks and check
 
-* point-to-point distances and full trees agree across backends;
-* every backend's ``path`` is the route the search returns -- the same vertex
-  tuple and the same float, exact ties included -- whether it is read off a
-  distance tree (csr, table, ch) or searched (dict);
+* point-to-point distances and full trees agree with the reference tree;
+* every backend's ``path`` -- read off a distance tree -- is the route the
+  search returns: the same vertex tuple and the same float, exact ties
+  included;
 * ALT landmark lower bounds are admissible (never exceed the true distance),
   which is what makes the combined grid/ALT pruning safe.
 """
@@ -28,10 +28,10 @@ from repro.roadnet.generators import (
     random_geometric_network,
     ring_radial_network,
 )
-from repro.roadnet.routing import CSREngine, DictDijkstraEngine, make_engine
-from repro.roadnet.shortest_path import PathResult, dijkstra_all, shortest_path
+from repro.roadnet.routing import ROUTING_BACKENDS, CSREngine, make_engine
+from repro.roadnet.shortest_path import PathResult, shortest_path
 
-from tests.routing_reference import path_length
+from tests.routing_reference import dijkstra_all, path_length
 
 
 def _sample(vertices, step_hint):
@@ -47,17 +47,16 @@ def _sample(vertices, step_hint):
 @settings(max_examples=30, deadline=None)
 def test_csr_distances_match_dict_on_grid_networks(rows, columns, jitter, seed):
     network = grid_network(rows, columns, weight_jitter=jitter, seed=seed)
-    dict_engine = DictDijkstraEngine(network)
     csr_engine = CSREngine(network)
     sample = _sample(network.vertices(), 8)
     for u in sample:
+        reference = dijkstra_all(network, u)
         for v in sample:
             # Summation order can differ by an ulp between the C and Python
             # Dijkstra when equal-length paths tie; anything beyond that is a
             # real disagreement.
             assert math.isclose(
-                csr_engine.distance(u, v), dict_engine.distance(u, v),
-                rel_tol=1e-12, abs_tol=1e-12,
+                csr_engine.distance(u, v), reference[v], rel_tol=1e-12, abs_tol=1e-12,
             )
 
 
@@ -71,25 +70,14 @@ def test_csr_trees_match_dict_on_geometric_networks(count, radius, seed):
     """Geometric networks may be disconnected: the trees must agree on the
     reachable set, not just on values."""
     network = random_geometric_network(count, radius=radius, seed=seed)
-    dict_engine = DictDijkstraEngine(network)
     csr_engine = CSREngine(network)
     for source in _sample(network.vertices(), 5):
-        dict_tree = dict_engine.distances_from(source)
+        dict_tree = dijkstra_all(network, source)
         csr_tree = csr_engine.distances_from(source)
         assert set(csr_tree) == set(dict_tree)
         for vertex, value in dict_tree.items():
             assert math.isclose(csr_tree[vertex], value, rel_tol=1e-12, abs_tol=1e-12)
 
-
-#: every backend's ``path``, the ch backend under both of its tree providers
-_PATH_ENGINES = (
-    ("dict", "auto"),
-    ("csr", "auto"),
-    ("csr+alt", "auto"),
-    ("table", "auto"),
-    ("ch", "plane"),
-    ("ch", "phast"),
-)
 
 #: every jitter, the near-tie band just above 0 included, with unit weights
 #: (shortest paths tie everywhere) drawn often: walk and search read the same
@@ -100,10 +88,7 @@ _path_jitters = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0))
 def _assert_paths_equal_the_search(network, sources):
     """``engine.path`` is the route vehicles drive: on every backend the same
     vertex tuple and the same float as the search, exact ties included."""
-    engines = [
-        (f"{backend}/{provider}", make_engine(network, backend, tree_provider=provider))
-        for backend, provider in _PATH_ENGINES
-    ]
+    engines = [(backend, make_engine(network, backend)) for backend in ROUTING_BACKENDS]
     for u in sources:
         for v in network.vertices():
             reference = shortest_path(network, u, v)
@@ -154,10 +139,10 @@ def _two_components():
     return network
 
 
-@pytest.mark.parametrize("backend,provider", _PATH_ENGINES)
-def test_path_edge_cases_agree_on_every_backend(backend, provider):
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+def test_path_edge_cases_agree_on_every_backend(backend):
     network = _two_components()
-    engine = make_engine(network, backend, tree_provider=provider)
+    engine = make_engine(network, backend)
     built = (engine.stats.queries, engine.stats.dijkstra_runs)
     assert engine.path(4, 4) == PathResult(4, 4, 0.0, (4,))
     # a vehicle standing at its next stop: no tree rooted, no query billed
@@ -178,7 +163,7 @@ def test_shortest_path_edge_cases_on_both_arms(with_tree):
     network = _two_components()
 
     def query(source, target):
-        # any mapping works as the tree; the dict backend's is a plain dict
+        # any mapping works as the tree; the reference tree is a plain dict
         tree = dijkstra_all(network, source) if with_tree else None
         return shortest_path(network, source, target, tree=tree)
 
@@ -233,31 +218,9 @@ def test_alt_lower_bounds_are_admissible(rows, columns, jitter, landmarks, seed)
 @settings(max_examples=15, deadline=None)
 def test_backend_factory_names_round_trip(rows, columns, jitter, seed):
     network = grid_network(rows, columns, weight_jitter=jitter, seed=seed)
-    engines = {
-        name: make_engine(network, name) for name in ("dict", "csr", "csr+alt", "table")
-    }
+    engines = {name: make_engine(network, name) for name in ROUTING_BACKENDS}
     u, v = network.vertices()[0], network.vertices()[-1]
-    reference = engines["dict"].distance(u, v)
+    reference = dijkstra_all(network, u)[v]
     for name, engine in engines.items():
         assert engine.backend == name
         assert math.isclose(engine.distance(u, v), reference, rel_tol=1e-12, abs_tol=1e-12)
-
-
-@given(
-    count=st.integers(min_value=10, max_value=30),
-    radius=st.floats(min_value=0.15, max_value=0.5),
-    seed=st.integers(min_value=0, max_value=10_000),
-)
-@settings(max_examples=15, deadline=None)
-def test_table_trees_match_dict_on_geometric_networks(count, radius, seed):
-    """Possibly-disconnected networks: the table must agree with the dict
-    backend on the reachable set as well as the values."""
-    network = random_geometric_network(count, radius=radius, seed=seed)
-    dict_engine = DictDijkstraEngine(network)
-    table_engine = make_engine(network, "table")
-    for source in _sample(network.vertices(), 5):
-        dict_tree = dict_engine.distances_from(source)
-        table_tree = table_engine.distances_from(source)
-        assert set(table_tree) == set(dict_tree)
-        for vertex, value in dict_tree.items():
-            assert math.isclose(table_tree[vertex], value, rel_tol=1e-12, abs_tol=1e-12)

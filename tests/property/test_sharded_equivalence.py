@@ -71,7 +71,7 @@ def _fleet_state(fleet):
     ]
 
 
-@pytest.mark.parametrize("backend", ("dict", "csr", "ch", "table"))
+@pytest.mark.parametrize("backend", ("csr", "ch"))
 @pytest.mark.parametrize("shards", (1, 2, 4))
 def test_sharded_dispatch_equals_sequential(backend, shards):
     sequential = _build_dispatcher(backend)

@@ -1,14 +1,12 @@
-"""Property tests for vectorised tree planes and the all-pairs table backend.
+"""Property tests for vectorised tree planes.
 
 The batch prefetch path computes many start-rooted trees with one
-``scipy.csgraph.dijkstra(indices=[...])`` call and the table backend builds
-its all-pairs matrix from the same plane primitive, so the whole vectorised
+``scipy.csgraph.dijkstra(indices=[...])`` call, so the whole vectorised
 stack rests on one claim: a plane row is **bit-identical** to the tree the
 single-source path computes for that source.  If the claim ever broke, the
 batched pipeline would stop reproducing the sequential loop's floats and the
 byte-identical dispatch property would fail far from the cause.  The tests
-below pin the claim directly, on both the SciPy and the pure-Python path,
-and pin the table backend to the CSR engine float-for-float.
+below pin the claim directly, on both the SciPy and the pure-Python path.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import pytest
 
 from repro.roadnet import routing
 from repro.roadnet.generators import grid_network
-from repro.roadnet.routing import CSREngine, CSRGraph, TableEngine
+from repro.roadnet.routing import CSREngine, CSRGraph
 
 HAVE_SCIPY = routing._csgraph_dijkstra is not None  # noqa: SLF001
 
@@ -71,26 +69,6 @@ def test_pure_python_plane_rows_bit_identical_to_single_source_trees(case):
 
 @given(grids())
 @settings(max_examples=20, deadline=None)
-def test_table_engine_distances_bit_identical_to_csr(case):
-    """On strongly connected grids the table is float-for-float the CSR engine."""
-    network, seed = case
-    table = TableEngine(network)
-    csr = CSREngine(network)
-    vertices = network.vertices()
-    step = max(1, len(vertices) // 6)
-    sample = vertices[seed % step :: step]
-    for u in sample:
-        for v in sample:
-            assert table.distance(u, v) == csr.distance(u, v)
-    for source in sample[:3]:
-        table_tree = table.distances_from(source)
-        csr_tree = csr.distances_from(source)
-        assert set(table_tree) == set(csr_tree)
-        assert {v: table_tree[v] for v in table_tree} == {v: csr_tree[v] for v in csr_tree}
-
-
-@given(grids())
-@settings(max_examples=20, deadline=None)
 def test_prefetched_trees_bit_identical_to_on_demand_trees(case):
     """The prefetch plane serves the very floats distances_from would compute."""
     network, seed = case
@@ -109,16 +87,3 @@ def test_prefetched_trees_bit_identical_to_on_demand_trees(case):
         view = views[source]
         assert set(view) == set(fresh)
         assert {v: view[v] for v in view} == {v: fresh[v] for v in fresh}
-
-
-@given(grids())
-@settings(max_examples=15, deadline=None)
-def test_table_lower_bound_is_exact_and_admissible(case):
-    network, seed = case
-    engine = TableEngine(network)
-    vertices = network.vertices()
-    step = max(1, len(vertices) // 5)
-    sample = vertices[seed % step :: step]
-    for u in sample:
-        for v in sample:
-            assert engine.distance_lower_bound(u, v) == engine.distance(u, v)

@@ -64,8 +64,6 @@ def nonempty_vehicles_in_cell(fleet, cell_id) -> List[Vehicle]:
 def index_lower_bound(context: MatchContext, source: int, target: int) -> float:
     """``MatchContext.lower_bound`` as it was: grid cells vs the engine's bound."""
     engine_bound = context.engine.distance_lower_bound(source, target)
-    if context.engine.exact_lower_bounds:
-        return engine_bound
     bound = context.grid.distance_lower_bound(source, target)
     return engine_bound if engine_bound > bound else bound
 

@@ -7,7 +7,7 @@ import pytest
 from repro.roadnet import artifacts
 from repro.roadnet.artifacts import ArtifactCache, network_fingerprint
 from repro.roadnet.generators import grid_network
-from repro.roadnet.routing import CHEngine, CSREngine, TableEngine, make_engine
+from repro.roadnet.routing import CHEngine, CSREngine, make_engine
 
 #: the .npz container needs NumPy; without it the cache is deliberately inert
 needs_numpy = pytest.mark.skipif(
@@ -173,17 +173,6 @@ class TestEngineCaching:
                     u, v
                 )
 
-    def test_table_round_trip_skips_dijkstras(self, tmp_path):
-        network = grid_network(4, 4, weight_jitter=0.2, seed=7)
-        built = make_engine(network, "table", cache_dir=str(tmp_path))
-        assert built.stats.dijkstra_runs == 16
-        loaded = make_engine(network, "table", cache_dir=str(tmp_path))
-        assert loaded.stats.dijkstra_runs == 0  # the build was skipped outright
-        assert loaded.stats.load_seconds > 0.0
-        for u in network.vertices()[::3]:
-            for v in network.vertices()[::2]:
-                assert loaded.distance(u, v) == built.distance(u, v)
-
     def test_ch_round_trip(self, tmp_path):
         network = grid_network(6, 6, weight_jitter=0.3, seed=9)
         built = make_engine(network, "ch", cache_dir=str(tmp_path))
@@ -193,6 +182,30 @@ class TestEngineCaching:
         assert loaded.stats.load_seconds > 0.0
         assert loaded.hierarchy.rank == built.hierarchy.rank
         assert loaded.hierarchy.up_weights == built.hierarchy.up_weights
+        vertices = network.vertices()
+        for u in vertices[::3]:
+            for v in vertices[::2]:
+                assert loaded.distance(u, v) == built.distance(u, v)
+
+    def test_a_ch_artifact_holding_sweep_arrays_still_loads(self, tmp_path):
+        """Older builds persisted a downward sweep order beside the upward
+        graph; such a payload loads, and the extra arrays are ignored."""
+        network = grid_network(5, 5, weight_jitter=0.3, seed=9)
+        cache = ArtifactCache(tmp_path)
+        built = CHEngine(network, cache=cache)
+        fingerprint = network_fingerprint(network)
+        arrays = cache.load("ch", fingerprint)
+        arrays.update(
+            down_heads=[0], down_indptr=[0, 1], down_tails=[1],
+            down_weights=[1.0], down_level_ptr=[0, 1],
+        )
+        cache.save("ch", fingerprint, arrays)
+        loaded = CHEngine(network, cache=cache)
+        assert loaded.stats.build_seconds == 0.0
+        assert loaded.stats.load_seconds > 0.0
+        assert set(loaded.hierarchy.to_arrays()) == {
+            "rank", "up_indptr", "up_indices", "up_weights", "up_mids", "shortcut_count",
+        }
         vertices = network.vertices()
         for u in vertices[::3]:
             for v in vertices[::2]:
@@ -232,7 +245,7 @@ class TestEngineCaching:
         network = grid_network(4, 4, weight_jitter=0.25, seed=3)
         cache = ArtifactCache(tmp_path)
         fingerprint = network_fingerprint(network)
-        for kind in ("csr", "ch", "table"):
+        for kind in ("csr", "ch"):
             path = cache.path_for(kind, fingerprint)
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_bytes(b"garbage")
@@ -240,7 +253,6 @@ class TestEngineCaching:
         for engine in (
             CSREngine(network, cache=cache),
             CHEngine(network, cache=cache),
-            TableEngine(network, cache=cache),
         ):
             assert engine.stats.build_seconds > 0.0  # rebuilt, not crashed
             assert engine.distance(1, 16) == reference.distance(1, 16)

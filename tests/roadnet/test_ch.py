@@ -16,10 +16,8 @@ from repro.roadnet.routing import (
     ContractionHierarchy,
     CSREngine,
     CSRGraph,
-    TableEngine,
     make_engine,
 )
-from repro.roadnet.shortest_path import DistanceOracle
 
 from tests.routing_reference import path_length, shortest_path_distance
 
@@ -157,10 +155,10 @@ class TestCHEngine:
     def test_figure1_worked_example_distances(self):
         network = figure1_network()
         engine = CHEngine(network)
-        oracle = DistanceOracle(network)
+        reference = CSREngine(network)
         for u in network.vertices():
             for v in network.vertices():
-                assert engine.distance(u, v) == pytest.approx(oracle.distance(u, v))
+                assert engine.distance(u, v) == reference.distance(u, v)
 
     def test_pure_python_fallback_matches(self, monkeypatch):
         from repro.roadnet import routing
@@ -202,26 +200,6 @@ class TestCHEngine:
         for u in vertices[::3] + [hub]:
             for v in vertices[::2] + [hub]:
                 assert ch.distance(u, v) == csr.distance(u, v)
-
-
-class TestTableCapFallback:
-    def test_cap_is_configurable_through_make_engine(self):
-        network = grid_network(3, 3)
-        with pytest.raises(ConfigurationError):
-            make_engine(network, "table", table_max_vertices=4)
-        engine = make_engine(network, "table", table_max_vertices=9)
-        assert engine.backend == "table"
-
-    def test_cap_error_names_the_ch_fallback(self):
-        with pytest.raises(ConfigurationError) as excinfo:
-            TableEngine(grid_network(3, 3), max_vertices=4)
-        message = str(excinfo.value)
-        assert "ch" in message
-        assert "table_max_vertices" in message
-
-    def test_invalid_cap(self):
-        with pytest.raises(ValueError):
-            TableEngine(grid_network(2, 2), max_vertices=0)
 
 
 class TestArterialGridNetwork:

@@ -1,4 +1,4 @@
-"""Unit tests for the pluggable routing engines."""
+"""Unit tests for the routing engine."""
 
 from __future__ import annotations
 
@@ -12,14 +12,10 @@ from repro.roadnet.routing import (
     ALTIndex,
     CSREngine,
     CSRGraph,
-    DictDijkstraEngine,
-    TableEngine,
-    ensure_engine,
     make_engine,
 )
-from repro.roadnet.shortest_path import DistanceOracle
 
-from tests.routing_reference import path_length, shortest_path_distance
+from tests.routing_reference import dijkstra_all, path_length, shortest_path_distance
 
 
 class TestMakeEngine:
@@ -30,26 +26,13 @@ class TestMakeEngine:
             assert engine.backend == backend
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(ConfigurationError):
-            make_engine(grid_network(2, 2), "quantum")
+        for backend in ("quantum", "dict", "table"):
+            with pytest.raises(ConfigurationError):
+                make_engine(grid_network(2, 2), backend)
 
-    def test_ensure_engine_wraps_bare_oracle(self):
-        network = grid_network(3, 3)
-        oracle = DistanceOracle(network)
-        engine = ensure_engine(oracle, network)
-        assert isinstance(engine, DictDijkstraEngine)
-        assert engine.oracle is oracle
-        assert engine.stats is oracle.stats
-
-    def test_ensure_engine_passes_engines_through(self):
-        network = grid_network(3, 3)
-        engine = CSREngine(network)
-        assert ensure_engine(engine, network) is engine
-
-    def test_ensure_engine_rejects_garbage(self):
-        with pytest.raises(TypeError):
-            ensure_engine(object(), grid_network(2, 2))
-
+    def test_default_backend_is_csr(self):
+        assert ROUTING_BACKENDS == ("csr", "csr+alt", "ch")
+        assert make_engine(grid_network(2, 2)).backend == "csr"
 
 class TestCSRGraph:
     def test_arrays_describe_every_edge(self):
@@ -148,8 +131,7 @@ class TestCSREngine:
             tree[99]
         assert set(tree) == set(network.vertices()) - {99}
         assert len(tree) == 9
-        oracle_tree = DistanceOracle(network).distances_from(1)
-        assert {v: tree[v] for v in tree} == pytest.approx(oracle_tree)
+        assert {v: tree[v] for v in tree} == pytest.approx(dijkstra_all(network, 1))
 
     def test_pure_python_fallback_matches(self, monkeypatch):
         network = grid_network(4, 4, weight_jitter=0.25, seed=11)
@@ -267,134 +249,12 @@ class TestPrefetch:
         tree = engine.distances_from(2)
         assert {v: views[2][v] for v in views[2]} == {v: tree[v] for v in tree}
 
-    def test_dict_engine_prefetch_is_a_noop(self):
-        engine = DictDijkstraEngine(grid_network(3, 3))
-        assert engine.prefetch_trees([1, 2, 3]) == {}
-        assert engine.stats.dijkstra_runs == 0
-
     def test_pure_python_prefetch(self, monkeypatch):
         monkeypatch.setattr(routing, "_csr_array", None)
         engine = CSREngine(grid_network(3, 3, weight_jitter=0.2, seed=5))
         views = engine.prefetch_trees([1, 8])
-        reference = DictDijkstraEngine(engine.network)
         for source in (1, 8):
-            fresh = reference.distances_from(source)
+            fresh = dijkstra_all(engine.network, source)
             assert {v: round(views[source][v], 9) for v in views[source]} == {
                 v: round(fresh[v], 9) for v in fresh
             }
-
-
-class TestTableEngine:
-    def test_distance_matches_dijkstra(self):
-        network = grid_network(5, 5, weight_jitter=0.4, seed=3)
-        engine = TableEngine(network)
-        for source, target in [(1, 25), (13, 2), (7, 19)]:
-            assert engine.distance(source, target) == pytest.approx(
-                shortest_path_distance(network, source, target)
-            )
-
-    def test_distance_is_plain_float(self):
-        engine = TableEngine(grid_network(3, 3))
-        assert type(engine.distance(1, 9)) is float
-
-    def test_disconnected_raises(self):
-        network = grid_network(3, 3)
-        network.add_vertex(99)
-        engine = TableEngine(network)
-        with pytest.raises(DisconnectedError):
-            engine.distance(1, 99)
-
-    def test_unknown_vertex_raises(self):
-        engine = TableEngine(grid_network(2, 2))
-        with pytest.raises(VertexNotFoundError):
-            engine.distance(1, 999)
-
-    def test_tree_view_is_a_row_of_the_table(self):
-        network = grid_network(3, 3)
-        engine = TableEngine(network)
-        tree = engine.distances_from(1)
-        assert tree[1] == 0.0
-        assert len(tree) == 9
-        oracle_tree = DistanceOracle(network).distances_from(1)
-        assert {v: tree[v] for v in tree} == pytest.approx(oracle_tree)
-
-    def test_path_is_valid_and_optimal(self):
-        network = grid_network(4, 4, weight_jitter=0.3, seed=9)
-        engine = TableEngine(network)
-        result = engine.path(1, 16)
-        assert result.path[0] == 1 and result.path[-1] == 16
-        assert path_length(network, result.path) == pytest.approx(result.distance)
-        assert result.distance == pytest.approx(shortest_path_distance(network, 1, 16))
-
-    def test_lower_bound_is_exact(self):
-        engine = TableEngine(grid_network(4, 4, weight_jitter=0.2, seed=4))
-        assert engine.exact_lower_bounds
-        assert engine.distance_lower_bound(1, 16) == engine.distance(1, 16)
-        assert engine.distance_lower_bound(7, 7) == 0.0
-
-    def test_lower_bound_infinite_for_disconnected(self):
-        network = grid_network(3, 3)
-        network.add_vertex(99)
-        engine = TableEngine(network)
-        assert engine.distance_lower_bound(1, 99) == float("inf")
-
-    def test_invalidate_rebuilds_after_mutation(self):
-        network = grid_network(1, 3)  # a path 1 - 2 - 3
-        engine = TableEngine(network)
-        before = engine.distance(1, 3)
-        network.add_vertex(4, x=0.5, y=1.0)
-        network.add_edge(1, 4, 0.1)
-        network.add_edge(4, 3, 0.1)
-        engine.invalidate()
-        assert engine.distance(1, 3) == pytest.approx(min(before, 0.2))
-
-    def test_build_counts_one_run_per_vertex(self):
-        engine = TableEngine(grid_network(3, 3))
-        assert engine.stats.dijkstra_runs == 9
-        engine.distance(1, 9)
-        assert engine.stats.dijkstra_runs == 9  # queries never re-run Dijkstra
-
-    def test_vertex_cap_refuses_large_networks(self):
-        with pytest.raises(ConfigurationError):
-            TableEngine(grid_network(3, 3), max_vertices=4)
-
-    def test_blocked_build_matches_unblocked(self):
-        network = grid_network(4, 4, weight_jitter=0.3, seed=11)
-        small_blocks = TableEngine(network, block_size=3)
-        one_block = TableEngine(network, block_size=1024)
-        vertices = network.vertices()
-        for u in vertices[::3]:
-            for v in vertices[::4]:
-                assert small_blocks.distance(u, v) == one_block.distance(u, v)
-
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            TableEngine(grid_network(2, 2), block_size=0)
-
-    def test_pure_python_table(self, monkeypatch):
-        monkeypatch.setattr(routing, "_csr_array", None)
-        network = grid_network(3, 3, weight_jitter=0.2, seed=5)
-        engine = TableEngine(network, block_size=2)
-        assert engine.graph.matrix is None
-        reference = DictDijkstraEngine(network)
-        for source, target in [(1, 9), (4, 6), (2, 8)]:
-            assert engine.distance(source, target) == pytest.approx(
-                reference.distance(source, target)
-            )
-
-
-class TestDictEngine:
-    def test_requires_network_or_oracle(self):
-        with pytest.raises(ValueError):
-            DictDijkstraEngine()
-
-    def test_delegates_to_oracle(self):
-        network = grid_network(3, 3)
-        engine = DictDijkstraEngine(network)
-        assert engine.network is network
-        assert engine.distance(1, 9) == pytest.approx(shortest_path_distance(network, 1, 9))
-        assert engine.distances_from(1)[9] == pytest.approx(engine.distance(1, 9))
-        result = engine.path(1, 9)
-        assert result.path[0] == 1 and result.path[-1] == 9
-        engine.invalidate()
-        assert engine.distance_lower_bound(1, 9) == 0.0

@@ -1,4 +1,4 @@
-"""Unit tests for the shortest-path routines and the distance oracle."""
+"""Unit tests for the shortest-path routines."""
 
 from __future__ import annotations
 
@@ -7,11 +7,12 @@ import pytest
 from repro.errors import DisconnectedError, VertexNotFoundError
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.shortest_path import DistanceOracle, dijkstra_all, shortest_path
+from repro.roadnet.shortest_path import shortest_path
 
 from tests.routing_reference import (
     bidirectional_dijkstra,
     bounded_dijkstra,
+    dijkstra_all,
     path_length,
     shortest_path_distance,
 )
@@ -95,63 +96,3 @@ class TestExpansions:
         distances = dijkstra_all(diamond, 1)
         assert set(distances) == {1, 2, 3, 4}
         assert distances[4] == pytest.approx(2.0)
-
-
-class TestDistanceOracle:
-    def test_matches_dijkstra(self):
-        network = grid_network(5, 5, weight_jitter=0.4, seed=3)
-        oracle = DistanceOracle(network)
-        for source, target in [(1, 25), (13, 2), (7, 19)]:
-            assert oracle.distance(source, target) == pytest.approx(
-                shortest_path_distance(network, source, target)
-            )
-
-    def test_caches_single_source_trees(self):
-        network = grid_network(4, 4)
-        oracle = DistanceOracle(network)
-        oracle.distance(1, 16)
-        oracle.distance(1, 8)
-        oracle.distance(1, 5)
-        assert oracle.stats.dijkstra_runs == 1
-        assert oracle.stats.cache_hits >= 2
-
-    def test_symmetric_reuse(self):
-        network = grid_network(4, 4)
-        oracle = DistanceOracle(network)
-        first = oracle.distance(1, 16)
-        second = oracle.distance(16, 1)
-        assert first == pytest.approx(second)
-        assert oracle.stats.dijkstra_runs == 1
-
-    def test_eviction_bound(self):
-        network = grid_network(4, 4)
-        oracle = DistanceOracle(network, max_cached_sources=2)
-        for source in (1, 2, 3, 4):
-            oracle.distances_from(source)
-        assert oracle.stats.dijkstra_runs == 4
-        assert len(oracle._trees) <= 2  # noqa: SLF001 - asserting the eviction policy
-
-    def test_invalidate(self):
-        network = grid_network(3, 3)
-        oracle = DistanceOracle(network)
-        oracle.distance(1, 9)
-        oracle.invalidate()
-        oracle.distance(1, 9)
-        assert oracle.stats.dijkstra_runs == 2
-
-    def test_disconnected_raises(self):
-        network = grid_network(3, 3)
-        network.add_vertex(99)
-        oracle = DistanceOracle(network)
-        with pytest.raises(DisconnectedError):
-            oracle.distance(1, 99)
-
-    def test_path_delegates(self):
-        network = grid_network(3, 3)
-        oracle = DistanceOracle(network)
-        result = oracle.path(1, 9)
-        assert result.path[0] == 1 and result.path[-1] == 9
-
-    def test_invalid_cache_size(self):
-        with pytest.raises(ValueError):
-            DistanceOracle(grid_network(2, 2), max_cached_sources=0)

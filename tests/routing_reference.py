@@ -1,10 +1,11 @@
-"""Independent point-to-point searches the routing tests check engines against.
+"""Independent searches the routing tests check the engine against.
 
 Nothing in ``src/`` calls these: every distance and path the system uses
 comes from a routing engine (:mod:`repro.roadnet.routing`) or from
 :func:`repro.roadnet.shortest_path.shortest_path`.  They are kept here as
-references with their own search loops -- an early-terminated Dijkstra, A*,
-a meet-in-the-middle Dijkstra and a radius-bounded expansion -- plus
+references with their own search loops -- a full Dijkstra tree over the
+dict-of-dicts adjacency, an early-terminated Dijkstra, A*, a
+meet-in-the-middle Dijkstra and a radius-bounded expansion -- plus
 :func:`path_length`, the weight of a vertex walk.
 """
 
@@ -21,6 +22,32 @@ from repro.roadnet.shortest_path import (
     _require_vertices,
     reconstruct_path,
 )
+
+
+def dijkstra_all(network: RoadNetwork, source: VertexId) -> Dict[VertexId, float]:
+    """Return shortest-path distances from ``source`` to every reachable vertex.
+
+    The reference tree: a heap Dijkstra over the network's own adjacency,
+    sharing nothing with the CSR engine's arrays.
+
+    Raises:
+        VertexNotFoundError: if ``source`` is unknown.
+    """
+    _require_vertices(network, (source,))
+    dist: Dict[VertexId, float] = {source: 0.0}
+    result: Dict[VertexId, float] = {}
+    heap: List[Tuple[float, VertexId]] = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in result:
+            continue
+        result[u] = d
+        for v, weight in network.neighbours_view(u).items():
+            nd = d + weight
+            if nd < dist.get(v, INFINITY):
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return result
 
 
 def shortest_path_distance(network: RoadNetwork, source: VertexId, target: VertexId) -> float:

@@ -15,7 +15,7 @@ from repro.service.api import MATCHER_REGISTRY, PTRiderService, build_system
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import CSREngine
 
 from tests.conftest import assign_request
 
@@ -25,7 +25,7 @@ def paper_service() -> PTRiderService:
     """A service running the Fig. 1 scenario (c1 busy with R1, c2 empty at v13)."""
     network = figure1_network()
     grid = GridIndex(network, rows=4, columns=4)
-    fleet = Fleet(grid, DistanceOracle(network))
+    fleet = Fleet(grid, CSREngine(network))
     fleet.add_vehicle(Vehicle("c1", location=1, capacity=4))
     fleet.add_vehicle(Vehicle("c2", location=13, capacity=4))
     r1 = Request(start=2, destination=16, riders=2, max_waiting=5.0, service_constraint=0.2, request_id="R1")
@@ -97,7 +97,7 @@ class TestCarriedVerification:
     @staticmethod
     def _asked(service):
         stats = service.fleet.routing_engine.stats
-        return (stats.dijkstra_runs + stats.phast_sweeps, stats.queries)
+        return (stats.dijkstra_runs, stats.queries)
 
     def test_choose_on_an_unchanged_vehicle_asks_the_engine_nothing(self, service):
         booking = service.book(start=17, destination=140)
@@ -134,7 +134,7 @@ class TestCarriedVerification:
 
     def test_reconfiguration_drops_open_bookings_contexts(self, service):
         booking = service.book(start=17, destination=140)
-        service.set_parameters(routing_backend="dict")
+        service.set_parameters(routing_backend="ch")
         assert booking.context is None  # it held the outgoing engine's tree
         option = service.choose(booking.booking_id, 0)
         assert service.fleet.get(option.vehicle_id).has_request(booking.request.request_id)
@@ -242,48 +242,13 @@ class TestWebsiteInterface:
             (o.vehicle_id, round(o.pickup_distance, 6), round(o.price, 6)) for o in after.options
         ]
 
-    def test_set_parameters_switches_tree_provider(self, paper_service):
-        before = paper_service.book(start=12, destination=17, riders=2)
-        paper_service.set_parameters(routing_backend="ch")
-        config = paper_service.set_parameters(tree_provider="phast")
-        assert config.tree_provider == "phast"
-        assert paper_service.fleet.routing_engine.tree_provider_name == "phast"
-        after = paper_service.book(start=12, destination=17, riders=2)
-        assert [
-            (o.vehicle_id, round(o.pickup_distance, 6), round(o.price, 6)) for o in before.options
-        ] == [
-            (o.vehicle_id, round(o.pickup_distance, 6), round(o.price, 6)) for o in after.options
-        ]
-
-    def test_set_parameters_rejects_unknown_tree_provider(self, paper_service):
-        with pytest.raises(ConfigurationError):
-            paper_service.set_parameters(tree_provider="quantum")
-
-    def test_backend_change_away_from_ch_resets_forced_provider(self, paper_service):
-        # a forced provider is a ch-only ablation; a plain backend change
-        # must not be vetoed by it
-        paper_service.set_parameters(routing_backend="ch", tree_provider="phast")
-        config = paper_service.set_parameters(routing_backend="csr")
-        assert config.routing_backend == "csr"
-        assert config.tree_provider == "auto"
-        assert paper_service.fleet.routing_engine.backend == "csr"
-
-    def test_set_parameters_phast_needs_ch(self, paper_service):
-        # the dict-backed paper service has no hierarchy to sweep; the
-        # refusal must leave config and engine untouched
-        before_provider = paper_service.config.tree_provider
-        with pytest.raises(ConfigurationError):
-            paper_service.set_parameters(tree_provider="phast")
-        assert paper_service.config.tree_provider == before_provider
-
     def test_routing_statistics_panel(self, paper_service):
         paper_service.book(start=12, destination=17, riders=2)
         panel = paper_service.routing_statistics()
-        assert panel["backend"] == "dict"
-        assert panel["tree_provider"] == "dijkstra"
+        assert panel["backend"] == "csr"
         assert panel["artifact_cache_dir"] == ""
         assert panel["queries"] >= 1.0
-        for key in ("cache_hits", "dijkstra_runs", "phast_sweeps",
+        for key in ("cache_hits", "dijkstra_runs",
                     "bidirectional_runs", "build_seconds", "load_seconds"):
             assert isinstance(panel[key], float)
         # float-valued fields surface in the main panel under routing_
@@ -315,7 +280,8 @@ class TestWebsiteInterface:
 
     @pytest.mark.parametrize(
         "knob", [("dispatch_workers", 2), ("worker_timeout", 5.0),
-                 ("max_dispatch_retries", 2)],
+                 ("max_dispatch_retries", 2), ("table_max_vertices", 8),
+                 ("tree_provider", "plane")],
     )
     def test_retired_knobs_are_rejected(self, paper_service, knob):
         name, value = knob
@@ -326,14 +292,11 @@ class TestWebsiteInterface:
 
     def test_routing_statistics_reports_artifact_cache_activity(self, tmp_path):
         pytest.importorskip("numpy", reason="the artifact cache serialises through NumPy")
-        config = SystemConfig(
-            routing_backend="ch", routing_cache_dir=str(tmp_path), tree_provider="phast"
-        )
+        config = SystemConfig(routing_backend="ch", routing_cache_dir=str(tmp_path))
         cold = build_system(network_rows=5, network_columns=5, vehicles=3,
                             config=config, seed=4)
         cold_panel = cold.routing_statistics()
         assert cold_panel["backend"] == "ch"
-        assert cold_panel["tree_provider"] == "phast"
         assert cold_panel["artifact_cache_dir"] == str(tmp_path)
         assert cold_panel["build_seconds"] > 0.0
         assert cold_panel["load_seconds"] == 0.0
@@ -343,13 +306,11 @@ class TestWebsiteInterface:
         assert warm_panel["build_seconds"] == 0.0
         assert warm_panel["load_seconds"] > 0.0
         warm.book(1, 20, riders=1)
-        assert warm.routing_statistics()["phast_sweeps"] >= 1.0
+        assert warm.routing_statistics()["dijkstra_runs"] >= 1.0
 
-    def test_set_parameters_table_max_vertices(self, paper_service):
-        config = paper_service.set_parameters(table_max_vertices=8)
-        assert config.table_max_vertices == 8
-        # the 17-vertex paper network now exceeds the cap, so the admin's
-        # next attempt to switch to the table backend is refused ...
+    def test_a_refused_backend_leaves_config_and_engine_unchanged(self, paper_service):
+        # the table backend is gone, so the admin's attempt to switch to it
+        # is refused ...
         before_backend = paper_service.fleet.routing_engine.backend
         with pytest.raises(ConfigurationError):
             paper_service.set_parameters(routing_backend="table")

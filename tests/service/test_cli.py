@@ -45,10 +45,11 @@ class TestParser:
             assert args.routing == "csr"
             assert args.routing_cache is None
 
-    def test_dict_backend_stays_selectable(self):
+    def test_retired_backends_are_rejected(self):
         for command in ("demo", "simulate", "compare"):
-            args = build_parser().parse_args([command, "--routing", "dict"])
-            assert args.routing == "dict"
+            for backend in ("dict", "table"):
+                with pytest.raises(SystemExit):
+                    build_parser().parse_args([command, "--routing", backend])
 
     def test_ch_backend_and_cache_arguments(self):
         args = build_parser().parse_args(
@@ -57,23 +58,12 @@ class TestParser:
         assert args.routing == "ch"
         assert args.routing_cache == "/tmp/artifacts"
 
-    def test_tree_provider_argument(self):
-        for command in ("demo", "simulate", "compare"):
-            args = build_parser().parse_args([command])
-            assert args.tree_provider == "auto"
-            args = build_parser().parse_args(
-                [command, "--routing", "ch", "--tree-provider", "phast"]
-            )
-            assert args.tree_provider == "phast"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["demo", "--tree-provider", "bogus"])
-
     @pytest.mark.parametrize(
         "flag", [("--workers", "2"), ("--worker-timeout", "5"),
-                 ("--max-dispatch-retries", "2")],
+                 ("--max-dispatch-retries", "2"), ("--tree-provider", "phast")],
     )
-    def test_retired_dispatch_pool_flags_are_rejected(self, flag):
-        for command in ("simulate", "compare"):
+    def test_retired_flags_are_rejected(self, flag):
+        for command in ("demo", "simulate", "compare"):
             with pytest.raises(SystemExit):
                 build_parser().parse_args([command, *flag])
 
@@ -117,28 +107,26 @@ class TestCommands:
         assert "routing=csr" in captured
         assert "average_response_time" in captured
 
-    def test_demo_runs_with_forced_phast_trees(self, capsys):
+    def test_demo_runs_with_ch_routing(self, capsys):
         exit_code = main([
             "demo", "--vehicles", "8", "--rows", "6", "--columns", "6",
-            "--seed", "3", "--routing", "ch", "--tree-provider", "phast",
+            "--seed", "3", "--routing", "ch",
         ])
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "non-dominated option" in captured
 
-    def test_compare_is_provider_oblivious(self, capsys):
-        """The same burst answered with plane and phast ch trees must print
-        identical matcher work tables (the ablation the E15 benchmark runs
-        at scale) -- identical up to the wall-clock column, which is the
-        only thing a tree provider is allowed to change."""
+    def test_compare_is_backend_oblivious(self, capsys):
+        """The same burst answered on the csr and ch backends must print
+        identical matcher work tables -- identical up to the wall-clock
+        column, which is the only thing a backend is allowed to change."""
         import re
 
         outputs = []
-        for provider in ("plane", "phast"):
+        for backend in ("csr", "ch"):
             exit_code = main([
                 "compare", "--vehicles", "10", "--rows", "6", "--columns", "6",
-                "--requests", "5", "--seed", "3", "--routing", "ch",
-                "--tree-provider", provider,
+                "--requests", "5", "--seed", "3", "--routing", backend,
             ])
             assert exit_code == 0
             # the seconds column is the only float printed with 3 decimals

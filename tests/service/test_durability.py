@@ -21,6 +21,9 @@ from repro.service.journal import (
     JournalRecord,
     ServiceJournal,
 )
+from repro.roadnet.generators import grid_network
+from repro.roadnet.grid_index import GridIndex
+from repro.roadnet.routing import make_engine
 from repro.service.recovery import (
     RecoveryError,
     canonical_state,
@@ -274,6 +277,34 @@ class TestReconfigureReplay:
         recovered = PTRiderService.recover(tmp_path / "journal")
         assert recovered.config.max_waiting == 6.0
         assert canonical_state(recovered) == live
+
+
+class TestConfigNamesTheServedBackend:
+    """A service's config takes the backend of the engine its fleet runs:
+    that name is journaled, and recovery rebuilds the engine from it."""
+
+    def test_a_ch_fleet_with_a_default_config_journals_and_recovers_ch(self, tmp_path):
+        network = grid_network(8, 8, spacing=1.0, weight_jitter=0.25, seed=13)
+        fleet = Fleet(GridIndex(network, rows=4, columns=4), make_engine(network, "ch"))
+        for index, vertex in enumerate(network.vertices()[::9], 1):
+            fleet.add_vehicle(Vehicle(f"c{index}", location=vertex, capacity=4))
+        config = SystemConfig(durability="journal", journal_path=str(tmp_path / "journal"))
+        service = PTRiderService(fleet, config=config, seed=13)
+        assert service.config.routing_backend == "ch"
+        assert service.journal.get_meta("config")["routing_backend"] == "ch"
+        for index in range(3):
+            booking = service.book_request(_request(service, index))
+            if booking.options:
+                service.choose(booking.booking_id, 0)
+        service.advance(2.0)
+        live = canonical_state(service)
+        service.close()
+        recovered = PTRiderService.recover(tmp_path / "journal")
+        try:
+            assert recovered.fleet.routing_engine.backend == "ch"
+            assert canonical_state(recovered) == live
+        finally:
+            recovered.close()
 
 
 class TestCloseDrain:

@@ -21,7 +21,7 @@ from repro.vehicles.vehicle import Vehicle
 def _make_dispatcher(vehicles: int = 6, seed: int = 3):
     network = grid_network(8, 8, weight_jitter=0.2, seed=seed)
     grid = GridIndex(network, rows=4, columns=4)
-    fleet = Fleet(grid, make_engine(network, "dict"))
+    fleet = Fleet(grid, make_engine(network, "csr"))
     vertices = network.vertices()
     for index in range(vehicles):
         fleet.add_vehicle(

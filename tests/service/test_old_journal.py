@@ -1,11 +1,13 @@
-"""Journals written while the dispatch pool's knobs existed still recover.
+"""Journals written while retired knobs existed still recover.
 
 ``fixtures/old_journal`` is a small durable day whose config and
 ``set_parameters`` records name ``dispatch_workers`` (2, then 1, then 3),
-``worker_timeout`` and ``max_dispatch_retries`` (see its README).  Recovery
-maps them through :data:`repro.service.recovery.RETIRED_CONFIG_KEYS` and
-must land on the state the live service had, retired keys normalised:
-``dispatch_workers`` reads 1 and the other two are gone.
+``worker_timeout`` and ``max_dispatch_retries``, and whose config names the
+retired ``routing_backend="dict"``, ``table_max_vertices`` and
+``tree_provider`` (see its README).  Recovery maps them through
+:data:`repro.service.recovery.RETIRED_CONFIG_KEYS` and must land on the
+state the live service had, retired keys normalised: ``dispatch_workers``
+reads 1, the backend reads "csr" and the other knobs are gone.
 """
 
 from __future__ import annotations
@@ -43,11 +45,17 @@ def test_old_journal_recovers_to_the_stored_state(journal_copy, prefer_snapshot)
     config = stored["config"]
     assert (config["dispatch_workers"], config["worker_timeout"],
             config["max_dispatch_retries"]) == (3, 7.5, 2)
+    assert (config["routing_backend"], config["table_max_vertices"],
+            config["tree_provider"]) == ("dict", 4096, "auto")
     config["dispatch_workers"] = 1
-    del config["worker_timeout"], config["max_dispatch_retries"]
+    config["routing_backend"] = "csr"
+    for knob in ("worker_timeout", "max_dispatch_retries", "table_max_vertices",
+                 "tree_provider"):
+        del config[knob]
     recovered = PTRiderService.recover(journal_copy, prefer_snapshot=prefer_snapshot)
     try:
         assert recovered.config.dispatch_workers == 1
+        assert recovered.fleet.routing_engine.backend == "csr"
         assert canonical_state(recovered) == stored
     finally:
         recovered.close()
@@ -91,13 +99,23 @@ def test_an_invented_set_parameters_key_fails_with_a_recovery_error(journal_copy
         PTRiderService.recover(journal_copy, prefer_snapshot=False)
 
 
-#: What each retired knob held in the fixture's day, one value apart from
-#: its old default so a mapping that kept the value would show.
-RETIRED_VALUES = {"dispatch_workers": 3, "worker_timeout": 7.5, "max_dispatch_retries": 2}
+#: A value each retired knob could hold, apart from its old default where it
+#: had one, so a mapping that kept the value would show.
+RETIRED_VALUES = {
+    "dispatch_workers": 3,
+    "worker_timeout": 7.5,
+    "max_dispatch_retries": 2,
+    "table_max_vertices": 8,
+    "tree_provider": "plane",
+}
+
+#: Retired values of a live knob, and what each replays as.
+RETIRED_BACKENDS = {"dict": "csr", "table": "csr"}
 
 
 def test_the_table_names_exactly_the_retired_knobs():
-    assert set(RETIRED_CONFIG_KEYS) == set(RETIRED_VALUES)
+    assert set(RETIRED_CONFIG_KEYS) == set(RETIRED_VALUES) | {"routing_backend"}
+    assert RETIRED_CONFIG_KEYS["routing_backend"] == RETIRED_BACKENDS
 
 
 @pytest.mark.parametrize("knob", sorted(RETIRED_VALUES))
@@ -121,5 +139,47 @@ def test_a_retired_knob_in_a_set_parameters_record_changes_nothing(knob):
         after = canonical_state(service)
         after["config"]["max_waiting"] = before["config"]["max_waiting"]
         assert after == before
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("backend", sorted(RETIRED_BACKENDS))
+def test_a_retired_backend_in_a_config_payload_replays_as_csr(backend):
+    config = SystemConfig(max_waiting=6.0)
+    payload = {**serialize_config(config), "routing_backend": backend}
+    assert deserialize_config(payload) == config
+
+
+@pytest.mark.parametrize("backend", sorted(RETIRED_BACKENDS))
+def test_a_retired_backend_in_a_set_parameters_record_replays_as_csr(backend):
+    service = build_system(vehicles=3, seed=13, network_rows=6, network_columns=6,
+                           routing="ch")
+    try:
+        apply_record(service, JournalRecord(
+            seq=1, kind="set_parameters", payload={"changes": {"routing_backend": backend}},
+        ))
+        assert service.config.routing_backend == "csr"
+        assert service.fleet.routing_engine.backend == "csr"
+    finally:
+        service.close()
+
+
+def test_an_unknown_backend_in_a_config_payload_fails_with_a_recovery_error():
+    payload = {**serialize_config(SystemConfig()), "routing_backend": "phast"}
+    with pytest.raises(RecoveryError, match="phast"):
+        deserialize_config(payload)
+
+
+def test_an_unknown_backend_in_a_set_parameters_record_replays_the_refusal():
+    """The live call was journaled, then refused; replay refuses it again and
+    leaves the state as the refusal did."""
+    service = build_system(vehicles=3, seed=13, network_rows=6, network_columns=6)
+    try:
+        before = canonical_state(service)
+        apply_record(service, JournalRecord(
+            seq=1, kind="set_parameters", payload={"changes": {"routing_backend": "phast"}},
+        ))
+        assert service.fleet.routing_engine.backend == "csr"
+        assert canonical_state(service) == before
     finally:
         service.close()

@@ -11,7 +11,7 @@ from repro.errors import SimulationError
 from repro.model.request import Request
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import CSREngine
 from repro.sim.engine import SimulationEngine
 from repro.sim.workload import RequestWorkload, random_requests
 from repro.vehicles.fleet import Fleet
@@ -22,7 +22,7 @@ def build_engine(requests, vehicles, network=None, speed=1.0, tick=1.0, seed=1,
                  config=None, idle_wander=True):
     network = network or grid_network(8, 8, weight_jitter=0.2, seed=seed)
     grid = GridIndex(network, rows=4, columns=4)
-    fleet = Fleet(grid, DistanceOracle(network))
+    fleet = Fleet(grid, CSREngine(network))
     for index, location in enumerate(vehicles, 1):
         fleet.add_vehicle(Vehicle(f"c{index}", location=location, capacity=4))
     config = config or SystemConfig(max_waiting=8.0, service_constraint=0.5, max_pickup_distance=15.0)

@@ -1,10 +1,11 @@
 """Vehicles drive the same routes whichever routing backend plans them.
 
-``plan_route`` reads its route from ``engine.path``: the dict engine runs the
-early-terminated search, csr, table and ch walk back along the source's
-distance tree.  On a unit-weight grid shortest paths tie everywhere, so the
-only way they all agree on every vehicle position at every tick is for the
-walk to break ties exactly as the search does.
+``plan_route`` reads its route from ``engine.path``, which every backend
+answers by walking back along the source's distance tree.  The reference
+day plans with the early-terminated search of ``shortest_path`` instead.
+On a unit-weight grid shortest paths tie everywhere, so the only way they
+all agree on every vehicle position at every tick is for the walk to break
+ties exactly as the search does.
 """
 
 from __future__ import annotations
@@ -16,15 +17,23 @@ from repro.core.dispatcher import Dispatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.routing import make_engine
+from repro.roadnet.routing import CSREngine, make_engine
+from repro.roadnet.shortest_path import shortest_path
 from repro.service.api import build_system
 from repro.sim.engine import SimulationEngine
 from repro.sim.workload import RequestWorkload, random_requests
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
-WALKING_BACKENDS = ("csr", "table", "ch")
+WALKING_BACKENDS = ("csr", "ch")
 TICKS = 120
+
+
+class _SearchingEngine(CSREngine):
+    """The csr engine, planning routes by search instead of the tree walk."""
+
+    def path(self, source, target):
+        return shortest_path(self.network, source, target)
 
 
 def _positions(fleet):
@@ -39,10 +48,10 @@ def _deterministic(panel):
     return {key: value for key, value in panel.items() if "response_time" not in key}
 
 
-def _run_day(backend):
+def _run_day(engine_for):
     """One seeded day, tick by tick: ``(per-tick positions, panel, mid-edge re-plans)``."""
     network = grid_network(9, 9)  # unit weights: ties everywhere
-    fleet = Fleet(GridIndex(network, rows=3, columns=3), make_engine(network, backend))
+    fleet = Fleet(GridIndex(network, rows=3, columns=3), engine_for(network))
     for index, location in enumerate((1, 9, 23, 41, 47, 62, 73, 81), 1):
         fleet.add_vehicle(Vehicle(f"c{index}", location=location, capacity=4))
     config = SystemConfig(max_waiting=10.0, service_constraint=0.6, max_pickup_distance=12.0)
@@ -70,26 +79,28 @@ def _run_day(backend):
 
 @pytest.fixture(scope="module")
 def searched_day():
-    return _run_day("dict")
+    return _run_day(_SearchingEngine)
 
 
 @pytest.mark.parametrize("backend", WALKING_BACKENDS)
 def test_walked_routes_equal_searched_routes_tick_by_tick(backend, searched_day):
     timeline, panel, mid_edge_replans = searched_day
     assert panel["pickups"] > 0 and mid_edge_replans  # the day exercises both
-    walked_timeline, walked_panel, walked_replans = _run_day(backend)
+    walked_timeline, walked_panel, walked_replans = _run_day(
+        lambda network: make_engine(network, backend)
+    )
     for tick, (expected, actual) in enumerate(zip(timeline, walked_timeline), 1):
         assert actual == expected, f"tick {tick}"
     assert walked_panel == panel
     assert walked_replans == mid_edge_replans
 
 
-@pytest.mark.parametrize("backend", WALKING_BACKENDS)
+@pytest.mark.parametrize("backend", ("csr+alt", "ch"))
 def test_backend_swap_mid_run_keeps_vehicles_on_their_routes(backend):
     def service():
         return build_system(
             network=grid_network(8, 8), vehicles=6, grid_rows=2, grid_columns=2,
-            seed=3, routing="dict",
+            seed=3, routing="csr",
         )
 
     steady, swapped = service(), service()
@@ -110,7 +121,7 @@ def test_backend_swap_mid_run_keeps_vehicles_on_their_routes(backend):
             system.advance(1.0)
         assert _positions(swapped.fleet) == _positions(steady.fleet), f"tick {tick}"
     assert served > 0
-    assert steady.fleet.routing_engine.backend == "dict"
+    assert steady.fleet.routing_engine.backend == "csr"
     keep = ("requests", "matched", "completed", "pickups", "dropoffs", "sharing_rate",
             "average_detour_ratio")
     steady_panel, swapped_panel = steady.statistics(), swapped.statistics()

@@ -8,7 +8,7 @@ from repro.errors import UnknownVehicleError, VehicleError
 from repro.model.request import Request
 from repro.roadnet.generators import figure1_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import CSREngine
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
@@ -19,7 +19,7 @@ from tests.conftest import assign_request
 def fleet() -> Fleet:
     network = figure1_network()
     grid = GridIndex(network, rows=4, columns=4)
-    return Fleet(grid, DistanceOracle(network))
+    return Fleet(grid, CSREngine(network))
 
 
 class TestRegistration:
@@ -121,8 +121,8 @@ class TestFullPathRegistration:
         network = figure1_network()
         grid_a = GridIndex(network, rows=4, columns=4)
         grid_b = GridIndex(network, rows=4, columns=4)
-        sparse = Fleet(grid_a, DistanceOracle(network), register_full_paths=False)
-        dense = Fleet(grid_b, DistanceOracle(network), register_full_paths=True)
+        sparse = Fleet(grid_a, CSREngine(network), register_full_paths=False)
+        dense = Fleet(grid_b, CSREngine(network), register_full_paths=True)
         for fleet in (sparse, dense):
             fleet.add_vehicle(Vehicle("c1", location=1))
             request = Request(start=2, destination=17, riders=1, request_id=f"R-{id(fleet)}")

@@ -8,14 +8,14 @@ from repro.errors import InvalidScheduleError
 from repro.model.request import Request
 from repro.model.stops import Stop, StopKind
 from repro.roadnet.generators import figure1_network
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import CSREngine
 from repro.vehicles.kinetic_tree import KineticTree
 from repro.vehicles.schedule import RequestState
 
 
 @pytest.fixture
-def oracle() -> DistanceOracle:
-    return DistanceOracle(figure1_network())
+def oracle() -> CSREngine:
+    return CSREngine(figure1_network())
 
 
 def stops_for(request: Request) -> tuple:

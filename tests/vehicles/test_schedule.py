@@ -9,7 +9,7 @@ import pytest
 from repro.model.request import Request
 from repro.model.stops import Stop, StopKind
 from repro.roadnet.generators import figure1_network
-from repro.roadnet.shortest_path import DistanceOracle
+from repro.roadnet.routing import CSREngine
 from repro.vehicles.schedule import (
     RequestState,
     check_schedule,
@@ -22,13 +22,13 @@ from tests.insertion_reference import enumerate_insertions
 
 
 @pytest.fixture
-def oracle() -> DistanceOracle:
-    return DistanceOracle(figure1_network())
+def oracle() -> CSREngine:
+    return CSREngine(figure1_network())
 
 
 def make_state(
     request: Request,
-    oracle: DistanceOracle,
+    oracle: CSREngine,
     onboard: bool = False,
     planned: float = math.inf,
     travelled: float = 0.0,
