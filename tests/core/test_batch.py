@@ -11,6 +11,7 @@ from repro.core.single_side import SingleSideSearchMatcher
 from repro.errors import ConfigurationError, DisconnectedError, VertexNotFoundError
 from repro.model.options import RideOption, Skyline
 from repro.model.request import Request
+from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
 from repro.sim.workload import random_requests
 
 from tests.conftest import build_random_fleet
@@ -150,12 +151,8 @@ class TestBatchPrefetch:
 class TestDemandPool:
     """The batch-scoped leg-tree pool of ``BatchMatchContext.distance``."""
 
-    BACKENDS = ("csr", "ch")
-
     @staticmethod
     def _pieces(backend, cache=1024):
-        from repro.roadnet.routing import make_engine
-
         fleet = build_random_fleet(vehicles=4, seed=13)
         network = fleet.grid.network
         network.add_vertex(10_001, x=0.0, y=0.0)  # an island: known, unreachable
@@ -171,7 +168,7 @@ class TestDemandPool:
         batch = BatchContext.create([request], engine, grid, prefetch=prefetch)
         return batch, batch.context_for(0)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ROUTING_BACKENDS)
     def test_leg_answers_are_the_engines_own_floats(self, backend):
         engine, grid = self._pieces(backend, cache=1)
         reference, _ = self._pieces(backend)
@@ -245,7 +242,7 @@ class TestDemandPool:
         assert context.distance(vertices[3], vertices[9]) == engine.distance(vertices[3], vertices[9])
         assert batch.statistics.leg_tree_hits == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", ROUTING_BACKENDS)
     @pytest.mark.parametrize(
         "leg",
         [(3, 10_001), (10_001, 3), (3, 99_999), (99_999, 3), (-5, 3), (10_001, 99_999)],

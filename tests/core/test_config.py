@@ -59,11 +59,12 @@ class TestValidation:
             with pytest.raises(ConfigurationError, match="dispatch_workers"):
                 SystemConfig(dispatch_workers=workers)
 
-    def test_retired_knobs_are_gone(self):
-        for name in ("worker_timeout", "max_dispatch_retries", "table_max_vertices",
-                     "tree_provider"):
-            with pytest.raises(TypeError):
-                SystemConfig(**{name: 1})
+    @pytest.mark.parametrize(
+        "name", ["worker_timeout", "max_dispatch_retries", "table_max_vertices", "tree_provider"]
+    )
+    def test_retired_knobs_are_gone(self, name):
+        with pytest.raises(TypeError):
+            SystemConfig(**{name: 1})
 
     def test_routing_cache_defaults_off(self):
         config = SystemConfig()

@@ -27,7 +27,7 @@ from repro.core.single_side import SingleSideSearchMatcher
 from repro.errors import DisconnectedError
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
-from repro.roadnet.routing import make_engine
+from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
 from repro.sim.engine import SimulationEngine
 from repro.sim.workload import RequestWorkload
 
@@ -343,7 +343,7 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
     assert payload["leg_tree_hits"] == float(stats.leg_tree_hits)
 
 
-@pytest.mark.parametrize("backend", ["csr", "ch"])
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(backend, shards):
     """A taxi stranded on an island makes the verification of the one request

@@ -37,7 +37,7 @@ from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
-from repro.roadnet.routing import make_engine
+from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
 from repro.sim.engine import SimulationEngine
 from repro.sim.workload import RequestWorkload
 from repro.vehicles.vehicle import Vehicle
@@ -200,7 +200,7 @@ def _offset_onto(floor, target):
     return offset
 
 
-@pytest.mark.parametrize("backend", ["csr", "ch"])
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
 @pytest.mark.parametrize("serving", [False, True])
 @pytest.mark.parametrize("ulps", [-1, 0, 1])
 def test_a_bound_on_the_cap_is_let_through_and_one_ulp_above_is_not(backend, serving, ulps):

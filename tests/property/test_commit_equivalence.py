@@ -37,14 +37,12 @@ from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.errors import UnknownOptionError
 from repro.model.request import Request
-from repro.roadnet.routing import make_engine
+from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
 from repro.service.api import PTRiderService
 from repro.vehicles.fleet import restore_vehicle, snapshot_vehicle
 
 from tests.commit_reference import reference_commit
 from tests.property.test_matcher_equivalence import build_scenario
-
-BACKENDS = ["csr", "ch"]
 
 scenario_parameters = st.fixed_dictionaries(
     dict(
@@ -94,7 +92,7 @@ def offered(options):
     return [(o.vehicle_id, o.pickup_distance, o.price, o.schedule) for o in options]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
 @given(scenario_parameters, st.integers(min_value=0, max_value=7))
 @settings(max_examples=20, deadline=None)
 def test_book_then_choose_installs_what_the_old_commit_did(backend, parameters, pick):
@@ -117,7 +115,7 @@ def test_book_then_choose_installs_what_the_old_commit_did(backend, parameters, 
     assert fleet_state(fleet, exact) == fleet_state(twin, exact)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
 @given(scenario_parameters, st.integers(min_value=1, max_value=3))
 @settings(max_examples=15, deadline=None)
 def test_dispatch_batch_installs_what_the_old_commits_did(backend, parameters, shards):
@@ -193,7 +191,7 @@ def perturb(service, action, vehicle_id, other):
     return True
 
 
-@pytest.mark.parametrize("backend", ["csr", "ch"])
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
 @given(
     scenario_parameters,
     st.integers(min_value=0, max_value=7),

@@ -30,7 +30,7 @@ from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
-from repro.roadnet.routing import make_engine
+from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
 
 from tests.conftest import assign_request, build_fleet, option_points
 from tests.pruning_reference import (
@@ -147,7 +147,7 @@ def _offered(matcher, probe):
     return [(o.vehicle_id, o.pickup_distance, o.price) for o in matcher.match(probe)]
 
 
-@pytest.mark.parametrize("backend", ["csr", "ch"])
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
 @given(fleet_scenarios(mid_edge_empty=True))
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_exact_start_bounds_change_no_answer(backend, scenario):
@@ -168,7 +168,7 @@ def test_exact_start_bounds_change_no_answer(backend, scenario):
         assert matcher.statistics.vehicles_considered == reference.statistics.vehicles_considered
 
 
-@pytest.mark.parametrize("backend", ["csr", "ch"])
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
 def test_tied_option_survives_tight_bounds(backend):
     """A pinned draw with one vertex per cell, so the grid's bounds are exact
     too.  ``c6`` and ``c7`` offer the same shared sub-route: ``c7`` comes 4.3
@@ -206,7 +206,7 @@ def test_empty_vehicle_probe_is_kept_whole():
     assert _offered(DualSideSearchMatcher(fleet, config=config), probe) == expected
 
 
-@pytest.mark.parametrize("backend", ["csr", "ch"])
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
 @given(fleet_scenarios(mid_edge_empty=True))
 @settings(max_examples=25, deadline=None)
 def test_exact_start_bounds_are_admissible(backend, scenario):

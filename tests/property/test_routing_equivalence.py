@@ -38,6 +38,7 @@ def _sample(vertices, step_hint):
     return vertices[:: max(1, len(vertices) // step_hint)]
 
 
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
 @given(
     rows=st.integers(min_value=2, max_value=6),
     columns=st.integers(min_value=2, max_value=6),
@@ -45,9 +46,9 @@ def _sample(vertices, step_hint):
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=30, deadline=None)
-def test_csr_distances_match_dict_on_grid_networks(rows, columns, jitter, seed):
+def test_distances_match_the_reference_on_grid_networks(backend, rows, columns, jitter, seed):
     network = grid_network(rows, columns, weight_jitter=jitter, seed=seed)
-    csr_engine = CSREngine(network)
+    engine = make_engine(network, backend)
     sample = _sample(network.vertices(), 8)
     for u in sample:
         reference = dijkstra_all(network, u)
@@ -56,27 +57,28 @@ def test_csr_distances_match_dict_on_grid_networks(rows, columns, jitter, seed):
             # Dijkstra when equal-length paths tie; anything beyond that is a
             # real disagreement.
             assert math.isclose(
-                csr_engine.distance(u, v), reference[v], rel_tol=1e-12, abs_tol=1e-12,
+                engine.distance(u, v), reference[v], rel_tol=1e-12, abs_tol=1e-12,
             )
 
 
+@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
 @given(
     count=st.integers(min_value=10, max_value=40),
     radius=st.floats(min_value=0.15, max_value=0.5),
     seed=st.integers(min_value=0, max_value=10_000),
 )
 @settings(max_examples=20, deadline=None)
-def test_csr_trees_match_dict_on_geometric_networks(count, radius, seed):
+def test_trees_match_the_reference_on_geometric_networks(backend, count, radius, seed):
     """Geometric networks may be disconnected: the trees must agree on the
     reachable set, not just on values."""
     network = random_geometric_network(count, radius=radius, seed=seed)
-    csr_engine = CSREngine(network)
+    engine = make_engine(network, backend)
     for source in _sample(network.vertices(), 5):
-        dict_tree = dijkstra_all(network, source)
-        csr_tree = csr_engine.distances_from(source)
-        assert set(csr_tree) == set(dict_tree)
-        for vertex, value in dict_tree.items():
-            assert math.isclose(csr_tree[vertex], value, rel_tol=1e-12, abs_tol=1e-12)
+        reference = dijkstra_all(network, source)
+        tree = engine.distances_from(source)
+        assert set(tree) == set(reference)
+        for vertex, value in reference.items():
+            assert math.isclose(tree[vertex], value, rel_tol=1e-12, abs_tol=1e-12)
 
 
 #: every jitter, the near-tie band just above 0 included, with unit weights
