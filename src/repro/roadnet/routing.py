@@ -12,7 +12,7 @@ by how fast those queries are answered.  One engine answers them:
   (:func:`~repro.roadnet.shortest_path.shortest_path`).  When SciPy is
   importable the trees are computed in C by
   :func:`scipy.sparse.csgraph.dijkstra` -- a whole batch of sources as one
-  2-D plane (:meth:`RoutingEngine.prefetch_trees`, what the batch dispatch
+  2-D plane (:meth:`CSREngine.prefetch_trees`, what the batch dispatch
   pipeline amortises a tick's requests with); otherwise a pure-Python
   int-indexed heap Dijkstra over the same arrays is used.  Rows are dense
   ``float64`` arrays (plain lists without NumPy), cached FIFO and read
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from abc import ABC, abstractmethod
 from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -166,88 +165,6 @@ class EngineStats:
             build_seconds=self.build_seconds - earlier.build_seconds,
             load_seconds=self.load_seconds - earlier.load_seconds,
         )
-
-
-class RoutingEngine(ABC):
-    """Answers every distance / path query the rest of the system issues.
-
-    :class:`CSREngine` (and :class:`CHEngine` on top of it) is the one
-    implementation; the interface is what the matchers, the batch pipeline
-    and the fleet type against.  Callers must treat returned trees as
-    immutable.
-    """
-
-    #: backend name as selected through ``SystemConfig.routing_backend``
-    backend: str = "abstract"
-
-    #: ``True`` when :meth:`distance` answers an uncached pair by computing
-    #: (and caching) the full tree rooted at the smaller endpoint, so a batch
-    #: that pins that tree through :meth:`prefetch_trees` buys nothing
-    #: ``distance`` would not have bought.  ``False`` when a point query is
-    #: cheaper than a tree (the ch backend's bidirectional search): a batch
-    #: then leaves unpooled legs to :meth:`distance`.
-    point_queries_root_trees: bool = True
-
-    @property
-    @abstractmethod
-    def network(self) -> RoadNetwork:
-        """The road network queries are answered on."""
-
-    @abstractmethod
-    def distance(self, source: VertexId, target: VertexId) -> float:
-        """Return ``dist(source, target)``.
-
-        Raises:
-            VertexNotFoundError: if either endpoint is unknown.
-            DisconnectedError: if no path connects the endpoints.
-        """
-
-    @abstractmethod
-    def distances_from(self, source: VertexId) -> Mapping[VertexId, float]:
-        """Return the full single-source distance tree rooted at ``source``.
-
-        The mapping contains every *reachable* vertex; unreachable vertices
-        are absent (lookups raise ``KeyError``).
-        """
-
-    @abstractmethod
-    def path(self, source: VertexId, target: VertexId) -> PathResult:
-        """Return the full shortest path between two vertices.
-
-        Read off the source's distance tree by
-        :func:`~repro.roadnet.shortest_path.shortest_path`, so the vertex
-        sequence and the distance agree with every tree the engine hands
-        out, exact ties included.
-        """
-
-    @abstractmethod
-    def invalidate(self) -> None:
-        """Drop every cached structure (call after the network is mutated)."""
-
-    @abstractmethod
-    def distance_lower_bound(self, source: VertexId, target: VertexId) -> float:
-        """An admissible lower bound on ``dist(source, target)``.
-
-        0.0 without an ALT index; with one, the best landmark difference.
-        Matchers take the maximum of this bound and the grid-index cell
-        bound.
-        """
-
-    @abstractmethod
-    def prefetch_trees(
-        self, sources: Sequence[VertexId]
-    ) -> Mapping[VertexId, Mapping[VertexId, float]]:
-        """Compute the distance trees of many sources in one bulk operation.
-
-        Returns a mapping from each *known* source vertex to its full distance
-        tree; unknown vertices are silently skipped (callers that care raise
-        per-request, exactly where the sequential path would).
-
-        Statistics contract: each tree *computed* by the bulk call counts as
-        exactly one ``dijkstra_runs``, no matter how many requests later
-        consume it; trees already cached are returned without touching any
-        counter (pinning is not a query).
-        """
 
 
 class CSRGraph:
@@ -1056,7 +973,7 @@ def _compile_csr_graph(
     )
 
 
-class CSREngine(RoutingEngine):
+class CSREngine:
     """Array-backed routing over flat CSR adjacency, with optional ALT bounds.
 
     Single-source trees are computed over the CSR arrays (in C via SciPy when
@@ -1067,9 +984,22 @@ class CSREngine(RoutingEngine):
     With an :class:`~repro.roadnet.artifacts.ArtifactCache` attached, the CSR
     compile and the ALT landmark tables round-trip through ``.npz`` artifacts
     keyed by the network's content hash (see :mod:`repro.roadnet.artifacts`).
+
+    It answers every distance / path query the rest of the system issues;
+    the matchers, the batch pipeline and the fleet type against it (as
+    :data:`RoutingEngine`).  Callers must treat returned trees as immutable.
     """
 
+    #: backend name as selected through ``SystemConfig.routing_backend``
     backend = "csr"
+
+    #: ``True`` when :meth:`distance` answers an uncached pair by computing
+    #: (and caching) the full tree rooted at the smaller endpoint, so a batch
+    #: that pins that tree through :meth:`prefetch_trees` buys nothing
+    #: ``distance`` would not have bought.  ``False`` when a point query is
+    #: cheaper than a tree (the ch backend's bidirectional search): a batch
+    #: then leaves unpooled legs to :meth:`distance`.
+    point_queries_root_trees = True
 
     def __init__(
         self,
@@ -1111,6 +1041,7 @@ class CSREngine(RoutingEngine):
 
     @property
     def network(self) -> RoadNetwork:
+        """The road network queries are answered on."""
         return self._network
 
     @property
@@ -1125,6 +1056,12 @@ class CSREngine(RoutingEngine):
 
     # ------------------------------------------------------------------
     def distance(self, source: VertexId, target: VertexId) -> float:
+        """Return ``dist(source, target)``.
+
+        Raises:
+            VertexNotFoundError: if either endpoint is unknown.
+            DisconnectedError: if no path connects the endpoints.
+        """
         self.stats.queries += 1
         if source == target:
             return 0.0
@@ -1142,6 +1079,11 @@ class CSREngine(RoutingEngine):
         return float(value)
 
     def distances_from(self, source: VertexId) -> Mapping[VertexId, float]:
+        """Return the full single-source distance tree rooted at ``source``.
+
+        The mapping contains every *reachable* vertex; unreachable vertices
+        are absent (lookups raise ``KeyError``).
+        """
         self.stats.queries += 1
         return _TreeView(self._graph, self._tree(self._graph.index(source)))
 
@@ -1150,7 +1092,10 @@ class CSREngine(RoutingEngine):
     ) -> Mapping[VertexId, Mapping[VertexId, float]]:
         """Bulk-compute the missing trees of ``sources`` in one vectorised call.
 
-        All missing sources go through **one** :meth:`CSRGraph.trees` plane
+        Returns a mapping from each *known* source vertex to its full distance
+        tree; unknown vertices are skipped (callers that care raise
+        per-request, exactly where the sequential path would).  All missing
+        sources go through **one** :meth:`CSRGraph.trees` plane
         (one SciPy C call); each computed row is detached from the plane,
         stored in the tree cache and billed as exactly one
         ``dijkstra_runs``.  Sources whose tree is already cached are returned
@@ -1194,6 +1139,13 @@ class CSREngine(RoutingEngine):
         return views
 
     def path(self, source: VertexId, target: VertexId) -> PathResult:
+        """Return the full shortest path between two vertices.
+
+        Read off the source's distance tree by
+        :func:`~repro.roadnet.shortest_path.shortest_path`, so the vertex
+        sequence and the distance agree with every tree the engine hands
+        out, exact ties included.
+        """
         # Read off the source's tree: a vehicle re-plans from where it stands,
         # and the matcher has usually just rooted (and cached) a tree there.
         # ``path(v, v)`` -- a vehicle standing at its next stop -- needs no
@@ -1202,6 +1154,12 @@ class CSREngine(RoutingEngine):
         return shortest_path(self._network, source, target, tree=tree)
 
     def distance_lower_bound(self, source: VertexId, target: VertexId) -> float:
+        """An admissible lower bound on ``dist(source, target)``.
+
+        0.0 without an ALT index; with one, the best landmark difference.
+        Matchers take the maximum of this bound and the grid-index cell
+        bound.
+        """
         if self._alt is None:
             return 0.0
         return self._alt.lower_bound_indexed(
@@ -1233,6 +1191,10 @@ class CSREngine(RoutingEngine):
         if len(self._trees) > self._max_cached_sources:
             self._trees.popitem(last=False)
         return tree
+
+
+#: The name the rest of the system types engines against.
+RoutingEngine = CSREngine
 
 
 class CHEngine(CSREngine):

@@ -1241,6 +1241,17 @@ class PTRiderService:
             )
             if value is not None
         }
+        # Refuse unknown names before the record is written: recovery maps
+        # backend names that older builds accepted onto "csr", so a refused
+        # call that reached the journal could replay as one that succeeds.
+        if matcher_name is not None and matcher_name not in MATCHER_REGISTRY:
+            raise ConfigurationError(
+                f"unknown matcher {matcher_name!r}; choose one of {sorted(MATCHER_REGISTRY)}"
+            )
+        if routing_backend is not None and routing_backend not in ROUTING_BACKENDS:
+            raise ConfigurationError(
+                f"unknown routing backend {routing_backend!r}; choose one of {ROUTING_BACKENDS}"
+            )
         self._journal_command("set_parameters", {"changes": provided})
         changes: Dict[str, object] = {}
         if max_waiting is not None:
@@ -1279,18 +1290,9 @@ class PTRiderService:
             changes["retention_horizon"] = (
                 None if retention_horizon == 0 else retention_horizon
             )
-        if matcher_name is not None:
-            if matcher_name not in MATCHER_REGISTRY:
-                raise ConfigurationError(
-                    f"unknown matcher {matcher_name!r}; choose one of {sorted(MATCHER_REGISTRY)}"
-                )
-            if matcher_name in SystemConfig._VALID_MATCHERS:
-                changes["matcher_name"] = matcher_name
+        if matcher_name is not None and matcher_name in SystemConfig._VALID_MATCHERS:
+            changes["matcher_name"] = matcher_name
         if routing_backend is not None:
-            if routing_backend not in ROUTING_BACKENDS:
-                raise ConfigurationError(
-                    f"unknown routing backend {routing_backend!r}; choose one of {ROUTING_BACKENDS}"
-                )
             changes["routing_backend"] = routing_backend
         new_config = self._config.with_updates(**changes) if changes else self._config
         if (

@@ -96,7 +96,9 @@ _DROP = object()
 #: The retired routing backends' knobs (``table_max_vertices``,
 #: ``tree_provider``) are dropped, and a dict-valued entry maps retired
 #: *values* of a live knob: the "dict" and "table" backends answered every
-#: query with the csr backend's floats, so they replay as "csr".
+#: query with the csr backend's floats, so they replay as "csr".  Only
+#: older builds can have journaled those names: ``set_parameters`` refuses
+#: an unknown backend before it writes the record.
 RETIRED_CONFIG_KEYS: Dict[str, object] = {
     "dispatch_workers": 1,
     "worker_timeout": _DROP,

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
-from repro.errors import ServiceError, UnknownOptionError
+from repro.errors import ConfigurationError, ServiceError, UnknownOptionError
 from repro.model.request import Request
 from repro.model.stops import dropoff, pickup
 from repro.service.api import PTRiderService, build_system
@@ -300,6 +300,29 @@ class TestConfigNamesTheServedBackend:
         live = canonical_state(service)
         service.close()
         recovered = PTRiderService.recover(tmp_path / "journal")
+        try:
+            assert recovered.fleet.routing_engine.backend == "ch"
+            assert canonical_state(recovered) == live
+        finally:
+            recovered.close()
+
+    @pytest.mark.parametrize("prefer_snapshot", [True, False])
+    def test_a_refused_retired_backend_is_not_journaled(self, tmp_path, prefer_snapshot):
+        # Recovery maps "dict" onto "csr" for journals of builds that
+        # accepted it; a refusal written to the journal would replay as a
+        # switch to csr that also applied max_waiting.
+        service = _durable_system(tmp_path, routing="ch")
+        service.book_request(_request(service, 1))
+        last_seq = service.journal.last_seq()
+        with pytest.raises(ConfigurationError):
+            service.set_parameters(max_waiting=7.0, routing_backend="dict")
+        assert service.journal.last_seq() == last_seq
+        assert service.config.max_waiting != 7.0
+        assert service.fleet.routing_engine.backend == "ch"
+        live = canonical_state(service)
+        service.close()
+        recovered = PTRiderService.recover(tmp_path / "journal",
+                                           prefer_snapshot=prefer_snapshot)
         try:
             assert recovered.fleet.routing_engine.backend == "ch"
             assert canonical_state(recovered) == live

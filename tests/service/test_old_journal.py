@@ -171,8 +171,8 @@ def test_an_unknown_backend_in_a_config_payload_fails_with_a_recovery_error():
 
 
 def test_an_unknown_backend_in_a_set_parameters_record_replays_the_refusal():
-    """The live call was journaled, then refused; replay refuses it again and
-    leaves the state as the refusal did."""
+    """Older builds journaled a call naming an unknown backend, then refused
+    it; replay refuses it again and leaves the state as the refusal did."""
     service = build_system(vehicles=3, seed=13, network_rows=6, network_columns=6)
     try:
         before = canonical_state(service)
