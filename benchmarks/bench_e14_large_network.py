@@ -1,22 +1,18 @@
-"""E14 -- contraction-hierarchy routing on a city-sized network.
+"""E14 -- csr routing on a city-sized network.
 
-On a large network every uncached point query of the csr backend is a full
-Dijkstra; the ch backend answers it from a contraction hierarchy, and the
-persisted compiled artifacts make a restart skip the contraction.  This
-experiment exercises both on a ~20k-vertex arterial grid (140 x 140 with
-fast arterial rows/columns every 7 lines -- the highway structure any real
-road network, and in particular an OSM extract, exhibits):
+Every other experiment runs on cities of a few hundred to a few thousand
+vertices; this one checks that the csr backend and the batch pipeline hold
+up at ~20k vertices, on an arterial grid (140 x 140 with fast arterial
+rows/columns every 7 lines -- the highway structure any real road network,
+and in particular an OSM extract, exhibits):
 
-* cold point-to-point queries: the CSR backend answers each one with a full
-  per-query Dijkstra (one `scipy` C call over all ~20k vertices), the CH
-  backend with a bidirectional upward search settling a few hundred --
-  asserted >= 5x faster wall-clock *and* bit-identical in every answer;
-* a burst dispatched through the batch pipeline on ``csr`` vs ``ch``
-  produces **byte-identical** outcomes (same options, same prices, same
-  winners) -- the backend is a pure accelerator;
-* a warm restart from the artifact cache loads the hierarchy instead of
-  re-contracting: load time is asserted < 10% of build time (measured:
-  < 1%), with both durations recorded in the bench JSON.
+* cold point-to-point queries: with a one-tree cache and distinct sources
+  every answer is a full Dijkstra over all ~20k vertices (one ``scipy`` C
+  call), the exact cost the matchers pay per uncached schedule leg.  Every
+  answer must equal the one read off the source's own tree;
+* a burst dispatched through the batch pipeline must produce
+  **byte-identical** outcomes (same options, same prices, same winners) to
+  the sequential per-request loop on the same city.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from repro.sim.workload import random_requests
 from common import HAVE_SCIPY, build_city, record_result
 
 pytestmark = pytest.mark.skipif(
-    not HAVE_SCIPY, reason="E14 compares against the SciPy-backed CSR Dijkstra"
+    not HAVE_SCIPY, reason="E14 times the SciPy-backed CSR Dijkstra"
 )
 
 ROWS = 140
@@ -43,7 +39,7 @@ ARTERIAL_EVERY = 7
 SEED = 23
 #: distinct-source query pairs of the cold point-query phase
 QUERY_PAIRS = 80
-#: best-of repetitions per backend (damps scheduler noise on CI runners)
+#: best-of repetitions (damps scheduler noise on CI runners)
 QUERY_REPEATS = 3
 VEHICLES = 24
 REQUESTS = 30
@@ -57,20 +53,8 @@ def network():
     )
 
 
-@pytest.fixture(scope="module")
-def cache_dir(tmp_path_factory):
-    """One artifact-cache directory shared by every engine of the module."""
-    return str(tmp_path_factory.mktemp("routing-artifacts"))
-
-
-@pytest.fixture(scope="module")
-def ch_engine(network, cache_dir):
-    """The CH engine, built once (cold) and persisted into the cache."""
-    return make_engine(network, "ch", cache_dir=cache_dir)
-
-
 def _query_pairs(network, count=QUERY_PAIRS):
-    """Random far-flung pairs with *distinct* sources (keeps CSR cold)."""
+    """Random far-flung pairs with *distinct* sources (keeps the cache cold)."""
     rng = random.Random(7)
     vertices = network.vertices()
     pairs, seen = [], set()
@@ -82,71 +66,43 @@ def _query_pairs(network, count=QUERY_PAIRS):
     return pairs
 
 
-def _timed_queries(engine, pairs):
-    """Best-of-N wall time answering ``pairs``, plus the answers."""
-    best = float("inf")
-    values = None
+def test_e14_cold_point_queries(network):
+    """Cold csr point queries at 20k vertices, each equal to its tree's value."""
+    pairs = _query_pairs(network)
+    # max_cached_sources=1 + distinct sources: every answer is a cold
+    # full-network Dijkstra.
+    engine = make_engine(network, "csr", max_cached_sources=1)
+    wall = float("inf")
     for _ in range(QUERY_REPEATS):
         started = time.perf_counter()
         values = [engine.distance(u, v) for u, v in pairs]
-        best = min(best, time.perf_counter() - started)
-    return best, values
-
-
-def test_e14_ch_point_query_speedup(network, ch_engine):
-    """CH >= 5x faster than per-query CSR Dijkstra, bit-identical answers."""
-    pairs = _query_pairs(network)
-    # max_cached_sources=1 + distinct sources: every CSR answer is a cold
-    # full-network Dijkstra, the exact cost the matchers pay per uncached
-    # schedule leg.
-    csr = make_engine(network, "csr", max_cached_sources=1)
-    csr_wall, csr_values = _timed_queries(csr, pairs)
-    ch_wall, ch_values = _timed_queries(ch_engine, pairs)
-    assert ch_values == csr_values  # bit-identical, not approximately equal
-    assert ch_engine.stats.bidirectional_runs >= len(pairs)
-    speedup = csr_wall / ch_wall
+        wall = min(wall, time.perf_counter() - started)
+    reference = make_engine(network, "csr")
+    assert values == [
+        reference.distances_from(min(u, v))[max(u, v)] for u, v in pairs
+    ]  # bit-identical, not approximately equal
     record_result(
         "E14",
-        csr_wall,
+        wall,
         routing_backend="csr",
         phase="point_queries",
         queries=len(pairs),
-        ms_per_query=round(csr_wall / len(pairs) * 1000, 3),
+        ms_per_query=round(wall / len(pairs) * 1000, 3),
         vertices=network.vertex_count,
     )
-    record_result(
-        "E14",
-        ch_wall,
-        routing_backend="ch",
-        phase="point_queries",
-        queries=len(pairs),
-        ms_per_query=round(ch_wall / len(pairs) * 1000, 3),
-        vertices=network.vertex_count,
-        shortcuts=ch_engine.hierarchy.shortcut_count,
-        speedup_vs_csr=round(speedup, 2),
-    )
-    # Measured 5.2-6.1x on the dev machine (the committed BENCH_results.json
-    # record carries the exact figure).  The hard gate sits at 3x so a CI
-    # runner whose scipy build or CPU contention shifts the ratio by a few
-    # tens of percent cannot fail the build without a real regression --
-    # same margin philosophy as E12's 1.5x gate against a measured 2.6-3.3x.
-    assert speedup >= 3.0, (
-        f"CH point queries only {speedup:.1f}x faster than per-query CSR "
-        f"Dijkstra (csr {csr_wall:.3f}s, ch {ch_wall:.3f}s)"
-    )
 
 
-def test_e14_dispatch_outcomes_byte_identical(network, cache_dir):
-    """The same burst dispatched on csr and ch commits identical rides."""
+def test_e14_dispatch_batch_equals_sequential(network):
+    """The same burst through dispatch_batch and the per-request loop commits
+    identical rides on the 20k-vertex city."""
 
-    def run(backend):
+    def run(batched):
         city = build_city(
             vehicles=VEHICLES,
             grid_rows=10,
             grid_columns=10,
             seed=SEED,
-            routing=backend,
-            cache_dir=cache_dir,
+            routing="csr",
             network=network,
         )
         requests = random_requests(
@@ -157,54 +113,24 @@ def test_e14_dispatch_outcomes_byte_identical(network, cache_dir):
             seed=11,
         )
         dispatcher = city.dispatcher("single_side")
+        dispatch = dispatcher.dispatch_batch if batched else dispatcher.dispatch_sequential
         started = time.perf_counter()
-        outcomes = dispatcher.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST)
+        outcomes = dispatch(requests, policy=OptionPolicy.CHEAPEST)
         wall = time.perf_counter() - started
         keys = [
             (o.request.request_id, tuple(o.options), o.chosen) for o in outcomes
         ]
         return keys, wall
 
-    csr_keys, csr_wall = run("csr")
-    ch_keys, ch_wall = run("ch")
-    assert ch_keys == csr_keys
-    for backend, wall in (("csr", csr_wall), ("ch", ch_wall)):
-        record_result(
-            "E14",
-            wall,
-            routing_backend=backend,
-            phase="dispatch",
-            requests=REQUESTS,
-            vehicles=VEHICLES,
-            vertices=network.vertex_count,
-        )
-
-
-def test_e14_artifact_cache_warm_restart(network, cache_dir, ch_engine):
-    """A restart loads the persisted hierarchy instead of re-contracting."""
-    build_seconds = ch_engine.stats.build_seconds
-    assert build_seconds > 0.0, "the module's first CH engine should have built"
-    started = time.perf_counter()
-    warm = make_engine(network, "ch", cache_dir=cache_dir)
-    restart_wall = time.perf_counter() - started
-    assert warm.stats.build_seconds == 0.0, "warm restart must not rebuild"
-    assert warm.stats.load_seconds > 0.0
-    assert warm.stats.load_seconds < 0.1 * build_seconds, (
-        f"cache load {warm.stats.load_seconds:.3f}s is not < 10% of "
-        f"build {build_seconds:.3f}s"
-    )
-    # The loaded hierarchy answers exactly like the built one.
-    pairs = _query_pairs(network, count=20)
-    assert [warm.distance(u, v) for u, v in pairs] == [
-        ch_engine.distance(u, v) for u, v in pairs
-    ]
+    sequential_keys, _ = run(batched=False)
+    batched_keys, batched_wall = run(batched=True)
+    assert batched_keys == sequential_keys
     record_result(
         "E14",
-        restart_wall,
-        routing_backend="ch",
-        phase="warm_restart",
-        build_seconds=round(build_seconds, 6),
-        load_seconds=round(warm.stats.load_seconds, 6),
-        load_over_build=round(warm.stats.load_seconds / build_seconds, 6),
+        batched_wall,
+        routing_backend="csr",
+        phase="dispatch",
+        requests=REQUESTS,
+        vehicles=VEHICLES,
         vertices=network.vertex_count,
     )

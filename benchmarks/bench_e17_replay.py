@@ -69,8 +69,7 @@ SERVICE_CONSTRAINT = 0.6
 #: amortises them.
 HEADLINE = dict(rows=50, grid=14, vehicles=40, capacity=2, cache=8,
                 max_pickup=3.0, speed=6.0, hotspots=80)
-#: The backend-matrix city: smaller, so the ch preprocessing stays cheap --
-#: identity does not need scale.
+#: The backend-matrix city: smaller -- identity does not need scale.
 MATRIX = dict(rows=30, grid=6, vehicles=24, capacity=2, cache=8,
               max_pickup=3.0, speed=6.0, hotspots=48)
 
@@ -82,12 +81,12 @@ MATRIX_REQUESTS = 2500
 # ----------------------------------------------------------------------
 # builders
 # ----------------------------------------------------------------------
-def _build_service(city: dict, routing: str = "csr", queue_capacity=None,
+def _build_service(city: dict, queue_capacity=None,
                    queue_policy: str = "shed") -> PTRiderService:
     """A fresh service on the city's network; identical per (city, seed)."""
     network = grid_network(city["rows"], city["rows"], weight_jitter=0.3, seed=SEED)
     grid = GridIndex(network, rows=city["grid"], columns=city["grid"])
-    engine = make_engine(network, routing, max_cached_sources=city["cache"])
+    engine = make_engine(network, "csr", max_cached_sources=city["cache"])
     fleet = Fleet(grid, engine)
     rng = random.Random(SEED)
     vertices = network.vertices()
@@ -102,7 +101,7 @@ def _build_service(city: dict, routing: str = "csr", queue_capacity=None,
         service_constraint=SERVICE_CONSTRAINT,
         speed=city["speed"],
         max_pickup_distance=city["max_pickup"],
-        routing_backend=routing,
+        routing_backend="csr",
         batch_window=TICK,
         # windows must close by time, never by size, so each window is
         # exactly one tick's arrivals and the three replay arms stay
@@ -344,24 +343,23 @@ def test_e17_smoke_backpressure_is_bounded():
 
 
 # ----------------------------------------------------------------------
-# the backend matrix: identity everywhere, records per backend
+# the backend matrix: csr, the one backend that answers queries
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("routing", ("csr", "ch"))
-def test_e17_backend_matrix(routing):
-    """Ingest serving is byte-identical to dispatch_batch on every backend."""
-    if routing == "csr" and not HAVE_SCIPY:
-        pytest.skip(f"the {routing} backend needs scipy")
+def test_e17_backend_matrix():
+    """Ingest serving is byte-identical to dispatch_batch on the csr backend."""
+    if not HAVE_SCIPY:
+        pytest.skip("the csr backend needs scipy")
     workload = _build_workload(MATRIX, MATRIX_REQUESTS)
     total = len(workload)
-    direct_windows = _replay_direct(_build_service(MATRIX, routing=routing), workload)
+    direct_windows = _replay_direct(_build_service(MATRIX), workload)
     workload.reset()
-    service = _build_service(MATRIX, routing=routing)
+    service = _build_service(MATRIX)
     windows, _ = _replay_ingest(service, workload)
-    assert windows == direct_windows, f"{routing} diverged from dispatch_batch"
+    assert windows == direct_windows, "csr diverged from dispatch_batch"
     stats = service.batcher.statistics
     assert stats.answered == total and service.batcher.pending == 0
     record_result(
-        "E17", stats.serving_seconds, routing_backend=routing,
+        "E17", stats.serving_seconds, routing_backend="csr",
         phase="matrix_serve_batched", requests=total,
         **_ingest_extras(stats),
     )

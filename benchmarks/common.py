@@ -109,16 +109,14 @@ def build_city(
     seed: int = 7,
     config: Optional[SystemConfig] = None,
     routing: Optional[str] = None,
-    cache_dir: Optional[str] = None,
     network: Optional[RoadNetwork] = None,
 ) -> City:
     """Create a seeded city: jittered grid network plus a uniformly placed fleet.
 
     Routing-backend precedence: the explicit ``routing`` argument, then the
     session-wide ``--routing`` override, then a caller-supplied config's
-    ``routing_backend``, then "csr".  ``cache_dir`` persists compiled
-    routing artifacts between runs (the E14 warm-restart measurement);
-    ``network`` substitutes a pre-built road network for the default grid.
+    ``routing_backend``, then "csr".  ``network`` substitutes a pre-built
+    road network for the default grid.
     """
     backend = (
         routing
@@ -129,20 +127,10 @@ def build_city(
     config = config or DEFAULT_CONFIG
     if config.routing_backend != backend:
         config = config.with_updates(routing_backend=backend)
-    if cache_dir is None:
-        cache_dir = config.routing_cache_dir
-    elif config.routing_cache_dir != cache_dir:
-        # keep the config describing how the engine was actually built, so
-        # anything reconstructed from it (a service, a second engine) hits
-        # the same artifact cache
-        config = config.with_updates(routing_cache_dir=cache_dir)
     if network is None:
         network = grid_network(rows, columns, weight_jitter=0.3, seed=seed)
     grid = GridIndex(network, rows=grid_rows, columns=grid_columns)
-    fleet = Fleet(
-        grid,
-        make_engine(network, backend, cache_dir=cache_dir),
-    )
+    fleet = Fleet(grid, make_engine(network, backend))
     rng = random.Random(seed)
     vertices = network.vertices()
     for index in range(vehicles):

@@ -61,13 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--seed", type=int, default=7, help="random seed")
     demo.add_argument(
         "--routing", choices=ROUTING_BACKENDS, default="csr",
-        help="routing backend (default: csr; csr+alt adds landmark bounds, "
-        "ch a contraction hierarchy for point queries -- same distances)",
-    )
-    demo.add_argument(
-        "--routing-cache", default=None, metavar="DIR",
-        help="directory for persisted compiled routing artifacts "
-        "(restarts skip preprocessing)",
+        help="routing backend (default: csr; csr+alt adds landmark bounds "
+        "for pruning -- same distances)",
     )
     demo.add_argument(
         "--durability", choices=SystemConfig._VALID_DURABILITY, default="off",
@@ -117,13 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=7, help="random seed")
     simulate.add_argument(
         "--routing", choices=ROUTING_BACKENDS, default="csr",
-        help="routing backend (default: csr; csr+alt adds landmark bounds, "
-        "ch a contraction hierarchy for point queries -- same distances)",
-    )
-    simulate.add_argument(
-        "--routing-cache", default=None, metavar="DIR",
-        help="directory for persisted compiled routing artifacts "
-        "(restarts skip preprocessing)",
+        help="routing backend (default: csr; csr+alt adds landmark bounds "
+        "for pruning -- same distances)",
     )
     simulate.add_argument(
         "--shards", type=int, default=1,
@@ -179,13 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--seed", type=int, default=7, help="random seed")
     compare.add_argument(
         "--routing", choices=ROUTING_BACKENDS, default="csr",
-        help="routing backend (default: csr; csr+alt adds landmark bounds, "
-        "ch a contraction hierarchy for point queries -- same distances)",
-    )
-    compare.add_argument(
-        "--routing-cache", default=None, metavar="DIR",
-        help="directory for persisted compiled routing artifacts "
-        "(restarts skip preprocessing)",
+        help="routing backend (default: csr; csr+alt adds landmark bounds "
+        "for pruning -- same distances)",
     )
     compare.add_argument(
         "--shards", type=int, default=1,
@@ -244,7 +229,6 @@ def _run_demo(args: argparse.Namespace) -> int:
             vehicles=args.vehicles,
             seed=args.seed,
             routing=args.routing,
-            routing_cache=args.routing_cache,
             durability=durability,
             journal_path=args.journal_path,
             snapshot_interval=args.snapshot_interval or None,
@@ -300,7 +284,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     grid = GridIndex(network, rows=8, columns=8)
     fleet = Fleet(
         grid,
-        make_engine(network, args.routing, cache_dir=args.routing_cache),
+        make_engine(network, args.routing),
     )
     rng = random.Random(args.seed)
     vertices = network.vertices()
@@ -308,7 +292,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
         fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(vertices), capacity=4))
     config = SystemConfig(
         max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
-        routing_backend=args.routing, routing_cache_dir=args.routing_cache,
+        routing_backend=args.routing,
         match_shards=args.shards,
         batch_window=args.batch_window, max_batch_size=args.max_batch_size,
         queue_capacity=args.queue_capacity or None,
@@ -342,7 +326,7 @@ def _run_compare(args: argparse.Namespace) -> int:
         grid = GridIndex(network, rows=8, columns=8)
         fleet = Fleet(
             grid,
-            make_engine(network, args.routing, cache_dir=args.routing_cache),
+            make_engine(network, args.routing),
         )
         rng = random.Random(args.seed)
         vertices = network.vertices()
@@ -350,7 +334,7 @@ def _run_compare(args: argparse.Namespace) -> int:
             fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(vertices), capacity=4))
         config = SystemConfig(
             max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
-            routing_backend=args.routing, routing_cache_dir=args.routing_cache,
+            routing_backend=args.routing,
             match_shards=args.shards,
         )
         matcher = matcher_class(fleet, config=config)

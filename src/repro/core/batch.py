@@ -130,12 +130,9 @@ class BatchMatchContext(MatchContext):
     comes through :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`
     and stays pinned for the rest of the batch, whatever the engine cache
     evicts; its row is the engine's own tree row, so the answers are the
-    engine's own floats.  No tree is computed for a root nobody asked, and
-    none on an engine whose point query is cheaper than a tree
-    (``RoutingEngine.point_queries_root_trees`` false: ch), where the pool
-    stays the start trees.  Whatever the pool cannot answer (such an
-    engine, an unknown root, an unknown or unreachable leaf) goes to
-    ``engine.distance`` verbatim, errors included.
+    engine's own floats.  No tree is computed for a root nobody asked.
+    Whatever the pool cannot answer (an unknown root, an unknown or
+    unreachable leaf) goes to ``engine.distance`` verbatim, errors included.
     ``None`` switches pooling off (the ``prefetch=False`` ablation).
     """
 
@@ -161,12 +158,7 @@ class BatchMatchContext(MatchContext):
                 root, leaf = key  # key is already rooted at the smaller id
                 tree = pool.get(root, _UNPOOLED)
                 if tree is _UNPOOLED:
-                    engine = self.engine
-                    tree = pool[root] = (
-                        engine.prefetch_trees((root,)).get(root)
-                        if engine.point_queries_root_trees
-                        else None
-                    )
+                    tree = pool[root] = self.engine.prefetch_trees((root,)).get(root)
                     if tree is not None:
                         self.batch_statistics.leg_sources_prefetched += 1
                 if tree is not None:

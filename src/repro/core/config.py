@@ -44,16 +44,11 @@ class SystemConfig:
             ("single_side", "dual_side" or "naive").
         price_model: the price calculator.
         routing_backend: how the routing engine answers shortest-path
-            queries ("csr", "csr+alt" or "ch"; see
-            :mod:`repro.roadnet.routing`): "csr" computes distance trees over
-            flat CSR arrays, "csr+alt" adds ALT landmark lower bounds for
-            pruning, "ch" adds a contraction hierarchy for point queries.
-            Every choice returns the same distances.  A service takes the
-            backend of the engine its fleet was built with.
-        routing_cache_dir: directory persisted compiled routing artifacts
-            (CSR compiles, ALT tables, CH hierarchies) are
-            kept in, keyed by a content hash of the network, so service
-            restarts skip preprocessing.  ``None`` disables persistence.
+            queries ("csr" or "csr+alt"; see :mod:`repro.roadnet.routing`):
+            "csr" computes distance trees over flat CSR arrays, "csr+alt"
+            adds ALT landmark lower bounds for pruning.  Both return the
+            same distances.  A service takes the backend of the engine its
+            fleet was built with.
         match_shards: number of fleet shards the batch dispatch pipeline
             partitions vehicles into (by grid cell); per-shard skylines are
             merged by dominance, so any value yields the same options.  ``1``
@@ -143,7 +138,6 @@ class SystemConfig:
     matcher_name: str = "single_side"
     price_model: LinearPriceModel = field(default_factory=LinearPriceModel)
     routing_backend: str = "csr"
-    routing_cache_dir: Optional[str] = None
     match_shards: int = 1
     dispatch_workers: int = 1
     batch_window: float = 1.0

@@ -8,11 +8,7 @@ road network:
 * :mod:`repro.roadnet.shortest_path` -- the path search every routing
   answer ends in;
 * :mod:`repro.roadnet.routing` -- the CSR routing engine (with its optional
-  ALT landmark lower-bound index and its contraction-hierarchy point-query
-  accelerator) every distance/path query goes through;
-* :mod:`repro.roadnet.artifacts` -- the persisted compiled-artifact cache
-  (content-hash-keyed ``.npz`` files) that lets restarts skip routing
-  preprocessing;
+  ALT landmark lower-bound index) every distance/path query goes through;
 * :mod:`repro.roadnet.grid_index` -- the grid partition index of Section 3.2.1
   of the paper (border vertices, ``v.min``, cell-pair lower bounds, sorted
   grid lists, per-cell vehicle lists);
@@ -25,12 +21,9 @@ from repro.roadnet.geometry import BoundingBox, Point, euclidean_distance, haver
 from repro.roadnet.graph import Edge, RoadNetwork
 from repro.roadnet.grid_index import GridCell, GridIndex
 from repro.roadnet.shortest_path import PathResult, shortest_path
-from repro.roadnet.artifacts import ArtifactCache, network_fingerprint
 from repro.roadnet.routing import (
     ROUTING_BACKENDS,
     ALTIndex,
-    CHEngine,
-    ContractionHierarchy,
     CSREngine,
     CSRGraph,
     RoutingEngine,
@@ -46,10 +39,7 @@ from repro.roadnet.generators import (
 
 __all__ = [
     "ALTIndex",
-    "ArtifactCache",
     "BoundingBox",
-    "CHEngine",
-    "ContractionHierarchy",
     "CSREngine",
     "CSRGraph",
     "Edge",
@@ -64,7 +54,6 @@ __all__ = [
     "make_engine",
     "euclidean_distance",
     "figure1_network",
-    "network_fingerprint",
     "grid_network",
     "haversine_distance",
     "random_geometric_network",

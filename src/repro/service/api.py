@@ -14,9 +14,8 @@ Website interface (Section 4.2)
     * :meth:`PTRiderService.statistics` -- the live panel (current time,
       average response time, average sharing rate, ...);
     * :meth:`PTRiderService.routing_statistics` -- the routing-layer admin
-      panel: backend in use, query/cache counters and the build-vs-load
-      seconds that show whether the compiled artifacts came from the
-      artifact cache (warm restart) or were built this session;
+      panel: backend in use, query/cache counters and the seconds the
+      engine's one-time preprocessing took;
     * :meth:`PTRiderService.set_parameters` -- the admin form (taxi capacity,
       number of taxis, maximum waiting time, service constraint, price
       calculator, matching algorithm, routing backend).
@@ -226,7 +225,8 @@ class PTRiderService:
                         "state; use PTRiderService.recover() to restore it"
                     )
                 # Metadata makes recover(journal_path) self-contained: the
-                # road network, grid shape and config travel with the log.
+                # road network, grid shape, tree-cache capacity and config
+                # travel with the log.
                 self._journal.set_meta(
                     "network", network_to_dict(self._fleet.grid.network)
                 )
@@ -236,6 +236,10 @@ class PTRiderService:
                         "rows": self._fleet.grid.rows,
                         "columns": self._fleet.grid.columns,
                     },
+                )
+                self._journal.set_meta(
+                    "max_cached_sources",
+                    self._fleet.routing_engine.max_cached_sources,
                 )
                 self._journal.set_meta(
                     "register_full_paths", self._fleet._register_full_paths
@@ -533,8 +537,9 @@ class PTRiderService:
     ) -> Tuple["PTRiderService", int]:
         """Build a service from the journal's metadata at its newest snapshot.
 
-        The restore half of :meth:`recover`: the road network, grid shape
-        and seed come from the journal's metadata, the config from the
+        The restore half of :meth:`recover`: the road network, grid shape,
+        tree-cache capacity (1024 for a journal that predates it) and seed
+        come from the journal's metadata, the config from the
         newest valid snapshot (or the baseline, with
         ``prefer_snapshot=False``) -- a ``set_parameters`` the snapshot
         covers is not replayed, so the journal's creation-time config would
@@ -554,7 +559,9 @@ class PTRiderService:
         grid_meta = journal.get_meta("grid") or {}
         network = network_from_dict(network_payload)
         engine = make_engine(
-            network, config.routing_backend, cache_dir=config.routing_cache_dir
+            network,
+            config.routing_backend,
+            max_cached_sources=int(journal.get_meta("max_cached_sources") or 1024),
         )
         grid = GridIndex(
             network,
@@ -1107,12 +1114,8 @@ class PTRiderService:
         """The routing-layer admin panel: who answers queries, at what cost.
 
         Reports the active backend, the engine's query-side counters
-        (queries, cache hits, Dijkstra runs, bidirectional CH searches) and
-        the one-time preprocessing attribution -- ``build_seconds`` when the
-        compiled artifacts were computed this session versus
-        ``load_seconds`` when a warm restart served them from the artifact
-        cache, alongside the cache directory so an operator can see at a
-        glance whether restarts are warm.  All float-valued fields also
+        (queries, cache hits, Dijkstra runs) and ``build_seconds``, what the
+        engine's one-time preprocessing cost.  All float-valued fields also
         appear in :meth:`statistics` under a ``routing_`` prefix.
 
         ``grid_lower_bound_rows`` of ``grid_cells`` says how warm the grid
@@ -1122,18 +1125,8 @@ class PTRiderService:
         """
         engine = self._fleet.routing_engine
         stats = engine.stats
-        payload: Dict[str, object] = {
-            "backend": engine.backend,
-            "artifact_cache_dir": self._config.routing_cache_dir or "",
-        }
-        for field_name in (
-            "queries",
-            "cache_hits",
-            "dijkstra_runs",
-            "bidirectional_runs",
-            "build_seconds",
-            "load_seconds",
-        ):
+        payload: Dict[str, object] = {"backend": engine.backend}
+        for field_name in ("queries", "cache_hits", "dijkstra_runs", "build_seconds"):
             payload[field_name] = float(getattr(stats, field_name))
         # The grid index starts cold: each cell's lower-bound row is computed
         # the first time a matcher touches it, inside a serving call.  Rows
@@ -1191,14 +1184,13 @@ class PTRiderService:
 
         Capacity changes apply to vehicles added afterwards (existing taxis
         keep their physical capacity, as they would in reality).  Changing
-        ``routing_backend`` rebuilds the routing engine (and therefore its
-        caches) on the same road network -- consulting the config's
-        ``routing_cache_dir`` so a previously compiled artifact is loaded
-        rather than rebuilt; the matcher and dispatcher are rebuilt on top
-        of it.  ``match_shards`` controls how many fleet shards the
-        batch dispatch pipeline partitions vehicles into; any value yields
-        the same options (the per-shard skylines merge losslessly), so it
-        is purely a scale-out knob.
+        ``routing_backend`` rebuilds the routing engine on the same road
+        network with the same tree-cache capacity (its cached trees are
+        dropped); the matcher and dispatcher are rebuilt on top of it.
+        ``match_shards`` controls how many fleet shards the batch dispatch
+        pipeline partitions vehicles into; any value yields the same options
+        (the per-shard skylines merge losslessly), so it is purely a
+        scale-out knob.
 
         ``batch_window`` / ``max_batch_size`` / ``queue_capacity`` /
         ``queue_policy`` reconfigure the micro-batched ingest path; the
@@ -1305,7 +1297,7 @@ class PTRiderService:
             engine = make_engine(
                 self._fleet.grid.network,
                 new_config.routing_backend,
-                cache_dir=new_config.routing_cache_dir,
+                max_cached_sources=self._fleet.routing_engine.max_cached_sources,
             )
             self._fleet.set_routing_engine(engine)
         self._config = new_config
@@ -1354,7 +1346,6 @@ def build_system(
     config: Optional[SystemConfig] = None,
     seed: Optional[int] = None,
     routing: Optional[str] = None,
-    routing_cache: Optional[str] = None,
     batch_window: Optional[float] = None,
     max_batch_size: Optional[int] = None,
     queue_capacity: Optional[int] = None,
@@ -1380,10 +1371,8 @@ def build_system(
         config: global parameters (a default :class:`SystemConfig` otherwise,
             with the requested capacity).
         seed: seed controlling vehicle placement and idle wandering.
-        routing: routing backend override ("csr", "csr+alt" or "ch");
-            defaults to the config's ``routing_backend``.
-        routing_cache: compiled-artifact cache directory override; defaults
-            to the config's ``routing_cache_dir``.
+        routing: routing backend override ("csr" or "csr+alt"); defaults
+            to the config's ``routing_backend``.
         batch_window: micro-batch window length override for the ingest
             path; defaults to the config's ``batch_window``.
         max_batch_size: ingest window size cap override; defaults to the
@@ -1425,8 +1414,6 @@ def build_system(
     system_config = config or SystemConfig(vehicle_capacity=capacity)
     if routing is not None and routing != system_config.routing_backend:
         system_config = system_config.with_updates(routing_backend=routing)
-    if routing_cache is not None and routing_cache != system_config.routing_cache_dir:
-        system_config = system_config.with_updates(routing_cache_dir=routing_cache)
     if batch_window is not None and batch_window != system_config.batch_window:
         system_config = system_config.with_updates(batch_window=batch_window)
     if max_batch_size is not None and max_batch_size != system_config.max_batch_size:
@@ -1471,9 +1458,7 @@ def build_system(
         # One update for all three: turning durability on is only valid
         # together with its journal_path (the config validates the pair).
         system_config = system_config.with_updates(**durability_changes)
-    engine = make_engine(
-        network, system_config.routing_backend, cache_dir=system_config.routing_cache_dir
-    )
+    engine = make_engine(network, system_config.routing_backend)
     grid = GridIndex(network, rows=grid_rows, columns=grid_columns)
     fleet = Fleet(grid, engine)
     vertices = network.vertices()

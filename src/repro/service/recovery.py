@@ -94,18 +94,20 @@ _DROP = object()
 #: (the only value the config accepts; a ``set_parameters`` change, which no
 #: longer takes it, drops it), and its watchdog and retry knobs are dropped.
 #: The retired routing backends' knobs (``table_max_vertices``,
-#: ``tree_provider``) are dropped, and a dict-valued entry maps retired
-#: *values* of a live knob: the "dict" and "table" backends answered every
-#: query with the csr backend's floats, so they replay as "csr".  Only
-#: older builds can have journaled those names: ``set_parameters`` refuses
-#: an unknown backend before it writes the record.
+#: ``tree_provider``) and the retired artifact cache's directory are
+#: dropped, and a dict-valued entry maps retired *values* of a live knob:
+#: the "dict", "table" and "ch" backends answered every query with the csr
+#: backend's floats, so they replay as "csr".  Only older builds can have
+#: journaled those names: ``set_parameters`` refuses an unknown backend
+#: before it writes the record.
 RETIRED_CONFIG_KEYS: Dict[str, object] = {
     "dispatch_workers": 1,
     "worker_timeout": _DROP,
     "max_dispatch_retries": _DROP,
     "table_max_vertices": _DROP,
     "tree_provider": _DROP,
-    "routing_backend": {"dict": "csr", "table": "csr"},
+    "routing_cache_dir": _DROP,
+    "routing_backend": {"dict": "csr", "table": "csr", "ch": "csr"},
 }
 
 
@@ -294,7 +296,6 @@ def serialize_config(config: SystemConfig) -> Dict[str, object]:
             "booking_fee": getattr(price, "booking_fee", 0.0),
         },
         "routing_backend": config.routing_backend,
-        "routing_cache_dir": config.routing_cache_dir,
         "match_shards": config.match_shards,
         "dispatch_workers": config.dispatch_workers,
         "batch_window": config.batch_window,

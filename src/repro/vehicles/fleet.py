@@ -106,7 +106,7 @@ class Fleet:
             schedule legs cross (paper behaviour) instead of only the cells of
             their stops.
         routing: backend name used when no ``oracle`` is given ("csr",
-            the default, "csr+alt" or "ch").
+            the default, or "csr+alt").
     """
 
     def __init__(

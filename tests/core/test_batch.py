@@ -180,11 +180,8 @@ class TestDemandPool:
         for source, target in legs:
             assert context.distance(source, target) == reference.distance(source, target)
         stats = batch.statistics
-        if backend == "ch":
-            # a point query is cheaper than a tree: every leg went to the engine
-            assert (stats.leg_sources_prefetched, stats.leg_tree_hits) == (0, 0)
-        else:  # roots 3 and 7 pooled once each; the repeated pair hit the memo
-            assert (stats.leg_sources_prefetched, stats.leg_tree_hits) == (2, 3)
+        # roots 3 and 7 pooled once each; the repeated pair hit the memo
+        assert (stats.leg_sources_prefetched, stats.leg_tree_hits) == (2, 3)
 
     def test_pooled_root_survives_engine_cache_eviction(self):
         engine, grid = self._pieces("csr", cache=1)
@@ -195,27 +192,6 @@ class TestDemandPool:
         runs = engine.stats.dijkstra_runs
         context.distance(vertices[3], vertices[30])
         assert engine.stats.dijkstra_runs == runs  # answered from the pinned row
-
-    def test_ch_answers_unpooled_legs_by_point_query_not_by_tree(self):
-        engine, grid = self._pieces("ch")
-        assert not engine.point_queries_root_trees
-        batch, context = self._context(engine, grid)
-        vertices = grid.network.vertices()
-        before = engine.stats.snapshot()
-        context.distance(vertices[3], vertices[9])
-        context.distance(vertices[3], vertices[30])
-        spent = engine.stats.delta_since(before)
-        assert (spent.dijkstra_runs, spent.bidirectional_runs) == (0, 2)
-        assert batch.statistics.leg_sources_prefetched == 0
-        # a leg rooted at the request's own start still reads its pinned tree
-        other = Request(start=vertices[30], destination=vertices[40], riders=1,
-                        max_waiting=6.0, service_constraint=0.4, request_id="other")
-        batch = BatchContext.create([context.request, other], engine, grid)
-        queries = engine.stats.queries
-        value = batch.context_for(1).distance(vertices[45], vertices[20])
-        assert value == batch.context_for(0).from_start(vertices[45])
-        assert engine.stats.queries == queries
-        assert batch.statistics.leg_tree_hits == 1
 
     def test_a_request_start_answers_legs_rooted_at_it(self):
         engine, grid = self._pieces("csr")

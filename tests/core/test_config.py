@@ -47,9 +47,9 @@ class TestValidation:
 
     def test_routing_backend_accepts_known_names(self):
         assert SystemConfig().routing_backend == "csr"
-        for backend in ("csr", "csr+alt", "ch"):
+        for backend in ("csr", "csr+alt"):
             assert SystemConfig(routing_backend=backend).routing_backend == backend
-        for retired in ("dict", "table"):
+        for retired in ("dict", "table", "ch"):
             with pytest.raises(ConfigurationError):
                 SystemConfig(routing_backend=retired)
 
@@ -60,17 +60,18 @@ class TestValidation:
                 SystemConfig(dispatch_workers=workers)
 
     @pytest.mark.parametrize(
-        "name", ["worker_timeout", "max_dispatch_retries", "table_max_vertices", "tree_provider"]
+        "name",
+        [
+            "worker_timeout",
+            "max_dispatch_retries",
+            "table_max_vertices",
+            "tree_provider",
+            "routing_cache_dir",
+        ],
     )
     def test_retired_knobs_are_gone(self, name):
         with pytest.raises(TypeError):
             SystemConfig(**{name: 1})
-
-    def test_routing_cache_defaults_off(self):
-        config = SystemConfig()
-        assert config.routing_cache_dir is None
-        cached = SystemConfig(routing_cache_dir="/tmp/artifacts")
-        assert cached.routing_cache_dir == "/tmp/artifacts"
 
 
 class TestBehaviour:

@@ -155,11 +155,11 @@ def test_shared_tree_statistics_are_consistent(scenario):
     assert 0.0 <= stats.shared_tree_hit_rate <= 1.0
 
 
-@given(batch_scenarios(), st.sampled_from(["csr", "ch"]))
+@given(batch_scenarios(), st.sampled_from(ROUTING_BACKENDS))
 @settings(max_examples=16, deadline=None)
 def test_prefetched_batch_equals_sequential_on_vector_backends(scenario, backend):
-    """The one-shot tree-plane prefetch is pure restructuring: on the csr and
-    ch backends the batched pipeline must reproduce the sequential loop's
+    """The one-shot tree-plane prefetch is pure restructuring: on every
+    backend the batched pipeline must reproduce the sequential loop's
     options, choices and fleet end-state float for float."""
     blueprint, requests, matcher_name, shards, policy, config = scenario
     sequential = _build_dispatcher(blueprint, matcher_name, config, backend=backend)
@@ -225,7 +225,7 @@ def busy_fleet_scenarios(draw):
         "seed": seed,
         "burst": burst,
         "matcher": draw(st.sampled_from(sorted(MATCHERS))),
-        "backend": draw(st.sampled_from(["csr", "ch"])),
+        "backend": draw(st.sampled_from(ROUTING_BACKENDS)),
         "cache": draw(st.sampled_from([1, 8, 1024])),
         "shards": draw(st.sampled_from([1, 2, 4])),
         "policy": draw(st.sampled_from([OptionPolicy.CHEAPEST, OptionPolicy.FASTEST])),
@@ -255,9 +255,6 @@ class _PoolSpy:
 
     def __init__(self, engine):
         self.engine = engine
-        #: whether a demanded root gets a tree: ch answers point queries
-        #: without one, so its pool never grows
-        self.grows = engine.point_queries_root_trees
         self.prefetch_calls = []
         self.asked_roots = set()
         self.expected_hits = 0
@@ -278,9 +275,7 @@ class _PoolSpy:
                 spy.asked_roots.add(root)
                 key = (root, max(source, target))
                 # the grids are connected: a pooled tree reaches every leaf
-                if key not in context.shared_distances and (
-                    spy.grows or context.leg_trees.get(root) is not None
-                ):
+                if key not in context.shared_distances:
                     spy.expected_hits += 1
             return original_distance(context, source, target)
 
@@ -330,13 +325,11 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
     assert len(set(demanded)) == len(demanded)
     assert not set(demanded) & set(starts)
     assert set(demanded) <= spy.asked_roots
-    if not batched.fleet.routing_engine.point_queries_root_trees:
-        assert not demanded
 
     stats = batched.last_batch_statistics
-    assert stats.leg_sources_prefetched == (len(demanded) if spy.grows else 0)
+    assert stats.leg_sources_prefetched == len(demanded)
     assert stats.leg_tree_hits == spy.expected_hits
-    if spy.grows and spy.asked_roots:
+    if spy.asked_roots:
         assert stats.leg_tree_hits > 0
     payload = stats.as_dict()
     assert payload["leg_sources_prefetched"] == float(stats.leg_sources_prefetched)

@@ -119,7 +119,7 @@ def driven_scenarios(draw):
     grid_rows = draw(st.integers(min_value=2, max_value=4))
     locations = [rng.choice(vertices) for _ in range(draw(st.integers(min_value=2, max_value=8)))]
     fleet = build_fleet(network, locations, capacity=4, grid_rows=grid_rows, grid_columns=grid_rows)
-    fleet.set_routing_engine(make_engine(network, draw(st.sampled_from(["csr", "ch"]))))
+    fleet.set_routing_engine(make_engine(network, draw(st.sampled_from(ROUTING_BACKENDS))))
 
     ticks = draw(st.integers(min_value=0, max_value=4))
     stream = []

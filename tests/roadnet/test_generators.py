@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.roadnet.generators import (
     FIGURE1_VEHICLE_POSITIONS,
+    arterial_grid_network,
     figure1_network,
     grid_network,
     random_geometric_network,
@@ -48,6 +49,37 @@ class TestGridNetwork:
             grid_network(5, 5, spacing=0)
         with pytest.raises(ConfigurationError):
             grid_network(5, 5, weight_jitter=-0.1)
+
+
+class TestArterialGridNetwork:
+    def test_size_and_connectivity(self):
+        network = arterial_grid_network(8, 9, weight_jitter=0.2, seed=3)
+        assert network.vertex_count == 72
+        assert network.is_connected()
+        assert network.has_coordinates()
+
+    def test_arterial_edges_stay_fast_locals_slow(self):
+        network = arterial_grid_network(
+            8, 8, arterial_every=4, local_factor=3.0, seed=None
+        )
+        # no jitter: arterial edges weigh exactly 1.0, local edges 3.0
+        weights = {round(edge.weight, 9) for edge in network.edges()}
+        assert weights == {1.0, 3.0}
+
+    def test_degenerates_to_plain_grid(self):
+        plain = grid_network(4, 5, weight_jitter=0.3, seed=7)
+        arterial = arterial_grid_network(
+            4, 5, weight_jitter=0.3, arterial_every=1, seed=7
+        )
+        assert {e.key(): e.weight for e in plain.edges()} == {
+            e.key(): e.weight for e in arterial.edges()
+        }
+
+    def test_invalid_parameters(self):
+        with pytest.raises(ConfigurationError):
+            arterial_grid_network(3, 3, arterial_every=0)
+        with pytest.raises(ConfigurationError):
+            arterial_grid_network(3, 3, local_factor=0.5)
 
 
 class TestRandomGeometricNetwork:

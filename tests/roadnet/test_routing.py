@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
 from repro.errors import ConfigurationError, DisconnectedError, VertexNotFoundError
@@ -27,12 +29,12 @@ class TestMakeEngine:
             assert engine.backend == backend
 
     def test_unknown_backend_raises(self):
-        for backend in ("quantum", "dict", "table"):
+        for backend in ("quantum", "dict", "table", "ch"):
             with pytest.raises(ConfigurationError):
                 make_engine(grid_network(2, 2), backend)
 
     def test_default_backend_is_csr(self):
-        assert ROUTING_BACKENDS == ("csr", "csr+alt", "ch")
+        assert ROUTING_BACKENDS == ("csr", "csr+alt")
         assert make_engine(grid_network(2, 2)).backend == "csr"
 
 class TestCSRGraph:
@@ -266,6 +268,23 @@ class TestALT:
     def test_plain_csr_engine_has_zero_bound(self):
         engine = CSREngine(figure1_network())
         assert engine.distance_lower_bound(1, 17) == 0.0
+
+    @pytest.mark.parametrize("arm", ["numpy", "python"])
+    def test_unreached_pairs_bound_without_warnings(self, arm, monkeypatch):
+        if arm == "numpy" and routing._np is None:  # noqa: SLF001
+            pytest.skip("exercises the NumPy reduction")
+        if arm == "python":
+            monkeypatch.setattr(routing, "_csr_array", None)
+            monkeypatch.setattr(routing, "_np", None)
+        # Farthest-point sampling only picks reachable vertices, so every
+        # landmark lies in the grid; none sees 98, 99 or 97.
+        engine = CSREngine(_two_components(), landmarks=3)
+        assert (engine.alt._matrix is None) == (arm == "python")  # noqa: SLF001
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert engine.distance_lower_bound(98, 99) == 0.0
+            assert engine.distance_lower_bound(97, 98) == 0.0
+            assert engine.distance_lower_bound(1, 99) == float("inf")
 
     def test_alt_index_rejects_nonpositive_landmarks(self):
         with pytest.raises(ValueError):

@@ -43,24 +43,22 @@ class TestParser:
         for command in ("demo", "simulate", "compare"):
             args = build_parser().parse_args([command])
             assert args.routing == "csr"
-            assert args.routing_cache is None
+            assert not hasattr(args, "routing_cache")
 
     def test_retired_backends_are_rejected(self):
         for command in ("demo", "simulate", "compare"):
-            for backend in ("dict", "table"):
+            for backend in ("dict", "table", "ch"):
                 with pytest.raises(SystemExit):
                     build_parser().parse_args([command, "--routing", backend])
 
-    def test_ch_backend_and_cache_arguments(self):
-        args = build_parser().parse_args(
-            ["simulate", "--routing", "ch", "--routing-cache", "/tmp/artifacts"]
-        )
-        assert args.routing == "ch"
-        assert args.routing_cache == "/tmp/artifacts"
+    def test_csr_alt_backend_argument(self):
+        args = build_parser().parse_args(["simulate", "--routing", "csr+alt"])
+        assert args.routing == "csr+alt"
 
     @pytest.mark.parametrize(
         "flag", [("--workers", "2"), ("--worker-timeout", "5"),
-                 ("--max-dispatch-retries", "2"), ("--tree-provider", "phast")],
+                 ("--max-dispatch-retries", "2"), ("--tree-provider", "phast"),
+                 ("--routing-cache", "/tmp/artifacts")],
     )
     def test_retired_flags_are_rejected(self, flag):
         for command in ("demo", "simulate", "compare"):
@@ -107,23 +105,23 @@ class TestCommands:
         assert "routing=csr" in captured
         assert "average_response_time" in captured
 
-    def test_demo_runs_with_ch_routing(self, capsys):
+    def test_demo_runs_with_csr_alt_routing(self, capsys):
         exit_code = main([
             "demo", "--vehicles", "8", "--rows", "6", "--columns", "6",
-            "--seed", "3", "--routing", "ch",
+            "--seed", "3", "--routing", "csr+alt",
         ])
         captured = capsys.readouterr().out
         assert exit_code == 0
         assert "non-dominated option" in captured
 
     def test_compare_is_backend_oblivious(self, capsys):
-        """The same burst answered on the csr and ch backends must print
+        """The same burst answered on the csr and csr+alt backends must print
         identical matcher work tables -- identical up to the wall-clock
         column, which is the only thing a backend is allowed to change."""
         import re
 
         outputs = []
-        for backend in ("csr", "ch"):
+        for backend in ("csr", "csr+alt"):
             exit_code = main([
                 "compare", "--vehicles", "10", "--rows", "6", "--columns", "6",
                 "--requests", "5", "--seed", "3", "--routing", backend,

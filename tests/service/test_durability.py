@@ -283,15 +283,17 @@ class TestConfigNamesTheServedBackend:
     """A service's config takes the backend of the engine its fleet runs:
     that name is journaled, and recovery rebuilds the engine from it."""
 
-    def test_a_ch_fleet_with_a_default_config_journals_and_recovers_ch(self, tmp_path):
+    def test_a_csr_alt_fleet_with_a_default_config_journals_and_recovers_csr_alt(
+        self, tmp_path
+    ):
         network = grid_network(8, 8, spacing=1.0, weight_jitter=0.25, seed=13)
-        fleet = Fleet(GridIndex(network, rows=4, columns=4), make_engine(network, "ch"))
+        fleet = Fleet(GridIndex(network, rows=4, columns=4), make_engine(network, "csr+alt"))
         for index, vertex in enumerate(network.vertices()[::9], 1):
             fleet.add_vehicle(Vehicle(f"c{index}", location=vertex, capacity=4))
         config = SystemConfig(durability="journal", journal_path=str(tmp_path / "journal"))
         service = PTRiderService(fleet, config=config, seed=13)
-        assert service.config.routing_backend == "ch"
-        assert service.journal.get_meta("config")["routing_backend"] == "ch"
+        assert service.config.routing_backend == "csr+alt"
+        assert service.journal.get_meta("config")["routing_backend"] == "csr+alt"
         for index in range(3):
             booking = service.book_request(_request(service, index))
             if booking.options:
@@ -301,31 +303,72 @@ class TestConfigNamesTheServedBackend:
         service.close()
         recovered = PTRiderService.recover(tmp_path / "journal")
         try:
-            assert recovered.fleet.routing_engine.backend == "ch"
+            assert recovered.fleet.routing_engine.backend == "csr+alt"
             assert canonical_state(recovered) == live
         finally:
             recovered.close()
 
     @pytest.mark.parametrize("prefer_snapshot", [True, False])
     def test_a_refused_retired_backend_is_not_journaled(self, tmp_path, prefer_snapshot):
-        # Recovery maps "dict" onto "csr" for journals of builds that
-        # accepted it; a refusal written to the journal would replay as a
-        # switch to csr that also applied max_waiting.
-        service = _durable_system(tmp_path, routing="ch")
+        # Recovery maps "dict" and "ch" onto "csr" for journals of builds
+        # that accepted them; a refusal written to the journal would replay
+        # as a switch to csr that also applied max_waiting.
+        service = _durable_system(tmp_path, routing="csr+alt")
         service.book_request(_request(service, 1))
         last_seq = service.journal.last_seq()
-        with pytest.raises(ConfigurationError):
-            service.set_parameters(max_waiting=7.0, routing_backend="dict")
+        for retired in ("dict", "ch"):
+            with pytest.raises(ConfigurationError):
+                service.set_parameters(max_waiting=7.0, routing_backend=retired)
         assert service.journal.last_seq() == last_seq
         assert service.config.max_waiting != 7.0
-        assert service.fleet.routing_engine.backend == "ch"
+        assert service.fleet.routing_engine.backend == "csr+alt"
         live = canonical_state(service)
         service.close()
         recovered = PTRiderService.recover(tmp_path / "journal",
                                            prefer_snapshot=prefer_snapshot)
         try:
-            assert recovered.fleet.routing_engine.backend == "ch"
+            assert recovered.fleet.routing_engine.backend == "csr+alt"
             assert canonical_state(recovered) == live
+        finally:
+            recovered.close()
+
+
+def _trees_kept(engine):
+    """Root a tree at every vertex; the engine keeps at most its capacity."""
+    for vertex in engine.network.vertices():
+        engine.distances_from(vertex)
+    return len(engine._trees)  # noqa: SLF001 - observing the cache bound
+
+
+class TestTreeCacheCapacity:
+    """A rebuilt engine keeps the tree-cache capacity of the one it replaces."""
+
+    @staticmethod
+    def _service(tmp_path, capacity=8):
+        network = grid_network(8, 8, spacing=1.0, weight_jitter=0.25, seed=5)
+        engine = make_engine(network, "csr", max_cached_sources=capacity)
+        fleet = Fleet(GridIndex(network, rows=4, columns=4), engine)
+        for index, vertex in enumerate(network.vertices()[::9], 1):
+            fleet.add_vehicle(Vehicle(f"c{index}", location=vertex, capacity=4))
+        config = SystemConfig(durability="journal", journal_path=str(tmp_path / "journal"))
+        return PTRiderService(fleet, config=config, seed=5)
+
+    def test_a_backend_switch_keeps_the_capacity(self, tmp_path):
+        service = self._service(tmp_path)
+        service.set_parameters(routing_backend="csr+alt")
+        try:
+            assert service.fleet.routing_engine.backend == "csr+alt"
+            assert _trees_kept(service.fleet.routing_engine) == 8
+        finally:
+            service.close()
+
+    def test_recovery_keeps_the_capacity(self, tmp_path):
+        service = self._service(tmp_path)
+        service.book_request(_request(service, 1))
+        service.close()
+        recovered = PTRiderService.recover(tmp_path / "journal")
+        try:
+            assert _trees_kept(recovered.fleet.routing_engine) == 8
         finally:
             recovered.close()
 

@@ -4,7 +4,8 @@
 ``set_parameters`` records name ``dispatch_workers`` (2, then 1, then 3),
 ``worker_timeout`` and ``max_dispatch_retries``, and whose config names the
 retired ``routing_backend="dict"``, ``table_max_vertices`` and
-``tree_provider`` (see its README).  Recovery maps them through
+``tree_provider``, and ``routing_cache_dir`` (null) beside them (see its
+README).  Recovery maps them through
 :data:`repro.service.recovery.RETIRED_CONFIG_KEYS` and must land on the
 state the live service had, retired keys normalised: ``dispatch_workers``
 reads 1, the backend reads "csr" and the other knobs are gone.
@@ -49,13 +50,16 @@ def test_old_journal_recovers_to_the_stored_state(journal_copy, prefer_snapshot)
             config["tree_provider"]) == ("dict", 4096, "auto")
     config["dispatch_workers"] = 1
     config["routing_backend"] = "csr"
+    assert config["routing_cache_dir"] is None
     for knob in ("worker_timeout", "max_dispatch_retries", "table_max_vertices",
-                 "tree_provider"):
+                 "tree_provider", "routing_cache_dir"):
         del config[knob]
     recovered = PTRiderService.recover(journal_copy, prefer_snapshot=prefer_snapshot)
     try:
         assert recovered.config.dispatch_workers == 1
         assert recovered.fleet.routing_engine.backend == "csr"
+        # the journal predates the recorded tree-cache capacity
+        assert recovered.fleet.routing_engine.max_cached_sources == 1024
         assert canonical_state(recovered) == stored
     finally:
         recovered.close()
@@ -107,10 +111,11 @@ RETIRED_VALUES = {
     "max_dispatch_retries": 2,
     "table_max_vertices": 8,
     "tree_provider": "plane",
+    "routing_cache_dir": "/tmp/artifacts",
 }
 
 #: Retired values of a live knob, and what each replays as.
-RETIRED_BACKENDS = {"dict": "csr", "table": "csr"}
+RETIRED_BACKENDS = {"dict": "csr", "table": "csr", "ch": "csr"}
 
 
 def test_the_table_names_exactly_the_retired_knobs():
@@ -153,7 +158,7 @@ def test_a_retired_backend_in_a_config_payload_replays_as_csr(backend):
 @pytest.mark.parametrize("backend", sorted(RETIRED_BACKENDS))
 def test_a_retired_backend_in_a_set_parameters_record_replays_as_csr(backend):
     service = build_system(vehicles=3, seed=13, network_rows=6, network_columns=6,
-                           routing="ch")
+                           routing="csr+alt")
     try:
         apply_record(service, JournalRecord(
             seq=1, kind="set_parameters", payload={"changes": {"routing_backend": backend}},

@@ -94,7 +94,7 @@ def test_walked_routes_equal_searched_routes_tick_by_tick(backend, searched_day)
     assert walked_replans == mid_edge_replans
 
 
-@pytest.mark.parametrize("backend", ("csr+alt", "ch"))
+@pytest.mark.parametrize("backend", ("csr+alt",))
 def test_backend_swap_mid_run_keeps_vehicles_on_their_routes(backend):
     def service():
         return build_system(
