@@ -14,12 +14,28 @@ from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.graph import RoadNetwork
+from repro.roadnet import routing
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import CSREngine
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
 from tests.commit_reference import feasible_schedules_for_commit
+from tests.routing_arms import PURE_PYTHON_TREES
+
+
+def pytest_configure(config) -> None:
+    config.addinivalue_line(
+        "markers",
+        f"{PURE_PYTHON_TREES}: build every routing graph without SciPy (see tests/routing_arms.py)",
+    )
+
+
+@pytest.fixture(autouse=True)
+def _pure_python_trees(request, monkeypatch) -> None:
+    """Hide SciPy from the routing module for tests on the pure-Python arm."""
+    if request.node.get_closest_marker(PURE_PYTHON_TREES) is not None:
+        monkeypatch.setattr(routing, "_csr_array", None)
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,11 @@ from repro.core.single_side import SingleSideSearchMatcher
 from repro.errors import ConfigurationError, DisconnectedError, VertexNotFoundError
 from repro.model.options import RideOption, Skyline
 from repro.model.request import Request
-from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
+from repro.roadnet.routing import make_engine
 from repro.sim.workload import random_requests
 
 from tests.conftest import build_random_fleet
+from tests.routing_arms import ROUTING_ARMS
 
 
 @pytest.fixture
@@ -168,7 +169,7 @@ class TestDemandPool:
         batch = BatchContext.create([request], engine, grid, prefetch=prefetch)
         return batch, batch.context_for(0)
 
-    @pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+    @pytest.mark.parametrize("backend", ROUTING_ARMS)
     def test_leg_answers_are_the_engines_own_floats(self, backend):
         engine, grid = self._pieces(backend, cache=1)
         reference, _ = self._pieces(backend)
@@ -218,7 +219,7 @@ class TestDemandPool:
         assert context.distance(vertices[3], vertices[9]) == engine.distance(vertices[3], vertices[9])
         assert batch.statistics.leg_tree_hits == 0
 
-    @pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+    @pytest.mark.parametrize("backend", ROUTING_ARMS)
     @pytest.mark.parametrize(
         "leg",
         [(3, 10_001), (10_001, 3), (3, 99_999), (99_999, 3), (-5, 3), (10_001, 99_999)],

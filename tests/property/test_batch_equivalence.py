@@ -32,6 +32,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.workload import RequestWorkload
 
 from tests.conftest import build_fleet
+from tests.routing_arms import ROUTING_ARMS
 
 MATCHERS = {
     "naive": NaiveKineticTreeMatcher,
@@ -336,7 +337,7 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
     assert payload["leg_tree_hits"] == float(stats.leg_tree_hits)
 
 
-@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(backend, shards):
     """A taxi stranded on an island makes the verification of the one request

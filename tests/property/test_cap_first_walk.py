@@ -44,6 +44,7 @@ from repro.vehicles.vehicle import Vehicle
 
 from tests.conftest import assign_request, build_fleet
 from tests.pruning_reference import ListWalkDualSideMatcher, ListWalkSingleSideMatcher
+from tests.routing_arms import ROUTING_ARMS
 
 ISLAND = 9_001
 
@@ -200,7 +201,7 @@ def _offset_onto(floor, target):
     return offset
 
 
-@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
 @pytest.mark.parametrize("serving", [False, True])
 @pytest.mark.parametrize("ulps", [-1, 0, 1])
 def test_a_bound_on_the_cap_is_let_through_and_one_ulp_above_is_not(backend, serving, ulps):

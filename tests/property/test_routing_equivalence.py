@@ -31,6 +31,7 @@ from repro.roadnet.generators import (
 from repro.roadnet.routing import ROUTING_BACKENDS, CSREngine, make_engine
 from repro.roadnet.shortest_path import PathResult, shortest_path
 
+from tests.routing_arms import ROUTING_ARMS
 from tests.routing_reference import dijkstra_all, path_length
 
 
@@ -38,7 +39,7 @@ def _sample(vertices, step_hint):
     return vertices[:: max(1, len(vertices) // step_hint)]
 
 
-@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
 @given(
     rows=st.integers(min_value=2, max_value=6),
     columns=st.integers(min_value=2, max_value=6),
@@ -61,7 +62,7 @@ def test_distances_match_the_reference_on_grid_networks(backend, rows, columns, 
             )
 
 
-@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
 @given(
     count=st.integers(min_value=10, max_value=40),
     radius=st.floats(min_value=0.15, max_value=0.5),
@@ -141,7 +142,7 @@ def _two_components():
     return network
 
 
-@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
 def test_path_edge_cases_agree_on_every_backend(backend):
     network = _two_components()
     engine = make_engine(network, backend)

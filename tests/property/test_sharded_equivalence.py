@@ -19,10 +19,11 @@ from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.roadnet.generators import grid_network
-from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
+from repro.roadnet.routing import make_engine
 from repro.sim.workload import random_requests
 
 from tests.conftest import build_fleet
+from tests.routing_arms import ROUTING_ARMS
 
 SEED = 23
 VEHICLES = 8
@@ -71,7 +72,7 @@ def _fleet_state(fleet):
     ]
 
 
-@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
 @pytest.mark.parametrize("shards", (1, 2, 4))
 def test_sharded_dispatch_equals_sequential(backend, shards):
     sequential = _build_dispatcher(backend)

@@ -18,6 +18,7 @@ from repro.roadnet.routing import (
     make_engine,
 )
 
+from tests.routing_arms import PURE_PYTHON_TREES, ROUTING_ARMS
 from tests.routing_reference import dijkstra_all, path_length, shortest_path_distance
 
 
@@ -65,7 +66,7 @@ def _two_components():
     return network
 
 
-@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
 class TestEveryBackend:
     """The :class:`~repro.roadnet.routing.RoutingEngine` contract, held by
     every backend ``make_engine`` builds."""
@@ -221,6 +222,16 @@ class TestEveryBackend:
         result = fallback.path(1, 16)
         assert path_length(network, result.path) == pytest.approx(result.distance)
 
+    def test_graphs_are_built_on_the_arm_under_test(self, backend, request):
+        network = grid_network(3, 3)
+        engine = make_engine(network, backend)
+        if request.node.get_closest_marker(PURE_PYTHON_TREES) is not None:
+            assert routing._csr_array is None  # noqa: SLF001 - the arm's switch
+        assert (engine.graph.matrix is None) == (routing._csr_array is None)  # noqa: SLF001
+        engine.invalidate()
+        assert (engine.graph.matrix is None) == (routing._csr_array is None)  # noqa: SLF001
+        assert engine.distance(1, 9) == pytest.approx(shortest_path_distance(network, 1, 9))
+
     def test_cache_capacity_reaches_the_engine(self, backend):
         engine = make_engine(grid_network(4, 4), backend, max_cached_sources=2)
         for source in (1, 2, 3, 4):
@@ -348,7 +359,7 @@ class TestTreePlanes:
             CSRGraph(grid_network(2, 2)).nearest([])
 
 
-@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
 class TestPrefetch:
     def test_each_prefetched_tree_counts_one_dijkstra_run(self, backend):
         """A tree served from the prefetch plane is one computation, however

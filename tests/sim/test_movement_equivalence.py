@@ -17,13 +17,15 @@ from repro.core.dispatcher import Dispatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.routing import ROUTING_BACKENDS, CSREngine, make_engine
+from repro.roadnet.routing import CSREngine, make_engine
 from repro.roadnet.shortest_path import shortest_path
 from repro.service.api import build_system
 from repro.sim.engine import SimulationEngine
 from repro.sim.workload import RequestWorkload, random_requests
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
+
+from tests.routing_arms import ROUTING_ARMS
 
 TICKS = 120
 
@@ -81,7 +83,7 @@ def searched_day():
     return _run_day(_SearchingEngine)
 
 
-@pytest.mark.parametrize("backend", ROUTING_BACKENDS)
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
 def test_walked_routes_equal_searched_routes_tick_by_tick(backend, searched_day):
     timeline, panel, mid_edge_replans = searched_day
     assert panel["pickups"] > 0 and mid_edge_replans  # the day exercises both
