@@ -6,9 +6,8 @@ left behind); the batched pipeline (`Dispatcher.dispatch_batch`) restructures
 *where* the work happens: one :class:`~repro.core.batch.BatchContext` pools
 the start-rooted distance trees (requests sharing a start vertex share one
 tree) and memoises the schedule-leg distances every verification of the batch
-re-asks, matching runs per fleet shard with the per-shard skylines merged by
-dominance, and a commit changes exactly one shard's contents (the chosen
-vehicle's), keeping every other shard's results valid mid-batch.
+re-asks.  The sequential arm is ``Dispatcher.dispatch`` called request by
+request: every call is a batch of one, so it pools nothing across requests.
 
 At city scale the routing engine cannot cache a full distance tree per
 recently seen vertex (each tree is O(V)), so this experiment builds its
@@ -28,8 +27,6 @@ from __future__ import annotations
 
 import random
 import time
-
-import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
@@ -87,20 +84,22 @@ def _outcome_key(outcome):
     )
 
 
-@pytest.mark.parametrize("shards", [1, 4])
-def test_e12_batched_pipeline_beats_sequential_loop(shards):
+def _sequential(dispatcher: Dispatcher, requests):
+    """The per-request loop: one ``dispatch`` call per request."""
+    return [dispatcher.dispatch(request, policy=OptionPolicy.CHEAPEST) for request in requests]
+
+
+def test_e12_batched_pipeline_beats_sequential_loop():
     """Batched dispatch is >= 1.5x faster than the loop, with identical results."""
     sequential = _build_dispatcher()
     requests = _burst(sequential)
     started = time.perf_counter()
-    loop_outcomes = sequential.dispatch_sequential(requests, policy=OptionPolicy.CHEAPEST)
+    loop_outcomes = _sequential(sequential, requests)
     sequential_seconds = time.perf_counter() - started
 
     batched = _build_dispatcher()
     started = time.perf_counter()
-    pipeline_outcomes = batched.dispatch_batch(
-        requests, policy=OptionPolicy.CHEAPEST, shards=shards
-    )
+    pipeline_outcomes = batched.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST)
     batched_seconds = time.perf_counter() - started
 
     # Pure restructuring: byte-identical skylines, choices and commit order.
@@ -119,7 +118,6 @@ def test_e12_batched_pipeline_beats_sequential_loop(shards):
         routing_backend="csr",
         vehicles_evaluated=batched.matcher.statistics.vehicles_evaluated,
         matcher="single_side",
-        shards=shards,
         requests=len(requests),
         sequential_seconds=round(sequential_seconds, 6),
         speedup_vs_sequential=round(speedup, 2),
@@ -133,52 +131,30 @@ def test_e12_batched_pipeline_beats_sequential_loop(shards):
     )
 
 
-def test_e12_sharded_matching_work_equals_unsharded():
-    """Sharding redistributes verification work; it must not add or lose any."""
-    results = {}
-    for shards in (1, 2, 4):
-        dispatcher = _build_dispatcher()
-        requests = _burst(dispatcher)[:40]
-        outcomes = dispatcher.dispatch_batch(
-            requests, policy=OptionPolicy.CHEAPEST, shards=shards
-        )
-        results[shards] = (
-            [_outcome_key(o) for o in outcomes],
-            dispatcher.matcher.statistics.vehicles_evaluated,
-        )
-    baseline_outcomes, _ = results[1]
-    for shards in (2, 4):
-        sharded_outcomes, _ = results[shards]
-        assert sharded_outcomes == baseline_outcomes
-
-
 def test_e12_summary_table(capsys):
     """Print the batched-vs-sequential comparison (run with -s to see it)."""
     from common import format_table
 
-    rows = []
-    for shards in (1, 2, 4):
-        sequential = _build_dispatcher()
-        requests = _burst(sequential)
-        started = time.perf_counter()
-        sequential.dispatch_sequential(requests, policy=OptionPolicy.CHEAPEST)
-        loop_seconds = time.perf_counter() - started
+    sequential = _build_dispatcher()
+    requests = _burst(sequential)
+    started = time.perf_counter()
+    _sequential(sequential, requests)
+    loop_seconds = time.perf_counter() - started
 
-        batched = _build_dispatcher()
-        started = time.perf_counter()
-        batched.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST, shards=shards)
-        pipeline_seconds = time.perf_counter() - started
-        stats = batched.last_batch_statistics
-        rows.append(
-            (
-                shards,
-                f"{loop_seconds * 1000:.1f}",
-                f"{pipeline_seconds * 1000:.1f}",
-                f"{loop_seconds / pipeline_seconds:.2f}x",
-                f"{stats.shared_tree_hit_rate:.0%}",
-            )
+    batched = _build_dispatcher()
+    started = time.perf_counter()
+    batched.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST)
+    pipeline_seconds = time.perf_counter() - started
+    stats = batched.last_batch_statistics
+    rows = [
+        (
+            f"{loop_seconds * 1000:.1f}",
+            f"{pipeline_seconds * 1000:.1f}",
+            f"{loop_seconds / pipeline_seconds:.2f}x",
+            f"{stats.shared_tree_hit_rate:.0%}",
         )
+    ]
     table = format_table(
-        ("shards", "sequential [ms]", "batched [ms]", "speedup", "tree hit rate"), rows
+        ("sequential [ms]", "batched [ms]", "speedup", "tree hit rate"), rows
     )
     print("\nE12 -- batched dispatch pipeline vs sequential greedy loop\n" + table)

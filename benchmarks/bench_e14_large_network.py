@@ -113,9 +113,13 @@ def test_e14_dispatch_batch_equals_sequential(network):
             seed=11,
         )
         dispatcher = city.dispatcher("single_side")
-        dispatch = dispatcher.dispatch_batch if batched else dispatcher.dispatch_sequential
         started = time.perf_counter()
-        outcomes = dispatch(requests, policy=OptionPolicy.CHEAPEST)
+        if batched:
+            outcomes = dispatcher.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST)
+        else:
+            outcomes = [
+                dispatcher.dispatch(request, policy=OptionPolicy.CHEAPEST) for request in requests
+            ]
         wall = time.perf_counter() - started
         keys = [
             (o.request.request_id, tuple(o.options), o.chosen) for o in outcomes

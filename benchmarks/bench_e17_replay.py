@@ -12,7 +12,7 @@ tick by tick against a full :class:`PTRiderService` twice:
 * the **batched arm** admits released requests into the service's
   :class:`~repro.service.ingest.MicroBatcher` and pumps it once per tick,
   so each tick's arrivals are answered by one ``dispatch_batch`` flush
-  (pooled start trees, leg trees pooled on demand, shards).
+  (pooled start trees, leg trees pooled on demand).
 
 Both arms advance the simulated world identically between ticks, so the
 only difference is *how* a tick's arrivals are answered.  Matching

@@ -9,19 +9,14 @@ experiment's best wall time regressed by more than the threshold
 (default 25%), so a PR that slows the hot path fails its workflow instead of
 silently shipping.
 
-Per ``(experiment, routing backend, phase, tree provider, workers)`` an
-aggregate of the wall times on each side is compared -- the records of one
-experiment mix entry kinds (whole-simulation runs, routing-layer probes) and
-repetitions; separating backends keeps a regression in one backend from
-hiding behind a faster record of another, and separating phases, tree
-providers and worker counts (records without the field form their own
-unnamed group for that dimension) keeps e.g. a point-query regression from
-hiding behind a faster artifact-cache disk read, a PHAST-plane regression
-behind the faster SciPy plane, or an in-process dispatch regression behind
-a faster multi-worker run, in the same experiment.  Records at ``workers``
-absent *or 1* share the unnamed group: one worker means the pool was
-bypassed and the measurement is the same in-process pipeline the historical
-records timed, so the committed baseline stays comparable.  ``--skip-phases`` drops named phases from the *comparison*
+Per ``(experiment, routing backend, phase)`` an aggregate of the wall times
+on each side is compared -- the records of one experiment mix entry kinds
+(whole-simulation runs, routing-layer probes) and repetitions; separating
+backends keeps a regression in one backend from hiding behind a faster
+record of another, and separating phases (records without the field form
+their own unnamed group) keeps e.g. a point-query regression from hiding
+behind a faster dispatch phase of the same experiment.
+``--skip-phases`` drops named phases from the *comparison*
 (never from archiving) for measurements too noise-dominated to gate on,
 such as warm-restart disk reads.  ``--rate-phases`` names phases whose
 ``wall_seconds`` field actually holds a *rate* (E17's serving throughput in
@@ -92,15 +87,13 @@ def aggregate_wall_seconds(
     aggregate: str = "min",
     skip_phases: Iterable[str] = (),
 ) -> Dict[tuple, float]:
-    """Aggregated ``wall_seconds`` per (experiment, backend, phase, provider).
+    """Aggregated ``wall_seconds`` per (experiment, backend, phase).
 
-    Records without a ``phase`` / ``tree_provider`` field share one unnamed
-    ("") group for that dimension, so experiments that never adopted the
-    fields keep their historical keys.  Both dimensions exist for the same
-    reason: an ablation's slow side must never hide behind its faster
-    sibling in a shared min/median (E14's point queries vs its disk reads,
-    E15's PHAST planes vs its SciPy planes).  Phases named in
-    ``skip_phases`` are dropped entirely.
+    Records without a ``phase`` field share one unnamed ("") group, so
+    experiments that never adopted the field keep their historical keys.
+    The dimension exists so an ablation's slow side never hides behind its
+    faster sibling in a shared min/median (E14's point queries vs its
+    dispatch).  Phases named in ``skip_phases`` are dropped entirely.
     """
     walls: Dict[tuple, List[float]] = {}
     wanted = set(experiments)
@@ -113,28 +106,16 @@ def aggregate_wall_seconds(
         phase = str(record.get("phase") or "")
         if phase in skipped:
             continue
-        provider = str(record.get("tree_provider") or "")
-        workers = record.get("workers")
-        # workers absent or 1 → the in-process pipeline → the historical
-        # unnamed group; only real pool runs form their own aggregates.
-        workers_group = "" if workers in (None, "", 0, 1) else str(workers)
-        key = (
-            experiment, record.get("routing_backend", "dict"), phase, provider,
-            workers_group,
-        )
+        key = (experiment, record.get("routing_backend", "dict"), phase)
         walls.setdefault(key, []).append(float(wall))
     reduce = min if aggregate == "min" else statistics.median
     return {key: reduce(values) for key, values in walls.items()}
 
 
 def describe(key: tuple) -> str:
-    """Human label of an aggregate key: ``E16 [csr w4]``, ``E15 [ch:planes@phast]``."""
-    experiment, backend, phase, provider, workers = key
+    """Human label of an aggregate key: ``E2 [csr]``, ``E14 [csr:dispatch]``."""
+    experiment, backend, phase = key
     suffix = f":{phase}" if phase else ""
-    if provider:
-        suffix += f"@{provider}"
-    if workers:
-        suffix += f" w{workers}"
     return f"{experiment} [{backend}{suffix}]"
 
 
@@ -167,9 +148,7 @@ def archive_records(
     )
     trajectory.parent.mkdir(parents=True, exist_ok=True)
     with trajectory.open("a") as handle:
-        for (experiment, backend, phase, provider, workers), wall in sorted(
-            walls.items()
-        ):
+        for (experiment, backend, phase), wall in sorted(walls.items()):
             row = {
                 "commit": commit,
                 "experiment": experiment,
@@ -179,10 +158,6 @@ def archive_records(
             }
             if phase:
                 row["phase"] = phase
-            if provider:
-                row["tree_provider"] = provider
-            if workers:
-                row["workers"] = int(workers)
             if cpu_count is not None:
                 row["cpu_count"] = cpu_count
             handle.write(json.dumps(row, sort_keys=True) + "\n")

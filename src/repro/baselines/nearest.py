@@ -27,14 +27,9 @@ class NearestVehicleMatcher(Matcher):
     """Return at most one option: the feasible insertion with minimal added distance."""
 
     name = "nearest"
-    # A single system-optimal option is not a dominance skyline, so per-shard
-    # results cannot be merged losslessly; the pipeline always matches this
-    # baseline against the whole fleet.
-    supports_sharding = False
-
-    def _collect_options(self, context: MatchContext, fleet) -> List[RideOption]:
+    def _collect_options(self, context: MatchContext) -> List[RideOption]:
         best: RideOption | None = None
-        for vehicle in fleet.vehicles():
+        for vehicle in self._fleet.vehicles():
             self.statistics.vehicles_considered += 1
             for option in self._verify_vehicle(vehicle, context):
                 if best is None or (option.added_distance, option.pickup_distance) < (

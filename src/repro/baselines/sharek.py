@@ -35,14 +35,14 @@ class SharekStyleMatcher(Matcher):
 
     name = "sharek"
 
-    def _collect_options(self, context: MatchContext, fleet) -> List[RideOption]:
+    def _collect_options(self, context: MatchContext) -> List[RideOption]:
         request, direct = context.request, context.direct
         network = self._grid.network
         max_pickup = self._config.max_pickup_distance
         skyline = Skyline()
 
         candidates: List[Vehicle] = [
-            vehicle for vehicle in fleet.vehicles() if self._eligible(vehicle)
+            vehicle for vehicle in self._fleet.vehicles() if self._eligible(vehicle)
         ]
         # SHAREK sorts candidates by Euclidean proximity to the pick-up point.
         candidates.sort(key=lambda vehicle: network.euclidean_distance(vehicle.location, request.start))

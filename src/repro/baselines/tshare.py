@@ -30,18 +30,13 @@ class TShareStyleMatcher(Matcher):
     """Return the single feasible option with the earliest pick-up."""
 
     name = "tshare"
-    # The earliest-pickup single option is not a dominance skyline, so
-    # per-shard results cannot be merged losslessly; the pipeline always
-    # matches this baseline against the whole fleet.
-    supports_sharding = False
-
-    def _collect_options(self, context: MatchContext, fleet) -> List[RideOption]:
+    def _collect_options(self, context: MatchContext) -> List[RideOption]:
         request = context.request
         start_cell = self._grid.cell_of_vertex(request.start).cell_id
         start_min = self._grid.vertex_min(request.start)
         max_pickup = self._config.max_pickup_distance
         max_pickup_value = math.inf if max_pickup is None else max_pickup
-        vehicles, owns = fleet.by_id, fleet.owns
+        vehicles = self._fleet.by_id
         best: Optional[RideOption] = None
         seen: Set[str] = set()
 
@@ -54,13 +49,13 @@ class TShareStyleMatcher(Matcher):
                 break
             # The single-side walk's cap-first lists: empty, then serving.
             candidates: List[Vehicle] = []
-            if cell.empty_vehicles and fleet.owns_cell(cell.cell_id):
+            if cell.empty_vehicles:
                 candidates = self._cap_survivors(
-                    cell.empty_vehicles, vehicles, None, context, max_pickup_value, seen
+                    cell.empty_vehicles, vehicles, context, max_pickup_value, seen
                 )
             if cell.nonempty_vehicles:
                 candidates += self._cap_survivors(
-                    cell.nonempty_vehicles, vehicles, owns, context, max_pickup_value, seen
+                    cell.nonempty_vehicles, vehicles, context, max_pickup_value, seen
                 )
             for vehicle in candidates:
                 if vehicle.vehicle_id in seen:

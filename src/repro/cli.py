@@ -116,10 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for pruning -- same distances)",
     )
     simulate.add_argument(
-        "--shards", type=int, default=1,
-        help="fleet shards the batch dispatch pipeline partitions vehicles into",
-    )
-    simulate.add_argument(
         "--batch-window", type=float, default=1.0,
         help="seconds the serving micro-batcher lets a window accumulate "
         "before flushing it through the batch pipeline",
@@ -173,17 +169,9 @@ def build_parser() -> argparse.ArgumentParser:
         "for pruning -- same distances)",
     )
     compare.add_argument(
-        "--shards", type=int, default=1,
-        help="fleet shards the batch dispatch pipeline partitions vehicles into",
-    )
-    compare.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="dispatch the burst through the batched pipeline (--no-batch for the sequential loop)",
-    )
-    compare.add_argument(
         "--prefetch", action=argparse.BooleanOptionalAction, default=True,
         help="prefetch the batch's start trees in one vectorised engine call "
-        "(--no-prefetch computes trees per start; only meaningful with --batch)",
+        "(--no-prefetch computes trees per start)",
     )
     return parser
 
@@ -293,7 +281,6 @@ def _run_simulate(args: argparse.Namespace) -> int:
     config = SystemConfig(
         max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
         routing_backend=args.routing,
-        match_shards=args.shards,
         batch_window=args.batch_window, max_batch_size=args.max_batch_size,
         queue_capacity=args.queue_capacity or None,
         queue_policy=args.queue_policy,
@@ -313,7 +300,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     workload = RequestWorkload.from_trips(trips, config.max_waiting, config.service_constraint)
     engine = SimulationEngine(dispatcher, workload, speed=1.0, tick=1.0, seed=args.seed)
     report = engine.run(until=args.duration + 50.0)
-    print(f"Matcher: {matcher.name} (routing={args.routing}, shards={args.shards})")
+    print(f"Matcher: {matcher.name} (routing={args.routing})")
     for key, value in sorted(report.panel().items()):
         print(f"  {key:>25}: {value:.4f}")
     return 0
@@ -335,7 +322,6 @@ def _run_compare(args: argparse.Namespace) -> int:
         config = SystemConfig(
             max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
             routing_backend=args.routing,
-            match_shards=args.shards,
         )
         matcher = matcher_class(fleet, config=config)
         dispatcher = Dispatcher(fleet, matcher, config)
@@ -347,26 +333,14 @@ def _run_compare(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         started = time.perf_counter()
-        if args.batch:
-            dispatcher.dispatch_batch(
-                requests, policy=OptionPolicy.CHEAPEST, prefetch=args.prefetch
-            )
-        else:
-            dispatcher.dispatch_sequential(requests, policy=OptionPolicy.CHEAPEST)
+        dispatcher.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST, prefetch=args.prefetch)
         elapsed = time.perf_counter() - started
         stats = matcher.statistics.as_dict()
         batch_stats = dispatcher.last_batch_statistics
         hit_rate = batch_stats.shared_tree_hit_rate if batch_stats is not None else 0.0
         prefetched = batch_stats.prefetched_trees if batch_stats is not None else 0
         results.append((matcher.name, elapsed, stats, hit_rate, prefetched))
-    if args.batch:
-        mode = (
-            f"batched pipeline, {args.shards} shard(s), "
-            f"prefetch {'on' if args.prefetch else 'off'}"
-        )
-    else:
-        mode = "sequential loop"
-    print(f"Dispatch: {mode}")
+    print(f"Dispatch: batched pipeline, prefetch {'on' if args.prefetch else 'off'}")
     print(
         f"{'matcher':>12} {'seconds':>9} {'evaluated':>10} {'pruned':>8} "
         f"{'options':>8} {'tree hits':>9} {'prefetched':>10}"

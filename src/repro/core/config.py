@@ -49,10 +49,6 @@ class SystemConfig:
             adds ALT landmark lower bounds for pruning.  Both return the
             same distances.  A service takes the backend of the engine its
             fleet was built with.
-        match_shards: number of fleet shards the batch dispatch pipeline
-            partitions vehicles into (by grid cell); per-shard skylines are
-            merged by dominance, so any value yields the same options.  ``1``
-            disables sharding.
         dispatch_workers: retired.  Dispatch runs in one process; the
             field stays only so callers that still pass ``1`` keep working,
             and any other value is a configuration error.  Journals that
@@ -138,7 +134,6 @@ class SystemConfig:
     matcher_name: str = "single_side"
     price_model: LinearPriceModel = field(default_factory=LinearPriceModel)
     routing_backend: str = "csr"
-    match_shards: int = 1
     dispatch_workers: int = 1
     batch_window: float = 1.0
     max_batch_size: int = 512
@@ -183,8 +178,6 @@ class SystemConfig:
             raise ConfigurationError(
                 f"routing_backend must be one of {ROUTING_BACKENDS}, got {self.routing_backend!r}"
             )
-        if self.match_shards < 1:
-            raise ConfigurationError(f"match_shards must be >= 1, got {self.match_shards}")
         if self.dispatch_workers != 1:
             raise ConfigurationError(
                 f"dispatch_workers is retired and only accepts 1 (dispatch "

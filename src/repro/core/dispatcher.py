@@ -13,29 +13,23 @@ The dispatcher glues the matcher, the fleet and the price model together:
 When several requests are issued simultaneously, PTRider applies a greedy
 strategy (Section 2.5): requests are processed one after the other in
 submission order, each seeing the fleet state left behind by its
-predecessors.  :meth:`Dispatcher.dispatch_batch` preserves exactly those
-semantics but runs them as a staged pipeline instead of a literal loop:
+predecessors.  :meth:`Dispatcher.dispatch_batch` runs exactly that loop with
+the routing work pooled up front:
 
 1. **normalise** every request of the batch;
 2. **build a** :class:`~repro.core.batch.BatchContext` pooling the
    start-rooted distance trees and direct distances (requests sharing a start
    vertex share one tree);
-3. **collect per-shard skylines**: the fleet is partitioned into
-   ``SystemConfig.match_shards`` disjoint
-   :class:`~repro.vehicles.fleet.ShardedFleetView`\\ s and the matcher
-   verifies each shard independently;
-4. **merge** the per-shard skylines by dominance
-   (:meth:`~repro.model.options.Skyline.merge`);
-5. **greedily commit** in submission order -- a commit changes exactly one
-   vehicle and therefore the contents of exactly one shard, which is what
-   keeps every other shard's search results valid under the interleaved
-   commits; each request's per-shard skylines are computed just-in-time at
-   its turn, every shard searched exactly once per request.
+3. **one turn per request**, in submission order: the matcher answers the
+   request from its pooled context against the fleet as the previous turns
+   left it;
+4. **greedily commit** the option the policy chooses before the next turn.
 
-Every pruning and merge step is lossless and deterministic, so the pipeline
-yields byte-identical options, choices and fleet end-state to the sequential
-loop for any shard count (property-tested in
-``tests/property/test_batch_equivalence.py``).
+:meth:`Dispatcher.match_batch` takes the same turns without step 4, and
+:meth:`Dispatcher.dispatch` is a batch of one.  Pooling moves no answer: the
+pipeline yields byte-identical options, choices and fleet end-state to the
+literal loop (property-tested in ``tests/property/test_batch_equivalence.py``
+against ``tests/dispatch_reference.py``).
 """
 
 from __future__ import annotations
@@ -51,7 +45,7 @@ from repro.core.context import MatchContext
 from repro.core.insertion import insertion_candidates
 from repro.core.matcher import Matcher
 from repro.errors import MatchingError, UnknownOptionError
-from repro.model.options import RideOption, Skyline
+from repro.model.options import RideOption
 from repro.model.request import Request
 from repro.vehicles.fleet import Fleet
 
@@ -286,124 +280,58 @@ class Dispatcher:
         policy: OptionPolicy = OptionPolicy.CHEAPEST,
         apply_global_constraints: bool = True,
     ) -> DispatchOutcome:
-        """Submit, auto-choose and commit one request.
+        """Submit, auto-choose and commit one request: a batch of one.
 
         Returns a :class:`DispatchOutcome`; a request with no qualifying
         option is reported unmatched rather than raising.
         """
-        if apply_global_constraints:
-            request = self.normalise(request)
-        started = time.perf_counter()
-        context = self._matcher.make_context(request)
-        options = self._matcher.match_context(context)
-        elapsed = time.perf_counter() - started
-        if not options:
-            outcome = DispatchOutcome(
-                request=request,
-                options=(),
-                chosen=None,
-                match_seconds=elapsed,
-                direct_distance=context.direct,
-            )
-            if self.outcome_listener is not None:
-                self.outcome_listener(outcome)
-            return outcome
-        chosen = policy.choose(options)
-        self.commit(request, chosen, context=context)
-        outcome = DispatchOutcome(
-            request=request,
-            options=tuple(options),
-            chosen=chosen,
-            match_seconds=elapsed,
-            direct_distance=context.direct,
-        )
-        if self.outcome_listener is not None:
-            self.outcome_listener(outcome)
-        return outcome
-
-    def dispatch_sequential(
-        self,
-        requests: Iterable[Request],
-        policy: OptionPolicy = OptionPolicy.CHEAPEST,
-        apply_global_constraints: bool = True,
-    ) -> List[DispatchOutcome]:
-        """The literal request-by-request greedy loop (Section 2.5).
-
-        Kept as the correctness reference the batched pipeline is
-        property-tested against, and as the sequential arm of the
-        batched-vs-sequential benchmark (E12).
-        """
-        return [
-            self.dispatch(request, policy=policy, apply_global_constraints=apply_global_constraints)
-            for request in requests
-        ]
+        return self.dispatch_batch(
+            [request], policy=policy, apply_global_constraints=apply_global_constraints
+        )[0]
 
     def dispatch_batch(
         self,
         requests: Iterable[Request],
         policy: OptionPolicy = OptionPolicy.CHEAPEST,
         apply_global_constraints: bool = True,
-        shards: Optional[int] = None,
         on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
         prefetch: bool = True,
     ) -> List[DispatchOutcome]:
-        """Greedy handling of simultaneous requests as a staged pipeline.
+        """Greedy handling of simultaneous requests (Section 2.5).
 
-        Semantically identical to :meth:`dispatch_sequential` -- requests are
-        decided in submission order, each seeing the fleet state its
-        predecessors' commits produced -- but the work is staged: the batch's
-        distinct start trees are prefetched in one vectorised engine call,
-        routing contexts are pooled batch-wide (shared start trees, a
-        batch-wide schedule-leg memo and leg trees pooled on demand), matching
-        runs per fleet shard and the per-shard skylines are merged by
-        dominance.  A commit affects exactly one shard (the chosen vehicle's),
-        which is what keeps the per-shard searches of every other shard valid
-        under the interleaved commits; each request's shard skylines are
-        computed just-in-time at its turn, so no shard is ever searched twice
-        for the same request.
+        Requests are decided in submission order, each seeing the fleet state
+        its predecessors' commits produced; the batch's distinct start trees
+        are prefetched in one vectorised engine call and routing contexts are
+        pooled batch-wide (shared start trees, a batch-wide schedule-leg memo
+        and leg trees pooled on demand).
 
         Args:
             requests: the simultaneous requests, in submission order.
             policy: the stand-in rider choosing from each skyline.
             apply_global_constraints: normalise requests first (Section 3.1).
-            shards: shard-count override; defaults to
-                ``SystemConfig.match_shards``.
             on_outcome: optional callback invoked with each outcome as soon
                 as its commit lands -- callers that must record bookkeeping
                 even when a *later* request of the batch raises (e.g. the
                 simulation engine) hook in here, exactly as if they had run
-                the sequential loop themselves.
+                the loop themselves.
             prefetch: pool the batch's start trees through one vectorised
                 :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`
                 call (the default; ``False`` forces per-start computation,
                 the ablation arm of benchmark E13).
         """
-        prepared = self._prepare_batch(requests, apply_global_constraints, shards, prefetch)
+        prepared = self._prepare_batch(requests, apply_global_constraints, prefetch)
         if prepared is None:
             return []
-        request_list, batch, views = prepared
-
-        # Stage: per-shard collect/verify + merge + greedy commit, in
-        # submission order.
+        request_list, batch = prepared
         outcomes: List[DispatchOutcome] = []
         for index, request in enumerate(request_list):
-            context = batch.context_for(index)  # re-raises recorded errors
-            started = time.perf_counter()
-            merged = Skyline.merge(
-                self._matcher.collect_shard(context, view) for view in views
-            ).options()
-            # The request's share of the pooled context building counts
-            # towards its response time, as it did when ``dispatch`` built
-            # the context inline.
-            elapsed = batch.context_seconds(index) + (time.perf_counter() - started)
-            self._matcher.statistics.requests_answered += 1
-            self._matcher.statistics.options_returned += len(merged)
-            chosen = policy.choose(merged) if merged else None
+            context, options, elapsed = self._turn(batch, index, request)
+            chosen = policy.choose(options) if options else None
             if chosen is not None:
                 self.commit(request, chosen, context=context)
             outcome = DispatchOutcome(
                 request=request,
-                options=tuple(merged),
+                options=tuple(options),
                 chosen=chosen,
                 match_seconds=elapsed,
                 direct_distance=context.direct,
@@ -416,14 +344,40 @@ class Dispatcher:
                 on_outcome(outcome)
         return outcomes
 
-    def _prepare_batch(
+    def match_batch(
         self,
         requests: Iterable[Request],
-        apply_global_constraints: bool,
-        shards: Optional[int],
+        apply_global_constraints: bool = True,
         prefetch: bool = True,
-    ) -> Optional[Tuple[List[Request], BatchContext, List[object]]]:
-        """Shared batch prelude: normalise, validate shards, pool contexts.
+    ) -> List[List[RideOption]]:
+        """Skylines for a batch of requests without committing any of them.
+
+        The service layer's batch-submit flow uses this: all requests are
+        answered against the *current* fleet state through one shared
+        :class:`~repro.core.batch.BatchContext` (the riders choose -- and
+        commit -- later, individually).  A request whose endpoints are broken
+        (unknown vertex, unreachable destination) gets no options, so one
+        broken trip cannot void the rest of the burst.
+
+        Args:
+            requests: the requests to answer, in order.
+            apply_global_constraints: normalise requests first.
+            prefetch: pool the batch's start trees through one vectorised
+                engine call (see :meth:`dispatch_batch`).
+        """
+        prepared = self._prepare_batch(requests, apply_global_constraints, prefetch)
+        if prepared is None:
+            return []
+        request_list, batch = prepared
+        return [
+            [] if batch.error_for(index) is not None else self._turn(batch, index, request)[1]
+            for index, request in enumerate(request_list)
+        ]
+
+    def _prepare_batch(
+        self, requests: Iterable[Request], apply_global_constraints: bool, prefetch: bool
+    ) -> Optional[Tuple[List[Request], BatchContext]]:
+        """Shared batch prelude: normalise, pool contexts.
 
         Returns ``None`` for an empty batch.
         """
@@ -432,64 +386,25 @@ class Dispatcher:
             request_list = [self.normalise(request) for request in request_list]
         if not request_list:
             return None
-        shard_count = shards if shards is not None else self._config.match_shards
-        if shard_count < 1:
-            raise MatchingError(f"shard count must be >= 1, got {shard_count}")
-        if not self._matcher.supports_sharding:
-            shard_count = 1
         batch = BatchContext.create(
             request_list, self._fleet.routing_engine, self._fleet.grid, prefetch=prefetch
         )
         self.last_batch_statistics = batch.statistics
-        return request_list, batch, self._fleet.shard_views(shard_count)
+        return request_list, batch
 
-    def match_batch(
-        self,
-        requests: Iterable[Request],
-        apply_global_constraints: bool = True,
-        shards: Optional[int] = None,
-        on_error: str = "raise",
-        prefetch: bool = True,
-    ) -> List[List[RideOption]]:
-        """Skylines for a batch of requests without committing any of them.
+    def _turn(
+        self, batch: BatchContext, index: int, request: Request
+    ) -> Tuple[MatchContext, List[RideOption], float]:
+        """One request's turn: match it against the fleet as it stands now.
 
-        The service layer's batch-submit flow uses this: all requests are
-        answered against the *current* fleet state through one shared
-        :class:`~repro.core.batch.BatchContext` (the riders choose -- and
-        commit -- later, individually).
-
-        Args:
-            requests: the requests to answer, in order.
-            apply_global_constraints: normalise requests first.
-            shards: shard-count override (defaults to the config's).
-            on_error: what a recorded endpoint error (unknown vertex,
-                unreachable destination) does to its request: ``"raise"``
-                (per-request ``submit`` parity) or ``"empty"`` -- the request
-                simply gets no options, so one broken trip cannot void the
-                rest of the burst (the service's batch-submit flow uses
-                this).
-            prefetch: pool the batch's start trees through one vectorised
-                engine call (see :meth:`dispatch_batch`).
+        Returns the request's pooled context, its skyline and its response
+        time -- the request's share of the pooled context building plus the
+        match itself.
         """
-        if on_error not in ("raise", "empty"):
-            raise MatchingError(f"on_error must be 'raise' or 'empty', got {on_error!r}")
-        prepared = self._prepare_batch(requests, apply_global_constraints, shards, prefetch)
-        if prepared is None:
-            return []
-        request_list, batch, views = prepared
-        results: List[List[RideOption]] = []
-        for index in range(len(request_list)):
-            if on_error == "empty" and batch.error_for(index) is not None:
-                results.append([])
-                continue
-            context = batch.context_for(index)
-            merged = Skyline.merge(
-                self._matcher.collect_shard(context, view) for view in views
-            ).options()
-            self._matcher.statistics.requests_answered += 1
-            self._matcher.statistics.options_returned += len(merged)
-            results.append(merged)
-        return results
+        context = batch.context_for(index)  # re-raises recorded errors
+        started = time.perf_counter()
+        options = self._matcher.match(request, context)
+        return context, options, batch.context_seconds(index) + (time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # lifecycle notifications from the simulation engine

@@ -99,13 +99,6 @@ class Matcher(abc.ABC):
     #: human-readable algorithm name (used by the CLI, service and benchmarks)
     name = "abstract"
 
-    #: whether per-shard results of this matcher may be merged by dominance.
-    #: True for skyline matchers (the merge is lossless, see
-    #: ``Skyline.merge``); single-option baselines whose result is *not* a
-    #: dominance skyline set this to False and are always matched against the
-    #: whole fleet, even when the batch pipeline shards.
-    supports_sharding = True
-
     def __init__(
         self,
         fleet: Fleet,
@@ -142,11 +135,6 @@ class Matcher(abc.ABC):
         """The routing engine shared with the fleet."""
         return self._engine
 
-    @property
-    def oracle(self) -> RoutingEngine:
-        """Backwards-compatible alias for :attr:`engine`."""
-        return self._engine
-
     def make_context(self, request: Request) -> MatchContext:
         """Build the per-request context (direct distance plus start tree)."""
         return MatchContext.create(request, self._engine, self._grid)
@@ -159,44 +147,26 @@ class Matcher(abc.ABC):
         The returned list is the skyline over every option produced by
         :meth:`_collect_options`, sorted by ascending pick-up distance.  A
         caller that goes on to commit one of them passes the ``context`` it
-        built with :meth:`make_context` and keeps it: it then holds what each
-        verification found (:attr:`MatchContext.verified`).
+        built with :meth:`make_context` (or took from a batch's
+        :class:`~repro.core.batch.BatchContext`) and keeps it: it then holds
+        what each verification found (:attr:`MatchContext.verified`).
         """
         if context is None:
             context = self.make_context(request)
-        return self.match_context(context)
-
-    def match_context(self, context: MatchContext, fleet: Optional[object] = None) -> List[RideOption]:
-        """Match against an injected context and fleet view.
-
-        ``fleet`` may be the whole :class:`~repro.vehicles.fleet.Fleet`
-        (default) or a :class:`~repro.vehicles.fleet.ShardedFleetView`; the
-        batch pipeline injects pre-built contexts (shared distance trees) and
-        per-shard views here instead of letting the matcher reach into the
-        global fleet.
-        """
         self.statistics.requests_answered += 1
-        options = self._collect_options(context, fleet if fleet is not None else self._fleet)
-        result = skyline_of(options)
+        # Equal to skyline_of; perfbench's self-test expects the Skyline.merge span it times.
+        result = Skyline.merge([self._collect_options(context)]).options()
         self.statistics.options_returned += len(result)
         return result
 
-    def collect_shard(self, context: MatchContext, fleet: object) -> List[RideOption]:
-        """Per-shard skyline for the batch pipeline.
-
-        Unlike :meth:`match_context` this does not bump the request-level
-        counters -- the pipeline counts each rider request once after merging
-        the per-shard skylines.
-        """
-        return skyline_of(self._collect_options(context, fleet))
+    # Kept for perfbench/trace.py, whose tests fail on an unresolved entry point.
+    collect_shard = match
 
     @abc.abstractmethod
-    def _collect_options(self, context: MatchContext, fleet: object) -> List[RideOption]:
-        """Produce candidate options over ``fleet`` (a Fleet or a ShardedFleetView).
+    def _collect_options(self, context: MatchContext) -> List[RideOption]:
+        """Produce candidate options over the matcher's fleet.
 
-        Subclasses decide which of the view's vehicles to verify and in what
-        order; they must query vehicles through ``fleet``, never through the
-        matcher's own fleet reference, so the batch pipeline can shard.
+        Subclasses decide which vehicles to verify and in what order.
         """
 
     # ------------------------------------------------------------------
@@ -258,7 +228,6 @@ class Matcher(abc.ABC):
         self,
         vehicle_ids: AbstractSet[str],
         vehicles: Mapping[str, Vehicle],
-        owns: Optional[Callable[[Vehicle], bool]],
         context: MatchContext,
         max_pickup: float,
         seen: Set[str],
@@ -266,10 +235,9 @@ class Matcher(abc.ABC):
         """The vehicles of one cell's registration set that the pick-up cap
         lets through, sorted by id -- the grid walks' per-cell list.
 
-        Skipped without a count: ids already in ``seen``, ids of vehicles no
-        longer in ``vehicles`` and, with ``owns``, vehicles another shard
-        owns.  Every other vehicle is tested
-        against the cap with :meth:`_pickup_lower_bound`'s own float
+        Skipped without a count: ids already in ``seen`` and ids of vehicles
+        no longer in ``vehicles``.  Every other vehicle is tested against the
+        cap with :meth:`_pickup_lower_bound`'s own float
         expression (the start-tree value less :data:`BOUND_SLACK`, clamped at
         0, plus the offset).  One that fails is counted as considered and as
         pruned beyond the cap, and goes into ``seen``, so it is never sorted
@@ -286,7 +254,7 @@ class Matcher(abc.ABC):
             if vehicle_id in seen:
                 continue
             vehicle = vehicles.get(vehicle_id)
-            if vehicle is None or (owns is not None and not owns(vehicle)):
+            if vehicle is None:
                 continue
             exact = from_start(vehicle.location)
             if exact is not None:

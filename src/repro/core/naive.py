@@ -33,9 +33,9 @@ class NaiveKineticTreeMatcher(Matcher):
 
     name = "naive"
 
-    def _collect_options(self, context: MatchContext, fleet) -> List[RideOption]:
+    def _collect_options(self, context: MatchContext) -> List[RideOption]:
         options: List[RideOption] = []
-        for vehicle in fleet.vehicles():
+        for vehicle in self._fleet.vehicles():
             self.statistics.vehicles_considered += 1
             options.extend(self._verify_vehicle(vehicle, context))
         return options

@@ -30,11 +30,10 @@ dominates nothing.
 
 The request's direct distance and its rooted distance tree live in the
 per-request :class:`~repro.core.context.MatchContext`, so no vehicle
-verification re-issues a request-side shortest-path query.  Both the context
-and the fleet are injected arguments: the batch pipeline passes pooled
-contexts and per-shard :class:`~repro.vehicles.fleet.ShardedFleetView`\\ s,
-and the search is oblivious to whether it sees one shard or the whole fleet
-(the pruning below is admissible against any subset of the fleet).
+verification re-issues a request-side shortest-path query.  The context is
+an injected argument: the batch pipeline passes the pooled contexts of its
+:class:`~repro.core.batch.BatchContext`, and the search cannot tell them from
+one :meth:`~repro.core.matcher.Matcher.make_context` built.
 
 The cell expansion itself terminates early when the cell-level lower bound
 proves that **no** vehicle registered in the remaining cells can contribute a
@@ -60,14 +59,14 @@ class SingleSideSearchMatcher(Matcher):
 
     name = "single_side"
 
-    def _collect_options(self, context: MatchContext, fleet) -> List[RideOption]:
+    def _collect_options(self, context: MatchContext) -> List[RideOption]:
         request, direct = context.request, context.direct
         start_cell = self._grid.cell_of_vertex(request.start).cell_id
         start_min = self._grid.vertex_min(request.start)
         max_pickup = self._config.max_pickup_distance
         max_pickup_value = math.inf if max_pickup is None else max_pickup
         price_floor = self._price_model.price(request.riders, 0.0, direct)
-        vehicles, owns = fleet.by_id, fleet.owns
+        vehicles = self._fleet.by_id
 
         skyline = Skyline()
         seen: Set[str] = set()
@@ -101,17 +100,15 @@ class SingleSideSearchMatcher(Matcher):
                     # pick-up distance plus the direct trip.
                     skip_empty_lists = True
 
-            # An empty vehicle is registered in its location cell only, so a
-            # shard keeps or skips the whole list; a serving one is owned per
-            # vehicle.  The cap is tested before a list is sorted or probed.
-            if cell.empty_vehicles and not skip_empty_lists and fleet.owns_cell(cell.cell_id):
+            # The cap is tested before a list is sorted or probed.
+            if cell.empty_vehicles and not skip_empty_lists:
                 for vehicle in self._cap_survivors(
-                    cell.empty_vehicles, vehicles, None, context, max_pickup_value, seen
+                    cell.empty_vehicles, vehicles, context, max_pickup_value, seen
                 ):
                     self._consider(vehicle, context, max_pickup_value, seen, skyline)
             if cell.nonempty_vehicles:
                 for vehicle in self._cap_survivors(
-                    cell.nonempty_vehicles, vehicles, owns, context, max_pickup_value, seen
+                    cell.nonempty_vehicles, vehicles, context, max_pickup_value, seen
                 ):
                     self._consider(vehicle, context, max_pickup_value, seen, skyline)
 

@@ -150,8 +150,8 @@ class Skyline:
         newcomer are evicted.  When the newcomer ties an existing member on
         both coordinates, the representative with the smaller ``vehicle_id``
         is kept -- making the surviving skyline independent of insertion
-        order, which the sharded batch pipeline relies on when it merges
-        per-shard skylines (see :meth:`merge`).
+        order, so a matcher may add options in whatever order its search
+        finds them.
         """
         for index, existing in enumerate(self._options):
             if dominates(existing, option):

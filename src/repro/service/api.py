@@ -823,10 +823,9 @@ class PTRiderService:
         """Batch-submit flow: one booking per ``(start, destination[, riders])``.
 
         All trips are answered against the current fleet state through one
-        shared :class:`~repro.core.batch.BatchContext` (pooled distance trees,
-        per-shard skylines merged by dominance), so a burst of simultaneous
-        smartphone submissions pays the request-side routing work once per
-        distinct start vertex.  A trip with broken endpoints (unknown vertex,
+        shared :class:`~repro.core.batch.BatchContext` (pooled distance
+        trees), so a burst of simultaneous smartphone submissions pays the
+        request-side routing work once per distinct start vertex.  A trip with broken endpoints (unknown vertex,
         unreachable destination) simply books with zero options instead of
         voiding the rest of the burst.  Every booking stays open: the riders
         choose (and the fleet commits) individually through :meth:`choose`.
@@ -858,9 +857,7 @@ class PTRiderService:
     def _book_batch_requests(self, requests: Sequence[Request]) -> List[Booking]:
         """The unjournaled body of :meth:`book_batch` (replay entry point)."""
         started = time.perf_counter()
-        option_lists = self._dispatcher.match_batch(
-            requests, apply_global_constraints=False, on_error="empty"
-        )
+        option_lists = self._dispatcher.match_batch(requests, apply_global_constraints=False)
         elapsed = time.perf_counter() - started
         per_booking = elapsed / len(requests) if requests else 0.0
         bookings: List[Booking] = []
@@ -1087,7 +1084,6 @@ class PTRiderService:
         """The live statistics panel (plus matcher work counters)."""
         panel = self._engine.statistics.panel()
         panel["current_time"] = self._engine.time
-        panel["match_shards"] = float(self._config.match_shards)
         panel.update({f"matcher_{k}": v for k, v in self._matcher.statistics.as_dict().items()})
         panel.update({f"fleet_{k}": v for k, v in self._fleet.occupancy_statistics().items()})
         batch_stats = self._dispatcher.last_batch_statistics
@@ -1168,7 +1164,6 @@ class PTRiderService:
         max_pickup_distance: Optional[float] = None,
         matcher_name: Optional[str] = None,
         routing_backend: Optional[str] = None,
-        match_shards: Optional[int] = None,
         batch_window: Optional[float] = None,
         max_batch_size: Optional[int] = None,
         queue_capacity: Optional[int] = None,
@@ -1187,10 +1182,6 @@ class PTRiderService:
         ``routing_backend`` rebuilds the routing engine on the same road
         network with the same tree-cache capacity (its cached trees are
         dropped); the matcher and dispatcher are rebuilt on top of it.
-        ``match_shards`` controls how many fleet shards the batch dispatch
-        pipeline partitions vehicles into; any value yields the same options
-        (the per-shard skylines merge losslessly), so it is purely a
-        scale-out knob.
 
         ``batch_window`` / ``max_batch_size`` / ``queue_capacity`` /
         ``queue_policy`` reconfigure the micro-batched ingest path; the
@@ -1219,7 +1210,6 @@ class PTRiderService:
                 ("max_pickup_distance", max_pickup_distance),
                 ("matcher_name", matcher_name),
                 ("routing_backend", routing_backend),
-                ("match_shards", match_shards),
                 ("batch_window", batch_window),
                 ("max_batch_size", max_batch_size),
                 ("queue_capacity", queue_capacity),
@@ -1254,8 +1244,6 @@ class PTRiderService:
             changes["vehicle_capacity"] = vehicle_capacity
         if max_pickup_distance is not None:
             changes["max_pickup_distance"] = max_pickup_distance
-        if match_shards is not None:
-            changes["match_shards"] = match_shards
         if batch_window is not None:
             changes["batch_window"] = batch_window
         if max_batch_size is not None:

@@ -1,11 +1,10 @@
 """Micro-batched request ingest: the production serving path.
 
 ``PTRiderService.book`` answers one request at a time, which means the
-fastest machinery in the repository -- the staged batch pipeline with its
-vectorised tree prefetch, demand-pooled leg trees and sharded matching --
-was only reachable by callers that hand-assemble batches.
-:class:`MicroBatcher` closes that gap: incoming requests accumulate in a
-*window* that is flushed through
+fastest machinery in the repository -- the batch pipeline with its
+vectorised tree prefetch and demand-pooled leg trees -- was only reachable
+by callers that hand-assemble batches.  :class:`MicroBatcher` closes that
+gap: incoming requests accumulate in a *window* that is flushed through
 :meth:`~repro.core.dispatcher.Dispatcher.dispatch_batch` when either
 
 * ``batch_window`` time units have passed since the window's first
@@ -14,7 +13,7 @@ was only reachable by callers that hand-assemble batches.
 * the window reaches ``max_batch_size`` requests,
 
 whichever comes first.  Because the batch pipeline is property-tested
-byte-identical to the sequential greedy loop, micro-batching changes *when*
+byte-identical to the literal greedy loop, micro-batching changes *when*
 work happens but never *what* is answered: every window's outcomes are
 bit-for-bit the outcomes of ``dispatch_batch`` on the same requests.
 
@@ -419,7 +418,6 @@ class MicroBatcher:
         window_max: adaptive-mode upper bound on the window length
             (defaults to ``batch_window * 16``).
         policy: the stand-in rider choosing from each skyline.
-        shards: shard-count override forwarded to ``dispatch_batch``.
         clock: zero-argument callable read at admissions and pumps.
             Defaults to ``time.monotonic`` (wall time); replay passes
             simulated time via the ``now`` argument of the public methods
@@ -446,7 +444,6 @@ class MicroBatcher:
         window_min: Optional[float] = None,
         window_max: Optional[float] = None,
         policy: OptionPolicy = OptionPolicy.CHEAPEST,
-        shards: Optional[int] = None,
         clock: Optional[Callable[[], float]] = None,
         wall_clock: Optional[Callable[[], float]] = None,
         on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
@@ -481,7 +478,6 @@ class MicroBatcher:
         self._speed = speed
         self._latency_budget = latency_budget
         self._policy = policy
-        self._shards = shards
         self._clock = clock or time.monotonic
         self._wall_clock = wall_clock or time.perf_counter
         self._on_outcome = on_outcome
@@ -795,7 +791,6 @@ class MicroBatcher:
             outcomes = self._dispatcher.dispatch_batch(
                 requests,
                 policy=self._policy,
-                shards=self._shards,
                 on_outcome=_answered,
             )
         except Exception:

@@ -94,7 +94,8 @@ _DROP = object()
 #: (the only value the config accepts; a ``set_parameters`` change, which no
 #: longer takes it, drops it), and its watchdog and retry knobs are dropped.
 #: The retired routing backends' knobs (``table_max_vertices``,
-#: ``tree_provider``) and the retired artifact cache's directory are
+#: ``tree_provider``), the retired artifact cache's directory and the
+#: retired fleet shard count (every shard count gave the same options) are
 #: dropped, and a dict-valued entry maps retired *values* of a live knob:
 #: the "dict", "table" and "ch" backends answered every query with the csr
 #: backend's floats, so they replay as "csr".  Only older builds can have
@@ -107,6 +108,7 @@ RETIRED_CONFIG_KEYS: Dict[str, object] = {
     "table_max_vertices": _DROP,
     "tree_provider": _DROP,
     "routing_cache_dir": _DROP,
+    "match_shards": _DROP,
     "routing_backend": {"dict": "csr", "table": "csr", "ch": "csr"},
 }
 
@@ -296,7 +298,6 @@ def serialize_config(config: SystemConfig) -> Dict[str, object]:
             "booking_fee": getattr(price, "booking_fee", 0.0),
         },
         "routing_backend": config.routing_backend,
-        "match_shards": config.match_shards,
         "dispatch_workers": config.dispatch_workers,
         "batch_window": config.batch_window,
         "max_batch_size": config.max_batch_size,

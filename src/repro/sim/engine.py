@@ -154,9 +154,9 @@ class SimulationEngine:
     def _release_requests(self) -> None:
         # All requests whose submission time falls inside this tick are
         # simultaneous in the sense of Section 2.5, so they go through the
-        # dispatcher's batched greedy pipeline as one batch (shared routing
-        # contexts, optional fleet sharding) instead of one dispatch call
-        # each; the outcomes are identical to the request-by-request loop.
+        # dispatcher's greedy pipeline as one batch (shared routing contexts)
+        # instead of one dispatch call each; the outcomes are identical to
+        # the request-by-request loop.
         # Bookkeeping runs through ``on_outcome`` as each commit lands, so a
         # request with broken endpoints raising mid-batch cannot discard its
         # predecessors' records -- the failure surfaces exactly as it did

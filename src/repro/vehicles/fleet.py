@@ -32,17 +32,9 @@ from repro.vehicles.vehicle import Vehicle
 
 __all__ = [
     "Fleet",
-    "ShardedFleetView",
-    "shard_of_cell",
     "snapshot_vehicle",
     "restore_vehicle",
 ]
-
-
-def shard_of_cell(cell_id: CellId, columns: int, shard_count: int) -> int:
-    """Shard index of a grid cell: row-major cell index modulo ``shard_count``."""
-    row, column = cell_id
-    return (row * columns + column) % shard_count
 
 
 def snapshot_vehicle(vehicle: Vehicle) -> tuple:
@@ -318,149 +310,6 @@ class Fleet:
             "average_occupancy": total_occupancy / len(vehicles),
         }
 
-    # ------------------------------------------------------------------
-    # sharding (batch dispatch pipeline)
-    # ------------------------------------------------------------------
-    def owns(self, vehicle: Vehicle) -> bool:
-        """The whole fleet owns every vehicle (:meth:`ShardedFleetView.owns`)."""
-        return True
-
-    def owns_cell(self, cell_id: CellId) -> bool:
-        """The whole fleet owns every cell (:meth:`ShardedFleetView.owns_cell`)."""
-        return True
-
-    def shard_of_vehicle(self, vehicle: Vehicle, shard_count: int) -> int:
-        """Return the index of the shard that owns ``vehicle``.
-
-        Ownership is decided by the vehicle's *current-location* grid cell
-        (row-major cell index modulo ``shard_count``).  Because commits never
-        move a vehicle, ownership is stable for the whole lifetime of a
-        dispatch batch, which lets the pipeline invalidate exactly one shard
-        per commit.
-        """
-        if shard_count <= 1:
-            return 0
-        cell_id = self._grid.cell_of_vertex(vehicle.location).cell_id
-        return shard_of_cell(cell_id, self._grid.columns, shard_count)
-
-    def shard_views(self, shard_count: int) -> List["ShardedFleetView"]:
-        """Partition the fleet into ``shard_count`` disjoint read-only views.
-
-        Every vehicle belongs to exactly one view (see
-        :meth:`shard_of_vehicle`), so per-shard matching verifies each vehicle
-        exactly once and the union of the per-shard options equals the options
-        a single matcher would produce over the whole fleet.
-        """
-        if shard_count < 1:
-            raise VehicleError(f"shard_count must be >= 1, got {shard_count}")
-        return [ShardedFleetView(self, shard, shard_count) for shard in range(shard_count)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Fleet(vehicles={len(self._vehicles)}, grid={self._grid!r})"
 
-
-class ShardedFleetView:
-    """A read-only slice of a :class:`Fleet` restricted to one shard.
-
-    The view exposes exactly the query surface the matchers consume
-    (``vehicles``, ``by_id`` with the ownership tests ``owns_cell`` /
-    ``owns`` the grid walks filter a cell's registrations with, plus the
-    shared grid and routing engine), restricted to the vehicles the shard
-    owns.  An empty vehicle is registered exactly in its location cell, so a
-    cell's empty list is kept or skipped whole by ``owns_cell``; a non-empty
-    one registers in every cell its schedule stops touch, so it is owned per
-    vehicle by its location cell.  A matcher handed a view instead of the
-    fleet therefore produces the skyline over that shard's vehicles only; the
-    batch pipeline merges the per-shard skylines by dominance
-    (:meth:`repro.model.options.Skyline.merge`).
-
-    Vehicles are partitioned by their current-location grid cell, so a
-    non-empty vehicle whose schedule stops span several cells is still seen by
-    exactly one shard -- no cross-shard duplicate verification, and a commit
-    dirties only the committed vehicle's own shard.
-    """
-
-    __slots__ = ("_fleet", "_shard", "_shard_count")
-
-    def __init__(self, fleet: Fleet, shard: int, shard_count: int) -> None:
-        if shard_count < 1:
-            raise VehicleError(f"shard_count must be >= 1, got {shard_count}")
-        if not 0 <= shard < shard_count:
-            raise VehicleError(f"shard must be in [0, {shard_count}), got {shard}")
-        self._fleet = fleet
-        self._shard = shard
-        self._shard_count = shard_count
-
-    # -- identity ------------------------------------------------------
-    @property
-    def fleet(self) -> Fleet:
-        """The underlying (whole) fleet."""
-        return self._fleet
-
-    @property
-    def shard(self) -> int:
-        """This view's shard index."""
-        return self._shard
-
-    @property
-    def shard_count(self) -> int:
-        """Total number of shards in the partition."""
-        return self._shard_count
-
-    def owns(self, vehicle: Vehicle) -> bool:
-        """``True`` when this shard is responsible for ``vehicle``."""
-        return self._fleet.shard_of_vehicle(vehicle, self._shard_count) == self._shard
-
-    # -- the matcher-facing query surface ------------------------------
-    @property
-    def grid(self) -> GridIndex:
-        """The grid index shared with the whole fleet."""
-        return self._fleet.grid
-
-    @property
-    def routing_engine(self) -> RoutingEngine:
-        """The routing engine shared with the whole fleet."""
-        return self._fleet.routing_engine
-
-    @property
-    def oracle(self) -> RoutingEngine:
-        """Backwards-compatible alias for :attr:`routing_engine`."""
-        return self._fleet.routing_engine
-
-    def get(self, vehicle_id: str) -> Vehicle:
-        """Return a vehicle by id (shard membership is not enforced here)."""
-        return self._fleet.get(vehicle_id)
-
-    @property
-    def by_id(self) -> Mapping[str, Vehicle]:
-        """The whole fleet's vehicles by id (filter with :meth:`owns`)."""
-        return self._fleet.by_id
-
-    def owns_cell(self, cell_id: CellId) -> bool:
-        """``True`` when vehicles *located* in ``cell_id`` belong to this shard."""
-        return (
-            self._shard_count <= 1
-            or shard_of_cell(cell_id, self._fleet.grid.columns, self._shard_count)
-            == self._shard
-        )
-
-    def vehicles(self) -> List[Vehicle]:
-        """Every vehicle the shard owns (sorted by id)."""
-        return [v for v in self._fleet.vehicles() if self.owns(v)]
-
-    def empty_vehicles(self) -> List[Vehicle]:
-        """The shard's empty vehicles."""
-        return [v for v in self.vehicles() if v.is_empty]
-
-    def nonempty_vehicles(self) -> List[Vehicle]:
-        """The shard's non-empty vehicles."""
-        return [v for v in self.vehicles() if not v.is_empty]
-
-    def __len__(self) -> int:
-        return len(self.vehicles())
-
-    def __iter__(self) -> Iterator[Vehicle]:
-        return iter(self.vehicles())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"ShardedFleetView(shard={self._shard}/{self._shard_count}, fleet={self._fleet!r})"

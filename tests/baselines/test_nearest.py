@@ -27,7 +27,7 @@ class TestNearestVehicleMatcher:
         reference = NaiveKineticTreeMatcher(fleet, config=config)
         for request in random_requests(fleet.grid.network, 8, 5.0, 0.3, seed=5):
             chosen = baseline.match(request)
-            everything = reference._collect_options(reference.make_context(request), reference.fleet)  # noqa: SLF001
+            everything = reference._collect_options(reference.make_context(request))  # noqa: SLF001
             if not everything:
                 assert chosen == []
                 continue

@@ -53,7 +53,7 @@ class TestSharekStyleMatcher:
             )
             # every SHAREK option appears among the naive empty-vehicle options
             naive_empty_all = [
-                o for o in reference._collect_options(reference.make_context(request), reference.fleet)  # noqa: SLF001
+                o for o in reference._collect_options(reference.make_context(request))  # noqa: SLF001
                 if mixed_fleet.get(o.vehicle_id).is_empty
             ]
             naive_points = option_points(naive_empty_all)

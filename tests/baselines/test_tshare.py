@@ -33,7 +33,7 @@ class TestTShareStyleMatcher:
         reference = NaiveKineticTreeMatcher(mixed_fleet, config=config)
         for request in random_requests(mixed_fleet.grid.network, 10, 6.0, 0.5, seed=5):
             single = tshare.match(request)
-            all_options = reference._collect_options(reference.make_context(request), reference.fleet)  # noqa: SLF001
+            all_options = reference._collect_options(reference.make_context(request))  # noqa: SLF001
             if not all_options:
                 assert single == []
                 continue

@@ -8,13 +8,14 @@ from repro.core.batch import BatchContext, BatchStatistics
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.single_side import SingleSideSearchMatcher
-from repro.errors import ConfigurationError, DisconnectedError, VertexNotFoundError
+from repro.errors import DisconnectedError, VertexNotFoundError
 from repro.model.options import RideOption, Skyline
 from repro.model.request import Request
 from repro.roadnet.routing import make_engine
 from repro.sim.workload import random_requests
 
 from tests.conftest import build_random_fleet
+from tests.dispatch_reference import dispatch_sequential
 from tests.routing_arms import ROUTING_ARMS
 
 
@@ -283,50 +284,6 @@ class TestDemandPool:
         )
 
 
-class TestShardedFleetView:
-    def test_views_partition_the_fleet(self, fleet):
-        for shard_count in (1, 2, 3, 4):
-            views = fleet.shard_views(shard_count)
-            assert len(views) == shard_count
-            seen = [v.vehicle_id for view in views for v in view.vehicles()]
-            assert sorted(seen) == sorted(fleet.vehicle_ids())  # disjoint + complete
-
-    def test_cell_queries_filter_by_ownership(self, fleet):
-        """Exactly one view owns each cell and each vehicle, and an empty
-        vehicle -- registered in its location cell only -- is owned by the
-        view that owns that cell, so a cell's empty list goes whole."""
-        views = fleet.shard_views(3)
-        for cell in fleet.grid.cells():
-            assert sum(view.owns_cell(cell.cell_id) for view in views) == 1
-            for vehicle_id in cell.empty_vehicles:
-                vehicle = fleet.by_id[vehicle_id]
-                assert [view.owns(vehicle) for view in views] == [
-                    view.owns_cell(cell.cell_id) for view in views
-                ]
-        for vehicle in fleet.vehicles():
-            assert sum(view.owns(vehicle) for view in views) == 1
-            assert all(view.by_id[vehicle.vehicle_id] is vehicle for view in views)
-
-    def test_shard_of_vehicle_is_stable_across_assignment(self, fleet):
-        vehicle = fleet.vehicles()[0]
-        before = fleet.shard_of_vehicle(vehicle, 4)
-        request = _requests(fleet, 1, seed=5)[0]
-        config = SystemConfig(max_waiting=6.0, service_constraint=0.4)
-        dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
-        dispatcher.dispatch(request)
-        assert fleet.shard_of_vehicle(vehicle, 4) == before
-
-    def test_invalid_shard_parameters_rejected(self, fleet):
-        from repro.errors import VehicleError
-
-        with pytest.raises(VehicleError):
-            fleet.shard_views(0)
-        from repro.vehicles.fleet import ShardedFleetView
-
-        with pytest.raises(VehicleError):
-            ShardedFleetView(fleet, 3, 2)
-
-
 class TestSkylineMerge:
     def test_merge_is_partition_independent(self):
         options = [
@@ -362,17 +319,6 @@ class TestDispatchBatchPipeline:
         dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
         assert dispatcher.dispatch_batch([]) == []
 
-    def test_config_match_shards_is_the_default(self, fleet):
-        config = SystemConfig(max_waiting=6.0, service_constraint=0.4, match_shards=3)
-        dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
-        outcomes = dispatcher.dispatch_batch(_requests(fleet, 4))
-        assert len(outcomes) == 4
-        assert dispatcher.last_batch_statistics is not None
-
-    def test_invalid_match_shards_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SystemConfig(match_shards=0)
-
     def test_match_batch_on_error_empty_keeps_the_rest_of_the_burst(self, fleet):
         config = SystemConfig(max_waiting=6.0, service_constraint=0.4)
         dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
@@ -381,9 +327,7 @@ class TestDispatchBatchPipeline:
             start=10_000, destination=good[0].destination, riders=1,
             max_waiting=6.0, service_constraint=0.4, request_id="bad",
         )
-        with pytest.raises(VertexNotFoundError):
-            dispatcher.match_batch([good[0], bad, good[1]])
-        results = dispatcher.match_batch([good[0], bad, good[1]], on_error="empty")
+        results = dispatcher.match_batch([good[0], bad, good[1]])
         assert len(results) == 3
         assert results[1] == []
         assert results[0] and results[2]  # the healthy trips still get options
@@ -395,12 +339,14 @@ class TestDispatchBatchPipeline:
             start=fleet.grid.network.vertices()[0], destination=10_000, riders=1,
             max_waiting=6.0, service_constraint=0.4, request_id="nowhere",
         )
+        with pytest.raises(VertexNotFoundError) as looped:
+            dispatch_sequential(dispatcher, [request])
         with pytest.raises(VertexNotFoundError) as booked:
             dispatcher.dispatch(request)
         with pytest.raises(VertexNotFoundError) as batched:
             dispatcher.dispatch_batch([request])
-        assert batched.value.vertex == booked.value.vertex == 10_000
-        assert batched.value.args == booked.value.args
+        assert batched.value.vertex == booked.value.vertex == looped.value.vertex == 10_000
+        assert batched.value.args == booked.value.args == looped.value.args
 
     def test_bad_request_raises_after_predecessors_commit(self, fleet):
         config = SystemConfig(max_waiting=6.0, service_constraint=0.4)

@@ -1,12 +1,13 @@
 """Property-based equivalence of the batched dispatch pipeline with the loop.
 
-The batched pipeline (`Dispatcher.dispatch_batch`) restructures *where* the
-greedy strategy's work happens -- pooled routing contexts, per-shard
-skylines merged by dominance, commit-driven shard invalidation -- but must
-not change *what* it computes: for any fleet, any burst of simultaneous
-requests and any shard count, the outcomes (offered skylines, chosen
-vehicles, fleet end-state) must be byte-identical to the literal
-request-by-request greedy loop of Section 2.5.
+The batched pipeline (`Dispatcher.dispatch_batch`, `Dispatcher.match_batch`
+and `Dispatcher.dispatch`, a batch of one) restructures *where* the greedy
+strategy's routing work happens -- pooled start trees, a batch-wide leg memo
+and demand-pooled leg trees -- but must not change *what* it computes: for
+any fleet and any burst of simultaneous requests, the outcomes (offered
+skylines, chosen vehicles, fleet end-state) must be byte-identical to the
+literal request-by-request greedy loop of Section 2.5
+(``tests/dispatch_reference.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.batch import BatchMatchContext
+from repro.core.batch import BatchContext, BatchMatchContext
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.dual_side import DualSideSearchMatcher
@@ -29,9 +30,10 @@ from repro.model.request import Request
 from repro.roadnet.generators import grid_network
 from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
 from repro.sim.engine import SimulationEngine
-from repro.sim.workload import RequestWorkload
+from repro.sim.workload import RequestWorkload, random_requests
 
 from tests.conftest import build_fleet
+from tests.dispatch_reference import dispatch_sequential, match_sequential
 from tests.routing_arms import ROUTING_ARMS
 
 MATCHERS = {
@@ -70,12 +72,11 @@ def batch_scenarios(draw):
         )
 
     matcher_name = draw(st.sampled_from(sorted(MATCHERS)))
-    shards = draw(st.sampled_from([1, 2, 4]))
     policy = draw(st.sampled_from([OptionPolicy.CHEAPEST, OptionPolicy.FASTEST, OptionPolicy.BALANCED]))
     max_pickup = draw(st.sampled_from([None, 4.0, 8.0]))
     blueprint = (network, locations, grid_rows)
     config = SystemConfig(max_waiting=6.0, service_constraint=0.6, max_pickup_distance=max_pickup)
-    return blueprint, requests, matcher_name, shards, policy, config
+    return blueprint, requests, matcher_name, policy, config
 
 
 def _build_dispatcher(blueprint, matcher_name, config, backend=None):
@@ -110,12 +111,12 @@ def _fleet_state(fleet):
 @given(batch_scenarios())
 @settings(max_examples=40, deadline=None)
 def test_dispatch_batch_equals_sequential_loop(scenario):
-    blueprint, requests, matcher_name, shards, policy, config = scenario
+    blueprint, requests, matcher_name, policy, config = scenario
     sequential = _build_dispatcher(blueprint, matcher_name, config)
     batched = _build_dispatcher(blueprint, matcher_name, config)
 
-    loop_outcomes = sequential.dispatch_sequential(requests, policy=policy)
-    pipeline_outcomes = batched.dispatch_batch(requests, policy=policy, shards=shards)
+    loop_outcomes = dispatch_sequential(sequential, requests, policy)
+    pipeline_outcomes = batched.dispatch_batch(requests, policy=policy)
 
     assert len(loop_outcomes) == len(pipeline_outcomes)
     for loop, pipe in zip(loop_outcomes, pipeline_outcomes):
@@ -130,22 +131,47 @@ def test_dispatch_batch_equals_sequential_loop(scenario):
 @given(batch_scenarios())
 @settings(max_examples=20, deadline=None)
 def test_match_batch_equals_individual_submits(scenario):
-    """The no-commit batch flow answers exactly like per-request submits."""
-    blueprint, requests, matcher_name, shards, _policy, config = scenario
+    """The no-commit batch flow answers exactly like the per-request loop."""
+    blueprint, requests, matcher_name, _policy, config = scenario
     individual = _build_dispatcher(blueprint, matcher_name, config)
     batched = _build_dispatcher(blueprint, matcher_name, config)
 
-    one_by_one = [individual.submit(individual.normalise(r)) for r in requests]
-    pooled = batched.match_batch(requests, shards=shards)
+    one_by_one = match_sequential(individual, requests)
+    pooled = batched.match_batch(requests)
     assert one_by_one == pooled
+    assert individual.matcher.statistics == batched.matcher.statistics
+
+
+@given(batch_scenarios())
+@settings(max_examples=20, deadline=None)
+def test_dispatch_equals_the_loop_and_notifies_once(scenario):
+    """``dispatch(r)``, request after request, is the loop on a one-request
+    list each time, and hands every outcome to ``outcome_listener`` exactly
+    once."""
+    blueprint, requests, matcher_name, policy, config = scenario
+    sequential = _build_dispatcher(blueprint, matcher_name, config)
+    single = _build_dispatcher(blueprint, matcher_name, config)
+    heard = []
+    single.outcome_listener = heard.append
+
+    for request in requests:
+        loop = dispatch_sequential(sequential, [request], policy)[0]
+        before = len(heard)
+        outcome = single.dispatch(request, policy=policy)
+        assert heard[before:] == [outcome]
+        assert outcome.options == loop.options
+        assert outcome.chosen == loop.chosen
+        assert outcome.request == loop.request
+        assert outcome.direct_distance == loop.direct_distance
+    assert _fleet_state(sequential.fleet) == _fleet_state(single.fleet)
 
 
 @given(batch_scenarios())
 @settings(max_examples=15, deadline=None)
 def test_shared_tree_statistics_are_consistent(scenario):
-    blueprint, requests, matcher_name, shards, policy, config = scenario
+    blueprint, requests, matcher_name, policy, config = scenario
     dispatcher = _build_dispatcher(blueprint, matcher_name, config)
-    dispatcher.dispatch_batch(requests, policy=policy, shards=shards)
+    dispatcher.dispatch_batch(requests, policy=policy)
     stats = dispatcher.last_batch_statistics
     assert stats is not None
     assert stats.requests == len(requests)
@@ -162,12 +188,12 @@ def test_prefetched_batch_equals_sequential_on_vector_backends(scenario, backend
     """The one-shot tree-plane prefetch is pure restructuring: on every
     backend the batched pipeline must reproduce the sequential loop's
     options, choices and fleet end-state float for float."""
-    blueprint, requests, matcher_name, shards, policy, config = scenario
+    blueprint, requests, matcher_name, policy, config = scenario
     sequential = _build_dispatcher(blueprint, matcher_name, config, backend=backend)
     batched = _build_dispatcher(blueprint, matcher_name, config, backend=backend)
 
-    loop_outcomes = sequential.dispatch_sequential(requests, policy=policy)
-    pipeline_outcomes = batched.dispatch_batch(requests, policy=policy, shards=shards)
+    loop_outcomes = dispatch_sequential(sequential, requests, policy)
+    pipeline_outcomes = batched.dispatch_batch(requests, policy=policy)
 
     assert len(loop_outcomes) == len(pipeline_outcomes)
     for loop, pipe in zip(loop_outcomes, pipeline_outcomes):
@@ -188,7 +214,7 @@ def test_prefetched_batch_equals_sequential_on_vector_backends(scenario, backend
 @st.composite
 def busy_fleet_scenarios(draw):
     """A request stream that drives a fleet busy, a burst to answer against
-    it, and the routing/sharding configuration to answer it under."""
+    it, and the routing configuration to answer it under."""
     seed = draw(st.integers(min_value=0, max_value=100_000))
     rng = random.Random(seed)
     network = grid_network(
@@ -228,7 +254,6 @@ def busy_fleet_scenarios(draw):
         "matcher": draw(st.sampled_from(sorted(MATCHERS))),
         "backend": draw(st.sampled_from(ROUTING_BACKENDS)),
         "cache": draw(st.sampled_from([1, 8, 1024])),
-        "shards": draw(st.sampled_from([1, 2, 4])),
         "policy": draw(st.sampled_from([OptionPolicy.CHEAPEST, OptionPolicy.FASTEST])),
     }
 
@@ -298,18 +323,17 @@ class _PoolSpy:
 def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
     """The demand pool is pure restructuring.  Against a fleet that has been
     driven busy, a burst answered through ``dispatch_batch`` -- whatever the
-    backend, the engine's tree-cache size or the shard count -- equals the
-    sequential loop byte for byte, while the pool asks the engine for each
-    root at most once and only for roots some verification really asked --
-    and not at all on ch, whose point query is cheaper than a tree."""
+    backend or the engine's tree-cache size -- equals the sequential loop
+    byte for byte, while the pool asks the engine for each root at most once
+    and only for roots some verification really asked."""
     sequential = _driven_dispatcher(scenario)
     batched = _driven_dispatcher(scenario)
     assert _fleet_state(sequential.fleet) == _fleet_state(batched.fleet)
     burst, policy = scenario["burst"], scenario["policy"]
 
-    loop_outcomes = sequential.dispatch_sequential(burst, policy=policy)
+    loop_outcomes = dispatch_sequential(sequential, burst, policy)
     with _PoolSpy(batched.fleet.routing_engine) as spy:
-        pipeline_outcomes = batched.dispatch_batch(burst, policy=policy, shards=scenario["shards"])
+        pipeline_outcomes = batched.dispatch_batch(burst, policy=policy)
 
     assert len(loop_outcomes) == len(pipeline_outcomes)
     for loop, pipe in zip(loop_outcomes, pipeline_outcomes):
@@ -338,8 +362,7 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
 
 
 @pytest.mark.parametrize("backend", ROUTING_ARMS)
-@pytest.mark.parametrize("shards", [1, 2, 4])
-def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(backend, shards):
+def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(backend):
     """A taxi stranded on an island makes the verification of the one request
     that considers it raise.  The batched pipeline raises the loop's error at
     the loop's turn: the request before it is committed, the one after it is
@@ -365,9 +388,9 @@ def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(backend, shards
         dispatcher.outcome_listener = answered.append
         with pytest.raises(Exception) as raised:
             if batched:
-                dispatcher.dispatch_batch(requests, shards=shards)
+                dispatcher.dispatch_batch(requests)
             else:
-                dispatcher.dispatch_sequential(requests)
+                dispatch_sequential(dispatcher, requests)
         return raised.value, [outcome.request.request_id for outcome in answered], _fleet_state(fleet)
 
     loop_error, loop_answered, loop_fleet = _run(batched=False)
@@ -377,3 +400,62 @@ def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(backend, shards
     assert pipe_error.args == loop_error.args
     assert pipe_answered == loop_answered == ["e0"]
     assert pipe_fleet == loop_fleet
+
+
+def _fixed_city(backend):
+    """A deterministic small city (identical per call, per backend)."""
+    network = grid_network(6, 6, weight_jitter=0.35, seed=23)
+    rng = random.Random(23)
+    vertices = network.vertices()
+    locations = [rng.choice(vertices) for _ in range(8)]
+    fleet = build_fleet(network, locations, capacity=4, grid_rows=3, grid_columns=3)
+    fleet.set_routing_engine(make_engine(network, backend))
+    config = SystemConfig(max_waiting=6.0, service_constraint=0.6, max_pickup_distance=10.0)
+    dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
+    burst = random_requests(network, 10, 6.0, 0.6, seed=24, id_prefix="p-")
+    return dispatcher, burst
+
+
+def _outcome_key(outcome):
+    return (outcome.request.request_id, outcome.options, outcome.chosen)
+
+
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
+def test_fixed_burst_equals_the_loop(backend):
+    """One ten-request burst on a fixed city, on every routing arm."""
+    sequential, burst = _fixed_city(backend)
+    loop_outcomes = dispatch_sequential(sequential, burst, OptionPolicy.CHEAPEST)
+    batched, _ = _fixed_city(backend)
+    pipeline_outcomes = batched.dispatch_batch(burst, policy=OptionPolicy.CHEAPEST)
+
+    assert list(map(_outcome_key, pipeline_outcomes)) == list(map(_outcome_key, loop_outcomes))
+    assert _fleet_state(batched.fleet) == _fleet_state(sequential.fleet)
+    assert batched.last_batch_statistics.requests == len(burst)
+
+
+def test_consecutive_batches_equal_the_loop():
+    """A dispatcher serves batch after batch: the second burst sees the
+    first one's commits exactly as the loop does."""
+    sequential, burst = _fixed_city("csr")
+    loop_outcomes = dispatch_sequential(sequential, burst, OptionPolicy.CHEAPEST)
+
+    batched, _ = _fixed_city("csr")
+    pipeline_outcomes = batched.dispatch_batch(burst[:5], policy=OptionPolicy.CHEAPEST)
+    assert batched.last_batch_statistics.requests == 5
+    pipeline_outcomes += batched.dispatch_batch(burst[5:], policy=OptionPolicy.CHEAPEST)
+    assert batched.last_batch_statistics.requests == len(burst) - 5
+
+    assert list(map(_outcome_key, pipeline_outcomes)) == list(map(_outcome_key, loop_outcomes))
+    assert _fleet_state(batched.fleet) == _fleet_state(sequential.fleet)
+
+
+def test_the_reference_loop_never_pools():
+    """The oracle builds every context per request: with ``BatchContext``
+    unusable it still answers the whole burst, so the equivalence tests above
+    never compare the pipeline with itself."""
+    dispatcher, burst = _fixed_city("csr")
+    with mock.patch.object(BatchContext, "create", side_effect=AssertionError("pooled")):
+        outcomes = dispatch_sequential(dispatcher, burst, OptionPolicy.CHEAPEST)
+        answers = match_sequential(dispatcher, burst)
+    assert len(outcomes) == len(answers) == len(burst)
+    assert any(outcome.matched for outcome in outcomes)

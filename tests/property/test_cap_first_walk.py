@@ -17,7 +17,7 @@ kinetic trees), and then given what the grid lists can hold besides: a taxi
 still registered in a cell it has left (what ROADMAP item 1(a)'s registration
 bug leaves behind), a removed taxi whose id is still registered, an id no
 taxi ever had, and a taxi on an island the start tree does not hold.  Caps
-``None`` to tight, shard counts 1, 2 and 4, csr and ch engines.  A pinned
+``None`` to tight, csr and csr+alt engines.  A pinned
 fleet puts one taxi's bound exactly on ``cap + 1e-9`` and one ulp either side.
 """
 
@@ -85,19 +85,13 @@ class ListWalkDual(_Recording, ListWalkDualSideMatcher):
 PAIRS = [(CapFirstSingle, ListWalkSingle), (CapFirstDual, ListWalkDual)]
 
 
-def _answer(matcher_class, fleet, config, probe, shards):
+def _answer(matcher_class, fleet, config, probe):
     """What one walk did for ``probe``: its result, the vehicles it screened
     past the cap, the verification order and its counters."""
     matcher = matcher_class(fleet, config=config)
     context = matcher.make_context(probe)
     try:
-        if shards == 1:
-            result = ("options", matcher.match(probe, context))
-        else:
-            result = (
-                "options",
-                [matcher.collect_shard(context, view) for view in fleet.shard_views(shards)],
-            )
+        result = ("options", matcher.match(probe, context))
     except Exception as error:  # noqa: BLE001 - both walks must fail alike
         result = ("error", type(error), error.args)
     return result, matcher.screened, list(context.verified), matcher.statistics
@@ -183,12 +177,11 @@ def driven_scenarios(draw):
 @settings(max_examples=40, deadline=None)
 def test_cap_first_walk_equals_the_sorted_list_walk(scenario):
     fleet, config, probes = scenario
-    for shards in (1, 2, 4):
-        for cap_first, list_walk in PAIRS:
-            for probe in probes:
-                assert _answer(cap_first, fleet, config, probe, shards) == _answer(
-                    list_walk, fleet, config, probe, shards
-                )
+    for cap_first, list_walk in PAIRS:
+        for probe in probes:
+            assert _answer(cap_first, fleet, config, probe) == _answer(
+                list_walk, fleet, config, probe
+            )
 
 
 def _offset_onto(floor, target):
@@ -232,8 +225,8 @@ def test_a_bound_on_the_cap_is_let_through_and_one_ulp_above_is_not(backend, ser
     config = SystemConfig(max_waiting=9.0, service_constraint=0.8, max_pickup_distance=cap)
 
     for cap_first, list_walk in PAIRS:
-        answer = _answer(cap_first, fleet, config, probe, 1)
-        assert answer == _answer(list_walk, fleet, config, probe, 1)
+        answer = _answer(cap_first, fleet, config, probe)
+        assert answer == _answer(list_walk, fleet, config, probe)
         _result, screened, _verified, statistics = answer
         assert statistics.vehicles_considered == 1
         assert statistics.vehicles_beyond_cap == (1 if ulps > 0 else 0)

@@ -117,9 +117,9 @@ def test_book_then_choose_installs_what_the_old_commit_did(backend, parameters, 
 
 
 @pytest.mark.parametrize("backend", ROUTING_ARMS)
-@given(scenario_parameters, st.integers(min_value=1, max_value=3))
+@given(scenario_parameters)
 @settings(max_examples=15, deadline=None)
-def test_dispatch_batch_installs_what_the_old_commits_did(backend, parameters, shards):
+def test_dispatch_batch_installs_what_the_old_commits_did(backend, parameters):
     fleet, twin, probe, config = twins(parameters, backend)
     rng = random.Random(parameters["seed"] + 1)
     vertices = fleet.grid.network.vertices()
@@ -134,18 +134,17 @@ def test_dispatch_batch_installs_what_the_old_commits_did(backend, parameters, s
             )
         )
     # The naive matcher on both sides: with empty taxis mid-edge the screened
-    # searches may drop an option depending on how the fleet is sharded (the
-    # inadmissible empty-vehicle probe, ROADMAP item 1), which is not what
-    # this property is about.  Verification, and so what a commit carries, is
+    # searches may drop an option (the inadmissible empty-vehicle probe,
+    # ROADMAP item 1), which is not what this property is about.  Verification, and so what a commit carries, is
     # the same code for every matcher.
     dispatcher = Dispatcher(fleet, NaiveKineticTreeMatcher(fleet, config=config), config)
-    outcomes = dispatcher.dispatch_batch(requests, shards=shards)
+    outcomes = dispatcher.dispatch_batch(requests)
 
     matcher = NaiveKineticTreeMatcher(twin, config=config)
     expected = []
     for request in requests:
         context = matcher.make_context(request)
-        options = matcher.match_context(context)
+        options = matcher.match(request, context)
         chosen = OptionPolicy.CHEAPEST.choose(options) if options else None
         if chosen is not None:
             # the old pipeline handed its commit the context's direct distance

@@ -61,6 +61,8 @@ def test_incremental_skyline_matches_batch(candidates):
     assert {(o.pickup_distance, o.price) for o in incremental.options()} == {
         (o.pickup_distance, o.price) for o in batch
     }
+    # ``Matcher.match`` builds a request's skyline this way: skyline_of's list exactly
+    assert Skyline.merge([candidates]).options() == batch
 
 
 @given(options(), distances, prices)

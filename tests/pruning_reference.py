@@ -21,9 +21,8 @@ matcher.
 walk as it was before the pick-up cap moved in front of the per-cell lists.
 Each cell's two lists are built whole (:func:`empty_vehicles_in_cell` and
 :func:`nonempty_vehicles_in_cell`, the fleet's list builders of that time:
-sorted by id, filtered to the vehicles the fleet holds and the shard
-owns), every vehicle on them goes to
-``_consider`` -- seen, beyond the cap or not -- and both dominance probes
+sorted by id, filtered to the vehicles the fleet holds), every vehicle
+on them goes to ``_consider`` -- seen, beyond the cap or not -- and both dominance probes
 run in every cell, skyline empty or not.  Mixed into today's single-side and
 dual-side matchers (:class:`ListWalkSingleSideMatcher`,
 :class:`ListWalkDualSideMatcher`) it shares their screening, so it pins the
@@ -44,21 +43,17 @@ from repro.vehicles.vehicle import Vehicle
 
 
 def empty_vehicles_in_cell(fleet, cell_id) -> List[Vehicle]:
-    """The empty vehicles ``fleet`` (a Fleet or a shard view) holds in
-    ``cell_id``, sorted by id: the whole list when the view owns the cell."""
-    if not fleet.owns_cell(cell_id):
-        return []
+    """The empty vehicles ``fleet`` holds in ``cell_id``, sorted by id."""
     vehicles = fleet.by_id
     ids = fleet.grid.cell(cell_id).empty_vehicles
     return [vehicles[vid] for vid in sorted(ids) if vid in vehicles]
 
 
 def nonempty_vehicles_in_cell(fleet, cell_id) -> List[Vehicle]:
-    """The non-empty vehicles ``fleet`` holds in ``cell_id``, sorted by id,
-    each kept when the view owns it."""
+    """The non-empty vehicles ``fleet`` holds in ``cell_id``, sorted by id."""
     vehicles = fleet.by_id
     ids = fleet.grid.cell(cell_id).nonempty_vehicles
-    return [vehicles[vid] for vid in sorted(ids) if vid in vehicles and fleet.owns(vehicles[vid])]
+    return [vehicles[vid] for vid in sorted(ids) if vid in vehicles]
 
 
 def index_lower_bound(context: MatchContext, source: int, target: int) -> float:
@@ -98,7 +93,8 @@ class ReferenceSingleSideMatcher(_IndexScreening):
 
     name = "reference_single_side"
 
-    def _collect_options(self, context: MatchContext, fleet) -> List[RideOption]:
+    def _collect_options(self, context: MatchContext) -> List[RideOption]:
+        fleet = self._fleet
         request, direct = context.request, context.direct
         start_cell = self._grid.cell_of_vertex(request.start).cell_id
         start_min = self._grid.vertex_min(request.start)
@@ -172,9 +168,9 @@ class ReferenceTShareMatcher(_IndexScreening):
     """``TShareStyleMatcher`` with the old screening."""
 
     name = "reference_tshare"
-    supports_sharding = False
 
-    def _collect_options(self, context: MatchContext, fleet) -> List[RideOption]:
+    def _collect_options(self, context: MatchContext) -> List[RideOption]:
+        fleet = self._fleet
         request = context.request
         start_cell = self._grid.cell_of_vertex(request.start).cell_id
         start_min = self._grid.vertex_min(request.start)
@@ -212,7 +208,8 @@ class ReferenceTShareMatcher(_IndexScreening):
 class SortedListWalk:
     """``SingleSideSearchMatcher._collect_options`` with the fleet's sorted lists."""
 
-    def _collect_options(self, context: MatchContext, fleet) -> List[RideOption]:
+    def _collect_options(self, context: MatchContext) -> List[RideOption]:
+        fleet = self._fleet
         request, direct = context.request, context.direct
         start_cell = self._grid.cell_of_vertex(request.start).cell_id
         start_min = self._grid.vertex_min(request.start)

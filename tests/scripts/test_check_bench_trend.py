@@ -29,57 +29,37 @@ RECORDS = [
 class TestAggregation:
     def test_phases_get_their_own_keys(self):
         walls = trend.aggregate_wall_seconds(RECORDS, ["E2", "E14"])
-        assert walls[("E2", "csr", "", "", "")] == 0.5
-        assert walls[("E14", "ch", "point_queries", "", "")] == 0.04
-        assert walls[("E14", "ch", "warm_restart", "", "")] == 0.01
+        assert walls[("E2", "csr", "")] == 0.5
+        assert walls[("E14", "ch", "point_queries")] == 0.04
+        assert walls[("E14", "ch", "warm_restart")] == 0.01
         # a fast disk read can no longer mask a point-query regression:
         # the phases never share an aggregate
         assert ("E14", "ch") not in walls
 
-    def test_tree_providers_get_their_own_keys(self):
+    def test_retired_dimensions_share_the_plain_key(self):
+        """Historical rows may still carry ``tree_provider`` or ``workers``;
+        neither splits an aggregate any more."""
         records = [
-            {"experiment": "E15", "routing_backend": "ch", "phase": "tree_planes",
-             "tree_provider": "plane", "wall_seconds": 0.1},
-            {"experiment": "E15", "routing_backend": "ch", "phase": "tree_planes",
-             "tree_provider": "phast", "wall_seconds": 0.3},
-        ]
-        walls = trend.aggregate_wall_seconds(records, ["E15"])
-        # a PHAST regression can never hide behind the faster SciPy plane
-        assert walls[("E15", "ch", "tree_planes", "plane", "")] == 0.1
-        assert walls[("E15", "ch", "tree_planes", "phast", "")] == 0.3
-
-    def test_worker_counts_get_their_own_keys(self):
-        records = [
-            {"experiment": "E16", "routing_backend": "csr", "workers": 1,
+            {"experiment": "E12", "routing_backend": "csr", "workers": 1,
              "wall_seconds": 0.8},
-            {"experiment": "E16", "routing_backend": "csr", "workers": 4,
+            {"experiment": "E12", "routing_backend": "csr", "workers": 2,
              "wall_seconds": 0.3},
-            {"experiment": "E12", "routing_backend": "csr", "wall_seconds": 0.6},
+            {"experiment": "E12", "routing_backend": "csr", "tree_provider": "plane",
+             "wall_seconds": 0.6},
         ]
-        walls = trend.aggregate_wall_seconds(records, ["E12", "E16"])
-        # a multi-worker run can never mask an in-process regression...
-        assert walls[("E16", "csr", "", "", "4")] == 0.3
-        # ...while workers=1 (the pool bypassed) and workers-absent records
-        # share the historical unnamed group, keeping old baselines comparable
-        assert walls[("E16", "csr", "", "", "")] == 0.8
-        assert walls[("E12", "csr", "", "", "")] == 0.6
+        assert trend.aggregate_wall_seconds(records, ["E12"]) == {("E12", "csr", ""): 0.3}
 
     def test_skip_phases_drops_only_the_named_phase(self):
         walls = trend.aggregate_wall_seconds(
             RECORDS, ["E14"], skip_phases=["warm_restart"]
         )
-        assert ("E14", "ch", "warm_restart", "", "") not in walls
-        assert ("E14", "ch", "point_queries", "", "") in walls
-        assert ("E14", "ch", "dispatch", "", "") in walls
+        assert ("E14", "ch", "warm_restart") not in walls
+        assert ("E14", "ch", "point_queries") in walls
+        assert ("E14", "ch", "dispatch") in walls
 
     def test_describe_labels(self):
-        assert trend.describe(("E2", "csr", "", "", "")) == "E2 [csr]"
-        assert trend.describe(("E14", "ch", "point_queries", "", "")) == "E14 [ch:point_queries]"
-        assert (
-            trend.describe(("E15", "ch", "tree_planes", "phast", ""))
-            == "E15 [ch:tree_planes@phast]"
-        )
-        assert trend.describe(("E16", "csr", "", "", "4")) == "E16 [csr w4]"
+        assert trend.describe(("E2", "csr", "")) == "E2 [csr]"
+        assert trend.describe(("E14", "ch", "point_queries")) == "E14 [ch:point_queries]"
 
 
 class TestMain:
@@ -118,7 +98,9 @@ class TestMain:
         by_key = {(r["experiment"], r["routing_backend"], r.get("phase", "")): r for r in rows}
         assert by_key[("E2", "csr", "")]["wall_seconds"] == 0.5
         assert by_key[("E14", "ch", "point_queries")]["phase"] == "point_queries"
-        assert "tree_provider" not in by_key[("E2", "csr", "")]
+        assert set(by_key[("E2", "csr", "")]) == {
+            "commit", "experiment", "routing_backend", "wall_seconds", "aggregate",
+        }
         assert all(r["commit"] == "abc123" for r in rows)
 
     def test_archive_carries_the_records_cpu_count(self, tmp_path):
@@ -185,25 +167,3 @@ class TestMain:
             "--baseline", baseline, "--fresh", fresh, "--experiments", "E17",
         ])
         assert code == 0
-
-    def test_archive_writes_workers_field(self, tmp_path, capsys):
-        records = [
-            {"experiment": "E16", "routing_backend": "csr", "workers": 4,
-             "wall_seconds": 0.3},
-            {"experiment": "E16", "routing_backend": "csr", "workers": 1,
-             "wall_seconds": 0.8},
-        ]
-        baseline = self._write(tmp_path / "baseline.json", records)
-        fresh = self._write(tmp_path / "fresh.json", records)
-        trajectory = tmp_path / "trajectory.jsonl"
-        code = trend.main([
-            "--baseline", baseline, "--fresh", fresh,
-            "--experiments", "E16", "--archive",
-            "--trajectory", str(trajectory), "--commit", "abc123",
-        ])
-        assert code == 0
-        rows = [json.loads(line) for line in trajectory.read_text().splitlines()]
-        by_workers = {r.get("workers"): r for r in rows}
-        assert by_workers[4]["wall_seconds"] == 0.3
-        # the workers=1 aggregate is the historical unnamed group: no field
-        assert by_workers[None]["wall_seconds"] == 0.8

@@ -58,7 +58,8 @@ class TestParser:
     @pytest.mark.parametrize(
         "flag", [("--workers", "2"), ("--worker-timeout", "5"),
                  ("--max-dispatch-retries", "2"), ("--tree-provider", "phast"),
-                 ("--routing-cache", "/tmp/artifacts")],
+                 ("--routing-cache", "/tmp/artifacts"), ("--shards", "2"),
+                 ("--batch",), ("--no-batch",)],
     )
     def test_retired_flags_are_rejected(self, flag):
         for command in ("demo", "simulate", "compare"):

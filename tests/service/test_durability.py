@@ -581,16 +581,20 @@ class TestAppliedSequence:
             journal = service.journal
             assert service._applied_seq == journal.last_seq()
             pending = None
+            # snapshots write no record, and neither does a cancel with nothing to cancel
+            journaled = False
             for index, (kind, value) in enumerate(script):
                 if kind == "cancel_last":
                     if pending is not None:
+                        journaled = True
                         try:
                             service.cancel(pending)
                         except ServiceError:  # flushed already: journaled, refused
                             pass
                 else:
+                    journaled = journaled or kind != "snapshot"
                     pending = _call(service, kind, value, index) or pending
                 assert service._applied_seq == journal.last_seq()
-            assert service._applied_seq > 0
+            assert (service._applied_seq > 0) == journaled
         finally:
             shutil.rmtree(tmp, ignore_errors=True)

@@ -4,8 +4,8 @@
 ``set_parameters`` records name ``dispatch_workers`` (2, then 1, then 3),
 ``worker_timeout`` and ``max_dispatch_retries``, and whose config names the
 retired ``routing_backend="dict"``, ``table_max_vertices`` and
-``tree_provider``, and ``routing_cache_dir`` (null) beside them (see its
-README).  Recovery maps them through
+``tree_provider``, and ``routing_cache_dir`` (null) and ``match_shards``
+(1) beside them (see its README).  Recovery maps them through
 :data:`repro.service.recovery.RETIRED_CONFIG_KEYS` and must land on the
 state the live service had, retired keys normalised: ``dispatch_workers``
 reads 1, the backend reads "csr" and the other knobs are gone.
@@ -51,8 +51,9 @@ def test_old_journal_recovers_to_the_stored_state(journal_copy, prefer_snapshot)
     config["dispatch_workers"] = 1
     config["routing_backend"] = "csr"
     assert config["routing_cache_dir"] is None
+    assert config["match_shards"] == 1
     for knob in ("worker_timeout", "max_dispatch_retries", "table_max_vertices",
-                 "tree_provider", "routing_cache_dir"):
+                 "tree_provider", "routing_cache_dir", "match_shards"):
         del config[knob]
     recovered = PTRiderService.recover(journal_copy, prefer_snapshot=prefer_snapshot)
     try:
@@ -112,6 +113,7 @@ RETIRED_VALUES = {
     "table_max_vertices": 8,
     "tree_provider": "plane",
     "routing_cache_dir": "/tmp/artifacts",
+    "match_shards": 4,
 }
 
 #: Retired values of a live knob, and what each replays as.
@@ -125,7 +127,7 @@ def test_the_table_names_exactly_the_retired_knobs():
 
 @pytest.mark.parametrize("knob", sorted(RETIRED_VALUES))
 def test_a_retired_knob_in_a_config_payload_replays_as_the_current_config(knob):
-    config = SystemConfig(max_waiting=6.0, match_shards=2)
+    config = SystemConfig(max_waiting=6.0)
     payload = {**serialize_config(config), knob: RETIRED_VALUES[knob]}
     assert deserialize_config(payload) == config
 

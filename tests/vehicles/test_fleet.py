@@ -111,7 +111,6 @@ class TestStateTransitions:
         assert cell.empty_vehicles == {"c1"}
         assert cell.nonempty_vehicles == set()
         assert fleet.by_id["c1"] is fleet.get("c1")
-        assert fleet.owns(fleet.get("c1")) and fleet.owns_cell(cell.cell_id)
         fleet.remove_vehicle("c1")
         assert "c1" not in fleet.by_id
 
