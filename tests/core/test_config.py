@@ -67,6 +67,7 @@ class TestValidation:
             "table_max_vertices",
             "tree_provider",
             "routing_cache_dir",
+            "match_shards",
         ],
     )
     def test_retired_knobs_are_gone(self, name):

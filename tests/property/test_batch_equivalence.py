@@ -361,45 +361,81 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
     assert payload["leg_tree_hits"] == float(stats.leg_tree_hits)
 
 
-@pytest.mark.parametrize("backend", ROUTING_ARMS)
-def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(backend):
-    """A taxi stranded on an island makes the verification of the one request
-    that considers it raise.  The batched pipeline raises the loop's error at
-    the loop's turn: the request before it is committed, the one after it is
-    never reached."""
+def _island_city(backend):
+    """A dispatcher whose second taxi is stranded on an island vertex, and a
+    three-request burst whose middle request is the one that considers it."""
     network = grid_network(6, 6, weight_jitter=0.2, seed=4)
     vertices = network.vertices()
     far = network.coordinate(vertices[-1])
     network.add_vertex(9_001, x=far.x, y=far.y)
     config = SystemConfig(max_waiting=2.0, service_constraint=0.6)
+    fleet = build_fleet(network, [vertices[0], 9_001], grid_rows=3, grid_columns=3)
+    fleet.set_routing_engine(make_engine(network, backend))
+    dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
+    requests = [
+        Request(start=start, destination=destination, riders=1, max_waiting=2.0,
+                service_constraint=0.6, request_id=f"e{index}")
+        for index, (start, destination) in enumerate(
+            [(vertices[1], vertices[8]), (vertices[-2], vertices[-9]), (vertices[2], vertices[9])]
+        )
+    ]
+    return dispatcher, requests
 
-    def _run(batched):
-        fleet = build_fleet(network, [vertices[0], 9_001], grid_rows=3, grid_columns=3)
-        fleet.set_routing_engine(make_engine(network, backend))
-        dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
-        requests = [
-            Request(start=start, destination=destination, riders=1, max_waiting=2.0,
-                    service_constraint=0.6, request_id=f"e{index}")
-            for index, (start, destination) in enumerate(
-                [(vertices[1], vertices[8]), (vertices[-2], vertices[-9]), (vertices[2], vertices[9])]
-            )
-        ]
+
+def _dispatch_one_by_one(dispatcher, requests):
+    for request in requests:
+        dispatcher.dispatch(request)
+
+
+PIPELINES = {
+    "dispatch_batch": lambda dispatcher, requests: dispatcher.dispatch_batch(requests),
+    "dispatch": _dispatch_one_by_one,
+}
+
+
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
+@pytest.mark.parametrize("entry", sorted(PIPELINES))
+def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(entry, backend):
+    """A taxi stranded on an island makes the verification of the one request
+    that considers it raise.  ``dispatch_batch`` on the burst, and ``dispatch``
+    request after request, raise the loop's error at the loop's turn: the
+    request before it is committed, the one after it is never reached."""
+
+    def _run(pipeline):
+        dispatcher, requests = _island_city(backend)
         answered = []
         dispatcher.outcome_listener = answered.append
         with pytest.raises(Exception) as raised:
-            if batched:
-                dispatcher.dispatch_batch(requests)
-            else:
-                dispatch_sequential(dispatcher, requests)
-        return raised.value, [outcome.request.request_id for outcome in answered], _fleet_state(fleet)
+            pipeline(dispatcher, requests)
+        return (
+            raised.value,
+            [outcome.request.request_id for outcome in answered],
+            _fleet_state(dispatcher.fleet),
+        )
 
-    loop_error, loop_answered, loop_fleet = _run(batched=False)
-    pipe_error, pipe_answered, pipe_fleet = _run(batched=True)
+    loop_error, loop_answered, loop_fleet = _run(dispatch_sequential)
+    pipe_error, pipe_answered, pipe_fleet = _run(PIPELINES[entry])
     assert isinstance(loop_error, DisconnectedError)
     assert type(pipe_error) is type(loop_error)
     assert pipe_error.args == loop_error.args
     assert pipe_answered == loop_answered == ["e0"]
     assert pipe_fleet == loop_fleet
+
+
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
+def test_unreachable_vehicle_raises_in_match_batch_like_the_loop(backend):
+    """The island taxi is not an endpoint error, so ``match_batch`` does not
+    answer it with an empty list: it raises the no-commit loop's error and
+    leaves the fleet as the loop leaves it."""
+    looped, requests = _island_city(backend)
+    with pytest.raises(DisconnectedError) as loop_error:
+        match_sequential(looped, requests)
+    batched, requests = _island_city(backend)
+    with pytest.raises(DisconnectedError) as pipe_error:
+        batched.match_batch(requests)
+    assert pipe_error.value.args == loop_error.value.args
+    assert _fleet_state(batched.fleet) == _fleet_state(looped.fleet)
+    assert batched.vehicle_of_request("e0") is None
 
 
 def _fixed_city(backend):
@@ -433,13 +469,28 @@ def test_fixed_burst_equals_the_loop(backend):
     assert batched.last_batch_statistics.requests == len(burst)
 
 
-def test_consecutive_batches_equal_the_loop():
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
+def test_fixed_burst_match_batch_equals_the_loop(backend):
+    """The same burst answered without commits, on every routing arm: the
+    skylines and the matcher's work counters equal the no-commit loop's."""
+    looped, burst = _fixed_city(backend)
+    batched, _ = _fixed_city(backend)
+    answers = match_sequential(looped, burst)
+
+    assert batched.match_batch(burst) == answers
+    assert any(answers)
+    assert batched.matcher.statistics == looped.matcher.statistics
+    assert _fleet_state(batched.fleet) == _fleet_state(looped.fleet)
+
+
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
+def test_consecutive_batches_equal_the_loop(backend):
     """A dispatcher serves batch after batch: the second burst sees the
     first one's commits exactly as the loop does."""
-    sequential, burst = _fixed_city("csr")
+    sequential, burst = _fixed_city(backend)
     loop_outcomes = dispatch_sequential(sequential, burst, OptionPolicy.CHEAPEST)
 
-    batched, _ = _fixed_city("csr")
+    batched, _ = _fixed_city(backend)
     pipeline_outcomes = batched.dispatch_batch(burst[:5], policy=OptionPolicy.CHEAPEST)
     assert batched.last_batch_statistics.requests == 5
     pipeline_outcomes += batched.dispatch_batch(burst[5:], policy=OptionPolicy.CHEAPEST)

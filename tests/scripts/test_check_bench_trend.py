@@ -103,6 +103,39 @@ class TestMain:
         }
         assert all(r["commit"] == "abc123" for r in rows)
 
+    def test_archive_writes_no_retired_dimension_fields(self, tmp_path):
+        records = [
+            {"experiment": "E12", "routing_backend": "csr", "workers": 4,
+             "wall_seconds": 0.3},
+            {"experiment": "E12", "routing_backend": "csr", "workers": 1,
+             "tree_provider": "plane", "wall_seconds": 0.8},
+        ]
+        trajectory = tmp_path / "trajectory.jsonl"
+        assert trend.archive_records(records, trajectory, "abc123", "min") == 1
+        (row,) = [json.loads(line) for line in trajectory.read_text().splitlines()]
+        assert row["wall_seconds"] == 0.3
+        assert "workers" not in row and "tree_provider" not in row
+
+    def test_an_old_multi_worker_baseline_is_compared_under_the_plain_key(
+        self, tmp_path, capsys
+    ):
+        # a baseline written when worker counts split the key still gates
+        # the single-process fresh run: a regression against it fails
+        baseline = self._write(tmp_path / "baseline.json", [
+            {"experiment": "E12", "routing_backend": "csr", "workers": 2,
+             "wall_seconds": 0.5},
+        ])
+        fresh = self._write(tmp_path / "fresh.json", [
+            {"experiment": "E12", "routing_backend": "csr", "wall_seconds": 1.0},
+        ])
+        code = trend.main([
+            "--baseline", baseline, "--fresh", fresh, "--experiments", "E12",
+        ])
+        out = capsys.readouterr()
+        assert code == 1
+        assert "E12 [csr]" in out.err
+        assert "skipped" not in out.out
+
     def test_archive_carries_the_records_cpu_count(self, tmp_path):
         stamped = [dict(record, cpu_count=2) for record in RECORDS]
         trajectory = tmp_path / "trajectory.jsonl"

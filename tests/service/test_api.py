@@ -280,10 +280,16 @@ class TestWebsiteInterface:
         assert not [key for key in statistics if "parallel_workers" in key]
         assert not [key for key in statistics if "ipc_seconds" in key]
 
+    def test_statistics_panel_has_no_shard_count(self, paper_service):
+        paper_service.book_batch([(12, 17), (3, 22)])
+        assert "match_shards" not in paper_service.statistics()
+        assert not [key for key in paper_service.routing_statistics() if "shard" in key]
+
     @pytest.mark.parametrize(
         "knob", [("dispatch_workers", 2), ("worker_timeout", 5.0),
                  ("max_dispatch_retries", 2), ("table_max_vertices", 8),
-                 ("tree_provider", "plane"), ("routing_cache", "/tmp/artifacts")],
+                 ("tree_provider", "plane"), ("routing_cache", "/tmp/artifacts"),
+                 ("match_shards", 2)],
     )
     def test_retired_knobs_are_rejected(self, paper_service, knob):
         name, value = knob
