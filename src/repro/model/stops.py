@@ -55,6 +55,10 @@ class Stop:
     #: Signed change in vehicle occupancy caused by this stop.
     occupancy_delta: int = field(init=False, repr=False, compare=False)
 
+    #: snapshots store a stop as ``[vertex, request_id, kind, riders]``
+    #: (:class:`repro.service.recovery._Plan`)
+    _durable_positional = True
+
     def __post_init__(self) -> None:
         if self.riders < 1:
             raise ValueError(f"stop for {self.request_id} must move at least one rider")

@@ -57,11 +57,11 @@ from repro.service.journal import ServiceJournal
 from repro.service.recovery import (
     RecoveryError,
     deserialize_config,
+    durable_fields,
+    encode,
     load_snapshot_state,
     replay_records,
     restore_state,
-    serialize_config,
-    serialize_request,
     write_delta,
     write_snapshot,
 )
@@ -95,15 +95,20 @@ class Booking:
     booking_id: str
     request: Request
     options: Tuple[RideOption, ...]
-    chosen: Optional[RideOption] = None
+    #: stored as its index in ``options`` (-1 while open)
+    chosen: Optional[RideOption] = field(
+        default=None, metadata={"key": "chosen_index", "index_of": "options"}
+    )
     #: wall-clock seconds the matcher needed to produce the options
-    response_seconds: float = 0.0
+    response_seconds: float = field(default=0.0, metadata={"wall_clock": True})
     #: the context the options were matched under, while the booking is open:
     #: :meth:`PTRiderService.choose` commits through it (direct distance and
     #: verified insertions in hand); ``choose``, ``cancel`` and a
     #: reconfiguration (``set_parameters``) drop it.  Never
     #: serialised -- a recovered booking has none and commits from scratch.
-    context: Optional[MatchContext] = field(default=None, repr=False, compare=False)
+    context: Optional[MatchContext] = field(
+        default=None, repr=False, compare=False, metadata={"durable": False}
+    )
 
     @property
     def is_open(self) -> bool:
@@ -244,7 +249,7 @@ class PTRiderService:
                 self._journal.set_meta(
                     "register_full_paths", self._fleet._register_full_paths
                 )
-                self._journal.set_meta("config", serialize_config(self._config))
+                self._journal.set_meta("config", encode(self._config))
                 self._journal.set_meta("seed", seed)
                 # Baseline snapshot at position 0: full-journal replay (and
                 # plain "journal" mode, which never snapshots again) starts
@@ -478,28 +483,26 @@ class PTRiderService:
     def _reset_stats_baseline(self) -> None:
         """Start a fresh dirty-stats window at a snapshot point.
 
-        Records the lengths of the append-only measurement lists (the next
-        delta carries only what lands past them) and clears the dirty
-        lifecycle-record set.  Called wherever a snapshot point is
-        established: full snapshots, deltas, and the restore side of
-        recovery (replayed tail mutations then dirty exactly what live
-        execution would have).
+        Records the lengths of the measurement lists the statistics mark
+        ``append_only`` (the next delta carries only what lands past them)
+        and clears the dirty lifecycle-record set.  Called wherever a
+        snapshot point is established: full snapshots, deltas, and the
+        restore side of recovery (replayed tail mutations then dirty exactly
+        what live execution would have).
         """
         sim = self._engine.statistics
         ingest = self._batcher.statistics
         self._stats_marker = {
-            "response_times": len(sim.response_times),
-            "option_counts": len(sim.option_counts),
-            "waiting_distances": len(sim.waiting_distances),
-            "detour_ratios": len(sim.detour_ratios),
-            "window_fills": len(ingest.window_fills),
-            "latencies": len(ingest.latencies),
-            # pending-window suffix marker: while the batcher's epoch still
-            # matches (appends only since this point), the next delta ships
-            # just the newly admitted entries
-            "pending_epoch": self._batcher.pending_epoch,
-            "pending_len": self._batcher.pending,
+            field.key: len(getattr(stats, field.name))
+            for stats in (sim, ingest)
+            for field in durable_fields(type(stats))
+            if field.append_only
         }
+        # pending-window suffix marker: while the batcher's epoch still
+        # matches (appends only since this point), the next delta ships just
+        # the newly admitted entries
+        self._stats_marker["pending_epoch"] = self._batcher.pending_epoch
+        self._stats_marker["pending_len"] = self._batcher.pending
         sim.dirty_records.clear()
 
     def _mark_booking_dirty(self, booking_id: str) -> None:
@@ -692,7 +695,7 @@ class PTRiderService:
         ids included -- can be driven through both the per-request loop and
         the micro-batched ingest path and their outcomes compared verbatim.
         """
-        self._journal_command("book", {"request": serialize_request(request)})
+        self._journal_command("book", {"request": encode(request)})
         started = time.perf_counter()
         context = self._matcher.make_context(request)
         options = self._dispatcher.submit(request, context)
@@ -750,7 +753,7 @@ class PTRiderService:
         self._journal_command(
             "admit",
             self._window_payload(
-                {"request": serialize_request(request), "now": moment}
+                {"request": encode(request), "now": moment}
             ),
         )
         admitted = self._batcher.submit(request, now=moment)
@@ -848,7 +851,7 @@ class PTRiderService:
         # salted per process, so replay must re-book these exact objects.
         self._journal_command(
             "book_batch",
-            {"requests": [serialize_request(request) for request in requests]},
+            {"requests": [encode(request) for request in requests]},
         )
         bookings = self._book_batch_requests(requests)
         self._finish_command()

@@ -328,8 +328,8 @@ class IngestStatistics:
     deadline_misses: int = 0
     #: adaptive-mode window resizes: how often the controller grew the
     #: window (flush wall crowding the window) / shrank it (dispatch idling)
-    window_grown: int = 0
-    window_shrunk: int = 0
+    window_grown: int = field(default=0, metadata={"wall_clock": True})
+    window_shrunk: int = field(default=0, metadata={"wall_clock": True})
     #: fully-served bookings pruned from live service state by the
     #: ``retention_horizon`` knob (the journal stays authoritative); the
     #: booking conservation check reads
@@ -338,11 +338,13 @@ class IngestStatistics:
     #: highest pending-queue depth ever observed
     peak_queue_depth: int = 0
     #: wall seconds spent inside ``dispatch_batch`` flushes
-    serving_seconds: float = 0.0
+    serving_seconds: float = field(default=0.0, metadata={"wall_clock": True})
     #: per-flush window fill ratios (``len(window) / max_batch_size``)
-    window_fills: List[float] = field(default_factory=list)
+    window_fills: List[float] = field(default_factory=list, metadata={"append_only": True})
     #: per-request admission-to-answer latencies (clock wait + flush wall)
-    latencies: List[float] = field(default_factory=list)
+    latencies: List[float] = field(
+        default_factory=list, metadata={"append_only": True, "wall_clock": True}
+    )
 
     @property
     def flushes(self) -> int:

@@ -25,6 +25,10 @@ cross-check: recovery compares every re-derived flush outcome against the
 recorded one and raises :class:`RecoveryError` on divergence rather than
 silently serving a different history.
 
+Everything durable is stored through one codec derived from the dataclasses
+that hold it (:func:`encode` / :func:`decode`, rules on :class:`_Plan`), so
+no field is listed by hand.
+
 Wall-clock measurements (matcher response seconds, flush wall time,
 admission latencies) are *not* part of the logical state -- two runs of the
 same events never agree on them -- so :func:`canonical_state` strips them;
@@ -37,26 +41,31 @@ statistics counters.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import inspect
 import json
 import os
+import types
+import typing
 from pathlib import Path
-from typing import Collection, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import SystemConfig
-from repro.core.pricing import LinearPriceModel
-from repro.errors import ConfigurationError, PTRiderError, ServiceError
-from repro.model.options import RideOption
+from repro.errors import PTRiderError, ServiceError
 from repro.model.request import Request
-from repro.model.stops import Stop, StopKind
+from repro.service.ingest import IngestStatistics
 from repro.service.journal import JournalRecord, ServiceJournal
-from repro.vehicles.fleet import restore_vehicle, snapshot_vehicle
-from repro.vehicles.schedule import RequestState
-from repro.vehicles.vehicle import Vehicle
+from repro.sim.engine import _AssignmentRecord
+from repro.sim.stats import SimulationStatistics
+from repro.vehicles.fleet import VehicleSnapshot, restore_vehicle, snapshot_vehicle
+from repro.vehicles.movement import MotionState
 
 __all__ = [
     "RecoveryError",
+    "encode",
+    "decode",
+    "durable_fields",
     "serialize_state",
     "restore_state",
     "canonical_state",
@@ -65,11 +74,8 @@ __all__ = [
     "fold_delta",
     "load_snapshot_state",
     "replay_records",
-    "serialize_config",
     "deserialize_config",
     "RETIRED_CONFIG_KEYS",
-    "serialize_request",
-    "deserialize_request",
     "SNAPSHOT_KEEP",
 ]
 
@@ -83,6 +89,205 @@ STATE_VERSION = 1
 
 class RecoveryError(ServiceError):
     """Recovery could not restore a consistent service state."""
+
+
+# ----------------------------------------------------------------------
+# the codec
+# ----------------------------------------------------------------------
+_SCALARS = (int, float, str, bool)
+
+#: What a stored value the codec cannot rebuild raises on the way.
+_DECODE_ERRORS = (PTRiderError, TypeError, ValueError, KeyError, IndexError, AttributeError)
+
+#: Default factories that build an empty container, the only factories a
+#: missing field may fall back to.
+_EMPTY_FACTORIES = (list, dict, tuple)
+
+#: :attr:`DurableField.default` of a field that may not be missing.
+_REQUIRED = object()
+
+
+@dataclasses.dataclass(frozen=True)
+class DurableField:
+    """One stored field of a class's plan."""
+
+    name: str
+    key: str
+    #: the value back from its stored form
+    decode: Callable[[object], object]
+    #: the stored form a missing field decodes from, or :data:`_REQUIRED`
+    default: object
+    append_only: bool
+    wall_clock: bool
+
+
+class _Plan:
+    """How one dataclass is stored, compiled once from its fields.
+
+    One rule per type hint (:func:`_source`).  A class is stored as an
+    object keyed by field name, in field order, or with
+    ``_durable_positional = True`` as the list of its field values.  Field
+    metadata: ``"key"`` renames the stored key, ``"index_of"`` stores an
+    optional field as its index in the named sibling tuple (``-1`` for
+    ``None``), ``"durable": False`` leaves a field out, ``"append_only"``
+    marks a list that only grows (deltas carry its new suffix) and
+    ``"wall_clock"`` a measurement :func:`canonical_state` drops.  A missing
+    field decodes to its default only when that is a constant or an empty
+    container (``Request.request_id``'s factory would mint an identity).
+    """
+
+    def __init__(self, cls: type) -> None:
+        self.cls = cls
+        self.positional = bool(getattr(cls, "_durable_positional", False))
+        hints = typing.get_type_hints(cls)
+        namespace: Dict[str, object] = {"_cls": cls}
+        fields: List[DurableField] = []
+        encoded: List[str] = []
+        decoded: List[str] = []
+        for spec in dataclasses.fields(cls):
+            meta = spec.metadata
+            if not spec.init or meta.get("durable", True) is False:
+                continue
+            key = meta.get("key", spec.name)
+            index_of = meta.get("index_of")
+            stored = f"p[{len(fields)}]" if self.positional else f"p[{key!r}]"
+            value = f"f{len(fields)}"
+            if index_of is None:
+                tp = hints[spec.name]
+                decode_value = eval(f"lambda v: {_source(tp, 'v', namespace, True)}", namespace)
+                encoded.append(_source(tp, f"o.{spec.name}", namespace))
+                decoded.append(f"{value} = {_source(tp, stored, namespace, True)}")
+            else:
+                decode_value = int
+                chosen = f"o.{spec.name}"
+                encoded.append(f"(-1 if {chosen} is None else o.{index_of}.index({chosen}))")
+                sibling = f"f{[field.name for field in fields].index(index_of)}"
+                decoded.append(f"{value} = int({stored})")
+                decoded.append(f"{value} = None if {value} < 0 else {sibling}[{value}]")
+            # constant defaults are scalars or None, stored as they are
+            if spec.default is not dataclasses.MISSING:
+                default = -1 if index_of else spec.default
+            elif spec.default_factory in _EMPTY_FACTORIES:
+                default = spec.default_factory()
+            else:
+                default = _REQUIRED
+            fields.append(DurableField(
+                spec.name, key, decode_value, default,
+                bool(meta.get("append_only")), bool(meta.get("wall_clock")),
+            ))
+        self.fields: Tuple[DurableField, ...] = tuple(fields)
+        self.keys = frozenset(field.key for field in fields)
+        body = ", ".join(encoded if self.positional else (
+            f"{field.key!r}: {source}" for field, source in zip(fields, encoded)
+        ))
+        self.encode = eval(
+            f"lambda o: [{body}]" if self.positional else f"lambda o: {{{body}}}", namespace
+        )
+        arguments = ", ".join(f"{field.name}=f{position}" for position, field in enumerate(fields))
+        exec("\n    ".join([
+            "def decode(p):",
+            f"if len(p) != {len(fields)}: raise KeyError('a field is missing or unknown')",
+            *decoded,
+            f"return _cls({arguments})",
+        ]), namespace)
+        self._decode_complete = namespace["decode"]
+
+    def decode(self, payload):
+        try:
+            return self._decode_complete(payload)
+        except _DECODE_ERRORS:
+            pass
+        # The slow path: fill in the defaults of missing fields, and name
+        # the field (or the class) that fails.
+        where = self.cls.__name__
+        try:
+            if self.positional and len(payload) != len(self.fields):
+                raise ValueError(f"holds {len(payload)} values for {len(self.fields)} fields")
+            if not self.positional:
+                unknown = payload.keys() - self.keys
+                if unknown:
+                    raise ValueError(f"names unknown field(s) {sorted(unknown)}")
+                payload = {f.key: payload.get(f.key, f.default) for f in self.fields}
+            for field, raw in zip(self.fields, payload if self.positional else payload.values()):
+                where = f"{self.cls.__name__}.{field.name}"
+                if raw is _REQUIRED:
+                    raise ValueError("is missing")
+                field.decode(raw)
+            where = self.cls.__name__
+            return self._decode_complete(payload)
+        except _DECODE_ERRORS as error:
+            raise RecoveryError(f"{where}: {error}") from None
+
+
+def _source(
+    tp, source: str, namespace: Dict[str, object], decoding: bool = False, depth: int = 0
+) -> str:
+    """A Python expression encoding ``source``, a value of type ``tp`` --
+    or, ``decoding``, rebuilding that value from ``source``, its stored
+    form; helpers it calls go into ``namespace``.  ``int`` / ``float`` /
+    ``str`` / ``bool`` are stored as they are (decoding calls the type), an
+    ``Enum`` as its value, ``Optional[X]`` as ``null`` or ``X``, a dataclass
+    through its own plan, ``Tuple[X, ...]`` / ``List[X]`` as a list and
+    ``Dict[str, X]`` as an object."""
+    if tp in _SCALARS:
+        return f"{tp.__name__}({source})" if decoding else source
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        namespace[tp.__name__] = tp
+        return f"{tp.__name__}({source})" if decoding else f"{source}.value"
+    if dataclasses.is_dataclass(tp):
+        plan = _PLANS[tp]
+        name = f"_{'decode' if decoding else 'encode'}_{tp.__name__}"
+        namespace[name] = plan.decode if decoding else plan.encode
+        return f"{name}({source})"
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = args[0] if args[1] is type(None) else args[1]
+        converted = _source(inner, source, namespace, decoding, depth)
+        return source if converted == source else f"(None if {source} is None else {converted})"
+    item = f"v{depth}"
+    if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
+        converted = _source(args[0], item, namespace, decoding, depth + 1)
+        if converted == item:
+            return f"list({source})"
+        listed = f"[{converted} for {item} in {source}]"
+        return f"tuple({listed})" if decoding and origin is tuple else listed
+    if origin is dict and args[0] is str:
+        converted = _source(args[1], item, namespace, decoding, depth + 1)
+        if converted == item:
+            return f"dict({source})"
+        return f"{{k{depth}: {converted} for k{depth}, {item} in {source}.items()}}"
+    raise TypeError(f"the durable-state codec has no rule for {tp!r}")
+
+
+class _Plans(dict):
+    """Every class's plan, built on first use (a plan depends on nothing
+    but its class, so one cache serves the process)."""
+
+    def __missing__(self, cls: type) -> _Plan:
+        plan = self[cls] = _Plan(cls)
+        return plan
+
+
+_PLANS = _Plans()
+
+
+def durable_fields(cls: type) -> Tuple[DurableField, ...]:
+    """The stored fields of dataclass ``cls``, in stored order."""
+    return _PLANS[cls].fields
+
+
+def encode(obj) -> object:
+    """``obj`` (a dataclass instance) as JSON-able data."""
+    return _PLANS[type(obj)].encode(obj)
+
+
+def decode(cls: type, payload: object):
+    """Rebuild a ``cls`` instance from :func:`encode`'s output.
+
+    Raises:
+        RecoveryError: naming the class and field the payload gets wrong.
+    """
+    return _PLANS[cls].decode(payload)
 
 
 #: Dropped from a replayed config or ``set_parameters`` change.
@@ -136,394 +341,68 @@ def _retire_knobs(
     return fields
 
 
-# ----------------------------------------------------------------------
-# model codecs (JSON-able payloads for the frozen dataclasses)
-# ----------------------------------------------------------------------
-def serialize_request(request: Request) -> Dict[str, object]:
-    """JSON payload of a :class:`~repro.model.request.Request`."""
-    return {
-        "start": request.start,
-        "destination": request.destination,
-        "riders": request.riders,
-        "max_waiting": request.max_waiting,
-        "service_constraint": request.service_constraint,
-        "request_id": request.request_id,
-        "submit_time": request.submit_time,
-    }
-
-
-def deserialize_request(payload: Dict[str, object]) -> Request:
-    """Rebuild a request (id preserved, so replay re-creates the same one)."""
-    return Request(
-        start=int(payload["start"]),
-        destination=int(payload["destination"]),
-        riders=int(payload["riders"]),
-        max_waiting=float(payload["max_waiting"]),
-        service_constraint=float(payload["service_constraint"]),
-        request_id=str(payload["request_id"]),
-        submit_time=float(payload["submit_time"]),
-    )
-
-
-def _serialize_stop(stop: Stop) -> List[object]:
-    return [stop.vertex, stop.request_id, stop.kind.value, stop.riders]
-
-
-def _deserialize_stop(payload: List[object]) -> Stop:
-    return Stop(
-        vertex=int(payload[0]),
-        request_id=str(payload[1]),
-        kind=StopKind(payload[2]),
-        riders=int(payload[3]),
-    )
-
-
-def _serialize_schedule(schedule: Tuple[Stop, ...]) -> List[List[object]]:
-    return [_serialize_stop(stop) for stop in schedule]
-
-
-def _deserialize_schedule(payload: List[List[object]]) -> Tuple[Stop, ...]:
-    return tuple(_deserialize_stop(stop) for stop in payload)
-
-
-def serialize_option(option: RideOption) -> Dict[str, object]:
-    """JSON payload of a :class:`~repro.model.options.RideOption`."""
-    return {
-        "vehicle_id": option.vehicle_id,
-        "pickup_distance": option.pickup_distance,
-        "price": option.price,
-        "request_id": option.request_id,
-        "schedule": _serialize_schedule(option.schedule),
-        "added_distance": option.added_distance,
-    }
-
-
-def deserialize_option(payload: Dict[str, object]) -> RideOption:
-    """Rebuild a ride option (schedule stops included)."""
-    return RideOption(
-        vehicle_id=str(payload["vehicle_id"]),
-        pickup_distance=float(payload["pickup_distance"]),
-        price=float(payload["price"]),
-        request_id=str(payload["request_id"]),
-        schedule=_deserialize_schedule(payload["schedule"]),
-        added_distance=float(payload["added_distance"]),
-    )
-
-
-def _serialize_request_state(state: RequestState) -> Dict[str, object]:
-    return {
-        "request": serialize_request(state.request),
-        "onboard": state.onboard,
-        "direct_distance": state.direct_distance,
-        "planned_pickup_remaining": state.planned_pickup_remaining,
-        "travelled_since_pickup": state.travelled_since_pickup,
-    }
-
-
-def _deserialize_request_state(payload: Dict[str, object]) -> RequestState:
-    return RequestState(
-        request=deserialize_request(payload["request"]),
-        onboard=bool(payload["onboard"]),
-        direct_distance=float(payload["direct_distance"]),
-        planned_pickup_remaining=float(payload["planned_pickup_remaining"]),
-        travelled_since_pickup=float(payload["travelled_since_pickup"]),
-    )
-
-
-def serialize_vehicle(vehicle: Vehicle) -> Dict[str, object]:
-    """JSON payload of one vehicle, built on PR 6's :func:`snapshot_vehicle`."""
-    (
-        vehicle_id,
-        location,
-        capacity,
-        offset,
-        waiting,
-        onboard,
-        order,
-        schedules,
-        distance_driven,
-        occupied_distance,
-    ) = snapshot_vehicle(vehicle)
-    return {
-        "vehicle_id": vehicle_id,
-        "location": location,
-        "capacity": capacity,
-        "offset": offset,
-        "waiting": {rid: _serialize_request_state(s) for rid, s in waiting.items()},
-        "onboard": {rid: _serialize_request_state(s) for rid, s in onboard.items()},
-        "order": list(order),
-        "schedules": [_serialize_schedule(schedule) for schedule in schedules],
-        "distance_driven": distance_driven,
-        "occupied_distance": occupied_distance,
-    }
-
-
-def deserialize_vehicle(payload: Dict[str, object]) -> Vehicle:
-    """Rebuild a vehicle through :func:`~repro.vehicles.fleet.restore_vehicle`."""
-    return restore_vehicle(
-        (
-            str(payload["vehicle_id"]),
-            int(payload["location"]),
-            int(payload["capacity"]),
-            float(payload["offset"]),
-            {
-                rid: _deserialize_request_state(state)
-                for rid, state in payload["waiting"].items()
-            },
-            {
-                rid: _deserialize_request_state(state)
-                for rid, state in payload["onboard"].items()
-            },
-            [str(rid) for rid in payload["order"]],
-            [_deserialize_schedule(schedule) for schedule in payload["schedules"]],
-            float(payload["distance_driven"]),
-            float(payload["occupied_distance"]),
-        )
-    )
-
-
-def serialize_config(config: SystemConfig) -> Dict[str, object]:
-    """JSON payload of a :class:`~repro.core.config.SystemConfig`."""
-    price = config.price_model
-    return {
-        "vehicle_capacity": config.vehicle_capacity,
-        "max_waiting": config.max_waiting,
-        "service_constraint": config.service_constraint,
-        "speed": config.speed,
-        "max_pickup_distance": config.max_pickup_distance,
-        "matcher_name": config.matcher_name,
-        "price_model": {
-            "base_ratio": getattr(price, "base_ratio", 0.3),
-            "rider_increment": getattr(price, "rider_increment", 0.1),
-            "booking_fee": getattr(price, "booking_fee", 0.0),
-        },
-        "routing_backend": config.routing_backend,
-        "dispatch_workers": config.dispatch_workers,
-        "batch_window": config.batch_window,
-        "max_batch_size": config.max_batch_size,
-        "queue_capacity": config.queue_capacity,
-        "queue_policy": config.queue_policy,
-        "durability": config.durability,
-        "journal_path": config.journal_path,
-        "snapshot_interval": config.snapshot_interval,
-        "latency_budget": config.latency_budget,
-        "batch_window_mode": config.batch_window_mode,
-        "batch_window_min": config.batch_window_min,
-        "batch_window_max": config.batch_window_max,
-        "snapshot_mode": config.snapshot_mode,
-        "retention_horizon": config.retention_horizon,
-    }
-
-
 def deserialize_config(payload: Dict[str, object]) -> SystemConfig:
-    """Rebuild a config (price-model coefficients included).
+    """Rebuild a config from its :func:`encode` payload.
 
     Retired knobs replay through :data:`RETIRED_CONFIG_KEYS`.
 
     Raises:
         RecoveryError: when the payload names any other unknown field, or a
-            value the config refuses (an unknown routing backend, say).
+            value the config refuses (an unknown routing backend, a negative
+            price coefficient, a value of the wrong type), naming the field.
     """
-    price = payload.get("price_model") or {}
-    fields = _retire_knobs(
-        payload,
-        [field.name for field in dataclasses.fields(SystemConfig)],
-        "the journaled config",
-    )
-    fields["price_model"] = LinearPriceModel(
-        base_ratio=float(price.get("base_ratio", 0.3)),
-        rider_increment=float(price.get("rider_increment", 0.1)),
-        booking_fee=float(price.get("booking_fee", 0.0)),
-    )
+    known = [field.key for field in durable_fields(SystemConfig)]
+    fields = _retire_knobs(payload, known, "the journaled config")
     try:
-        return SystemConfig(**fields)
-    except ConfigurationError as error:
+        return decode(SystemConfig, fields)
+    except RecoveryError as error:
         raise RecoveryError(f"the journaled config is refused: {error}") from None
 
 
 # ----------------------------------------------------------------------
 # full service state
 # ----------------------------------------------------------------------
-#: append-only measurement lists in the two statistics partitions; they
-#: grow with served history, so incremental deltas carry only the tail
-#: written since the previous snapshot point
-_SIM_LIST_KEYS = (
-    "response_times",
-    "option_counts",
-    "waiting_distances",
-    "detour_ratios",
-)
-_INGEST_LIST_KEYS = ("window_fills", "latencies")
-
-
-def _serialize_record(record) -> Dict[str, object]:
-    """JSON payload of one per-request lifecycle record."""
-    return {
-        "submit_time": record.submit_time,
-        "planned_pickup_distance": record.planned_pickup_distance,
-        "pickup_time": record.pickup_time,
-        "dropoff_time": record.dropoff_time,
-        "shared": record.shared,
-        "direct_distance": record.direct_distance,
-        "travelled_distance": record.travelled_distance,
-    }
-
-
-def _serialize_sim_statistics(stats) -> Dict[str, object]:
-    return {
-        "response_times": list(stats.response_times),
-        "option_counts": list(stats.option_counts),
-        "matched_requests": stats.matched_requests,
-        "unmatched_requests": stats.unmatched_requests,
-        "completed_requests": stats.completed_requests,
-        "shared_requests": stats.shared_requests,
-        "pickups": stats.pickups,
-        "dropoffs": stats.dropoffs,
-        "waiting_distances": list(stats.waiting_distances),
-        "detour_ratios": list(stats.detour_ratios),
-        "records": {
-            rid: _serialize_record(record)
-            for rid, record in stats._records.items()
-        },
-    }
-
-
-def _serialize_sim_statistics_delta(stats, marker: Dict[str, int]) -> Dict[str, object]:
-    """The sim-statistics partition, incrementally: scalars wholesale,
-    measurement lists as the suffix appended since the last snapshot point
-    (``marker`` holds the lengths at that point), lifecycle records only
-    where dirtied.  A dirty id with no live record serialises as ``null``
-    (deleted), mirroring the bookings partition's retention convention."""
-    return {
-        "matched_requests": stats.matched_requests,
-        "unmatched_requests": stats.unmatched_requests,
-        "completed_requests": stats.completed_requests,
-        "shared_requests": stats.shared_requests,
-        "pickups": stats.pickups,
-        "dropoffs": stats.dropoffs,
-        "suffix": {
-            key: list(getattr(stats, key)[marker.get(key, 0):])
-            for key in _SIM_LIST_KEYS
-        },
-        "records": {
-            rid: (
-                None
-                if stats._records.get(rid) is None
-                else _serialize_record(stats._records[rid])
-            )
-            for rid in stats.dirty_records
-        },
-    }
-
-
-def _restore_sim_statistics(stats, payload: Dict[str, object]) -> None:
-    from repro.sim.stats import _RequestRecord
-
-    stats.response_times = [float(v) for v in payload["response_times"]]
-    stats.option_counts = [int(v) for v in payload["option_counts"]]
-    stats.matched_requests = int(payload["matched_requests"])
-    stats.unmatched_requests = int(payload["unmatched_requests"])
-    stats.completed_requests = int(payload["completed_requests"])
-    stats.shared_requests = int(payload["shared_requests"])
-    stats.pickups = int(payload["pickups"])
-    stats.dropoffs = int(payload["dropoffs"])
-    stats.waiting_distances = [float(v) for v in payload["waiting_distances"]]
-    stats.detour_ratios = [float(v) for v in payload["detour_ratios"]]
-    stats._records = {
-        rid: _RequestRecord(
-            submit_time=float(record["submit_time"]),
-            planned_pickup_distance=float(record["planned_pickup_distance"]),
-            pickup_time=(
-                None if record["pickup_time"] is None else float(record["pickup_time"])
-            ),
-            dropoff_time=(
-                None
-                if record["dropoff_time"] is None
-                else float(record["dropoff_time"])
-            ),
-            shared=bool(record["shared"]),
-            direct_distance=float(record["direct_distance"]),
-            travelled_distance=float(record["travelled_distance"]),
-        )
-        for rid, record in payload["records"].items()
-    }
-
-
-def _serialize_ingest_statistics(stats) -> Dict[str, object]:
-    return {
-        "admitted": stats.admitted,
-        "answered": stats.answered,
-        "shed": stats.shed,
-        "evicted": stats.evicted,
-        "errored": stats.errored,
-        "cancelled": stats.cancelled,
-        "close_drained": stats.close_drained,
-        "size_closed": stats.size_closed,
-        "window_closed": stats.window_closed,
-        "forced": stats.forced,
-        "deadline_closed": stats.deadline_closed,
-        "deadline_misses": stats.deadline_misses,
-        "window_grown": stats.window_grown,
-        "window_shrunk": stats.window_shrunk,
-        "retired": stats.retired,
-        "peak_queue_depth": stats.peak_queue_depth,
-        "serving_seconds": stats.serving_seconds,
-        "window_fills": list(stats.window_fills),
-        "latencies": list(stats.latencies),
-    }
-
-
-def _serialize_ingest_statistics_delta(stats, marker: Dict[str, int]) -> Dict[str, object]:
-    """The ingest-statistics partition, incrementally (see the sim twin)."""
-    payload = _serialize_ingest_statistics(stats)
-    for key in _INGEST_LIST_KEYS:
-        payload.pop(key)
-    payload["suffix"] = {
-        key: list(getattr(stats, key)[marker.get(key, 0):])
-        for key in _INGEST_LIST_KEYS
-    }
+def _statistics_delta(stats, marker: Mapping[str, int]) -> Dict[str, object]:
+    """A statistics partition, incrementally: every counter wholesale (a
+    scalar, stored as it is), the append-only lists as the ``suffix``
+    appended past ``marker`` (their lengths at the last snapshot point), and
+    the sim partition's lifecycle ``records`` only where dirtied (a dirty id
+    with no live record as ``null``: deleted, mirroring the bookings
+    partition's retention convention)."""
+    payload: Dict[str, object] = {}
+    suffix: Dict[str, object] = {}
+    for field in durable_fields(type(stats)):
+        value = getattr(stats, field.name)
+        if field.append_only:
+            suffix[field.key] = value[marker.get(field.key, 0):]
+        elif field.key != "records":
+            payload[field.key] = value
+    payload["suffix"] = suffix
+    if isinstance(stats, SimulationStatistics):
+        records = stats._records
+        payload["records"] = {
+            rid: encode(records[rid]) if rid in records else None for rid in stats.dirty_records
+        }
     return payload
 
 
-def _restore_ingest_statistics(stats, payload: Dict[str, object]) -> None:
-    stats.admitted = int(payload["admitted"])
-    stats.answered = int(payload["answered"])
-    stats.shed = int(payload["shed"])
-    stats.evicted = int(payload.get("evicted", 0))
-    stats.errored = int(payload["errored"])
-    stats.cancelled = int(payload.get("cancelled", 0))
-    stats.close_drained = int(payload.get("close_drained", 0))
-    stats.size_closed = int(payload["size_closed"])
-    stats.window_closed = int(payload["window_closed"])
-    stats.forced = int(payload["forced"])
-    stats.deadline_closed = int(payload.get("deadline_closed", 0))
-    stats.deadline_misses = int(payload.get("deadline_misses", 0))
-    stats.window_grown = int(payload.get("window_grown", 0))
-    stats.window_shrunk = int(payload.get("window_shrunk", 0))
-    stats.retired = int(payload.get("retired", 0))
-    stats.peak_queue_depth = int(payload["peak_queue_depth"])
-    stats.serving_seconds = float(payload["serving_seconds"])
-    stats.window_fills = [float(v) for v in payload["window_fills"]]
-    stats.latencies = [float(v) for v in payload["latencies"]]
+def _fold_statistics(state: Dict[str, object], delta: Dict[str, object], cls) -> None:
+    """Fold a :func:`_statistics_delta` into a full statistics partition."""
+    changes = dict(delta)
+    suffix = changes.pop("suffix")
+    records = changes.pop("records", {})
+    state.update(changes)
+    for field in durable_fields(cls):
+        if field.append_only:
+            state[field.key] = state[field.key] + suffix.get(field.key, [])
+    for rid, record in records.items():
+        if record is None:
+            state["records"].pop(rid, None)
+        else:
+            state["records"][rid] = record
 
 
-def _serialize_booking(booking) -> Dict[str, object]:
-    """JSON payload of one booking (the unit of the bookings partition)."""
-    chosen_index = -1
-    if booking.chosen is not None:
-        chosen_index = booking.options.index(booking.chosen)
-    return {
-        "booking_id": booking.booking_id,
-        "request": serialize_request(booking.request),
-        "options": [serialize_option(option) for option in booking.options],
-        "chosen_index": chosen_index,
-        "response_seconds": booking.response_seconds,
-    }
-
-
-def _serialize_meta_small(
-    service, pending_marker: Optional[Tuple[int, int]] = None
-) -> Dict[str, object]:
+def _serialize_meta_small(service, pending_marker: Optional[Tuple[int, int]] = None) -> Dict:
     """The genuinely small meta keys: everything except bookings, vehicles
     and the two statistics partitions.
 
@@ -545,23 +424,15 @@ def _serialize_meta_small(
     batcher = service._batcher
     rng_state = engine._rng.getstate()
     entries = batcher.pending_entries()
-    pending_payload: object
-    if (
+    appended = (
         pending_marker is not None
         and pending_marker[0] == batcher.pending_epoch
         and pending_marker[1] <= len(entries)
-    ):
-        pending_payload = {
-            "suffix": [
-                [serialize_request(request), admitted]
-                for request, admitted in entries[pending_marker[1]:]
-            ]
-        }
-    else:
-        pending_payload = [
-            [serialize_request(request), admitted]
-            for request, admitted in entries
-        ]
+    )
+    pending = [
+        [encode(request), admitted]
+        for request, admitted in entries[pending_marker[1] if appended else 0:]
+    ]
     return {
         "version": STATE_VERSION,
         "time": engine._time,
@@ -569,58 +440,39 @@ def _serialize_meta_small(
         "rng_state": [rng_state[0], list(rng_state[1]), rng_state[2]],
         "booking_next": service._peek_booking_counter(),
         "ingest_answered": [b.booking_id for b in service._ingest_answered],
-        "motions": {
-            vid: [motion.location, list(motion.route), motion.offset]
-            for vid, motion in sorted(engine._motions.items())
-        },
-        "targets": {vid: target for vid, target in sorted(engine._targets.items())},
+        "motions": {vid: encode(motion) for vid, motion in sorted(engine._motions.items())},
+        "targets": dict(sorted(engine._targets.items())),
         "assignments": {
-            rid: [
-                record.vehicle_id,
-                record.planned_pickup_distance,
-                record.driven_at_assignment,
-            ]
-            for rid, record in sorted(engine._assignments.items())
+            rid: encode(record) for rid, record in sorted(engine._assignments.items())
         },
         "active_requests": dict(sorted(service._dispatcher._active_requests.items())),
-        "pending": pending_payload,
+        "pending": {"suffix": pending} if appended else pending,
         "window_opened": batcher.window_opened,
         "controller": batcher.controller_state(),
-        "config": serialize_config(service._config),
+        "config": encode(service._config),
     }
-
-
-def _serialize_meta(service) -> Dict[str, object]:
-    """Every state key *except* the bookings and vehicles partitions."""
-    state = _serialize_meta_small(service)
-    state["sim_stats"] = _serialize_sim_statistics(service._engine.statistics)
-    state["ingest_stats"] = _serialize_ingest_statistics(
-        service._batcher.statistics
-    )
-    return state
 
 
 def serialize_state(service) -> Dict[str, object]:
     """Capture the full logical state of a service as a JSON-able dict.
 
     Everything recovery needs to resume: bookings (requests, option
-    skylines, choices), the booking counter, every vehicle (via PR 6's
-    snapshot tuples), the engine's motion/target/assignment bookkeeping,
-    simulated time, the idle-wander RNG state, the statistics counters,
-    the micro-batcher's pending window, counters and adaptive-window
-    controller state, the dispatcher's active-request map and the current
-    config.  JSON round-trips Python floats exactly (shortest-repr), so
-    restored state compares equal.  The layout is partitioned -- bookings
-    / vehicles / everything-else -- so incremental snapshot deltas
-    (:func:`write_delta`) can re-serialise only what was touched.
+    skylines, choices), the booking counter, every vehicle (as its
+    :class:`~repro.vehicles.fleet.VehicleSnapshot`), the engine's
+    motion/target/assignment bookkeeping, simulated time, the idle-wander
+    RNG state, the statistics counters, the micro-batcher's pending window,
+    counters and adaptive-window controller state, the dispatcher's
+    active-request map and the current config.  JSON round-trips Python
+    floats exactly (shortest-repr), so restored state compares equal.  The
+    layout is partitioned -- bookings / vehicles / everything-else -- so
+    incremental snapshot deltas (:func:`write_delta`) can re-serialise only
+    what was touched.
     """
-    state = _serialize_meta(service)
-    state["bookings"] = [
-        _serialize_booking(booking) for booking in service._bookings.values()
-    ]
-    state["vehicles"] = [
-        serialize_vehicle(vehicle) for vehicle in service._fleet.vehicles()
-    ]
+    state = _serialize_meta_small(service)
+    state["sim_stats"] = encode(service._engine.statistics)
+    state["ingest_stats"] = encode(service._batcher.statistics)
+    state["bookings"] = [encode(booking) for booking in service._bookings.values()]
+    state["vehicles"] = [encode(snapshot_vehicle(vehicle)) for vehicle in service._fleet.vehicles()]
     return state
 
 
@@ -630,81 +482,42 @@ def restore_state(service, state: Dict[str, object]) -> None:
     The service must already run the snapshot's config (matcher, dispatch
     knobs, routing backend); :meth:`PTRiderService.recover` guarantees that
     by constructing it from the snapshot's own config payload.
+
+    Raises:
+        RecoveryError: when a stored value does not decode.
     """
-    from repro.model.options import RideOption  # local alias for clarity
-    from repro.sim.engine import _AssignmentRecord
-    from repro.vehicles.movement import MotionState
+    from repro.service.api import Booking
 
     engine = service._engine
-    fleet = service._fleet
     batcher = service._batcher
-
-    fleet.restore_vehicles(
-        deserialize_vehicle(payload) for payload in state["vehicles"]
+    service._fleet.restore_vehicles(
+        restore_vehicle(decode(VehicleSnapshot, payload)) for payload in state["vehicles"]
     )
-
     engine._time = float(state["time"])
     engine._ticks = int(state["ticks"])
     rng_version, rng_values, rng_extra = state["rng_state"]
     engine._rng.setstate((int(rng_version), tuple(rng_values), rng_extra))
-    engine._motions = {
-        vid: MotionState(
-            location=int(payload[0]),
-            route=tuple(int(v) for v in payload[1]),
-            offset=float(payload[2]),
-        )
-        for vid, payload in state["motions"].items()
-    }
-    engine._targets = {
-        vid: (None if target is None else int(target))
-        for vid, target in state["targets"].items()
-    }
+    engine._motions = {vid: decode(MotionState, m) for vid, m in state["motions"].items()}
+    engine._targets = {vid: None if t is None else int(t) for vid, t in state["targets"].items()}
     engine._assignments = {
-        rid: _AssignmentRecord(
-            vehicle_id=str(payload[0]),
-            planned_pickup_distance=float(payload[1]),
-            driven_at_assignment=float(payload[2]),
-        )
-        for rid, payload in state["assignments"].items()
+        rid: decode(_AssignmentRecord, record) for rid, record in state["assignments"].items()
     }
-    _restore_sim_statistics(engine.statistics, state["sim_stats"])
-
+    engine.statistics = decode(SimulationStatistics, state["sim_stats"])
     service._set_booking_counter(int(state["booking_next"]))
     service._bookings.clear()
-    from repro.service.api import Booking
-
     for payload in state["bookings"]:
-        options = tuple(deserialize_option(option) for option in payload["options"])
-        chosen_index = int(payload["chosen_index"])
-        booking = Booking(
-            booking_id=str(payload["booking_id"]),
-            request=deserialize_request(payload["request"]),
-            options=options,
-            chosen=options[chosen_index] if chosen_index >= 0 else None,
-            response_seconds=float(payload["response_seconds"]),
-        )
+        booking = decode(Booking, payload)
         service._bookings[booking.booking_id] = booking
-    service._ingest_answered = [
-        service._bookings[bid] for bid in state["ingest_answered"]
-    ]
-
+    service._ingest_answered = [service._bookings[bid] for bid in state["ingest_answered"]]
     service._dispatcher._active_requests = {
         rid: str(vid) for rid, vid in state["active_requests"].items()
     }
-    _restore_ingest_statistics(batcher.statistics, state["ingest_stats"])
+    batcher.statistics = decode(IngestStatistics, state["ingest_stats"])
     batcher.restore_pending(
-        [
-            (deserialize_request(request), float(admitted))
-            for request, admitted in state["pending"]
-        ],
+        [(decode(Request, request), float(admitted)) for request, admitted in state["pending"]],
         state["window_opened"],
     )
     batcher.restore_controller(state.get("controller"))
-
-
-#: Keys stripped from :func:`canonical_state`: wall-clock measurements that
-#: two otherwise identical runs never agree on.
-_WALL_CLOCK_STATE_KEYS = ("seq",)
 
 
 def canonical_state(service) -> Dict[str, object]:
@@ -712,16 +525,21 @@ def canonical_state(service) -> Dict[str, object]:
 
     Two services that processed the same events -- one live, one recovered
     from a journal -- compare equal under ``==`` of their canonical states;
-    this is the property the fault-injection harness asserts.
+    this is the property the fault-injection harness asserts.  The fields
+    stripped are those marked ``wall_clock``.
     """
+    from repro.service.api import Booking
+
     state = serialize_state(service)
-    for key in _WALL_CLOCK_STATE_KEYS:
-        state.pop(key, None)
-    for booking in state["bookings"]:
-        booking.pop("response_seconds", None)
-    state["sim_stats"].pop("response_times", None)
-    for key in ("serving_seconds", "latencies", "window_grown", "window_shrunk"):
-        state["ingest_stats"].pop(key, None)
+    for payloads, cls in (
+        (state["bookings"], Booking),
+        ([state["sim_stats"]], SimulationStatistics),
+        ([state["ingest_stats"]], IngestStatistics),
+    ):
+        keys = [field.key for field in durable_fields(cls) if field.wall_clock]
+        for payload in payloads:
+            for key in keys:
+                payload.pop(key, None)
     # The adaptive controller's EWMAs are driven by wall-clock flush walls;
     # replay pins the recorded per-command windows instead (the journal
     # payloads carry them), so controller internals are not canonical.
@@ -741,134 +559,99 @@ def write_snapshot(journal: ServiceJournal, service, seq: int) -> Path:
     a corrupt or truncated snapshot and fall back to an older one.  Old
     snapshots beyond :data:`SNAPSHOT_KEEP` are pruned.
     """
-    state = serialize_state(service)
-    state_text = json.dumps(state, separators=(",", ":"))
-    checksum = hashlib.sha256(state_text.encode("utf-8")).hexdigest()
-    # Embed the already-encoded state verbatim instead of re-encoding it
-    # inside the document: the loader's checksum verification re-dumps the
-    # *parsed* state, so it already relies on JSON round-trip stability,
-    # and one encode instead of two is a third off the serialisation bill.
-    document_text = '{"seq":%d,"checksum":"%s","state":%s}' % (
-        seq, checksum, state_text,
-    )
     target = journal.snapshot_path(seq)
-    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-    tmp.write_text(document_text, encoding="utf-8")
-    os.replace(tmp, target)
+    _write_document(target, f'"seq":{seq}', "state", serialize_state(service))
     journal.prune_snapshots(keep=SNAPSHOT_KEEP)
     return target
 
 
+def _write_document(target: Path, header: str, body_key: str, body: Dict[str, object]) -> None:
+    """Write ``{header, "checksum": ..., body_key: body}`` to ``target``
+    atomically (tmp-then-rename), the checksum taken over ``body``'s JSON."""
+    body_text = json.dumps(body, separators=(",", ":"))
+    checksum = hashlib.sha256(body_text.encode("utf-8")).hexdigest()
+    # Embed the already-encoded body verbatim instead of re-encoding it
+    # inside the document: the loader's checksum verification re-dumps the
+    # *parsed* body, so it already relies on JSON round-trip stability, and
+    # one encode instead of two is a third off the serialisation bill.
+    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
+    document = '{%s,"checksum":"%s","%s":%s}' % (header, checksum, body_key, body_text)
+    tmp.write_text(document, encoding="utf-8")
+    os.replace(tmp, target)
+
+
+def _load_document(path: Path, body_key: str, **header: int) -> Optional[Dict[str, object]]:
+    """The checksum-verified body of a :func:`_write_document` file, or
+    ``None`` when the file is unusable: unreadable, truncated, corrupt, of
+    another :data:`STATE_VERSION`, or with a header other than ``header``."""
+    try:
+        document = json.loads(path.read_text(encoding="utf-8"))
+        body = document[body_key]
+        body_text = json.dumps(body, separators=(",", ":"))
+        checksum = hashlib.sha256(body_text.encode("utf-8")).hexdigest()
+        if checksum != document["checksum"] or int(body.get("version", -1)) != STATE_VERSION:
+            return None
+        if any(document[key] != value for key, value in header.items()):
+            return None
+        return body
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
 def write_delta(
-    journal: ServiceJournal,
-    service,
-    seq: int,
-    base_seq: int,
-    prev_seq: int,
-    dirty_bookings: Dict[str, None],
-    dirty_vehicles,
-    stats_marker: Dict[str, int],
+    journal: ServiceJournal, service, seq: int, base_seq: int, prev_seq: int,
+    dirty_bookings: Dict[str, None], dirty_vehicles, stats_marker: Dict[str, int],
 ) -> Path:
     """Atomically write an incremental snapshot delta at ``seq``.
 
     A delta re-serialises only what changed since the previous snapshot
-    point: the small meta partition in full (counters, RNG, motions,
-    pending window -- cheap and interdependent), the statistics
-    partitions incrementally (scalar counters wholesale, measurement-list
-    suffixes past ``stats_marker``, dirtied lifecycle records only), plus
+    point: the small meta partition in full, the statistics partitions
+    incrementally (:func:`_statistics_delta`, past ``stats_marker``), and
     only the *dirty* bookings and vehicles.  ``dirty_bookings`` maps
-    booking id -> ``None`` in creation (insertion) order so a fold
-    preserves the bookings-list order of :func:`serialize_state`; ids no
-    longer present in the live map serialise as ``null``
-    (retention-pruned).  The delta chains on ``prev_seq`` (the previous
-    snapshot point: the base full snapshot or the previous delta) under
-    base full snapshot ``base_seq``; recovery folds the longest valid
-    chain and journal-replays past any break.  Same atomic
-    tmp-then-rename + checksum discipline as full snapshots.
+    booking id -> ``None`` in creation order so a fold preserves the
+    bookings-list order of :func:`serialize_state`; ids no longer live
+    serialise as ``null`` (retention-pruned).  The delta chains on
+    ``prev_seq`` (the previous snapshot point) under the full snapshot
+    ``base_seq``; recovery folds the longest valid chain and
+    journal-replays past any break.
 
     Everything here is O(changed-since-last-point), never O(history) --
     that is the whole point: the hot-path stall a cadence crossing causes
     stays a small constant fraction of a full serialisation however long
     the day has run.
     """
-    bookings: Dict[str, object] = {}
-    for booking_id in dirty_bookings:
-        booking = service._bookings.get(booking_id)
-        bookings[booking_id] = None if booking is None else _serialize_booking(booking)
-    fleet = service._fleet
-    vehicles: Dict[str, object] = {}
-    for vehicle in fleet.vehicles():
-        if vehicle.vehicle_id in dirty_vehicles:
-            vehicles[vehicle.vehicle_id] = serialize_vehicle(vehicle)
-    pending_marker = (
-        stats_marker.get("pending_epoch", -1),
-        stats_marker.get("pending_len", 0),
-    )
+    live = service._bookings
+    pending_marker = (stats_marker.get("pending_epoch", -1), stats_marker.get("pending_len", 0))
     delta = {
         "version": STATE_VERSION,
         "meta": _serialize_meta_small(service, pending_marker=pending_marker),
-        "sim_stats": _serialize_sim_statistics_delta(
-            service._engine.statistics, stats_marker
-        ),
-        "ingest_stats": _serialize_ingest_statistics_delta(
-            service._batcher.statistics, stats_marker
-        ),
-        "bookings": bookings,
-        "vehicles": vehicles,
+        "sim_stats": _statistics_delta(service._engine.statistics, stats_marker),
+        "ingest_stats": _statistics_delta(service._batcher.statistics, stats_marker),
+        "bookings": {
+            booking_id: encode(live[booking_id]) if booking_id in live else None
+            for booking_id in dirty_bookings
+        },
+        "vehicles": {
+            vehicle.vehicle_id: encode(snapshot_vehicle(vehicle))
+            for vehicle in service._fleet.vehicles()
+            if vehicle.vehicle_id in dirty_vehicles
+        },
     }
-    delta_text = json.dumps(delta, separators=(",", ":"))
-    checksum = hashlib.sha256(delta_text.encode("utf-8")).hexdigest()
-    # Compose the document around the already-encoded delta (see
-    # write_snapshot): encoding the payload once instead of twice matters
-    # most here, on the hot path.
-    document_text = '{"seq":%d,"base":%d,"prev":%d,"checksum":"%s","delta":%s}' % (
-        seq, base_seq, prev_seq, checksum, delta_text,
-    )
     target = journal.delta_path(seq)
-    tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
-    tmp.write_text(document_text, encoding="utf-8")
-    os.replace(tmp, target)
+    _write_document(target, f'"seq":{seq},"base":{base_seq},"prev":{prev_seq}', "delta", delta)
     return target
-
-
-def _load_delta_file(
-    path: Path,
-) -> Optional[Tuple[int, int, int, Dict[str, object]]]:
-    """Parse + checksum-verify one delta file; ``None`` when unusable."""
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-        delta = document["delta"]
-        delta_text = json.dumps(delta, separators=(",", ":"))
-        checksum = hashlib.sha256(delta_text.encode("utf-8")).hexdigest()
-        if checksum != document["checksum"]:
-            return None
-        if int(delta.get("version", -1)) != STATE_VERSION:
-            return None
-        return (
-            int(document["seq"]),
-            int(document["base"]),
-            int(document["prev"]),
-            delta,
-        )
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
 
 
 def fold_delta(state: Dict[str, object], delta: Dict[str, object]) -> None:
     """Fold one delta into a full-snapshot ``state`` dict, in place.
 
-    The small meta partition overwrites wholesale -- except the pending
-    window, whose appends-only ``{"suffix": [...]}`` form extends the
-    folded queue instead; the statistics
-    partitions fold incrementally (scalars overwrite, measurement-list
-    suffixes append, dirty lifecycle records replace/insert/delete by
-    id); dirty vehicles replace their base entries by id (the fleet is
-    fixed, so deltas never add or remove vehicles); dirty bookings
-    replace-in-place, append (new bookings, in the delta's creation
-    order) or delete (``null`` payload -- retention).  The fold preserves
-    booking creation order, so a folded state is byte-identical to the
-    :func:`serialize_state` the service would have produced at the same
-    sequence position.
+    The meta partition overwrites wholesale (a ``{"suffix": [...]}``
+    pending window extends the folded queue instead), the statistics
+    partitions fold as :func:`_fold_statistics` says, dirty vehicles
+    replace theirs by id (the fleet is fixed), and dirty bookings replace
+    in place, append in creation order or, ``null``, drop out.  A folded
+    state is byte-identical to the :func:`serialize_state` the service
+    would have produced at the same sequence position.
     """
     for key, value in delta["meta"].items():
         if key == "pending" and isinstance(value, dict):
@@ -877,68 +660,17 @@ def fold_delta(state: Dict[str, object], delta: Dict[str, object]) -> None:
             state[key] = list(state[key]) + list(value["suffix"])
         else:
             state[key] = value
-    sim_delta = delta["sim_stats"]
-    sim_state = state["sim_stats"]
-    for key, value in sim_delta.items():
-        if key in ("suffix", "records"):
-            continue
-        sim_state[key] = value
-    for key, tail in sim_delta["suffix"].items():
-        sim_state[key] = list(sim_state[key]) + list(tail)
-    records = sim_state["records"]
-    for rid, payload in sim_delta["records"].items():
-        if payload is None:
-            records.pop(rid, None)
-        else:
-            records[rid] = payload
-    ingest_delta = delta["ingest_stats"]
-    ingest_state = state["ingest_stats"]
-    for key, value in ingest_delta.items():
-        if key == "suffix":
-            continue
-        ingest_state[key] = value
-    for key, tail in ingest_delta["suffix"].items():
-        ingest_state[key] = list(ingest_state[key]) + list(tail)
+    _fold_statistics(state["sim_stats"], delta["sim_stats"], SimulationStatistics)
+    _fold_statistics(state["ingest_stats"], delta["ingest_stats"], IngestStatistics)
     vehicles = delta["vehicles"]
     if vehicles:
-        state["vehicles"] = [
-            vehicles.get(payload["vehicle_id"], payload)
-            for payload in state["vehicles"]
-        ]
-    bookings = delta["bookings"]
-    if bookings:
-        folded: List[object] = []
-        seen = set()
-        for payload in state["bookings"]:
-            booking_id = payload["booking_id"]
-            if booking_id in bookings:
-                seen.add(booking_id)
-                replacement = bookings[booking_id]
-                if replacement is None:
-                    continue  # retention-pruned
-                folded.append(replacement)
-            else:
-                folded.append(payload)
-        for booking_id, payload in bookings.items():
-            if booking_id not in seen and payload is not None:
-                folded.append(payload)
-        state["bookings"] = folded
-
-
-def _load_snapshot_file(path: Path) -> Optional[Tuple[int, Dict[str, object]]]:
-    """Parse + checksum-verify one snapshot file; ``None`` when unusable."""
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-        state = document["state"]
-        state_text = json.dumps(state, separators=(",", ":"))
-        checksum = hashlib.sha256(state_text.encode("utf-8")).hexdigest()
-        if checksum != document["checksum"]:
-            return None
-        if int(state.get("version", -1)) != STATE_VERSION:
-            return None
-        return int(document["seq"]), state
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
+        state["vehicles"] = [vehicles.get(p["vehicle_id"], p) for p in state["vehicles"]]
+    if delta["bookings"]:
+        # Replaced bookings keep their place, new ones append in creation
+        # order, and retention-pruned ones (``null``) drop out.
+        folded = {payload["booking_id"]: payload for payload in state["bookings"]}
+        folded.update(delta["bookings"])
+        state["bookings"] = [payload for payload in folded.values() if payload is not None]
 
 
 def load_snapshot_state(
@@ -966,11 +698,11 @@ def load_snapshot_state(
     if not prefer_snapshot:
         candidates = [(seq, path) for seq, path in candidates if seq == 0]
     for seq, path in reversed(candidates):
-        loaded = _load_snapshot_file(path)
-        if loaded is not None:
+        state = _load_document(path, "state", seq=seq)
+        if state is not None:
             if prefer_snapshot:
-                return _fold_delta_chain(journal, loaded)
-            return loaded
+                return _fold_delta_chain(journal, seq, state)
+            return seq, state
     raise RecoveryError(
         f"no usable snapshot in {journal.directory} "
         f"(checked {len(candidates)} file(s))"
@@ -978,22 +710,21 @@ def load_snapshot_state(
 
 
 def _fold_delta_chain(
-    journal: ServiceJournal, loaded: Tuple[int, Dict[str, object]]
+    journal: ServiceJournal, base_seq: int, state: Dict[str, object]
 ) -> Tuple[int, Dict[str, object]]:
-    """Fold the longest valid delta chain over a loaded full snapshot."""
-    base_seq, state = loaded
+    """Fold the longest valid delta chain over the full snapshot ``state``
+    at ``base_seq``."""
     prev_seq = base_seq
     for delta_seq, delta_path in journal.delta_files():
         if delta_seq <= base_seq:
             continue
-        parsed = _load_delta_file(delta_path)
-        if parsed is None:
-            break  # corrupt/torn delta: journal replay covers the rest
-        seq, base, prev, delta = parsed
-        if seq != delta_seq or base != base_seq or prev != prev_seq:
-            break  # chain gap or stale delta from an older full snapshot
+        delta = _load_document(delta_path, "delta", seq=delta_seq, base=base_seq, prev=prev_seq)
+        if delta is None:
+            # a corrupt or torn delta, a chain gap or a stale delta from an
+            # older full snapshot: journal replay covers the rest
+            break
         fold_delta(state, delta)
-        prev_seq = seq
+        prev_seq = delta_seq
     return prev_seq, state
 
 
@@ -1022,22 +753,17 @@ def apply_record(service, record: JournalRecord) -> None:
             service._batcher.set_window(float(window))
     try:
         if kind == "book":
-            service.book_request(deserialize_request(payload["request"]))
+            service.book_request(decode(Request, payload["request"]))
         elif kind == "book_batch":
-            service._book_batch_requests(
-                [deserialize_request(request) for request in payload["requests"]]
-            )
+            service._book_batch_requests([decode(Request, r) for r in payload["requests"]])
         elif kind == "admit":
-            service.ingest_request(
-                deserialize_request(payload["request"]), now=float(payload["now"])
-            )
+            service.ingest_request(decode(Request, payload["request"]), now=float(payload["now"]))
         elif kind == "pump":
             service.pump(now=float(payload["now"]))
+        elif kind == "drain" and payload.get("close"):
+            service._close_drain(float(payload["now"]))
         elif kind == "drain":
-            if payload.get("close"):
-                service._close_drain(float(payload["now"]))
-            else:
-                service.drain(now=float(payload["now"]))
+            service.drain(now=float(payload["now"]))
         elif kind == "choose":
             service.choose(str(payload["booking_id"]), int(payload["option_index"]))
         elif kind == "cancel":
@@ -1084,11 +810,9 @@ def replay_records(service, records: List[JournalRecord]) -> int:
             expected.extend(record.payload.get("outcomes", []))
     replayed: List[Dict[str, object]] = []
     previous_listener = service._dispatcher.outcome_listener
-
-    def _observe(outcome) -> None:
-        replayed.append(service._outcome_payload(outcome))
-
-    service._dispatcher.outcome_listener = _observe
+    service._dispatcher.outcome_listener = lambda outcome: replayed.append(
+        service._outcome_payload(outcome)
+    )
     applied = 0
     try:
         for record in ordered:

@@ -63,6 +63,9 @@ class _AssignmentRecord:
     planned_pickup_distance: float
     driven_at_assignment: float
 
+    #: snapshots store a record as a list of its fields
+    _durable_positional = True
+
 
 class SimulationEngine:
     """Replays a request workload against a moving fleet."""

@@ -68,24 +68,26 @@ class _RequestRecord:
 class SimulationStatistics:
     """Aggregated measurements of one simulation run."""
 
-    response_times: List[float] = field(default_factory=list)
-    option_counts: List[int] = field(default_factory=list)
+    response_times: List[float] = field(
+        default_factory=list, metadata={"append_only": True, "wall_clock": True}
+    )
+    option_counts: List[int] = field(default_factory=list, metadata={"append_only": True})
     matched_requests: int = 0
     unmatched_requests: int = 0
     completed_requests: int = 0
     shared_requests: int = 0
     pickups: int = 0
     dropoffs: int = 0
-    waiting_distances: List[float] = field(default_factory=list)
-    detour_ratios: List[float] = field(default_factory=list)
-    _records: Dict[str, _RequestRecord] = field(default_factory=dict)
+    waiting_distances: List[float] = field(default_factory=list, metadata={"append_only": True})
+    detour_ratios: List[float] = field(default_factory=list, metadata={"append_only": True})
+    _records: Dict[str, _RequestRecord] = field(default_factory=dict, metadata={"key": "records"})
     #: request ids whose record was created or mutated since the durable
     #: service's last snapshot point (drained by incremental deltas, which
     #: re-serialise only these instead of the whole records map); insertion
     #: order is first-dirtied order, so newly created records append to a
     #: folded state in creation order
     dirty_records: Dict[str, None] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, repr=False, compare=False, metadata={"durable": False}
     )
 
     # ------------------------------------------------------------------

@@ -22,31 +22,52 @@ matchers are correct under both settings (see ``DESIGN.md``).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from repro.errors import UnknownVehicleError, VehicleError
+from repro.model.stops import Stop
 from repro.roadnet.grid_index import CellId, GridIndex
 from repro.roadnet.routing import RoutingEngine, make_engine
 from repro.vehicles.kinetic_tree import KineticTree
+from repro.vehicles.schedule import RequestState
 from repro.vehicles.vehicle import Vehicle
 
 __all__ = [
     "Fleet",
+    "VehicleSnapshot",
     "snapshot_vehicle",
     "restore_vehicle",
 ]
 
 
-def snapshot_vehicle(vehicle: Vehicle) -> tuple:
+@dataclass(frozen=True)
+class VehicleSnapshot:
     """A flat snapshot of one vehicle's dispatch-relevant state.
 
-    The payload is a tuple of frozen dataclasses and primitives (no grid
-    registrations, no back-references); the vehicle
-    :func:`restore_vehicle` rebuilds from it is state-identical for every
-    check the matchers run (waiting/onboard budgets, kinetic tree,
-    assignment order).  Recovery serialises vehicles through it.
+    Frozen dataclasses and primitives only (no grid registrations, no
+    back-references); the vehicle :func:`restore_vehicle` rebuilds from it
+    is state-identical for every check the matchers run (waiting/onboard
+    budgets, kinetic tree, assignment order).  Recovery stores vehicles
+    as these.
     """
-    return (
+
+    vehicle_id: str
+    location: int
+    capacity: int
+    offset: float
+    waiting: Dict[str, RequestState]
+    onboard: Dict[str, RequestState]
+    #: unfinished request ids in assignment order
+    order: List[str]
+    schedules: List[Tuple[Stop, ...]]
+    distance_driven: float
+    occupied_distance: float
+
+
+def snapshot_vehicle(vehicle: Vehicle) -> VehicleSnapshot:
+    """The :class:`VehicleSnapshot` of ``vehicle``."""
+    return VehicleSnapshot(
         vehicle.vehicle_id,
         vehicle.location,
         vehicle.capacity,
@@ -60,28 +81,23 @@ def snapshot_vehicle(vehicle: Vehicle) -> tuple:
     )
 
 
-def restore_vehicle(payload: tuple) -> Vehicle:
-    """Rebuild a :class:`Vehicle` from a :func:`snapshot_vehicle` payload."""
-    (
-        vehicle_id,
-        location,
-        capacity,
-        offset,
-        waiting,
-        onboard,
-        order,
-        schedules,
-        distance_driven,
-        occupied_distance,
-    ) = payload
-    vehicle = Vehicle(vehicle_id, location=location, capacity=capacity, offset=offset)
-    vehicle._waiting = dict(waiting)
-    vehicle._onboard = dict(onboard)
-    vehicle._assignment_order = list(order)
-    if schedules:
-        vehicle.kinetic_tree = KineticTree(root_location=location, schedules=schedules)
-    vehicle.distance_driven = distance_driven
-    vehicle.occupied_distance = occupied_distance
+def restore_vehicle(snapshot: VehicleSnapshot) -> Vehicle:
+    """Rebuild a :class:`Vehicle` from a :func:`snapshot_vehicle` snapshot."""
+    vehicle = Vehicle(
+        snapshot.vehicle_id,
+        location=snapshot.location,
+        capacity=snapshot.capacity,
+        offset=snapshot.offset,
+    )
+    vehicle._waiting = dict(snapshot.waiting)
+    vehicle._onboard = dict(snapshot.onboard)
+    vehicle._assignment_order = list(snapshot.order)
+    if snapshot.schedules:
+        vehicle.kinetic_tree = KineticTree(
+            root_location=snapshot.location, schedules=snapshot.schedules
+        )
+    vehicle.distance_driven = snapshot.distance_driven
+    vehicle.occupied_distance = snapshot.occupied_distance
     return vehicle
 
 

@@ -44,6 +44,9 @@ class MotionState:
     route: Tuple[int, ...] = ()
     offset: float = 0.0
 
+    #: snapshots store a motion as ``[location, route, offset]``
+    _durable_positional = True
+
     @property
     def has_route(self) -> bool:
         """``True`` while there are vertices left to visit."""

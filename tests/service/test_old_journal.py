@@ -29,7 +29,9 @@ from repro.service.recovery import (
     apply_record,
     canonical_state,
     deserialize_config,
-    serialize_config,
+    encode,
+    load_snapshot_state,
+    serialize_state,
 )
 
 FIXTURE = Path(__file__).parent / "fixtures" / "old_journal"
@@ -90,6 +92,24 @@ def test_an_invented_knob_fails_with_a_recovery_error(journal_copy, prefer_snaps
         PTRiderService.recover(journal_copy, prefer_snapshot=prefer_snapshot)
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"price_model": {"base_ratio": -0.3, "rider_increment": 0.1, "booking_fee": 0.0}},
+         "price_model"),
+        ({"price_model": {"base_ratio": 0.3, "rider_increment": 0.1, "booking_fee": 0.0,
+                          "surcharge": 2.0}},
+         "surcharge"),
+        ({"max_waiting": "abc"}, "max_waiting"),
+    ],
+    ids=["negative-coefficient", "unknown-price-key", "wrong-type"],
+)
+def test_a_bad_config_value_fails_with_a_recovery_error_naming_it(change, field):
+    payload = {**encode(SystemConfig()), **change}
+    with pytest.raises(RecoveryError, match=field):
+        deserialize_config(payload)
+
+
 def test_an_invented_set_parameters_key_fails_with_a_recovery_error(journal_copy):
     journal = ServiceJournal(journal_copy)
     # the first set_parameters record is seq 10; corrupting its payload
@@ -128,7 +148,7 @@ def test_the_table_names_exactly_the_retired_knobs():
 @pytest.mark.parametrize("knob", sorted(RETIRED_VALUES))
 def test_a_retired_knob_in_a_config_payload_replays_as_the_current_config(knob):
     config = SystemConfig(max_waiting=6.0)
-    payload = {**serialize_config(config), knob: RETIRED_VALUES[knob]}
+    payload = {**encode(config), knob: RETIRED_VALUES[knob]}
     assert deserialize_config(payload) == config
 
 
@@ -153,7 +173,7 @@ def test_a_retired_knob_in_a_set_parameters_record_changes_nothing(knob):
 @pytest.mark.parametrize("backend", sorted(RETIRED_BACKENDS))
 def test_a_retired_backend_in_a_config_payload_replays_as_csr(backend):
     config = SystemConfig(max_waiting=6.0)
-    payload = {**serialize_config(config), "routing_backend": backend}
+    payload = {**encode(config), "routing_backend": backend}
     assert deserialize_config(payload) == config
 
 
@@ -172,7 +192,7 @@ def test_a_retired_backend_in_a_set_parameters_record_replays_as_csr(backend):
 
 
 def test_an_unknown_backend_in_a_config_payload_fails_with_a_recovery_error():
-    payload = {**serialize_config(SystemConfig()), "routing_backend": "phast"}
+    payload = {**encode(SystemConfig()), "routing_backend": "phast"}
     with pytest.raises(RecoveryError, match="phast"):
         deserialize_config(payload)
 
@@ -190,3 +210,69 @@ def test_an_unknown_backend_in_a_set_parameters_record_replays_the_refusal():
         assert canonical_state(service) == before
     finally:
         service.close()
+
+
+def _state_text(state) -> str:
+    """``state``'s snapshot JSON without its config, whose retired knobs a
+    restored service normalises."""
+    return json.dumps({k: v for k, v in state.items() if k != "config"},
+                      separators=(",", ":"))
+
+
+@pytest.mark.parametrize("prefer_snapshot", [True, False])
+def test_restoring_and_reserialising_writes_the_stored_snapshot_text(
+    journal_copy, prefer_snapshot
+):
+    journal = ServiceJournal(journal_copy)
+    seq, stored = load_snapshot_state(journal, prefer_snapshot=prefer_snapshot)
+    journal.close()
+    assert seq == (19 if prefer_snapshot else 0)
+    service, restored_seq = PTRiderService._resume_at_snapshot(
+        ServiceJournal(journal_copy), prefer_snapshot=prefer_snapshot
+    )
+    try:
+        assert restored_seq == seq
+        assert _state_text(serialize_state(service)) == _state_text(stored)
+    finally:
+        service.close()
+
+
+#: Ingest counters added after the first durable builds; a snapshot written
+#: before them must load with each at 0.
+LATER_INGEST_COUNTERS = (
+    "evicted", "cancelled", "close_drained", "deadline_closed",
+    "deadline_misses", "window_grown", "window_shrunk", "retired",
+)
+
+
+def _strip_later_counters(directory: Path) -> None:
+    """Drop :data:`LATER_INGEST_COUNTERS` from the baseline snapshot,
+    keeping its checksum valid."""
+    path = directory / "snapshot-000000000000.json"
+    document = json.loads(path.read_text(encoding="utf-8"))
+    for counter in LATER_INGEST_COUNTERS:
+        del document["state"]["ingest_stats"][counter]
+    text = json.dumps(document["state"], separators=(",", ":"))
+    document["checksum"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(document), encoding="utf-8")
+
+
+def test_a_snapshot_without_the_later_counters_loads_them_as_zero(journal_copy):
+    _strip_later_counters(journal_copy)
+    service, seq = PTRiderService._resume_at_snapshot(
+        ServiceJournal(journal_copy), prefer_snapshot=False
+    )
+    try:
+        assert seq == 0
+        statistics = service._batcher.statistics
+        assert {name: getattr(statistics, name) for name in LATER_INGEST_COUNTERS} == {
+            name: 0 for name in LATER_INGEST_COUNTERS
+        }
+    finally:
+        service.close()
+    stored = json.loads((FIXTURE / "canonical_state.json").read_text(encoding="utf-8"))
+    recovered = PTRiderService.recover(journal_copy, prefer_snapshot=False)
+    try:
+        assert canonical_state(recovered)["ingest_stats"] == stored["ingest_stats"]
+    finally:
+        recovered.close()
