@@ -12,9 +12,10 @@ two measurement families:
   Serving wall time -- admissions plus window flushes, world advancement
   excluded on both arms -- is compared; the headline claim is that the
   journaled arm stays within 10% of the throughput of the in-memory arm.
-  A third arm adds periodic snapshots, whose full-state serialisation
-  cost is recorded (unasserted) as the price of the
-  ``snapshot_interval`` cadence knob.
+  A third arm adds the snapshot cadence (a delta every
+  ``snapshot_interval`` records, compacted into a full snapshot between
+  windows), whose cost is recorded (unasserted) as the price of that
+  knob.
 * **Recovery wall** -- journals holding 10k- and 100k-event tails are
   recovered end to end (snapshot restore + sequence-ordered replay), the
   wall clocked, and the recovered state asserted ``==`` (canonical state)
@@ -279,11 +280,11 @@ def test_e18_headline_overhead(tmp_path):
     Three arms: durability off, plain ``journal`` (every admission, pump
     and flush outcome written ahead -- the 10% bound binds here), and
     ``journal+snapshot`` with a 5000-record cadence.  The snapshot arm is
-    recorded but unasserted: a periodic snapshot serialises the *whole*
-    accumulated state (every booking of the day so far) on the serving
-    path, so its cost grows with history and ``snapshot_interval`` is
-    exactly the knob trading that serving overhead against the recovery
-    tail the ``recovery_tail_*`` phases clock.
+    recorded but unasserted: a delta serialises what the interval dirtied
+    on the serving path, and each compaction the *whole* accumulated state
+    between windows, so ``snapshot_interval`` is the knob trading that
+    overhead against the recovery tail the ``recovery_tail_*`` phases
+    clock.
     """
     if not HAVE_SCIPY:
         pytest.skip("the csr backend needs scipy")
@@ -321,7 +322,8 @@ def test_e18_headline_overhead(tmp_path):
         "E18", snapshot_serving, routing_backend="csr",
         phase="serve_durable_snapshots", requests=total,
         throughput=round(total / snapshot_serving, 1),
-        snapshots=float(len(snapshotting.journal.snapshot_files())),
+        snapshots=float(len(snapshotting.journal.snapshot_files())
+                        + len(snapshotting.journal.delta_files())),
         overhead_vs_off=round(snapshot_serving / plain_serving - 1.0, 4),
     )
 

@@ -1,20 +1,18 @@
 """E20 -- adaptive windows + incremental snapshots on the surge/lull day.
 
-ISSUE 10's two serving-path changes are measured together, because they
-sell as one story: keep the micro-batched pipeline's throughput while
-cutting tail latency, and keep durability on without paying full-state
-serialisation inside serving windows.
+Two serving-path mechanisms are measured on one day: the adaptive window
+controller, which should keep the micro-batched pipeline's throughput while
+cutting tail latency, and the delta snapshot cadence, which keeps
+durability on without paying full-state serialisation inside serving
+windows.
 
 * **Adaptive vs fixed windows** -- the E17 surge/lull day (bimodal
   arrivals over hotspot origins) is replayed through four *durable*
-  services: three fixed ``batch_window`` arms under
-  ``snapshot_mode="full"`` (the pre-ISSUE configuration: every cadence
-  crossing serialises the whole service state inside the admission/pump
-  that tripped it) and one adaptive arm under
-  ``snapshot_mode="incremental"`` (dirty-partition deltas on the hot
-  path, compaction deferred to gaps between windows).  Serving wall =
-  admissions + pumps, world advancement excluded, exactly as E18 measures
-  durable serving.  The headline assertions: the adaptive arm beats the
+  services: three fixed ``batch_window`` arms and one adaptive arm.  Every
+  arm pays the same snapshot cadence (dirty-partition deltas on the hot
+  path, compaction deferred to gaps between windows), so the comparison
+  isolates the window policy.  Serving wall = admissions + pumps, world
+  advancement excluded, exactly as E18 measures durable serving.  The headline assertions: the adaptive arm beats the
   best fixed arm on lull p99 and stays within 1.5x of it on surge p99
   (surge seconds and lull seconds split by the day's mean arrival rate);
   its throughput relative to that arm is recorded, not asserted.
@@ -27,12 +25,12 @@ serialisation inside serving windows.
   and a second run under the same injected clock must reproduce the
   trajectory exactly.
 * **Incremental snapshots off the hot path** -- the same adaptive day is
-  run twice under an injected clock (so both arms execute an identical
-  command stream), once with full-state snapshots and once with deltas.
-  Live canonical state must match between modes, every recovery flavour
-  (full-mode, delta fold, full-journal replay) must reproduce it, and
-  the mean per-snapshot hot-path stall of the delta arm must be under
-  10% of the full arm's mean serialisation stall.
+  run under an injected clock.  Both recovery paths (the delta chain
+  folded over the newest compaction, and full-journal replay from the
+  baseline) must reproduce the live canonical state, and the mean
+  hot-path stall of a delta must be under 10% of the mean stall of a
+  compaction, the full serialisation the chain defers to gaps between
+  windows.
 
 Scale knobs: ``PTRIDER_E20_REQUESTS`` (headline replay, default 24k) and
 ``PTRIDER_E20_SMOKE_REQUESTS`` (the CI smoke leg, default 6000).
@@ -85,16 +83,16 @@ ADAPTIVE_START = 0.5
 ADAPTIVE_MIN = 0.125
 ADAPTIVE_MAX = 4.0
 #: journal records between snapshot points in the serving comparison --
-#: dozens of cadence crossings per replay, so the full-mode arms pay the
-#: serialisation bill many times inside measured serving
+#: dozens of cadence crossings per replay, so every arm pays the snapshot
+#: bill many times inside measured serving
 SNAPSHOT_EVERY = 250
 
 HEADLINE_REQUESTS = int(os.environ.get("PTRIDER_E20_REQUESTS", "24000"))
 SMOKE_REQUESTS = int(os.environ.get("PTRIDER_E20_SMOKE_REQUESTS", "6000"))
 IDENTITY_REQUESTS = 2500
 PAIR_REQUESTS = 6000
-#: tighter cadence for the full-vs-incremental pair, so the dirty set per
-#: delta stays a small fraction of total state (the <10% stall claim is
+#: tighter cadence for the delta-vs-compaction stall leg, so the dirty set
+#: per delta stays a small fraction of total state (the <10% stall claim is
 #: about exactly that ratio: change-per-interval over state-for-the-day)
 PAIR_SNAPSHOT_EVERY = 50
 
@@ -120,7 +118,7 @@ class _FakeWall:
 # builders
 # ----------------------------------------------------------------------
 def _build_service(*, window_mode="fixed", batch_window=1.0, window_min=None,
-                   window_max=None, journal_dir=None, snapshot_mode="full",
+                   window_max=None, journal_dir=None,
                    snapshot_interval=SNAPSHOT_EVERY, wall_clock=None,
                    city=CITY) -> PTRiderService:
     """A fresh durable-or-not service on the E20 city; identical per seed."""
@@ -141,7 +139,6 @@ def _build_service(*, window_mode="fixed", batch_window=1.0, window_min=None,
             durability="journal+snapshot",
             journal_path=str(journal_dir),
             snapshot_interval=snapshot_interval,
-            snapshot_mode=snapshot_mode,
         )
     config = SystemConfig(
         vehicle_capacity=city["capacity"],
@@ -221,7 +218,7 @@ def _replay_timed(service: PTRiderService, workload: RequestWorkload, surge):
     """Replay the day; returns (serving wall, surge latencies, lull latencies).
 
     Serving wall = admissions + pumps (the commands a durable service
-    journals and, in full-snapshot mode, serialises state inside); world
+    journals and writes snapshot deltas inside); world
     advancement is excluded, exactly as E17/E18 measure serving.  Each
     flush's latencies are attributed to the arrival phase of the second
     it flushed in.
@@ -312,13 +309,13 @@ def _snapshot_panel(service: PTRiderService) -> dict:
 
 def _run_arm(tmp_path, label: str, workload: RequestWorkload, surge,
              total: int, *, window_mode: str, batch_window: float,
-             window_min=None, window_max=None, snapshot_mode: str) -> dict:
+             window_min=None, window_max=None) -> dict:
     """One durable serving arm of the adaptive-vs-fixed comparison."""
     workload.reset()
     service = _build_service(
         window_mode=window_mode, batch_window=batch_window,
         window_min=window_min, window_max=window_max,
-        journal_dir=tmp_path / label, snapshot_mode=snapshot_mode,
+        journal_dir=tmp_path / label,
     )
     try:
         serving, surge_lat, lull_lat = _replay_timed(service, workload, surge)
@@ -371,7 +368,7 @@ def _compare_arms(tmp_path, total: int, prefix: str) -> None:
     fixed_arms = [
         _run_arm(
             tmp_path, f"fixed-{window}", workload, surge, total,
-            window_mode="fixed", batch_window=window, snapshot_mode="full",
+            window_mode="fixed", batch_window=window,
         )
         for window in FIXED_WINDOWS
     ]
@@ -379,7 +376,6 @@ def _compare_arms(tmp_path, total: int, prefix: str) -> None:
         tmp_path, "adaptive", workload, surge, total,
         window_mode="adaptive", batch_window=ADAPTIVE_START,
         window_min=ADAPTIVE_MIN, window_max=ADAPTIVE_MAX,
-        snapshot_mode="incremental",
     )
     best = max(fixed_arms, key=lambda arm: arm["throughput"])
 
@@ -388,12 +384,12 @@ def _compare_arms(tmp_path, total: int, prefix: str) -> None:
     # The controller actually steered (this day's regimes differ enough
     # that a fixed starting window cannot be optimal everywhere).
     assert adaptive["grown"] + adaptive["shrunk"] > 0
-    # Durability bookkeeping worked as configured: the fixed arms paid
-    # full serialisations on the hot path, the adaptive arm paid deltas
-    # (plus at least one deferred compaction between windows).
-    assert best["snapshots"]["full_count"] >= 3
-    assert adaptive["snapshots"]["delta_count"] >= 10
-    assert adaptive["snapshots"]["full_count"] >= 1
+    # Durability bookkeeping worked as configured: every arm paid deltas
+    # on the hot path (plus at least one deferred compaction between
+    # windows).
+    for arm in (*fixed_arms, adaptive):
+        assert arm["snapshots"]["delta_count"] >= 10, arm["label"]
+        assert arm["snapshots"]["full_count"] >= 1, arm["label"]
 
     # p99 strictly beaten in the lull, bounded in the surge.  The lull is
     # the structural win (the controller shrinks the window when flushes are
@@ -494,25 +490,14 @@ def test_e20_smoke_window_identity():
     )
 
 
-def _comparable(state: dict) -> dict:
-    """Strip the fields that legitimately differ between snapshot modes."""
-    state = dict(state)
-    config = dict(state["config"])
-    config.pop("journal_path", None)
-    config.pop("snapshot_mode", None)
-    state["config"] = config
-    return state
-
-
 def test_e20_smoke_incremental_off_hot_path(tmp_path):
-    """Deltas cut the per-snapshot hot-path stall to <10% of a full save.
+    """A delta's hot-path stall is under 10% of a compaction's.
 
-    Both arms replay the identical command stream (same pre-built
-    requests, same injected wall clock, so the adaptive controller takes
-    the identical trajectory); the only difference is what each snapshot
-    cadence crossing writes.  State equality pins that deltas lose
-    nothing; the stall ratio pins that they cost almost nothing where it
-    hurts.
+    One durable adaptive day under an injected wall clock: the cadence
+    writes a delta at every crossing and compacts the chain into a full
+    snapshot between windows.  State equality across both recovery paths
+    pins that the deltas lose nothing; the stall ratio pins that they cost
+    almost nothing where it hurts.
     """
     if not HAVE_SCIPY:
         pytest.skip("the csr backend needs scipy")
@@ -520,79 +505,54 @@ def test_e20_smoke_incremental_off_hot_path(tmp_path):
     total = len(workload)
     surge = _phase_map(workload, total)
 
-    arms = {}
-    for mode in ("full", "incremental"):
-        workload.reset()
-        service = _build_service(
-            window_mode="adaptive", batch_window=ADAPTIVE_START,
-            window_min=ADAPTIVE_MIN, window_max=ADAPTIVE_MAX,
-            journal_dir=tmp_path / mode, snapshot_mode=mode,
-            snapshot_interval=PAIR_SNAPSHOT_EVERY, wall_clock=_FakeWall(),
-        )
-        serving, _, _ = _replay_timed(service, workload, surge)
-        stats = service.batcher.statistics
-        assert stats.answered == total and service.batcher.pending == 0
-        arms[mode] = dict(
-            serving=serving,
-            reference=canonical_state(service),
-            snapshots=_snapshot_panel(service),
-            journal_dir=service.journal.directory,
-            fingerprint=(stats.flushes, stats.window_grown,
-                         stats.window_shrunk,
-                         service.batcher.current_window),
-        )
-        service.close()
+    service = _build_service(
+        window_mode="adaptive", batch_window=ADAPTIVE_START,
+        window_min=ADAPTIVE_MIN, window_max=ADAPTIVE_MAX,
+        journal_dir=tmp_path / "journal",
+        snapshot_interval=PAIR_SNAPSHOT_EVERY, wall_clock=_FakeWall(),
+    )
+    serving, _, _ = _replay_timed(service, workload, surge)
+    stats = service.batcher.statistics
+    assert stats.answered == total and service.batcher.pending == 0
+    reference = canonical_state(service)
+    snapshots = _snapshot_panel(service)
+    journal_dir = service.journal.directory
+    service.close()
 
-    # Identical command streams: the two arms took the same trajectory
-    # and hold the same state (modulo the mode knob itself).
-    assert arms["full"]["fingerprint"] == arms["incremental"]["fingerprint"]
-    reference = arms["incremental"]["reference"]
-    assert _comparable(arms["full"]["reference"]) == _comparable(reference)
-
-    # Every recovery flavour reproduces the live state: full snapshots,
-    # the delta fold, and full-journal replay from the baseline.
-    recovered = PTRiderService.recover(arms["full"]["journal_dir"])
-    try:
-        assert _comparable(canonical_state(recovered)) == _comparable(reference)
-    finally:
-        recovered.close()
+    # Both recovery paths reproduce the live state: the delta chain folded
+    # over the newest compaction, and full-journal replay from the baseline.
     for prefer_snapshot in (True, False):
-        recovered = PTRiderService.recover(
-            arms["incremental"]["journal_dir"], prefer_snapshot=prefer_snapshot
-        )
+        recovered = PTRiderService.recover(journal_dir, prefer_snapshot=prefer_snapshot)
         try:
             assert canonical_state(recovered) == reference
         finally:
             recovered.close()
 
     # The stall claim: mean per-delta hot-path cost under 10% of the mean
-    # full-serialisation cost at the same cadence.
-    full_snap = arms["full"]["snapshots"]
-    delta_snap = arms["incremental"]["snapshots"]
-    assert full_snap["full_count"] >= 10
-    assert delta_snap["delta_count"] >= 10
-    assert delta_snap["full_count"] >= 1  # compaction ran, between windows
-    full_stall = full_snap["full_seconds"] / full_snap["full_count"]
-    delta_stall = delta_snap["delta_seconds"] / delta_snap["delta_count"]
+    # compaction (full serialisation) cost on the same day.
+    assert snapshots["delta_count"] >= 10
+    assert snapshots["full_count"] >= 1  # compaction ran, between windows
+    full_stall = snapshots["full_seconds"] / snapshots["full_count"]
+    delta_stall = snapshots["delta_seconds"] / snapshots["delta_count"]
     assert delta_stall < 0.10 * full_stall, (
         f"mean delta stall {delta_stall * 1e3:.2f}ms not under 10% of "
-        f"mean full stall {full_stall * 1e3:.2f}ms"
+        f"mean compaction stall {full_stall * 1e3:.2f}ms"
     )
 
     record_result(
         "E20", full_stall, routing_backend="csr",
         phase="smoke_snapshot_full_stall", requests=total,
         snapshot_interval=float(PAIR_SNAPSHOT_EVERY),
-        snapshots=full_snap["full_count"],
-        serving=round(arms["full"]["serving"], 6),
+        snapshots=snapshots["full_count"],
+        serving=round(serving, 6),
     )
     record_result(
         "E20", delta_stall, routing_backend="csr",
         phase="smoke_snapshot_delta_stall", requests=total,
         snapshot_interval=float(PAIR_SNAPSHOT_EVERY),
-        snapshots=delta_snap["delta_count"],
-        compactions=delta_snap["full_count"],
-        serving=round(arms["incremental"]["serving"], 6),
+        snapshots=snapshots["delta_count"],
+        compactions=snapshots["full_count"],
+        serving=round(serving, 6),
         stall_ratio=round(delta_stall / full_stall, 4),
     )
 

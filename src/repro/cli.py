@@ -23,18 +23,19 @@ import argparse
 import random
 import sys
 import time
-from typing import List, Optional, Sequence
+import typing
+from typing import Dict, Optional, Sequence
 
-from repro.core.config import SystemConfig
+from repro.core.config import KNOBS, SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
-from repro.model.request import Request
+from repro.errors import ConfigurationError
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
-from repro.service.api import PTRiderService, build_system
+from repro.roadnet.routing import make_engine
+from repro.service.api import MATCHER_REGISTRY, PTRiderService, build_system
 from repro.service.journal import ServiceJournal
 from repro.sim.engine import SimulationEngine
 from repro.sim.trips import ShanghaiLikeTripGenerator
@@ -42,7 +43,38 @@ from repro.sim.workload import RequestWorkload, random_requests
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "knob_arguments"]
+
+
+def _flagged(command: str):
+    """The knobs with a flag on ``command``: (field, argparse dest)."""
+    for spec in KNOBS.values():
+        if command in spec.metadata["commands"]:
+            yield spec, spec.metadata["flag"].lstrip("-").replace("-", "_")
+
+
+def _add_knob_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """Add the flags :class:`SystemConfig` declares for ``command``."""
+    hints = typing.get_type_hints(SystemConfig)
+    for spec, _dest in _flagged(command):
+        meta = spec.metadata
+        kind = hints[spec.name]
+        if spec.default is None:
+            kind = typing.get_args(kind)[0]  # Optional[X] -> X
+        parser.add_argument(
+            meta["flag"],
+            type=kind,
+            choices=meta["check"].choices or None,
+            default=kind(0) if meta["zero_none"] else spec.default,
+            metavar=meta["metavar"],
+            help=meta["help"],
+        )
+
+
+def knob_arguments(args: argparse.Namespace) -> Dict[str, object]:
+    """The knobs ``args`` carries, by field name, as
+    :meth:`SystemConfig.with_knobs` takes them."""
+    return {spec.name: getattr(args, dest) for spec, dest in _flagged(args.command)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -59,40 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--columns", type=int, default=12, help="road-network columns")
     demo.add_argument("--riders", type=int, default=2, help="riders in the group")
     demo.add_argument("--seed", type=int, default=7, help="random seed")
-    demo.add_argument(
-        "--routing", choices=ROUTING_BACKENDS, default="csr",
-        help="routing backend (default: csr; csr+alt adds landmark bounds "
-        "for pruning -- same distances)",
-    )
-    demo.add_argument(
-        "--durability", choices=SystemConfig._VALID_DURABILITY, default="off",
-        help="persist live service state: journal records every mutating "
-        "event to a SQLite write-ahead journal, journal+snapshot adds "
-        "periodic state snapshots that bound recovery replay length",
-    )
-    demo.add_argument(
-        "--journal", default=None, metavar="DIR", dest="journal_path",
-        help="journal directory (required when --durability is not off); "
-        "recover a crashed service from it with PTRiderService.recover()",
-    )
-    demo.add_argument(
-        "--snapshot-interval", type=int, default=0, metavar="N",
-        help="journal records between automatic snapshots under "
-        "journal+snapshot (0 keeps the config default)",
-    )
-    demo.add_argument(
-        "--snapshot-mode", choices=SystemConfig._VALID_SNAPSHOT_MODES,
-        default="full",
-        help="snapshot cadence: full rewrites the whole state each time, "
-        "incremental writes cheap dirty-partition deltas and compacts to a "
-        "full snapshot in the background, between serving windows",
-    )
-    demo.add_argument(
-        "--retention-horizon", type=float, default=0.0, metavar="T",
-        help="prune fully-served bookings older than T time units from "
-        "live state and snapshots; the journal keeps the full history "
-        "(0 disables retention)",
-    )
+    _add_knob_flags(demo, "demo")
     demo.add_argument(
         "--resume", action="store_true",
         help="warm-restart from --journal's directory when it already holds "
@@ -106,56 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--columns", type=int, default=15, help="road-network columns")
     simulate.add_argument("--trips", type=int, default=200, help="number of trips in the workload")
     simulate.add_argument("--duration", type=float, default=600.0, help="simulated duration (time units)")
-    simulate.add_argument(
-        "--matcher", choices=("single_side", "dual_side", "naive"), default="single_side"
-    )
     simulate.add_argument("--seed", type=int, default=7, help="random seed")
-    simulate.add_argument(
-        "--routing", choices=ROUTING_BACKENDS, default="csr",
-        help="routing backend (default: csr; csr+alt adds landmark bounds "
-        "for pruning -- same distances)",
-    )
-    simulate.add_argument(
-        "--batch-window", type=float, default=1.0,
-        help="seconds the serving micro-batcher lets a window accumulate "
-        "before flushing it through the batch pipeline",
-    )
-    simulate.add_argument(
-        "--max-batch-size", type=int, default=512,
-        help="request count that force-closes a micro-batch window early",
-    )
-    simulate.add_argument(
-        "--queue-capacity", type=int, default=0,
-        help="bound on admitted-but-unanswered requests the micro-batcher "
-        "may hold (0 = unbounded)",
-    )
-    simulate.add_argument(
-        "--queue-policy", choices=("shed", "block"), default="shed",
-        help="what a full ingest queue does with the next admission: shed "
-        "refuses it, block flushes the pending window inline to free capacity",
-    )
-    simulate.add_argument(
-        "--latency-budget", type=float, default=0.0,
-        help="force-close the ingest window when the oldest admission is "
-        "within this many time units of its deadline (0 disables)",
-    )
-    simulate.add_argument(
-        "--batch-window-mode", choices=SystemConfig._VALID_WINDOW_MODES,
-        default="fixed",
-        help="fixed keeps --batch-window as-is; adaptive lets a closed-loop "
-        "controller resize the window from observed flush walls and arrival "
-        "rates (bounded by --batch-window-min/max)",
-    )
-    simulate.add_argument(
-        "--batch-window-min", type=float, default=0.0,
-        help="adaptive controller's lower window bound "
-        "(0 derives batch_window/16)",
-    )
-    simulate.add_argument(
-        "--batch-window-max", type=float, default=0.0,
-        help="adaptive controller's upper window bound "
-        "(0 derives batch_window*16)",
-    )
+    _add_knob_flags(simulate, "simulate")
 
     compare = subparsers.add_parser("compare", help="compare matcher work on one request burst")
     compare.add_argument("--vehicles", type=int, default=60, help="fleet size")
@@ -163,11 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--columns", type=int, default=15, help="road-network columns")
     compare.add_argument("--requests", type=int, default=30, help="requests in the burst")
     compare.add_argument("--seed", type=int, default=7, help="random seed")
-    compare.add_argument(
-        "--routing", choices=ROUTING_BACKENDS, default="csr",
-        help="routing backend (default: csr; csr+alt adds landmark bounds "
-        "for pruning -- same distances)",
-    )
+    _add_knob_flags(compare, "compare")
     compare.add_argument(
         "--prefetch", action=argparse.BooleanOptionalAction, default=True,
         help="prefetch the batch's start trees in one vectorised engine call "
@@ -178,50 +125,46 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point of the ``ptrider`` console script."""
-    args = build_parser().parse_args(argv)
-    if args.command == "demo":
-        return _run_demo(args)
-    if args.command == "simulate":
-        return _run_simulate(args)
-    return _run_compare(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    run = {"demo": _run_demo, "simulate": _run_simulate, "compare": _run_compare}
+    try:
+        return run[args.command](args)
+    except ConfigurationError as error:
+        parser.error(str(error))
 
 
 # ----------------------------------------------------------------------
 def _run_demo(args: argparse.Namespace) -> int:
     system = None
     if args.resume:
-        if not args.journal_path:
+        if not args.journal:
             print("--resume requires --journal DIR", file=sys.stderr)
             return 2
-        probe = ServiceJournal(args.journal_path)
+        probe = ServiceJournal(args.journal)
         fresh = probe.is_fresh()
         probe.close()
         if not fresh:
             # Warm restart: the journal already holds state, so rebuild the
             # service from it (newest snapshot + tail replay) instead of
             # refusing the directory as build_system would.
-            system = PTRiderService.recover(args.journal_path)
+            system = PTRiderService.recover(args.journal)
             print(
-                f"Resumed from journal {args.journal_path} "
+                f"Resumed from journal {args.journal} "
                 f"(t={system.current_time:.1f}, {len(system.vehicle_ids())} vehicles)"
             )
     if system is None:
-        durability = args.durability if args.durability != "off" else None
-        if args.resume and durability is None:
+        knobs = knob_arguments(args)
+        if args.resume and knobs["durability"] == "off":
             # --resume on a fresh directory still means "be durable": the
             # whole point is that the *next* run can warm-restart from it.
-            durability = "journal"
+            knobs["durability"] = "journal"
         system = build_system(
             network_rows=args.rows,
             network_columns=args.columns,
             vehicles=args.vehicles,
             seed=args.seed,
-            routing=args.routing,
-            durability=durability,
-            journal_path=args.journal_path,
-            snapshot_interval=args.snapshot_interval or None,
-            snapshot_mode=args.snapshot_mode,
-            retention_horizon=args.retention_horizon or None,
+            **knobs,
         )
     try:
         rng = random.Random(args.seed)
@@ -270,37 +213,25 @@ def _run_demo(args: argparse.Namespace) -> int:
 def _run_simulate(args: argparse.Namespace) -> int:
     network = grid_network(args.rows, args.columns, weight_jitter=0.25, seed=args.seed)
     grid = GridIndex(network, rows=8, columns=8)
+    config = SystemConfig(
+        max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
+    ).with_knobs(knob_arguments(args), running=False)
     fleet = Fleet(
         grid,
-        make_engine(network, args.routing),
+        make_engine(network, config.routing_backend),
     )
     rng = random.Random(args.seed)
     vertices = network.vertices()
     for index in range(args.vehicles):
         fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(vertices), capacity=4))
-    config = SystemConfig(
-        max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
-        routing_backend=args.routing,
-        batch_window=args.batch_window, max_batch_size=args.max_batch_size,
-        queue_capacity=args.queue_capacity or None,
-        queue_policy=args.queue_policy,
-        latency_budget=args.latency_budget or None,
-        batch_window_mode=args.batch_window_mode,
-        batch_window_min=args.batch_window_min or None,
-        batch_window_max=args.batch_window_max or None,
-    )
-    matcher = {
-        "single_side": SingleSideSearchMatcher,
-        "dual_side": DualSideSearchMatcher,
-        "naive": NaiveKineticTreeMatcher,
-    }[args.matcher](fleet, config=config)
+    matcher = MATCHER_REGISTRY[config.matcher_name](fleet, config=config)
     dispatcher = Dispatcher(fleet, matcher, config)
     generator = ShanghaiLikeTripGenerator(network, seed=args.seed)
     trips = generator.generate(args.trips, day_seconds=args.duration)
     workload = RequestWorkload.from_trips(trips, config.max_waiting, config.service_constraint)
     engine = SimulationEngine(dispatcher, workload, speed=1.0, tick=1.0, seed=args.seed)
     report = engine.run(until=args.duration + 50.0)
-    print(f"Matcher: {matcher.name} (routing={args.routing})")
+    print(f"Matcher: {matcher.name} (routing={config.routing_backend})")
     for key, value in sorted(report.panel().items()):
         print(f"  {key:>25}: {value:.4f}")
     return 0
@@ -308,21 +239,20 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 def _run_compare(args: argparse.Namespace) -> int:
     results = []
+    config = SystemConfig(
+        max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
+    ).with_knobs(knob_arguments(args), running=False)
     for matcher_class in (NaiveKineticTreeMatcher, SingleSideSearchMatcher, DualSideSearchMatcher):
         network = grid_network(args.rows, args.columns, weight_jitter=0.25, seed=args.seed)
         grid = GridIndex(network, rows=8, columns=8)
         fleet = Fleet(
             grid,
-            make_engine(network, args.routing),
+            make_engine(network, config.routing_backend),
         )
         rng = random.Random(args.seed)
         vertices = network.vertices()
         for index in range(args.vehicles):
             fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(vertices), capacity=4))
-        config = SystemConfig(
-            max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
-            routing_backend=args.routing,
-        )
         matcher = matcher_class(fleet, config=config)
         dispatcher = Dispatcher(fleet, matcher, config)
         requests = random_requests(

@@ -37,21 +37,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.baselines.nearest import NearestVehicleMatcher
 from repro.baselines.sharek import SharekStyleMatcher
 from repro.baselines.tshare import TShareStyleMatcher
-from repro.core.config import SystemConfig
+from repro.core.config import MATCHER_NAMES, SystemConfig
 from repro.core.context import MatchContext
 from repro.core.dispatcher import DispatchOutcome, Dispatcher
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.matcher import Matcher
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
-from repro.errors import ConfigurationError, ServiceError, UnknownOptionError
+from repro.errors import ServiceError, UnknownOptionError
 from repro.model.options import RideOption
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.io import network_from_dict, network_to_dict
-from repro.roadnet.routing import ROUTING_BACKENDS, make_engine
+from repro.roadnet.routing import make_engine
 from repro.service.ingest import MicroBatcher, batcher_from_config
 from repro.service.journal import ServiceJournal
 from repro.service.recovery import (
@@ -77,15 +77,16 @@ __all__ = ["Booking", "PTRiderService", "build_system", "MATCHER_REGISTRY"]
 #: held by the chain; compaction itself waits for a gap between windows.
 DELTA_COMPACT_AFTER = 16
 
-#: Matching algorithms selectable through the admin interface.
-MATCHER_REGISTRY = {
-    "single_side": SingleSideSearchMatcher,
-    "dual_side": DualSideSearchMatcher,
-    "naive": NaiveKineticTreeMatcher,
-    "nearest": NearestVehicleMatcher,
-    "sharek": SharekStyleMatcher,
-    "tshare": TShareStyleMatcher,
-}
+#: Matching algorithms selectable through the admin interface, keyed by
+#: the config's one list of names.
+MATCHER_REGISTRY = dict(zip(MATCHER_NAMES, (
+    SingleSideSearchMatcher,
+    DualSideSearchMatcher,
+    NaiveKineticTreeMatcher,
+    NearestVehicleMatcher,
+    SharekStyleMatcher,
+    TShareStyleMatcher,
+), strict=True))
 
 
 @dataclass
@@ -160,7 +161,7 @@ class PTRiderService:
             # another backend would journal it, and recovery would rebuild
             # the service onto an engine it never served on.
             self._config = self._config.with_updates(routing_backend=backend)
-        self._matcher = self._build_matcher(self._config.matcher_name)
+        self._matcher = self._build_matcher()
         self._dispatcher = Dispatcher(fleet, self._matcher, self._config)
         self._engine = SimulationEngine(
             dispatcher=self._dispatcher,
@@ -298,14 +299,8 @@ class PTRiderService:
         """The current simulation time (the website panel's clock)."""
         return self._engine.time
 
-    def _build_matcher(self, name: str) -> Matcher:
-        try:
-            matcher_class = MATCHER_REGISTRY[name]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown matcher {name!r}; choose one of {sorted(MATCHER_REGISTRY)}"
-            ) from None
-        return matcher_class(self._fleet, config=self._config)
+    def _build_matcher(self) -> Matcher:
+        return MATCHER_REGISTRY[self._config.matcher_name](self._fleet, config=self._config)
 
     # ------------------------------------------------------------------
     # durability (write-ahead journal + snapshots)
@@ -329,7 +324,13 @@ class PTRiderService:
     def _finish_command(self) -> None:
         """Post-command bookkeeping: flush the command's outcome annotation
         (one record per command, however many outcomes the flush produced)
-        and apply the snapshot cadence under journal+snapshot."""
+        and apply the snapshot cadence under journal+snapshot.
+
+        The cadence writes a cheap delta (dirty partitions only); the
+        expensive full serialisation is a compaction that only runs between
+        windows -- never inside a flush, so it can never inflate a serving
+        window's latency.
+        """
         if self._journal is None or not self._recording:
             return
         # Every record this service writes goes through ``append``, so the
@@ -341,23 +342,12 @@ class PTRiderService:
             self._outcome_buffer = []
         if self._config.durability != "journal+snapshot":
             return
-        cadence_due = (
-            self._applied_seq - self._last_snapshot_seq
-            >= self._config.snapshot_interval
-        )
-        if self._config.snapshot_mode == "incremental":
-            # The cadence writes a cheap delta (dirty partitions only); the
-            # expensive full serialisation is demoted to a compaction that
-            # only runs between windows -- never inside a flush, so it can
-            # never inflate a serving window's latency.
-            if cadence_due:
-                if self._delta_chain_valid:
-                    self._write_delta()
-                else:
-                    self.snapshot()
-            if self._compaction_due and self._batcher.pending == 0:
+        if self._applied_seq - self._last_snapshot_seq >= self._config.snapshot_interval:
+            if self._delta_chain_valid:
+                self._write_delta()
+            else:
                 self.snapshot()
-        elif cadence_due:
+        if self._compaction_due and self._batcher.pending == 0:
             self.snapshot()
 
     def _window_payload(self, payload: Dict[str, object]) -> Dict[str, object]:
@@ -409,10 +399,10 @@ class PTRiderService:
     def snapshot(self) -> Path:
         """Write a snapshot of the current state at the journal's position.
 
-        Returns the snapshot file's path.  Called automatically every
-        ``snapshot_interval`` records under ``durability="journal+snapshot"``
-        and available to admin tooling (e.g. right before a planned
-        restart, so recovery replays nothing).
+        Returns the snapshot file's path.  The compaction of a delta chain
+        under ``durability="journal+snapshot"`` calls it, and so can admin
+        tooling (e.g. right before a planned restart, so recovery replays
+        nothing).
 
         Raises:
             ServiceError: when durability is off (there is no journal).
@@ -445,7 +435,7 @@ class PTRiderService:
     def _write_delta(self) -> Path:
         """Write an incremental snapshot delta at the journal's position.
 
-        The hot-path half of ``snapshot_mode="incremental"``: serialises
+        The hot-path half of the snapshot cadence: serialises
         only the partitions dirtied since the previous snapshot point
         (touched bookings, touched vehicles, the small meta partition) and
         chains the file on that point.  After :data:`DELTA_COMPACT_AFTER`
@@ -1153,135 +1143,40 @@ class PTRiderService:
             )
         # Persistence-cost attribution: counts, last-file bytes and
         # cumulative wall seconds for full snapshots vs incremental deltas
-        # (``snapshot_full_seconds`` is the background compaction bill
-        # under snapshot_mode="incremental").
+        # (``snapshot_full_seconds`` is the background compaction bill).
         for key, value in self._snapshot_stats.items():
             payload[f"snapshot_{key}"] = value
         return payload
 
-    def set_parameters(
-        self,
-        max_waiting: Optional[float] = None,
-        service_constraint: Optional[float] = None,
-        vehicle_capacity: Optional[int] = None,
-        max_pickup_distance: Optional[float] = None,
-        matcher_name: Optional[str] = None,
-        routing_backend: Optional[str] = None,
-        batch_window: Optional[float] = None,
-        max_batch_size: Optional[int] = None,
-        queue_capacity: Optional[int] = None,
-        queue_policy: Optional[str] = None,
-        latency_budget: Optional[float] = None,
-        batch_window_mode: Optional[str] = None,
-        batch_window_min: Optional[float] = None,
-        batch_window_max: Optional[float] = None,
-        snapshot_mode: Optional[str] = None,
-        retention_horizon: Optional[float] = None,
-    ) -> SystemConfig:
+    def set_parameters(self, **changes: object) -> SystemConfig:
         """The admin form: update global parameters and/or swap the matcher.
+
+        Takes the knobs :class:`SystemConfig` marks ``RUNTIME``, by field
+        name, as :meth:`SystemConfig.with_knobs` applies them (``None``
+        leaves a knob as it is, ``0`` clears a zero-rule knob such as
+        ``queue_capacity``).  The new config is checked before the command
+        is journaled: a refused change leaves no record and no trace.
 
         Capacity changes apply to vehicles added afterwards (existing taxis
         keep their physical capacity, as they would in reality).  Changing
         ``routing_backend`` rebuilds the routing engine on the same road
         network with the same tree-cache capacity (its cached trees are
-        dropped); the matcher and dispatcher are rebuilt on top of it.
+        dropped).  The matcher, dispatcher and ingest batcher are rebuilt
+        on the new config; the pending window is drained (flushed, never
+        dropped) first.
 
-        ``batch_window`` / ``max_batch_size`` / ``queue_capacity`` /
-        ``queue_policy`` reconfigure the micro-batched ingest path; the
-        pending window is drained (flushed, never dropped) before the
-        batcher is rebuilt on the new knobs.  ``queue_capacity=0`` removes
-        the bound (maps to ``None``: unbounded).
-
-        ``latency_budget`` sets the deadline-driven window close of the
-        ingest path (``0`` disables it, mapping to ``None``).
-
-        ``batch_window_mode`` switches the ingest window between a fixed
-        length and the closed-loop adaptive controller;
-        ``batch_window_min`` / ``batch_window_max`` bound the controller
-        (``0`` restores the derived default).  ``snapshot_mode`` switches
-        the durability cadence between full snapshots and incremental
-        deltas with background compaction.  ``retention_horizon`` prunes
-        fully-served bookings older than the horizon from live state
-        (``0`` disables retention, mapping to ``None``).
+        Raises:
+            TypeError: for a name that is not a ``RUNTIME`` knob.
+            ConfigurationError: for a value its knob refuses.
         """
-        provided = {
-            name: value
-            for name, value in (
-                ("max_waiting", max_waiting),
-                ("service_constraint", service_constraint),
-                ("vehicle_capacity", vehicle_capacity),
-                ("max_pickup_distance", max_pickup_distance),
-                ("matcher_name", matcher_name),
-                ("routing_backend", routing_backend),
-                ("batch_window", batch_window),
-                ("max_batch_size", max_batch_size),
-                ("queue_capacity", queue_capacity),
-                ("queue_policy", queue_policy),
-                ("latency_budget", latency_budget),
-                ("batch_window_mode", batch_window_mode),
-                ("batch_window_min", batch_window_min),
-                ("batch_window_max", batch_window_max),
-                ("snapshot_mode", snapshot_mode),
-                ("retention_horizon", retention_horizon),
-            )
-            if value is not None
-        }
-        # Refuse unknown names before the record is written: recovery maps
-        # backend names that older builds accepted onto "csr", so a refused
-        # call that reached the journal could replay as one that succeeds.
-        if matcher_name is not None and matcher_name not in MATCHER_REGISTRY:
-            raise ConfigurationError(
-                f"unknown matcher {matcher_name!r}; choose one of {sorted(MATCHER_REGISTRY)}"
-            )
-        if routing_backend is not None and routing_backend not in ROUTING_BACKENDS:
-            raise ConfigurationError(
-                f"unknown routing backend {routing_backend!r}; choose one of {ROUTING_BACKENDS}"
-            )
-        self._journal_command("set_parameters", {"changes": provided})
-        changes: Dict[str, object] = {}
-        if max_waiting is not None:
-            changes["max_waiting"] = max_waiting
-        if service_constraint is not None:
-            changes["service_constraint"] = service_constraint
-        if vehicle_capacity is not None:
-            changes["vehicle_capacity"] = vehicle_capacity
-        if max_pickup_distance is not None:
-            changes["max_pickup_distance"] = max_pickup_distance
-        if batch_window is not None:
-            changes["batch_window"] = batch_window
-        if max_batch_size is not None:
-            changes["max_batch_size"] = max_batch_size
-        if queue_capacity is not None:
-            changes["queue_capacity"] = None if queue_capacity == 0 else queue_capacity
-        if queue_policy is not None:
-            changes["queue_policy"] = queue_policy
-        if latency_budget is not None:
-            changes["latency_budget"] = None if latency_budget == 0 else latency_budget
-        if batch_window_mode is not None:
-            changes["batch_window_mode"] = batch_window_mode
-        if batch_window_min is not None:
-            changes["batch_window_min"] = (
-                None if batch_window_min == 0 else batch_window_min
-            )
-        if batch_window_max is not None:
-            changes["batch_window_max"] = (
-                None if batch_window_max == 0 else batch_window_max
-            )
-        if snapshot_mode is not None:
-            changes["snapshot_mode"] = snapshot_mode
-        if retention_horizon is not None:
-            changes["retention_horizon"] = (
-                None if retention_horizon == 0 else retention_horizon
-            )
-        if matcher_name is not None and matcher_name in SystemConfig._VALID_MATCHERS:
-            changes["matcher_name"] = matcher_name
-        if routing_backend is not None:
-            changes["routing_backend"] = routing_backend
-        new_config = self._config.with_updates(**changes) if changes else self._config
-        if (
-            routing_backend is not None
-            and routing_backend != self._fleet.routing_engine.backend
-        ):
+        new_config = self._config.with_knobs(changes, running=True)
+        # Journal the raw values: old records replay through the same
+        # normalisation they were written for.
+        self._journal_command(
+            "set_parameters",
+            {"changes": {name: value for name, value in changes.items() if value is not None}},
+        )
+        if new_config.routing_backend != self._fleet.routing_engine.backend:
             # Build the engine *before* committing the new config: a refused
             # build must leave the service exactly as it was, not claiming a
             # configuration it never got.
@@ -1292,10 +1187,7 @@ class PTRiderService:
             )
             self._fleet.set_routing_engine(engine)
         self._config = new_config
-        if matcher_name is not None:
-            self._matcher = self._build_matcher(matcher_name)
-        else:
-            self._matcher = self._build_matcher(type(self._matcher).name)
+        self._matcher = self._build_matcher()
         # Drain the ingest window through the *old* dispatcher before it is
         # replaced: admitted requests must be answered, never dropped by a
         # reconfiguration.
@@ -1336,20 +1228,7 @@ def build_system(
     grid_columns: int = 8,
     config: Optional[SystemConfig] = None,
     seed: Optional[int] = None,
-    routing: Optional[str] = None,
-    batch_window: Optional[float] = None,
-    max_batch_size: Optional[int] = None,
-    queue_capacity: Optional[int] = None,
-    queue_policy: Optional[str] = None,
-    latency_budget: Optional[float] = None,
-    batch_window_mode: Optional[str] = None,
-    batch_window_min: Optional[float] = None,
-    batch_window_max: Optional[float] = None,
-    durability: Optional[str] = None,
-    journal_path: Optional[str] = None,
-    snapshot_interval: Optional[int] = None,
-    snapshot_mode: Optional[str] = None,
-    retention_horizon: Optional[float] = None,
+    **overrides: object,
 ) -> PTRiderService:
     """Build a ready-to-use PTRider system.
 
@@ -1362,39 +1241,11 @@ def build_system(
         config: global parameters (a default :class:`SystemConfig` otherwise,
             with the requested capacity).
         seed: seed controlling vehicle placement and idle wandering.
-        routing: routing backend override ("csr" or "csr+alt"); defaults
-            to the config's ``routing_backend``.
-        batch_window: micro-batch window length override for the ingest
-            path; defaults to the config's ``batch_window``.
-        max_batch_size: ingest window size cap override; defaults to the
-            config's ``max_batch_size``.
-        queue_capacity: ingest queue bound override (``0`` = unbounded);
-            defaults to the config's ``queue_capacity``.
-        queue_policy: full-queue policy override ("shed" or "block");
-            defaults to the config's ``queue_policy``.
-        latency_budget: deadline-driven window close for the ingest path
-            (``0`` disables it); defaults to the config's
-            ``latency_budget``.
-        batch_window_mode: ingest window mode override ("fixed" or
-            "adaptive"); defaults to the config's ``batch_window_mode``.
-        batch_window_min: adaptive controller's lower window bound
-            (``0`` restores the derived default); defaults to the config's
-            ``batch_window_min``.
-        batch_window_max: adaptive controller's upper window bound
-            (``0`` restores the derived default); defaults to the config's
-            ``batch_window_max``.
-        durability: durability mode override ("off", "journal" or
-            "journal+snapshot"); defaults to the config's ``durability``.
-        journal_path: journal directory override (required when durability
-            is on); defaults to the config's ``journal_path``.
-        snapshot_interval: journal records between automatic snapshots
-            under "journal+snapshot"; defaults to the config's
-            ``snapshot_interval``.
-        snapshot_mode: snapshot cadence mode override ("full" or
-            "incremental"); defaults to the config's ``snapshot_mode``.
-        retention_horizon: age past which fully-served bookings are pruned
-            from live state (``0`` disables retention); defaults to the
-            config's ``retention_horizon``.
+        overrides: ``RUNTIME`` and ``BUILD`` knobs by field name (e.g.
+            ``routing_backend``, ``batch_window``, ``durability``,
+            ``journal_path``), applied over ``config`` by
+            :meth:`SystemConfig.with_knobs`: ``None`` keeps the config's
+            value and ``0`` clears a zero-rule knob.
 
     Returns:
         A :class:`PTRiderService` whose fleet is registered and idle.
@@ -1402,53 +1253,9 @@ def build_system(
     rng = random.Random(seed)
     if network is None:
         network = grid_network(network_rows, network_columns, spacing=1.0, weight_jitter=0.25, seed=seed)
-    system_config = config or SystemConfig(vehicle_capacity=capacity)
-    if routing is not None and routing != system_config.routing_backend:
-        system_config = system_config.with_updates(routing_backend=routing)
-    if batch_window is not None and batch_window != system_config.batch_window:
-        system_config = system_config.with_updates(batch_window=batch_window)
-    if max_batch_size is not None and max_batch_size != system_config.max_batch_size:
-        system_config = system_config.with_updates(max_batch_size=max_batch_size)
-    if queue_capacity is not None:
-        bound = None if queue_capacity == 0 else queue_capacity
-        if bound != system_config.queue_capacity:
-            system_config = system_config.with_updates(queue_capacity=bound)
-    if queue_policy is not None and queue_policy != system_config.queue_policy:
-        system_config = system_config.with_updates(queue_policy=queue_policy)
-    if latency_budget is not None:
-        budget = None if latency_budget == 0 else latency_budget
-        if budget != system_config.latency_budget:
-            system_config = system_config.with_updates(latency_budget=budget)
-    if batch_window_mode is not None and batch_window_mode != system_config.batch_window_mode:
-        system_config = system_config.with_updates(batch_window_mode=batch_window_mode)
-    if batch_window_min is not None:
-        bound = None if batch_window_min == 0 else batch_window_min
-        if bound != system_config.batch_window_min:
-            system_config = system_config.with_updates(batch_window_min=bound)
-    if batch_window_max is not None:
-        bound = None if batch_window_max == 0 else batch_window_max
-        if bound != system_config.batch_window_max:
-            system_config = system_config.with_updates(batch_window_max=bound)
-    if snapshot_mode is not None and snapshot_mode != system_config.snapshot_mode:
-        system_config = system_config.with_updates(snapshot_mode=snapshot_mode)
-    if retention_horizon is not None:
-        horizon = None if retention_horizon == 0 else retention_horizon
-        if horizon != system_config.retention_horizon:
-            system_config = system_config.with_updates(retention_horizon=horizon)
-    durability_changes: Dict[str, object] = {}
-    if journal_path is not None and journal_path != system_config.journal_path:
-        durability_changes["journal_path"] = journal_path
-    if durability is not None and durability != system_config.durability:
-        durability_changes["durability"] = durability
-    if (
-        snapshot_interval is not None
-        and snapshot_interval != system_config.snapshot_interval
-    ):
-        durability_changes["snapshot_interval"] = snapshot_interval
-    if durability_changes:
-        # One update for all three: turning durability on is only valid
-        # together with its journal_path (the config validates the pair).
-        system_config = system_config.with_updates(**durability_changes)
+    system_config = (config or SystemConfig(vehicle_capacity=capacity)).with_knobs(
+        overrides, running=False
+    )
     engine = make_engine(network, system_config.routing_backend)
     grid = GridIndex(network, rows=grid_rows, columns=grid_columns)
     fleet = Fleet(grid, engine)

@@ -7,13 +7,16 @@ serving systems use:
    position 0) capturing its full logical state;
 2. every state-mutating API call appends a command record *before*
    executing (:mod:`repro.service.journal`);
-3. under ``durability="journal+snapshot"`` a fresh snapshot is written
-   every ``snapshot_interval`` records (atomic tmp-then-rename, old files
-   pruned), bounding the replay tail;
+3. under ``durability="journal+snapshot"`` a delta holding the state
+   dirtied since the previous snapshot point is written every
+   ``snapshot_interval`` records, and a compaction between ingest windows
+   replaces a long delta chain with a full snapshot (atomic
+   tmp-then-rename, old files pruned), bounding the replay tail;
 4. :meth:`~repro.service.api.PTRiderService.recover` rebuilds the service
    from the journal's metadata (road network, grid shape, config), restores
-   the newest *valid* snapshot -- a corrupt or partial snapshot file falls
-   back to the previous one, at the cost of a longer replay -- and
+   the newest *valid* full snapshot with its delta chain folded over it --
+   a corrupt or partial file ends the chain early, or falls back to the
+   previous full snapshot, at the cost of a longer replay -- and
    re-executes the tail records in sequence order.
 
 Replay is re-execution: the service's dispatch pipeline is deterministic
@@ -43,7 +46,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import inspect
 import json
 import os
 import types
@@ -51,7 +53,7 @@ import typing
 from pathlib import Path
 from typing import Callable, Collection, Dict, List, Mapping, Optional, Tuple
 
-from repro.core.config import SystemConfig
+from repro.core.config import DROP, RETIRED_CONFIG_KEYS, RUNTIME, SystemConfig, knob_names
 from repro.errors import PTRiderError, ServiceError
 from repro.model.request import Request
 from repro.service.ingest import IngestStatistics
@@ -75,7 +77,6 @@ __all__ = [
     "load_snapshot_state",
     "replay_records",
     "deserialize_config",
-    "RETIRED_CONFIG_KEYS",
     "SNAPSHOT_KEEP",
 ]
 
@@ -290,50 +291,22 @@ def decode(cls: type, payload: object):
     return _PLANS[cls].decode(payload)
 
 
-#: Dropped from a replayed config or ``set_parameters`` change.
-_DROP = object()
-
-#: Retired knobs that old journals and snapshots still name, and what each
-#: replays as.  None of them ever changed an outcome, so the mapping is
-#: exact.  The multi-process dispatch pool's ``dispatch_workers`` becomes 1
-#: (the only value the config accepts; a ``set_parameters`` change, which no
-#: longer takes it, drops it), and its watchdog and retry knobs are dropped.
-#: The retired routing backends' knobs (``table_max_vertices``,
-#: ``tree_provider``), the retired artifact cache's directory and the
-#: retired fleet shard count (every shard count gave the same options) are
-#: dropped, and a dict-valued entry maps retired *values* of a live knob:
-#: the "dict", "table" and "ch" backends answered every query with the csr
-#: backend's floats, so they replay as "csr".  Only older builds can have
-#: journaled those names: ``set_parameters`` refuses an unknown backend
-#: before it writes the record.
-RETIRED_CONFIG_KEYS: Dict[str, object] = {
-    "dispatch_workers": 1,
-    "worker_timeout": _DROP,
-    "max_dispatch_retries": _DROP,
-    "table_max_vertices": _DROP,
-    "tree_provider": _DROP,
-    "routing_cache_dir": _DROP,
-    "match_shards": _DROP,
-    "routing_backend": {"dict": "csr", "table": "csr", "ch": "csr"},
-}
-
-
 def _retire_knobs(
     payload: Mapping[str, object], accepted: Collection[str], where: str
 ) -> Dict[str, object]:
-    """``payload`` with retired knobs mapped through :data:`RETIRED_CONFIG_KEYS`.
+    """``payload`` with retired knobs mapped through
+    :data:`~repro.core.config.RETIRED_CONFIG_KEYS`; a retired knob outside
+    ``accepted`` is dropped.
 
     Raises:
         RecoveryError: for any other key outside ``accepted``.
     """
     fields: Dict[str, object] = {}
     for key, value in payload.items():
-        retired = RETIRED_CONFIG_KEYS.get(key)
-        if isinstance(retired, dict):
-            value = retired.get(value, value)
-        elif key in RETIRED_CONFIG_KEYS:
-            value = retired
-            if value is _DROP or key not in accepted:
+        if key in RETIRED_CONFIG_KEYS:
+            retired = RETIRED_CONFIG_KEYS[key]
+            value = retired.get(value, value) if isinstance(retired, dict) else retired
+            if value is DROP or key not in accepted:
                 continue
         elif key not in accepted:
             raise RecoveryError(f"{where} names unknown parameter {key!r}")
@@ -344,7 +317,8 @@ def _retire_knobs(
 def deserialize_config(payload: Dict[str, object]) -> SystemConfig:
     """Rebuild a config from its :func:`encode` payload.
 
-    Retired knobs replay through :data:`RETIRED_CONFIG_KEYS`.
+    Retired knobs replay through
+    :data:`~repro.core.config.RETIRED_CONFIG_KEYS`.
 
     Raises:
         RecoveryError: when the payload names any other unknown field, or a
@@ -774,7 +748,7 @@ def apply_record(service, record: JournalRecord) -> None:
             service.set_parameters(
                 **_retire_knobs(
                     payload["changes"],
-                    inspect.signature(service.set_parameters).parameters,
+                    knob_names(RUNTIME),
                     f"set_parameters record {record.seq}",
                 )
             )

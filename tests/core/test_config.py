@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
-from repro.core.config import SystemConfig
+from repro.core.config import BUILD, FIXED, RUNTIME, Check, SystemConfig, knob_names
 from repro.core.pricing import LinearPriceModel
 from repro.errors import ConfigurationError
 
@@ -73,6 +75,52 @@ class TestValidation:
     def test_retired_knobs_are_gone(self, name):
         with pytest.raises(TypeError):
             SystemConfig(**{name: 1})
+
+
+class TestKnobTable:
+    def test_every_field_declares_its_knob(self):
+        for spec in fields(SystemConfig):
+            meta = spec.metadata
+            assert isinstance(meta.get("check"), Check), spec.name
+            assert meta.get("scope") in (RUNTIME, BUILD, FIXED), spec.name
+            assert isinstance(meta.get("zero_none"), bool), spec.name
+            if meta["zero_none"]:
+                assert spec.default is None, spec.name
+            if meta.get("flag") is not None:
+                assert meta["flag"].startswith("--") and meta["help"], spec.name
+                assert meta["commands"] and meta["scope"] != FIXED, spec.name
+            else:
+                assert not meta["commands"], spec.name
+
+    def test_snapshot_mode_accepts_only_incremental(self):
+        config = SystemConfig(snapshot_mode="incremental", dispatch_workers=1)
+        assert config.snapshot_mode == SystemConfig().snapshot_mode == "incremental"
+        with pytest.raises(ConfigurationError, match="snapshot_mode"):
+            SystemConfig(snapshot_mode="full")
+
+    def test_with_knobs_skips_none_and_maps_zero_by_the_rule(self):
+        config = SystemConfig(queue_capacity=8, latency_budget=2.0)
+        updated = config.with_knobs(
+            {"queue_capacity": 0, "latency_budget": None, "max_waiting": 7.0}, running=True
+        )
+        assert updated.queue_capacity is None
+        assert updated.latency_budget == 2.0
+        assert updated.max_waiting == 7.0
+        assert config.with_knobs({}, running=True) is config
+
+    def test_with_knobs_refuses_a_zero_without_the_rule(self):
+        with pytest.raises(ConfigurationError, match="snapshot_interval"):
+            SystemConfig().with_knobs({"snapshot_interval": 0}, running=False)
+
+    def test_with_knobs_keeps_each_knob_to_its_scope(self):
+        assert "durability" in knob_names(BUILD)
+        assert "speed" in knob_names(FIXED)
+        with pytest.raises(TypeError, match="durability"):
+            SystemConfig().with_knobs({"durability": "off"}, running=True)
+        assert SystemConfig().with_knobs({"durability": "off"}, running=False).durability == "off"
+        for name in knob_names(FIXED) + ("warp_factor",):
+            with pytest.raises(TypeError, match=name):
+                SystemConfig().with_knobs({name: 1}, running=False)
 
 
 class TestBehaviour:

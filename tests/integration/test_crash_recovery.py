@@ -25,8 +25,8 @@ middle of an open batching window, between a window flush and the
 follow-up choose, and mid-snapshot (a stray ``.tmp`` the atomic rename
 never finished).  On top of the kill points, trials inject torn-write
 journal tails (the last record's payload is garbled in place) and
-corrupt/partial newest snapshots (recovery must fall back to an older
-one and replay further).
+corrupt/partial newest snapshot points (recovery must fall back to an
+older one and replay further).
 """
 
 from __future__ import annotations
@@ -164,9 +164,14 @@ def _run_trial(
         # a crash mid-snapshot leaves the unfinished temp file behind
         (journal_dir / "snapshot-000000000099.json.321.tmp").write_text('{"half')
     if corrupt_newest_snapshot:
-        snapshots = sorted(journal_dir.glob("snapshot-*.json"))
-        text = snapshots[-1].read_text()
-        snapshots[-1].write_text(text[: len(text) // 2])
+        # the newest snapshot point: a delta, or a full snapshot
+        points = sorted(
+            [*journal_dir.glob("snapshot-*.json"), *journal_dir.glob("delta-*.json")],
+            key=lambda path: int(path.stem.split("-")[1]),
+        )
+        assert len(points) >= 2, "no snapshot point past the baseline"
+        text = points[-1].read_text()
+        points[-1].write_text(text[: len(text) // 2])
 
     recovered = PTRiderService.recover(journal_dir)
     resume_at = recovered.journal.command_count()

@@ -15,7 +15,7 @@ import json
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SystemConfig
+from repro.core.config import KNOBS, SystemConfig
 from repro.core.pricing import LinearPriceModel
 from repro.model.options import RideOption
 from repro.model.request import Request
@@ -121,31 +121,35 @@ price_models = st.builds(
 )
 
 
+def _choices(name):
+    return KNOBS[name].metadata["check"].choices
+
+
 @st.composite
 def configs(draw):
     window_bounds = draw(st.none() | st.tuples(positive, positive).map(sorted))
-    durability = draw(st.sampled_from(SystemConfig._VALID_DURABILITY))
+    durability = draw(st.sampled_from(_choices("durability")))
     return SystemConfig(
         vehicle_capacity=draw(st.integers(min_value=1, max_value=8)),
         max_waiting=draw(amounts),
         service_constraint=draw(amounts),
         speed=draw(positive),
         max_pickup_distance=draw(st.none() | positive),
-        matcher_name=draw(st.sampled_from(SystemConfig._VALID_MATCHERS)),
+        matcher_name=draw(st.sampled_from(_choices("matcher_name"))),
         price_model=draw(price_models),
         routing_backend=draw(st.sampled_from(ROUTING_BACKENDS)),
         batch_window=draw(positive),
         max_batch_size=draw(st.integers(min_value=1, max_value=4096)),
         queue_capacity=draw(st.none() | st.integers(min_value=1, max_value=10**6)),
-        queue_policy=draw(st.sampled_from(SystemConfig._VALID_QUEUE_POLICIES)),
+        queue_policy=draw(st.sampled_from(_choices("queue_policy"))),
         durability=durability,
         journal_path=None if durability == "off" else draw(ids),
         snapshot_interval=draw(st.integers(min_value=1, max_value=10**6)),
         latency_budget=draw(st.none() | positive),
-        batch_window_mode=draw(st.sampled_from(SystemConfig._VALID_WINDOW_MODES)),
+        batch_window_mode=draw(st.sampled_from(_choices("batch_window_mode"))),
         batch_window_min=None if window_bounds is None else window_bounds[0],
         batch_window_max=None if window_bounds is None else window_bounds[1],
-        snapshot_mode=draw(st.sampled_from(SystemConfig._VALID_SNAPSHOT_MODES)),
+        snapshot_mode=draw(st.sampled_from(_choices("snapshot_mode"))),
         retention_horizon=draw(st.none() | positive),
     )
 

@@ -15,9 +15,10 @@ bookings, time advances) against durable services and pin:
   (including a break in the middle of the chain) only shortens the folded
   prefix; journal replay covers the difference and recovery still
   reproduces the live service byte-for-byte;
-* **mode equivalence**: the same workload under ``snapshot_mode="full"``
-  and ``"incremental"`` recovers to the same canonical state, via deltas,
-  via full snapshots, and via full-journal replay from the baseline;
+* **every recovery path agrees**: a scripted workload with an explicit
+  full snapshot in the middle recovers to the live canonical state by
+  folding the deltas over that snapshot and by full-journal replay from
+  the baseline (``prefer_snapshot=False``);
 * **retention conserves**: pruned bookings are counted in ``retired``,
   never double-counted, and a recovered service reproduces the same
   retirement decisions (simulated time keys them, so replay is exact).
@@ -40,8 +41,7 @@ from repro.service.recovery import (
 )
 
 
-def _build(tmp_path, name, snapshot_mode, seed=11, retention_horizon=None,
-           snapshot_interval=3):
+def _build(tmp_path, name, seed=11, retention_horizon=None, snapshot_interval=3):
     return build_system(
         network_rows=8,
         network_columns=8,
@@ -50,7 +50,6 @@ def _build(tmp_path, name, snapshot_mode, seed=11, retention_horizon=None,
         durability="journal+snapshot",
         journal_path=str(tmp_path / name),
         snapshot_interval=snapshot_interval,
-        snapshot_mode=snapshot_mode,
         retention_horizon=retention_horizon,
     )
 
@@ -139,7 +138,7 @@ def _canonical_json(state):
 
 @pytest.mark.parametrize("seed", [11, 29])
 def test_folded_equals_full_at_every_cadence(tmp_path, seed):
-    service = _build(tmp_path, f"inc-{seed}", "incremental", seed=seed)
+    service = _build(tmp_path, f"inc-{seed}", seed=seed)
     rng = random.Random(seed)
     verts = service.fleet.grid.network.vertices()
     checked = 0
@@ -160,8 +159,7 @@ def test_folded_equals_full_at_every_cadence(tmp_path, seed):
 
 
 def test_crash_mid_delta_falls_back(tmp_path):
-    service = _build(tmp_path, "torn", "incremental", seed=17,
-                     snapshot_interval=2)
+    service = _build(tmp_path, "torn", seed=17, snapshot_interval=2)
     _drive(service, 17, 40)
     service.drain()  # close() would journal a drain past the reference
     reference = canonical_state(service)
@@ -198,47 +196,29 @@ def test_crash_mid_delta_falls_back(tmp_path):
     recovered.close()
 
 
-def _comparable(state):
-    """Strip the fields that legitimately differ between the two modes."""
-    state = dict(state)
-    config = dict(state["config"])
-    config.pop("journal_path", None)
-    config.pop("snapshot_mode", None)
-    state["config"] = config
-    return state
+def test_every_recovery_path_reproduces_the_live_state(tmp_path):
+    service = _build(tmp_path, "paths", seed=23)
+    commands = _script(23, 35, service.fleet.grid.network.vertices())
+    _apply(service, commands[:18])
+    explicit = service.snapshot()  # the deltas after it chain on this full snapshot
+    _apply(service, commands[18:])
+    reference = canonical_state(service)
+    journal_dir = service.journal.directory
+    assert [path for _, path in service.journal.snapshot_files()][-1] == explicit
+    assert service.journal.delta_files(), "no delta chained on the explicit snapshot"
+    service.close()
 
-
-def test_incremental_matches_full_mode(tmp_path):
-    full = _build(tmp_path, "full", "full", seed=23)
-    incremental = _build(tmp_path, "incr", "incremental", seed=23)
-    commands = _script(23, 35, full.fleet.grid.network.vertices())
-    _apply(full, commands)
-    _apply(incremental, commands)
-    reference = canonical_state(incremental)
-    assert _comparable(canonical_state(full)) == _comparable(reference)
-    full_dir, incr_dir = full.journal.directory, incremental.journal.directory
-    full.close()
-    incremental.close()
-
-    recovered_full = PTRiderService.recover(full_dir)
-    recovered_incr = PTRiderService.recover(incr_dir)
-    baseline_incr = PTRiderService.recover(incr_dir, prefer_snapshot=False)
-    try:
-        assert _comparable(canonical_state(recovered_full)) == _comparable(
-            reference
-        )
-        assert canonical_state(recovered_incr) == reference
-        assert canonical_state(baseline_incr) == reference
-    finally:
-        recovered_full.close()
-        recovered_incr.close()
-        baseline_incr.close()
+    for prefer_snapshot in (True, False):
+        recovered = PTRiderService.recover(journal_dir, prefer_snapshot=prefer_snapshot)
+        try:
+            assert canonical_state(recovered) == reference
+        finally:
+            recovered.close()
 
 
 def test_retention_prunes_and_conserves(tmp_path):
     horizon = 10.0
-    service = _build(tmp_path, "ret", "incremental", seed=31,
-                     retention_horizon=horizon)
+    service = _build(tmp_path, "ret", seed=31, retention_horizon=horizon)
     rng = random.Random(31)
     verts = service.fleet.grid.network.vertices()
     created = 0

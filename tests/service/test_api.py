@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 
 from repro.core import dispatcher as dispatcher_module
-from repro.core.config import SystemConfig
+from repro.core.config import MATCHER_NAMES, SystemConfig
 from repro.errors import ConfigurationError, ServiceError, UnknownOptionError
 from repro.model.request import Request
 from repro.roadnet.generators import figure1_network
@@ -92,7 +92,7 @@ class TestCarriedVerification:
 
     @pytest.fixture
     def service(self) -> PTRiderService:
-        return build_system(vehicles=12, seed=3, routing="csr")
+        return build_system(vehicles=12, seed=3, routing_backend="csr")
 
     @staticmethod
     def _asked(service):
@@ -332,7 +332,7 @@ class TestBuildSystem:
     def test_build_system_with_csr_routing(self):
         dict_system = build_system(network_rows=6, network_columns=6, vehicles=8, seed=4)
         csr_system = build_system(
-            network_rows=6, network_columns=6, vehicles=8, seed=4, routing="csr"
+            network_rows=6, network_columns=6, vehicles=8, seed=4, routing_backend="csr"
         )
         assert csr_system.fleet.routing_engine.backend == "csr"
         assert csr_system.config.routing_backend == "csr"
@@ -346,3 +346,9 @@ class TestBuildSystem:
 
     def test_registry_covers_all_matchers(self):
         assert set(MATCHER_REGISTRY) == {"single_side", "dual_side", "naive", "nearest", "sharek", "tshare"}
+
+    def test_registry_is_keyed_by_the_config_list_of_names(self):
+        assert tuple(MATCHER_REGISTRY) == MATCHER_NAMES
+        for name, matcher_class in MATCHER_REGISTRY.items():
+            assert matcher_class.name == name
+            assert SystemConfig(matcher_name=name).matcher_name == name

@@ -4,7 +4,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, knob_arguments, main
+from repro.core.config import KNOBS, SystemConfig
+from repro.service.api import MATCHER_REGISTRY
+
+#: (subcommand, knob) for every flag the knob table declares
+FLAGGED = [
+    (command, name) for name, spec in KNOBS.items() for command in spec.metadata["commands"]
+]
+
+
+def _config(argv):
+    args = build_parser().parse_args(argv)
+    return SystemConfig().with_knobs(knob_arguments(args), running=False)
 
 
 class TestParser:
@@ -67,6 +79,51 @@ class TestParser:
                 build_parser().parse_args([command, *flag])
 
 
+class TestKnobFlags:
+    @pytest.mark.parametrize("command, name", FLAGGED)
+    def test_a_flag_sets_its_config_field(self, tmp_path, command, name):
+        spec = KNOBS[name]
+        choices = spec.metadata["check"].choices
+        if choices:
+            value = next(choice for choice in choices if choice != spec.default)
+        elif name == "journal_path":
+            value = str(tmp_path)
+        else:
+            value = 3 if name in ("max_batch_size", "queue_capacity", "snapshot_interval") else 2.5
+        argv = [command, spec.metadata["flag"], str(value)]
+        if name == "durability":
+            argv += ["--journal", str(tmp_path)]
+        assert getattr(_config(argv), name) == value
+
+    @pytest.mark.parametrize(
+        "command, name", [(c, n) for c, n in FLAGGED if KNOBS[n].metadata["zero_none"]]
+    )
+    def test_zero_clears_a_zero_rule_knob(self, command, name):
+        args = build_parser().parse_args([command, KNOBS[name].metadata["flag"], "0"])
+        assert getattr(args, KNOBS[name].metadata["flag"][2:].replace("-", "_")) == 0
+        set_before = SystemConfig(**{name: 2})
+        assert getattr(set_before.with_knobs(knob_arguments(args), running=False), name) is None
+
+    @pytest.mark.parametrize("command", ["demo", "simulate", "compare"])
+    def test_no_flags_leave_the_config_at_its_defaults(self, command):
+        assert _config([command]) == SystemConfig()
+
+    def test_matcher_choices_come_from_the_registry(self):
+        for name in MATCHER_REGISTRY:
+            assert _config(["simulate", "--matcher", name]).matcher_name == name
+
+    def test_a_zero_snapshot_interval_is_refused(self, capsys):
+        assert build_parser().parse_args(["demo"]).snapshot_interval == 1000
+        with pytest.raises(SystemExit) as exit_info:
+            main(["demo", "--snapshot-interval", "0"])
+        assert exit_info.value.code == 2
+        assert "snapshot_interval" in capsys.readouterr().err
+
+    def test_the_snapshot_mode_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["demo", "--snapshot-mode", "full"])
+
+
 class TestCommands:
     def test_demo_runs(self, capsys):
         exit_code = main(["demo", "--vehicles", "8", "--rows", "6", "--columns", "6", "--seed", "3"])
@@ -95,6 +152,14 @@ class TestCommands:
         assert "single_side" in captured
         assert "naive" in captured
         assert "dual_side" in captured
+
+    def test_simulate_runs_a_baseline_matcher(self, capsys):
+        exit_code = main([
+            "simulate", "--vehicles", "6", "--rows", "6", "--columns", "6",
+            "--trips", "10", "--duration", "60", "--seed", "3", "--matcher", "nearest",
+        ])
+        assert exit_code == 0
+        assert "Matcher: nearest" in capsys.readouterr().out
 
     def test_simulate_runs_with_csr_routing(self, capsys):
         exit_code = main([

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import SystemConfig
+from repro.core.config import RUNTIME, SystemConfig, knob_names
 from repro.errors import ConfigurationError, ServiceError, UnknownOptionError
 from repro.model.request import Request
 from repro.model.stops import dropoff, pickup
@@ -213,9 +213,9 @@ class TestJournalingService:
         service = _durable_system(tmp_path, interval=3)
         for _ in range(7):
             service.advance(1.0)
-        seqs = [seq for seq, _ in service.journal.snapshot_files()]
-        assert seqs[0] >= 0 and len(seqs) >= 2
-        assert seqs == sorted(seqs)
+        # the baseline full snapshot, then a delta at every cadence crossing
+        assert [seq for seq, _ in service.journal.snapshot_files()] == [0]
+        assert [seq for seq, _ in service.journal.delta_files()] == [3, 6]
 
     def test_dirty_journal_refused_at_construction(self, tmp_path):
         service = _durable_system(tmp_path)
@@ -256,13 +256,12 @@ class TestReconfigureReplay:
         recovered = PTRiderService.recover(tmp_path / "journal")
         assert canonical_state(recovered) == live
 
-    @pytest.mark.parametrize("snapshot_mode", ["full", "incremental"])
+    @pytest.mark.parametrize("prefer_snapshot", [True, False])
     def test_snapshot_covering_set_parameters_restores_its_config(
-        self, tmp_path, snapshot_mode
+        self, tmp_path, prefer_snapshot
     ):
         service = self._small(
             tmp_path, durability="journal+snapshot", snapshot_interval=3,
-            snapshot_mode=snapshot_mode,
         )
         for index in range(4):
             booking = service.book_request(_request(service, index))
@@ -274,9 +273,77 @@ class TestReconfigureReplay:
         assert journal.last_seq() in points  # the command crossed the cadence
         live = canonical_state(service)
         service.close()
-        recovered = PTRiderService.recover(tmp_path / "journal")
+        recovered = PTRiderService.recover(
+            tmp_path / "journal", prefer_snapshot=prefer_snapshot
+        )
         assert recovered.config.max_waiting == 6.0
         assert canonical_state(recovered) == live
+
+
+def _option_keys(booking):
+    return [(o.vehicle_id, o.pickup_distance, o.price) for o in booking.options]
+
+
+class TestAdminForm:
+    """What ``set_parameters`` changes is what the config, the journal and
+    every snapshot say it changed."""
+
+    @pytest.mark.parametrize("matcher_name", ["nearest", "sharek", "tshare"])
+    def test_a_matcher_swap_survives_a_snapshot_and_recovery(self, tmp_path, matcher_name):
+        service = _durable_system(tmp_path, vehicles=12, seed=3)
+        for index in range(25):
+            booking = service.book_request(_request(service, index))
+            if booking.options:
+                service.choose(booking.booking_id, 0)
+        service.set_parameters(matcher_name=matcher_name)
+        assert service.config.matcher_name == matcher_name
+        service.snapshot()
+        copy = shutil.copytree(tmp_path / "journal", tmp_path / "copy")
+        recovered = PTRiderService.recover(copy)
+        try:
+            assert recovered.matcher.name == matcher_name
+            assert recovered.config.matcher_name == matcher_name
+            for index in range(25, 45):
+                live = service.book_request(_request(service, index))
+                replica = recovered.book_request(_request(recovered, index))
+                assert _option_keys(replica) == _option_keys(live)
+        finally:
+            recovered.close()
+            service.close()
+
+    #: An out-of-range value for every knob ``set_parameters`` takes.
+    OUT_OF_RANGE = {
+        "vehicle_capacity": 0,
+        "max_waiting": -1.0,
+        "service_constraint": -0.5,
+        "max_pickup_distance": -2.0,
+        "matcher_name": "teleporter",
+        "routing_backend": "teleport",
+        "batch_window": -1.0,
+        "max_batch_size": 0,
+        "queue_capacity": -3,
+        "queue_policy": "drop",
+        "latency_budget": -1.0,
+        "batch_window_mode": "random",
+        "batch_window_min": -1.0,
+        "batch_window_max": -1.0,
+        "retention_horizon": -1.0,
+    }
+
+    def test_every_runtime_knob_has_an_out_of_range_value(self):
+        assert set(self.OUT_OF_RANGE) == set(knob_names(RUNTIME))
+
+    @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+    def test_a_refused_change_writes_no_record_and_changes_nothing(self, tmp_path, name):
+        service = _durable_system(tmp_path)
+        service.book_request(_request(service, 1))
+        last_seq = service.journal.last_seq()
+        config = service.config
+        with pytest.raises(ConfigurationError):
+            service.set_parameters(**{name: self.OUT_OF_RANGE[name]})
+        assert service.journal.last_seq() == last_seq
+        assert service.config == config
+        service.close()
 
 
 class TestConfigNamesTheServedBackend:
@@ -313,7 +380,7 @@ class TestConfigNamesTheServedBackend:
         # Recovery maps "dict" and "ch" onto "csr" for journals of builds
         # that accepted them; a refusal written to the journal would replay
         # as a switch to csr that also applied max_waiting.
-        service = _durable_system(tmp_path, routing="csr+alt")
+        service = _durable_system(tmp_path, routing_backend="csr+alt")
         service.book_request(_request(service, 1))
         last_seq = service.journal.last_seq()
         for retired in ("dict", "ch"):
@@ -563,10 +630,10 @@ class TestAppliedSequence:
     @given(
         script=st.lists(_CALLS, min_size=3, max_size=14),
         mode=st.sampled_from(["journal", "journal+snapshot"]),
-        snapshot_mode=st.sampled_from(["full", "incremental"]),
+        prefer_snapshot=st.booleans(),
     )
     def test_applied_seq_is_the_journal_position_after_every_call(
-        self, script, mode, snapshot_mode
+        self, script, mode, prefer_snapshot
     ):
         """The service keeps its journal position from its own appends; it
         equals ``SELECT MAX(seq)`` after every API call, refused ones
@@ -576,7 +643,7 @@ class TestAppliedSequence:
             service = build_system(
                 vehicles=5, seed=13, network_rows=8, network_columns=8,
                 durability=mode, journal_path=tmp,
-                snapshot_interval=3, snapshot_mode=snapshot_mode,
+                snapshot_interval=3,
             )
             journal = service.journal
             assert service._applied_seq == journal.last_seq()
@@ -596,5 +663,9 @@ class TestAppliedSequence:
                     pending = _call(service, kind, value, index) or pending
                 assert service._applied_seq == journal.last_seq()
             assert (service._applied_seq > 0) == journaled
+            service.close()
+            recovered = PTRiderService.recover(tmp, prefer_snapshot=prefer_snapshot)
+            assert recovered._applied_seq == recovered.journal.last_seq()
+            recovered.close()
         finally:
             shutil.rmtree(tmp, ignore_errors=True)

@@ -20,11 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.config import SystemConfig
+from repro.core.config import RETIRED_CONFIG_KEYS, SystemConfig
 from repro.service.api import PTRiderService, build_system
 from repro.service.journal import JournalRecord, ServiceJournal
 from repro.service.recovery import (
-    RETIRED_CONFIG_KEYS,
     RecoveryError,
     apply_record,
     canonical_state,
@@ -42,8 +41,8 @@ def journal_copy(tmp_path):
     return Path(shutil.copytree(FIXTURE / "journal", tmp_path / "journal"))
 
 
-@pytest.mark.parametrize("prefer_snapshot", [True, False])
-def test_old_journal_recovers_to_the_stored_state(journal_copy, prefer_snapshot):
+def _stored_state():
+    """The fixture's stored state, its retired knobs as recovery reads them."""
     stored = json.loads((FIXTURE / "canonical_state.json").read_text(encoding="utf-8"))
     config = stored["config"]
     assert (config["dispatch_workers"], config["worker_timeout"],
@@ -57,6 +56,12 @@ def test_old_journal_recovers_to_the_stored_state(journal_copy, prefer_snapshot)
     for knob in ("worker_timeout", "max_dispatch_retries", "table_max_vertices",
                  "tree_provider", "routing_cache_dir", "match_shards"):
         del config[knob]
+    return stored
+
+
+@pytest.mark.parametrize("prefer_snapshot", [True, False])
+def test_old_journal_recovers_to_the_stored_state(journal_copy, prefer_snapshot):
+    stored = _stored_state()
     recovered = PTRiderService.recover(journal_copy, prefer_snapshot=prefer_snapshot)
     try:
         assert recovered.config.dispatch_workers == 1
@@ -68,18 +73,18 @@ def test_old_journal_recovers_to_the_stored_state(journal_copy, prefer_snapshot)
         recovered.close()
 
 
-def _invent_a_knob(directory: Path) -> None:
-    """Name ``warp_factor`` in the journal's config and in every snapshot's
-    and delta's config, keeping their checksums valid."""
+def _rewrite_config(directory: Path, **changes) -> None:
+    """Apply ``changes`` to the journal's config and to every snapshot's and
+    delta's config, keeping their checksums valid."""
     journal = ServiceJournal(directory)
-    journal.set_meta("config", {**journal.get_meta("config"), "warp_factor": 9})
+    journal.set_meta("config", {**journal.get_meta("config"), **changes})
     journal.close()
     for path in sorted(directory.glob("*.json")):
         document = json.loads(path.read_text(encoding="utf-8"))
         body_key = "state" if "state" in document else "delta"
         body = document[body_key]
         config = body["config"] if body_key == "state" else body["meta"]["config"]
-        config["warp_factor"] = 9
+        config.update(changes)
         text = json.dumps(body, separators=(",", ":"))
         document["checksum"] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         path.write_text(json.dumps(document), encoding="utf-8")
@@ -87,7 +92,7 @@ def _invent_a_knob(directory: Path) -> None:
 
 @pytest.mark.parametrize("prefer_snapshot", [True, False])
 def test_an_invented_knob_fails_with_a_recovery_error(journal_copy, prefer_snapshot):
-    _invent_a_knob(journal_copy)
+    _rewrite_config(journal_copy, warp_factor=9)
     with pytest.raises(RecoveryError, match="warp_factor"):
         PTRiderService.recover(journal_copy, prefer_snapshot=prefer_snapshot)
 
@@ -138,11 +143,47 @@ RETIRED_VALUES = {
 
 #: Retired values of a live knob, and what each replays as.
 RETIRED_BACKENDS = {"dict": "csr", "table": "csr", "ch": "csr"}
+RETIRED_SNAPSHOT_MODES = {"full": "incremental"}
 
 
 def test_the_table_names_exactly_the_retired_knobs():
-    assert set(RETIRED_CONFIG_KEYS) == set(RETIRED_VALUES) | {"routing_backend"}
+    assert set(RETIRED_CONFIG_KEYS) == set(RETIRED_VALUES) | {
+        "routing_backend", "snapshot_mode"
+    }
     assert RETIRED_CONFIG_KEYS["routing_backend"] == RETIRED_BACKENDS
+    assert RETIRED_CONFIG_KEYS["snapshot_mode"] == RETIRED_SNAPSHOT_MODES
+
+
+@pytest.mark.parametrize("prefer_snapshot", [True, False])
+def test_a_journal_of_full_snapshots_recovers_exactly(journal_copy, prefer_snapshot):
+    """A journal whose config says the retired ``snapshot_mode="full"``
+    recovers to the stored state, the mode read as "incremental"."""
+    _rewrite_config(journal_copy, snapshot_mode="full")
+    stored = _stored_state()
+    assert stored["config"]["snapshot_mode"] == "incremental"
+    recovered = PTRiderService.recover(journal_copy, prefer_snapshot=prefer_snapshot)
+    try:
+        assert canonical_state(recovered) == stored
+    finally:
+        recovered.close()
+
+
+def test_a_full_snapshot_mode_in_a_config_payload_replays_as_incremental():
+    config = SystemConfig(max_waiting=6.0)
+    assert deserialize_config({**encode(config), "snapshot_mode": "full"}) == config
+
+
+def test_a_snapshot_mode_in_a_set_parameters_record_changes_nothing_else():
+    service = build_system(vehicles=3, seed=13, network_rows=6, network_columns=6)
+    try:
+        apply_record(service, JournalRecord(
+            seq=1, kind="set_parameters",
+            payload={"changes": {"snapshot_mode": "full", "max_waiting": 6.0}},
+        ))
+        assert service.config.max_waiting == 6.0
+        assert service.config.snapshot_mode == "incremental"
+    finally:
+        service.close()
 
 
 @pytest.mark.parametrize("knob", sorted(RETIRED_VALUES))
@@ -180,7 +221,7 @@ def test_a_retired_backend_in_a_config_payload_replays_as_csr(backend):
 @pytest.mark.parametrize("backend", sorted(RETIRED_BACKENDS))
 def test_a_retired_backend_in_a_set_parameters_record_replays_as_csr(backend):
     service = build_system(vehicles=3, seed=13, network_rows=6, network_columns=6,
-                           routing="csr+alt")
+                           routing_backend="csr+alt")
     try:
         apply_record(service, JournalRecord(
             seq=1, kind="set_parameters", payload={"changes": {"routing_backend": backend}},

@@ -101,7 +101,7 @@ def test_backend_swap_mid_run_keeps_vehicles_on_their_routes(backend):
     def service():
         return build_system(
             network=grid_network(8, 8), vehicles=6, grid_rows=2, grid_columns=2,
-            seed=3, routing="csr",
+            seed=3, routing_backend="csr",
         )
 
     steady, swapped = service(), service()
