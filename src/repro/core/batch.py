@@ -44,6 +44,7 @@ from repro.model.request import Request
 from repro.roadnet.graph import VertexId
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import RoutingEngine
+from repro.roadnet.shortest_path import INFINITY
 
 __all__ = ["BatchStatistics", "BatchMatchContext", "BatchContext"]
 
@@ -144,12 +145,22 @@ class BatchMatchContext(MatchContext):
     batch_statistics: BatchStatistics = field(default_factory=BatchStatistics)
 
     def distance(self, source: VertexId, target: VertexId) -> float:
-        """Exact distance; start-rooted legs from the pinned tree, others memoised."""
+        """Exact distance; start-rooted legs from the pinned tree, others memoised.
+
+        A start-rooted leg is one read of the start row, inlined from
+        :meth:`~repro.core.context.MatchContext.from_start`: this is the
+        most-called read of a verification.
+        """
         start = self.request.start
-        if source == start:
-            return self.from_start(target)
-        if target == start:
-            return self.from_start(source)
+        if source == start or target == start:
+            vertex = target if source == start else source
+            try:
+                value = self.start_row[self.index_of[vertex]]
+            except KeyError:
+                value = INFINITY
+            if value == INFINITY:
+                raise DisconnectedError(start, vertex)
+            return value
         key = (source, target) if source <= target else (target, source)
         value = self.shared_distances.get(key)
         if value is None:

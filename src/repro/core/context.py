@@ -10,8 +10,10 @@ verification shares:
 * the request-rooted single-source distance tree, held by reference so it can
   never be evicted from the routing engine's cache mid-match -- this is what
   eliminates the per-vehicle ``oracle.distance(request.start, ...)`` re-query
-  the matchers used to issue.  The tree is the zero-copy row view the engine
-  hands out, possibly pooled batch-wide by a vectorised prefetch;
+  the matchers used to issue.  The tree is the row view the engine hands
+  out, possibly pooled batch-wide by a vectorised prefetch; the start-side
+  reads skip the view and index its ``array('d')`` row directly
+  (:attr:`MatchContext.start_row`), one dict lookup and one array read;
 * the admissible lower bound on any leg: the exact distance out of that same
   tree when the leg touches the request start, otherwise the better of the
   grid cell bound and the engine's optional ALT landmark bound;
@@ -21,6 +23,7 @@ verification shares:
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Tuple
 
@@ -29,6 +32,7 @@ from repro.model.request import Request
 from repro.roadnet.graph import VertexId
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import RoutingEngine
+from repro.roadnet.shortest_path import INFINITY
 
 __all__ = ["BOUND_SLACK", "MatchContext"]
 
@@ -41,7 +45,15 @@ BOUND_SLACK = 1e-9
 
 @dataclass
 class MatchContext:
-    """Everything one ``match`` call shares across its vehicle verifications."""
+    """Everything one ``match`` call shares across its vehicle verifications.
+
+    ``start_tree`` is the engine's view of the start tree;
+    ``start_row`` and ``index_of`` are that view's row and vertex index,
+    taken once when the context is built, so that a start-side read is
+    ``start_row[index_of[v]]``.  A read returns the built-in ``float`` the
+    row stores: ``inf`` for an unreachable vertex, ``KeyError`` from
+    ``index_of`` for an unknown one.
+    """
 
     request: Request
     engine: RoutingEngine
@@ -55,6 +67,14 @@ class MatchContext:
     #: and read by ``Dispatcher.commit``.  It lives and dies with the context:
     #: never serialised, never shipped between processes.
     verified: Dict[str, Tuple[object, tuple, list]] = field(default_factory=dict)
+    #: ``start_tree``'s ``array('d')`` row
+    start_row: array = field(init=False, repr=False, compare=False)
+    #: vertex id -> position in ``start_row``
+    index_of: Mapping[VertexId, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.start_row = self.start_tree.row
+        self.index_of = self.start_tree.index_of
 
     @classmethod
     def create(cls, request: Request, engine: RoutingEngine, grid: GridIndex) -> "MatchContext":
@@ -82,14 +102,16 @@ class MatchContext:
         """Distance from the request start to ``vertex`` (cached tree lookup).
 
         Raises:
-            DisconnectedError: if ``vertex`` is unreachable from the start.
+            DisconnectedError: if ``vertex`` is unknown or unreachable from
+                the start.
         """
-        if vertex == self.request.start:
-            return 0.0
         try:
-            return self.start_tree[vertex]
+            value = self.start_row[self.index_of[vertex]]
         except KeyError:
-            raise DisconnectedError(self.request.start, vertex) from None
+            value = INFINITY
+        if value == INFINITY:
+            raise DisconnectedError(self.request.start, vertex)
+        return value
 
     def distance(self, source: VertexId, target: VertexId) -> float:
         """Exact distance between two vertices.
@@ -116,12 +138,13 @@ class MatchContext:
         """
         start = self.request.start
         if source == start:
-            exact = self.start_tree.get(target)
+            index = self.index_of.get(target)
         elif target == start:
-            exact = self.start_tree.get(source)
+            index = self.index_of.get(source)
         else:
-            exact = None
-        if exact is None:
+            index = None
+        exact = INFINITY if index is None else self.start_row[index]
+        if exact == INFINITY:
             return self.index_lower_bound(source, target)
         return exact - BOUND_SLACK if exact > BOUND_SLACK else 0.0
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.request import Request
-from repro.model.stops import Stop, StopKind
+from repro.model.stops import Stop
 from repro.roadnet.routing import RoutingEngine
 from repro.vehicles.vehicle import Vehicle
 
@@ -128,18 +128,7 @@ def insertion_candidates(
     if direct is None:
         direct = distance_fn(request.start, request.destination)
 
-    pickup_stop = Stop(
-        vertex=request.start,
-        request_id=request.request_id,
-        kind=StopKind.PICKUP,
-        riders=request.riders,
-    )
-    dropoff_stop = Stop(
-        vertex=request.destination,
-        request_id=request.request_id,
-        kind=StopKind.DROPOFF,
-        riders=request.riders,
-    )
+    pickup_stop, dropoff_stop = request.stops
 
     # Per-request constants, once per call: (onboard, waiting limit, service
     # limit).  The new request's waiting-time condition cannot bind at

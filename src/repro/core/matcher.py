@@ -33,6 +33,7 @@ from repro.model.options import RideOption, Skyline, skyline_of
 from repro.model.request import Request
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import RoutingEngine
+from repro.roadnet.shortest_path import INFINITY
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
@@ -247,7 +248,7 @@ class Matcher(abc.ABC):
         so the survivors come out in the order the full sorted list had them.
         """
         statistics = self.statistics
-        from_start = context.start_tree.get
+        start_row, index_of = context.start_row, context.index_of
         limit = max_pickup + 1e-9
         survivors: List[Vehicle] = []
         for vehicle_id in vehicle_ids:
@@ -256,8 +257,9 @@ class Matcher(abc.ABC):
             vehicle = vehicles.get(vehicle_id)
             if vehicle is None:
                 continue
-            exact = from_start(vehicle.location)
-            if exact is not None:
+            index = index_of.get(vehicle.location)
+            exact = INFINITY if index is None else start_row[index]
+            if exact != INFINITY:
                 floor = exact - BOUND_SLACK if exact > BOUND_SLACK else 0.0
                 if floor + vehicle.offset > limit:
                     seen.add(vehicle_id)

@@ -17,9 +17,11 @@ from __future__ import annotations
 import itertools
 import uuid
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Tuple
 
 from repro.errors import RequestError
+from repro.model.stops import Stop, StopKind
 
 __all__ = ["Request"]
 
@@ -78,6 +80,20 @@ class Request:
             raise RequestError(
                 f"request {self.request_id}: submit_time must be non-negative, got {self.submit_time}"
             )
+
+    @cached_property
+    def stops(self) -> Tuple[Stop, Stop]:
+        """The request's pick-up and drop-off :class:`Stop`, built once.
+
+        Every insertion candidate of the request, on every vehicle it is
+        checked against, holds these two objects.  The pair is cached in the
+        instance ``__dict__``, outside the dataclass fields, so equality,
+        hashing and the durable encoding of a request do not see it.
+        """
+        return (
+            Stop(self.start, self.request_id, StopKind.PICKUP, self.riders),
+            Stop(self.destination, self.request_id, StopKind.DROPOFF, self.riders),
+        )
 
     def detour_budget(self, direct_distance: float) -> float:
         """Return the maximum distance allowed from ``s`` to ``d`` in a schedule.

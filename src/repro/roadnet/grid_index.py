@@ -31,9 +31,9 @@ array Dijkstra otherwise:
 * a lower-bound row is one ``CSRGraph.nearest(border vertices of the cell)``
   over the whole graph, minimised over each other cell's border vertices in
   one NumPy ``minimum.reduceat`` over the gathered border distances (a list
-  comprehension of ``min`` where ``nearest`` hands back a plain list);
+  comprehension of ``min`` where ``nearest`` hands back an ``array('d')``);
 * the per-border annotation of ``precompute=True`` is one ``CSRGraph.trees``
-  plane per cell.
+  call per cell.
 
 A row is a list of floats indexed by cell *rank* -- the cell's row-major
 position, which is also ``CellId`` tuple order -- and each cell's *grid cell
@@ -58,6 +58,7 @@ tests in ``tests/property/test_grid_bounds.py``.
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -76,11 +77,6 @@ __all__ = ["CellId", "GridCell", "GridIndex"]
 
 #: Grid cells are addressed by their (row, column) pair.
 CellId = Tuple[int, int]
-
-
-def _plain(distances):
-    """A ``CSRGraph`` row or plane as plain Python floats (SciPy hands back ndarrays)."""
-    return distances.tolist() if hasattr(distances, "tolist") else distances
 
 
 @dataclass
@@ -255,7 +251,7 @@ class GridIndex:
                     weights.append(graph_weights[k])
             indptr.append(len(indices))
         interior = CSRGraph.from_arrays(graph.vertex_ids, indptr, indices, weights)
-        for vertex, distance in zip(graph.vertex_ids, _plain(interior.nearest(seeds))):
+        for vertex, distance in zip(graph.vertex_ids, interior.nearest(seeds).tolist()):
             if distance != INFINITY:
                 self._vertex_min[vertex] = distance
 
@@ -267,7 +263,7 @@ class GridIndex:
             if not borders:
                 continue
             members = [(vertex, index_of[vertex]) for vertex in cell.vertices]
-            plane = _plain(self._graph.trees(borders))
+            plane = self._graph.trees(borders)
             for border, tree in zip(cell.border_vertices, plane):
                 for vertex, index in members:
                     if tree[index] != INFINITY:
@@ -373,7 +369,7 @@ class GridIndex:
             row = [INFINITY] * len(self._cell_list)
         else:
             nearest = self._graph.nearest(borders)
-            if isinstance(nearest, list):
+            if isinstance(nearest, array):
                 lookup = nearest.__getitem__
                 row = [
                     min(map(lookup, other_borders), default=INFINITY)

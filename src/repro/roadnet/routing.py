@@ -14,9 +14,10 @@ by how fast those queries are answered.  One engine answers them:
   :func:`scipy.sparse.csgraph.dijkstra` -- a whole batch of sources as one
   2-D plane (:meth:`CSREngine.prefetch_trees`, what the batch dispatch
   pipeline amortises a tick's requests with); otherwise a pure-Python
-  int-indexed heap Dijkstra over the same arrays is used.  Rows are dense
-  ``float64`` arrays (plain lists without NumPy), cached FIFO and read
-  zero-copy through :class:`_TreeView`.
+  int-indexed heap Dijkstra over the same arrays is used.  On both arms a
+  row is an ``array('d')`` -- 8 bytes per vertex, and a read is a built-in
+  ``float`` -- cached FIFO and read through :class:`_TreeView`, or straight
+  by index (``row[index_of[v]]``) on the matchers' hottest reads.
 * :class:`ALTIndex` -- an optional landmark (ALT) lower-bound index
   ("csr+alt"): for a set of landmarks ``L`` the triangle inequality gives
   the admissible bound ``dist(u, v) >= |dist(L, u) - dist(L, v)|``.  The
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -195,33 +197,35 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # single-source trees
     # ------------------------------------------------------------------
-    def tree(self, source_index: int) -> Sequence[float]:
+    def tree(self, source_index: int) -> array:
         """Distances from ``source_index`` to every index (inf = unreachable).
 
-        With SciPy the row is a dense ``float64`` ndarray straight out of
-        :func:`scipy.sparse.csgraph.dijkstra` -- no ``.tolist()`` copy on the
-        hot path; the pure-Python fallback returns a plain list.  Either way
-        callers must treat the row as immutable.
+        The row is an ``array('d')`` on both arms.  With SciPy it is the
+        ``float64`` row of :func:`scipy.sparse.csgraph.dijkstra`, copied in
+        one buffer copy; the pure-Python Dijkstra writes into one
+        directly.  A read returns a built-in ``float``.  Callers must treat
+        the row as immutable.
         """
         if self.matrix is not None:
-            return _csgraph_dijkstra(self.matrix, directed=True, indices=source_index)
+            return _row(_csgraph_dijkstra(self.matrix, directed=True, indices=source_index))
         return self._tree_python([source_index])
 
-    def trees(self, source_indices: Sequence[int]) -> Sequence[Sequence[float]]:
-        """Distance rows for many sources as one 2-D plane.
+    def trees(self, source_indices: Sequence[int]) -> List[array]:
+        """Distance rows for many sources, one ``array('d')`` per source.
 
         With SciPy the whole batch is **one**
-        ``scipy.sparse.csgraph.dijkstra(indices=[...])`` call returning a
-        ``(len(sources), n)`` float64 ndarray; ``plane[i]`` is a zero-copy
-        view of source ``source_indices[i]``'s row, bit-identical to what
-        :meth:`tree` computes for that source alone.  The pure-Python
-        fallback returns the same shape as a list of per-source rows.
+        ``scipy.sparse.csgraph.dijkstra(indices=[...])`` call; each row of
+        its ``(len(sources), n)`` plane is copied out as its own array,
+        bit-identical to what :meth:`tree` computes for that source alone,
+        so no row keeps the plane alive.  The pure-Python fallback runs one
+        search per source.
         """
         source_list = list(source_indices)
         if self.matrix is not None:
             if not source_list:
-                return _np.empty((0, len(self.vertex_ids)), dtype=_np.float64)
-            return _csgraph_dijkstra(self.matrix, directed=True, indices=source_list)
+                return []
+            plane = _csgraph_dijkstra(self.matrix, directed=True, indices=source_list)
+            return [_row(row) for row in plane]
         return [self._tree_python([index]) for index in source_list]
 
     def nearest(self, source_indices: Sequence[int]) -> Sequence[float]:
@@ -232,8 +236,9 @@ class CSRGraph:
         ``trees(source_indices)`` -- the same left-to-right float sums -- at
         the cost of one tree.  With SciPy that is one
         ``scipy.sparse.csgraph.dijkstra(indices=[...], min_only=True)`` call
-        returning a ``float64`` ndarray; the pure-Python fallback returns a
-        plain list.  This is what the grid index computes ``v.min`` and its
+        returning a ``float64`` ndarray, which the grid index gathers from
+        with NumPy; the pure-Python fallback returns an ``array('d')``.  This
+        is what the grid index computes ``v.min`` and its
         cell-pair lower-bound rows with.
 
         Raises:
@@ -248,14 +253,15 @@ class CSRGraph:
             )
         return self._tree_python(source_list)
 
-    def _tree_python(self, source_indices: Sequence[int]) -> List[float]:
+    def _tree_python(self, source_indices: Sequence[int]) -> array:
         """Array-backed Dijkstra over the CSR arrays with an int-indexed heap.
 
         Seeded with every index of ``source_indices`` at distance zero: one
-        source gives a tree row, several give the :meth:`nearest` row.
+        source gives a tree row, several give the :meth:`nearest` row.  The
+        distances are written straight into the ``array('d')`` returned.
         """
         indptr, indices, weights = self.indptr, self.indices, self.weights
-        dist = [INFINITY] * len(self.vertex_ids)
+        dist = array("d", [INFINITY]) * len(self.vertex_ids)
         for source_index in source_indices:
             dist[source_index] = 0.0
         heap: List[Tuple[float, int]] = [(0.0, index) for index in source_indices]
@@ -274,48 +280,60 @@ class CSRGraph:
         return dist
 
 
+def _row(distances) -> array:
+    """A SciPy ``float64`` row as the engine's row type: one exact-size copy.
+
+    ``array('d', distances.tobytes())`` copies as fast but leaves ~6% spare
+    capacity in every row, which the tree cache would hold for its lifetime.
+    """
+    row = array("d", [0.0]) * len(distances)
+    memoryview(row)[:] = distances
+    return row
+
+
 class _TreeView(Mapping):
-    """Dict-like view of a dense distance array, keyed by vertex id.
+    """Dict-like view of a tree row, keyed by vertex id.
 
     Lookups of unreachable (or unknown) vertices raise ``KeyError``,
-    iteration yields only reachable vertices.  The backing row may be a NumPy ``float64``
-    ndarray (zero-copy view into a tree plane) or a plain list; lookups
-    coerce to built-in ``float`` so NumPy scalar types never leak into the
-    matchers' arithmetic or the service's payloads (the coercion is
-    value-exact).
+    iteration yields only reachable vertices.  The backing ``row`` is the
+    engine's ``array('d')``, so a lookup returns a built-in ``float`` as
+    stored.  ``row`` and ``index_of`` are public for readers that skip the
+    mapping: ``row[index_of[v]]`` is ``dist(root, v)``, ``inf`` when ``v`` is
+    unreachable, and ``KeyError`` when ``v`` is unknown.
     """
 
-    __slots__ = ("_graph", "_dist")
+    __slots__ = ("_vertex_ids", "index_of", "row")
 
-    def __init__(self, graph: CSRGraph, dist: Sequence[float]) -> None:
-        self._graph = graph
-        self._dist = dist
+    def __init__(self, graph: CSRGraph, row: array) -> None:
+        self._vertex_ids = graph.vertex_ids
+        self.index_of = graph.index_of
+        self.row = row
 
     def __getitem__(self, vertex: VertexId) -> float:
-        value = self._dist[self._graph.index_of[vertex]]
+        value = self.row[self.index_of[vertex]]
         if value == INFINITY:
             raise KeyError(vertex)
-        return float(value)
+        return value
 
     def get(self, vertex: VertexId, default=None):
-        index = self._graph.index_of.get(vertex)
+        index = self.index_of.get(vertex)
         if index is None:
             return default
-        value = self._dist[index]
-        return default if value == INFINITY else float(value)
+        value = self.row[index]
+        return default if value == INFINITY else value
 
     def __contains__(self, vertex: object) -> bool:
-        index = self._graph.index_of.get(vertex)
-        return index is not None and self._dist[index] != INFINITY
+        index = self.index_of.get(vertex)
+        return index is not None and self.row[index] != INFINITY
 
     def __iter__(self) -> Iterator[VertexId]:
-        dist = self._dist
-        for index, vertex in enumerate(self._graph.vertex_ids):
-            if dist[index] != INFINITY:
+        row = self.row
+        for index, vertex in enumerate(self._vertex_ids):
+            if row[index] != INFINITY:
                 yield vertex
 
     def __len__(self) -> int:
-        return sum(1 for value in self._dist if value != INFINITY)
+        return sum(1 for value in self.row if value != INFINITY)
 
 
 class ALTIndex:
@@ -425,8 +443,8 @@ class CSREngine:
         self._landmarks = landmarks
         self.stats = EngineStats()
         #: per-source tree cache, FIFO (``popitem(last=False)``, a hit never
-        #: reorders); rows are ndarray views (or lists without SciPy)
-        self._trees: "OrderedDict[int, Sequence[float]]" = OrderedDict()
+        #: reorders); rows are ``array('d')`` on both tree arms
+        self._trees: "OrderedDict[int, array]" = OrderedDict()
         self._compile()
         if landmarks > 0:
             self.backend = "csr+alt"
@@ -467,20 +485,24 @@ class CSREngine:
             DisconnectedError: if no path connects the endpoints.
         """
         self.stats.queries += 1
-        if source == target:
-            return 0.0
         # Root the answering tree at the smaller vertex id (the network is
         # undirected, so either root is correct).  The canonical root makes
         # every answer bit-for-bit independent of which trees happen to be
         # cached -- the batched dispatch pipeline relies on this to reproduce
         # the sequential loop's floats exactly.
         root, leaf = (source, target) if source <= target else (target, source)
-        root_index = self._graph.index(root)
-        leaf_index = self._graph.index(leaf)
+        index_of = self._graph.index_of
+        try:
+            root_index = index_of[root]
+            leaf_index = index_of[leaf]
+        except KeyError as error:
+            raise VertexNotFoundError(error.args[0]) from None
+        if root_index == leaf_index:
+            return 0.0
         value = self._tree(root_index)[leaf_index]
         if value == INFINITY:
             raise DisconnectedError(source, target)
-        return float(value)
+        return value
 
     def distances_from(self, source: VertexId) -> Mapping[VertexId, float]:
         """Return the full single-source distance tree rooted at ``source``.
@@ -499,10 +521,9 @@ class CSREngine:
         Returns a mapping from each *known* source vertex to its full distance
         tree; unknown vertices are skipped (callers that care raise
         per-request, exactly where the sequential path would).  All missing
-        sources go through **one** :meth:`CSRGraph.trees` plane
-        (one SciPy C call); each computed row is detached from the plane,
-        stored in the tree cache and billed as exactly one
-        ``dijkstra_runs``.  Sources whose tree is already cached are returned
+        sources go through **one** :meth:`CSRGraph.trees` call (one SciPy C
+        call); each computed ``array('d')`` row is stored in the tree cache
+        and billed as exactly one ``dijkstra_runs``.  Sources whose tree is already cached are returned
         from the cache without touching any counter; unknown vertices are
         skipped.  The returned views pin their rows by reference, so cache
         eviction -- including churn caused by a prefetch larger than the cache
@@ -526,16 +547,9 @@ class CSREngine:
             else:
                 views[vertex] = _TreeView(graph, row)
         if missing:
-            plane = self._graph.trees(list(missing.values()))
+            rows = self._graph.trees(list(missing.values()))
             self.stats.dijkstra_runs += len(missing)
-            for position, (vertex, index) in enumerate(missing.items()):
-                row = plane[position]
-                if _np is not None and isinstance(row, _np.ndarray):
-                    # Detach the row from the plane: a view would keep the
-                    # whole (k x n) plane alive for as long as any single row
-                    # survives in the cache, long after the batch released its
-                    # pins.  The copy is value-exact, so bit-identity holds.
-                    row = row.copy()
+            for (vertex, index), row in zip(missing.items(), rows):
                 views[vertex] = _TreeView(graph, row)
                 cached[index] = row
                 if len(cached) > self._max_cached_sources:
@@ -576,7 +590,7 @@ class CSREngine:
         self._compile()
 
     # ------------------------------------------------------------------
-    def _tree(self, source_index: int) -> Sequence[float]:
+    def _tree(self, source_index: int) -> array:
         tree = self._trees.get(source_index)
         if tree is not None:
             self.stats.cache_hits += 1

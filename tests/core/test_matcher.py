@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SystemConfig
+from repro.core.dispatcher import Dispatcher
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.matcher import MatcherStatistics, added_distance_lower_bound
 from repro.core.naive import NaiveKineticTreeMatcher
@@ -109,6 +110,49 @@ class TestVerifyVehicle:
         assert matcher.statistics.requests_answered == 1
         assert matcher.statistics.vehicles_evaluated == 2
         assert matcher.statistics.options_returned == 2
+
+
+class TestStopPair:
+    """A request's pick-up and drop-off stops are built once (``Request.stops``):
+    every insertion candidate of every checked vehicle, and the schedules a
+    commit installs, hold those two objects."""
+
+    def test_every_candidate_and_the_commit_hold_the_requests_pair(self):
+        network = grid_network(6, 6, weight_jitter=0.2, seed=3)
+        vertices = network.vertices()
+        fleet = build_fleet(
+            network, [vertices[i] for i in (0, 7, 14, 21)], grid_rows=3, grid_columns=3
+        )
+        config = SystemConfig(max_waiting=50.0, service_constraint=3.0)
+        assign_request(fleet, "c2", Request(
+            start=vertices[1], destination=vertices[34], max_waiting=50.0,
+            service_constraint=3.0, request_id="first",
+        ))
+        request = Request(
+            start=vertices[8], destination=vertices[29], max_waiting=50.0,
+            service_constraint=3.0, request_id="probe",
+        )
+        matcher = NaiveKineticTreeMatcher(fleet, config=config)
+        context = matcher.make_context(request)
+        options = matcher.match(request, context)
+        pickup, dropoff = request.stops
+
+        def new_stops(schedule):
+            return [stop for stop in schedule if stop.request_id == "probe"]
+
+        found = [entry[2] for entry in context.verified.values() if entry[2]]
+        assert len(found) >= 3
+        assert all(candidate.base_schedule for candidate in context.verified["c2"][2])
+        for candidates in found:
+            for candidate in candidates:
+                placed = new_stops(candidate.schedule)
+                assert len(placed) == 2
+                assert placed[0] is pickup and placed[1] is dropoff
+        # Without the context the commit enumerates again; the pair is reused.
+        Dispatcher(fleet, matcher).commit(request, options[0])
+        for schedule in fleet.get(options[0].vehicle_id).kinetic_tree.schedules():
+            placed = new_stops(schedule)
+            assert placed[0] is pickup and placed[1] is dropoff
 
 
 class TestLowerBounds:

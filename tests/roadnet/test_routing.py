@@ -123,6 +123,18 @@ class TestEveryBackend:
         with pytest.raises(VertexNotFoundError):
             engine.path(1, 999)
 
+    def test_unknown_vertex_to_itself_raises(self, backend):
+        """``distance(v, v)`` checks ``v`` like every other read of it does."""
+        engine = make_engine(grid_network(2, 2), backend)
+        with pytest.raises(VertexNotFoundError):
+            engine.distance(999, 999)
+        with pytest.raises(VertexNotFoundError):
+            engine.distances_from(999)
+        with pytest.raises(VertexNotFoundError):
+            engine.path(999, 999)
+        with pytest.raises(VertexNotFoundError):
+            shortest_path_distance(engine.network, 999, 999)
+
     def test_path_is_valid_and_optimal(self, backend):
         network = grid_network(4, 4, weight_jitter=0.3, seed=9)
         engine = make_engine(network, backend)
