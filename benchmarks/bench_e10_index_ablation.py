@@ -81,7 +81,9 @@ def test_e10_index_build_cost_grows_with_granularity():
     timings = []
     for side in (2, 6, 12):
         started = time.perf_counter()
-        index = GridIndex(city.network, rows=side, columns=side, precompute=True)
+        index = GridIndex(city.network, rows=side, columns=side)
+        for cell in index.cells():  # warm every cell's lower-bound row and cell order
+            list(index.expand_from(cell.cell_id))
         elapsed = time.perf_counter() - started
         timings.append((side, elapsed, index.summary()["border_vertices"]))
         record_result("E10", elapsed, phase=f"index_build_{side}x{side}")

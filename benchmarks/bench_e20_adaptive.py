@@ -398,7 +398,7 @@ def _compare_arms(tmp_path, total: int, prefix: str) -> None:
     # cost, so surge p99 is only bounded, not required to win.  Throughput
     # against the best fixed arm is recorded (``speedup_vs_best_fixed``),
     # not asserted: one run per arm cannot carry a timing inequality, and
-    # whether growing the window still buys throughput is ROADMAP item 2's
+    # whether growing the window still buys throughput is ROADMAP item 3's
     # paired-replay measurement, still owed.
     assert adaptive["lull_p99"] < best["lull_p99"], (
         f"lull p99 {adaptive['lull_p99']:.3f} not under "

@@ -1,11 +1,11 @@
 """Shared builders for the benchmark harness.
 
-Every experiment of ``DESIGN.md`` §4 (E1 .. E11) is regenerated by one module
-in this directory.  The builders here create the city, the fleet and the
+Each experiment E<N> is regenerated by its own ``bench_e<N>_*.py`` module in
+this directory.  The builders here create the city, the fleet and the
 workloads at a laptop-friendly scale; the *shape* of the results (who wins,
 by roughly what factor, where the trends bend) is what reproduces the paper,
 not the absolute wall-clock numbers, because the substrate is pure Python
-rather than the authors' C++-on-an-i7 testbed (see DESIGN.md §3).
+rather than the authors' C++-on-an-i7 testbed.
 
 Run the full harness with::
 

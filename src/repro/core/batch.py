@@ -89,7 +89,7 @@ class BatchStatistics:
             return 0.0
         return self.shared_tree_hits / resolved
 
-    def as_dict(self) -> Dict[str, object]:
+    def as_dict(self) -> Dict[str, float]:
         """Flat dictionary of floats for reports and benchmark records."""
         return {
             "requests": float(self.requests),
@@ -312,10 +312,6 @@ class BatchContext:
     def requests(self) -> List[Request]:
         """The batch's requests in submission order."""
         return list(self._requests)
-
-    def error_for(self, index: int) -> Optional[Exception]:
-        """The endpoint error recorded for request ``index`` (``None`` if fine)."""
-        return self._errors.get(index)
 
     def context_for(self, index: int) -> MatchContext:
         """Return the pooled context of request ``index``.

@@ -359,14 +359,6 @@ class SystemConfig:
                 updates[name] = None if zero_none and value == 0 else value
         return replace(self, **updates) if updates else self
 
-    def distance_to_time(self, distance: float) -> float:
-        """Convert a distance to a travel time at the configured speed."""
-        return distance / self.speed
-
-    def time_to_distance(self, time: float) -> float:
-        """Convert a travel time to a distance at the configured speed."""
-        return time * self.speed
-
 
 #: Every knob's field, by name, in declaration order.
 KNOBS: Dict[str, Field] = {spec.name: spec for spec in fields(SystemConfig)}

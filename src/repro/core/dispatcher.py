@@ -25,7 +25,6 @@ the routing work pooled up front:
    left it;
 4. **greedily commit** the option the policy chooses before the next turn.
 
-:meth:`Dispatcher.match_batch` takes the same turns without step 4, and
 :meth:`Dispatcher.dispatch` is a batch of one.  Pooling moves no answer: the
 pipeline yields byte-identical options, choices and fleet end-state to the
 literal loop (property-tested in ``tests/property/test_batch_equivalence.py``
@@ -150,10 +149,6 @@ class Dispatcher:
     def config(self) -> SystemConfig:
         """The global system parameters."""
         return self._config
-
-    def vehicle_of_request(self, request_id: str) -> Optional[str]:
-        """Return the vehicle currently serving ``request_id`` (``None`` when unknown)."""
-        return self._active_requests.get(request_id)
 
     # ------------------------------------------------------------------
     # the three steps of Section 3.1
@@ -319,13 +314,24 @@ class Dispatcher:
                 call (the default; ``False`` forces per-start computation,
                 the ablation arm of benchmark E13).
         """
-        prepared = self._prepare_batch(requests, apply_global_constraints, prefetch)
-        if prepared is None:
+        request_list = list(requests)
+        if apply_global_constraints:
+            request_list = [self.normalise(request) for request in request_list]
+        if not request_list:
             return []
-        request_list, batch = prepared
+        batch = BatchContext.create(
+            request_list, self._fleet.routing_engine, self._fleet.grid, prefetch=prefetch
+        )
+        self.last_batch_statistics = batch.statistics
         outcomes: List[DispatchOutcome] = []
         for index, request in enumerate(request_list):
-            context, options, elapsed = self._turn(batch, index, request)
+            # One turn: match against the fleet as the previous commits left
+            # it.  The response time is the request's share of the pooled
+            # context building plus the match itself.
+            context = batch.context_for(index)  # re-raises recorded errors
+            started = time.perf_counter()
+            options = self._matcher.match(request, context)
+            elapsed = batch.context_seconds(index) + (time.perf_counter() - started)
             chosen = policy.choose(options) if options else None
             if chosen is not None:
                 self.commit(request, chosen, context=context)
@@ -343,68 +349,6 @@ class Dispatcher:
             if on_outcome is not None:
                 on_outcome(outcome)
         return outcomes
-
-    def match_batch(
-        self,
-        requests: Iterable[Request],
-        apply_global_constraints: bool = True,
-        prefetch: bool = True,
-    ) -> List[List[RideOption]]:
-        """Skylines for a batch of requests without committing any of them.
-
-        The service layer's batch-submit flow uses this: all requests are
-        answered against the *current* fleet state through one shared
-        :class:`~repro.core.batch.BatchContext` (the riders choose -- and
-        commit -- later, individually).  A request whose endpoints are broken
-        (unknown vertex, unreachable destination) gets no options, so one
-        broken trip cannot void the rest of the burst.
-
-        Args:
-            requests: the requests to answer, in order.
-            apply_global_constraints: normalise requests first.
-            prefetch: pool the batch's start trees through one vectorised
-                engine call (see :meth:`dispatch_batch`).
-        """
-        prepared = self._prepare_batch(requests, apply_global_constraints, prefetch)
-        if prepared is None:
-            return []
-        request_list, batch = prepared
-        return [
-            [] if batch.error_for(index) is not None else self._turn(batch, index, request)[1]
-            for index, request in enumerate(request_list)
-        ]
-
-    def _prepare_batch(
-        self, requests: Iterable[Request], apply_global_constraints: bool, prefetch: bool
-    ) -> Optional[Tuple[List[Request], BatchContext]]:
-        """Shared batch prelude: normalise, pool contexts.
-
-        Returns ``None`` for an empty batch.
-        """
-        request_list = list(requests)
-        if apply_global_constraints:
-            request_list = [self.normalise(request) for request in request_list]
-        if not request_list:
-            return None
-        batch = BatchContext.create(
-            request_list, self._fleet.routing_engine, self._fleet.grid, prefetch=prefetch
-        )
-        self.last_batch_statistics = batch.statistics
-        return request_list, batch
-
-    def _turn(
-        self, batch: BatchContext, index: int, request: Request
-    ) -> Tuple[MatchContext, List[RideOption], float]:
-        """One request's turn: match it against the fleet as it stands now.
-
-        Returns the request's pooled context, its skyline and its response
-        time -- the request's share of the pooled context building plus the
-        match itself.
-        """
-        context = batch.context_for(index)  # re-raises recorded errors
-        started = time.perf_counter()
-        options = self._matcher.match(request, context)
-        return context, options, batch.context_seconds(index) + (time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # lifecycle notifications from the simulation engine

@@ -77,18 +77,13 @@ class InsertionStatistics:
     ``candidates_rejected_by_bounds`` reads 0: nothing inside a verified
     vehicle is rejected by a bound since the grid pre-scan went.  The field
     stays because ``perfbench/harness.py`` reads it and a gain-claiming PR
-    may not edit ``perfbench/``; ROADMAP item 9(a) removes it together with
+    may not edit ``perfbench/``; ROADMAP item 10(a) removes it together with
     the ``insertion.bound_rejected`` metric row.
     """
 
     candidates_enumerated: int = 0
     candidates_feasible: int = 0
     candidates_rejected_by_bounds: int = 0
-
-    def merge(self, other: "InsertionStatistics") -> None:
-        """Accumulate another call's counters into this one."""
-        self.candidates_enumerated += other.candidates_enumerated
-        self.candidates_feasible += other.candidates_feasible
 
 
 def insertion_candidates(

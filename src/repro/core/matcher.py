@@ -28,7 +28,7 @@ from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Set
 from repro.core.config import SystemConfig
 from repro.core.context import BOUND_SLACK, MatchContext
 from repro.core.insertion import InsertionStatistics, insertion_candidates
-from repro.core.pricing import LinearPriceModel, PriceModel
+from repro.core.pricing import PriceModel
 from repro.model.options import RideOption, Skyline, skyline_of
 from repro.model.request import Request
 from repro.roadnet.grid_index import GridIndex
@@ -47,7 +47,7 @@ class MatcherStatistics:
     """Work counters a matcher accumulates across ``match`` calls.
 
     The counters drive the index-ablation and matcher-comparison experiments
-    (E3 / E10 in ``DESIGN.md``) and the statistics panel of the demo website.
+    (benchmarks E3 and E10) and the statistics panel of the demo website.
     """
 
     requests_answered: int = 0

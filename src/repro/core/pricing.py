@@ -105,10 +105,3 @@ class LinearPriceModel:
             raise ConfigurationError(f"direct_distance must be non-negative, got {direct_distance}")
         added = max(0.0, added_distance)
         return self.booking_fee + self.ratio(riders) * (added + direct_distance)
-
-    def minimum_price(self, riders: int, direct_distance: float) -> float:
-        """The lowest price any vehicle could offer (zero added distance).
-
-        The matchers use this as an admissible price lower bound when pruning.
-        """
-        return self.price(riders, 0.0, direct_distance)

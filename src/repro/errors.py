@@ -79,14 +79,6 @@ class MatchingError(PTRiderError):
     """Base class for matcher errors."""
 
 
-class NoMatchError(MatchingError):
-    """No vehicle can feasibly serve a request."""
-
-    def __init__(self, request: object) -> None:
-        super().__init__(f"no vehicle can serve request {request!r}")
-        self.request = request
-
-
 class SimulationError(PTRiderError):
     """Base class for simulation-engine errors."""
 

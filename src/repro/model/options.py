@@ -16,8 +16,8 @@ i.e. at least as good in both dimensions and strictly better in one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.model.stops import Stop
 
@@ -211,18 +211,6 @@ class Skyline:
             ):
                 return True
         return False
-
-    def best_price(self) -> Optional[float]:
-        """Return the lowest price in the skyline, or ``None`` when empty."""
-        if not self._options:
-            return None
-        return min(option.price for option in self._options)
-
-    def best_pickup(self) -> Optional[float]:
-        """Return the smallest pick-up distance in the skyline, or ``None`` when empty."""
-        if not self._options:
-            return None
-        return min(option.pickup_distance for option in self._options)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Skyline({self.options()!r})"

@@ -18,7 +18,7 @@ import itertools
 import uuid
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import RequestError
 from repro.model.stops import Stop, StopKind
@@ -104,24 +104,6 @@ class Request:
         if direct_distance < 0:
             raise RequestError(f"direct_distance must be non-negative, got {direct_distance}")
         return (1.0 + self.service_constraint) * direct_distance
-
-    def with_submit_time(self, submit_time: float) -> "Request":
-        """Return a copy of the request stamped with a new submission time."""
-        return Request(
-            start=self.start,
-            destination=self.destination,
-            riders=self.riders,
-            max_waiting=self.max_waiting,
-            service_constraint=self.service_constraint,
-            request_id=self.request_id,
-            submit_time=submit_time,
-        )
-
-    def waiting_seconds(self, speed: float) -> float:
-        """Convert the waiting budget to seconds for a given ``speed`` (distance/second)."""
-        if speed <= 0:
-            raise RequestError(f"speed must be positive, got {speed}")
-        return self.max_waiting / speed
 
     def describe(self) -> str:
         """Return a short human-readable description (used by the CLI / service)."""

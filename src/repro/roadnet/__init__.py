@@ -14,10 +14,10 @@ road network:
   grid lists, per-cell vehicle lists);
 * :mod:`repro.roadnet.generators` -- synthetic network builders, including the
   17-vertex example network of Figure 1;
-* :mod:`repro.roadnet.io` -- persistence of networks to edge lists and JSON.
+* :mod:`repro.roadnet.io` -- the network's dict codec (durable metadata).
 """
 
-from repro.roadnet.geometry import BoundingBox, Point, euclidean_distance, haversine_distance
+from repro.roadnet.geometry import BoundingBox, Point, euclidean_distance
 from repro.roadnet.graph import Edge, RoadNetwork
 from repro.roadnet.grid_index import GridCell, GridIndex
 from repro.roadnet.shortest_path import PathResult, shortest_path
@@ -55,7 +55,6 @@ __all__ = [
     "euclidean_distance",
     "figure1_network",
     "grid_network",
-    "haversine_distance",
     "random_geometric_network",
     "ring_radial_network",
     "shortest_path",

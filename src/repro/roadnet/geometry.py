@@ -7,8 +7,7 @@ carries an ``(x, y)`` coordinate.  The embedding is used by
 * the synthetic network generators, to lay out vertices;
 * the SHAREK-style baseline, which prunes with Euclidean distance.
 
-Coordinates are unit-less by default; :func:`haversine_distance` is provided
-for callers that store longitude/latitude instead.
+Coordinates are unit-less.
 """
 
 from __future__ import annotations
@@ -17,24 +16,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
-__all__ = [
-    "Point",
-    "BoundingBox",
-    "euclidean_distance",
-    "manhattan_distance",
-    "haversine_distance",
-]
-
-#: Mean Earth radius in metres, used by :func:`haversine_distance`.
-EARTH_RADIUS_METRES = 6_371_000.0
+__all__ = ["Point", "BoundingBox", "euclidean_distance"]
 
 
 @dataclass(frozen=True)
 class Point:
     """A point in the plane.
 
-    ``Point`` is an immutable value object; arithmetic helpers return new
-    instances.
+    ``Point`` is an immutable value object.
     """
 
     x: float
@@ -43,18 +32,6 @@ class Point:
     def distance_to(self, other: "Point") -> float:
         """Return the Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def manhattan_distance_to(self, other: "Point") -> float:
-        """Return the L1 (Manhattan) distance to ``other``."""
-        return abs(self.x - other.x) + abs(self.y - other.y)
-
-    def midpoint(self, other: "Point") -> "Point":
-        """Return the midpoint of the segment between ``self`` and ``other``."""
-        return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-
-    def translated(self, dx: float, dy: float) -> "Point":
-        """Return a copy of the point shifted by ``(dx, dy)``."""
-        return Point(self.x + dx, self.y + dy)
 
     def as_tuple(self) -> Tuple[float, float]:
         """Return the point as a plain ``(x, y)`` tuple."""
@@ -68,24 +45,6 @@ class Point:
 def euclidean_distance(a: Tuple[float, float], b: Tuple[float, float]) -> float:
     """Return the Euclidean distance between two ``(x, y)`` tuples."""
     return math.hypot(a[0] - b[0], a[1] - b[1])
-
-
-def manhattan_distance(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    """Return the Manhattan (L1) distance between two ``(x, y)`` tuples."""
-    return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-
-def haversine_distance(a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    """Return the great-circle distance in metres between two points.
-
-    Both points are ``(longitude, latitude)`` pairs expressed in degrees.
-    """
-    lon1, lat1 = math.radians(a[0]), math.radians(a[1])
-    lon2, lat2 = math.radians(b[0]), math.radians(b[1])
-    dlon = lon2 - lon1
-    dlat = lat2 - lat1
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_METRES * math.asin(math.sqrt(h))
 
 
 @dataclass(frozen=True)
@@ -134,38 +93,3 @@ class BoundingBox:
     def height(self) -> float:
         """Extent of the box along the y axis."""
         return self.max_y - self.min_y
-
-    @property
-    def area(self) -> float:
-        """Area of the box."""
-        return self.width * self.height
-
-    @property
-    def center(self) -> Point:
-        """Centre point of the box."""
-        return Point((self.min_x + self.max_x) / 2.0, (self.min_y + self.max_y) / 2.0)
-
-    def contains(self, point: Tuple[float, float]) -> bool:
-        """Return ``True`` when ``point`` lies inside or on the boundary."""
-        x, y = float(point[0]), float(point[1])
-        return self.min_x <= x <= self.max_x and self.min_y <= y <= self.max_y
-
-    def intersects(self, other: "BoundingBox") -> bool:
-        """Return ``True`` when the two boxes overlap (boundary touching counts)."""
-        return not (
-            other.min_x > self.max_x
-            or other.max_x < self.min_x
-            or other.min_y > self.max_y
-            or other.max_y < self.min_y
-        )
-
-    def expanded(self, margin: float) -> "BoundingBox":
-        """Return a copy grown by ``margin`` on every side."""
-        if margin < 0:
-            raise ValueError("margin must be non-negative")
-        return BoundingBox(
-            self.min_x - margin,
-            self.min_y - margin,
-            self.max_x + margin,
-            self.max_y + margin,
-        )

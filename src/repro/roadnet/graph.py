@@ -49,11 +49,6 @@ class Edge:
         if self.u == self.v:
             raise InvalidNetworkError(f"self loops are not allowed (vertex {self.u})")
 
-    @property
-    def endpoints(self) -> Tuple[VertexId, VertexId]:
-        """Return the edge endpoints as a tuple ``(u, v)``."""
-        return (self.u, self.v)
-
     def other(self, vertex: VertexId) -> VertexId:
         """Return the endpoint that is not ``vertex``.
 
@@ -164,26 +159,6 @@ class RoadNetwork:
         if is_new:
             self._edge_count += 1
 
-    def remove_edge(self, u: VertexId, v: VertexId) -> None:
-        """Remove the undirected edge ``(u, v)``.
-
-        Raises:
-            EdgeNotFoundError: if the edge does not exist.
-        """
-        if not self.has_edge(u, v):
-            raise EdgeNotFoundError(u, v)
-        del self._adjacency[u][v]
-        del self._adjacency[v][u]
-        self._edge_count -= 1
-
-    def remove_vertex(self, vertex: VertexId) -> None:
-        """Remove ``vertex`` and every incident edge."""
-        self._require_vertex(vertex)
-        for neighbour in list(self._adjacency[vertex]):
-            self.remove_edge(vertex, neighbour)
-        del self._adjacency[vertex]
-        self._coordinates.pop(vertex, None)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -216,10 +191,6 @@ class RoadNetwork:
             for v, weight in neighbours.items():
                 if u < v:
                     yield Edge(u, v, weight)
-
-    def has_edge(self, u: VertexId, v: VertexId) -> bool:
-        """Return ``True`` when the undirected edge ``(u, v)`` exists."""
-        return u in self._adjacency and v in self._adjacency[u]
 
     def edge_weight(self, u: VertexId, v: VertexId) -> float:
         """Return the weight of edge ``(u, v)``.
@@ -257,11 +228,6 @@ class RoadNetwork:
         """
         return self._adjacency
 
-    def degree(self, vertex: VertexId) -> int:
-        """Return the number of edges incident to ``vertex``."""
-        self._require_vertex(vertex)
-        return len(self._adjacency[vertex])
-
     def coordinate(self, vertex: VertexId) -> Point:
         """Return the planar coordinate of ``vertex``.
 
@@ -292,10 +258,6 @@ class RoadNetwork:
     def euclidean_distance(self, u: VertexId, v: VertexId) -> float:
         """Return the straight-line distance between two vertices' coordinates."""
         return self.coordinate(u).distance_to(self.coordinate(v))
-
-    def total_edge_weight(self) -> float:
-        """Return the sum of all edge weights (useful for sanity checks)."""
-        return sum(edge.weight for edge in self.edges())
 
     # ------------------------------------------------------------------
     # structure checks

@@ -5,9 +5,10 @@ paper, every grid cell maintains
 
 1. a *border vertex* list -- vertices incident to an edge that leaves the
    cell;
-2. a *vertex list* -- every vertex located in the cell, annotated with its
-   shortest-path distance to each border vertex of the cell and with
-   ``v.min`` (the minimum of those distances);
+2. a *vertex list* -- every vertex located in the cell, annotated with
+   ``v.min``, its shortest-path distance to the cell's nearest border vertex
+   (the paper annotates every border distance; the bounds need only their
+   minimum, so that is all the index keeps);
 3. a *grid cell list* -- the other cells sorted in ascending order of the
    lower-bound distance from them to this cell;
 4. an *empty vehicle list* -- vehicles currently in the cell with no assigned
@@ -31,9 +32,7 @@ array Dijkstra otherwise:
 * a lower-bound row is one ``CSRGraph.nearest(border vertices of the cell)``
   over the whole graph, minimised over each other cell's border vertices in
   one NumPy ``minimum.reduceat`` over the gathered border distances (a list
-  comprehension of ``min`` where ``nearest`` hands back an ``array('d')``);
-* the per-border annotation of ``precompute=True`` is one ``CSRGraph.trees``
-  call per cell.
+  comprehension of ``min`` where ``nearest`` hands back an ``array('d')``).
 
 A row is a list of floats indexed by cell *rank* -- the cell's row-major
 position, which is also ``CellId`` tuple order -- and each cell's *grid cell
@@ -92,21 +91,6 @@ class GridCell:
     #: vehicles with a non-empty request set whose schedule intersects this cell
     nonempty_vehicles: Set[str] = field(default_factory=set)
 
-    @property
-    def row(self) -> int:
-        """Row of the cell in the grid."""
-        return self.cell_id[0]
-
-    @property
-    def column(self) -> int:
-        """Column of the cell in the grid."""
-        return self.cell_id[1]
-
-    @property
-    def is_empty(self) -> bool:
-        """``True`` when no road-network vertex lies in the cell."""
-        return not self.vertices
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"GridCell(id={self.cell_id}, vertices={len(self.vertices)}, "
@@ -123,10 +107,8 @@ class GridIndex:
             coordinate.
         rows: number of grid rows.
         columns: number of grid columns.
-        precompute: when ``True`` the full cell-pair lower-bound matrix and
-            every per-vertex border-distance annotation are computed eagerly;
-            when ``False`` (the default) rows of the matrix are computed on
-            first use, which is what a city-scale deployment would do.
+
+    Rows of the cell-pair lower-bound matrix are computed on first use.
 
     Raises:
         InvalidNetworkError: if the network has no coordinates.
@@ -138,7 +120,6 @@ class GridIndex:
         network: RoadNetwork,
         rows: int,
         columns: int,
-        precompute: bool = False,
     ) -> None:
         if rows <= 0 or columns <= 0:
             raise GridIndexError(f"grid dimensions must be positive, got {rows}x{columns}")
@@ -162,7 +143,6 @@ class GridIndex:
         #: per cell, the ``CSRGraph`` indices of its border vertices (same order)
         self._border_indices: Dict[CellId, List[int]] = {}
         self._vertex_min: Dict[VertexId, float] = {}
-        self._border_distances: Dict[VertexId, Dict[VertexId, float]] = {}
         #: per cell, its bound to every cell, indexed by rank (row-major position)
         self._lower_bound_rows: Dict[CellId, List[float]] = {}
         #: per cell, every rank sorted by ascending bound (ties in rank order)
@@ -176,10 +156,6 @@ class GridIndex:
         self._cell_rank: Dict[CellId, int] = {cell_id: rank for rank, cell_id in enumerate(self._cells)}
         self._identify_border_vertices()
         self._compute_vertex_minimums()
-        if precompute:
-            for cell_id in self._cells:
-                self._cell_order(cell_id)
-            self._compute_detailed_border_distances()
         self._build_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
@@ -255,20 +231,6 @@ class GridIndex:
             if distance != INFINITY:
                 self._vertex_min[vertex] = distance
 
-    def _compute_detailed_border_distances(self) -> None:
-        """Annotate every vertex with its distance to each border vertex of its cell."""
-        index_of = self._graph.index_of
-        for cell_id, cell in self._cells.items():
-            borders = self._border_indices[cell_id]
-            if not borders:
-                continue
-            members = [(vertex, index_of[vertex]) for vertex in cell.vertices]
-            plane = self._graph.trees(borders)
-            for border, tree in zip(cell.border_vertices, plane):
-                for vertex, index in members:
-                    if tree[index] != INFINITY:
-                        self._border_distances.setdefault(vertex, {})[border] = tree[index]
-
     # ------------------------------------------------------------------
     # basic geometry / lookup
     # ------------------------------------------------------------------
@@ -298,10 +260,6 @@ class GridIndex:
         column = min(max(column, 0), self._columns - 1)
         row = min(max(row, 0), self._rows - 1)
         return (row, column)
-
-    def cell_of_point(self, point: Tuple[float, float]) -> GridCell:
-        """Return the grid cell containing an arbitrary planar point."""
-        return self._cells[self._locate(point)]
 
     def cell_of_vertex(self, vertex: VertexId) -> GridCell:
         """Return the grid cell containing ``vertex``.
@@ -344,15 +302,6 @@ class GridIndex:
             return self._vertex_min[vertex]
         except KeyError:
             raise VertexNotFoundError(vertex) from None
-
-    def border_distances(self, vertex: VertexId) -> Dict[VertexId, float]:
-        """Return the per-border-vertex distances stored for ``vertex``.
-
-        Only populated when the index was built with ``precompute=True``
-        (Fig. 1(b) keeps the full annotation; the lazily built index keeps
-        only ``v.min`` which is all the pruning bounds need).
-        """
-        return dict(self._border_distances.get(vertex, {}))
 
     # ------------------------------------------------------------------
     # lower bounds
@@ -415,23 +364,6 @@ class GridIndex:
             self._cell_orders[cell_id] = order
         return order
 
-    def lower_bound_between_cells(self, cell_a: CellId, cell_b: CellId) -> float:
-        """Return the lower-bound distance between two cells.
-
-        The bound is the minimum shortest-path distance between any border
-        vertex of ``cell_a`` and any border vertex of ``cell_b`` (0 for the
-        same cell, ``inf`` when the cells are not connected).
-
-        Raises:
-            GridIndexError: if either identifier is outside the grid.
-        """
-        if cell_a not in self._cells or cell_b not in self._cells:
-            missing = cell_a if cell_a not in self._cells else cell_b
-            raise GridIndexError(f"cell {missing} is outside the {self._rows}x{self._columns} grid")
-        if cell_a == cell_b:
-            return 0.0
-        return self._lower_bound_row(cell_a)[self._cell_rank[cell_b]]
-
     def distance_lower_bound(self, u: VertexId, v: VertexId) -> float:
         """Return an admissible lower bound on ``dist(u, v)``.
 
@@ -458,21 +390,12 @@ class GridIndex:
         bound = self._lower_bound_row(cell_a)[self._cell_rank[cell_b]]
         return self._vertex_min[a] + bound + self._vertex_min[b]
 
-    def cells_in_lower_bound_order(self, cell_id: CellId) -> List[Tuple[float, CellId]]:
-        """Return every cell as ``(bound, cell id)``, by ascending bound from ``cell_id``.
-
-        This is the *grid cell list* of Fig. 1(b); the single-side and
-        dual-side searches expand cells in exactly this order.  Tied bounds
-        keep cell-id order.  The list is the caller's own.
-        """
-        row = self._lower_bound_row(cell_id)
-        cells = self._cell_list
-        return [(row[rank], cells[rank].cell_id) for rank in self._cell_order(cell_id)]
-
     def expand_from(self, cell_id: CellId) -> Iterator[Tuple[float, GridCell]]:
         """Yield ``(lower_bound, cell)`` pairs in ascending lower-bound order.
 
-        Unreachable cells (infinite lower bound) sort last and are not yielded.
+        This is the *grid cell list* of Fig. 1(b); the searches expand cells
+        in exactly this order, tied bounds in cell-id order.  Unreachable
+        cells (infinite lower bound) sort last and are not yielded.
         """
         row = self._lower_bound_row(cell_id)
         cells = self._cell_list

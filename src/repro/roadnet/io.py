@@ -1,132 +1,18 @@
-"""Persistence of road networks.
+"""The road network as a JSON-ready dict.
 
-Two formats are supported:
-
-* a plain-text *edge list* (one ``u v weight`` line per edge, with an optional
-  leading block of ``v x y`` coordinate lines introduced by a ``#coords``
-  header), convenient for interoperability with graph tools;
-* a JSON document containing vertices, coordinates and edges, convenient for
-  archiving experiment inputs next to their outputs.
-
-Both round-trip exactly (weights are stored as ``repr`` of floats).
-
-Edge lists are transparently gzip-compressed when the path ends in ``.gz``
-(both on save and on load), which is how real-network extracts at the scale
-the CH backend targets stay checkable into a repository; and every parse
-error names the offending ``path:line`` so a broken multi-megabyte fixture
-points at its bad line instead of at a bare ``ValueError``.
+The durability journal stores the network it was opened over in its
+metadata (:mod:`repro.service.api`), so a recovered service rebuilds the
+same graph: vertices, coordinates and edges, weights as floats.
 """
 
 from __future__ import annotations
 
-import gzip
-import json
-from pathlib import Path
-from typing import Dict, List, Tuple, Union
+from typing import Dict, Tuple
 
 from repro.errors import InvalidNetworkError
 from repro.roadnet.graph import RoadNetwork
 
-__all__ = [
-    "save_edge_list",
-    "load_edge_list",
-    "save_json",
-    "load_json",
-    "network_to_dict",
-    "network_from_dict",
-]
-
-PathLike = Union[str, Path]
-
-
-def _is_gzip_path(path: PathLike) -> bool:
-    """``True`` when the path names a gzip-compressed edge list."""
-    return Path(path).suffix == ".gz"
-
-
-def _read_text(path: PathLike) -> str:
-    """Read a text file, transparently decompressing ``.gz`` paths."""
-    if _is_gzip_path(path):
-        with gzip.open(path, "rt", encoding="utf-8") as handle:
-            return handle.read()
-    return Path(path).read_text(encoding="utf-8")
-
-
-def _write_text(path: PathLike, text: str) -> None:
-    """Write a text file, transparently compressing ``.gz`` paths."""
-    if _is_gzip_path(path):
-        # Write through a fileobj with mtime=0 so the compressed bytes are a
-        # pure function of the content (no filename or timestamp in the gzip
-        # header) -- re-saving an unchanged network never dirties a
-        # checked-in fixture.
-        with open(path, "wb") as raw:
-            with gzip.GzipFile(
-                filename="", fileobj=raw, mode="wb", mtime=0
-            ) as handle:
-                handle.write(text.encode("utf-8"))
-        return
-    Path(path).write_text(text, encoding="utf-8")
-
-
-def save_edge_list(network: RoadNetwork, path: PathLike) -> None:
-    """Write ``network`` as an edge list with an optional coordinate block.
-
-    A path ending in ``.gz`` is gzip-compressed on the way out; the line
-    format is identical either way.
-    """
-    lines: List[str] = []
-    if network.has_coordinates():
-        lines.append("#coords")
-        for vertex in network.vertices():
-            point = network.coordinate(vertex)
-            lines.append(f"{vertex} {point.x!r} {point.y!r}")
-        lines.append("#edges")
-    for edge in network.edges():
-        lines.append(f"{edge.u} {edge.v} {edge.weight!r}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def load_edge_list(path: PathLike) -> RoadNetwork:
-    """Read a network previously written by :func:`save_edge_list`.
-
-    A path ending in ``.gz`` is transparently decompressed.
-
-    Raises:
-        InvalidNetworkError: on malformed lines, naming the offending
-            ``path:line`` -- wrong field count, non-numeric fields, and
-            semantic rejections (non-positive weights, self loops) alike.
-    """
-    network = RoadNetwork()
-    mode = "edges"
-    for line_number, raw_line in enumerate(_read_text(path).splitlines(), 1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        if line == "#coords":
-            mode = "coords"
-            continue
-        if line == "#edges":
-            mode = "edges"
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise InvalidNetworkError(f"{path}:{line_number}: expected 3 fields, got {len(parts)}")
-        try:
-            if mode == "coords":
-                network.add_vertex(int(parts[0]), x=float(parts[1]), y=float(parts[2]))
-            else:
-                u, v, weight = int(parts[0]), int(parts[1]), float(parts[2])
-                if u not in network:
-                    network.add_vertex(u)
-                if v not in network:
-                    network.add_vertex(v)
-                network.add_edge(u, v, weight)
-        except ValueError as error:  # includes InvalidNetworkError rejections
-            kind = "coordinate" if mode == "coords" else "edge"
-            raise InvalidNetworkError(
-                f"{path}:{line_number}: bad {kind} line {line!r}: {error}"
-            ) from None
-    return network
+__all__ = ["network_to_dict", "network_from_dict"]
 
 
 def network_to_dict(network: RoadNetwork) -> Dict[str, object]:
@@ -159,13 +45,3 @@ def network_from_dict(payload: Dict[str, object]) -> RoadNetwork:
             network.add_vertex(int(v))
         network.add_edge(int(u), int(v), float(weight))
     return network
-
-
-def save_json(network: RoadNetwork, path: PathLike) -> None:
-    """Write ``network`` as a JSON document."""
-    Path(path).write_text(json.dumps(network_to_dict(network), indent=2), encoding="utf-8")
-
-
-def load_json(path: PathLike) -> RoadNetwork:
-    """Read a network previously written by :func:`save_json`."""
-    return network_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))

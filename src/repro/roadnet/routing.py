@@ -90,26 +90,6 @@ class EngineStats:
     phast_sweeps: int = 0
     build_seconds: float = 0.0
 
-    def snapshot(self) -> "EngineStats":
-        """An independent copy (pair it with :meth:`delta_since`)."""
-        return EngineStats(
-            queries=self.queries,
-            cache_hits=self.cache_hits,
-            dijkstra_runs=self.dijkstra_runs,
-            phast_sweeps=self.phast_sweeps,
-            build_seconds=self.build_seconds,
-        )
-
-    def delta_since(self, earlier: "EngineStats") -> "EngineStats":
-        """The work recorded after ``earlier`` was snapshotted."""
-        return EngineStats(
-            queries=self.queries - earlier.queries,
-            cache_hits=self.cache_hits - earlier.cache_hits,
-            dijkstra_runs=self.dijkstra_runs - earlier.dijkstra_runs,
-            phast_sweeps=self.phast_sweeps - earlier.phast_sweeps,
-            build_seconds=self.build_seconds - earlier.build_seconds,
-        )
-
 
 class CSRGraph:
     """Flat CSR (compressed sparse row) adjacency of a road network.
@@ -383,11 +363,6 @@ class ALTIndex:
                 best_index, best_value = index, value
         return best_index
 
-    @property
-    def landmark_count(self) -> int:
-        """Number of landmarks in the index."""
-        return len(self.landmark_indices)
-
     def lower_bound_indexed(self, source_index: int, target_index: int) -> float:
         """Admissible lower bound on the distance between two dense indices."""
         if source_index == target_index:
@@ -470,11 +445,6 @@ class CSREngine:
     def graph(self) -> CSRGraph:
         """The compiled CSR adjacency (rebuilt by :meth:`invalidate`)."""
         return self._graph
-
-    @property
-    def alt(self) -> Optional[ALTIndex]:
-        """The landmark index, when the engine was built with one."""
-        return self._alt
 
     # ------------------------------------------------------------------
     def distance(self, source: VertexId, target: VertexId) -> float:

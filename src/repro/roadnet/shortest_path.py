@@ -41,11 +41,6 @@ class PathResult:
     distance: float
     path: Tuple[VertexId, ...]
 
-    @property
-    def hop_count(self) -> int:
-        """Number of edges on the path."""
-        return max(0, len(self.path) - 1)
-
 
 def _require_vertices(network: RoadNetwork, vertices: Iterable[VertexId]) -> None:
     for vertex in vertices:

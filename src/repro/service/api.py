@@ -32,7 +32,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.baselines.nearest import NearestVehicleMatcher
 from repro.baselines.sharek import SharekStyleMatcher
@@ -812,60 +812,6 @@ class PTRiderService:
                 outcome.request.request_id, chosen.vehicle_id, chosen.pickup_distance
             )
 
-    def book_batch(self, trips: Sequence[Tuple[int, ...]]) -> List[Booking]:
-        """Batch-submit flow: one booking per ``(start, destination[, riders])``.
-
-        All trips are answered against the current fleet state through one
-        shared :class:`~repro.core.batch.BatchContext` (pooled distance
-        trees), so a burst of simultaneous smartphone submissions pays the
-        request-side routing work once per distinct start vertex.  A trip with broken endpoints (unknown vertex,
-        unreachable destination) simply books with zero options instead of
-        voiding the rest of the burst.  Every booking stays open: the riders
-        choose (and the fleet commits) individually through :meth:`choose`.
-        """
-        requests = []
-        for trip in trips:
-            start, destination = trip[0], trip[1]
-            riders = trip[2] if len(trip) > 2 else 1
-            requests.append(
-                Request(
-                    start=start,
-                    destination=destination,
-                    riders=riders,
-                    max_waiting=self._config.max_waiting,
-                    service_constraint=self._config.service_constraint,
-                    submit_time=self._engine.time,
-                )
-            )
-        # Journal the *constructed* requests (ids included): request ids are
-        # salted per process, so replay must re-book these exact objects.
-        self._journal_command(
-            "book_batch",
-            {"requests": [encode(request) for request in requests]},
-        )
-        bookings = self._book_batch_requests(requests)
-        self._finish_command()
-        return bookings
-
-    def _book_batch_requests(self, requests: Sequence[Request]) -> List[Booking]:
-        """The unjournaled body of :meth:`book_batch` (replay entry point)."""
-        started = time.perf_counter()
-        option_lists = self._dispatcher.match_batch(requests, apply_global_constraints=False)
-        elapsed = time.perf_counter() - started
-        per_booking = elapsed / len(requests) if requests else 0.0
-        bookings: List[Booking] = []
-        for request, options in zip(requests, option_lists):
-            booking = Booking(
-                booking_id=f"B{next(self._booking_counter)}",
-                request=request,
-                options=tuple(options),
-                response_seconds=per_booking,
-            )
-            self._bookings[booking.booking_id] = booking
-            self._mark_booking_dirty(booking.booking_id)
-            bookings.append(booking)
-        return bookings
-
     def options(self, booking_id: str) -> List[RideOption]:
         """Return the options of an open booking."""
         return list(self._get_booking(booking_id).options)
@@ -889,7 +835,7 @@ class PTRiderService:
             )
         option = booking.options[option_index]
         context, booking.context = booking.context, None
-        if context is None:  # a recovered or batch-submitted booking
+        if context is None:  # a recovered booking, or one a reconfiguration reset
             context = self._matcher.make_context(booking.request)
         self._dispatcher.commit(booking.request, option, context=context)
         booking.chosen = option
@@ -1069,10 +1015,6 @@ class PTRiderService:
             schedules.append([(stop.vertex, stop.kind.value, stop.request_id) for stop in schedule])
         return schedules
 
-    def unfinished_requests_of(self, vehicle_id: str) -> List[str]:
-        """The website's per-taxi drop-down of unfinished requests."""
-        return self._fleet.get(vehicle_id).unfinished_request_ids()
-
     def statistics(self) -> Dict[str, float]:
         """The live statistics panel (plus matcher work counters)."""
         panel = self._engine.statistics.panel()
@@ -1083,13 +1025,7 @@ class PTRiderService:
         if batch_stats is not None:
             # How much routing work the most recent batch shared / prefetched
             # (the website's "simultaneous requests" panel).
-            panel.update(
-                {
-                    f"batch_{k}": v
-                    for k, v in batch_stats.as_dict().items()
-                    if isinstance(v, float)  # the provider name is admin-only
-                }
-            )
+            panel.update({f"batch_{k}": v for k, v in batch_stats.as_dict().items()})
         panel.update(
             {
                 f"routing_{key}": value

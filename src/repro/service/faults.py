@@ -51,7 +51,6 @@ __all__ = [
     "FaultInjected",
     "FaultSpec",
     "FaultPlan",
-    "active",
     "clear",
     "fire",
     "install",
@@ -178,11 +177,6 @@ def clear() -> None:
     """Deactivate fault injection."""
     global _ACTIVE
     _ACTIVE = None
-
-
-def active() -> Optional[FaultPlan]:
-    """The currently installed plan, if any."""
-    return _ACTIVE
 
 
 def fire(point: str, tag: Optional[str] = None) -> None:

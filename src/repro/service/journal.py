@@ -41,7 +41,7 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.service.faults import fire as _fire_fault
@@ -60,6 +60,8 @@ JOURNAL_FILENAME = "journal.sqlite"
 #: Events recovery re-executes, one per service API call.
 COMMAND_KINDS = (
     "book",
+    # Older builds journaled a batch-submit burst as one record; recovery
+    # replays it as one booking per request.  Nothing writes it any more.
     "book_batch",
     "admit",
     "pump",

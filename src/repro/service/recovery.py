@@ -729,7 +729,22 @@ def apply_record(service, record: JournalRecord) -> None:
         if kind == "book":
             service.book_request(decode(Request, payload["request"]))
         elif kind == "book_batch":
-            service._book_batch_requests([decode(Request, r) for r in payload["requests"]])
+            from repro.service.api import Booking
+
+            # An older build's burst: one booking per request, each matched
+            # against the same fleet; a broken trip booked with no options.
+            for body in payload["requests"]:
+                request = decode(Request, body)
+                try:
+                    service.book_request(request)
+                except PTRiderError:
+                    booking = Booking(
+                        booking_id=f"B{next(service._booking_counter)}",
+                        request=request,
+                        options=(),
+                    )
+                    service._bookings[booking.booking_id] = booking
+                    service._mark_booking_dirty(booking.booking_id)
         elif kind == "admit":
             service.ingest_request(decode(Request, payload["request"]), now=float(payload["now"]))
         elif kind == "pump":

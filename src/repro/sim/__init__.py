@@ -6,8 +6,8 @@ synthetic data:
 
 * :mod:`repro.sim.trips` -- a seedable generator of Shanghai-like trip
   datasets (rush-hour peaks, hot spots, realistic trip lengths);
-* :mod:`repro.sim.workload` -- request streams built from trip datasets or
-  Poisson arrival processes;
+* :mod:`repro.sim.workload` -- request streams built from trip datasets,
+  random endpoints or a synthetic day of surges and lulls;
 * :mod:`repro.sim.stats` -- the statistics of the demo's website panel
   (average response time, average sharing rate, ...);
 * :mod:`repro.sim.engine` -- the discrete-time simulation loop that moves
@@ -16,9 +16,8 @@ synthetic data:
 
 from repro.sim.engine import SimulationEngine, SimulationReport
 from repro.sim.stats import SimulationStatistics
-from repro.sim.trip_io import load_trips_csv, load_trips_json, save_trips_csv, save_trips_json
 from repro.sim.trips import ShanghaiLikeTripGenerator, TripRecord
-from repro.sim.workload import RequestWorkload, poisson_arrival_times
+from repro.sim.workload import RequestWorkload
 
 __all__ = [
     "RequestWorkload",
@@ -27,9 +26,4 @@ __all__ = [
     "SimulationReport",
     "SimulationStatistics",
     "TripRecord",
-    "load_trips_csv",
-    "load_trips_json",
-    "poisson_arrival_times",
-    "save_trips_csv",
-    "save_trips_json",
 ]

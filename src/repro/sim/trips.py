@@ -19,16 +19,15 @@ module generates a *statistically similar* substitute at any scale:
 Every generator is deterministic for a given seed, so experiments are
 reproducible.  The matchers never look at anything beyond the trip tuples
 ``(origin, destination, riders, departure_time)``, which is why this
-substitution preserves the behaviour the paper evaluates (see DESIGN.md §3).
+substitution preserves the behaviour the paper evaluates.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.roadnet.graph import RoadNetwork
@@ -38,7 +37,7 @@ __all__ = ["TripRecord", "DailyDemandProfile", "ShanghaiLikeTripGenerator"]
 #: Number of simulation seconds in one day.
 SECONDS_PER_DAY = 86_400.0
 
-#: Size of the real dataset the demo uses, kept for documentation and scaling.
+#: Size of the real dataset the demo uses, kept for documentation.
 SHANGHAI_TRIPS = 432_327
 SHANGHAI_TAXIS = 17_000
 
@@ -201,17 +200,6 @@ class ShanghaiLikeTripGenerator:
             )
         trips.sort(key=lambda trip: trip.departure_time)
         return trips
-
-    def generate_scaled_day(
-        self,
-        scale: float = 0.01,
-        max_riders: int = 4,
-        day_seconds: float = SECONDS_PER_DAY,
-    ) -> List[TripRecord]:
-        """Return a ``scale`` fraction of the real dataset's 432,327 trips."""
-        if scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {scale}")
-        return self.generate(max(1, int(SHANGHAI_TRIPS * scale)), max_riders, day_seconds)
 
     # ------------------------------------------------------------------
     # internals

@@ -3,10 +3,11 @@
 A workload is an ordered stream of :class:`~repro.model.request.Request`
 objects with submission times.  Workloads are built
 
-* from a trip dataset (the demo replays the Shanghai trips as requests), or
-* from a Poisson arrival process over random origin/destination pairs, which
-  is what the parameter-sweep benchmarks use because it isolates the request
-  *rate* from the spatial structure.
+* from a trip dataset (the demo replays the Shanghai trips as requests),
+* from uniformly random origin/destination pairs (:func:`random_requests`),
+  or
+* as a synthetic high-volume day with surges, lulls and hotspot origins
+  (:meth:`RequestWorkload.daily`).
 """
 
 from __future__ import annotations
@@ -14,88 +15,14 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.model.request import Request
 from repro.roadnet.graph import RoadNetwork
 from repro.sim.trips import DailyDemandProfile, TripRecord
 
-__all__ = [
-    "RequestWorkload",
-    "poisson_arrival_times",
-    "nonhomogeneous_poisson_arrival_times",
-    "requests_from_trips",
-    "random_requests",
-]
-
-
-def poisson_arrival_times(
-    rate_per_second: float,
-    duration: float,
-    rng: Optional[random.Random] = None,
-) -> List[float]:
-    """Return arrival times of a homogeneous Poisson process on ``[0, duration]``.
-
-    Args:
-        rate_per_second: expected arrivals per time unit (> 0).
-        duration: length of the observation window.
-        rng: random generator (a fresh unseeded one is used when omitted).
-    """
-    if rate_per_second <= 0:
-        raise ConfigurationError(f"rate_per_second must be positive, got {rate_per_second}")
-    if duration < 0:
-        raise ConfigurationError(f"duration must be non-negative, got {duration}")
-    generator = rng or random.Random()
-    times: List[float] = []
-    current = 0.0
-    while True:
-        current += generator.expovariate(rate_per_second)
-        if current > duration:
-            break
-        times.append(current)
-    return times
-
-
-def nonhomogeneous_poisson_arrival_times(
-    rate_fn: Callable[[float], float],
-    max_rate: float,
-    duration: float,
-    rng: Optional[random.Random] = None,
-) -> List[float]:
-    """Arrival times of a nonhomogeneous Poisson process by thinning.
-
-    Candidate arrivals are generated at the envelope ``max_rate`` and each
-    kept with probability ``rate_fn(t) / max_rate`` -- the classic Lewis &
-    Shedler construction, which is what gives a replayed day its surge and
-    lull structure instead of a flat arrival stream.
-
-    Args:
-        rate_fn: instantaneous arrival rate at time ``t`` (must never exceed
-            ``max_rate`` on ``[0, duration]``).
-        max_rate: envelope rate used for the candidate stream (> 0).
-        duration: length of the observation window.
-        rng: random generator (a fresh unseeded one is used when omitted).
-    """
-    if max_rate <= 0:
-        raise ConfigurationError(f"max_rate must be positive, got {max_rate}")
-    if duration < 0:
-        raise ConfigurationError(f"duration must be non-negative, got {duration}")
-    generator = rng or random.Random()
-    times: List[float] = []
-    current = 0.0
-    while True:
-        current += generator.expovariate(max_rate)
-        if current > duration:
-            break
-        rate = rate_fn(current)
-        if rate < 0 or rate > max_rate:
-            raise ConfigurationError(
-                f"rate_fn({current}) = {rate} outside the envelope [0, {max_rate}]"
-            )
-        if generator.random() * max_rate < rate:
-            times.append(current)
-    return times
+__all__ = ["RequestWorkload", "requests_from_trips", "random_requests"]
 
 
 def requests_from_trips(
@@ -218,40 +145,6 @@ class RequestWorkload:
         return cls(requests_from_trips(trips, max_waiting, service_constraint))
 
     @classmethod
-    def poisson(
-        cls,
-        network: RoadNetwork,
-        rate_per_second: float,
-        duration: float,
-        max_waiting: float,
-        service_constraint: float,
-        riders_range: Tuple[int, int] = (1, 2),
-        seed: Optional[int] = None,
-    ) -> "RequestWorkload":
-        """Build a Poisson workload with uniformly random endpoints."""
-        rng = random.Random(seed)
-        times = poisson_arrival_times(rate_per_second, duration, rng)
-        vertices = network.vertices()
-        if len(vertices) < 2:
-            raise ConfigurationError("the network needs at least two vertices")
-        low, high = riders_range
-        requests = []
-        for index, submit in enumerate(times, 1):
-            origin, destination = rng.sample(vertices, 2)
-            requests.append(
-                Request(
-                    start=origin,
-                    destination=destination,
-                    riders=rng.randint(low, high),
-                    max_waiting=max_waiting,
-                    service_constraint=service_constraint,
-                    request_id=f"P{index}",
-                    submit_time=submit,
-                )
-            )
-        return cls(requests)
-
-    @classmethod
     def daily(
         cls,
         network: RoadNetwork,
@@ -274,9 +167,9 @@ class RequestWorkload:
         and evening peaks become surges of the replay).  Conditioned on the
         total count, a nonhomogeneous Poisson process's arrival times are
         exactly i.i.d. draws from the normalised intensity density -- the
-        inverse-CDF sampling used here -- so the stream has the same
-        surge/lull shape as :func:`nonhomogeneous_poisson_arrival_times`
-        while giving benchmarks a deterministic request count.
+        inverse-CDF sampling used here -- so the stream has the surge/lull
+        shape of such a process while giving benchmarks a deterministic
+        request count.
 
         With ``hotspot_count > 0``, each origin is drawn from a pool of
         exactly that many hotspot *vertices* with probability

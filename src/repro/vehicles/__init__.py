@@ -14,7 +14,7 @@
 """
 
 from repro.vehicles.fleet import Fleet
-from repro.vehicles.kinetic_tree import KineticTree, KineticTreeNode
+from repro.vehicles.kinetic_tree import KineticTree
 from repro.vehicles.schedule import (
     FeasibilityResult,
     RequestState,
@@ -29,7 +29,6 @@ __all__ = [
     "FeasibilityResult",
     "Fleet",
     "KineticTree",
-    "KineticTreeNode",
     "MotionState",
     "RequestState",
     "ScheduleMetrics",

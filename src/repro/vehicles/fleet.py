@@ -17,7 +17,7 @@ is expensive and is only needed to make destination-side pruning slightly
 tighter, so the default here registers a non-empty vehicle with the cells of
 its current location and of its schedule stops.  Construct the fleet with
 ``register_full_paths=True`` to reproduce the paper's exact behaviour; the
-matchers are correct under both settings (see ``DESIGN.md``).
+matchers are correct under both settings.
 """
 
 from __future__ import annotations

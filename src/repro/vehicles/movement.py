@@ -57,17 +57,6 @@ class MotionState:
         """The next vertex on the route, or ``None`` when arrived."""
         return self.route[0] if self.route else None
 
-    def remaining_distance(self, network: RoadNetwork) -> float:
-        """Distance left to drive until the end of the route."""
-        if not self.route:
-            return 0.0
-        total = network.edge_weight(self.location, self.route[0]) - self.offset
-        previous = self.route[0]
-        for vertex in self.route[1:]:
-            total += network.edge_weight(previous, vertex)
-            previous = vertex
-        return total
-
 
 def plan_route(engine: RoutingEngine, source: int, target: int) -> MotionState:
     """Return a motion state that drives the shortest path from ``source`` to ``target``.

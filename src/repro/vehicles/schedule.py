@@ -25,12 +25,11 @@ vehicle speed, so waiting times translate directly into distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import InvalidScheduleError
 from repro.model.request import Request
-from repro.model.stops import Stop, StopKind
+from repro.model.stops import Stop
 
 __all__ = [
     "DistanceFunction",
@@ -120,10 +119,6 @@ class ScheduleMetrics:
     prefix: Tuple[float, ...]
     pickup_distance: Dict[str, float]
     dropoff_distance: Dict[str, float]
-
-    def distance_to_stop(self, index: int) -> float:
-        """Distance from the origin to the ``index``-th stop (0-based)."""
-        return self.prefix[index]
 
 
 def prefix_distances(

@@ -65,3 +65,25 @@ class TestTShareStyleMatcher:
 
     def test_name(self, mixed_fleet):
         assert TShareStyleMatcher(mixed_fleet).name == "tshare"
+
+
+def test_the_pickup_cap_stops_the_cell_walk_before_a_far_vehicle():
+    from repro.model.request import Request
+    from repro.roadnet.generators import grid_network
+    from tests.conftest import build_fleet
+
+    network = grid_network(6, 6)
+    vertices = network.vertices()
+    fleet = build_fleet(network, [vertices[-1]])
+    request = Request(start=vertices[14], destination=vertices[7], riders=1,
+                      max_waiting=100.0, service_constraint=0.5, request_id="far")
+    uncapped = TShareStyleMatcher(fleet, config=SystemConfig(max_waiting=100.0, service_constraint=0.5))
+    (option,) = uncapped.match(request)
+    assert option.pickup_distance > 2.0
+    assert uncapped.statistics.cells_visited == fleet.grid.cell_count
+
+    capped = TShareStyleMatcher(fleet, config=SystemConfig(
+        max_waiting=100.0, service_constraint=0.5, max_pickup_distance=2.0))
+    assert capped.match(request) == []
+    assert capped.statistics.vehicles_considered == 0
+    assert capped.statistics.cells_visited < fleet.grid.cell_count

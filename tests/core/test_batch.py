@@ -63,8 +63,6 @@ class TestBatchContext:
             max_waiting=6.0, service_constraint=0.4, request_id="bad",
         )
         batch = BatchContext.create([good, bad], fleet.routing_engine, fleet.grid)
-        assert batch.error_for(0) is None
-        assert isinstance(batch.error_for(1), VertexNotFoundError)
         batch.context_for(0)  # fine
         with pytest.raises(VertexNotFoundError):
             batch.context_for(1)
@@ -78,7 +76,8 @@ class TestBatchContext:
             max_waiting=6.0, service_constraint=0.4, request_id="island",
         )
         batch = BatchContext.create([request], fleet.routing_engine, fleet.grid)
-        assert isinstance(batch.error_for(0), DisconnectedError)
+        with pytest.raises(DisconnectedError):
+            batch.context_for(0)
 
     def test_statistics_as_dict(self):
         stats = BatchStatistics(requests=4, trees_computed=3, shared_tree_hits=1)
@@ -87,6 +86,10 @@ class TestBatchContext:
         assert flat["shared_tree_hit_rate"] == pytest.approx(0.25)
         assert flat["prefetched_trees"] == 0.0
         assert flat["prefetch_seconds"] == 0.0
+
+    def test_nothing_resolved_reads_a_zero_hit_rate(self):
+        assert BatchStatistics().shared_tree_hit_rate == 0.0
+        assert BatchStatistics(requests=2).as_dict()["shared_tree_hit_rate"] == 0.0
 
     def test_prefetched_trees_count_in_the_hit_rate_denominator(self):
         stats = BatchStatistics(
@@ -146,8 +149,9 @@ class TestBatchPrefetch:
         batch = BatchContext.create(
             [good, bad], csr_fleet.routing_engine, csr_fleet.grid
         )
-        assert batch.error_for(0) is None
-        assert isinstance(batch.error_for(1), VertexNotFoundError)
+        batch.context_for(0)  # fine
+        with pytest.raises(VertexNotFoundError):
+            batch.context_for(1)
 
 
 class TestDemandPool:
@@ -319,19 +323,6 @@ class TestDispatchBatchPipeline:
         dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
         assert dispatcher.dispatch_batch([]) == []
 
-    def test_match_batch_on_error_empty_keeps_the_rest_of_the_burst(self, fleet):
-        config = SystemConfig(max_waiting=6.0, service_constraint=0.4)
-        dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
-        good = _requests(fleet, 2, seed=12)
-        bad = Request(
-            start=10_000, destination=good[0].destination, riders=1,
-            max_waiting=6.0, service_constraint=0.4, request_id="bad",
-        )
-        results = dispatcher.match_batch([good[0], bad, good[1]])
-        assert len(results) == 3
-        assert results[1] == []
-        assert results[0] and results[2]  # the healthy trips still get options
-
     def test_an_unknown_destination_is_not_found_on_both_paths(self, fleet):
         config = SystemConfig(max_waiting=6.0, service_constraint=0.4)
         dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
@@ -359,7 +350,10 @@ class TestDispatchBatchPipeline:
         with pytest.raises(VertexNotFoundError):
             dispatcher.dispatch_batch([good, bad], policy=OptionPolicy.CHEAPEST)
         # the request before the failing one still committed, as in the loop
-        assert dispatcher.vehicle_of_request(good.request_id) is not None
+        assert any(
+            good.request_id in vehicle.unfinished_request_ids()
+            for vehicle in dispatcher.fleet.vehicles()
+        )
 
 
 class TestBalancedPolicy:

@@ -47,6 +47,18 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SystemConfig(routing_backend="teleport")
 
+    @pytest.mark.parametrize("durability", ["journal", "journal+snapshot"])
+    def test_durability_needs_a_journal_path(self, durability):
+        with pytest.raises(ConfigurationError, match="requires journal_path"):
+            SystemConfig(durability=durability)
+        assert SystemConfig(durability=durability, journal_path="j").journal_path == "j"
+
+    def test_adaptive_window_bounds_must_be_ordered(self):
+        with pytest.raises(ConfigurationError, match="must not exceed"):
+            SystemConfig(batch_window_min=2.0, batch_window_max=1.0)
+        config = SystemConfig(batch_window_min=1.0, batch_window_max=1.0)
+        assert config.batch_window_min == config.batch_window_max == 1.0
+
     def test_routing_backend_accepts_known_names(self):
         assert SystemConfig().routing_backend == "csr"
         for backend in ("csr", "csr+alt"):
@@ -134,11 +146,6 @@ class TestBehaviour:
     def test_with_updates_validates(self):
         with pytest.raises(ConfigurationError):
             SystemConfig().with_updates(vehicle_capacity=-1)
-
-    def test_distance_time_conversions(self):
-        config = SystemConfig(speed=2.0)
-        assert config.distance_to_time(10.0) == pytest.approx(5.0)
-        assert config.time_to_distance(5.0) == pytest.approx(10.0)
 
     def test_frozen(self):
         config = SystemConfig()

@@ -61,8 +61,8 @@ class TestSubmitCommit:
         options = dispatcher.submit(request)
         dispatcher.commit(request, options[0])
         vehicle = dispatcher.fleet.get(options[0].vehicle_id)
-        assert vehicle.has_request(request.request_id)
-        assert dispatcher.vehicle_of_request(request.request_id) == vehicle.vehicle_id
+        serving = [v.vehicle_id for v in dispatcher.fleet.vehicles() if v.has_request(request.request_id)]
+        assert serving == [vehicle.vehicle_id]
 
     def test_commit_wrong_request_rejected(self, dispatcher):
         request = random_requests(dispatcher.fleet.grid.network, 1, 6.0, 0.4, seed=4)[0]
@@ -107,7 +107,7 @@ class TestSubmitCommit:
             price=real.price, request_id=tight.request_id,
         )
         dispatcher.commit(tight, honest)
-        assert dispatcher.vehicle_of_request(tight.request_id) == real.vehicle_id
+        assert dispatcher.fleet.get(real.vehicle_id).has_request(tight.request_id)
 
     def test_normalise_applies_global_constraints(self, dispatcher):
         request = Request(start=1, destination=5, riders=1, max_waiting=99.0, service_constraint=9.0)
@@ -182,4 +182,4 @@ class TestLifecycleNotifications:
         assert request.request_id in vehicle.onboard_requests
         dispatcher.notify_dropoff(vehicle_id, request.request_id)
         assert vehicle.is_empty
-        assert dispatcher.vehicle_of_request(request.request_id) is None
+        assert not any(v.has_request(request.request_id) for v in dispatcher.fleet.vehicles())

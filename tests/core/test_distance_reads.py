@@ -105,6 +105,18 @@ class TestReadContract:
                     pooled.distance(source, target)
                 assert raised.value.args == DisconnectedError(start, vertex).args
 
+    def test_an_island_destination_is_disconnected_on_both_context_paths(self, backend):
+        fleet = _fleet(backend)
+        start = fleet.grid.network.vertices()[0]
+        request = Request(start=start, destination=ISLAND, max_waiting=6.0,
+                          service_constraint=0.4, request_id="to-island")
+        with pytest.raises(DisconnectedError) as plain:
+            MatchContext.create(request, fleet.routing_engine, fleet.grid)
+        batch = BatchContext.create([request], fleet.routing_engine, fleet.grid)
+        with pytest.raises(DisconnectedError) as batched:
+            batch.context_for(0)
+        assert plain.value.args == batched.value.args == DisconnectedError(start, ISLAND).args
+
     def test_lower_bound_falls_back_to_the_index_bound(self, backend):
         plain, _, _ = _contexts(_fleet(backend))
         start = plain.request.start

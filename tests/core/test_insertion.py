@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.insertion import InsertionStatistics, insertion_candidates
+from repro.core.insertion import InsertionCandidate, InsertionStatistics, insertion_candidates
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.errors import DisconnectedError
 from repro.model.request import Request
@@ -237,6 +237,7 @@ class TestIllFormedBranches:
             "ppd",  # picked up twice
             "pdd",  # dropped off twice
             "pdXY",  # stops of a request the vehicle does not serve
+            "PD",  # more riders on board than the vehicle seats
         ],
     )
     def test_offer_nothing_and_count_like_the_reference(self, line_fleet, far, kinds):
@@ -246,6 +247,8 @@ class TestIllFormedBranches:
             "d": Stop(5, "R1", StopKind.DROPOFF),
             "X": Stop(7, "ghost", StopKind.PICKUP),
             "Y": Stop(8, "ghost", StopKind.DROPOFF),
+            "P": Stop(3, "R1", StopKind.PICKUP, vehicle.capacity + 1),
+            "D": Stop(5, "R1", StopKind.DROPOFF, vehicle.capacity + 1),
         }
         vehicle.kinetic_tree.set_schedules([[stops[kind] for kind in kinds]])
         stats, reference_stats = InsertionStatistics(), InsertionStatistics()
@@ -255,6 +258,12 @@ class TestIllFormedBranches:
         ) == []
         assert stats == reference_stats
         assert reference_insertion_candidates(vehicle, far, line_fleet.oracle, line_fleet.grid) == []
+
+
+def test_a_candidate_with_a_negative_pickup_distance_is_refused():
+    stops = (Stop(1, "R1", StopKind.PICKUP), Stop(2, "R1", StopKind.DROPOFF))
+    with pytest.raises(ValueError, match="pickup_distance"):
+        InsertionCandidate("c1", stops, (), -1.0, 1.0, 1.0)
 
 
 class TestCommitHelper:

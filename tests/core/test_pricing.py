@@ -46,11 +46,6 @@ class TestLinearPriceModel:
         model = LinearPriceModel()
         assert model.price(3, 5.0, 10.0) > model.price(1, 5.0, 10.0)
 
-    def test_minimum_price(self):
-        model = LinearPriceModel()
-        assert model.minimum_price(2, 7.0) == pytest.approx(0.4 * 7.0)
-        assert model.minimum_price(2, 7.0) <= model.price(2, 1.0, 7.0)
-
     def test_booking_fee(self):
         model = LinearPriceModel(booking_fee=2.0)
         assert model.price(1, 0.0, 10.0) == pytest.approx(2.0 + 3.0)

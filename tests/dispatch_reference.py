@@ -1,12 +1,13 @@
 """The literal request-by-request greedy loop of Section 2.5.
 
-``Dispatcher.dispatch_batch``, ``Dispatcher.match_batch`` and
-``Dispatcher.dispatch`` answer a burst through one pooled
-:class:`~repro.core.batch.BatchContext`; these loops are what they are
-property-tested against.  Each request gets its own per-request context
-(``Matcher.make_context``) and nothing here touches the batch module, so a
-pooled context that answered differently from a fresh one shows up as a
-difference instead of being compared with itself.
+``Dispatcher.dispatch_batch`` and ``Dispatcher.dispatch`` answer a burst
+through one pooled :class:`~repro.core.batch.BatchContext`; these loops are
+what they are property-tested against.  Each request gets its own
+per-request context (``Matcher.make_context``) and nothing here touches the
+batch module, so a pooled context that answered differently from a fresh one
+shows up as a difference instead of being compared with itself.
+:func:`match_sequential` is also what an older build's ``book_batch``
+journal record must replay as (``tests/service/test_old_book_batch.py``).
 """
 
 from __future__ import annotations

@@ -6,13 +6,16 @@
 search per cell -- kept here as the reference those values must equal
 (``tests/property/test_grid_bounds.py``).  :func:`reference_cell_order` is the
 *grid cell list* as it used to be built: a ``{cell id: bound}`` row and a sort
-of ``(bound, cell id)`` tuples.  Nothing in ``src/`` calls either.
+of ``(bound, cell id)`` tuples.  :func:`reference_expansion` and
+:func:`reference_lower_bounds` turn them into what ``GridIndex.expand_from``
+and ``GridIndex.distance_lower_bound`` must answer.  Nothing in ``src/`` calls
+any of them.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Tuple
+from typing import Callable, Dict, Iterable, List, Tuple
 
 from repro.errors import VertexNotFoundError
 from repro.roadnet.graph import RoadNetwork, VertexId
@@ -65,3 +68,41 @@ def reference_cell_order(index: GridIndex, cell_id: CellId) -> List[Tuple[float,
     }
     row[cell_id] = 0.0
     return sorted((bound, other_id) for other_id, bound in row.items())
+
+
+def reference_expansion(index: GridIndex, cell_id: CellId) -> List[Tuple[float, CellId]]:
+    """What ``index.expand_from(cell_id)`` must yield: the reference order
+    without the cells no path reaches."""
+    return [item for item in reference_cell_order(index, cell_id) if item[0] != INFINITY]
+
+
+def reference_lower_bounds(index: GridIndex) -> Callable[[VertexId, VertexId], float]:
+    """``index.distance_lower_bound`` rebuilt from whole-graph searches.
+
+    ``v.min`` is one search from the border vertices of ``v``'s cell (0.0
+    where none reaches ``v``); the cell bound is the reference row of the
+    smaller vertex's cell, summed in the index's order.
+    """
+    network = index.network
+    rows: Dict[CellId, Dict[CellId, float]] = {}
+    vertex_min: Dict[VertexId, float] = {}
+    for cell in index.cells():
+        rows[cell.cell_id] = {
+            other_id: bound for bound, other_id in reference_cell_order(index, cell.cell_id)
+        }
+        borders = cell.border_vertices
+        nearest = multi_source_dijkstra(network, borders) if borders else {}
+        for vertex in cell.vertices:
+            vertex_min[vertex] = nearest.get(vertex, 0.0)
+
+    def bound(u: VertexId, v: VertexId) -> float:
+        if u == v:
+            return 0.0
+        a, b = (u, v) if u <= v else (v, u)
+        cell_a = index.cell_of_vertex(a).cell_id
+        cell_b = index.cell_of_vertex(b).cell_id
+        if cell_a == cell_b:
+            return 0.0
+        return vertex_min[a] + rows[cell_a][cell_b] + vertex_min[b]
+
+    return bound

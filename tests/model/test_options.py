@@ -139,13 +139,6 @@ class TestSkyline:
         # negative bounds are clamped to the origin before comparing
         assert not Skyline([option("a", 0, 0)]).would_be_dominated(-1, -1)
 
-    def test_best_price_and_pickup(self):
-        skyline = Skyline([option("a", 1, 5), option("b", 5, 1)])
-        assert skyline.best_price() == 1
-        assert skyline.best_pickup() == 1
-        assert Skyline().best_price() is None
-        assert Skyline().best_pickup() is None
-
     def test_contains_and_iter(self):
         first = option("a", 1, 5)
         skyline = Skyline([first])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -58,22 +59,6 @@ class TestBehaviour:
         with pytest.raises(RequestError):
             request.detour_budget(-1.0)
 
-    def test_with_submit_time_preserves_identity(self):
-        request = Request(start=1, destination=2, request_id="RX")
-        stamped = request.with_submit_time(42.0)
-        assert stamped.request_id == "RX"
-        assert stamped.submit_time == 42.0
-        assert request.submit_time == 0.0
-
-    def test_waiting_seconds(self):
-        request = Request(start=1, destination=2, max_waiting=10.0)
-        assert request.waiting_seconds(speed=2.0) == pytest.approx(5.0)
-
-    def test_waiting_seconds_rejects_bad_speed(self):
-        request = Request(start=1, destination=2)
-        with pytest.raises(RequestError):
-            request.waiting_seconds(0.0)
-
     def test_describe_mentions_endpoints(self):
         request = Request(start=3, destination=9, riders=2, request_id="R9")
         text = request.describe()
@@ -112,7 +97,7 @@ class TestStops:
         assert request == twin and hash(request) == hash(twin)
         assert json.dumps(encode(request)) == before == json.dumps(encode(twin))
         assert decode(Request, encode(request)) == twin
-        assert request.with_submit_time(2.0) == twin.with_submit_time(2.0)
+        assert replace(request, submit_time=2.0) == replace(twin, submit_time=2.0)
 
     def test_the_journal_payload_does_not_see_the_pair(self, tmp_path):
         service = build_system(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.model.stops import Stop, StopKind, dropoff, pickup
@@ -28,6 +30,15 @@ class TestStop:
         b = Stop(vertex=1, request_id="R1", kind=StopKind.PICKUP, riders=1)
         assert a == b
         assert len({a, b}) == 1
+
+    def test_a_pickled_stop_rebuilds_its_hash(self):
+        stop = Stop(vertex=5, request_id="R1", kind=StopKind.PICKUP, riders=2)
+        restored = pickle.loads(pickle.dumps(stop))
+        assert restored == stop
+        assert hash(restored) == hash(stop)
+        assert restored in {stop}
+        # pickled by construction arguments, so no precomputed state travels
+        assert stop.__reduce__() == (Stop, (5, "R1", StopKind.PICKUP, 2))
 
     def test_str_contains_request(self):
         stop = Stop(vertex=1, request_id="R7", kind=StopKind.PICKUP)

@@ -1,7 +1,7 @@
 """Property-based equivalence of the batched dispatch pipeline with the loop.
 
-The batched pipeline (`Dispatcher.dispatch_batch`, `Dispatcher.match_batch`
-and `Dispatcher.dispatch`, a batch of one) restructures *where* the greedy
+The batched pipeline (`Dispatcher.dispatch_batch` and `Dispatcher.dispatch`,
+a batch of one) restructures *where* the greedy
 strategy's routing work happens -- pooled start trees, a batch-wide leg memo
 and demand-pooled leg trees -- but must not change *what* it computes: for
 any fleet and any burst of simultaneous requests, the outcomes (offered
@@ -126,20 +126,6 @@ def test_dispatch_batch_equals_sequential_loop(scenario):
         assert loop.chosen == pipe.chosen
         assert loop.request.request_id == pipe.request.request_id
     assert _fleet_state(sequential.fleet) == _fleet_state(batched.fleet)
-
-
-@given(batch_scenarios())
-@settings(max_examples=20, deadline=None)
-def test_match_batch_equals_individual_submits(scenario):
-    """The no-commit batch flow answers exactly like the per-request loop."""
-    blueprint, requests, matcher_name, _policy, config = scenario
-    individual = _build_dispatcher(blueprint, matcher_name, config)
-    batched = _build_dispatcher(blueprint, matcher_name, config)
-
-    one_by_one = match_sequential(individual, requests)
-    pooled = batched.match_batch(requests)
-    assert one_by_one == pooled
-    assert individual.matcher.statistics == batched.matcher.statistics
 
 
 @given(batch_scenarios())
@@ -422,22 +408,6 @@ def test_unreachable_vehicle_raises_at_the_same_turn_as_the_loop(entry, backend)
     assert pipe_fleet == loop_fleet
 
 
-@pytest.mark.parametrize("backend", ROUTING_ARMS)
-def test_unreachable_vehicle_raises_in_match_batch_like_the_loop(backend):
-    """The island taxi is not an endpoint error, so ``match_batch`` does not
-    answer it with an empty list: it raises the no-commit loop's error and
-    leaves the fleet as the loop leaves it."""
-    looped, requests = _island_city(backend)
-    with pytest.raises(DisconnectedError) as loop_error:
-        match_sequential(looped, requests)
-    batched, requests = _island_city(backend)
-    with pytest.raises(DisconnectedError) as pipe_error:
-        batched.match_batch(requests)
-    assert pipe_error.value.args == loop_error.value.args
-    assert _fleet_state(batched.fleet) == _fleet_state(looped.fleet)
-    assert batched.vehicle_of_request("e0") is None
-
-
 def _fixed_city(backend):
     """A deterministic small city (identical per call, per backend)."""
     network = grid_network(6, 6, weight_jitter=0.35, seed=23)
@@ -467,20 +437,6 @@ def test_fixed_burst_equals_the_loop(backend):
     assert list(map(_outcome_key, pipeline_outcomes)) == list(map(_outcome_key, loop_outcomes))
     assert _fleet_state(batched.fleet) == _fleet_state(sequential.fleet)
     assert batched.last_batch_statistics.requests == len(burst)
-
-
-@pytest.mark.parametrize("backend", ROUTING_ARMS)
-def test_fixed_burst_match_batch_equals_the_loop(backend):
-    """The same burst answered without commits, on every routing arm: the
-    skylines and the matcher's work counters equal the no-commit loop's."""
-    looped, burst = _fixed_city(backend)
-    batched, _ = _fixed_city(backend)
-    answers = match_sequential(looped, burst)
-
-    assert batched.match_batch(burst) == answers
-    assert any(answers)
-    assert batched.matcher.statistics == looped.matcher.statistics
-    assert _fleet_state(batched.fleet) == _fleet_state(looped.fleet)
 
 
 @pytest.mark.parametrize("backend", ROUTING_ARMS)

@@ -10,7 +10,11 @@ explicit examples.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from typing import Dict, List, Set
+
+import pytest
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,7 +27,7 @@ from repro.model.stops import Stop, StopKind
 from repro.roadnet.routing import ROUTING_BACKENDS
 from repro.service.api import Booking
 from repro.service.ingest import IngestStatistics
-from repro.service.recovery import decode, encode
+from repro.service.recovery import RecoveryError, decode, encode
 from repro.sim.engine import _AssignmentRecord
 from repro.sim.stats import SimulationStatistics, _RequestRecord
 from repro.vehicles.fleet import VehicleSnapshot
@@ -220,3 +224,60 @@ def test_every_durable_type_round_trips_through_json(value):
     restored = decode(type(value), json.loads(text))
     assert restored == value
     assert json.dumps(encode(restored), separators=(",", ":")) == text
+
+
+# ----------------------------------------------------------------------
+# a payload the codec cannot rebuild names the class and field at fault
+
+
+def _request_payload(**changes):
+    payload = encode(_REQUEST)
+    for key, value in changes.items():
+        if value is None:
+            del payload[key]
+        else:
+            payload[key] = value
+    return payload
+
+
+@pytest.mark.parametrize(
+    "cls, payload, message",
+    [
+        (Stop, [3, "R1", "pickup"], "Stop: holds 3 values for 4 fields"),
+        (Request, _request_payload(start=None), "Request.start: is missing"),
+        (Request, _request_payload(bogus=1), r"Request: names unknown field\(s\) \['bogus'\]"),
+        (Request, _request_payload(start="north"), "Request.start: invalid literal"),
+        (Stop, [3, "R1", "teleport", 1], "Stop.kind: 'teleport' is not a valid StopKind"),
+    ],
+    ids=["positional-length", "missing", "unknown", "bad-scalar", "bad-enum"],
+)
+def test_a_malformed_payload_names_what_it_gets_wrong(cls, payload, message):
+    with pytest.raises(RecoveryError, match=message):
+        decode(cls, payload)
+
+
+def test_a_missing_field_with_a_default_takes_the_default():
+    payload = _request_payload(submit_time=None)
+    assert decode(Request, payload) == _REQUEST
+
+
+@dataclasses.dataclass
+class _Counts:
+    counts: Dict[str, int]
+    names: List[str]
+
+
+@dataclasses.dataclass
+class _Tags:
+    tags: Set[str]
+
+
+def test_scalar_maps_and_lists_are_stored_as_they_are():
+    value = _Counts({"a": 1}, ["x", "y"])
+    assert encode(value) == {"counts": {"a": 1}, "names": ["x", "y"]}
+    assert decode(_Counts, {"counts": {"a": 2}, "names": []}) == _Counts({"a": 2}, [])
+
+
+def test_a_type_without_a_rule_is_refused_when_its_plan_is_built():
+    with pytest.raises(TypeError, match="no rule for typing.Set"):
+        encode(_Tags({"a"}))

@@ -26,8 +26,12 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.shortest_path import INFINITY
 
 from tests.conftest import assign_request, build_fleet
-from tests.grid_reference import multi_source_dijkstra, reference_cell_order
-from tests.routing_reference import dijkstra_all, shortest_path_distance
+from tests.grid_reference import (
+    multi_source_dijkstra,
+    reference_expansion,
+    reference_lower_bounds,
+)
+from tests.routing_reference import shortest_path_distance
 
 
 @given(
@@ -118,10 +122,9 @@ def test_added_distance_lower_bound_is_admissible(seed, vehicle_vertex, start, d
 # ----------------------------------------------------------------------
 # ``GridIndex`` computes on a compiled ``CSRGraph``: v.min for all cells in one
 # cell-restricted ``nearest`` pass, each lower-bound row as one ``nearest``
-# call, the precompute annotation as one ``trees`` plane per cell.  The
-# reference below is what it used to run -- one whole-graph dict search per
-# cell (or per border vertex) -- and every value must be ``==`` to it, on the
-# SciPy path and on the list path (forced here where SciPy is installed; the
+# call.  The reference below is what it used to run -- one whole-graph dict
+# search per cell -- and every value must be ``==`` to it, on the SciPy path
+# and on the list path (forced here where SciPy is installed; the
 # no-accelerator install runs the list path in both legs).
 
 
@@ -163,8 +166,14 @@ def _broken_networks(draw):
             seed=seed,
         )
     edges = list(network.edges())
-    for position in draw(st.sets(st.integers(min_value=0, max_value=len(edges) - 1), max_size=8)):
-        network.remove_edge(edges[position].u, edges[position].v)
+    cut = draw(st.sets(st.integers(min_value=0, max_value=len(edges) - 1), max_size=8))
+    whole, network = network, RoadNetwork()
+    for vertex in whole.vertices():
+        point = whole.coordinate(vertex)
+        network.add_vertex(vertex, x=point.x, y=point.y)
+    for position, edge in enumerate(edges):
+        if position not in cut:
+            network.add_edge(edge.u, edge.v, edge.weight)
     box = network.bounding_box()
     coordinate = st.tuples(
         st.floats(min_value=box.min_x - 0.5, max_value=box.max_x + 0.5),
@@ -188,11 +197,10 @@ _grid_sides = st.integers(min_value=1, max_value=5)
 @given(network=_broken_networks(), grid_rows=_grid_sides, grid_columns=_grid_sides)
 @settings(max_examples=60, deadline=None)
 def test_index_values_equal_whole_graph_reference(forced_list, network, grid_rows, grid_columns):
+    """``v.min`` and every vertex pair's bound, across every cell pair."""
     with _tree_path(forced_list):
-        index = GridIndex(network, rows=grid_rows, columns=grid_columns, precompute=True)
-        lazy = GridIndex(network, rows=grid_rows, columns=grid_columns)
-        cells = list(index.cells())
-        for cell in cells:
+        index = GridIndex(network, rows=grid_rows, columns=grid_columns)
+        for cell in index.cells():
             nearest = (
                 multi_source_dijkstra(network, cell.border_vertices)
                 if cell.border_vertices
@@ -200,37 +208,24 @@ def test_index_values_equal_whole_graph_reference(forced_list, network, grid_row
             )
             for vertex in cell.vertices:
                 assert index.vertex_min(vertex) == nearest.get(vertex, 0.0)
-                assert lazy.vertex_min(vertex) == nearest.get(vertex, 0.0)
-            for other in cells:
-                expected = 0.0 if other is cell else min(
-                    (nearest.get(border, INFINITY) for border in other.border_vertices),
-                    default=INFINITY,
-                )
-                assert index.lower_bound_between_cells(cell.cell_id, other.cell_id) == expected
-                assert lazy.lower_bound_between_cells(cell.cell_id, other.cell_id) == expected
-            annotation = {vertex: {} for vertex in cell.vertices}
-            for border in cell.border_vertices:
-                tree = dijkstra_all(network, border)
-                for vertex in cell.vertices:
-                    if vertex in tree:
-                        annotation[vertex][border] = tree[vertex]
-            for vertex in cell.vertices:
-                assert index.border_distances(vertex) == annotation[vertex]
-                assert lazy.border_distances(vertex) == {}
+        expected = reference_lower_bounds(index)
+        vertices = network.vertices()
+        for u in vertices:
+            for v in vertices:
+                assert index.distance_lower_bound(u, v) == expected(u, v)
 
 
 @pytest.mark.parametrize("forced_list", [False, True])
 @given(network=_broken_networks(), grid_rows=_grid_sides, grid_columns=_grid_sides)
 @settings(max_examples=60, deadline=None)
 def test_cell_orders_equal_the_tuple_sort_reference(forced_list, network, grid_rows, grid_columns):
-    """The grid cell list and the expansion order, ties and ``inf`` cells included."""
+    """The grid cell list as ``expand_from`` yields it: ties in cell-id order,
+    no ``inf`` cell."""
     with _tree_path(forced_list):
         index = GridIndex(network, rows=grid_rows, columns=grid_columns)
         for cell in index.cells():
-            expected = reference_cell_order(index, cell.cell_id)
-            assert index.cells_in_lower_bound_order(cell.cell_id) == expected
             expanded = [(bound, other.cell_id) for bound, other in index.expand_from(cell.cell_id)]
-            assert expanded == [item for item in expected if item[0] != INFINITY]
+            assert expanded == reference_expansion(index, cell.cell_id)
 
 
 @pytest.mark.parametrize("forced_list", [False, True])

@@ -112,7 +112,7 @@ def test_price_model_properties(riders, added, direct):
     model = LinearPriceModel()
     price = model.price(riders, added, direct)
     assert price >= 0.0
-    assert price >= model.minimum_price(riders, direct) - 1e-12
+    assert price >= model.price(riders, 0.0, direct) - 1e-12
     # monotone in every argument
     assert model.price(riders, added + 1.0, direct) >= price
     assert model.price(riders, added, direct + 1.0) >= price

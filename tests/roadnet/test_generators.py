@@ -116,6 +116,21 @@ class TestRingRadialNetwork:
         with pytest.raises(ConfigurationError):
             ring_radial_network(rings=2, spokes=2)
 
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [({"ring_spacing": 0.0}, "ring_spacing"), ({"weight_jitter": -0.1}, "weight_jitter")],
+    )
+    def test_invalid_spacing_and_jitter(self, knobs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ring_radial_network(rings=2, spokes=6, **knobs)
+
+    def test_jitter_only_inflates_weights(self):
+        plain = ring_radial_network(rings=2, spokes=6)
+        jittered = ring_radial_network(rings=2, spokes=6, weight_jitter=0.5, seed=3)
+        for edge in plain.edges():
+            weight = jittered.edge_weight(edge.u, edge.v)
+            assert edge.weight <= weight <= edge.weight * 1.5 + 1e-9
+
 
 class TestFigure1Network:
     """The reconstruction must satisfy every quantitative statement of the paper."""

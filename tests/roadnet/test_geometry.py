@@ -2,33 +2,14 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
-from repro.roadnet.geometry import (
-    BoundingBox,
-    Point,
-    euclidean_distance,
-    haversine_distance,
-    manhattan_distance,
-)
+from repro.roadnet.geometry import BoundingBox, Point, euclidean_distance
 
 
 class TestPoint:
     def test_distance_to(self):
         assert Point(0, 0).distance_to(Point(3, 4)) == pytest.approx(5.0)
-
-    def test_manhattan_distance(self):
-        assert Point(0, 0).manhattan_distance_to(Point(3, 4)) == pytest.approx(7.0)
-
-    def test_midpoint(self):
-        mid = Point(0, 0).midpoint(Point(2, 4))
-        assert (mid.x, mid.y) == (1.0, 2.0)
-
-    def test_translated(self):
-        moved = Point(1, 1).translated(2, -1)
-        assert (moved.x, moved.y) == (3.0, 0.0)
 
     def test_tuple_and_iter(self):
         point = Point(1.5, 2.5)
@@ -43,21 +24,6 @@ class TestPoint:
 class TestDistances:
     def test_euclidean(self):
         assert euclidean_distance((0, 0), (3, 4)) == pytest.approx(5.0)
-
-    def test_manhattan(self):
-        assert manhattan_distance((0, 0), (3, 4)) == pytest.approx(7.0)
-
-    def test_haversine_zero(self):
-        assert haversine_distance((121.47, 31.23), (121.47, 31.23)) == pytest.approx(0.0)
-
-    def test_haversine_known_value(self):
-        # One degree of latitude is roughly 111 km.
-        distance = haversine_distance((0.0, 0.0), (0.0, 1.0))
-        assert distance == pytest.approx(111_195, rel=0.01)
-
-    def test_haversine_symmetry(self):
-        a, b = (121.47, 31.23), (121.80, 30.90)
-        assert haversine_distance(a, b) == pytest.approx(haversine_distance(b, a))
 
 
 class TestBoundingBox:
@@ -77,25 +43,3 @@ class TestBoundingBox:
         box = BoundingBox(0, 0, 2, 4)
         assert box.width == 2
         assert box.height == 4
-        assert box.area == 8
-        assert box.center.as_tuple() == (1.0, 2.0)
-
-    def test_contains_boundary(self):
-        box = BoundingBox(0, 0, 1, 1)
-        assert box.contains((0, 0))
-        assert box.contains((1, 1))
-        assert not box.contains((1.01, 0.5))
-
-    def test_intersects(self):
-        box = BoundingBox(0, 0, 2, 2)
-        assert box.intersects(BoundingBox(1, 1, 3, 3))
-        assert box.intersects(BoundingBox(2, 2, 3, 3))  # touching counts
-        assert not box.intersects(BoundingBox(2.1, 2.1, 3, 3))
-
-    def test_expanded(self):
-        box = BoundingBox(0, 0, 1, 1).expanded(0.5)
-        assert (box.min_x, box.min_y, box.max_x, box.max_y) == (-0.5, -0.5, 1.5, 1.5)
-
-    def test_expanded_rejects_negative_margin(self):
-        with pytest.raises(ValueError):
-            BoundingBox(0, 0, 1, 1).expanded(-1)

@@ -42,6 +42,13 @@ class TestEdge:
 
 
 class TestConstruction:
+    def test_from_edges_keeps_a_coordinate_only_vertex(self):
+        network = RoadNetwork.from_edges([(1, 2, 1.0)], coordinates={1: (0, 0), 2: (1, 0), 9: (5, 5)})
+        assert 9 in network
+        assert network.neighbours(9) == {}
+        assert network.coordinate(9).as_tuple() == (5.0, 5.0)
+        assert not network.is_connected()
+
     def test_from_edges_builds_vertices_and_coordinates(self):
         network = RoadNetwork.from_edges(
             [(1, 2, 1.0), (2, 3, 2.0)], coordinates={1: (0, 0), 2: (1, 0), 3: (2, 0)}
@@ -85,6 +92,10 @@ class TestConstruction:
 
 
 class TestQueries:
+    def test_bounding_box_needs_coordinates(self):
+        with pytest.raises(InvalidNetworkError):
+            RoadNetwork.from_edges([(1, 2, 1.0)]).bounding_box()
+
     def test_len_contains_iter(self):
         network = build_triangle()
         assert len(network) == 3
@@ -103,10 +114,6 @@ class TestQueries:
         neighbours = network.neighbours(1)
         neighbours[2] = 100.0
         assert network.edge_weight(1, 2) == 1.0
-
-    def test_degree(self):
-        network = build_triangle()
-        assert network.degree(1) == 2
 
     def test_edge_weight_missing_edge(self):
         network = build_triangle()
@@ -129,33 +136,12 @@ class TestQueries:
         network = build_triangle()
         assert network.euclidean_distance(1, 2) == pytest.approx(1.0)
 
-    def test_total_edge_weight(self):
-        assert build_triangle().total_edge_weight() == pytest.approx(5.5)
-
     def test_bounding_box(self):
         box = build_triangle().bounding_box()
         assert (box.min_x, box.min_y, box.max_x, box.max_y) == (0.0, 0.0, 1.0, 1.0)
 
 
 class TestMutation:
-    def test_remove_edge(self):
-        network = build_triangle()
-        network.remove_edge(1, 2)
-        assert not network.has_edge(1, 2)
-        assert network.edge_count == 2
-
-    def test_remove_missing_edge_raises(self):
-        network = build_triangle()
-        with pytest.raises(EdgeNotFoundError):
-            network.remove_edge(1, 99)
-
-    def test_remove_vertex_clears_incident_edges(self):
-        network = build_triangle()
-        network.remove_vertex(2)
-        assert 2 not in network
-        assert network.edge_count == 1
-        assert network.has_edge(1, 3)
-
     def test_copy_is_independent(self):
         network = build_triangle()
         clone = network.copy()

@@ -11,6 +11,7 @@ from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid_index import GridIndex
 
+from tests.grid_reference import reference_expansion, reference_lower_bounds
 from tests.routing_reference import shortest_path_distance
 
 
@@ -67,13 +68,16 @@ class TestConstruction:
     def test_summary_counts_lower_bound_rows_as_they_are_computed(self, network, index):
         assert index.summary()["lower_bound_rows"] == 0.0
         assert index.summary()["build_seconds"] > 0.0
-        index.lower_bound_between_cells((0, 0), (2, 2))
-        index.lower_bound_between_cells((0, 0), (1, 1))  # same row: no new search
+        corner = index.cell((0, 0)).vertices
+        far = index.cell((2, 2)).vertices
+        index.distance_lower_bound(min(corner), max(far))
+        list(index.expand_from((0, 0)))  # same row: no new search
         assert index.summary()["lower_bound_rows"] == 1.0
-        index.lower_bound_between_cells((0, 0), (0, 0))  # answered without a row
+        index.distance_lower_bound(corner[0], corner[-1])  # answered without a row
         assert index.summary()["lower_bound_rows"] == 1.0
-        eager = GridIndex(network, rows=3, columns=3, precompute=True)
-        assert eager.summary()["lower_bound_rows"] == eager.summary()["cells"]
+        for cell in index.cells():
+            list(index.expand_from(cell.cell_id))
+        assert index.summary()["lower_bound_rows"] == index.summary()["cells"]
 
     def test_border_vertices_keep_edge_order_without_repeats(self, network, index):
         expected = {cell.cell_id: [] for cell in index.cells()}
@@ -100,12 +104,6 @@ class TestLookups:
         with pytest.raises(VertexNotFoundError):
             index.cell_of_vertex(999)
 
-    def test_cell_of_point_clamps_to_grid(self, index):
-        cell = index.cell_of_point((-100.0, -100.0))
-        assert cell.cell_id == (0, 0)
-        cell = index.cell_of_point((100.0, 100.0))
-        assert cell.cell_id == (index.rows - 1, index.columns - 1)
-
     def test_cell_by_id_bounds(self, index):
         with pytest.raises(GridIndexError):
             index.cell((10, 10))
@@ -119,27 +117,27 @@ class TestLookups:
             for border in cell.border_vertices:
                 assert index.vertex_min(border) == pytest.approx(0.0)
 
+    def test_vertex_min_of_unknown_vertex(self, index):
+        with pytest.raises(VertexNotFoundError):
+            index.vertex_min(999)
+
 
 class TestLowerBounds:
     def test_same_cell_bound_is_zero(self, network, index):
         some_cell = index.populated_cells()[0]
-        assert index.lower_bound_between_cells(some_cell.cell_id, some_cell.cell_id) == 0.0
-
-    def test_cell_outside_the_grid_is_rejected_even_against_itself(self, index):
-        with pytest.raises(GridIndexError):
-            index.lower_bound_between_cells((99, 99), (99, 99))
-        with pytest.raises(GridIndexError):
-            index.lower_bound_between_cells((0, 0), (99, 99))
-        with pytest.raises(GridIndexError):
-            index.lower_bound_between_cells((99, 99), (0, 0))
+        bounds = {other.cell_id: bound for bound, other in index.expand_from(some_cell.cell_id)}
+        assert bounds[some_cell.cell_id] == 0.0
+        first, last = some_cell.vertices[0], some_cell.vertices[-1]
+        assert index.distance_lower_bound(first, last) == 0.0
 
     def test_cell_bounds_symmetric(self, index):
-        populated = index.populated_cells()
-        for a in populated[:4]:
-            for b in populated[:4]:
-                assert index.lower_bound_between_cells(a.cell_id, b.cell_id) == pytest.approx(
-                    index.lower_bound_between_cells(b.cell_id, a.cell_id)
-                )
+        rows = {
+            cell.cell_id: {other.cell_id: bound for bound, other in index.expand_from(cell.cell_id)}
+            for cell in index.populated_cells()
+        }
+        for a, row in rows.items():
+            for b, bound in row.items():
+                assert bound == pytest.approx(rows[b][a])
 
     def test_distance_lower_bound_is_admissible(self, network, index):
         vertices = network.vertices()
@@ -157,21 +155,22 @@ class TestLowerBounds:
         with pytest.raises(VertexNotFoundError):
             index.distance_lower_bound(1, 999)
 
-    def test_cells_in_lower_bound_order_sorted(self, index):
-        populated = index.populated_cells()[0]
-        ordered = index.cells_in_lower_bound_order(populated.cell_id)
-        bounds = [bound for bound, _ in ordered]
-        assert bounds == sorted(bounds)
-        assert len(ordered) == index.cell_count
+    @pytest.mark.parametrize("pair", [(0, 1), (1, 0), (-5, 998)])
+    def test_an_unknown_vertex_raises_in_either_position(self, index, pair):
+        # the pair is order-normalised first, so the smaller id is looked up first
+        with pytest.raises(VertexNotFoundError):
+            index.distance_lower_bound(*pair)
 
-    def test_mutating_the_cell_list_leaves_the_expansion_alone(self, index):
-        start = index.populated_cells()[0].cell_id
-        expansion = [(bound, cell.cell_id) for bound, cell in index.expand_from(start)]
-        ordered = index.cells_in_lower_bound_order(start)
-        ordered.reverse()
-        ordered.pop()
-        assert [(bound, cell.cell_id) for bound, cell in index.expand_from(start)] == expansion
-        assert index.cells_in_lower_bound_order(start) == expansion
+    def test_expansion_and_bounds_equal_the_whole_graph_reference(self, network, index):
+        for cell in index.cells():
+            expanded = [(bound, other.cell_id) for bound, other in index.expand_from(cell.cell_id)]
+            assert expanded == reference_expansion(index, cell.cell_id)
+            assert [bound for bound, _ in expanded] == sorted(bound for bound, _ in expanded)
+        expected = reference_lower_bounds(index)
+        vertices = network.vertices()
+        for u in vertices:
+            for v in vertices:
+                assert index.distance_lower_bound(u, v) == expected(u, v)
 
     def test_expand_from_skips_unreachable(self, network):
         network.add_vertex(999, x=0.05, y=0.05)  # isolated vertex
@@ -180,22 +179,20 @@ class TestLowerBounds:
         for bound, _cell in index.expand_from(start):
             assert not math.isinf(bound)
 
-    def test_precompute_matches_lazy(self, network):
-        lazy = GridIndex(network, rows=3, columns=3, precompute=False)
-        eager = GridIndex(network, rows=3, columns=3, precompute=True)
-        for cell in lazy.populated_cells():
-            for other in lazy.populated_cells():
-                assert lazy.lower_bound_between_cells(cell.cell_id, other.cell_id) == pytest.approx(
-                    eager.lower_bound_between_cells(cell.cell_id, other.cell_id)
-                )
-
-    def test_precompute_populates_border_distances(self, network):
-        eager = GridIndex(network, rows=3, columns=3, precompute=True)
-        annotated = [v for v in network.vertices() if eager.border_distances(v)]
-        assert annotated  # at least the cells with border vertices carry annotations
-        for vertex in annotated:
-            distances = eager.border_distances(vertex)
-            assert min(distances.values()) == pytest.approx(eager.vertex_min(vertex))
+    def test_rows_warmed_through_expand_from_equal_lazy_rows(self, network):
+        warm = GridIndex(network, rows=3, columns=3)
+        for cell in warm.cells():
+            list(warm.expand_from(cell.cell_id))
+        lazy = GridIndex(network, rows=3, columns=3)
+        vertices = network.vertices()
+        for u in reversed(vertices):  # rows computed on demand, in another order
+            for v in vertices:
+                assert lazy.distance_lower_bound(u, v) == warm.distance_lower_bound(u, v)
+        assert lazy.summary()["lower_bound_rows"] == warm.summary()["lower_bound_rows"]
+        for cell in lazy.cells():
+            assert [(b, c.cell_id) for b, c in lazy.expand_from(cell.cell_id)] == [
+                (b, c.cell_id) for b, c in warm.expand_from(cell.cell_id)
+            ]
 
 
 class TestVehicleLists:

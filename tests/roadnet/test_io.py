@@ -1,20 +1,12 @@
-"""Unit tests for road-network persistence."""
+"""Unit tests for the road network's dict codec."""
 
 from __future__ import annotations
 
-import pytest
+import json
 
-from repro.errors import InvalidNetworkError
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.graph import RoadNetwork
-from repro.roadnet.io import (
-    load_edge_list,
-    load_json,
-    network_from_dict,
-    network_to_dict,
-    save_edge_list,
-    save_json,
-)
+from repro.roadnet.io import network_from_dict, network_to_dict
 
 
 def networks_equal(a: RoadNetwork, b: RoadNetwork) -> bool:
@@ -25,105 +17,12 @@ def networks_equal(a: RoadNetwork, b: RoadNetwork) -> bool:
     return edges_a == edges_b
 
 
-class TestEdgeList:
-    def test_round_trip_with_coordinates(self, tmp_path):
-        network = figure1_network()
-        path = tmp_path / "net.edges"
-        save_edge_list(network, path)
-        loaded = load_edge_list(path)
-        assert networks_equal(network, loaded)
-        assert loaded.coordinate(1).as_tuple() == network.coordinate(1).as_tuple()
-
-    def test_round_trip_without_coordinates(self, tmp_path):
-        network = RoadNetwork.from_edges([(1, 2, 1.5), (2, 3, 2.5)])
-        path = tmp_path / "bare.edges"
-        save_edge_list(network, path)
-        loaded = load_edge_list(path)
-        assert networks_equal(network, loaded)
-
-    def test_malformed_line_raises(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text("1 2\n", encoding="utf-8")
-        with pytest.raises(InvalidNetworkError):
-            load_edge_list(path)
-
-    def test_field_count_error_names_the_line(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text("1 2 1.0\n2 3 1.0 extra\n", encoding="utf-8")
-        with pytest.raises(InvalidNetworkError, match=rf"{path.name}:2: "):
-            load_edge_list(path)
-
-    def test_non_numeric_field_error_names_the_line(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text("1 2 1.0\n\n2 oops 2.0\n", encoding="utf-8")
-        with pytest.raises(InvalidNetworkError, match=rf"{path.name}:3: bad edge line"):
-            load_edge_list(path)
-
-    def test_non_numeric_coordinate_error_names_the_line(self, tmp_path):
-        path = tmp_path / "bad.edges"
-        path.write_text("#coords\n1 0.0 north\n", encoding="utf-8")
-        with pytest.raises(InvalidNetworkError, match=rf"{path.name}:2: bad coordinate line"):
-            load_edge_list(path)
-
-    def test_semantic_rejection_names_the_line(self, tmp_path):
-        # weight validation happens in RoadNetwork.add_edge; the loader must
-        # still point at the offending line of the file
-        path = tmp_path / "bad.edges"
-        path.write_text("1 2 1.0\n2 3 -4.0\n", encoding="utf-8")
-        with pytest.raises(InvalidNetworkError, match=rf"{path.name}:2: .*positive weight"):
-            load_edge_list(path)
-
-    def test_blank_lines_ignored(self, tmp_path):
-        path = tmp_path / "sparse.edges"
-        path.write_text("\n1 2 1.0\n\n2 3 2.0\n", encoding="utf-8")
-        loaded = load_edge_list(path)
-        assert loaded.edge_count == 2
-
-    def test_gzip_round_trip_with_coordinates(self, tmp_path):
-        network = figure1_network()
-        path = tmp_path / "net.edges.gz"
-        save_edge_list(network, path)
-        import gzip
-
-        assert path.read_bytes()[:2] == b"\x1f\x8b"  # actually compressed
-        loaded = load_edge_list(path)
-        assert networks_equal(network, loaded)
-        assert loaded.coordinate(1).as_tuple() == network.coordinate(1).as_tuple()
-        # the compressed bytes match the plain format exactly
-        plain = tmp_path / "net.edges"
-        save_edge_list(network, plain)
-        assert gzip.decompress(path.read_bytes()) == plain.read_bytes()
-
-    def test_gzip_save_is_deterministic(self, tmp_path):
-        network = grid_network(3, 3, weight_jitter=0.2, seed=5)
-        first, second = tmp_path / "a.gz", tmp_path / "b.gz"
-        save_edge_list(network, first)
-        save_edge_list(network, second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_gzip_error_still_names_the_line(self, tmp_path):
-        import gzip
-
-        path = tmp_path / "bad.edges.gz"
-        with gzip.open(path, "wt", encoding="utf-8") as handle:
-            handle.write("1 2 1.0\nbroken line here\n")
-        with pytest.raises(InvalidNetworkError, match=r"bad\.edges\.gz:2: "):
-            load_edge_list(path)
-
-
 class TestJson:
-    def test_round_trip(self, tmp_path):
-        network = grid_network(4, 4, weight_jitter=0.3, seed=2)
-        path = tmp_path / "net.json"
-        save_json(network, path)
-        loaded = load_json(path)
-        assert networks_equal(network, loaded)
-        assert loaded.coordinate(7).as_tuple() == network.coordinate(7).as_tuple()
-
     def test_dict_round_trip(self):
         network = figure1_network()
         rebuilt = network_from_dict(network_to_dict(network))
         assert networks_equal(network, rebuilt)
+        assert rebuilt.coordinate(1).as_tuple() == network.coordinate(1).as_tuple()
 
     def test_dict_without_coordinates(self):
         network = RoadNetwork.from_edges([(1, 2, 1.0)])
@@ -131,3 +30,20 @@ class TestJson:
         assert payload["coordinates"] == {}
         rebuilt = network_from_dict(payload)
         assert networks_equal(network, rebuilt)
+
+    def test_edge_endpoints_missing_from_the_vertex_list_are_added(self):
+        rebuilt = network_from_dict({"vertices": [1], "edges": [[1, 2, 1], [3, 2, 2.5]]})
+        assert sorted(rebuilt.vertices()) == [1, 2, 3]
+        assert rebuilt.edge_weight(2, 3) == 2.5
+        assert isinstance(rebuilt.edge_weight(1, 2), float)
+
+    def test_payload_survives_json_text(self):
+        network = grid_network(3, 4, weight_jitter=0.3, seed=2)
+        network.add_vertex(99)  # an isolated vertex without a coordinate
+        text = json.dumps(network_to_dict(network))
+        rebuilt = network_from_dict(json.loads(text))
+        assert networks_equal(network, rebuilt)
+        assert 99 in rebuilt and rebuilt.neighbours(99) == {}
+        for vertex in network.vertices():
+            if vertex != 99:
+                assert rebuilt.coordinate(vertex) == network.coordinate(vertex)

@@ -277,8 +277,7 @@ class TestALT:
 
     def test_landmark_count_capped_by_network_size(self):
         engine = CSREngine(grid_network(2, 2), landmarks=16)
-        assert engine.alt is not None
-        assert engine.alt.landmark_count <= 4
+        assert len(engine._alt.landmark_indices) <= 4  # noqa: SLF001
 
     def test_disconnected_pair_gets_infinite_bound(self):
         network = grid_network(3, 3)
@@ -302,12 +301,33 @@ class TestALT:
         # Farthest-point sampling only picks reachable vertices, so every
         # landmark lies in the grid; none sees 98, 99 or 97.
         engine = CSREngine(_two_components(), landmarks=3)
-        assert (engine.alt._matrix is None) == (arm == "python")  # noqa: SLF001
+        assert (engine._alt._matrix is None) == (arm == "python")  # noqa: SLF001
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert engine.distance_lower_bound(98, 99) == 0.0
             assert engine.distance_lower_bound(97, 98) == 0.0
             assert engine.distance_lower_bound(1, 99) == float("inf")
+
+    def test_landmark_tables_bound_like_the_matrix(self, monkeypatch):
+        """The pure-Python landmark tables give the NumPy matrix's bound on
+        every connected pair, and the bound is admissible."""
+        network = grid_network(4, 4, weight_jitter=0.3, seed=7)
+        pairs = [(u, v) for u in network.vertices() for v in network.vertices()]
+        expected = None
+        if routing._np is not None:  # noqa: SLF001
+            matrix_engine = CSREngine(network, landmarks=3)
+            expected = [matrix_engine.distance_lower_bound(u, v) for u, v in pairs]
+        monkeypatch.setattr(routing, "_csr_array", None)
+        monkeypatch.setattr(routing, "_np", None)
+        table_engine = CSREngine(network, landmarks=3)
+        assert table_engine._alt._matrix is None  # noqa: SLF001
+        bounds = [table_engine.distance_lower_bound(u, v) for u, v in pairs]
+        exact = {u: dijkstra_all(network, u) for u in network.vertices()}
+        for (u, v), bound in zip(pairs, bounds):
+            assert bound <= exact[u][v] + 1e-9
+        assert any(bound > 0.0 for bound in bounds)
+        if expected is not None:
+            assert bounds == pytest.approx(expected)
 
     def test_alt_index_rejects_nonpositive_landmarks(self):
         with pytest.raises(ValueError):

@@ -38,7 +38,6 @@ class TestPointToPoint:
         result = shortest_path(diamond, 1, 4)
         assert result.path == (1, 2, 4)
         assert result.distance == pytest.approx(2.0)
-        assert result.hop_count == 2
 
     def test_path_length_matches_distance(self, diamond: RoadNetwork):
         result = shortest_path(diamond, 1, 4)

@@ -34,6 +34,13 @@ def paper_service() -> PTRiderService:
     return PTRiderService(fleet, config=config, seed=1)
 
 
+def _serve_a_window(service: PTRiderService) -> None:
+    """Serve two trips through one ingest window, filling the batch panel."""
+    assert service.ingest(12, 17) and service.ingest(3, 16)
+    assert len(service.pump(now=service.config.batch_window)) == 2
+    assert any(key.startswith("batch_") for key in service.statistics())
+
+
 class TestSmartphoneFlow:
     def test_book_returns_paper_options(self, paper_service):
         booking = paper_service.book(start=12, destination=17, riders=2)
@@ -175,10 +182,6 @@ class TestWebsiteInterface:
         assert schedules == [[(2, "pickup", "R1"), (16, "dropoff", "R1")]]
         assert paper_service.vehicle_schedules("c2") == []
 
-    def test_unfinished_requests(self, paper_service):
-        assert paper_service.unfinished_requests_of("c1") == ["R1"]
-        assert paper_service.unfinished_requests_of("c2") == []
-
     def test_vehicle_ids(self, paper_service):
         assert set(paper_service.vehicle_ids()) == {"c1", "c2"}
 
@@ -271,7 +274,7 @@ class TestWebsiteInterface:
         assert paper_service.statistics()["routing_grid_lower_bound_rows"] == after
 
     def test_panels_carry_no_worker_pool_keys(self, paper_service):
-        paper_service.book_batch([(12, 17), (3, 22)])
+        _serve_a_window(paper_service)
         panel = paper_service.routing_statistics()
         assert not [key for key in panel if key.startswith("dispatch_")]
         assert "parallel_workers" not in panel and "ipc_seconds" not in panel
@@ -281,7 +284,7 @@ class TestWebsiteInterface:
         assert not [key for key in statistics if "ipc_seconds" in key]
 
     def test_statistics_panel_has_no_shard_count(self, paper_service):
-        paper_service.book_batch([(12, 17), (3, 22)])
+        _serve_a_window(paper_service)
         assert "match_shards" not in paper_service.statistics()
         assert not [key for key in paper_service.routing_statistics() if "shard" in key]
 

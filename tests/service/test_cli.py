@@ -196,3 +196,35 @@ class TestCommands:
             # the seconds column is the only float printed with 3 decimals
             outputs.append(re.sub(r"\d+\.\d{3}", "T", capsys.readouterr().out))
         assert outputs[0] == outputs[1]
+
+
+class TestDemoResume:
+    ARGS = ["demo", "--vehicles", "8", "--rows", "6", "--columns", "6", "--seed", "3"]
+
+    def test_resume_needs_a_journal_directory(self, capsys):
+        assert main(self.ARGS + ["--resume"]) == 2
+        assert "--resume requires --journal" in capsys.readouterr().err
+
+    def test_resume_on_a_fresh_directory_builds_a_durable_service(self, tmp_path, capsys):
+        journal = tmp_path / "journal"
+        assert main(self.ARGS + ["--resume", "--journal", str(journal)]) == 0
+        captured = capsys.readouterr().out
+        assert "Resumed from journal" not in captured
+        assert "Snapshots:" in captured
+        assert any(journal.glob("snapshot-*.json"))
+
+    def test_a_second_resume_restarts_from_the_first_runs_state(self, tmp_path, capsys):
+        journal = str(tmp_path / "journal")
+        assert main(self.ARGS + ["--resume", "--journal", journal]) == 0
+        first = capsys.readouterr().out
+        assert main(self.ARGS + ["--resume", "--journal", journal]) == 0
+        second = capsys.readouterr().out
+        assert f"Resumed from journal {journal} (t=0.0, 8 vehicles)" in second
+        # the first run's booking is still on board, so the vehicle now
+        # carries two requests' stops
+        assert first.count("pickup:") == 1
+        assert second.count("pickup:") > 2
+
+    def test_a_request_no_vehicle_can_serve_exits_one(self, capsys):
+        assert main(self.ARGS + ["--riders", "9"]) == 1
+        assert "No vehicle can serve this request right now." in capsys.readouterr().out

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.core.config import RUNTIME, SystemConfig, knob_names
 from repro.errors import ConfigurationError, ServiceError, UnknownOptionError
 from repro.model.request import Request
-from repro.model.stops import dropoff, pickup
 from repro.service.api import PTRiderService, build_system
 from repro.service.journal import (
     ANNOTATION_KINDS,
@@ -32,7 +31,6 @@ from repro.service.recovery import (
     write_snapshot,
 )
 from repro.vehicles.fleet import Fleet, restore_vehicle, snapshot_vehicle
-from repro.vehicles.kinetic_tree import KineticTree
 from repro.vehicles.vehicle import Vehicle
 
 
@@ -136,24 +134,36 @@ class TestServiceJournal:
         assert [seq for seq, _ in journal.snapshot_files()] == [0, 20, 30]
 
 
-class TestKineticTreePayload:
-    def test_payload_round_trip(self):
-        stops = [
-            pickup(5, "r1", 2),
-            dropoff(9, "r1", 2),
-        ]
-        tree = KineticTree(root_location=3, schedules=[stops])
-        rebuilt = KineticTree.from_payload(
-            json.loads(json.dumps(tree.to_payload()))
-        )
-        assert rebuilt.root_location == 3
-        assert rebuilt.schedules() == tree.schedules()
+class TestDamagedJournals:
+    def test_a_database_that_is_not_sqlite_reads_empty_but_not_fresh(self, tmp_path):
+        journal = ServiceJournal(tmp_path)
+        journal.append("advance", {"duration": 1.0})
+        journal.close()
+        for path in tmp_path.iterdir():
+            path.unlink()
+        (tmp_path / "journal.sqlite").write_bytes(b"not a database" * 100)
+        damaged = ServiceJournal(tmp_path)
+        assert damaged.last_seq() == 0
+        # not fresh: a service must not be built over the damaged file
+        assert not damaged.is_fresh()
+        assert damaged.records() == []
+        assert damaged.truncated_records == 1
 
-    def test_empty_tree_round_trip(self):
-        tree = KineticTree(root_location=7)
-        rebuilt = KineticTree.from_payload(tree.to_payload())
-        assert rebuilt.root_location == 7
-        assert rebuilt.is_empty
+    def test_state_files_with_unreadable_sequence_numbers_are_ignored(self, tmp_path):
+        journal = ServiceJournal(tmp_path)
+        journal.snapshot_path(5).write_text("{}")
+        journal.delta_path(7).write_text("{}")
+        for stray in ("snapshot-latest.json", "delta-latest.json", "delta-.json"):
+            (tmp_path / stray).write_text("{}")
+        assert [seq for seq, _ in journal.snapshot_files()] == [5]
+        assert [seq for seq, _ in journal.delta_files()] == [7]
+
+    def test_prune_deltas_keeps_the_deltas_past_the_compaction_point(self, tmp_path):
+        journal = ServiceJournal(tmp_path)
+        for seq in (3, 6, 9, 12):
+            journal.delta_path(seq).write_text("{}")
+        assert journal.prune_deltas(6) == 2
+        assert [seq for seq, _ in journal.delta_files()] == [9, 12]
 
 
 class TestFleetRestore:
@@ -463,6 +473,81 @@ class TestCloseDrain:
         service.close()
         drains = [r for r in service.journal.records() if r.kind == "drain"]
         assert len(drains) == 1 and drains[0].payload.get("close") is True
+
+
+class TestAdaptiveWindowJournal:
+    """Under ``batch_window_mode="adaptive"`` the window in force is picked
+    from wall-clock flush times, so every serving-path command journals it
+    and replay pins it before re-executing."""
+
+    @staticmethod
+    def _serve(tmp_path):
+        service = _durable_system(
+            tmp_path, batch_window_mode="adaptive", batch_window=1.0,
+            batch_window_min=0.25, batch_window_max=4.0,
+        )
+        for index in range(12):
+            now = 0.5 * index
+            service.ingest_request(_request(service, index), now=now)
+            service.pump(now=now + 0.3)
+        service.drain(now=10.0)
+        return service
+
+    @pytest.mark.parametrize("prefer_snapshot", [True, False])
+    def test_adaptive_serving_recovers_to_the_live_state(self, tmp_path, prefer_snapshot):
+        service = self._serve(tmp_path)
+        serving = [r for r in service.journal.records() if r.kind in ("admit", "pump", "drain")]
+        assert len(serving) == 25
+        assert all("window" in record.payload for record in serving)
+        live = canonical_state(service)
+        window = service.batcher.current_window
+        service.close()
+        recovered = PTRiderService.recover(tmp_path / "journal", prefer_snapshot=prefer_snapshot)
+        try:
+            assert canonical_state(recovered) == live
+            assert recovered.batcher.current_window == window
+        finally:
+            recovered.close()
+
+    def test_fixed_mode_journals_no_window(self, tmp_path):
+        service = _durable_system(tmp_path)
+        service.ingest_request(_request(service, 1), now=0.0)
+        service.pump(now=2.0)
+        serving = [r for r in service.journal.records() if r.kind in ("admit", "pump")]
+        assert [("window" in r.payload) for r in serving] == [False, False]
+        service.close()
+
+    def test_statistics_report_the_controller_only_in_adaptive_mode(self, tmp_path):
+        adaptive = build_system(vehicles=3, seed=5, batch_window_mode="adaptive")
+        fixed = build_system(vehicles=3, seed=5)
+        stats = adaptive.routing_statistics()
+        assert stats["ingest_window_mode"] == "adaptive"
+        assert isinstance(stats["ingest_ewma_flush_wall"], float)
+        assert isinstance(stats["ingest_ewma_arrival_rate"], float)
+        assert "ingest_ewma_flush_wall" not in fixed.routing_statistics()
+
+
+class TestUnmatchedOutcomes:
+    def test_an_unmatched_window_outcome_journals_no_choice_and_recovers(self, tmp_path):
+        service = _durable_system(tmp_path)
+        # no vehicle seats five riders
+        service.ingest_request(_request(service, 1, riders=5), now=0.0)
+        (booking,) = service.drain(now=0.5)
+        assert booking.options == () and booking.chosen is None
+        (annotation,) = [r for r in service.journal.records() if r.kind == "outcome"]
+        assert annotation.payload["outcomes"][0]["chosen"] is None
+        live = canonical_state(service)
+        service.close()
+        recovered = PTRiderService.recover(tmp_path / "journal")
+        try:
+            assert canonical_state(recovered) == live
+        finally:
+            recovered.close()
+
+
+def test_a_directory_that_never_held_a_service_is_refused(tmp_path):
+    with pytest.raises(RecoveryError, match="holds no service metadata"):
+        PTRiderService.recover(tmp_path / "empty")
 
 
 class TestCancelPending:

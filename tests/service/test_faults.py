@@ -71,19 +71,39 @@ class TestOccurrenceCounting:
     def test_inactive_registry_is_a_noop(self):
         faults.fire("ingest.flush")
         faults.fire("journal.append", tag="whatever")
-        assert faults.active() is None
 
     def test_context_manager_installs_and_clears(self):
-        plan = FaultPlan([])
-        assert faults.active() is None
+        # the plan errors on every occurrence it could see
+        plan = FaultPlan([FaultSpec(point="ingest.flush", action="error", at=(0, 1, 2))])
         with plan:
-            assert faults.active() is plan
-        assert faults.active() is None
+            with pytest.raises(FaultInjected):
+                faults.fire("ingest.flush")
+        faults.fire("ingest.flush")  # cleared: a no-op
         # cleared even when the block raises
         with pytest.raises(RuntimeError):
             with plan:
                 raise RuntimeError("boom")
-        assert faults.active() is None
+        faults.fire("ingest.flush")
+
+
+class TestActions:
+    def test_sleep_waits_its_seconds_and_raises_nothing(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(faults.time, "sleep", slept.append)
+        plan = FaultPlan([FaultSpec(point="ingest.flush", action="sleep", seconds=0.25)])
+        with plan:
+            faults.fire("ingest.flush")
+        assert slept == [0.25]
+        assert plan.fired == {"ingest.flush:sleep": 1}
+
+    def test_kill_exits_the_process_with_the_distinctive_code(self, monkeypatch):
+        exits = []
+        monkeypatch.setattr(faults.os, "_exit", exits.append)
+        plan = FaultPlan([FaultSpec(point="journal.append", action="kill", tag="pump")])
+        with plan:
+            faults.fire("journal.append", tag="pump")
+        assert exits == [faults.KILL_EXIT_CODE]
+        assert plan.fired == {"journal.append:kill": 1}
 
 
 class TestSeededPlans:

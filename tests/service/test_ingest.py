@@ -7,7 +7,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.single_side import SingleSideSearchMatcher
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, VertexNotFoundError
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
@@ -143,6 +143,27 @@ class TestMicroBatcherWindows:
             batcher.submit(request, now=0.0)
         outcomes = batcher.pump(now=1.0)
         assert [key(o) for o in outcomes] == [key(o) for o in reference]
+
+    def test_a_broken_endpoint_does_not_void_the_rest_of_the_window(self):
+        dispatcher, network = _make_dispatcher()
+        batcher = MicroBatcher(dispatcher, batch_window=1.0)
+        answered = []
+        batcher._on_outcome = answered.append
+        bad = Request(
+            start=10_000, destination=network.vertices()[0], riders=1, max_waiting=6.0,
+            service_constraint=0.5, request_id="bad",
+        )
+        for request in (_request(network, 1), bad, _request(network, 2)):
+            assert batcher.submit(request, now=0.0)
+        with pytest.raises(VertexNotFoundError):
+            batcher.pump(now=1.0)
+        # the request before the broken one is answered, the one after it
+        # goes back to the front of the queue and the next flush answers it
+        assert [o.request.request_id for o in answered] == ["Q1"]
+        assert batcher.pending == 1
+        assert [o.request.request_id for o in batcher.flush(now=1.0)] == ["Q2"]
+        stats = batcher.statistics
+        assert (stats.admitted, stats.answered, stats.errored) == (3, 2, 1)
 
     def test_statistics_latency_and_conservation(self):
         dispatcher, network = _make_dispatcher()
@@ -349,3 +370,81 @@ class TestIngestStatisticsUnit:
         assert payload["mean_window_fill"] == 0.75
         assert payload["latency_p95"] == 0.2
         assert all(isinstance(value, float) for value in payload.values())
+
+
+class TestMicroBatcherKnobs:
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"speed": 0.0}, "speed"),
+            ({"latency_budget": 0.0}, "latency_budget"),
+            ({"window_mode": "elastic"}, "window_mode"),
+        ],
+    )
+    def test_invalid_knobs_are_refused(self, knobs, message):
+        dispatcher, _ = _make_dispatcher()
+        with pytest.raises(ConfigurationError, match=message):
+            MicroBatcher(dispatcher, **knobs)
+
+    def test_fixed_mode_has_no_controller_and_ignores_window_pins(self):
+        dispatcher, _ = _make_dispatcher()
+        batcher = MicroBatcher(dispatcher, batch_window=2.0, queue_capacity=5)
+        assert batcher.controller is None
+        assert batcher.queue_capacity == 5
+        batcher.set_window(7.0)
+        batcher.restore_controller({"window": 7.0})
+        assert batcher.current_window == 2.0
+        assert batcher.controller_state() is None
+
+    def test_adaptive_window_pins_are_clamped_to_the_bounds(self):
+        dispatcher, _ = _make_dispatcher()
+        batcher = MicroBatcher(dispatcher, batch_window=2.0, window_mode="adaptive",
+                               window_min=1.0, window_max=4.0)
+        assert batcher.controller is not None
+        batcher.set_window(3.0)
+        assert batcher.current_window == 3.0
+        batcher.set_window(100.0)
+        assert batcher.current_window == 4.0
+        batcher.set_window(0.01)
+        assert batcher.current_window == 1.0
+
+    def test_flushing_an_empty_window_answers_nothing(self):
+        dispatcher, _ = _make_dispatcher()
+        batcher = MicroBatcher(dispatcher, batch_window=2.0)
+        assert batcher.flush(now=0.0) == []
+        assert batcher.drain(now=0.0) == []
+        assert batcher.statistics.forced == 0
+
+
+class TestDrain:
+    def test_drain_keeps_going_past_a_broken_request(self):
+        dispatcher, network = _make_dispatcher()
+        answered = []
+        batcher = MicroBatcher(dispatcher, batch_window=100.0, on_outcome=answered.append)
+        bad = Request(
+            start=10_000, destination=network.vertices()[0], riders=1, max_waiting=6.0,
+            service_constraint=0.5, request_id="bad",
+        )
+        for request in (_request(network, 1), bad, _request(network, 2)):
+            assert batcher.submit(request, now=0.0)
+        outcomes = batcher.drain(now=0.5)
+        # Q1 was answered by the flush that raised, so only the callback saw
+        # it; the retry flush returns Q2
+        assert [o.request.request_id for o in answered] == ["Q1", "Q2"]
+        assert [o.request.request_id for o in outcomes] == ["Q2"]
+        assert batcher.pending == 0
+        stats = batcher.statistics
+        assert (stats.admitted, stats.answered, stats.errored) == (3, 2, 1)
+
+    def test_drain_survives_a_fault_at_every_flush_but_the_last(self):
+        from repro.service.faults import FaultPlan, FaultSpec
+
+        dispatcher, network = _make_dispatcher()
+        batcher = MicroBatcher(dispatcher, batch_window=100.0)
+        batcher.submit(_request(network, 1), now=0.0)
+        # budget is pending + 1 = 2 attempts: the first faults, the second answers
+        with FaultPlan([FaultSpec(point="ingest.flush", action="error", at=(0,))]) as plan:
+            outcomes = batcher.drain(now=0.5)
+        assert plan.fired == {"ingest.flush:error": 1}
+        assert [o.request.request_id for o in outcomes] == ["Q1"]
+        assert batcher.pending == 0

@@ -8,7 +8,6 @@ from repro.errors import ConfigurationError
 from repro.roadnet.generators import grid_network
 from repro.sim.trips import (
     SECONDS_PER_DAY,
-    SHANGHAI_TRIPS,
     DailyDemandProfile,
     ShanghaiLikeTripGenerator,
     TripRecord,
@@ -101,10 +100,6 @@ class TestGenerator:
         )
         assert touching / len(trips) > 0.5
 
-    def test_scaled_day(self, network):
-        trips = ShanghaiLikeTripGenerator(network, seed=1).generate_scaled_day(scale=0.0001)
-        assert len(trips) == int(SHANGHAI_TRIPS * 0.0001)
-
     def test_invalid_parameters(self, network):
         with pytest.raises(ConfigurationError):
             ShanghaiLikeTripGenerator(network, hotspot_count=0)
@@ -117,10 +112,43 @@ class TestGenerator:
             generator.generate(-1)
         with pytest.raises(ConfigurationError):
             generator.generate(10, max_riders=0)
-        with pytest.raises(ConfigurationError):
-            generator.generate_scaled_day(scale=0.0)
 
     def test_tiny_network_rejected(self):
         tiny = grid_network(1, 1)
         with pytest.raises(ConfigurationError):
             ShanghaiLikeTripGenerator(tiny, seed=1)
+
+
+class TestProfileShapes:
+    """``intensity`` interpolates between control points, takes the later
+    value at a step and holds the last value past the final point."""
+
+    def test_control_points_are_hit_exactly(self):
+        profile = DailyDemandProfile()
+        for hour, value in profile.control_points[:-1]:
+            assert profile.intensity(hour * 3600.0) == pytest.approx(value)
+
+    def test_linear_between_control_points(self):
+        profile = DailyDemandProfile(control_points=((0.0, 1.0), (10.0, 3.0), (24.0, 3.0)))
+        assert profile.intensity(5 * 3600.0) == pytest.approx(2.0)
+
+    def test_a_step_takes_the_later_value(self):
+        profile = DailyDemandProfile(control_points=((0.0, 1.0), (12.0, 1.0), (12.0, 5.0), (24.0, 5.0)))
+        assert profile.intensity(12 * 3600.0) == pytest.approx(1.0)
+        step = DailyDemandProfile(control_points=((12.0, 1.0), (12.0, 5.0), (24.0, 5.0)))
+        assert step.intensity(12 * 3600.0) == pytest.approx(5.0)
+
+    def test_past_the_last_point_holds_its_value(self):
+        profile = DailyDemandProfile(control_points=((0.0, 1.0), (6.0, 2.0)))
+        assert profile.intensity(20 * 3600.0) == pytest.approx(2.0)
+
+    def test_the_day_wraps(self):
+        profile = DailyDemandProfile()
+        assert profile.intensity(SECONDS_PER_DAY + 8 * 3600.0) == profile.intensity(8 * 3600.0)
+
+
+def test_a_two_vertex_network_still_yields_valid_trips():
+    pair = grid_network(1, 2)
+    trips = ShanghaiLikeTripGenerator(pair, seed=5, hotspot_count=1, hotspot_bias=1.0).generate(20)
+    assert len(trips) == 20
+    assert all({trip.origin, trip.destination} == set(pair.vertices()) for trip in trips)

@@ -2,46 +2,18 @@
 
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.roadnet.generators import grid_network
 from repro.sim.trips import ShanghaiLikeTripGenerator
 from repro.model.request import Request
-from repro.sim.workload import (
-    RequestWorkload,
-    nonhomogeneous_poisson_arrival_times,
-    poisson_arrival_times,
-    random_requests,
-    requests_from_trips,
-)
+from repro.sim.workload import RequestWorkload, random_requests, requests_from_trips
 
 
 @pytest.fixture
 def network():
     return grid_network(8, 8, seed=1)
-
-
-class TestPoissonArrivals:
-    def test_times_within_window_and_sorted(self):
-        times = poisson_arrival_times(0.5, 200.0, random.Random(1))
-        assert all(0 <= t <= 200.0 for t in times)
-        assert times == sorted(times)
-
-    def test_rate_controls_count(self):
-        rng = random.Random(2)
-        sparse = poisson_arrival_times(0.1, 1000.0, rng)
-        rng = random.Random(2)
-        dense = poisson_arrival_times(1.0, 1000.0, rng)
-        assert len(dense) > len(sparse)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ConfigurationError):
-            poisson_arrival_times(0.0, 10.0)
-        with pytest.raises(ConfigurationError):
-            poisson_arrival_times(1.0, -1.0)
 
 
 class TestRequestsFromTrips:
@@ -127,13 +99,6 @@ class TestRequestWorkload:
         assert len(workload) == 12
         assert all(request.max_waiting == 4.0 for request in workload)
 
-    def test_poisson_constructor(self, network):
-        workload = RequestWorkload.poisson(
-            network, rate_per_second=0.2, duration=100.0, max_waiting=5.0, service_constraint=0.2, seed=11
-        )
-        assert all(request.submit_time <= 100.0 for request in workload)
-        assert all(request.start != request.destination for request in workload)
-
 
 def _request(request_id: str, submit_time: float) -> Request:
     return Request(
@@ -193,42 +158,6 @@ class TestDueWindowing:
         assert workload.remaining == 0
 
 
-class TestNonhomogeneousPoisson:
-    def test_times_within_window_and_sorted(self):
-        times = nonhomogeneous_poisson_arrival_times(
-            lambda t: 0.5 + 0.5 * (t > 50.0), 1.0, 100.0, random.Random(3)
-        )
-        assert all(0 <= t <= 100.0 for t in times)
-        assert times == sorted(times)
-
-    def test_intensity_shapes_arrivals(self):
-        # twice the intensity in the second half => markedly more arrivals
-        times = nonhomogeneous_poisson_arrival_times(
-            lambda t: 2.0 if t > 500.0 else 1.0, 2.0, 1000.0, random.Random(4)
-        )
-        first = sum(1 for t in times if t <= 500.0)
-        second = len(times) - first
-        assert second > 1.5 * first
-
-    def test_flat_rate_matches_homogeneous_construction(self):
-        times = nonhomogeneous_poisson_arrival_times(
-            lambda t: 1.0, 1.0, 500.0, random.Random(5)
-        )
-        # thinning at rate == envelope keeps every candidate
-        assert 400 < len(times) < 600
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ConfigurationError):
-            nonhomogeneous_poisson_arrival_times(lambda t: 1.0, 0.0, 10.0)
-        with pytest.raises(ConfigurationError):
-            nonhomogeneous_poisson_arrival_times(lambda t: 1.0, 1.0, -1.0)
-        with pytest.raises(ConfigurationError):
-            # rate above the envelope invalidates the thinning construction
-            nonhomogeneous_poisson_arrival_times(
-                lambda t: 5.0, 1.0, 100.0, random.Random(6)
-            )
-
-
 class TestDailyWorkload:
     def test_exact_count_and_horizon(self, network):
         workload = RequestWorkload.daily(
@@ -286,3 +215,33 @@ class TestDailyWorkload:
             RequestWorkload.daily(network, total=10, duration=10.0,
                                   max_waiting=8.0, service_constraint=0.6,
                                   hotspot_count=-1)
+
+
+class TestTooSmallNetworks:
+    """Both generators refuse a network without two distinct vertices,
+    and a bad group-size range, before drawing anything."""
+
+    @pytest.mark.parametrize("riders_range", [(0, 2), (3, 2)])
+    def test_daily_rejects_a_bad_riders_range(self, network, riders_range):
+        with pytest.raises(ConfigurationError, match="riders_range"):
+            RequestWorkload.daily(network, total=10, duration=10.0, max_waiting=8.0,
+                                  service_constraint=0.6, riders_range=riders_range)
+
+    def test_daily_needs_two_vertices(self):
+        with pytest.raises(ConfigurationError, match="two vertices"):
+            RequestWorkload.daily(grid_network(1, 1), total=1, duration=10.0,
+                                  max_waiting=8.0, service_constraint=0.6)
+
+    def test_random_requests_need_two_vertices(self):
+        with pytest.raises(ConfigurationError, match="two vertices"):
+            random_requests(grid_network(1, 1), 1, 5.0, 0.2)
+
+    def test_two_vertices_are_enough(self):
+        pair = grid_network(1, 2)
+        requests = random_requests(pair, 4, 5.0, 0.2, seed=2)
+        a, b = pair.vertices()
+        assert {(r.start, r.destination) for r in requests} <= {(a, b), (b, a)}
+        daily = RequestWorkload.daily(pair, total=4, duration=10.0, max_waiting=8.0,
+                                      service_constraint=0.6, seed=2)
+        assert len(daily) == 4
+        assert all(r.start != r.destination for r in daily)

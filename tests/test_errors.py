@@ -47,10 +47,6 @@ class TestMessages:
         error = errors.UnknownVehicleError("c9")
         assert error.vehicle_id == "c9"
 
-    def test_no_match_carries_request(self):
-        error = errors.NoMatchError("R1")
-        assert error.request == "R1"
-
     def test_catching_the_base_class_catches_everything(self):
         with pytest.raises(errors.PTRiderError):
             raise errors.CapacityExceededError("full")

@@ -145,3 +145,12 @@ class TestStatistics:
         assert stats["empty"] == 1.0
         assert stats["nonempty"] == 1.0
         assert stats["average_occupancy"] == pytest.approx(1.0)
+
+
+class TestRoutingEngineSwap:
+    def test_the_new_engine_must_answer_on_the_fleets_network(self, fleet):
+        with pytest.raises(VehicleError):
+            fleet.set_routing_engine(CSREngine(figure1_network()))
+        same = CSREngine(fleet.grid.network, landmarks=2)
+        fleet.set_routing_engine(same)
+        assert fleet.routing_engine is same

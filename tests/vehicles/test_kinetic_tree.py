@@ -10,7 +10,6 @@ from repro.model.stops import Stop, StopKind
 from repro.roadnet.generators import figure1_network
 from repro.roadnet.routing import CSREngine
 from repro.vehicles.kinetic_tree import KineticTree
-from repro.vehicles.schedule import RequestState
 
 
 @pytest.fixture
@@ -60,7 +59,7 @@ class TestBasics:
         tree = KineticTree(1, schedules=[(p1, d1, p2, d2), (p1, p2, d1, d2)])
         assert tree.schedule_count() == 2
         assert len(tree.stops()) == 4
-        assert tree.stop_vertices() == [2, 12, 16, 17]
+        assert sorted({stop.vertex for stop in tree.stops()}) == [2, 12, 16, 17]
 
     def test_clear(self, r1):
         p1, d1 = stops_for(r1)
@@ -146,59 +145,11 @@ class TestAdvance:
         for mutate in (
             lambda: tree.set_schedules([(p1, d1, p2, d2), (p1, p2, d1, d2)]),
             lambda: tree.set_root_location(3),
-            lambda: tree.prune([(p1, p2, d1, d2)]),
-            lambda: tree.replace([(p1, p2, d1, d2)]),  # same schedules: still a mutation
+            lambda: tree.set_schedules([(p1, p2, d1, d2)]),
+            lambda: tree.set_schedules([(p1, p2, d1, d2)]),  # same schedules: still a mutation
             lambda: tree.advance_through(p1),
             tree.clear,
         ):
             mutate()
             seen.append(tree.revision)
         assert seen == sorted(set(seen))  # strictly increasing
-
-    def test_prune(self, r1, r2):
-        p1, d1 = stops_for(r1)
-        p2, d2 = stops_for(r2)
-        keep = (p1, p2, d1, d2)
-        tree = KineticTree(1, schedules=[keep, (p1, p2, d2, d1)])
-        tree.prune([keep])
-        assert tree.schedules() == [keep]
-
-
-class TestMaterialisedTree:
-    def test_prefix_sharing(self, oracle, r1, r2):
-        p1, d1 = stops_for(r1)
-        p2, d2 = stops_for(r2)
-        tree = KineticTree(1, schedules=[(p1, p2, d1, d2), (p1, p2, d2, d1)])
-        root = tree.build_tree(oracle.distance, capacity=4)
-        # Both schedules share the p1 -> p2 prefix, then fork.
-        assert len(root.children) == 1
-        assert root.children[0].stop == p1
-        assert root.branch_count() == 2
-        assert root.node_count() == 1 + 2 + 2 * 2  # root + shared prefix + two forks of two stops
-
-    def test_annotations(self, oracle, r1):
-        p1, d1 = stops_for(r1)
-        tree = KineticTree(1, schedules=[(p1, d1)])
-        states = {
-            "R1": RequestState(
-                request=r1, onboard=False, direct_distance=oracle.distance(2, 16),
-                planned_pickup_remaining=8.0,
-            )
-        }
-        root = tree.build_tree(oracle.distance, capacity=4, request_states=states)
-        pickup_node = root.children[0]
-        assert pickup_node.occupancy == 2
-        assert pickup_node.dist_from_root == pytest.approx(8.0)
-        dropoff_node = pickup_node.children[0]
-        assert dropoff_node.occupancy == 0
-        assert dropoff_node.dist_from_root == pytest.approx(18.0)
-        assert dropoff_node.detour_slack >= 0.0
-
-    def test_iter_branches_matches_schedules(self, oracle, r1, r2):
-        p1, d1 = stops_for(r1)
-        p2, d2 = stops_for(r2)
-        schedules = [(p1, p2, d1, d2), (p1, p2, d2, d1)]
-        tree = KineticTree(1, schedules=schedules)
-        root = tree.build_tree(oracle.distance, capacity=4)
-        branches = set(root.iter_branches())
-        assert branches == set(schedules)

@@ -73,7 +73,7 @@ class TestDistances:
         assert metrics.total_distance == pytest.approx(18.0)
         assert metrics.pickup_distance["R1"] == pytest.approx(8.0)
         assert metrics.dropoff_distance["R1"] == pytest.approx(18.0)
-        assert metrics.distance_to_stop(0) == pytest.approx(8.0)
+        assert metrics.prefix[0] == pytest.approx(8.0)
 
 
 class TestStructuralChecks:
@@ -125,6 +125,14 @@ class TestStructuralChecks:
 
 
 class TestCapacity:
+    def test_an_understated_onboard_load_reads_as_negative_occupancy(self, oracle):
+        r1 = Request(start=2, destination=16, riders=2, request_id="R1")
+        states = {"R1": make_state(r1, oracle, onboard=True)}
+        # R1's two riders are on board, but the caller says nobody is
+        result = check_schedule(1, [dropoff(r1)], 4, 0, states, oracle.distance)
+        assert not result.feasible
+        assert "negative occupancy" in result.reason
+
     def test_capacity_violation(self, oracle):
         r1 = Request(start=2, destination=16, riders=3, request_id="R1")
         r2 = Request(start=12, destination=17, riders=2, request_id="R2")
