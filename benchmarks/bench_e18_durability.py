@@ -53,6 +53,8 @@ from repro.sim.workload import RequestWorkload
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
+from tests.crash import kill
+
 SEED = 18
 TICK = 1.0
 RATE = 400.0
@@ -194,7 +196,7 @@ def _measure_recovery(journal_dir, events: int, phase: str) -> float:
     service = _journal_with_tail(journal_dir, events)
     expected = canonical_state(service)
     tail_records = service.journal.last_seq()
-    service._journal.close()  # crash
+    kill(service)  # crash
     del service
 
     started = time.perf_counter()
@@ -250,7 +252,7 @@ def test_e18_smoke_overhead_and_crash_round_trip(tmp_path):
     # crash, recover, verify, resume: the recovered service equals the
     # pre-crash one and keeps serving (and journaling) afterwards
     expected = canonical_state(durable)
-    durable._journal.close()
+    kill(durable)
     started = time.perf_counter()
     recovered = PTRiderService.recover(journal_dir)
     recovery_wall = time.perf_counter() - started

@@ -55,6 +55,8 @@ from repro.sim.workload import RequestWorkload
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
+from tests.crash import kill
+
 SEED = 19
 TICK = 1.0
 RATE = 400.0
@@ -255,7 +257,7 @@ def _run_chaos(tmp_path, total: int, phase_prefix: str) -> None:
 
     # --- durability under faults: recover the chaos journal --------------
     expected = canonical_state(faulted)
-    faulted._journal.close()
+    kill(faulted)
     started = time.perf_counter()
     recovered = PTRiderService.recover(tmp_path / "chaos")
     recovery_wall = time.perf_counter() - started

@@ -5,8 +5,10 @@ from __future__ import annotations
 import sys
 from pathlib import Path
 
-# Make `import common` work regardless of the invocation directory.
+# Make `import common` work regardless of the invocation directory, and
+# `from tests.crash import kill` too (the crash legs share the tests' kill).
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+sys.path.insert(1, str(Path(__file__).resolve().parents[1]))
 
 from repro.roadnet.routing import ROUTING_BACKENDS  # noqa: E402
 

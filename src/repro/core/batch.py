@@ -294,14 +294,11 @@ class BatchContext:
             if request.destination not in engine.network:
                 errors[index] = VertexNotFoundError(request.destination)
                 continue
-            if start == request.destination:
-                direct = 0.0
-            else:
-                try:
-                    direct = tree[request.destination]
-                except KeyError:
-                    errors[index] = DisconnectedError(start, request.destination)
-                    continue
+            try:
+                direct = tree[request.destination]
+            except KeyError:
+                errors[index] = DisconnectedError(start, request.destination)
+                continue
             contexts[index] = build_context(request=request, direct=direct, start_tree=tree)
         return cls(requests, contexts, errors, statistics, seconds)
 

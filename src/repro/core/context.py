@@ -87,13 +87,10 @@ class MatchContext:
         start_tree = engine.distances_from(request.start)
         if request.destination not in engine.network:
             raise VertexNotFoundError(request.destination)
-        if request.start == request.destination:
-            direct = 0.0
-        else:
-            try:
-                direct = start_tree[request.destination]
-            except KeyError:
-                raise DisconnectedError(request.start, request.destination) from None
+        try:
+            direct = start_tree[request.destination]
+        except KeyError:
+            raise DisconnectedError(request.start, request.destination) from None
         return cls(
             request=request, engine=engine, grid=grid, direct=direct, start_tree=start_tree
         )

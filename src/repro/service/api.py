@@ -409,6 +409,7 @@ class PTRiderService:
         """
         if self._journal is None:
             raise ServiceError("durability is off; there is no journal to snapshot")
+        self._journal.commit()
         seq = self._journal.last_seq()
         started = time.perf_counter()
         path = write_snapshot(self._journal, self, seq)
@@ -442,6 +443,7 @@ class PTRiderService:
         deltas a compaction (full :meth:`snapshot`) is requested; it runs
         at the next gap between windows.
         """
+        self._journal.commit()
         seq = self._journal.last_seq()
         started = time.perf_counter()
         path = write_delta(

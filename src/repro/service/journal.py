@@ -20,12 +20,21 @@ Two record classes live in the log:
   They are never re-executed; recovery uses them to cross-check that the
   re-derived outcomes match what the pre-crash service actually answered.
 
+Records are group-committed: the admissions of one ingest window share a
+transaction, which the next non-``admit`` record commits (see
+:meth:`ServiceJournal.append`).  A crash loses the open window's
+admissions; nobody was answered for them, and a resumed driver re-issues
+them from ``command_count()``.  :meth:`ServiceJournal.commit` ends the
+window early -- on ``close()`` and before every snapshot point.
+
 Storage follows the exemplar durability pragmas (SNIPPETS.md Snippet 3):
 ``journal_mode=WAL`` (readers never block the appender, a torn OS write
 can lose the newest transactions but never corrupt committed ones),
-``synchronous=NORMAL`` (fsync at WAL checkpoints, not per record -- the
+``synchronous=NORMAL`` (fsync at WAL checkpoints, not per commit -- the
 standard WAL durability/throughput trade) and a ``busy_timeout`` so two
-processes touching the same journal directory back off instead of failing.
+processes touching the same journal directory back off instead of failing
+(the write lock is held for up to one window, so a second writer waits
+that long).
 
 The reader is deliberately forgiving about the tail: a record whose payload
 no longer decodes (a torn write that slipped past SQLite's own atomicity,
@@ -136,11 +145,10 @@ class ServiceJournal:
     def connection(self) -> sqlite3.Connection:
         """The live connection (opened with the Snippet 3 pragmas)."""
         if self._conn is None:
-            # isolation_level=None puts the connection in autocommit mode:
-            # every INSERT is its own implicit transaction without the
-            # explicit BEGIN/COMMIT round trips Python's default isolation
-            # management adds -- measurably cheaper on the append hot path,
-            # identical durability under WAL + synchronous=NORMAL.
+            # isolation_level=None turns off Python's implicit transaction
+            # management: a statement outside an explicit BEGIN commits on
+            # its own, and ``append`` alone decides where a window's
+            # transaction opens and commits (see its docstring).
             conn = sqlite3.connect(str(self.database_path), isolation_level=None)
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
@@ -151,10 +159,26 @@ class ServiceJournal:
         return self._conn
 
     def close(self) -> None:
-        """Close the connection (re-opened lazily on the next use)."""
+        """Commit the open window, then close the connection.
+
+        The connection is re-opened lazily on the next use.
+        """
         if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+            try:
+                self.commit()
+            finally:
+                self._conn.close()
+                self._conn = None
+
+    def commit(self) -> None:
+        """Commit the open window's admissions now (a no-op when none is open).
+
+        Snapshots and deltas call this before they read :meth:`last_seq`,
+        so no snapshot file names a sequence number a crash could still
+        take back.
+        """
+        if self._conn is not None and self._conn.in_transaction:
+            self._conn.execute("COMMIT")
 
     # ------------------------------------------------------------------
     # appending
@@ -162,10 +186,15 @@ class ServiceJournal:
     def append(self, kind: str, payload: Dict[str, object]) -> int:
         """Append one record; returns its sequence number.
 
-        Each append is its own transaction: under WAL +
-        ``synchronous=NORMAL`` a power loss may drop the newest
-        transactions (redo recovery absorbs that -- the corresponding
-        calls simply never happened) but committed records survive intact.
+        Group commit: an ``admit`` record joins the open transaction,
+        opening one if none is open, and any other record is committed
+        together with the admissions before it.  One ingest window's
+        admissions therefore cost one commit, paid by the ``pump`` or
+        ``drain`` that flushes them.  A crash loses the open window's
+        admissions -- requests nobody was answered for, which a resumed
+        driver re-issues from :meth:`command_count` -- just as a power loss
+        under WAL + ``synchronous=NORMAL`` may drop the newest commits.
+        Committed records survive intact.
         """
         if kind not in COMMAND_KINDS and kind not in ANNOTATION_KINDS:
             raise ServiceError(f"unknown journal record kind {kind!r}")
@@ -173,10 +202,15 @@ class ServiceJournal:
         # write *before* the INSERT, so the write-ahead discipline holds --
         # the record never lands and the command never executes.
         _fire_fault("journal.append", tag=kind)
-        cursor = self.connection.execute(
+        connection = self.connection
+        if kind == "admit" and not connection.in_transaction:
+            connection.execute("BEGIN")
+        cursor = connection.execute(
             "INSERT INTO journal (kind, payload) VALUES (?, ?)",
             (kind, json.dumps(payload, separators=(",", ":"))),
         )
+        if kind != "admit" and connection.in_transaction:
+            connection.execute("COMMIT")
         return int(cursor.lastrowid)
 
     # ------------------------------------------------------------------

@@ -254,10 +254,6 @@ def check_schedule(
                 return FeasibilityResult.violation(
                     f"request {request_id} is dropped off before being picked up", request_id
                 )
-        elif request_id in seen_pickup:
-            return FeasibilityResult.violation(
-                f"onboard request {request_id} must not be picked up again", request_id
-            )
 
     # --- capacity ---------------------------------------------------------
     occupancy = onboard_riders

@@ -5,8 +5,9 @@ Every trial runs one scripted event sequence through two arms:
 * a **reference arm** -- a plain in-memory service that never crashes and
   executes the whole script;
 * a **durable arm** -- a journaling service that is killed after a chosen
-  number of calls (the journal connection is dropped with no drain and no
-  clean shutdown, exactly what ``kill -9`` leaves behind), recovered via
+  number of calls (the journal connection is dropped with no drain, no
+  commit and no clean shutdown, exactly what ``kill -9`` leaves behind --
+  see :func:`tests.crash.kill`), recovered via
   :meth:`~repro.service.api.PTRiderService.recover`, and then resumed:
   the driver re-walks the script from ``journal.command_count()`` --
   the number of calls the journal proves completed -- replaying any calls
@@ -40,6 +41,8 @@ from repro.errors import PTRiderError
 from repro.model.request import Request
 from repro.service.api import PTRiderService, build_system
 from repro.service.recovery import canonical_state
+
+from tests.crash import kill
 
 SEED = 29
 VEHICLES = 5
@@ -148,14 +151,23 @@ def _run_trial(
     torn_tail=False,
     stray_snapshot_tmp=False,
     corrupt_newest_snapshot=False,
+    resume_at=None,
 ):
+    """Kill the durable arm at ``kill_index``, recover, resume, compare.
+
+    ``resume_at`` is where the journal must say the script resumes:
+    ``kill_index``, unless the kill lands in an open ingest window, whose
+    uncommitted admissions it loses -- then the window's first admission.
+    """
+    if resume_at is None:
+        resume_at = kill_index
     reference = _build()
     _drive(reference, script)
 
     journal_dir = tmp_path / "journal"
     durable = _build(journal_dir)
     _drive(durable, script[:kill_index])
-    durable._journal.close()  # the crash: no drain, no clean shutdown
+    kill(durable)  # the crash: no drain, no commit, no clean shutdown
     del durable
 
     if torn_tail:
@@ -174,14 +186,14 @@ def _run_trial(
         points[-1].write_text(text[: len(text) // 2])
 
     recovered = PTRiderService.recover(journal_dir)
-    resume_at = recovered.journal.command_count()
+    resumed_at = recovered.journal.command_count()
     if torn_tail:
         # the torn record may be an outcome annotation, in which case no
         # command was lost and the resume point is unchanged
-        assert resume_at <= kill_index
+        assert resumed_at <= resume_at
     else:
-        assert resume_at == kill_index
-    _drive(recovered, script, start=resume_at)
+        assert resumed_at == resume_at
+    _drive(recovered, script, start=resumed_at)
     assert _comparable(recovered) == _comparable(reference)
     return recovered
 
@@ -193,6 +205,7 @@ _SCRIPT = [
     ("choose", 1),     # 1
     ("ingest", 2),     # 2   <- kill at 3: right after an admission
     ("ingest", 3),     # 3   <- kill at 4: mid-window, two admissions pending
+                       #        (either kill loses the window: resume at 2)
     ("pump", 0),       # 4
     ("advance", 2),    # 5
     ("drain", 0),      # 6
@@ -211,12 +224,12 @@ _SCRIPT = [
 
 class TestNamedKillPoints:
     @pytest.mark.parametrize(
-        "kill_index",
-        [3, 4, 8, len(_SCRIPT) - 1],
+        ("kill_index", "resume_at"),
+        [(3, 2), (4, 2), (8, 8), (len(_SCRIPT) - 1, len(_SCRIPT) - 1)],
         ids=["after-admission", "mid-window", "flush-vs-choose", "near-end"],
     )
-    def test_recovered_state_matches_reference(self, tmp_path, kill_index):
-        _run_trial(tmp_path, _SCRIPT, kill_index)
+    def test_recovered_state_matches_reference(self, tmp_path, kill_index, resume_at):
+        _run_trial(tmp_path, _SCRIPT, kill_index, resume_at=resume_at)
 
     def test_crash_mid_snapshot_ignores_stray_tmp(self, tmp_path):
         _run_trial(tmp_path, _SCRIPT, 8, stray_snapshot_tmp=True)

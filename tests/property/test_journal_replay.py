@@ -110,7 +110,7 @@ def test_replay_properties(script, shuffle_seed):
         )
         _drive(service, script)
         expected = canonical_state(service)
-        service._journal.close()  # crash: no drain, no clean shutdown
+        service._journal.close()  # commits the open window but drains nothing
 
         # snapshot + tail == full-journal replay == the pre-crash service
         from_snapshot = PTRiderService.recover(tmp)

@@ -33,6 +33,8 @@ from repro.service.recovery import (
 from repro.vehicles.fleet import Fleet, restore_vehicle, snapshot_vehicle
 from repro.vehicles.vehicle import Vehicle
 
+from tests.crash import kill
+
 
 def _durable_system(tmp_path, mode="journal+snapshot", interval=1000, **kwargs):
     return build_system(
@@ -585,7 +587,7 @@ class TestSnapshotRestoreFlow:
         service.advance(2.0)
         service.snapshot()
         before = canonical_state(service)
-        service._journal.close()
+        kill(service)
         recovered = PTRiderService.recover(tmp_path / "journal")
         assert canonical_state(recovered) == before
 
@@ -598,7 +600,7 @@ class TestSnapshotRestoreFlow:
         for service in (live, crashed):
             service.book_request(_request(service, 1))
             service.snapshot()
-        crashed._journal.close()
+        kill(crashed)
         recovered = PTRiderService.recover(tmp_path / "crashed" / "journal")
         assert recovered.booking("B1").context is None
         assert live.booking("B1").context is not None
@@ -621,7 +623,7 @@ class TestSnapshotRestoreFlow:
         motions = crashed._engine._motions.values()
         assert any(motion.has_route and motion.offset > 0 for motion in motions)
         crashed.snapshot()
-        crashed._journal.close()
+        kill(crashed)
         recovered = PTRiderService.recover(tmp_path / "crashed" / "journal")
         for duration in (1.0, 0.5, 2.5, 1.0):
             for service in (recovered, live):
