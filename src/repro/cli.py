@@ -265,7 +265,7 @@ def _run_compare(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         dispatcher.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST, prefetch=args.prefetch)
         elapsed = time.perf_counter() - started
-        stats = matcher.statistics.as_dict()
+        stats = matcher.statistics
         batch_stats = dispatcher.last_batch_statistics
         hit_rate = batch_stats.shared_tree_hit_rate if batch_stats is not None else 0.0
         prefetched = batch_stats.prefetched_trees if batch_stats is not None else 0
@@ -277,8 +277,8 @@ def _run_compare(args: argparse.Namespace) -> int:
     )
     for name, elapsed, stats, hit_rate, prefetched in results:
         print(
-            f"{name:>12} {elapsed:>9.3f} {stats['vehicles_evaluated']:>10.0f} "
-            f"{stats['vehicles_pruned']:>8.0f} {stats['options_returned']:>8.0f} "
+            f"{name:>12} {elapsed:>9.3f} {stats.vehicles_evaluated:>10d} "
+            f"{stats.vehicles_pruned:>8d} {stats.options_returned:>8d} "
             f"{hit_rate:>8.0%} {prefetched:>10d}"
         )
     return 0

@@ -81,6 +81,8 @@ class BatchStatistics:
     #: leg queries answered from the pool instead of going to the engine
     leg_tree_hits: int = 0
 
+    panel_derived = ("shared_tree_hit_rate",)
+
     @property
     def shared_tree_hit_rate(self) -> float:
         """Fraction of tree-resolved requests served by an already-pooled tree."""
@@ -88,19 +90,6 @@ class BatchStatistics:
         if not resolved:
             return 0.0
         return self.shared_tree_hits / resolved
-
-    def as_dict(self) -> Dict[str, float]:
-        """Flat dictionary of floats for reports and benchmark records."""
-        return {
-            "requests": float(self.requests),
-            "trees_computed": float(self.trees_computed),
-            "shared_tree_hits": float(self.shared_tree_hits),
-            "shared_tree_hit_rate": self.shared_tree_hit_rate,
-            "prefetched_trees": float(self.prefetched_trees),
-            "prefetch_seconds": self.prefetch_seconds,
-            "leg_sources_prefetched": float(self.leg_sources_prefetched),
-            "leg_tree_hits": float(self.leg_tree_hits),
-        }
 
 
 #: pool lookup default: the root was never asked (``None`` = asked, no tree)

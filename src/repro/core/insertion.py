@@ -40,7 +40,7 @@ in ``tests/insertion_reference.py`` to the last bit, not just to a tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.model.request import Request
@@ -76,14 +76,14 @@ class InsertionStatistics:
 
     ``candidates_rejected_by_bounds`` reads 0: nothing inside a verified
     vehicle is rejected by a bound since the grid pre-scan went.  The field
-    stays because ``perfbench/harness.py`` reads it and a gain-claiming PR
-    may not edit ``perfbench/``; ROADMAP item 10(a) removes it together with
-    the ``insertion.bound_rejected`` metric row.
+    stays, off the panels (``"panel": False``), because
+    ``perfbench/harness.py`` reads it; ROADMAP item 10(a) removes it together
+    with the ``insertion.bound_rejected`` metric row.
     """
 
-    candidates_enumerated: int = 0
-    candidates_feasible: int = 0
-    candidates_rejected_by_bounds: int = 0
+    candidates_enumerated: int = field(default=0, metadata={"panel": "enumerated"})
+    candidates_feasible: int = field(default=0, metadata={"panel": "feasible"})
+    candidates_rejected_by_bounds: int = field(default=0, metadata={"panel": False})
 
 
 def insertion_candidates(

@@ -23,7 +23,7 @@ import abc
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Set
+from typing import AbstractSet, Callable, List, Mapping, Optional, Set
 
 from repro.core.config import SystemConfig
 from repro.core.context import BOUND_SLACK, MatchContext
@@ -47,7 +47,8 @@ class MatcherStatistics:
     """Work counters a matcher accumulates across ``match`` calls.
 
     The counters drive the index-ablation and matcher-comparison experiments
-    (benchmarks E3 and E10) and the statistics panel of the demo website.
+    (benchmarks E3 and E10) and, read by :func:`repro.counters.counters`,
+    the statistics panel of the demo website.
     """
 
     requests_answered: int = 0
@@ -59,32 +60,9 @@ class MatcherStatistics:
     vehicles_beyond_cap: int = 0
     cells_visited: int = 0
     options_returned: int = 0
-    insertion: InsertionStatistics = field(default_factory=InsertionStatistics)
-
-    def reset(self) -> None:
-        """Zero every counter."""
-        self.requests_answered = 0
-        self.vehicles_considered = 0
-        self.vehicles_evaluated = 0
-        self.vehicles_pruned = 0
-        self.vehicles_beyond_cap = 0
-        self.cells_visited = 0
-        self.options_returned = 0
-        self.insertion = InsertionStatistics()
-
-    def as_dict(self) -> Dict[str, float]:
-        """Return the counters as a flat dictionary (for reports)."""
-        return {
-            "requests_answered": float(self.requests_answered),
-            "vehicles_considered": float(self.vehicles_considered),
-            "vehicles_evaluated": float(self.vehicles_evaluated),
-            "vehicles_pruned": float(self.vehicles_pruned),
-            "vehicles_beyond_cap": float(self.vehicles_beyond_cap),
-            "cells_visited": float(self.cells_visited),
-            "options_returned": float(self.options_returned),
-            "insertions_enumerated": float(self.insertion.candidates_enumerated),
-            "insertions_feasible": float(self.insertion.candidates_feasible),
-        }
+    insertion: InsertionStatistics = field(
+        default_factory=InsertionStatistics, metadata={"panel": "insertions"}
+    )
 
 
 class Matcher(abc.ABC):

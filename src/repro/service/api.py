@@ -44,6 +44,7 @@ from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.matcher import Matcher
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
+from repro.counters import counters
 from repro.errors import ServiceError, UnknownOptionError
 from repro.model.options import RideOption
 from repro.model.request import Request
@@ -120,6 +121,20 @@ class Booking:
     def option_count(self) -> int:
         """Number of non-dominated options offered."""
         return len(self.options)
+
+
+@dataclass
+class _SnapshotStatistics:
+    """Persistence-cost attribution for the admin panel: counts, last-file
+    bytes and cumulative wall seconds of full snapshots vs incremental deltas
+    (``full_seconds`` is the background compaction bill)."""
+
+    full_count: int = 0
+    delta_count: int = 0
+    full_bytes: int = 0
+    delta_bytes: int = 0
+    full_seconds: float = 0.0
+    delta_seconds: float = 0.0
 
 
 class PTRiderService:
@@ -209,15 +224,7 @@ class PTRiderService:
         #: would overlap what the chain already carries), so the next
         #: cadence crossing writes a chain-resetting full snapshot instead
         self._delta_chain_valid = True
-        #: persistence-cost attribution for the admin panel
-        self._snapshot_stats: Dict[str, float] = {
-            "full_count": 0.0,
-            "delta_count": 0.0,
-            "full_bytes": 0.0,
-            "delta_bytes": 0.0,
-            "full_seconds": 0.0,
-            "delta_seconds": 0.0,
-        }
+        self._snapshot_stats = _SnapshotStatistics()
         self._seed = seed
         self._journal: Optional[ServiceJournal] = _journal
         if self._journal is None and self._config.durability != "off":
@@ -413,10 +420,10 @@ class PTRiderService:
         seq = self._journal.last_seq()
         started = time.perf_counter()
         path = write_snapshot(self._journal, self, seq)
-        self._snapshot_stats["full_seconds"] += time.perf_counter() - started
-        self._snapshot_stats["full_count"] += 1.0
+        self._snapshot_stats.full_seconds += time.perf_counter() - started
+        self._snapshot_stats.full_count += 1
         try:
-            self._snapshot_stats["full_bytes"] = float(path.stat().st_size)
+            self._snapshot_stats.full_bytes = path.stat().st_size
         except OSError:  # pragma: no cover - fs race
             pass
         self._last_snapshot_seq = seq
@@ -456,10 +463,10 @@ class PTRiderService:
             self._dirty_vehicles,
             self._stats_marker,
         )
-        self._snapshot_stats["delta_seconds"] += time.perf_counter() - started
-        self._snapshot_stats["delta_count"] += 1.0
+        self._snapshot_stats.delta_seconds += time.perf_counter() - started
+        self._snapshot_stats.delta_count += 1
         try:
-            self._snapshot_stats["delta_bytes"] = float(path.stat().st_size)
+            self._snapshot_stats.delta_bytes = path.stat().st_size
         except OSError:  # pragma: no cover - fs race
             pass
         self._last_snapshot_seq = seq
@@ -1021,13 +1028,13 @@ class PTRiderService:
         """The live statistics panel (plus matcher work counters)."""
         panel = self._engine.statistics.panel()
         panel["current_time"] = self._engine.time
-        panel.update({f"matcher_{k}": v for k, v in self._matcher.statistics.as_dict().items()})
+        panel.update(counters(self._matcher.statistics, "matcher_"))
         panel.update({f"fleet_{k}": v for k, v in self._fleet.occupancy_statistics().items()})
         batch_stats = self._dispatcher.last_batch_statistics
         if batch_stats is not None:
             # How much routing work the most recent batch shared / prefetched
             # (the website's "simultaneous requests" panel).
-            panel.update({f"batch_{k}": v for k, v in batch_stats.as_dict().items()})
+            panel.update(counters(batch_stats, "batch_"))
         panel.update(
             {
                 f"routing_{key}": value
@@ -1051,10 +1058,7 @@ class PTRiderService:
         and ``grid_build_seconds`` what constructing the index cost.
         """
         engine = self._fleet.routing_engine
-        stats = engine.stats
-        payload: Dict[str, object] = {"backend": engine.backend}
-        for field_name in ("queries", "cache_hits", "dijkstra_runs", "build_seconds"):
-            payload[field_name] = float(getattr(stats, field_name))
+        payload: Dict[str, object] = {"backend": engine.backend, **counters(engine.stats)}
         # The grid index starts cold: each cell's lower-bound row is computed
         # the first time a matcher touches it, inside a serving call.  Rows
         # so far against cells answers "is this service still warming up?".
@@ -1066,8 +1070,7 @@ class PTRiderService:
         # window fill, serving throughput and the admission-to-answer
         # latency tail (nearest-rank p50/p95/p99).
         payload["ingest_queue_depth"] = float(self._batcher.pending)
-        for key, value in self._batcher.statistics.as_dict().items():
-            payload[f"ingest_{key}"] = value
+        payload.update(counters(self._batcher.statistics, "ingest_"))
         # Adaptive-window controller posture: the window currently in
         # force, and (adaptive mode only) the controller's EWMAs.  The
         # resize counters ride along in the ingest_ block above.
@@ -1079,11 +1082,8 @@ class PTRiderService:
             payload["ingest_ewma_arrival_rate"] = float(
                 controller["ewma_arrival_rate"]
             )
-        # Persistence-cost attribution: counts, last-file bytes and
-        # cumulative wall seconds for full snapshots vs incremental deltas
-        # (``snapshot_full_seconds`` is the background compaction bill).
-        for key, value in self._snapshot_stats.items():
-            payload[f"snapshot_{key}"] = value
+        # Persistence cost: full snapshots vs incremental deltas.
+        payload.update(counters(self._snapshot_stats, "snapshot_"))
         return payload
 
     def set_parameters(self, **changes: object) -> SystemConfig:
@@ -1125,7 +1125,11 @@ class PTRiderService:
             )
             self._fleet.set_routing_engine(engine)
         self._config = new_config
+        matcher_statistics = self._matcher.statistics
         self._matcher = self._build_matcher()
+        # Counters survive every rebuild (the admin panel's series stay
+        # continuous); the drain below counts its window's work in them.
+        self._matcher.statistics = matcher_statistics
         # Drain the ingest window through the *old* dispatcher before it is
         # replaced: admitted requests must be answered, never dropped by a
         # reconfiguration.
@@ -1142,8 +1146,6 @@ class PTRiderService:
         self._dispatcher.outcome_listener = listener
         ingest_statistics = self._batcher.statistics
         self._batcher = self._build_batcher()
-        # Counters survive the rebuild: the admin panel's ingest series
-        # must stay continuous across a reconfiguration.
         self._batcher.statistics = ingest_statistics
         self._finish_command()
         return self._config

@@ -95,7 +95,7 @@ __all__ = [
     "batcher_from_config",
 ]
 
-#: Ranks reported by :meth:`IngestStatistics.as_dict`.
+#: Ranks of the latency tail :attr:`IngestStatistics.latency` reports.
 DEFAULT_RANKS = (50, 95, 99)
 
 #: Window-length modes of the micro-batcher.
@@ -346,6 +346,8 @@ class IngestStatistics:
         default_factory=list, metadata={"append_only": True, "wall_clock": True}
     )
 
+    panel_derived = ("flushes", "throughput", "mean_window_fill", "latency")
+
     @property
     def flushes(self) -> int:
         """Windows flushed, whatever closed them."""
@@ -365,33 +367,11 @@ class IngestStatistics:
             return 0.0
         return sum(self.window_fills) / len(self.window_fills)
 
-    def as_dict(self) -> Dict[str, float]:
-        """Flat float dictionary for panels and benchmark records."""
-        payload: Dict[str, float] = {
-            "admitted": float(self.admitted),
-            "answered": float(self.answered),
-            "shed": float(self.shed),
-            "evicted": float(self.evicted),
-            "errored": float(self.errored),
-            "cancelled": float(self.cancelled),
-            "close_drained": float(self.close_drained),
-            "flushes": float(self.flushes),
-            "size_closed": float(self.size_closed),
-            "window_closed": float(self.window_closed),
-            "forced": float(self.forced),
-            "deadline_closed": float(self.deadline_closed),
-            "deadline_misses": float(self.deadline_misses),
-            "window_grown": float(self.window_grown),
-            "window_shrunk": float(self.window_shrunk),
-            "retired": float(self.retired),
-            "peak_queue_depth": float(self.peak_queue_depth),
-            "serving_seconds": self.serving_seconds,
-            "throughput": self.throughput,
-            "mean_window_fill": self.mean_window_fill,
-        }
-        for name, value in percentiles(self.latencies).items():
-            payload[f"latency_{name}"] = value
-        return payload
+    @property
+    def latency(self) -> Dict[str, float]:
+        """The admission-to-answer latency tail (``p50``/``p95``/``p99``; empty
+        before any answer)."""
+        return percentiles(self.latencies)
 
 
 class MicroBatcher:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.dispatcher import Dispatcher, OptionPolicy
+from repro.counters import counters
 from repro.errors import SimulationError
 from repro.model.stops import Stop
 from repro.sim.stats import SimulationStatistics
@@ -141,7 +142,7 @@ class SimulationEngine:
             simulated_time=self._time,
             ticks=self._ticks,
             statistics=self.statistics,
-            matcher_statistics=self._dispatcher.matcher.statistics.as_dict(),
+            matcher_statistics=counters(self._dispatcher.matcher.statistics),
             fleet_statistics=self._fleet.occupancy_statistics(),
         )
 

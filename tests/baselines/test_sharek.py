@@ -7,6 +7,8 @@ import pytest
 from repro.baselines.sharek import SharekStyleMatcher
 from repro.core.config import SystemConfig
 from repro.core.naive import NaiveKineticTreeMatcher
+from repro.core.pricing import LinearPriceModel
+from repro.model.options import skyline_of
 from repro.model.request import Request
 from repro.sim.workload import random_requests
 
@@ -94,6 +96,29 @@ class TestSharekStyleMatcher:
         for request in random_requests(mixed_fleet.grid.network, 10, 6.0, 0.5, seed=13):
             matcher.match(request)
         assert matcher.statistics.vehicles_pruned > 0
+
+    def test_skyline_prune_fires_at_a_zero_price_ratio(self):
+        """With a zero price ratio every option costs the booking fee, so the
+        first verified taxi's option dominates every farther one and the
+        skyline prune skips it; the answer is still the skyline of every
+        idle taxi's verified options."""
+        fleet = build_random_fleet(vehicles=30, seed=17)
+        config = SystemConfig(max_waiting=6.0, service_constraint=0.5)
+        flat_fee = LinearPriceModel(base_ratio=0.0, rider_increment=0.0, booking_fee=5.0)
+        sharek = SharekStyleMatcher(fleet, config=config, price_model=flat_fee)
+        exhaustive = SharekStyleMatcher(fleet, config=config, price_model=flat_fee)
+        for request in random_requests(fleet.grid.network, 40, 6.0, 0.5, seed=19):
+            context = exhaustive.make_context(request)
+            expected = skyline_of(
+                option
+                for vehicle in fleet.vehicles()
+                if vehicle.is_empty
+                for option in exhaustive._verify_vehicle(vehicle, context)  # noqa: SLF001
+            )
+            assert sharek.match(request) == expected
+        assert sharek.statistics.vehicles_considered == 40 * 30
+        assert sharek.statistics.vehicles_pruned > 0
+        assert sharek.statistics.vehicles_beyond_cap == 0
 
     def test_name(self, mixed_fleet):
         assert SharekStyleMatcher(mixed_fleet).name == "sharek"

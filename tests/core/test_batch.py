@@ -8,6 +8,7 @@ from repro.core.batch import BatchContext, BatchStatistics
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.single_side import SingleSideSearchMatcher
+from repro.counters import counters
 from repro.errors import DisconnectedError, VertexNotFoundError
 from repro.model.options import RideOption, Skyline
 from repro.model.request import Request
@@ -79,9 +80,9 @@ class TestBatchContext:
         with pytest.raises(DisconnectedError):
             batch.context_for(0)
 
-    def test_statistics_as_dict(self):
+    def test_statistics_panel(self):
         stats = BatchStatistics(requests=4, trees_computed=3, shared_tree_hits=1)
-        flat = stats.as_dict()
+        flat = counters(stats)
         assert flat["requests"] == 4.0
         assert flat["shared_tree_hit_rate"] == pytest.approx(0.25)
         assert flat["prefetched_trees"] == 0.0
@@ -89,7 +90,7 @@ class TestBatchContext:
 
     def test_nothing_resolved_reads_a_zero_hit_rate(self):
         assert BatchStatistics().shared_tree_hit_rate == 0.0
-        assert BatchStatistics(requests=2).as_dict()["shared_tree_hit_rate"] == 0.0
+        assert counters(BatchStatistics(requests=2))["shared_tree_hit_rate"] == 0.0
 
     def test_prefetched_trees_count_in_the_hit_rate_denominator(self):
         stats = BatchStatistics(

@@ -10,6 +10,7 @@ from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.matcher import MatcherStatistics, added_distance_lower_bound
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
+from repro.counters import counters
 from repro.model.request import Request
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.service.api import build_system
@@ -20,16 +21,8 @@ from tests.conftest import assign_request, build_fleet
 
 
 class TestMatcherStatistics:
-    def test_reset(self):
-        stats = MatcherStatistics()
-        stats.requests_answered = 4
-        stats.insertion.candidates_enumerated = 10
-        stats.reset()
-        assert stats.requests_answered == 0
-        assert stats.insertion.candidates_enumerated == 0
-
-    def test_as_dict_keys(self):
-        keys = MatcherStatistics().as_dict()
+    def test_panel_keys(self):
+        keys = counters(MatcherStatistics())
         assert "vehicles_evaluated" in keys
         assert "vehicles_beyond_cap" in keys
         assert "insertions_feasible" in keys
@@ -61,9 +54,7 @@ class TestVehiclesBeyondCap:
         assert stats.vehicles_beyond_cap == 2
         assert stats.vehicles_pruned == 2
         assert stats.vehicles_evaluated == 1
-        assert stats.as_dict()["vehicles_beyond_cap"] == 2.0
-        stats.reset()
-        assert stats.vehicles_beyond_cap == 0
+        assert counters(stats)["vehicles_beyond_cap"] == 2.0
 
     def test_no_cap_prunes_nothing_at_the_cap(self):
         fleet = self._fleet()

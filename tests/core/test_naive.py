@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher
+from repro.core.matcher import MatcherStatistics
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.request import Request
@@ -35,7 +36,7 @@ class TestNaiveMatcher:
         for request in requests[:6]:
             loader.dispatch(request)
         assert any(not vehicle.is_empty for vehicle in fleet.vehicles())
-        naive.statistics.reset()
+        naive.statistics = MatcherStatistics()
         for request in requests[6:]:
             searched, exhaustive = single.make_context(request), naive.make_context(request)
             single.match(request, searched)

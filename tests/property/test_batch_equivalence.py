@@ -25,6 +25,7 @@ from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
+from repro.counters import counters
 from repro.errors import DisconnectedError
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
@@ -342,7 +343,7 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
     assert stats.leg_tree_hits == spy.expected_hits
     if spy.asked_roots:
         assert stats.leg_tree_hits > 0
-    payload = stats.as_dict()
+    payload = counters(stats)
     assert payload["leg_sources_prefetched"] == float(stats.leg_sources_prefetched)
     assert payload["leg_tree_hits"] == float(stats.leg_tree_hits)
 

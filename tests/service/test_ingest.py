@@ -7,6 +7,7 @@ import pytest
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
 from repro.core.single_side import SingleSideSearchMatcher
+from repro.counters import counters
 from repro.errors import ConfigurationError, VertexNotFoundError
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
@@ -180,7 +181,7 @@ class TestMicroBatcherWindows:
         assert 2.0 <= stats.latencies[1] < stats.latencies[0]
         assert stats.serving_seconds > 0.0
         assert stats.throughput > 0.0
-        payload = stats.as_dict()
+        payload = counters(stats)
         assert payload["latency_p50"] >= 2.0
         assert payload["latency_p99"] == max(stats.latencies)
         assert payload["flushes"] == 1.0
@@ -276,6 +277,27 @@ class TestServiceIngest:
         # queue_capacity=0 maps back to unbounded
         assert system.set_parameters(queue_capacity=0).queue_capacity is None
 
+    def test_set_parameters_keeps_the_matcher_series_and_counts_the_drained_window(self):
+        system = build_system(network_rows=8, network_columns=8, vehicles=10, seed=3)
+        vertices = system.fleet.grid.network.vertices()
+
+        def matcher_series():
+            return {k: v for k, v in system.statistics().items() if k.startswith("matcher_")}
+
+        for index in range(15):
+            system.book(vertices[index], vertices[-1 - index])
+        before = matcher_series()
+        assert before["matcher_requests_answered"] == 15.0
+        system.set_parameters(max_waiting=6.0)
+        assert matcher_series() == before
+        for index in range(5):
+            assert system.ingest(vertices[index], vertices[20 + index])
+        system.set_parameters(max_waiting=5.0)  # drains the five admissions
+        after = matcher_series()
+        assert system.statistics()["routing_ingest_answered"] == 5.0
+        assert after["matcher_requests_answered"] == 20.0
+        assert all(after[key] >= value for key, value in before.items())
+
     def test_build_system_wires_the_ingest_knobs(self):
         system = build_system(
             network_rows=6, network_columns=6, vehicles=4, seed=2,
@@ -358,13 +380,13 @@ class TestIngestStatisticsUnit:
         assert stats.flushes == 0
         assert stats.throughput == 0.0
         assert stats.mean_window_fill == 0.0
-        assert "latency_p50" not in stats.as_dict()
+        assert "latency_p50" not in counters(stats)
 
-    def test_as_dict_is_flat_floats(self):
+    def test_panel_is_flat_floats(self):
         stats = IngestStatistics(admitted=3, answered=2, shed=1,
                                  serving_seconds=0.5, window_fills=[0.5, 1.0],
                                  latencies=[0.1, 0.2])
-        payload = stats.as_dict()
+        payload = counters(stats)
         assert payload["admitted"] == 3.0
         assert payload["throughput"] == 4.0
         assert payload["mean_window_fill"] == 0.75
