@@ -756,3 +756,128 @@ class TestAppliedSequence:
             recovered.close()
         finally:
             shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _halve(path):
+    """Cut a state file in half, as a crash mid-write would."""
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text[: len(text) // 2], encoding="utf-8")
+
+
+def _tear_record(journal_dir, seq):
+    """Tear one journal record's payload (a torn write past SQLite's atomicity)."""
+    journal = ServiceJournal(journal_dir)
+    journal.connection.execute(
+        "UPDATE journal SET payload = ? WHERE seq = ?", ("{torn", seq)
+    )
+    journal.close()
+
+
+def _state_files(directory):
+    return {
+        path.name for pattern in ("snapshot-*.json", "delta-*.json")
+        for path in directory.glob(pattern)
+    }
+
+
+def _point(path):
+    """A state file as ``(kind, seq, base, prev)``; a full snapshot has no
+    ``base`` / ``prev``."""
+    document = json.loads(path.read_text(encoding="utf-8"))
+    if "delta" in document:
+        return ("delta", document["seq"], document["base"], document["prev"])
+    return ("full", document["seq"], None, None)
+
+
+class TestRecoveredChain:
+    """What a recovered service writes to the snapshot chain, and when.
+
+    The crashed service ran ``snapshot_interval=2``: book (1), choose (2,
+    delta), three advances (4 delta, 5), an admin snapshot at 5 (the delta
+    chain restarts there), five advances (deltas 7 and 9, record 10).  On
+    disk: full snapshots 0 and 5, deltas 7 (prev 5) and 9 (prev 7).  Each
+    recovery is then driven 34 advances; every delta it writes must chain
+    on the full snapshot before it and the point before it, compaction
+    (a full snapshot) fires at the 16th delta after a full one, and a
+    second crash recovers to the live state.
+    """
+
+    ADVANCES = 34
+
+    def _crashed(self, tmp_path):
+        service = _durable_system(tmp_path, interval=2)
+        booking = service.book_request(_request(service, 1))
+        service.choose(booking.booking_id, 0)
+        for _ in range(3):
+            service.advance(1.0)
+        service.snapshot()
+        for _ in range(5):
+            service.advance(1.0)
+        assert service._applied_seq == 10
+        directory = service.journal.directory
+        assert sorted(_state_files(directory)) == [
+            "delta-000000000007.json",
+            "delta-000000000009.json",
+            "snapshot-000000000000.json",
+            "snapshot-000000000005.json",
+        ]
+        kill(service)
+        return directory
+
+    def _writes(self, service):
+        """Drive :attr:`ADVANCES` advances; every state file each one wrote."""
+        directory = service.journal.directory
+        written = []
+        for _ in range(self.ADVANCES):
+            before = _state_files(directory)
+            service.advance(1.0)
+            for name in sorted(_state_files(directory) - before):
+                written.append(_point(directory / name))
+        return written
+
+    def _check(self, directory, prefer_snapshot, first, fulls):
+        service = PTRiderService.recover(directory, prefer_snapshot=prefer_snapshot)
+        written = self._writes(service)
+        assert written[0] == first
+        assert [seq for kind, seq, _, _ in written if kind == "full"] == fulls
+        # every delta chains on the newest full snapshot and the point before it
+        base = prev = None
+        for kind, seq, delta_base, delta_prev in written:
+            if kind == "full":
+                base = prev = seq
+                continue
+            if base is not None:
+                assert (delta_base, delta_prev) == (base, prev)
+            prev = seq
+        live = canonical_state(service)
+        kill(service)
+        recovered = PTRiderService.recover(directory)
+        assert canonical_state(recovered) == live
+        recovered.close()
+
+    def test_a_clean_recovery_extends_the_chain(self, tmp_path):
+        directory = self._crashed(tmp_path)
+        # restored at 9 (5 + deltas 7, 9), record 10 replayed
+        self._check(directory, True, ("delta", 11, 5, 9), fulls=[37])
+
+    def test_a_torn_newest_delta_restarts_the_chain_with_a_full_snapshot(self, tmp_path):
+        directory = self._crashed(tmp_path)
+        _halve(directory / "delta-000000000009.json")
+        # restored at 7, behind the chain's end at 9
+        self._check(directory, True, ("full", 11, None, None), fulls=[11, 43])
+
+    def test_a_corrupt_newest_full_snapshot_restarts_the_chain(self, tmp_path):
+        directory = self._crashed(tmp_path)
+        _halve(directory / "snapshot-000000000005.json")
+        # restored at the baseline; deltas 7 and 9 name base 5 and are not folded
+        self._check(directory, True, ("full", 11, None, None), fulls=[11, 43])
+
+    def test_a_full_replay_restarts_the_chain(self, tmp_path):
+        directory = self._crashed(tmp_path)
+        self._check(directory, False, ("full", 11, None, None), fulls=[11, 43])
+
+    def test_a_torn_journal_tail_drops_the_points_past_it(self, tmp_path):
+        directory = self._crashed(tmp_path)
+        _tear_record(directory, 8)
+        # records 8-10 and delta 9 are gone; restored at 7, the chain's new end
+        self._check(directory, True, ("delta", 9, 5, 7), fulls=[37])
