@@ -27,7 +27,6 @@ fire, and idle vehicles wander -- exactly the demo's background behaviour.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -56,14 +55,13 @@ from repro.roadnet.routing import make_engine
 from repro.service.ingest import MicroBatcher, batcher_from_config
 from repro.service.journal import ServiceJournal
 from repro.service.recovery import (
+    OutcomeAnnotation,
     RecoveryError,
+    SnapshotChain,
     deserialize_config,
-    durable_fields,
     encode,
-    load_snapshot_state,
     replay_records,
     restore_state,
-    write_delta,
     write_snapshot,
 )
 from repro.sim.engine import SimulationEngine
@@ -72,11 +70,6 @@ from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
 __all__ = ["Booking", "PTRiderService", "build_system", "MATCHER_REGISTRY"]
-
-#: Incremental snapshot deltas written before compaction (a full snapshot)
-#: becomes due.  Bounds both the delta-fold work at recovery and the disk
-#: held by the chain; compaction itself waits for a gap between windows.
-DELTA_COMPACT_AFTER = 16
 
 #: Matching algorithms selectable through the admin interface, keyed by
 #: the config's one list of names.
@@ -121,20 +114,6 @@ class Booking:
     def option_count(self) -> int:
         """Number of non-dominated options offered."""
         return len(self.options)
-
-
-@dataclass
-class _SnapshotStatistics:
-    """Persistence-cost attribution for the admin panel: counts, last-file
-    bytes and cumulative wall seconds of full snapshots vs incremental deltas
-    (``full_seconds`` is the background compaction bill)."""
-
-    full_count: int = 0
-    delta_count: int = 0
-    full_bytes: int = 0
-    delta_bytes: int = 0
-    full_seconds: float = 0.0
-    delta_seconds: float = 0.0
 
 
 class PTRiderService:
@@ -186,7 +165,8 @@ class PTRiderService:
             seed=seed,
         )
         self._bookings: Dict[str, Booking] = {}
-        self._booking_counter = itertools.count(1)
+        #: the number of the next booking id
+        self._next_booking = 1
         self._ingest_answered: List[Booking] = []
         self._batcher = self._build_batcher()
         #: highest journal sequence number already applied to this state
@@ -194,43 +174,16 @@ class PTRiderService:
         self._applied_seq = 0
         #: whether mutating calls append journal records (off during replay)
         self._recording = False
-        #: journal position of the newest snapshot (cadence bookkeeping)
-        self._last_snapshot_seq = 0
-        #: flush outcomes collected during the current command, journaled
-        #: as one annotation record when the command finishes
-        self._outcome_buffer: List[Dict[str, object]] = []
-        #: booking ids mutated since the last snapshot point, in creation
-        #: order (an insertion-ordered dict used as an ordered set, so an
-        #: incremental delta's fold reproduces the bookings-list order of
-        #: a full serialisation exactly)
-        self._dirty_bookings: Dict[str, None] = {}
-        #: vehicle ids mutated since the last snapshot point
-        self._dirty_vehicles: set = set()
-        #: journal position of the newest *full* snapshot (delta chain base)
-        self._last_full_seq = 0
-        #: journal position of the newest snapshot point (full or delta)
-        self._prev_snapshot_point = 0
-        #: deltas written since the last full snapshot (compaction trigger)
-        self._deltas_since_full = 0
-        #: compaction requested; runs at the next gap between windows
-        self._compaction_due = False
-        #: lengths of the append-only statistics lists at the last snapshot
-        #: point; incremental deltas serialise only the suffixes past these
-        self._stats_marker: Dict[str, int] = {}
-        #: whether the on-disk delta chain ends exactly at this service's
-        #: restored/written state -- a ``prefer_snapshot=False`` recovery
-        #: restores *behind* the chain's end, and suffix-based deltas
-        #: cannot extend the chain coherently from there (their list tails
-        #: would overlap what the chain already carries), so the next
-        #: cadence crossing writes a chain-resetting full snapshot instead
-        self._delta_chain_valid = True
-        self._snapshot_stats = _SnapshotStatistics()
+        #: the snapshot chain this service extends, and what its next point carries
+        self._chain = SnapshotChain()
+        #: the running command's window-flush outcomes, journaled when it finishes
+        self._annotation = OutcomeAnnotation()
         self._seed = seed
         self._journal: Optional[ServiceJournal] = _journal
         if self._journal is None and self._config.durability != "off":
             self._journal = ServiceJournal(self._config.journal_path)
         if self._journal is not None:
-            self._dispatcher.outcome_listener = self._record_outcome_annotation
+            self._dispatcher.outcome_listener = self._annotation
             if not _resume:
                 if not self._journal.is_fresh():
                     raise ServiceError(
@@ -240,25 +193,16 @@ class PTRiderService:
                 # Metadata makes recover(journal_path) self-contained: the
                 # road network, grid shape, tree-cache capacity and config
                 # travel with the log.
-                self._journal.set_meta(
-                    "network", network_to_dict(self._fleet.grid.network)
-                )
-                self._journal.set_meta(
-                    "grid",
-                    {
-                        "rows": self._fleet.grid.rows,
-                        "columns": self._fleet.grid.columns,
-                    },
-                )
-                self._journal.set_meta(
-                    "max_cached_sources",
-                    self._fleet.routing_engine.max_cached_sources,
-                )
-                self._journal.set_meta(
-                    "register_full_paths", self._fleet._register_full_paths
-                )
-                self._journal.set_meta("config", encode(self._config))
-                self._journal.set_meta("seed", seed)
+                grid = self._fleet.grid
+                for key, value in (
+                    ("network", network_to_dict(grid.network)),
+                    ("grid", {"rows": grid.rows, "columns": grid.columns}),
+                    ("max_cached_sources", fleet.routing_engine.max_cached_sources),
+                    ("register_full_paths", fleet._register_full_paths),
+                    ("config", encode(self._config)),
+                    ("seed", seed),
+                ):
+                    self._journal.set_meta(key, value)
                 # Baseline snapshot at position 0: full-journal replay (and
                 # plain "journal" mode, which never snapshots again) starts
                 # from here.
@@ -325,37 +269,21 @@ class PTRiderService:
         a crash before the append means the call simply never happened.
         """
         if self._journal is not None and self._recording:
-            self._outcome_buffer.clear()
+            self._annotation.outcomes.clear()
             self._applied_seq = self._journal.append(kind, payload)
 
     def _finish_command(self) -> None:
-        """Post-command bookkeeping: flush the command's outcome annotation
-        (one record per command, however many outcomes the flush produced)
-        and apply the snapshot cadence under journal+snapshot.
-
-        The cadence writes a cheap delta (dirty partitions only); the
-        expensive full serialisation is a compaction that only runs between
-        windows -- never inside a flush, so it can never inflate a serving
-        window's latency.
-        """
+        """Post-command bookkeeping: journal the command's outcome
+        annotation (one record, however many outcomes its flush produced)
+        and apply the snapshot cadence (:meth:`SnapshotChain.finish`)."""
         if self._journal is None or not self._recording:
             return
         # Every record this service writes goes through ``append``, so the
         # sequence number it returned last is the journal's position.
-        if self._outcome_buffer:
-            self._applied_seq = self._journal.append(
-                "outcome", {"outcomes": self._outcome_buffer}
-            )
-            self._outcome_buffer = []
-        if self._config.durability != "journal+snapshot":
-            return
-        if self._applied_seq - self._last_snapshot_seq >= self._config.snapshot_interval:
-            if self._delta_chain_valid:
-                self._write_delta()
-            else:
-                self.snapshot()
-        if self._compaction_due and self._batcher.pending == 0:
-            self.snapshot()
+        seq = self._annotation.append_to(self._journal)
+        if seq is not None:
+            self._applied_seq = seq
+        self._chain.finish(self)
 
     def _window_payload(self, payload: Dict[str, object]) -> Dict[str, object]:
         """Stamp the effective ingest window onto a serving-path payload.
@@ -371,167 +299,20 @@ class PTRiderService:
             payload["window"] = self._batcher.current_window
         return payload
 
-    def _record_outcome_annotation(self, outcome: DispatchOutcome) -> None:
-        """Buffer one window-flush outcome for the command's annotation.
-
-        Attached as the dispatcher's ``outcome_listener``; the buffered
-        outcomes land as a single annotation record when the command
-        finishes (a record per outcome would double the journal's append
-        count on the serving hot path).  Recovery never re-executes them,
-        it cross-checks the outcomes its replay re-derives against them
-        (see :mod:`repro.service.recovery`).  A crash before the flush
-        loses only the annotation -- replay tolerates re-deriving more
-        outcomes than were recorded.
-        """
-        if self._journal is not None and self._recording:
-            self._outcome_buffer.append(self._outcome_payload(outcome))
-
-    def _outcome_payload(self, outcome: DispatchOutcome) -> Dict[str, object]:
-        """The deterministic portion of an outcome (no wall-clock fields)."""
-        chosen = outcome.chosen
-        return {
-            "request_id": outcome.request.request_id,
-            "options": [
-                [option.vehicle_id, option.price, option.pickup_distance]
-                for option in outcome.options
-            ],
-            "chosen": (
-                None
-                if chosen is None
-                else [chosen.vehicle_id, chosen.price, chosen.pickup_distance]
-            ),
-            "direct_distance": outcome.direct_distance,
-        }
-
     def snapshot(self) -> Path:
         """Write a snapshot of the current state at the journal's position.
 
-        Returns the snapshot file's path.  The compaction of a delta chain
-        under ``durability="journal+snapshot"`` calls it, and so can admin
-        tooling (e.g. right before a planned restart, so recovery replays
-        nothing).
+        Returns the snapshot file's path.  The same full snapshot a delta
+        chain's compaction writes (:meth:`SnapshotChain.write`), for admin
+        tooling -- e.g. right before a planned restart, so recovery replays
+        nothing.
 
         Raises:
             ServiceError: when durability is off (there is no journal).
         """
         if self._journal is None:
             raise ServiceError("durability is off; there is no journal to snapshot")
-        self._journal.commit()
-        seq = self._journal.last_seq()
-        started = time.perf_counter()
-        path = write_snapshot(self._journal, self, seq)
-        self._snapshot_stats.full_seconds += time.perf_counter() - started
-        self._snapshot_stats.full_count += 1
-        try:
-            self._snapshot_stats.full_bytes = path.stat().st_size
-        except OSError:  # pragma: no cover - fs race
-            pass
-        self._last_snapshot_seq = seq
-        # A full snapshot resets the incremental chain: older deltas are
-        # superseded (pruned) and dirty tracking starts over from here.
-        self._last_full_seq = seq
-        self._prev_snapshot_point = seq
-        self._deltas_since_full = 0
-        self._compaction_due = False
-        self._journal.prune_deltas(seq)
-        self._dirty_bookings = {}
-        self._dirty_vehicles = set()
-        self._reset_stats_baseline()
-        self._delta_chain_valid = True
-        return path
-
-    def _write_delta(self) -> Path:
-        """Write an incremental snapshot delta at the journal's position.
-
-        The hot-path half of the snapshot cadence: serialises
-        only the partitions dirtied since the previous snapshot point
-        (touched bookings, touched vehicles, the small meta partition) and
-        chains the file on that point.  After :data:`DELTA_COMPACT_AFTER`
-        deltas a compaction (full :meth:`snapshot`) is requested; it runs
-        at the next gap between windows.
-        """
-        self._journal.commit()
-        seq = self._journal.last_seq()
-        started = time.perf_counter()
-        path = write_delta(
-            self._journal,
-            self,
-            seq,
-            self._last_full_seq,
-            self._prev_snapshot_point,
-            self._dirty_bookings,
-            self._dirty_vehicles,
-            self._stats_marker,
-        )
-        self._snapshot_stats.delta_seconds += time.perf_counter() - started
-        self._snapshot_stats.delta_count += 1
-        try:
-            self._snapshot_stats.delta_bytes = path.stat().st_size
-        except OSError:  # pragma: no cover - fs race
-            pass
-        self._last_snapshot_seq = seq
-        self._prev_snapshot_point = seq
-        self._deltas_since_full += 1
-        self._dirty_bookings = {}
-        self._dirty_vehicles = set()
-        self._reset_stats_baseline()
-        if self._deltas_since_full >= DELTA_COMPACT_AFTER:
-            self._compaction_due = True
-        return path
-
-    def _reset_stats_baseline(self) -> None:
-        """Start a fresh dirty-stats window at a snapshot point.
-
-        Records the lengths of the measurement lists the statistics mark
-        ``append_only`` (the next delta carries only what lands past them)
-        and clears the dirty lifecycle-record set.  Called wherever a
-        snapshot point is established: full snapshots, deltas, and the
-        restore side of recovery (replayed tail mutations then dirty exactly
-        what live execution would have).
-        """
-        sim = self._engine.statistics
-        ingest = self._batcher.statistics
-        self._stats_marker = {
-            field.key: len(getattr(stats, field.name))
-            for stats in (sim, ingest)
-            for field in durable_fields(type(stats))
-            if field.append_only
-        }
-        # pending-window suffix marker: while the batcher's epoch still
-        # matches (appends only since this point), the next delta ships just
-        # the newly admitted entries
-        self._stats_marker["pending_epoch"] = self._batcher.pending_epoch
-        self._stats_marker["pending_len"] = self._batcher.pending
-        sim.dirty_records.clear()
-
-    def _mark_booking_dirty(self, booking_id: str) -> None:
-        """Record a booking mutation for the next incremental delta.
-
-        Insertion order is creation order (re-marking an id keeps its
-        original position), which is what lets a delta fold reproduce the
-        full serialisation's bookings-list order byte-for-byte.  Marking is
-        unconditional -- replay must dirty the same state live execution
-        did, so post-recovery deltas include the replayed tail's mutations.
-        """
-        self._dirty_bookings[booking_id] = None
-
-    def _mark_vehicle_dirty(self, vehicle_id: str) -> None:
-        """Record a vehicle mutation for the next incremental delta."""
-        self._dirty_vehicles.add(vehicle_id)
-
-    def _mark_all_vehicles_dirty(self) -> None:
-        """Every vehicle moved (``advance``: schedules drive, idlers wander)."""
-        self._dirty_vehicles.update(self._fleet.vehicle_ids())
-
-    def _peek_booking_counter(self) -> int:
-        """The next booking number the counter would hand out (not consumed)."""
-        value = next(self._booking_counter)
-        self._booking_counter = itertools.count(value)
-        return value
-
-    def _set_booking_counter(self, value: int) -> None:
-        """Reset the booking counter (snapshot restore)."""
-        self._booking_counter = itertools.count(value)
+        return self._chain.write(self, full=True)
 
     @classmethod
     def _resume_at_snapshot(
@@ -556,7 +337,7 @@ class PTRiderService:
                 f"journal at {journal.directory} holds no service metadata; "
                 "it was never attached to a durable service"
             )
-        seq, state = load_snapshot_state(journal, prefer_snapshot=prefer_snapshot)
+        chain, seq, state = SnapshotChain.load(journal, prefer_snapshot)
         config = deserialize_config(state["config"])
         grid_meta = journal.get_meta("grid") or {}
         network = network_from_dict(network_payload)
@@ -587,7 +368,8 @@ class PTRiderService:
         # The restored lists are exactly their at-``seq`` lengths: the next
         # delta's suffixes start here, and the replayed tail appends past
         # them through the same mutation paths live execution uses.
-        service._reset_stats_baseline()
+        service._chain = chain
+        chain.start(service)
         return service, seq
 
     @classmethod
@@ -608,7 +390,10 @@ class PTRiderService:
 
         The recovered state is ``==`` (on serialized state, wall-clock
         measurements aside) to the pre-crash service: bookings, vehicle
-        schedules, fleet positions and statistics counters included.
+        schedules, fleet positions and the simulation and ingest statistics
+        included.  The matcher's work counters are not stored: after a
+        restore from a snapshot their ``matcher_*`` panel series counts only
+        the replayed tail.
 
         Args:
             journal_path: the journal directory of the crashed service.
@@ -623,7 +408,6 @@ class PTRiderService:
         """
         journal = ServiceJournal(journal_path)
         readable = journal.records()
-        readable_end = readable[-1].seq if readable else 0
         if journal.truncated_records:
             # The journal is the source of truth; a torn suffix moves the
             # durable horizon back to the last readable record.  Drop the
@@ -632,32 +416,16 @@ class PTRiderService:
             # truncated journal can no longer prove, and restoring one
             # would silently apply the very commands the tear lost.  The
             # never-pruned baseline guarantees a fallback always remains.
-            journal.truncate_after(readable_end)
-            for snapshot_seq, path in itertools.chain(
-                journal.snapshot_files(), journal.delta_files()
-            ):
-                if snapshot_seq > readable_end:
-                    try:
-                        path.unlink()
-                    except OSError:  # pragma: no cover - fs race
-                        pass
+            horizon = readable[-1].seq if readable else 0
+            journal.truncate_after(horizon)
+            for snapshot_seq, path in journal.snapshot_files() + journal.delta_files():
+                if snapshot_seq > horizon:
+                    path.unlink(missing_ok=True)
+        # The chain comes back positioned at its end on disk, as the walk
+        # that restored the snapshot found it (SnapshotChain.load).
         service, seq = cls._resume_at_snapshot(journal, prefer_snapshot)
         replay_records(service, [r for r in readable if r.seq > seq])
         service._applied_seq = journal.last_seq()
-        full_seqs = [s for s, _ in journal.snapshot_files()]
-        delta_seqs = [s for s, _ in journal.delta_files()]
-        service._last_full_seq = max(full_seqs, default=0)
-        service._last_snapshot_seq = max(full_seqs + delta_seqs, default=0)
-        service._prev_snapshot_point = service._last_snapshot_seq
-        service._deltas_since_full = sum(
-            1 for s in delta_seqs if s > service._last_full_seq
-        )
-        service._compaction_due = service._deltas_since_full >= DELTA_COMPACT_AFTER
-        # When the restore point sits behind the chain's end (a
-        # prefer_snapshot=False restore, or a fold cut short by a torn
-        # delta), suffix-based deltas cannot extend the chain coherently;
-        # the next cadence crossing writes a full snapshot to reset it.
-        service._delta_chain_valid = seq >= service._prev_snapshot_point
         service._recording = True
         return service
 
@@ -674,16 +442,7 @@ class PTRiderService:
         The global maximum waiting time and service constraint are applied,
         exactly as the demo does for requests coming from the smartphone UI.
         """
-        return self.book_request(
-            Request(
-                start=start,
-                destination=destination,
-                riders=riders,
-                max_waiting=self._config.max_waiting,
-                service_constraint=self._config.service_constraint,
-                submit_time=self._engine.time,
-            )
-        )
+        return self.book_request(self._request(start, destination, riders))
 
     def book_request(self, request: Request) -> Booking:
         """Book a fully specified :class:`~repro.model.request.Request`.
@@ -698,16 +457,12 @@ class PTRiderService:
         started = time.perf_counter()
         context = self._matcher.make_context(request)
         options = self._dispatcher.submit(request, context)
-        elapsed = time.perf_counter() - started
-        booking = Booking(
-            booking_id=f"B{next(self._booking_counter)}",
-            request=request,
-            options=tuple(options),
-            response_seconds=elapsed,
+        booking = self._add_booking(
+            request,
+            options,
+            response_seconds=time.perf_counter() - started,
             context=context if options else None,  # nothing to commit: pin no tree
         )
-        self._bookings[booking.booking_id] = booking
-        self._mark_booking_dirty(booking.booking_id)
         self._finish_command()
         return booking
 
@@ -730,16 +485,7 @@ class PTRiderService:
         ``False`` when a full queue shed it (``queue_capacity`` +
         ``queue_policy="shed"``).
         """
-        return self.ingest_request(
-            Request(
-                start=start,
-                destination=destination,
-                riders=riders,
-                max_waiting=self._config.max_waiting,
-                service_constraint=self._config.service_constraint,
-                submit_time=self._engine.time,
-            )
-        )
+        return self.ingest_request(self._request(start, destination, riders))
 
     def ingest_request(self, request: Request, now: Optional[float] = None) -> bool:
         """Admit a fully specified request into the micro-batched path.
@@ -770,18 +516,21 @@ class PTRiderService:
         any answered by windows that ``max_batch_size`` closed inline at
         admission time.
         """
-        moment = self._engine.time if now is None else now
-        self._journal_command("pump", self._window_payload({"now": moment}))
-        self._batcher.pump(now=moment)
-        answered, self._ingest_answered = self._ingest_answered, []
-        self._finish_command()
-        return answered
+        return self._hand_back("pump", now)
 
     def drain(self, now: Optional[float] = None) -> List[Booking]:
         """Force-flush the pending ingest window (shutdown / reconfigure)."""
+        return self._hand_back("drain", now)
+
+    def _hand_back(self, kind: str, now: Optional[float]) -> List[Booking]:
+        """Pump or force-flush the window; the bookings answered since the
+        previous hand-back."""
         moment = self._engine.time if now is None else now
-        self._journal_command("drain", self._window_payload({"now": moment}))
-        self._batcher.flush(now=moment)
+        self._journal_command(kind, self._window_payload({"now": moment}))
+        if kind == "pump":
+            self._batcher.pump(now=moment)
+        else:
+            self._batcher.flush(now=moment)
         answered, self._ingest_answered = self._ingest_answered, []
         self._finish_command()
         return answered
@@ -794,32 +543,14 @@ class PTRiderService:
         and the statistics panel records the submission exactly as
         :meth:`choose` / :meth:`cancel` would have.
         """
-        booking = Booking(
-            booking_id=f"B{next(self._booking_counter)}",
-            request=outcome.request,
-            options=tuple(outcome.options),
+        booking = self._add_booking(
+            outcome.request,
+            outcome.options,
             chosen=outcome.chosen,
             response_seconds=outcome.match_seconds,
         )
-        self._bookings[booking.booking_id] = booking
-        self._mark_booking_dirty(booking.booking_id)
         self._ingest_answered.append(booking)
-        chosen = outcome.chosen
-        if chosen is not None:
-            self._mark_vehicle_dirty(chosen.vehicle_id)
-        self._engine.statistics.record_submission(
-            request_id=outcome.request.request_id,
-            submit_time=outcome.request.submit_time,
-            option_count=len(outcome.options),
-            response_seconds=outcome.match_seconds,
-            matched=chosen is not None,
-            planned_pickup_distance=chosen.pickup_distance if chosen else 0.0,
-            direct_distance=outcome.direct_distance,
-        )
-        if chosen is not None:
-            self._engine.register_assignment(
-                outcome.request.request_id, chosen.vehicle_id, chosen.pickup_distance
-            )
+        self._record_answer(booking, outcome.direct_distance)
 
     def options(self, booking_id: str) -> List[RideOption]:
         """Return the options of an open booking."""
@@ -848,20 +579,7 @@ class PTRiderService:
             context = self._matcher.make_context(booking.request)
         self._dispatcher.commit(booking.request, option, context=context)
         booking.chosen = option
-        self._mark_booking_dirty(booking_id)
-        self._mark_vehicle_dirty(option.vehicle_id)
-        self._engine.statistics.record_submission(
-            request_id=booking.request.request_id,
-            submit_time=booking.request.submit_time,
-            option_count=len(booking.options),
-            response_seconds=booking.response_seconds,
-            matched=True,
-            planned_pickup_distance=option.pickup_distance,
-            direct_distance=context.direct,
-        )
-        self._engine.register_assignment(
-            booking.request.request_id, option.vehicle_id, option.pickup_distance
-        )
+        self._record_answer(booking, context.direct)
         self._finish_command()
         return option
 
@@ -888,16 +606,9 @@ class PTRiderService:
             raise ServiceError(f"unknown booking {booking_id!r}")
         if not booking.is_open:
             raise ServiceError(f"booking {booking_id} was already confirmed and cannot be cancelled")
-        self._engine.statistics.record_submission(
-            request_id=booking.request.request_id,
-            submit_time=booking.request.submit_time,
-            option_count=len(booking.options),
-            response_seconds=booking.response_seconds,
-            matched=False,
-        )
+        self._record_answer(booking)
         booking.context = None  # the caller may keep the Booking object
         del self._bookings[booking_id]
-        self._mark_booking_dirty(booking_id)
         self._finish_command()
 
     def booking(self, booking_id: str) -> Booking:
@@ -976,7 +687,7 @@ class PTRiderService:
         target = self._engine.time + duration
         while self._engine.time < target - 1e-9:
             self._engine.step()
-        self._mark_all_vehicles_dirty()
+        self._chain.dirty_vehicles.update(self._fleet.vehicle_ids())  # every vehicle moved
         self._retire_bookings()
         self._finish_command()
 
@@ -1006,7 +717,7 @@ class PTRiderService:
                 retired.append(booking_id)
         for booking_id in retired:
             del self._bookings[booking_id]
-            self._mark_booking_dirty(booking_id)
+            self._chain.dirty_bookings[booking_id] = None
         self._batcher.statistics.retired += len(retired)
 
     # ------------------------------------------------------------------
@@ -1083,7 +794,7 @@ class PTRiderService:
                 controller["ewma_arrival_rate"]
             )
         # Persistence cost: full snapshots vs incremental deltas.
-        payload.update(counters(self._snapshot_stats, "snapshot_"))
+        payload.update(counters(self._chain.stats, "snapshot_"))
         return payload
 
     def set_parameters(self, **changes: object) -> SystemConfig:
@@ -1156,6 +867,45 @@ class PTRiderService:
             return self._bookings[booking_id]
         except KeyError:
             raise ServiceError(f"unknown booking {booking_id!r}") from None
+
+    def _request(self, start: int, destination: int, riders: int) -> Request:
+        """A trip under the global waiting time and service constraint, now."""
+        return Request(
+            start=start,
+            destination=destination,
+            riders=riders,
+            max_waiting=self._config.max_waiting,
+            service_constraint=self._config.service_constraint,
+            submit_time=self._engine.time,
+        )
+
+    def _add_booking(self, request: Request, options, **fields: object) -> Booking:
+        """Hold a booking under the next booking id (dirty for the next delta)."""
+        booking = Booking(f"B{self._next_booking}", request, tuple(options), **fields)
+        self._next_booking += 1
+        self._bookings[booking.booking_id] = booking
+        self._chain.dirty_bookings[booking.booking_id] = None
+        return booking
+
+    def _record_answer(self, booking: Booking, direct_distance: float = 0.0) -> None:
+        """Count a booking its rider closed on the statistics panel; a chosen
+        option's assignment is registered with the engine."""
+        request, chosen = booking.request, booking.chosen
+        self._engine.statistics.record_submission(
+            request_id=request.request_id,
+            submit_time=request.submit_time,
+            option_count=len(booking.options),
+            response_seconds=booking.response_seconds,
+            matched=chosen is not None,
+            planned_pickup_distance=chosen.pickup_distance if chosen else 0.0,
+            direct_distance=direct_distance,
+        )
+        self._chain.dirty_bookings[booking.booking_id] = None
+        if chosen is not None:
+            self._chain.dirty_vehicles.add(chosen.vehicle_id)
+            self._engine.register_assignment(
+                request.request_id, chosen.vehicle_id, chosen.pickup_distance
+            )
 
 
 def build_system(

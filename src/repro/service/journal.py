@@ -329,15 +329,7 @@ class ServiceJournal:
         Like :meth:`snapshot_files`, in-flight ``*.tmp`` files (a crash
         mid-delta) are invisible: only a finished atomic rename counts.
         """
-        found: List[Tuple[int, Path]] = []
-        for path in sorted(self.directory.glob("delta-*.json")):
-            stem = path.stem.split("-", 1)
-            try:
-                found.append((int(stem[1]), path))
-            except (IndexError, ValueError):
-                continue
-        found.sort(key=lambda item: item[0])
-        return found
+        return self._state_files("delta")
 
     def prune_deltas(self, upto_seq: int) -> int:
         """Delete delta files with ``seq <= upto_seq``; returns how many.
@@ -364,15 +356,17 @@ class ServiceJournal:
         In-flight ``*.tmp`` files (a crash mid-snapshot) are ignored: only
         a finished atomic rename makes a snapshot visible here.
         """
+        return self._state_files("snapshot")
+
+    def _state_files(self, prefix: str) -> List[Tuple[int, Path]]:
+        """The ``<prefix>-<seq>.json`` files present, as sorted ``(seq, path)``."""
         found: List[Tuple[int, Path]] = []
-        for path in sorted(self.directory.glob("snapshot-*.json")):
-            stem = path.stem.split("-", 1)
+        for path in self.directory.glob(f"{prefix}-*.json"):
             try:
-                found.append((int(stem[1]), path))
-            except (IndexError, ValueError):
+                found.append((int(path.stem.split("-", 1)[1]), path))
+            except ValueError:
                 continue
-        found.sort(key=lambda item: item[0])
-        return found
+        return sorted(found)
 
     def prune_snapshots(self, keep: int = 3) -> int:
         """Delete all but the newest ``keep`` snapshots; returns how many.

@@ -11,7 +11,8 @@ serving systems use:
    dirtied since the previous snapshot point is written every
    ``snapshot_interval`` records, and a compaction between ingest windows
    replaces a long delta chain with a full snapshot (atomic
-   tmp-then-rename, old files pruned), bounding the replay tail;
+   tmp-then-rename, old files pruned), bounding the replay tail --
+   :class:`SnapshotChain` is that policy and the chain's state;
 4. :meth:`~repro.service.api.PTRiderService.recover` rebuilds the service
    from the journal's metadata (road network, grid shape, config), restores
    the newest *valid* full snapshot with its delta chain folded over it --
@@ -22,11 +23,12 @@ serving systems use:
 Replay is re-execution: the service's dispatch pipeline is deterministic
 given fleet state, simulated time and the engine's RNG state (all captured
 in the snapshot), so re-running the journaled commands reproduces bookings,
-vehicle schedules, fleet positions and statistics counters exactly.  The
-journal's window-flush ``outcome`` annotation records are used as a
-cross-check: recovery compares every re-derived flush outcome against the
-recorded one and raises :class:`RecoveryError` on divergence rather than
-silently serving a different history.
+vehicle schedules, fleet positions and the simulation and ingest statistics
+exactly.  The journal's window-flush ``outcome`` annotation records
+(:class:`OutcomeAnnotation`) are used as a cross-check: recovery compares
+every re-derived flush outcome against the recorded one and raises
+:class:`RecoveryError` on divergence rather than silently serving a
+different history.
 
 Everything durable is stored through one codec derived from the dataclasses
 that hold it (:func:`encode` / :func:`decode`, rules on :class:`_Plan`), so
@@ -38,7 +40,7 @@ same events never agree on them -- so :func:`canonical_state` strips them;
 equality of recovered and reference services is defined over everything
 else: bookings, options, chosen schedules, vehicle kinetic trees, fleet
 positions, motion/assignment bookkeeping, RNG state and the deterministic
-statistics counters.
+simulation and ingest counters.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ import enum
 import hashlib
 import json
 import os
+import time
 import types
 import typing
 from pathlib import Path
-from typing import Callable, Collection, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.config import DROP, RETIRED_CONFIG_KEYS, RUNTIME, SystemConfig, knob_names
 from repro.errors import PTRiderError, ServiceError
@@ -75,6 +78,8 @@ __all__ = [
     "write_delta",
     "fold_delta",
     "load_snapshot_state",
+    "SnapshotChain",
+    "OutcomeAnnotation",
     "replay_records",
     "deserialize_config",
     "SNAPSHOT_KEEP",
@@ -86,6 +91,11 @@ SNAPSHOT_KEEP = 3
 
 #: Bump when the snapshot payload shape changes incompatibly.
 STATE_VERSION = 1
+
+#: Incremental snapshot deltas written before compaction (a full snapshot)
+#: becomes due.  Bounds both the delta-fold work at recovery and the disk
+#: held by the chain; compaction itself waits for a gap between windows.
+DELTA_COMPACT_AFTER = 16
 
 
 class RecoveryError(ServiceError):
@@ -412,7 +422,7 @@ def _serialize_meta_small(service, pending_marker: Optional[Tuple[int, int]] = N
         "time": engine._time,
         "ticks": engine._ticks,
         "rng_state": [rng_state[0], list(rng_state[1]), rng_state[2]],
-        "booking_next": service._peek_booking_counter(),
+        "booking_next": service._next_booking,
         "ingest_answered": [b.booking_id for b in service._ingest_answered],
         "motions": {vid: encode(motion) for vid, motion in sorted(engine._motions.items())},
         "targets": dict(sorted(engine._targets.items())),
@@ -477,7 +487,7 @@ def restore_state(service, state: Dict[str, object]) -> None:
         rid: decode(_AssignmentRecord, record) for rid, record in state["assignments"].items()
     }
     engine.statistics = decode(SimulationStatistics, state["sim_stats"])
-    service._set_booking_counter(int(state["booking_next"]))
+    service._next_booking = int(state["booking_next"])
     service._bookings.clear()
     for payload in state["bookings"]:
         booking = decode(Booking, payload)
@@ -524,8 +534,9 @@ def canonical_state(service) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 # snapshot files
 # ----------------------------------------------------------------------
-def write_snapshot(journal: ServiceJournal, service, seq: int) -> Path:
-    """Atomically write the service's state as the snapshot at ``seq``.
+def write_snapshot(journal: ServiceJournal, service, seq: int) -> int:
+    """Atomically write the service's state as the snapshot at ``seq``;
+    returns the bytes written.
 
     The payload is written to a ``.tmp`` sibling first and moved into place
     with ``os.replace``, so a crash mid-snapshot leaves only an ignored
@@ -533,15 +544,17 @@ def write_snapshot(journal: ServiceJournal, service, seq: int) -> Path:
     a corrupt or truncated snapshot and fall back to an older one.  Old
     snapshots beyond :data:`SNAPSHOT_KEEP` are pruned.
     """
-    target = journal.snapshot_path(seq)
-    _write_document(target, f'"seq":{seq}', "state", serialize_state(service))
+    size = _write_document(
+        journal.snapshot_path(seq), f'"seq":{seq}', "state", serialize_state(service)
+    )
     journal.prune_snapshots(keep=SNAPSHOT_KEEP)
-    return target
+    return size
 
 
-def _write_document(target: Path, header: str, body_key: str, body: Dict[str, object]) -> None:
+def _write_document(target: Path, header: str, body_key: str, body: Dict[str, object]) -> int:
     """Write ``{header, "checksum": ..., body_key: body}`` to ``target``
-    atomically (tmp-then-rename), the checksum taken over ``body``'s JSON."""
+    atomically (tmp-then-rename), the checksum taken over ``body``'s JSON;
+    returns the bytes written."""
     body_text = json.dumps(body, separators=(",", ":"))
     checksum = hashlib.sha256(body_text.encode("utf-8")).hexdigest()
     # Embed the already-encoded body verbatim instead of re-encoding it
@@ -552,6 +565,7 @@ def _write_document(target: Path, header: str, body_key: str, body: Dict[str, ob
     document = '{%s,"checksum":"%s","%s":%s}' % (header, checksum, body_key, body_text)
     tmp.write_text(document, encoding="utf-8")
     os.replace(tmp, target)
+    return len(document)  # json.dumps escapes everything past ASCII: one byte a character
 
 
 def _load_document(path: Path, body_key: str, **header: int) -> Optional[Dict[str, object]]:
@@ -572,22 +586,20 @@ def _load_document(path: Path, body_key: str, **header: int) -> Optional[Dict[st
         return None
 
 
-def write_delta(
-    journal: ServiceJournal, service, seq: int, base_seq: int, prev_seq: int,
-    dirty_bookings: Dict[str, None], dirty_vehicles, stats_marker: Dict[str, int],
-) -> Path:
-    """Atomically write an incremental snapshot delta at ``seq``.
+def write_delta(journal: ServiceJournal, service, seq: int, chain: "SnapshotChain") -> int:
+    """Atomically write an incremental snapshot delta at ``seq``; returns
+    the bytes written.
 
     A delta re-serialises only what changed since the previous snapshot
     point: the small meta partition in full, the statistics partitions
-    incrementally (:func:`_statistics_delta`, past ``stats_marker``), and
-    only the *dirty* bookings and vehicles.  ``dirty_bookings`` maps
-    booking id -> ``None`` in creation order so a fold preserves the
-    bookings-list order of :func:`serialize_state`; ids no longer live
-    serialise as ``null`` (retention-pruned).  The delta chains on
-    ``prev_seq`` (the previous snapshot point) under the full snapshot
-    ``base_seq``; recovery folds the longest valid chain and
-    journal-replays past any break.
+    incrementally (:func:`_statistics_delta`, past the chain's
+    ``stats_marker``), and only the *dirty* bookings and vehicles.
+    ``dirty_bookings`` maps booking id -> ``None`` in creation order so a
+    fold preserves the bookings-list order of :func:`serialize_state`; ids
+    no longer live serialise as ``null`` (retention-pruned).  The delta
+    chains on the previous snapshot point under the newest full snapshot;
+    recovery folds the longest valid chain and journal-replays past any
+    break.
 
     Everything here is O(changed-since-last-point), never O(history) --
     that is the whole point: the hot-path stall a cadence crossing causes
@@ -595,6 +607,7 @@ def write_delta(
     the day has run.
     """
     live = service._bookings
+    stats_marker = chain.stats_marker
     pending_marker = (stats_marker.get("pending_epoch", -1), stats_marker.get("pending_len", 0))
     delta = {
         "version": STATE_VERSION,
@@ -603,17 +616,16 @@ def write_delta(
         "ingest_stats": _statistics_delta(service._batcher.statistics, stats_marker),
         "bookings": {
             booking_id: encode(live[booking_id]) if booking_id in live else None
-            for booking_id in dirty_bookings
+            for booking_id in chain.dirty_bookings
         },
         "vehicles": {
             vehicle.vehicle_id: encode(snapshot_vehicle(vehicle))
             for vehicle in service._fleet.vehicles()
-            if vehicle.vehicle_id in dirty_vehicles
+            if vehicle.vehicle_id in chain.dirty_vehicles
         },
     }
-    target = journal.delta_path(seq)
-    _write_document(target, f'"seq":{seq},"base":{base_seq},"prev":{prev_seq}', "delta", delta)
-    return target
+    header = f'"seq":{seq},"base":{chain.full_seq},"prev":{chain.point_seq}'
+    return _write_document(journal.delta_path(seq), header, "delta", delta)
 
 
 def fold_delta(state: Dict[str, object], delta: Dict[str, object]) -> None:
@@ -650,46 +662,19 @@ def fold_delta(state: Dict[str, object], delta: Dict[str, object]) -> None:
 def load_snapshot_state(
     journal: ServiceJournal, prefer_snapshot: bool = True
 ) -> Tuple[int, Dict[str, object]]:
-    """The newest valid snapshot's ``(seq, state)``.
-
-    Walks the snapshot files newest-first, skipping corrupt or partial
-    ones (bad checksum, truncated JSON, version mismatch) -- falling back
-    to an older snapshot simply means a longer replay.  When incremental
-    deltas exist on top of the chosen full snapshot, the longest valid
-    chain (each delta checksummed, ``base`` == the full snapshot's seq,
-    ``prev`` linking snapshot -> delta -> delta without gaps) is folded in
-    order; a corrupt or torn delta truncates the chain there, and journal
-    replay covers the rest.  With ``prefer_snapshot=False`` only the
-    baseline (sequence position 0) is considered and deltas are ignored,
-    forcing a full-journal replay -- the ablation arm of the recovery
-    benchmark and the reference side of the snapshot+tail == full-replay
-    property.
-
-    Raises:
-        RecoveryError: when no snapshot (not even the baseline) is usable.
-    """
-    candidates = journal.snapshot_files()
-    if not prefer_snapshot:
-        candidates = [(seq, path) for seq, path in candidates if seq == 0]
-    for seq, path in reversed(candidates):
-        state = _load_document(path, "state", seq=seq)
-        if state is not None:
-            if prefer_snapshot:
-                return _fold_delta_chain(journal, seq, state)
-            return seq, state
-    raise RecoveryError(
-        f"no usable snapshot in {journal.directory} "
-        f"(checked {len(candidates)} file(s))"
-    )
+    """The newest valid snapshot's ``(seq, state)``: :meth:`SnapshotChain.load`
+    without the chain."""
+    _chain, seq, state = SnapshotChain.load(journal, prefer_snapshot)
+    return seq, state
 
 
 def _fold_delta_chain(
-    journal: ServiceJournal, base_seq: int, state: Dict[str, object]
-) -> Tuple[int, Dict[str, object]]:
-    """Fold the longest valid delta chain over the full snapshot ``state``
-    at ``base_seq``."""
+    deltas: List[Tuple[int, Path]], base_seq: int, state: Dict[str, object]
+) -> int:
+    """Fold the longest valid chain of ``deltas`` over the full snapshot
+    ``state`` at ``base_seq``; returns the seq the folded state stands at."""
     prev_seq = base_seq
-    for delta_seq, delta_path in journal.delta_files():
+    for delta_seq, delta_path in deltas:
         if delta_seq <= base_seq:
             continue
         delta = _load_document(delta_path, "delta", seq=delta_seq, base=base_seq, prev=prev_seq)
@@ -699,7 +684,183 @@ def _fold_delta_chain(
             break
         fold_delta(state, delta)
         prev_seq = delta_seq
-    return prev_seq, state
+    return prev_seq
+
+
+@dataclasses.dataclass
+class _SnapshotStatistics:
+    """Persistence-cost attribution for the admin panel: counts, last-file
+    bytes and cumulative wall seconds of full snapshots vs incremental deltas
+    (``full_seconds`` is the background compaction bill)."""
+
+    full_count: int = 0
+    delta_count: int = 0
+    full_bytes: int = 0
+    delta_bytes: int = 0
+    full_seconds: float = 0.0
+    delta_seconds: float = 0.0
+
+
+@dataclasses.dataclass
+class SnapshotChain:
+    """The snapshot chain a durable service extends, and its cadence.
+
+    On disk the chain is a full snapshot followed by deltas, each naming
+    the full snapshot as its ``base`` and the point before it as ``prev``.
+    Under ``durability="journal+snapshot"`` :meth:`finish` writes a point
+    every ``snapshot_interval`` records; the service marks what each command
+    mutates in ``dirty_bookings`` / ``dirty_vehicles`` so a delta carries
+    just that.  The baseline snapshot at position 0 is the one point
+    written outside the chain's bookkeeping.
+    """
+
+    #: journal position of the newest full snapshot (the deltas' base)
+    full_seq: int = 0
+    #: journal position of the newest snapshot point, full or delta
+    point_seq: int = 0
+    #: deltas written since the newest full snapshot (compaction trigger)
+    deltas: int = 0
+    #: whether the service's state is the chain's end.  A recovery that
+    #: restores *behind* it (``prefer_snapshot=False``, or a fold cut short
+    #: by a torn delta) cannot extend the chain with suffix-based deltas --
+    #: their list tails would overlap what the chain already carries -- so
+    #: the next cadence crossing writes a full snapshot instead.
+    valid: bool = True
+    #: booking ids mutated since the last point, an insertion-ordered dict
+    #: used as an ordered set.  Re-marking an id keeps its place, so a delta
+    #: fold reproduces the full serialisation's bookings-list order; marking
+    #: is unconditional, so replay dirties what live execution did.
+    dirty_bookings: Dict[str, None] = dataclasses.field(default_factory=dict)
+    #: vehicle ids mutated since the last point
+    dirty_vehicles: Set[str] = dataclasses.field(default_factory=set)
+    #: lengths of the append-only statistics lists (and the pending
+    #: window's epoch and length) at the last point: a delta serialises
+    #: only what lies past them
+    stats_marker: Dict[str, int] = dataclasses.field(default_factory=dict)
+    stats: _SnapshotStatistics = dataclasses.field(default_factory=_SnapshotStatistics)
+
+    @classmethod
+    def load(
+        cls, journal: ServiceJournal, prefer_snapshot: bool = True
+    ) -> Tuple["SnapshotChain", int, Dict[str, object]]:
+        """Walk the chain on disk: ``(chain, seq, state)``, the newest valid
+        snapshot's state at ``seq`` and the chain positioned at its end.
+
+        Walks the snapshot files newest-first, skipping corrupt or partial
+        ones (bad checksum, truncated JSON, version mismatch) -- falling
+        back to an older snapshot simply means a longer replay.  When
+        incremental deltas exist on top of the chosen full snapshot, the
+        longest valid chain (each delta checksummed, ``base`` == the full
+        snapshot's seq, ``prev`` linking snapshot -> delta -> delta without
+        gaps) is folded in order; a corrupt or torn delta truncates the
+        chain there, and journal replay covers the rest.  With
+        ``prefer_snapshot=False`` only the baseline (sequence position 0)
+        is restored and deltas are ignored, forcing a full-journal replay
+        -- the ablation arm of the recovery benchmark and the reference
+        side of the snapshot+tail == full-replay property.
+
+        The chain's end is the newest file on disk, read or not: the next
+        point lands a ``snapshot_interval`` past it, and it is
+        :attr:`valid` only when ``seq`` reached it.
+
+        Raises:
+            RecoveryError: when no snapshot (not even the baseline) is usable.
+        """
+        fulls, deltas = journal.snapshot_files(), journal.delta_files()
+        candidates = fulls if prefer_snapshot else [(seq, path) for seq, path in fulls if seq == 0]
+        for seq, path in reversed(candidates):
+            state = _load_document(path, "state", seq=seq)
+            if state is not None:
+                break
+        else:
+            raise RecoveryError(
+                f"no usable snapshot in {journal.directory} "
+                f"(checked {len(candidates)} file(s))"
+            )
+        if prefer_snapshot:
+            seq = _fold_delta_chain(deltas, seq, state)
+        full_seq = fulls[-1][0]
+        point_seq = max(full_seq, deltas[-1][0]) if deltas else full_seq
+        chain = cls(
+            full_seq=full_seq,
+            point_seq=point_seq,
+            deltas=sum(1 for delta_seq, _ in deltas if delta_seq > full_seq),
+            valid=seq >= point_seq,
+        )
+        return chain, seq, state
+
+    def finish(self, service) -> None:
+        """The cadence, after each journaled command under
+        ``durability="journal+snapshot"``.
+
+        A cadence crossing writes a cheap delta (dirty partitions only), or
+        a full snapshot while the chain is not :attr:`valid`.  After
+        :data:`DELTA_COMPACT_AFTER` deltas a compaction (a full snapshot)
+        is due; it runs only between windows -- never inside a flush, so it
+        can never inflate a serving window's latency.
+        """
+        config = service._config
+        if config.durability != "journal+snapshot":
+            return
+        if service._applied_seq - self.point_seq >= config.snapshot_interval:
+            self.write(service, full=not self.valid)
+        if self.deltas >= DELTA_COMPACT_AFTER and service._batcher.pending == 0:
+            self.write(service, full=True)
+
+    def write(self, service, full: bool) -> Path:
+        """Write a point at the journal's position; returns its path.
+
+        A full snapshot restarts the chain (the deltas it supersedes are
+        pruned); a delta serialises what was dirtied since the previous
+        point and chains on it.  Either way the next point's tracking
+        starts here (:meth:`start`).
+        """
+        journal = service._journal
+        journal.commit()  # no point names a seq a crash could still take back
+        seq = journal.last_seq()
+        stats = self.stats
+        started = time.perf_counter()
+        if full:
+            stats.full_bytes = write_snapshot(journal, service, seq)
+            stats.full_seconds += time.perf_counter() - started
+            stats.full_count += 1
+            journal.prune_deltas(seq)
+            self.full_seq, self.deltas, self.valid = seq, 0, True
+            path = journal.snapshot_path(seq)
+        else:
+            stats.delta_bytes = write_delta(journal, service, seq, self)
+            stats.delta_seconds += time.perf_counter() - started
+            stats.delta_count += 1
+            self.deltas += 1
+            path = journal.delta_path(seq)
+        self.point_seq = seq
+        self.start(service)
+        return path
+
+    def start(self, service) -> None:
+        """Start tracking what the next point must carry, from ``service``'s
+        state now: a written point, or a restore (the replayed tail then
+        dirties exactly what live execution did).
+
+        Empties the dirty sets and the sim statistics' dirty lifecycle
+        records, and records the lengths of the lists the statistics mark
+        ``append_only`` and the pending window's epoch and length -- while
+        that epoch still matches (appends only), the next delta ships just
+        the newly admitted entries.
+        """
+        sim = service._engine.statistics
+        batcher = service._batcher
+        self.dirty_bookings = {}
+        self.dirty_vehicles = set()
+        self.stats_marker = {
+            field.key: len(getattr(stats, field.name))
+            for stats in (sim, batcher.statistics)
+            for field in durable_fields(type(stats))
+            if field.append_only
+        }
+        self.stats_marker["pending_epoch"] = batcher.pending_epoch
+        self.stats_marker["pending_len"] = batcher.pending
+        sim.dirty_records.clear()
 
 
 # ----------------------------------------------------------------------
@@ -729,8 +890,6 @@ def apply_record(service, record: JournalRecord) -> None:
         if kind == "book":
             service.book_request(decode(Request, payload["request"]))
         elif kind == "book_batch":
-            from repro.service.api import Booking
-
             # An older build's burst: one booking per request, each matched
             # against the same fleet; a broken trip booked with no options.
             for body in payload["requests"]:
@@ -738,13 +897,7 @@ def apply_record(service, record: JournalRecord) -> None:
                 try:
                     service.book_request(request)
                 except PTRiderError:
-                    booking = Booking(
-                        booking_id=f"B{next(service._booking_counter)}",
-                        request=request,
-                        options=(),
-                    )
-                    service._bookings[booking.booking_id] = booking
-                    service._mark_booking_dirty(booking.booking_id)
+                    service._add_booking(request, ())
         elif kind == "admit":
             service.ingest_request(decode(Request, payload["request"]), now=float(payload["now"]))
         elif kind == "pump":
@@ -778,6 +931,48 @@ def apply_record(service, record: JournalRecord) -> None:
     service._applied_seq = record.seq
 
 
+class OutcomeAnnotation:
+    """The window-flush outcomes one command produced, in flush order.
+
+    A dispatcher ``outcome_listener``.  The live service journals what it
+    heard as one ``outcome`` record when the command finishes (a record per
+    outcome would double the journal's appends on the serving hot path);
+    :func:`replay_records` listens with another and cross-checks what the
+    replay re-derives against the recorded ones.  A crash before the record
+    lands loses only the annotation -- replay tolerates re-deriving more
+    outcomes than were recorded.
+    """
+
+    def __init__(self) -> None:
+        self.outcomes: List[Dict[str, object]] = []
+
+    def __call__(self, outcome) -> None:
+        """Keep the deterministic portion of ``outcome`` (no wall-clock fields)."""
+        chosen = outcome.chosen
+        self.outcomes.append({
+            "request_id": outcome.request.request_id,
+            "options": [
+                [option.vehicle_id, option.price, option.pickup_distance]
+                for option in outcome.options
+            ],
+            "chosen": (
+                None
+                if chosen is None
+                else [chosen.vehicle_id, chosen.price, chosen.pickup_distance]
+            ),
+            "direct_distance": outcome.direct_distance,
+        })
+
+    def append_to(self, journal: ServiceJournal) -> Optional[int]:
+        """Append the outcomes heard as one record and forget them; returns
+        its seq, or ``None`` when there were none."""
+        if not self.outcomes:
+            return None
+        seq = journal.append("outcome", {"outcomes": self.outcomes})
+        self.outcomes.clear()
+        return seq
+
+
 def replay_records(service, records: List[JournalRecord]) -> int:
     """Re-execute a record tail in sequence-number order; returns how many.
 
@@ -797,11 +992,9 @@ def replay_records(service, records: List[JournalRecord]) -> int:
             # one annotation record per command, holding every outcome the
             # command's flush produced, in flush order
             expected.extend(record.payload.get("outcomes", []))
-    replayed: List[Dict[str, object]] = []
+    replayed = OutcomeAnnotation()
     previous_listener = service._dispatcher.outcome_listener
-    service._dispatcher.outcome_listener = lambda outcome: replayed.append(
-        service._outcome_payload(outcome)
-    )
+    service._dispatcher.outcome_listener = replayed
     applied = 0
     try:
         for record in ordered:
@@ -819,16 +1012,17 @@ def replay_records(service, records: List[JournalRecord]) -> int:
     # one at the same position.  The replay may legitimately produce *more*
     # outcomes than were recorded (a crash between a flush's commits and
     # its annotation appends), never different ones.
+    rederived = replayed.outcomes
     for index, recorded in enumerate(expected):
-        if index >= len(replayed):
+        if index >= len(rederived):
             raise RecoveryError(
                 f"journal records {len(expected)} flush outcomes but replay "
-                f"re-derived only {len(replayed)}"
+                f"re-derived only {len(rederived)}"
             )
-        if recorded != replayed[index]:
+        if recorded != rederived[index]:
             raise RecoveryError(
                 "replay diverged from the journaled flush outcome for request "
                 f"{recorded.get('request_id')!r}: recorded {recorded}, "
-                f"re-derived {replayed[index]}"
+                f"re-derived {rederived[index]}"
             )
     return applied

@@ -145,7 +145,7 @@ def test_folded_equals_full_at_every_cadence(tmp_path, seed):
     try:
         for index in range(45):
             _step(service, rng, verts, index)
-            point = service._prev_snapshot_point
+            point = service._chain.point_seq
             if point > 0 and point == service._applied_seq:
                 # A snapshot point landed on this very command: the folded
                 # chain must reproduce a full serialise of the live state.

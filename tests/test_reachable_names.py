@@ -50,6 +50,9 @@ KEEP: Dict[str, str] = {
     "ServiceJournal.command_count": (
         "a resumed driver's documented restart point (ARCHITECTURE.md, durability)"
     ),
+    "load_snapshot_state": (
+        "the (seq, state) view of SnapshotChain.load the snapshot and fold tests read"
+    ),
 }
 
 
