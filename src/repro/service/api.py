@@ -516,21 +516,20 @@ class PTRiderService:
         any answered by windows that ``max_batch_size`` closed inline at
         admission time.
         """
-        return self._hand_back("pump", now)
+        return self._hand_back("pump", self._batcher.pump, now)
 
     def drain(self, now: Optional[float] = None) -> List[Booking]:
         """Force-flush the pending ingest window (shutdown / reconfigure)."""
-        return self._hand_back("drain", now)
+        return self._hand_back("drain", self._batcher.flush, now)
 
-    def _hand_back(self, kind: str, now: Optional[float]) -> List[Booking]:
-        """Pump or force-flush the window; the bookings answered since the
-        previous hand-back."""
+    def _hand_back(
+        self, kind: str, flush: Callable[..., object], now: Optional[float]
+    ) -> List[Booking]:
+        """Journal ``kind``, call the batcher's ``flush``; the bookings
+        answered since the previous hand-back."""
         moment = self._engine.time if now is None else now
         self._journal_command(kind, self._window_payload({"now": moment}))
-        if kind == "pump":
-            self._batcher.pump(now=moment)
-        else:
-            self._batcher.flush(now=moment)
+        flush(now=moment)
         answered, self._ingest_answered = self._ingest_answered, []
         self._finish_command()
         return answered
