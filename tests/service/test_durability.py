@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import json
 import shutil
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -898,3 +901,180 @@ class TestRecoveredChain:
         _tear_record(directory, 8)
         # records 8-10 and delta 9 are gone; restored at 7, the chain's new end
         self._check(directory, True, ("delta", 9, 5, 7), fulls=[37])
+
+
+def _served_counters(service):
+    """The ``matcher_*`` and ``ingest_*`` panel entries that read no wall clock."""
+    panel = {**service.statistics(), **service.routing_statistics()}
+    return {
+        key: value for key, value in sorted(panel.items())
+        if key.startswith(("matcher_", "ingest_"))
+        and not key.endswith(("_seconds", "throughput"))
+        and "ingest_latency_" not in key
+    }
+
+
+class TestReconfiguredDay:
+    """A ``journal+snapshot`` day that the admin form reconfigures three
+    times mid-traffic: the matcher, the routing backend and the ingest
+    window.
+
+    Each round books and chooses one trip, admits two trips into the ingest
+    window, advances and pumps; each reconfigure comes with two admissions
+    still pending, so it drains a window first.  Pinned: the ``matcher_*``
+    and ``ingest_*`` counters just before and just after each reconfigure
+    (the series continue through every rebuild, and the drained window
+    counts in them), the ``outcome`` records journaled by then, the
+    dispatcher's active requests at the end of the day (pick-ups and
+    drop-offs after a rebuild reach the live dispatcher) and a SHA-256 of
+    the state files written.  ``time.perf_counter`` counts instead of
+    reading the clock, so the wall-clock fields those files store are fixed.
+    """
+
+    RECONFIGURES = (
+        {"matcher_name": "dual_side"},
+        {"routing_backend": "csr+alt"},
+        {"batch_window": 2.5},
+    )
+
+    #: the counters just before each reconfigure
+    BEFORE = (
+        {
+            "ingest_admitted": 10.0, "ingest_answered": 8.0, "ingest_cancelled": 0.0,
+            "ingest_close_drained": 0.0, "ingest_deadline_closed": 0.0,
+            "ingest_deadline_misses": 0.0, "ingest_errored": 0.0,
+            "ingest_evicted": 0.0, "ingest_flushes": 4.0, "ingest_forced": 0.0,
+            "ingest_mean_window_fill": 0.00390625, "ingest_peak_queue_depth": 2.0,
+            "ingest_queue_depth": 2.0, "ingest_retired": 0.0, "ingest_shed": 0.0,
+            "ingest_size_closed": 0.0, "ingest_window": 1.0,
+            "ingest_window_closed": 4.0, "ingest_window_grown": 0.0,
+            "ingest_window_mode": "fixed", "ingest_window_shrunk": 0.0,
+            "matcher_cells_visited": 768.0, "matcher_insertions_enumerated": 315.0,
+            "matcher_insertions_feasible": 46.0, "matcher_options_returned": 17.0,
+            "matcher_requests_answered": 12.0, "matcher_vehicles_beyond_cap": 0.0,
+            "matcher_vehicles_considered": 48.0, "matcher_vehicles_evaluated": 38.0,
+            "matcher_vehicles_pruned": 10.0,
+        },
+        {
+            "ingest_admitted": 20.0, "ingest_answered": 18.0, "ingest_cancelled": 0.0,
+            "ingest_close_drained": 0.0, "ingest_deadline_closed": 0.0,
+            "ingest_deadline_misses": 0.0, "ingest_errored": 0.0,
+            "ingest_evicted": 0.0, "ingest_flushes": 9.0, "ingest_forced": 1.0,
+            "ingest_mean_window_fill": 0.00390625, "ingest_peak_queue_depth": 2.0,
+            "ingest_queue_depth": 2.0, "ingest_retired": 0.0, "ingest_shed": 0.0,
+            "ingest_size_closed": 0.0, "ingest_window": 1.0,
+            "ingest_window_closed": 8.0, "ingest_window_grown": 0.0,
+            "ingest_window_mode": "fixed", "ingest_window_shrunk": 0.0,
+            "matcher_cells_visited": 1614.0, "matcher_insertions_enumerated": 1481.0,
+            "matcher_insertions_feasible": 152.0, "matcher_options_returned": 43.0,
+            "matcher_requests_answered": 26.0, "matcher_vehicles_beyond_cap": 0.0,
+            "matcher_vehicles_considered": 166.0, "matcher_vehicles_evaluated": 123.0,
+            "matcher_vehicles_pruned": 43.0,
+        },
+        {
+            "ingest_admitted": 30.0, "ingest_answered": 28.0, "ingest_cancelled": 0.0,
+            "ingest_close_drained": 0.0, "ingest_deadline_closed": 0.0,
+            "ingest_deadline_misses": 0.0, "ingest_errored": 0.0,
+            "ingest_evicted": 0.0, "ingest_flushes": 14.0, "ingest_forced": 2.0,
+            "ingest_mean_window_fill": 0.00390625, "ingest_peak_queue_depth": 2.0,
+            "ingest_queue_depth": 2.0, "ingest_retired": 0.0, "ingest_shed": 0.0,
+            "ingest_size_closed": 0.0, "ingest_window": 1.0,
+            "ingest_window_closed": 12.0, "ingest_window_grown": 0.0,
+            "ingest_window_mode": "fixed", "ingest_window_shrunk": 0.0,
+            "matcher_cells_visited": 2361.0, "matcher_insertions_enumerated": 7553.0,
+            "matcher_insertions_feasible": 493.0, "matcher_options_returned": 70.0,
+            "matcher_requests_answered": 40.0, "matcher_vehicles_beyond_cap": 0.0,
+            "matcher_vehicles_considered": 305.0, "matcher_vehicles_evaluated": 213.0,
+            "matcher_vehicles_pruned": 92.0,
+        },
+    )
+    #: what each reconfigure"s drain (and the knob itself) moved
+    MOVED = (
+        {
+            "ingest_answered": 10.0, "ingest_flushes": 5.0, "ingest_forced": 1.0,
+            "ingest_queue_depth": 0.0, "matcher_cells_visited": 896.0,
+            "matcher_insertions_enumerated": 352.0,
+            "matcher_insertions_feasible": 52.0, "matcher_options_returned": 20.0,
+            "matcher_requests_answered": 14.0, "matcher_vehicles_considered": 61.0,
+            "matcher_vehicles_evaluated": 42.0, "matcher_vehicles_pruned": 19.0,
+        },
+        {
+            "ingest_answered": 20.0, "ingest_flushes": 10.0, "ingest_forced": 2.0,
+            "ingest_queue_depth": 0.0, "matcher_cells_visited": 1742.0,
+            "matcher_insertions_enumerated": 1866.0,
+            "matcher_insertions_feasible": 178.0, "matcher_options_returned": 47.0,
+            "matcher_requests_answered": 28.0, "matcher_vehicles_considered": 187.0,
+            "matcher_vehicles_evaluated": 137.0, "matcher_vehicles_pruned": 50.0,
+        },
+        {
+            "ingest_answered": 30.0, "ingest_flushes": 15.0, "ingest_forced": 3.0,
+            "ingest_queue_depth": 0.0, "ingest_window": 2.5,
+            "matcher_cells_visited": 2373.0, "matcher_insertions_enumerated": 7578.0,
+            "matcher_insertions_feasible": 503.0, "matcher_options_returned": 72.0,
+            "matcher_requests_answered": 42.0, "matcher_vehicles_considered": 312.0,
+            "matcher_vehicles_evaluated": 215.0, "matcher_vehicles_pruned": 97.0,
+        },
+    )
+    OUTCOME_RECORDS = (5, 10, 15)
+    ACTIVE = {
+        "D43": "c10", "D44": "c5", "D46": "c5", "D47": "c11", "D49": "c11",
+        "D51": "c11", "D52": "c7",
+    }
+    STATE_FILES_SHA256 = (
+        "ed452212135d3aaadcd18141ef50b4fb"
+        "8311e95f7ef6fe768e5de5147059f796"
+    )
+
+    def _day(self, tmp_path, monkeypatch):
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks) * 0.001)
+        monkeypatch.chdir(tmp_path)  # a relative journal path: the files name no tmp dir
+        service = build_system(
+            vehicles=12, seed=23, network_rows=10, network_columns=10,
+            durability="journal+snapshot", snapshot_interval=4,
+            journal_path="journal",
+        )
+        index = itertools.count()
+
+        def rounds(count):
+            for _ in range(count):
+                booking = service.book_request(_request(service, next(index)))
+                if booking.options:
+                    service.choose(booking.booking_id, 0)
+                for _ in range(2):
+                    service.ingest_request(_request(service, next(index)))
+                service.advance(1.0)
+                service.pump()
+            for _ in range(2):
+                service.ingest_request(_request(service, next(index)))
+
+        observed = []
+        for changes in self.RECONFIGURES:
+            rounds(4)
+            before = _served_counters(service)
+            service.set_parameters(**changes)
+            outcomes = sum(1 for r in service.journal.records() if r.kind == "outcome")
+            observed.append((before, _served_counters(service), outcomes))
+        rounds(3)
+        service.drain()
+        service.advance(12.0)
+        active = canonical_state(service)["active_requests"]
+        service.close()
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.joinpath("journal").glob("*.json")):
+            digest.update(path.name.encode("utf-8"))
+            digest.update(path.read_bytes())
+        return observed, active, digest.hexdigest()
+
+    def test_the_series_continue_and_the_live_dispatcher_hears_the_trips(
+        self, tmp_path, monkeypatch
+    ):
+        observed, active, sha = self._day(tmp_path, monkeypatch)
+        for (before, after, outcomes), pinned, moved, records in zip(
+            observed, self.BEFORE, self.MOVED, self.OUTCOME_RECORDS, strict=True
+        ):
+            assert before == pinned
+            assert after == {**pinned, **moved}
+            assert outcomes == records
+        assert active == self.ACTIVE
+        assert sha == self.STATE_FILES_SHA256
