@@ -28,20 +28,13 @@ from typing import Dict, Optional, Sequence
 
 from repro.core.config import KNOBS, SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
-from repro.core.dual_side import DualSideSearchMatcher
-from repro.core.naive import NaiveKineticTreeMatcher
-from repro.core.single_side import SingleSideSearchMatcher
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ServiceError
 from repro.roadnet.generators import grid_network
-from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.routing import make_engine
-from repro.service.api import MATCHER_REGISTRY, PTRiderService, build_system
+from repro.service.api import MATCHER_REGISTRY, PTRiderService, assemble_fleet, build_system
 from repro.service.journal import ServiceJournal
 from repro.sim.engine import SimulationEngine
 from repro.sim.trips import ShanghaiLikeTripGenerator
 from repro.sim.workload import RequestWorkload, random_requests
-from repro.vehicles.fleet import Fleet
-from repro.vehicles.vehicle import Vehicle
 
 __all__ = ["main", "build_parser", "knob_arguments"]
 
@@ -132,6 +125,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return run[args.command](args)
     except ConfigurationError as error:
         parser.error(str(error))
+    except ServiceError as error:  # e.g. a journal directory that already holds state
+        print(f"{parser.prog}: error: {error}", file=sys.stderr)
+        return 2
 
 
 # ----------------------------------------------------------------------
@@ -210,28 +206,27 @@ def _run_demo(args: argparse.Namespace) -> int:
         system.close()
 
 
-def _run_simulate(args: argparse.Namespace) -> int:
-    network = grid_network(args.rows, args.columns, weight_jitter=0.25, seed=args.seed)
-    grid = GridIndex(network, rows=8, columns=8)
+def _dispatcher(args: argparse.Namespace, matcher_name: Optional[str] = None) -> Dispatcher:
+    """A dispatcher on a freshly placed fleet, as ``simulate`` and
+    ``compare`` run: ``matcher_name``'s matcher, or the config's."""
     config = SystemConfig(
         max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
     ).with_knobs(knob_arguments(args), running=False)
-    fleet = Fleet(
-        grid,
-        make_engine(network, config.routing_backend),
-    )
-    rng = random.Random(args.seed)
-    vertices = network.vertices()
-    for index in range(args.vehicles):
-        fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(vertices), capacity=4))
-    matcher = MATCHER_REGISTRY[config.matcher_name](fleet, config=config)
-    dispatcher = Dispatcher(fleet, matcher, config)
-    generator = ShanghaiLikeTripGenerator(network, seed=args.seed)
+    network = grid_network(args.rows, args.columns, weight_jitter=0.25, seed=args.seed)
+    fleet = assemble_fleet(network, config, args.vehicles, args.seed)
+    matcher = MATCHER_REGISTRY[matcher_name or config.matcher_name](fleet, config=config)
+    return Dispatcher(fleet, matcher, config)
+
+
+def _run_simulate(args: argparse.Namespace) -> int:
+    dispatcher = _dispatcher(args)
+    config = dispatcher.config
+    generator = ShanghaiLikeTripGenerator(dispatcher.fleet.grid.network, seed=args.seed)
     trips = generator.generate(args.trips, day_seconds=args.duration)
     workload = RequestWorkload.from_trips(trips, config.max_waiting, config.service_constraint)
     engine = SimulationEngine(dispatcher, workload, speed=1.0, tick=1.0, seed=args.seed)
     report = engine.run(until=args.duration + 50.0)
-    print(f"Matcher: {matcher.name} (routing={config.routing_backend})")
+    print(f"Matcher: {dispatcher.matcher.name} (routing={config.routing_backend})")
     for key, value in sorted(report.panel().items()):
         print(f"  {key:>25}: {value:.4f}")
     return 0
@@ -239,24 +234,11 @@ def _run_simulate(args: argparse.Namespace) -> int:
 
 def _run_compare(args: argparse.Namespace) -> int:
     results = []
-    config = SystemConfig(
-        max_waiting=6.0, service_constraint=0.4, max_pickup_distance=12.0,
-    ).with_knobs(knob_arguments(args), running=False)
-    for matcher_class in (NaiveKineticTreeMatcher, SingleSideSearchMatcher, DualSideSearchMatcher):
-        network = grid_network(args.rows, args.columns, weight_jitter=0.25, seed=args.seed)
-        grid = GridIndex(network, rows=8, columns=8)
-        fleet = Fleet(
-            grid,
-            make_engine(network, config.routing_backend),
-        )
-        rng = random.Random(args.seed)
-        vertices = network.vertices()
-        for index in range(args.vehicles):
-            fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(vertices), capacity=4))
-        matcher = matcher_class(fleet, config=config)
-        dispatcher = Dispatcher(fleet, matcher, config)
+    for name in ("naive", "single_side", "dual_side"):
+        dispatcher = _dispatcher(args, name)  # a fresh fleet per matcher
+        config = dispatcher.config
         requests = random_requests(
-            network,
+            dispatcher.fleet.grid.network,
             args.requests,
             config.max_waiting,
             config.service_constraint,
@@ -265,11 +247,11 @@ def _run_compare(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         dispatcher.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST, prefetch=args.prefetch)
         elapsed = time.perf_counter() - started
-        stats = matcher.statistics
+        stats = dispatcher.matcher.statistics
         batch_stats = dispatcher.last_batch_statistics
         hit_rate = batch_stats.shared_tree_hit_rate if batch_stats is not None else 0.0
         prefetched = batch_stats.prefetched_trees if batch_stats is not None else 0
-        results.append((matcher.name, elapsed, stats, hit_rate, prefetched))
+        results.append((dispatcher.matcher.name, elapsed, stats, hit_rate, prefetched))
     print(f"Dispatch: batched pipeline, prefetch {'on' if args.prefetch else 'off'}")
     print(
         f"{'matcher':>12} {'seconds':>9} {'evaluated':>10} {'pruned':>8} "

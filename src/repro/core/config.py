@@ -230,29 +230,12 @@ class SystemConfig:
         Check(lambda value: value == 1, "1 (it is retired: dispatch runs in one process)"),
         FIXED,
     ))
-    batch_window: float = field(default=1.0, metadata=knob(
-        _POSITIVE, RUNTIME, flag="--batch-window",
-        help="seconds the serving micro-batcher lets a window accumulate "
-        "before flushing it through the batch pipeline",
-        commands=("simulate",),
-    ))
-    max_batch_size: int = field(default=512, metadata=knob(
-        _at_least(1), RUNTIME, flag="--max-batch-size",
-        help="request count that force-closes a micro-batch window early",
-        commands=("simulate",),
-    ))
+    batch_window: float = field(default=1.0, metadata=knob(_POSITIVE, RUNTIME))
+    max_batch_size: int = field(default=512, metadata=knob(_at_least(1), RUNTIME))
     queue_capacity: Optional[int] = field(default=None, metadata=knob(
-        _at_least(1), RUNTIME, zero_none=True, flag="--queue-capacity",
-        help="bound on admitted-but-unanswered requests the micro-batcher "
-        "may hold (0 = unbounded)",
-        commands=("simulate",),
+        _at_least(1), RUNTIME, zero_none=True,
     ))
-    queue_policy: str = field(default="shed", metadata=knob(
-        _one_of("shed", "block"), RUNTIME, flag="--queue-policy",
-        help="what a full ingest queue does with the next admission: shed "
-        "refuses it, block flushes the pending window inline to free capacity",
-        commands=("simulate",),
-    ))
+    queue_policy: str = field(default="shed", metadata=knob(_one_of("shed", "block"), RUNTIME))
     durability: str = field(default="off", metadata=knob(
         _one_of("off", "journal", "journal+snapshot"), BUILD, flag="--durability",
         help="persist live service state: journal records every mutating "
@@ -273,27 +256,16 @@ class SystemConfig:
         commands=("demo",),
     ))
     latency_budget: Optional[float] = field(default=None, metadata=knob(
-        _POSITIVE, RUNTIME, zero_none=True, flag="--latency-budget",
-        help="force-close the ingest window when the oldest admission is "
-        "within this many time units of its deadline (0 disables)",
-        commands=("simulate",),
+        _POSITIVE, RUNTIME, zero_none=True,
     ))
     batch_window_mode: str = field(default="fixed", metadata=knob(
-        _one_of("fixed", "adaptive"), RUNTIME, flag="--batch-window-mode",
-        help="fixed keeps --batch-window as-is; adaptive lets a closed-loop "
-        "controller resize the window from observed flush walls and arrival "
-        "rates (bounded by --batch-window-min/max)",
-        commands=("simulate",),
+        _one_of("fixed", "adaptive"), RUNTIME,
     ))
     batch_window_min: Optional[float] = field(default=None, metadata=knob(
-        _POSITIVE, RUNTIME, zero_none=True, flag="--batch-window-min",
-        help="adaptive controller's lower window bound (0 derives batch_window/16)",
-        commands=("simulate",),
+        _POSITIVE, RUNTIME, zero_none=True,
     ))
     batch_window_max: Optional[float] = field(default=None, metadata=knob(
-        _POSITIVE, RUNTIME, zero_none=True, flag="--batch-window-max",
-        help="adaptive controller's upper window bound (0 derives batch_window*16)",
-        commands=("simulate",),
+        _POSITIVE, RUNTIME, zero_none=True,
     ))
     snapshot_mode: str = field(default="incremental", metadata=knob(
         _one_of("incremental"), FIXED,

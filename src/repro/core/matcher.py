@@ -73,6 +73,9 @@ class Matcher(abc.ABC):
             routing engine).
         config: global system parameters; defaults to :class:`SystemConfig`.
         price_model: price calculator; defaults to the one in ``config``.
+        statistics: the work counters to add to; a fresh
+            :class:`MatcherStatistics` by default (the service hands every
+            matcher it builds its own, so the series outlive a rebuild).
     """
 
     #: human-readable algorithm name (used by the CLI, service and benchmarks)
@@ -83,13 +86,14 @@ class Matcher(abc.ABC):
         fleet: Fleet,
         config: Optional[SystemConfig] = None,
         price_model: Optional[PriceModel] = None,
+        statistics: Optional[MatcherStatistics] = None,
     ) -> None:
         self._fleet = fleet
         self._grid: GridIndex = fleet.grid
         self._engine: RoutingEngine = fleet.routing_engine
         self._config = config or SystemConfig()
         self._price_model: PriceModel = price_model or self._config.price_model
-        self.statistics = MatcherStatistics()
+        self.statistics = statistics or MatcherStatistics()
 
     # ------------------------------------------------------------------
     # public interface

@@ -441,6 +441,11 @@ class CSREngine:
         """The tree-cache capacity the engine was built with."""
         return self._max_cached_sources
 
+    def with_backend(self, backend: str) -> "CSREngine":
+        """A fresh ``backend`` engine on the same network, with the same
+        tree-cache capacity (the admin form's backend switch)."""
+        return make_engine(self._network, backend, max_cached_sources=self._max_cached_sources)
+
     @property
     def graph(self) -> CSRGraph:
         """The compiled CSR adjacency (rebuilt by :meth:`invalidate`)."""

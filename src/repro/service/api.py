@@ -40,7 +40,7 @@ from repro.core.config import MATCHER_NAMES, SystemConfig
 from repro.core.context import MatchContext
 from repro.core.dispatcher import DispatchOutcome, Dispatcher
 from repro.core.dual_side import DualSideSearchMatcher
-from repro.core.matcher import Matcher
+from repro.core.matcher import Matcher, MatcherStatistics
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.counters import counters
@@ -52,7 +52,7 @@ from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.io import network_from_dict, network_to_dict
 from repro.roadnet.routing import make_engine
-from repro.service.ingest import MicroBatcher, batcher_from_config
+from repro.service.ingest import IngestStatistics, MicroBatcher
 from repro.service.journal import ServiceJournal
 from repro.service.recovery import (
     OutcomeAnnotation,
@@ -69,7 +69,7 @@ from repro.sim.workload import RequestWorkload
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
-__all__ = ["Booking", "PTRiderService", "build_system", "MATCHER_REGISTRY"]
+__all__ = ["Booking", "PTRiderService", "build_system", "assemble_fleet", "MATCHER_REGISTRY"]
 
 #: Matching algorithms selectable through the admin interface, keyed by
 #: the config's one list of names.
@@ -155,10 +155,18 @@ class PTRiderService:
             # another backend would journal it, and recovery would rebuild
             # the service onto an engine it never served on.
             self._config = self._config.with_updates(routing_backend=backend)
-        self._matcher = self._build_matcher()
-        self._dispatcher = Dispatcher(fleet, self._matcher, self._config)
+        self._journal: Optional[ServiceJournal] = _journal
+        if self._journal is None and self._config.durability != "off":
+            self._journal = ServiceJournal(self._config.journal_path)
+        # What outlives every rebuild of the matcher, dispatcher and batcher
+        # (:meth:`_assemble`): their work counters, and the listener that
+        # hears the running command's window-flush outcomes (journaled when
+        # the command finishes).
+        self._matcher_statistics = MatcherStatistics()
+        self._ingest_statistics = IngestStatistics()
+        self._annotation = OutcomeAnnotation()
         self._engine = SimulationEngine(
-            dispatcher=self._dispatcher,
+            dispatcher=self._assemble(),
             workload=RequestWorkload([]),
             speed=self._config.speed,
             tick=1.0,
@@ -168,7 +176,6 @@ class PTRiderService:
         #: the number of the next booking id
         self._next_booking = 1
         self._ingest_answered: List[Booking] = []
-        self._batcher = self._build_batcher()
         #: highest journal sequence number already applied to this state
         #: (idempotence high-water mark for replay)
         self._applied_seq = 0
@@ -176,51 +183,67 @@ class PTRiderService:
         self._recording = False
         #: the snapshot chain this service extends, and what its next point carries
         self._chain = SnapshotChain()
-        #: the running command's window-flush outcomes, journaled when it finishes
-        self._annotation = OutcomeAnnotation()
-        self._seed = seed
-        self._journal: Optional[ServiceJournal] = _journal
-        if self._journal is None and self._config.durability != "off":
-            self._journal = ServiceJournal(self._config.journal_path)
+        self._chain.track(self)
+        if self._journal is not None and not _resume:
+            if not self._journal.is_fresh():
+                raise ServiceError(
+                    f"journal at {self._journal.directory} already holds "
+                    "state; use PTRiderService.recover() to restore it"
+                )
+            # Metadata makes recover(journal_path) self-contained: the
+            # road network, grid shape, tree-cache capacity and config
+            # travel with the log.
+            grid = self._fleet.grid
+            for key, value in (
+                ("network", network_to_dict(grid.network)),
+                ("grid", {"rows": grid.rows, "columns": grid.columns}),
+                ("max_cached_sources", fleet.routing_engine.max_cached_sources),
+                ("register_full_paths", fleet._register_full_paths),
+                ("config", encode(self._config)),
+                ("seed", seed),
+            ):
+                self._journal.set_meta(key, value)
+            # Baseline snapshot at position 0: full-journal replay (and
+            # plain "journal" mode, which never snapshots again) starts
+            # from here.
+            write_snapshot(self._journal, self, 0)
+            self._recording = True
+
+    def _assemble(self) -> Dispatcher:
+        """Build the matcher, dispatcher and ingest batcher on the fleet and
+        the config; returns the dispatcher, for the simulation engine.
+
+        They add to the service's own counters and report outcomes to its
+        annotation, so a rebuild (:meth:`set_parameters`) carries nothing.
+        """
+        config = self._config
+        self._matcher = MATCHER_REGISTRY[config.matcher_name](
+            self._fleet, config=config, statistics=self._matcher_statistics
+        )
+        self._dispatcher = Dispatcher(self._fleet, self._matcher, config)
         if self._journal is not None:
             self._dispatcher.outcome_listener = self._annotation
-            if not _resume:
-                if not self._journal.is_fresh():
-                    raise ServiceError(
-                        f"journal at {self._journal.directory} already holds "
-                        "state; use PTRiderService.recover() to restore it"
-                    )
-                # Metadata makes recover(journal_path) self-contained: the
-                # road network, grid shape, tree-cache capacity and config
-                # travel with the log.
-                grid = self._fleet.grid
-                for key, value in (
-                    ("network", network_to_dict(grid.network)),
-                    ("grid", {"rows": grid.rows, "columns": grid.columns}),
-                    ("max_cached_sources", fleet.routing_engine.max_cached_sources),
-                    ("register_full_paths", fleet._register_full_paths),
-                    ("config", encode(self._config)),
-                    ("seed", seed),
-                ):
-                    self._journal.set_meta(key, value)
-                # Baseline snapshot at position 0: full-journal replay (and
-                # plain "journal" mode, which never snapshots again) starts
-                # from here.
-                write_snapshot(self._journal, self, 0)
-                self._recording = True
-
-    def _build_batcher(self) -> MicroBatcher:
         # The batcher's default clock is the service's simulated time (the
         # same clock request submit times are stamped with), so
         # ``batch_window`` counts the seconds :meth:`advance` moves; replay
         # and live callers can still pass an explicit ``now`` per call.
-        return batcher_from_config(
+        self._batcher = MicroBatcher(
             self._dispatcher,
-            self._config,
+            batch_window=config.batch_window,
+            max_batch_size=config.max_batch_size,
+            queue_capacity=config.queue_capacity,
+            queue_policy=config.queue_policy,
+            speed=config.speed,
+            latency_budget=config.latency_budget,
+            window_mode=config.batch_window_mode,
+            window_min=config.batch_window_min,
+            window_max=config.batch_window_max,
             clock=lambda: self._engine.time,
             on_outcome=self._record_ingest_outcome,
             wall_clock=self._wall_clock,
+            statistics=self._ingest_statistics,
         )
+        return self._dispatcher
 
     # ------------------------------------------------------------------
     # plumbing
@@ -249,9 +272,6 @@ class PTRiderService:
     def current_time(self) -> float:
         """The current simulation time (the website panel's clock)."""
         return self._engine.time
-
-    def _build_matcher(self) -> Matcher:
-        return MATCHER_REGISTRY[self._config.matcher_name](self._fleet, config=self._config)
 
     # ------------------------------------------------------------------
     # durability (write-ahead journal + snapshots)
@@ -340,20 +360,14 @@ class PTRiderService:
         chain, seq, state = SnapshotChain.load(journal, prefer_snapshot)
         config = deserialize_config(state["config"])
         grid_meta = journal.get_meta("grid") or {}
-        network = network_from_dict(network_payload)
-        engine = make_engine(
-            network,
-            config.routing_backend,
+        fleet = assemble_fleet(  # no taxis placed: the snapshot's fleet is restored
+            network_from_dict(network_payload),
+            config,
+            vehicles=0,
+            seed=None,
+            grid_rows=int(grid_meta.get("rows", 8)),
+            grid_columns=int(grid_meta.get("columns", 8)),
             max_cached_sources=int(journal.get_meta("max_cached_sources") or 1024),
-        )
-        grid = GridIndex(
-            network,
-            rows=int(grid_meta.get("rows", 8)),
-            columns=int(grid_meta.get("columns", 8)),
-        )
-        fleet = Fleet(
-            grid,
-            engine,
             register_full_paths=bool(journal.get_meta("register_full_paths")),
         )
         service = cls(
@@ -686,7 +700,7 @@ class PTRiderService:
         target = self._engine.time + duration
         while self._engine.time < target - 1e-9:
             self._engine.step()
-        self._chain.dirty_vehicles.update(self._fleet.vehicle_ids())  # every vehicle moved
+        self._chain.mark(vehicles=self._fleet.vehicle_ids())  # every vehicle moved
         self._retire_bookings()
         self._finish_command()
 
@@ -716,7 +730,7 @@ class PTRiderService:
                 retired.append(booking_id)
         for booking_id in retired:
             del self._bookings[booking_id]
-            self._chain.dirty_bookings[booking_id] = None
+        self._chain.mark(bookings=retired)
         self._batcher.statistics.retired += len(retired)
 
     # ------------------------------------------------------------------
@@ -809,9 +823,10 @@ class PTRiderService:
         keep their physical capacity, as they would in reality).  Changing
         ``routing_backend`` rebuilds the routing engine on the same road
         network with the same tree-cache capacity (its cached trees are
-        dropped).  The matcher, dispatcher and ingest batcher are rebuilt
-        on the new config; the pending window is drained (flushed, never
-        dropped) first.
+        dropped).  The pending window is drained (flushed, never dropped),
+        then :meth:`_assemble` rebuilds the matcher, dispatcher and ingest
+        batcher on the new config, on the counters and annotation the
+        service keeps.
 
         Raises:
             TypeError: for a name that is not a ``RUNTIME`` knob.
@@ -824,39 +839,20 @@ class PTRiderService:
             "set_parameters",
             {"changes": {name: value for name, value in changes.items() if value is not None}},
         )
-        if new_config.routing_backend != self._fleet.routing_engine.backend:
+        engine = self._fleet.routing_engine
+        if new_config.routing_backend != engine.backend:
             # Build the engine *before* committing the new config: a refused
             # build must leave the service exactly as it was, not claiming a
             # configuration it never got.
-            engine = make_engine(
-                self._fleet.grid.network,
-                new_config.routing_backend,
-                max_cached_sources=self._fleet.routing_engine.max_cached_sources,
-            )
-            self._fleet.set_routing_engine(engine)
+            self._fleet.set_routing_engine(engine.with_backend(new_config.routing_backend))
         self._config = new_config
-        matcher_statistics = self._matcher.statistics
-        self._matcher = self._build_matcher()
-        # Counters survive every rebuild (the admin panel's series stay
-        # continuous); the drain below counts its window's work in them.
-        self._matcher.statistics = matcher_statistics
-        # Drain the ingest window through the *old* dispatcher before it is
+        # Drain the ingest window through the *old* batcher before it is
         # replaced: admitted requests must be answered, never dropped by a
-        # reconfiguration.
+        # reconfiguration.  The drained work counts in the service's series.
         self._batcher.flush()
-        listener = self._dispatcher.outcome_listener
-        self._dispatcher = Dispatcher(self._fleet, self._matcher, self._config)
-        self._engine._dispatcher = self._dispatcher  # keep the engine on the new dispatcher
         for booking in self._bookings.values():
             booking.context = None  # matched under the outgoing engine and matcher
-        # Whoever observes outcomes -- the journal's annotation hook live,
-        # recovery's cross-check during replay -- must follow the service
-        # onto the rebuilt dispatcher, or post-reconfigure flush outcomes
-        # would silently stop reaching it.
-        self._dispatcher.outcome_listener = listener
-        ingest_statistics = self._batcher.statistics
-        self._batcher = self._build_batcher()
-        self._batcher.statistics = ingest_statistics
+        self._engine.dispatcher = self._assemble()
         self._finish_command()
         return self._config
 
@@ -883,7 +879,7 @@ class PTRiderService:
         booking = Booking(f"B{self._next_booking}", request, tuple(options), **fields)
         self._next_booking += 1
         self._bookings[booking.booking_id] = booking
-        self._chain.dirty_bookings[booking.booking_id] = None
+        self._chain.mark(bookings=(booking.booking_id,))
         return booking
 
     def _record_answer(self, booking: Booking, direct_distance: float = 0.0) -> None:
@@ -899,9 +895,9 @@ class PTRiderService:
             planned_pickup_distance=chosen.pickup_distance if chosen else 0.0,
             direct_distance=direct_distance,
         )
-        self._chain.dirty_bookings[booking.booking_id] = None
+        self._chain.mark(bookings=(booking.booking_id,))
         if chosen is not None:
-            self._chain.dirty_vehicles.add(chosen.vehicle_id)
+            self._chain.mark(vehicles=(chosen.vehicle_id,))
             self._engine.register_assignment(
                 request.request_id, chosen.vehicle_id, chosen.pickup_distance
             )
@@ -939,19 +935,43 @@ def build_system(
     Returns:
         A :class:`PTRiderService` whose fleet is registered and idle.
     """
-    rng = random.Random(seed)
     if network is None:
         network = grid_network(network_rows, network_columns, spacing=1.0, weight_jitter=0.25, seed=seed)
     system_config = (config or SystemConfig(vehicle_capacity=capacity)).with_knobs(
         overrides, running=False
     )
-    engine = make_engine(network, system_config.routing_backend)
+    fleet = assemble_fleet(
+        network, system_config, vehicles, seed, grid_rows=grid_rows, grid_columns=grid_columns
+    )
+    return PTRiderService(fleet, config=system_config, seed=seed)
+
+
+def assemble_fleet(
+    network: RoadNetwork,
+    config: SystemConfig,
+    vehicles: int,
+    seed: Optional[int],
+    grid_rows: int = 8,
+    grid_columns: int = 8,
+    max_cached_sources: int = 1024,
+    register_full_paths: bool = False,
+) -> Fleet:
+    """The one path from a road network to a fleet ready to serve.
+
+    Builds the routing engine ``config`` names (with ``max_cached_sources``
+    tree-cache slots), the ``grid_rows x grid_columns`` grid index and the
+    fleet, then places ``vehicles`` idle taxis ``c1..cN`` of
+    ``config.vehicle_capacity`` seats, each on a vertex drawn by
+    ``random.Random(seed)``.  :func:`build_system`, recovery (which places
+    none and restores its snapshot's taxis) and the CLI all build here.
+    """
+    engine = make_engine(network, config.routing_backend, max_cached_sources=max_cached_sources)
     grid = GridIndex(network, rows=grid_rows, columns=grid_columns)
-    fleet = Fleet(grid, engine)
+    fleet = Fleet(grid, engine, register_full_paths=register_full_paths)
+    rng = random.Random(seed)
     vertices = network.vertices()
     for index in range(vehicles):
-        location = rng.choice(vertices)
         fleet.add_vehicle(
-            Vehicle(f"c{index + 1}", location=location, capacity=system_config.vehicle_capacity)
+            Vehicle(f"c{index + 1}", location=rng.choice(vertices), capacity=config.vehicle_capacity)
         )
-    return PTRiderService(fleet, config=system_config, seed=seed)
+    return fleet

@@ -92,7 +92,6 @@ __all__ = [
     "IngestStatistics",
     "WindowController",
     "percentiles",
-    "batcher_from_config",
 ]
 
 #: Ranks of the latency tail :attr:`IngestStatistics.latency` reports.
@@ -411,6 +410,8 @@ class MicroBatcher:
             deterministic counter so adaptive trajectories are exact.
         on_outcome: optional callback invoked with every answered outcome
             as its commit lands (the service layer records bookings here).
+        statistics: the counters to add to; fresh :class:`IngestStatistics`
+            by default (the service hands every batcher it builds its own).
     """
 
     def __init__(
@@ -429,6 +430,7 @@ class MicroBatcher:
         clock: Optional[Callable[[], float]] = None,
         wall_clock: Optional[Callable[[], float]] = None,
         on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
+        statistics: Optional[IngestStatistics] = None,
     ) -> None:
         if batch_window <= 0:
             raise ConfigurationError(f"batch_window must be positive, got {batch_window}")
@@ -485,7 +487,7 @@ class MicroBatcher:
         #: to ship only the requests admitted since the last snapshot point
         #: instead of the whole window.
         self._pending_epoch = 0
-        self.statistics = IngestStatistics()
+        self.statistics = statistics or IngestStatistics()
 
     # ------------------------------------------------------------------
     @property
@@ -801,33 +803,3 @@ class MicroBatcher:
                 statistics.window_shrunk += 1
         return outcomes
 
-
-def batcher_from_config(
-    dispatcher: Dispatcher,
-    config,
-    clock: Optional[Callable[[], float]] = None,
-    on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
-    wall_clock: Optional[Callable[[], float]] = None,
-) -> MicroBatcher:
-    """Build a :class:`MicroBatcher` from a :class:`~repro.core.config.SystemConfig`.
-
-    Reads ``batch_window`` / ``max_batch_size`` / ``queue_capacity`` /
-    ``queue_policy`` / ``speed`` / ``latency_budget`` /
-    ``batch_window_mode`` / ``batch_window_min`` / ``batch_window_max``, so
-    the service layer and the admin form stay the single source of truth.
-    """
-    return MicroBatcher(
-        dispatcher,
-        batch_window=config.batch_window,
-        max_batch_size=config.max_batch_size,
-        queue_capacity=config.queue_capacity,
-        queue_policy=config.queue_policy,
-        speed=config.speed,
-        latency_budget=config.latency_budget,
-        window_mode=config.batch_window_mode,
-        window_min=config.batch_window_min,
-        window_max=config.batch_window_max,
-        clock=clock,
-        on_outcome=on_outcome,
-        wall_clock=wall_clock,
-    )

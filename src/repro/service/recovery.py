@@ -54,7 +54,7 @@ import time
 import types
 import typing
 from pathlib import Path
-from typing import Callable, Collection, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.config import DROP, RETIRED_CONFIG_KEYS, RUNTIME, SystemConfig, knob_names
 from repro.errors import PTRiderError, ServiceError
@@ -496,7 +496,10 @@ def restore_state(service, state: Dict[str, object]) -> None:
     service._dispatcher._active_requests = {
         rid: str(vid) for rid, vid in state["active_requests"].items()
     }
-    batcher.statistics = decode(IngestStatistics, state["ingest_stats"])
+    # Into the service's own counters, which every batcher it builds adds to.
+    vars(service._ingest_statistics).update(
+        vars(decode(IngestStatistics, state["ingest_stats"]))
+    )
     batcher.restore_pending(
         [(decode(Request, request), float(admitted)) for request, admitted in state["pending"]],
         state["window_opened"],
@@ -709,9 +712,9 @@ class SnapshotChain:
     the full snapshot as its ``base`` and the point before it as ``prev``.
     Under ``durability="journal+snapshot"`` :meth:`finish` writes a point
     every ``snapshot_interval`` records; the service marks what each command
-    mutates in ``dirty_bookings`` / ``dirty_vehicles`` so a delta carries
-    just that.  The baseline snapshot at position 0 is the one point
-    written outside the chain's bookkeeping.
+    mutates (:meth:`mark`) so a delta carries just that.  Without deltas
+    nothing is marked.  The baseline snapshot at position 0 is the one
+    point written outside the chain's bookkeeping.
     """
 
     #: journal position of the newest full snapshot (the deltas' base)
@@ -726,6 +729,10 @@ class SnapshotChain:
     #: their list tails would overlap what the chain already carries -- so
     #: the next cadence crossing writes a full snapshot instead.
     valid: bool = True
+    #: whether points are written as the service runs (``journal+snapshot``);
+    #: only then are the dirty sets below, and the sim statistics'
+    #: ``dirty_records``, filled
+    tracking: bool = False
     #: booking ids mutated since the last point, an insertion-ordered dict
     #: used as an ordered set.  Re-marking an id keeps its place, so a delta
     #: fold reproduces the full serialisation's bookings-list order; marking
@@ -799,10 +806,9 @@ class SnapshotChain:
         is due; it runs only between windows -- never inside a flush, so it
         can never inflate a serving window's latency.
         """
-        config = service._config
-        if config.durability != "journal+snapshot":
+        if not self.tracking:
             return
-        if service._applied_seq - self.point_seq >= config.snapshot_interval:
+        if service._applied_seq - self.point_seq >= service._config.snapshot_interval:
             self.write(service, full=not self.valid)
         if self.deltas >= DELTA_COMPACT_AFTER and service._batcher.pending == 0:
             self.write(service, full=True)
@@ -842,16 +848,15 @@ class SnapshotChain:
         state now: a written point, or a restore (the replayed tail then
         dirties exactly what live execution did).
 
-        Empties the dirty sets and the sim statistics' dirty lifecycle
-        records, and records the lengths of the lists the statistics mark
-        ``append_only`` and the pending window's epoch and length -- while
-        that epoch still matches (appends only), the next delta ships just
-        the newly admitted entries.
+        Empties the dirty sets (:meth:`track`), and records the lengths of
+        the lists the statistics mark ``append_only`` and the pending
+        window's epoch and length -- while that epoch still matches
+        (appends only), the next delta ships just the newly admitted
+        entries.
         """
         sim = service._engine.statistics
         batcher = service._batcher
-        self.dirty_bookings = {}
-        self.dirty_vehicles = set()
+        self.track(service)
         self.stats_marker = {
             field.key: len(getattr(stats, field.name))
             for stats in (sim, batcher.statistics)
@@ -860,7 +865,23 @@ class SnapshotChain:
         }
         self.stats_marker["pending_epoch"] = batcher.pending_epoch
         self.stats_marker["pending_len"] = batcher.pending
-        sim.dirty_records.clear()
+
+    def track(self, service) -> None:
+        """Empty the dirty sets -- the bookings, the vehicles and the sim
+        statistics' lifecycle records -- and keep filling them only under
+        ``journal+snapshot``: no delta reads them otherwise, and they would
+        grow with every request served."""
+        self.tracking = service._config.durability == "journal+snapshot"
+        self.dirty_bookings = {}
+        self.dirty_vehicles = set()
+        service._engine.statistics.dirty_records = {} if self.tracking else None
+
+    def mark(self, bookings: Iterable[str] = (), vehicles: Iterable[str] = ()) -> None:
+        """Note the bookings and vehicles a command changed, for the next delta."""
+        if self.tracking:
+            for booking_id in bookings:
+                self.dirty_bookings[booking_id] = None
+            self.dirty_vehicles.update(vehicles)
 
 
 # ----------------------------------------------------------------------
@@ -937,8 +958,8 @@ class OutcomeAnnotation:
     A dispatcher ``outcome_listener``.  The live service journals what it
     heard as one ``outcome`` record when the command finishes (a record per
     outcome would double the journal's appends on the serving hot path);
-    :func:`replay_records` listens with another and cross-checks what the
-    replay re-derives against the recorded ones.  A crash before the record
+    during :func:`replay_records`, which journals nothing, it collects what
+    the replay re-derives for the cross-check against the recorded ones.  A crash before the record
     lands loses only the annotation -- replay tolerates re-deriving more
     outcomes than were recorded.
     """
@@ -992,9 +1013,11 @@ def replay_records(service, records: List[JournalRecord]) -> int:
             # one annotation record per command, holding every outcome the
             # command's flush produced, in flush order
             expected.extend(record.payload.get("outcomes", []))
-    replayed = OutcomeAnnotation()
-    previous_listener = service._dispatcher.outcome_listener
-    service._dispatcher.outcome_listener = replayed
+    # The service's own annotation hears the re-derived outcomes, through
+    # whichever dispatcher a replayed reconfigure built; replay journals
+    # nothing, so nothing appends or clears them on the way.
+    heard = service._annotation
+    heard.outcomes.clear()
     applied = 0
     try:
         for record in ordered:
@@ -1006,13 +1029,13 @@ def replay_records(service, records: List[JournalRecord]) -> int:
             apply_record(service, record)
             if service._applied_seq > before:
                 applied += 1
+        rederived = list(heard.outcomes)
     finally:
-        service._dispatcher.outcome_listener = previous_listener
+        heard.outcomes.clear()
     # Cross-check: every recorded flush outcome must match the re-derived
     # one at the same position.  The replay may legitimately produce *more*
     # outcomes than were recorded (a crash between a flush's commits and
     # its annotation appends), never different ones.
-    rederived = replayed.outcomes
     for index, recorded in enumerate(expected):
         if index >= len(rederived):
             raise RecoveryError(

@@ -116,8 +116,15 @@ class SimulationEngine:
 
     @property
     def dispatcher(self) -> Dispatcher:
-        """The dispatcher answering the requests."""
+        """The dispatcher answering the requests and hearing every pick-up
+        and drop-off; a service reconfiguration hands in its rebuilt one."""
         return self._dispatcher
+
+    @dispatcher.setter
+    def dispatcher(self, dispatcher: Dispatcher) -> None:
+        if dispatcher.fleet is not self._fleet:
+            raise SimulationError("the new dispatcher must serve the engine's fleet")
+        self._dispatcher = dispatcher
 
     def run(self, until: Optional[float] = None, max_ticks: Optional[int] = None) -> SimulationReport:
         """Run the simulation until ``until`` (or until the workload drains).

@@ -85,9 +85,10 @@ class SimulationStatistics:
     #: service's last snapshot point (drained by incremental deltas, which
     #: re-serialise only these instead of the whole records map); insertion
     #: order is first-dirtied order, so newly created records append to a
-    #: folded state in creation order
-    dirty_records: Dict[str, None] = field(
-        default_factory=dict, repr=False, compare=False, metadata={"durable": False}
+    #: folded state in creation order.  ``None`` -- nothing marked -- unless
+    #: a snapshot chain reads them
+    dirty_records: Optional[Dict[str, None]] = field(
+        default=None, repr=False, compare=False, metadata={"durable": False}
     )
 
     # ------------------------------------------------------------------
@@ -118,7 +119,7 @@ class SimulationStatistics:
                 planned_pickup_distance=planned_pickup_distance,
                 direct_distance=direct_distance,
             )
-            self.dirty_records[request_id] = None
+            self._mark_dirty(request_id)
         else:
             self.unmatched_requests += 1
 
@@ -129,7 +130,7 @@ class SimulationStatistics:
         if record is None:
             return
         record.pickup_time = time
-        self.dirty_records[request_id] = None
+        self._mark_dirty(request_id)
         self.waiting_distances.append(
             max(0.0, actual_pickup_distance - record.planned_pickup_distance)
         )
@@ -142,7 +143,7 @@ class SimulationStatistics:
             return
         record.dropoff_time = time
         record.travelled_distance = travelled_distance
-        self.dirty_records[request_id] = None
+        self._mark_dirty(request_id)
         self.completed_requests += 1
         if record.shared:
             self.shared_requests += 1
@@ -154,6 +155,10 @@ class SimulationStatistics:
         record = self._records.get(request_id)
         if record is not None:
             record.shared = True
+            self._mark_dirty(request_id)
+
+    def _mark_dirty(self, request_id: str) -> None:
+        if self.dirty_records is not None:
             self.dirty_records[request_id] = None
 
     # ------------------------------------------------------------------

@@ -23,12 +23,12 @@ matchers are correct under both settings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple
 
 from repro.errors import UnknownVehicleError, VehicleError
 from repro.model.stops import Stop
 from repro.roadnet.grid_index import CellId, GridIndex
-from repro.roadnet.routing import RoutingEngine, make_engine
+from repro.roadnet.routing import RoutingEngine
 from repro.vehicles.kinetic_tree import KineticTree
 from repro.vehicles.schedule import RequestState
 from repro.vehicles.vehicle import Vehicle
@@ -108,26 +108,20 @@ class Fleet:
         grid: the grid index of the road network.
         oracle: the routing engine answering shortest-path queries (used by
             the matchers, the dispatcher and, when ``register_full_paths`` is
-            on, the cell registration); ``None`` builds one from
-            ``routing``.
+            on, the cell registration).
         register_full_paths: register non-empty vehicles with every cell their
             schedule legs cross (paper behaviour) instead of only the cells of
             their stops.
-        routing: backend name used when no ``oracle`` is given ("csr",
-            the default, or "csr+alt").
     """
 
     def __init__(
         self,
         grid: GridIndex,
-        oracle: Optional[RoutingEngine] = None,
+        oracle: RoutingEngine,
         register_full_paths: bool = False,
-        routing: Optional[str] = None,
     ) -> None:
         self._grid = grid
-        self._engine: RoutingEngine = (
-            make_engine(grid.network, routing or "csr") if oracle is None else oracle
-        )
+        self._engine = oracle
         self._register_full_paths = register_full_paths
         self._vehicles: Dict[str, Vehicle] = {}
 

@@ -71,7 +71,12 @@ class TestParser:
         "flag", [("--workers", "2"), ("--worker-timeout", "5"),
                  ("--max-dispatch-retries", "2"), ("--tree-provider", "phast"),
                  ("--routing-cache", "/tmp/artifacts"), ("--shards", "2"),
-                 ("--batch",), ("--no-batch",)],
+                 ("--batch",), ("--no-batch",),
+                 # simulate never builds an ingest batcher, so these read nothing
+                 ("--batch-window", "2"), ("--max-batch-size", "3"),
+                 ("--queue-capacity", "3"), ("--queue-policy", "block"),
+                 ("--latency-budget", "2"), ("--batch-window-mode", "adaptive"),
+                 ("--batch-window-min", "0.5"), ("--batch-window-max", "4")],
     )
     def test_retired_flags_are_rejected(self, flag):
         for command in ("demo", "simulate", "compare"):
@@ -224,6 +229,15 @@ class TestDemoResume:
         # carries two requests' stops
         assert first.count("pickup:") == 1
         assert second.count("pickup:") > 2
+
+    def test_a_used_journal_without_resume_exits_two_with_the_message(self, tmp_path, capsys):
+        argv = self.ARGS + ["--durability", "journal+snapshot", "--journal", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"journal at {tmp_path} already holds state" in err
+        assert "Traceback" not in err
 
     def test_a_request_no_vehicle_can_serve_exits_one(self, capsys):
         assert main(self.ARGS + ["--riders", "9"]) == 1

@@ -555,6 +555,29 @@ def test_a_directory_that_never_held_a_service_is_refused(tmp_path):
         PTRiderService.recover(tmp_path / "empty")
 
 
+class TestDirtySetsNeedAChain:
+    """Only a snapshot chain's deltas read the dirty sets; without one, a
+    long day under retention must not grow them."""
+
+    @pytest.mark.parametrize("mode", ["off", "journal"])
+    def test_nothing_is_marked_without_deltas(self, tmp_path, mode):
+        durable = {} if mode == "off" else {
+            "durability": mode, "journal_path": str(tmp_path / "journal"),
+        }
+        service = build_system(vehicles=30, seed=3, retention_horizon=2.0, **durable)
+        for index in range(60):
+            service.ingest_request(_request(service, index))
+            service.pump()
+            service.advance(0.5)
+        service.drain()
+        service.advance(200.0)
+        assert service.statistics()["matched"] == 60.0
+        assert len(service._bookings) == 0
+        chain = service._chain
+        assert not chain.dirty_bookings and not chain.dirty_vehicles
+        assert not service._engine.statistics.dirty_records
+
+
 class TestCancelPending:
     def test_cancel_removes_pending_admission(self, tmp_path):
         service = build_system(vehicles=6, seed=11)
