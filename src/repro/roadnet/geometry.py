@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator, Tuple
 
 __all__ = ["Point", "BoundingBox", "euclidean_distance"]
 
@@ -32,10 +32,6 @@ class Point:
     def distance_to(self, other: "Point") -> float:
         """Return the Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return the point as a plain ``(x, y)`` tuple."""
-        return (self.x, self.y)
 
     def __iter__(self) -> Iterator[float]:
         yield self.x
@@ -62,27 +58,6 @@ class BoundingBox:
                 "bounding box minimum corner must not exceed its maximum corner: "
                 f"({self.min_x}, {self.min_y}) vs ({self.max_x}, {self.max_y})"
             )
-
-    @classmethod
-    def from_points(cls, points: Iterable[Tuple[float, float]]) -> "BoundingBox":
-        """Build the tightest box containing every point in ``points``.
-
-        Raises:
-            ValueError: if ``points`` is empty.
-        """
-        iterator = iter(points)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            raise ValueError("cannot build a bounding box from an empty point set") from None
-        min_x = max_x = float(first[0])
-        min_y = max_y = float(first[1])
-        for x, y in iterator:
-            min_x = min(min_x, float(x))
-            max_x = max(max_x, float(x))
-            min_y = min(min_y, float(y))
-            max_y = max(max_y, float(y))
-        return cls(min_x, min_y, max_x, max_y)
 
     @property
     def width(self) -> float:

@@ -228,6 +228,16 @@ class RoadNetwork:
         """
         return self._adjacency
 
+    @property
+    def coordinates(self) -> Mapping[VertexId, Point]:
+        """The *internal* ``{vertex: point}`` mapping (must not be mutated).
+
+        Vertices without a coordinate are absent.  For whole-network passes
+        (grid construction, the journal's network record) that would
+        otherwise pay :meth:`coordinate`'s checks on every vertex.
+        """
+        return self._coordinates
+
     def coordinate(self, vertex: VertexId) -> Point:
         """Return the planar coordinate of ``vertex``.
 
@@ -251,9 +261,12 @@ class RoadNetwork:
         Raises:
             InvalidNetworkError: if no vertex has a coordinate.
         """
-        if not self._coordinates:
+        points = self._coordinates.values()
+        if not points:
             raise InvalidNetworkError("the network has no vertex coordinates")
-        return BoundingBox.from_points(p.as_tuple() for p in self._coordinates.values())
+        xs = [point.x for point in points]
+        ys = [point.y for point in points]
+        return BoundingBox(min(xs), min(ys), max(xs), max(ys))
 
     def euclidean_distance(self, u: VertexId, v: VertexId) -> float:
         """Return the straight-line distance between two vertices' coordinates."""

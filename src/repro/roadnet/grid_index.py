@@ -25,14 +25,21 @@ compiles for itself -- in C where SciPy is installed, by the graph's own
 array Dijkstra otherwise:
 
 * ``v.min`` for *every* vertex comes from **one** ``CSRGraph.nearest`` pass at
-  construction, seeded with the border vertices of all cells at once over a
-  copy of the graph without its cell-crossing edges (a shortest path from a
+  construction, seeded with the border vertices of all cells at once over
+  the ``subgraph`` without the cell-crossing edges (a shortest path from a
   vertex to the nearest border vertex of its own cell never needs to leave
   the cell: where it came back in it would stand on a border vertex already);
 * a lower-bound row is one ``CSRGraph.nearest(border vertices of the cell)``
   over the whole graph, minimised over each other cell's border vertices in
   one NumPy ``minimum.reduceat`` over the gathered border distances (a list
   comprehension of ``min`` where ``nearest`` hands back an ``array('d')``).
+
+The rest of construction is one pass over the coordinate map (vertex to
+cell) and one over the compiled graph's CSR positions (which edges cross a
+cell boundary; their endpoints are the border vertices, in the order
+``RoadNetwork.edges`` would yield them) -- no ``Edge`` objects and no checked
+``coordinate()`` per vertex.  ``tests/roadnet/test_construction_pins.py``
+pins every list and map it builds, in order, as digests.
 
 A row is a list of floats indexed by cell *rank* -- the cell's row-major
 position, which is also ``CellId`` tuple order -- and each cell's *grid cell
@@ -59,6 +66,8 @@ from __future__ import annotations
 import time
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, compress, repeat
+from operator import eq, not_, sub
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import GridIndexError, InvalidNetworkError, VertexNotFoundError
@@ -138,11 +147,6 @@ class GridIndex:
         # The compiled graph every distance of the index is computed on.
         self._graph = CSRGraph(network)
 
-        self._cells: Dict[CellId, GridCell] = {}
-        self._vertex_cell: Dict[VertexId, CellId] = {}
-        #: per cell, the ``CSRGraph`` indices of its border vertices (same order)
-        self._border_indices: Dict[CellId, List[int]] = {}
-        self._vertex_min: Dict[VertexId, float] = {}
         #: per cell, its bound to every cell, indexed by rank (row-major position)
         self._lower_bound_rows: Dict[CellId, List[float]] = {}
         #: per cell, every rank sorted by ascending bound (ties in rank order)
@@ -151,54 +155,80 @@ class GridIndex:
         #: as NumPy arrays, built with the first row ``nearest`` returns an ndarray for
         self._border_gather: Optional[tuple] = None
 
-        self._build_cells()
+        self._cells: Dict[CellId, GridCell] = {}
+        ranks = self._build_cells()
         self._cell_list: List[GridCell] = list(self._cells.values())
         self._cell_rank: Dict[CellId, int] = {cell_id: rank for rank, cell_id in enumerate(self._cells)}
-        self._identify_border_vertices()
-        self._compute_vertex_minimums()
+        self._compute_vertex_minimums(self._identify_border_vertices(ranks))
         self._build_seconds = time.perf_counter() - started
 
     # ------------------------------------------------------------------
-    # construction helpers
+    # construction helpers: one pass each over the compiled graph's arrays
+    # and the network's coordinate map, in vertex (and neighbour) order
     # ------------------------------------------------------------------
-    def _build_cells(self) -> None:
+    def _build_cells(self) -> List[int]:
+        """Create the cells in row-major order and file every vertex in its
+        own; return every vertex's cell rank, by graph index."""
+        box, width, height = self._box, self._cell_width, self._cell_height
+        min_x, min_y = box.min_x, box.min_y
         for row in range(self._rows):
             for column in range(self._columns):
-                min_x = self._box.min_x + column * self._cell_width
-                min_y = self._box.min_y + row * self._cell_height
-                box = BoundingBox(
-                    min_x,
-                    min_y,
-                    min_x + self._cell_width,
-                    min_y + self._cell_height,
+                left, bottom = min_x + column * width, min_y + row * height
+                self._cells[(row, column)] = GridCell(
+                    (row, column), BoundingBox(left, bottom, left + width, bottom + height)
                 )
-                cell_id = (row, column)
-                self._cells[cell_id] = GridCell(cell_id=cell_id, box=box)
-        for vertex in self._network.vertices():
-            cell_id = self._locate(self._network.coordinate(vertex).as_tuple())
-            self._vertex_cell[vertex] = cell_id
-            self._cells[cell_id].vertices.append(vertex)
+        vertex_ids = self._graph.vertex_ids
+        columns, last_row, last_column = self._columns, self._rows - 1, self._columns - 1
+        ranks: List[int] = []
+        for point in map(self._network.coordinates.__getitem__, vertex_ids):
+            # never negative (the box is the tightest around every point); the
+            # far edge lands one past the last cell and is clamped back
+            column, row = int((point.x - min_x) / width), int((point.y - min_y) / height)
+            ranks.append(
+                (row if row < last_row else last_row) * columns
+                + (column if column < last_column else last_column)
+            )
+        cell_ids, cells = list(self._cells), list(self._cells.values())
+        self._vertex_cell: Dict[VertexId, CellId] = dict(zip(vertex_ids, map(cell_ids.__getitem__, ranks)))
+        for vertex, rank in zip(vertex_ids, ranks):
+            cells[rank].vertices.append(vertex)
+        return ranks
 
-    def _identify_border_vertices(self) -> None:
-        vertex_cell = self._vertex_cell
-        borders: Set[VertexId] = set()
-        for edge in self._network.edges():
-            if vertex_cell[edge.u] != vertex_cell[edge.v]:
-                # The edge belongs to more than one grid cell, so both of its
-                # endpoints are border vertices (Section 3.2.1).
-                for vertex in (edge.u, edge.v):
-                    if vertex not in borders:
-                        borders.add(vertex)
-                        self._cells[vertex_cell[vertex]].border_vertices.append(vertex)
-        index_of = self._graph.index_of
-        for cell_id, cell in self._cells.items():
-            self._border_indices[cell_id] = [index_of[v] for v in cell.border_vertices]
+    def _identify_border_vertices(self, ranks: List[int]) -> List[bool]:
+        """File each cell's border vertices; return, per CSR position, whether
+        the edge stays inside its cell.
 
-    def _compute_vertex_minimums(self) -> None:
+        An edge that leaves its cell belongs to more than one grid cell, so
+        both of its endpoints are border vertices (Section 3.2.1).  They are
+        taken edge by edge -- each undirected edge once, from its smaller
+        endpoint, in adjacency order -- ``u`` before ``v``.
+        """
+        vertex_ids, indptr, indices = self._graph.vertex_ids, self._graph.indptr, self._graph.indices
+        degrees = map(sub, indptr[1:], indptr)
+        tails = list(chain.from_iterable(map(repeat, range(len(vertex_ids)), degrees)))
+        inside = list(map(eq, map(ranks.__getitem__, tails), map(ranks.__getitem__, indices)))
+        border_indices: List[List[int]] = [[] for _ in self._cell_list]
+        seen: Set[int] = set()
+        for position in compress(range(len(inside)), map(not_, inside)):
+            u, v = tails[position], indices[position]
+            if vertex_ids[u] < vertex_ids[v]:
+                if u not in seen:
+                    seen.add(u)
+                    border_indices[ranks[u]].append(u)
+                if v not in seen:
+                    seen.add(v)
+                    border_indices[ranks[v]].append(v)
+        for cell, borders in zip(self._cell_list, border_indices):
+            cell.border_vertices = list(map(vertex_ids.__getitem__, borders))
+        #: per cell, the ``CSRGraph`` indices of its border vertices (same order)
+        self._border_indices: Dict[CellId, List[int]] = dict(zip(self._cells, border_indices))
+        return inside
+
+    def _compute_vertex_minimums(self, inside: List[bool]) -> None:
         """Compute ``v.min`` for every vertex of every cell in one multi-source pass.
 
-        The pass runs over a copy of the graph that keeps only the edges with
-        both endpoints in one cell, seeded with every border vertex of every
+        The pass runs over the subgraph of the ``inside`` edges -- those with
+        both endpoints in one cell -- seeded with every border vertex of every
         cell.  That is exact: a path from a vertex to a border vertex of its
         own cell that leaves the cell comes back in over a crossing edge,
         whose inner endpoint is itself a border vertex of the cell, and the
@@ -209,27 +239,17 @@ class GridIndex:
         whole-graph search from this cell's border vertices settles.
         """
         graph = self._graph
+        seeds = [index for borders in self._border_indices.values() for index in borders]
         # A vertex no border vertex of its cell reaches -- the only populated
         # cell, an isolated component, a pocket cut off inside the cell -- can
         # never be pruned through the cell bound, so its v.min stays zero.
-        self._vertex_min = dict.fromkeys(graph.vertex_ids, 0.0)
-        seeds = [index for borders in self._border_indices.values() for index in borders]
-        if not seeds:
-            return
-        cell_of = [self._vertex_cell[vertex] for vertex in graph.vertex_ids]
-        graph_indptr, graph_indices, graph_weights = graph.indptr, graph.indices, graph.weights
-        indptr, indices, weights = [0], [], []
-        for u, cell_id in enumerate(cell_of):
-            for k in range(graph_indptr[u], graph_indptr[u + 1]):
-                v = graph_indices[k]
-                if cell_of[v] == cell_id:
-                    indices.append(v)
-                    weights.append(graph_weights[k])
-            indptr.append(len(indices))
-        interior = CSRGraph.from_arrays(graph.vertex_ids, indptr, indices, weights)
-        for vertex, distance in zip(graph.vertex_ids, interior.nearest(seeds).tolist()):
-            if distance != INFINITY:
-                self._vertex_min[vertex] = distance
+        distances = graph.subgraph(inside).nearest(seeds).tolist() if seeds else ()
+        self._vertex_min: Dict[VertexId, float] = dict.fromkeys(graph.vertex_ids, 0.0)
+        self._vertex_min.update(
+            (vertex, distance)
+            for vertex, distance in zip(graph.vertex_ids, distances)
+            if distance != INFINITY
+        )
 
     # ------------------------------------------------------------------
     # basic geometry / lookup
@@ -253,13 +273,6 @@ class GridIndex:
     def cell_count(self) -> int:
         """Total number of grid cells (``rows * columns``)."""
         return self._rows * self._columns
-
-    def _locate(self, point: Tuple[float, float]) -> CellId:
-        column = int((point[0] - self._box.min_x) / self._cell_width)
-        row = int((point[1] - self._box.min_y) / self._cell_height)
-        column = min(max(column, 0), self._columns - 1)
-        row = min(max(row, 0), self._rows - 1)
-        return (row, column)
 
     def cell_of_vertex(self, vertex: VertexId) -> GridCell:
         """Return the grid cell containing ``vertex``.

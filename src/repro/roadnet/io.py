@@ -2,32 +2,33 @@
 
 The durability journal stores the network it was opened over in its
 metadata (:mod:`repro.service.api`), so a recovered service rebuilds the
-same graph: vertices, coordinates and edges, weights as floats.
+same graph: vertices, coordinates and edges, weights as floats.  The record
+is read straight off the network's adjacency and coordinate maps, and its
+JSON text is pinned byte for byte (``tests/roadnet/test_construction_pins.py``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
-from repro.errors import InvalidNetworkError
 from repro.roadnet.graph import RoadNetwork
 
 __all__ = ["network_to_dict", "network_from_dict"]
 
 
 def network_to_dict(network: RoadNetwork) -> Dict[str, object]:
-    """Return a JSON-serialisable representation of ``network``."""
-    coordinates: Dict[str, Tuple[float, float]] = {}
-    for vertex in network.vertices():
-        try:
-            point = network.coordinate(vertex)
-        except InvalidNetworkError:
-            continue
-        coordinates[str(vertex)] = (point.x, point.y)
+    """Return a JSON-serialisable representation of ``network``.
+
+    The vertices in insertion order, the coordinates of those that have
+    one (keyed by the vertex id as a string, in the same order), and every
+    undirected edge once as ``[u, v, weight]`` with ``u < v``, in adjacency
+    order.
+    """
+    adjacency, points = network.adjacency, map(network.coordinates.get, network.adjacency)
     return {
-        "vertices": network.vertices(),
-        "coordinates": coordinates,
-        "edges": [[edge.u, edge.v, edge.weight] for edge in network.edges()],
+        "vertices": list(adjacency),
+        "coordinates": {str(v): (p.x, p.y) for v, p in zip(adjacency, points) if p is not None},
+        "edges": [[u, v, w] for u, ends in adjacency.items() for v, w in ends.items() if u < v],
     }
 
 

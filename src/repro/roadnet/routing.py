@@ -37,6 +37,7 @@ import time
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from itertools import accumulate, chain, compress
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, DisconnectedError, VertexNotFoundError
@@ -103,22 +104,18 @@ class CSRGraph:
     __slots__ = ("vertex_ids", "index_of", "indptr", "indices", "weights", "matrix")
 
     def __init__(self, network: RoadNetwork) -> None:
-        self.vertex_ids: List[VertexId] = network.vertices()
-        self.index_of: Dict[VertexId, int] = {
-            vertex: index for index, vertex in enumerate(self.vertex_ids)
-        }
-        indptr: List[int] = [0]
-        indices: List[int] = []
-        weights: List[float] = []
-        index_of = self.index_of
-        for vertex in self.vertex_ids:
-            for neighbour, weight in network.neighbours_view(vertex).items():
-                indices.append(index_of[neighbour])
-                weights.append(weight)
-            indptr.append(len(indices))
-        self.indptr = indptr
-        self.indices = indices
-        self.weights = weights
+        # Straight off the adjacency dicts, in their order: vertex order for
+        # the rows, each vertex's neighbour order within its row.
+        neighbourhoods = network.adjacency.values()
+        self.vertex_ids: List[VertexId] = list(network.adjacency)
+        self.index_of: Dict[VertexId, int] = dict(
+            zip(self.vertex_ids, range(len(self.vertex_ids)))
+        )
+        self.indptr: List[int] = [0, *accumulate(map(len, neighbourhoods))]
+        self.indices: List[int] = list(
+            map(self.index_of.__getitem__, chain.from_iterable(neighbourhoods))
+        )
+        self.weights: List[float] = list(chain.from_iterable(map(dict.values, neighbourhoods)))
         self._finalise_matrix()
 
     def _finalise_matrix(self) -> None:
@@ -136,27 +133,20 @@ class CSRGraph:
         else:
             self.matrix = None
 
-    @classmethod
-    def from_arrays(
-        cls,
-        vertex_ids: Sequence[int],
-        indptr: Sequence[int],
-        indices: Sequence[int],
-        weights: Sequence[float],
-    ) -> "CSRGraph":
-        """A graph over the given flat arrays instead of a network's adjacency.
+    def subgraph(self, keep: Sequence[bool]) -> "CSRGraph":
+        """The graph over the same vertices with only the edges ``keep`` flags.
 
-        The grid index builds its cell-interior graph this way.  The
-        arguments are plain Python sequences, copied as lists.
+        ``keep`` holds one flag per CSR position (``indices`` order).  The
+        vertex ids and index map are shared, not copied.  The grid index
+        computes ``v.min`` on its cell-interior graph this way.
         """
-        graph = cls.__new__(cls)
-        graph.vertex_ids = list(vertex_ids)
-        graph.index_of = {
-            vertex: index for index, vertex in enumerate(graph.vertex_ids)
-        }
-        graph.indptr = list(indptr)
-        graph.indices = list(indices)
-        graph.weights = list(weights)
+        graph = CSRGraph.__new__(CSRGraph)
+        graph.vertex_ids = self.vertex_ids
+        graph.index_of = self.index_of
+        kept_before = list(accumulate(keep, initial=0))
+        graph.indptr = list(map(kept_before.__getitem__, self.indptr))
+        graph.indices = list(compress(self.indices, keep))
+        graph.weights = list(compress(self.weights, keep))
         graph._finalise_matrix()
         return graph
 

@@ -9,7 +9,9 @@ search per cell -- kept here as the reference those values must equal
 of ``(bound, cell id)`` tuples.  :func:`reference_expansion` and
 :func:`reference_lower_bounds` turn them into what ``GridIndex.expand_from``
 and ``GridIndex.distance_lower_bound`` must answer.  Nothing in ``src/`` calls
-any of them.
+any of them.  :func:`reference_cells` is the cell and border-vertex
+construction as it used to run, one ``Edge`` and one checked
+``coordinate()`` at a time.
 """
 
 from __future__ import annotations
@@ -53,6 +55,39 @@ def multi_source_dijkstra(
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return result
+
+
+def reference_cells(
+    network: RoadNetwork, rows: int, columns: int
+) -> Tuple[Dict[VertexId, CellId], List[Tuple[CellId, List[VertexId], List[VertexId]]]]:
+    """``vertex_cells`` and every cell's ``(id, vertices, border vertices)``
+    as construction used to build them: the checked ``coordinate()`` of each
+    vertex, clamped into the grid on both sides, and the ``Edge`` objects of
+    ``network.edges()``."""
+    points = [network.coordinate(vertex) for vertex in network.vertices()]
+    min_x, max_x = min(p.x for p in points), max(p.x for p in points)
+    min_y, max_y = min(p.y for p in points), max(p.y for p in points)
+    width = ((max_x - min_x) or 1.0) / columns
+    height = ((max_y - min_y) or 1.0) / rows
+    cell_of: Dict[VertexId, CellId] = {}
+    vertices: Dict[CellId, List[VertexId]] = {
+        (row, column): [] for row in range(rows) for column in range(columns)
+    }
+    for vertex in network.vertices():
+        point = network.coordinate(vertex)
+        column = min(max(int((point.x - min_x) / width), 0), columns - 1)
+        row = min(max(int((point.y - min_y) / height), 0), rows - 1)
+        cell_of[vertex] = (row, column)
+        vertices[(row, column)].append(vertex)
+    borders: Dict[CellId, List[VertexId]] = {cell_id: [] for cell_id in vertices}
+    seen = set()
+    for edge in network.edges():
+        if cell_of[edge.u] != cell_of[edge.v]:
+            for vertex in (edge.u, edge.v):
+                if vertex not in seen:
+                    seen.add(vertex)
+                    borders[cell_of[vertex]].append(vertex)
+    return cell_of, [(cell_id, vertices[cell_id], borders[cell_id]) for cell_id in vertices]
 
 
 def reference_cell_order(index: GridIndex, cell_id: CellId) -> List[Tuple[float, CellId]]:

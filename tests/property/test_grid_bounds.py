@@ -28,6 +28,7 @@ from repro.roadnet.shortest_path import INFINITY
 from tests.conftest import assign_request, build_fleet
 from tests.grid_reference import (
     multi_source_dijkstra,
+    reference_cells,
     reference_expansion,
     reference_lower_bounds,
 )
@@ -191,6 +192,16 @@ def _broken_networks(draw):
 
 
 _grid_sides = st.integers(min_value=1, max_value=5)
+
+
+@given(network=_broken_networks(), grid_rows=_grid_sides, grid_columns=_grid_sides)
+@settings(max_examples=60, deadline=None)
+def test_cells_and_borders_equal_the_edge_loop_reference(network, grid_rows, grid_columns):
+    """Every cell's vertex and border-vertex lists, in order, and ``vertex_cells``."""
+    index = GridIndex(network, rows=grid_rows, columns=grid_columns)
+    cell_of, cells = reference_cells(network, grid_rows, grid_columns)
+    assert list(index.vertex_cells.items()) == list(cell_of.items())
+    assert [(cell.cell_id, cell.vertices, cell.border_vertices) for cell in index.cells()] == cells
 
 
 @pytest.mark.parametrize("forced_list", [False, True])

@@ -13,7 +13,6 @@ class TestPoint:
 
     def test_tuple_and_iter(self):
         point = Point(1.5, 2.5)
-        assert point.as_tuple() == (1.5, 2.5)
         assert tuple(point) == (1.5, 2.5)
 
     def test_points_are_immutable(self):
@@ -30,14 +29,6 @@ class TestBoundingBox:
     def test_invalid_corners_rejected(self):
         with pytest.raises(ValueError):
             BoundingBox(1.0, 0.0, 0.0, 1.0)
-
-    def test_from_points(self):
-        box = BoundingBox.from_points([(0, 0), (2, 1), (1, 3)])
-        assert (box.min_x, box.min_y, box.max_x, box.max_y) == (0, 0, 2, 3)
-
-    def test_from_points_empty(self):
-        with pytest.raises(ValueError):
-            BoundingBox.from_points([])
 
     def test_dimensions(self):
         box = BoundingBox(0, 0, 2, 4)

@@ -46,7 +46,7 @@ class TestConstruction:
         network = RoadNetwork.from_edges([(1, 2, 1.0)], coordinates={1: (0, 0), 2: (1, 0), 9: (5, 5)})
         assert 9 in network
         assert network.neighbours(9) == {}
-        assert network.coordinate(9).as_tuple() == (5.0, 5.0)
+        assert tuple(network.coordinate(9)) == (5.0, 5.0)
         assert not network.is_connected()
 
     def test_from_edges_builds_vertices_and_coordinates(self):
@@ -139,6 +139,14 @@ class TestQueries:
     def test_bounding_box(self):
         box = build_triangle().bounding_box()
         assert (box.min_x, box.min_y, box.max_x, box.max_y) == (0.0, 0.0, 1.0, 1.0)
+
+    def test_bounding_box_is_the_tightest_box(self):
+        network = RoadNetwork()
+        for vertex, (x, y) in {4: (2, 1), 1: (0, 0), 7: (1, 3)}.items():
+            network.add_vertex(vertex, x=x, y=y)
+        network.add_vertex(9)  # no coordinate: not in the box
+        box = network.bounding_box()
+        assert (box.min_x, box.min_y, box.max_x, box.max_y) == (0.0, 0.0, 2.0, 3.0)
 
 
 class TestMutation:

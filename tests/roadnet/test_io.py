@@ -22,7 +22,7 @@ class TestJson:
         network = figure1_network()
         rebuilt = network_from_dict(network_to_dict(network))
         assert networks_equal(network, rebuilt)
-        assert rebuilt.coordinate(1).as_tuple() == network.coordinate(1).as_tuple()
+        assert tuple(rebuilt.coordinate(1)) == tuple(network.coordinate(1))
 
     def test_dict_without_coordinates(self):
         network = RoadNetwork.from_edges([(1, 2, 1.0)])
