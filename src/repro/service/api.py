@@ -186,6 +186,9 @@ class PTRiderService:
         self._chain.track(self)
         if self._journal is not None and not _resume:
             if not self._journal.is_fresh():
+                if _journal is None:
+                    # opened above, so no caller holds it to close
+                    self._journal.close()
                 raise ServiceError(
                     f"journal at {self._journal.directory} already holds "
                     "state; use PTRiderService.recover() to restore it"

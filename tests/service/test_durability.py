@@ -239,6 +239,36 @@ class TestJournalingService:
         with pytest.raises(ServiceError, match="recover"):
             _durable_system(tmp_path)
 
+    @staticmethod
+    def _spy_on_close(monkeypatch):
+        closed = []
+        close = ServiceJournal.close
+
+        def spy(journal):
+            closed.append(journal.directory)
+            close(journal)
+
+        monkeypatch.setattr(ServiceJournal, "close", spy)
+        return closed
+
+    def test_a_refused_directory_closes_the_journal_it_opened(self, tmp_path, monkeypatch):
+        _durable_system(tmp_path).close()
+        closed = self._spy_on_close(monkeypatch)
+        with pytest.raises(ServiceError, match="recover") as refused:
+            _durable_system(tmp_path)
+        # closed before the raise, not when the failed service is collected:
+        # the traceback still holds its frame
+        assert refused.value.__traceback__ is not None
+        assert closed == [tmp_path / "journal"]
+
+    def test_a_refused_directory_leaves_a_passed_journal_open(self, tmp_path, monkeypatch):
+        service = _durable_system(tmp_path)
+        service.advance(1.0)
+        closed = self._spy_on_close(monkeypatch)
+        with pytest.raises(ServiceError, match="recover"):
+            PTRiderService(service.fleet, config=service.config, _journal=service.journal)
+        assert closed == []
+
     def test_set_parameters_keeps_annotating_outcomes(self, tmp_path):
         service = _durable_system(tmp_path)
         service.set_parameters(batch_window=2.0)
