@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import os
-import random
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Type
@@ -38,14 +37,13 @@ from repro.model.request import Request
 from repro.roadnet.generators import grid_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.routing import make_engine
+from repro.service.api import assemble_fleet
 from repro.service.ingest import percentiles  # noqa: F401  (re-export: shared
 # nearest-rank p50/p95/p99 helper for latency-reporting experiments, e.g. E17)
 from repro.sim.engine import SimulationEngine, SimulationReport
 from repro.sim.trips import ShanghaiLikeTripGenerator
 from repro.sim.workload import RequestWorkload, random_requests
 from repro.vehicles.fleet import Fleet
-from repro.vehicles.vehicle import Vehicle
 
 MATCHERS: Dict[str, Type[Matcher]] = {
     "naive": NaiveKineticTreeMatcher,
@@ -129,13 +127,15 @@ def build_city(
         config = config.with_updates(routing_backend=backend)
     if network is None:
         network = grid_network(rows, columns, weight_jitter=0.3, seed=seed)
-    grid = GridIndex(network, rows=grid_rows, columns=grid_columns)
-    fleet = Fleet(grid, make_engine(network, backend))
-    rng = random.Random(seed)
-    vertices = network.vertices()
-    for index in range(vehicles):
-        fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(vertices), capacity=capacity))
-    return City(network=network, grid=grid, fleet=fleet, config=config, seed=seed)
+    fleet = assemble_fleet(
+        network,
+        config.with_updates(vehicle_capacity=capacity),
+        vehicles,
+        seed,
+        grid_rows=grid_rows,
+        grid_columns=grid_columns,
+    )
+    return City(network=network, grid=fleet.grid, fleet=fleet, config=config, seed=seed)
 
 
 def warm_up_fleet(city: City, requests: int = 12, seed: int = 3) -> None:

@@ -17,7 +17,6 @@ Run with::
 
 from __future__ import annotations
 
-import random
 import time
 
 from repro.baselines.nearest import NearestVehicleMatcher
@@ -29,11 +28,8 @@ from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.roadnet.generators import grid_network
-from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.routing import make_engine
+from repro.service.api import assemble_fleet
 from repro.sim.workload import random_requests
-from repro.vehicles.fleet import Fleet
-from repro.vehicles.vehicle import Vehicle
 
 SEED = 11
 VEHICLES = 80
@@ -53,11 +49,7 @@ MATCHERS = [
 def build_busy_fleet(config: SystemConfig):
     """Build a fleet and commit a warm-up batch so kinetic trees are non-trivial."""
     network = grid_network(16, 16, weight_jitter=0.3, seed=SEED)
-    grid = GridIndex(network, rows=8, columns=8)
-    fleet = Fleet(grid, make_engine(network))
-    rng = random.Random(SEED)
-    for index in range(VEHICLES):
-        fleet.add_vehicle(Vehicle(f"c{index + 1}", location=rng.choice(network.vertices())))
+    fleet = assemble_fleet(network, config, VEHICLES, SEED)
     warmup = random_requests(network, WARMUP_REQUESTS, config.max_waiting,
                              config.service_constraint, seed=SEED, id_prefix="warm")
     dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)

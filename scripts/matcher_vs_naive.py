@@ -32,12 +32,15 @@ option is the inadmissible bound, a ``cell`` missing from ``registered`` the
 stale registration.  The last line counts requests and disagreements; the
 exit status is 0 exactly when there were ``--expect`` of them (default 0) --
 a tripwire for a known count: any change to what the matcher answers on
-that day, better or worse, fails it.
+that day, better or worse, fails it.  ``--routing`` picks the service's
+routing backend (default ``csr``); the naive matcher answers on the same
+engine.
 
 Usage::
 
     PYTHONPATH=src python scripts/matcher_vs_naive.py --seed 1000
     PYTHONPATH=src python scripts/matcher_vs_naive.py --seed 1000 --expect 6
+    PYTHONPATH=src python scripts/matcher_vs_naive.py --routing csr+alt --seed 1000 --expect 24
     PYTHONPATH=src python scripts/matcher_vs_naive.py --rows 12 --grid 4 \\
         --vehicles 30 --requests 120 --matcher dual_side
 """
@@ -45,7 +48,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -54,12 +56,9 @@ from repro.core.dispatcher import OptionPolicy
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.model.options import RideOption
 from repro.roadnet.generators import grid_network
-from repro.roadnet.grid_index import GridIndex
-from repro.roadnet.routing import make_engine
-from repro.service.api import PTRiderService
+from repro.roadnet.routing import ROUTING_BACKENDS
+from repro.service.api import PTRiderService, assemble_fleet
 from repro.sim.workload import RequestWorkload
-from repro.vehicles.fleet import Fleet
-from repro.vehicles.vehicle import Vehicle
 
 #: matchers that screen vehicles with the probes this script reports
 MATCHERS = ("single_side", "dual_side")
@@ -68,16 +67,6 @@ MATCHERS = ("single_side", "dual_side")
 def build_service(args: argparse.Namespace, **config_overrides) -> PTRiderService:
     """City, fleet and service of one day, all drawn from ``args.seed``."""
     network = grid_network(args.rows, args.rows, weight_jitter=0.3, seed=args.seed)
-    fleet = Fleet(
-        GridIndex(network, rows=args.grid, columns=args.grid),
-        make_engine(network, "csr"),
-    )
-    rng = random.Random(args.seed)
-    vertices = network.vertices()
-    for index in range(1, args.vehicles + 1):
-        fleet.add_vehicle(
-            Vehicle(f"c{index}", location=rng.choice(vertices), capacity=args.capacity)
-        )
     config = SystemConfig(
         vehicle_capacity=args.capacity,
         max_waiting=args.max_waiting,
@@ -85,8 +74,11 @@ def build_service(args: argparse.Namespace, **config_overrides) -> PTRiderServic
         speed=args.speed,
         max_pickup_distance=args.max_pickup,
         matcher_name=args.matcher,
-        routing_backend="csr",
+        routing_backend=args.routing,
         **config_overrides,
+    )
+    fleet = assemble_fleet(
+        network, config, args.vehicles, args.seed, grid_rows=args.grid, grid_columns=args.grid
     )
     return PTRiderService(fleet, config=config, seed=args.seed)
 
@@ -195,6 +187,8 @@ def build_parser(description: str) -> argparse.ArgumentParser:
     parser.add_argument("--speed", type=float, default=6.0)
     parser.add_argument("--seed", type=int, default=1000)
     parser.add_argument("--matcher", choices=MATCHERS, default="single_side")
+    parser.add_argument("--routing", choices=ROUTING_BACKENDS, default="csr",
+                        help="routing backend of the service's engine (default csr)")
     return parser
 
 

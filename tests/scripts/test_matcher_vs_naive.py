@@ -72,3 +72,11 @@ class TestExpect:
         disagreements, _ = _run(TINY_DAY)
         assert disagreements > 0
         assert tool.main(TINY_DAY + ["--expect", str(disagreements)]) == 0
+
+
+class TestRouting:
+    def test_the_backend_flag_reaches_the_service_engine(self):
+        for argv, backend in (([], "csr"), (["--routing", "csr+alt"], "csr+alt")):
+            service = tool.build_service(tool.parse_args(TINY_DAY + argv))
+            assert service.config.routing_backend == backend
+            assert service.fleet.routing_engine.backend == backend
