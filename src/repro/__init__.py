@@ -22,8 +22,8 @@ Quickstart::
     from repro import build_system, Request
 
     system = build_system(network_rows=20, network_columns=20, vehicles=50, seed=7)
-    options = system.submit(Request(start=5, destination=310, riders=2))
-    for option in options:
+    booking = system.book_request(Request(start=5, destination=310, riders=2))
+    for option in booking.options:
         print(option)
 """
 
@@ -38,7 +38,7 @@ from repro.core.single_side import SingleSideSearchMatcher
 from repro.model.options import RideOption, Skyline, dominates, skyline_of
 from repro.model.request import Request
 from repro.model.stops import Stop, StopKind
-from repro.roadnet.generators import figure1_network, grid_network, random_geometric_network
+from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import (
@@ -84,7 +84,6 @@ __all__ = [
     "figure1_network",
     "grid_network",
     "make_engine",
-    "random_geometric_network",
     "rider_price_ratio",
     "skyline_of",
     "__version__",

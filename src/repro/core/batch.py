@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.core.context import MatchContext
 from repro.errors import DisconnectedError, VertexNotFoundError
@@ -188,13 +188,11 @@ class BatchContext:
 
     def __init__(
         self,
-        requests: Sequence[Request],
         contexts: Dict[int, MatchContext],
         errors: Dict[int, Exception],
         statistics: BatchStatistics,
         seconds: Optional[Dict[int, float]] = None,
     ) -> None:
-        self._requests = list(requests)
         self._contexts = contexts
         self._errors = errors
         self._seconds = seconds or {}
@@ -289,15 +287,7 @@ class BatchContext:
                 errors[index] = DisconnectedError(start, request.destination)
                 continue
             contexts[index] = build_context(request=request, direct=direct, start_tree=tree)
-        return cls(requests, contexts, errors, statistics, seconds)
-
-    def __len__(self) -> int:
-        return len(self._requests)
-
-    @property
-    def requests(self) -> List[Request]:
-        """The batch's requests in submission order."""
-        return list(self._requests)
+        return cls(contexts, errors, statistics, seconds)
 
     def context_for(self, index: int) -> MatchContext:
         """Return the pooled context of request ``index``.

@@ -99,11 +99,6 @@ class Matcher(abc.ABC):
     # public interface
     # ------------------------------------------------------------------
     @property
-    def fleet(self) -> Fleet:
-        """The fleet the matcher searches."""
-        return self._fleet
-
-    @property
     def config(self) -> SystemConfig:
         """The global system parameters in effect."""
         return self._config
@@ -112,11 +107,6 @@ class Matcher(abc.ABC):
     def price_model(self) -> PriceModel:
         """The price calculator used to price options."""
         return self._price_model
-
-    @property
-    def engine(self) -> RoutingEngine:
-        """The routing engine shared with the fleet."""
-        return self._engine
 
     def make_context(self, request: Request) -> MatchContext:
         """Build the per-request context (direct distance plus start tree)."""

@@ -59,20 +59,6 @@ class RideOption:
         if self.price < 0:
             raise ValueError(f"price must be non-negative, got {self.price}")
 
-    def pickup_time(self, speed: float) -> float:
-        """Convert the pick-up distance to a time for a given ``speed``."""
-        if speed <= 0:
-            raise ValueError(f"speed must be positive, got {speed}")
-        return self.pickup_distance / speed
-
-    def dominates(self, other: "RideOption") -> bool:
-        """Return ``True`` when this option dominates ``other``."""
-        return dominates(self, other)
-
-    def key(self) -> Tuple[float, float]:
-        """Return the ``(time, price)`` pair used for dominance comparisons."""
-        return (self.pickup_distance, self.price)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{self.vehicle_id}, {self.pickup_distance:g}, {self.price:g}>"
 

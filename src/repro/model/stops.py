@@ -86,12 +86,3 @@ class Stop:
         sign = "+" if self.is_pickup else "-"
         return f"{self.kind.value}({self.request_id}@{self.vertex}{sign}{self.riders})"
 
-
-def pickup(vertex: int, request_id: str, riders: int = 1) -> Stop:
-    """Convenience constructor for a pick-up stop."""
-    return Stop(vertex=vertex, request_id=request_id, kind=StopKind.PICKUP, riders=riders)
-
-
-def dropoff(vertex: int, request_id: str, riders: int = 1) -> Stop:
-    """Convenience constructor for a drop-off stop."""
-    return Stop(vertex=vertex, request_id=request_id, kind=StopKind.DROPOFF, riders=riders)

@@ -5,7 +5,7 @@ road network:
 
 * :mod:`repro.roadnet.graph` -- the weighted road graph itself;
 * :mod:`repro.roadnet.geometry` -- planar embedding helpers;
-* :mod:`repro.roadnet.shortest_path` -- the path search every routing
+* :mod:`repro.roadnet.shortest_path` -- the path walk every routing
   answer ends in;
 * :mod:`repro.roadnet.routing` -- the CSR routing engine (with its optional
   ALT landmark lower-bound index) every distance/path query goes through;
@@ -33,8 +33,6 @@ from repro.roadnet.generators import (
     arterial_grid_network,
     figure1_network,
     grid_network,
-    random_geometric_network,
-    ring_radial_network,
 )
 
 __all__ = [
@@ -55,7 +53,5 @@ __all__ = [
     "euclidean_distance",
     "figure1_network",
     "grid_network",
-    "random_geometric_network",
-    "ring_radial_network",
     "shortest_path",
 ]

@@ -23,7 +23,6 @@ Section 2 reproduces exactly on this network.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, List, Optional, Tuple
 
@@ -33,8 +32,6 @@ from repro.roadnet.graph import RoadNetwork
 __all__ = [
     "grid_network",
     "arterial_grid_network",
-    "random_geometric_network",
-    "ring_radial_network",
     "figure1_network",
     "FIGURE1_VEHICLE_POSITIONS",
 ]
@@ -145,135 +142,6 @@ def arterial_grid_network(
         ) or (column_u % arterial_every == 0 and column_v % arterial_every == 0)
         if not on_arterial:
             network.add_edge(edge.u, edge.v, edge.weight * local_factor)
-    return network
-
-
-def random_geometric_network(
-    vertex_count: int,
-    radius: float = 0.2,
-    extent: float = 1.0,
-    seed: Optional[int] = None,
-) -> RoadNetwork:
-    """Build a random geometric graph, patched to be connected.
-
-    ``vertex_count`` points are placed uniformly at random in a square of side
-    ``extent``; every pair closer than ``radius`` is connected with an edge
-    weighted by its Euclidean length.  Components are then stitched together
-    through their closest vertex pairs so that the result is always connected
-    (a requirement of the simulation engine).
-
-    Args:
-        vertex_count: number of vertices (>= 1).
-        radius: connection radius.
-        extent: side length of the square the points are drawn from.
-        seed: RNG seed for reproducibility.
-    """
-    if vertex_count < 1:
-        raise ConfigurationError(f"vertex_count must be >= 1, got {vertex_count}")
-    if radius <= 0 or extent <= 0:
-        raise ConfigurationError("radius and extent must be positive")
-
-    rng = random.Random(seed)
-    network = RoadNetwork()
-    positions: Dict[int, Tuple[float, float]] = {}
-    for vertex in range(1, vertex_count + 1):
-        x, y = rng.uniform(0.0, extent), rng.uniform(0.0, extent)
-        positions[vertex] = (x, y)
-        network.add_vertex(vertex, x=x, y=y)
-
-    vertices = list(positions)
-    for i, u in enumerate(vertices):
-        ux, uy = positions[u]
-        for v in vertices[i + 1:]:
-            vx, vy = positions[v]
-            distance = math.hypot(ux - vx, uy - vy)
-            if 0 < distance <= radius:
-                network.add_edge(u, v, distance)
-
-    components = network.connected_components()
-    while len(components) > 1:
-        base = components[0]
-        other = components[1]
-        best: Tuple[float, int, int] = (math.inf, -1, -1)
-        for u in base:
-            for v in other:
-                distance = math.hypot(
-                    positions[u][0] - positions[v][0], positions[u][1] - positions[v][1]
-                )
-                if 0 < distance < best[0]:
-                    best = (distance, u, v)
-        if best[1] == -1:
-            # Two vertices share a coordinate; connect them with a tiny edge.
-            network.add_edge(base[0], other[0], 1e-9)
-        else:
-            network.add_edge(best[1], best[2], best[0])
-        components = network.connected_components()
-    return network
-
-
-def ring_radial_network(
-    rings: int,
-    spokes: int,
-    ring_spacing: float = 1.0,
-    seed: Optional[int] = None,
-    weight_jitter: float = 0.0,
-) -> RoadNetwork:
-    """Build a ring-and-radial network resembling a city with a centre.
-
-    A central vertex is surrounded by ``rings`` concentric rings, each with
-    ``spokes`` vertices.  Consecutive vertices on a ring are connected, and
-    each vertex is connected radially to the matching vertex of the next ring
-    inwards (the innermost ring connects to the centre).
-
-    Args:
-        rings: number of rings (>= 1).
-        spokes: vertices per ring (>= 3).
-        ring_spacing: radial distance between consecutive rings.
-        seed: RNG seed for the optional weight jitter.
-        weight_jitter: relative upper bound of random weight inflation.
-    """
-    if rings < 1:
-        raise ConfigurationError(f"rings must be >= 1, got {rings}")
-    if spokes < 3:
-        raise ConfigurationError(f"spokes must be >= 3, got {spokes}")
-    if ring_spacing <= 0:
-        raise ConfigurationError("ring_spacing must be positive")
-    if weight_jitter < 0:
-        raise ConfigurationError("weight_jitter must be non-negative")
-
-    rng = random.Random(seed)
-
-    def jitter(value: float) -> float:
-        if weight_jitter == 0:
-            return value
-        return value * (1.0 + rng.uniform(0.0, weight_jitter))
-
-    network = RoadNetwork()
-    centre = 1
-    network.add_vertex(centre, x=0.0, y=0.0)
-
-    # Vertex id scheme: centre is 1, ring r (1-based) spoke k (0-based) is
-    # 1 + (r - 1) * spokes + k + 1.
-    def vid(ring: int, spoke: int) -> int:
-        return 1 + (ring - 1) * spokes + spoke + 1
-
-    for ring in range(1, rings + 1):
-        radius = ring * ring_spacing
-        for spoke in range(spokes):
-            angle = 2.0 * math.pi * spoke / spokes
-            network.add_vertex(vid(ring, spoke), x=radius * math.cos(angle), y=radius * math.sin(angle))
-
-    for ring in range(1, rings + 1):
-        radius = ring * ring_spacing
-        chord = 2.0 * radius * math.sin(math.pi / spokes)
-        for spoke in range(spokes):
-            current = vid(ring, spoke)
-            nxt = vid(ring, (spoke + 1) % spokes)
-            network.add_edge(current, nxt, jitter(chord))
-            if ring == 1:
-                network.add_edge(centre, current, jitter(ring_spacing))
-            else:
-                network.add_edge(vid(ring - 1, spoke), current, jitter(ring_spacing))
     return network
 
 

@@ -49,22 +49,6 @@ class Edge:
         if self.u == self.v:
             raise InvalidNetworkError(f"self loops are not allowed (vertex {self.u})")
 
-    def other(self, vertex: VertexId) -> VertexId:
-        """Return the endpoint that is not ``vertex``.
-
-        Raises:
-            ValueError: if ``vertex`` is not an endpoint of this edge.
-        """
-        if vertex == self.u:
-            return self.v
-        if vertex == self.v:
-            return self.u
-        raise ValueError(f"vertex {vertex} is not an endpoint of edge ({self.u}, {self.v})")
-
-    def key(self) -> Tuple[VertexId, VertexId]:
-        """Return a canonical (sorted) key identifying the undirected edge."""
-        return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
-
 
 class RoadNetwork:
     """An undirected, positively weighted road network with planar embedding.
@@ -203,11 +187,6 @@ class RoadNetwork:
         except KeyError:
             raise EdgeNotFoundError(u, v) from None
 
-    def neighbours(self, vertex: VertexId) -> Dict[VertexId, float]:
-        """Return a copy of ``vertex``'s adjacency mapping ``{neighbour: weight}``."""
-        self._require_vertex(vertex)
-        return dict(self._adjacency[vertex])
-
     def neighbours_view(self, vertex: VertexId) -> Mapping[VertexId, float]:
         """Return the *internal* adjacency mapping of ``vertex``.
 
@@ -275,47 +254,12 @@ class RoadNetwork:
     # ------------------------------------------------------------------
     # structure checks
     # ------------------------------------------------------------------
-    def is_connected(self) -> bool:
-        """Return ``True`` when the network is connected (or empty)."""
-        if not self._adjacency:
-            return True
-        start = next(iter(self._adjacency))
-        seen = {start}
-        stack = [start]
-        while stack:
-            current = stack.pop()
-            for neighbour in self._adjacency[current]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    stack.append(neighbour)
-        return len(seen) == len(self._adjacency)
-
-    def connected_components(self) -> List[List[VertexId]]:
-        """Return the vertex sets of every connected component."""
-        remaining = set(self._adjacency)
-        components: List[List[VertexId]] = []
-        while remaining:
-            start = next(iter(remaining))
-            seen = {start}
-            stack = [start]
-            while stack:
-                current = stack.pop()
-                for neighbour in self._adjacency[current]:
-                    if neighbour not in seen:
-                        seen.add(neighbour)
-                        stack.append(neighbour)
-            components.append(sorted(seen))
-            remaining -= seen
-        return components
-
-    def validate(self, require_coordinates: bool = False, require_connected: bool = False) -> None:
+    def validate(self, require_coordinates: bool = False) -> None:
         """Validate structural requirements, raising on the first violation.
 
         Args:
             require_coordinates: demand a coordinate on every vertex (the grid
                 index needs this).
-            require_connected: demand a single connected component (the
-                simulation engine needs this so every trip is feasible).
 
         Raises:
             InvalidNetworkError: when a requirement is violated.
@@ -325,23 +269,6 @@ class RoadNetwork:
             raise InvalidNetworkError(
                 f"{len(missing)} vertices have no coordinate (e.g. {missing[:5]})"
             )
-        if require_connected and not self.is_connected():
-            components = self.connected_components()
-            raise InvalidNetworkError(
-                f"the network has {len(components)} connected components; expected 1"
-            )
-
-    # ------------------------------------------------------------------
-    # misc
-    # ------------------------------------------------------------------
-    def copy(self) -> "RoadNetwork":
-        """Return a deep copy of the network."""
-        clone = RoadNetwork()
-        for vertex in self._adjacency:
-            clone._adjacency[vertex] = dict(self._adjacency[vertex])
-        clone._coordinates = dict(self._coordinates)
-        clone._edge_count = self._edge_count
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"RoadNetwork(vertices={self.vertex_count}, edges={self.edge_count})"

@@ -1,24 +1,21 @@
-"""The path search every routing answer ends in.
+"""The path walk every routing answer ends in.
 
 Every price and every pick-up time in the system is derived from shortest-path
 distances on the road network (Section 2.1 of the paper).  Distances come
 from the routing engine's trees (:mod:`repro.roadnet.routing`); paths come
 from :func:`shortest_path`, which every engine's ``path`` lands in -- and
-through ``engine.path`` so do vehicle re-plans (``vehicles.movement.plan_route``)
-and the fleet's full-path cell registration.  The engine passes the source's
-distance tree and the path is read off it; without a tree the function runs
-an early-terminated Dijkstra search.
+through ``engine.path`` so do vehicle re-plans (``vehicles.movement.plan_route``).
+The engine passes the source's distance tree and the path is read off it.
 
 The independent searches the tests check these against (a full Dijkstra
-tree, an early-terminated distance query, A*, bidirectional and
+tree, an early-terminated Dijkstra path search, A*, bidirectional and
 radius-bounded Dijkstra) live in ``tests/routing_reference.py``.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from repro.errors import DisconnectedError, VertexNotFoundError
 from repro.roadnet.graph import RoadNetwork, VertexId
@@ -26,7 +23,6 @@ from repro.roadnet.graph import RoadNetwork, VertexId
 __all__ = [
     "PathResult",
     "shortest_path",
-    "reconstruct_path",
 ]
 
 INFINITY = float("inf")
@@ -52,58 +48,29 @@ def shortest_path(
     network: RoadNetwork,
     source: VertexId,
     target: VertexId,
-    tree: Optional[Mapping[VertexId, float]] = None,
+    tree: Optional[Mapping[VertexId, float]],
 ) -> PathResult:
     """Return the shortest path (distance and vertex sequence) between two vertices.
 
-    Without ``tree`` this is a Dijkstra search from ``source`` that stops as
-    soon as ``target`` is settled.  A caller that already holds the distance
-    tree rooted at ``source`` (any mapping ``vertex -> dist(source, vertex)``
-    that omits unreachable vertices) passes it as ``tree`` and the path is
-    read off it instead: walking back from ``target``, each vertex ``v`` is
-    preceded by the neighbour ``u`` that minimises
-    ``(tree[u] + w(u, v), tree[u], u)``.  That is the parent the search sets
-    -- the first-settled neighbour attaining ``v``'s final label, the search
-    settling in ``(distance, vertex id)`` order -- so both arms return the
-    same vertex sequence and the same float, exact ties included.
+    ``tree`` is the distance tree rooted at ``source`` (any mapping
+    ``vertex -> dist(source, vertex)`` that omits unreachable vertices; it
+    is not read when ``source == target``, so it may be ``None`` there).
+    The path is read off it: walking back from ``target``, each vertex ``v``
+    is preceded by the neighbour ``u`` that minimises
+    ``(tree[u] + w(u, v), tree[u], u)``.  That is the parent a Dijkstra
+    search sets -- the first-settled neighbour attaining ``v``'s final
+    label, the search settling in ``(distance, vertex id)`` order -- so the
+    walk returns the vertex sequence and the float such a search would,
+    exact ties included.
 
     Raises:
         VertexNotFoundError: if either endpoint is unknown.
-        DisconnectedError: if no path connects the endpoints, or ``tree``
-            omits ``target`` or does not lead back to ``source``.
+        DisconnectedError: if ``tree`` omits ``target`` or does not lead
+            back to ``source``.
     """
     _require_vertices(network, (source, target))
     if source == target:
         return PathResult(source, target, 0.0, (source,))
-    if tree is not None:
-        return _walk_tree(network, source, target, tree)
-    dist: Dict[VertexId, float] = {source: 0.0}
-    parent: Dict[VertexId, VertexId] = {}
-    heap: List[Tuple[float, VertexId]] = [(0.0, source)]
-    settled: set = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in settled:
-            continue
-        if u == target:
-            return PathResult(source, target, d, tuple(reconstruct_path(parent, source, target)))
-        settled.add(u)
-        for v, weight in network.neighbours_view(u).items():
-            nd = d + weight
-            if nd < dist.get(v, INFINITY):
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-    raise DisconnectedError(source, target)
-
-
-def _walk_tree(
-    network: RoadNetwork,
-    source: VertexId,
-    target: VertexId,
-    tree: Mapping[VertexId, float],
-) -> PathResult:
-    """The ``tree=`` arm of :func:`shortest_path` (``source != target``)."""
     distance = tree.get(target)
     if distance is None:
         raise DisconnectedError(source, target)
@@ -130,16 +97,3 @@ def _walk_tree(
         path.append(current)
     path.reverse()
     return PathResult(source, target, float(distance), tuple(path))
-
-
-def reconstruct_path(
-    parent: Dict[VertexId, VertexId], source: VertexId, target: VertexId
-) -> List[VertexId]:
-    """Rebuild the vertex sequence from a parent map produced by Dijkstra."""
-    path = [target]
-    current = target
-    while current != source:
-        current = parent[current]
-        path.append(current)
-    path.reverse()
-    return path

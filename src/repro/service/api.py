@@ -201,7 +201,6 @@ class PTRiderService:
                 ("network", network_to_dict(grid.network)),
                 ("grid", {"rows": grid.rows, "columns": grid.columns}),
                 ("max_cached_sources", fleet.routing_engine.max_cached_sources),
-                ("register_full_paths", fleet._register_full_paths),
                 ("config", encode(self._config)),
                 ("seed", seed),
             ):
@@ -371,7 +370,6 @@ class PTRiderService:
             grid_rows=int(grid_meta.get("rows", 8)),
             grid_columns=int(grid_meta.get("columns", 8)),
             max_cached_sources=int(journal.get_meta("max_cached_sources") or 1024),
-            register_full_paths=bool(journal.get_meta("register_full_paths")),
         )
         service = cls(
             fleet,
@@ -449,10 +447,6 @@ class PTRiderService:
     # ------------------------------------------------------------------
     # smartphone interface
     # ------------------------------------------------------------------
-    def submit(self, request: Request) -> List[RideOption]:
-        """Return the non-dominated options for a fully specified request."""
-        return self._dispatcher.submit(self._dispatcher.normalise(request))
-
     def book(self, start: int, destination: int, riders: int = 1) -> Booking:
         """Step (i)+(ii) of the demo flow: submit a trip, receive the options.
 
@@ -957,7 +951,6 @@ def assemble_fleet(
     grid_rows: int = 8,
     grid_columns: int = 8,
     max_cached_sources: int = 1024,
-    register_full_paths: bool = False,
 ) -> Fleet:
     """The one path from a road network to a fleet ready to serve.
 
@@ -970,7 +963,7 @@ def assemble_fleet(
     """
     engine = make_engine(network, config.routing_backend, max_cached_sources=max_cached_sources)
     grid = GridIndex(network, rows=grid_rows, columns=grid_columns)
-    fleet = Fleet(grid, engine, register_full_paths=register_full_paths)
+    fleet = Fleet(grid, engine)
     rng = random.Random(seed)
     vertices = network.vertices()
     for index in range(vehicles):

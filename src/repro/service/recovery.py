@@ -464,8 +464,10 @@ def restore_state(service, state: Dict[str, object]) -> None:
     """Overwrite ``service``'s live state with a :func:`serialize_state` dict.
 
     The service must already run the snapshot's config (matcher, dispatch
-    knobs, routing backend); :meth:`PTRiderService.recover` guarantees that
-    by constructing it from the snapshot's own config payload.
+    knobs, routing backend) on a fleet without taxis: the snapshot's taxis
+    are added to it.  :meth:`PTRiderService.recover` guarantees both by
+    building the service on the snapshot's own config payload, through
+    ``assemble_fleet(..., vehicles=0)``.
 
     Raises:
         RecoveryError: when a stored value does not decode.
@@ -474,9 +476,8 @@ def restore_state(service, state: Dict[str, object]) -> None:
 
     engine = service._engine
     batcher = service._batcher
-    service._fleet.restore_vehicles(
-        restore_vehicle(decode(VehicleSnapshot, payload)) for payload in state["vehicles"]
-    )
+    for payload in state["vehicles"]:
+        service._fleet.add_vehicle(restore_vehicle(decode(VehicleSnapshot, payload)))
     engine._time = float(state["time"])
     engine._ticks = int(state["ticks"])
     rng_version, rng_values, rng_extra = state["rng_state"]

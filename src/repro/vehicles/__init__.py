@@ -1,8 +1,8 @@
 """Vehicle substrate: vehicle state, kinetic trees, the fleet index and motion.
 
-* :mod:`repro.vehicles.schedule` -- trip-schedule feasibility machinery
-  (capacity, point order, waiting time and service constraints of
-  Definition 2);
+* :mod:`repro.vehicles.schedule` -- the per-request budgets the waiting
+  time and service constraints of Definition 2 read, and schedule
+  distances;
 * :mod:`repro.vehicles.kinetic_tree` -- the kinetic tree of all valid trip
   schedules (Section 3.2.2 / Fig. 3);
 * :mod:`repro.vehicles.vehicle` -- mutable per-vehicle state: location,
@@ -15,26 +15,16 @@
 
 from repro.vehicles.fleet import Fleet
 from repro.vehicles.kinetic_tree import KineticTree
-from repro.vehicles.schedule import (
-    FeasibilityResult,
-    RequestState,
-    ScheduleMetrics,
-    check_schedule,
-    evaluate_schedule,
-)
+from repro.vehicles.schedule import RequestState
 from repro.vehicles.vehicle import Vehicle
 from repro.vehicles.movement import MotionState, plan_route, step_along_route
 
 __all__ = [
-    "FeasibilityResult",
     "Fleet",
     "KineticTree",
     "MotionState",
     "RequestState",
-    "ScheduleMetrics",
     "Vehicle",
-    "check_schedule",
-    "evaluate_schedule",
     "plan_route",
     "step_along_route",
 ]

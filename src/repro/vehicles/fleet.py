@@ -8,22 +8,24 @@ vehicle state: every time a vehicle moves, is assigned a request, picks up or
 drops off riders, the dispatcher (or the simulation engine) calls
 :meth:`Fleet.refresh_vehicle`.
 
-Registration granularity
-------------------------
-The paper registers a non-empty vehicle with every cell its kinetic-tree
-*edges* intersect (i.e. every cell crossed by the shortest path between two
-consecutive stops).  Expanding every schedule leg into its full vertex path
-is expensive and is only needed to make destination-side pruning slightly
-tighter, so the default here registers a non-empty vehicle with the cells of
-its current location and of its schedule stops.  Construct the fleet with
-``register_full_paths=True`` to reproduce the paper's exact behaviour; the
-matchers are correct under both settings.
+Registration
+------------
+One rule: an empty vehicle is registered with the cell of its location, a
+non-empty vehicle with the cells of its location and of every stop on its
+kinetic-tree branches.  Section 3.2.1 also registers a non-empty vehicle
+with every cell the shortest paths between its consecutive stops cross.
+Those extra cells only let the cell walk meet the vehicle sooner: the
+walk's cut-offs reason about a vehicle's location cell, which both rules
+register, and every option comes from the exact insertion check.  So the
+crossed cells can only tighten pruning (more vehicles screened against an
+early skyline); they add no option.  Expanding every leg into its vertex
+path costs a path query per leg on every refresh, so the fleet does not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Set, Tuple
 
 from repro.errors import UnknownVehicleError, VehicleError
 from repro.model.stops import Stop
@@ -107,22 +109,12 @@ class Fleet:
     Args:
         grid: the grid index of the road network.
         oracle: the routing engine answering shortest-path queries (used by
-            the matchers, the dispatcher and, when ``register_full_paths`` is
-            on, the cell registration).
-        register_full_paths: register non-empty vehicles with every cell their
-            schedule legs cross (paper behaviour) instead of only the cells of
-            their stops.
+            the matchers and the dispatcher).
     """
 
-    def __init__(
-        self,
-        grid: GridIndex,
-        oracle: RoutingEngine,
-        register_full_paths: bool = False,
-    ) -> None:
+    def __init__(self, grid: GridIndex, oracle: RoutingEngine) -> None:
         self._grid = grid
         self._engine = oracle
-        self._register_full_paths = register_full_paths
         self._vehicles: Dict[str, Vehicle] = {}
 
     # ------------------------------------------------------------------
@@ -196,52 +188,6 @@ class Fleet:
         self._vehicles[vehicle.vehicle_id] = vehicle
         self.refresh_vehicle(vehicle.vehicle_id)
 
-    def remove_vehicle(self, vehicle_id: str) -> Vehicle:
-        """Unregister a vehicle and clear its grid entries.
-
-        Raises:
-            UnknownVehicleError: when the vehicle is not registered.
-        """
-        vehicle = self.get(vehicle_id)
-        self._clear_cells(vehicle)
-        del self._vehicles[vehicle_id]
-        return vehicle
-
-    def replace_vehicle(self, vehicle: Vehicle) -> None:
-        """Swap in a refreshed copy of an already-registered vehicle.
-
-        The old object's grid registrations are cleared, the new object
-        takes its slot and is re-registered (snapshot restore).
-
-        Raises:
-            UnknownVehicleError: when no vehicle with that id is registered.
-        """
-        old = self.get(vehicle.vehicle_id)
-        self._clear_cells(old)
-        self._vehicles[vehicle.vehicle_id] = vehicle
-        self.refresh_vehicle(vehicle.vehicle_id)
-
-    def restore_vehicles(self, vehicles: Iterable[Vehicle]) -> None:
-        """Make the fleet hold exactly ``vehicles`` (snapshot restore).
-
-        Vehicles already registered under the same id are swapped through
-        :meth:`replace_vehicle` (their grid entries refreshed), new ids are
-        added, and ids absent from ``vehicles`` are removed -- so a recovery
-        restore lands on the snapshot's fleet regardless of what the
-        freshly built service started with.
-        """
-        wanted: Dict[str, Vehicle] = {}
-        for vehicle in vehicles:
-            wanted[vehicle.vehicle_id] = vehicle
-        for vehicle_id in list(self._vehicles):
-            if vehicle_id not in wanted:
-                self.remove_vehicle(vehicle_id)
-        for vehicle_id, vehicle in wanted.items():
-            if vehicle_id in self._vehicles:
-                self.replace_vehicle(vehicle)
-            else:
-                self.add_vehicle(vehicle)
-
     def refresh_vehicle(self, vehicle_id: str) -> None:
         """Re-register ``vehicle_id`` in the grid lists after a state change.
 
@@ -276,19 +222,9 @@ class Fleet:
     def _schedule_cells(self, vehicle: Vehicle) -> Set[CellId]:
         """Cells a non-empty vehicle must be registered in."""
         vertices: Set[int] = {vehicle.location}
-        schedules = vehicle.kinetic_tree.schedules()
-        for schedule in schedules:
+        for schedule in vehicle.kinetic_tree.schedules():
             for stop in schedule:
                 vertices.add(stop.vertex)
-        if self._register_full_paths and schedules:
-            # Expand the best schedule's legs into full vertex paths, so every
-            # crossed cell is covered (paper behaviour).
-            best = vehicle.kinetic_tree.best_schedule(self._engine.distance, vehicle.offset)
-            previous = vehicle.location
-            for stop in best or ():
-                result = self._engine.path(previous, stop.vertex)
-                vertices.update(result.path)
-                previous = stop.vertex
         return self._grid.cells_on_path(sorted(vertices))
 
     # ------------------------------------------------------------------
@@ -297,10 +233,6 @@ class Fleet:
     def vehicles(self) -> List[Vehicle]:
         """Return every vehicle (sorted by id, for deterministic iteration)."""
         return [self._vehicles[vid] for vid in sorted(self._vehicles)]
-
-    def empty_vehicles(self) -> List[Vehicle]:
-        """Return every empty vehicle."""
-        return [vehicle for vehicle in self.vehicles() if vehicle.is_empty]
 
     def nonempty_vehicles(self) -> List[Vehicle]:
         """Return every non-empty vehicle."""

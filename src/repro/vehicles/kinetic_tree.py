@@ -50,20 +50,10 @@ class KineticTree:
     # ------------------------------------------------------------------
     # basic accessors
     # ------------------------------------------------------------------
-    @property
-    def root_location(self) -> int:
-        """The vehicle's current location (the root of the tree)."""
-        return self._root_location
-
     def set_root_location(self, vertex: int) -> None:
         """Move the root (called when the vehicle's current vertex changes)."""
         self._root_location = vertex
         self.revision += 1
-
-    @property
-    def is_empty(self) -> bool:
-        """``True`` when the vehicle has no outstanding stops."""
-        return not self._schedules or all(not schedule for schedule in self._schedules)
 
     def schedules(self) -> List[Tuple[Stop, ...]]:
         """Return every valid schedule (each a tuple of stops)."""
@@ -72,14 +62,6 @@ class KineticTree:
     def schedule_count(self) -> int:
         """Number of valid schedules (branches of the tree)."""
         return len(self._schedules)
-
-    def stops(self) -> List[Stop]:
-        """Return the distinct stops appearing in the schedules."""
-        seen: Dict[Tuple[int, str, str], Stop] = {}
-        for schedule in self._schedules:
-            for stop in schedule:
-                seen.setdefault((stop.vertex, stop.request_id, stop.kind.value), stop)
-        return list(seen.values())
 
     # ------------------------------------------------------------------
     # mutation
@@ -103,11 +85,6 @@ class KineticTree:
                         "all schedules of a kinetic tree must visit the same set of stops"
                     )
         self._schedules = candidate
-        self.revision += 1
-
-    def clear(self) -> None:
-        """Drop every schedule (the vehicle becomes empty)."""
-        self._schedules = []
         self.revision += 1
 
     def advance_through(self, stop: Stop) -> None:
@@ -161,22 +138,8 @@ class KineticTree:
             return None
         return best[0]
 
-    def total_distance(self, distance: DistanceFunction, origin_offset: float = 0.0) -> float:
-        """Return the travel distance of the best schedule (0 when empty)."""
-        best = self.best_schedule(distance, origin_offset)
-        if not best:
-            return origin_offset
-        return schedule_distance(self._root_location, best, distance, origin_offset)
-
-    # ------------------------------------------------------------------
-    # materialised tree (Fig. 3)
-    # ------------------------------------------------------------------
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"KineticTree(root={self._root_location}, schedules={len(self._schedules)}, "
-            f"stops={len(self.stops())})"
-        )
+        return f"KineticTree(root={self._root_location}, schedules={len(self._schedules)})"
 
 
 def _stop_signature(schedule: Sequence[Stop]) -> Tuple[Tuple[int, str, str, int], ...]:

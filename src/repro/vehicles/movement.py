@@ -19,7 +19,7 @@ engine's per-taxi loop (:meth:`repro.sim.engine.SimulationEngine._wander`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.errors import EdgeNotFoundError, SimulationError
 from repro.roadnet.graph import RoadNetwork
@@ -51,11 +51,6 @@ class MotionState:
     def has_route(self) -> bool:
         """``True`` while there are vertices left to visit."""
         return bool(self.route)
-
-    @property
-    def next_vertex(self) -> Optional[int]:
-        """The next vertex on the route, or ``None`` when arrived."""
-        return self.route[0] if self.route else None
 
 
 def plan_route(engine: RoutingEngine, source: int, target: int) -> MotionState:

@@ -15,14 +15,13 @@ constraint checks of Definition 2 need while the vehicle moves:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import CapacityExceededError, InvalidScheduleError, VehicleError
 from repro.model.request import Request
 from repro.model.stops import Stop
 from repro.vehicles.kinetic_tree import KineticTree
-from repro.vehicles.schedule import DistanceFunction, RequestState
+from repro.vehicles.schedule import RequestState
 
 __all__ = ["Vehicle"]
 
@@ -265,10 +264,6 @@ class Vehicle:
     def current_schedules(self) -> List[Tuple[Stop, ...]]:
         """Return the valid schedules of the kinetic tree."""
         return self.kinetic_tree.schedules()
-
-    def best_schedule(self, distance: DistanceFunction) -> Optional[Tuple[Stop, ...]]:
-        """Return the schedule the vehicle is currently driving (min distance)."""
-        return self.kinetic_tree.best_schedule(distance, origin_offset=self._offset)
 
     def arrive_at_stop(self, stop: Stop) -> None:
         """Advance the kinetic tree through ``stop`` and update the location."""

@@ -46,9 +46,7 @@ class TestNearestVehicleMatcher:
             if not single:
                 continue
             option = single[0]
-            assert any(
-                not candidate.dominates(option) or True for candidate in skyline
-            )  # sanity: skyline non-empty
+            assert skyline  # sanity: the reference offers something too
             # the cheapest skyline price is at most the baseline's price
             assert min(o.price for o in skyline) <= option.price + 1e-9
             # the earliest skyline pick-up is at most the baseline's pick-up

@@ -41,7 +41,7 @@ class TestSharekStyleMatcher:
 
         # Build a comparison fleet containing only the empty vehicles.
         empty_only = build_random_fleet(vehicles=0, seed=13)
-        for vehicle in mixed_fleet.empty_vehicles():
+        for vehicle in (v for v in mixed_fleet.vehicles() if v.is_empty):
             clone = type(vehicle)(vehicle.vehicle_id, location=vehicle.location, capacity=vehicle.capacity)
             empty_only.add_vehicle(clone)
         # Reuse the same road network for both fleets so distances agree.

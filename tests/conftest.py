@@ -21,6 +21,7 @@ from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
 from tests.commit_reference import feasible_schedules_for_commit
+from tests.insertion_reference import evaluate_schedule
 from tests.routing_arms import PURE_PYTHON_TREES
 
 
@@ -86,8 +87,6 @@ def assign_request(
     assert schedules, f"vehicle {vehicle_id} cannot feasibly serve {request.request_id}"
     if planned_pickup_distance is None:
         # Promise the pick-up distance of the shortest candidate schedule.
-        from repro.vehicles.schedule import evaluate_schedule
-
         planned_pickup_distance = min(
             evaluate_schedule(vehicle.location, schedule, oracle.distance, vehicle.offset).pickup_distance[
                 request.request_id

@@ -79,7 +79,7 @@ class TestDestinationSidePruning:
         dual = DualSideSearchMatcher(busy_fleet, config=config)
         request = random_requests(busy_fleet.grid.network, 1, 6.0, 0.5, seed=4)[0]
         context = single.make_context(request)
-        for vehicle in busy_fleet.empty_vehicles():
+        for vehicle in (v for v in busy_fleet.vehicles() if v.is_empty):
             assert dual._price_lower_bound(vehicle, context) == pytest.approx(  # noqa: SLF001
                 single._price_lower_bound(vehicle, context)  # noqa: SLF001
             )

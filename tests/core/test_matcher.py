@@ -11,6 +11,7 @@ from repro.core.matcher import MatcherStatistics, added_distance_lower_bound
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
 from repro.counters import counters
+from repro.model.options import dominates
 from repro.model.request import Request
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.service.api import build_system
@@ -85,7 +86,7 @@ class TestVerifyVehicle:
         for first in options:
             for second in options:
                 if first is not second:
-                    assert not first.dominates(second)
+                    assert not dominates(first, second)
 
     def test_max_pickup_distance_filters_options(self, figure1_fleet):
         config = SystemConfig(max_waiting=5.0, service_constraint=0.2, max_pickup_distance=10.0)

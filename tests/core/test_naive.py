@@ -9,6 +9,7 @@ from repro.core.dispatcher import Dispatcher
 from repro.core.matcher import MatcherStatistics
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
+from repro.model.options import dominates
 from repro.model.request import Request
 from repro.sim.workload import random_requests
 
@@ -57,7 +58,7 @@ class TestNaiveMatcher:
             for first in options:
                 for second in options:
                     if first is not second:
-                        assert not first.dominates(second)
+                        assert not dominates(first, second)
 
     def test_empty_fleet(self):
         fleet = build_random_fleet(vehicles=0)

@@ -10,6 +10,7 @@ from repro.core.config import SystemConfig
 from repro.core.dual_side import DualSideSearchMatcher
 from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.single_side import SingleSideSearchMatcher
+from repro.model.options import dominates
 from repro.model.request import Request
 from repro.roadnet.graph import RoadNetwork
 from repro.sim.workload import random_requests
@@ -125,7 +126,7 @@ class TestBehaviour:
             for first in options:
                 for second in options:
                     if first is not second:
-                        assert not first.dominates(second)
+                        assert not dominates(first, second)
 
     def test_empty_vehicle_option_price_structure(self):
         """An empty vehicle's price equals f_n * (pickup + 2 * direct)."""

@@ -18,16 +18,6 @@ class TestRideOption:
         with pytest.raises(ValueError):
             option("c1", 1.0, -2.0)
 
-    def test_pickup_time_conversion(self):
-        assert option("c1", 10.0, 2.0).pickup_time(speed=2.0) == pytest.approx(5.0)
-
-    def test_pickup_time_invalid_speed(self):
-        with pytest.raises(ValueError):
-            option("c1", 10.0, 2.0).pickup_time(0.0)
-
-    def test_key(self):
-        assert option("c1", 3.0, 4.0).key() == (3.0, 4.0)
-
     def test_str(self):
         assert "c1" in str(option("c1", 3.0, 4.0))
 
@@ -55,10 +45,6 @@ class TestDominance:
         a, b = option("a", 1, 1), option("b", 2, 2)
         assert dominates(a, b)
         assert not dominates(b, a)
-
-    def test_method_matches_function(self):
-        a, b = option("a", 1, 1), option("b", 2, 2)
-        assert a.dominates(b) == dominates(a, b)
 
     def test_floating_point_ties_are_tolerated(self):
         a = option("a", 1.0, 1.0)

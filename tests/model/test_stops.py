@@ -6,7 +6,7 @@ import pickle
 
 import pytest
 
-from repro.model.stops import Stop, StopKind, dropoff, pickup
+from repro.model.stops import Stop, StopKind
 
 
 class TestStop:
@@ -48,15 +48,3 @@ class TestStop:
         assert str(StopKind.PICKUP) == "pickup"
         assert str(StopKind.DROPOFF) == "dropoff"
 
-
-class TestConvenienceConstructors:
-    def test_pickup_helper(self):
-        stop = pickup(4, "R2", riders=2)
-        assert stop.kind is StopKind.PICKUP
-        assert stop.vertex == 4
-        assert stop.riders == 2
-
-    def test_dropoff_helper(self):
-        stop = dropoff(9, "R2")
-        assert stop.kind is StopKind.DROPOFF
-        assert stop.riders == 1

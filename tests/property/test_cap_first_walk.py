@@ -148,7 +148,8 @@ def driven_scenarios(draw):
         # removed from the fleet, its id left in the lists
         taxi = rng.choice(taxis)
         cells, was_empty = set(taxi.registered_cells), taxi.is_empty
-        fleet.remove_vehicle(taxi.vehicle_id)
+        fleet._clear_cells(taxi)
+        del fleet._vehicles[taxi.vehicle_id]
         if was_empty:
             grid.register_empty_vehicle(taxi.vehicle_id, taxi.location)
         else:

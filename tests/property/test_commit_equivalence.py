@@ -157,6 +157,15 @@ def test_dispatch_batch_installs_what_the_old_commits_did(backend, parameters):
 PERTURBATIONS = ["advance", "other_commit", "serve_stop", "replace", "set_schedules"]
 
 
+def swap_in(fleet, vehicle):
+    """Put ``vehicle`` in the slot of the registered vehicle with its id, as a
+    snapshot restore into a live fleet would: the old object's cells are
+    cleared and the new one is registered."""
+    fleet._clear_cells(fleet.get(vehicle.vehicle_id))
+    fleet._vehicles[vehicle.vehicle_id] = vehicle
+    fleet.refresh_vehicle(vehicle.vehicle_id)
+
+
 def perturb(service, action, vehicle_id, other):
     """Change ``vehicle_id``'s state the way ``action`` names; False if it could not."""
     fleet, dispatcher = service.fleet, service.dispatcher
@@ -184,7 +193,7 @@ def perturb(service, action, vehicle_id, other):
             dispatcher.notify_dropoff(vehicle_id, stop.request_id)
         return True
     if action == "replace":
-        fleet.replace_vehicle(restore_vehicle(snapshot_vehicle(vehicle)))
+        swap_in(fleet, restore_vehicle(snapshot_vehicle(vehicle)))
         return True
     # a caller reaching past the vehicle, straight into its tree
     vehicle.kinetic_tree.set_schedules(vehicle.kinetic_tree.schedules()[:1])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core.matcher import added_distance_lower_bound
 from repro.model.request import Request
 from repro.roadnet import routing
-from repro.roadnet.generators import grid_network, random_geometric_network
+from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import CSRGraph
 from repro.roadnet.graph import RoadNetwork
@@ -32,7 +32,7 @@ from tests.grid_reference import (
     reference_expansion,
     reference_lower_bounds,
 )
-from tests.routing_reference import shortest_path_distance
+from tests.routing_reference import random_geometric_network, shortest_path_distance
 
 
 @given(

@@ -27,12 +27,12 @@ from repro.model.request import Request
 from repro.roadnet.generators import grid_network
 from repro.sim.engine import SimulationEngine
 from repro.sim.workload import RequestWorkload
-from repro.vehicles.schedule import check_schedule
 
 from tests.conftest import assign_request, build_fleet
 from tests.insertion_reference import (
     brute_force_insertions,
     brute_force_orderings,
+    check_schedule,
     enumerate_insertions,
     new_stops,
     reference_insertion_candidates,

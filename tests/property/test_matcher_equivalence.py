@@ -62,7 +62,7 @@ def build_scenario(
     fleet = build_fleet(network, locations, capacity=4, grid_rows=grid_rows, grid_columns=grid_rows)
     for vehicle in fleet.vehicles():
         if rng.random() < 0.5:
-            edge = rng.choice(sorted(network.neighbours(vehicle.location).values()))
+            edge = rng.choice(sorted(network.neighbours_view(vehicle.location).values()))
             vehicle.set_location(vehicle.location, rng.uniform(0.05, 0.95) * edge)
 
     # Pre-assign a few requests so non-empty vehicles (kinetic trees) exist.
@@ -78,7 +78,7 @@ def build_scenario(
         except AssertionError:
             continue
     if not mid_edge_empty:
-        for vehicle in fleet.empty_vehicles():
+        for vehicle in (v for v in fleet.vehicles() if v.is_empty):
             vehicle.set_location(vehicle.location, 0.0)
 
     start, destination = rng.sample(vertices, 2)

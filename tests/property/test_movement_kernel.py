@@ -157,7 +157,7 @@ def _observed(engine, fleet):
             vehicle.location,
             vehicle.offset.hex(),
             vehicle.distance_driven.hex(),
-            vehicle.kinetic_tree.root_location,
+            vehicle.kinetic_tree._root_location,
             sorted(vehicle.registered_cells),
         )
         for vehicle in fleet.vehicles()

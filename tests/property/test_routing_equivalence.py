@@ -22,17 +22,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DisconnectedError, VertexNotFoundError
-from repro.roadnet.generators import (
-    figure1_network,
-    grid_network,
-    random_geometric_network,
-    ring_radial_network,
-)
+from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.routing import ROUTING_BACKENDS, CSREngine, make_engine
 from repro.roadnet.shortest_path import PathResult, shortest_path
 
 from tests.routing_arms import ROUTING_ARMS
-from tests.routing_reference import dijkstra_all, path_length
+from tests.routing_reference import (
+    dijkstra_all,
+    path_length,
+    random_geometric_network,
+    ring_radial_network,
+    search_path,
+)
 
 
 def _sample(vertices, step_hint):
@@ -94,7 +95,7 @@ def _assert_paths_equal_the_search(network, sources):
     engines = [(backend, make_engine(network, backend)) for backend in ROUTING_BACKENDS]
     for u in sources:
         for v in network.vertices():
-            reference = shortest_path(network, u, v)
+            reference = search_path(network, u, v)
             assert reference.path[0] == u and reference.path[-1] == v
             assert math.isclose(path_length(network, reference.path), reference.distance)
             for name, engine in engines:
@@ -163,19 +164,24 @@ def test_path_edge_cases_agree_on_every_backend(backend):
 
 @pytest.mark.parametrize("with_tree", [False, True], ids=["search", "tree"])
 def test_shortest_path_edge_cases_on_both_arms(with_tree):
+    """The tree walk and the reference search it is held to fail alike."""
     network = _two_components()
 
     def query(source, target):
+        if not with_tree:
+            return search_path(network, source, target)
         # any mapping works as the tree; the reference tree is a plain dict
-        tree = dijkstra_all(network, source) if with_tree else None
-        return shortest_path(network, source, target, tree=tree)
+        return shortest_path(network, source, target, tree=dijkstra_all(network, source))
 
     assert query(4, 4) == PathResult(4, 4, 0.0, (4,))
     assert query(1, 6) == PathResult(1, 6, 3.0, (1, 2, 3, 6))
     with pytest.raises(VertexNotFoundError):
         query(4, 77)
     with pytest.raises(VertexNotFoundError):
-        shortest_path(network, 77, 4, tree={} if with_tree else None)
+        if with_tree:
+            shortest_path(network, 77, 4, tree={})
+        else:
+            search_path(network, 77, 4)
     with pytest.raises(DisconnectedError):
         query(1, 9)
 

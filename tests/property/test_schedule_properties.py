@@ -15,10 +15,10 @@ from repro.core.naive import NaiveKineticTreeMatcher
 from repro.core.pricing import LinearPriceModel, rider_price_ratio
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
-from repro.vehicles.schedule import evaluate_schedule
 from repro.vehicles.vehicle import Vehicle
 
 from tests.conftest import assign_request, build_fleet
+from tests.insertion_reference import evaluate_schedule
 
 
 @st.composite

@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import DisconnectedError, VertexNotFoundError
-from repro.roadnet.generators import figure1_network, grid_network, ring_radial_network
+from repro.roadnet.generators import figure1_network, grid_network
 
-from tests.routing_reference import astar_path, path_length, shortest_path_distance
+from tests.routing_reference import (
+    astar_path,
+    path_length,
+    ring_radial_network,
+    shortest_path_distance,
+)
 
 
 class TestAstar:

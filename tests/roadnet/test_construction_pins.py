@@ -16,17 +16,13 @@ import json
 
 import pytest
 
-from repro.roadnet.generators import (
-    arterial_grid_network,
-    grid_network,
-    random_geometric_network,
-    ring_radial_network,
-)
+from repro.roadnet.generators import arterial_grid_network, grid_network
 from repro.roadnet.graph import RoadNetwork
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.io import network_from_dict, network_to_dict
 
 from tests.routing_arms import PURE_PYTHON_TREES
+from tests.routing_reference import random_geometric_network, ring_radial_network
 
 
 def ragged_network() -> RoadNetwork:

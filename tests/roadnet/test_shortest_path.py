@@ -35,12 +35,12 @@ class TestPointToPoint:
         assert shortest_path_distance(diamond, 3, 3) == 0.0
 
     def test_path_reconstruction(self, diamond: RoadNetwork):
-        result = shortest_path(diamond, 1, 4)
+        result = shortest_path(diamond, 1, 4, tree=dijkstra_all(diamond, 1))
         assert result.path == (1, 2, 4)
         assert result.distance == pytest.approx(2.0)
 
     def test_path_length_matches_distance(self, diamond: RoadNetwork):
-        result = shortest_path(diamond, 1, 4)
+        result = shortest_path(diamond, 1, 4, tree=dijkstra_all(diamond, 1))
         assert path_length(diamond, result.path) == pytest.approx(result.distance)
 
     def test_unknown_vertex(self, diamond: RoadNetwork):

@@ -1,27 +1,31 @@
-"""Independent searches the routing tests check the engine against.
+"""Independent searches the routing tests check the engine against, and the
+network shapes only tests draw from.
 
 Nothing in ``src/`` calls these: every distance and path the system uses
-comes from a routing engine (:mod:`repro.roadnet.routing`) or from
-:func:`repro.roadnet.shortest_path.shortest_path`.  They are kept here as
-references with their own search loops -- a full Dijkstra tree over the
-dict-of-dicts adjacency, an early-terminated Dijkstra, A*, a
-meet-in-the-middle Dijkstra and a radius-bounded expansion -- plus
-:func:`path_length`, the weight of a vertex walk.
+comes from a routing engine (:mod:`repro.roadnet.routing`) and
+:func:`repro.roadnet.shortest_path.shortest_path`'s tree walk.  They are
+kept here as references with their own search loops -- a full Dijkstra
+tree over the dict-of-dicts adjacency, an early-terminated Dijkstra (for a
+distance, :func:`shortest_path_distance`, and for a path,
+:func:`search_path`), A*, a meet-in-the-middle Dijkstra and a
+radius-bounded expansion -- plus :func:`path_length`, the weight of a
+vertex walk, and :func:`connected_components`.
+
+:func:`random_geometric_network` and :func:`ring_radial_network` build the
+two network shapes beside ``repro.roadnet.generators``' grids that the
+routing, grid and A* property tests draw from.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+import random
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.errors import DisconnectedError
+from repro.errors import ConfigurationError, DisconnectedError
 from repro.roadnet.graph import RoadNetwork, VertexId
-from repro.roadnet.shortest_path import (
-    INFINITY,
-    PathResult,
-    _require_vertices,
-    reconstruct_path,
-)
+from repro.roadnet.shortest_path import INFINITY, PathResult, _require_vertices
 
 
 def dijkstra_all(network: RoadNetwork, source: VertexId) -> Dict[VertexId, float]:
@@ -79,6 +83,55 @@ def shortest_path_distance(network: RoadNetwork, source: VertexId, target: Verte
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     raise DisconnectedError(source, target)
+
+
+def search_path(network: RoadNetwork, source: VertexId, target: VertexId) -> PathResult:
+    """Return the shortest path from ``source`` to ``target`` by a Dijkstra
+    search that stops as soon as ``target`` is settled.
+
+    The search :func:`repro.roadnet.shortest_path.shortest_path`'s tree walk
+    mirrors: it settles in ``(distance, vertex id)`` order and keeps the
+    first parent that attains a vertex's final label, so both return the
+    same vertex sequence and the same float, exact ties included.
+
+    Raises:
+        VertexNotFoundError: if either endpoint is unknown.
+        DisconnectedError: if no path connects the endpoints.
+    """
+    _require_vertices(network, (source, target))
+    if source == target:
+        return PathResult(source, target, 0.0, (source,))
+    dist: Dict[VertexId, float] = {source: 0.0}
+    parent: Dict[VertexId, VertexId] = {}
+    heap: List[Tuple[float, VertexId]] = [(0.0, source)]
+    settled: set = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in settled:
+            continue
+        if u == target:
+            return PathResult(source, target, d, tuple(reconstruct_path(parent, source, target)))
+        settled.add(u)
+        for v, weight in network.neighbours_view(u).items():
+            nd = d + weight
+            if nd < dist.get(v, INFINITY):
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    raise DisconnectedError(source, target)
+
+
+def reconstruct_path(
+    parent: Dict[VertexId, VertexId], source: VertexId, target: VertexId
+) -> List[VertexId]:
+    """Rebuild the vertex sequence from a parent map produced by Dijkstra."""
+    path = [target]
+    current = target
+    while current != source:
+        current = parent[current]
+        path.append(current)
+    path.reverse()
+    return path
 
 
 def astar_path(
@@ -254,3 +307,157 @@ def path_length(network: RoadNetwork, path: Iterable[VertexId]) -> float:
             total += network.edge_weight(previous, vertex)
         previous = vertex
     return total
+
+
+def connected_components(network: RoadNetwork) -> List[List[VertexId]]:
+    """Return the sorted vertex list of every connected component."""
+    adjacency = network.adjacency
+    remaining = set(adjacency)
+    components: List[List[VertexId]] = []
+    while remaining:
+        start = next(iter(remaining))
+        seen = {start}
+        stack = [start]
+        while stack:
+            current = stack.pop()
+            for neighbour in adjacency[current]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    stack.append(neighbour)
+        components.append(sorted(seen))
+        remaining -= seen
+    return components
+
+
+def is_connected(network: RoadNetwork) -> bool:
+    """``True`` when the network has at most one connected component."""
+    return len(connected_components(network)) <= 1
+
+
+def random_geometric_network(
+    vertex_count: int,
+    radius: float = 0.2,
+    extent: float = 1.0,
+    seed: Optional[int] = None,
+) -> RoadNetwork:
+    """Build a random geometric graph, patched to be connected.
+
+    ``vertex_count`` points are placed uniformly at random in a square of side
+    ``extent``; every pair closer than ``radius`` is connected with an edge
+    weighted by its Euclidean length.  Components are then stitched together
+    through their closest vertex pairs so that the result is always connected
+    (a requirement of the simulation engine).
+
+    Args:
+        vertex_count: number of vertices (>= 1).
+        radius: connection radius.
+        extent: side length of the square the points are drawn from.
+        seed: RNG seed for reproducibility.
+    """
+    if vertex_count < 1:
+        raise ConfigurationError(f"vertex_count must be >= 1, got {vertex_count}")
+    if radius <= 0 or extent <= 0:
+        raise ConfigurationError("radius and extent must be positive")
+
+    rng = random.Random(seed)
+    network = RoadNetwork()
+    positions: Dict[int, Tuple[float, float]] = {}
+    for vertex in range(1, vertex_count + 1):
+        x, y = rng.uniform(0.0, extent), rng.uniform(0.0, extent)
+        positions[vertex] = (x, y)
+        network.add_vertex(vertex, x=x, y=y)
+
+    vertices = list(positions)
+    for i, u in enumerate(vertices):
+        ux, uy = positions[u]
+        for v in vertices[i + 1:]:
+            vx, vy = positions[v]
+            distance = math.hypot(ux - vx, uy - vy)
+            if 0 < distance <= radius:
+                network.add_edge(u, v, distance)
+
+    components = connected_components(network)
+    while len(components) > 1:
+        base = components[0]
+        other = components[1]
+        best: Tuple[float, int, int] = (math.inf, -1, -1)
+        for u in base:
+            for v in other:
+                distance = math.hypot(
+                    positions[u][0] - positions[v][0], positions[u][1] - positions[v][1]
+                )
+                if 0 < distance < best[0]:
+                    best = (distance, u, v)
+        if best[1] == -1:
+            # Two vertices share a coordinate; connect them with a tiny edge.
+            network.add_edge(base[0], other[0], 1e-9)
+        else:
+            network.add_edge(best[1], best[2], best[0])
+        components = connected_components(network)
+    return network
+
+
+def ring_radial_network(
+    rings: int,
+    spokes: int,
+    ring_spacing: float = 1.0,
+    seed: Optional[int] = None,
+    weight_jitter: float = 0.0,
+) -> RoadNetwork:
+    """Build a ring-and-radial network resembling a city with a centre.
+
+    A central vertex is surrounded by ``rings`` concentric rings, each with
+    ``spokes`` vertices.  Consecutive vertices on a ring are connected, and
+    each vertex is connected radially to the matching vertex of the next ring
+    inwards (the innermost ring connects to the centre).
+
+    Args:
+        rings: number of rings (>= 1).
+        spokes: vertices per ring (>= 3).
+        ring_spacing: radial distance between consecutive rings.
+        seed: RNG seed for the optional weight jitter.
+        weight_jitter: relative upper bound of random weight inflation.
+    """
+    if rings < 1:
+        raise ConfigurationError(f"rings must be >= 1, got {rings}")
+    if spokes < 3:
+        raise ConfigurationError(f"spokes must be >= 3, got {spokes}")
+    if ring_spacing <= 0:
+        raise ConfigurationError("ring_spacing must be positive")
+    if weight_jitter < 0:
+        raise ConfigurationError("weight_jitter must be non-negative")
+
+    rng = random.Random(seed)
+
+    def jitter(value: float) -> float:
+        if weight_jitter == 0:
+            return value
+        return value * (1.0 + rng.uniform(0.0, weight_jitter))
+
+    network = RoadNetwork()
+    centre = 1
+    network.add_vertex(centre, x=0.0, y=0.0)
+
+    # Vertex id scheme: centre is 1, ring r (1-based) spoke k (0-based) is
+    # 1 + (r - 1) * spokes + k + 1.
+    def vid(ring: int, spoke: int) -> int:
+        return 1 + (ring - 1) * spokes + spoke + 1
+
+    for ring in range(1, rings + 1):
+        radius = ring * ring_spacing
+        for spoke in range(spokes):
+            angle = 2.0 * math.pi * spoke / spokes
+            network.add_vertex(vid(ring, spoke), x=radius * math.cos(angle), y=radius * math.sin(angle))
+
+    for ring in range(1, rings + 1):
+        radius = ring * ring_spacing
+        chord = 2.0 * radius * math.sin(math.pi / spokes)
+        for spoke in range(spokes):
+            current = vid(ring, spoke)
+            nxt = vid(ring, (spoke + 1) % spokes)
+            network.add_edge(current, nxt, jitter(chord))
+            if ring == 1:
+                network.add_edge(centre, current, jitter(ring_spacing))
+            else:
+                network.add_edge(vid(ring - 1, spoke), current, jitter(ring_spacing))
+    return network

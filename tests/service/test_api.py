@@ -87,10 +87,11 @@ class TestSmartphoneFlow:
         with pytest.raises(ServiceError):
             paper_service.options("nope")
 
-    def test_submit_applies_global_constraints(self, paper_service):
-        request = Request(start=12, destination=17, riders=2, max_waiting=500.0, service_constraint=7.0)
-        options = paper_service.submit(request)
-        assert options  # the normalised constraints (w=5, eps=0.2) still allow both vehicles
+    def test_book_request_books_the_request_as_given(self, paper_service):
+        request = Request(start=12, destination=17, riders=2, max_waiting=5.0, service_constraint=0.2)
+        booking = paper_service.book_request(request)
+        assert booking.request is request
+        assert booking.options  # the global constraints (w=5, eps=0.2) still allow both vehicles
 
 
 class TestCarriedVerification:

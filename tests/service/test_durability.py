@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RUNTIME, SystemConfig, knob_names
-from repro.errors import ConfigurationError, ServiceError, UnknownOptionError
+from repro.errors import ConfigurationError, ServiceError, UnknownOptionError, VehicleError
 from repro.model.request import Request
 from repro.service.api import PTRiderService, build_system
 from repro.service.journal import (
@@ -30,10 +30,11 @@ from repro.service.recovery import (
     RecoveryError,
     canonical_state,
     load_snapshot_state,
+    restore_state,
     serialize_state,
     write_snapshot,
 )
-from repro.vehicles.fleet import Fleet, restore_vehicle, snapshot_vehicle
+from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
 from tests.crash import kill
@@ -171,19 +172,6 @@ class TestDamagedJournals:
         assert [seq for seq, _ in journal.delta_files()] == [9, 12]
 
 
-class TestFleetRestore:
-    def test_restore_vehicles_replaces_adds_and_removes(self):
-        service = build_system(vehicles=3, seed=5)
-        fleet = service.fleet
-        moved = restore_vehicle(snapshot_vehicle(fleet.get("c1")))
-        vertices = fleet.grid.network.vertices()
-        extra = Vehicle("c9", location=vertices[0], capacity=4)
-        fleet.restore_vehicles([moved, extra])
-        assert sorted(fleet.vehicle_ids()) == ["c1", "c9"]
-        # the restored set is registered in the grid (lookups still work)
-        assert fleet.get("c9").location == vertices[0]
-
-
 class TestJournalingService:
     def test_every_mutating_call_appends_one_command(self, tmp_path):
         service = _durable_system(tmp_path)
@@ -204,6 +192,27 @@ class TestJournalingService:
         assert kinds[-7:] == [
             "book", "choose", "admit", "pump", "drain", "advance", "set_parameters",
         ]
+
+    def test_a_journal_replay_counts_the_same_matcher_work(self, tmp_path):
+        """Every public call that runs the matcher is journaled, so a recovery
+        that replays the whole journal re-derives every ``matcher_*`` counter;
+        a matcher call the journal never saw would leave the live ones ahead."""
+        service = _durable_system(tmp_path, mode="journal")
+        first = _request(service, 1)
+        service.book(first.start, first.destination)
+        service.book_request(_request(service, 2))
+        service.ingest_request(_request(service, 3))
+        service.pump()
+        service.ingest_request(_request(service, 4))
+        service.close()
+        live = {k: v for k, v in service.statistics().items() if k.startswith("matcher_")}
+        assert live["matcher_requests_answered"] == 4.0
+        recovered = PTRiderService.recover(tmp_path / "journal")
+        try:
+            replayed = recovered.statistics()
+            assert {key: replayed[key] for key in live} == live
+        finally:
+            recovered.close()
 
     def test_flush_outcomes_annotated(self, tmp_path):
         service = _durable_system(tmp_path)
@@ -634,6 +643,61 @@ class TestCancelPending:
         service.cancel(booking.booking_id)
         with pytest.raises(ServiceError):
             service.booking(booking.booking_id)
+
+
+def _grid_lists(service):
+    fleet = service.fleet
+    cells = [
+        (cell.cell_id, sorted(cell.empty_vehicles), sorted(cell.nonempty_vehicles))
+        for cell in fleet.grid.cells()
+    ]
+    return cells, {vehicle.vehicle_id: sorted(vehicle.registered_cells) for vehicle in fleet}
+
+
+class TestRecoveredFleet:
+    """Recovery adds the snapshot's taxis to the fleet without taxis that
+    ``assemble_fleet(vehicles=0)`` built."""
+
+    def test_recovered_taxis_hold_the_live_cells(self, tmp_path):
+        service = _durable_system(tmp_path, vehicles=8)
+        for index in range(1, 6):
+            booking = service.book_request(_request(service, index))
+            if booking.options:
+                service.choose(booking.booking_id, 0)
+            if index == 3:
+                service.advance(2.0)
+                service.snapshot()  # the last two bookings replay from the tail
+        live = _grid_lists(service)
+        assert any(nonempty for _, _, nonempty in live[0])  # a busy taxi is registered
+        kill(service)
+        recovered = PTRiderService.recover(tmp_path / "journal")
+        assert _grid_lists(recovered) == live
+
+    def test_restore_refuses_a_fleet_that_holds_taxis(self, tmp_path):
+        service = _durable_system(tmp_path)
+        before = canonical_state(service)
+        with pytest.raises(VehicleError, match="already registered"):
+            restore_state(service, serialize_state(service))
+        assert canonical_state(service) == before
+
+    def test_a_journal_that_asked_for_full_path_registration_recovers(self, tmp_path):
+        """The crossed-cell rule is gone; a journal written when it could be
+        switched on recovers under the one rule (it changed no option)."""
+        service = _durable_system(tmp_path)
+        booking = service.book_request(_request(service, 1))
+        if booking.options:
+            service.choose(booking.booking_id, 0)
+        service.journal.set_meta("register_full_paths", True)
+        before = canonical_state(service)
+        kill(service)
+        recovered = PTRiderService.recover(tmp_path / "journal")
+        assert recovered.journal.get_meta("register_full_paths") is True
+        assert canonical_state(recovered) == before
+
+    def test_a_new_journal_records_the_city_the_config_and_the_seed(self, tmp_path):
+        service = _durable_system(tmp_path)
+        keys = [key for (key,) in service.journal.connection.execute("SELECT key FROM meta")]
+        assert sorted(keys) == ["config", "grid", "max_cached_sources", "network", "seed"]
 
 
 class TestSnapshotRestoreFlow:

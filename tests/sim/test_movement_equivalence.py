@@ -2,7 +2,8 @@
 
 ``plan_route`` reads its route from ``engine.path``, which every backend
 answers by walking back along the source's distance tree.  The reference
-day plans with the early-terminated search of ``shortest_path`` instead.
+day plans with the early-terminated search of ``tests/routing_reference.py``
+(``search_path``) instead.
 On a unit-weight grid shortest paths tie everywhere, so the only way they
 all agree on every vehicle position at every tick is for the walk to break
 ties exactly as the search does.
@@ -18,7 +19,6 @@ from repro.core.single_side import SingleSideSearchMatcher
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
 from repro.roadnet.routing import CSREngine, make_engine
-from repro.roadnet.shortest_path import shortest_path
 from repro.service.api import build_system
 from repro.sim.engine import SimulationEngine
 from repro.sim.workload import RequestWorkload, random_requests
@@ -26,6 +26,7 @@ from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
 from tests.routing_arms import ROUTING_ARMS
+from tests.routing_reference import search_path
 
 TICKS = 120
 
@@ -34,7 +35,7 @@ class _SearchingEngine(CSREngine):
     """The csr engine, planning routes by search instead of the tree walk."""
 
     def path(self, source, target):
-        return shortest_path(self.network, source, target)
+        return search_path(self.network, source, target)
 
 
 def _positions(fleet):

@@ -16,8 +16,11 @@ does not use it.  A definition only tests reach must be deleted, or named in
 :data:`KEEP` with the reason the tests need it.
 
 Blind spot: the scan matches bare names, so a dead method that shares its
-name with a live one (``replace``, ``snapshot``, ``match``) always looks
-reached.  Such names need reading, not this test.
+name with a live one (``KineticTree.stops`` beside ``Request.stops``,
+``Matcher.fleet`` beside ``Dispatcher.fleet``) always looks reached.
+``scripts/runtime_coverage.py`` is the check for those: it runs the runtime
+entry points under a line tracer and lists every ``src/`` line none of them
+ran, whatever the line's name.
 """
 
 from __future__ import annotations
@@ -35,15 +38,6 @@ RUNTIME_DIRECTORIES = ("src", "perfbench", "benchmarks", "examples", "scripts")
 
 #: Definitions only tests reach, each with the reason it stays.
 KEEP: Dict[str, str] = {
-    "check_schedule": (
-        "the validity oracle behind tests/insertion_reference.py"
-    ),
-    "random_geometric_network": (
-        "a network shape the routing, grid and A* property tests draw from"
-    ),
-    "ring_radial_network": (
-        "a network shape the routing, grid and A* property tests draw from"
-    ),
     "CSREngine.invalidate": (
         "the seam tests use to grow a network under a live engine"
     ),

@@ -46,13 +46,6 @@ class TestRegistration:
         assert "c1" in cell.empty_vehicles
         assert fleet.get("c1").registered_cells == {cell.cell_id}
 
-    def test_remove_vehicle_clears_cells(self, fleet):
-        fleet.add_vehicle(Vehicle("c1", location=1))
-        cell = fleet.grid.cell_of_vertex(1)
-        fleet.remove_vehicle("c1")
-        assert "c1" not in cell.empty_vehicles
-        assert len(fleet) == 0
-
     def test_iteration_and_sorting(self, fleet):
         fleet.add_vehicle(Vehicle("c2", location=2))
         fleet.add_vehicle(Vehicle("c1", location=1))
@@ -79,7 +72,7 @@ class TestStateTransitions:
         fleet.add_vehicle(Vehicle("c2", location=13))
         request = Request(start=2, destination=16, riders=1, request_id="R1")
         assign_request(fleet, "c1", request)
-        assert [v.vehicle_id for v in fleet.empty_vehicles()] == ["c2"]
+        assert [v.vehicle_id for v in fleet.vehicles() if v.is_empty] == ["c2"]
         assert [v.vehicle_id for v in fleet.nonempty_vehicles()] == ["c1"]
 
     def test_refresh_after_location_change(self, fleet):
@@ -111,22 +104,28 @@ class TestStateTransitions:
         assert cell.empty_vehicles == {"c1"}
         assert cell.nonempty_vehicles == set()
         assert fleet.by_id["c1"] is fleet.get("c1")
-        fleet.remove_vehicle("c1")
-        assert "c1" not in fleet.by_id
 
 
-class TestFullPathRegistration:
-    def test_full_path_registers_more_cells(self):
-        network = figure1_network()
-        grid_a = GridIndex(network, rows=4, columns=4)
-        grid_b = GridIndex(network, rows=4, columns=4)
-        sparse = Fleet(grid_a, CSREngine(network), register_full_paths=False)
-        dense = Fleet(grid_b, CSREngine(network), register_full_paths=True)
-        for fleet in (sparse, dense):
-            fleet.add_vehicle(Vehicle("c1", location=1))
-            request = Request(start=2, destination=17, riders=1, request_id=f"R-{id(fleet)}")
-            assign_request(fleet, "c1", request)
-        assert dense.get("c1").registered_cells >= sparse.get("c1").registered_cells
+class TestRegistrationRule:
+    def test_a_nonempty_vehicle_holds_its_location_and_stop_cells_only(self, fleet):
+        """Not the cells its legs cross: the 2 -> 17 path runs through vertex
+        12, whose cell holds neither the taxi nor a stop."""
+        fleet.add_vehicle(Vehicle("c1", location=1))
+        assign_request(fleet, "c1", Request(start=2, destination=17, riders=1, request_id="R1"))
+        cells = {fleet.grid.cell_of_vertex(vertex).cell_id for vertex in (1, 2, 17)}
+        assert fleet.get("c1").registered_cells == cells
+        assert {c.cell_id for c in fleet.grid.cells() if "c1" in c.nonempty_vehicles} == cells
+
+    def test_a_served_pickup_leaves_the_location_and_dropoff_cells(self, fleet):
+        fleet.add_vehicle(Vehicle("c1", location=1))
+        assign_request(fleet, "c1", Request(start=2, destination=17, riders=1, request_id="R1"))
+        vehicle = fleet.get("c1")
+        pickup = vehicle.kinetic_tree.next_stop(fleet.routing_engine.distance)
+        vehicle.arrive_at_stop(pickup)
+        vehicle.pickup("R1")
+        fleet.refresh_vehicle("c1")
+        assert vehicle.registered_cells == {fleet.grid.cell_of_vertex(v).cell_id for v in (2, 17)}
+        assert "c1" not in fleet.grid.cell_of_vertex(1).nonempty_vehicles
 
 
 class TestStatistics:

@@ -37,10 +37,8 @@ def r2() -> Request:
 class TestBasics:
     def test_empty_tree(self):
         tree = KineticTree(root_location=1)
-        assert tree.is_empty
         assert tree.schedules() == []
         assert tree.schedule_count() == 0
-        assert tree.stops() == []
 
     def test_set_schedules_deduplicates(self, r1):
         p1, d1 = stops_for(r1)
@@ -58,14 +56,7 @@ class TestBasics:
         p2, d2 = stops_for(r2)
         tree = KineticTree(1, schedules=[(p1, d1, p2, d2), (p1, p2, d1, d2)])
         assert tree.schedule_count() == 2
-        assert len(tree.stops()) == 4
-        assert sorted({stop.vertex for stop in tree.stops()}) == [2, 12, 16, 17]
-
-    def test_clear(self, r1):
-        p1, d1 = stops_for(r1)
-        tree = KineticTree(1, schedules=[(p1, d1)])
-        tree.clear()
-        assert tree.is_empty
+        assert {stop for schedule in tree.schedules() for stop in schedule} == {p1, d1, p2, d2}
 
 
 class TestQueries:
@@ -105,12 +96,6 @@ class TestQueries:
         tree = KineticTree(1, schedules=[(p1, d1)])
         assert tree.next_stop(oracle.distance) == p1
 
-    def test_total_distance(self, oracle, r1):
-        p1, d1 = stops_for(r1)
-        tree = KineticTree(1, schedules=[(p1, d1)])
-        assert tree.total_distance(oracle.distance) == pytest.approx(18.0)
-        assert KineticTree(1).total_distance(oracle.distance) == 0.0
-
 
 class TestAdvance:
     def test_advance_through_prunes_and_moves_root(self, oracle, r1, r2):
@@ -118,7 +103,7 @@ class TestAdvance:
         p2, d2 = stops_for(r2)
         tree = KineticTree(1, schedules=[(p1, d1, p2, d2), (p1, p2, d1, d2), (p1, p2, d2, d1)])
         tree.advance_through(p1)
-        assert tree.root_location == p1.vertex
+        assert tree._root_location == p1.vertex
         assert tree.schedule_count() == 3
         assert all(schedule[0] != p1 for schedule in tree.schedules())
 
@@ -134,8 +119,8 @@ class TestAdvance:
         tree = KineticTree(1, schedules=[(p1, d1)])
         tree.advance_through(p1)
         tree.advance_through(d1)
-        assert tree.is_empty
-        assert tree.root_location == d1.vertex
+        assert tree.schedules() == []
+        assert tree._root_location == d1.vertex
 
     def test_every_mutator_bumps_the_revision(self, r1, r2):
         p1, d1 = stops_for(r1)
@@ -148,7 +133,6 @@ class TestAdvance:
             lambda: tree.set_schedules([(p1, p2, d1, d2)]),
             lambda: tree.set_schedules([(p1, p2, d1, d2)]),  # same schedules: still a mutation
             lambda: tree.advance_through(p1),
-            tree.clear,
         ):
             mutate()
             seen.append(tree.revision)

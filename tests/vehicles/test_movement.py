@@ -34,7 +34,7 @@ class TestPlanRoute:
     def test_same_source_target(self, network, engine):
         state = plan_route(engine, 5, 5)
         assert not state.has_route
-        assert state.next_vertex is None
+        assert state.route == ()
 
 
 class TestRandomIdleRoute:
@@ -43,7 +43,7 @@ class TestRandomIdleRoute:
         state = random_idle_route(network, 5, rng, hops=3)
         previous = 5
         for vertex in state.route:
-            assert vertex in network.neighbours(previous)
+            assert vertex in network.neighbours_view(previous)
             previous = vertex
 
     def test_invalid_hops(self, network):
@@ -71,7 +71,7 @@ class TestStepAlongRoute:
         assert travelled == pytest.approx(3.0)
         assert new_state.location == 1
         assert new_state.offset == pytest.approx(3.0)
-        assert new_state.next_vertex == 2
+        assert new_state.route[0] == 2
 
     def test_multi_edge_progress(self, network, engine):
         state = plan_route(engine, 1, 12)  # 1 -> 2 -> 12, lengths 8 and 6

@@ -1,4 +1,6 @@
-"""Unit tests for trip-schedule feasibility (Definition 2)."""
+"""Unit tests for schedule distances and the per-sequence check of Definition 2
+(``check_schedule`` in ``tests/insertion_reference.py``, which the insertion
+kernel is held to)."""
 
 from __future__ import annotations
 
@@ -10,15 +12,9 @@ from repro.model.request import Request
 from repro.model.stops import Stop, StopKind
 from repro.roadnet.generators import figure1_network
 from repro.roadnet.routing import CSREngine
-from repro.vehicles.schedule import (
-    RequestState,
-    check_schedule,
-    evaluate_schedule,
-    prefix_distances,
-    schedule_distance,
-)
+from repro.vehicles.schedule import RequestState, prefix_distances, schedule_distance
 
-from tests.insertion_reference import enumerate_insertions
+from tests.insertion_reference import check_schedule, enumerate_insertions, evaluate_schedule
 
 
 @pytest.fixture

@@ -46,7 +46,7 @@ class TestConstruction:
         vehicle.set_location(5, offset=0.5)
         assert vehicle.location == 5
         assert vehicle.offset == 0.5
-        assert vehicle.kinetic_tree.root_location == 5
+        assert vehicle.kinetic_tree._root_location == 5
 
     def test_set_location_rejects_negative_offset(self, vehicle):
         with pytest.raises(VehicleError):
@@ -209,5 +209,5 @@ class TestStamp:
         before = vehicle.stamp()
         vehicle.record_progress(0.0)
         vehicle.request_states(), vehicle.current_schedules(), vehicle.occupancy
-        vehicle.best_schedule(lambda source, target: 1.0)
+        vehicle.kinetic_tree.best_schedule(lambda source, target: 1.0, vehicle.offset)
         assert vehicle.stamp() == before
