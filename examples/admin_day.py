@@ -98,8 +98,9 @@ def main() -> None:
 
         # --- 4. finished trips age out of live state -------------------------
         system.advance(60.0)
-        print(f"After 60 time units: {panel(system)['completed']:.0f} trip(s) completed, "
-              f"{panel(system)['ingest_retired']:.0f} booking(s) retired from live state")
+        day = panel(system)
+        print(f"After 60 time units: {day['completed']:.0f} trip(s) completed, "
+              f"{day['ingest_retired']:.0f} booking(s) retired from live state")
 
         # --- 5. admin snapshot, then a shutdown with a window pending --------
         snapshot = system.snapshot()
