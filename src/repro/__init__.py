@@ -5,7 +5,7 @@ This package reproduces *PTRider: A Price-and-Time-Aware Ridesharing System*
 library:
 
 * :mod:`repro.roadnet` -- the road network, shortest paths, the CSR routing
-  engine (with its ALT and CH accelerators) and the grid index;
+  engine (with its ALT accelerator) and the grid index;
 * :mod:`repro.model` -- requests, ride options, dominance and skylines;
 * :mod:`repro.vehicles` -- vehicles, kinetic trees, the fleet index, motion;
 * :mod:`repro.core` -- the price model, the naive / single-side / dual-side

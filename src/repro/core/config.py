@@ -191,7 +191,10 @@ class SystemConfig:
             bounded by ``batch_window_min`` / ``batch_window_max`` and the
             ``latency_budget`` headroom.
         batch_window_min: adaptive-mode lower bound on the window length
-            (``None`` derives ``batch_window / 16``).
+            (``None`` derives ``batch_window / 16``; see
+            :meth:`window_bounds`).  In adaptive mode the effective bound
+            must not exceed the effective ``batch_window_max`` nor the
+            ``latency_budget``; two explicit bounds are ordered in any mode.
         batch_window_max: adaptive-mode upper bound on the window length
             (``None`` derives ``batch_window * 16``).
         snapshot_mode: retired.  Snapshot points are always deltas; the
@@ -293,15 +296,29 @@ class SystemConfig:
             raise ConfigurationError(
                 f"durability={self.durability!r} requires journal_path to be set"
             )
-        if (
-            self.batch_window_min is not None
-            and self.batch_window_max is not None
-            and self.batch_window_min > self.batch_window_max
-        ):
+        # The adaptive window needs its effective bounds (defaults included)
+        # ordered and its smallest window inside the latency budget; explicit
+        # bounds are ordered in every mode.
+        adaptive = self.batch_window_mode == "adaptive"
+        low, high = self.window_bounds()
+        explicit = self.batch_window_min is not None and self.batch_window_max is not None
+        if low > high and (adaptive or explicit):
             raise ConfigurationError(
-                f"batch_window_min ({self.batch_window_min}) must not exceed "
-                f"batch_window_max ({self.batch_window_max})"
+                f"batch_window_min ({low}) must not exceed batch_window_max ({high})"
             )
+        if adaptive and self.latency_budget is not None and low > self.latency_budget:
+            raise ConfigurationError(
+                f"batch_window_min ({low}) must not exceed latency_budget "
+                f"({self.latency_budget}): the smallest window must fit the budget"
+            )
+
+    def window_bounds(self) -> Tuple[float, float]:
+        """The adaptive window's effective ``(min, max)``: ``batch_window_min``
+        and ``batch_window_max``, or ``batch_window / 16`` and
+        ``batch_window * 16`` where unset."""
+        low = self.batch_window / 16.0 if self.batch_window_min is None else self.batch_window_min
+        high = self.batch_window * 16.0 if self.batch_window_max is None else self.batch_window_max
+        return low, high
 
     def with_updates(self, **changes: object) -> "SystemConfig":
         """Return a copy with the given fields replaced (admin panel edits)."""

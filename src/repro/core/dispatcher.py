@@ -273,37 +273,33 @@ class Dispatcher:
         self,
         request: Request,
         policy: OptionPolicy = OptionPolicy.CHEAPEST,
-        apply_global_constraints: bool = True,
     ) -> DispatchOutcome:
         """Submit, auto-choose and commit one request: a batch of one.
 
         Returns a :class:`DispatchOutcome`; a request with no qualifying
         option is reported unmatched rather than raising.
         """
-        return self.dispatch_batch(
-            [request], policy=policy, apply_global_constraints=apply_global_constraints
-        )[0]
+        return self.dispatch_batch([request], policy=policy)[0]
 
     def dispatch_batch(
         self,
         requests: Iterable[Request],
         policy: OptionPolicy = OptionPolicy.CHEAPEST,
-        apply_global_constraints: bool = True,
         on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
         prefetch: bool = True,
     ) -> List[DispatchOutcome]:
         """Greedy handling of simultaneous requests (Section 2.5).
 
-        Requests are decided in submission order, each seeing the fleet state
-        its predecessors' commits produced; the batch's distinct start trees
-        are prefetched in one vectorised engine call and routing contexts are
+        Requests are normalised to the global constraints (Section 3.1), then
+        decided in submission order, each seeing the fleet state its
+        predecessors' commits produced; the batch's distinct start trees are
+        prefetched in one vectorised engine call and routing contexts are
         pooled batch-wide (shared start trees, a batch-wide schedule-leg memo
         and leg trees pooled on demand).
 
         Args:
             requests: the simultaneous requests, in submission order.
             policy: the stand-in rider choosing from each skyline.
-            apply_global_constraints: normalise requests first (Section 3.1).
             on_outcome: optional callback invoked with each outcome as soon
                 as its commit lands -- callers that must record bookkeeping
                 even when a *later* request of the batch raises (e.g. the
@@ -314,9 +310,7 @@ class Dispatcher:
                 call (the default; ``False`` forces per-start computation,
                 the ablation arm of benchmark E13).
         """
-        request_list = list(requests)
-        if apply_global_constraints:
-            request_list = [self.normalise(request) for request in request_list]
+        request_list = [self.normalise(request) for request in requests]
         if not request_list:
             return []
         batch = BatchContext.create(

@@ -231,15 +231,7 @@ class PTRiderService:
         # and live callers can still pass an explicit ``now`` per call.
         self._batcher = MicroBatcher(
             self._dispatcher,
-            batch_window=config.batch_window,
-            max_batch_size=config.max_batch_size,
-            queue_capacity=config.queue_capacity,
-            queue_policy=config.queue_policy,
-            speed=config.speed,
-            latency_budget=config.latency_budget,
-            window_mode=config.batch_window_mode,
-            window_min=config.batch_window_min,
-            window_max=config.batch_window_max,
+            config,
             clock=lambda: self._engine.time,
             on_outcome=self._record_ingest_outcome,
             wall_clock=self._wall_clock,
@@ -317,7 +309,7 @@ class PTRiderService:
         window before re-executing, keeping replayed window boundaries
         (and therefore flush outcomes) byte-identical.
         """
-        if self._batcher.window_mode == "adaptive":
+        if self._config.batch_window_mode == "adaptive":
             payload["window"] = self._batcher.current_window
         return payload
 
@@ -795,7 +787,7 @@ class PTRiderService:
         # Adaptive-window controller posture: the window currently in
         # force, and (adaptive mode only) the controller's EWMAs.  The
         # resize counters ride along in the ingest_ block above.
-        payload["ingest_window_mode"] = self._batcher.window_mode
+        payload["ingest_window_mode"] = self._config.batch_window_mode
         payload["ingest_window"] = float(self._batcher.current_window)
         controller = self._batcher.controller_state()
         if controller is not None:

@@ -50,7 +50,7 @@ silently blow a rider's deadline while the window fills.  Answers produced
 after their request's deadline are counted in
 :attr:`IngestStatistics.deadline_misses`.
 
-With ``window_mode="adaptive"`` the window length itself becomes a
+With ``batch_window_mode="adaptive"`` the window length itself becomes a
 *closed-loop* control variable instead of a static knob.
 :class:`WindowController` tracks an EWMA of the observed flush wall (how
 long ``dispatch_batch`` took) and of the arrival rate per window, and
@@ -60,12 +60,12 @@ means the dispatch pipeline barely keeps up, so the window grows (bigger
 batches amortise the per-flush cost); a flush wall under a quarter of the
 window means dispatch is idling while admitted requests queue, so the
 window shrinks (cutting admission-to-answer latency).  The window stays
-inside ``[window_min, window_max]`` and -- when a ``latency_budget`` is
-set -- never exceeds the budget headroom left after the expected flush
-wall, so the controller cannot tune itself past the deadline close.  The
-controller reads time exclusively through the injectable ``wall_clock``,
-so property tests drive it deterministically and journal replay pins the
-recorded window trajectory exactly (see
+inside :meth:`~repro.core.config.SystemConfig.window_bounds` and -- when
+a ``latency_budget`` is set -- never exceeds the budget headroom left
+after the expected flush wall, so the controller cannot tune itself past
+the deadline close.  The controller reads time exclusively through the
+injectable ``wall_clock``, so property tests drive it deterministically
+and journal replay pins the recorded window trajectory exactly (see
 :func:`repro.service.recovery.apply_record`).
 
 :class:`IngestStatistics` instruments the path end to end: admissions,
@@ -73,6 +73,11 @@ answers, sheds/evictions, window close reasons, deadline misses, queue
 depth, window fill ratio, and per-request admission-to-answer latency
 (queue wait in clock units plus the request's share of in-flush wall time)
 summarised as nearest-rank p50/p95/p99 by :func:`percentiles`.
+
+Every knob named above is a :class:`~repro.core.config.SystemConfig` field,
+and the batcher reads them all from the config it is built with.  The
+config has already checked each value, the adaptive window's bounds
+included, so the batcher and its controller refuse nothing.
 """
 
 from __future__ import annotations
@@ -82,7 +87,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.dispatcher import DispatchOutcome, Dispatcher, OptionPolicy
+from repro.core.config import SystemConfig
+from repro.core.dispatcher import DispatchOutcome, Dispatcher
 from repro.errors import ConfigurationError
 from repro.model.request import Request
 from repro.service.faults import fire as _fire_fault
@@ -96,9 +102,6 @@ __all__ = [
 
 #: Ranks of the latency tail :attr:`IngestStatistics.latency` reports.
 DEFAULT_RANKS = (50, 95, 99)
-
-#: Window-length modes of the micro-batcher.
-WINDOW_MODES = ("fixed", "adaptive")
 
 
 def percentiles(
@@ -146,7 +149,9 @@ class WindowController:
       (1.5x), so under a stationary flush wall the window converges into
       the band and stays there instead of oscillating across it.
 
-    The window is clamped to ``[window_min, window_max]``; with a
+    The window is clamped to ``[window_min, window_max]`` (the config's
+    :meth:`~repro.core.config.SystemConfig.window_bounds`, which it has
+    checked against each other and the budget); with a
     ``latency_budget`` the upper bound additionally shrinks to the budget
     headroom left after the expected flush wall
     (``latency_budget - ewma_flush_wall``, floored at ``window_min``), so
@@ -176,20 +181,6 @@ class WindowController:
         window_max: float,
         latency_budget: Optional[float] = None,
     ) -> None:
-        if window_min <= 0:
-            raise ConfigurationError(
-                f"window_min must be positive, got {window_min}"
-            )
-        if window_max < window_min:
-            raise ConfigurationError(
-                f"window_max must be >= window_min, got "
-                f"[{window_min}, {window_max}]"
-            )
-        if latency_budget is not None and window_min > latency_budget:
-            raise ConfigurationError(
-                f"window_min ({window_min}) must not exceed latency_budget "
-                f"({latency_budget}): the smallest window must fit the budget"
-            )
         self._window_min = window_min
         self._window_max = window_max
         self._latency_budget = latency_budget
@@ -203,14 +194,6 @@ class WindowController:
     def window(self) -> float:
         """The current window length (always inside the bounds)."""
         return self._window
-
-    @property
-    def window_min(self) -> float:
-        return self._window_min
-
-    @property
-    def window_max(self) -> float:
-        return self._window_max
 
     def _upper_bound(self) -> float:
         upper = self._window_max
@@ -377,28 +360,13 @@ class MicroBatcher:
     """Accumulate requests into windows and flush them through the batch pipeline.
 
     Args:
-        dispatcher: the dispatcher whose ``dispatch_batch`` serves flushes.
-        batch_window: clock time a window may accumulate before a
-            :meth:`pump` flushes it (> 0).
-        max_batch_size: request count that force-closes a window at
-            admission time (>= 1).
-        queue_capacity: bound on the pending window; ``None`` = unbounded.
-        queue_policy: ``"shed"`` or ``"block"`` (see the module docstring).
-        speed: vehicle speed (``SystemConfig.speed``) converting each
+        dispatcher: the dispatcher whose ``dispatch_batch`` serves flushes;
+            each rider takes the cheapest option.
+        config: the serving knobs: ``batch_window``, ``max_batch_size``,
+            ``queue_capacity``, ``queue_policy``, ``speed`` (converting each
             request's ``max_waiting`` distance slack into clock units for
-            its deadline.
-        latency_budget: force-close the pending window when the oldest
-            admission is within this many clock units of its deadline
-            (``None`` disables the deadline-driven close).
-        window_mode: ``"fixed"`` keeps ``batch_window`` static;
-            ``"adaptive"`` hands the window length to a
-            :class:`WindowController` seeded at ``batch_window`` and
-            bounded by ``window_min`` / ``window_max``.
-        window_min: adaptive-mode lower bound on the window length
-            (defaults to ``batch_window / 16``).
-        window_max: adaptive-mode upper bound on the window length
-            (defaults to ``batch_window * 16``).
-        policy: the stand-in rider choosing from each skyline.
+            its deadline), ``latency_budget`` and the adaptive window's
+            ``batch_window_mode`` and :meth:`~SystemConfig.window_bounds`.
         clock: zero-argument callable read at admissions and pumps.
             Defaults to ``time.monotonic`` (wall time); replay passes
             simulated time via the ``now`` argument of the public methods
@@ -417,66 +385,27 @@ class MicroBatcher:
     def __init__(
         self,
         dispatcher: Dispatcher,
-        batch_window: float = 1.0,
-        max_batch_size: int = 512,
-        queue_capacity: Optional[int] = None,
-        queue_policy: str = "shed",
-        speed: float = 1.0,
-        latency_budget: Optional[float] = None,
-        window_mode: str = "fixed",
-        window_min: Optional[float] = None,
-        window_max: Optional[float] = None,
-        policy: OptionPolicy = OptionPolicy.CHEAPEST,
+        config: SystemConfig,
         clock: Optional[Callable[[], float]] = None,
         wall_clock: Optional[Callable[[], float]] = None,
         on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
         statistics: Optional[IngestStatistics] = None,
     ) -> None:
-        if batch_window <= 0:
-            raise ConfigurationError(f"batch_window must be positive, got {batch_window}")
-        if max_batch_size < 1:
-            raise ConfigurationError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if queue_capacity is not None and queue_capacity < 1:
-            raise ConfigurationError(
-                f"queue_capacity must be >= 1 or None, got {queue_capacity}"
-            )
-        if queue_policy not in ("shed", "block"):
-            raise ConfigurationError(
-                f"queue_policy must be 'shed' or 'block', got {queue_policy!r}"
-            )
-        if speed <= 0:
-            raise ConfigurationError(f"speed must be positive, got {speed}")
-        if latency_budget is not None and latency_budget <= 0:
-            raise ConfigurationError(
-                f"latency_budget must be positive or None, got {latency_budget}"
-            )
-        if window_mode not in WINDOW_MODES:
-            raise ConfigurationError(
-                f"window_mode must be one of {WINDOW_MODES}, got {window_mode!r}"
-            )
         self._dispatcher = dispatcher
-        self._batch_window = batch_window
-        self._max_batch_size = max_batch_size
-        self._queue_capacity = queue_capacity
-        self._queue_policy = queue_policy
-        self._speed = speed
-        self._latency_budget = latency_budget
-        self._policy = policy
+        self._batch_window = config.batch_window
+        self._max_batch_size = config.max_batch_size
+        self._queue_capacity = config.queue_capacity
+        self._queue_policy = config.queue_policy
+        self._speed = config.speed
+        self._latency_budget = config.latency_budget
         self._clock = clock or time.monotonic
         self._wall_clock = wall_clock or time.perf_counter
         self._on_outcome = on_outcome
-        self._window_mode = window_mode
         self._controller: Optional[WindowController] = None
-        if window_mode == "adaptive":
+        if config.batch_window_mode == "adaptive":
+            window_min, window_max = config.window_bounds()
             self._controller = WindowController(
-                window=batch_window,
-                window_min=(
-                    batch_window / 16.0 if window_min is None else window_min
-                ),
-                window_max=(
-                    batch_window * 16.0 if window_max is None else window_max
-                ),
-                latency_budget=latency_budget,
+                config.batch_window, window_min, window_max, config.latency_budget
             )
         self._pending: List[Tuple[Request, float]] = []
         self._window_opened: Optional[float] = None
@@ -533,15 +462,6 @@ class MicroBatcher:
         self._pending_epoch += 1
 
     @property
-    def batch_window(self) -> float:
-        return self._batch_window
-
-    @property
-    def window_mode(self) -> str:
-        """``"fixed"`` or ``"adaptive"``."""
-        return self._window_mode
-
-    @property
     def controller(self) -> Optional[WindowController]:
         """The adaptive window controller (``None`` in fixed mode)."""
         return self._controller
@@ -574,18 +494,6 @@ class MicroBatcher:
         """Restore the controller from :meth:`controller_state` output."""
         if self._controller is not None and payload:
             self._controller.restore(payload)
-
-    @property
-    def max_batch_size(self) -> int:
-        return self._max_batch_size
-
-    @property
-    def queue_capacity(self) -> Optional[int]:
-        return self._queue_capacity
-
-    @property
-    def queue_policy(self) -> str:
-        return self._queue_policy
 
     def _now(self, now: Optional[float]) -> float:
         return self._clock() if now is None else now
@@ -774,7 +682,6 @@ class MicroBatcher:
         try:
             outcomes = self._dispatcher.dispatch_batch(
                 requests,
-                policy=self._policy,
                 on_outcome=_answered,
             )
         except Exception:

@@ -25,7 +25,7 @@ path costs a path query per leg on every refresh, so the fleet does not.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from repro.errors import UnknownVehicleError, VehicleError
 from repro.model.stops import Stop
@@ -116,18 +116,6 @@ class Fleet:
         self._grid = grid
         self._engine = oracle
         self._vehicles: Dict[str, Vehicle] = {}
-
-    # ------------------------------------------------------------------
-    # basic container protocol
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._vehicles)
-
-    def __iter__(self) -> Iterator[Vehicle]:
-        return iter(self._vehicles.values())
-
-    def __contains__(self, vehicle_id: object) -> bool:
-        return vehicle_id in self._vehicles
 
     @property
     def grid(self) -> GridIndex:

@@ -32,7 +32,7 @@ class TestValidation:
             SystemConfig(service_constraint=-0.5)
 
     def test_invalid_speed(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="speed"):
             SystemConfig(speed=0.0)
 
     def test_invalid_max_pickup(self):
@@ -58,6 +58,49 @@ class TestValidation:
             SystemConfig(batch_window_min=2.0, batch_window_max=1.0)
         config = SystemConfig(batch_window_min=1.0, batch_window_max=1.0)
         assert config.batch_window_min == config.batch_window_max == 1.0
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"batch_window": 0.0}, "batch_window"),
+            ({"max_batch_size": 0}, "max_batch_size"),
+            ({"queue_capacity": 0}, "queue_capacity"),
+            ({"queue_policy": "drop-newest"}, "queue_policy"),
+            ({"latency_budget": 0.0}, "latency_budget"),
+            ({"batch_window_mode": "elastic"}, "batch_window_mode"),
+        ],
+    )
+    def test_invalid_serving_values(self, knobs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SystemConfig(**knobs)
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"batch_window_min": 0.0}, "batch_window_min"),
+            ({"batch_window_min": 2.0, "batch_window_max": 1.0}, "batch_window_max"),
+            (
+                {"batch_window_min": 2.0, "batch_window_max": 4.0, "latency_budget": 1.0},
+                "latency_budget",
+            ),
+            # the effective bounds: an explicit minimum over the default
+            # maximum, and a default minimum over the budget
+            ({"batch_window_min": 100.0}, "batch_window_max"),
+            ({"batch_window": 32.0, "latency_budget": 1.0}, "latency_budget"),
+        ],
+    )
+    def test_invalid_adaptive_window_bounds(self, knobs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SystemConfig(batch_window_mode="adaptive", **knobs)
+
+    def test_the_effective_bounds_bind_only_the_adaptive_window(self):
+        config = SystemConfig(batch_window=32.0, latency_budget=1.0, batch_window_min=100.0)
+        assert config.window_bounds() == (100.0, 512.0)
+
+    def test_window_bounds_default_around_the_window(self):
+        assert SystemConfig(batch_window=2.0).window_bounds() == (0.125, 32.0)
+        config = SystemConfig(batch_window=2.0, batch_window_min=1.0, batch_window_max=4.0)
+        assert config.window_bounds() == (1.0, 4.0)
 
     def test_routing_backend_accepts_known_names(self):
         assert SystemConfig().routing_backend == "csr"

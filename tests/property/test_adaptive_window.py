@@ -26,14 +26,12 @@ tests pin the control law's safety and liveness properties:
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher
 from repro.core.single_side import SingleSideSearchMatcher
-from repro.errors import ConfigurationError
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
 from repro.roadnet.grid_index import GridIndex
@@ -95,7 +93,8 @@ def test_converges_under_stationary_load(flush_wall):
     1.5x, so once inside the controller holds; the bounds cap the cases
     where the band lies outside [window_min, window_max].
     """
-    controller = WindowController(window=1.0, window_min=1e-3, window_max=1e3)
+    window_min, window_max = 1e-3, 1e3
+    controller = WindowController(window=1.0, window_min=window_min, window_max=window_max)
     resized_after_settle = 0
     settled = False
     for step in range(200):
@@ -109,8 +108,8 @@ def test_converges_under_stationary_load(flush_wall):
     # Steady state sits in the dead band (or pinned at a bound).
     ratio = controller.ewma_flush_wall / controller.window
     at_bound = (
-        abs(controller.window - controller.window_min) < 1e-9
-        or abs(controller.window - controller.window_max) < 1e-9
+        abs(controller.window - window_min) < 1e-9
+        or abs(controller.window - window_max) < 1e-9
     )
     assert at_bound or (
         WindowController.LOW_RATIO - 1e-9
@@ -144,17 +143,6 @@ def test_trajectory_deterministic_and_restorable(observations):
     assert resumed.state() == reference.state()
 
 
-def test_bounds_validation():
-    with pytest.raises(ConfigurationError):
-        WindowController(window=1.0, window_min=0.0, window_max=4.0)
-    with pytest.raises(ConfigurationError):
-        WindowController(window=1.0, window_min=2.0, window_max=1.0)
-    with pytest.raises(ConfigurationError):
-        WindowController(
-            window=1.0, window_min=2.0, window_max=4.0, latency_budget=1.0
-        )
-
-
 # ----------------------------------------------------------------------
 # batcher-level equivalence under the injected clock
 # ----------------------------------------------------------------------
@@ -170,18 +158,17 @@ def _build_batcher(window_mode, batch_window=2.0, window_min=None,
                 capacity=4,
             )
         )
-    config = SystemConfig(max_waiting=8.0, service_constraint=0.5)
+    config = SystemConfig(
+        max_waiting=8.0, service_constraint=0.5, batch_window=batch_window,
+        max_batch_size=256, batch_window_mode=window_mode,
+        batch_window_min=window_min, batch_window_max=window_max,
+    )
     matcher = SingleSideSearchMatcher(fleet, config=config)
     dispatcher = Dispatcher(fleet, matcher, config)
     outcomes = []
     batcher = MicroBatcher(
         dispatcher,
-        batch_window=batch_window,
-        max_batch_size=256,
-        speed=1.0,
-        window_mode=window_mode,
-        window_min=window_min,
-        window_max=window_max,
+        config,
         wall_clock=wall_clock,
         on_outcome=lambda outcome: outcomes.append(
             (

@@ -39,26 +39,22 @@ _NETWORK = grid_network(6, 6, weight_jitter=0.2, seed=9)
 _VERTICES = _NETWORK.vertices()
 
 
-def _build_batcher(queue_capacity, queue_policy="shed", batch_window=1000.0,
-                   latency_budget=None):
+def _config(**knobs) -> SystemConfig:
+    return SystemConfig(
+        max_waiting=8.0, service_constraint=0.5, batch_window=1000.0, max_batch_size=256,
+        **knobs,
+    )
+
+
+def _build_batcher(config):
     grid = GridIndex(_NETWORK, rows=3, columns=3)
     fleet = Fleet(grid, make_engine(_NETWORK, "csr"))
     for index in range(4):
         fleet.add_vehicle(
             Vehicle(f"c{index + 1}", location=_VERTICES[(index * 9) % len(_VERTICES)], capacity=4)
         )
-    config = SystemConfig(max_waiting=8.0, service_constraint=0.5)
     matcher = SingleSideSearchMatcher(fleet, config=config)
-    dispatcher = Dispatcher(fleet, matcher, config)
-    return MicroBatcher(
-        dispatcher,
-        batch_window=batch_window,
-        max_batch_size=256,
-        queue_capacity=queue_capacity,
-        queue_policy=queue_policy,
-        speed=1.0,
-        latency_budget=latency_budget,
-    )
+    return MicroBatcher(Dispatcher(fleet, matcher, config), config)
 
 
 def _request(index: int, submit: float, max_waiting: float) -> Request:
@@ -94,11 +90,15 @@ _admissions = st.lists(
 
 
 @settings(max_examples=25, deadline=None)
-@given(admissions=_admissions, capacity=st.integers(min_value=1, max_value=5))
-def test_shed_evicts_the_loosest_deadline_first(admissions, capacity):
+@given(
+    admissions=_admissions,
+    config=st.builds(_config, queue_capacity=st.integers(min_value=1, max_value=5)),
+)
+def test_shed_evicts_the_loosest_deadline_first(admissions, config):
     """The batcher's pending window tracks an explicit reference model of
     loosest-deadline-first eviction, entry for entry."""
-    batcher = _build_batcher(capacity)
+    batcher = _build_batcher(config)
+    capacity = config.queue_capacity
     clock = 0.0
     model = []  # deadlines of the pending admissions, in window order
     refused = 0
@@ -137,13 +137,16 @@ def test_shed_evicts_the_loosest_deadline_first(admissions, capacity):
 @settings(max_examples=25, deadline=None)
 @given(
     admissions=_admissions,
-    budget=st.floats(min_value=0.5, max_value=4.0, allow_nan=False),
+    config=st.builds(
+        _config, latency_budget=st.floats(min_value=0.5, max_value=4.0, allow_nan=False)
+    ),
 )
-def test_latency_budget_pump_never_leaves_a_nearly_due_admission(admissions, budget):
+def test_latency_budget_pump_never_leaves_a_nearly_due_admission(admissions, config):
     """After any pump, every still-pending admission has more than
     ``latency_budget`` of slack left -- the deadline-driven close fired for
     anything closer than that."""
-    batcher = _build_batcher(None, batch_window=1000.0, latency_budget=budget)
+    batcher = _build_batcher(config)
+    budget = config.latency_budget
     clock = 0.0
     for sequence, (max_waiting, advance) in enumerate(admissions, start=1):
         clock += advance
@@ -166,7 +169,7 @@ def test_latency_budget_pump_never_leaves_a_nearly_due_admission(admissions, bud
 def test_deadline_misses_are_counted_on_late_flushes():
     """A window flushed long past its admissions' deadlines counts every
     answer as a deadline miss."""
-    batcher = _build_batcher(None)
+    batcher = _build_batcher(_config())
     for sequence in range(1, 4):
         assert batcher.submit(_request(sequence, 0.0, 4.0), now=0.0)
     outcomes = batcher.flush(now=100.0)
@@ -178,7 +181,7 @@ def test_deadline_misses_are_counted_on_late_flushes():
 def test_eviction_that_empties_the_window_closes_it():
     """Evicting the only pending admission resets the window clock before
     the incoming admission re-opens it."""
-    batcher = _build_batcher(1)
+    batcher = _build_batcher(_config(queue_capacity=1))
     assert batcher.submit(_request(1, 0.0, 8.0), now=0.0)
     assert batcher.window_opened == 0.0
     # tighter deadline evicts the incumbent; the window re-opens *now*
@@ -192,7 +195,7 @@ def test_eviction_that_empties_the_window_closes_it():
 def test_near_equal_incumbents_evict_the_exactly_loosest():
     """Incumbent deadlines a float ulp apart are not a tie among themselves:
     the exactly-latest one goes, whatever order they were admitted in."""
-    batcher = _build_batcher(4)
+    batcher = _build_batcher(_config(queue_capacity=4))
     step = 1e-15
     assert batcher.submit(_request(1, 0.0, 2.0), now=0.0)
     assert batcher.submit(_request(2, 0.0, 8.0), now=0.0)
@@ -209,7 +212,7 @@ def test_near_equal_incumbents_evict_the_exactly_loosest():
 def test_incoming_within_float_noise_of_the_loosest_is_refused():
     """An incoming deadline a float ulp before the loosest incumbent's is a
     tie with it: the incumbent stays and the incoming request is shed."""
-    batcher = _build_batcher(1)
+    batcher = _build_batcher(_config(queue_capacity=1))
     step = 1e-15
     assert batcher.submit(_request(1, step, 8.0), now=step)
     assert not batcher.submit(_request(2, 0.0, 8.0), now=step)

@@ -132,6 +132,16 @@ def _choices(name):
 @st.composite
 def configs(draw):
     window_bounds = draw(st.none() | st.tuples(positive, positive).map(sorted))
+    window = SystemConfig(
+        batch_window=draw(positive),
+        batch_window_mode=draw(st.sampled_from(_choices("batch_window_mode"))),
+        batch_window_min=None if window_bounds is None else window_bounds[0],
+        batch_window_max=None if window_bounds is None else window_bounds[1],
+    )
+    latency_budget = draw(st.none() | positive)
+    if window.batch_window_mode == "adaptive" and latency_budget is not None:
+        # the smallest adaptive window must fit the budget
+        latency_budget = max(latency_budget, window.window_bounds()[0])
     durability = draw(st.sampled_from(_choices("durability")))
     return SystemConfig(
         vehicle_capacity=draw(st.integers(min_value=1, max_value=8)),
@@ -142,17 +152,17 @@ def configs(draw):
         matcher_name=draw(st.sampled_from(_choices("matcher_name"))),
         price_model=draw(price_models),
         routing_backend=draw(st.sampled_from(ROUTING_BACKENDS)),
-        batch_window=draw(positive),
+        batch_window=window.batch_window,
         max_batch_size=draw(st.integers(min_value=1, max_value=4096)),
         queue_capacity=draw(st.none() | st.integers(min_value=1, max_value=10**6)),
         queue_policy=draw(st.sampled_from(_choices("queue_policy"))),
         durability=durability,
         journal_path=None if durability == "off" else draw(ids),
         snapshot_interval=draw(st.integers(min_value=1, max_value=10**6)),
-        latency_budget=draw(st.none() | positive),
-        batch_window_mode=draw(st.sampled_from(_choices("batch_window_mode"))),
-        batch_window_min=None if window_bounds is None else window_bounds[0],
-        batch_window_max=None if window_bounds is None else window_bounds[1],
+        latency_budget=latency_budget,
+        batch_window_mode=window.batch_window_mode,
+        batch_window_min=window.batch_window_min,
+        batch_window_max=window.batch_window_max,
         snapshot_mode=draw(st.sampled_from(_choices("snapshot_mode"))),
         retention_horizon=draw(st.none() | positive),
     )

@@ -43,23 +43,28 @@ _NETWORK = grid_network(6, 6, weight_jitter=0.2, seed=5)
 _VERTICES = _NETWORK.vertices()
 
 
-def _build_batcher(queue_capacity, queue_policy, batch_window=2.0, max_batch_size=64):
+def _config(**knobs) -> SystemConfig:
+    knobs = {"batch_window": 2.0, "max_batch_size": 64, **knobs}
+    return SystemConfig(max_waiting=6.0, service_constraint=0.5, **knobs)
+
+
+def _configs(**knobs):
+    """Configs drawn with the given knobs' strategies (the rest fixed)."""
+    return st.builds(_config, **knobs)
+
+
+_capacities = st.integers(min_value=1, max_value=8)
+
+
+def _build_batcher(config):
     grid = GridIndex(_NETWORK, rows=3, columns=3)
     fleet = Fleet(grid, make_engine(_NETWORK, "csr"))
     for index in range(4):
         fleet.add_vehicle(
             Vehicle(f"c{index + 1}", location=_VERTICES[(index * 9) % len(_VERTICES)], capacity=4)
         )
-    config = SystemConfig(max_waiting=6.0, service_constraint=0.5)
     matcher = SingleSideSearchMatcher(fleet, config=config)
-    dispatcher = Dispatcher(fleet, matcher, config)
-    return MicroBatcher(
-        dispatcher,
-        batch_window=batch_window,
-        max_batch_size=max_batch_size,
-        queue_capacity=queue_capacity,
-        queue_policy=queue_policy,
-    )
+    return MicroBatcher(Dispatcher(fleet, matcher, config), config)
 
 
 def _request(index: int, submit: float) -> Request:
@@ -127,10 +132,10 @@ def _drive(batcher, steps, capacity, policy):
 
 
 @settings(max_examples=20, deadline=None)
-@given(steps=_steps, capacity=st.integers(min_value=1, max_value=8))
-def test_shed_policy_never_exceeds_capacity(steps, capacity):
-    batcher = _build_batcher(capacity, "shed")
-    _drive(batcher, steps, capacity, "shed")
+@given(steps=_steps, config=_configs(queue_capacity=_capacities, queue_policy=st.just("shed")))
+def test_shed_policy_never_exceeds_capacity(steps, config):
+    batcher = _build_batcher(config)
+    _drive(batcher, steps, config.queue_capacity, "shed")
     # sheds never entered the queue: the books balance without them
     stats = batcher.statistics
     assert stats.admitted + stats.shed >= stats.admitted
@@ -138,10 +143,10 @@ def test_shed_policy_never_exceeds_capacity(steps, capacity):
 
 
 @settings(max_examples=20, deadline=None)
-@given(steps=_steps, capacity=st.integers(min_value=1, max_value=8))
-def test_block_policy_never_refuses_and_stays_bounded(steps, capacity):
-    batcher = _build_batcher(capacity, "block")
-    refused = _drive(batcher, steps, capacity, "block")
+@given(steps=_steps, config=_configs(queue_capacity=_capacities, queue_policy=st.just("block")))
+def test_block_policy_never_refuses_and_stays_bounded(steps, config):
+    batcher = _build_batcher(config)
+    refused = _drive(batcher, steps, config.queue_capacity, "block")
     assert refused == 0
     assert batcher.statistics.shed == 0
     _check_conservation(batcher)
@@ -150,17 +155,20 @@ def test_block_policy_never_refuses_and_stays_bounded(steps, capacity):
 @settings(max_examples=15, deadline=None)
 @given(steps=_steps)
 def test_unbounded_queue_sheds_nothing(steps):
-    batcher = _build_batcher(None, "shed")
+    batcher = _build_batcher(_config())
     refused = _drive(batcher, steps, None, "shed")
     assert refused == 0
     _check_conservation(batcher)
 
 
 @settings(max_examples=15, deadline=None)
-@given(steps=_steps, size=st.integers(min_value=1, max_value=5))
-def test_size_closed_windows_respect_capacity(steps, size):
+@given(steps=_steps, config=_configs(
+    queue_capacity=st.just(8), max_batch_size=st.integers(min_value=1, max_value=5),
+))
+def test_size_closed_windows_respect_capacity(steps, config):
     """max_batch_size below capacity: inline flushes keep the queue small."""
-    batcher = _build_batcher(8, "shed", max_batch_size=size)
+    batcher = _build_batcher(config)
+    size = config.max_batch_size
     sequence = 1000
     for kind, value in steps:
         if kind == "admit":

@@ -317,7 +317,7 @@ class TestWebsiteInterface:
 class TestBuildSystem:
     def test_build_system_defaults(self):
         system = build_system(network_rows=6, network_columns=6, vehicles=8, seed=4)
-        assert len(system.fleet) == 8
+        assert len(system.fleet.vehicles()) == 8
         assert system.matcher.name == "single_side"
         booking = system.book(1, 30, riders=1)
         assert booking.option_count >= 1

@@ -400,6 +400,52 @@ class TestAdminForm:
         service.close()
 
 
+class TestRefusedAdaptiveWindow:
+    """The adaptive window's rules hold for its *effective* bounds, defaults
+    included, so ``SystemConfig`` refuses a bad window before
+    ``set_parameters`` journals it or rebuilds anything."""
+
+    #: Each change's knobs pass alone; together they leave no window.
+    CHANGES = {
+        # the smallest window exceeds the latency budget
+        "min_over_budget": {
+            "batch_window_mode": "adaptive", "batch_window_min": 2.0, "latency_budget": 1.0,
+        },
+        # the minimum exceeds the default maximum, batch_window * 16 = 16
+        "min_over_default_max": {"batch_window_mode": "adaptive", "batch_window_min": 100.0},
+    }
+
+    @pytest.mark.parametrize("case", sorted(CHANGES))
+    def test_is_refused_before_it_is_journaled(self, tmp_path, case):
+        service = build_system(
+            network_rows=8, network_columns=8, vehicles=6, seed=3,
+            durability="journal", journal_path=str(tmp_path / "journal"),
+        )
+        service.book(1, 30)
+        records = len(service.journal.records())
+        config = service.config
+        with pytest.raises(ConfigurationError):
+            service.set_parameters(**self.CHANGES[case])
+        assert len(service.journal.records()) == records
+        assert service.config == config
+        assert service.dispatcher is service._engine.dispatcher is service.batcher._dispatcher
+        live = canonical_state(service)
+        service.close()
+        recovered = PTRiderService.recover(tmp_path / "journal")
+        try:
+            assert recovered.config == config
+            assert canonical_state(recovered) == live
+        finally:
+            recovered.close()
+
+    def test_a_default_minimum_over_the_budget_is_refused_by_the_config(self):
+        knobs = {"batch_window": 32.0, "latency_budget": 1.0, "batch_window_mode": "adaptive"}
+        with pytest.raises(ConfigurationError, match="latency_budget"):
+            SystemConfig(**knobs)
+        with pytest.raises(ConfigurationError, match="latency_budget"):
+            build_system(network_rows=8, network_columns=8, vehicles=6, seed=3, **knobs)
+
+
 class TestConfigNamesTheServedBackend:
     """A service's config takes the backend of the engine its fleet runs:
     that name is journaled, and recovery rebuilds the engine from it."""
@@ -651,7 +697,10 @@ def _grid_lists(service):
         (cell.cell_id, sorted(cell.empty_vehicles), sorted(cell.nonempty_vehicles))
         for cell in fleet.grid.cells()
     ]
-    return cells, {vehicle.vehicle_id: sorted(vehicle.registered_cells) for vehicle in fleet}
+    registered = {
+        vehicle.vehicle_id: sorted(vehicle.registered_cells) for vehicle in fleet.vehicles()
+    }
+    return cells, registered
 
 
 class TestRecoveredFleet:
