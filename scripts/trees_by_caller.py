@@ -12,21 +12,24 @@ as perfbench replays it: ``--path book`` answers each request with
 ``--path batched`` with ``ingest_request`` and one ``pump`` per tick.
 
 Every tree the engine bills (``routing.trees_computed`` =
-``stats.dijkstra_runs``) is charged to the outermost
-function on the stack named in :data:`CALLERS`, so a tree a commit's fallback
-roots through ``MatchContext.create`` is the commit's::
+``stats.dijkstra_runs``) and every certified walk that answered instead of a
+tree (``stats.walks``; ``CSREngine.walk_distance`` and the walks inside
+``distance`` and ``path``) is charged to the outermost function on the
+stack named in :data:`CALLERS`, so a tree a commit's fallback roots through
+``MatchContext.create`` is the commit's::
 
-    routing.trees_computed by caller (path book, seed 7001, 1000 requests)
-      next_stop                     66
-      create                       289
-      commit                         0
-      cancel                         0
-      plan_route                   322
-      _verify_vehicle              236
-      added_distance_lower_bound   201
-      other                          0
-      total                       1114
-    best_schedule: 6037 calls on a non-empty tree, 5554 (92.0%) saw one branch
+    routing.trees_computed by caller (path book, seed 1001, 1000 requests)
+      caller                     trees walks
+      next_stop                     37   416
+      create                       291     0
+      commit                         0     0
+      cancel                         0     0
+      plan_route                     0   438
+      _verify_vehicle              232   511
+      added_distance_lower_bound   173   136
+      other                          0     0
+      total                        733  1501
+    best_schedule: 6141 calls on a non-empty tree, 5598 (91.2%) saw one branch
 
 The last line says how often ``KineticTree.best_schedule`` had a single branch
 to choose from (and therefore nothing to measure).
@@ -60,8 +63,8 @@ CALLERS = (
     "_verify_vehicle",
     "added_distance_lower_bound",
 )
-#: the engine's public methods that can root a tree
-ENGINE_ENTRY_POINTS = ("distance", "distances_from", "prefetch_trees")
+#: the engine's public methods that can root a tree or walk one
+ENGINE_ENTRY_POINTS = ("distance", "distances_from", "prefetch_trees", "path", "walk_distance")
 
 
 def _caller() -> str:
@@ -76,25 +79,30 @@ def _caller() -> str:
 
 
 class TreeLedger:
-    """Counts billed trees per caller around an engine's public methods."""
+    """Counts billed trees and answering walks per caller around an engine's
+    public methods."""
 
     def __init__(self, engine) -> None:
         self.trees: Dict[str, int] = {name: 0 for name in CALLERS + ("other",)}
+        self.walks: Dict[str, int] = dict.fromkeys(self.trees, 0)
         self._engine = engine
         for name in ENGINE_ENTRY_POINTS:
             setattr(engine, name, self._counting(getattr(engine, name)))
 
     def _counting(self, method):
-        stats, trees = self._engine.stats, self.trees
+        stats, trees, walks = self._engine.stats, self.trees, self.walks
 
         def counted(*args, **kwargs):
-            before = stats.dijkstra_runs
+            before = stats.dijkstra_runs, stats.walks
             try:
                 return method(*args, **kwargs)
             finally:
-                computed = stats.dijkstra_runs - before
-                if computed:
-                    trees[_caller()] += computed
+                computed = stats.dijkstra_runs - before[0]
+                walked = stats.walks - before[1]
+                if computed or walked:
+                    caller = _caller()
+                    trees[caller] += computed
+                    walks[caller] += walked
 
         return counted
 
@@ -135,7 +143,8 @@ def _answer_by_booking(service, arrived: Sequence) -> None:
 
 
 def replay(args: argparse.Namespace, out=sys.stdout) -> Dict[str, int]:
-    """Replay the day; print the report; return the per-caller tree counts."""
+    """Replay the day; print the report; return the per-caller tree counts
+    (the walks are on the report)."""
     batched = args.path == "batched"
     # one window = one tick's arrivals, closed by time, as perfbench sets it
     overrides = dict(batch_window=1.0, max_batch_size=65536) if batched else {}
@@ -168,9 +177,11 @@ def replay(args: argparse.Namespace, out=sys.stdout) -> Dict[str, int]:
         f"{args.requests} requests)",
         file=out,
     )
+    print(f"  {'caller':<27}{'trees':>5} {'walks':>5}", file=out)
     for name, count in ledger.trees.items():
-        print(f"  {name:<27}{count:>5}", file=out)
-    print(f"  {'total':<27}{sum(ledger.trees.values()):>5}", file=out)
+        print(f"  {name:<27}{count:>5} {ledger.walks[name]:>5}", file=out)
+    total_trees, total_walks = sum(ledger.trees.values()), sum(ledger.walks.values())
+    print(f"  {'total':<27}{total_trees:>5} {total_walks:>5}", file=out)
     share = 100.0 * branches.single / branches.calls if branches.calls else 0.0
     print(
         f"best_schedule: {branches.calls} calls on a non-empty tree, "

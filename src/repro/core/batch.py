@@ -18,10 +18,12 @@ that work for a whole tick's worth of requests:
   the matchers are oblivious to whether a context was built per-request or
   per-batch;
 * the start trees seed a **demand-driven leg-tree pool**: a schedule-leg
-  query whose canonical root is not pooled yet asks the engine for that one
-  tree, which stays pinned for the rest of the batch
-  (:class:`BatchMatchContext`) -- trees are rooted only where a
-  verification really asked, never at every taxi and stop of the fleet;
+  query whose canonical root is not pooled yet is walked over its other
+  end's pooled or cached tree when that walk is certified, and otherwise
+  asks the engine for the root's one tree, which stays pinned for the rest
+  of the batch (:class:`BatchMatchContext`) -- trees are rooted only where
+  a verification really asked and no walk could answer, never at every taxi
+  and stop of the fleet;
 * endpoint errors (unknown vertex, unreachable destination) are *recorded*
   instead of raised, and surface when the pipeline reaches the failing
   request in submission order -- exactly when the sequential loop would have
@@ -60,10 +62,17 @@ class BatchStatistics:
     requests consume it: the first consumer is covered by
     ``prefetched_trees``, every later one by ``shared_tree_hits``.
 
-    ``leg_sources_prefetched`` and ``leg_tree_hits`` describe the demand
-    pool (the names predate it and are kept for the records that read
-    them): the leg roots pooled on demand, and the leg queries answered from
-    the pool.  ``prefetch_seconds`` covers the start trees only.
+    ``leg_sources_prefetched``, ``leg_tree_hits`` and ``leg_walks``
+    describe the demand pool (the first two names predate it and are kept
+    for the records that read them): the leg roots pooled on demand, the leg
+    queries answered from a pooled tree, and the leg queries answered by a
+    certified walk over the leaf's pooled or cached tree.  With pooling on,
+    every leg query that misses the batch memo -- two distinct endpoints,
+    neither the request start -- counts in exactly one of ``leg_tree_hits``,
+    ``leg_walks`` or neither, the last only when the engine raises for it
+    (an unknown or unreachable endpoint); on a connected network
+    ``leg_tree_hits + leg_walks`` is the number of memo misses.
+    ``prefetch_seconds`` covers the start trees only.
     """
 
     #: number of requests in the batch
@@ -80,6 +89,8 @@ class BatchStatistics:
     leg_sources_prefetched: int = 0
     #: leg queries answered from the pool instead of going to the engine
     leg_tree_hits: int = 0
+    #: leg queries of an unpooled root answered by a walk over the leaf's tree
+    leg_walks: int = 0
 
     panel_derived = ("shared_tree_hit_rate",)
 
@@ -114,13 +125,18 @@ class BatchMatchContext(MatchContext):
     floats a per-request context would.
 
     ``leg_trees`` is the batch's demand-driven tree pool: it starts out
-    holding the batch's start trees and grows by one tree whenever a memo
-    miss asks for a leg whose canonical root (the smaller vertex id, the
-    root ``RoutingEngine.distance`` picks) is not pooled yet.  That tree
-    comes through :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`
-    and stays pinned for the rest of the batch, whatever the engine cache
-    evicts; its row is the engine's own tree row, so the answers are the
-    engine's own floats.  No tree is computed for a root nobody asked.
+    holding the batch's start trees.  A memo miss whose canonical root (the
+    smaller vertex id, the root ``RoutingEngine.distance`` picks) is not
+    pooled is first walked over the leaf's tree -- pooled, else the engine's
+    cached one -- by :meth:`~repro.roadnet.routing.RoutingEngine.walk_distance`,
+    which returns the root tree's float bit for bit.  When it does not
+    answer (the root's tree is cached already, the engine's cache holds
+    every vertex's tree, there is no leaf tree, or the certificate refused)
+    the pool grows by the root's tree through
+    :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`, which stays
+    pinned for the rest of the batch, whatever the engine cache evicts; its
+    row is the engine's own tree row, so the answers are the engine's own
+    floats.  No tree is computed for a root nobody asked.
     Whatever the pool cannot answer (an unknown root, an unknown or
     unreachable leaf) goes to ``engine.distance`` verbatim, errors included.
     ``None`` switches pooling off (the ``prefetch=False`` ablation).
@@ -158,10 +174,17 @@ class BatchMatchContext(MatchContext):
                 root, leaf = key  # key is already rooted at the smaller id
                 tree = pool.get(root, _UNPOOLED)
                 if tree is _UNPOOLED:
-                    tree = pool[root] = self.engine.prefetch_trees((root,)).get(root)
-                    if tree is not None:
-                        self.batch_statistics.leg_sources_prefetched += 1
-                if tree is not None:
+                    leaf_tree = pool.get(leaf)
+                    value = self.engine.walk_distance(
+                        root, leaf, None if leaf_tree is None else leaf_tree.row
+                    )
+                    if value is None:
+                        tree = pool[root] = self.engine.prefetch_trees((root,)).get(root)
+                        if tree is not None:
+                            self.batch_statistics.leg_sources_prefetched += 1
+                    else:
+                        self.batch_statistics.leg_walks += 1
+                if value is None and tree is not None:
                     value = tree.get(leaf)
                     if value is not None:
                         self.batch_statistics.leg_tree_hits += 1

@@ -5,7 +5,7 @@ road network:
 
 * :mod:`repro.roadnet.graph` -- the weighted road graph itself;
 * :mod:`repro.roadnet.geometry` -- planar embedding helpers;
-* :mod:`repro.roadnet.shortest_path` -- the path walk every routing
+* :mod:`repro.roadnet.shortest_path` -- the two tree walks every routing
   answer ends in;
 * :mod:`repro.roadnet.routing` -- the CSR routing engine (with its optional
   ALT landmark lower-bound index) every distance/path query goes through;

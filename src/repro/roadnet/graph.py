@@ -149,9 +149,6 @@ class RoadNetwork:
     def __contains__(self, vertex: object) -> bool:
         return vertex in self._adjacency
 
-    def __len__(self) -> int:
-        return len(self._adjacency)
-
     def __iter__(self) -> Iterator[VertexId]:
         return iter(self._adjacency)
 

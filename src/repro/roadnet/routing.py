@@ -7,9 +7,15 @@ by how fast those queries are answered.  One engine answers them:
 * :class:`CSREngine` -- compiles the :class:`~repro.roadnet.graph.RoadNetwork`
   into flat CSR adjacency arrays (``indptr`` / ``indices`` / ``weights``) and
   answers every query from a single-source distance tree over integer vertex
-  indices: a point query is a read of the tree rooted at the smaller
-  endpoint, a path is a walk back through the source's tree
-  (:func:`~repro.roadnet.shortest_path.shortest_path`).  When SciPy is
+  indices, rooted at one end of the query or the other: a point query reads
+  the tree rooted at the smaller endpoint, a path walks back through the
+  source's tree (:func:`~repro.roadnet.shortest_path.shortest_path`).  When
+  that tree is not cached but the one rooted at the query's other end is,
+  and the network has more vertices than the cache has slots, the query is
+  answered by a certified walk over the other end's tree
+  (:func:`~repro.roadnet.shortest_path.certified_walk`), which returns the
+  same floats and vertices bit for bit or refuses, and only a refusal roots
+  the tree.  When SciPy is
   importable the trees are computed in C by
   :func:`scipy.sparse.csgraph.dijkstra` -- a whole batch of sources as one
   2-D plane (:meth:`CSREngine.prefetch_trees`, what the batch dispatch
@@ -27,7 +33,7 @@ by how fast those queries are answered.  One engine answers them:
 Backends are selected by name ("csr", "csr+alt") through :func:`make_engine`;
 :class:`~repro.core.config.SystemConfig` carries the chosen name so the
 service, the CLI and the benchmark harness agree on it.  Both answer every
-query the same way, from a tree; "csr+alt" only adds the landmark bounds.
+query the same way; "csr+alt" only adds the landmark bounds.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, DisconnectedError, VertexNotFoundError
 from repro.roadnet.graph import RoadNetwork, VertexId
-from repro.roadnet.shortest_path import INFINITY, PathResult, shortest_path
+from repro.roadnet.shortest_path import INFINITY, PathResult, certified_walk, shortest_path
 
 # Neither is required for correctness: SciPy computes the trees in C, NumPy
 # vectorises the ALT bounds.
@@ -80,14 +86,23 @@ class EngineStats:
 
     ``build_seconds`` is the time the engine's one-time preprocessing (the
     CSR compile and, on "csr+alt", the landmark trees) took.
-    ``dijkstra_runs`` counts full distance trees computed.  ``phast_sweeps``
-    always reads 0; it stays, off the panels (``"panel": False``), because
-    ``perfbench/harness.py`` still reads it.
+    ``queries`` counts every ``distance``, ``distances_from`` and (two
+    distinct endpoints) ``path`` call.  ``cache_hits`` counts the queries
+    read off a cached tree rooted where the query reads it;
+    ``dijkstra_runs`` counts full distance trees computed, on demand or
+    prefetched.  ``walks`` counts answers given by a certified walk over
+    the tree of the query's other end instead (engine queries and the
+    batch pool's leg walks alike), and ``walks_refused`` the walks the
+    certificate refused, each of which then rooted its tree.
+    ``phast_sweeps`` always reads 0; it stays, off the panels
+    (``"panel": False``), because ``perfbench/harness.py`` still reads it.
     """
 
     queries: int = 0
     cache_hits: int = 0
     dijkstra_runs: int = 0
+    walks: int = 0
+    walks_refused: int = 0
     phast_sweeps: int = field(default=0, metadata={"panel": False})
     build_seconds: float = 0.0
 
@@ -385,7 +400,9 @@ class CSREngine:
     Single-source trees are computed over the CSR arrays (in C via SciPy when
     available, otherwise with the pure-Python int-indexed heap Dijkstra) and
     cached FIFO, keyed by source index; a point query reads the tree rooted
-    at its smaller endpoint, so every answer is independent of cache state.
+    at its smaller endpoint, or -- on a network larger than the cache --
+    walks the other endpoint's cached tree when that walk is certified to
+    give the same float, so every answer is independent of cache state.
 
     It answers every distance / path query the rest of the system issues;
     the matchers, the batch pipeline and the fleet type against it (as
@@ -419,6 +436,13 @@ class CSREngine:
         started = time.perf_counter()
         self._graph = CSRGraph(self._network)
         self._alt = ALTIndex(self._graph, self._landmarks) if self._landmarks > 0 else None
+        # A cache that holds a tree for every vertex never evicts one: each
+        # root costs one tree for the engine's life, and a walk would only
+        # put it off, walk after walk (perfbench ``dense_pool``, 400 vertices
+        # in 1 024 slots: 2 216 walks saved 15 of 397 trees).  Only a network
+        # larger than its cache walks cold roots (``commute_book``: 2.8 walks
+        # per walked root, 1 106 trees down to 709).
+        self._walks_cold_roots = len(self._graph) > self._max_cached_sources
         self.stats.build_seconds += time.perf_counter() - started
 
     @property
@@ -464,10 +488,38 @@ class CSREngine:
             raise VertexNotFoundError(error.args[0]) from None
         if root_index == leaf_index:
             return 0.0
+        walked = self._cold_walk(root_index, leaf_index)
+        if walked is not None:
+            return walked[0]
         value = self._tree(root_index)[leaf_index]
         if value == INFINITY:
             raise DisconnectedError(source, target)
         return value
+
+    def walk_distance(
+        self, root: VertexId, leaf: VertexId, leaf_row: Optional[array] = None
+    ) -> Optional[float]:
+        """``dist(root, leaf)`` by a certified walk over ``leaf``'s tree, or
+        ``None``.
+
+        ``leaf_row`` is the tree row rooted at ``leaf`` the caller holds
+        (the batch pool's pinned rows); without one the engine's cached row
+        is walked.  A walk that is certified returns the float
+        ``distance(root, leaf)`` reads off ``root``'s tree, bit for bit, so
+        a caller that roots trees at the smaller endpoint may take it in
+        place of that tree.  ``None`` means: take ``root``'s tree -- it is
+        cached already, the cache holds a tree for every vertex, there is no
+        tree at ``leaf``, an endpoint is unknown or unreachable, or the walk
+        was refused.  This is not a query: it bills only ``walks`` /
+        ``walks_refused``.
+        """
+        index_of = self._graph.index_of
+        root_index = index_of.get(root)
+        leaf_index = index_of.get(leaf)
+        if root_index is None or leaf_index is None or root_index == leaf_index:
+            return None
+        walked = self._cold_walk(root_index, leaf_index, leaf_row)
+        return None if walked is None else walked[0]
 
     def distances_from(self, source: VertexId) -> Mapping[VertexId, float]:
         """Return the full single-source distance tree rooted at ``source``.
@@ -527,14 +579,30 @@ class CSREngine:
         Read off the source's distance tree by
         :func:`~repro.roadnet.shortest_path.shortest_path`, so the vertex
         sequence and the distance agree with every tree the engine hands
-        out, exact ties included.
+        out, exact ties included.  When the source's tree is not cached but
+        the target's is -- a taxi re-planning towards a stop whose tree the
+        matcher rooted -- and the network outgrows the cache, a certified
+        walk over the target's tree gives the same vertices and float, and
+        only a refused walk roots the source's tree.
+
+        Raises:
+            VertexNotFoundError: if either endpoint is unknown.
+            DisconnectedError: if no path connects the endpoints.
         """
-        # Read off the source's tree: a vehicle re-plans from where it stands,
-        # and the matcher has usually just rooted (and cached) a tree there.
+        graph = self._graph
+        source_index = graph.index(source)
+        target_index = graph.index(target)
         # ``path(v, v)`` -- a vehicle standing at its next stop -- needs no
         # tree, so it roots none and is not billed as a query.
-        tree = self.distances_from(source) if source != target else None
-        return shortest_path(self._network, source, target, tree=tree)
+        if source_index == target_index:
+            return PathResult(source, target, 0.0, (source,))
+        self.stats.queries += 1
+        walked = self._cold_walk(source_index, target_index)
+        if walked is not None:
+            total, indices = walked
+            vertices = tuple(map(graph.vertex_ids.__getitem__, indices))
+            return PathResult(source, target, total, vertices)
+        return shortest_path(graph, source, target, self._tree(source_index))
 
     def distance_lower_bound(self, source: VertexId, target: VertexId) -> float:
         """An admissible lower bound on ``dist(source, target)``.
@@ -555,6 +623,33 @@ class CSREngine:
         self._compile()
 
     # ------------------------------------------------------------------
+    def _cold_walk(
+        self, start: int, goal: int, row: Optional[array] = None
+    ) -> Optional[Tuple[float, List[int]]]:
+        """:func:`certified_walk` from ``start`` over ``goal``'s row (``row``,
+        else the cached one), billed as a walk or a refusal.
+
+        ``None`` without a walk when the cache holds a tree for every vertex
+        (see :meth:`_compile`), when ``start``'s tree is cached (reading it
+        is cheaper), when there is no row at ``goal`` and when ``start`` is
+        unreachable (rooting its tree raises where the caller expects).
+        """
+        trees = self._trees
+        if not self._walks_cold_roots or start in trees:
+            return None
+        if row is None:
+            row = trees.get(goal)
+            if row is None:
+                return None
+        if row[start] == INFINITY:
+            return None
+        walked = certified_walk(self._graph, row, start, goal)
+        if walked is None:
+            self.stats.walks_refused += 1
+        else:
+            self.stats.walks += 1
+        return walked
+
     def _tree(self, source_index: int) -> array:
         tree = self._trees.get(source_index)
         if tree is not None:

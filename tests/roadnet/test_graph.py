@@ -85,9 +85,9 @@ class TestQueries:
         with pytest.raises(InvalidNetworkError):
             RoadNetwork.from_edges([(1, 2, 1.0)]).bounding_box()
 
-    def test_len_contains_iter(self):
+    def test_vertex_count_contains_iter(self):
         network = build_triangle()
-        assert len(network) == 3
+        assert network.vertex_count == 3
         assert 2 in network
         assert 99 not in network
         assert sorted(network) == [1, 2, 3]

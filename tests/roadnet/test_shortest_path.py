@@ -7,6 +7,7 @@ import pytest
 from repro.errors import DisconnectedError, VertexNotFoundError
 from repro.roadnet.generators import figure1_network, grid_network
 from repro.roadnet.graph import RoadNetwork
+from repro.roadnet.routing import CSRGraph
 from repro.roadnet.shortest_path import shortest_path
 
 from tests.routing_reference import (
@@ -16,6 +17,12 @@ from tests.routing_reference import (
     path_length,
     shortest_path_distance,
 )
+
+
+def _walk(network: RoadNetwork, source, target):
+    """``shortest_path`` over the source's tree row on the network's CSR graph."""
+    graph = CSRGraph(network)
+    return shortest_path(graph, source, target, graph.tree(graph.index(source)))
 
 
 @pytest.fixture
@@ -35,12 +42,12 @@ class TestPointToPoint:
         assert shortest_path_distance(diamond, 3, 3) == 0.0
 
     def test_path_reconstruction(self, diamond: RoadNetwork):
-        result = shortest_path(diamond, 1, 4, tree=dijkstra_all(diamond, 1))
+        result = _walk(diamond, 1, 4)
         assert result.path == (1, 2, 4)
         assert result.distance == pytest.approx(2.0)
 
     def test_path_length_matches_distance(self, diamond: RoadNetwork):
-        result = shortest_path(diamond, 1, 4, tree=dijkstra_all(diamond, 1))
+        result = _walk(diamond, 1, 4)
         assert path_length(diamond, result.path) == pytest.approx(result.distance)
 
     def test_unknown_vertex(self, diamond: RoadNetwork):

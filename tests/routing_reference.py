@@ -2,11 +2,12 @@
 network shapes only tests draw from.
 
 Nothing in ``src/`` calls these: every distance and path the system uses
-comes from a routing engine (:mod:`repro.roadnet.routing`) and
-:func:`repro.roadnet.shortest_path.shortest_path`'s tree walk.  They are
-kept here as references with their own search loops -- a full Dijkstra
-tree over the dict-of-dicts adjacency, an early-terminated Dijkstra (for a
-distance, :func:`shortest_path_distance`, and for a path,
+comes from a routing engine (:mod:`repro.roadnet.routing`) and the walks of
+:mod:`repro.roadnet.shortest_path`.  They are kept here as references with
+their own loops -- a full Dijkstra tree over the dict-of-dicts adjacency,
+the tree walk over a vertex-keyed ``Mapping`` (:func:`tree_walk_path`, the
+oracle the engine's index-space walks are held to), an early-terminated
+Dijkstra (for a distance, :func:`shortest_path_distance`, and for a path,
 :func:`search_path`), A*, a meet-in-the-middle Dijkstra and a
 radius-bounded expansion -- plus :func:`path_length`, the weight of a
 vertex walk, and :func:`connected_components`.
@@ -21,11 +22,17 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.errors import ConfigurationError, DisconnectedError
+from repro.errors import ConfigurationError, DisconnectedError, VertexNotFoundError
 from repro.roadnet.graph import RoadNetwork, VertexId
-from repro.roadnet.shortest_path import INFINITY, PathResult, _require_vertices
+from repro.roadnet.shortest_path import INFINITY, PathResult
+
+
+def _require_vertices(network: RoadNetwork, vertices: Iterable[VertexId]) -> None:
+    for vertex in vertices:
+        if vertex not in network:
+            raise VertexNotFoundError(vertex)
 
 
 def dijkstra_all(network: RoadNetwork, source: VertexId) -> Dict[VertexId, float]:
@@ -89,8 +96,8 @@ def search_path(network: RoadNetwork, source: VertexId, target: VertexId) -> Pat
     """Return the shortest path from ``source`` to ``target`` by a Dijkstra
     search that stops as soon as ``target`` is settled.
 
-    The search :func:`repro.roadnet.shortest_path.shortest_path`'s tree walk
-    mirrors: it settles in ``(distance, vertex id)`` order and keeps the
+    The search the tree walks (:func:`tree_walk_path`,
+    :func:`repro.roadnet.shortest_path.shortest_path`) mirror: it settles in ``(distance, vertex id)`` order and keeps the
     first parent that attains a vertex's final label, so both return the
     same vertex sequence and the same float, exact ties included.
 
@@ -119,6 +126,56 @@ def search_path(network: RoadNetwork, source: VertexId, target: VertexId) -> Pat
                 parent[v] = u
                 heapq.heappush(heap, (nd, v))
     raise DisconnectedError(source, target)
+
+
+def tree_walk_path(
+    network: RoadNetwork,
+    source: VertexId,
+    target: VertexId,
+    tree: Optional[Mapping[VertexId, float]],
+) -> PathResult:
+    """Return the shortest path read off ``tree``, the distance tree rooted
+    at ``source`` (any mapping ``vertex -> dist(source, vertex)`` that omits
+    unreachable vertices; not read when ``source == target``).
+
+    Walking back from ``target``, each vertex ``v`` is preceded by the
+    neighbour ``u`` that minimises ``(tree[u] + w(u, v), tree[u], u)``: the
+    parent a Dijkstra search sets.  This is the vertex-keyed form of
+    :func:`repro.roadnet.shortest_path.shortest_path`'s index-space walk,
+    kept as its oracle.
+
+    Raises:
+        VertexNotFoundError: if either endpoint is unknown.
+        DisconnectedError: if ``tree`` omits ``target`` or does not lead
+            back to ``source``.
+    """
+    _require_vertices(network, (source, target))
+    if source == target:
+        return PathResult(source, target, 0.0, (source,))
+    distance = tree.get(target)
+    if distance is None:
+        raise DisconnectedError(source, target)
+    label_of = tree.get
+    adjacency = network.adjacency
+    # No simple path has more vertices than the network: a walk that long is
+    # circling in a tree that was not rooted at ``source``.
+    longest = network.vertex_count
+    path = [target]
+    current = target
+    while current != source:
+        best = None
+        for u, weight in adjacency[current].items():
+            label = label_of(u)
+            if label is not None:
+                key = (label + weight, label, u)
+                if best is None or key < best:
+                    best = key
+        if best is None or len(path) == longest:
+            raise DisconnectedError(source, target)
+        current = best[2]
+        path.append(current)
+    path.reverse()
+    return PathResult(source, target, float(distance), tuple(path))
 
 
 def reconstruct_path(

@@ -22,7 +22,8 @@ TINY_DAY = ["--rows", "8", "--grid", "3", "--vehicles", "12", "--requests", "40"
 
 REPORT = re.compile(
     r"routing\.trees_computed by caller \(path (book|batched), seed 5, 40 requests\)\n"
-    + "".join(rf"  {name} +\d+\n" for name in tool.CALLERS + ("other", "total"))
+    + r"  caller +trees walks\n"
+    + "".join(rf"  {name} +\d+ +\d+\n" for name in tool.CALLERS + ("other", "total"))
     + r"best_schedule: \d+ calls on a non-empty tree, \d+ \(\d+\.\d%\) saw one branch\n"
 )
 
@@ -38,12 +39,14 @@ def test_report_names_every_caller_and_commit_and_cancel_root_nothing(path):
     trees, report = _run(TINY_DAY + ["--path", path])
     assert REPORT.fullmatch(report), report
     assert list(trees) == list(tool.CALLERS) + ["other"]
-    total = int(re.search(r"  total +(\d+)\n", report).group(1))
+    total = int(re.search(r"  total +(\d+) +\d+\n", report).group(1))
     assert total == sum(trees.values()) > 0
     # a commit installs what verification found, a cancel needs no distance
     assert trees["commit"] == 0
     assert trees["cancel"] == 0
     assert trees["other"] == 0
+    for name in ("commit", "cancel", "other"):
+        assert re.search(rf"  {name} +0 +0\n", report), name
 
 
 def test_the_probe_leaves_nothing_patched():

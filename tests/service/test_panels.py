@@ -71,6 +71,7 @@ STATISTICS = {
     "average_options": 1.2222222222222223,
     "batch_leg_sources_prefetched": 11.0,
     "batch_leg_tree_hits": 34.0,
+    "batch_leg_walks": 0.0,
     "batch_prefetched_trees": 4.0,
     "batch_requests": 4.0,
     "batch_shared_tree_hit_rate": 0.0,
@@ -123,6 +124,8 @@ STATISTICS = {
     "routing_queries": 108.0,
     "routing_snapshot_delta_count": 2.0,
     "routing_snapshot_full_count": 0.0,
+    "routing_walks": 0.0,
+    "routing_walks_refused": 0.0,
     "sharing_rate": 0.0,
     "unmatched": 0.0,
 }
@@ -173,6 +176,8 @@ ROUTING_STATISTICS = {
     "queries": 108.0,
     "snapshot_delta_count": 2.0,
     "snapshot_full_count": 0.0,
+    "walks": 0.0,
+    "walks_refused": 0.0,
 }
 ROUTING_STATISTICS_WALL = (
     "build_seconds",
