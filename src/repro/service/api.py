@@ -395,6 +395,11 @@ class PTRiderService:
         journal tail (unreadable suffix) is dropped and physically
         truncated so post-recovery records are never written beyond a hole.
 
+        Recovery costs the tail, not the history: one streaming pass over
+        the whole log finds the readable horizon and keeps no record
+        (:meth:`ServiceJournal.readable_horizon`), and only the records
+        past the restored snapshot are decoded again and held for replay.
+
         The recovered state is ``==`` (on serialized state, wall-clock
         measurements aside) to the pre-crash service: bookings, vehicle
         schedules, fleet positions and the simulation and ingest statistics
@@ -414,7 +419,7 @@ class PTRiderService:
                 outcomes.
         """
         journal = ServiceJournal(journal_path)
-        readable = journal.records()
+        horizon = journal.readable_horizon()
         if journal.truncated_records:
             # The journal is the source of truth; a torn suffix moves the
             # durable horizon back to the last readable record.  Drop the
@@ -423,7 +428,6 @@ class PTRiderService:
             # truncated journal can no longer prove, and restoring one
             # would silently apply the very commands the tear lost.  The
             # never-pruned baseline guarantees a fallback always remains.
-            horizon = readable[-1].seq if readable else 0
             journal.truncate_after(horizon)
             for snapshot_seq, path in journal.snapshot_files() + journal.delta_files():
                 if snapshot_seq > horizon:
@@ -431,7 +435,7 @@ class PTRiderService:
         # The chain comes back positioned at its end on disk, as the walk
         # that restored the snapshot found it (SnapshotChain.load).
         service, seq = cls._resume_at_snapshot(journal, prefer_snapshot)
-        replay_records(service, [r for r in readable if r.seq > seq])
+        replay_records(service, journal.records(seq))
         service._applied_seq = journal.last_seq()
         service._recording = True
         return service

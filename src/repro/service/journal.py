@@ -40,7 +40,11 @@ The reader is deliberately forgiving about the tail: a record whose payload
 no longer decodes (a torn write that slipped past SQLite's own atomicity,
 or deliberate fault injection) truncates the readable log at that point --
 everything before it replays, everything at and after it is reported in
-``truncated_records`` and dropped.  Snapshots live next to the database as
+``truncated_records`` and dropped.  Every read streams the log through one
+cursor and one row loop (``ServiceJournal._rows``), so validating or
+counting the whole history holds no record: :meth:`~ServiceJournal.records`
+builds a list of what it is asked for, recovery asks it for the tail past
+its snapshot only.  Snapshots live next to the database as
 ``snapshot-<seq>.json`` files (see :mod:`repro.service.recovery`).
 """
 
@@ -50,7 +54,7 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import ServiceError
 from repro.service.faults import fire as _fire_fault
@@ -132,7 +136,7 @@ class ServiceJournal:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self._conn: Optional[sqlite3.Connection] = None
-        #: payload-level torn-tail records dropped by the last :meth:`records`
+        #: torn-tail records the last read dropped (see :meth:`records`)
         self.truncated_records = 0
 
     # ------------------------------------------------------------------
@@ -242,28 +246,26 @@ class ServiceJournal:
         database error mid-scan) truncates the result there -- the records
         before it are returned, the unreadable suffix is counted in
         :attr:`truncated_records`.  Rows are ordered by sequence number
-        regardless of physical arrival order.
+        regardless of physical arrival order.  The list holds every record
+        past ``start_seq``; recovery asks only for the tail past its
+        snapshot (:meth:`readable_horizon` validates the rest).
         """
-        self.truncated_records = 0
-        result: List[JournalRecord] = []
-        try:
-            rows = self.connection.execute(
-                "SELECT seq, kind, payload FROM journal WHERE seq > ? ORDER BY seq",
-                (start_seq,),
-            ).fetchall()
-        except sqlite3.DatabaseError:
-            self.truncated_records += 1
-            return result
-        for index, (seq, kind, payload_text) in enumerate(rows):
-            try:
-                payload = json.loads(payload_text)
-            except (TypeError, ValueError):
-                # Torn write: drop this record and everything after it --
-                # a redo log must never apply a suffix beyond a hole.
-                self.truncated_records = len(rows) - index
-                break
-            result.append(JournalRecord(seq=int(seq), kind=str(kind), payload=payload))
-        return result
+        return [
+            JournalRecord(seq=seq, kind=kind, payload=payload)
+            for seq, kind, payload in self._rows(start_seq)
+        ]
+
+    def readable_horizon(self) -> int:
+        """The sequence number of the last readable record (0 when none).
+
+        One streaming pass over the whole log that keeps nothing: every
+        payload is decoded -- that is what makes it readable -- and
+        dropped.  Sets :attr:`truncated_records` as :meth:`records` does.
+        """
+        horizon = 0
+        for seq, _kind, _payload in self._rows(0):
+            horizon = seq
+        return horizon
 
     def command_count(self) -> int:
         """How many *command* records the readable log holds.
@@ -272,7 +274,34 @@ class ServiceJournal:
         completion, so a driver that crashed mid-script resumes at this
         many completed calls.
         """
-        return sum(1 for record in self.records() if record.is_command)
+        return sum(1 for _seq, kind, _payload in self._rows(0) if kind in COMMAND_KINDS)
+
+    def _rows(self, start_seq: int) -> Iterator[Tuple[int, str, object]]:
+        """Decoded ``(seq, kind, payload)`` rows with ``seq > start_seq``, in
+        sequence order, streamed through the cursor one row at a time.
+
+        Stops at the first row whose payload does not decode, or at a
+        database error, and sets :attr:`truncated_records` to the rows it
+        could not read: the torn row and every row after it (1 for a
+        database error).
+        """
+        self.truncated_records = 0
+        try:
+            cursor = self.connection.execute(
+                "SELECT seq, kind, payload FROM journal WHERE seq > ? ORDER BY seq",
+                (start_seq,),
+            )
+            for seq, kind, payload_text in cursor:
+                try:
+                    payload = json.loads(payload_text)
+                except (TypeError, ValueError):
+                    # Torn write: drop this record and everything after it --
+                    # a redo log must never apply a suffix beyond a hole.
+                    self.truncated_records = 1 + sum(1 for _row in cursor)
+                    return
+                yield int(seq), str(kind), payload
+        except sqlite3.DatabaseError:
+            self.truncated_records += 1
 
     def truncate_after(self, seq: int) -> int:
         """Delete every record with ``seq >`` the given position; returns how many.

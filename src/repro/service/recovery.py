@@ -560,11 +560,10 @@ def _write_document(target: Path, header: str, body_key: str, body: Dict[str, ob
     atomically (tmp-then-rename), the checksum taken over ``body``'s JSON;
     returns the bytes written."""
     body_text = json.dumps(body, separators=(",", ":"))
-    checksum = hashlib.sha256(body_text.encode("utf-8")).hexdigest()
+    checksum = _sha256(body_text)
     # Embed the already-encoded body verbatim instead of re-encoding it
-    # inside the document: the loader's checksum verification re-dumps the
-    # *parsed* body, so it already relies on JSON round-trip stability, and
-    # one encode instead of two is a third off the serialisation bill.
+    # inside the document: one encode instead of two is a third off the
+    # serialisation bill, and the loader hashes these very bytes back.
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     document = '{%s,"checksum":"%s","%s":%s}' % (header, checksum, body_key, body_text)
     tmp.write_text(document, encoding="utf-8")
@@ -572,16 +571,32 @@ def _write_document(target: Path, header: str, body_key: str, body: Dict[str, ob
     return len(document)  # json.dumps escapes everything past ASCII: one byte a character
 
 
+def _sha256(text: str) -> str:
+    """The hex SHA-256 of ``text``'s UTF-8 bytes (a document's checksum)."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _load_document(path: Path, body_key: str, **header: int) -> Optional[Dict[str, object]]:
     """The checksum-verified body of a :func:`_write_document` file, or
     ``None`` when the file is unusable: unreadable, truncated, corrupt, of
-    another :data:`STATE_VERSION`, or with a header other than ``header``."""
+    another :data:`STATE_VERSION`, or with a header other than ``header``.
+
+    The checksum is taken over the body text as stored, which is the text
+    :func:`_write_document` hashed.  A document written another way (a
+    re-indented old file) does not store that text; its parsed body is
+    re-encoded compactly and hashed instead."""
     try:
-        document = json.loads(path.read_text(encoding="utf-8"))
+        text = path.read_text(encoding="utf-8")
+        document = json.loads(text)
         body = document[body_key]
-        body_text = json.dumps(body, separators=(",", ":"))
-        checksum = hashlib.sha256(body_text.encode("utf-8")).hexdigest()
-        if checksum != document["checksum"] or int(body.get("version", -1)) != STATE_VERSION:
+        checksum = document["checksum"]
+        marker = '"checksum":"%s","%s":' % (checksum, body_key)
+        start = text.find(marker)
+        stored = text[start + len(marker) : -1] if start >= 0 else ""
+        if _sha256(stored) != checksum:
+            if _sha256(json.dumps(body, separators=(",", ":"))) != checksum:
+                return None
+        if int(body.get("version", -1)) != STATE_VERSION:
             return None
         if any(document[key] != value for key, value in header.items()):
             return None

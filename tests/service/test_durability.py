@@ -8,6 +8,7 @@ import json
 import shutil
 import tempfile
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from repro.core.config import RUNTIME, SystemConfig, knob_names
 from repro.errors import ConfigurationError, ServiceError, UnknownOptionError, VehicleError
 from repro.model.request import Request
+from repro.service import journal as journal_module
+from repro.service import recovery as recovery_module
 from repro.service.api import PTRiderService, build_system
 from repro.service.journal import (
     ANNOTATION_KINDS,
@@ -112,6 +115,19 @@ class TestServiceJournal:
         records = journal.records()
         assert [r.seq for r in records] == [1, 2]
         assert journal.truncated_records == 2  # the bad record and its suffix
+
+    def test_a_torn_middle_row_ends_the_command_count_and_the_horizon(self, tmp_path):
+        journal = ServiceJournal(tmp_path)
+        for kind in ("advance", "outcome", "advance", "advance", "outcome", "advance"):
+            journal.append(kind, {})
+        journal.connection.execute(
+            "UPDATE journal SET payload = ? WHERE seq = 4", ("{torn",)
+        )
+        assert journal.command_count() == 2  # records 1 and 3
+        assert journal.truncated_records == 3  # record 4 and the two after it
+        assert journal.readable_horizon() == 3
+        assert journal.truncated_records == 3
+        assert [r.seq for r in journal.records(1)] == [2, 3]
 
     def test_truncate_after_removes_suffix(self, tmp_path):
         journal = ServiceJournal(tmp_path)
@@ -835,6 +851,21 @@ class TestSnapshotRestoreFlow:
         assert seq == 0  # fell back to the baseline
         assert state["version"] >= 1
 
+    def test_a_snapshot_is_checked_on_its_stored_bytes(self, tmp_path, monkeypatch):
+        service = _durable_system(tmp_path)
+        service.book_request(_request(service, 1))
+        path = service.snapshot()
+        seq = service.journal.last_seq()
+        state = serialize_state(service)
+        # no json.dumps: the stored body text is hashed, not a re-encoding of it
+        monkeypatch.setattr(recovery_module, "json", SimpleNamespace(loads=json.loads))
+        assert recovery_module._load_document(path, "state", seq=seq) == state
+        monkeypatch.undo()
+        text = path.read_text(encoding="utf-8")
+        assert text.count('"D1"') >= 1
+        path.write_text(text.replace('"D1"', '"D9"'), encoding="utf-8")
+        assert recovery_module._load_document(path, "state", seq=seq) is None
+
     def test_no_usable_snapshot_raises(self, tmp_path):
         service = _durable_system(tmp_path)
         for _seq, path in service.journal.snapshot_files():
@@ -847,6 +878,41 @@ class TestSnapshotRestoreFlow:
         service.book_request(_request(service, 1))
         state = serialize_state(service)
         assert json.loads(json.dumps(state)) == state
+
+
+class TestRecoveryDecodesTheTail:
+    """Recovery validates the whole log in a streaming pass that keeps no
+    record, and builds journal records only for the tail past the snapshot
+    it restores."""
+
+    def test_only_the_replayed_tail_is_built_into_records(self, tmp_path, monkeypatch):
+        service = _durable_system(tmp_path, interval=20)
+        index = 0
+        while service.journal.last_seq() < 310:
+            booking = service.book_request(_request(service, index))
+            if booking.options:
+                service.choose(booking.booking_id, 0)
+            service.advance(1.0)
+            index += 1
+        live = canonical_state(service)
+        last_seq = service.journal.last_seq()
+        directory = service.journal.directory
+        kill(service)
+        restored = max(int(name[-17:-5]) for name in _state_files(directory))
+        assert 0 < restored < last_seq  # a snapshot point, then a tail to replay
+
+        built = []
+
+        class CountedRecord(JournalRecord):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self.seq)
+
+        monkeypatch.setattr(journal_module, "JournalRecord", CountedRecord)
+        recovered = PTRiderService.recover(directory)
+        assert len(built) <= last_seq - restored
+        assert min(built) > restored
+        assert canonical_state(recovered) == live
 
 
 # One API call of a durable script: (kind, argument)
