@@ -25,10 +25,10 @@ stack named in :data:`CALLERS`, so a tree a commit's fallback roots through
       commit                         0     0
       cancel                         0     0
       plan_route                     0   438
-      _verify_vehicle              232   511
-      added_distance_lower_bound   173   136
+      _verify_vehicle              337   512
+      added_distance_lower_bound    68    49
       other                          0     0
-      total                        733  1501
+      total                        733  1415
     best_schedule: 6141 calls on a non-empty tree, 5598 (91.2%) saw one branch
 
 The last line says how often ``KineticTree.best_schedule`` had a single branch

@@ -16,7 +16,7 @@ filtering.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Set
+from typing import List, Optional, Set, Tuple
 
 from repro.core.context import MatchContext
 from repro.core.matcher import Matcher
@@ -48,7 +48,8 @@ class TShareStyleMatcher(Matcher):
             if max_pickup is not None and cell_pickup_lb > max_pickup:
                 break
             # The single-side walk's cap-first lists: empty, then serving.
-            candidates: List[Vehicle] = []
+            # Each survivor carries the pick-up floor the cap was tested on.
+            candidates: List[Tuple[Vehicle, Optional[float]]] = []
             if cell.empty_vehicles:
                 candidates = self._cap_survivors(
                     cell.empty_vehicles, vehicles, context, max_pickup_value, seen
@@ -57,12 +58,12 @@ class TShareStyleMatcher(Matcher):
                 candidates += self._cap_survivors(
                     cell.nonempty_vehicles, vehicles, context, max_pickup_value, seen
                 )
-            for vehicle in candidates:
+            for vehicle, floor in candidates:
                 if vehicle.vehicle_id in seen:
                     continue
                 seen.add(vehicle.vehicle_id)
                 self.statistics.vehicles_considered += 1
-                pickup_lb = self._pickup_lower_bound(vehicle, context)
+                pickup_lb = self._pickup_lower_bound(vehicle, context) if floor is None else floor
                 if best is not None and pickup_lb >= best.pickup_distance:
                     self.statistics.vehicles_pruned += 1
                     continue

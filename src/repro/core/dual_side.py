@@ -12,9 +12,12 @@ single-side search, it computes an admissible lower bound on the detour
 needed to reach the *destination* (using the combined grid / ALT lower
 bounds of the :class:`~repro.core.context.MatchContext` against every branch
 of the vehicle's kinetic tree) and prunes the vehicle when the combined
-optimistic option is already dominated.  The bounds remain admissible, so the
-returned skyline is identical to the single-side and naive matchers'
-(property-tested); only the amount of verification work differs.
+optimistic option is already dominated.  Like the single-side price bound,
+both are computed only when a confirmed option picks up no later than the
+vehicle's pick-up bound -- without one, no member can dominate the pair.  The
+bounds remain admissible, so the returned skyline is identical to the
+single-side and naive matchers' (property-tested); only the amount of
+verification work differs.
 """
 
 from __future__ import annotations

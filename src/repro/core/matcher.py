@@ -22,8 +22,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import AbstractSet, Callable, List, Mapping, Optional, Set
+from typing import AbstractSet, Callable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.config import SystemConfig
 from repro.core.context import BOUND_SLACK, MatchContext
@@ -38,8 +37,6 @@ from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
 __all__ = ["MatcherStatistics", "Matcher", "added_distance_lower_bound"]
-
-_vehicle_id = attrgetter("vehicle_id")
 
 
 @dataclass
@@ -204,9 +201,10 @@ class Matcher(abc.ABC):
         context: MatchContext,
         max_pickup: float,
         seen: Set[str],
-    ) -> List[Vehicle]:
+    ) -> List[Tuple[Vehicle, Optional[float]]]:
         """The vehicles of one cell's registration set that the pick-up cap
-        lets through, sorted by id -- the grid walks' per-cell list.
+        lets through, sorted by id -- the grid walks' per-cell list -- each
+        with its pick-up floor.
 
         Skipped without a count: ids already in ``seen`` and ids of vehicles
         no longer in ``vehicles``.  Every other vehicle is tested against the
@@ -214,15 +212,17 @@ class Matcher(abc.ABC):
         expression (the start-tree value less :data:`BOUND_SLACK`, clamped at
         0, plus the offset).  One that fails is counted as considered and as
         pruned beyond the cap, and goes into ``seen``, so it is never sorted
-        or screened further.  A location the start tree does not hold is let
-        through: ``_consider`` tests it on its index bound.  The cap does not
-        depend on anything a search has confirmed, and the ids are unique,
-        so the survivors come out in the order the full sorted list had them.
+        or screened further.  A survivor carries that float on, so the screen
+        after the cap reads the start tree no second time.  A location the
+        start tree does not hold is let through with ``None``: ``_consider``
+        tests it on its index bound.  The cap does not depend on anything a
+        search has confirmed, and the ids are unique, so the survivors come
+        out in the order the full sorted list had them.
         """
         statistics = self.statistics
         start_row, index_of = context.start_row, context.index_of
         limit = max_pickup + 1e-9
-        survivors: List[Vehicle] = []
+        survivors: List[Tuple[Vehicle, Optional[float]]] = []
         for vehicle_id in vehicle_ids:
             if vehicle_id in seen:
                 continue
@@ -231,17 +231,18 @@ class Matcher(abc.ABC):
                 continue
             index = index_of.get(vehicle.location)
             exact = INFINITY if index is None else start_row[index]
+            floor: Optional[float] = None
             if exact != INFINITY:
-                floor = exact - BOUND_SLACK if exact > BOUND_SLACK else 0.0
-                if floor + vehicle.offset > limit:
+                floor = (exact - BOUND_SLACK if exact > BOUND_SLACK else 0.0) + vehicle.offset
+                if floor > limit:
                     seen.add(vehicle_id)
                     statistics.vehicles_considered += 1
                     statistics.vehicles_pruned += 1
                     statistics.vehicles_beyond_cap += 1
                     continue
-            survivors.append(vehicle)
+            survivors.append((vehicle, floor))
         if len(survivors) > 1:
-            survivors.sort(key=_vehicle_id)
+            survivors.sort(key=lambda survivor: survivor[0].vehicle_id)
         return survivors
 
     def _index_pickup_lower_bound(self, vehicle: Vehicle, context: MatchContext) -> float:

@@ -12,10 +12,14 @@ vehicle list are processed separately:
   pick-up distance is counted, marked seen and dropped before the list is
   sorted (:meth:`~repro.core.matcher.Matcher._cap_survivors`);
 * the survivors, in id order, are screened with **lower bounds** on the
-  pick-up distance and on the price (for a non-empty vehicle the exact
-  detour through ``s``; for an empty vehicle the index-based pair
-  ``_consider`` describes); a vehicle whose optimistic bounds are already
-  dominated by a confirmed option is pruned without verification;
+  pick-up distance (the floor the cap was tested on, handed on with the
+  vehicle) and on the price (for a non-empty vehicle the exact detour
+  through ``s``; for an empty vehicle the index-based pair ``_consider``
+  describes); a vehicle whose optimistic bounds are already dominated by a
+  confirmed option is pruned without verification.  The price bound is
+  computed only when a confirmed option picks up no later than the
+  vehicle's pick-up bound (:meth:`~repro.model.options.Skyline.reaches`):
+  without one, no member can dominate the pair, whatever its price;
 * surviving vehicles are verified by inserting the request into their kinetic
   tree over exact distances, exactly as the naive matcher verifies them:
   Section 3.3's bound estimates are spent on the screening above.
@@ -26,7 +30,9 @@ the sort leaves the survivors in the order the full sorted list had them; so
 every ``_consider`` call happens in the same order against the same skyline
 as when each vehicle went through ``_consider`` whole.  Likewise the per-cell
 dominance probes run only once the skyline holds an option: an empty skyline
-dominates nothing.
+dominates nothing.  And a price bound left uncomputed is one whose probe would
+have answered "not dominated" for any price, so the same vehicles are pruned,
+verified and counted as when every survivor was priced.
 
 The request's direct distance and its rooted distance tree live in the
 per-request :class:`~repro.core.context.MatchContext`, so no vehicle
@@ -44,7 +50,7 @@ identical to the naive matcher's (verified by property-based tests).
 from __future__ import annotations
 
 import math
-from typing import List, Set
+from typing import List, Optional, Set
 
 from repro.core.context import MatchContext
 from repro.core.matcher import Matcher
@@ -102,15 +108,15 @@ class SingleSideSearchMatcher(Matcher):
 
             # The cap is tested before a list is sorted or probed.
             if cell.empty_vehicles and not skip_empty_lists:
-                for vehicle in self._cap_survivors(
+                for vehicle, pickup_floor in self._cap_survivors(
                     cell.empty_vehicles, vehicles, context, max_pickup_value, seen
                 ):
-                    self._consider(vehicle, context, max_pickup_value, seen, skyline)
+                    self._consider(vehicle, pickup_floor, context, max_pickup_value, seen, skyline)
             if cell.nonempty_vehicles:
-                for vehicle in self._cap_survivors(
+                for vehicle, pickup_floor in self._cap_survivors(
                     cell.nonempty_vehicles, vehicles, context, max_pickup_value, seen
                 ):
-                    self._consider(vehicle, context, max_pickup_value, seen, skyline)
+                    self._consider(vehicle, pickup_floor, context, max_pickup_value, seen, skyline)
 
         return skyline.options()
 
@@ -118,16 +124,22 @@ class SingleSideSearchMatcher(Matcher):
     def _consider(
         self,
         vehicle: Vehicle,
+        pickup_floor: Optional[float],
         context: MatchContext,
         max_pickup: float,
         seen: Set[str],
         skyline: Skyline,
     ) -> None:
-        """Screen one vehicle with lower bounds; verify it if it survives.
+        """Screen one cap survivor with lower bounds; verify it if it survives.
 
-        The cap is checked against the exact pick-up floor for every vehicle;
-        after :meth:`_cap_survivors` only a location the start tree does not
-        hold (an index bound) can still fail it here.
+        ``vehicle`` and ``pickup_floor`` are one pair :meth:`_cap_survivors`
+        returned, so the vehicle is not in ``seen`` yet.  The floor is the
+        exact pick-up floor the cap was already tested on --
+        :meth:`_pickup_lower_bound`'s own float -- or ``None`` for a location
+        the start tree does not hold, which is bounded here by
+        :meth:`_pickup_lower_bound` (an index bound) and can still fail the
+        cap.
+
         The dominance probe of an *empty* vehicle is still the index-based
         pair ``(lb + offset, price(lb + offset + direct))``: its price prices
         the offset, which the insertion's added distance does not contain, so
@@ -135,21 +147,27 @@ class SingleSideSearchMatcher(Matcher):
         pinned by an xfail in ``tests/core/test_single_side.py``).  Until that
         fix lands the pair is kept whole -- mixing the exact pick-up into it
         would prune vehicles the loose pair let through, and change answers.
+
+        The price bound is computed only when the skyline
+        :meth:`~repro.model.options.Skyline.reaches` the probe's pick-up:
+        otherwise no price could let a member dominate the pair, and the
+        vehicle goes to verification as it would have.
         """
-        if vehicle.vehicle_id in seen:
-            return
         seen.add(vehicle.vehicle_id)
         self.statistics.vehicles_considered += 1
 
-        pickup_lb = self._pickup_lower_bound(vehicle, context)
+        pickup_lb = (
+            self._pickup_lower_bound(vehicle, context) if pickup_floor is None else pickup_floor
+        )
         if pickup_lb > max_pickup + 1e-9:
             self.statistics.vehicles_pruned += 1
             self.statistics.vehicles_beyond_cap += 1
             return
         if vehicle.is_empty:
             pickup_lb = self._index_pickup_lower_bound(vehicle, context)
-        price_lb = self._price_lower_bound(vehicle, context)
-        if skyline.would_be_dominated(pickup_lb, price_lb):
+        if skyline.reaches(pickup_lb) and skyline.would_be_dominated(
+            pickup_lb, self._price_lower_bound(vehicle, context)
+        ):
             self.statistics.vehicles_pruned += 1
             return
         skyline.extend(self._verify_vehicle(vehicle, context))

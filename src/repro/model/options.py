@@ -107,7 +107,9 @@ class Skyline:
 
     The matchers push candidate options as they verify vehicles; the skyline
     keeps only the non-dominated ones and can answer, for pruning, whether a
-    hypothetical ``(time, price)`` lower-bound pair could still contribute.
+    hypothetical ``(time, price)`` lower-bound pair could still contribute
+    (:meth:`would_be_dominated`), and -- before any price is computed --
+    whether a pick-up bound alone already rules that out (:meth:`reaches`).
     """
 
     def __init__(self, options: Optional[Iterable[RideOption]] = None) -> None:
@@ -178,13 +180,29 @@ class Skyline:
             merged.add(option)
         return merged
 
+    def reaches(self, pickup_lower_bound: float) -> bool:
+        """Return ``True`` when some member picks up no later than the bound.
+
+        This is the half of :meth:`would_be_dominated` that does not read the
+        price: a member that dominates a bound pair has ``pickup_distance <=
+        max(pickup_lower_bound, 0)``.  So when this is ``False``,
+        :meth:`would_be_dominated` is ``False`` for *every* price, and a
+        matcher need not compute a price bound to learn that it cannot prune.
+        """
+        pickup = max(pickup_lower_bound, 0.0)
+        for existing in self._options:
+            if existing.pickup_distance <= pickup:
+                return True
+        return False
+
     def would_be_dominated(self, pickup_lower_bound: float, price_lower_bound: float) -> bool:
         """Return ``True`` when *no* option at least as bad as the bounds can survive.
 
         Matchers call this with admissible lower bounds for a candidate
         vehicle: if a skyline member dominates the (optimistic) bound pair it
         also dominates every real option the vehicle could produce, so the
-        vehicle can be pruned without verification.
+        vehicle can be pruned without verification.  It is ``False`` whenever
+        :meth:`reaches` is, whatever the price; the matchers ask that first.
         """
         pickup = max(pickup_lower_bound, 0.0)
         price = max(price_lower_bound, 0.0)

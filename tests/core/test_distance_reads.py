@@ -135,6 +135,6 @@ class TestReadContract:
         survivors = matcher._cap_survivors(  # noqa: SLF001
             {"c0", "c1", "c2"}, fleet.by_id, plain, 0.0, seen
         )
-        assert [vehicle.vehicle_id for vehicle in survivors] == ["c2"]
+        assert [vehicle.vehicle_id for vehicle, _floor in survivors] == ["c2"]
         assert seen == {"c0", "c1"}
         assert matcher.statistics.vehicles_beyond_cap == 2

@@ -58,10 +58,10 @@ class _Recording:
         super().__init__(*args, **kwargs)
         self.screened = []
 
-    def _consider(self, vehicle, context, max_pickup, seen, skyline):
+    def _consider(self, vehicle, pickup_floor, context, max_pickup, seen, skyline):
         statistics = self.statistics
         considered, beyond = statistics.vehicles_considered, statistics.vehicles_beyond_cap
-        super()._consider(vehicle, context, max_pickup, seen, skyline)
+        super()._consider(vehicle, pickup_floor, context, max_pickup, seen, skyline)
         if statistics.vehicles_considered > considered and statistics.vehicles_beyond_cap == beyond:
             self.screened.append(vehicle.vehicle_id)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -103,3 +105,34 @@ def test_would_be_dominated_is_conservative(candidates, probe_time, probe_price)
         skyline.add(worse)
         after = {(o.pickup_distance, o.price) for o in skyline.options()}
         assert before == after
+
+
+#: few distinct coordinates, so members tie and sit on a zero pick-up
+tied = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+probe_pickups = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, math.inf]) | st.floats(allow_nan=False)
+probe_prices = st.sampled_from([-1.0, 0.0, 1.0, math.inf]) | st.floats(allow_nan=False)
+
+
+@st.composite
+def small_skylines(draw):
+    members = [
+        RideOption(
+            vehicle_id=f"v{index}",
+            pickup_distance=draw(tied | distances),
+            price=draw(tied | prices),
+        )
+        for index in range(draw(st.integers(min_value=0, max_value=6)))
+    ]
+    return Skyline(members)
+
+
+@given(small_skylines(), probe_pickups, probe_prices)
+@settings(max_examples=300)
+def test_a_skyline_that_does_not_reach_a_pickup_dominates_no_price(skyline, pickup, price):
+    """``reaches`` is the pick-up half of ``would_be_dominated``: when it is
+    ``False`` no price is dominated, and when it is ``True`` some price is
+    (every member's price is finite, so ``inf`` is)."""
+    if not skyline.reaches(pickup):
+        for probe_price in (price, -math.inf, -1.0, 0.0, 1.0, math.inf):
+            assert not skyline.would_be_dominated(pickup, probe_price)
+    assert skyline.reaches(pickup) == skyline.would_be_dominated(pickup, math.inf)

@@ -21,12 +21,19 @@ matcher.
 walk as it was before the pick-up cap moved in front of the per-cell lists.
 Each cell's two lists are built whole (:func:`empty_vehicles_in_cell` and
 :func:`nonempty_vehicles_in_cell`, the fleet's list builders of that time:
-sorted by id, filtered to the vehicles the fleet holds), every vehicle
-on them goes to ``_consider`` -- seen, beyond the cap or not -- and both dominance probes
-run in every cell, skyline empty or not.  Mixed into today's single-side and
-dual-side matchers (:class:`ListWalkSingleSideMatcher`,
+sorted by id, filtered to the vehicles the fleet holds), every vehicle on
+them not yet seen goes to ``_consider`` -- beyond the cap or not -- and both
+dominance probes run in every cell, skyline empty or not.  Mixed into today's
+single-side and dual-side matchers (:class:`ListWalkSingleSideMatcher`,
 :class:`ListWalkDualSideMatcher`) it shares their screening, so it pins the
 walk alone (``tests/property/test_cap_first_walk.py``).
+
+:class:`EagerPricing` is the screening of a survivor as it was before the
+cap walk handed its pick-up floor on and before the price bound waited for a
+skyline that could use it: every vehicle reads ``_pickup_lower_bound`` and is
+priced, reached or not.  Mixed into today's matchers
+(:class:`EagerSingleSideMatcher`, :class:`EagerDualSideMatcher`) it pins the
+lazy screening alone (``tests/property/test_lazy_pricing.py``).
 """
 
 from __future__ import annotations
@@ -235,9 +242,11 @@ class SortedListWalk:
                 skip_empty_lists = True
             if not skip_empty_lists:
                 for vehicle in empty_vehicles_in_cell(fleet, cell.cell_id):
-                    self._consider(vehicle, context, max_pickup_value, seen, skyline)
+                    if vehicle.vehicle_id not in seen:
+                        self._consider(vehicle, None, context, max_pickup_value, seen, skyline)
             for vehicle in nonempty_vehicles_in_cell(fleet, cell.cell_id):
-                self._consider(vehicle, context, max_pickup_value, seen, skyline)
+                if vehicle.vehicle_id not in seen:
+                    self._consider(vehicle, None, context, max_pickup_value, seen, skyline)
         return skyline.options()
 
 
@@ -251,3 +260,43 @@ class ListWalkDualSideMatcher(SortedListWalk, DualSideSearchMatcher):
     """Today's dual-side screening over the sorted-list walk."""
 
     name = "list_walk_dual_side"
+
+
+class EagerPricing:
+    """``SingleSideSearchMatcher._consider`` pricing every survivor of the cap."""
+
+    def _consider(
+        self,
+        vehicle: Vehicle,
+        pickup_floor: Optional[float],
+        context: MatchContext,
+        max_pickup: float,
+        seen: Set[str],
+        skyline: Skyline,
+    ) -> None:
+        seen.add(vehicle.vehicle_id)
+        self.statistics.vehicles_considered += 1
+        pickup_lb = self._pickup_lower_bound(vehicle, context)
+        if pickup_lb > max_pickup + 1e-9:
+            self.statistics.vehicles_pruned += 1
+            self.statistics.vehicles_beyond_cap += 1
+            return
+        if vehicle.is_empty:
+            pickup_lb = self._index_pickup_lower_bound(vehicle, context)
+        price_lb = self._price_lower_bound(vehicle, context)
+        if skyline.would_be_dominated(pickup_lb, price_lb):
+            self.statistics.vehicles_pruned += 1
+            return
+        skyline.extend(self._verify_vehicle(vehicle, context))
+
+
+class EagerSingleSideMatcher(EagerPricing, SingleSideSearchMatcher):
+    """Today's single-side walk, every survivor priced."""
+
+    name = "eager_single_side"
+
+
+class EagerDualSideMatcher(EagerPricing, DualSideSearchMatcher):
+    """Today's dual-side walk, every survivor priced."""
+
+    name = "eager_dual_side"

@@ -97,7 +97,7 @@ STATISTICS = {
     "matcher_vehicles_pruned": 9.0,
     "pickups": 8.0,
     "requests": 9.0,
-    "routing_cache_hits": 88.0,
+    "routing_cache_hits": 85.0,
     "routing_dijkstra_runs": 25.0,
     "routing_grid_cells": 64.0,
     "routing_grid_lower_bound_rows": 8.0,
@@ -121,7 +121,7 @@ STATISTICS = {
     "routing_ingest_window_closed": 1.0,
     "routing_ingest_window_grown": 0.0,
     "routing_ingest_window_shrunk": 0.0,
-    "routing_queries": 108.0,
+    "routing_queries": 104.0,
     "routing_snapshot_delta_count": 2.0,
     "routing_snapshot_full_count": 0.0,
     "routing_walks": 0.0,
@@ -148,7 +148,7 @@ STATISTICS_WALL = (
 
 ROUTING_STATISTICS = {
     "backend": "csr",
-    "cache_hits": 88.0,
+    "cache_hits": 85.0,
     "dijkstra_runs": 25.0,
     "grid_cells": 64.0,
     "grid_lower_bound_rows": 8.0,
@@ -173,7 +173,7 @@ ROUTING_STATISTICS = {
     "ingest_window_grown": 0.0,
     "ingest_window_mode": "fixed",
     "ingest_window_shrunk": 0.0,
-    "queries": 108.0,
+    "queries": 104.0,
     "snapshot_delta_count": 2.0,
     "snapshot_full_count": 0.0,
     "walks": 0.0,
