@@ -10,9 +10,11 @@ that work for a whole tick's worth of requests:
   share one distance tree, computed exactly once and pinned by reference for
   the lifetime of the batch (engine cache eviction can never force a
   recomputation mid-batch, no matter how many requests the tick carries);
-* all missing trees are **prefetched in one vectorised engine call** before
-  matching begins (:meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`;
-  one ``scipy.csgraph.dijkstra(indices=[...])`` plane);
+* a start the previous batch also started from takes that batch's row
+  (``carried``), and all other missing trees are **prefetched in one
+  vectorised engine call** before matching begins
+  (:meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`; one
+  ``scipy.csgraph.dijkstra(indices=[...])`` plane);
 * each request receives a regular
   :class:`~repro.core.context.MatchContext` built from the pooled tree, so
   the matchers are oblivious to whether a context was built per-request or
@@ -72,7 +74,9 @@ class BatchStatistics:
     ``leg_walks`` or neither, the last only when the engine raises for it
     (an unknown or unreachable endpoint); on a connected network
     ``leg_tree_hits + leg_walks`` is the number of memo misses.
-    ``prefetch_seconds`` covers the start trees only.
+    ``prefetch_seconds`` covers the start trees only.  ``carried_trees``
+    counts inside ``prefetched_trees``: a carried row is a pooled start tree
+    the engine was not asked for.
     """
 
     #: number of requests in the batch
@@ -81,8 +85,11 @@ class BatchStatistics:
     trees_computed: int = 0
     #: requests whose tree was already pooled by an earlier request
     shared_tree_hits: int = 0
-    #: distinct start trees obtained through the one-shot vectorised prefetch
+    #: distinct start trees pooled before the first turn: carried over from
+    #: the previous batch or obtained through the one-shot vectorised prefetch
     prefetched_trees: int = 0
+    #: the share of ``prefetched_trees`` carried over from the previous batch
+    carried_trees: int = 0
     #: wall time of the single ``prefetch_trees`` engine call
     prefetch_seconds: float = 0.0
     #: leg roots (not request starts) pooled on demand
@@ -205,8 +212,12 @@ class BatchContext:
     pool, so the pinned O(V) rows -- one per distinct start plus one per
     demanded leg root -- grow with the roots the batch asks and are freed
     together when its last context goes, not request by request as the batch
-    drains.  With ``prefetch=False`` a context pins only its own start tree
-    and :meth:`release` frees it.
+    drains.  The start rows alone (:attr:`start_trees`) outlive the batch
+    when the caller carries them into the next one: the dispatcher holds the
+    last batch's until its next batch replaces them, so between batches it
+    pins at most the previous batch's distinct starts, never a leg root.
+    With ``prefetch=False`` a context pins only its own start tree,
+    :meth:`release` frees it, and nothing is carried.
     """
 
     def __init__(
@@ -215,11 +226,16 @@ class BatchContext:
         errors: Dict[int, Exception],
         statistics: BatchStatistics,
         seconds: Optional[Dict[int, float]] = None,
+        start_trees: Optional[Dict[VertexId, Mapping[VertexId, float]]] = None,
     ) -> None:
         self._contexts = contexts
         self._errors = errors
         self._seconds = seconds or {}
         self.statistics = statistics
+        #: the pooled start tree of every distinct known start, by start
+        #: vertex (empty with ``prefetch=False``): what the next batch may
+        #: take as ``carried``
+        self.start_trees = start_trees or {}
 
     @classmethod
     def create(
@@ -228,14 +244,20 @@ class BatchContext:
         engine: RoutingEngine,
         grid: GridIndex,
         prefetch: bool = True,
+        carried: Optional[Mapping[VertexId, Mapping[VertexId, float]]] = None,
     ) -> "BatchContext":
         """Pool trees and direct distances for ``requests`` (in order).
 
-        Start vertices are deduplicated and every missing tree is prefetched
-        through **one** vectorised
+        Start vertices are deduplicated.  A start found in ``carried`` (the
+        previous batch's :attr:`start_trees`) takes that row when it was
+        built on the engine's current graph -- a view of an invalidated or
+        replaced engine is never reused -- and every other start's tree is
+        prefetched through **one** vectorised
         :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees` call
         before any request is examined (``prefetch=False`` computes trees
-        per distinct start instead, for ablations).
+        per distinct start instead, for ablations, and ignores ``carried``).
+        A carried row is the engine's own row for that root, so the pooled
+        floats are the ones the engine would hand out.
         Requests sharing a start reuse the pooled reference.  Endpoint
         failures are recorded per request, not raised -- ``prefetch_trees``
         skips unknown start vertices, so the per-request path still observes
@@ -254,20 +276,34 @@ class BatchContext:
         seconds: Dict[int, float] = {}
         statistics = BatchStatistics(requests=len(requests))
 
-        prefetch_share = 0.0
-        unbilled_prefetches: set = set()
+        # first consumer of each pooled start -> the wall billed to it
+        unbilled: Dict[VertexId, float] = {}
+        start_trees: Dict[VertexId, Mapping[VertexId, float]] = {}
         if prefetch and requests:
             distinct_starts = list(dict.fromkeys(request.start for request in requests))
+            index_of = engine.graph.index_of
+            missing = []
+            for start in distinct_starts:
+                view = carried.get(start) if carried else None
+                if view is not None and view.index_of is index_of:
+                    start_trees[start] = view
+                else:
+                    missing.append(start)
+            statistics.carried_trees = len(start_trees)
+            unbilled = dict.fromkeys(start_trees, 0.0)
             started = time.perf_counter()
-            trees.update(engine.prefetch_trees(distinct_starts))
+            fetched = engine.prefetch_trees(missing)
             statistics.prefetch_seconds = time.perf_counter() - started
-            statistics.prefetched_trees = len(trees)
-            if trees:
-                # Bill each tree's share of the one-shot call to its first
-                # consumer below, the request that would have paid for the
-                # tree inline on the per-source path.
-                prefetch_share = statistics.prefetch_seconds / len(trees)
-                unbilled_prefetches = set(trees)
+            if fetched:
+                # Bill each fetched tree's share of the one-shot call to its
+                # first consumer below, the request that would have paid for
+                # the tree inline on the per-source path.
+                unbilled.update(
+                    dict.fromkeys(fetched, statistics.prefetch_seconds / len(fetched))
+                )
+            start_trees.update(fetched)
+            statistics.prefetched_trees = len(start_trees)
+            trees.update(start_trees)
         # The batch's contexts share one leg memo and, with ``prefetch``
         # on, one demand pool: ``trees`` itself, so start trees computed
         # inline below land in it too.
@@ -285,11 +321,11 @@ class BatchContext:
             extra = 0.0
             started = time.perf_counter()
             if start in trees:
-                if start in unbilled_prefetches:
-                    unbilled_prefetches.discard(start)
-                    extra = prefetch_share
-                else:
+                share = unbilled.pop(start, None)
+                if share is None:
                     statistics.shared_tree_hits += 1
+                else:
+                    extra = share
             elif start not in tree_errors:
                 try:
                     trees[start] = engine.distances_from(start)
@@ -310,7 +346,7 @@ class BatchContext:
                 errors[index] = DisconnectedError(start, request.destination)
                 continue
             contexts[index] = build_context(request=request, direct=direct, start_tree=tree)
-        return cls(contexts, errors, statistics, seconds)
+        return cls(contexts, errors, statistics, seconds, start_trees)
 
     def context_for(self, index: int) -> MatchContext:
         """Return the pooled context of request ``index``.

@@ -19,7 +19,8 @@ the routing work pooled up front:
 1. **normalise** every request of the batch;
 2. **build a** :class:`~repro.core.batch.BatchContext` pooling the
    start-rooted distance trees and direct distances (requests sharing a start
-   vertex share one tree);
+   vertex share one tree, and a start the previous batch also started from
+   takes the row that batch pooled);
 3. **one turn per request**, in submission order: the matcher answers the
    request from its pooled context against the fleet as the previous turns
    left it;
@@ -36,7 +37,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.batch import BatchContext, BatchStatistics
 from repro.core.config import SystemConfig
@@ -46,6 +47,7 @@ from repro.core.matcher import Matcher
 from repro.errors import MatchingError, UnknownOptionError
 from repro.model.options import RideOption
 from repro.model.request import Request
+from repro.roadnet.graph import VertexId
 from repro.vehicles.fleet import Fleet
 
 __all__ = ["OptionPolicy", "DispatchOutcome", "Dispatcher"]
@@ -130,6 +132,10 @@ class Dispatcher:
         self._active_requests: Dict[str, str] = {}
         #: shared-tree statistics of the most recent batch call (CLI / benchmarks)
         self.last_batch_statistics: Optional[BatchStatistics] = None
+        #: the most recent batch's start trees, carried into the next batch
+        #: (``BatchContext.create``'s ``carried``) so a start that recurs
+        #: from one window to the next is not rooted again
+        self.last_start_trees: Dict[VertexId, Mapping[VertexId, float]] = {}
         #: optional observer invoked with every committed outcome (single
         #: and batch paths alike) -- the durability journal's annotation
         #: hook; unlike ``on_outcome`` it is attached once, not per call
@@ -295,7 +301,8 @@ class Dispatcher:
         predecessors' commits produced; the batch's distinct start trees are
         prefetched in one vectorised engine call and routing contexts are
         pooled batch-wide (shared start trees, a batch-wide schedule-leg memo
-        and leg trees pooled on demand).
+        and leg trees pooled on demand); a start the previous batch also
+        started from takes that batch's pooled row (:attr:`last_start_trees`).
 
         Args:
             requests: the simultaneous requests, in submission order.
@@ -314,9 +321,14 @@ class Dispatcher:
         if not request_list:
             return []
         batch = BatchContext.create(
-            request_list, self._fleet.routing_engine, self._fleet.grid, prefetch=prefetch
+            request_list,
+            self._fleet.routing_engine,
+            self._fleet.grid,
+            prefetch=prefetch,
+            carried=self.last_start_trees,
         )
         self.last_batch_statistics = batch.statistics
+        self.last_start_trees = batch.start_trees
         outcomes: List[DispatchOutcome] = []
         for index, request in enumerate(request_list):
             # One turn: match against the fleet as the previous commits left
@@ -343,6 +355,11 @@ class Dispatcher:
             if on_outcome is not None:
                 on_outcome(outcome)
         return outcomes
+
+    def release_start_trees(self) -> None:
+        """Drop the start trees carried from the last batch (a shutdown);
+        the next batch roots or fetches every start it needs."""
+        self.last_start_trees = {}
 
     # ------------------------------------------------------------------
     # lifecycle notifications from the simulation engine

@@ -100,11 +100,6 @@ class Matcher(abc.ABC):
         """The global system parameters in effect."""
         return self._config
 
-    @property
-    def price_model(self) -> PriceModel:
-        """The price calculator used to price options."""
-        return self._price_model
-
     def make_context(self, request: Request) -> MatchContext:
         """Build the per-request context (direct distance plus start tree)."""
         return MatchContext.create(request, self._engine, self._grid)

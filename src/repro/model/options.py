@@ -17,7 +17,7 @@ i.e. at least as good in both dimensions and strictly better in one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from repro.model.stops import Stop
 
@@ -112,20 +112,11 @@ class Skyline:
     whether a pick-up bound alone already rules that out (:meth:`reaches`).
     """
 
-    def __init__(self, options: Optional[Iterable[RideOption]] = None) -> None:
+    def __init__(self) -> None:
         self._options: List[RideOption] = []
-        if options:
-            for option in options:
-                self.add(option)
 
     def __len__(self) -> int:
         return len(self._options)
-
-    def __iter__(self) -> Iterator[RideOption]:
-        return iter(self.options())
-
-    def __contains__(self, option: RideOption) -> bool:
-        return option in self._options
 
     def options(self) -> List[RideOption]:
         """Return the current skyline sorted by ascending pick-up distance."""

@@ -629,7 +629,8 @@ class PTRiderService:
 
         Drains the pending ingest window first (an admitted request is
         never silently dropped by a shutdown; the drained count is reported
-        in ``IngestStatistics.close_drained``), then closes the journal.
+        in ``IngestStatistics.close_drained``), then drops the start trees
+        the dispatcher carries between windows and closes the journal.
         Idempotent (a drained queue has nothing left to drain); the service
         remains usable afterwards -- the journal connection reopens lazily.
 
@@ -649,6 +650,7 @@ class PTRiderService:
                 self._close_drain(moment)
                 self._finish_command()
         finally:
+            self._dispatcher.release_start_trees()
             if self._journal is not None:
                 self._journal.close()
 

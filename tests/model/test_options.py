@@ -11,6 +11,13 @@ def option(vehicle: str, time: float, price: float) -> RideOption:
     return RideOption(vehicle_id=vehicle, pickup_distance=time, price=price)
 
 
+def _skyline(*options: RideOption) -> Skyline:
+    skyline = Skyline()
+    for member in options:
+        skyline.add(member)
+    return skyline
+
+
 class TestRideOption:
     def test_negative_values_rejected(self):
         with pytest.raises(ValueError):
@@ -88,17 +95,17 @@ class TestSkylineOf:
 
 class TestSkyline:
     def test_add_rejects_dominated(self):
-        skyline = Skyline([option("a", 1, 1)])
+        skyline = _skyline(option("a", 1, 1))
         assert not skyline.add(option("b", 2, 2))
         assert len(skyline) == 1
 
     def test_add_evicts_dominated(self):
-        skyline = Skyline([option("a", 2, 2)])
+        skyline = _skyline(option("a", 2, 2))
         assert skyline.add(option("b", 1, 1))
         assert [o.vehicle_id for o in skyline.options()] == ["b"]
 
     def test_add_rejects_duplicates(self):
-        skyline = Skyline([option("a", 1, 1)])
+        skyline = _skyline(option("a", 1, 1))
         assert not skyline.add(option("b", 1, 1))
 
     def test_extend_counts_insertions(self):
@@ -107,7 +114,7 @@ class TestSkyline:
         assert inserted == 2
 
     def test_would_be_dominated(self):
-        skyline = Skyline([option("a", 2, 2)])
+        skyline = _skyline(option("a", 2, 2))
         assert skyline.would_be_dominated(3, 3)
         assert not skyline.would_be_dominated(1, 3)
         assert not skyline.would_be_dominated(3, 1)
@@ -118,18 +125,12 @@ class TestSkyline:
     def test_would_be_dominated_needs_one_strict_coordinate(self):
         """A probe tying a member on both coordinates survives (the tie goes to
         the smaller vehicle id in ``add``); a tie on one needs the other strict."""
-        skyline = Skyline([option("a", 2, 2)])
+        skyline = _skyline(option("a", 2, 2))
         assert not skyline.would_be_dominated(2, 2)
         assert skyline.would_be_dominated(2, 2.5)
         assert skyline.would_be_dominated(2.5, 2)
         # negative bounds are clamped to the origin before comparing
-        assert not Skyline([option("a", 0, 0)]).would_be_dominated(-1, -1)
-
-    def test_contains_and_iter(self):
-        first = option("a", 1, 5)
-        skyline = Skyline([first])
-        assert first in skyline
-        assert list(skyline) == [first]
+        assert not _skyline(option("a", 0, 0)).would_be_dominated(-1, -1)
 
     def test_incremental_equals_batch(self):
         import random

@@ -330,6 +330,8 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
     burst, policy = scenario["burst"], scenario["policy"]
 
     loop_outcomes = dispatch_sequential(sequential, burst, policy)
+    # the start trees the driven windows carry into the burst
+    carried = set(batched.last_start_trees)
     with _PoolSpy(batched.fleet.routing_engine) as spy:
         pipeline_outcomes = batched.dispatch_batch(burst, policy=policy)
 
@@ -339,10 +341,11 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
         assert loop.chosen == pipe.chosen
     assert _fleet_state(sequential.fleet) == _fleet_state(batched.fleet)
 
-    # One bulk call for the distinct starts, then one call per demanded root:
-    # no root is ever asked twice, and none that no leg query was rooted at.
+    # One bulk call for the distinct starts the last window did not carry,
+    # then one call per demanded root: no root is ever asked twice, and none
+    # that no leg query was rooted at.
     starts = list(dict.fromkeys(batched.normalise(request).start for request in burst))
-    assert spy.prefetch_calls[0] == tuple(starts)
+    assert spy.prefetch_calls[0] == tuple(start for start in starts if start not in carried)
     demanded = [root for call in spy.prefetch_calls[1:] for root in call]
     assert all(len(call) == 1 for call in spy.prefetch_calls[1:])
     assert len(set(demanded)) == len(demanded)
@@ -352,6 +355,8 @@ def test_leg_prefetch_equals_sequential_on_busy_fleets(scenario):
     # every memo miss is answered from a pooled tree or by a certified walk
     # over the leaf's tree, never by the engine's own query
     stats = batched.last_batch_statistics
+    assert stats.carried_trees == len(carried.intersection(starts))
+    assert stats.prefetched_trees == len(starts)
     assert stats.leg_sources_prefetched == len(demanded)
     assert stats.leg_tree_hits + stats.leg_walks == spy.expected_hits
     # an unpooled root is walked first; only a walk that did not answer

@@ -238,5 +238,5 @@ def test_exact_start_bounds_are_admissible(backend, scenario):
                 bound=context.distance, distance=context.distance,
             )
             assert bound == pytest.approx(
-                single.price_model.price(probe.riders, detour, context.direct), abs=1e-8
+                config.price_model.price(probe.riders, detour, context.direct), abs=1e-8
             )

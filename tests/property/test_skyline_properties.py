@@ -123,7 +123,9 @@ def small_skylines(draw):
         )
         for index in range(draw(st.integers(min_value=0, max_value=6)))
     ]
-    return Skyline(members)
+    skyline = Skyline()
+    skyline.extend(members)
+    return skyline
 
 
 @given(small_skylines(), probe_pickups, probe_prices)

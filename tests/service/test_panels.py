@@ -69,6 +69,7 @@ def _check(panel, pinned, walls):
 STATISTICS = {
     "average_detour_ratio": 0.0,
     "average_options": 1.2222222222222223,
+    "batch_carried_trees": 0.0,
     "batch_leg_sources_prefetched": 11.0,
     "batch_leg_tree_hits": 34.0,
     "batch_leg_walks": 0.0,
