@@ -13,8 +13,7 @@ def option(vehicle: str, time: float, price: float) -> RideOption:
 
 def _skyline(*options: RideOption) -> Skyline:
     skyline = Skyline()
-    for member in options:
-        skyline.add(member)
+    skyline.extend(options)
     return skyline
 
 

@@ -157,7 +157,7 @@ def test_consecutive_windows_equal_the_loop_and_root_no_recurring_start(backend,
         previous = starts
 
 
-def _city(backend="csr"):
+def _city(backend):
     network = grid_network(6, 6, weight_jitter=0.3, seed=8)
     vertices = network.vertices()
     config = SystemConfig(max_waiting=6.0, service_constraint=0.6)
@@ -219,7 +219,7 @@ def test_rows_of_another_engine_are_not_carried(backend):
     assert all(view.index_of is other.graph.index_of for view in batch.start_trees.values())
 
 
-def _service_window(system, tag):
+def _service_window(system):
     vertices = system.fleet.grid.network.vertices()
     for start, destination in [(5, 130), (20, 100), (5, 180)]:
         system.ingest(vertices[start], vertices[destination])
@@ -231,11 +231,11 @@ def test_a_backend_switch_carries_nothing():
     """``set_parameters(routing_backend=...)`` rebuilds the engine and the
     dispatcher: the next window carries no row of the old engine."""
     system = build_system(vehicles=10, seed=11)
-    _service_window(system, "a")
-    _service_window(system, "b")
+    _service_window(system)
+    _service_window(system)
     assert system.dispatcher.last_batch_statistics.carried_trees == 2
     system.set_parameters(routing_backend="csr+alt")
-    _service_window(system, "c")
+    _service_window(system)
     engine = system.fleet.routing_engine
     assert engine.backend == "csr+alt"
     assert system.dispatcher.last_batch_statistics.carried_trees == 0
@@ -248,11 +248,11 @@ def test_a_backend_switch_carries_nothing():
 
 def test_close_releases_the_carry():
     system = build_system(vehicles=10, seed=11)
-    _service_window(system, "a")
+    _service_window(system)
     assert len(system.dispatcher.last_start_trees) == 2
     system.close()
     assert system.dispatcher.last_start_trees == {}
     # the service stays usable: the next window roots its starts again
-    _service_window(system, "b")
+    _service_window(system)
     assert system.dispatcher.last_batch_statistics.carried_trees == 0
     assert len(system.dispatcher.last_start_trees) == 2
