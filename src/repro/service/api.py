@@ -62,6 +62,7 @@ from repro.service.recovery import (
     encode,
     replay_records,
     restore_state,
+    scalar_text,
     write_snapshot,
 )
 from repro.sim.engine import SimulationEngine
@@ -275,14 +276,20 @@ class PTRiderService:
         """The durability journal (``None`` when ``durability="off"``)."""
         return self._journal
 
-    def _journal_command(self, kind: str, payload: Dict[str, object]) -> None:
+    @property
+    def _journaling(self) -> bool:
+        """Whether mutating calls append journal records now."""
+        return self._journal is not None and self._recording
+
+    def _journal_command(self, kind: str, payload: "Dict[str, object] | str") -> None:
         """Write-ahead: append a command record *before* executing it.
 
         A crash after the append but before (or during) execution is
         absorbed by recovery, which re-executes the command to completion;
         a crash before the append means the call simply never happened.
+        ``payload`` may be the record's JSON text (:meth:`ServiceJournal.append`).
         """
-        if self._journal is not None and self._recording:
+        if self._journaling:
             self._annotation.outcomes.clear()
             self._applied_seq = self._journal.append(kind, payload)
 
@@ -299,8 +306,9 @@ class PTRiderService:
             self._applied_seq = seq
         self._chain.finish(self)
 
-    def _window_payload(self, payload: Dict[str, object]) -> Dict[str, object]:
-        """Stamp the effective ingest window onto a serving-path payload.
+    def _serving_row(self, members: str) -> str:
+        """The JSON text of a serving-path record holding ``members`` (the
+        text of its members), stamped with the effective ingest window.
 
         Under ``batch_window_mode="adaptive"`` the window in force when a
         command executed was picked by wall-clock flush walls -- replay
@@ -310,8 +318,8 @@ class PTRiderService:
         (and therefore flush outcomes) byte-identical.
         """
         if self._config.batch_window_mode == "adaptive":
-            payload["window"] = self._batcher.current_window
-        return payload
+            members += ',"window":%s' % scalar_text(self._batcher.current_window)
+        return "{%s}" % members
 
     def snapshot(self) -> Path:
         """Write a snapshot of the current state at the journal's position.
@@ -460,7 +468,8 @@ class PTRiderService:
         ids included -- can be driven through both the per-request loop and
         the micro-batched ingest path and their outcomes compared verbatim.
         """
-        self._journal_command("book", {"request": encode(request)})
+        if self._journaling:
+            self._journal_command("book", '{"request":%s}' % self._chain.admit(request))
         started = time.perf_counter()
         context = self._matcher.make_context(request)
         options = self._dispatcher.submit(request, context)
@@ -502,12 +511,10 @@ class PTRiderService:
         admitted, ``False`` when shed by backpressure.
         """
         moment = self._engine.time if now is None else now
-        self._journal_command(
-            "admit",
-            self._window_payload(
-                {"request": encode(request), "now": moment}
-            ),
-        )
+        if self._journaling:
+            self._journal_command("admit", self._serving_row(
+                '"request":%s,"now":%s' % (self._chain.admit(request), scalar_text(moment))
+            ))
         admitted = self._batcher.submit(request, now=moment)
         self._finish_command()
         return admitted
@@ -535,7 +542,7 @@ class PTRiderService:
         """Journal ``kind``, call the batcher's ``flush``; the bookings
         answered since the previous hand-back."""
         moment = self._engine.time if now is None else now
-        self._journal_command(kind, self._window_payload({"now": moment}))
+        self._journal_command(kind, self._serving_row('"now":%s' % scalar_text(moment)))
         flush(now=moment)
         answered, self._ingest_answered = self._ingest_answered, []
         self._finish_command()
@@ -645,7 +652,7 @@ class PTRiderService:
             if self._batcher.pending:
                 moment = self._engine.time
                 self._journal_command(
-                    "drain", self._window_payload({"now": moment, "close": True})
+                    "drain", self._serving_row('"now":%s,"close":true' % scalar_text(moment))
                 )
                 self._close_drain(moment)
                 self._finish_command()

@@ -20,6 +20,12 @@ Two record classes live in the log:
   They are never re-executed; recovery uses them to cross-check that the
   re-derived outcomes match what the pre-crash service actually answered.
 
+Each record's payload is stored as compact JSON text: a dict is formatted
+here, and a ``str`` is stored as given -- the service writes its
+serving-path records (``admit``, ``book``, ``pump``, ``drain``) as text,
+requests through the durable codec's compiled writers -- so
+:meth:`ServiceJournal.append` stays the one write entry point.
+
 Records are group-committed: the admissions of one ingest window share a
 transaction, which the next non-``admit`` record commits (see
 :meth:`ServiceJournal.append`).  A crash loses the open window's
@@ -187,8 +193,12 @@ class ServiceJournal:
     # ------------------------------------------------------------------
     # appending
     # ------------------------------------------------------------------
-    def append(self, kind: str, payload: Dict[str, object]) -> int:
+    def append(self, kind: str, payload: "Dict[str, object] | str") -> int:
         """Append one record; returns its sequence number.
+
+        ``payload`` is the record's data, or its compact JSON text already
+        written (a ``str``, stored as it is: the service writes its
+        serving-path records that way).
 
         Group commit: an ``admit`` record joins the open transaction,
         opening one if none is open, and any other record is committed
@@ -209,9 +219,10 @@ class ServiceJournal:
         connection = self.connection
         if kind == "admit" and not connection.in_transaction:
             connection.execute("BEGIN")
+        if not isinstance(payload, str):
+            payload = json.dumps(payload, separators=(",", ":"))
         cursor = connection.execute(
-            "INSERT INTO journal (kind, payload) VALUES (?, ?)",
-            (kind, json.dumps(payload, separators=(",", ":"))),
+            "INSERT INTO journal (kind, payload) VALUES (?, ?)", (kind, payload)
         )
         if kind != "admit" and connection.in_transaction:
             connection.execute("COMMIT")

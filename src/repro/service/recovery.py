@@ -32,7 +32,12 @@ different history.
 
 Everything durable is stored through one codec derived from the dataclasses
 that hold it (:func:`encode` / :func:`decode`, rules on :class:`_Plan`), so
-no field is listed by hand.
+no field is listed by hand.  Records and state files are written as JSON
+text straight from the objects (:func:`text`, the plans' compiled writers,
+equal byte for byte to ``json.dumps`` of the encoding), and each journaled
+request is formatted once per snapshot interval: :class:`SnapshotChain`
+keeps the text its admission record was written with, and the next point's
+pending window and bookings splice it.
 
 Wall-clock measurements (matcher response seconds, flush wall time,
 admission latencies) are *not* part of the logical state -- two runs of the
@@ -53,6 +58,7 @@ import os
 import time
 import types
 import typing
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 from typing import Callable, Collection, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -70,6 +76,8 @@ __all__ = [
     "RecoveryError",
     "encode",
     "decode",
+    "text",
+    "scalar_text",
     "durable_fields",
     "serialize_state",
     "restore_state",
@@ -145,16 +153,24 @@ class _Plan:
     ``"wall_clock"`` a measurement :func:`canonical_state` drops.  A missing
     field decodes to its default only when that is a constant or an empty
     container (``Request.request_id``'s factory would mint an identity).
+
+    Beside ``encode`` and ``decode`` the plan compiles ``text``, the JSON
+    text of ``encode``'s output written straight from the instance (rules on
+    :func:`_text_source`): one ``%``-format of the class's keys over its
+    field texts, equal byte for byte to ``json.dumps(encode(o),
+    separators=(",", ":"))``.  :meth:`spliced` compiles the same writer
+    taking one field's text as an argument.
     """
 
     def __init__(self, cls: type) -> None:
         self.cls = cls
         self.positional = bool(getattr(cls, "_durable_positional", False))
         hints = typing.get_type_hints(cls)
-        namespace: Dict[str, object] = {"_cls": cls}
+        namespace: Dict[str, object] = {"_cls": cls, **_TEXT_HELPERS}
         fields: List[DurableField] = []
         encoded: List[str] = []
         decoded: List[str] = []
+        texts: List[str] = []
         for spec in dataclasses.fields(cls):
             meta = spec.metadata
             if not spec.init or meta.get("durable", True) is False:
@@ -168,6 +184,7 @@ class _Plan:
                 decode_value = eval(f"lambda v: {_source(tp, 'v', namespace, True)}", namespace)
                 encoded.append(_source(tp, f"o.{spec.name}", namespace))
                 decoded.append(f"{value} = {_source(tp, stored, namespace, True)}")
+                texts.append(_text_source(tp, value, namespace))
             else:
                 decode_value = int
                 chosen = f"o.{spec.name}"
@@ -175,6 +192,7 @@ class _Plan:
                 sibling = f"f{[field.name for field in fields].index(index_of)}"
                 decoded.append(f"{value} = int({stored})")
                 decoded.append(f"{value} = None if {value} < 0 else {sibling}[{value}]")
+                texts.append(f"('-1' if {value} is None else _repr({sibling}.index({value})))")
             # constant defaults are scalars or None, stored as they are
             if spec.default is not dataclasses.MISSING:
                 default = -1 if index_of else spec.default
@@ -202,6 +220,34 @@ class _Plan:
             f"return _cls({arguments})",
         ]), namespace)
         self._decode_complete = namespace["decode"]
+        items = ["%s"] * len(fields) if self.positional else [
+            _json_str(field.key).replace("%", "%%") + ":%s" for field in fields
+        ]
+        self._format = ("[%s]" if self.positional else "{%s}") % ",".join(items)
+        self._namespace, self._texts = namespace, texts
+        self._spliced: Dict[str, Callable[[object, str], str]] = {}
+        self.text = self._compile_text()
+
+    def _compile_text(self, spliced: Optional[str] = None) -> Callable:
+        """``text(o)``, or with ``spliced`` naming a field ``text(o, t)``
+        writing ``t`` as that field's text."""
+        names = [field.name for field in self.fields]
+        texts = list(self._texts)
+        if spliced is not None:
+            texts[names.index(spliced)] = "t"
+        exec("\n    ".join([
+            "def text(o):" if spliced is None else "def text(o, t):",
+            *(f"f{position} = o.{name}" for position, name in enumerate(names)),
+            f"return {self._format!r} % ({''.join(text + ', ' for text in texts)})",
+        ]), self._namespace)
+        return self._namespace.pop("text")
+
+    def spliced(self, name: str) -> Callable[[object, str], str]:
+        """The text writer with field ``name``'s text passed in: ``f(o, t)``
+        writes ``t`` where ``text(o)`` would format ``o.<name>``."""
+        if name not in self._spliced:
+            self._spliced[name] = self._compile_text(name)
+        return self._spliced[name]
 
     def decode(self, payload):
         try:
@@ -268,6 +314,74 @@ def _source(
             return f"dict({source})"
         return f"{{k{depth}: {converted} for k{depth}, {item} in {source}.items()}}"
     raise TypeError(f"the durable-state codec has no rule for {tp!r}")
+
+
+#: ``json.dumps(value, separators=(",", ":"))``, the encoder built once
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+#: The names a compiled text writer calls.
+_TEXT_HELPERS: Dict[str, object] = {"_repr": repr, "_str": _json_str, "_dumps": _dumps}
+
+#: The fast form of a scalar of each type, for the value ``{0}``; any other
+#: value (a float that is not finite, an int in a float field) goes
+#: through json itself.
+_SCALAR_TEXTS = {
+    int: "(_repr({0}) if type({0}) is int else _dumps({0}))",
+    float: "(_repr({0}) if type({0}) is float and {0} - {0} == 0.0 else _dumps({0}))",
+    str: "(_str({0}) if type({0}) is str else _dumps({0}))",
+    bool: "('true' if {0} is True else 'false' if {0} is False else _dumps({0}))",
+}
+
+
+def _text_source(tp, source: str, namespace: Dict[str, object], depth: int = 0) -> str:
+    """A Python expression writing the JSON text of ``source``, a value of
+    type ``tp``, as json writes what :func:`_source` encodes it to:
+    ``source`` is named more than once, so it must be a name.  Helpers it
+    calls go into ``namespace``.  An exact ``int`` / ``str`` is its
+    ``repr`` / :func:`json.encoder.encode_basestring_ascii`, a finite
+    ``float`` its shortest ``repr``, and any other scalar goes through json
+    (``Infinity``, ``NaN``, a subclass); an ``Enum`` member is its value's
+    text, ``Optional[X]`` is ``null`` or ``X``, a dataclass goes through its
+    own plan, ``Tuple[X, ...]`` / ``List[X]`` are joined item texts and
+    ``Dict[str, X]`` joined key/value texts in insertion order."""
+    if tp in _SCALARS:
+        return _SCALAR_TEXTS[tp].format(source)
+    if isinstance(tp, type) and issubclass(tp, enum.Enum):
+        name = f"_enum_{tp.__name__}"
+        namespace[name] = {member: _dumps(member.value) for member in tp}
+        return f"({name}.get({source}) or _dumps({source}.value))"
+    if dataclasses.is_dataclass(tp):
+        name = f"_text_{tp.__name__}"
+        namespace[name] = _PLANS[tp].text
+        return f"{name}({source})"
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = args[0] if args[1] is type(None) else args[1]
+        return f"('null' if {source} is None else {_text_source(inner, source, namespace, depth)})"
+    item, key = f"v{depth}", f"k{depth}"
+    if origin is list or (origin is tuple and args[1:] == (Ellipsis,)):
+        converted = _text_source(args[0], item, namespace, depth + 1)
+        return f"('[%s]' % ','.join([{converted} for {item} in {source}]))"
+    # Dict[str, X], the one hint left that _source accepts (a plan compiles
+    # the encoder first).  json writes a non-string key as a string.
+    converted = _text_source(args[1], item, namespace, depth + 1)
+    return (
+        f"('{{%s}}' % ','.join([(_str({key}) if type({key}) is str else _dumps({{{key}: 0}})[1:-3])"
+        f" + ':' + {converted} for {key}, {item} in {source}.items()]))"
+    )
+
+
+def text(obj) -> str:
+    """``obj`` (a dataclass instance) as the JSON text of its :func:`encode`
+    output: ``json.dumps(encode(obj), separators=(",", ":"))``, written
+    without building the encoded data."""
+    return _PLANS[type(obj)].text(obj)
+
+
+def scalar_text(value) -> str:
+    """A JSON scalar's text, as json writes it (a finite float is its repr)."""
+    return repr(value) if type(value) is float and value - value == 0.0 else _dumps(value)
 
 
 class _Plans(dict):
@@ -386,7 +500,11 @@ def _fold_statistics(state: Dict[str, object], delta: Dict[str, object], cls) ->
             state["records"][rid] = record
 
 
-def _serialize_meta_small(service, pending_marker: Optional[Tuple[int, int]] = None) -> Dict:
+def _serialize_meta_small(
+    service,
+    chain: Optional["SnapshotChain"] = None,
+    pending_marker: Optional[Tuple[int, int]] = None,
+) -> Dict:
     """The genuinely small meta keys: everything except bookings, vehicles
     and the two statistics partitions.
 
@@ -396,11 +514,16 @@ def _serialize_meta_small(service, pending_marker: Optional[Tuple[int, int]] = N
     and the config.  Cheap and interdependent, so every incremental delta
     carries it wholesale -- except the pending window, which can be the
     single largest partition during a surge (hundreds of queued requests
-    per cadence interval).  When ``pending_marker`` is given as
-    ``(epoch, length)`` from the previous snapshot point and the batcher's
+    per cadence interval).
+
+    With ``chain`` the pending window is its JSON text already (a
+    :class:`_Text`), each request's text taken from the chain
+    (:meth:`SnapshotChain.request_text`).  When a delta also gives
+    ``pending_marker`` as ``(epoch, length)`` from the previous snapshot
+    point and the batcher's
     :attr:`~repro.service.ingest.MicroBatcher.pending_epoch` still matches
     (no flush / eviction / cancel happened since -- appends only), the
-    payload becomes ``{"suffix": [...]}`` carrying just the newly admitted
+    window becomes ``{"suffix": [...]}`` carrying just the newly admitted
     entries; :func:`fold_delta` extends the folded queue.  Any epoch
     mismatch falls back to the wholesale list.
     """
@@ -408,15 +531,21 @@ def _serialize_meta_small(service, pending_marker: Optional[Tuple[int, int]] = N
     batcher = service._batcher
     rng_state = engine._rng.getstate()
     entries = batcher.pending_entries()
-    appended = (
-        pending_marker is not None
-        and pending_marker[0] == batcher.pending_epoch
-        and pending_marker[1] <= len(entries)
-    )
-    pending = [
-        [encode(request), admitted]
-        for request, admitted in entries[pending_marker[1] if appended else 0:]
-    ]
+    if chain is None:
+        pending = [[encode(request), admitted] for request, admitted in entries]
+    else:
+        appended = (
+            pending_marker is not None
+            and pending_marker[0] == batcher.pending_epoch
+            and pending_marker[1] <= len(entries)
+        )
+        request_text = chain.request_text
+        pending = _Text("[%s]" % ",".join([
+            "[%s,%s]" % (request_text(request), scalar_text(admitted))
+            for request, admitted in entries[pending_marker[1] if appended else 0:]
+        ]))
+        if appended:
+            pending = _Text('{"suffix":%s}' % pending)
     return {
         "version": STATE_VERSION,
         "time": engine._time,
@@ -430,14 +559,14 @@ def _serialize_meta_small(service, pending_marker: Optional[Tuple[int, int]] = N
             rid: encode(record) for rid, record in sorted(engine._assignments.items())
         },
         "active_requests": dict(sorted(service._dispatcher._active_requests.items())),
-        "pending": {"suffix": pending} if appended else pending,
+        "pending": pending,
         "window_opened": batcher.window_opened,
         "controller": batcher.controller_state(),
         "config": encode(service._config),
     }
 
 
-def serialize_state(service) -> Dict[str, object]:
+def serialize_state(service, chain: Optional["SnapshotChain"] = None) -> Dict[str, object]:
     """Capture the full logical state of a service as a JSON-able dict.
 
     Everything recovery needs to resume: bookings (requests, option
@@ -451,12 +580,24 @@ def serialize_state(service) -> Dict[str, object]:
     layout is partitioned -- bookings / vehicles / everything-else -- so
     incremental snapshot deltas (:func:`write_delta`) can re-serialise only
     what was touched.
+
+    With ``chain`` the pending window, bookings and vehicles are their JSON
+    text already (:class:`_Text`), for :func:`_object_text` to write as a
+    full snapshot's body.  Without it they are data: what
+    :func:`canonical_state` compares, whose strings are the live objects'
+    own (parsing the text back would allocate every one of them again).
     """
-    state = _serialize_meta_small(service)
+    state = _serialize_meta_small(service, chain)
     state["sim_stats"] = encode(service._engine.statistics)
     state["ingest_stats"] = encode(service._batcher.statistics)
-    state["bookings"] = [encode(booking) for booking in service._bookings.values()]
-    state["vehicles"] = [encode(snapshot_vehicle(vehicle)) for vehicle in service._fleet.vehicles()]
+    bookings = service._bookings.values()
+    vehicles = [snapshot_vehicle(vehicle) for vehicle in service._fleet.vehicles()]
+    if chain is None:
+        state["bookings"] = [encode(booking) for booking in bookings]
+        state["vehicles"] = [encode(vehicle) for vehicle in vehicles]
+    else:
+        state["bookings"] = _Text("[%s]" % ",".join(map(chain.booking_text, bookings)))
+        state["vehicles"] = _Text("[%s]" % ",".join(map(text, vehicles)))
     return state
 
 
@@ -549,26 +690,41 @@ def write_snapshot(journal: ServiceJournal, service, seq: int) -> int:
     snapshots beyond :data:`SNAPSHOT_KEEP` are pruned.
     """
     size = _write_document(
-        journal.snapshot_path(seq), f'"seq":{seq}', "state", serialize_state(service)
+        journal.snapshot_path(seq),
+        f'"seq":{seq}',
+        "state",
+        _object_text(serialize_state(service, service._chain)),
     )
     journal.prune_snapshots(keep=SNAPSHOT_KEEP)
     return size
 
 
-def _write_document(target: Path, header: str, body_key: str, body: Dict[str, object]) -> int:
+class _Text(str):
+    """JSON text already written, spliced into a document as it is."""
+
+
+def _object_text(parts: Mapping[str, object]) -> str:
+    """The JSON text of the object ``parts``: a :class:`_Text` value as it
+    is, any other through json -- ``json.dumps(parts, separators=(",",
+    ":"))`` had every :class:`_Text` been its data."""
+    return "{%s}" % ",".join([
+        "%s:%s" % (_json_str(key), value if type(value) is _Text else _dumps(value))
+        for key, value in parts.items()
+    ])
+
+
+def _write_document(target: Path, header: str, body_key: str, body_text: str) -> int:
     """Write ``{header, "checksum": ..., body_key: body}`` to ``target``
-    atomically (tmp-then-rename), the checksum taken over ``body``'s JSON;
-    returns the bytes written."""
-    body_text = json.dumps(body, separators=(",", ":"))
+    atomically (tmp-then-rename), the checksum taken over ``body_text``,
+    the body's JSON; returns the bytes written."""
     checksum = _sha256(body_text)
-    # Embed the already-encoded body verbatim instead of re-encoding it
-    # inside the document: one encode instead of two is a third off the
-    # serialisation bill, and the loader hashes these very bytes back.
+    # The body is embedded verbatim, so the loader hashes these very bytes
+    # back.
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     document = '{%s,"checksum":"%s","%s":%s}' % (header, checksum, body_key, body_text)
     tmp.write_text(document, encoding="utf-8")
     os.replace(tmp, target)
-    return len(document)  # json.dumps escapes everything past ASCII: one byte a character
+    return len(document)  # every writer escapes everything past ASCII: one byte a character
 
 
 def _sha256(text: str) -> str:
@@ -623,28 +779,34 @@ def write_delta(journal: ServiceJournal, service, seq: int, chain: "SnapshotChai
     Everything here is O(changed-since-last-point), never O(history) --
     that is the whole point: the hot-path stall a cadence crossing causes
     stays a small constant fraction of a full serialisation however long
-    the day has run.
+    the day has run.  The body is written as text from its parts; the
+    requests of the pending window and of the dirty bookings splice the text
+    their admission record was written with (:meth:`SnapshotChain.admit`).
     """
     live = service._bookings
     stats_marker = chain.stats_marker
     pending_marker = (stats_marker.get("pending_epoch", -1), stats_marker.get("pending_len", 0))
+    booking_text = chain.booking_text
     delta = {
         "version": STATE_VERSION,
-        "meta": _serialize_meta_small(service, pending_marker=pending_marker),
+        "meta": _Text(_object_text(_serialize_meta_small(service, chain, pending_marker))),
         "sim_stats": _statistics_delta(service._engine.statistics, stats_marker),
         "ingest_stats": _statistics_delta(service._batcher.statistics, stats_marker),
-        "bookings": {
-            booking_id: encode(live[booking_id]) if booking_id in live else None
+        "bookings": _Text("{%s}" % ",".join([
+            "%s:%s" % (
+                _json_str(booking_id),
+                booking_text(live[booking_id]) if booking_id in live else "null",
+            )
             for booking_id in chain.dirty_bookings
-        },
-        "vehicles": {
-            vehicle.vehicle_id: encode(snapshot_vehicle(vehicle))
+        ])),
+        "vehicles": _Text("{%s}" % ",".join([
+            "%s:%s" % (_json_str(vehicle.vehicle_id), text(snapshot_vehicle(vehicle)))
             for vehicle in service._fleet.vehicles()
             if vehicle.vehicle_id in chain.dirty_vehicles
-        },
+        ])),
     }
     header = f'"seq":{seq},"base":{chain.full_seq},"prev":{chain.point_seq}'
-    return _write_document(journal.delta_path(seq), header, "delta", delta)
+    return _write_document(journal.delta_path(seq), header, "delta", _object_text(delta))
 
 
 def fold_delta(state: Dict[str, object], delta: Dict[str, object]) -> None:
@@ -756,6 +918,10 @@ class SnapshotChain:
     dirty_bookings: Dict[str, None] = dataclasses.field(default_factory=dict)
     #: vehicle ids mutated since the last point
     dirty_vehicles: Set[str] = dataclasses.field(default_factory=set)
+    #: request id -> (request, its JSON text) for every request journaled
+    #: since the last point, so a delta splices the text the admission
+    #: record was written with instead of formatting the request again
+    request_texts: Dict[str, Tuple[Request, str]] = dataclasses.field(default_factory=dict)
     #: lengths of the append-only statistics lists (and the pending
     #: window's epoch and length) at the last point: a delta serialises
     #: only what lies past them
@@ -864,11 +1030,11 @@ class SnapshotChain:
         state now: a written point, or a restore (the replayed tail then
         dirties exactly what live execution did).
 
-        Empties the dirty sets (:meth:`track`), and records the lengths of
-        the lists the statistics mark ``append_only`` and the pending
-        window's epoch and length -- while that epoch still matches
-        (appends only), the next delta ships just the newly admitted
-        entries.
+        Empties the dirty sets and the request texts (:meth:`track`), and
+        records the lengths of the lists the statistics mark
+        ``append_only`` and the pending window's epoch and length -- while
+        that epoch still matches (appends only), the next delta ships just
+        the newly admitted entries.
         """
         sim = service._engine.statistics
         batcher = service._batcher
@@ -884,13 +1050,35 @@ class SnapshotChain:
 
     def track(self, service) -> None:
         """Empty the dirty sets -- the bookings, the vehicles and the sim
-        statistics' lifecycle records -- and keep filling them only under
-        ``journal+snapshot``: no delta reads them otherwise, and they would
-        grow with every request served."""
+        statistics' lifecycle records -- and the request texts, and keep
+        filling them only under ``journal+snapshot``: no delta reads them
+        otherwise, and they would grow with every request served."""
         self.tracking = service._config.durability == "journal+snapshot"
         self.dirty_bookings = {}
         self.dirty_vehicles = set()
+        self.request_texts = {}
         service._engine.statistics.dirty_records = {} if self.tracking else None
+
+    def admit(self, request: Request) -> str:
+        """``request``'s JSON text for its journal record, kept for the next
+        point's delta while tracking."""
+        request_text = text(request)
+        if self.tracking:
+            self.request_texts[request.request_id] = (request, request_text)
+        return request_text
+
+    def request_text(self, request: Request) -> str:
+        """``request``'s JSON text: the one :meth:`admit` kept, when it was
+        kept for this very object (a reused request id does not match)."""
+        kept = self.request_texts.get(request.request_id)
+        if kept is not None and kept[0] is request:
+            return kept[1]
+        return text(request)
+
+    def booking_text(self, booking) -> str:
+        """``booking``'s JSON text, its request's through :meth:`request_text`."""
+        write = _PLANS[type(booking)].spliced("request")
+        return write(booking, self.request_text(booking.request))
 
     def mark(self, bookings: Iterable[str] = (), vehicles: Iterable[str] = ()) -> None:
         """Note the bookings and vehicles a command changed, for the next delta."""
