@@ -33,8 +33,8 @@ stale registration.  The last line counts requests and disagreements; the
 exit status is 0 exactly when there were ``--expect`` of them (default 0) --
 a tripwire for a known count: any change to what the matcher answers on
 that day, better or worse, fails it.  ``--routing`` picks the service's
-routing backend (default ``csr``); the naive matcher answers on the same
-engine.
+routing backend (default ``csr``) and ``--tree-cache`` its tree-cache slots
+(default 1 024); the naive matcher answers on the same engine.
 
 Usage::
 
@@ -78,7 +78,8 @@ def build_service(args: argparse.Namespace, **config_overrides) -> PTRiderServic
         **config_overrides,
     )
     fleet = assemble_fleet(
-        network, config, args.vehicles, args.seed, grid_rows=args.grid, grid_columns=args.grid
+        network, config, args.vehicles, args.seed, grid_rows=args.grid, grid_columns=args.grid,
+        max_cached_sources=args.tree_cache,
     )
     return PTRiderService(fleet, config=config, seed=args.seed)
 
@@ -189,6 +190,8 @@ def build_parser(description: str) -> argparse.ArgumentParser:
     parser.add_argument("--matcher", choices=MATCHERS, default="single_side")
     parser.add_argument("--routing", choices=ROUTING_BACKENDS, default="csr",
                         help="routing backend of the service's engine (default csr)")
+    parser.add_argument("--tree-cache", type=int, default=1024, metavar="N",
+                        help="tree-cache slots of the service's engine (default 1024)")
     return parser
 
 

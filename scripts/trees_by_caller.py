@@ -12,32 +12,40 @@ as perfbench replays it: ``--path book`` answers each request with
 ``--path batched`` with ``ingest_request`` and one ``pump`` per tick.
 
 Every tree the engine bills (``routing.trees_computed`` =
-``stats.dijkstra_runs``) and every certified walk that answered instead of a
+``stats.dijkstra_runs``), every certified walk that answered instead of a
 tree (``stats.walks``; ``CSREngine.walk_distance`` and the walks inside
-``distance`` and ``path``) is charged to the outermost function on the
+``distance`` and ``path``) and every read a pinned row answered
+(``stats.pinned_hits``: the rows the dispatcher pins at the fleet's live
+stops, read after a cache miss) is charged to the outermost function on the
 stack named in :data:`CALLERS`, so a tree a commit's fallback roots through
 ``MatchContext.create`` is the commit's::
 
-    routing.trees_computed by caller (path book, seed 1001, 1000 requests)
-      caller                     trees walks
-      next_stop                     37   416
-      create                       291     0
-      commit                         0     0
-      cancel                         0     0
-      plan_route                     0   438
-      _verify_vehicle              337   512
-      added_distance_lower_bound    68    49
-      other                          0     0
-      total                        733  1415
+    routing.trees_computed by caller (path book, seed 1001, 1000 requests, 1024-tree cache)
+      caller                     trees walks pinned
+      next_stop                     37   416      0
+      create                       291     0      0
+      commit                         0     0      0
+      cancel                         0     0      0
+      plan_route                     0   438      0
+      _verify_vehicle              337   512      0
+      added_distance_lower_bound    68    49      0
+      other                          0     0      0
+      total                        733  1415      0
     best_schedule: 6141 calls on a non-empty tree, 5598 (91.2%) saw one branch
 
 The last line says how often ``KineticTree.best_schedule`` had a single branch
-to choose from (and therefore nothing to measure).
+to choose from (and therefore nothing to measure).  On a 1 024-tree cache
+nothing is pinned; ``--tree-cache 8`` replays the day on ``surge_durable``'s
+8-slot cache, where the pins answer.  ``--expect-trees N`` exits 0 exactly
+when the day roots N trees in all, a tripwire for routing work that moved.
 
 Usage::
 
     PYTHONPATH=src python scripts/trees_by_caller.py --seed 7001
     PYTHONPATH=src python scripts/trees_by_caller.py --seed 7001 --path batched
+    PYTHONPATH=src python scripts/trees_by_caller.py --path batched --tree-cache 8 \
+        --vehicles 40 --capacity 2 --rate 400 --requests 4000 --hotspots 80 \
+        --seed 1001 --expect-trees 174
 """
 
 from __future__ import annotations
@@ -79,30 +87,33 @@ def _caller() -> str:
 
 
 class TreeLedger:
-    """Counts billed trees and answering walks per caller around an engine's
-    public methods."""
+    """Counts billed trees, answering walks and pinned hits per caller
+    around an engine's public methods."""
 
     def __init__(self, engine) -> None:
         self.trees: Dict[str, int] = {name: 0 for name in CALLERS + ("other",)}
         self.walks: Dict[str, int] = dict.fromkeys(self.trees, 0)
+        self.pinned: Dict[str, int] = dict.fromkeys(self.trees, 0)
         self._engine = engine
         for name in ENGINE_ENTRY_POINTS:
             setattr(engine, name, self._counting(getattr(engine, name)))
 
     def _counting(self, method):
-        stats, trees, walks = self._engine.stats, self.trees, self.walks
+        stats, trees, walks, pinned = self._engine.stats, self.trees, self.walks, self.pinned
 
         def counted(*args, **kwargs):
-            before = stats.dijkstra_runs, stats.walks
+            before = stats.dijkstra_runs, stats.walks, stats.pinned_hits
             try:
                 return method(*args, **kwargs)
             finally:
                 computed = stats.dijkstra_runs - before[0]
                 walked = stats.walks - before[1]
-                if computed or walked:
+                hits = stats.pinned_hits - before[2]
+                if computed or walked or hits:
                     caller = _caller()
                     trees[caller] += computed
                     walks[caller] += walked
+                    pinned[caller] += hits
 
         return counted
 
@@ -174,14 +185,14 @@ def replay(args: argparse.Namespace, out=sys.stdout) -> Dict[str, int]:
         service.close()
     print(
         f"routing.trees_computed by caller (path {args.path}, seed {args.seed}, "
-        f"{args.requests} requests)",
+        f"{args.requests} requests, {args.tree_cache}-tree cache)",
         file=out,
     )
-    print(f"  {'caller':<27}{'trees':>5} {'walks':>5}", file=out)
+    print(f"  {'caller':<27}{'trees':>5} {'walks':>5} {'pinned':>6}", file=out)
     for name, count in ledger.trees.items():
-        print(f"  {name:<27}{count:>5} {ledger.walks[name]:>5}", file=out)
-    total_trees, total_walks = sum(ledger.trees.values()), sum(ledger.walks.values())
-    print(f"  {'total':<27}{total_trees:>5} {total_walks:>5}", file=out)
+        print(f"  {name:<27}{count:>5} {ledger.walks[name]:>5} {ledger.pinned[name]:>6}", file=out)
+    totals = [sum(column.values()) for column in (ledger.trees, ledger.walks, ledger.pinned)]
+    print(f"  {'total':<27}{totals[0]:>5} {totals[1]:>5} {totals[2]:>6}", file=out)
     share = 100.0 * branches.single / branches.calls if branches.calls else 0.0
     print(
         f"best_schedule: {branches.calls} calls on a non-empty tree, "
@@ -195,12 +206,18 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
     parser = day_tool.build_parser(__doc__.split("\n\n")[0])
     parser.add_argument("--path", choices=("book", "batched"), default="book",
                         help="serving path the day is replayed through")
+    parser.add_argument("--expect-trees", type=int, default=None, metavar="N",
+                        help="exit 0 iff the day roots exactly N trees in all")
     return parser.parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    replay(parse_args(argv))
-    return 0
+    args = parse_args(argv)
+    total = sum(replay(args).values())
+    if args.expect_trees is None or total == args.expect_trees:
+        return 0
+    print(f"expected {args.expect_trees} trees, counted {total}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -215,7 +215,9 @@ class BatchContext:
     drains.  The start rows alone (:attr:`start_trees`) outlive the batch
     when the caller carries them into the next one: the dispatcher holds the
     last batch's until its next batch replaces them, so between batches it
-    pins at most the previous batch's distinct starts, never a leg root.
+    carries at most the previous batch's distinct starts, never a leg root.
+    The dispatcher also reads :attr:`pool` once the batch is matched, for
+    the rows rooted at its fleet's live stops that it pins in the engine.
     With ``prefetch=False`` a context pins only its own start tree,
     :meth:`release` frees it, and nothing is carried.
     """
@@ -227,6 +229,7 @@ class BatchContext:
         statistics: BatchStatistics,
         seconds: Optional[Dict[int, float]] = None,
         start_trees: Optional[Dict[VertexId, Mapping[VertexId, float]]] = None,
+        pool: Optional[Dict[VertexId, Optional[Mapping[VertexId, float]]]] = None,
     ) -> None:
         self._contexts = contexts
         self._errors = errors
@@ -236,6 +239,10 @@ class BatchContext:
         #: vertex (empty with ``prefetch=False``): what the next batch may
         #: take as ``carried``
         self.start_trees = start_trees or {}
+        #: the batch's tree pool by root -- its start trees and every leg
+        #: root a verification demanded, ``None`` where the engine had no
+        #: tree -- as it stands (it grows while the batch is matched)
+        self.pool = {} if pool is None else pool
 
     @classmethod
     def create(
@@ -346,7 +353,7 @@ class BatchContext:
                 errors[index] = DisconnectedError(start, request.destination)
                 continue
             contexts[index] = build_context(request=request, direct=direct, start_tree=tree)
-        return cls(contexts, errors, statistics, seconds, start_trees)
+        return cls(contexts, errors, statistics, seconds, start_trees, trees)
 
     def context_for(self, index: int) -> MatchContext:
         """Return the pooled context of request ``index``.

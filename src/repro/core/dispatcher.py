@@ -24,7 +24,10 @@ the routing work pooled up front:
 3. **one turn per request**, in submission order: the matcher answers the
    request from its pooled context against the fleet as the previous turns
    left it;
-4. **greedily commit** the option the policy chooses before the next turn.
+4. **greedily commit** the option the policy chooses before the next turn;
+5. **pin** in the engine the window's rows rooted at the fleet's live stops
+   (:meth:`Dispatcher.dispatch_batch`), so the legs later windows verify and
+   the re-plans towards those stops do not root them again.
 
 :meth:`Dispatcher.dispatch` is a batch of one.  Pooling moves no answer: the
 pipeline yields byte-identical options, choices and fleet end-state to the
@@ -136,10 +139,37 @@ class Dispatcher:
         #: (``BatchContext.create``'s ``carried``) so a start that recurs
         #: from one window to the next is not rooted again
         self.last_start_trees: Dict[VertexId, Mapping[VertexId, float]] = {}
+        #: every stop vertex of the fleet's committed requests -> how many
+        #: stops of waiting or riding requests stand there: a waiting
+        #: request's start and destination, a riding one's destination.
+        #: ``commit`` adds, ``notify_pickup`` / ``notify_dropoff`` remove,
+        #: and the rows rooted here are what each window pins in the engine
+        self._live_stops: Dict[VertexId, int] = {}
+        self.count_live_stops()
         #: optional observer invoked with every committed outcome (single
         #: and batch paths alike) -- the durability journal's annotation
         #: hook; unlike ``on_outcome`` it is attached once, not per call
         self.outcome_listener: Optional[Callable[[DispatchOutcome], None]] = None
+
+    def count_live_stops(self) -> None:
+        """Count the live stops from the fleet's request states: once when
+        the dispatcher is built, and again after a restore puts taxis with
+        committed requests in its fleet, so a recovered or rebuilt service
+        pins the stops it inherited."""
+        self._live_stops = {}
+        for vehicle in self._fleet.vehicles():
+            for state in vehicle.waiting_requests.values():
+                self._add_stop(state.request.start)
+            for state in vehicle.request_states().values():
+                self._add_stop(state.request.destination)
+
+    def _add_stop(self, vertex: VertexId) -> None:
+        self._live_stops[vertex] = self._live_stops.get(vertex, 0) + 1
+
+    def _remove_stop(self, vertex: VertexId) -> None:
+        count = self._live_stops.pop(vertex, 0) - 1
+        if count > 0:
+            self._live_stops[vertex] = count
 
     @property
     def fleet(self) -> Fleet:
@@ -271,6 +301,8 @@ class Dispatcher:
         )
         self._fleet.refresh_vehicle(vehicle.vehicle_id)
         self._active_requests[request.request_id] = vehicle.vehicle_id
+        self._add_stop(request.start)
+        self._add_stop(request.destination)
 
     # ------------------------------------------------------------------
     # automatic dispatch (simulation / examples)
@@ -303,6 +335,12 @@ class Dispatcher:
         pooled batch-wide (shared start trees, a batch-wide schedule-leg memo
         and leg trees pooled on demand); a start the previous batch also
         started from takes that batch's pooled row (:attr:`last_start_trees`).
+
+        Once every turn is over the window republishes the engine's
+        ``pinned`` rows: for each live stop, its row in this window's pool,
+        else the one pinned before (:meth:`_pin_live_stops`).  No tree is
+        rooted to pin it.  With ``prefetch=False``, or on an engine whose
+        cache has a slot for every vertex, nothing is published.
 
         Args:
             requests: the simultaneous requests, in submission order.
@@ -354,12 +392,40 @@ class Dispatcher:
                 self.outcome_listener(outcome)
             if on_outcome is not None:
                 on_outcome(outcome)
+        if prefetch:
+            self._pin_live_stops(batch.pool)
         return outcomes
 
-    def release_start_trees(self) -> None:
-        """Drop the start trees carried from the last batch (a shutdown);
-        the next batch roots or fetches every start it needs."""
+    def _pin_live_stops(self, pool: Mapping[VertexId, Optional[Mapping[VertexId, float]]]) -> None:
+        """Publish the engine's ``pinned`` rows: the row rooted at each live
+        stop, from ``pool`` (the window's trees) when it was built on the
+        engine's current graph, else the engine's previous pin.
+
+        A stop served since the last window loses its row here, not at the
+        event: until this publish, a taxi re-planning away from it still
+        reads it.  Every row is the engine's own for its root, so only the
+        engine's counters can tell a pinned read from a cached one.
+        """
+        engine = self._fleet.routing_engine
+        graph = engine.graph
+        if len(graph) <= engine.max_cached_sources:
+            return  # a cache with a slot for every vertex evicts no row
+        index_of, vertex_ids, live = graph.index_of, graph.vertex_ids, self._live_stops
+        pinned = {
+            index: row for index, row in engine.pinned.items() if vertex_ids[index] in live
+        }
+        for vertex in live.keys() & pool.keys():
+            view = pool[vertex]
+            if view is not None and view.index_of is index_of:
+                pinned[index_of[vertex]] = view.row
+        engine.pinned = pinned
+
+    def release_trees(self) -> None:
+        """Drop the start trees carried from the last batch and the engine's
+        pinned rows (a shutdown); the next batch roots or fetches every tree
+        it needs."""
         self.last_start_trees = {}
+        self._fleet.routing_engine.pinned = {}
 
     # ------------------------------------------------------------------
     # lifecycle notifications from the simulation engine
@@ -367,12 +433,14 @@ class Dispatcher:
     def notify_pickup(self, vehicle_id: str, request_id: str) -> None:
         """Record that ``request_id`` boarded ``vehicle_id`` (index refresh)."""
         vehicle = self._fleet.get(vehicle_id)
-        vehicle.pickup(request_id)
+        state = vehicle.pickup(request_id)
         self._fleet.refresh_vehicle(vehicle_id)
+        self._remove_stop(state.request.start)
 
     def notify_dropoff(self, vehicle_id: str, request_id: str) -> None:
         """Record that ``request_id`` alighted from ``vehicle_id`` (index refresh)."""
         vehicle = self._fleet.get(vehicle_id)
-        vehicle.dropoff(request_id)
+        state = vehicle.dropoff(request_id)
         self._fleet.refresh_vehicle(vehicle_id)
         self._active_requests.pop(request_id, None)
+        self._remove_stop(state.request.destination)

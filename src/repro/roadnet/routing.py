@@ -23,7 +23,9 @@ by how fast those queries are answered.  One engine answers them:
   int-indexed heap Dijkstra over the same arrays is used.  On both arms a
   row is an ``array('d')`` -- 8 bytes per vertex, and a read is a built-in
   ``float`` -- cached FIFO and read through :class:`_TreeView`, or straight
-  by index (``row[index_of[v]]``) on the matchers' hottest reads.
+  by index (``row[index_of[v]]``) on the matchers' hottest reads.  Rows
+  the dispatcher pins (:attr:`CSREngine.pinned`: the trees rooted at its
+  fleet's live stops) are read after the cache and outlive its evictions.
 * :class:`ALTIndex` -- an optional landmark (ALT) lower-bound index
   ("csr+alt"): for a set of landmarks ``L`` the triangle inequality gives
   the admissible bound ``dist(u, v) >= |dist(L, u) - dist(L, v)|``.  The
@@ -94,12 +96,16 @@ class EngineStats:
     the tree of the query's other end instead (engine queries and the
     batch pool's leg walks alike), and ``walks_refused`` the walks the
     certificate refused, each of which then rooted its tree.
-    ``phast_sweeps`` always reads 0; it stays, off the panels
+    ``pinned_hits`` counts the reads a pinned row (:attr:`CSREngine.pinned`)
+    answered after the cache missed: a tree read by a query and a row
+    ``prefetch_trees`` handed out, so ``cache_hits`` keeps counting the
+    cache alone.  ``phast_sweeps`` always reads 0; it stays, off the panels
     (``"panel": False``), because ``perfbench/harness.py`` still reads it.
     """
 
     queries: int = 0
     cache_hits: int = 0
+    pinned_hits: int = 0
     dijkstra_runs: int = 0
     walks: int = 0
     walks_refused: int = 0
@@ -404,6 +410,12 @@ class CSREngine:
     walks the other endpoint's cached tree when that walk is certified to
     give the same float, so every answer is independent of cache state.
 
+    :attr:`pinned` holds rows outside the FIFO, by source index: every read
+    of a root or leaf row looks there after the cache.  Its owner (the
+    dispatcher pins the rows rooted at its fleet's live stops) publishes
+    only this engine's own rows for the current graph, so a pinned read is
+    the float the cache would have held; :meth:`invalidate` empties it.
+
     It answers every distance / path query the rest of the system issues;
     the matchers, the batch pipeline and the fleet type against it (as
     :data:`RoutingEngine`).  Callers must treat returned trees as immutable.
@@ -432,9 +444,13 @@ class CSREngine:
             self.backend = "csr+alt"
 
     def _compile(self) -> None:
-        """Compile the CSR arrays (and landmark tables), timing both."""
+        """Compile the CSR arrays (and landmark tables), timing both; a new
+        graph starts with nothing pinned."""
         started = time.perf_counter()
         self._graph = CSRGraph(self._network)
+        #: rows of this graph read after the cache and never evicted by it,
+        #: by source index
+        self.pinned: Dict[int, array] = {}
         self._alt = ALTIndex(self._graph, self._landmarks) if self._landmarks > 0 else None
         # A cache that holds a tree for every vertex never evicts one: each
         # root costs one tree for the engine's life, and a walk would only
@@ -503,8 +519,8 @@ class CSREngine:
         ``None``.
 
         ``leaf_row`` is the tree row rooted at ``leaf`` the caller holds
-        (the batch pool's pinned rows); without one the engine's cached row
-        is walked.  A walk that is certified returns the float
+        (the batch pool's rows); without one the engine's cached or pinned
+        row is walked.  A walk that is certified returns the float
         ``distance(root, leaf)`` reads off ``root``'s tree, bit for bit, so
         a caller that roots trees at the smaller endpoint may take it in
         place of that tree.  ``None`` means: take ``root``'s tree -- it is
@@ -536,19 +552,23 @@ class CSREngine:
         """Bulk-compute the missing trees of ``sources`` in one vectorised call.
 
         Returns a mapping from each *known* source vertex to its full distance
-        tree; unknown vertices are skipped (callers that care raise
-        per-request, exactly where the sequential path would).  All missing
-        sources go through **one** :meth:`CSRGraph.trees` call (one SciPy C
-        call); each computed ``array('d')`` row is stored in the tree cache
-        and billed as exactly one ``dijkstra_runs``.  Sources whose tree is already cached are returned
-        from the cache without touching any counter; unknown vertices are
-        skipped.  The returned views pin their rows by reference, so cache
-        eviction -- including churn caused by a prefetch larger than the cache
-        -- can never invalidate a caller's pinned tree mid-batch.
+        tree, in the order of ``sources``; unknown vertices are skipped
+        (callers that care raise per-request, exactly where the sequential
+        path would).  A source whose tree is cached is returned from the
+        cache without touching any counter; one that is not cached but
+        :attr:`pinned` is returned from the pin and billed one
+        ``pinned_hits``.  All other sources go through **one**
+        :meth:`CSRGraph.trees` call (one SciPy C call); each computed
+        ``array('d')`` row is stored in the tree cache and billed as exactly
+        one ``dijkstra_runs``.  The returned views hold their rows by
+        reference, so cache eviction -- including churn caused by a prefetch
+        larger than the cache -- can never invalidate a caller's tree
+        mid-batch.
         """
         graph = self._graph
         index_of = graph.index_of
         cached = self._trees
+        pinned = self.pinned
         views: Dict[VertexId, Mapping[VertexId, float]] = {}
         missing: Dict[VertexId, int] = {}
         for vertex in sources:
@@ -559,10 +579,13 @@ class CSREngine:
                 continue
             row = cached.get(index)
             if row is None:
-                missing[vertex] = index
-                views[vertex] = None  # keeps the caller's order; filled below
-            else:
-                views[vertex] = _TreeView(graph, row)
+                row = pinned.get(index)
+                if row is None:
+                    missing[vertex] = index
+                    views[vertex] = None  # keeps the caller's order; filled below
+                    continue
+                self.stats.pinned_hits += 1
+            views[vertex] = _TreeView(graph, row)
         if missing:
             rows = self._graph.trees(list(missing.values()))
             self.stats.dijkstra_runs += len(missing)
@@ -618,7 +641,8 @@ class CSREngine:
         )
 
     def invalidate(self) -> None:
-        """Recompile the CSR arrays and landmark tables, drop cached trees."""
+        """Recompile the CSR arrays and landmark tables, drop cached and
+        pinned trees."""
         self._trees.clear()
         self._compile()
 
@@ -627,20 +651,23 @@ class CSREngine:
         self, start: int, goal: int, row: Optional[array] = None
     ) -> Optional[Tuple[float, List[int]]]:
         """:func:`certified_walk` from ``start`` over ``goal``'s row (``row``,
-        else the cached one), billed as a walk or a refusal.
+        else the cached or pinned one), billed as a walk or a refusal.
 
         ``None`` without a walk when the cache holds a tree for every vertex
-        (see :meth:`_compile`), when ``start``'s tree is cached (reading it
-        is cheaper), when there is no row at ``goal`` and when ``start`` is
-        unreachable (rooting its tree raises where the caller expects).
+        (see :meth:`_compile`), when ``start``'s tree is cached or pinned
+        (reading it is cheaper), when there is no row at ``goal`` and when
+        ``start`` is unreachable (rooting its tree raises where the caller
+        expects).
         """
-        trees = self._trees
-        if not self._walks_cold_roots or start in trees:
+        trees, pinned = self._trees, self.pinned
+        if not self._walks_cold_roots or start in trees or start in pinned:
             return None
         if row is None:
             row = trees.get(goal)
             if row is None:
-                return None
+                row = pinned.get(goal)
+                if row is None:
+                    return None
         if row[start] == INFINITY:
             return None
         walked = certified_walk(self._graph, row, start, goal)
@@ -654,6 +681,10 @@ class CSREngine:
         tree = self._trees.get(source_index)
         if tree is not None:
             self.stats.cache_hits += 1
+            return tree
+        tree = self.pinned.get(source_index)
+        if tree is not None:
+            self.stats.pinned_hits += 1
             return tree
         tree = self._graph.tree(source_index)
         self.stats.dijkstra_runs += 1

@@ -637,7 +637,8 @@ class PTRiderService:
         Drains the pending ingest window first (an admitted request is
         never silently dropped by a shutdown; the drained count is reported
         in ``IngestStatistics.close_drained``), then drops the start trees
-        the dispatcher carries between windows and closes the journal.
+        the dispatcher carries between windows and the stop rows it pins in
+        the engine, and closes the journal.
         Idempotent (a drained queue has nothing left to drain); the service
         remains usable afterwards -- the journal connection reopens lazily.
 
@@ -657,7 +658,7 @@ class PTRiderService:
                 self._close_drain(moment)
                 self._finish_command()
         finally:
-            self._dispatcher.release_start_trees()
+            self._dispatcher.release_trees()
             if self._journal is not None:
                 self._journal.close()
 

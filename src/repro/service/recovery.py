@@ -638,6 +638,7 @@ def restore_state(service, state: Dict[str, object]) -> None:
     service._dispatcher._active_requests = {
         rid: str(vid) for rid, vid in state["active_requests"].items()
     }
+    service._dispatcher.count_live_stops()
     # Into the service's own counters, which every batcher it builds adds to.
     vars(service._ingest_statistics).update(
         vars(decode(IngestStatistics, state["ingest_stats"]))
@@ -919,8 +920,9 @@ class SnapshotChain:
     #: vehicle ids mutated since the last point
     dirty_vehicles: Set[str] = dataclasses.field(default_factory=set)
     #: request id -> (request, its JSON text) for every request journaled
-    #: since the last point, so a delta splices the text the admission
-    #: record was written with instead of formatting the request again
+    #: since the last point or still pending at it, so a delta splices the
+    #: text the admission record was written with instead of formatting the
+    #: request again
     request_texts: Dict[str, Tuple[Request, str]] = dataclasses.field(default_factory=dict)
     #: lengths of the append-only statistics lists (and the pending
     #: window's epoch and length) at the last point: a delta serialises
@@ -1030,7 +1032,8 @@ class SnapshotChain:
         state now: a written point, or a restore (the replayed tail then
         dirties exactly what live execution did).
 
-        Empties the dirty sets and the request texts (:meth:`track`), and
+        Empties the dirty sets and the request texts of requests no longer
+        pending (:meth:`track`), and
         records the lengths of the lists the statistics mark
         ``append_only`` and the pending window's epoch and length -- while
         that epoch still matches (appends only), the next delta ships just
@@ -1050,13 +1053,24 @@ class SnapshotChain:
 
     def track(self, service) -> None:
         """Empty the dirty sets -- the bookings, the vehicles and the sim
-        statistics' lifecycle records -- and the request texts, and keep
-        filling them only under ``journal+snapshot``: no delta reads them
-        otherwise, and they would grow with every request served."""
+        statistics' lifecycle records -- and keep filling them only under
+        ``journal+snapshot``: no delta reads them otherwise, and they would
+        grow with every request served.
+
+        The request texts keep only the requests still pending in the
+        batcher's queue: each one's booking lands in a later delta, which
+        splices the kept text instead of formatting the request again.  So
+        they stay bounded by the queue plus one snapshot interval.
+        """
         self.tracking = service._config.durability == "journal+snapshot"
         self.dirty_bookings = {}
         self.dirty_vehicles = set()
-        self.request_texts = {}
+        kept, self.request_texts = self.request_texts, {}
+        if self.tracking and kept:
+            for request, _admitted in service._batcher.pending_entries():
+                pair = kept.get(request.request_id)
+                if pair is not None and pair[0] is request:
+                    self.request_texts[request.request_id] = pair
         service._engine.statistics.dirty_records = {} if self.tracking else None
 
     def admit(self, request: Request) -> str:

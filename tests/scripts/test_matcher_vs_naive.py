@@ -80,3 +80,8 @@ class TestRouting:
             service = tool.build_service(tool.parse_args(TINY_DAY + argv))
             assert service.config.routing_backend == backend
             assert service.fleet.routing_engine.backend == backend
+
+    def test_the_tree_cache_flag_reaches_the_service_engine(self):
+        for argv, slots in (([], 1024), (["--tree-cache", "8"], 8)):
+            service = tool.build_service(tool.parse_args(TINY_DAY + argv))
+            assert service.fleet.routing_engine.max_cached_sources == slots

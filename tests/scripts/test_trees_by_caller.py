@@ -1,5 +1,6 @@
-"""The who-roots-trees replay tool: runs on a tiny day, report format, and the
-two askers this repository has retired stay at zero."""
+"""The who-roots-trees replay tool: runs on a tiny day, report format, the
+two askers this repository has retired stay at zero, the tree-cache flag
+reaches the engine and ``--expect-trees`` gates the total."""
 
 from __future__ import annotations
 
@@ -21,9 +22,10 @@ TINY_DAY = ["--rows", "8", "--grid", "3", "--vehicles", "12", "--requests", "40"
             "--rate", "4", "--hotspots", "0", "--max-pickup", "6", "--seed", "5"]
 
 REPORT = re.compile(
-    r"routing\.trees_computed by caller \(path (book|batched), seed 5, 40 requests\)\n"
-    + r"  caller +trees walks\n"
-    + "".join(rf"  {name} +\d+ +\d+\n" for name in tool.CALLERS + ("other", "total"))
+    r"routing\.trees_computed by caller \(path (book|batched), seed 5, 40 requests, "
+    + r"(\d+)-tree cache\)\n"
+    + r"  caller +trees walks pinned\n"
+    + "".join(rf"  {name} +\d+ +\d+ +\d+\n" for name in tool.CALLERS + ("other", "total"))
     + r"best_schedule: \d+ calls on a non-empty tree, \d+ \(\d+\.\d%\) saw one branch\n"
 )
 
@@ -39,14 +41,14 @@ def test_report_names_every_caller_and_commit_and_cancel_root_nothing(path):
     trees, report = _run(TINY_DAY + ["--path", path])
     assert REPORT.fullmatch(report), report
     assert list(trees) == list(tool.CALLERS) + ["other"]
-    total = int(re.search(r"  total +(\d+) +\d+\n", report).group(1))
+    total = int(re.search(r"  total +(\d+) +\d+ +\d+\n", report).group(1))
     assert total == sum(trees.values()) > 0
     # a commit installs what verification found, a cancel needs no distance
     assert trees["commit"] == 0
     assert trees["cancel"] == 0
     assert trees["other"] == 0
     for name in ("commit", "cancel", "other"):
-        assert re.search(rf"  {name} +0 +0\n", report), name
+        assert re.search(rf"  {name} +0 +0 +\d+\n", report), name
 
 
 def test_the_probe_leaves_nothing_patched():
@@ -56,3 +58,17 @@ def test_the_probe_leaves_nothing_patched():
     _run(TINY_DAY)
     assert KineticTree.best_schedule is before
     assert tool.main(TINY_DAY) == 0
+
+
+def test_a_small_tree_cache_pins_stop_rows_and_the_total_is_gated(capsys):
+    """On an 8-slot cache the batched day's stop rows are pinned and answer
+    reads; ``--expect-trees`` exits 0 only for the day's exact total."""
+    argv = TINY_DAY + ["--path", "batched", "--tree-cache", "8"]
+    trees, report = _run(argv)
+    assert REPORT.fullmatch(report), report
+    assert "8-tree cache" in report
+    total, pinned = map(int, re.search(r"  total +(\d+) +\d+ +(\d+)\n", report).groups())
+    assert total == sum(trees.values()) and pinned > 0
+    assert tool.main(argv + ["--expect-trees", str(total)]) == 0
+    assert tool.main(argv + ["--expect-trees", str(total + 1)]) == 1
+    assert f"expected {total + 1} trees, counted {total}" in capsys.readouterr().err

@@ -11,8 +11,10 @@ state file it writes is held to what ``tests/durable_reference.py`` builds
 from the same live state at the same moment.
 
 The request texts the snapshot chain keeps for its next delta
-(``SnapshotChain.request_texts``) are bounded by one snapshot interval:
-empty after every point, never filled without deltas to write.
+(``SnapshotChain.request_texts``) are bounded by one snapshot interval plus
+the ingest queue: after every point they hold only requests still pending,
+and they are never filled without deltas to write.  A request pending
+across a point is formatted once.
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ def test_every_row_and_state_file_is_the_dict_paths_text(tmp_path, checked, mode
 
 
 @pytest.mark.parametrize("mode", ["off", "journal", "journal+snapshot"])
-def test_the_request_texts_last_one_snapshot_interval(tmp_path, mode):
+def test_the_request_texts_last_one_snapshot_interval_and_the_queue(tmp_path, mode):
     interval = 5
     service = build_system(
         vehicles=6, seed=3, network_rows=8, network_columns=8, durability=mode,
@@ -235,23 +237,34 @@ def test_the_request_texts_last_one_snapshot_interval(tmp_path, mode):
     )
     chain = service._chain
     points = 0
+    since, at_point = set(), set()  # admitted since the last point, pending at it
+
+    def check(command, *args, admitted=None):
+        nonlocal points, since, at_point
+        point = chain.point_seq
+        command(*args, now=service.current_time)
+        texts = chain.request_texts
+        if mode != "journal+snapshot":
+            assert texts == {}
+            return
+        if chain.point_seq != point:  # a point lands as its command finishes
+            points += 1
+            since = set()
+            at_point = {request.request_id for request, _ in service.batcher.pending_entries()}
+        if admitted is not None:
+            since.add(admitted)
+        assert set(texts) <= since | at_point
+        assert len(texts) <= interval + len(at_point)
+        for kept, text in texts.values():
+            assert text == recovery_module.text(kept)
+
     try:
         for index in range(60):
-            point = chain.point_seq
-            service.ingest_request(_request(service, index), now=service.current_time)
+            request = _request(service, index)
+            check(service.ingest_request, request, admitted=request.request_id)
             if index % 4 == 3:
-                service.advance(1.0)
-                service.pump(now=service.current_time)
-            texts = chain.request_texts
-            if mode != "journal+snapshot":
-                assert texts == {}
-                continue
-            assert len(texts) <= interval
-            if chain.point_seq != point:
-                points += 1
-                assert texts == {}
-            for kept, text in texts.values():
-                assert text == recovery_module.text(kept)
+                check(lambda now: service.advance(1.0))
+                check(service.pump)
     finally:
         service.close()
     assert points >= 10 if mode == "journal+snapshot" else points == 0
@@ -273,5 +286,42 @@ def test_a_reused_request_id_does_not_take_the_kept_text(tmp_path):
         assert chain.request_text(first) is chain.request_texts[first.request_id][1]
         assert chain.request_text(again) == recovery_module.text(again)
         assert chain.request_text(again) != chain.request_text(first)
+    finally:
+        service.close()
+
+
+def test_a_request_pending_across_a_point_is_formatted_once(tmp_path, monkeypatch):
+    """The admission formats the request; the delta a point writes while it
+    is pending and the delta that writes its booking splice that text."""
+    service = build_system(
+        vehicles=6, seed=3, network_rows=8, network_columns=8,
+        durability="journal+snapshot", journal_path=str(tmp_path / "journal"),
+        snapshot_interval=3,
+    )
+    formatted = []
+    original = recovery_module.text
+
+    def spy(obj):
+        if isinstance(obj, Request):
+            formatted.append(obj.request_id)
+        return original(obj)
+
+    monkeypatch.setattr(recovery_module, "text", spy)
+    chain = service._chain
+    try:
+        pending = _request(service, 0)
+        service.ingest_request(pending, now=service.current_time)
+        point = chain.point_seq
+        for index in range(1, 4):  # admissions until a point lands mid-window
+            service.ingest_request(_request(service, index), now=service.current_time)
+        assert chain.point_seq != point and service.batcher.pending == 4
+        assert pending.request_id in chain.request_texts
+        service.advance(1.0)
+        point = chain.point_seq
+        service.pump(now=service.current_time)  # the bookings land
+        service.advance(1.0)
+        service.advance(1.0)
+        assert chain.point_seq != point  # a delta wrote the bookings
+        assert formatted.count(pending.request_id) == 1
     finally:
         service.close()

@@ -122,6 +122,7 @@ STATISTICS = {
     "routing_ingest_window_closed": 1.0,
     "routing_ingest_window_grown": 0.0,
     "routing_ingest_window_shrunk": 0.0,
+    "routing_pinned_hits": 0.0,
     "routing_queries": 104.0,
     "routing_snapshot_delta_count": 2.0,
     "routing_snapshot_full_count": 0.0,
@@ -174,6 +175,7 @@ ROUTING_STATISTICS = {
     "ingest_window_grown": 0.0,
     "ingest_window_mode": "fixed",
     "ingest_window_shrunk": 0.0,
+    "pinned_hits": 0.0,
     "queries": 104.0,
     "snapshot_delta_count": 2.0,
     "snapshot_full_count": 0.0,
