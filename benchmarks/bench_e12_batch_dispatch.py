@@ -6,13 +6,11 @@ left behind); the batched pipeline (`Dispatcher.dispatch_batch`) restructures
 *where* the work happens: one :class:`~repro.core.batch.BatchContext` pools
 the start-rooted distance trees (requests sharing a start vertex share one
 tree) and memoises the schedule-leg distances every verification of the batch
-re-asks.  The sequential arm is the literal loop of
-``tests/dispatch_reference.py`` (a fresh context per request, commit, next
-request), so it pools nothing across requests.  ``Dispatcher.dispatch``
-called request by request is recorded beside it and not asserted on: each
-call is a window of one, and every window pins in the engine the rows
-rooted at the fleet's live stops, so the next call reads them (on this
-burst it roots 138 trees against the loop's 2 392).
+re-asks.  The sequential arm is ``Dispatcher.dispatch`` called request by
+request: every call is a batch of one, so it pools no start tree or leg memo
+across requests.  Each such window does pin in the engine the rows rooted at
+the fleet's live stops (ARCHITECTURE.md, *Pinned stop rows*), so the next
+call reads those instead of rooting them again.
 
 At city scale the routing engine cannot cache a full distance tree per
 recently seen vertex (each tree is O(V)), so this experiment builds its
@@ -44,7 +42,6 @@ from repro.vehicles.fleet import Fleet
 from repro.vehicles.vehicle import Vehicle
 
 from common import MATCHERS, record_result
-from tests.dispatch_reference import dispatch_sequential
 
 #: Modest tree cache modelling city-scale cache pressure (a real deployment
 #: cannot hold a full O(V) tree for every recently queried vertex).
@@ -91,12 +88,7 @@ def _outcome_key(outcome):
 
 
 def _sequential(dispatcher: Dispatcher, requests):
-    """The literal per-request loop: nothing carried from one request to the next."""
-    return dispatch_sequential(dispatcher, requests, OptionPolicy.CHEAPEST)
-
-
-def _one_by_one(dispatcher: Dispatcher, requests):
-    """One ``dispatch`` call (a window of one) per request."""
+    """The per-request loop: one ``dispatch`` call per request."""
     return [dispatcher.dispatch(request, policy=OptionPolicy.CHEAPEST) for request in requests]
 
 
@@ -113,15 +105,10 @@ def test_e12_batched_pipeline_beats_sequential_loop():
     pipeline_outcomes = batched.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST)
     batched_seconds = time.perf_counter() - started
 
-    one_by_one = _build_dispatcher()
-    started = time.perf_counter()
-    dispatch_outcomes = _one_by_one(one_by_one, requests)
-    dispatch_seconds = time.perf_counter() - started
-
     # Pure restructuring: byte-identical skylines, choices and commit order.
     assert [_outcome_key(o) for o in loop_outcomes] == [
         _outcome_key(o) for o in pipeline_outcomes
-    ] == [_outcome_key(o) for o in dispatch_outcomes]
+    ]
 
     stats = batched.last_batch_statistics
     assert stats is not None and stats.requests == len(requests)
@@ -137,8 +124,6 @@ def test_e12_batched_pipeline_beats_sequential_loop():
         requests=len(requests),
         sequential_seconds=round(sequential_seconds, 6),
         speedup_vs_sequential=round(speedup, 2),
-        dispatch_seconds=round(dispatch_seconds, 6),
-        speedup_vs_dispatch=round(dispatch_seconds / batched_seconds, 2),
         shared_tree_hit_rate=round(stats.shared_tree_hit_rate, 3),
         trees_computed=stats.trees_computed,
     )

@@ -407,9 +407,9 @@ class Dispatcher:
         engine's counters can tell a pinned read from a cached one.
         """
         engine = self._fleet.routing_engine
+        if not engine.evicts_trees:
+            return
         graph = engine.graph
-        if len(graph) <= engine.max_cached_sources:
-            return  # a cache with a slot for every vertex evicts no row
         index_of, vertex_ids, live = graph.index_of, graph.vertex_ids, self._live_stops
         pinned = {
             index: row for index, row in engine.pinned.items() if vertex_ids[index] in live

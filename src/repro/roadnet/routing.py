@@ -415,6 +415,9 @@ class CSREngine:
     dispatcher pins the rows rooted at its fleet's live stops) publishes
     only this engine's own rows for the current graph, so a pinned read is
     the float the cache would have held; :meth:`invalidate` empties it.
+    Pinned rows are extra to the ``max_cached_sources`` budget: the engine
+    may hold that many cached rows *plus* one pinned row per distinct live
+    stop vertex, each ``8 * V`` bytes.
 
     It answers every distance / path query the rest of the system issues;
     the matchers, the batch pipeline and the fleet type against it (as
@@ -458,7 +461,7 @@ class CSREngine:
         # in 1 024 slots: 2 216 walks saved 15 of 397 trees).  Only a network
         # larger than its cache walks cold roots (``commute_book``: 2.8 walks
         # per walked root, 1 106 trees down to 709).
-        self._walks_cold_roots = len(self._graph) > self._max_cached_sources
+        self._evicts_trees = len(self._graph) > self._max_cached_sources
         self.stats.build_seconds += time.perf_counter() - started
 
     @property
@@ -468,8 +471,20 @@ class CSREngine:
 
     @property
     def max_cached_sources(self) -> int:
-        """The tree-cache capacity the engine was built with."""
+        """The tree-cache capacity the engine was built with.
+
+        It bounds the FIFO cache only: :attr:`pinned` rows are held on top
+        of it (at most one per distinct live stop vertex, ``8 * V`` bytes
+        each), so a caller sizing the cache for memory adds those.
+        """
         return self._max_cached_sources
+
+    @property
+    def evicts_trees(self) -> bool:
+        """``False`` when the cache has a slot for every vertex of the
+        current graph: no tree is ever evicted, so no cold root is walked
+        and no row needs pinning (see :meth:`_compile`)."""
+        return self._evicts_trees
 
     def with_backend(self, backend: str) -> "CSREngine":
         """A fresh ``backend`` engine on the same network, with the same
@@ -660,7 +675,7 @@ class CSREngine:
         expects).
         """
         trees, pinned = self._trees, self.pinned
-        if not self._walks_cold_roots or start in trees or start in pinned:
+        if not self._evicts_trees or start in trees or start in pinned:
             return None
         if row is None:
             row = trees.get(goal)
@@ -708,7 +723,8 @@ def make_engine(
 
     Args:
         backend: one of "csr", "csr+alt".
-        max_cached_sources: tree-cache capacity.
+        max_cached_sources: tree-cache capacity (pinned rows are extra to
+            it; see :attr:`CSREngine.max_cached_sources`).
         landmarks: landmark count of the "csr+alt" backend.
 
     Raises:

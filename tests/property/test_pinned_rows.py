@@ -300,6 +300,16 @@ def test_a_backend_switch_pins_no_row_of_the_old_engine():
     assert new.pinned == {}
 
 
+def test_a_cache_with_a_slot_for_every_vertex_pins_nothing():
+    """The engine decides whether its cache evicts; one that holds every
+    vertex never does, so the dispatcher publishes no pin on it."""
+    system = _service(tree_cache=100)  # the 10 x 10 grid: a slot per vertex
+    assert not system.fleet.routing_engine.evicts_trees
+    _windows(system, 4)
+    assert system.fleet.routing_engine.pinned == {}
+    assert _service(tree_cache=99).fleet.routing_engine.evicts_trees
+
+
 def test_a_recovered_service_counts_the_stops_it_inherited(tmp_path):
     journal = tmp_path / "journal"
     system = _service(
