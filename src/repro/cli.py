@@ -108,11 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--requests", type=int, default=30, help="requests in the burst")
     compare.add_argument("--seed", type=int, default=7, help="random seed")
     _add_knob_flags(compare, "compare")
-    compare.add_argument(
-        "--prefetch", action=argparse.BooleanOptionalAction, default=True,
-        help="prefetch the batch's start trees in one vectorised engine call "
-        "(--no-prefetch computes trees per start)",
-    )
     return parser
 
 
@@ -245,14 +240,14 @@ def _run_compare(args: argparse.Namespace) -> int:
             seed=args.seed,
         )
         started = time.perf_counter()
-        dispatcher.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST, prefetch=args.prefetch)
+        dispatcher.dispatch_batch(requests, policy=OptionPolicy.CHEAPEST)
         elapsed = time.perf_counter() - started
         stats = dispatcher.matcher.statistics
         batch_stats = dispatcher.last_batch_statistics
         hit_rate = batch_stats.shared_tree_hit_rate if batch_stats is not None else 0.0
         prefetched = batch_stats.prefetched_trees if batch_stats is not None else 0
         results.append((dispatcher.matcher.name, elapsed, stats, hit_rate, prefetched))
-    print(f"Dispatch: batched pipeline, prefetch {'on' if args.prefetch else 'off'}")
+    print("Dispatch: batched pipeline")
     print(
         f"{'matcher':>12} {'seconds':>9} {'evaluated':>10} {'pruned':>8} "
         f"{'options':>8} {'tree hits':>9} {'prefetched':>10}"

@@ -7,14 +7,15 @@ functions of the road network only.  :class:`BatchContext` therefore pools
 that work for a whole tick's worth of requests:
 
 * start vertices are **deduplicated** -- requests sharing a start vertex
-  share one distance tree, computed exactly once and pinned by reference for
+  share one distance tree, computed exactly once and pooled by reference for
   the lifetime of the batch (engine cache eviction can never force a
   recomputation mid-batch, no matter how many requests the tick carries);
-* a start the previous batch also started from takes that batch's row
-  (``carried``), and all other missing trees are **prefetched in one
-  vectorised engine call** before matching begins
+* the distinct starts are **prefetched in one vectorised engine call**
+  before matching begins
   (:meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`; one
-  ``scipy.csgraph.dijkstra(indices=[...])`` plane);
+  ``scipy.csgraph.dijkstra(indices=[...])`` plane over the starts the
+  engine holds no row for -- a start its dispatcher retained from the
+  previous window is read from the engine's pinned rows);
 * each request receives a regular
   :class:`~repro.core.context.MatchContext` built from the pooled tree, so
   the matchers are oblivious to whether a context was built per-request or
@@ -22,7 +23,7 @@ that work for a whole tick's worth of requests:
 * the start trees seed a **demand-driven leg-tree pool**: a schedule-leg
   query whose canonical root is not pooled yet is walked over its other
   end's pooled or cached tree when that walk is certified, and otherwise
-  asks the engine for the root's one tree, which stays pinned for the rest
+  asks the engine for the root's one tree, which stays pooled for the rest
   of the batch (:class:`BatchMatchContext`) -- trees are rooted only where
   a verification really asked and no walk could answer, never at every taxi
   and stop of the fleet;
@@ -58,11 +59,11 @@ class BatchStatistics:
     """How much routing work the batch shared across its requests.
 
     For a batch whose endpoints all resolve,
-    ``prefetched_trees + trees_computed + shared_tree_hits == requests``;
-    requests with an unknown start vertex receive no tree and count in none
-    of the terms.  A prefetched tree counts exactly once however many
-    requests consume it: the first consumer is covered by
-    ``prefetched_trees``, every later one by ``shared_tree_hits``.
+    ``prefetched_trees + shared_tree_hits == requests``; requests with an
+    unknown start vertex receive no tree and count in neither term.  A
+    prefetched tree counts exactly once however many requests consume it:
+    the first consumer is covered by ``prefetched_trees``, every later one
+    by ``shared_tree_hits``.
 
     ``leg_sources_prefetched``, ``leg_tree_hits`` and ``leg_walks``
     describe the demand pool (the first two names predate it and are kept
@@ -74,22 +75,20 @@ class BatchStatistics:
     ``leg_walks`` or neither, the last only when the engine raises for it
     (an unknown or unreachable endpoint); on a connected network
     ``leg_tree_hits + leg_walks`` is the number of memo misses.
-    ``prefetch_seconds`` covers the start trees only.  ``carried_trees``
-    counts inside ``prefetched_trees``: a carried row is a pooled start tree
-    the engine was not asked for.
+    ``prefetch_seconds`` covers the start trees only.  ``trees_computed``
+    always reads 0: every start tree comes through the one prefetch.  It
+    stays because ``perfbench/harness.py`` still reads it.
     """
 
     #: number of requests in the batch
     requests: int = 0
-    #: start-rooted trees computed one at a time (``prefetch=False``)
+    #: always 0: every start tree comes through the one prefetch
     trees_computed: int = 0
     #: requests whose tree was already pooled by an earlier request
     shared_tree_hits: int = 0
-    #: distinct start trees pooled before the first turn: carried over from
-    #: the previous batch or obtained through the one-shot vectorised prefetch
+    #: distinct start trees pooled before the first turn by the one-shot
+    #: vectorised prefetch
     prefetched_trees: int = 0
-    #: the share of ``prefetched_trees`` carried over from the previous batch
-    carried_trees: int = 0
     #: wall time of the single ``prefetch_trees`` engine call
     prefetch_seconds: float = 0.0
     #: leg roots (not request starts) pooled on demand
@@ -141,23 +140,22 @@ class BatchMatchContext(MatchContext):
     every vertex's tree, there is no leaf tree, or the certificate refused)
     the pool grows by the root's tree through
     :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`, which stays
-    pinned for the rest of the batch, whatever the engine cache evicts; its
+    pooled for the rest of the batch, whatever the engine cache evicts; its
     row is the engine's own tree row, so the answers are the engine's own
     floats.  No tree is computed for a root nobody asked.
     Whatever the pool cannot answer (an unknown root, an unknown or
     unreachable leaf) goes to ``engine.distance`` verbatim, errors included.
-    ``None`` switches pooling off (the ``prefetch=False`` ablation).
     """
 
     #: batch-wide exact-distance memo shared by every context of the batch
     shared_distances: Dict[Tuple[VertexId, VertexId], float] = field(default_factory=dict)
     #: the batch's tree pool by root (``None`` value: the engine had no tree)
-    leg_trees: Optional[Dict[VertexId, Optional[Mapping[VertexId, float]]]] = None
+    leg_trees: Dict[VertexId, Optional[Mapping[VertexId, float]]] = field(default_factory=dict)
     #: statistics sink for the pool counters (shared by the whole batch)
     batch_statistics: BatchStatistics = field(default_factory=BatchStatistics)
 
     def distance(self, source: VertexId, target: VertexId) -> float:
-        """Exact distance; start-rooted legs from the pinned tree, others memoised.
+        """Exact distance; start-rooted legs from the start tree, others memoised.
 
         A start-rooted leg is one read of the start row, inlined from
         :meth:`~repro.core.context.MatchContext.from_start`: this is the
@@ -177,7 +175,7 @@ class BatchMatchContext(MatchContext):
         value = self.shared_distances.get(key)
         if value is None:
             pool = self.leg_trees
-            if pool is not None and source != target:
+            if source != target:
                 root, leaf = key  # key is already rooted at the smaller id
                 tree = pool.get(root, _UNPOOLED)
                 if tree is _UNPOOLED:
@@ -208,18 +206,13 @@ class BatchContext:
     endpoint error) with :meth:`context_for` when the pipeline reaches that
     request in submission order.
 
-    Memory: with ``prefetch`` on, every context holds the batch's one tree
-    pool, so the pinned O(V) rows -- one per distinct start plus one per
-    demanded leg root -- grow with the roots the batch asks and are freed
-    together when its last context goes, not request by request as the batch
-    drains.  The start rows alone (:attr:`start_trees`) outlive the batch
-    when the caller carries them into the next one: the dispatcher holds the
-    last batch's until its next batch replaces them, so between batches it
-    carries at most the previous batch's distinct starts, never a leg root.
-    The dispatcher also reads :attr:`pool` once the batch is matched, for
-    the rows rooted at its fleet's live stops that it pins in the engine.
-    With ``prefetch=False`` a context pins only its own start tree,
-    :meth:`release` frees it, and nothing is carried.
+    Memory: every context holds the batch's one tree pool, so the pooled
+    O(V) rows -- one per distinct start plus one per demanded leg root --
+    grow with the roots the batch asks and are freed together when its last
+    context goes, not request by request as the batch drains.  The
+    dispatcher reads :attr:`pool` once the batch is matched and hands it to
+    :meth:`~repro.roadnet.routing.CSREngine.retain`, which keeps the rows of
+    the roots the dispatcher names beyond the batch.
     """
 
     def __init__(
@@ -228,17 +221,12 @@ class BatchContext:
         errors: Dict[int, Exception],
         statistics: BatchStatistics,
         seconds: Optional[Dict[int, float]] = None,
-        start_trees: Optional[Dict[VertexId, Mapping[VertexId, float]]] = None,
         pool: Optional[Dict[VertexId, Optional[Mapping[VertexId, float]]]] = None,
     ) -> None:
         self._contexts = contexts
         self._errors = errors
         self._seconds = seconds or {}
         self.statistics = statistics
-        #: the pooled start tree of every distinct known start, by start
-        #: vertex (empty with ``prefetch=False``): what the next batch may
-        #: take as ``carried``
-        self.start_trees = start_trees or {}
         #: the batch's tree pool by root -- its start trees and every leg
         #: root a verification demanded, ``None`` where the engine had no
         #: tree -- as it stands (it grows while the batch is matched)
@@ -250,76 +238,51 @@ class BatchContext:
         requests: Sequence[Request],
         engine: RoutingEngine,
         grid: GridIndex,
-        prefetch: bool = True,
-        carried: Optional[Mapping[VertexId, Mapping[VertexId, float]]] = None,
     ) -> "BatchContext":
         """Pool trees and direct distances for ``requests`` (in order).
 
-        Start vertices are deduplicated.  A start found in ``carried`` (the
-        previous batch's :attr:`start_trees`) takes that row when it was
-        built on the engine's current graph -- a view of an invalidated or
-        replaced engine is never reused -- and every other start's tree is
-        prefetched through **one** vectorised
+        Start vertices are deduplicated, and their trees are prefetched
+        through **one** vectorised
         :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees` call
-        before any request is examined (``prefetch=False`` computes trees
-        per distinct start instead, for ablations, and ignores ``carried``).
-        A carried row is the engine's own row for that root, so the pooled
-        floats are the ones the engine would hand out.
-        Requests sharing a start reuse the pooled reference.  Endpoint
-        failures are recorded per request, not raised -- ``prefetch_trees``
-        skips unknown start vertices, so the per-request path still observes
-        the exact error the sequential loop would have raised.
+        before any request is examined; requests sharing a start reuse the
+        pooled reference.  Endpoint failures are recorded per request, not
+        raised: ``prefetch_trees`` skips unknown start vertices, so a request
+        starting at one records the ``VertexNotFoundError`` the sequential
+        loop would have raised.
 
-        With ``prefetch`` on, the start trees also seed the batch's demand
-        pool (:attr:`BatchMatchContext.leg_trees`).  ``prefetch_seconds``
-        and the share billed to each start's first consumer cover start
-        trees only; a demanded leg tree's wall lands in the turn that
-        demanded it.  The class docstring says when pinned trees are freed.
+        The start trees also seed the batch's demand pool
+        (:attr:`BatchMatchContext.leg_trees`).  ``prefetch_seconds`` and the
+        share billed to each start's first consumer cover start trees only;
+        a demanded leg tree's wall lands in the turn that demanded it.  The
+        class docstring says when pooled trees are freed.
         """
-        trees: Dict[VertexId, Mapping[VertexId, float]] = {}
-        tree_errors: Dict[VertexId, Exception] = {}
         contexts: Dict[int, MatchContext] = {}
         errors: Dict[int, Exception] = {}
         seconds: Dict[int, float] = {}
         statistics = BatchStatistics(requests=len(requests))
 
+        # the batch's demand pool, seeded with the start trees
+        trees: Dict[VertexId, Optional[Mapping[VertexId, float]]] = {}
         # first consumer of each pooled start -> the wall billed to it
         unbilled: Dict[VertexId, float] = {}
-        start_trees: Dict[VertexId, Mapping[VertexId, float]] = {}
-        if prefetch and requests:
-            distinct_starts = list(dict.fromkeys(request.start for request in requests))
-            index_of = engine.graph.index_of
-            missing = []
-            for start in distinct_starts:
-                view = carried.get(start) if carried else None
-                if view is not None and view.index_of is index_of:
-                    start_trees[start] = view
-                else:
-                    missing.append(start)
-            statistics.carried_trees = len(start_trees)
-            unbilled = dict.fromkeys(start_trees, 0.0)
+        if requests:
             started = time.perf_counter()
-            fetched = engine.prefetch_trees(missing)
+            trees.update(
+                engine.prefetch_trees(list(dict.fromkeys(request.start for request in requests)))
+            )
             statistics.prefetch_seconds = time.perf_counter() - started
-            if fetched:
-                # Bill each fetched tree's share of the one-shot call to its
-                # first consumer below, the request that would have paid for
-                # the tree inline on the per-source path.
-                unbilled.update(
-                    dict.fromkeys(fetched, statistics.prefetch_seconds / len(fetched))
-                )
-            start_trees.update(fetched)
-            statistics.prefetched_trees = len(start_trees)
-            trees.update(start_trees)
-        # The batch's contexts share one leg memo and, with ``prefetch``
-        # on, one demand pool: ``trees`` itself, so start trees computed
-        # inline below land in it too.
+            statistics.prefetched_trees = len(trees)
+            if trees:
+                # Bill each tree's share of the one-shot call to its first
+                # consumer below.
+                unbilled = dict.fromkeys(trees, statistics.prefetch_seconds / len(trees))
+        # The batch's contexts share one leg memo and one demand pool.
         build_context = functools.partial(
             BatchMatchContext,
             engine=engine,
             grid=grid,
             shared_distances={},
-            leg_trees=trees if prefetch else None,
+            leg_trees=trees,
             batch_statistics=statistics,
         )
 
@@ -327,23 +290,17 @@ class BatchContext:
             start = request.start
             extra = 0.0
             started = time.perf_counter()
-            if start in trees:
+            tree = trees.get(start)
+            if tree is not None:
                 share = unbilled.pop(start, None)
                 if share is None:
                     statistics.shared_tree_hits += 1
                 else:
                     extra = share
-            elif start not in tree_errors:
-                try:
-                    trees[start] = engine.distances_from(start)
-                    statistics.trees_computed += 1
-                except VertexNotFoundError as error:
-                    tree_errors[start] = error
             seconds[index] = extra + time.perf_counter() - started
-            if start in tree_errors:
-                errors[index] = tree_errors[start]
+            if tree is None:
+                errors[index] = VertexNotFoundError(start)
                 continue
-            tree = trees[start]
             if request.destination not in engine.network:
                 errors[index] = VertexNotFoundError(request.destination)
                 continue
@@ -353,7 +310,7 @@ class BatchContext:
                 errors[index] = DisconnectedError(start, request.destination)
                 continue
             contexts[index] = build_context(request=request, direct=direct, start_tree=tree)
-        return cls(contexts, errors, statistics, seconds, start_trees, trees)
+        return cls(contexts, errors, statistics, seconds, trees)
 
     def context_for(self, index: int) -> MatchContext:
         """Return the pooled context of request ``index``.
@@ -381,8 +338,7 @@ class BatchContext:
     def release(self, index: int) -> None:
         """Drop request ``index``'s context.
 
-        Its start tree goes with it only when nothing is pooled
-        (``prefetch=False``); a pooling batch frees every pinned tree at
+        Its start tree stays pooled: the batch frees every pooled tree at
         once, when its last context is dropped.
         """
         self._contexts.pop(index, None)

@@ -19,15 +19,15 @@ the routing work pooled up front:
 1. **normalise** every request of the batch;
 2. **build a** :class:`~repro.core.batch.BatchContext` pooling the
    start-rooted distance trees and direct distances (requests sharing a start
-   vertex share one tree, and a start the previous batch also started from
-   takes the row that batch pooled);
+   vertex share one tree);
 3. **one turn per request**, in submission order: the matcher answers the
    request from its pooled context against the fleet as the previous turns
    left it;
 4. **greedily commit** the option the policy chooses before the next turn;
-5. **pin** in the engine the window's rows rooted at the fleet's live stops
-   (:meth:`Dispatcher.dispatch_batch`), so the legs later windows verify and
-   the re-plans towards those stops do not root them again.
+5. **retain** in the engine the rows rooted at the fleet's live stops and
+   at the window's starts (:meth:`Dispatcher.dispatch_batch`), so the legs
+   later windows verify, the re-plans towards those stops and a start that
+   recurs in the next window do not root them again.
 
 :meth:`Dispatcher.dispatch` is a batch of one.  Pooling moves no answer: the
 pipeline yields byte-identical options, choices and fleet end-state to the
@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.batch import BatchContext, BatchStatistics
 from repro.core.config import SystemConfig
@@ -135,15 +135,11 @@ class Dispatcher:
         self._active_requests: Dict[str, str] = {}
         #: shared-tree statistics of the most recent batch call (CLI / benchmarks)
         self.last_batch_statistics: Optional[BatchStatistics] = None
-        #: the most recent batch's start trees, carried into the next batch
-        #: (``BatchContext.create``'s ``carried``) so a start that recurs
-        #: from one window to the next is not rooted again
-        self.last_start_trees: Dict[VertexId, Mapping[VertexId, float]] = {}
         #: every stop vertex of the fleet's committed requests -> how many
         #: stops of waiting or riding requests stand there: a waiting
         #: request's start and destination, a riding one's destination.
         #: ``commit`` adds, ``notify_pickup`` / ``notify_dropoff`` remove,
-        #: and the rows rooted here are what each window pins in the engine
+        #: and the rows rooted here are what each window retains in the engine
         self._live_stops: Dict[VertexId, int] = {}
         self.count_live_stops()
         #: optional observer invoked with every committed outcome (single
@@ -155,7 +151,7 @@ class Dispatcher:
         """Count the live stops from the fleet's request states: once when
         the dispatcher is built, and again after a restore puts taxis with
         committed requests in its fleet, so a recovered or rebuilt service
-        pins the stops it inherited."""
+        retains the rows of the stops it inherited."""
         self._live_stops = {}
         for vehicle in self._fleet.vehicles():
             for state in vehicle.waiting_requests.values():
@@ -324,7 +320,6 @@ class Dispatcher:
         requests: Iterable[Request],
         policy: OptionPolicy = OptionPolicy.CHEAPEST,
         on_outcome: Optional[Callable[[DispatchOutcome], None]] = None,
-        prefetch: bool = True,
     ) -> List[DispatchOutcome]:
         """Greedy handling of simultaneous requests (Section 2.5).
 
@@ -333,14 +328,15 @@ class Dispatcher:
         predecessors' commits produced; the batch's distinct start trees are
         prefetched in one vectorised engine call and routing contexts are
         pooled batch-wide (shared start trees, a batch-wide schedule-leg memo
-        and leg trees pooled on demand); a start the previous batch also
-        started from takes that batch's pooled row (:attr:`last_start_trees`).
+        and leg trees pooled on demand).
 
-        Once every turn is over the window republishes the engine's
-        ``pinned`` rows: for each live stop, its row in this window's pool,
-        else the one pinned before (:meth:`_pin_live_stops`).  No tree is
-        rooted to pin it.  With ``prefetch=False``, or on an engine whose
-        cache has a slot for every vertex, nothing is published.
+        Once every turn is over the window names the roots whose rows the
+        engine keeps beyond it -- the live stops and this window's starts --
+        in one :meth:`~repro.roadnet.routing.CSREngine.retain` call, which
+        takes each row from this window's pool, else from the rows it kept
+        before.  No tree is rooted to keep it.  A stop served since the last
+        window loses its row here, not at the event: until this call, the
+        taxi that served it re-plans away from it over that row.
 
         Args:
             requests: the simultaneous requests, in submission order.
@@ -350,81 +346,50 @@ class Dispatcher:
                 even when a *later* request of the batch raises (e.g. the
                 simulation engine) hook in here, exactly as if they had run
                 the loop themselves.
-            prefetch: pool the batch's start trees through one vectorised
-                :meth:`~repro.roadnet.routing.RoutingEngine.prefetch_trees`
-                call (the default; ``False`` forces per-start computation,
-                the ablation arm of benchmark E13).
         """
         request_list = [self.normalise(request) for request in requests]
         if not request_list:
             return []
-        batch = BatchContext.create(
-            request_list,
-            self._fleet.routing_engine,
-            self._fleet.grid,
-            prefetch=prefetch,
-            carried=self.last_start_trees,
-        )
+        engine = self._fleet.routing_engine
+        batch = BatchContext.create(request_list, engine, self._fleet.grid)
         self.last_batch_statistics = batch.statistics
-        self.last_start_trees = batch.start_trees
         outcomes: List[DispatchOutcome] = []
-        for index, request in enumerate(request_list):
-            # One turn: match against the fleet as the previous commits left
-            # it.  The response time is the request's share of the pooled
-            # context building plus the match itself.
-            context = batch.context_for(index)  # re-raises recorded errors
-            started = time.perf_counter()
-            options = self._matcher.match(request, context)
-            elapsed = batch.context_seconds(index) + (time.perf_counter() - started)
-            chosen = policy.choose(options) if options else None
-            if chosen is not None:
-                self.commit(request, chosen, context=context)
-            outcome = DispatchOutcome(
-                request=request,
-                options=tuple(options),
-                chosen=chosen,
-                match_seconds=elapsed,
-                direct_distance=context.direct,
+        try:
+            for index, request in enumerate(request_list):
+                # One turn: match against the fleet as the previous commits
+                # left it.  The response time is the request's share of the
+                # pooled context building plus the match itself.
+                context = batch.context_for(index)  # re-raises recorded errors
+                started = time.perf_counter()
+                options = self._matcher.match(request, context)
+                elapsed = batch.context_seconds(index) + (time.perf_counter() - started)
+                chosen = policy.choose(options) if options else None
+                if chosen is not None:
+                    self.commit(request, chosen, context=context)
+                outcome = DispatchOutcome(
+                    request=request,
+                    options=tuple(options),
+                    chosen=chosen,
+                    match_seconds=elapsed,
+                    direct_distance=context.direct,
+                )
+                batch.release(index)  # drop the turn's context; the pool stays
+                outcomes.append(outcome)
+                if self.outcome_listener is not None:
+                    self.outcome_listener(outcome)
+                if on_outcome is not None:
+                    on_outcome(outcome)
+        finally:
+            # also when a turn raised: the rest of the window, re-queued by
+            # the caller, finds its starts kept
+            engine.retain(
+                self._live_stops.keys() | {request.start for request in request_list}, batch.pool
             )
-            batch.release(index)  # free the pooled tree once the turn is over
-            outcomes.append(outcome)
-            if self.outcome_listener is not None:
-                self.outcome_listener(outcome)
-            if on_outcome is not None:
-                on_outcome(outcome)
-        if prefetch:
-            self._pin_live_stops(batch.pool)
         return outcomes
 
-    def _pin_live_stops(self, pool: Mapping[VertexId, Optional[Mapping[VertexId, float]]]) -> None:
-        """Publish the engine's ``pinned`` rows: the row rooted at each live
-        stop, from ``pool`` (the window's trees) when it was built on the
-        engine's current graph, else the engine's previous pin.
-
-        A stop served since the last window loses its row here, not at the
-        event: until this publish, a taxi re-planning away from it still
-        reads it.  Every row is the engine's own for its root, so only the
-        engine's counters can tell a pinned read from a cached one.
-        """
-        engine = self._fleet.routing_engine
-        if not engine.evicts_trees:
-            return
-        graph = engine.graph
-        index_of, vertex_ids, live = graph.index_of, graph.vertex_ids, self._live_stops
-        pinned = {
-            index: row for index, row in engine.pinned.items() if vertex_ids[index] in live
-        }
-        for vertex in live.keys() & pool.keys():
-            view = pool[vertex]
-            if view is not None and view.index_of is index_of:
-                pinned[index_of[vertex]] = view.row
-        engine.pinned = pinned
-
     def release_trees(self) -> None:
-        """Drop the start trees carried from the last batch and the engine's
-        pinned rows (a shutdown); the next batch roots or fetches every tree
-        it needs."""
-        self.last_start_trees = {}
+        """Drop the engine's retained rows (a shutdown); the next batch roots
+        or fetches every tree it needs."""
         self._fleet.routing_engine.pinned = {}
 
     # ------------------------------------------------------------------

@@ -24,8 +24,9 @@ by how fast those queries are answered.  One engine answers them:
   row is an ``array('d')`` -- 8 bytes per vertex, and a read is a built-in
   ``float`` -- cached FIFO and read through :class:`_TreeView`, or straight
   by index (``row[index_of[v]]``) on the matchers' hottest reads.  Rows
-  the dispatcher pins (:attr:`CSREngine.pinned`: the trees rooted at its
-  fleet's live stops) are read after the cache and outlive its evictions.
+  the dispatcher retains (:meth:`CSREngine.retain`: the trees rooted at its
+  fleet's live stops and its last window's starts) are read after the cache
+  and outlive its evictions.
 * :class:`ALTIndex` -- an optional landmark (ALT) lower-bound index
   ("csr+alt"): for a set of landmarks ``L`` the triangle inequality gives
   the admissible bound ``dist(u, v) >= |dist(L, u) - dist(L, v)|``.  The
@@ -46,7 +47,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, DisconnectedError, VertexNotFoundError
 from repro.roadnet.graph import RoadNetwork, VertexId
@@ -411,13 +412,13 @@ class CSREngine:
     give the same float, so every answer is independent of cache state.
 
     :attr:`pinned` holds rows outside the FIFO, by source index: every read
-    of a root or leaf row looks there after the cache.  Its owner (the
-    dispatcher pins the rows rooted at its fleet's live stops) publishes
-    only this engine's own rows for the current graph, so a pinned read is
-    the float the cache would have held; :meth:`invalidate` empties it.
-    Pinned rows are extra to the ``max_cached_sources`` budget: the engine
-    may hold that many cached rows *plus* one pinned row per distinct live
-    stop vertex, each ``8 * V`` bytes.
+    of a root or leaf row looks there after the cache.  :meth:`retain` fills
+    it with this engine's own rows for the current graph only, so a pinned
+    read is the float the cache would have held; :meth:`invalidate` empties
+    it.  Pinned rows are extra to the ``max_cached_sources`` budget: the
+    engine may hold that many cached rows *plus* one pinned row per root its
+    dispatcher names (the distinct live stop vertices and one window's
+    distinct starts), each ``8 * V`` bytes.
 
     It answers every distance / path query the rest of the system issues;
     the matchers, the batch pipeline and the fleet type against it (as
@@ -474,17 +475,36 @@ class CSREngine:
         """The tree-cache capacity the engine was built with.
 
         It bounds the FIFO cache only: :attr:`pinned` rows are held on top
-        of it (at most one per distinct live stop vertex, ``8 * V`` bytes
-        each), so a caller sizing the cache for memory adds those.
+        of it (at most one per root :meth:`retain` was last given, ``8 * V``
+        bytes each), so a caller sizing the cache for memory adds those.
         """
         return self._max_cached_sources
 
-    @property
-    def evicts_trees(self) -> bool:
-        """``False`` when the cache has a slot for every vertex of the
-        current graph: no tree is ever evicted, so no cold root is walked
-        and no row needs pinning (see :meth:`_compile`)."""
-        return self._evicts_trees
+    def retain(
+        self,
+        roots: Iterable[VertexId],
+        pool: Mapping[VertexId, Optional[_TreeView]],
+    ) -> None:
+        """Replace :attr:`pinned` with the rows of ``roots``: each root's row
+        in ``pool`` (a batch's trees) when it was built on this engine's
+        current graph, else the row pinned before; every other row goes.
+
+        No tree is rooted to retain it.  On a cache with a slot for every
+        vertex nothing is evicted, so nothing is retained (see
+        :meth:`_compile`).
+        """
+        retained: Dict[int, array] = {}
+        if self._evicts_trees:
+            index_of, previous = self._graph.index_of, self.pinned
+            for vertex in roots:
+                view = pool.get(vertex)
+                if view is not None and view.index_of is index_of:
+                    retained[index_of[vertex]] = view.row
+                else:
+                    index = index_of.get(vertex)  # ``None`` for an unknown root
+                    if index in previous:
+                        retained[index] = previous[index]
+        self.pinned = retained
 
     def with_backend(self, backend: str) -> "CSREngine":
         """A fresh ``backend`` engine on the same network, with the same

@@ -119,16 +119,6 @@ class TestBatchPrefetch:
         # matter how many requests consumed each tree.
         assert engine.stats.dijkstra_runs == distinct
 
-    def test_prefetch_off_falls_back_to_per_start_trees(self, csr_fleet):
-        requests = _requests(csr_fleet, 6, seed=21)
-        batch = BatchContext.create(
-            requests, csr_fleet.routing_engine, csr_fleet.grid, prefetch=False
-        )
-        distinct = len({r.start for r in requests})
-        assert batch.statistics.prefetched_trees == 0
-        assert batch.statistics.prefetch_seconds == 0.0
-        assert batch.statistics.trees_computed == distinct
-
     def test_prefetched_contexts_match_per_request_construction(self, csr_fleet):
         requests = _requests(csr_fleet, 5, seed=33)
         batch = BatchContext.create(requests, csr_fleet.routing_engine, csr_fleet.grid)
@@ -166,13 +156,13 @@ class TestDemandPool:
         return make_engine(network, backend, max_cached_sources=cache), fleet.grid
 
     @staticmethod
-    def _context(engine, grid, prefetch=True):
+    def _context(engine, grid):
         vertices = grid.network.vertices()
         request = Request(
             start=vertices[20], destination=vertices[40], riders=1,
             max_waiting=6.0, service_constraint=0.4, request_id="probe",
         )
-        batch = BatchContext.create([request], engine, grid, prefetch=prefetch)
+        batch = BatchContext.create([request], engine, grid)
         return batch, batch.context_for(0)
 
     @pytest.mark.parametrize("backend", ROUTING_ARMS)
@@ -216,14 +206,6 @@ class TestDemandPool:
         assert engine.stats.queries == queries
         assert batch.statistics.leg_tree_hits == 1
         assert batch.statistics.leg_sources_prefetched == 0
-
-    def test_prefetch_off_pools_nothing(self):
-        engine, grid = self._pieces("csr")
-        batch, context = self._context(engine, grid, prefetch=False)
-        vertices = grid.network.vertices()
-        assert context.leg_trees is None
-        assert context.distance(vertices[3], vertices[9]) == engine.distance(vertices[3], vertices[9])
-        assert batch.statistics.leg_tree_hits == 0
 
     @pytest.mark.parametrize("backend", ROUTING_ARMS)
     @pytest.mark.parametrize(

@@ -1,21 +1,24 @@
-"""The rows a dispatcher pins in its engine: one per live fleet stop.
+"""The rows an engine retains: one per live fleet stop and recent start.
 
 ``CSREngine.pinned`` holds rows outside the engine's FIFO tree cache, read
 after it for root and leaf rows alike.  A pinned row is the engine's own row
 for its root on its current graph, so an engine with pins answers every
-query bit for bit as one without.  The dispatcher publishes the pins at the
-end of each window: the rows rooted at the stops of waiting and riding
-requests, taken from the window's pool or the previous pins.  A driven day
-on a one- or two-tree cache equals the sequential loop of
-``tests/dispatch_reference.py`` window after window; after every window the
-pinned roots are live stops, and nothing stays pinned after ``invalidate()``,
-a backend switch or ``close()``.
+query bit for bit as one without.  At the end of each window the dispatcher
+names the roots to retain -- the stops of waiting and riding requests and
+the window's starts -- and ``CSREngine.retain`` takes their rows from the
+window's pool or the previous pins.  Consecutive windows and a driven day on
+a one- or two-tree cache equal the sequential loop of
+``tests/dispatch_reference.py`` window after window; a start that recurs
+from one window to the next is never rooted again; after every window the
+pinned roots are live stops or that window's starts, and nothing stays
+pinned after ``invalidate()``, a backend switch or ``close()``.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +26,11 @@ from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
 from repro.core.dispatcher import Dispatcher, OptionPolicy
+from repro.core.single_side import SingleSideSearchMatcher
+from repro.errors import VertexNotFoundError
 from repro.model.request import Request
 from repro.roadnet.generators import grid_network
-from repro.roadnet.routing import make_engine
+from repro.roadnet.routing import CSRGraph, make_engine
 from repro.service.api import PTRiderService, assemble_fleet
 from repro.sim.engine import SimulationEngine
 from repro.sim.workload import RequestWorkload
@@ -132,6 +137,216 @@ def test_a_pinned_read_counts_as_a_pinned_hit_not_a_cache_hit():
     assert (stats.pinned_hits, stats.cache_hits, stats.dijkstra_runs) == (3, 0, 0)
 
 
+def test_retain_keeps_only_the_named_roots_of_the_current_graph():
+    """``retain`` keeps a named root's row from the pool when it is this
+    engine's current graph's, else the row it kept before; an unnamed root,
+    an unknown one and another graph's row are not kept."""
+    network = grid_network(4, 4, weight_jitter=0.3, seed=3)
+    engine = make_engine(network, max_cached_sources=1)
+    a, b, c, d = network.vertices()[:4]
+    index_of = engine.graph.index_of
+    pool = dict(engine.prefetch_trees([a, b, c]))
+    pool[d] = make_engine(network, max_cached_sources=1).prefetch_trees([d])[d]
+    runs = engine.stats.dijkstra_runs
+    engine.retain([a, b, d, 99_999], pool)
+    assert _pinned_roots(engine) == {a, b}
+    assert engine.pinned[index_of[a]] is pool[a].row
+    # a root the pool lacks keeps its previous row; one never kept stays out
+    engine.retain([a, c], {})
+    assert _pinned_roots(engine) == {a}
+    assert engine.pinned[index_of[a]] is pool[a].row
+    assert engine.stats.dijkstra_runs == runs  # nothing is rooted to keep it
+    engine.invalidate()
+    assert engine.pinned == {}
+    engine.retain([a, b], pool)  # the pool's rows are the old graph's
+    assert engine.pinned == {}
+
+    roomy = make_engine(network, max_cached_sources=len(network.vertices()))
+    roomy.retain([a], roomy.prefetch_trees([a]))
+    assert roomy.pinned == {}  # a cache with a slot per vertex evicts nothing
+
+
+# ----------------------------------------------------------------------
+# the dispatcher: consecutive windows whose starts recur
+# ----------------------------------------------------------------------
+@st.composite
+def window_scenarios(draw):
+    """A fleet blueprint and 3-5 consecutive windows whose starts recur."""
+    seed = draw(st.integers(min_value=0, max_value=100_000))
+    rng = random.Random(seed)
+    network = grid_network(
+        draw(st.integers(min_value=4, max_value=6)),
+        draw(st.integers(min_value=4, max_value=6)),
+        weight_jitter=0.4,
+        seed=seed,
+    )
+    vertices = network.vertices()
+    locations = [rng.choice(vertices) for _ in range(draw(st.integers(min_value=1, max_value=6)))]
+    grid_rows = draw(st.integers(min_value=2, max_value=4))
+    hotspots = rng.sample(vertices, draw(st.integers(min_value=1, max_value=3)))
+    windows = []
+    for window in range(draw(st.integers(min_value=3, max_value=5))):
+        requests = []
+        for index in range(draw(st.integers(min_value=1, max_value=4))):
+            start = rng.choice(hotspots) if rng.random() < 0.75 else rng.choice(vertices)
+            destination = rng.choice([v for v in vertices if v != start])
+            requests.append(
+                Request(
+                    start=start, destination=destination, riders=rng.randint(1, 2),
+                    max_waiting=6.0, service_constraint=0.6,
+                    request_id=f"w{window}-{seed}-{index}",
+                )
+            )
+        windows.append(requests)
+    return {
+        "blueprint": (network, locations, grid_rows),
+        "windows": windows,
+        "matcher": draw(st.sampled_from(sorted(MATCHERS))),
+        "policy": draw(st.sampled_from([OptionPolicy.CHEAPEST, OptionPolicy.FASTEST])),
+        "cache": draw(st.sampled_from([1, 2])),
+    }
+
+
+def _dispatcher(scenario, backend):
+    network, locations, grid_rows = scenario["blueprint"]
+    config = SystemConfig(max_waiting=6.0, service_constraint=0.6)
+    fleet = build_fleet(network, locations, capacity=4, grid_rows=grid_rows, grid_columns=grid_rows)
+    fleet.set_routing_engine(
+        make_engine(network, backend, max_cached_sources=scenario["cache"])
+    )
+    return Dispatcher(fleet, MATCHERS[scenario["matcher"]](fleet, config=config), config)
+
+
+class _RootSpy:
+    """Records the root of every tree ``graph`` computes."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.roots = set()
+
+    def __enter__(self):
+        spy = self
+        original_tree, original_trees = CSRGraph.tree, CSRGraph.trees
+
+        def tree(graph, source_index):
+            if graph is spy.graph:
+                spy.roots.add(graph.vertex_ids[source_index])
+            return original_tree(graph, source_index)
+
+        def trees(graph, source_indices):
+            if graph is spy.graph:
+                spy.roots.update(graph.vertex_ids[index] for index in source_indices)
+            return original_trees(graph, source_indices)
+
+        self._patches = [
+            mock.patch.object(CSRGraph, "tree", tree),
+            mock.patch.object(CSRGraph, "trees", trees),
+        ]
+        for patch in self._patches:
+            patch.start()
+        return self
+
+    def __exit__(self, *exc):
+        for patch in self._patches:
+            patch.stop()
+
+
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
+@given(window_scenarios())
+@settings(max_examples=20, deadline=None)
+def test_consecutive_windows_equal_the_loop_and_root_no_recurring_start(backend, scenario):
+    """Window after window on a one- or two-tree cache, the batched pipeline
+    equals the sequential loop byte for byte, and a start the previous window
+    also started from is read from the engine's retained rows: never rooted
+    again."""
+    sequential = _dispatcher(scenario, backend)
+    batched = _dispatcher(scenario, backend)
+    engine = batched.fleet.routing_engine
+    policy = scenario["policy"]
+    previous = set()
+    for window in scenario["windows"]:
+        loop_outcomes = dispatch_sequential(sequential, window, policy)
+        with _RootSpy(engine.graph) as spy:
+            pipeline_outcomes = batched.dispatch_batch(window, policy=policy)
+
+        assert [(o.options, o.chosen) for o in loop_outcomes] == [
+            (o.options, o.chosen) for o in pipeline_outcomes
+        ]
+        assert _fleet_state(sequential.fleet) == _fleet_state(batched.fleet)
+        starts = {request.start for request in window}
+        recurring = starts & previous
+        assert not spy.roots & recurring
+        statistics = batched.last_batch_statistics
+        assert statistics.prefetched_trees == len(starts)
+        previous = starts
+
+
+def _city(backend):
+    network = grid_network(6, 6, weight_jitter=0.3, seed=8)
+    vertices = network.vertices()
+    config = SystemConfig(max_waiting=6.0, service_constraint=0.6)
+    fleet = build_fleet(network, [vertices[0], vertices[20], vertices[35]], grid_rows=3, grid_columns=3)
+    fleet.set_routing_engine(make_engine(network, backend, max_cached_sources=2))
+    dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
+    return dispatcher, vertices
+
+
+def _window(vertices, tag):
+    return [
+        Request(start=vertices[start], destination=vertices[destination], riders=1,
+                max_waiting=6.0, service_constraint=0.6, request_id=f"{tag}{index}")
+        for index, (start, destination) in enumerate([(7, 30), (14, 2), (7, 25)])
+    ]
+
+
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
+def test_a_start_whose_request_got_no_option_is_retained_for_one_window(backend):
+    """A window retains its starts whether or not their requests were
+    served: the next window reads such a start's row instead of rooting it
+    again, and the first window that neither starts nor stops there drops
+    it."""
+    dispatcher, vertices = _city(backend)
+    engine = dispatcher.fleet.routing_engine
+    lonely = vertices[12]
+
+    def too_many_riders(tag):  # more riders than any taxi seats
+        return [
+            Request(start=lonely, destination=vertices[33], riders=5, max_waiting=6.0,
+                    service_constraint=0.6, request_id=tag)
+        ]
+
+    [outcome] = dispatcher.dispatch_batch(too_many_riders("x0"))
+    assert outcome.options == ()
+    assert lonely in _pinned_roots(engine)
+    for vertex in vertices[:2]:  # push its row out of the two-tree cache
+        engine.distances_from(vertex)
+    hits = engine.stats.pinned_hits
+    with _RootSpy(engine.graph) as spy:
+        [outcome] = dispatcher.dispatch_batch(too_many_riders("x1"))
+    assert outcome.options == ()
+    assert lonely not in spy.roots
+    assert engine.stats.pinned_hits > hits
+    dispatcher.dispatch_batch(_window(vertices, "a"))
+    assert lonely not in _pinned_roots(engine)
+    _assert_pins_are_the_engines_own(engine)
+
+
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
+def test_a_window_that_raises_at_a_turn_still_retains_its_starts(backend):
+    """A turn that raises (an unknown start) ends the window early; the
+    starts it already pooled are retained all the same, so the rest of the
+    window, re-queued by the ingest queue, finds its start rows kept."""
+    dispatcher, vertices = _city(backend)
+    engine = dispatcher.fleet.routing_engine
+    window = _window(vertices, "a")
+    window.insert(1, Request(start=99_999, destination=vertices[30], riders=1, max_waiting=6.0,
+                             service_constraint=0.6, request_id="unknown"))
+    with pytest.raises(VertexNotFoundError):
+        dispatcher.dispatch_batch(window)
+    assert {vertices[7], vertices[14]} <= _pinned_roots(engine)
+    _assert_pins_are_the_engines_own(engine)
+
+
 # ----------------------------------------------------------------------
 # the dispatcher: a driven day against the sequential loop
 # ----------------------------------------------------------------------
@@ -189,11 +404,12 @@ def _registering(simulation):
 @pytest.mark.parametrize("backend", ROUTING_ARMS)
 @given(driven_days())
 @settings(max_examples=15, deadline=None)
-def test_a_driven_day_equals_the_loop_and_pins_only_live_stops(backend, scenario):
+def test_a_driven_day_equals_the_loop_and_pins_only_live_stops_and_starts(backend, scenario):
     """Window after window, with taxis moving and serving stops in between,
     the pinning dispatcher equals the loop byte for byte; its counts of live
-    stops equal the fleet's, and its pins are rows rooted at live stops.
-    Request ids recur once their first request is no longer live."""
+    stops equal the fleet's, and its pins are rows rooted at live stops or
+    at the window's starts, every start among them.  Request ids recur once
+    their first request is no longer live."""
     loop, loop_world = _world(scenario, backend)
     pinning, world = _world(scenario, backend)
     engine = pinning.fleet.routing_engine
@@ -232,7 +448,8 @@ def test_a_driven_day_equals_the_loop_and_pins_only_live_stops(backend, scenario
         live = _live_stops(pinning.fleet)
         assert pinning._live_stops == dict(live)
         if window:
-            assert _pinned_roots(engine) <= set(live)
+            starts = {request.start for request in window}
+            assert starts <= _pinned_roots(engine) <= set(live) | starts
         _assert_pins_are_the_engines_own(engine)
         loop_world.step()
         world.step()
@@ -255,16 +472,20 @@ def _service(tree_cache=4, **overrides):
 
 
 def _windows(system, count, offset=0):
+    """Serve ``count`` windows; return the last one's starts."""
     vertices = system.fleet.grid.network.vertices()
     for window in range(offset, offset + count):
+        starts = set()
         for index in range(4):
             start = vertices[(window * 13 + index * 29) % len(vertices)]
+            starts.add(start)
             system.ingest(start, vertices[(window * 7 + index * 31 + 50) % len(vertices)])
         system.advance(1.0)
         system.pump()
         live = _live_stops(system.fleet)
         assert system.dispatcher._live_stops == dict(live)
-        assert _pinned_roots(system.fleet.routing_engine) <= set(live)
+        assert _pinned_roots(system.fleet.routing_engine) <= set(live) | starts
+    return starts
 
 
 def test_a_rebuilt_dispatcher_and_close_keep_and_drop_the_pins():
@@ -302,12 +523,14 @@ def test_a_backend_switch_pins_no_row_of_the_old_engine():
 
 def test_a_cache_with_a_slot_for_every_vertex_pins_nothing():
     """The engine decides whether its cache evicts; one that holds every
-    vertex never does, so the dispatcher publishes no pin on it."""
+    vertex never does, so it retains no row however the dispatcher names
+    the roots, and one slot fewer does."""
     system = _service(tree_cache=100)  # the 10 x 10 grid: a slot per vertex
-    assert not system.fleet.routing_engine.evicts_trees
     _windows(system, 4)
     assert system.fleet.routing_engine.pinned == {}
-    assert _service(tree_cache=99).fleet.routing_engine.evicts_trees
+    system = _service(tree_cache=99)
+    _windows(system, 4)
+    assert system.fleet.routing_engine.pinned
 
 
 def test_a_recovered_service_counts_the_stops_it_inherited(tmp_path):
@@ -315,7 +538,7 @@ def test_a_recovered_service_counts_the_stops_it_inherited(tmp_path):
     system = _service(
         durability="journal+snapshot", snapshot_interval=5, journal_path=str(journal)
     )
-    _windows(system, 5)
+    starts = _windows(system, 5)
     live = dict(_live_stops(system.fleet))
     assert live
     kill(system)
@@ -324,7 +547,7 @@ def test_a_recovered_service_counts_the_stops_it_inherited(tmp_path):
         assert recovered.fleet.routing_engine.max_cached_sources == 4
         assert recovered.dispatcher._live_stops == live
         # the replayed tail's windows pin as the live ones did
-        assert _pinned_roots(recovered.fleet.routing_engine) <= set(live)
+        assert _pinned_roots(recovered.fleet.routing_engine) <= set(live) | starts
         _windows(recovered, 2, offset=5)
         assert recovered.fleet.routing_engine.pinned
     finally:

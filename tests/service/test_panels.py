@@ -69,7 +69,6 @@ def _check(panel, pinned, walls):
 STATISTICS = {
     "average_detour_ratio": 0.0,
     "average_options": 1.2222222222222223,
-    "batch_carried_trees": 0.0,
     "batch_leg_sources_prefetched": 11.0,
     "batch_leg_tree_hits": 34.0,
     "batch_leg_walks": 0.0,
@@ -239,7 +238,7 @@ def test_compare_columns(capsys):
     argv = ["compare", "--vehicles", "10", "--rows", "6", "--columns", "6", "--requests", "5"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "Dispatch: batched pipeline, prefetch on"
+    assert lines[0] == "Dispatch: batched pipeline"
     assert lines[1].split() == [
         "matcher", "seconds", "evaluated", "pruned", "options", "tree", "hits", "prefetched",
     ]
