@@ -347,6 +347,64 @@ def test_a_window_that_raises_at_a_turn_still_retains_its_starts(backend):
     _assert_pins_are_the_engines_own(engine)
 
 
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
+def test_no_retained_row_survives_invalidate(backend):
+    """After ``engine.invalidate()`` the next window roots every start on the
+    recompiled graph: no row kept before is read or kept again, every pin is
+    the new graph's, and the answers equal a fresh dispatcher's."""
+    dispatcher, vertices = _city(backend)
+    engine = dispatcher.fleet.routing_engine
+    dispatcher.dispatch_batch(_window(vertices, "a"))
+    dispatcher.dispatch_batch(_window(vertices, "b"))
+    starts = {vertices[7], vertices[14]}
+    assert starts <= _pinned_roots(engine)
+
+    stale = list(engine.pinned.values())  # held, so no id is reused
+    engine.invalidate()
+    assert engine.pinned == {}
+    with _RootSpy(engine.graph) as spy:
+        outcomes = dispatcher.dispatch_batch(_window(vertices, "c"))
+    assert starts <= spy.roots
+    assert dispatcher.last_batch_statistics.prefetched_trees == 2
+    assert starts <= _pinned_roots(engine)
+    assert not {id(row) for row in engine.pinned.values()} & {id(row) for row in stale}
+    _assert_pins_are_the_engines_own(engine)
+
+    reference, _ = _city(backend)
+    for tag in "ab":
+        reference.dispatch_batch(_window(vertices, tag))
+    assert [o.options for o in outcomes] == [
+        o.options for o in reference.dispatch_batch(_window(vertices, "c"))
+    ]
+
+
+@pytest.mark.parametrize("backend", ROUTING_ARMS)
+def test_rows_of_another_engine_are_not_retained(backend):
+    """A fleet handed a new engine on the same network between two windows,
+    with the dispatcher rebuilt as the service does: the next window roots
+    its recurring starts on the new engine's graph and the new engine keeps
+    no row of the old one."""
+    dispatcher, vertices = _city(backend)
+    fleet = dispatcher.fleet
+    old = fleet.routing_engine
+    dispatcher.dispatch_batch(_window(vertices, "a"))
+    starts = {vertices[7], vertices[14]}
+    assert starts <= _pinned_roots(old)
+    old_rows = {id(row) for row in old.pinned.values()}
+
+    other = make_engine(fleet.grid.network, backend, max_cached_sources=2)
+    fleet.set_routing_engine(other)
+    config = dispatcher.config
+    dispatcher = Dispatcher(fleet, SingleSideSearchMatcher(fleet, config=config), config)
+    with _RootSpy(other.graph) as spy:
+        dispatcher.dispatch_batch(_window(vertices, "b"))
+    assert starts <= spy.roots
+    assert dispatcher.last_batch_statistics.prefetched_trees == 2
+    assert starts <= _pinned_roots(other)
+    assert not {id(row) for row in other.pinned.values()} & old_rows
+    _assert_pins_are_the_engines_own(other)
+
+
 # ----------------------------------------------------------------------
 # the dispatcher: a driven day against the sequential loop
 # ----------------------------------------------------------------------
