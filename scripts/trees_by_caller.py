@@ -32,9 +32,15 @@ stack named in :data:`CALLERS`, so a tree a commit's fallback roots through
       other                          0     0      0
       total                        733  1415      0
     best_schedule: 6141 calls on a non-empty tree, 5598 (91.2%) saw one branch
+    grid lower-bound rows: 173 searches, 173 bounded, 0 full
 
-The last line says how often ``KineticTree.best_schedule`` had a single branch
-to choose from (and therefore nothing to measure).  On a 1 024-tree cache
+The ``best_schedule`` line says how often ``KineticTree.best_schedule`` had a
+single branch to choose from (and therefore nothing to measure).  The last
+line counts the grid index's row searches: a single-side walk and its
+empty-taxi probe search a row out to the pick-up cap (bounded), every other
+reader -- and a read past a row's reach -- searches it whole (full).
+``--expect-full-rows N`` exits 1 unless the day runs exactly N full
+searches, a tripwire for a caller that stops passing its reach.  On a 1 024-tree cache
 nothing is pinned; ``--tree-cache 8`` replays the day on ``surge_durable``'s
 8-slot cache, where the pins answer.  ``--expect-trees N`` exits 0 exactly
 when the day roots N trees in all, a tripwire for routing work that moved.
@@ -45,7 +51,7 @@ Usage::
     PYTHONPATH=src python scripts/trees_by_caller.py --seed 7001 --path batched
     PYTHONPATH=src python scripts/trees_by_caller.py --path batched --tree-cache 8 \
         --vehicles 40 --capacity 2 --rate 400 --requests 4000 --hotspots 80 \
-        --seed 1001 --expect-trees 174
+        --seed 1001 --expect-trees 174 --expect-full-rows 0
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dispatcher import OptionPolicy
 from repro.vehicles.kinetic_tree import KineticTree
@@ -153,14 +159,16 @@ def _answer_by_booking(service, arrived: Sequence) -> None:
             service.cancel(booking.booking_id)
 
 
-def replay(args: argparse.Namespace, out=sys.stdout) -> Dict[str, int]:
+def replay(args: argparse.Namespace, out=sys.stdout) -> Tuple[Dict[str, int], Dict[str, int]]:
     """Replay the day; print the report; return the per-caller tree counts
-    (the walks are on the report)."""
+    (the walks are on the report) and the grid's ``bounded`` and ``full``
+    row searches."""
     batched = args.path == "batched"
     # one window = one tick's arrivals, closed by time, as perfbench sets it
     overrides = dict(batch_window=1.0, max_batch_size=65536) if batched else {}
     service = day_tool.build_service(args, **overrides)
     day = day_tool.build_day(service, args)
+    grid = service.fleet.grid
     ledger = TreeLedger(service.fleet.routing_engine)
     branches = BranchCounter()
     try:
@@ -199,7 +207,13 @@ def replay(args: argparse.Namespace, out=sys.stdout) -> Dict[str, int]:
         f"{branches.single} ({share:.1f}%) saw one branch",
         file=out,
     )
-    return ledger.trees
+    rows = {"bounded": grid.bounded_row_searches, "full": grid.full_row_searches}
+    print(
+        f"grid lower-bound rows: {sum(rows.values())} searches, "
+        f"{rows['bounded']} bounded, {rows['full']} full",
+        file=out,
+    )
+    return ledger.trees, rows
 
 
 def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
@@ -208,16 +222,26 @@ def parse_args(argv: Optional[List[str]] = None) -> argparse.Namespace:
                         help="serving path the day is replayed through")
     parser.add_argument("--expect-trees", type=int, default=None, metavar="N",
                         help="exit 0 iff the day roots exactly N trees in all")
+    parser.add_argument("--expect-full-rows", type=int, default=None, metavar="N",
+                        help="exit 0 iff the grid searches exactly N rows in full")
     return parser.parse_args(argv)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = parse_args(argv)
-    total = sum(replay(args).values())
-    if args.expect_trees is None or total == args.expect_trees:
-        return 0
-    print(f"expected {args.expect_trees} trees, counted {total}", file=sys.stderr)
-    return 1
+    trees, rows = replay(args)
+    status = 0
+    total = sum(trees.values())
+    if args.expect_trees is not None and total != args.expect_trees:
+        print(f"expected {args.expect_trees} trees, counted {total}", file=sys.stderr)
+        status = 1
+    if args.expect_full_rows is not None and rows["full"] != args.expect_full_rows:
+        print(
+            f"expected {args.expect_full_rows} full row searches, counted {rows['full']}",
+            file=sys.stderr,
+        )
+        status = 1
+    return status
 
 
 if __name__ == "__main__":

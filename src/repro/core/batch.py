@@ -288,16 +288,13 @@ class BatchContext:
 
         for index, request in enumerate(requests):
             start = request.start
-            extra = 0.0
-            started = time.perf_counter()
             tree = trees.get(start)
             if tree is not None:
                 share = unbilled.pop(start, None)
                 if share is None:
                     statistics.shared_tree_hits += 1
                 else:
-                    extra = share
-            seconds[index] = extra + time.perf_counter() - started
+                    seconds[index] = share
             if tree is None:
                 errors[index] = VertexNotFoundError(start)
                 continue
@@ -327,11 +324,12 @@ class BatchContext:
     def context_seconds(self, index: int) -> float:
         """Wall time spent building request ``index``'s share of the pool.
 
-        The first request of a start vertex is billed its tree computation;
-        requests served by an already-pooled tree are billed (almost)
-        nothing.  The pipeline adds this to each outcome's ``match_seconds``
-        so response times keep covering the request-side routing work, as
-        they did when contexts were built inline.
+        The first request of a start vertex is billed its share of the
+        one-shot prefetch; requests served by an already-pooled tree, and a
+        start the engine had no tree for, are billed nothing.  The pipeline
+        adds this to each outcome's ``match_seconds`` so response times keep
+        covering the request-side routing work, as they did when contexts
+        were built inline.
         """
         return self._seconds.get(index, 0.0)
 

@@ -145,8 +145,15 @@ class MatchContext:
             return self.index_lower_bound(source, target)
         return exact - BOUND_SLACK if exact > BOUND_SLACK else 0.0
 
-    def index_lower_bound(self, source: VertexId, target: VertexId) -> float:
-        """The bound the indexes give: grid cells vs ALT landmarks."""
+    def index_lower_bound(
+        self, source: VertexId, target: VertexId, within: float = INFINITY
+    ) -> float:
+        """The bound the indexes give: grid cells vs ALT landmarks.
+
+        ``within`` is the reach a grid row this read needs is searched out to
+        (:meth:`~repro.roadnet.grid_index.GridIndex.distance_lower_bound`);
+        the answer does not depend on it.
+        """
         engine_bound = self.engine.distance_lower_bound(source, target)
-        bound = self.grid.distance_lower_bound(source, target)
+        bound = self.grid.distance_lower_bound(source, target, within)
         return engine_bound if engine_bound > bound else bound

@@ -244,9 +244,16 @@ class Matcher(abc.ABC):
         """:meth:`_pickup_lower_bound` as the grid / ALT indexes alone give it.
 
         Only the empty-vehicle dominance probe is still built on this one
-        (ARCHITECTURE.md "Single-side search" says why).
+        (ARCHITECTURE.md "Single-side search" says why).  It runs on cap
+        survivors, so the grid row it reads is searched out to the pick-up
+        cap only; a read past the cap completes the row.
         """
-        return context.index_lower_bound(vehicle.location, context.request.start) + vehicle.offset
+        max_pickup = self._config.max_pickup_distance
+        return context.index_lower_bound(
+            vehicle.location,
+            context.request.start,
+            INFINITY if max_pickup is None else max_pickup,
+        ) + vehicle.offset
 
     def _price_lower_bound(self, vehicle: Vehicle, context: MatchContext) -> float:
         """Lower bound on the price any option of ``vehicle`` can have.

@@ -78,7 +78,8 @@ class SingleSideSearchMatcher(Matcher):
         seen: Set[str] = set()
         skip_empty_lists = False
 
-        for cell_bound, cell in self._grid.expand_from(start_cell):
+        # The row is searched only out to the cap: no cell past it is expanded.
+        for cell_bound, cell in self._grid.expand_from(start_cell, max_pickup_value):
             self.statistics.cells_visited += 1
             # Lower bound on dist(x, s) for ANY vertex x in this cell (and, by
             # the ascending expansion order, in every later cell).
@@ -117,6 +118,12 @@ class SingleSideSearchMatcher(Matcher):
                     cell.nonempty_vehicles, vehicles, context, max_pickup_value, seen
                 ):
                     self._consider(vehicle, pickup_floor, context, max_pickup_value, seen, skyline)
+        else:
+            # Every cell within the cap was expanded; the next one a full
+            # expansion would yield lies past it and stops the walk, counted
+            # as the cell the cap stops it at always is.
+            if self._grid.reaches_beyond(start_cell, max_pickup_value):
+                self.statistics.cells_visited += 1
 
         return skyline.options()
 

@@ -18,7 +18,8 @@ paper, every grid cell maintains
 
 In addition, a matrix of lower-bound distances between every pair of grid
 cells is maintained (realised lazily here, one row per cell the first time a
-matcher touches it, so a service only pays for the rows it uses).
+matcher touches it, and only out to the reach the reader asks for, so a
+service only pays for the rows -- and the stretch of each row -- it uses).
 
 Every distance the index holds is computed on one :class:`CSRGraph` the index
 compiles for itself -- in C where SciPy is installed, by the graph's own
@@ -29,10 +30,24 @@ array Dijkstra otherwise:
   the ``subgraph`` without the cell-crossing edges (a shortest path from a
   vertex to the nearest border vertex of its own cell never needs to leave
   the cell: where it came back in it would stand on a border vertex already);
-* a lower-bound row is one ``CSRGraph.nearest(border vertices of the cell)``
-  over the whole graph, minimised over each other cell's border vertices in
-  one NumPy ``minimum.reduceat`` over the gathered border distances (a list
-  comprehension of ``min`` where ``nearest`` hands back an ``array('d')``).
+* a lower-bound row is one ``CSRGraph.nearest(border vertices of the cell,
+  limit=reach)`` over the whole graph, minimised over each other cell's
+  border vertices in one NumPy ``minimum.reduceat`` over the gathered border
+  distances (a list comprehension of ``min`` where ``nearest`` hands back an
+  ``array('d')``).
+
+Rows have a reach.  The single-side walk expands cells only until a bound
+passes the pick-up cap (Section 3.3), so it and its empty-taxi probe ask for
+a row out to the cap; every other reader asks for the full row (reach
+``INFINITY``).  A search with a limit settles every vertex within it through
+the same relaxations as a full one, so every entry within the reach is the
+full row's float bit for bit; an entry past it reads ``INFINITY`` -- not
+searched, rather than unreachable -- and a read that lands there completes
+the row as a full search.  So :meth:`GridIndex.distance_lower_bound` always
+answers the full row's value, and :meth:`GridIndex.expand_from` with a
+``within`` yields the full expansion's prefix.  Whether the full expansion
+would go on past it, :meth:`GridIndex.reaches_beyond` answers from connected
+components labelled once per index, without a search.
 
 The rest of construction is one pass over the coordinate map (vertex to
 cell) and one over the compiled graph's CSR positions (which edges cross a
@@ -43,8 +58,8 @@ pins every list and map it builds, in order, as digests.
 
 A row is a list of floats indexed by cell *rank* -- the cell's row-major
 position, which is also ``CellId`` tuple order -- and each cell's *grid cell
-list* is one stable sort of the ranks by bound, so tied bounds keep cell-id
-order.
+list* is one stable sort of the ranks its row bounds finitely, by bound, so
+tied bounds keep cell-id order.
 
 The values and the cell orders are ``==`` to one whole-graph pure-Python
 search per cell and a sort of ``(bound, cell id)`` tuples (the references in
@@ -65,6 +80,7 @@ from __future__ import annotations
 
 import time
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from operator import eq, not_, sub
@@ -117,7 +133,8 @@ class GridIndex:
         rows: number of grid rows.
         columns: number of grid columns.
 
-    Rows of the cell-pair lower-bound matrix are computed on first use.
+    Rows of the cell-pair lower-bound matrix are computed on first use, out
+    to the reach the reader asks for.
 
     Raises:
         InvalidNetworkError: if the network has no coordinates.
@@ -147,10 +164,20 @@ class GridIndex:
         # The compiled graph every distance of the index is computed on.
         self._graph = CSRGraph(network)
 
-        #: per cell, its bound to every cell, indexed by rank (row-major position)
-        self._lower_bound_rows: Dict[CellId, List[float]] = {}
-        #: per cell, every rank sorted by ascending bound (ties in rank order)
+        #: per cell, ``(reach, row)``: its bound to every cell, indexed by rank
+        #: (row-major position), searched out to ``reach``
+        self._lower_bound_rows: Dict[CellId, Tuple[float, List[float]]] = {}
+        #: per cell, the ranks its held row bounds finitely, by ascending bound
+        #: (ties in rank order)
         self._cell_orders: Dict[CellId, List[int]] = {}
+        #: per rank, how many cells its full row bounds finitely (labelled on
+        #: the first :meth:`reaches_beyond` call with a finite reach)
+        self._reachable: Optional[List[int]] = None
+        #: :meth:`reaches_beyond`'s answers by ``(cell, within)``
+        self._beyond: Dict[Tuple[CellId, float], bool] = {}
+        #: row searches run so far, out to a finite reach and in full
+        self.bounded_row_searches = 0
+        self.full_row_searches = 0
         #: ``(border indices of all cells, segment starts, ranks with borders)``
         #: as NumPy arrays, built with the first row ``nearest`` returns an ndarray for
         self._border_gather: Optional[tuple] = None
@@ -319,18 +346,35 @@ class GridIndex:
     # ------------------------------------------------------------------
     # lower bounds
     # ------------------------------------------------------------------
-    def _lower_bound_row(self, cell_id: CellId) -> List[float]:
-        """Return (computing if necessary) lower bounds from ``cell_id`` to every cell, by rank."""
-        row = self._lower_bound_rows.get(cell_id)
-        if row is not None:
-            return row
+    def _lower_bound_row(
+        self, cell_id: CellId, reach: float = INFINITY
+    ) -> Tuple[float, List[float]]:
+        """Return ``(reach, row)``: the bounds from ``cell_id`` to every cell, by
+        rank, searched out to at least ``reach`` (computing them if necessary).
+
+        The one row builder: ``CSRGraph.nearest(border vertices, limit=reach)``
+        and each cell's minimum over its border vertices.  Every entry up to
+        the row's reach is the full row's float; an entry past it reads
+        ``INFINITY`` -- *not searched* while the reach is finite, unreachable
+        once it is not.  A row held with a shorter reach is searched again,
+        out to ``reach``; the full row is ``reach = INFINITY``.
+        """
+        held = self._lower_bound_rows.get(cell_id)
+        if held is not None and held[0] >= reach:
+            return held
         borders = self._border_indices[cell_id]
         if not borders:
             # No border vertices: the cell is not connected to any other cell
-            # through the road network (or it is the only populated cell).
+            # through the road network (or it is the only populated cell), so
+            # the row is whole at any reach.
+            reach = INFINITY
             row = [INFINITY] * len(self._cell_list)
         else:
-            nearest = self._graph.nearest(borders)
+            if reach == INFINITY:
+                self.full_row_searches += 1
+            else:
+                self.bounded_row_searches += 1
+            nearest = self._graph.nearest(borders, limit=reach)
             if isinstance(nearest, array):
                 lookup = nearest.__getitem__
                 row = [
@@ -343,8 +387,9 @@ class GridIndex:
                 minima[ranks] = _np.minimum.reduceat(nearest[flat], starts)
                 row = minima.tolist()
         row[self._cell_rank[cell_id]] = 0.0
-        self._lower_bound_rows[cell_id] = row
-        return row
+        held = self._lower_bound_rows[cell_id] = (reach, row)
+        self._cell_orders.pop(cell_id, None)
+        return held
 
     def _gather_arrays(self) -> tuple:
         """Every cell's border indices back to back, in rank order, as NumPy arrays.
@@ -369,15 +414,39 @@ class GridIndex:
         return self._border_gather
 
     def _cell_order(self, cell_id: CellId) -> List[int]:
-        """Every rank sorted by ascending bound from ``cell_id`` (stable: ties in rank order)."""
+        """The ranks the held row of ``cell_id`` has a finite bound for, by
+        ascending bound (stable: ties in rank order) -- a prefix of the full
+        row's order, since every bound past the reach is larger."""
         order = self._cell_orders.get(cell_id)
         if order is None:
-            row = self._lower_bound_row(cell_id)
-            order = sorted(range(len(row)), key=row.__getitem__)
+            row = self._lower_bound_rows[cell_id][1]
+            finite = compress(range(len(row)), map(INFINITY.__gt__, row))
+            order = sorted(finite, key=row.__getitem__)
             self._cell_orders[cell_id] = order
         return order
 
-    def distance_lower_bound(self, u: VertexId, v: VertexId) -> float:
+    def _reachable_counts(self) -> List[int]:
+        """Per rank, how many finite bounds the cell's full row holds: its own
+        and one per cell with a border vertex in a connected component that
+        one of its own border vertices lies in.  Labelled once per index."""
+        if self._reachable is None:
+            labels = self._graph.components()
+            touched = [
+                frozenset(map(labels.__getitem__, borders))
+                for borders in self._border_indices.values()
+            ]
+            ranks_in: Dict[int, Set[int]] = {}
+            for rank, components in enumerate(touched):
+                for component in components:
+                    ranks_in.setdefault(component, set()).add(rank)
+            counts: Dict[frozenset, int] = {frozenset(): 1}  # no border: only itself
+            for components in touched:
+                if components not in counts:
+                    counts[components] = len(set().union(*map(ranks_in.__getitem__, components)))
+            self._reachable = list(map(counts.__getitem__, touched))
+        return self._reachable
+
+    def distance_lower_bound(self, u: VertexId, v: VertexId, within: float = INFINITY) -> float:
         """Return an admissible lower bound on ``dist(u, v)``.
 
         The bound is ``0`` when both vertices share a cell, otherwise
@@ -387,6 +456,12 @@ class GridIndex:
         in.  Nothing is memoised: the callers (the matchers' vehicle
         screening) repeat a pair 1.2 to 2.7 times a day, which does not pay
         for a dict of pairs.
+
+        ``within`` is the reach to search a row the cell lacks out to: a
+        caller whose reads mostly fall within it (the pick-up probe, within
+        the pick-up cap) keeps the search short.  It never changes the
+        answer: a read past the held row's reach completes the row as a
+        full search.
         """
         if u == v:
             return 0.0
@@ -400,23 +475,50 @@ class GridIndex:
         if cell_a == cell_b:
             return 0.0
         # an infinite cell bound (cells not connected) stays infinite
-        bound = self._lower_bound_row(cell_a)[self._cell_rank[cell_b]]
+        rank = self._cell_rank[cell_b]
+        reach, row = self._lower_bound_row(cell_a, within)
+        bound = row[rank]
+        if bound > reach:  # past a finite reach: not searched yet
+            bound = self._lower_bound_row(cell_a)[1][rank]
         return self._vertex_min[a] + bound + self._vertex_min[b]
 
-    def expand_from(self, cell_id: CellId) -> Iterator[Tuple[float, GridCell]]:
+    def expand_from(
+        self, cell_id: CellId, within: float = INFINITY
+    ) -> Iterator[Tuple[float, GridCell]]:
         """Yield ``(lower_bound, cell)`` pairs in ascending lower-bound order.
 
         This is the *grid cell list* of Fig. 1(b); the searches expand cells
         in exactly this order, tied bounds in cell-id order.  Unreachable
-        cells (infinite lower bound) sort last and are not yielded.
+        cells (infinite lower bound) sort last and are not yielded.  With
+        ``within``, only the cells bounded by at most ``within`` are yielded
+        -- the full expansion's prefix, read off a row searched out to that
+        reach -- and :meth:`reaches_beyond` says whether more would follow.
         """
-        row = self._lower_bound_row(cell_id)
+        row = self._lower_bound_row(cell_id, within)[1]
         cells = self._cell_list
         for rank in self._cell_order(cell_id):
             bound = row[rank]
-            if bound == INFINITY:
+            if bound > within:
                 return
             yield bound, cells[rank]
+
+    def reaches_beyond(self, cell_id: CellId, within: float) -> bool:
+        """Whether the full expansion from ``cell_id`` yields a cell bounded by
+        more than ``within``: one that ``expand_from(cell_id, within)`` stops
+        short of.  No search is run past ``within``; the connected components
+        say which cells a full row would reach.  The answer is kept per cell
+        and ``within``: a walk asks it whenever it runs out of cells within
+        the cap, with the same cap all day."""
+        if within == INFINITY:
+            return False
+        key = (cell_id, within)
+        beyond = self._beyond.get(key)
+        if beyond is None:
+            row = self._lower_bound_row(cell_id, within)[1]
+            inside = bisect_right(self._cell_order(cell_id), within, key=row.__getitem__)
+            reachable = self._reachable_counts()[self._cell_rank[cell_id]]
+            beyond = self._beyond[key] = reachable > inside
+        return beyond
 
     # ------------------------------------------------------------------
     # vehicle bookkeeping (used by repro.vehicles.fleet)

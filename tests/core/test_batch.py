@@ -226,9 +226,9 @@ class TestDemandPool:
             assert raised.value.args == expected.value.args
 
     def test_prefetch_share_covers_start_trees_only(self, monkeypatch):
-        """``context_seconds`` bills the start-tree prefetch plus each
-        request's inline time -- never the wall of a leg tree, which lands in
-        the turn that demanded it."""
+        """``context_seconds`` bills the start-tree prefetch, each start's
+        share to its first request and no clock read per request -- never
+        the wall of a leg tree, which lands in the turn that demanded it."""
         import repro.core.batch as batch_module
 
         class _Clock:
@@ -256,7 +256,7 @@ class TestDemandPool:
         assert calls == [starts]
         assert batch.statistics.prefetch_seconds == 101.0
         billed = sum(batch.context_seconds(index) for index in range(len(requests)))
-        assert billed == pytest.approx(101.0 + len(requests) * 1.0)
+        assert billed == pytest.approx(101.0)
 
         vertices = grid.network.vertices()
         leg = next(

@@ -11,7 +11,9 @@ a one- or two-tree cache equal the sequential loop of
 ``tests/dispatch_reference.py`` window after window; a start that recurs
 from one window to the next is never rooted again; after every window the
 pinned roots are live stops or that window's starts, and nothing stays
-pinned after ``invalidate()``, a backend switch or ``close()``.
+pinned after ``invalidate()``, a backend switch or ``close()``.  Both
+strategies draw some requests with more riders than a taxi seats: their
+starts get no option, so only the window's starts keep their rows.
 """
 
 from __future__ import annotations
@@ -184,6 +186,8 @@ def window_scenarios(draw):
     locations = [rng.choice(vertices) for _ in range(draw(st.integers(min_value=1, max_value=6)))]
     grid_rows = draw(st.integers(min_value=2, max_value=4))
     hotspots = rng.sample(vertices, draw(st.integers(min_value=1, max_value=3)))
+    # the share of requests with more riders than a taxi seats (no option)
+    crowded = draw(st.sampled_from([0.0, 0.5]))
     windows = []
     for window in range(draw(st.integers(min_value=3, max_value=5))):
         requests = []
@@ -192,7 +196,8 @@ def window_scenarios(draw):
             destination = rng.choice([v for v in vertices if v != start])
             requests.append(
                 Request(
-                    start=start, destination=destination, riders=rng.randint(1, 2),
+                    start=start, destination=destination,
+                    riders=5 if rng.random() < crowded else rng.randint(1, 2),
                     max_waiting=6.0, service_constraint=0.6,
                     request_id=f"w{window}-{seed}-{index}",
                 )
@@ -431,6 +436,8 @@ def driven_days(draw):
         "policy": draw(st.sampled_from([OptionPolicy.CHEAPEST, OptionPolicy.FASTEST])),
         "cache": draw(st.sampled_from([1, 2])),
         "speed": draw(st.sampled_from([0.6, 1.5])),
+        # the share of requests with more riders than a taxi seats (no option)
+        "crowded": draw(st.sampled_from([0.0, 0.5])),
     }
 
 
@@ -489,8 +496,8 @@ def test_a_driven_day_equals_the_loop_and_pins_only_live_stops_and_starts(backen
             window.append(
                 Request(
                     start=start, destination=rng.choice([v for v in vertices if v != start]),
-                    riders=rng.randint(1, 2), max_waiting=6.0, service_constraint=0.6,
-                    request_id=request_id,
+                    riders=4 if rng.random() < scenario["crowded"] else rng.randint(1, 2),
+                    max_waiting=6.0, service_constraint=0.6, request_id=request_id,
                 )
             )
         loop_outcomes = dispatch_sequential(loop, window, scenario["policy"])

@@ -1253,8 +1253,8 @@ class TestReconfiguredDay:
         "D51": "c11", "D52": "c7",
     }
     STATE_FILES_SHA256 = (
-        "ed452212135d3aaadcd18141ef50b4fb"
-        "8311e95f7ef6fe768e5de5147059f796"
+        "e245ae06fc1ac3c847eb3c71b5c668a6"
+        "29481058858677e3ed2537ebfe1a74a1"
     )
 
     def _day(self, tmp_path, monkeypatch):
